@@ -45,7 +45,8 @@ let specs =
       name = "lifecycle-churn";
       build = (fun ~seed ~rep ~trace -> Stack.lifecycle_churn ~seed ~rep ~track_lag:trace);
       warmup_ops = 100;
-      setup_reps = 5;
+      (* Its set-up takes about 0.1 s, so more repetitions cost little. *)
+      setup_reps = 9;
     };
   ]
 
