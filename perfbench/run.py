@@ -24,10 +24,11 @@ exe = os.path.join(root, "_build", "default", "perfbench", "bench.exe")
 # The whole stack is one OCaml domain: its threads take turns on one
 # runtime lock, so it runs OCaml code on one core at a time.  Left free
 # on a 2-vCPU VM, every handoff of that lock to a thread on the other,
-# idle vCPU waits for the hypervisor to schedule it; measured that way,
-# lifecycle-churn ran at 420-710 ops/s across identical runs, against
-# 1940-2070 ops/s pinned.  Pin the benchmark (daemons and clients) to one
-# CPU so that runs measure the stack rather than the host's scheduler.
+# idle vCPU waits for the hypervisor to schedule it.  Measured that way,
+# lifecycle-churn ran 3-4 times slower and varied by a quarter between
+# identical runs; pinned, runs agree within a few percent.  Pin the
+# benchmark (daemons and clients) to one CPU so that runs measure the
+# stack rather than the host's scheduler.
 os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 run = subprocess.run([exe] + sys.argv[1:], cwd=root)
 sys.exit(run.returncode if run.returncode >= 0 else 1)
