@@ -9,12 +9,14 @@
    One run builds the workload's in-process stack from the seed, warms
    it, measures a closed loop of its clients for S seconds, checks every
    answer and the final domain states against the generator's model, and
-   prints one JSON object as the last line of standard output.  With
-   --trace 0 it reports the end-to-end metrics; with --trace 1 it runs an
-   untraced window, then a traced one, then peels the stack back layer
-   by layer (see peel.ml) and reports the per-layer metrics, the tracing
-   overhead, and writes the spans to perfbench-out/.  The exit code is
-   non-zero if any answer is wrong. *)
+   prints one JSON object as the last line of standard output.  Times
+   are measured on a reference clock that corrects for the host's
+   changing speed (see [reference_loop]).  With --trace 0 it reports the
+   end-to-end metrics, and their wall-clock values in the lines above;
+   with --trace 1 it runs an untraced window, then a traced one, then
+   peels the stack back layer by layer (see peel.ml) and reports the
+   per-layer metrics, the tracing overhead, and writes the spans to
+   perfbench-out/.  The exit code is non-zero if any answer is wrong. *)
 
 let () = Ovirt.initialize ()
 
@@ -80,6 +82,98 @@ let percentile arr p =
 
 (* ---- the closed loop ----------------------------------------------- *)
 
+(* The benchmark shares its CPU with other tenants of the host, and the
+   host's speed is not steady: a 20 ms fleet listing takes about 13 or
+   about 24 ms depending only on when it runs, switching every 50-150 ms,
+   and the share of slow stretches drifts over minutes, so wall-clock
+   figures of two runs of the same program differ by up to a half.  The
+   slow stretches slow memory loads, not register arithmetic.  The
+   sampler therefore times this reference loop at every tick (20 ms):
+   one pass of loads over a 1 MiB array that stays in the core's caches,
+   after an untimed pass that refills them, so the program's own cache
+   traffic does not count; the loop does not allocate, so garbage
+   collection cannot slow it.  Every time the benchmark reports is
+   measured on a reference clock that runs at speed
+   ([reference_s] / loop time) ** [reference_exponent].  The loop slows
+   more than the workloads do: across 24 runs of the three workloads on
+   a 2-vCPU VM whose loop medians ranged from 113 to 244 us, the spread
+   between runs was smallest with exponents of about 0.6 (read-small),
+   0.7 (lifecycle-churn) and 1.0 (fleet-inventory), and 0.8 kept every
+   workload's spread of every end-to-end time below 7 %, against 12-45 %
+   on the wall clock. *)
+let reference_data = Array.init 131072 (fun i -> (i * 7919) land 0xffff)
+
+let reference_loop () =
+  let pass () =
+    let acc = ref 0 in
+    for i = 0 to 131071 do
+      acc := !acc + Array.unsafe_get reference_data ((i * 17) land 131071)
+    done;
+    ignore (Sys.opaque_identity !acc)
+  in
+  pass ();
+  let t0 = Unix.gettimeofday () in
+  pass ();
+  Unix.gettimeofday () -. t0
+
+let reference_s = 120e-6
+let reference_exponent = 0.8
+
+type tick = { at : float; cpu : float;  (** process CPU seconds *) loop_s : float }
+
+let tick () =
+  let loop_s = reference_loop () in
+  { at = Unix.gettimeofday (); cpu = cpu_s (); loop_s }
+
+(* Takes a tick now and then every 20 ms on a thread of its own, calling
+   [also] before each; the returned function takes a last tick, stops
+   the thread and returns the ticks, oldest first. *)
+let ticker ?(also = fun () -> ()) () =
+  let stop = Atomic.make false and ticks = ref [ tick () ] in
+  let th =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          also ();
+          ticks := tick () :: !ticks;
+          Thread.delay 0.02
+        done)
+      ()
+  in
+  fun () ->
+    let last = tick () in
+    Atomic.set stop true;
+    Thread.join th;
+    Array.of_list
+      (List.sort (fun a b -> compare a.at b.at) (last :: List.filter (fun t -> t.at < last.at) !ticks))
+
+(* The reference clock over [ts]: between two ticks its speed follows
+   the mean of their loop times; [speed k] is its speed in the interval
+   after tick [k].  A loop time far above the median is a thread switch
+   during the loop, not the host's speed.  Returns [speed] and the
+   reference time since the first tick of a wall-clock time. *)
+let reference_clock ts =
+  let n = Array.length ts in
+  let cap = 3. *. Trace.median (Array.to_list (Array.map (fun t -> t.loop_s) ts)) in
+  let loop k = Float.min cap ts.(k).loop_s in
+  let speed k = (reference_s /. ((loop k +. loop (k + 1)) /. 2.)) ** reference_exponent in
+  let ref_at = Array.make n 0. in
+  for k = 0 to n - 2 do
+    ref_at.(k + 1) <- ref_at.(k) +. ((ts.(k + 1).at -. ts.(k).at) *. speed k)
+  done;
+  let ref_time t =
+    (* The interval holding [t] starts at the last tick at or before it. *)
+    let rec go lo hi =
+      if hi - lo <= 1 then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if ts.(mid).at <= t then go mid hi else go lo mid
+    in
+    let k = min (n - 2) (go 0 n) in
+    ref_at.(k) +. ((t -. ts.(k).at) *. speed k)
+  in
+  (speed, ref_time)
+
 type window = {
   ops : (float * float) array;  (** (end time, latency) of every completed operation, seconds *)
   attempted : int;
@@ -87,30 +181,23 @@ type window = {
   writes : int;
   t0 : float;
   wall : float;
-  cpu_at : (float * float) list;  (** (time, process CPU seconds), newest first *)
+  ticks : tick array;  (** oldest first; the first is taken at [t0], the last at the end *)
   peak_rss_kib : int;
   errors : string list;  (** first few, for the report *)
   samples : int list;  (** sampler readings ([sample] results) *)
 }
 
-(* A sampler thread reads RSS, CPU time and [sample] every 20 ms while
-   the window is open. *)
+(* While the window is open, a [ticker] also reads RSS and [sample]. *)
 let run_window (st : Stack.t) ~ks ~stop_after ~bufs ?(sample = fun () -> 0) () =
-  let stop = Atomic.make false in
   let peak = ref (rss_kib ()) and sampled = ref [] in
-  let cpu0 = cpu_s () and t0 = Unix.gettimeofday () in
-  let cpu_at = ref [ (t0, cpu0) ] in
-  let sampler =
-    Thread.create
-      (fun () ->
-        while not (Atomic.get stop) do
-          peak := max !peak (rss_kib ());
-          sampled := sample () :: !sampled;
-          cpu_at := (Unix.gettimeofday (), cpu_s ()) :: !cpu_at;
-          Thread.delay 0.02
-        done)
+  let stop =
+    ticker
+      ~also:(fun () ->
+        peak := max !peak (rss_kib ());
+        sampled := sample () :: !sampled)
       ()
   in
+  let t0 = Unix.gettimeofday () in
   let deadline = match stop_after with `Seconds s -> t0 +. s | `Ops _ -> infinity in
   let per_client =
     Array.init st.Stack.n_clients (fun c ->
@@ -142,9 +229,7 @@ let run_window (st : Stack.t) ~ks ~stop_after ~bufs ?(sample = fun () -> 0) () =
         (th, done_, failed, writes, n, errors))
   in
   Array.iter (fun (th, _, _, _, _, _) -> Thread.join th) per_client;
-  let t1 = Unix.gettimeofday () and cpu1 = cpu_s () in
-  Atomic.set stop true;
-  Thread.join sampler;
+  let ticks = stop () in
   let sum f = Array.fold_left (fun acc x -> acc + f x) 0 per_client in
   {
     ops = Array.of_list (List.concat_map (fun (_, d, _, _, _, _) -> !d) (Array.to_list per_client));
@@ -152,8 +237,8 @@ let run_window (st : Stack.t) ~ks ~stop_after ~bufs ?(sample = fun () -> 0) () =
     failed = sum (fun (_, _, f, _, _, _) -> !f);
     writes = sum (fun (_, _, _, w, _, _) -> !w);
     t0;
-    wall = t1 -. t0;
-    cpu_at = (t1, cpu1) :: !cpu_at;
+    wall = ticks.(Array.length ticks - 1).at -. t0;
+    ticks;
     peak_rss_kib = !peak;
     errors = List.concat_map (fun (_, _, _, _, _, e) -> !e) (Array.to_list per_client);
     samples = !sampled;
@@ -161,48 +246,30 @@ let run_window (st : Stack.t) ~ks ~stop_after ~bufs ?(sample = fun () -> 0) () =
 
 type e2e = { p50_ms : float; p90_ms : float; ops_per_s : float; cpu_ms_per_op : float; rss_mb : float }
 
-(* The window is cut into [slices] equal time slices (operations go to
-   the slice they end in); each end-to-end figure is the median of its
-   per-slice values, so a burst of host noise in one slice moves it
-   little.  Peak RSS is the maximum over the whole window. *)
-let slices = 5
-
-let e2e_of w =
-  let width = w.wall /. float_of_int slices in
-  let cpu_at t =
-    (* The reading closest to [t]. *)
-    snd
-      (List.fold_left
-         (fun (bd, bv) (ts, v) -> if Float.abs (ts -. t) < bd then (Float.abs (ts -. t), v) else (bd, bv))
-         (infinity, 0.) w.cpu_at)
+(* Latencies are reference-clock differences, throughput is operations
+   per reference second, and CPU time is scaled by the clock's speed
+   interval by interval.  [~wall:true] gives the plain wall-clock
+   figures instead.  Peak RSS is the maximum over the window. *)
+let e2e_of ?(wall = false) w =
+  let ts = w.ticks in
+  let speed, ref_time =
+    if wall then ((fun _ -> 1.), fun t -> t -. ts.(0).at) else reference_clock ts
   in
-  let per_slice =
-    List.init slices (fun i ->
-        let lo = w.t0 +. (width *. float_of_int i) in
-        let hi = lo +. width in
-        let lat =
-          Array.of_list
-            (Array.fold_left
-               (fun acc (t, l) -> if t >= lo && (t < hi || i = slices - 1) then l :: acc else acc)
-               [] w.ops)
-        in
-        let n = float_of_int (max 1 (Array.length lat)) in
-        {
-          p50_ms = percentile lat 0.5 *. 1000.;
-          p90_ms = percentile lat 0.9 *. 1000.;
-          ops_per_s = float_of_int (Array.length lat) /. width;
-          cpu_ms_per_op = (cpu_at hi -. cpu_at lo) *. 1000. /. n;
-          rss_mb = 0.;
-        })
-  in
-  let med f = Trace.median (List.map f per_slice) in
+  let cpu = ref 0. in
+  for k = 0 to Array.length ts - 2 do
+    cpu := !cpu +. ((ts.(k + 1).cpu -. ts.(k).cpu) *. speed k)
+  done;
+  let lat = Array.map (fun (t, l) -> ref_time t -. ref_time (t -. l)) w.ops in
+  let ops = float_of_int (max 1 (Array.length w.ops)) in
   {
-    p50_ms = med (fun e -> e.p50_ms);
-    p90_ms = med (fun e -> e.p90_ms);
-    ops_per_s = med (fun e -> e.ops_per_s);
-    cpu_ms_per_op = med (fun e -> e.cpu_ms_per_op);
+    p50_ms = percentile lat 0.5 *. 1000.;
+    p90_ms = percentile lat 0.9 *. 1000.;
+    ops_per_s = ops /. ref_time ts.(Array.length ts - 1).at;
+    cpu_ms_per_op = !cpu *. 1000. /. ops;
     rss_mb = float_of_int w.peak_rss_kib /. 1024.;
   }
+
+let median_loop w = Trace.median (Array.to_list (Array.map (fun t -> t.loop_s) w.ticks))
 
 (* ---- set-up -------------------------------------------------------- *)
 
@@ -210,7 +277,10 @@ type setup = { seed_s : float; open_s : float; warmup_s : float }
 
 let total s = s.seed_s +. s.open_s +. s.warmup_s
 
+(* Set-up times are on the reference clock too; the split into seeding,
+   opening and warm-up uses the clock's mean speed over the set-up. *)
 let build_and_warm spec ~seed ~rep ~trace =
+  let stop = ticker () in
   let st = spec.build ~seed ~rep ~trace in
   let ks = Array.make st.Stack.n_clients 0 in
   let w =
@@ -218,7 +288,10 @@ let build_and_warm spec ~seed ~rep ~trace =
   in
   if w.failed > 0 then
     failwith (Printf.sprintf "warm-up: %d failed operation(s): %s" w.failed (String.concat "; " w.errors));
-  (st, ks, { seed_s = st.Stack.seed_s; open_s = st.Stack.open_s; warmup_s = w.wall })
+  let ticks = stop () in
+  let last = ticks.(Array.length ticks - 1).at in
+  let scale = snd (reference_clock ticks) last /. (last -. ticks.(0).at) in
+  (st, ks, { seed_s = st.Stack.seed_s *. scale; open_s = st.Stack.open_s *. scale; warmup_s = w.wall *. scale })
 
 (* The remaining set-up repetitions, each torn down at once. *)
 let extra_setups spec ~seed ~trace =
@@ -366,6 +439,7 @@ let per_layer_metrics ~(st : Stack.t) ~setups ~(untraced : window) ~(traced : wi
     ( "gc.major_collections_per_kop", "count",
       float_of_int (c1.Peel.major_collections - c0.Peel.major_collections) *. 1000. /. ops );
     ("gc.top_heap_mb", "MiB", float_of_int (c1.Peel.top_heap_words * (Sys.word_size / 8)) /. 1048576.);
+    ("host.reference_loop_us", "us", 1e6 *. median_loop traced);
     ("trace.overhead_p50_ms", "ms", e_t.p50_ms -. e_u.p50_ms);
     ("trace.overhead_p90_ms", "ms", e_t.p90_ms -. e_u.p90_ms);
     ("trace.overhead_ops_per_s", "ops/s", e_t.ops_per_s -. e_u.ops_per_s);
@@ -395,6 +469,12 @@ let () =
   in
   if not trace then begin
     let e = e2e_of untraced in
+    let wall = e2e_of ~wall:true untraced in
+    report_line "wall-clock op_p50_ms" "ms" wall.p50_ms;
+    report_line "wall-clock op_p90_ms" "ms" wall.p90_ms;
+    report_line "wall-clock ops_per_s" "ops/s" wall.ops_per_s;
+    report_line "wall-clock cpu_ms_per_op" "ms" wall.cpu_ms_per_op;
+    report_line "reference loop, median" "us" (1e6 *. median_loop untraced);
     let final = st.Stack.final_check ~executed:ks in
     st.Stack.close ();
     let setups = setup0 :: extra_setups spec ~seed ~trace in
