@@ -859,11 +859,13 @@ let rwlock () =
 
 (* A manager crash (Ovirt.crash_managers) drops every driver node while
    journals and simulated hypervisor state survive; the next connection
-   replays the journal and reconciles.  Measured: wall time of that
-   recovering open vs the number of defined/running domains, with the
-   re-adoption counts verified against what was set up before the crash.
-   Then a qemu re-adoption check (same pids after recovery — the guests
-   were never touched) and a crash-point sweep of the journal image. *)
+   replays the journal and reconciles.  Measured: mean time per define
+   while the store fills (one journal record each, so flat in N), and
+   wall time of that recovering open vs the number of defined/running
+   domains, with the re-adoption counts verified against what was set up
+   before the crash.  Then a qemu re-adoption check (same pids after
+   recovery — the guests were never touched) and a crash-point sweep of
+   the journal image.  Any failed check aborts the run. *)
 let recovery () =
   section "E15: restart recovery time and re-adoption vs domain count";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
@@ -882,8 +884,12 @@ let recovery () =
        guests, so the running share stops growing at 40 (+8 autostart). *)
     let running = min (n / 2) 40 in
     let autostart = min (max (n / 10) 1) 8 in
+    let define_s = ref 0.0 in
     for i = 1 to n do
-      let dom = define_domain (List.hd kits) conn (Printf.sprintf "rvm%04d" i) in
+      let dom, dt =
+        time_once (fun () -> define_domain (List.hd kits) conn (Printf.sprintf "rvm%04d" i))
+      in
+      define_s := !define_s +. dt;
       if i <= running then ok (Domain.create dom)
       else if i <= running + autostart then ok (Domain.set_autostart dom true)
     done;
@@ -898,20 +904,26 @@ let recovery () =
     (* +1 everywhere for the test driver's seeded "test" domain. *)
     let adoption_ok = adopted = running + 1 && active = running + autostart + 1 in
     Connect.close conn2;
+    if not (adoption_ok && defined + active = n + 1) then
+      failwith
+        (Printf.sprintf
+           "recovery: N=%d MISMATCH (adopted %d, active %d, defined %d; \
+            expected %d running + %d autostarted)"
+           n adopted active defined running autostart);
     [
       string_of_int n;
+      Printf.sprintf "%.1f us" (1e6 *. !define_s /. float_of_int n);
       string_of_int running;
       string_of_int (List.length replay.Persist.Journal.rp_records);
       Printf.sprintf "%.1f ms" (1000.0 *. elapsed);
       string_of_int adopted;
       string_of_int (active - adopted);
-      (if adoption_ok && defined + active = n + 1 then "ok" else "MISMATCH");
     ]
   in
   table
     [
-      "domains"; "running"; "journal records"; "recovery open"; "adopted";
-      "autostarted"; "verified";
+      "domains"; "define"; "running"; "journal records"; "recovery open";
+      "adopted"; "autostarted";
     ]
     (List.map run_scale counts);
   subsection "qemu re-adoption: same emulator processes before and after";
@@ -936,11 +948,13 @@ let recovery () =
   Ovirt.crash_managers ();
   let qconn2, q_elapsed = time_once (fun () -> ok (Connect.open_uri quri)) in
   let after = pids qconn2 in
+  let preserved = before = after && before <> [] in
   Printf.printf
     "  %d defined / %d running: recovery open %.1f ms, pids preserved: %s\n"
     q_total q_running (1000.0 *. q_elapsed)
-    (if before = after && before <> [] then "yes" else "NO");
+    (if preserved then "yes" else "NO");
   Connect.close qconn2;
+  if not preserved then failwith "recovery: qemu pids not preserved across the crash";
   subsection "crash-point sweep: every journal cut replays prefix-consistently";
   let n_ops = if smoke then 8 else 24 in
   let cfgs =
@@ -1008,7 +1022,9 @@ let recovery () =
       end)
     boundary;
   Printf.printf "  %d cut points (%d records), prefix violations: %d\n" !cuts
-    (List.length ops_list) !violations
+    (List.length ops_list) !violations;
+  if !violations > 0 then
+    failwith (Printf.sprintf "recovery: %d prefix violations" !violations)
 
 (* ------------------------------------------------------------------ *)
 (* E16: bulk & batched RPC + cache vs the per-op N+1 pattern           *)

@@ -2,11 +2,9 @@ module Vm_config = Vmm.Vm_config
 module Verror = Ovirt_core.Verror
 module Journal = Persist.Journal
 
-type entry = {
-  e_cfg : Vm_config.t;
-  mutable e_autostart : bool;
-  mutable e_running : bool;
-}
+(* Immutable: every change goes through [set_entry], which keeps
+   [snapshot_size] in step. *)
+type entry = { e_cfg : Vm_config.t; e_autostart : bool; e_running : bool }
 
 type t = {
   mutex : Mutex.t;
@@ -15,6 +13,9 @@ type t = {
      under [mutex] so define/by_uuid are O(1) instead of a full fold. *)
   uuids : (string, string) Hashtbl.t;
   mutable journal : Journal.t option;
+  (* Records a snapshot of [configs] would hold, so the compaction
+     check is O(1) instead of rendering every domain's XML. *)
+  mutable snapshot_size : int;
 }
 
 type recovery = { rc_replayed : int; rc_torn_bytes : int; rc_compacted : bool }
@@ -25,6 +26,7 @@ let create () =
     configs = Hashtbl.create 16;
     uuids = Hashtbl.create 16;
     journal = None;
+    snapshot_size = 0;
   }
 
 let with_lock store f =
@@ -50,13 +52,32 @@ let rec_running name flag = (if flag then "R" else "S") ^ name
 let journal_append store payload =
   match store.journal with None -> () | Some j -> Journal.append j payload
 
+(* One entry's share of a snapshot, unrendered: its definition, then
+   one record per set flag.  Counting it renders no XML. *)
+let entry_records name e =
+  (lazy (rec_define e.e_cfg)
+   :: (if e.e_autostart then [ lazy (rec_autostart name true) ] else []))
+  @ if e.e_running then [ lazy (rec_running name true) ] else []
+
+let entry_weight name = function
+  | Some e -> List.length (entry_records name e)
+  | None -> 0
+
+(* The one place [configs] changes ([None] removes the name). *)
+let set_entry store name next =
+  store.snapshot_size <-
+    store.snapshot_size
+    - entry_weight name (Hashtbl.find_opt store.configs name)
+    + entry_weight name next;
+  match next with
+  | Some e -> Hashtbl.replace store.configs name e
+  | None -> Hashtbl.remove store.configs name
+
 (* Snapshot: the minimal record sequence reproducing the live state. *)
 let snapshot_records store =
   Hashtbl.fold (fun name e acc -> (name, e) :: acc) store.configs []
   |> List.sort compare
-  |> List.concat_map (fun (name, e) ->
-         (rec_define e.e_cfg :: (if e.e_autostart then [ rec_autostart name true ] else []))
-         @ if e.e_running then [ rec_running name true ] else [])
+  |> List.concat_map (fun (name, e) -> List.map Lazy.force (entry_records name e))
 
 (* Compact when the log carries several times more records than a fresh
    snapshot would need; keeps replay O(live state), not O(history).
@@ -77,10 +98,9 @@ let maybe_compact_locked store =
   match store.journal with
   | None -> false
   | Some j ->
-    let snap = snapshot_records store in
-    if Journal.record_count j > (!compact_factor * List.length snap) + !compact_slack
+    if Journal.record_count j > (!compact_factor * store.snapshot_size) + !compact_slack
     then begin
-      Journal.rewrite j snap;
+      Journal.rewrite j (snapshot_records store);
       true
     end
     else false
@@ -107,18 +127,18 @@ let define_locked store config =
       Verror.error Verror.Dup_name
         "domain %S already defined with a different UUID" name
     | Some existing ->
-      Hashtbl.replace store.configs name { existing with e_cfg = config };
+      set_entry store name (Some { existing with e_cfg = config });
       Ok ()
     | None ->
-      Hashtbl.replace store.configs name
-        { e_cfg = config; e_autostart = false; e_running = false };
+      set_entry store name
+        (Some { e_cfg = config; e_autostart = false; e_running = false });
       Hashtbl.replace store.uuids key name;
       Ok ()
 
 let undefine_locked store name =
   match Hashtbl.find_opt store.configs name with
   | Some e ->
-    Hashtbl.remove store.configs name;
+    set_entry store name None;
     Hashtbl.remove store.uuids (uuid_key e.e_cfg.Vm_config.uuid);
     Ok ()
   | None -> Verror.error Verror.No_domain "no persistent domain named %S" name
@@ -166,7 +186,7 @@ let set_autostart store name flag =
       match Hashtbl.find_opt store.configs name with
       | Some e ->
         if e.e_autostart <> flag then begin
-          e.e_autostart <- flag;
+          set_entry store name (Some { e with e_autostart = flag });
           journal_append store (rec_autostart name flag)
         end;
         Ok ()
@@ -184,7 +204,7 @@ let note_running store name flag =
   with_lock store (fun () ->
       match Hashtbl.find_opt store.configs name with
       | Some e when e.e_running <> flag ->
-        e.e_running <- flag;
+        set_entry store name (Some { e with e_running = flag });
         journal_append store (rec_running name flag)
       | Some _ | None -> ())
 
@@ -220,11 +240,11 @@ let apply_record store payload =
       let flag = body.[0] = '1' in
       let name = String.sub body 1 (String.length body - 1) in
       match Hashtbl.find_opt store.configs name with
-      | Some e -> e.e_autostart <- flag
+      | Some e -> set_entry store name (Some { e with e_autostart = flag })
       | None -> ())
     | 'R' | 'S' -> (
       match Hashtbl.find_opt store.configs body with
-      | Some e -> e.e_running <- payload.[0] = 'R'
+      | Some e -> set_entry store body (Some { e with e_running = payload.[0] = 'R' })
       | None -> ())
     | _ -> () (* unknown tag: forward compatibility, skip *)
 

@@ -7,11 +7,15 @@
    is exactly the property the journal needs.
 
    Crash-point injection: a per-path *write limit* caps how many bytes
-   the medium will ever persist for that path.  Appends beyond the
-   limit are silently cut, modelling a torn write followed by a crash —
-   the writer believes the append succeeded, the disk kept a prefix. *)
+   the medium will ever persist for that path.  Writes and appends
+   beyond the limit are silently cut, modelling a torn write followed by a crash —
+   the writer believes the append succeeded, the disk kept a prefix.
 
-type file = { mutable data : string; mutable write_limit : int option }
+   An image is a growable buffer, so an append costs its own bytes
+   (amortised), not a copy of the whole image; [read] hands out an
+   immutable copy. *)
+
+type file = { mutable data : Buffer.t; mutable write_limit : int option }
 
 let mutex = Mutex.create ()
 let files : (string, file) Hashtbl.t = Hashtbl.create 32
@@ -24,44 +28,49 @@ let get_file path =
   match Hashtbl.find_opt files path with
   | Some f -> f
   | None ->
-    let f = { data = ""; write_limit = None } in
+    let f = { data = Buffer.create 0; write_limit = None } in
     Hashtbl.add files path f;
     f
 
-let clip f s =
+(* Bytes of [s] that fit under the write limit of an image already
+   [len] bytes long. *)
+let clip f ~len s =
   match f.write_limit with
   | None -> s
   | Some limit ->
-    let room = max 0 (limit - String.length f.data) in
+    let room = max 0 (limit - len) in
     if room >= String.length s then s else String.sub s 0 room
 
 let read path =
   with_lock (fun () ->
-      Option.map (fun f -> f.data) (Hashtbl.find_opt files path))
+      Option.map (fun f -> Buffer.contents f.data) (Hashtbl.find_opt files path))
 
 let exists path = with_lock (fun () -> Hashtbl.mem files path)
 
 let size path =
   with_lock (fun () ->
       match Hashtbl.find_opt files path with
-      | Some f -> String.length f.data
+      | Some f -> Buffer.length f.data
       | None -> 0)
 
+(* A fresh buffer of exactly the new size: the old image's capacity is
+   released, not kept around for a store that compaction just shrank. *)
 let write path s =
   with_lock (fun () ->
       let f = get_file path in
-      f.data <- clip { f with data = "" } s)
+      let s = clip f ~len:0 s in
+      f.data <- Buffer.create (String.length s);
+      Buffer.add_string f.data s)
 
 let append path s =
   with_lock (fun () ->
       let f = get_file path in
-      f.data <- f.data ^ clip f s)
+      Buffer.add_string f.data (clip f ~len:(Buffer.length f.data) s))
 
 let truncate path n =
   with_lock (fun () ->
       match Hashtbl.find_opt files path with
-      | Some f when String.length f.data > n ->
-        f.data <- String.sub f.data 0 (max 0 n)
+      | Some f when Buffer.length f.data > n -> Buffer.truncate f.data (max 0 n)
       | Some _ | None -> ())
 
 let remove path = with_lock (fun () -> Hashtbl.remove files path)

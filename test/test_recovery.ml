@@ -100,6 +100,40 @@ let test_journal_write_limit () =
     replay.Journal.rp_records;
   Alcotest.(check int) "clipped bytes truncated" 5 replay.Journal.rp_torn_bytes
 
+(* --- media semantics ------------------------------------------------------ *)
+
+let test_media_write_limit_clips_write () =
+  let path = fresh_name "media" in
+  Media.set_write_limit path (Some 5);
+  Media.write path "0123456789";
+  Alcotest.(check (option string)) "write cut at the limit" (Some "01234") (Media.read path);
+  Media.append path "x";
+  Alcotest.(check (option string)) "no room left to append" (Some "01234") (Media.read path);
+  Media.set_write_limit path None
+
+let test_media_truncate_then_append () =
+  let path = fresh_name "media" in
+  Media.write path "abcdef";
+  Media.truncate path 3;
+  Media.append path "XY";
+  Alcotest.(check (option string)) "append continues at the cut" (Some "abcXY")
+    (Media.read path);
+  Media.truncate path 10;
+  Alcotest.(check int) "truncate never grows" 5 (Media.size path)
+
+let test_media_read_is_a_copy () =
+  let path = fresh_name "media" in
+  Media.write path "abc";
+  let before = Option.get (Media.read path) in
+  (* Enough appends to outgrow any initial capacity. *)
+  for _ = 1 to 100 do
+    Media.append path "0123456789"
+  done;
+  Alcotest.(check string) "earlier read unchanged" "abc" before;
+  Alcotest.(check int) "image grew" 1003 (Media.size path);
+  Alcotest.(check string) "prefix kept" "abc0123"
+    (String.sub (Option.get (Media.read path)) 0 7)
+
 (* --- crash-point sweep over the domstore journal ------------------------- *)
 
 (* Each op appends exactly one journal record, so cutting the image at
@@ -215,6 +249,151 @@ let test_compaction () =
   let rc = Domstore.attach st2 ~path in
   Alcotest.(check bool) "journal compacted" true (rc.Domstore.rc_replayed < 10);
   Alcotest.(check (list string)) "state preserved" [ "keeper" ] (Domstore.names st2)
+
+(* --- compaction model ---------------------------------------------------- *)
+
+(* Random histories over a few names on a journaled store with a tight
+   compaction threshold, run beside a reference that knows only the
+   rule: every state change appends one record, and a define, undefine
+   or attach rewrites the journal to |snapshot| records iff it then holds
+   more than factor * |snapshot| + slack, where |snapshot| is one record
+   per entry plus one per set flag.  Should the store's own count of
+   |snapshot| drift, a compaction lands at another point and the record
+   counts part.  [M_reattach] continues on a store replayed from a copy
+   of the image, which must hold the same entries. *)
+type model_op =
+  | M_define of int * int  (** name, memory variant *)
+  | M_undefine of int
+  | M_autostart of int * bool
+  | M_running of int * bool
+  | M_reattach
+
+let model_names = 4
+let model_factor = 2
+let model_slack = 1
+
+let print_model_op = function
+  | M_define (i, v) -> Printf.sprintf "define m%d/%d" i v
+  | M_undefine i -> Printf.sprintf "undefine m%d" i
+  | M_autostart (i, b) -> Printf.sprintf "autostart m%d %b" i b
+  | M_running (i, b) -> Printf.sprintf "running m%d %b" i b
+  | M_reattach -> "reattach"
+
+let gen_model_ops =
+  QCheck.Gen.(
+    let name = int_bound (model_names - 1) in
+    list_size (int_bound 60)
+      (frequency
+         [
+           (4, map2 (fun i v -> M_define (i, v)) name (int_bound 2));
+           (2, map (fun i -> M_undefine i) name);
+           (2, map2 (fun i b -> M_autostart (i, b)) name bool);
+           (3, map2 (fun i b -> M_running (i, b)) name bool);
+           (1, return M_reattach);
+         ]))
+
+let journal_records path = List.length (snd (Journal.open_ path)).Journal.rp_records
+
+let model_sigs st =
+  List.map
+    (fun (name, cfg, autostart, running) ->
+      (name, cfg.Vm_config.memory_kib, autostart, running))
+    (Domstore.entries st)
+
+let run_compaction_model ops =
+  let name i = Printf.sprintf "m%d" i in
+  let memory v = (v + 1) * 8 * 1024 in
+  let uuids = Array.init model_names (fun _ -> Vmm.Uuid.generate ()) in
+  (* Reference state: per name, (memory variant, autostart, running). *)
+  let model = Array.make model_names None in
+  let expected = ref 0 in
+  let reference_sigs () =
+    List.concat
+      (List.init model_names (fun i ->
+           match model.(i) with
+           | Some (v, a, r) -> [ (name i, memory v, a, r) ]
+           | None -> []))
+  in
+  let maybe_compact () =
+    let snapshot =
+      Array.fold_left
+        (fun acc -> function
+          | Some (_, a, r) -> acc + 1 + Bool.to_int a + Bool.to_int r
+          | None -> acc)
+        0 model
+    in
+    if !expected > (model_factor * snapshot) + model_slack then expected := snapshot
+  in
+  let attach_copy path =
+    let copy = fresh_name "model" in
+    Media.write copy (Option.value ~default:"" (Media.read path));
+    let st = Domstore.create () in
+    ignore (Domstore.attach st ~path:copy);
+    (st, copy)
+  in
+  let path = ref (fresh_name "model") in
+  let st = ref (Domstore.create ()) in
+  ignore (Domstore.attach !st ~path:!path);
+  let step op =
+    (match op with
+     | M_define (i, v) ->
+       vok (Domstore.define !st
+              (Vm_config.make ~uuid:uuids.(i) ~memory_kib:(memory v) (name i)));
+       let a, r = match model.(i) with Some (_, a, r) -> (a, r) | None -> (false, false) in
+       model.(i) <- Some (v, a, r);
+       incr expected;
+       maybe_compact ()
+     | M_undefine i -> (
+       match (Domstore.undefine !st (name i), model.(i)) with
+       | Ok (), Some _ ->
+         model.(i) <- None;
+         incr expected;
+         maybe_compact ()
+       | Error _, None -> ()
+       | _ -> QCheck.Test.fail_reportf "undefine m%d disagrees with the model" i)
+     | M_autostart (i, b) -> (
+       match (Domstore.set_autostart !st (name i) b, model.(i)) with
+       | Ok (), Some (v, a, r) ->
+         if a <> b then incr expected;
+         model.(i) <- Some (v, b, r)
+       | Error _, None -> ()
+       | _ -> QCheck.Test.fail_reportf "autostart m%d disagrees with the model" i)
+     | M_running (i, b) -> (
+       (if b then Domstore.note_started else Domstore.note_stopped) !st (name i);
+       match model.(i) with
+       | Some (v, a, r) ->
+         if r <> b then incr expected;
+         model.(i) <- Some (v, a, b)
+       | None -> ())
+     | M_reattach ->
+       let st', copy = attach_copy !path in
+       if model_sigs st' <> model_sigs !st then
+         QCheck.Test.fail_report "re-attached store holds other entries";
+       st := st';
+       path := copy;
+       maybe_compact ());
+    if model_sigs !st <> reference_sigs () then
+      QCheck.Test.fail_reportf "after %s: entries differ from the model" (print_model_op op);
+    let got = journal_records !path in
+    if got <> !expected then
+      QCheck.Test.fail_reportf "after %s: journal holds %d records, reference %d"
+        (print_model_op op) got !expected
+  in
+  List.iter step ops;
+  let st', _ = attach_copy !path in
+  if model_sigs st' <> model_sigs !st then
+    QCheck.Test.fail_report "final re-attached store holds other entries";
+  true
+
+let test_compaction_model =
+  qcheck_case "compaction decisions match the model"
+    (QCheck.make ~print:(QCheck.Print.list print_model_op) gen_model_ops)
+    (fun ops ->
+      let factor, slack = Domstore.compaction () in
+      Domstore.set_compaction ~factor:model_factor ~slack:model_slack;
+      Fun.protect
+        ~finally:(fun () -> Domstore.set_compaction ~factor ~slack)
+        (fun () -> run_compaction_model ops))
 
 (* --- crash-point sweep over the reconcile plan journal ------------------- *)
 
@@ -559,10 +738,17 @@ let () =
           quick "checksum-corruption" test_journal_checksum_corruption;
           quick "write-limit-injection" test_journal_write_limit;
         ] );
+      ( "media",
+        [
+          quick "write-limit-clips-write" test_media_write_limit_clips_write;
+          quick "truncate-then-append" test_media_truncate_then_append;
+          quick "read-is-a-copy" test_media_read_is_a_copy;
+        ] );
       ( "sweep",
         [
           quick "crash-point-sweep" test_crash_point_sweep;
           quick "compaction" test_compaction;
+          test_compaction_model;
           quick "reconcile-plan-sweep" test_reconcile_plan_sweep;
         ] );
       ( "restart",
