@@ -1,10 +1,12 @@
 (* Crash-safe persistence and restart recovery: the journal's framing
    (roundtrip, torn tails, checksum corruption, write-limit injection),
-   a crash-point sweep proving any cut of the journal replays to a
-   prefix-consistent store, and end-to-end manager crashes — running
-   guests re-adopted untouched (qemu pids preserved), autostart honored,
-   divergences reported as events, keepalive answered mid-replay, and
-   the autostart/per-connection-stats plumbing around it all. *)
+   the media's write/append/truncate/read semantics, a crash-point sweep
+   proving any cut of the journal replays to a prefix-consistent store,
+   a model test of when the store compacts its journal, and end-to-end
+   manager crashes — running guests re-adopted untouched (qemu pids
+   preserved), autostart honored, divergences reported as events,
+   keepalive answered mid-replay, and the autostart/per-connection-stats
+   plumbing around it all. *)
 
 open Testutil
 module Media = Persist.Media
