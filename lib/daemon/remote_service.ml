@@ -184,17 +184,6 @@ let do_event_deregister st client =
 (* Reply cache plumbing                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The hot read set: procedures whose replies are pure functions of
-   driver state (checked driver by driver — e.g. cpu_time only advances
-   inside write sections) and whose argument bytes are canonical, so
-   (proc, body) is a sound cache key. *)
-let cacheable_proc = function
-  | Rp.Proc_get_capabilities | Rp.Proc_dom_list_all | Rp.Proc_dom_get_info
-  | Rp.Proc_dom_get_xml | Rp.Proc_lookup_by_name | Rp.Proc_lookup_by_uuid
-  | Rp.Proc_vol_lookup ->
-    true
-  | _ -> false
-
 (* Caller holds [st.mutex].  Caches are per driver-node URI and live for
    the daemon (like [rings]); creating one also arms the proactive
    invalidation path — any lifecycle event on the node's bus flushes the
@@ -223,16 +212,10 @@ let conn_cache st (cs : conn_state) =
 (* Cached frames carry serial 0; reply bodies never encode the serial, so
    the body bytes are serial-independent and a hit is re-targeted to any
    call by patching the one serial word. *)
-let cached_reply_header proc =
-  Rpc_packet.
-    {
-      program = Rp.program;
-      version = Rp.version;
-      procedure = Rp.proc_to_int proc;
-      msg_type = Reply;
-      serial = 0;
-      status = Status_ok;
-    }
+let cached_reply_header procedure =
+  Rpc_packet.reply_ok
+    (Rpc_packet.call_header ~program:Rp.program ~version:Rp.version ~procedure
+       ~serial:0)
 
 (* Dispatch a connection-scoped procedure against [cs]: the shared tail
    of the dispatcher and of every batch sub-call.  The daemon's
@@ -531,11 +514,11 @@ let batch_isolation st client subs =
    On a hit the pre-framed packet is unwrapped back to its body: batch
    sub-calls and the top-level dispatcher both consume bodies, and the
    top level re-frames with the caller's serial. *)
-let serve_conn st (cs : conn_state) proc body =
-  match (if cacheable_proc proc then conn_cache st cs else None) with
-  | None -> dispatch_conn cs proc body
+let serve_conn st (cs : conn_state) (d : Rp.descriptor) body =
+  match (if d.Rp.cacheable then conn_cache st cs else None) with
+  | None -> dispatch_conn cs d.Rp.proc body
   | Some cache ->
-    let pnum = Rp.proc_to_int proc in
+    let pnum = d.Rp.number in
     let gen_of = Option.get cs.ops.Driver.generation in
     let gen = gen_of () in
     (match Reply_cache.find cache ~proc:pnum ~args:body ~gen with
@@ -544,24 +527,21 @@ let serve_conn st (cs : conn_state) proc body =
          (String.sub frame Rpc_packet.prefix_bytes
             (String.length frame - Rpc_packet.prefix_bytes))
      | None ->
-       let result = dispatch_conn cs proc body in
+       let result = dispatch_conn cs d.Rp.proc body in
        (match result with
         | Ok reply ->
           Reply_cache.insert cache ~proc:pnum ~args:body ~gen
-            (Rpc_packet.encode (cached_reply_header proc) reply)
+            (Rpc_packet.encode (cached_reply_header pnum) reply)
         | Error _ -> ());
        result)
 
-(* [minor] is the protocol minor this daemon serves: procedures newer
-   than it are rejected with the very error an old build produces for an
-   unknown number, which is what clients key version negotiation on.
+(* [minor] is the protocol minor this daemon serves: every row is looked
+   up with [Rp.descriptor_of_int ~minor], so procedures newer than it are
+   rejected with the very error an old build produces for an unknown
+   number, which is what clients key version negotiation on.
    [in_batch] guards against nested batch containers. *)
-let rec handle_proc st ~minor ~in_batch client proc body =
-  if Rp.proc_min_minor proc > minor then
-    Verror.error Verror.Rpc_failure "unknown remote procedure %d"
-      (Rp.proc_to_int proc)
-  else
-  match proc with
+let rec handle_proc st ~minor ~in_batch client (d : Rp.descriptor) body =
+  match d.Rp.proc with
   | Rp.Proc_open -> do_open st client body
   | Rp.Proc_close -> do_close st client
   | Rp.Proc_ping ->
@@ -586,10 +566,10 @@ let rec handle_proc st ~minor ~in_batch client proc body =
         List.map
           (fun (proc_num, sub_body) ->
             let result =
-              match Rp.proc_of_int proc_num with
-              | Error msg -> Error (Verror.make Verror.Rpc_failure msg)
-              | Ok sub_proc -> (
-                try handle_proc st ~minor ~in_batch:true client sub_proc sub_body
+              match Rp.descriptor_of_int ~minor proc_num with
+              | Error err -> Error err
+              | Ok sub -> (
+                try handle_proc st ~minor ~in_batch:true client sub sub_body
                 with
                 | Verror.Virt_error err -> Error err
                 | Xdr.Error msg ->
@@ -610,18 +590,18 @@ let rec handle_proc st ~minor ~in_batch client proc body =
         "deadline envelopes are not allowed inside a batch"
     else
       let budget_ms, proc_num, inner_body = Rp.dec_deadline_call body in
-      (match Rp.proc_of_int proc_num with
-       | Error msg -> Error (Verror.make Verror.Rpc_failure msg)
-       | Ok Rp.Proc_call_deadline ->
+      (match Rp.descriptor_of_int ~minor proc_num with
+       | Error err -> Error err
+       | Ok { Rp.proc = Rp.Proc_call_deadline; _ } ->
          Verror.error Verror.Rpc_failure "nested deadline envelopes are not allowed"
-       | Ok inner_proc ->
+       | Ok inner ->
          (* The dispatcher normally anchored the deadline at receive time
             and installed it in the request context before queueing; if
             this call arrived by another path (tests, direct handle), do
             the anchoring here so driver ops still see the budget. *)
          let run () =
            let* () = Reqctx.check ~what:"dispatch" () in
-           handle_proc st ~minor ~in_batch:false client inner_proc inner_body
+           handle_proc st ~minor ~in_batch:false client inner inner_body
          in
          (match Reqctx.deadline () with
           | Some _ -> run ()
@@ -660,17 +640,13 @@ let rec handle_proc st ~minor ~in_batch client proc body =
      | None ->
        Verror.error Verror.Operation_unsupported "this daemon has no reconciler"
      | Some r -> Ok (Rp.enc_reconcile_status (Reconcile.status r)))
-  | proc ->
+  | _ ->
     let* cs = get_conn st client in
-    serve_conn st cs proc body
+    serve_conn st cs d body
 
 let handle st ~minor _srv client header body =
-  let* proc =
-    Result.map_error
-      (Verror.make Verror.Rpc_failure)
-      (Rp.proc_of_int header.Rpc_packet.procedure)
-  in
-  handle_proc st ~minor ~in_batch:false client proc body
+  let* d = Rp.descriptor_of_int ~minor header.Rpc_packet.procedure in
+  handle_proc st ~minor ~in_batch:false client d body
 
 type t = { st : state; svc_minor : int }
 
@@ -783,23 +759,22 @@ let event_totals t =
     rings
 
 let program_of { st; svc_minor = minor } =
+  let deadline = Rp.describe Rp.Proc_call_deadline in
   Dispatch.
     {
       prog_number = Rp.program;
       prog_version = Rp.version;
       high_priority =
         (fun proc ->
-          match Rp.proc_of_int proc with
-          | Ok p -> Rp.is_high_priority p
+          match Rp.descriptor_of_int ~minor proc with
+          | Ok d -> d.Rp.high_priority
           | Error _ -> false);
       peek_deadline =
         (fun ~procedure ~body ->
           (* Only peek when this daemon actually serves v1.4 envelopes;
              a minor-pinned daemon must treat procedure 49 as unknown,
              so it must not gain deadline behavior either. *)
-          if
-            minor >= Rp.proc_min_minor Rp.Proc_call_deadline
-            && procedure = Rp.proc_to_int Rp.Proc_call_deadline
+          if minor >= deadline.Rp.since && procedure = deadline.Rp.number
           then
             match Rp.dec_deadline_call body with
             | budget_ms, inner, _ ->
@@ -819,11 +794,10 @@ let program_of { st; svc_minor = minor } =
                   never mutated).  Runs on the receiving thread: a hit
                   skips pool submission, body decode, the driver read
                   lock, the handler and the re-encode. *)
-               match Rp.proc_of_int header.Rpc_packet.procedure with
+               match Rp.descriptor_of_int ~minor header.Rpc_packet.procedure with
                | Error _ -> false
-               | Ok proc -> (
-                 (not (Rp.proc_min_minor proc > minor))
-                 && cacheable_proc proc
+               | Ok d -> (
+                 d.Rp.cacheable
                  &&
                  match
                    with_lock st (fun () ->

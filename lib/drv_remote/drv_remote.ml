@@ -362,7 +362,8 @@ let with_conn conn f =
   Mutex.lock conn.rc_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock conn.rc_mutex) f
 
-let negotiated_minor conn = with_conn conn (fun () -> conn.rc_minor)
+let serves conn proc =
+  with_conn conn (fun () -> conn.rc_minor) >= Rp.proc_min_minor proc
 
 let tick ?(n = 1) conn =
   with_stats (fun () -> conn.rc_stats.cn_calls <- conn.rc_stats.cn_calls + n)
@@ -378,8 +379,8 @@ let raw_call_unit rpc proc body =
 
 (* Version probe.  A daemon predating [Proc_proto_minor] rejects it as an
    unknown procedure — indistinguishable from any other pre-negotiation
-   build — which pins the peer at minor 2, the newest protocol shipped
-   before the probe existed. *)
+   build — which pins the peer at the newest minor shipped before the
+   probe existed. *)
 let negotiate rpc =
   match raw_call rpc Rp.Proc_proto_minor Rp.enc_unit_body with
   | Ok reply -> (
@@ -387,7 +388,8 @@ let negotiate rpc =
     | m -> Ok (min m Rp.minor)
     | exception Xdr.Error msg ->
       Verror.error Verror.Rpc_failure "bad reply: %s" msg)
-  | Error _ when not (Rpc_client.is_closed rpc) -> Ok 2
+  | Error _ when not (Rpc_client.is_closed rpc) ->
+    Ok (Rp.proc_min_minor Rp.Proc_proto_minor - 1)
   | Error e -> Error e
 
 (* Transport + handshake: what both the initial open and every reconnect
@@ -615,9 +617,7 @@ let call ?idempotent conn proc body =
   let wire_call rpc =
     let wproc, wbody =
       match timeout with
-      | Some t
-        when with_conn conn (fun () -> conn.rc_minor)
-             >= Rp.proc_min_minor Rp.Proc_call_deadline ->
+      | Some t when serves conn Rp.Proc_call_deadline ->
         ( Rp.Proc_call_deadline,
           Rp.enc_deadline_call
             ~budget_ms:(max 1 (int_of_float (t *. 1000.)))
@@ -691,7 +691,7 @@ let call_dec conn proc body decoder =
    way each sub-call gets its own result. *)
 let multi_call_raw conn subs =
   if subs = [] then []
-  else if negotiated_minor conn >= 3 then begin
+  else if serves conn Rp.Proc_call_batch then begin
     let idempotent = List.for_all (fun (p, _) -> Rp.is_idempotent p) subs in
     let body =
       Rp.enc_batch_call (List.map (fun (p, b) -> (Rp.proc_to_int p, b)) subs)
@@ -949,13 +949,13 @@ let fleet_list_all conn () =
   Ok listing
 
 let dom_list_all conn () =
-  if negotiated_minor conn >= 7 then
+  if serves conn Rp.Proc_fleet_list_all then
     let* listing = fleet_list_all conn () in
     Ok listing.Driver.fl_records
   else
     let fills = begin_list_fills conn in
     let* records =
-      if negotiated_minor conn >= 3 then
+      if serves conn Rp.Proc_dom_list_all then
         call_dec conn Rp.Proc_dom_list_all Rp.enc_unit_body
           Rp.dec_domain_record_list
       else list_all_emulated conn
@@ -1237,15 +1237,15 @@ let remote_storage_ops conn =
             Rp.dec_vol_info_list);
       vol_by_path =
         (fun path ->
-          if negotiated_minor conn >= 3 then
+          if serves conn Rp.Proc_vol_lookup then
             call_dec conn Rp.Proc_vol_lookup (Rp.enc_string_body path)
               Rp.dec_vol_info
           else vol_by_path_emulated conn path);
     }
 
-(* The federation view over the wire (daemon serves these at minor ≥ 7).
-   Owner lookup stays controller-side: placement is the controller's
-   secret, and nothing client-side needs it. *)
+(* The federation view over the wire, offered when the daemon serves the
+   fleet procedures.  Owner lookup stays controller-side: placement is
+   the controller's secret, and nothing client-side needs it. *)
 let remote_fleet_view conn =
   Driver.
     {
@@ -1319,7 +1319,7 @@ let make_ops uri conn =
     ~dom_list_all:(dom_list_all conn)
     ~net:(remote_net_ops conn) ~storage:(remote_storage_ops conn)
     ?fleet:
-      (if negotiated_minor conn >= 7 then Some (remote_fleet_view conn)
+      (if serves conn Rp.Proc_fleet_list_all then Some (remote_fleet_view conn)
        else None)
     ~events:conn.events ()
   |> fun ops -> { ops with Driver.drv_name = "remote(" ^ uri.Vuri.scheme ^ ")" }

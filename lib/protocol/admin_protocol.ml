@@ -26,7 +26,7 @@ type procedure =
   | Proc_daemon_fleet_status
 
 let all_procedures =
-  [
+  [|
     Proc_list_servers; Proc_lookup_server; Proc_get_threadpool;
     Proc_set_threadpool; Proc_get_client_limits; Proc_set_client_limits;
     Proc_list_clients; Proc_get_client_info; Proc_client_close;
@@ -45,17 +45,17 @@ let all_procedures =
     Proc_daemon_reply_cache_stats;
     (* v1.6 additions *)
     Proc_daemon_fleet_status;
-  ]
+  |]
 
-let proc_to_int proc =
-  let rec index i = function
-    | [] -> assert false
-    | p :: rest -> if p = proc then i else index (i + 1) rest
-  in
-  index 1 all_procedures
+let proc_index =
+  let h = Hashtbl.create 32 in
+  Array.iteri (fun i p -> Hashtbl.replace h p (i + 1)) all_procedures;
+  h
+
+let proc_to_int proc = Hashtbl.find proc_index proc
 
 let proc_of_int n =
-  if n >= 1 && n <= List.length all_procedures then Ok (List.nth all_procedures (n - 1))
+  if n >= 1 && n <= Array.length all_procedures then Ok all_procedures.(n - 1)
   else Error (Printf.sprintf "unknown admin procedure %d" n)
 
 let is_high_priority (_ : procedure) = true

@@ -3,12 +3,6 @@ open Ovirt_core
 let program = 0x20008086
 let version = 1
 
-(* Highest protocol minor this build speaks.  The wire [version] above
-   never changes (append-only numbering keeps every frame compatible);
-   the minor only gates which procedures a daemon is willing to serve
-   and is negotiated per connection via [Proc_proto_minor]. *)
-let minor = 7
-
 type procedure =
   | Proc_open
   | Proc_close
@@ -68,127 +62,138 @@ type procedure =
   | Proc_fleet_status
   | Proc_fleet_migrate
 
-(* Append-only: the list position IS the wire number (1-based). *)
-let all_procedures =
-  [
-    Proc_open; Proc_close; Proc_get_capabilities; Proc_get_hostname;
-    Proc_list_domains; Proc_list_defined; Proc_lookup_by_name;
-    Proc_lookup_by_uuid; Proc_define_xml; Proc_undefine; Proc_dom_create;
-    Proc_dom_suspend; Proc_dom_resume; Proc_dom_shutdown; Proc_dom_destroy;
-    Proc_dom_get_info; Proc_dom_get_xml; Proc_dom_set_memory; Proc_net_list;
-    Proc_net_define; Proc_net_start; Proc_net_stop; Proc_net_undefine;
-    Proc_net_set_autostart; Proc_net_lookup; Proc_pool_list; Proc_pool_define;
-    Proc_pool_start; Proc_pool_stop; Proc_pool_undefine; Proc_pool_lookup;
-    Proc_vol_create; Proc_vol_delete; Proc_vol_list; Proc_event_register;
-    Proc_event_deregister; Proc_event_lifecycle; Proc_echo; Proc_ping;
-    (* v1.1 additions: numbers are append-only *)
-    Proc_dom_save; Proc_dom_restore; Proc_dom_has_managed_save;
-    (* v1.2 additions *)
-    Proc_dom_set_autostart; Proc_dom_get_autostart;
-    (* v1.3 additions: negotiation + bulk/batch *)
-    Proc_proto_minor; Proc_dom_list_all; Proc_call_batch; Proc_vol_lookup;
-    (* v1.4 additions: per-call deadline envelope *)
-    Proc_call_deadline;
-    (* v1.5 additions: declarative lifecycle policy / reconciler *)
-    Proc_dom_set_policy; Proc_dom_get_policy; Proc_daemon_reconcile_status;
-    (* v1.6 additions: resumable sequence-numbered event streams *)
-    Proc_event_resume; Proc_event_lifecycle_seq;
-    (* v1.7 additions: federation *)
-    Proc_fleet_list_all; Proc_fleet_status; Proc_fleet_migrate;
-  ]
+type descriptor = {
+  proc : procedure;
+  number : int;
+  since : int;
+  high_priority : bool;
+  idempotent : bool;
+  cacheable : bool;
+}
 
-(* Number↔procedure mapping is on the per-packet hot path: precomputed
-   tables instead of a list walk per call. *)
-let proc_table = Array.of_list all_procedures
-let proc_count = Array.length proc_table
+(* Every fact is a required argument, so a row cannot leave one out; the
+   fields are documented in the interface.  Registration calls are not
+   [idem]: they re-run as part of the reconnect handshake instead.
+   [cache] was checked driver by driver (e.g. cpu_time only advances
+   inside write sections). *)
+let row proc ~since ~high ~idem ~cache number =
+  { proc; number; since; high_priority = high; idempotent = idem;
+    cacheable = cache }
 
-let proc_index =
-  let h = Hashtbl.create (2 * proc_count) in
-  Array.iteri (fun i p -> Hashtbl.replace h p (i + 1)) proc_table;
+(* Append-only: the row position IS the wire number (1-based). *)
+let table =
+  Array.mapi
+    (fun i row -> row (i + 1))
+    [|
+      row Proc_open ~since:0 ~high:true ~idem:false ~cache:false;
+      row Proc_close ~since:0 ~high:true ~idem:false ~cache:false;
+      row Proc_get_capabilities ~since:0 ~high:true ~idem:true ~cache:true;
+      row Proc_get_hostname ~since:0 ~high:true ~idem:true ~cache:false;
+      row Proc_list_domains ~since:0 ~high:true ~idem:true ~cache:false;
+      row Proc_list_defined ~since:0 ~high:true ~idem:true ~cache:false;
+      row Proc_lookup_by_name ~since:0 ~high:true ~idem:true ~cache:true;
+      row Proc_lookup_by_uuid ~since:0 ~high:true ~idem:true ~cache:true;
+      row Proc_define_xml ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_undefine ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_dom_create ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_dom_suspend ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_dom_resume ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_dom_shutdown ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_dom_destroy ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_dom_get_info ~since:0 ~high:true ~idem:true ~cache:true;
+      row Proc_dom_get_xml ~since:0 ~high:true ~idem:true ~cache:true;
+      row Proc_dom_set_memory ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_net_list ~since:0 ~high:false ~idem:true ~cache:false;
+      row Proc_net_define ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_net_start ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_net_stop ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_net_undefine ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_net_set_autostart ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_net_lookup ~since:0 ~high:false ~idem:true ~cache:false;
+      row Proc_pool_list ~since:0 ~high:false ~idem:true ~cache:false;
+      row Proc_pool_define ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_pool_start ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_pool_stop ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_pool_undefine ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_pool_lookup ~since:0 ~high:false ~idem:true ~cache:false;
+      row Proc_vol_create ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_vol_delete ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_vol_list ~since:0 ~high:false ~idem:true ~cache:false;
+      row Proc_event_register ~since:0 ~high:true ~idem:false ~cache:false;
+      row Proc_event_deregister ~since:0 ~high:true ~idem:false ~cache:false;
+      row Proc_event_lifecycle ~since:0 ~high:false ~idem:false ~cache:false;
+      row Proc_echo ~since:0 ~high:true ~idem:true ~cache:false;
+      row Proc_ping ~since:0 ~high:true ~idem:true ~cache:false;
+      (* v1.1: managed save *)
+      row Proc_dom_save ~since:1 ~high:false ~idem:false ~cache:false;
+      row Proc_dom_restore ~since:1 ~high:false ~idem:false ~cache:false;
+      row Proc_dom_has_managed_save ~since:1 ~high:true ~idem:true ~cache:false;
+      (* v1.2: autostart *)
+      row Proc_dom_set_autostart ~since:2 ~high:false ~idem:false ~cache:false;
+      row Proc_dom_get_autostart ~since:2 ~high:true ~idem:true ~cache:false;
+      (* v1.3: negotiation + bulk/batch.  A batch is as idempotent as its
+         least idempotent sub-call, which the client computes per call;
+         its sub-calls may be arbitrary and vol_lookup walks pools, so
+         neither is high priority. *)
+      row Proc_proto_minor ~since:3 ~high:true ~idem:true ~cache:false;
+      row Proc_dom_list_all ~since:3 ~high:true ~idem:true ~cache:true;
+      row Proc_call_batch ~since:3 ~high:false ~idem:false ~cache:false;
+      row Proc_vol_lookup ~since:3 ~high:false ~idem:true ~cache:true;
+      (* v1.4: per-call deadline envelope.  Its priority and idempotency
+         are those of its inner call, resolved by the dispatcher after
+         peeking into the body and by the client per call. *)
+      row Proc_call_deadline ~since:4 ~high:false ~idem:false ~cache:false;
+      (* v1.5: declarative lifecycle policy / reconciler.  set_policy is a
+         journaled last-writer-wins upsert — replaying it is harmless —
+         but it stays non-idempotent so retry behaviour matches
+         set_autostart, its v1.2 sibling. *)
+      row Proc_dom_set_policy ~since:5 ~high:false ~idem:false ~cache:false;
+      row Proc_dom_get_policy ~since:5 ~high:true ~idem:true ~cache:false;
+      row Proc_daemon_reconcile_status ~since:5 ~high:true ~idem:true ~cache:false;
+      (* v1.6: resumable sequence-numbered event streams; resume is part
+         of the reconnect handshake, like event_register *)
+      row Proc_event_resume ~since:6 ~high:true ~idem:false ~cache:false;
+      row Proc_event_lifecycle_seq ~since:6 ~high:false ~idem:false ~cache:false;
+      (* v1.7: federation.  A fleet listing scatters to member daemons
+         and a migration drives two of them through a multi-step
+         handshake (a lost one may have passed its commit point); status
+         is answered from controller-local health state. *)
+      row Proc_fleet_list_all ~since:7 ~high:false ~idem:true ~cache:false;
+      row Proc_fleet_status ~since:7 ~high:true ~idem:true ~cache:false;
+      row Proc_fleet_migrate ~since:7 ~high:false ~idem:false ~cache:false;
+    |]
+
+(* Number→row is on the per-packet hot path: an array index.  The reverse
+   map doubles as the duplicate check. *)
+let by_proc =
+  let h = Hashtbl.create (2 * Array.length table) in
+  Array.iter
+    (fun d ->
+      if Hashtbl.mem h d.proc then
+        invalid_arg (Printf.sprintf "procedure row %d is a duplicate" d.number);
+      Hashtbl.replace h d.proc d)
+    table;
   h
 
-let proc_to_int proc = Hashtbl.find proc_index proc
+let describe proc = Hashtbl.find by_proc proc
+
+let minor = Array.fold_left (fun m d -> max m d.since) 0 table
+
+let descriptor_of_int ~minor n =
+  if n >= 1 && n <= Array.length table && table.(n - 1).since <= minor then
+    Ok table.(n - 1)
+  else Verror.error Verror.Rpc_failure "unknown remote procedure %d" n
 
 let proc_of_int n =
-  if n >= 1 && n <= proc_count then Ok proc_table.(n - 1)
-  else Error (Printf.sprintf "unknown remote procedure %d" n)
+  match descriptor_of_int ~minor n with
+  | Ok d -> Ok d.proc
+  | Error e -> Error e.Verror.message
 
-(* Protocol minor each procedure first appeared in.  A daemon serving
-   minor [m] answers procedures with [proc_min_minor p <= m] and rejects
-   the rest exactly as a build that predates them would ("unknown remote
-   procedure N"), so clients cannot tell a gated daemon from an old one. *)
-let proc_min_minor = function
-  | Proc_dom_save | Proc_dom_restore | Proc_dom_has_managed_save -> 1
-  | Proc_dom_set_autostart | Proc_dom_get_autostart -> 2
-  | Proc_proto_minor | Proc_dom_list_all | Proc_call_batch | Proc_vol_lookup -> 3
-  | Proc_call_deadline -> 4
-  | Proc_dom_set_policy | Proc_dom_get_policy | Proc_daemon_reconcile_status -> 5
-  | Proc_event_resume | Proc_event_lifecycle_seq -> 6
-  | Proc_fleet_list_all | Proc_fleet_status | Proc_fleet_migrate -> 7
-  | _ -> 0
-
-let is_high_priority = function
-  | Proc_open | Proc_close | Proc_get_capabilities | Proc_get_hostname
-  | Proc_list_domains | Proc_list_defined | Proc_lookup_by_name
-  | Proc_lookup_by_uuid | Proc_dom_get_info | Proc_dom_get_xml | Proc_echo
-  | Proc_ping | Proc_event_register | Proc_event_deregister
-  | Proc_dom_has_managed_save | Proc_dom_get_autostart | Proc_proto_minor
-  | Proc_dom_list_all | Proc_dom_get_policy | Proc_daemon_reconcile_status
-  (* part of the reconnect handshake, like event_register *)
-  | Proc_event_resume
-  (* answered from controller-local health state, never touches a member *)
-  | Proc_fleet_status ->
-    true
-  | Proc_define_xml | Proc_undefine | Proc_dom_create | Proc_dom_suspend
-  | Proc_dom_resume | Proc_dom_shutdown | Proc_dom_destroy | Proc_dom_set_memory
-  | Proc_net_list | Proc_net_define | Proc_net_start | Proc_net_stop
-  | Proc_net_undefine | Proc_net_set_autostart | Proc_net_lookup | Proc_pool_list
-  | Proc_pool_define | Proc_pool_start | Proc_pool_stop | Proc_pool_undefine
-  | Proc_pool_lookup | Proc_vol_create | Proc_vol_delete | Proc_vol_list
-  | Proc_event_lifecycle | Proc_event_lifecycle_seq | Proc_dom_save
-  | Proc_dom_restore | Proc_dom_set_autostart | Proc_dom_set_policy
-  (* batch sub-calls may be arbitrary, vol_lookup walks pools; a
-     deadline envelope's priority follows its inner call, resolved by
-     the dispatcher after peeking into the body *)
-  | Proc_call_batch | Proc_vol_lookup | Proc_call_deadline
-  (* a fleet listing scatters to member daemons, a fleet migration
-     drives two of them through a multi-step handshake *)
-  | Proc_fleet_list_all | Proc_fleet_migrate ->
-    false
-
-(* Idempotent = safe to re-issue after a connection death when the client
-   cannot know whether the daemon processed the lost call.  Strictly the
-   read-only procedures plus echo/ping; registration calls re-run as part
-   of the reconnect handshake instead.  Everything mutating stays out: a
-   lost Proc_dom_create may well have started the domain. *)
-let is_idempotent = function
-  | Proc_get_capabilities | Proc_get_hostname | Proc_list_domains
-  | Proc_list_defined | Proc_lookup_by_name | Proc_lookup_by_uuid
-  | Proc_dom_get_info | Proc_dom_get_xml | Proc_dom_has_managed_save
-  | Proc_dom_get_autostart | Proc_net_list | Proc_net_lookup | Proc_pool_list
-  | Proc_pool_lookup | Proc_vol_list | Proc_echo | Proc_ping | Proc_proto_minor
-  | Proc_dom_list_all | Proc_vol_lookup | Proc_dom_get_policy
-  | Proc_daemon_reconcile_status | Proc_fleet_list_all | Proc_fleet_status ->
-    true
-  | Proc_open | Proc_close | Proc_define_xml | Proc_undefine | Proc_dom_create
-  | Proc_dom_suspend | Proc_dom_resume | Proc_dom_shutdown | Proc_dom_destroy
-  | Proc_dom_set_memory | Proc_net_define | Proc_net_start | Proc_net_stop
-  | Proc_net_undefine | Proc_net_set_autostart | Proc_pool_define
-  | Proc_pool_start | Proc_pool_stop | Proc_pool_undefine | Proc_vol_create
-  | Proc_vol_delete | Proc_event_register | Proc_event_deregister
-  | Proc_event_lifecycle | Proc_event_resume | Proc_event_lifecycle_seq
-  | Proc_dom_save | Proc_dom_restore
-  (* set_policy is a journaled last-writer-wins upsert — replaying it
-     is harmless — but it stays out so retry behaviour matches
-     set_autostart, its v1.2 sibling *)
-  | Proc_dom_set_autostart | Proc_dom_set_policy
-  (* a batch is as idempotent as its least idempotent sub-call, a
-     deadline envelope exactly as idempotent as its inner call; the
-     client computes both per call and overrides retry eligibility *)
-  | Proc_call_batch | Proc_call_deadline
-  (* a lost fleet_migrate may have passed its commit point *)
-  | Proc_fleet_migrate ->
-    false
+let proc_to_int proc = (describe proc).number
+let proc_min_minor proc = (describe proc).since
+let is_high_priority proc = (describe proc).high_priority
+let is_idempotent proc = (describe proc).idempotent
+let is_cacheable proc = (describe proc).cacheable
 
 (* ------------------------------------------------------------------ *)
 (* Body codecs                                                         *)

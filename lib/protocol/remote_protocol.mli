@@ -9,11 +9,11 @@ val program : int
 val version : int
 
 val minor : int
-(** Highest protocol minor this build speaks.  The wire [version] never
-    changes; the minor gates which procedures a daemon serves and is
-    negotiated per connection with [Proc_proto_minor] (an old daemon
-    answers it with "unknown remote procedure", which a client reads as
-    minor 2). *)
+(** Highest protocol minor this build speaks: the largest [since] in the
+    procedure table.  The wire [version] never changes; the minor gates
+    which procedures a daemon serves and is negotiated per connection
+    with [Proc_proto_minor] (an old daemon answers it with "unknown
+    remote procedure", which a client reads as minor 2). *)
 
 type procedure =
   | Proc_open  (** args: URI string; ret: none *)
@@ -97,22 +97,37 @@ type procedure =
 val enc_bool_body : bool -> string
 val dec_bool_body : string -> bool
 
+(** {1 Procedure table}
+
+    One row per procedure, in wire order: adding a procedure means adding
+    one row, and every per-procedure fact below is read from it. *)
+
+type descriptor = private {
+  proc : procedure;
+  number : int;  (** wire number: the row's 1-based position *)
+  since : int;  (** protocol minor the procedure first appeared in *)
+  high_priority : bool;
+      (** finishes without talking to a hypervisor, so priority workers
+          may run it *)
+  idempotent : bool;
+      (** safe to re-issue after a connection death: the read-only set,
+          never a mutating call, which may have been applied *)
+  cacheable : bool;  (** the daemon's reply cache may serve it *)
+}
+
+val describe : procedure -> descriptor
+
+val descriptor_of_int :
+  minor:int -> int -> (descriptor, Ovirt_core.Verror.t) result
+(** The row a build of protocol [minor] has for a wire number, else the
+    [Rpc_failure] "unknown remote procedure N" that build replies. *)
+
 val proc_to_int : procedure -> int
 val proc_of_int : int -> (procedure, string) result
-
 val proc_min_minor : procedure -> int
-(** Protocol minor the procedure first appeared in; a daemon serving
-    minor [m] rejects procedures above [m] as unknown. *)
-
 val is_high_priority : procedure -> bool
-(** High-priority procedures are guaranteed to finish without talking to a
-    hypervisor, so priority workers may run them. *)
-
 val is_idempotent : procedure -> bool
-(** Safe to re-issue after a connection death (the read-only set): the
-    remote driver's auto-reconnect transparently retries exactly these.
-    Mutating procedures are never blindly retried — a lost call may have
-    been applied. *)
+val is_cacheable : procedure -> bool
 
 (** {1 Body codecs} *)
 

@@ -400,6 +400,10 @@ let call_async client ~procedure ?(body = "") ?timeout_s () =
              present)
        in
        if reclaimed then release_slot client slot;
+       (* Dead even if the receiver has not noticed yet: close now, so a
+          caller that retries when [is_closed] holds sees it. *)
+       fail_all_pending client
+         (Verror.make Verror.Rpc_failure "connection closed");
        Verror.error Verror.Rpc_failure "connection is closed"
      | () -> Ok { fut_client = client; fut_slot = slot; fut_result = None })
 

@@ -370,7 +370,9 @@ let test_admin_responsive_under_wedged_pool () =
       let pool =
         Ovirt.Server_obj.pool (Option.get (Daemon.find_server d "libvirtd"))
       in
-      (* Wedge every ordinary worker of the management server. *)
+      (* Wedge every ordinary worker of the management server.  A woken
+         worker counts as free until it takes its job, so the pool is
+         wedged only some time after the last push returns. *)
       let release = Mutex.create () in
       Mutex.lock release;
       let stats = Threadpool.stats pool in
@@ -380,14 +382,24 @@ let test_admin_responsive_under_wedged_pool () =
             Mutex.unlock release)
       done;
       ignore daemon;
-      (* Admin still answers: its own server has its own pool. *)
-      let tp = vok (Admin.threadpool_info (vok (Admin.lookup_server admin "libvirtd"))) in
-      Alcotest.(check bool) "queue visible while wedged" true
-        (tp.Admin.tp_free_workers = 0);
-      vok (Admin.set_threadpool (vok (Admin.lookup_server admin "libvirtd"))
-             ~max_workers:64 ());
-      Mutex.unlock release;
-      Threadpool.drain pool)
+      (* A failed check must still release the workers, or stopping the
+         daemon waits for them forever. *)
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.unlock release;
+          Threadpool.drain pool)
+        (fun () ->
+          Alcotest.(check bool) "every worker wedged" true
+            (eventually (fun () ->
+                 (Threadpool.stats pool).Threadpool.free_workers = 0));
+          (* Admin still answers: its own server has its own pool. *)
+          let tp =
+            vok (Admin.threadpool_info (vok (Admin.lookup_server admin "libvirtd")))
+          in
+          Alcotest.(check bool) "queue visible while wedged" true
+            (tp.Admin.tp_free_workers = 0);
+          vok (Admin.set_threadpool (vok (Admin.lookup_server admin "libvirtd"))
+                 ~max_workers:64 ())))
 
 let () =
   Alcotest.run "admin"

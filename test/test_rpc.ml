@@ -146,9 +146,129 @@ let test_remote_proc_numbers_stable () =
          match Rp.proc_of_int n with
          | Ok p -> Rp.proc_to_int p = n
          | Error _ -> false)
-       (List.init 48 (fun i -> i + 1)));
+       (List.init 57 (fun i -> i + 1)));
   (match Rp.proc_of_int 0 with Error _ -> () | Ok _ -> Alcotest.fail "0 valid");
+  (match Rp.proc_of_int 58 with Error _ -> () | Ok _ -> Alcotest.fail "58 valid");
   match Rp.proc_of_int 1000 with Error _ -> () | Ok _ -> Alcotest.fail "1000 valid"
+
+(* The reference for the procedure table: the per-procedure classifiers
+   as they stood before the table replaced them, copied verbatim.
+   [is_high_priority] and [is_idempotent] are exhaustive matches, so a new
+   constructor fails to compile here until it gets an arm. *)
+module Reference = struct
+  open Rp
+
+  let proc_min_minor = function
+    | Proc_dom_save | Proc_dom_restore | Proc_dom_has_managed_save -> 1
+    | Proc_dom_set_autostart | Proc_dom_get_autostart -> 2
+    | Proc_proto_minor | Proc_dom_list_all | Proc_call_batch | Proc_vol_lookup -> 3
+    | Proc_call_deadline -> 4
+    | Proc_dom_set_policy | Proc_dom_get_policy | Proc_daemon_reconcile_status -> 5
+    | Proc_event_resume | Proc_event_lifecycle_seq -> 6
+    | Proc_fleet_list_all | Proc_fleet_status | Proc_fleet_migrate -> 7
+    | _ -> 0
+
+  let is_high_priority = function
+    | Proc_open | Proc_close | Proc_get_capabilities | Proc_get_hostname
+    | Proc_list_domains | Proc_list_defined | Proc_lookup_by_name
+    | Proc_lookup_by_uuid | Proc_dom_get_info | Proc_dom_get_xml | Proc_echo
+    | Proc_ping | Proc_event_register | Proc_event_deregister
+    | Proc_dom_has_managed_save | Proc_dom_get_autostart | Proc_proto_minor
+    | Proc_dom_list_all | Proc_dom_get_policy | Proc_daemon_reconcile_status
+    (* part of the reconnect handshake, like event_register *)
+    | Proc_event_resume
+    (* answered from controller-local health state, never touches a member *)
+    | Proc_fleet_status ->
+      true
+    | Proc_define_xml | Proc_undefine | Proc_dom_create | Proc_dom_suspend
+    | Proc_dom_resume | Proc_dom_shutdown | Proc_dom_destroy | Proc_dom_set_memory
+    | Proc_net_list | Proc_net_define | Proc_net_start | Proc_net_stop
+    | Proc_net_undefine | Proc_net_set_autostart | Proc_net_lookup | Proc_pool_list
+    | Proc_pool_define | Proc_pool_start | Proc_pool_stop | Proc_pool_undefine
+    | Proc_pool_lookup | Proc_vol_create | Proc_vol_delete | Proc_vol_list
+    | Proc_event_lifecycle | Proc_event_lifecycle_seq | Proc_dom_save
+    | Proc_dom_restore | Proc_dom_set_autostart | Proc_dom_set_policy
+    (* batch sub-calls may be arbitrary, vol_lookup walks pools; a
+       deadline envelope's priority follows its inner call, resolved by
+       the dispatcher after peeking into the body *)
+    | Proc_call_batch | Proc_vol_lookup | Proc_call_deadline
+    (* a fleet listing scatters to member daemons, a fleet migration
+       drives two of them through a multi-step handshake *)
+    | Proc_fleet_list_all | Proc_fleet_migrate ->
+      false
+
+  (* Idempotent = safe to re-issue after a connection death when the client
+     cannot know whether the daemon processed the lost call.  Strictly the
+     read-only procedures plus echo/ping; registration calls re-run as part
+     of the reconnect handshake instead.  Everything mutating stays out: a
+     lost Proc_dom_create may well have started the domain. *)
+  let is_idempotent = function
+    | Proc_get_capabilities | Proc_get_hostname | Proc_list_domains
+    | Proc_list_defined | Proc_lookup_by_name | Proc_lookup_by_uuid
+    | Proc_dom_get_info | Proc_dom_get_xml | Proc_dom_has_managed_save
+    | Proc_dom_get_autostart | Proc_net_list | Proc_net_lookup | Proc_pool_list
+    | Proc_pool_lookup | Proc_vol_list | Proc_echo | Proc_ping | Proc_proto_minor
+    | Proc_dom_list_all | Proc_vol_lookup | Proc_dom_get_policy
+    | Proc_daemon_reconcile_status | Proc_fleet_list_all | Proc_fleet_status ->
+      true
+    | Proc_open | Proc_close | Proc_define_xml | Proc_undefine | Proc_dom_create
+    | Proc_dom_suspend | Proc_dom_resume | Proc_dom_shutdown | Proc_dom_destroy
+    | Proc_dom_set_memory | Proc_net_define | Proc_net_start | Proc_net_stop
+    | Proc_net_undefine | Proc_net_set_autostart | Proc_pool_define
+    | Proc_pool_start | Proc_pool_stop | Proc_pool_undefine | Proc_vol_create
+    | Proc_vol_delete | Proc_event_register | Proc_event_deregister
+    | Proc_event_lifecycle | Proc_event_resume | Proc_event_lifecycle_seq
+    | Proc_dom_save | Proc_dom_restore
+    (* set_policy is a journaled last-writer-wins upsert — replaying it
+       is harmless — but it stays out so retry behaviour matches
+       set_autostart, its v1.2 sibling *)
+    | Proc_dom_set_autostart | Proc_dom_set_policy
+    (* a batch is as idempotent as its least idempotent sub-call, a
+       deadline envelope exactly as idempotent as its inner call; the
+       client computes both per call and overrides retry eligibility *)
+    | Proc_call_batch | Proc_call_deadline
+    (* a lost fleet_migrate may have passed its commit point *)
+    | Proc_fleet_migrate ->
+      false
+
+  let cacheable_proc = function
+    | Rp.Proc_get_capabilities | Rp.Proc_dom_list_all | Rp.Proc_dom_get_info
+    | Rp.Proc_dom_get_xml | Rp.Proc_lookup_by_name | Rp.Proc_lookup_by_uuid
+    | Rp.Proc_vol_lookup ->
+      true
+    | _ -> false
+end
+
+let test_table_matches_reference () =
+  Alcotest.(check int) "build minor" 7 Rp.minor;
+  for n = 1 to 57 do
+    match Rp.descriptor_of_int ~minor:Rp.minor n with
+    | Error err -> Alcotest.fail err.Verror.message
+    | Ok d ->
+      let p = d.Rp.proc in
+      let what fact = Printf.sprintf "procedure %d %s" n fact in
+      Alcotest.(check int) (what "number") n d.Rp.number;
+      Alcotest.(check int) (what "round trip") n (Rp.proc_to_int p);
+      Alcotest.(check int) (what "since") (Reference.proc_min_minor p)
+        (Rp.proc_min_minor p);
+      Alcotest.(check bool) (what "priority") (Reference.is_high_priority p)
+        (Rp.is_high_priority p);
+      Alcotest.(check bool) (what "idempotent") (Reference.is_idempotent p)
+        (Rp.is_idempotent p);
+      Alcotest.(check bool) (what "cacheable") (Reference.cacheable_proc p)
+        (Rp.is_cacheable p);
+      if d.Rp.since > 0 then
+        match Rp.descriptor_of_int ~minor:(d.Rp.since - 1) n with
+        | Ok _ -> Alcotest.fail (what "served below its minor")
+        | Error err ->
+          Alcotest.(check string) (what "gated")
+            (Printf.sprintf "unknown remote procedure %d" n) err.Verror.message
+  done;
+  match Rp.descriptor_of_int ~minor:Rp.minor 58 with
+  | Ok _ -> Alcotest.fail "a 58th row"
+  | Error err ->
+    Alcotest.(check string) "unknown" "unknown remote procedure 58"
+      err.Verror.message
 
 let test_priority_classification () =
   (* Reads are high priority (safe for priority workers); state changes
@@ -171,7 +291,8 @@ let test_admin_proc_numbers_stable () =
          match Ap.proc_of_int n with
          | Ok p -> Ap.proc_to_int p = n
          | Error _ -> false)
-       (List.init 16 (fun i -> i + 1)))
+       (List.init 22 (fun i -> i + 1)));
+  match Ap.proc_of_int 23 with Error _ -> () | Ok _ -> Alcotest.fail "23 valid"
 
 (* --- Shared body codecs -------------------------------------------------- *)
 
@@ -347,6 +468,7 @@ let () =
           quick "remote numbers stable" test_remote_proc_numbers_stable;
           quick "priority classification" test_priority_classification;
           quick "admin numbers stable" test_admin_proc_numbers_stable;
+          quick "table matches reference" test_table_matches_reference;
         ] );
       ( "fuzz",
         [
