@@ -1893,13 +1893,19 @@ let events () =
 
 let replycache () =
   section "E21: server reply cache - zero-work read path";
+  let path_name via_client =
+    if via_client then "Connect.list_all_domains" else "dom_list_all (raw)"
+  in
   subsection "hot bulk reads, clients x domains, cache on vs off; then a";
   subsection "write-churn mix proving invalidation never serves stale bytes\n";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let combos = if smoke then [ (4, 50) ] else [ (8, 100); (32, 1000) ] in
   let duration_s = if smoke then 0.3 else 2.0 in
   let json_rows = ref [] in
-  let run_variant ~clients ~domains ~cache =
+  (* [via_client]: list through [Connect.list_all_domains], which at
+     minor 7 sends the annotated [Proc_fleet_list_all] and decodes and
+     caches every row client-side; otherwise raw [Proc_dom_list_all]. *)
+  let run_variant ~via_client ~clients ~domains ~cache =
     let daemon_name = fresh "rcd" in
     let daemon = Daemon.start ~name:daemon_name ~config:quiet_config () in
     let host = fresh "rcn" in
@@ -1912,41 +1918,58 @@ let replycache () =
        handler, encode), so measure the daemon's read-serving capacity
        without paying a client-side decode of every record on each call
        (all worker threads share one runtime lock, which would swamp the
-       server-side difference under test). *)
-    let open_uri =
-      Printf.sprintf "test://%s/%s" host
-        (if cache then "" else "?replycache=0")
+       server-side difference under test).  The client rows pay that
+       decode: they show what a real client gains. *)
+    let query sep = if cache then "" else sep ^ "replycache=0" in
+    let read, close =
+      if via_client then begin
+        let conns =
+          Array.init clients (fun _ ->
+              ok
+                (Connect.open_uri
+                   (Printf.sprintf "test+unix://%s/?daemon=%s%s" host
+                      daemon_name (query "&"))))
+        in
+        ( (fun i -> ignore (ok (Connect.list_all_domains conns.(i)))),
+          fun () -> Array.iter Connect.close conns )
+      end
+      else begin
+        let open_uri = Printf.sprintf "test://%s/%s" host (query "?") in
+        let conns =
+          Array.init clients (fun _ ->
+              let c =
+                ok
+                  (Rpc_client.connect
+                     ~address:(Daemon.mgmt_address daemon)
+                     ~kind:Transport.Unix_sock ~program:Rp.program
+                     ~version:Rp.version ())
+              in
+              ignore
+                (ok
+                   (Rpc_client.call c
+                      ~procedure:(Rp.proc_to_int Rp.Proc_open)
+                      ~body:(Rp.enc_string_body open_uri) ()));
+              c)
+        in
+        let list_all = Rp.proc_to_int Rp.Proc_dom_list_all in
+        ( (fun i ->
+            ignore
+              (ok (Rpc_client.call conns.(i) ~procedure:list_all ~body:"" ()))),
+          fun () -> Array.iter Rpc_client.close conns )
+      end
     in
-    let conns =
-      Array.init clients (fun _ ->
-          let c =
-            ok
-              (Rpc_client.connect
-                 ~address:(Daemon.mgmt_address daemon)
-                 ~kind:Transport.Unix_sock ~program:Rp.program
-                 ~version:Rp.version ())
-          in
-          ignore
-            (ok
-               (Rpc_client.call c
-                  ~procedure:(Rp.proc_to_int Rp.Proc_open)
-                  ~body:(Rp.enc_string_body open_uri) ()));
-          c)
-    in
-    let list_all = Rp.proc_to_int Rp.Proc_dom_list_all in
-    let reads_per_s =
-      measure_throughput ~n_threads:clients ~duration_s (fun i ->
-          ignore (ok (Rpc_client.call conns.(i) ~procedure:list_all ~body:"" ())))
-    in
+    let reads_per_s = measure_throughput ~n_threads:clients ~duration_s read in
     let admin = ok (Admin.connect ~daemon:daemon_name ()) in
     let rc = ok (Admin.reply_cache_stats admin) in
     Admin.close admin;
-    Array.iter Rpc_client.close conns;
+    close ();
     Connect.close producer;
     Daemon.stop daemon;
+    let path = path_name via_client in
     json_rows :=
       Mini_json.Obj
         [
+          ("path", Mini_json.String path);
           ("clients", Mini_json.Int clients);
           ("domains", Mini_json.Int domains);
           ("cache", Mini_json.Bool cache);
@@ -1959,6 +1982,7 @@ let replycache () =
       :: !json_rows;
     ( reads_per_s,
       [
+        path;
         string_of_int clients;
         string_of_int domains;
         (if cache then "on" else "off");
@@ -1970,22 +1994,29 @@ let replycache () =
   in
   let rows, speedups =
     List.fold_left
-      (fun (rows, speedups) (clients, domains) ->
-        let on_tput, on_row = run_variant ~clients ~domains ~cache:true in
-        let off_tput, off_row = run_variant ~clients ~domains ~cache:false in
+      (fun (rows, speedups) (via_client, (clients, domains)) ->
+        let on_tput, on_row = run_variant ~via_client ~clients ~domains ~cache:true in
+        let off_tput, off_row =
+          run_variant ~via_client ~clients ~domains ~cache:false
+        in
         let speedup = on_tput /. off_tput in
         ( rows @ [ on_row @ [ Printf.sprintf "%.1fx" speedup ]; off_row @ [ "-" ] ],
-          speedups @ [ (clients, domains, speedup) ] ))
-      ([], []) combos
+          speedups @ [ (path_name via_client, clients, domains, speedup) ] ))
+      ([], [])
+      (List.concat_map (fun c -> [ (false, c); (true, c) ]) combos)
   in
   table
-    [ "clients"; "domains"; "cache"; "reads/s"; "hits"; "misses"; "patched"; "speedup" ]
+    [
+      "path"; "clients"; "domains"; "cache"; "reads/s"; "hits"; "misses";
+      "patched"; "speedup";
+    ]
     rows;
   (* Write churn: every iteration flips an event-less flag through the
      direct path, then reads it back through cached and uncached daemon
-     connections with raw frames recorded.  Freshness means the flag is
-     always the one just written; byte fidelity means cached and uncached
-     frames agree except for the serial word. *)
+     connections with raw frames recorded, over both bulk listings, and
+     through a client's own listing.  Freshness means the flag is always
+     the one just written; byte fidelity means cached and uncached frames
+     agree except for the serial word.  Either failing fails the run. *)
   let churn_iters = if smoke then 30 else 300 in
   let daemon_name = fresh "rcd" in
   let daemon = Daemon.start ~name:daemon_name ~config:quiet_config () in
@@ -2012,12 +2043,9 @@ let replycache () =
          (Rpc_client.call client
             ~procedure:(Rp.proc_to_int Rp.Proc_open)
             ~body:(Rp.enc_string_body uri) ()));
-    let read () =
+    let read proc =
       let body =
-        ok
-          (Rpc_client.call client
-             ~procedure:(Rp.proc_to_int Rp.Proc_dom_list_all)
-             ~body:"" ())
+        ok (Rpc_client.call client ~procedure:(Rp.proc_to_int proc) ~body:"" ())
       in
       Mutex.lock mu;
       let frame = !last in
@@ -2030,30 +2058,70 @@ let replycache () =
   let off_client, off_read =
     raw_conn (Printf.sprintf "test://%s/?replycache=0" host)
   in
-  let stale = ref 0 and byte_diffs = ref 0 in
-  let flag_of body =
+  let client =
+    ok
+      (Connect.open_uri
+         (Printf.sprintf "test+unix://%s/?daemon=%s" host daemon_name))
+  in
+  let flag_of records =
     List.exists
       (fun r ->
         r.Driver.rec_ref.Driver.dom_name = Domain.name dom
         && r.Driver.rec_autostart = Some true)
-      (Rp.dec_domain_record_list body)
+      records
   in
+  (* Each path reads the listing back after a write and says whether its
+     cached and uncached frames agreed; the client path sees no frames. *)
+  let raw proc decode () =
+    let body1, frame1 = on_read proc in
+    let _body2, frame2 = on_read proc in
+    let _body3, frame3 = off_read proc in
+    (decode body1, Some (frame1 = frame2 && frame1 = frame3))
+  in
+  let paths =
+    [
+      ("dom_list_all (raw)", raw Rp.Proc_dom_list_all Rp.dec_domain_record_list);
+      ( "fleet_list_all (raw)",
+        raw Rp.Proc_fleet_list_all (fun body ->
+            (Rp.dec_fleet_listing body).Driver.fl_records) );
+      (path_name true, fun () -> (ok (Connect.list_all_domains client), None));
+    ]
+  in
+  let stale = Array.make (List.length paths) 0 in
+  let byte_diffs = Array.make (List.length paths) 0 in
+  let compared = Array.make (List.length paths) false in
   for i = 1 to churn_iters do
     let flag = i mod 2 = 0 in
     ok (Domain.set_autostart dom flag);
-    let body1, frame1 = on_read () in
-    let _body2, frame2 = on_read () in
-    let _body3, frame3 = off_read () in
-    if flag_of body1 <> flag then incr stale;
-    if frame1 <> frame2 || frame1 <> frame3 then incr byte_diffs
+    List.iteri
+      (fun k (_, read) ->
+        let records, same_bytes = read () in
+        if flag_of records <> flag then stale.(k) <- stale.(k) + 1;
+        compared.(k) <- same_bytes <> None;
+        if same_bytes = Some false then byte_diffs.(k) <- byte_diffs.(k) + 1)
+      paths
   done;
+  Connect.close client;
   Rpc_client.close on_client;
   Rpc_client.close off_client;
   Connect.close producer;
   Daemon.stop daemon;
   table
-    [ "churn writes"; "stale reads"; "byte diffs vs cache-off" ]
-    [ [ string_of_int churn_iters; string_of_int !stale; string_of_int !byte_diffs ] ];
+    [ "path"; "churn writes"; "stale reads"; "byte diffs vs cache-off" ]
+    (List.mapi
+       (fun k (label, _) ->
+         [
+           label;
+           string_of_int churn_iters;
+           string_of_int stale.(k);
+           (if compared.(k) then string_of_int byte_diffs.(k) else "-");
+         ])
+       paths);
+  let total a = Array.fold_left ( + ) 0 a in
+  if total stale > 0 || total byte_diffs > 0 then
+    failwith
+      (Printf.sprintf "E21 churn: %d stale reads, %d byte diffs" (total stale)
+         (total byte_diffs));
   let json =
     Mini_json.Obj
       [
@@ -2063,9 +2131,10 @@ let replycache () =
         ( "speedups",
           Mini_json.List
             (List.map
-               (fun (c, d, s) ->
+               (fun (path, c, d, s) ->
                  Mini_json.Obj
                    [
+                     ("path", Mini_json.String path);
                      ("clients", Mini_json.Int c);
                      ("domains", Mini_json.Int d);
                      ("speedup", Mini_json.Float s);
@@ -2075,8 +2144,9 @@ let replycache () =
           Mini_json.Obj
             [
               ("writes", Mini_json.Int churn_iters);
-              ("stale_reads", Mini_json.Int !stale);
-              ("byte_diffs", Mini_json.Int !byte_diffs);
+              ("paths", Mini_json.Int (List.length paths));
+              ("stale_reads", Mini_json.Int (total stale));
+              ("byte_diffs", Mini_json.Int (total byte_diffs));
             ] );
       ]
   in
@@ -2130,61 +2200,81 @@ let fleet () =
             (Printf.sprintf "test://%s/?latency_us=%d" node member_latency_us)));
     (daemon, (tag, Printf.sprintf "test+unix://%s/?daemon=%s" node dname))
   in
+  (* [f] opens fleets over the shards with [fleet_over query], which
+     appends [query] to every member URI. *)
   let with_fleet n f =
     let shards = List.init n (fun i -> start_shard (Printf.sprintf "s%d" i)) in
-    let fname = fresh "e22f" in
-    let t =
-      Ovirt.Fleet.create ~name:fname ~members:(List.map snd shards)
+    let names = ref [] in
+    let fleet_over query =
+      let fname = fresh "e22f" in
+      names := fname :: !names;
+      Ovirt.Fleet.create ~name:fname
+        ~members:(List.map (fun (_, (tag, uri)) -> (tag, uri ^ query)) shards)
         ~shard_slice_s:slice_s ~probe_interval_s:0.1 ~probe_timeout_s:0.2 ()
     in
     Fun.protect
       ~finally:(fun () ->
-        Ovirt.Fleet.dissolve fname;
+        List.iter Ovirt.Fleet.dissolve !names;
         List.iter (fun (d, _) -> Daemon.stop d) shards)
-      (fun () -> f t (List.map fst shards))
+      (fun () -> f fleet_over (List.map fst shards))
   in
   let listing_of t =
     let ops = Ovirt.Fleet.ops_of t in
     ok ((Option.get ops.Driver.fleet).Driver.fleet_list_all ())
   in
   (* --- inventory latency vs shard count --------------------------- *)
+  (* Two fleets over the same shards.  One opts its member connections
+     out of the members' reply caches, so every inventory pays each
+     member's service time: the work scatter-gather overlaps, and what
+     the scaling claim is about.  The other is the ordinary path, where
+     an inventory of unchanged members is answered from their reply
+     caches and costs only the wire and the decode of every row. *)
   let sweep =
     List.map
       (fun n ->
-        with_fleet n (fun t _ ->
+        with_fleet n (fun fleet_over _ ->
+            let cached = fleet_over "" in
+            let relisting = fleet_over "&replycache=0" in
             (* Expected rows: the seeded domains plus each test node's
                default "test" domain. *)
             let expect = n * (per_shard + 1) in
-            let samples =
-              List.init 5 (fun _ ->
-                  let l, s = time_once (fun () -> listing_of t) in
-                  if List.length l.Driver.fl_records <> expect then
-                    failwith
-                      (Printf.sprintf "E22: %d rows from %d shards, wanted %d"
-                         (List.length l.Driver.fl_records) n expect);
-                  if l.Driver.fl_shard_errors <> [] then
-                    failwith "E22: healthy fleet reported shard errors";
-                  s)
-            in
-            let median =
+            let median_ms t =
+              let samples =
+                List.init 5 (fun _ ->
+                    let l, s = time_once (fun () -> listing_of t) in
+                    if List.length l.Driver.fl_records <> expect then
+                      failwith
+                        (Printf.sprintf "E22: %d rows from %d shards, wanted %d"
+                           (List.length l.Driver.fl_records) n expect);
+                    if l.Driver.fl_shard_errors <> [] then
+                      failwith "E22: healthy fleet reported shard errors";
+                    s)
+              in
               let a = Array.of_list samples in
               Array.sort compare a;
-              a.(Array.length a / 2)
+              a.(Array.length a / 2) *. 1000.
             in
-            (n, expect, median *. 1000.)))
+            let relist_ms = median_ms relisting in
+            (n, expect, relist_ms, median_ms cached)))
       shard_counts
   in
   table
-    [ "shards"; "domains"; "inventory (median of 5)" ]
+    [ "shards"; "domains"; "members re-list"; "reply-cache hits" ]
     (List.map
-       (fun (n, d, ms) ->
-         [ string_of_int n; string_of_int d; Printf.sprintf "%.2f ms" ms ])
+       (fun (n, d, ms, cached_ms) ->
+         [
+           string_of_int n; string_of_int d; Printf.sprintf "%.2f ms" ms;
+           Printf.sprintf "%.2f ms" cached_ms;
+         ])
        sweep);
-  let _, _, t_one = List.hd sweep in
-  let n_max, _, t_max = List.nth sweep (List.length sweep - 1) in
+  let _, _, t_one, c_one = List.hd sweep in
+  let n_max, _, t_max, c_max = List.nth sweep (List.length sweep - 1) in
   let ratio = t_max /. Float.max 0.001 t_one in
   subsection
-    (Printf.sprintf "%dx the shards (and domains): %.1fx the latency\n" n_max ratio);
+    (Printf.sprintf
+       "%dx the shards (and domains): %.1fx the latency re-listing, %.1fx from reply caches\n"
+       n_max ratio
+       (c_max /. Float.max 0.001 c_one));
   if ratio >= float_of_int n_max then
     failwith "E22: inventory latency scaled linearly or worse in shard count";
   (* --- degraded run: one of eight shards killed mid-run ------------ *)
@@ -2192,7 +2282,8 @@ let fleet () =
   let iters = if smoke then 12 else 40 in
   let kill_at = iters / 3 in
   let degraded =
-    with_fleet n_members (fun t daemons ->
+    with_fleet n_members (fun fleet_over daemons ->
+        let t = fleet_over "" in
         let full = n_members * (per_shard + 1) in
         let reduced = full - (per_shard + 1) in
         let latencies = ref [] in
@@ -2252,12 +2343,13 @@ let fleet () =
         ( "inventory_sweep",
           Mini_json.List
             (List.map
-               (fun (n, d, ms) ->
+               (fun (n, d, ms, cached_ms) ->
                  Mini_json.Obj
                    [
                      ("shards", Mini_json.Int n);
                      ("domains", Mini_json.Int d);
                      ("inventory_ms", Mini_json.Float ms);
+                     ("cached_inventory_ms", Mini_json.Float cached_ms);
                    ])
                sweep) );
         ("latency_ratio_max_vs_one", Mini_json.Float ratio);

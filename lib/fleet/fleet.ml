@@ -90,6 +90,8 @@ let consistent_hash_place uuid member_names =
         names
     in
     let points = List.sort compare points in
+    (* The text form, not the raw bytes: placements already made must
+       not move. *)
     let key = Hashtbl.hash (Uuid.to_string uuid) in
     (match List.find_opt (fun (h, _) -> h >= key) points with
      | Some (_, name) -> name
@@ -368,13 +370,13 @@ let is_active = function Vmm.Vm_state.Shutoff -> false | _ -> true
    destination while still running on the source); the running row wins,
    so nothing is ever double-counted. *)
 let merge_records per_member =
-  let seen : (string, Driver.domain_record) Hashtbl.t = Hashtbl.create 64 in
+  let seen : (Uuid.t, Driver.domain_record) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
   List.iter
     (fun (_member, records) ->
       List.iter
         (fun (r : Driver.domain_record) ->
-          let key = Uuid.to_string r.Driver.rec_ref.Driver.dom_uuid in
+          let key = r.Driver.rec_ref.Driver.dom_uuid in
           match Hashtbl.find_opt seen key with
           | None ->
             Hashtbl.replace seen key r;
@@ -809,8 +811,7 @@ let ops_of t =
       match
         List.find_opt
           (fun (r : Driver.domain_record) ->
-            Uuid.to_string r.Driver.rec_ref.Driver.dom_uuid
-            = Uuid.to_string uuid)
+            Uuid.equal r.Driver.rec_ref.Driver.dom_uuid uuid)
           listing.Driver.fl_records
       with
       | Some r -> Ok r.Driver.rec_ref

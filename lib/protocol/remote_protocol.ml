@@ -157,8 +157,11 @@ let table =
       (* v1.7: federation.  A fleet listing scatters to member daemons
          and a migration drives two of them through a multi-step
          handshake (a lost one may have passed its commit point); status
-         is answered from controller-local health state. *)
-      row Proc_fleet_list_all ~since:7 ~high:false ~idem:true ~cache:false;
+         is answered from controller-local health state.  On a plain
+         daemon the listing is its own rows under constant markers, as
+         cacheable as dom_list_all; a controller's ops carry no
+         generation stamp, so its scattered listing is never cached. *)
+      row Proc_fleet_list_all ~since:7 ~high:false ~idem:true ~cache:true;
       row Proc_fleet_status ~since:7 ~high:true ~idem:true ~cache:false;
       row Proc_fleet_migrate ~since:7 ~high:false ~idem:false ~cache:false;
     |]

@@ -18,11 +18,25 @@ let generate () =
   Bytes.set b 8 (Char.chr (0x80 lor (Char.code (Bytes.get b 8) land 0x3f)));
   Bytes.unsafe_to_string b
 
+(* Listings render one UUID per row on both ends of the wire, so this
+   writes the 36 bytes straight from a digit table: one allocation, no
+   format interpretation. *)
+let digits = "0123456789abcdef"
+
 let to_string u =
-  let hex i = Printf.sprintf "%02x" (Char.code u.[i]) in
-  String.concat ""
-    [ hex 0; hex 1; hex 2; hex 3; "-"; hex 4; hex 5; "-"; hex 6; hex 7; "-";
-      hex 8; hex 9; "-"; hex 10; hex 11; hex 12; hex 13; hex 14; hex 15 ]
+  let b = Bytes.create 36 in
+  let dst = ref 0 in
+  for i = 0 to 15 do
+    if i = 4 || i = 6 || i = 8 || i = 10 then begin
+      Bytes.unsafe_set b !dst '-';
+      incr dst
+    end;
+    let c = Char.code u.[i] in
+    Bytes.unsafe_set b !dst digits.[c lsr 4];
+    Bytes.unsafe_set b (!dst + 1) digits.[c land 0x0f];
+    dst := !dst + 2
+  done;
+  Bytes.unsafe_to_string b
 
 let hex_value c =
   match c with

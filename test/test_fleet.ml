@@ -227,6 +227,21 @@ let test_placement () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty member list accepted"
 
+(* Placement hashes the UUID's text form, so a change in how UUIDs are
+   rendered would silently move every placed domain.  These members were
+   recorded from the Printf-based rendering. *)
+let test_placement_pinned () =
+  List.iter
+    (fun (text, member) ->
+      let u = sok (Vmm.Uuid.of_string text) in
+      Alcotest.(check string) text member
+        (Fleet.consistent_hash_place u [ "a"; "b"; "c"; "d" ]))
+    [
+      ("00000000-0000-0000-0000-000000000000", "b");
+      ("ffffffff-ffff-ffff-ffff-ffffffffffff", "c");
+      ("6f1c2a3b-4d5e-4f60-8172-93a4b5c6d7e8", "d");
+    ]
+
 (* --- wire compatibility ----------------------------------------------- *)
 
 let raw_client daemon =
@@ -769,7 +784,11 @@ let () =
           quick "plain daemon answers as a fleet of one"
             test_plain_daemon_is_fleet_of_one;
         ] );
-      ("placement", [ quick "consistent-hash ring" test_placement ]);
+      ( "placement",
+        [
+          quick "consistent-hash ring" test_placement;
+          quick "pinned for fixed UUIDs" test_placement_pinned;
+        ] );
       ( "health",
         [
           quick "state machine, hysteresis, one prober thread"

@@ -226,6 +226,138 @@ let test_byte_equality_all_procs () =
       Rpc_client.close off_client;
       Connect.close producer)
 
+(* --- the annotated listing ------------------------------------------------- *)
+
+let names_of records =
+  List.sort compare
+    (List.map (fun r -> r.Ovirt.Driver.rec_ref.Ovirt.Driver.dom_name) records)
+
+(* At minor 7 a client's bulk listing is the annotated [fleet_list_all].
+   On a plain daemon its reply depends on node state alone, so the
+   reply cache serves it exactly as it serves [dom_list_all]. *)
+let test_annotated_listing_cached () =
+  with_daemon (fun name daemon ->
+      let host = fresh_name "rcfl" in
+      let remote =
+        vok
+          (Connect.open_uri
+             (Printf.sprintf "test+unix://%s/?daemon=%s" host name))
+      in
+      let admin = vok (Admin.connect ~daemon:name ()) in
+      let hits () = (vok (Admin.reply_cache_stats admin)).Admin.rc_hits in
+      let first = vok (Connect.list_all_domains remote) in
+      let h0 = hits () in
+      let second = vok (Connect.list_all_domains remote) in
+      Alcotest.(check int) "second listing is a reply-cache hit" (h0 + 1)
+        (hits ());
+      Alcotest.(check (list string)) "same rows" (names_of first)
+        (names_of second);
+      (* The remote driver forwards [test://HOST/], so a raw connection
+         opening that URI shares the cache entry the listing just hit:
+         its frame is the one the client received, serial aside. *)
+      let on_client, on_last = connect_raw daemon in
+      let off_client, off_last = connect_raw daemon in
+      rpc_open on_client (Printf.sprintf "test://%s/" host);
+      rpc_open off_client (Printf.sprintf "test://%s/?replycache=0" host);
+      let r1, f1 = call_frame on_client on_last Rp.Proc_fleet_list_all "" in
+      Alcotest.(check int) "raw call hits the same entry" (h0 + 2) (hits ());
+      let r2, f2 = call_frame off_client off_last Rp.Proc_fleet_list_all "" in
+      Alcotest.(check string) "body equals uncached" (vok r2) (vok r1);
+      Alcotest.(check string) "cached frame equals uncached frame"
+        (zero_serial f2) (zero_serial f1);
+      (* A define between two listings shows in the second. *)
+      let _ =
+        vok
+          (Domain.define_xml remote
+             (Vmm.Domxml.to_xml ~virt_type:"test" (Vmm.Vm_config.make "rcfl-new")))
+      in
+      Alcotest.(check bool) "define visible in the next listing" true
+        (List.mem "rcfl-new" (names_of (vok (Connect.list_all_domains remote))));
+      Admin.close admin;
+      Rpc_client.close on_client;
+      Rpc_client.close off_client;
+      Connect.close remote)
+
+(* A fleet controller's ops carry no generation stamp, so its connections
+   never reach the reply cache: a degraded listing taken while a member
+   is dead is never replayed once the member is back. *)
+let test_controller_listing_never_cached () =
+  let start_member () =
+    let dname = fresh_name "rcmd" in
+    let node = fresh_name "rcmn" in
+    let handle = ref (Some (Daemon.start ~name:dname ~config:quiet_config ())) in
+    (dname, node, handle)
+  in
+  let stop_member (_, _, handle) =
+    Option.iter Daemon.stop !handle;
+    handle := None
+  in
+  let members = [ start_member (); start_member () ] in
+  let ctl = fresh_name "rcctl" in
+  let ctl_daemon = Daemon.start ~name:ctl ~config:quiet_config () in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.stop ctl_daemon;
+      List.iter stop_member members)
+    (fun () ->
+      let fleet =
+        Ovirt.Fleet.create ~name:(fresh_name "rcfleet")
+          ~members:
+            (List.mapi
+               (fun i (dname, node, _) ->
+                 ( Printf.sprintf "m%d" i,
+                   Printf.sprintf
+                     "test+unix://%s/?daemon=%s&reconnect=50&reconnect_delay=0.01&reconnect_max_delay=0.05"
+                     node dname ))
+               members)
+          ~shard_slice_s:0.5 ~probe_interval_s:0.05 ~probe_timeout_s:0.2 ()
+      in
+      (* Each member node carries one domain of its own name. *)
+      let _, victim_node, _ = List.nth members 1 in
+      List.iter
+        (fun (dname, node, _) ->
+          let conn =
+            vok
+              (Connect.open_uri
+                 (Printf.sprintf "test+unix://%s/?daemon=%s" node dname))
+          in
+          ignore
+            (vok
+               (Domain.define_xml conn
+                  (Vmm.Domxml.to_xml ~virt_type:"test" (Vmm.Vm_config.make node))));
+          Connect.close conn)
+        members;
+      let conn =
+        vok
+          (Connect.open_uri
+             (Printf.sprintf "fleet+unix:///%s?daemon=%s"
+                (Ovirt.Fleet.name fleet) ctl))
+      in
+      let lists_victim () =
+        match Connect.list_all_domains conn with
+        | Ok records -> List.mem victim_node (names_of records)
+        | Error _ -> false
+      in
+      Alcotest.(check bool) "healthy listing has every member" true
+        (lists_victim ());
+      Alcotest.(check bool) "a repeat is still complete" true (lists_victim ());
+      stop_member (List.nth members 1);
+      Alcotest.(check bool) "listing degrades after a member kill" false
+        (lists_victim ());
+      let dname, _, handle = List.nth members 1 in
+      handle := Some (Daemon.start ~name:dname ~config:quiet_config ());
+      Alcotest.(check bool) "degraded listing not replayed once it is back"
+        true
+        (eventually ~timeout_s:5.0 lists_victim);
+      let admin = vok (Admin.connect ~daemon:ctl ()) in
+      let rc = vok (Admin.reply_cache_stats admin) in
+      Alcotest.(check int) "controller created no cache" 0 rc.Admin.rc_caches;
+      Alcotest.(check int) "controller never probed a cache" 0
+        (rc.Admin.rc_hits + rc.Admin.rc_misses);
+      Admin.close admin;
+      Connect.close conn;
+      Ovirt.Fleet.dissolve (Ovirt.Fleet.name fleet))
+
 (* --- freshness under churn -------------------------------------------------- *)
 
 (* Writers mutate through the direct path while reader threads hammer the
@@ -430,6 +562,13 @@ let () =
       ("semantics", [ quick "LRU, stamps, flush" test_cache_semantics ]);
       ( "byte equality",
         [ quick "all cached procedures" test_byte_equality_all_procs ] );
+      ( "fleet listing",
+        [
+          quick "plain daemon serves it from the cache"
+            test_annotated_listing_cached;
+          quick "controller listing never cached"
+            test_controller_listing_never_cached;
+        ] );
       ("freshness", [ quick "write churn with disconnects" test_stale_read_chaos ]);
       ( "knobs",
         [

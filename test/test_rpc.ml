@@ -234,7 +234,9 @@ module Reference = struct
   let cacheable_proc = function
     | Rp.Proc_get_capabilities | Rp.Proc_dom_list_all | Rp.Proc_dom_get_info
     | Rp.Proc_dom_get_xml | Rp.Proc_lookup_by_name | Rp.Proc_lookup_by_uuid
-    | Rp.Proc_vol_lookup ->
+    | Rp.Proc_vol_lookup
+    (* a plain daemon's annotated listing depends on node state alone *)
+    | Rp.Proc_fleet_list_all ->
       true
     | _ -> false
 end

@@ -45,6 +45,32 @@ let prop_uuid_roundtrip =
       let u = Uuid.generate () in
       Uuid.of_string (Uuid.to_string u) = Ok u)
 
+(* Reference rendering, one Printf call per byte.  Placement hashes the
+   text form, so [Uuid.to_string] must match it byte for byte. *)
+let printf_rendering raw =
+  let hex i = Printf.sprintf "%02x" (Char.code raw.[i]) in
+  String.concat ""
+    [ hex 0; hex 1; hex 2; hex 3; "-"; hex 4; hex 5; "-"; hex 6; hex 7; "-";
+      hex 8; hex 9; "-"; hex 10; hex 11; hex 12; hex 13; hex 14; hex 15 ]
+
+let prop_uuid_rendering =
+  let raw16 =
+    QCheck.make ~print:String.escaped
+      QCheck.Gen.(
+        frequency
+          [
+            (1, return (String.make 16 '\x00'));
+            (1, return (String.make 16 '\xff'));
+            (18, string_size ~gen:char (return 16));
+          ])
+  in
+  qcheck_case ~count:500 "to_string matches the Printf rendering" raw16
+    (fun raw ->
+      let text = printf_rendering raw in
+      match Uuid.of_string text with
+      | Ok u -> Uuid.to_string u = text
+      | Error _ -> false)
+
 (* --- Vm_config ---------------------------------------------------------- *)
 
 let test_config_defaults () =
@@ -337,6 +363,7 @@ let () =
           quick "uniqueness" test_uuid_uniqueness;
           quick "parsing" test_uuid_parse;
           prop_uuid_roundtrip;
+          prop_uuid_rendering;
         ] );
       ( "vm_config",
         [
