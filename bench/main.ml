@@ -788,26 +788,25 @@ let chaos () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* E14: driver read-op concurrency — coarse mutex vs rwlock            *)
+(* E14: driver read-op concurrency under the node rwlock              *)
 (* ------------------------------------------------------------------ *)
 
 (* N clients poll dom_get_info (a read-classified op whose simulated
    200 us hypervisor exchange happens inside the lock section) against
-   one node while a background writer cycles a domain's lifecycle.  The
-   node lock is the only variable: ?coarse=1 demotes the rwlock to a
-   plain mutex, reproducing the pre-refactor coarse driver lock on the
-   identical code path. *)
+   one node while a background writer cycles a domain's lifecycle.  A
+   lock that serialized the readers could not beat 1 / 200 us = 5,000
+   ops/s; the run fails unless the largest client count does. *)
 let rwlock () =
-  section "E14: read-op throughput vs clients, coarse driver mutex vs rwlock";
+  section "E14: read-op throughput vs clients under the driver rwlock";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let duration_s = if smoke then 0.05 else 0.3 in
-  let client_counts = if smoke then [ 1; 4 ] else [ 1; 2; 4; 8; 16; 32 ] in
-  let run_variant ~coarse n_clients =
+  (* The smoke's top count is 8, not 4: at 4 clients a slow runner can
+     land near the ceiling (5.8k ops/s seen on a 2-vCPU VM). *)
+  let client_counts = if smoke then [ 1; 8 ] else [ 1; 2; 4; 8; 16; 32 ] in
+  let serialized_ceiling = 1.0 /. 200e-6 in
+  let run n_clients =
     let node = fresh "rw" in
-    let uri =
-      Printf.sprintf "test://%s/?latency_us=200%s" node
-        (if coarse then "&coarse=1" else "")
-    in
+    let uri = Printf.sprintf "test://%s/?latency_us=200" node in
     let conns = List.init n_clients (fun _ -> ok (Connect.open_uri uri)) in
     let doms =
       Array.of_list
@@ -838,20 +837,21 @@ let rwlock () =
     Connect.close writer_conn;
     ops
   in
-  let rows =
-    List.map
-      (fun n ->
-        let coarse = run_variant ~coarse:true n in
-        let rw = run_variant ~coarse:false n in
-        [
-          string_of_int n;
-          pp_ops coarse ^ " ops/s";
-          pp_ops rw ^ " ops/s";
-          Printf.sprintf "%.1fx" (rw /. coarse);
-        ])
-      client_counts
-  in
-  table [ "clients"; "coarse mutex"; "rwlock"; "speedup" ] rows
+  let results = List.map (fun n -> (n, run n)) client_counts in
+  table [ "clients"; "rwlock"; "vs serialized" ]
+    (List.map
+       (fun (n, ops) ->
+         [
+           string_of_int n;
+           pp_ops ops ^ " ops/s";
+           Printf.sprintf "%.1fx" (ops /. serialized_ceiling);
+         ])
+       results);
+  let n, top = List.nth results (List.length results - 1) in
+  if top <= serialized_ceiling then
+    failwith
+      (Printf.sprintf "E14: %d clients reached %.0f ops/s, not above the serialized %.0f"
+         n top serialized_ceiling)
 
 (* ------------------------------------------------------------------ *)
 (* E15: daemon restart recovery — journal replay and re-adoption       *)
@@ -1599,11 +1599,11 @@ let percentile sorted p =
 
 (* The paper-era daemon burned one OS thread per connection just to sit
    in recv; the reactor front end multiplexes every socket onto a fixed
-   handful of loops.  Measured per io_model and fan-in: extra daemon
-   threads, resident memory, and hot-call latency for a small busy
-   subset riding amid the idle mass. *)
+   handful of loops.  Measured per fan-in: extra daemon threads, resident
+   memory, and hot-call latency for a small busy subset riding amid the
+   idle mass. *)
 let c10k () =
-  section "E19: c10k — idle connection mass + hot subset, reactor vs threaded";
+  section "E19: c10k — idle connection mass + hot subset on the reactor";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let fan_ins =
     match Sys.getenv_opt "C10K_FANINS" with
@@ -1620,12 +1620,11 @@ let c10k () =
     in
     Rpc_packet.encode header body
   in
-  let run io_model n_idle =
+  let run n_idle =
     let config =
       {
         quiet_config with
-        Daemon_config.io_model;
-        max_clients = n_idle + n_hot + 64;
+        Daemon_config.max_clients = n_idle + n_hot + 64;
         max_anonymous_clients = n_idle + n_hot + 64;
       }
     in
@@ -1633,8 +1632,8 @@ let c10k () =
     let addr = Daemon.mgmt_address daemon in
     let threads_before = Option.value ~default:0 (proc_status_int "Threads") in
     (* Idle mass: raw kept-alive connections that never say a word after
-       the handshake.  Thread-per-connection may refuse to scale here —
-       count what actually connected rather than crashing the harness. *)
+       the handshake.  Count what actually connected rather than crashing
+       the harness. *)
     let idle = ref [] in
     let idle_opened = ref 0 in
     (try
@@ -1646,11 +1645,9 @@ let c10k () =
        Printf.printf "  (stopped at %d idle connections: %s)\n" !idle_opened
          (Printexc.to_string e));
     let threads_after = Option.value ~default:0 (proc_status_int "Threads") in
-    (* Accept settle: thread-per-connection serializes every accept on
-       the server's client-table lock (with O(clients) maintenance per
-       accept), so a connect storm leaves a backlog long after connect()
-       returned.  Measure steady state, and report the settle time — it
-       is itself part of the comparison. *)
+    (* Accept settle: a connection counts once the server has registered
+       it after the handshake.  Measure steady state, and report the
+       settle time. *)
     let srv =
       match Daemon.find_server daemon "libvirtd" with
       | Some s -> s
@@ -1722,28 +1719,20 @@ let c10k () =
       p50,
       p99 )
   in
-  let rows = ref [] in
-  List.iter
-    (fun n_idle ->
-      List.iter
-        (fun io_model ->
-          let opened, threads, settle_s, rss_kb, p50, p99 = run io_model n_idle in
-          rows :=
-            [
-              Daemon_config.io_model_name io_model;
-              Printf.sprintf "%d/%d" opened n_idle;
-              string_of_int threads;
-              Printf.sprintf "%.2f s" settle_s;
-              Printf.sprintf "%.1f MB" (float_of_int rss_kb /. 1024.0);
-              Printf.sprintf "%.0f us" p50;
-              Printf.sprintf "%.0f us" p99;
-            ]
-            :: !rows)
-        [ Daemon_config.Io_threaded; Daemon_config.Io_reactor ])
-    fan_ins;
   table
-    [ "io_model"; "idle conns"; "+threads"; "settle"; "RSS"; "hot p50"; "hot p99" ]
-    (List.rev !rows)
+    [ "idle conns"; "+threads"; "settle"; "RSS"; "hot p50"; "hot p99" ]
+    (List.map
+       (fun n_idle ->
+         let opened, threads, settle_s, rss_kb, p50, p99 = run n_idle in
+         [
+           Printf.sprintf "%d/%d" opened n_idle;
+           string_of_int threads;
+           Printf.sprintf "%.2f s" settle_s;
+           Printf.sprintf "%.1f MB" (float_of_int rss_kb /. 1024.0);
+           Printf.sprintf "%.0f us" p50;
+           Printf.sprintf "%.0f us" p99;
+         ])
+       fan_ins)
 
 (* ------------------------------------------------------------------ *)
 (* E20: resumable event streams under connection chaos                 *)

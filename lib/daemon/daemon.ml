@@ -1,22 +1,13 @@
-(* The connection front end: [Threaded] spawns one reader thread per
-   accepted connection (the classic accept loop); [Reactor_fe] spreads
-   every connection over a small fixed set of readiness-driven loops
-   which share one receive-buffer pool.  Decoded calls dispatch on the
-   workerpools identically in both. *)
-type frontend =
-  | Threaded
-  | Reactor_fe of {
-      reactors : Ovreactor.Reactor.t array;
-      bufpool : Ovreactor.Bufpool.t;
-      next : int Atomic.t; (* round-robin connection placement *)
-    }
-
+(* The connection front end spreads every connection over a small fixed
+   set of readiness-driven reactor loops which share one receive-buffer
+   pool; decoded calls dispatch on the servers' workerpools. *)
 type t = {
   name : string;
   logger : Vlog.t;
   servers : (string * Server_obj.t) list;
   listeners : Ovnet.Netsim.listener list;
-  frontend : frontend;
+  reactors : Ovreactor.Reactor.t array;
+  bufpool : Ovreactor.Bufpool.t;
   started_at : float;
   reconciler : Reconcile.t;
   recon_conns : (string, Ovirt_core.Driver.ops) Hashtbl.t;
@@ -58,10 +49,7 @@ let stop_locked daemon =
         Server_obj.close_all_clients srv;
         Threadpool.shutdown (Server_obj.pool srv))
       daemon.servers;
-    (match daemon.frontend with
-     | Threaded -> ()
-     | Reactor_fe { reactors; _ } ->
-       Array.iter Ovreactor.Reactor.stop reactors);
+    Array.iter Ovreactor.Reactor.stop daemon.reactors;
     Vlog.logf daemon.logger ~module_:"daemon" Vlog.Info "daemon %s stopped"
       daemon.name
   end
@@ -311,58 +299,39 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
         "refusing non-root connection to admin socket";
       false
   in
-  let frontend =
-    match config.Daemon_config.io_model with
-    | Daemon_config.Io_threaded -> Threaded
-    | Daemon_config.Io_reactor ->
-      let n = max 1 config.Daemon_config.reactor_threads in
-      Reactor_fe
-        {
-          reactors =
-            Array.init n (fun i ->
-                Ovreactor.Reactor.create
-                  ~name:(Printf.sprintf "%s-reactor-%d" name i) ());
-          bufpool =
-            Ovreactor.Bufpool.create
-              ~buf_size:(1024 * max 1 config.Daemon_config.reactor_buf_kb)
-              ~max_pooled:config.Daemon_config.reactor_pool_bufs;
-          next = Atomic.make 0;
-        }
+  let reactors =
+    Array.init (max 1 config.Daemon_config.reactor_threads) (fun i ->
+        Ovreactor.Reactor.create ~name:(Printf.sprintf "%s-reactor-%d" name i) ())
   in
-  let mgmt_listener, admin_listener =
-    match frontend with
-    | Threaded ->
-      ( Ovnet.Netsim.listen (mgmt_address_of name) (fun conn ->
-            Dispatch.attach_client mgmt_server mgmt_programs conn),
-        Ovnet.Netsim.listen (admin_address_of name) (fun conn ->
-            if admin_authorized conn then
-              Dispatch.attach_client admin_server admin_programs conn
-            else Ovnet.Transport.close conn) )
-    | Reactor_fe { reactors; bufpool; next } ->
-      (* Connections are spread round-robin over the reactor loops; the
-         sink only registers the endpoint and returns, so accepting is
-         O(1) with no thread spawned. *)
-      let pick () =
-        reactors.(Atomic.fetch_and_add next 1 mod Array.length reactors)
-      in
-      ( Ovnet.Netsim.listen_direct (mgmt_address_of name) (fun ~kind ep ->
-            Dispatch.attach_endpoint mgmt_server mgmt_programs
-              ~reactor:(pick ()) ~pool:bufpool ~kind ep),
-        Ovnet.Netsim.listen_direct (admin_address_of name) (fun ~kind ep ->
-            Dispatch.attach_endpoint admin_server admin_programs
-              ~reactor:(pick ()) ~pool:bufpool ~authorize:admin_authorized
-              ~kind ep) )
+  let bufpool =
+    Ovreactor.Bufpool.create
+      ~buf_size:(1024 * max 1 config.Daemon_config.reactor_buf_kb)
+      ~max_pooled:config.Daemon_config.reactor_pool_bufs
   in
-  Vlog.logf logger ~module_:"daemon" Vlog.Info "daemon %s started (io_model=%s)"
-    name
-    (Daemon_config.io_model_name config.Daemon_config.io_model);
+  (* Connections are spread round-robin over the reactor loops; the sink
+     only registers the endpoint and returns, so accepting is O(1) with
+     no thread spawned. *)
+  let next = Atomic.make 0 in
+  let pick () = reactors.(Atomic.fetch_and_add next 1 mod Array.length reactors) in
+  let mgmt_listener =
+    Ovnet.Netsim.listen_direct (mgmt_address_of name) (fun ~kind ep ->
+        Dispatch.attach_endpoint mgmt_server mgmt_programs ~reactor:(pick ())
+          ~pool:bufpool ~kind ep)
+  in
+  let admin_listener =
+    Ovnet.Netsim.listen_direct (admin_address_of name) (fun ~kind ep ->
+        Dispatch.attach_endpoint admin_server admin_programs ~reactor:(pick ())
+          ~pool:bufpool ~authorize:admin_authorized ~kind ep)
+  in
+  Vlog.logf logger ~module_:"daemon" Vlog.Info "daemon %s started" name;
   let daemon =
     {
       name;
       logger;
       servers;
       listeners = [ mgmt_listener; admin_listener ];
-      frontend;
+      reactors;
+      bufpool;
       started_at;
       reconciler;
       recon_conns;
@@ -380,20 +349,8 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
 
 let drain = drain_impl
 
-let io_model daemon =
-  match daemon.frontend with
-  | Threaded -> Daemon_config.Io_threaded
-  | Reactor_fe _ -> Daemon_config.Io_reactor
-
-let reactors daemon =
-  match daemon.frontend with
-  | Threaded -> [||]
-  | Reactor_fe { reactors; _ } -> reactors
-
-let buffer_pool daemon =
-  match daemon.frontend with
-  | Threaded -> None
-  | Reactor_fe { bufpool; _ } -> Some bufpool
+let reactors daemon = daemon.reactors
+let buffer_pool daemon = Some daemon.bufpool
 
 let name daemon = daemon.name
 let mgmt_address daemon = mgmt_address_of daemon.name

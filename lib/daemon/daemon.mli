@@ -36,14 +36,11 @@ val drain : t -> unit
 
 val name : t -> string
 
-val io_model : t -> Daemon_config.io_model
-(** The connection front end this daemon was started with. *)
-
 val reactors : t -> Ovreactor.Reactor.t array
-(** The reactor loops (empty under [Io_threaded]) — for stats. *)
+(** The reactor loops that serve every connection — for stats. *)
 
 val buffer_pool : t -> Ovreactor.Bufpool.t option
-(** The shared receive-buffer pool ([None] under [Io_threaded]). *)
+(** The shared receive-buffer pool; always [Some]. *)
 
 val mgmt_address : t -> string
 (** ["<name>-sock"] — connect here with any transport kind. *)

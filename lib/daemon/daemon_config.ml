@@ -1,24 +1,8 @@
-type io_model = Io_threaded | Io_reactor
+type io_model = Io_reactor
 
-let io_model_name = function Io_threaded -> "threaded" | Io_reactor -> "reactor"
-
-let io_model_of_name = function
-  | "threaded" -> Ok Io_threaded
-  | "reactor" -> Ok Io_reactor
-  | s -> Error (Printf.sprintf "io_model: unknown model %S (threaded|reactor)" s)
-
-(* The suite runs once per io_model in CI; the env override flips the
+(* CI re-runs smokes with the server reply cache force-disabled to prove
+   it never changes observable behaviour; the env override flips the
    whole default without touching every test's config literal. *)
-let default_io_model =
-  match Sys.getenv_opt "OVIRT_IO_MODEL" with
-  | Some s ->
-    (match io_model_of_name (String.trim s) with
-     | Ok m -> m
-     | Error _ -> Io_reactor)
-  | None -> Io_reactor
-
-(* Same idea for the server reply cache: CI re-runs smokes with the
-   cache force-disabled to prove it never changes observable behaviour. *)
 let default_reply_cache =
   match Sys.getenv_opt "OVIRT_REPLY_CACHE" with
   | Some s -> (match int_of_string_opt (String.trim s) with Some n -> n | None -> 1)
@@ -55,7 +39,7 @@ type t = {
 
 let default =
   {
-    io_model = default_io_model;
+    io_model = Io_reactor;
     reactor_threads = 2;
     reactor_buf_kb = 16;
     reactor_pool_bufs = 64;
@@ -128,8 +112,10 @@ let apply cfg key value =
   match key with
   | "io_model" ->
     let* s = want_string key value in
-    let* m = io_model_of_name s in
-    Ok { cfg with io_model = m }
+    if s = "reactor" then Ok { cfg with io_model = Io_reactor }
+    else
+      Error
+        (Printf.sprintf "io_model: unknown model %S (the only model is \"reactor\")" s)
   | "reactor_threads" ->
     let* n = want_int key value in
     if n < 1 then Error "reactor_threads: must be at least 1"
@@ -238,7 +224,6 @@ let parse contents =
 let to_file cfg =
   String.concat "\n"
     [
-      Printf.sprintf "io_model = \"%s\"" (io_model_name cfg.io_model);
       Printf.sprintf "reactor_threads = %d" cfg.reactor_threads;
       Printf.sprintf "reactor_buf_kb = %d" cfg.reactor_buf_kb;
       Printf.sprintf "reactor_pool_bufs = %d" cfg.reactor_pool_bufs;

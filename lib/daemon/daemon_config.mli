@@ -7,21 +7,14 @@
     comments, integers or double-quoted strings. *)
 
 type io_model =
-  | Io_threaded  (** one reader thread per connection (classic accept loop) *)
   | Io_reactor
       (** readiness-driven: a few {!Reactor} threads multiplex every
-          connection; decoded calls still dispatch on the workerpool *)
-
-val io_model_name : io_model -> string
-(** ["threaded"] / ["reactor"]. *)
-
-val io_model_of_name : string -> (io_model, string) result
+          connection; decoded calls dispatch on the workerpool *)
 
 type t = {
   io_model : io_model;
-      (** connection front end (default: [Io_reactor], overridable for a
-          whole run with the [OVIRT_IO_MODEL] environment variable —
-          ["threaded"] keeps the classic model as a baseline) *)
+      (** connection front end; the reactor is the only one, and a
+          config file may only say [io_model = "reactor"] *)
   reactor_threads : int;
       (** reactor loops to spread connections over (default 2) *)
   reactor_buf_kb : int;

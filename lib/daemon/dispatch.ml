@@ -114,9 +114,9 @@ let keepalive_program =
   }
 
 (* Route one decoded call: program lookup, version check, drain check,
-   deadline peek, pool submission.  Shared by both front ends (the
-   per-connection reader thread and the reactor state machine); it never
-   blocks — pool overflow is shed synchronously — and never raises. *)
+   deadline peek, pool submission.  Runs on the reactor thread, so it
+   never blocks — pool overflow is shed synchronously — and never
+   raises. *)
 let process_call srv prog_table client header body =
   match Hashtbl.find_opt prog_table header.Rpc_packet.program with
   | None ->
@@ -182,39 +182,6 @@ let prog_table_of programs =
   List.iter (fun p -> Hashtbl.replace t p.prog_number p) programs;
   t
 
-let reader_loop srv prog_table client =
-  let logger = Server_obj.logger srv in
-  let conn = Client_obj.conn client in
-  let rec loop () =
-    match Transport.recv conn with
-    | exception (Transport.Closed | Transport.Corrupt _) -> ()
-    | wire ->
-      (match Rpc_packet.decode wire with
-       | exception Rpc_packet.Bad_packet msg ->
-         Vlog.logf logger ~module_:"daemon.rpc" Vlog.Error
-           "client %Ld: dropping connection after bad packet: %s"
-           (Client_obj.id client) msg;
-         Client_obj.close client
-       | header, body ->
-         process_call srv prog_table client header body;
-         loop ())
-  in
-  loop ()
-
-let attach_client srv programs conn =
-  let prog_table = prog_table_of programs in
-  match Server_obj.accept_client srv conn with
-  | Error _ -> () (* connection already closed by the limit check *)
-  | Ok client ->
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun p -> p.on_disconnect client) programs;
-        Server_obj.remove_client srv (Client_obj.id client);
-        Vlog.logf (Server_obj.logger srv) ~module_:"daemon.server" Vlog.Info
-          "server %s: client %Ld disconnected" (Server_obj.name srv)
-          (Client_obj.id client))
-      (fun () -> reader_loop srv prog_table client)
-
 (* ------------------------------------------------------------------ *)
 (* Reactor front end                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -231,13 +198,12 @@ module Chan = Ovnet.Chan
 
    In [Rc_running], each inbound chunk goes through header-read
    ({!Rpc_packet.frame_length}) and payload-read ({!Rpc_packet.decode_sub})
-   and decoded calls enter the same {!process_call} pool submission the
-   threaded reader uses.  A connection only borrows a pool buffer while a
-   partial packet straddles chunks — idle connections hold none, and
-   whole aligned packets (the common case over {!Chan}) decode zero-copy
-   straight from the received chunk.  Unlike the per-thread reader, this
-   path reassembles arbitrary byte-stream splits: frames coalesced or
-   fragmented by the transport still decode. *)
+   and decoded calls enter the {!process_call} pool submission.  A
+   connection only borrows a pool buffer while a partial packet
+   straddles chunks — idle connections hold none, and whole aligned
+   packets (the common case over {!Chan}) decode zero-copy straight from
+   the received chunk.  Arbitrary byte-stream splits reassemble: frames
+   coalesced or fragmented by the transport still decode. *)
 
 type rc_running = {
   run_client : Client_obj.t;

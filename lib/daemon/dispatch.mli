@@ -1,17 +1,17 @@
 (** RPC dispatcher: the daemon's message-processing pipeline.
 
-    Per connection: a reader thread receives framed packets, decodes the
-    header, routes by program number and queues a job on the server's
-    workerpool — high-priority procedures are eligible for priority
-    workers.  The worker decodes the body, executes, and sends the reply
+    Per connection: a reactor loop reassembles framed packets, decodes
+    the header, routes by program number and queues a job on the
+    server's workerpool — high-priority procedures are eligible for
+    priority workers.  The worker decodes the body, executes, and sends the reply
     (worker-side serialization through {!Client_obj.send_packet}).
     Malformed packets close the connection; handler exceptions become
     [Internal_error] replies.
 
-    {b Overload protection.}  The reader submits through
+    {b Overload protection.}  The reactor submits through
     {!Threadpool.submit}: when the pool's admission control sheds the
-    call, the reader replies synchronously with [Verror.Overloaded]
-    (carrying a [retry_after_ms] hint) and the handler never runs.
+    call, it replies synchronously with [Verror.Overloaded] (carrying a
+    [retry_after_ms] hint) and the handler never runs.
     Calls carrying a deadline envelope (see [peek_deadline]) are dropped
     with an "expired in queue" error if the deadline passes before a
     worker picks them up; while a worker runs the call, the deadline is
@@ -55,12 +55,6 @@ val keepalive_program : program
     reply (the PONG).  Served even while the server drains, and never
     counts as authentication. *)
 
-val attach_client : Server_obj.t -> program list -> Ovnet.Transport.t -> unit
-(** Accept-loop body (use as the {!Ovnet.Netsim.listen} handler): register
-    the connection with the server (limits enforced) and run the reader
-    loop until the peer goes away.  Returns when the connection dies.
-    This is the [io_model=threaded] front end. *)
-
 val attach_endpoint :
   Server_obj.t ->
   program list ->
@@ -70,13 +64,13 @@ val attach_endpoint :
   kind:Ovnet.Transport.kind ->
   Ovnet.Chan.endpoint ->
   unit
-(** [io_model=reactor] front end (use from a {!Ovnet.Netsim.listen_direct}
-    sink): register the raw accepted endpoint with [reactor] and return
-    immediately.  The reactor drives a per-connection state machine —
-    transport handshake, then header-read/payload-read packet framing
-    with receive buffers borrowed from [pool] only while a partial packet
-    is stashed — and decoded calls take the same workerpool submission
-    path as the threaded reader (admission control, deadlines and drain
-    semantics identical).  [authorize] runs once the handshake completes
+(** The daemon's connection front end (use from a
+    {!Ovnet.Netsim.listen_direct} sink): register the raw accepted
+    endpoint with [reactor] and return immediately.  The reactor drives a
+    per-connection state machine — transport handshake, then
+    header-read/payload-read packet framing with receive buffers borrowed
+    from [pool] only while a partial packet is stashed — and decoded
+    calls take the workerpool submission path (admission control,
+    deadlines and drain).  [authorize] runs once the handshake completes
     and the peer is known; returning [false] closes the connection before
     it is registered (the admin socket's root-only check). *)

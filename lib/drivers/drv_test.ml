@@ -510,10 +510,5 @@ let register () =
             node.payload.op_latency_s <- float_of_int us /. 1_000_000.0
           | Some _ | None -> ())
        | None -> ());
-      (* ?coarse=1 demotes the node's rwlock to a plain mutex: the E14
-         baseline, selectable per node from the URI. *)
-      (match Vuri.param uri "coarse" with
-       | Some ("1" | "true") -> Ovsync.Rwlock.set_exclusive node.lock true
-       | Some _ | None -> ());
       Ok (open_node node))
     ()

@@ -1,5 +1,5 @@
 (** Readiness-driven event loop — the simulated-epoll core of the
-    daemon's [io_model=reactor] front end.
+    daemon's connection front end.
 
     One reactor owns one thread.  Channels are registered as watches;
     {!Ovnet.Chan} readiness hooks enqueue the watch on the ready list

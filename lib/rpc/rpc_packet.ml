@@ -102,8 +102,7 @@ let u32_at s off =
    accumulate in a buffer and packets are peeled off wherever frame
    boundaries happen to fall (coalesced, split — anything a real TCP
    stream does).  [frame_length] is the header-read step, [decode_sub]
-   the payload-read step; [decode] is the aligned special case the
-   threaded reader still uses. *)
+   the payload-read step; [decode] is the aligned special case. *)
 
 let frame_length wire ~pos ~avail =
   if avail < 4 then None

@@ -5,10 +5,9 @@ type t = {
   mutable active_readers : int;
   mutable active_writer : bool;
   mutable waiting_writers : int;
-  mutable exclusive_mode : bool;
 }
 
-let create ?(exclusive = false) () =
+let create () =
   {
     mutex = Mutex.create ();
     readers_cv = Condition.create ();
@@ -16,129 +15,94 @@ let create ?(exclusive = false) () =
     active_readers = 0;
     active_writer = false;
     waiting_writers = 0;
-    exclusive_mode = exclusive;
   }
 
-let with_mutex t f =
+let get t field =
   Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+  let v = field t in
+  Mutex.unlock t.mutex;
+  v
 
-let set_exclusive t flag = with_mutex t (fun () -> t.exclusive_mode <- flag)
-let exclusive t = with_mutex t (fun () -> t.exclusive_mode)
-let active_readers t = with_mutex t (fun () -> t.active_readers)
-let waiting_writers t = with_mutex t (fun () -> t.waiting_writers)
+let active_readers t = get t (fun t -> t.active_readers)
+let waiting_writers t = get t (fun t -> t.waiting_writers)
 
-(* Callers hold t.mutex for the *_locked variants. *)
+(* Writer preference: a waiting writer bars new readers. *)
+let reader_barred t = t.active_writer || t.waiting_writers > 0
+let writer_barred t = t.active_writer || t.active_readers > 0
 
-let read_lock_locked t =
-  (* Writer preference: a waiting writer bars new readers. *)
-  while t.active_writer || t.waiting_writers > 0 do
-    Condition.wait t.readers_cv t.mutex
-  done;
-  t.active_readers <- t.active_readers + 1
+(* [until = infinity] waits without a clock, as [Timedwait.wait] does. *)
+let before until = until = infinity || Unix.gettimeofday () < until
 
-let read_unlock_locked t =
-  t.active_readers <- t.active_readers - 1;
-  if t.active_readers = 0 then Condition.signal t.writers_cv
-
-let write_lock_locked t =
-  t.waiting_writers <- t.waiting_writers + 1;
-  while t.active_writer || t.active_readers > 0 do
-    Condition.wait t.writers_cv t.mutex
-  done;
-  t.waiting_writers <- t.waiting_writers - 1;
-  t.active_writer <- true
-
-let write_unlock_locked t =
-  t.active_writer <- false;
-  (* Hand off to the next queued writer; only when none are waiting do
-     the readers get to flood back in. *)
+(* Hand off to the next queued writer; only when none are waiting do the
+   readers get to flood back in.  Caller holds t.mutex. *)
+let wake_next t =
   if t.waiting_writers > 0 then Condition.signal t.writers_cv
   else Condition.broadcast t.readers_cv
 
-let read_lock t = with_mutex t (fun () -> read_lock_locked t)
-let read_unlock t = with_mutex t (fun () -> read_unlock_locked t)
-let write_lock t = with_mutex t (fun () -> write_lock_locked t)
-let write_unlock t = with_mutex t (fun () -> write_unlock_locked t)
+(* The one acquisition path: each returns [false] only once [until] has
+   passed with the lock still barred. *)
+let read_acquire t ~until =
+  Mutex.lock t.mutex;
+  while reader_barred t && before until do
+    Timedwait.wait t.mutex t.readers_cv ~until
+  done;
+  let ok = not (reader_barred t) in
+  if ok then t.active_readers <- t.active_readers + 1;
+  Mutex.unlock t.mutex;
+  ok
 
-let with_write t f =
-  write_lock t;
-  Fun.protect ~finally:(fun () -> write_unlock t) f
+let write_acquire t ~until =
+  Mutex.lock t.mutex;
+  t.waiting_writers <- t.waiting_writers + 1;
+  while writer_barred t && before until do
+    Timedwait.wait t.mutex t.writers_cv ~until
+  done;
+  t.waiting_writers <- t.waiting_writers - 1;
+  let ok = not (writer_barred t) in
+  if ok then t.active_writer <- true
+  else
+    (* Giving up: writers are woken one at a time, so pass on a wake-up
+       this waiter may have taken, and let in the readers it barred. *)
+    wake_next t;
+  Mutex.unlock t.mutex;
+  ok
 
-(* Bounded-wait acquisition: try-lock + short poll until [deadline].
-   The Condition-based slow path cannot time out (no timed wait in the
-   stdlib), so bounded waiters poll instead — and deliberately never
-   register as waiting writers, so a waiter that will give up anyway
-   cannot bar readers while it polls. *)
-let poll_tick = 0.002
+let read_unlock t =
+  Mutex.lock t.mutex;
+  t.active_readers <- t.active_readers - 1;
+  if t.active_readers = 0 then Condition.signal t.writers_cv;
+  Mutex.unlock t.mutex
 
-(* Try paths, caller holds t.mutex.  [`Read]/[`Write] says which release
-   to use; exclusive mode (snapshotted per attempt) demotes reads. *)
-let try_read_locked t =
-  if t.exclusive_mode then
-    if (not t.active_writer) && t.active_readers = 0 && t.waiting_writers = 0
-    then begin
-      t.active_writer <- true;
-      Some `Write
-    end
-    else None
-  else if (not t.active_writer) && t.waiting_writers = 0 then begin
-    t.active_readers <- t.active_readers + 1;
-    Some `Read
-  end
-  else None
+let write_unlock t =
+  Mutex.lock t.mutex;
+  t.active_writer <- false;
+  wake_next t;
+  Mutex.unlock t.mutex
 
-let try_write_locked t =
-  if (not t.active_writer) && t.active_readers = 0 then begin
-    t.active_writer <- true;
-    Some `Write
-  end
-  else None
-
-let acquire_until t ~deadline try_locked =
-  let rec attempt () =
-    match with_mutex t (fun () -> try_locked t) with
-    | Some mode -> Some mode
-    | None ->
-      if Unix.gettimeofday () >= deadline then None
-      else begin
-        Thread.delay poll_tick;
-        attempt ()
-      end
-  in
-  attempt ()
-
-let release t = function
-  | `Read -> with_mutex t (fun () -> read_unlock_locked t)
-  | `Write -> with_mutex t (fun () -> write_unlock_locked t)
-
-let with_read_until t ~deadline f =
-  match acquire_until t ~deadline try_read_locked with
-  | None -> Error `Timeout
-  | Some mode -> Ok (Fun.protect ~finally:(fun () -> release t mode) f)
-
-let with_write_until t ~deadline f =
-  match acquire_until t ~deadline try_write_locked with
-  | None -> Error `Timeout
-  | Some mode -> Ok (Fun.protect ~finally:(fun () -> release t mode) f)
+(* Run [f] and release, also on exception.  [release] is a toplevel
+   function, so a section allocates no closure of its own. *)
+let section t release f =
+  match f () with
+  | v ->
+    release t;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release t;
+    Printexc.raise_with_backtrace e bt
 
 let with_read t f =
-  (* Snapshot the mode under the mutex and acquire in the same critical
-     section, so a concurrent [set_exclusive] cannot split the decision
-     from the acquisition; remember which path we took for the release. *)
-  let as_writer =
-    with_mutex t (fun () ->
-        if t.exclusive_mode then begin
-          write_lock_locked t;
-          true
-        end
-        else begin
-          read_lock_locked t;
-          false
-        end)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      with_mutex t (fun () ->
-          if as_writer then write_unlock_locked t else read_unlock_locked t))
-    f
+  ignore (read_acquire t ~until:infinity);
+  section t read_unlock f
+
+let with_write t f =
+  ignore (write_acquire t ~until:infinity);
+  section t write_unlock f
+
+let with_read_until t ~deadline f =
+  if read_acquire t ~until:deadline then Ok (section t read_unlock f)
+  else Error `Timeout
+
+let with_write_until t ~deadline f =
+  if write_acquire t ~until:deadline then Ok (section t write_unlock f)
+  else Error `Timeout

@@ -16,22 +16,15 @@
     code must not re-enter the lock; run callbacks that may re-enter the
     owning subsystem outside the section.
 
-    An {e exclusive} (coarse) compatibility mode demotes shared sections
-    to exclusive ones at acquisition time, giving benchmarks a
-    single-mutex baseline over the identical code path (experiment
-    E14). *)
+    {b One wait path.}  Bounded and unbounded sections queue the same
+    way; a bounded waiter only differs in giving up at its deadline.  A
+    bounded writer counts as waiting like any other, so writer preference
+    holds for it too. *)
 
 type t
 
-val create : ?exclusive:bool -> unit -> t
-(** A fresh, unheld lock.  [exclusive] defaults to [false]. *)
-
-val set_exclusive : t -> bool -> unit
-(** Toggle coarse mode.  Affects acquisitions that begin after the call;
-    sections already running are unaffected (each section releases in the
-    mode it acquired). *)
-
-val exclusive : t -> bool
+val create : unit -> t
+(** A fresh, unheld lock. *)
 
 val with_read : t -> (unit -> 'a) -> 'a
 (** Run a shared section: any number of [with_read] sections proceed
@@ -45,27 +38,14 @@ val with_read_until :
   t -> deadline:float -> (unit -> 'a) -> ('a, [ `Timeout ]) result
 (** Like {!with_read}, but give up (without running [f]) if the lock
     cannot be acquired by the absolute [deadline] ([Unix.gettimeofday]
-    scale).  Bounded waiters poll rather than queue: while waiting they
-    never bar other acquirers the way a queued writer would, so a caller
-    that will give up anyway cannot worsen a pile-up behind a stuck
-    writer.  Exclusive mode is honored like {!with_read}. *)
+    scale).  The waiter sleeps on the lock's condition until it is woken
+    or the deadline passes ({!Timedwait.wait}); it never polls. *)
 
 val with_write_until :
   t -> deadline:float -> (unit -> 'a) -> ('a, [ `Timeout ]) result
-(** Exclusive-section counterpart of {!with_read_until}. *)
-
-(** {2 Unpaired operations}
-
-    For code that cannot use the section helpers (tests, hand-rolled
-    acquisition orders).  [read_lock]/[read_unlock] always take the
-    shared path; exclusive mode is honored by {!with_read} only, which
-    snapshots the mode at entry so the release matches the
-    acquisition. *)
-
-val read_lock : t -> unit
-val read_unlock : t -> unit
-val write_lock : t -> unit
-val write_unlock : t -> unit
+(** Exclusive-section counterpart of {!with_read_until}.  While it waits
+    the writer bars new readers; when it gives up it lets them in again
+    and passes on any hand-off it was given to the next queued writer. *)
 
 val active_readers : t -> int
 (** Number of threads currently inside a shared section (diagnostics). *)

@@ -32,7 +32,7 @@ val listen_direct :
     endpoint is handed to the sink synchronously on the connecting
     thread.  The sink must not block — it registers the endpoint with a
     reactor (which then drives the handshake and all reads) and returns.
-    This is the daemon's [io_model=reactor] accept path.
+    This is the daemon's accept path.
     @raise Address_in_use if already bound. *)
 
 val close_listener : listener -> unit

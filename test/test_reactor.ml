@@ -1,8 +1,8 @@
 (* Readiness-driven reactor: core loop semantics (ordering, edge/level
    triggering, wakeup-during-dispatch, deadline wheel), buffer pool
-   accounting, and the daemon's [io_model=reactor] front end — including
-   byte-stream reassembly the threaded reader never needed, admin
-   authorization, fault-injection parity, and an idle-connection mass. *)
+   accounting, and the daemon's reactor front end — including byte-stream
+   reassembly, admin authorization, fault-injection parity, and an
+   idle-connection mass. *)
 
 open Testutil
 module Verror = Ovirt.Verror
@@ -26,12 +26,6 @@ let quiet_config =
     Daemon_config.default with
     Daemon_config.log_outputs = [ { Vlog.min_priority = Vlog.Debug; sink = Vlog.Null } ];
   }
-
-let reactor_config =
-  { quiet_config with Daemon_config.io_model = Daemon_config.Io_reactor }
-
-let threaded_config =
-  { quiet_config with Daemon_config.io_model = Daemon_config.Io_threaded }
 
 let with_daemon ~config f =
   let name = fresh_name "reactd" in
@@ -213,10 +207,8 @@ let test_bufpool_drops () =
 (* --- daemon front end ---------------------------------------------------- *)
 
 let test_reactor_daemon_all_transports () =
-  with_daemon ~config:reactor_config (fun name daemon ->
-      Alcotest.(check bool) "io model" true
-        (Daemon.io_model daemon = Daemon_config.Io_reactor);
-      Alcotest.(check int) "reactor loops" reactor_config.Daemon_config.reactor_threads
+  with_daemon ~config:quiet_config (fun name daemon ->
+      Alcotest.(check int) "reactor loops" quiet_config.Daemon_config.reactor_threads
         (Array.length (Daemon.reactors daemon));
       Alcotest.(check bool) "has pool" true (Daemon.buffer_pool daemon <> None);
       List.iter
@@ -237,16 +229,17 @@ let test_reactor_daemon_all_transports () =
       in
       Alcotest.(check bool) "reactors did the reading" true (dispatched > 0))
 
-let test_threaded_knob_regression () =
-  with_daemon ~config:threaded_config (fun name daemon ->
-      Alcotest.(check bool) "io model" true
-        (Daemon.io_model daemon = Daemon_config.Io_threaded);
-      Alcotest.(check int) "no reactors" 0 (Array.length (Daemon.reactors daemon));
-      Alcotest.(check bool) "no pool" true (Daemon.buffer_pool daemon = None);
-      let conn = vok (Connect.open_uri (remote_uri ~daemon:name (fresh_name "n"))) in
-      Alcotest.(check bool) "still serves" true
-        (List.length (vok (Connect.list_domains conn)) = 1);
-      Connect.close conn)
+(* The reactor is the only front end: a config file naming the removed
+   thread-per-connection model is refused, and the error says which key. *)
+let test_io_model_config () =
+  (match Daemon_config.parse "io_model = \"threaded\"" with
+   | Ok _ -> Alcotest.fail "io_model = \"threaded\" accepted"
+   | Error msg ->
+     Alcotest.(check bool) ("error names the key: " ^ msg) true
+       (String.starts_with ~prefix:"io_model:" msg));
+  let cfg = sok (Daemon_config.parse "io_model = \"reactor\"") in
+  Alcotest.(check bool) "reactor parses" true
+    (cfg.Daemon_config.io_model = Daemon_config.Io_reactor)
 
 let echo_packet ~serial body =
   let header =
@@ -265,10 +258,8 @@ let expect_echo raw ~serial expected =
   | None -> Alcotest.fail "no echo reply"
 
 let test_coalesced_packets () =
-  (* Two whole packets in one chunk: the state machine must peel both
-     — the threaded reader gets exactly one packet per frame and never
-     sees this shape. *)
-  with_daemon ~config:reactor_config (fun name _ ->
+  (* Two whole packets in one chunk: the state machine must peel both. *)
+  with_daemon ~config:quiet_config (fun name _ ->
       let raw = Netsim.connect (name ^ "-sock") Transport.Unix_sock in
       Transport.send raw (echo_packet ~serial:1 "alpha" ^ echo_packet ~serial:2 "beta");
       expect_echo raw ~serial:1 "alpha";
@@ -278,7 +269,7 @@ let test_coalesced_packets () =
 let test_split_packet_reassembly () =
   (* One packet split across two chunks: the first fragment is stashed
      in a pool buffer until the remainder arrives. *)
-  with_daemon ~config:reactor_config (fun name _ ->
+  with_daemon ~config:quiet_config (fun name _ ->
       let raw = Netsim.connect (name ^ "-sock") Transport.Unix_sock in
       let pkt = echo_packet ~serial:9 "reassemble-me" in
       let cut = 7 in
@@ -289,7 +280,7 @@ let test_split_packet_reassembly () =
       Transport.close raw)
 
 let test_malformed_drops_connection () =
-  with_daemon ~config:reactor_config (fun name _ ->
+  with_daemon ~config:quiet_config (fun name _ ->
       let raw = Netsim.connect (name ^ "-sock") Transport.Unix_sock in
       Transport.send raw "certainly not an rpc packet";
       let closed =
@@ -301,7 +292,7 @@ let test_malformed_drops_connection () =
       Alcotest.(check bool) "reactor dropped the connection" true closed)
 
 let test_admin_requires_root () =
-  with_daemon ~config:reactor_config (fun name _ ->
+  with_daemon ~config:quiet_config (fun name _ ->
       let identity =
         Transport.{ uid = 1000; gid = 1000; pid = 5; username = "eve"; groupname = "eve" }
       in
@@ -317,11 +308,10 @@ let test_admin_requires_root () =
       Admin.close admin)
 
 let test_fault_parity_under_reactor () =
-  (* Chaos reaches reactor connections exactly as it reaches threaded
-     ones: a listener fault plan kills a fresh connection mid-stream; the
-     daemon survives, old connections are untouched, and clearing the
-     plan restores normal accepts. *)
-  with_daemon ~config:reactor_config (fun name _ ->
+  (* Chaos reaches reactor connections: a listener fault plan kills a
+     fresh connection mid-stream; the daemon survives, old connections
+     are untouched, and clearing the plan restores normal accepts. *)
+  with_daemon ~config:quiet_config (fun name _ ->
       let survivor = vok (Connect.open_uri (remote_uri ~daemon:name (fresh_name "s"))) in
       ignore (vok (Connect.list_domains survivor));
       Alcotest.(check bool) "plan attached" true
@@ -350,7 +340,7 @@ let test_idle_mass_with_hot_traffic () =
      still flow for the busy ones. *)
   let config =
     {
-      reactor_config with
+      quiet_config with
       Daemon_config.max_clients = 400;
       max_anonymous_clients = 400;
     }
@@ -399,7 +389,7 @@ let () =
       ( "daemon front end",
         [
           quick "all transports over reactor" test_reactor_daemon_all_transports;
-          quick "io_model=threaded still works" test_threaded_knob_regression;
+          quick "io_model config is reactor only" test_io_model_config;
           quick "coalesced packets peeled" test_coalesced_packets;
           quick "split packet reassembled" test_split_packet_reassembly;
           quick "malformed packet drops connection" test_malformed_drops_connection;

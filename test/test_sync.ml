@@ -141,23 +141,6 @@ let test_writer_preference () =
   | other ->
     Alcotest.failf "writer did not go first: [%s]" (String.concat "; " other)
 
-(* Exclusive (coarse) mode: with_read degrades to the writer path, so two
-   "readers" can never overlap — the E14 baseline. *)
-let test_exclusive_mode_serializes_readers () =
-  let lock = Rwlock.create ~exclusive:true () in
-  let inside = Cell.make 0 in
-  let max_inside = Cell.make 0 in
-  let reader () =
-    Rwlock.with_read lock (fun () ->
-        Cell.update inside (fun n -> n + 1);
-        Cell.update max_inside (fun m -> max m (Cell.get inside));
-        Thread.delay 0.01;
-        Cell.update inside (fun n -> n - 1))
-  in
-  let ts = List.init 4 (fun _ -> Thread.create reader ()) in
-  List.iter Thread.join ts;
-  Alcotest.(check int) "never more than one inside" 1 (Cell.get max_inside)
-
 (* Hammer the lock from mixed readers and writers; the invariant checked
    is mutual exclusion between the writer and everyone else, and that all
    threads terminate (no lost wakeups). *)
@@ -210,27 +193,183 @@ let test_exception_releases () =
     (Cell.wait_for done_ (fun b -> b));
   Thread.join t
 
-let test_set_exclusive_toggle () =
+(* A bounded writer queues like any other writer: facing a stream of
+   overlapping readers that never leaves the lock free on its own, it
+   bars new readers and gets in well before its deadline. *)
+let test_bounded_writer_preference () =
   let lock = Rwlock.create () in
-  Alcotest.(check bool) "starts shared" false (Rwlock.exclusive lock);
-  Rwlock.set_exclusive lock true;
-  Alcotest.(check bool) "now exclusive" true (Rwlock.exclusive lock);
-  (* A section started in coarse mode releases correctly even if the mode
-     flips while it runs. *)
-  let release = Cell.make false in
+  let stop = Atomic.make false in
+  let reader i () =
+    Thread.delay (0.001 *. float_of_int i);
+    while not (Atomic.get stop) do
+      Rwlock.with_read lock (fun () -> Thread.delay 0.004)
+    done
+  in
+  let readers = List.init 4 (fun i -> Thread.create (reader i) ()) in
+  let outcomes =
+    List.init 3 (fun _ ->
+        ignore (eventually ~timeout_s:1.0 (fun () -> Rwlock.active_readers lock >= 2));
+        let deadline = Unix.gettimeofday () +. 0.3 in
+        Rwlock.with_write_until lock ~deadline (fun () ->
+            Unix.gettimeofday () <= deadline))
+  in
+  Atomic.set stop true;
+  List.iter Thread.join readers;
+  List.iteri
+    (fun i -> function
+      | Ok true -> ()
+      | Ok false -> Alcotest.failf "writer %d entered after its deadline" i
+      | Error `Timeout ->
+        Alcotest.failf "writer %d timed out behind the reader stream" i)
+    outcomes
+
+(* [with_write_until] on its own thread; the outcome lands in a cell. *)
+let bounded_writer lock ~budget_s =
+  let outcome = Cell.make None in
   let t =
     Thread.create
       (fun () ->
-        Rwlock.with_read lock (fun () ->
-            ignore (Cell.wait_for release (fun b -> b))))
+        let deadline = Unix.gettimeofday () +. budget_s in
+        let r = Rwlock.with_write_until lock ~deadline (fun () -> ()) in
+        Cell.update outcome (fun _ -> Some r))
       ()
   in
-  Thread.delay 0.01;
-  Rwlock.set_exclusive lock false;
-  Cell.update release (fun _ -> true);
-  Thread.join t;
-  Rwlock.with_write lock (fun () -> ());
-  Alcotest.(check int) "clean state" 0 (Rwlock.active_readers lock)
+  (t, outcome)
+
+let flag_section lock enter flag =
+  Thread.create (fun () -> enter lock (fun () -> Cell.update flag (fun _ -> true))) ()
+
+(* A bounded writer that gives up must undo its bar and pass on any
+   hand-off: the readers queued behind it get in while the first reader
+   still holds the lock, and a second queued writer still gets the lock
+   once it frees — also when the lock frees right at the deadline. *)
+let test_bounded_writer_timeout_hands_off () =
+  let lock = Rwlock.create () in
+  let hold_read () =
+    let inside = Cell.make false and release = Cell.make false in
+    let t =
+      Thread.create
+        (fun () ->
+          Rwlock.with_read lock (fun () ->
+              Cell.update inside (fun _ -> true);
+              ignore (Cell.wait_for release Fun.id)))
+        ()
+    in
+    ignore (Cell.wait_for inside Fun.id);
+    (t, release)
+  in
+  let waiting n = eventually ~timeout_s:1.0 (fun () -> Rwlock.waiting_writers lock = n) in
+  let timed_out outcome =
+    Cell.wait_for outcome (function Some (Error `Timeout) -> true | _ -> false)
+  in
+  (* Readers barred behind a bounded writer. *)
+  let r1, release_r1 = hold_read () in
+  let wb, outcome = bounded_writer lock ~budget_s:0.3 in
+  Alcotest.(check bool) "bounded writer queued" true (waiting 1);
+  let r2_in = Cell.make false in
+  let r2 = flag_section lock Rwlock.with_read r2_in in
+  Thread.delay 0.03;
+  Alcotest.(check bool) "new reader barred while it waits" false (Cell.get r2_in);
+  Alcotest.(check bool) "bounded writer timed out" true (timed_out outcome);
+  Alcotest.(check bool) "barred reader let in beside the holder" true
+    (Cell.wait_for r2_in Fun.id);
+  Thread.join wb;
+  Thread.join r2;
+  (* A second queued writer keeps its hand-off. *)
+  let w2_in = Cell.make false in
+  let w2 = flag_section lock Rwlock.with_write w2_in in
+  Alcotest.(check bool) "writer queued" true (waiting 1);
+  let wb, outcome = bounded_writer lock ~budget_s:0.2 in
+  Alcotest.(check bool) "both writers queued" true (waiting 2);
+  Alcotest.(check bool) "bounded writer timed out" true (timed_out outcome);
+  Alcotest.(check bool) "queued writer still waits" false (Cell.get w2_in);
+  Cell.update release_r1 (fun _ -> true);
+  Alcotest.(check bool) "queued writer gets the lock" true (Cell.wait_for w2_in Fun.id);
+  List.iter Thread.join [ r1; wb; w2 ];
+  (* The lock frees right at the bounded writer's deadline. *)
+  for _ = 1 to 20 do
+    let r1, release_r1 = hold_read () in
+    let w2_in = Cell.make false in
+    let w2 = flag_section lock Rwlock.with_write w2_in in
+    ignore (waiting 1);
+    let wb, _ = bounded_writer lock ~budget_s:0.01 in
+    ignore (waiting 2);
+    Thread.delay 0.01;
+    Cell.update release_r1 (fun _ -> true);
+    Alcotest.(check bool) "queued writer gets the lock" true (Cell.wait_for w2_in Fun.id);
+    List.iter Thread.join [ r1; wb; w2 ]
+  done;
+  Alcotest.(check int) "no readers left inside" 0 (Rwlock.active_readers lock);
+  Alcotest.(check int) "no writers left waiting" 0 (Rwlock.waiting_writers lock)
+
+(* Random schedules of bounded and unbounded readers and writers.  Each
+   actor runs [reps] sections of [hold_ms]; a bounded one gives each
+   acquisition [budget_ms]. *)
+type actor = { writer : bool; budget_ms : int option; hold_ms : int; reps : int }
+
+let print_actor a =
+  Printf.sprintf "%s%s hold=%dms x%d"
+    (if a.writer then "W" else "R")
+    (match a.budget_ms with Some b -> Printf.sprintf " budget=%dms" b | None -> "")
+    a.hold_ms a.reps
+
+let schedule_arb =
+  let actor =
+    QCheck.Gen.(
+      map4
+        (fun writer budget_ms hold_ms reps -> { writer; budget_ms; hold_ms; reps })
+        bool (opt (int_range 1 15)) (int_range 0 4) (int_range 1 4))
+  in
+  QCheck.make
+    ~print:(fun l -> String.concat "; " (List.map print_actor l))
+    QCheck.Gen.(list_size (int_range 2 6) actor)
+
+(* Mutual exclusion holds, every actor finishes, the lock ends idle, and
+   no [Timeout] comes before its deadline or more than 50 ms after it. *)
+let prop_schedule actors =
+  let lock = Rwlock.create () in
+  let m = Mutex.create () in
+  let readers_in = ref 0 and writer_in = ref false in
+  let violations = ref 0 and bad_timeouts = ref [] in
+  let guarded f =
+    Mutex.lock m;
+    f ();
+    Mutex.unlock m
+  in
+  let section a () =
+    guarded (fun () ->
+        if !writer_in || (a.writer && !readers_in > 0) then incr violations;
+        if a.writer then writer_in := true else incr readers_in);
+    if a.hold_ms > 0 then Thread.delay (float_of_int a.hold_ms /. 1000.);
+    guarded (fun () -> if a.writer then writer_in := false else decr readers_in)
+  in
+  let finished = Atomic.make 0 in
+  let run a () =
+    for _ = 1 to a.reps do
+      match a.budget_ms with
+      | None -> (if a.writer then Rwlock.with_write else Rwlock.with_read) lock (section a)
+      | Some b ->
+        let deadline = Unix.gettimeofday () +. (float_of_int b /. 1000.) in
+        let bounded = if a.writer then Rwlock.with_write_until else Rwlock.with_read_until in
+        (match bounded lock ~deadline (section a) with
+         | Ok () -> ()
+         | Error `Timeout ->
+           let late = Unix.gettimeofday () -. deadline in
+           if late < 0. || late > 0.05 then
+             guarded (fun () -> bad_timeouts := late :: !bad_timeouts))
+    done;
+    Atomic.incr finished
+  in
+  let threads = List.map (fun a -> Thread.create (run a) ()) actors in
+  if not (eventually ~timeout_s:10.0 (fun () -> Atomic.get finished = List.length actors))
+  then QCheck.Test.fail_report "an actor never finished";
+  List.iter Thread.join threads;
+  if !violations > 0 then QCheck.Test.fail_reportf "%d exclusion violations" !violations;
+  (match !bad_timeouts with
+   | [] -> ()
+   | late :: _ ->
+     QCheck.Test.fail_reportf "Timeout %.1f ms after its deadline" (late *. 1000.));
+  Rwlock.active_readers lock = 0 && Rwlock.waiting_writers lock = 0
 
 let () =
   Alcotest.run "sync"
@@ -240,9 +379,10 @@ let () =
           quick "readers overlap" test_readers_overlap;
           quick "writer excludes" test_writer_excludes;
           quick "writer preference" test_writer_preference;
-          quick "exclusive mode serializes" test_exclusive_mode_serializes_readers;
           quick "stress invariants" test_stress_invariants;
           quick "exception releases" test_exception_releases;
-          quick "set_exclusive toggle" test_set_exclusive_toggle;
+          quick "bounded writer preference" test_bounded_writer_preference;
+          quick "bounded writer timeout hands off" test_bounded_writer_timeout_hands_off;
+          qcheck_case ~count:50 "random bounded schedules" schedule_arb prop_schedule;
         ] );
     ]
