@@ -212,29 +212,38 @@ let fig1 () =
           | Error e -> failwith (Ovirt.Verror.to_string e) ))
       transports
   in
-  let rows =
+  let measured =
     List.map
       (fun size ->
         let payload = String.make size 'x' in
-        string_of_int size
-        :: List.map
-             (fun (label, client) ->
-               pp_ns
-                 (measure_ns ~quota:0.4
-                    (Printf.sprintf "echo/%s/%d" label size)
-                    (fun () ->
-                      match
-                        Rpc_client.call client
-                          ~procedure:(Rp.proc_to_int Rp.Proc_echo) ~body:payload ()
-                      with
-                      | Ok _ -> ()
-                      | Error e -> failwith (Ovirt.Verror.to_string e))))
-             clients)
+        ( size,
+          List.map
+            (fun (label, client) ->
+              measure_ns ~quota:0.4
+                (Printf.sprintf "echo/%s/%d" label size)
+                (fun () ->
+                  match
+                    Rpc_client.call client
+                      ~procedure:(Rp.proc_to_int Rp.Proc_echo) ~body:payload ()
+                  with
+                  | Ok _ -> ()
+                  | Error e -> failwith (Ovirt.Verror.to_string e)))
+            clients ))
       sizes
   in
-  table ("payload B" :: List.map fst transports) rows;
+  table
+    ("payload B" :: List.map fst transports)
+    (List.map (fun (size, ns) -> string_of_int size :: List.map pp_ns ns) measured);
   List.iter (fun (_, c) -> Rpc_client.close c) clients;
-  Daemon.stop daemon
+  Daemon.stop daemon;
+  (* The paper's ordering must hold where per-byte costs dominate. *)
+  match List.rev measured with
+  | (size, [ unix; tcp; tls ]) :: _ ->
+    if not (unix < tcp && tcp < tls) then
+      failwith
+        (Printf.sprintf "fig1: expected unix < tcp < tls at %d B, got %s / %s / %s" size
+           (pp_ns unix) (pp_ns tcp) (pp_ns tls))
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* E5 / Figure 2: throughput vs concurrent clients                     *)

@@ -10,10 +10,16 @@ let fnv_prime = 0x100000001b3L
 let fnv1a_update h byte =
   Int64.mul (Int64.logxor h (Int64.of_int byte)) fnv_prime
 
-let fnv1a_string h s =
+(* FNV-1a over [b.[off .. off + len - 1]].  A plain loop rather than a
+   fold through a closure, so the accumulator stays unboxed. *)
+let fnv1a_range h b off len =
   let acc = ref h in
-  String.iter (fun c -> acc := fnv1a_update !acc (Char.code c)) s;
+  for i = off to off + len - 1 do
+    acc := fnv1a_update !acc (Char.code (Bytes.get b i))
+  done;
   !acc
+
+let fnv1a_string h s = fnv1a_range h (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* Like TLS proper, each direction keeps its own record counter: the
    sender numbers what it seals ([seq_tx]), the receiver checks what it
@@ -25,6 +31,8 @@ type session = {
   mutable seq_tx : int64; (* next record sequence number to seal *)
   mutable seq_rx : int64; (* next record sequence number expected *)
 }
+
+let of_key key = { key; seq_tx = 0L; seq_rx = 0L }
 
 (* ------------------------------------------------------------------ *)
 (* Handshake                                                           *)
@@ -41,22 +49,18 @@ let fresh_nonce () =
   let t = Int64.bits_of_float (Unix.gettimeofday ()) in
   fnv1a_string (fnv1a_update t c) "nonce"
 
-let int64_to_wire v =
-  String.init 8 (fun i ->
-      Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * (7 - i))) land 0xff))
-
-let int64_of_wire s off =
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code s.[off + i]))
-  done;
-  !acc
-
 let magic = "OTLS"
+
+(* [magic] followed by the nonce, big-endian. *)
+let hello_wire nonce =
+  let b = Bytes.create (String.length magic + 8) in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  Bytes.set_int64_be b (String.length magic) nonce;
+  Bytes.unsafe_to_string b
 
 let client_hello () =
   let n = fresh_nonce () in
-  ({ client_nonce = n }, magic ^ int64_to_wire n)
+  ({ client_nonce = n }, hello_wire n)
 
 let derive_key client_nonce server_nonce =
   fnv1a_string (fnv1a_update (Int64.logxor client_nonce server_nonce) 0x42) "master"
@@ -65,17 +69,16 @@ let parse_hello what wire =
   if String.length wire <> String.length magic + 8 then
     fail "%s: bad length %d" what (String.length wire);
   if String.sub wire 0 4 <> magic then fail "%s: bad magic" what;
-  int64_of_wire wire 4
+  String.get_int64_be wire 4
 
 let server_accept client_wire =
   let client_nonce = parse_hello "client hello" client_wire in
   let server_nonce = fresh_nonce () in
-  let key = derive_key client_nonce server_nonce in
-  ({ key; seq_tx = 0L; seq_rx = 0L }, magic ^ int64_to_wire server_nonce)
+  (of_key (derive_key client_nonce server_nonce), hello_wire server_nonce)
 
 let client_finish hello server_wire =
   let server_nonce = parse_hello "server reply" server_wire in
-  { key = derive_key hello.client_nonce server_nonce; seq_tx = 0L; seq_rx = 0L }
+  of_key (derive_key hello.client_nonce server_nonce)
 
 let handshake_pair () =
   let hello, hello_wire = client_hello () in
@@ -87,52 +90,74 @@ let handshake_pair () =
 (* Records                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Keystream: a 64-bit xorshift generator seeded from (key, seq); each
-   step yields 8 keystream bytes.  One multiplication + shifts per 8
-   bytes plus the MAC pass gives the per-byte cost profile we need. *)
+(* A record is [seq : int64 be][tag : int64 be][ciphertext], where the
+   ciphertext is the payload XORed with a keystream and the tag is
+   FNV-1a over the ciphertext, keyed by the session key and the low
+   byte of [seq].
+
+   Keystream: a 64-bit xorshift generator seeded from (key, seq).  Each
+   step yields one state word, and keystream byte [i] is byte [i land 7]
+   of the word after step [i lsr 3 + 1], little-endian.  So a whole
+   8-byte block is one 64-bit XOR.  Sealing or opening costs one
+   keystream pass and one MAC pass over the record, with no per-byte
+   allocation. *)
 let keystream_init key seq =
   let s = Int64.logxor key (Int64.mul seq 0x9e3779b97f4a7c15L) in
   if s = 0L then 0x1234_5678L else s
 
-let keystream_next s =
-  let s = Int64.logxor s (Int64.shift_left s 13) in
-  let s = Int64.logxor s (Int64.shift_right_logical s 7) in
-  Int64.logxor s (Int64.shift_left s 17)
+(* [dst.[dst_off + i] <- src.[src_off + i] xor keystream byte i] for
+   [i < n].  The xorshift step is written inline: without flambda a
+   call would box the state word on every block. *)
+let xor_keystream ~key ~seq src src_off dst dst_off n =
+  let s = ref (keystream_init key seq) in
+  for w = 0 to ((n + 7) lsr 3) - 1 do
+    let x = !s in
+    let x = Int64.logxor x (Int64.shift_left x 13) in
+    let x = Int64.logxor x (Int64.shift_right_logical x 7) in
+    let x = Int64.logxor x (Int64.shift_left x 17) in
+    s := x;
+    let off = w lsl 3 in
+    if off + 8 <= n then
+      Bytes.set_int64_le dst (dst_off + off)
+        (Int64.logxor (String.get_int64_le src (src_off + off)) x)
+    else
+      for j = 0 to n - off - 1 do
+        let k = Int64.to_int (Int64.shift_right_logical x (8 * j)) land 0xff in
+        Bytes.set dst (dst_off + off + j)
+          (Char.unsafe_chr (Char.code src.[src_off + off + j] lxor k))
+      done
+  done
 
-let transform ~key ~seq payload =
-  let n = String.length payload in
-  let out = Bytes.create n in
-  let state = ref (keystream_init key seq) in
-  for i = 0 to n - 1 do
-    if i land 7 = 0 then state := keystream_next !state;
-    let ks_byte =
-      Int64.to_int (Int64.shift_right_logical !state (8 * (i land 7))) land 0xff
-    in
-    Bytes.set out i (Char.chr (Char.code payload.[i] lxor ks_byte))
-  done;
-  Bytes.unsafe_to_string out
-
-let mac ~key ~seq data =
+let mac ~key ~seq b off len =
   let h = fnv1a_update (Int64.logxor fnv_offset key) (Int64.to_int seq land 0xff) in
-  int64_to_wire (fnv1a_string h data)
+  fnv1a_range h b off len
+
+let header_len = 16
 
 let seal session payload =
   let seq = session.seq_tx in
   session.seq_tx <- Int64.add seq 1L;
-  let cipher = transform ~key:session.key ~seq payload in
-  let tag = mac ~key:session.key ~seq cipher in
-  int64_to_wire seq ^ tag ^ cipher
+  let n = String.length payload in
+  let record = Bytes.create (header_len + n) in
+  Bytes.set_int64_be record 0 seq;
+  xor_keystream ~key:session.key ~seq payload 0 record header_len n;
+  Bytes.set_int64_be record 8 (mac ~key:session.key ~seq record header_len n);
+  Bytes.unsafe_to_string record
 
 let open_ session record =
-  if String.length record < 16 then fail "record too short (%d bytes)" (String.length record);
-  let seq = int64_of_wire record 0 in
-  if seq <> session.seq_rx then
+  let len = String.length record in
+  if len < header_len then fail "record too short (%d bytes)" len;
+  let seq = String.get_int64_be record 0 in
+  if not (Int64.equal seq session.seq_rx) then
     fail "out-of-order record: expected seq %Ld, got %Ld" session.seq_rx seq;
-  let tag = String.sub record 8 8 in
-  let cipher = String.sub record 16 (String.length record - 16) in
-  if mac ~key:session.key ~seq cipher <> tag then fail "MAC mismatch on seq %Ld" seq;
+  let n = len - header_len in
+  let tag = mac ~key:session.key ~seq (Bytes.unsafe_of_string record) header_len n in
+  if not (Int64.equal tag (String.get_int64_be record 8)) then
+    fail "MAC mismatch on seq %Ld" seq;
   session.seq_rx <- Int64.add seq 1L;
-  transform ~key:session.key ~seq cipher
+  let payload = Bytes.create n in
+  xor_keystream ~key:session.key ~seq record header_len payload 0 n;
+  Bytes.unsafe_to_string payload
 
 let rekey a b =
   let next = fnv1a_string a.key "rekey" in

@@ -1,17 +1,27 @@
 (** Toy TLS-like record layer.
 
     Stand-in for the real TLS transport (see DESIGN.md): a nonce-mixing
-    handshake derives a session key; every record is transformed with a
-    keyed stream cipher and authenticated with a keyed 64-bit MAC.  The
-    point is {e not} cryptographic strength — it is that encryption and
-    authentication incur genuine per-byte CPU work and per-connection
-    handshake work, so the transport-overhead experiments (E3/E4) measure
-    a real cost of the same shape as TLS's. *)
+    handshake derives a session key; every record is XORed with a keyed
+    xorshift keystream and authenticated with a keyed 64-bit FNV-1a MAC.
+    The point is {e not} cryptographic strength.  It is that TLS's two
+    costs are really paid: one keystream pass plus one MAC pass over
+    every record byte, and a handshake per connection.  The keystream is
+    applied a 64-bit word at a time and each record is built in one
+    buffer, so the per-byte cost is arithmetic, not allocation; the
+    transport-overhead experiments (E3/E4) measure that cost.
+
+    Wire format of a record: [seq] (8 bytes, big-endian), MAC tag
+    (8 bytes, big-endian), then the ciphertext, as long as the payload. *)
 
 type session
 
 exception Auth_failure of string
 (** Record MAC mismatch (tampering / key mismatch) or bad handshake. *)
+
+val of_key : int64 -> session
+(** A fresh session (both sequence numbers 0) over the given key, with
+    no handshake.  For known-answer tests only: real connections get
+    their key from the handshake below. *)
 
 (** {1 Handshake}
 

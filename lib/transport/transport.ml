@@ -42,11 +42,15 @@ exception Corrupt of string
 (* ------------------------------------------------------------------ *)
 
 (* Position-mixed additive checksum: one real pass over the payload,
-   standing in for the kernel's TCP checksum work. *)
+   standing in for the kernel's TCP checksum work.  The sum is taken
+   modulo 2^30; native ints wrap modulo 2^63, so one mask at the end
+   gives the same value as masking every step. *)
 let checksum s =
   let acc = ref 0 in
-  String.iteri (fun i c -> acc := (!acc + ((Char.code c + 1) * ((i land 0xff) + 1))) land 0x3fffffff) s;
-  !acc
+  for i = 0 to String.length s - 1 do
+    acc := !acc + ((Char.code (String.unsafe_get s i) + 1) * ((i land 0xff) + 1))
+  done;
+  !acc land 0x3fffffff
 
 let checksum_to_wire v =
   String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))

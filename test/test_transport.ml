@@ -87,14 +87,32 @@ let test_tls_roundtrip () =
       Alcotest.(check string) "opens to original" msg (Tlslike.open_ server sealed))
     [ ""; "x"; "hello world"; String.make 4096 'Q' ]
 
+let flip_bit s i =
+  let b = Bytes.of_string s in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  Bytes.to_string b
+
+(* A record is [seq:8][tag:8][ciphertext]; the 13-byte payload leaves a
+   5-byte tail after its one full keystream word. *)
 let test_tls_tamper_detected () =
-  let client, server = Tlslike.handshake_pair () in
-  let sealed = Bytes.of_string (Tlslike.seal client "sensitive") in
-  Bytes.set sealed (Bytes.length sealed - 1)
-    (Char.chr (Char.code (Bytes.get sealed (Bytes.length sealed - 1)) lxor 1));
-  match Tlslike.open_ server (Bytes.to_string sealed) with
-  | exception Tlslike.Auth_failure _ -> ()
-  | _ -> Alcotest.fail "tampered record accepted"
+  let payload = "sensitive-13B" in
+  List.iter
+    (fun (what, tamper) ->
+      let client, server = Tlslike.handshake_pair () in
+      let sealed = Tlslike.seal client payload in
+      (match Tlslike.open_ server (tamper sealed) with
+       | exception Tlslike.Auth_failure _ -> ()
+       | _ -> Alcotest.failf "tampered record accepted (%s)" what);
+      Alcotest.(check string)
+        ("genuine record still opens after " ^ what)
+        payload (Tlslike.open_ server sealed))
+    [
+      ("seq field", fun r -> flip_bit r 7);
+      ("tag field", fun r -> flip_bit r 8);
+      ("first ciphertext byte", fun r -> flip_bit r 16);
+      ("last tail byte", fun r -> flip_bit r (String.length r - 1));
+      ("15-byte record", fun r -> String.sub r 0 15);
+    ]
 
 let test_tls_replay_and_reorder_detected () =
   let client, server = Tlslike.handshake_pair () in
@@ -132,6 +150,123 @@ let prop_tls_roundtrip =
     (fun msgs ->
       let client, server = Tlslike.handshake_pair () in
       List.for_all (fun m -> Tlslike.open_ server (Tlslike.seal client m) = m) msgs)
+
+(* The record layer as it was when it worked a byte at a time, copied
+   apart from taking the key and sequence number as arguments.  The
+   wire-byte tests below hold the live layer to its output. *)
+module Reference = struct
+  let fnv_offset = 0xcbf29ce484222325L
+  let fnv_prime = 0x100000001b3L
+
+  let fnv1a_update h byte =
+    Int64.mul (Int64.logxor h (Int64.of_int byte)) fnv_prime
+
+  let fnv1a_string h s =
+    let acc = ref h in
+    String.iter (fun c -> acc := fnv1a_update !acc (Char.code c)) s;
+    !acc
+
+  let int64_to_wire v =
+    String.init 8 (fun i ->
+        Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * (7 - i))) land 0xff))
+
+  let int64_of_wire s off =
+    let acc = ref 0L in
+    for i = 0 to 7 do
+      acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code s.[off + i]))
+    done;
+    !acc
+
+  let keystream_init key seq =
+    let s = Int64.logxor key (Int64.mul seq 0x9e3779b97f4a7c15L) in
+    if s = 0L then 0x1234_5678L else s
+
+  let keystream_next s =
+    let s = Int64.logxor s (Int64.shift_left s 13) in
+    let s = Int64.logxor s (Int64.shift_right_logical s 7) in
+    Int64.logxor s (Int64.shift_left s 17)
+
+  let transform ~key ~seq payload =
+    let n = String.length payload in
+    let out = Bytes.create n in
+    let state = ref (keystream_init key seq) in
+    for i = 0 to n - 1 do
+      if i land 7 = 0 then state := keystream_next !state;
+      let ks_byte =
+        Int64.to_int (Int64.shift_right_logical !state (8 * (i land 7))) land 0xff
+      in
+      Bytes.set out i (Char.chr (Char.code payload.[i] lxor ks_byte))
+    done;
+    Bytes.unsafe_to_string out
+
+  let mac ~key ~seq data =
+    let h = fnv1a_update (Int64.logxor fnv_offset key) (Int64.to_int seq land 0xff) in
+    int64_to_wire (fnv1a_string h data)
+
+  let seal ~key ~seq payload =
+    let cipher = transform ~key ~seq payload in
+    let tag = mac ~key ~seq cipher in
+    int64_to_wire seq ^ tag ^ cipher
+
+  (* [None] wherever the live layer raises [Auth_failure]. *)
+  let open_ ~key ~seq record =
+    if String.length record < 16 || int64_of_wire record 0 <> seq then None
+    else
+      let tag = String.sub record 8 8 in
+      let cipher = String.sub record 16 (String.length record - 16) in
+      if mac ~key ~seq cipher <> tag then None else Some (transform ~key ~seq cipher)
+end
+
+(* A session keyed with [key] that has sealed [prior] empty records,
+   and its peer that has opened them: the next record has seq [prior]. *)
+let sessions_at ~key ~prior =
+  let tx = Tlslike.of_key key and rx = Tlslike.of_key key in
+  for _ = 1 to prior do
+    ignore (Tlslike.open_ rx (Tlslike.seal tx ""))
+  done;
+  (tx, rx)
+
+(* Up to 300 prior records, so the MAC's [seq land 0xff] wraps; lengths
+   mostly 0-70, where the word loop meets the byte tail. *)
+let arb_record_case =
+  let open QCheck.Gen in
+  let len = frequency [ (3, int_range 0 70); (1, int_range 0 5000) ] in
+  QCheck.make
+    ~print:(fun (key, prior, payload) ->
+      Printf.sprintf "key=%Lx prior=%d len=%d" key prior (String.length payload))
+    (triple int64 (int_range 0 300) (string_size len))
+
+let prop_tls_matches_reference =
+  qcheck_case ~count:500 "records match the byte-at-a-time reference" arb_record_case
+    (fun (key, prior, payload) ->
+      let tx, rx = sessions_at ~key ~prior in
+      let seq = Int64.of_int prior in
+      let record = Tlslike.seal tx payload in
+      record = Reference.seal ~key ~seq payload
+      && Reference.open_ ~key ~seq record = Some payload
+      && Tlslike.open_ rx record = payload)
+
+let hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* Computed with the byte-at-a-time layer.  The first key and seq make
+   the keystream seed 0, which the generator replaces; the third record
+   has seq 257, whose low byte the MAC takes. *)
+let test_tls_known_answers () =
+  List.iter
+    (fun (key, prior, payload, expected) ->
+      let tx, rx = sessions_at ~key ~prior in
+      let record = Tlslike.seal tx payload in
+      Alcotest.(check string) (Printf.sprintf "seal %S" payload) expected (hex record);
+      Alcotest.(check string) (Printf.sprintf "open %S" payload) payload
+        (Tlslike.open_ rx record))
+    [
+      (0L, 0, "hello", "0000000000000000c3a188bf3ff93acebcc50e38b8");
+      ( 0x0123456789abcdefL, 0, "The quick brown fox",
+        "000000000000000019d1e7b031329360e069fb76a775415cdcf0894ef5e30140b0a5a4" );
+      ( -0x5a5a5a5a5a5a5a5bL, 257, "virDomainGetInfo/13",
+        "00000000000001015fa3c80a09dc54c3afb720d1c989ade04aaa39790046d576d1ac16" );
+    ]
 
 (* --- Transport --------------------------------------------------------- *)
 
@@ -280,6 +415,8 @@ let () =
           quick "foreign session rejected" test_tls_wrong_session_rejected;
           quick "rekey" test_tls_rekey;
           prop_tls_roundtrip;
+          prop_tls_matches_reference;
+          quick "known-answer records" test_tls_known_answers;
         ] );
       ( "transport",
         [
