@@ -856,21 +856,30 @@ let begin_list_fills conn =
       })
     conn.rc_cache
 
+(* One lock section per cache kind for the whole reply, not one per
+   row and kind. *)
 let install_records conn fills records =
   match (conn.rc_cache, fills) with
   | Some cs, Some f ->
-    let t = now () in
-    List.iter
-      (fun r ->
-        let name = r.Driver.rec_ref.Driver.dom_name in
-        let uuid = Vmm.Uuid.to_string r.Driver.rec_ref.Driver.dom_uuid in
-        ignore (Cache.install cs.c_ref f.lf_ref name ~uuid r.Driver.rec_ref ~now:t);
-        ignore (Cache.install cs.c_info f.lf_info name r.Driver.rec_info ~now:t);
-        Option.iter
-          (fun a ->
-            ignore (Cache.install cs.c_autostart f.lf_auto name a ~now:t))
-          r.Driver.rec_autostart)
-      records
+    let now = now () in
+    Cache.install_bulk cs.c_ref f.lf_ref ~now (fun add ->
+        List.iter
+          (fun r ->
+            let d = r.Driver.rec_ref in
+            ignore
+              (add d.Driver.dom_name ~uuid:(Vmm.Uuid.to_string d.Driver.dom_uuid) d))
+          records);
+    Cache.install_bulk cs.c_info f.lf_info ~now (fun add ->
+        List.iter
+          (fun r -> ignore (add r.Driver.rec_ref.Driver.dom_name r.Driver.rec_info))
+          records);
+    Cache.install_bulk cs.c_autostart f.lf_auto ~now (fun add ->
+        List.iter
+          (fun r ->
+            match r.Driver.rec_autostart with
+            | Some a -> ignore (add r.Driver.rec_ref.Driver.dom_name a)
+            | None -> ())
+          records)
   | _ -> ()
 
 (* Pre-bulk daemons: reproduce [Proc_dom_list_all] client-side, but

@@ -13,7 +13,9 @@
    {!invalidate} stamps the name with the current sequence, and a fill
    token older than a name's stamp is refused for that name.  A bulk
    reply (one token, many installs) therefore degrades per name: only
-   the rows raced by an event are dropped.
+   the rows raced by an event are dropped.  It also takes the lock once
+   for all its rows ({!install_bulk}), not once per row, and a row equal
+   to what the entry already holds keeps that entry.
 
    Reconnects change epoch: the daemon may have restarted with different
    state and the event stream has a gap, so every entry and every
@@ -25,7 +27,11 @@
    being maintained by pushes.  Time is always passed in by the caller,
    which keeps the module deterministic under test. *)
 
-type 'a entry = { e_value : 'a; e_stamp : float; e_uuid : string option }
+type 'a entry = {
+  e_value : 'a;
+  mutable e_stamp : float;
+  e_uuid : string option;
+}
 
 type 'a t = {
   mutex : Mutex.t;
@@ -54,28 +60,54 @@ let create ?ttl () =
     misses = 0;
   }
 
-let locked c f =
-  Mutex.lock c.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) f
+let locked c f = Mutex.protect c.mutex f
 
 let begin_fill c = locked c (fun () -> { f_epoch = c.epoch; f_seq = c.seq })
 
-let install c fill name ?uuid value ~now =
-  locked c (fun () ->
-      let invalidated_since =
-        match Hashtbl.find_opt c.inval name with
-        | Some s -> s > fill.f_seq
-        | None -> false
-      in
-      if fill.f_epoch <> c.epoch || invalidated_since then false
-      else begin
-        (match Hashtbl.find_opt c.entries name with
-        | Some { e_uuid = Some u; _ } -> Hashtbl.remove c.by_uuid u
-        | _ -> ());
-        Hashtbl.replace c.entries name { e_value = value; e_stamp = now; e_uuid = uuid };
-        (match uuid with Some u -> Hashtbl.replace c.by_uuid u name | None -> ());
+(* Point [uuid] at [name], writing only when it points elsewhere. *)
+let claim_uuid c uuid name =
+  match uuid with
+  | None -> ()
+  | Some u -> (
+    match Hashtbl.find c.by_uuid u with
+    | owner when String.equal owner name -> ()
+    | _ | (exception Not_found) -> Hashtbl.replace c.by_uuid u name)
+
+(* The one install path; assumes [c.mutex] held.  The refusals come
+   first.  A row that repeats what the entry holds (same uuid,
+   structurally equal value) then only refreshes the stamp: a polled
+   listing mostly repeats itself, and a fresh entry for each row would
+   be promoted to the major heap by the write barrier. *)
+let install_locked c fill name uuid value now =
+  let invalidated_since =
+    match Hashtbl.find_opt c.inval name with
+    | Some s -> s > fill.f_seq
+    | None -> false
+  in
+  if fill.f_epoch <> c.epoch || invalidated_since then false
+  else begin
+    let kept =
+      match Hashtbl.find c.entries name with
+      | e when Option.equal String.equal e.e_uuid uuid && e.e_value = value ->
+        e.e_stamp <- now;
         true
-      end)
+      | e ->
+        Option.iter (Hashtbl.remove c.by_uuid) e.e_uuid;
+        false
+      | exception Not_found -> false
+    in
+    if not kept then
+      Hashtbl.replace c.entries name { e_value = value; e_stamp = now; e_uuid = uuid };
+    claim_uuid c uuid name;
+    true
+  end
+
+let install c fill name ?uuid value ~now =
+  locked c (fun () -> install_locked c fill name uuid value now)
+
+let install_bulk c fill ~now rows =
+  locked c (fun () ->
+      rows (fun name ?uuid value -> install_locked c fill name uuid value now))
 
 let fresh c entry ~now =
   match c.ttl with None -> true | Some ttl -> now -. entry.e_stamp <= ttl

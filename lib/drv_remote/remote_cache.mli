@@ -26,8 +26,21 @@ val install :
   'a t -> fill -> string -> ?uuid:string -> 'a -> now:float -> bool
 (** [install c fill name ?uuid v ~now] caches [v] for [name] unless
     [name] was invalidated or the cache cleared after [fill] was taken;
-    returns whether the value was installed.  A bulk reply shares one
-    token across many installs and degrades per name. *)
+    returns whether the value was installed.  When [name] already holds
+    the same [uuid] and a structurally equal value, that entry is kept
+    and only its stamp moves to [now]. *)
+
+val install_bulk :
+  'a t ->
+  fill ->
+  now:float ->
+  ((string -> ?uuid:string -> 'a -> bool) -> 'b) ->
+  'b
+(** [install_bulk c fill ~now rows] runs [rows add] holding [c]'s lock
+    once, where [add name ?uuid v] is {!install}[ c fill name ?uuid v
+    ~now] for one row of a bulk reply.  The rows share [fill], so the
+    reply degrades per name: only the rows raced by an event are refused.
+    [add] must not escape [rows]. *)
 
 val find : 'a t -> string -> now:float -> 'a option
 val find_by_uuid : 'a t -> string -> now:float -> 'a option

@@ -370,7 +370,11 @@ let is_active = function Vmm.Vm_state.Shutoff -> false | _ -> true
    destination while still running on the source); the running row wins,
    so nothing is ever double-counted. *)
 let merge_records per_member =
-  let seen : (Uuid.t, Driver.domain_record) Hashtbl.t = Hashtbl.create 64 in
+  let rows =
+    List.fold_left (fun n (_, records) -> n + List.length records) 0 per_member
+  in
+  (* Sized for every row up front: the table never grows mid-merge. *)
+  let seen : (Uuid.t, Driver.domain_record) Hashtbl.t = Hashtbl.create rows in
   let order = ref [] in
   List.iter
     (fun (_member, records) ->

@@ -38,29 +38,35 @@ let to_string u =
   done;
   Bytes.unsafe_to_string b
 
+(* The digit's value, or -1 when [c] is not a hex digit: no option box
+   per digit on the listing path, which parses one UUID per row. *)
 let hex_value c =
   match c with
-  | '0' .. '9' -> Some (Char.code c - Char.code '0')
-  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-  | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-  | _ -> None
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
 
+let malformed s = Error (Printf.sprintf "malformed UUID %S" s)
+
+(* Canonical 8-4-4-4-12: the dashes sit at exactly offsets 8, 13, 18 and
+   23, and every other character is a hex digit. *)
 let of_string s =
-  let bad () = Error (Printf.sprintf "malformed UUID %S" s) in
-  if String.length s <> 36 then bad ()
-  else if s.[8] <> '-' || s.[13] <> '-' || s.[18] <> '-' || s.[23] <> '-' then bad ()
+  if String.length s <> 36 || s.[8] <> '-' || s.[13] <> '-' || s.[18] <> '-'
+     || s.[23] <> '-'
+  then malformed s
   else begin
     let b = Bytes.create 16 in
     let src = ref 0 in
     let ok = ref true in
     for dst = 0 to 15 do
-      while !src < 36 && s.[!src] = '-' do incr src done;
-      (match hex_value s.[!src], hex_value s.[!src + 1] with
-       | Some hi, Some lo -> Bytes.set b dst (Char.chr ((hi lsl 4) lor lo))
-       | _ -> ok := false);
+      if !src = 8 || !src = 13 || !src = 18 || !src = 23 then incr src;
+      let hi = hex_value s.[!src] and lo = hex_value s.[!src + 1] in
+      if hi < 0 || lo < 0 then ok := false
+      else Bytes.unsafe_set b dst (Char.unsafe_chr ((hi lsl 4) lor lo));
       src := !src + 2
     done;
-    if !ok then Ok (Bytes.unsafe_to_string b) else bad ()
+    if !ok then Ok (Bytes.unsafe_to_string b) else malformed s
   end
 
 let equal = String.equal

@@ -9,7 +9,9 @@ val generate : unit -> t
     the simulation). *)
 
 val of_string : string -> (t, string) result
-(** Accepts canonical form, case-insensitive. *)
+(** Accepts exactly the canonical form, case-insensitive: dashes at
+    offsets 8, 13, 18 and 23, hex digits everywhere else.  Any other
+    string is an [Error]; it never raises. *)
 
 val to_string : t -> string
 (** Canonical lowercase form. *)

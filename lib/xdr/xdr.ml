@@ -138,10 +138,12 @@ let need d n =
     fail "decode: need %d bytes at offset %d, only %d remain" n d.pos
       (remaining d)
 
+(* One word read and no allocation: the int32 stays unboxed.  Without
+   flambda a local helper closure would be allocated on every call, and
+   a listing row decodes about a dozen words. *)
 let dec_raw_u32 d =
   need d 4;
-  let b i = Char.code d.data.[d.pos + i] in
-  let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+  let v = Int32.to_int (String.get_int32_be d.data d.pos) land 0xffff_ffff in
   d.pos <- d.pos + 4;
   v
 

@@ -154,6 +154,263 @@ let test_cache_uuid_index () =
   Alcotest.(check bool) "uuid dropped with name" true
     (Cache.find_by_uuid c "u-1" ~now:0. = None)
 
+(* Bulk installs keep the fill protocol's answers: a repeated row keeps
+   its entry, but an invalidation still refuses it. *)
+let test_cache_equal_value_refused_after_invalidate () =
+  let c = Cache.create () in
+  let fill = Cache.begin_fill c in
+  Alcotest.(check bool) "first install" true (Cache.install c fill "vm" 1 ~now:0.);
+  Cache.invalidate c "vm";
+  Alcotest.(check bool) "equal value refused" false (Cache.install c fill "vm" 1 ~now:0.);
+  Alcotest.(check (list bool)) "refused in bulk too" [ false; true ]
+    (Cache.install_bulk c fill ~now:0. (fun add -> [ add "vm" 1; add "other" 1 ]));
+  Alcotest.(check (option int)) "nothing cached" None (Cache.find c "vm" ~now:0.)
+
+let test_cache_equal_install_refreshes_ttl () =
+  let c = Cache.create ~ttl:1.0 () in
+  let fill = Cache.begin_fill c in
+  ignore (Cache.install c fill "vm" 9 ~now:100.);
+  Alcotest.(check bool) "equal install accepted" true
+    (Cache.install c fill "vm" 9 ~now:100.8);
+  Alcotest.(check (option int)) "aged from the refresh" (Some 9)
+    (Cache.find c "vm" ~now:101.5);
+  Alcotest.(check (option int)) "then expires" None (Cache.find c "vm" ~now:101.9)
+
+let test_cache_unchanged_listing_keeps_entries () =
+  let c = Cache.create () in
+  (* Fresh strings each time: equal rows, never the same blocks. *)
+  let listing () =
+    List.map (fun i -> (Printf.sprintf "vm%d" i, Printf.sprintf "value %d" i)) [ 1; 2; 3 ]
+  in
+  let install rows =
+    Cache.install_bulk c (Cache.begin_fill c) ~now:0. (fun add ->
+        List.iter (fun (name, v) -> ignore (add name ~uuid:("u-" ^ name) v)) rows)
+  in
+  let first = listing () in
+  install first;
+  install (listing ());
+  List.iter
+    (fun (name, v) ->
+      match Cache.find c name ~now:0. with
+      | Some v' -> Alcotest.(check bool) (name ^ " keeps its first value") true (v' == v)
+      | None -> Alcotest.failf "%s missing" name)
+    first;
+  Alcotest.(check (option string)) "uuid index intact" (Some "value 2")
+    (Cache.find_by_uuid c "u-vm2" ~now:0.)
+
+(* The cache as it was before bulk installs existed: one lock section
+   and a fresh entry per installed row.  The model property below checks
+   the current cache answers every schedule exactly as this one did. *)
+module Reference = struct
+  type 'a entry = { e_value : 'a; e_stamp : float; e_uuid : string option }
+
+  type 'a t = {
+    mutex : Mutex.t;
+    ttl : float option;  (* None: event-maintained, entries never expire *)
+    entries : (string, 'a entry) Hashtbl.t;  (* keyed by domain name *)
+    by_uuid : (string, string) Hashtbl.t;  (* uuid -> name *)
+    inval : (string, int) Hashtbl.t;  (* name -> seq of last invalidation *)
+    mutable seq : int;
+    mutable epoch : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  type fill = { f_epoch : int; f_seq : int }
+
+  let create ?ttl () =
+    {
+      mutex = Mutex.create ();
+      ttl;
+      entries = Hashtbl.create 64;
+      by_uuid = Hashtbl.create 64;
+      inval = Hashtbl.create 64;
+      seq = 0;
+      epoch = 0;
+      hits = 0;
+      misses = 0;
+    }
+
+  let locked c f =
+    Mutex.lock c.mutex;
+    Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) f
+
+  let begin_fill c = locked c (fun () -> { f_epoch = c.epoch; f_seq = c.seq })
+
+  let install c fill name ?uuid value ~now =
+    locked c (fun () ->
+        let invalidated_since =
+          match Hashtbl.find_opt c.inval name with
+          | Some s -> s > fill.f_seq
+          | None -> false
+        in
+        if fill.f_epoch <> c.epoch || invalidated_since then false
+        else begin
+          (match Hashtbl.find_opt c.entries name with
+          | Some { e_uuid = Some u; _ } -> Hashtbl.remove c.by_uuid u
+          | _ -> ());
+          Hashtbl.replace c.entries name { e_value = value; e_stamp = now; e_uuid = uuid };
+          (match uuid with Some u -> Hashtbl.replace c.by_uuid u name | None -> ());
+          true
+        end)
+
+  let fresh c entry ~now =
+    match c.ttl with None -> true | Some ttl -> now -. entry.e_stamp <= ttl
+
+  (* Assumes [c.mutex] held. *)
+  let find_locked c name ~now =
+    match Hashtbl.find_opt c.entries name with
+    | Some e when fresh c e ~now ->
+      c.hits <- c.hits + 1;
+      Some e.e_value
+    | Some _ | None ->
+      c.misses <- c.misses + 1;
+      None
+
+  let find c name ~now = locked c (fun () -> find_locked c name ~now)
+
+  let find_by_uuid c uuid ~now =
+    locked c (fun () ->
+        match Hashtbl.find_opt c.by_uuid uuid with
+        | Some name -> find_locked c name ~now
+        | None ->
+          c.misses <- c.misses + 1;
+          None)
+
+  let invalidate c name =
+    locked c (fun () ->
+        c.seq <- c.seq + 1;
+        Hashtbl.replace c.inval name c.seq;
+        match Hashtbl.find_opt c.entries name with
+        | Some { e_uuid = Some u; _ } ->
+          Hashtbl.remove c.by_uuid u;
+          Hashtbl.remove c.entries name
+        | Some _ -> Hashtbl.remove c.entries name
+        | None -> ())
+
+  let clear c =
+    locked c (fun () ->
+        c.epoch <- c.epoch + 1;
+        Hashtbl.reset c.entries;
+        Hashtbl.reset c.by_uuid;
+        Hashtbl.reset c.inval)
+
+  let epoch c = locked c (fun () -> c.epoch)
+  let size c = locked c (fun () -> Hashtbl.length c.entries)
+  let hits c = locked c (fun () -> c.hits)
+  let misses c = locked c (fun () -> c.misses)
+end
+
+type cache_op =
+  | Begin_fill of int
+  | Invalidate of string
+  | Install of int * string * string option * int
+  | Bulk of int * (string * string option * int) list
+  | Clear
+  | Find of string
+  | Find_by_uuid of string
+  | Tick
+
+let show_op = function
+  | Begin_fill k -> Printf.sprintf "begin_fill %d" k
+  | Invalidate n -> "invalidate " ^ n
+  | Install (k, n, u, v) ->
+    Printf.sprintf "install %d %s %s %d" k n (Option.value u ~default:"-") v
+  | Bulk (k, rows) ->
+    Printf.sprintf "bulk %d [%s]" k
+      (String.concat "; "
+         (List.map
+            (fun (n, u, v) -> Printf.sprintf "%s %s %d" n (Option.value u ~default:"-") v)
+            rows))
+  | Clear -> "clear"
+  | Find n -> "find " ^ n
+  | Find_by_uuid u -> "find_by_uuid " ^ u
+  | Tick -> "tick"
+
+let gen_cache_run =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "c"; "d" ] in
+  let uuid = opt (oneofl [ "u1"; "u2"; "u3" ]) in
+  (* Two values, so rows often repeat what an entry holds. *)
+  let row = triple name uuid (int_bound 1) in
+  let slot = int_bound 1 in
+  let op =
+    frequency
+      [
+        (2, map (fun k -> Begin_fill k) slot);
+        (2, map (fun n -> Invalidate n) name);
+        (4, map (fun (k, (n, u, v)) -> Install (k, n, u, v)) (pair slot row));
+        (4, map2 (fun k rows -> Bulk (k, rows)) slot (list_size (int_bound 5) row));
+        (1, return Clear);
+        (4, map (fun n -> Find n) name);
+        (2, map (fun u -> Find_by_uuid u) (oneofl [ "u1"; "u2"; "u3" ]));
+        (2, return Tick);
+      ]
+  in
+  pair bool (list_size (int_range 1 40) op)
+
+(* Runs one schedule on a cache and on the reference, and returns the
+   first step where their answers differ. *)
+let cache_model_diverges (ttl, ops) =
+  let ttl = if ttl then Some 1.0 else None in
+  let c = Cache.create ?ttl () and r = Reference.create ?ttl () in
+  let fills = Array.init 2 (fun _ -> (Cache.begin_fill c, Reference.begin_fill r)) in
+  let now = ref 0. in
+  let step op =
+    match op with
+    | Begin_fill k ->
+      fills.(k) <- (Cache.begin_fill c, Reference.begin_fill r);
+      true
+    | Invalidate n ->
+      Cache.invalidate c n;
+      Reference.invalidate r n;
+      true
+    | Install (k, n, uuid, v) ->
+      let fc, fr = fills.(k) in
+      Cache.install c fc n ?uuid v ~now:!now = Reference.install r fr n ?uuid v ~now:!now
+    | Bulk (k, rows) ->
+      let fc, fr = fills.(k) in
+      Cache.install_bulk c fc ~now:!now (fun add ->
+          List.map (fun (n, uuid, v) -> add n ?uuid v) rows)
+      = List.map (fun (n, uuid, v) -> Reference.install r fr n ?uuid v ~now:!now) rows
+    | Clear ->
+      Cache.clear c;
+      Reference.clear r;
+      true
+    | Find n -> Cache.find c n ~now:!now = Reference.find r n ~now:!now
+    | Find_by_uuid u -> Cache.find_by_uuid c u ~now:!now = Reference.find_by_uuid r u ~now:!now
+    | Tick ->
+      now := !now +. 0.6;
+      true
+  in
+  let agree () =
+    Cache.size c = Reference.size r
+    && Cache.epoch c = Reference.epoch r
+    && Cache.hits c = Reference.hits r
+    && Cache.misses c = Reference.misses r
+    && List.for_all
+         (fun n -> Cache.find c n ~now:!now = Reference.find r n ~now:!now)
+         [ "a"; "b"; "c"; "d" ]
+    && List.for_all
+         (fun u -> Cache.find_by_uuid c u ~now:!now = Reference.find_by_uuid r u ~now:!now)
+         [ "u1"; "u2"; "u3" ]
+  in
+  let rec go i = function
+    | [] -> if agree () then None else Some "final state"
+    | op :: ops -> if step op && agree () then go (i + 1) ops else Some (Printf.sprintf "step %d: %s" i (show_op op))
+  in
+  go 0 ops
+
+let prop_cache_matches_reference =
+  let print (ttl, ops) =
+    Printf.sprintf "ttl=%b\n%s" ttl (String.concat "\n" (List.map show_op ops))
+  in
+  qcheck_case ~count:500 "cache matches the reference model"
+    (QCheck.make ~print gen_cache_run) (fun run ->
+      match cache_model_diverges run with
+      | None -> true
+      | Some where -> QCheck.Test.fail_reportf "diverges at %s" where)
+
 (* --- bulk listing: local and remote -------------------------------------- *)
 
 let sort_records records =
@@ -556,6 +813,11 @@ let () =
           quick "clear voids epoch" test_cache_clear_voids_epoch;
           quick "ttl expiry" test_cache_ttl;
           quick "uuid index" test_cache_uuid_index;
+          quick "equal value refused after invalidate"
+            test_cache_equal_value_refused_after_invalidate;
+          quick "equal install refreshes ttl" test_cache_equal_install_refreshes_ttl;
+          quick "unchanged listing keeps entries" test_cache_unchanged_listing_keeps_entries;
+          prop_cache_matches_reference;
         ] );
       ( "bulk listing",
         [

@@ -71,6 +71,90 @@ let prop_uuid_rendering =
       | Ok u -> Uuid.to_string u = text
       | Error _ -> false)
 
+(* Random 36-character strings over [0-9a-fA-F-g], mostly near-canonical:
+   each slot holds what the canonical form puts there nine times in ten,
+   so both answers come up often. *)
+let uuid_alphabet = "0123456789abcdefABCDEF-g"
+
+let is_dash_offset i = i = 8 || i = 13 || i = 18 || i = 23
+
+let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+
+let canonical s =
+  String.length s = 36
+  && List.for_all
+       (fun i -> if is_dash_offset i then s.[i] = '-' else is_hex s.[i])
+       (List.init 36 Fun.id)
+
+let uuid_text =
+  let open QCheck.Gen in
+  let pick n = map (String.get uuid_alphabet) (int_bound (n - 1)) in
+  let any = pick (String.length uuid_alphabet) and hex = pick 22 in
+  let slot i =
+    frequency [ (9, if is_dash_offset i then return '-' else hex); (1, any) ]
+  in
+  QCheck.make ~print:Fun.id
+    (map (fun l -> String.init 36 (List.nth l)) (flatten_l (List.init 36 slot)))
+
+let prop_uuid_parse_total =
+  qcheck_case ~count:1000 "of_string is total and exact" uuid_text (fun s ->
+      match Uuid.of_string s with
+      | Ok u -> canonical s && Uuid.to_string u = String.lowercase_ascii s
+      | Error _ -> not (canonical s)
+      | exception e ->
+        QCheck.Test.fail_reportf "%S raised %s" s (Printexc.to_string e))
+
+let all_dashes = String.make 36 '-'
+
+let test_uuid_all_dashes_over_daemon () =
+  let name = fresh_name "uuidd" in
+  let config =
+    {
+      Ovirt.Daemon_config.default with
+      Ovirt.Daemon_config.log_outputs =
+        [ { Vlog.min_priority = Vlog.Debug; sink = Vlog.Null } ];
+    }
+  in
+  let daemon = Ovirt.Daemon.start ~name ~config () in
+  Fun.protect
+    ~finally:(fun () -> Ovirt.Daemon.stop daemon)
+    (fun () ->
+      let module Rp = Protocol.Remote_protocol in
+      let client =
+        vok
+          (Rpc_client.connect ~address:(name ^ "-sock")
+             ~kind:Ovnet.Transport.Unix_sock ~program:Rp.program
+             ~version:Rp.version ())
+      in
+      let call proc body =
+        Rpc_client.call client ~procedure:(Rp.proc_to_int proc) ~body ()
+      in
+      ignore
+        (vok
+           (call Rp.Proc_open
+              (Rp.enc_string_body ("test://" ^ fresh_name "uuidnode" ^ "/"))));
+      (match call Rp.Proc_lookup_by_uuid (Rp.enc_string_body all_dashes) with
+      | Ok _ -> Alcotest.fail "36 dashes looked up"
+      | Error e ->
+        Alcotest.(check bool) "invalid_arg, not internal_error" true
+          (e.Ovirt.Verror.code = Ovirt.Verror.Invalid_arg);
+        Alcotest.(check bool) "names the malformed uuid" true
+          (String.starts_with ~prefix:"malformed UUID" e.Ovirt.Verror.message));
+      Rpc_client.close client)
+
+let test_uuid_all_dashes_local_define () =
+  let conn = fresh_test_conn () in
+  let xml =
+    Printf.sprintf
+      "<domain type='test'><name>dashes</name><uuid>%s</uuid>\
+       <memory>8192</memory><vcpu>1</vcpu></domain>"
+      all_dashes
+  in
+  (match Ovirt.Domain.define_xml conn xml with
+  | Ok _ -> Alcotest.fail "defined a domain with 36-dash uuid"
+  | Error _ -> ());
+  Ovirt.Connect.close conn
+
 (* --- Vm_config ---------------------------------------------------------- *)
 
 let test_config_defaults () =
@@ -364,6 +448,9 @@ let () =
           quick "parsing" test_uuid_parse;
           prop_uuid_roundtrip;
           prop_uuid_rendering;
+          prop_uuid_parse_total;
+          quick "36 dashes over a daemon" test_uuid_all_dashes_over_daemon;
+          quick "36 dashes in a local define" test_uuid_all_dashes_local_define;
         ] );
       ( "vm_config",
         [

@@ -206,6 +206,79 @@ let prop_mixed_sequence =
       in
       Xdr.decode dec (Xdr.encode enc ()) = (a, b, c))
 
+(* Byte-wise reference for the word decoders: eight random bytes, with
+   the high bit of each word set in about half the cases. *)
+let word_bytes =
+  let open QCheck.Gen in
+  let word = map2 (fun high s -> (high, s)) bool (string_size ~gen:char (return 4)) in
+  let set_high (high, s) =
+    let b = Bytes.of_string s in
+    let c = Char.code (Bytes.get b 0) in
+    Bytes.set b 0 (Char.chr (if high then c lor 0x80 else c land 0x7f));
+    Bytes.to_string b
+  in
+  QCheck.make ~print:hex (map2 (fun a b -> set_high a ^ set_high b) word word)
+
+let byte_wise_u32 s off =
+  let b i = Char.code s.[off + i] in
+  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+
+let prop_word_decoders_match_reference =
+  qcheck_case ~count:1000 "word decoders match a byte-wise reference" word_bytes
+    (fun s ->
+      let u = byte_wise_u32 s 0 in
+      let signed = if u >= 0x8000_0000 then u - 0x1_0000_0000 else u in
+      let hyper =
+        String.fold_left
+          (fun acc c -> Int64.logor (Int64.shift_left acc 8) (Int64.of_int (Char.code c)))
+          0L s
+      in
+      let d = Xdr.decoder s in
+      Xdr.dec_uint d = u
+      && Xdr.dec_uint d = byte_wise_u32 s 4
+      && Xdr.dec_int (Xdr.decoder s) = signed
+      && Xdr.dec_hyper (Xdr.decoder s) = hyper)
+
+(* The fleet listing is the bulk read path: its decode cost is per row,
+   and most of it is allocation.  The rows themselves (name, uuid, ref,
+   info, options, list cell) need under 40 words; 60 leaves room without
+   letting a per-field closure or option box back in. *)
+let test_listing_decode_allocation () =
+  let module Rp = Protocol.Remote_protocol in
+  let module Driver = Ovirt.Driver in
+  let rows = 250 in
+  let record i =
+    Driver.
+      {
+        rec_ref =
+          {
+            dom_name = Printf.sprintf "dom-%04d" i;
+            dom_uuid = Vmm.Uuid.generate ();
+            dom_id = (if i mod 2 = 0 then Some i else None);
+          };
+        rec_info =
+          {
+            di_state = (if i mod 2 = 0 then Vmm.Vm_state.Running else Vmm.Vm_state.Shutoff);
+            di_max_mem_kib = 1 lsl 20;
+            di_memory_kib = 1 lsl 19;
+            di_vcpus = 2;
+            di_cpu_time_ns = Int64.of_int (i * 1_000_000);
+          };
+        rec_autostart = Some (i mod 3 = 0);
+      }
+  in
+  let listing =
+    Driver.
+      { fl_records = List.init rows record; fl_shard_errors = []; fl_members = 1 }
+  in
+  let body = Rp.enc_fleet_listing listing in
+  let before = Gc.minor_words () in
+  let decoded = Sys.opaque_identity (Rp.dec_fleet_listing body) in
+  let words = (Gc.minor_words () -. before) /. float_of_int rows in
+  Alcotest.(check bool) "decodes back" true (decoded = listing);
+  if words > 60. then
+    Alcotest.failf "decoding allocates %.1f minor words per row (budget 60)" words
+
 let () =
   Alcotest.run "xdr"
     [
@@ -235,9 +308,12 @@ let () =
           quick "single-pass array count" test_array_single_pass_count;
           quick "nested arrays" test_nested_array_roundtrip;
         ] );
+      ( "allocation",
+        [ quick "listing decode per-row budget" test_listing_decode_allocation ] );
       ( "properties",
         [
           prop_int_roundtrip;
+          prop_word_decoders_match_reference;
           prop_uint_roundtrip;
           prop_hyper_roundtrip;
           prop_string_roundtrip;
