@@ -1042,25 +1042,19 @@ let recovery () =
 let bulk () =
   section "E16: fleet inventory — bulk RPC + client cache vs per-op N+1";
   subsection "inventory = enumerate all domains, then info + autostart + XML each;";
-  subsection "per-op drives a proto-minor-2 daemon with the cache off (pre-bulk wire),";
-  subsection "bulk drives the v1.3 wire cold, warm repeats the pass on the same conn\n";
+  subsection "per-op lists through Driver.list_all_fallback with the cache off (N+1 wire),";
+  subsection "bulk lists in one call cold, warm repeats the pass on the same conn\n";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let counts = if smoke then [ 5; 25 ] else [ 10; 100; 1000 ] in
-  let old_name = fresh "bulk12d" in
-  let new_name = fresh "bulk13d" in
-  let old_daemon =
-    Daemon.start ~name:old_name
-      ~config:{ quiet_config with Daemon_config.proto_minor = 2 }
-      ()
-  in
-  let new_daemon = Daemon.start ~name:new_name ~config:quiet_config () in
+  let daemon_name = fresh "bulkd" in
+  let daemon = Daemon.start ~name:daemon_name ~config:quiet_config () in
   let calls_of conn =
     match Drv_remote.conn_stats (ok (Connect.ops conn)) with
     | Some s -> s.Drv_remote.st_calls
     | None -> 0
   in
-  let inventory conn =
-    let records = ok (Connect.list_all_domains conn) in
+  let inventory conn list_all =
+    let records = ok (list_all conn) in
     List.iter
       (fun r ->
         let dom =
@@ -1070,13 +1064,14 @@ let bulk () =
         ignore (ok (Domain.get_autostart dom));
         ignore (ok (Domain.xml_desc dom)))
       records;
-    List.length records
+    List.sort compare records
   in
-  let pass conn =
+  let pass conn list_all =
     let c0 = calls_of conn in
-    let _, elapsed = time_once (fun () -> inventory conn) in
-    (calls_of conn - c0, elapsed)
+    let records, elapsed = time_once (fun () -> inventory conn list_all) in
+    (records, calls_of conn - c0, elapsed)
   in
+  let per_op_list conn = Driver.list_all_fallback (ok (Connect.ops conn)) in
   let run transport n =
     let node = fresh "fleet" in
     let direct = ok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
@@ -1087,23 +1082,30 @@ let bulk () =
               (Vmm.Domxml.to_xml ~virt_type:"test"
                  (Vm_config.make ~memory_kib:(mib 8) (Printf.sprintf "fvm%d" i)))))
     done;
-    let per_op =
+    let open_remote params =
       ok
         (Connect.open_uri
-           (Printf.sprintf "test+%s://%s/?daemon=%s&cache=0" transport node
-              old_name))
+           (Printf.sprintf "test+%s://%s/?daemon=%s%s" transport node
+              daemon_name params))
     in
-    let bulk_conn =
-      ok
-        (Connect.open_uri
-           (Printf.sprintf "test+%s://%s/?daemon=%s" transport node new_name))
-    in
-    let rt_old, t_old = pass per_op in
-    let rt_cold, t_cold = pass bulk_conn in
-    let rt_warm, t_warm = pass bulk_conn in
+    let per_op = open_remote "&cache=0" in
+    let bulk_conn = open_remote "" in
+    let rows_old, rt_old, t_old = pass per_op per_op_list in
+    let rows_cold, rt_cold, t_cold = pass bulk_conn Connect.list_all_domains in
+    let rows_warm, rt_warm, t_warm = pass bulk_conn Connect.list_all_domains in
     Connect.close per_op;
     Connect.close bulk_conn;
     Connect.close direct;
+    let broken fmt =
+      Printf.ksprintf
+        (fun msg -> failwith (Printf.sprintf "bulk (%s, %d domains): %s" transport n msg))
+        fmt
+    in
+    if rows_old <> rows_cold || rows_old <> rows_warm then
+      broken "per-op and bulk inventories list different rows";
+    if rt_old < 5 * rt_cold then
+      broken "cold bulk pass cut round trips only %d -> %d (< 5x)" rt_old rt_cold;
+    if rt_warm <> 1 then broken "warm pass took %d round trips, not 1" rt_warm;
     [
       transport;
       string_of_int n;
@@ -1125,8 +1127,7 @@ let bulk () =
       "per-op ms"; "bulk ms"; "warm ms";
     ]
     rows;
-  Daemon.stop old_daemon;
-  Daemon.stop new_daemon
+  Daemon.stop daemon
 
 (* ------------------------------------------------------------------ *)
 (* E17: tail latency under overload — admission control on vs off      *)

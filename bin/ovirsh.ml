@@ -27,10 +27,10 @@ let one_positional args what =
   | [ v ] -> Ok v
   | _ -> Error (Printf.sprintf "expected exactly one argument: %s" what)
 
-(* Failed sub-replies inside the connection's batched/pipelined
-   multi-calls so far.  Bulk listings drop failed rows from their
-   output, so comparing this before and after a listing is how the
-   shell notices a partial failure and exits non-zero. *)
+(* Shard errors the connection's annotated fleet listings have reported
+   so far.  A degraded listing omits the failed shards' rows, so
+   comparing this before and after a listing is how the shell notices a
+   partial failure and exits non-zero. *)
 let ops_sub_errors ops =
   match Ovirt.Remote.conn_stats ops with
   | Some st -> st.Ovirt.Remote.st_sub_errors
@@ -78,6 +78,7 @@ let event_line buf ev =
 let tail_events conn ~since ~count ~timeout =
   let errs_before = conn_sub_errors conn in
   let mu = Mutex.create () in
+  let noted = Condition.create () in
   let events = ref [] in
   (* newest first *)
   let total = ref 0 in
@@ -87,6 +88,7 @@ let tail_events conn ~since ~count ~timeout =
     if ev.Ovirt.Events.lifecycle = Ovirt.Events.Ev_resync then gap := true;
     events := ev :: !events;
     incr total;
+    Condition.signal noted;
     Mutex.unlock mu
   in
   let* () =
@@ -104,27 +106,22 @@ let tail_events conn ~since ~count ~timeout =
       Ok ()
   in
   let* sub = verr (Ovirt.Connect.subscribe_events conn note) in
-  let deadline =
-    Option.map (fun t -> Unix.gettimeofday () +. float_of_int t) timeout
+  let until =
+    match timeout with
+    | Some t -> Unix.gettimeofday () +. float_of_int t
+    | None -> infinity
   in
-  let snapshot () =
-    Mutex.lock mu;
-    let r = (!total, !gap) in
-    Mutex.unlock mu;
-    r
-  in
-  let expired () =
-    match deadline with Some d -> Unix.gettimeofday () >= d | None -> false
-  in
+  (* Runs under [mu]: until [count] events, a gap, or the deadline. *)
   let rec wait () =
-    let n, g = snapshot () in
-    if g || n >= count || expired () then ()
+    if !gap || !total >= count || Unix.gettimeofday () >= until then ()
     else begin
-      Thread.delay 0.02;
+      Ovsync.Timedwait.wait mu noted ~until;
       wait ()
     end
   in
+  Mutex.lock mu;
   wait ();
+  Mutex.unlock mu;
   Ovirt.Connect.unsubscribe_events conn sub;
   Mutex.lock mu;
   let collected = List.rev !events in
@@ -146,9 +143,8 @@ let tail_events conn ~since ~count ~timeout =
   end
   else begin
     (* Same partial-failure contract as the bulk listings: sub-calls
-       that failed underneath the tail (a degraded shard, a failed
-       multi-call) turn the exit non-zero even though the events that
-       did arrive were printed. *)
+       that failed underneath the tail (a degraded shard) turn the exit
+       non-zero even though the events that did arrive were printed. *)
     let failed = conn_sub_errors conn - errs_before in
     if failed > 0 then begin
       print_string (Buffer.contents buf);
@@ -207,7 +203,7 @@ let commands shell =
         checked_bulk shell @@ fun () ->
         (* One bulk listing gives refs, state and info in a single
            exchange; remote connections turn this into Proc_dom_list_all
-           (or a pipelined emulation against older daemons).  A fleet
+           (Proc_fleet_list_all against a v1.7 daemon).  A fleet
            connection additionally reports which shards degraded. *)
         let fleet_view =
           match Ovirt.Connect.ops conn with

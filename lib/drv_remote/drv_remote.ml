@@ -52,7 +52,7 @@ type stats = {
   st_overloaded : int;  (** calls the daemon shed with [Overloaded] *)
   st_breaker_opens : int;  (** circuit-breaker open transitions *)
   st_breaker_fastfails : int;  (** calls failed locally while open *)
-  st_sub_errors : int;  (** failed sub-replies inside multi-calls *)
+  st_sub_errors : int;  (** shard errors inside annotated fleet listings *)
   st_events_replayed : int;
       (** events recovered through resume replays after reconnects *)
   st_event_gaps : int;  (** gap verdicts (each forced a cache flush + resync) *)
@@ -365,8 +365,8 @@ let with_conn conn f =
 let serves conn proc =
   with_conn conn (fun () -> conn.rc_minor) >= Rp.proc_min_minor proc
 
-let tick ?(n = 1) conn =
-  with_stats (fun () -> conn.rc_stats.cn_calls <- conn.rc_stats.cn_calls + n)
+let tick conn =
+  with_stats (fun () -> conn.rc_stats.cn_calls <- conn.rc_stats.cn_calls + 1)
 
 let raw_call rpc proc body =
   Rpc_client.call rpc ~procedure:(Rp.proc_to_int proc) ~body ()
@@ -377,10 +377,9 @@ let raw_call_unit rpc proc body =
   | () -> Ok ()
   | exception Xdr.Error msg -> Verror.error Verror.Rpc_failure "bad reply: %s" msg
 
-(* Version probe.  A daemon predating [Proc_proto_minor] rejects it as an
-   unknown procedure — indistinguishable from any other pre-negotiation
-   build — which pins the peer at the newest minor shipped before the
-   probe existed. *)
+(* Version probe.  [Proc_proto_minor] first appeared in v1.3, the oldest
+   minor this client speaks: a daemon that rejects it as an unknown
+   procedure is an older build, and is refused rather than guessed at. *)
 let negotiate rpc =
   match raw_call rpc Rp.Proc_proto_minor Rp.enc_unit_body with
   | Ok reply -> (
@@ -389,7 +388,10 @@ let negotiate rpc =
     | exception Xdr.Error msg ->
       Verror.error Verror.Rpc_failure "bad reply: %s" msg)
   | Error _ when not (Rpc_client.is_closed rpc) ->
-    Ok (Rp.proc_min_minor Rp.Proc_proto_minor - 1)
+    let oldest = Rp.proc_min_minor Rp.Proc_proto_minor in
+    Verror.error Verror.Operation_unsupported
+      "daemon predates protocol v1.%d; this client needs v1.%d or newer" oldest
+      oldest
   | Error e -> Error e
 
 (* Transport + handshake: what both the initial open and every reconnect
@@ -593,9 +595,7 @@ let breaker_shed conn err =
 (* Resilient call: a connection-death failure triggers reconnection (any
    call type pays for the rebuild), but only idempotent procedures are
    re-issued; a mutating call surfaces the failure, leaving the restored
-   connection for its caller's own retry decision.  [?idempotent]
-   overrides the per-procedure table — a batch is exactly as idempotent
-   as its least idempotent sub-call, which only the caller knows.
+   connection for its caller's own retry decision.
 
    With a [timeout=<s>] URI parameter each call carries its budget to the
    daemon as a v1.4 deadline envelope (old daemons: client-side wait
@@ -603,10 +603,8 @@ let breaker_shed conn err =
    [Overloaded] shed replies are handled distinctly: never auto-retried,
    never treated as a transport failure, and K consecutive ones open the
    per-connection circuit breaker. *)
-let call ?idempotent conn proc body =
-  let idempotent =
-    match idempotent with Some v -> v | None -> Rp.is_idempotent proc
-  in
+let call conn proc body =
+  let idempotent = Rp.is_idempotent proc in
   let timeout = conn.rc_timeout_s in
   (* Client-side wait generously outlasts the server budget: the
      daemon's authoritative "expired in queue" reply (sent when a worker
@@ -682,63 +680,6 @@ let decode decoder reply =
 let call_dec conn proc body decoder =
   let* reply = call conn proc body in
   decode decoder reply
-
-(* N sub-calls, one logical exchange.  Against a v1.3 daemon the whole
-   list travels as a single [Proc_call_batch] frame (one round trip);
-   against an older daemon every request is written back-to-back with
-   [call_async] before any reply is awaited, so the exchange costs one
-   request convoy and one reply convoy instead of N ping-pongs.  Either
-   way each sub-call gets its own result. *)
-let multi_call_raw conn subs =
-  if subs = [] then []
-  else if serves conn Rp.Proc_call_batch then begin
-    let idempotent = List.for_all (fun (p, _) -> Rp.is_idempotent p) subs in
-    let body =
-      Rp.enc_batch_call (List.map (fun (p, b) -> (Rp.proc_to_int p, b)) subs)
-    in
-    match call ~idempotent conn Rp.Proc_call_batch body with
-    | Error _ as err -> List.map (fun _ -> err) subs
-    | Ok reply -> (
-      match Rp.dec_batch_reply reply with
-      | replies when List.length replies = List.length subs ->
-        List.map
-          (fun (ok, body) -> if ok then Ok body else Error (Rp.dec_error body))
-          replies
-      | _ ->
-        List.map
-          (fun _ ->
-            Verror.error Verror.Rpc_failure
-              "batch reply count does not match request")
-          subs
-      | exception Xdr.Error msg ->
-        List.map
-          (fun _ -> Verror.error Verror.Rpc_failure "bad reply: %s" msg)
-          subs)
-  end
-  else begin
-    tick ~n:(List.length subs) conn;
-    let rpc = with_conn conn (fun () -> conn.rpc) in
-    subs
-    |> List.map (fun (p, b) ->
-           Rpc_client.call_async rpc ~procedure:(Rp.proc_to_int p) ~body:b ())
-    |> List.map (function
-         | Ok fut -> Rpc_client.await fut
-         | Error _ as err -> err)
-  end
-
-let multi_call conn subs =
-  let results = multi_call_raw conn subs in
-  (* Bulk emulations drop failed sub-replies from their output (matching
-     [Driver.list_all_fallback]), which would otherwise make a partial
-     failure invisible; the counter lets callers (ovirsh) detect one and
-     exit non-zero. *)
-  let errs =
-    List.fold_left (fun n -> function Error _ -> n + 1 | Ok _ -> n) 0 results
-  in
-  if errs > 0 then
-    with_stats (fun () ->
-        conn.rc_stats.cn_sub_errors <- conn.rc_stats.cn_sub_errors + errs);
-  results
 
 (* ------------------------------------------------------------------ *)
 (* Cached point reads                                                  *)
@@ -882,64 +823,6 @@ let install_records conn fills records =
           records)
   | _ -> ()
 
-(* Pre-bulk daemons: reproduce [Proc_dom_list_all] client-side, but
-   pipelined — two listing calls, then every lookup/info/autostart
-   fetched through {!multi_call} so the wire sees request and reply
-   convoys rather than the N+1 ping-pong this path replaces.  Rows that
-   vanish between listing and inspection are dropped, matching
-   [Driver.list_all_fallback]. *)
-let list_all_emulated conn =
-  let* active =
-    call_dec conn Rp.Proc_list_domains Rp.enc_unit_body Rp.dec_domain_ref_list
-  in
-  let* defined =
-    call_dec conn Rp.Proc_list_defined Rp.enc_unit_body Rp.dec_string_list
-  in
-  let defined_refs =
-    multi_call conn
-      (List.map (fun n -> (Rp.Proc_lookup_by_name, Rp.enc_string_body n)) defined)
-    |> List.filter_map (function
-         | Ok body -> (
-           match Rp.dec_domain_ref body with
-           | r -> Some r
-           | exception Xdr.Error _ -> None)
-         | Error _ -> None)
-  in
-  let refs = active @ defined_refs in
-  let subs =
-    List.concat_map
-      (fun r ->
-        let body = Rp.enc_string_body r.Driver.dom_name in
-        [ (Rp.Proc_dom_get_info, body); (Rp.Proc_dom_get_autostart, body) ])
-      refs
-  in
-  let replies = multi_call conn subs in
-  let rec assemble refs replies acc =
-    match (refs, replies) with
-    | r :: refs, info_r :: auto_r :: replies ->
-      let acc =
-        match info_r with
-        | Error _ -> acc
-        | Ok body -> (
-          match Rp.dec_domain_info body with
-          | exception Xdr.Error _ -> acc
-          | info ->
-            let autostart =
-              match auto_r with
-              | Ok b -> (
-                match Rp.dec_bool_body b with
-                | v -> Some v
-                | exception Xdr.Error _ -> None)
-              | Error _ -> None
-            in
-            Driver.{ rec_ref = r; rec_info = info; rec_autostart = autostart }
-            :: acc)
-      in
-      assemble refs replies acc
-    | _ -> List.rev acc
-  in
-  Ok (assemble refs replies [])
-
 (* v1.7 bulk listing: the annotated variant.  A plain daemon answers
    with its own rows and no shard errors; a fleet controller may return
    a degraded listing whose shard errors are folded into the
@@ -964,10 +847,8 @@ let dom_list_all conn () =
   else
     let fills = begin_list_fills conn in
     let* records =
-      if serves conn Rp.Proc_dom_list_all then
-        call_dec conn Rp.Proc_dom_list_all Rp.enc_unit_body
-          Rp.dec_domain_record_list
-      else list_all_emulated conn
+      call_dec conn Rp.Proc_dom_list_all Rp.enc_unit_body
+        Rp.dec_domain_record_list
     in
     install_records conn fills records;
     Ok records
@@ -1185,33 +1066,6 @@ let remote_net_ops conn =
           call_dec conn Rp.Proc_net_list Rp.enc_unit_body Rp.dec_net_info_list);
     }
 
-(* Pre-v1.3 daemons have no path-indexed lookup; emulate with listings,
-   pipelining the per-pool volume listings instead of ping-ponging. *)
-let vol_by_path_emulated conn path =
-  let* pools =
-    call_dec conn Rp.Proc_pool_list Rp.enc_unit_body Rp.dec_pool_info_list
-  in
-  let vol_lists =
-    multi_call conn
-      (List.map
-         (fun p ->
-           (Rp.Proc_vol_list, Rp.enc_string_body p.Storage_backend.pool_name))
-         pools)
-  in
-  let found =
-    List.find_map
-      (function
-        | Ok body -> (
-          match Rp.dec_vol_info_list body with
-          | vols -> List.find_opt (fun v -> v.Storage_backend.vol_key = path) vols
-          | exception Xdr.Error _ -> None)
-        | Error _ -> None)
-      vol_lists
-  in
-  match found with
-  | Some v -> Ok v
-  | None -> Verror.error Verror.No_storage_vol "no volume backs path %S" path
-
 let remote_storage_ops conn =
   Driver.
     {
@@ -1246,10 +1100,8 @@ let remote_storage_ops conn =
             Rp.dec_vol_info_list);
       vol_by_path =
         (fun path ->
-          if serves conn Rp.Proc_vol_lookup then
-            call_dec conn Rp.Proc_vol_lookup (Rp.enc_string_body path)
-              Rp.dec_vol_info
-          else vol_by_path_emulated conn path);
+          call_dec conn Rp.Proc_vol_lookup (Rp.enc_string_body path)
+            Rp.dec_vol_info);
     }
 
 (* The federation view over the wire, offered when the daemon serves the

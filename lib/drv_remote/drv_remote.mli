@@ -18,14 +18,16 @@
     {1 Protocol negotiation}
 
     After the open handshake the driver probes the daemon's protocol
-    minor ({!Protocol.Remote_protocol.minor}); daemons predating the
-    probe answer "unknown procedure" and are pinned at minor 2.  Bulk
-    listing ([Proc_dom_list_all]), batched calls ([Proc_call_batch]) and
-    path-indexed volume lookup ([Proc_vol_lookup]) are only put on the
-    wire when the daemon speaks minor 3; against older daemons the
-    driver degrades transparently to per-operation calls — pipelined
-    back-to-back on the connection, so even the fallback avoids the
-    N+1 ping-pong — with identical results.
+    minor ({!Protocol.Remote_protocol.minor}) with [Proc_proto_minor],
+    which first appeared in v1.3.  A daemon that rejects the probe
+    predates v1.3 and is refused: the open (or, on reconnect, the
+    attempt) fails with [Operation_unsupported].  v1.3 is therefore the
+    oldest daemon the driver talks to, and bulk listing
+    ([Proc_dom_list_all]) and path-indexed volume lookup
+    ([Proc_vol_lookup]) always go on the wire as one call.  Newer
+    procedures (the v1.4 deadline envelope, the v1.6 resumable event
+    stream, the v1.7 annotated fleet listing) are sent only to daemons
+    that serve them.
 
     {1 Client-side caching}
 
@@ -123,8 +125,7 @@ val register : unit -> unit
 
 type stats = {
   st_calls : int;
-      (** request round trips put on the wire (pipelined sub-requests
-          count one each; a batch frame counts one) *)
+      (** request round trips put on the wire *)
   st_reconnect_attempts : int;  (** establishment attempts during outages *)
   st_reconnects : int;  (** outages successfully recovered *)
   st_retried_calls : int;  (** idempotent calls transparently re-issued *)
@@ -139,9 +140,9 @@ type stats = {
       (** calls failed locally, without touching the wire, while the
           breaker was open *)
   st_sub_errors : int;
-      (** failed sub-replies inside multi-calls (batched or pipelined);
-          bulk emulations drop such rows from their output, so this is
-          how a caller detects a partially-failed listing *)
+      (** shard errors reported inside annotated (v1.7) fleet listings;
+          a degraded listing omits those shards' rows, so this is how a
+          caller detects a partially-failed listing *)
   st_events_replayed : int;
       (** events recovered through v1.6 resume replays after reconnects *)
   st_event_gaps : int;

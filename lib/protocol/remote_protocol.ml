@@ -131,10 +131,9 @@ let table =
       (* v1.2: autostart *)
       row Proc_dom_set_autostart ~since:2 ~high:false ~idem:false ~cache:false;
       row Proc_dom_get_autostart ~since:2 ~high:true ~idem:true ~cache:false;
-      (* v1.3: negotiation + bulk/batch.  A batch is as idempotent as its
-         least idempotent sub-call, which the client computes per call;
-         its sub-calls may be arbitrary and vol_lookup walks pools, so
-         neither is high priority. *)
+      (* v1.3: negotiation + bulk/batch.  A batch may carry mutations,
+         so it is never retried; its sub-calls may be arbitrary and
+         vol_lookup walks pools, so neither is high priority. *)
       row Proc_proto_minor ~since:3 ~high:true ~idem:true ~cache:false;
       row Proc_dom_list_all ~since:3 ~high:true ~idem:true ~cache:true;
       row Proc_call_batch ~since:3 ~high:false ~idem:false ~cache:false;

@@ -12,8 +12,8 @@ val minor : int
 (** Highest protocol minor this build speaks: the largest [since] in the
     procedure table.  The wire [version] never changes; the minor gates
     which procedures a daemon serves and is negotiated per connection
-    with [Proc_proto_minor] (an old daemon answers it with "unknown
-    remote procedure", which a client reads as minor 2). *)
+    with [Proc_proto_minor] (an older daemon answers it with "unknown
+    remote procedure", and the remote driver refuses it). *)
 
 type procedure =
   | Proc_open  (** args: URI string; ret: none *)

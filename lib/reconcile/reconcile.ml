@@ -178,6 +178,7 @@ type t = {
   mutable booted : bool;  (* on_boot pass done this incarnation *)
   mutable stopping : bool;
   mutable kicked : bool;
+  wake : Condition.t;  (* signalled by kicks and [stop] *)
   mutable thread : Thread.t option;
   mutable plans : int;
   mutable ops_applied : int;
@@ -782,6 +783,7 @@ let create ~journal_path ~io ~config () =
       booted = false;
       stopping = false;
       kicked = false;
+      wake = Condition.create ();
       thread = None;
       plans = 0;
       ops_applied = 0;
@@ -796,13 +798,17 @@ let create ~journal_path ~io ~config () =
   Hashtbl.iter (fun key _ -> Hashtbl.replace t.unconverged key ()) t.specs;
   t
 
+let kick_locked t =
+  t.kicked <- true;
+  Condition.signal t.wake
+
 let set_policy t ~uri ~name policy =
   with_lock t (fun () ->
       Journal.append t.j (enc_policy uri name policy);
       Hashtbl.replace t.specs (uri, name) policy;
       Hashtbl.remove t.attempts (uri, name);
       Hashtbl.replace t.unconverged (uri, name) ();
-      t.kicked <- true;
+      kick_locked t;
       maybe_compact_locked t)
 
 let get_policy t ~uri ~name =
@@ -819,7 +825,7 @@ let clear_policy t ~uri ~name =
       Hashtbl.remove t.unconverged (uri, name);
       maybe_compact_locked t)
 
-let kick t = with_lock t (fun () -> t.kicked <- true)
+let kick t = with_lock t (fun () -> kick_locked t)
 
 let status t =
   with_lock t (fun () ->
@@ -867,17 +873,11 @@ let journal_records t = Journal.record_count t.j
 (* ------------------------------------------------------------------ *)
 
 let loop t =
+  (* Until the next pass is due, a kick or [stop]; runs under [t.m]. *)
   let rec sleep until =
-    let stop_or_kicked =
-      with_lock t (fun () ->
-          if t.kicked then begin
-            t.kicked <- false;
-            true
-          end
-          else t.stopping)
-    in
-    if (not stop_or_kicked) && Unix.gettimeofday () < until then begin
-      Thread.delay 0.02;
+    if t.kicked then t.kicked <- false
+    else if (not t.stopping) && Unix.gettimeofday () < until then begin
+      Ovsync.Timedwait.wait t.m t.wake ~until;
       sleep until
     end
   in
@@ -886,7 +886,7 @@ let loop t =
      with exn ->
        t.io.io_log
          (Printf.sprintf "reconcile: pass failed: %s" (Printexc.to_string exn)));
-    sleep (Unix.gettimeofday () +. t.cfg.rcfg_interval_s)
+    with_lock t (fun () -> sleep (Unix.gettimeofday () +. t.cfg.rcfg_interval_s))
   done
 
 let start t =
@@ -898,6 +898,7 @@ let stop t =
   let th =
     with_lock t (fun () ->
         t.stopping <- true;
+        Condition.signal t.wake;
         let th = t.thread in
         t.thread <- None;
         th)

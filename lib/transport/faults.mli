@@ -1,7 +1,7 @@
 (** Deterministic fault injection for the simulated network.
 
     A {!plan} is a composable schedule of faults attached to a listener
-    ({!Netsim.listen}) or a single connection ({!Netsim.connect}).  Frame
+    ({!Netsim.listen_direct}) or a single connection ({!Netsim.connect}).  Frame
     faults apply to the frames {e delivered to} the side the plan is
     attached to (the wire bytes, after the sender's transport wrap and
     before the receiver's unwrap, so corruption exercises the real

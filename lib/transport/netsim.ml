@@ -1,14 +1,11 @@
 exception Connection_refused of string
 exception Address_in_use of string
 
-(* Two accept disciplines: [Threaded] is the classic accept loop (one
-   handler thread per connection, the handler may block for the life of
-   the connection); [Direct] hands the raw server endpoint to the sink on
-   the connecting thread — the sink must not block, it typically just
-   registers the endpoint with a reactor and returns. *)
-type sink =
-  | Threaded of (Transport.t -> unit)
-  | Direct of (kind:Transport.kind -> Chan.endpoint -> unit)
+(* The accept discipline: the raw server endpoint is handed to the sink on
+   the connecting thread.  The sink must not block — it typically just
+   registers the endpoint with a reactor, which then drives the server
+   half of the handshake on readiness. *)
+type sink = kind:Transport.kind -> Chan.endpoint -> unit
 
 type listener = {
   addr : string;
@@ -24,7 +21,7 @@ let with_registry f =
   Mutex.lock registry_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
 
-(* Chaos-test failures must be diagnosable: handler exceptions go here
+(* Chaos-test failures must be diagnosable: sink exceptions go here
    rather than vanishing.  Warn-level stderr by default; the daemon (or a
    test) may swap in its own logger. *)
 let logger =
@@ -32,7 +29,7 @@ let logger =
 
 let set_logger l = logger := l
 
-let listen_sink ?faults addr sink =
+let listen_direct ?faults addr sink =
   with_registry (fun () ->
       (match Hashtbl.find_opt registry addr with
        | Some l when l.open_ -> raise (Address_in_use addr)
@@ -40,9 +37,6 @@ let listen_sink ?faults addr sink =
       let l = { addr; sink; open_ = true; faults } in
       Hashtbl.replace registry addr l;
       l)
-
-let listen ?faults addr handler = listen_sink ?faults addr (Threaded handler)
-let listen_direct ?faults addr f = listen_sink ?faults addr (Direct f)
 
 let close_listener l =
   with_registry (fun () ->
@@ -87,32 +81,11 @@ let connect ?identity ?sock_addr ?faults addr kind =
   let client_ep =
     match faults with Some p -> Faults.wrap p client_ep | None -> client_ep
   in
-  (match l.sink with
-   | Threaded handler ->
-     (* The server half of the handshake runs in the per-connection
-        thread, like an accept loop handing the socket to a worker. *)
-     ignore
-       (Thread.create
-          (fun () ->
-            match Transport.accept kind server_ep with
-            | conn ->
-              (try handler conn
-               with exn ->
-                 Vlog.logf !logger ~module_:"netsim" Vlog.Warn
-                   "listener %s: connection handler raised %s" addr
-                   (Printexc.to_string exn);
-                 Transport.close conn)
-            | exception _ -> Chan.close_endpoint server_ep)
-          ())
-   | Direct f ->
-     (* No thread: the sink registers the endpoint (with its reactor) and
-        returns; the server half of any handshake happens there, driven
-        by readiness. *)
-     (try f ~kind server_ep
-      with exn ->
-        Vlog.logf !logger ~module_:"netsim" Vlog.Warn
-          "listener %s: direct sink raised %s" addr (Printexc.to_string exn);
-        Chan.close_endpoint server_ep));
+  (try l.sink ~kind server_ep
+   with exn ->
+     Vlog.logf !logger ~module_:"netsim" Vlog.Warn
+       "listener %s: direct sink raised %s" addr (Printexc.to_string exn);
+     Chan.close_endpoint server_ep);
   let peer_sends =
     match kind with
     | Transport.Unix_sock ->

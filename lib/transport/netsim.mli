@@ -2,8 +2,8 @@
 
     Daemon services bind addresses (e.g. ["ovirtd-admin-sock"]); clients
     connect by name, choosing a transport {!Transport.kind}.  Each accepted
-    connection invokes the listener's handler in a fresh thread, exactly as
-    an accept loop would.
+    connection's raw server endpoint is handed to the listener's sink on
+    the connecting thread; the sink registers it with a reactor.
 
     Fault injection: a {!Faults.plan} may ride on a listener (applied to
     every accepted connection, fresh per-connection state each time) or on
@@ -18,11 +18,6 @@ exception Connection_refused of string
 
 exception Address_in_use of string
 
-val listen : ?faults:Faults.plan -> string -> (Transport.t -> unit) -> listener
-(** Bind [addr]; [handler] runs in its own thread per accepted connection.
-    [faults] applies to every accepted connection's server side.
-    @raise Address_in_use if already bound. *)
-
 val listen_direct :
   ?faults:Faults.plan ->
   string ->
@@ -32,7 +27,8 @@ val listen_direct :
     endpoint is handed to the sink synchronously on the connecting
     thread.  The sink must not block — it registers the endpoint with a
     reactor (which then drives the handshake and all reads) and returns.
-    This is the daemon's accept path.
+    This is the daemon's accept path.  [faults] applies to every
+    accepted connection's server side.
     @raise Address_in_use if already bound. *)
 
 val close_listener : listener -> unit
@@ -58,7 +54,7 @@ val connect :
     @raise Connection_refused if nothing listens there. *)
 
 val set_logger : Vlog.t -> unit
-(** Replace the logger used for handler failures (default: warn-level
+(** Replace the logger used for sink failures (default: warn-level
     stderr). *)
 
 val bound_addresses : unit -> string list

@@ -1,7 +1,7 @@
 (* Bulk/batched RPC and event-invalidated client caching: v1.3 protocol
    numbering, batch framing, the cache fill protocol (including the
    event-races-reply window), remote/direct parity of the bulk listing,
-   degradation against daemons pinned at protocol minor 2, and the
+   refusal of daemons pinned below protocol minor 3, and the
    path-indexed volume lookup. *)
 
 open Testutil
@@ -35,6 +35,22 @@ let v12_config = { quiet_config with Daemon_config.proto_minor = 2 }
 
 let remote_uri ?(transport = "unix") ?(params = "") ~daemon node =
   Printf.sprintf "test+%s://%s/?daemon=%s%s" transport node daemon params
+
+let raw_client ?(kind = Transport.Unix_sock) daemon =
+  match
+    Rpc_client.connect ~address:(daemon ^ "-sock") ~kind ~program:Rp.program
+      ~version:Rp.version ()
+  with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "connect: %s" (Verror.to_string e)
+
+let raw_call client proc body =
+  Rpc_client.call client ~procedure:(Rp.proc_to_int proc) ~body ()
+
+let calls_of conn =
+  match Drv_remote.conn_stats (vok (Connect.ops conn)) with
+  | Some s -> s.Drv_remote.st_calls
+  | None -> Alcotest.fail "not a remote connection"
 
 (* --- protocol surface ----------------------------------------------------- *)
 
@@ -467,67 +483,69 @@ let test_remote_bulk_matches_direct () =
       Connect.close remote;
       Connect.close direct)
 
-let test_v12_daemon_degrades_identically () =
-  (* The acceptance criterion: a v1.3 client against a v1.2 daemon falls
-     back to per-operation calls with identical results. *)
-  with_daemon (fun d13 _ ->
-      with_daemon ~config:v12_config (fun d12 _ ->
-          let node = fresh_name "negnode" in
-          let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
-          let _ = populate direct in
-          let via daemon =
-            let conn = vok (Connect.open_uri (remote_uri ~daemon node)) in
-            let records = sort_records (vok (Connect.list_all_domains conn)) in
-            Connect.close conn;
-            records
-          in
-          let new_daemon = via d13 and old_daemon = via d12 in
-          Alcotest.(check bool) "old daemon serves identical records" true
-            (new_daemon = old_daemon);
-          Alcotest.(check bool) "and matches direct" true
-            (new_daemon = sort_records (vok (Connect.list_all_domains direct)));
-          Connect.close direct))
-
-let test_pipelined_fallback_over_tls () =
-  (* Regression: the emulated listing pipelines its sub-calls, which
-     interleaves requests and replies on the wire.  TLS records are
-     sequence-checked per direction, so this used to corrupt the stream
-     (a single shared counter assumed strict ping-pong) — the listing
-     came back empty or the connection died.  Repeat a few times: the
-     original failure was a scheduling race. *)
-  with_daemon ~config:v12_config (fun daemon _ ->
-      let node = fresh_name "tlsnode" in
+let test_pre_v13_daemon_refused () =
+  (* v1.3 is the oldest daemon the client talks to: an older one gets one
+     clear error instead of a guessed protocol. *)
+  with_daemon ~config:v12_config (fun d12 _ ->
+      (match Connect.open_uri (remote_uri ~daemon:d12 (fresh_name "negnode")) with
+       | Ok conn ->
+         Connect.close conn;
+         Alcotest.fail "pre-v1.3 daemon accepted"
+       | Error e ->
+         Alcotest.(check bool) "operation_unsupported" true
+           (e.Verror.code = Verror.Operation_unsupported);
+         Alcotest.(check string) "names v1.3"
+           "daemon predates protocol v1.3; this client needs v1.3 or newer"
+           e.Verror.message);
+      (* The refusal is the client's alone: the daemon still serves v1.0. *)
+      let client = raw_client d12 in
+      Alcotest.(check string) "v1.0 echo still answered" "still here"
+        (vok (raw_call client Rp.Proc_echo "still here"));
+      Rpc_client.close client);
+  with_daemon ~config:{ quiet_config with Daemon_config.proto_minor = 3 }
+    (fun d13 _ ->
+      let node = fresh_name "negnode" in
       let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
-      (* Enough defined domains to make the pipelined lookup burst wide. *)
-      for i = 1 to 8 do
-        let cfg = Vmm.Vm_config.make (Printf.sprintf "tlsvm%d" i) in
-        ignore
-          (vok (Domain.define_xml direct (Vmm.Domxml.to_xml ~virt_type:"test" cfg)))
-      done;
-      let expected = sort_records (vok (Connect.list_all_domains direct)) in
-      for _ = 1 to 5 do
-        let conn =
-          vok (Connect.open_uri (remote_uri ~transport:"tls" ~daemon node))
-        in
-        let records = sort_records (vok (Connect.list_all_domains conn)) in
-        Alcotest.(check bool) "tls pipelined listing matches direct" true
-          (records = expected);
-        Connect.close conn
-      done;
+      let _ = populate direct in
+      let conn = vok (Connect.open_uri (remote_uri ~daemon:d13 node)) in
+      let c0 = calls_of conn in
+      let records = sort_records (vok (Connect.list_all_domains conn)) in
+      (* A v1.3 daemon rejects the v1.7 fleet listing, so the one round
+         trip is its Proc_dom_list_all. *)
+      Alcotest.(check int) "one Proc_dom_list_all" 1 (calls_of conn - c0);
+      Alcotest.(check bool) "v1.3 daemon matches direct" true
+        (records = sort_records (vok (Connect.list_all_domains direct)));
+      Connect.close conn;
       Connect.close direct)
 
+let test_pipelined_calls_over_tls () =
+  (* Regression: pipelined calls interleave requests and replies on the
+     wire.  TLS records are sequence-checked per direction, so this used
+     to corrupt the stream (a single shared counter assumed strict
+     ping-pong) and the connection died.  Repeat a few times: the
+     original failure was a scheduling race. *)
+  with_daemon (fun daemon _ ->
+      for round = 1 to 5 do
+        let client = raw_client ~kind:Transport.Tls daemon in
+        let futures =
+          List.init 16 (fun i ->
+              let msg = Printf.sprintf "round %d call %d" round i in
+              match
+                Rpc_client.call_async client
+                  ~procedure:(Rp.proc_to_int Rp.Proc_echo) ~body:msg ()
+              with
+              | Ok fut -> (msg, fut)
+              | Error e -> Alcotest.failf "send: %s" (Verror.to_string e))
+        in
+        List.iter
+          (fun (msg, fut) ->
+            Alcotest.(check string) "reply matches its request" msg
+              (vok (Rpc_client.await fut)))
+          futures;
+        Rpc_client.close client
+      done)
+
 (* --- batch execution on the daemon ---------------------------------------- *)
-
-let raw_client daemon =
-  match
-    Rpc_client.connect ~address:(daemon ^ "-sock") ~kind:Transport.Unix_sock
-      ~program:Rp.program ~version:Rp.version ()
-  with
-  | Ok c -> c
-  | Error e -> Alcotest.failf "connect: %s" (Verror.to_string e)
-
-let raw_call client proc body =
-  Rpc_client.call client ~procedure:(Rp.proc_to_int proc) ~body ()
 
 let test_batch_error_isolation () =
   with_daemon (fun daemon _ ->
@@ -598,11 +616,6 @@ let test_v12_daemon_rejects_new_procs () =
       Rpc_client.close client)
 
 (* --- cache behaviour over a live connection ------------------------------- *)
-
-let calls_of conn =
-  match Drv_remote.conn_stats (vok (Connect.ops conn)) with
-  | Some s -> s.Drv_remote.st_calls
-  | None -> Alcotest.fail "not a remote connection"
 
 let test_cache_serves_repeat_reads () =
   with_daemon (fun daemon _ ->
@@ -760,42 +773,34 @@ let test_reconnect_drops_cache () =
 
 (* --- path-indexed volume lookup ------------------------------------------- *)
 
-let test_vol_by_path_native_and_emulated () =
-  with_daemon (fun d13 _ ->
-      with_daemon ~config:v12_config (fun d12 _ ->
-          let node = fresh_name "volnode" in
-          let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
-          let pool =
-            vok
-              (Ovirt.Storage.define_pool direct ~name:"bulkpool"
-                 ~target_path:"/bulkpool" ~capacity_b:(1 lsl 30))
-          in
-          vok (Ovirt.Storage.start_pool pool);
-          let vol =
-            vok
-              (Ovirt.Storage.create_volume pool ~name:"disk.img"
-                 ~capacity_b:(1 lsl 20) ~format:"qcow2")
-          in
-          let path = vol.Ovirt.Storage_backend.vol_key in
-          let via daemon =
-            let conn = vok (Connect.open_uri (remote_uri ~daemon node)) in
-            let c0 = calls_of conn in
-            let found = vok (Ovirt.Storage.volume_by_path conn path) in
-            let cost = calls_of conn - c0 in
-            (match Ovirt.Storage.volume_by_path conn (path ^ "-nope") with
-            | Error e ->
-              Alcotest.(check bool) "miss is no_storage_vol" true
-                (e.Verror.code = Verror.No_storage_vol)
-            | Ok _ -> Alcotest.fail "bogus path resolved");
-            Connect.close conn;
-            (found, cost)
-          in
-          let found13, cost13 = via d13 in
-          let found12, _ = via d12 in
-          Alcotest.(check bool) "both daemons resolve the volume" true
-            (found13 = vol && found12 = vol);
-          Alcotest.(check int) "native lookup is one round trip" 1 cost13;
-          Connect.close direct))
+let test_vol_by_path_native () =
+  with_daemon (fun daemon _ ->
+      let node = fresh_name "volnode" in
+      let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+      let pool =
+        vok
+          (Ovirt.Storage.define_pool direct ~name:"bulkpool"
+             ~target_path:"/bulkpool" ~capacity_b:(1 lsl 30))
+      in
+      vok (Ovirt.Storage.start_pool pool);
+      let vol =
+        vok
+          (Ovirt.Storage.create_volume pool ~name:"disk.img"
+             ~capacity_b:(1 lsl 20) ~format:"qcow2")
+      in
+      let path = vol.Ovirt.Storage_backend.vol_key in
+      let conn = vok (Connect.open_uri (remote_uri ~daemon node)) in
+      let c0 = calls_of conn in
+      let found = vok (Ovirt.Storage.volume_by_path conn path) in
+      Alcotest.(check int) "native lookup is one round trip" 1 (calls_of conn - c0);
+      Alcotest.(check bool) "resolves the volume" true (found = vol);
+      (match Ovirt.Storage.volume_by_path conn (path ^ "-nope") with
+      | Error e ->
+        Alcotest.(check bool) "miss is no_storage_vol" true
+          (e.Verror.code = Verror.No_storage_vol)
+      | Ok _ -> Alcotest.fail "bogus path resolved");
+      Connect.close conn;
+      Connect.close direct)
 
 let () =
   Alcotest.run "bulk"
@@ -823,8 +828,8 @@ let () =
         [
           quick "matches per-op locally" test_list_all_matches_per_op;
           quick "remote matches direct" test_remote_bulk_matches_direct;
-          quick "v1.2 daemon degrades identically" test_v12_daemon_degrades_identically;
-          quick "pipelined fallback over tls" test_pipelined_fallback_over_tls;
+          quick "pre-v1.3 daemon refused" test_pre_v13_daemon_refused;
+          quick "pipelined calls over tls" test_pipelined_calls_over_tls;
         ] );
       ( "batch",
         [
@@ -840,6 +845,6 @@ let () =
           quick "reconnect drops cache" test_reconnect_drops_cache;
         ] );
       ( "storage",
-        [ quick "vol_by_path native and emulated" test_vol_by_path_native_and_emulated ]
+        [ quick "vol_by_path native" test_vol_by_path_native ]
       );
     ]

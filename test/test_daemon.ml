@@ -481,7 +481,7 @@ let test_rpc_client_concurrent_calls () =
 let test_rpc_client_timeout () =
   (* A listener that accepts but never replies: the watchdog must fire. *)
   let addr = fresh_name "mute" in
-  let listener = Netsim.listen addr (fun conn -> ignore (Transport.recv conn)) in
+  let listener = listen_threaded addr (fun conn -> ignore (Transport.recv conn)) in
   let client =
     match
       Rpc_client.connect ~address:addr ~kind:Transport.Unix_sock ~program:Rp.program
@@ -504,7 +504,7 @@ let test_rpc_client_timeout () =
 
 let test_rpc_client_close_fails_pending () =
   let addr = fresh_name "mute" in
-  let listener = Netsim.listen addr (fun conn -> ignore (Transport.recv conn)) in
+  let listener = listen_threaded addr (fun conn -> ignore (Transport.recv conn)) in
   let client =
     match
       Rpc_client.connect ~address:addr ~kind:Transport.Unix_sock ~program:Rp.program

@@ -498,6 +498,41 @@ let test_v14_daemon_rejects_policy_procs () =
       expect_verr Verror.Rpc_failure (Domain.get_policy dom);
       Connect.close conn)
 
+(* --- loop thread ------------------------------------------------------------ *)
+
+(* The loop sleeps on a condition, not a poll: with a 30 s interval a
+   kick still runs a pass at once, and [stop] does not wait out the
+   interval. *)
+let test_loop_wakes_on_kick_and_stop () =
+  let uri = "test://loop/" in
+  let key = (uri, "guest") in
+  let w = make_world [ (key, Vm_state.Shutoff) ] in
+  let path = fresh_name "rj" in
+  let config = { test_config with Reconcile.rcfg_interval_s = 30. } in
+  (* Declare through a first incarnation, so the loop under test starts
+     with no kick pending. *)
+  Reconcile.set_policy (engine ~config ~path w) ~uri ~name:"guest"
+    (policy ~run:Dompolicy.Rs_running ());
+  let t = engine ~config ~path w in
+  Reconcile.start t;
+  Fun.protect
+    ~finally:(fun () -> Reconcile.stop t)
+    (fun () ->
+      Alcotest.(check bool) "first pass starts the guest" true
+        (eventually (fun () -> applies_for w key = 1));
+      (* The guest goes down behind the engine's back; only a kick can
+         bring the next pass forward. *)
+      Mutex.lock w.wm;
+      Hashtbl.replace w.tbl key Vm_state.Shutoff;
+      Mutex.unlock w.wm;
+      Reconcile.kick t;
+      Alcotest.(check bool) "kick runs a pass within 200 ms" true
+        (eventually ~timeout_s:0.2 (fun () -> applies_for w key = 2));
+      let t0 = Unix.gettimeofday () in
+      Reconcile.stop t;
+      Alcotest.(check bool) "stop returns within 100 ms" true
+        (Unix.gettimeofday () -. t0 < 0.1))
+
 (* --- suite ----------------------------------------------------------------- *)
 
 let () =
@@ -511,6 +546,7 @@ let () =
           quick "failing domain never wedges the fleet" test_failing_domain_isolated;
           quick "backoff gates retries" test_backoff_gates_retries;
           quick "compaction keeps the live set" test_journal_compaction;
+          quick "loop wakes on kick and stop" test_loop_wakes_on_kick_and_stop;
         ] );
       ( "crash chaos",
         [

@@ -351,7 +351,7 @@ let test_netsim_accept_loop () =
   let addr = fresh_name "srv" in
   let greeted = Atomic.make 0 in
   let listener =
-    Netsim.listen addr (fun conn ->
+    listen_threaded addr (fun conn ->
         Atomic.incr greeted;
         Transport.send conn "hello";
         Transport.close conn)
@@ -369,8 +369,8 @@ let test_netsim_accept_loop () =
 
 let test_netsim_address_in_use () =
   let addr = fresh_name "dup" in
-  let l = Netsim.listen addr (fun _ -> ()) in
-  (match Netsim.listen addr (fun _ -> ()) with
+  let l = listen_threaded addr (fun _ -> ()) in
+  (match listen_threaded addr (fun _ -> ()) with
    | exception Netsim.Address_in_use _ -> ()
    | _ -> Alcotest.fail "double bind accepted");
   Netsim.close_listener l
@@ -379,7 +379,7 @@ let test_netsim_identity_passthrough () =
   let addr = fresh_name "id" in
   let seen = ref None in
   let listener =
-    Netsim.listen addr (fun conn ->
+    listen_threaded addr (fun conn ->
         seen := Some (Transport.peer conn);
         Transport.close conn)
   in

@@ -54,3 +54,16 @@ let eventually ?(timeout_s = 2.0) cond =
     end
   in
   loop ()
+
+(* A blocking test server on the simulated network: each accepted
+   connection gets a thread of its own, which runs the server half of the
+   handshake and then [handler]. *)
+let listen_threaded ?faults addr handler =
+  Ovnet.Netsim.listen_direct ?faults addr (fun ~kind ep ->
+      ignore
+        (Thread.create
+           (fun () ->
+             match Ovnet.Transport.accept kind ep with
+             | conn -> handler conn
+             | exception _ -> Ovnet.Chan.close_endpoint ep)
+           ()))
