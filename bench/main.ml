@@ -2200,7 +2200,8 @@ let fleet () =
     (daemon, (tag, Printf.sprintf "test+unix://%s/?daemon=%s" node dname))
   in
   (* [f] opens fleets over the shards with [fleet_over query], which
-     appends [query] to every member URI. *)
+     appends [query] to every member URI; it also gets each shard's
+     daemon, tag and URI. *)
   let with_fleet n f =
     let shards = List.init n (fun i -> start_shard (Printf.sprintf "s%d" i)) in
     let names = ref [] in
@@ -2215,7 +2216,7 @@ let fleet () =
       ~finally:(fun () ->
         List.iter Ovirt.Fleet.dissolve !names;
         List.iter (fun (d, _) -> Daemon.stop d) shards)
-      (fun () -> f fleet_over (List.map fst shards))
+      (fun () -> f fleet_over shards)
   in
   let listing_of t =
     let ops = Ovirt.Fleet.ops_of t in
@@ -2231,7 +2232,7 @@ let fleet () =
   let sweep =
     List.map
       (fun n ->
-        with_fleet n (fun fleet_over _ ->
+        with_fleet n (fun fleet_over shards ->
             let cached = fleet_over "" in
             let relisting = fleet_over "&replycache=0" in
             (* Expected rows: the seeded domains plus each test node's
@@ -2254,7 +2255,38 @@ let fleet () =
               a.(Array.length a / 2) *. 1000.
             in
             let relist_ms = median_ms relisting in
-            (n, expect, relist_ms, median_ms cached)))
+            let cached_ms = median_ms cached in
+            (* Freshness: start one domain on one member.  The next
+               inventory must list that row running and every other row
+               as it was; reusing an unchanged member's rows must never
+               hide a change. *)
+            let before = listing_of cached in
+            let _, (tag, uri) = List.hd shards in
+            let started = tag ^ "-0001" in
+            let member = ok (Connect.open_uri uri) in
+            ok (Domain.create (ok (Domain.lookup_by_name member started)));
+            Connect.close member;
+            let after = Hashtbl.create expect in
+            List.iter
+              (fun r -> Hashtbl.replace after r.Driver.rec_ref.Driver.dom_uuid r)
+              (listing_of cached).Driver.fl_records;
+            if Hashtbl.length after <> expect then
+              failwith
+                (Printf.sprintf "E22 freshness: %d rows after a start, wanted %d"
+                   (Hashtbl.length after) expect);
+            List.iter
+              (fun r ->
+                let name = r.Driver.rec_ref.Driver.dom_name in
+                match Hashtbl.find_opt after r.Driver.rec_ref.Driver.dom_uuid with
+                | None -> failwith ("E22 freshness: row vanished: " ^ name)
+                | Some r' when name = started ->
+                  if r'.Driver.rec_info.Driver.di_state <> Vmm.Vm_state.Running then
+                    failwith ("E22 freshness: started domain listed stale: " ^ name)
+                | Some r' ->
+                  if r' <> r then
+                    failwith ("E22 freshness: untouched row changed: " ^ name))
+              before.Driver.fl_records;
+            (n, expect, relist_ms, cached_ms)))
       shard_counts
   in
   table
@@ -2281,14 +2313,14 @@ let fleet () =
   let iters = if smoke then 12 else 40 in
   let kill_at = iters / 3 in
   let degraded =
-    with_fleet n_members (fun fleet_over daemons ->
+    with_fleet n_members (fun fleet_over shards ->
         let t = fleet_over "" in
         let full = n_members * (per_shard + 1) in
         let reduced = full - (per_shard + 1) in
         let latencies = ref [] in
         let flagged = ref 0 in
         for i = 1 to iters do
-          if i = kill_at then Daemon.stop (List.nth daemons (n_members / 2));
+          if i = kill_at then Daemon.stop (fst (List.nth shards (n_members / 2)));
           let l, s = time_once (fun () -> listing_of t) in
           latencies := (s *. 1000.) :: !latencies;
           let rows = List.length l.Driver.fl_records in

@@ -356,6 +356,8 @@ type remote_conn = {
   mutable rc_consec_rejects : int;
   mutable rc_breaker_until : float;  (** 0. = breaker closed *)
   mutable rc_probing : bool;  (** a half-open probe is in flight *)
+  rc_last_listing : (Rp.procedure * string * Driver.fleet_listing) option Atomic.t;
+      (** the last listing reply: procedure, body bytes, decoded value *)
 }
 
 let with_conn conn f =
@@ -464,8 +466,10 @@ let backoff_delay conn r attempt =
    replay happens after the lock is released — subscriber callbacks may
    re-enter the driver.  Only the winning reconnector carries a batch to
    emit ([Ok (Some _)]); losers observe [Ok None] and must not touch the
-   stream, or they would release the buffering latch prematurely. *)
-let ensure_connected conn ~dead =
+   stream, or they would release the buffering latch prematurely.  A
+   back-off never sleeps past the calling [call]'s [deadline]; once that
+   has passed the call fails, and the connection is not made defunct. *)
+let ensure_connected conn ~dead ~bound ~deadline =
   let outcome =
     with_conn conn (fun () ->
         if conn.defunct then
@@ -482,10 +486,15 @@ let ensure_connected conn ~dead =
               Verror.error Verror.Rpc_failure
                 "reconnect budget of %d attempts exhausted" r.res_budget
             end
+            else if Unix.gettimeofday () >= deadline then
+              Verror.error Verror.Rpc_failure
+                "call budget of %gs spent reconnecting" bound
             else begin
               with_stats (fun () ->
                   conn.rc_stats.cn_attempts <- conn.rc_stats.cn_attempts + 1);
-              Thread.delay (backoff_delay conn r i);
+              Thread.delay
+                (Float.min (backoff_delay conn r i)
+                   (deadline -. Unix.gettimeofday ()));
               match
                 establish ~address:conn.rc_address ~kind:conn.rc_kind
                   ~keepalive:conn.rc_keepalive ~on_event:conn.rc_on_event
@@ -612,6 +621,8 @@ let call conn proc body =
      whenever the connection is alive; the local bound only covers a
      server that never answers at all. *)
   let timeout_s = Option.map (fun t -> t +. 1.0) timeout in
+  let bound = Option.value timeout_s ~default:Float.infinity in
+  let deadline = Unix.gettimeofday () +. bound in
   let wire_call rpc =
     let wproc, wbody =
       match timeout with
@@ -643,7 +654,7 @@ let call conn proc body =
              && conn.rc_resilience <> None
              && Rpc_client.is_closed rpc -> begin
           breaker_inconclusive conn;
-          match ensure_connected conn ~dead:rpc with
+          match ensure_connected conn ~dead:rpc ~bound ~deadline with
           | Error _ as err -> err
           | Ok () ->
             let budget = (Option.get conn.rc_resilience).res_budget in
@@ -823,16 +834,24 @@ let install_records conn fills records =
           records)
   | _ -> ()
 
-(* v1.7 bulk listing: the annotated variant.  A plain daemon answers
-   with its own rows and no shard errors; a fleet controller may return
-   a degraded listing whose shard errors are folded into the
-   connection's sub-error counter, so the CLI's partial-failure exit
-   code covers fleet-wide listings for free. *)
-let fleet_list_all conn () =
+(* Decoding is pure, and a polled listing mostly repeats itself byte for
+   byte (the daemon's reply cache).  A repeated reply to the procedure of
+   [last] reuses its value; any other that decodes replaces it. *)
+let decode_reusing last proc decoder body =
+  match Atomic.get last with
+  | Some (p, b, v) when p = proc && String.equal b body -> Ok v
+  | Some _ | None ->
+    let* v = decode decoder body in
+    Atomic.set last (Some (proc, body, v));
+    Ok v
+
+(* One bulk listing round trip.  For every reply, reused or not, rows go
+   into the cache and shard errors into the sub-error counter, so the
+   CLI's partial-failure exit code covers fleet-wide listings. *)
+let list_reply conn proc decoder =
   let fills = begin_list_fills conn in
-  let* listing =
-    call_dec conn Rp.Proc_fleet_list_all Rp.enc_unit_body Rp.dec_fleet_listing
-  in
+  let* body = call conn proc Rp.enc_unit_body in
+  let* listing = decode_reusing conn.rc_last_listing proc decoder body in
   let errs = List.length listing.Driver.fl_shard_errors in
   if errs > 0 then
     with_stats (fun () ->
@@ -840,18 +859,20 @@ let fleet_list_all conn () =
   install_records conn fills listing.Driver.fl_records;
   Ok listing
 
+(* v1.7 bulk listing: the annotated variant.  A plain daemon answers
+   with its own rows and no shard errors; an older one with bare rows. *)
+let fleet_list_all conn () =
+  list_reply conn Rp.Proc_fleet_list_all Rp.dec_fleet_listing
+
 let dom_list_all conn () =
-  if serves conn Rp.Proc_fleet_list_all then
-    let* listing = fleet_list_all conn () in
-    Ok listing.Driver.fl_records
-  else
-    let fills = begin_list_fills conn in
-    let* records =
-      call_dec conn Rp.Proc_dom_list_all Rp.enc_unit_body
-        Rp.dec_domain_record_list
-    in
-    install_records conn fills records;
-    Ok records
+  let* listing =
+    if serves conn Rp.Proc_fleet_list_all then fleet_list_all conn ()
+    else
+      list_reply conn Rp.Proc_dom_list_all (fun body ->
+          let fl_records = Rp.dec_domain_record_list body in
+          Driver.{ fl_records; fl_shard_errors = []; fl_members = 1 })
+  in
+  Ok listing.Driver.fl_records
 
 (* ------------------------------------------------------------------ *)
 (* Connection establishment                                            *)
@@ -1004,6 +1025,7 @@ let open_conn uri =
       rc_consec_rejects = 0;
       rc_breaker_until = 0.;
       rc_probing = false;
+      rc_last_listing = Atomic.make None;
     }
   in
   (* The connection is not shared yet, so no lock is needed for the

@@ -112,6 +112,13 @@
 module Cache = Remote_cache
 (** The cache machinery, exposed for unit tests. *)
 
+val decode_reusing :
+  (Protocol.Remote_protocol.procedure * string * 'a) option Atomic.t ->
+  Protocol.Remote_protocol.procedure -> (string -> 'a) -> string ->
+  ('a, Ovirt_core.Verror.t) result
+(** Every connection's listing decode, exposed for unit tests: a body
+    byte-equal to the one held for the same procedure reuses its value. *)
+
 val register : unit -> unit
 (** Register last: its probe accepts any transport-suffixed URI. *)
 

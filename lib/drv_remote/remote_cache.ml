@@ -77,7 +77,8 @@ let claim_uuid c uuid name =
    first.  A row that repeats what the entry holds (same uuid,
    structurally equal value) then only refreshes the stamp: a polled
    listing mostly repeats itself, and a fresh entry for each row would
-   be promoted to the major heap by the write barrier. *)
+   be promoted to the major heap by the write barrier ([==] first: [=]
+   walks even a physically equal value). *)
 let install_locked c fill name uuid value now =
   let invalidated_since =
     match Hashtbl.find_opt c.inval name with
@@ -88,7 +89,8 @@ let install_locked c fill name uuid value now =
   else begin
     let kept =
       match Hashtbl.find c.entries name with
-      | e when Option.equal String.equal e.e_uuid uuid && e.e_value = value ->
+      | e when Option.equal String.equal e.e_uuid uuid
+               && (e.e_value == value || e.e_value = value) ->
         e.e_stamp <- now;
         true
       | e ->

@@ -58,6 +58,9 @@ type t = {
   f_events : Events.bus;
   f_journal : Journal.t;
   mutable f_sub_errors : int;  (** shard errors surfaced to this fleet's users *)
+  mutable f_last_merge :
+    (string * Driver.domain_record list) list * Driver.domain_record list;
+      (** the last scatter's per-member lists and their merge *)
   mutable f_migrations_active : int;
   mutable f_migrations_recovered : int;
   mutable f_migrations_rolled_back : int;
@@ -353,6 +356,8 @@ let scatter t job =
             :: errors ))
       ([], []) live
   in
+  (* A success only moves a member's next probe later. *)
+  if errors <> [] then poke_prober ();
   let errors =
     List.fold_left
       (fun errors m ->
@@ -360,7 +365,6 @@ let scatter t job =
         :: errors)
       errors down
   in
-  poke_prober ();
   (List.rev ok, errors, List.length members)
 
 let is_active = function Vmm.Vm_state.Shutoff -> false | _ -> true
@@ -394,25 +398,38 @@ let merge_records per_member =
     per_member;
   List.rev_map (fun key -> Hashtbl.find seen key) !order
 
+(* A member connection hands back the very list it returned last time
+   when its reply bytes repeat (see the remote driver).  When every
+   member did, in the same order, the last merge is the answer. *)
+let merge_reusing (last, merged) per_member =
+  let same (n, rs) (n', rs') = String.equal n n' && rs == rs' in
+  if List.equal same per_member last then merged else merge_records per_member
+
 let scatter_list t =
   let per_member, errors, members =
     scatter t (fun _m ops -> Driver.list_all ops)
   in
   (* Learn locations and per-member domain counts from what answered. *)
-  with_lock t (fun () ->
-      List.iter
-        (fun (name, records) ->
-          (match List.find_opt (fun m -> m.m_name = name) t.f_members with
-           | Some m -> m.m_domains <- List.length records
-           | None -> ());
-          List.iter
-            (fun (r : Driver.domain_record) ->
-              Hashtbl.replace t.f_locations r.Driver.rec_ref.Driver.dom_name name)
-            records)
-        per_member);
+  let merged =
+    with_lock t (fun () ->
+        List.iter
+          (fun (name, records) ->
+            (match List.find_opt (fun m -> m.m_name = name) t.f_members with
+             | Some m -> m.m_domains <- List.length records
+             | None -> ());
+            List.iter
+              (fun (r : Driver.domain_record) ->
+                Hashtbl.replace t.f_locations r.Driver.rec_ref.Driver.dom_name
+                  name)
+              records)
+          per_member;
+        let merged = merge_reusing t.f_last_merge per_member in
+        t.f_last_merge <- (per_member, merged);
+        merged)
+  in
   Driver.
     {
-      fl_records = merge_records per_member;
+      fl_records = merged;
       fl_shard_errors = errors;
       fl_members = members;
     }
@@ -967,6 +984,7 @@ let create ~name ?(members = []) ?place ?(shard_slice_s = 1.0)
       f_events = Events.create_bus ();
       f_journal = journal;
       f_sub_errors = 0;
+      f_last_merge = ([], []);
       f_migrations_active = 0;
       f_migrations_recovered = 0;
       f_migrations_rolled_back = 0;

@@ -60,6 +60,16 @@ val consistent_hash_place : Vmm.Uuid.t -> string list -> string
     adding or removing a member only moves the keys adjacent to its
     points.  @raise Invalid_argument on an empty member list. *)
 
+val merge_records :
+  (string * Driver.domain_record list) list -> Driver.domain_record list
+(** One row per UUID across members; a running twin wins. *)
+
+val merge_reusing :
+  (string * Driver.domain_record list) list * Driver.domain_record list ->
+  (string * Driver.domain_record list) list -> Driver.domain_record list
+(** [merge_reusing (last, merged) l] is [merged] if [l] pairs the names of
+    [last], in order, with the same ([==]) lists, else [merge_records l]. *)
+
 val status : t -> Driver.fleet_status
 (** Member health, probe/failure counters, last known domain counts and
     migration totals, as seen by the controller right now. *)

@@ -771,6 +771,167 @@ let test_reconnect_drops_cache () =
   Connect.close direct;
   Daemon.stop d2
 
+(* --- listing decode reuse --------------------------------------------------- *)
+
+(* A listing step: repeat the last reply, change one row's state or
+   autostart, or answer through the other listing procedure. *)
+type listing_step = Same | Flip_state of int | Flip_autostart of int | Switch_proc
+
+let show_listing_step = function
+  | Same -> "same"
+  | Flip_state i -> Printf.sprintf "flip_state %d" i
+  | Flip_autostart i -> Printf.sprintf "flip_autostart %d" i
+  | Switch_proc -> "switch_proc"
+
+let listing_rows n =
+  List.init n (fun i ->
+      Driver.
+        {
+          rec_ref =
+            {
+              dom_name = Printf.sprintf "row%d" i;
+              dom_uuid = Vmm.Uuid.generate ();
+              dom_id = Some i;
+            };
+          rec_info =
+            {
+              di_state = Vm_state.Shutoff;
+              di_max_mem_kib = 8192;
+              di_memory_kib = 4096;
+              di_vcpus = 1 + i;
+              di_cpu_time_ns = 0L;
+            };
+          rec_autostart = Some false;
+        })
+
+let apply_listing_step (proc, rows) step =
+  let edit k f = List.mapi (fun i r -> if i = k mod List.length rows then f r else r) rows in
+  match step with
+  | Same -> (proc, rows)
+  | Switch_proc ->
+    ( (if proc = Rp.Proc_fleet_list_all then Rp.Proc_dom_list_all
+       else Rp.Proc_fleet_list_all),
+      rows )
+  | Flip_state k ->
+    ( proc,
+      edit k (fun r ->
+          let st =
+            if r.Driver.rec_info.Driver.di_state = Vm_state.Running then Vm_state.Shutoff
+            else Vm_state.Running
+          in
+          { r with Driver.rec_info = { r.Driver.rec_info with Driver.di_state = st } }) )
+  | Flip_autostart k ->
+    ( proc,
+      edit k (fun r ->
+          { r with Driver.rec_autostart = Option.map not r.Driver.rec_autostart }) )
+
+(* Each procedure's body and its decoder, as the remote driver uses them:
+   the bare-rows reply is wrapped as a listing with no shard errors. *)
+let listing_body (proc, rows) =
+  if proc = Rp.Proc_fleet_list_all then
+    Rp.enc_fleet_listing
+      Driver.{ fl_records = rows; fl_shard_errors = []; fl_members = 1 }
+  else Rp.enc_domain_record_list rows
+
+let listing_decoder proc body =
+  if proc = Rp.Proc_fleet_list_all then Rp.dec_fleet_listing body
+  else
+    Driver.
+      {
+        fl_records = Rp.dec_domain_record_list body;
+        fl_shard_errors = [];
+        fl_members = 1;
+      }
+
+let prop_listing_reuse_matches_fresh_decode =
+  let gen =
+    let open QCheck.Gen in
+    let step =
+      frequency
+        [
+          (4, return Same);
+          (2, map (fun i -> Flip_state i) (int_bound 7));
+          (2, map (fun i -> Flip_autostart i) (int_bound 7));
+          (1, return Switch_proc);
+        ]
+    in
+    pair (int_range 1 6) (list_size (int_range 1 30) step)
+  in
+  let print (n, steps) =
+    Printf.sprintf "%d rows: %s" n (String.concat "; " (List.map show_listing_step steps))
+  in
+  qcheck_case ~count:300 "listing reuse matches a fresh decode"
+    (QCheck.make ~print gen) (fun (n, steps) ->
+      let states =
+        List.fold_left
+          (fun acc step -> apply_listing_step (List.hd acc) step :: acc)
+          [ (Rp.Proc_fleet_list_all, listing_rows n) ]
+          steps
+        |> List.rev
+      in
+      let last = Atomic.make None in
+      let reply prev ((proc, _) as state) =
+        let body = listing_body state in
+        let got = vok (Drv_remote.decode_reusing last proc (listing_decoder proc) body) in
+        if got <> listing_decoder proc body then
+          QCheck.Test.fail_report "value differs from a fresh decode";
+        (match prev with
+         | Some (p, b, v) when p = proc && String.equal b body ->
+           if got != v then QCheck.Test.fail_report "a repeated body was decoded again"
+         | Some (_, _, v) ->
+           if got == v then QCheck.Test.fail_report "a changed body reused the old value"
+         | None -> ());
+        Some (proc, body, got)
+      in
+      ignore (List.fold_left reply None states);
+      true)
+
+let test_listing_reuse_refuses_malformed () =
+  let last = Atomic.make None in
+  let proc = Rp.Proc_fleet_list_all in
+  let good = listing_body (proc, listing_rows 3) in
+  let first = vok (Drv_remote.decode_reusing last proc (listing_decoder proc) good) in
+  let stored = Atomic.get last in
+  (* The good body cut short: same procedure, different bytes. *)
+  let bad = String.sub good 0 (String.length good - 3) in
+  (match Drv_remote.decode_reusing last proc (listing_decoder proc) bad with
+   | Ok _ -> Alcotest.fail "malformed body decoded"
+   | Error e ->
+     Alcotest.(check bool) "rpc failure" true (e.Verror.code = Verror.Rpc_failure));
+  Alcotest.(check bool) "stored entry kept" true (Atomic.get last == stored);
+  Alcotest.(check bool) "good body still reused" true
+    (vok (Drv_remote.decode_reusing last proc (listing_decoder proc) good) == first)
+
+let test_listing_reuse_sees_a_start () =
+  with_daemon (fun daemon _ ->
+      let node = fresh_name "reusenode" in
+      let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+      let name = fresh_name "reuse-vm" in
+      let cfg = Vmm.Vm_config.make ~memory_kib:(8 * 1024) name in
+      let ddom =
+        vok (Domain.define_xml direct (Vmm.Domxml.to_xml ~virt_type:"test" cfg))
+      in
+      let remote = vok (Connect.open_uri (remote_uri ~transport:"tls" ~daemon node)) in
+      let state_of records =
+        match List.find_opt (fun r -> r.Driver.rec_ref.Driver.dom_name = name) records with
+        | Some r -> r.Driver.rec_info.Driver.di_state
+        | None -> Alcotest.failf "%s not listed" name
+      in
+      (* Twice: the second reply repeats the first byte for byte. *)
+      for _ = 1 to 2 do
+        Alcotest.(check bool) "listed stopped" true
+          (state_of (vok (Connect.list_all_domains remote)) = Vm_state.Shutoff)
+      done;
+      (* Started by another client: only the next reply's bytes tell. *)
+      vok (Domain.create ddom);
+      Alcotest.(check bool) "listed running" true
+        (state_of (vok (Connect.list_all_domains remote)) = Vm_state.Running);
+      let rdom = vok (Domain.lookup_by_name remote name) in
+      Alcotest.(check bool) "cached info running" true
+        ((vok (Domain.get_info rdom)).Driver.di_state = Vm_state.Running);
+      Connect.close remote;
+      Connect.close direct)
+
 (* --- path-indexed volume lookup ------------------------------------------- *)
 
 let test_vol_by_path_native () =
@@ -830,6 +991,13 @@ let () =
           quick "remote matches direct" test_remote_bulk_matches_direct;
           quick "pre-v1.3 daemon refused" test_pre_v13_daemon_refused;
           quick "pipelined calls over tls" test_pipelined_calls_over_tls;
+        ] );
+      ( "listing reuse",
+        [
+          prop_listing_reuse_matches_fresh_decode;
+          quick "malformed body refused, entry kept"
+            test_listing_reuse_refuses_malformed;
+          quick "a start shows over tls" test_listing_reuse_sees_a_start;
         ] );
       ( "batch",
         [

@@ -479,6 +479,38 @@ let test_reconnect_budget_exhaustion () =
       Alcotest.(check int) "no further attempts" stats.Drv_remote.st_reconnect_attempts
         (Drv_remote.stats ()).Drv_remote.st_reconnect_attempts)
 
+let test_reconnect_backoff_within_call_budget () =
+  with_daemon (fun name daemon ->
+      let uri =
+        Printf.sprintf
+          "test+unix://%s/?daemon=%s&reconnect=5&reconnect_delay=5&timeout=0.2"
+          (fresh_name "bud") name
+      in
+      let conn = vok (Connect.open_uri uri) in
+      Alcotest.(check bool) "works while daemon lives" true
+        (Result.is_ok (Connect.list_domains conn));
+      Daemon.stop daemon;
+      (* The first back-off alone would sleep about 5 s; the call's bound
+         is its 0.2 s timeout plus 1 s. *)
+      let t0 = Unix.gettimeofday () in
+      (match Connect.list_domains conn with
+       | Ok _ -> Alcotest.fail "call succeeded against a stopped daemon"
+       | Error e ->
+         Alcotest.(check bool) "rpc failure" true (e.Verror.code = Verror.Rpc_failure);
+         Alcotest.(check bool) ("names the budget: " ^ e.Verror.message) true
+           (contains e.Verror.message "budget of 1.2s"));
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) (Printf.sprintf "within 1.5 s (%.2f s)" elapsed) true
+        (elapsed < 1.5);
+      (* Not defunct: once the daemon is back, a later call reconnects. *)
+      let again = Daemon.start ~name ~config:quiet_config () in
+      Fun.protect
+        ~finally:(fun () -> Daemon.stop again)
+        (fun () ->
+          Alcotest.(check bool) "a later call reconnects" true
+            (Result.is_ok (Connect.list_domains conn)));
+      Connect.close conn)
+
 let () =
   Alcotest.run "faults"
     [
@@ -517,5 +549,6 @@ let () =
           quick "with-reconnect-completes" test_chaos_workload_with_reconnect_completes;
           quick "without-reconnect-fails" test_chaos_workload_without_reconnect_fails;
           quick "budget-exhaustion" test_reconnect_budget_exhaustion;
+          quick "backoff-within-call-budget" test_reconnect_backoff_within_call_budget;
         ] );
     ]

@@ -371,6 +371,32 @@ let test_health_machine_and_single_prober () =
       Alcotest.(check int) "single shared prober thread" 1
         (Fleet.prober_thread_count ()))
 
+let test_shard_failure_wakes_prober () =
+  with_members [ "m1"; "m2" ] (fun members ->
+      let interval = 0.2 in
+      let t =
+        Fleet.create ~name:(fresh_name "pfleet")
+          ~members:(List.map (fun m -> (m.md_member, m.md_uri)) members)
+          ~probe_interval_s:interval ~probe_timeout_s:0.2 ~down_threshold:3 ()
+      in
+      let fv = Option.get (Fleet.ops_of t).Driver.fleet in
+      ignore (vok (fv.Driver.fleet_list_all ()));
+      kill_member (List.nth members 1);
+      let probes () =
+        (List.find
+           (fun m -> m.Driver.ms_name = "m2")
+           (Fleet.status t).Driver.fs_members)
+          .Driver.ms_probes
+      in
+      let l = vok (fv.Driver.fleet_list_all ()) in
+      Alcotest.(check int) "shard failure reported" 1
+        (List.length l.Driver.fl_shard_errors);
+      let before = probes () in
+      (* One probe interval, plus as much again for scheduling. *)
+      Alcotest.(check bool) "probed within one interval" true
+        (eventually ~timeout_s:(2. *. interval) (fun () -> probes () > before));
+      Fleet.dissolve (Fleet.name t))
+
 (* --- chaos: member death mid-query ------------------------------------ *)
 
 let test_scatter_degraded_on_member_death () =
@@ -466,6 +492,63 @@ let test_no_double_count_mid_migration () =
         ((List.hd rows).Driver.rec_info.Driver.di_state <> Vmm.Vm_state.Shutoff);
       Connect.close cA;
       Connect.close cB)
+
+(* --- merge reuse --------------------------------------------------------- *)
+
+(* A small UUID pool, so members often list twins of each other. *)
+let merge_uuids = Array.init 6 (fun _ -> Vmm.Uuid.generate ())
+
+let merge_row (u, running) =
+  Driver.
+    {
+      rec_ref =
+        { dom_name = Printf.sprintf "u%d" u; dom_uuid = merge_uuids.(u); dom_id = None };
+      rec_info =
+        {
+          di_state = (if running then Vmm.Vm_state.Running else Vmm.Vm_state.Shutoff);
+          di_max_mem_kib = 8192;
+          di_memory_kib = 8192;
+          di_vcpus = 1;
+          di_cpu_time_ns = 0L;
+        };
+      rec_autostart = None;
+    }
+
+let prop_merge_reuse =
+  let gen =
+    let open QCheck.Gen in
+    let rows = list_size (int_bound 5) (pair (int_bound 5) bool) in
+    triple (list_size (int_range 1 4) rows) rows (int_bound 3)
+  in
+  let print (members, alt, k) =
+    let show rows =
+      String.concat " " (List.map (fun (u, r) -> Printf.sprintf "u%d%s" u (if r then "+" else "")) rows)
+    in
+    Printf.sprintf "members: [%s]; alt: [%s]; k=%d"
+      (String.concat " | " (List.map show members)) (show alt) k
+  in
+  qcheck_case ~count:300 "merge reuse matches merge_records"
+    (QCheck.make ~print gen) (fun (members, alt, k) ->
+      let pm = List.mapi (fun i rows -> (Printf.sprintf "m%d" i, List.map merge_row rows)) members in
+      let merged = Fleet.merge_reusing ([], []) pm in
+      if merged <> Fleet.merge_records pm then
+        QCheck.Test.fail_report "first merge differs from merge_records";
+      (* The very same lists, even in freshly built pairs, reuse it. *)
+      if Fleet.merge_reusing (pm, merged) (List.map (fun (n, rs) -> (n, rs)) pm) != merged then
+        QCheck.Test.fail_report "unchanged lists merged again";
+      (* Replacing one member's list, by a copy or by other rows, merges
+         afresh. *)
+      let k = k mod List.length pm in
+      List.iter
+        (fun replace ->
+          let pm' = List.mapi (fun i (n, rs) -> (n, if i = k then replace rs else rs)) pm in
+          let r = Fleet.merge_reusing (pm, merged) pm' in
+          if r <> Fleet.merge_records pm' then
+            QCheck.Test.fail_report "merge after a replaced list differs from merge_records";
+          if snd (List.nth pm' k) != snd (List.nth pm k) && merged <> [] && r == merged then
+            QCheck.Test.fail_report "a replaced list reused the last merge")
+        [ List.map Fun.id; (fun _ -> List.map merge_row alt) ];
+      true)
 
 (* --- cross-shard batch refusal ----------------------------------------- *)
 
@@ -793,6 +876,8 @@ let () =
         [
           quick "state machine, hysteresis, one prober thread"
             test_health_machine_and_single_prober;
+          quick "a shard failure is probed promptly"
+            test_shard_failure_wakes_prober;
         ] );
       ( "chaos",
         [
@@ -800,6 +885,7 @@ let () =
             test_scatter_degraded_on_member_death;
           quick "mid-migration twin rows dedupe" test_no_double_count_mid_migration;
         ] );
+      ("merge", [ prop_merge_reuse ]);
       ( "batch",
         [ quick "cross-shard mutation batches refused" test_cross_shard_batch_refused ]
       );
