@@ -160,6 +160,11 @@ let with_fleets f =
 
 let prober_thread_count () = !prober_spawned
 
+(* Every fleet's scatters share one set of spare threads, as they share
+   the prober. *)
+let shard_threads = Ovsync.Spare_threads.create ()
+let shard_thread_count () = Ovsync.Spare_threads.spawned shard_threads
+
 (* Wake the prober (membership changed, or the data path wants a member
    re-probed now).  Never called with [f_mutex] held. *)
 let poke_prober () =
@@ -292,9 +297,11 @@ let shard_err member code fmt =
 (* Run [job] against every non-Down member in parallel and gather until
    every shard answered or the slice deadline passed.  Down members are
    skipped instantly (their breaker is open — re-probing them is the
-   prober's job, not the data path's).  A worker that outlives the
-   deadline is abandoned: its late result lands in a cell nobody reads,
-   and its member is charged a failure. *)
+   prober's job, not the data path's).  Shards run on spare threads, so
+   a scatter creates none once the process has seen as many shards at
+   once.  A shard that outlives the deadline is abandoned: its late
+   result lands in a cell nobody reads, its member is charged a failure,
+   and its thread parks again only when the late call returns. *)
 let scatter t job =
   let members = with_lock t (fun () -> t.f_members) in
   let deadline = slice_deadline t in
@@ -310,26 +317,23 @@ let scatter t job =
   List.iter
     (fun m ->
       incr pending;
-      ignore
-        (Thread.create
-           (fun () ->
-             let r =
-               try
-                 match member_ops t m with
-                 | Ok ops -> job m ops
-                 | Error e -> Error e
-               with
-               | Verror.Virt_error e -> Error e
-               | exn ->
-                 Verror.error Verror.Internal_error "member %s: %s" m.m_name
-                   (Printexc.to_string exn)
-             in
-             Mutex.lock gm;
-             arrived := (m.m_name, r) :: !arrived;
-             decr pending;
-             Condition.broadcast gc;
-             Mutex.unlock gm)
-           ()))
+      Ovsync.Spare_threads.run shard_threads (fun () ->
+          let r =
+            try
+              match member_ops t m with
+              | Ok ops -> job m ops
+              | Error e -> Error e
+            with
+            | Verror.Virt_error e -> Error e
+            | exn ->
+              Verror.error Verror.Internal_error "member %s: %s" m.m_name
+                (Printexc.to_string exn)
+          in
+          Mutex.lock gm;
+          arrived := (m.m_name, r) :: !arrived;
+          decr pending;
+          Condition.broadcast gc;
+          Mutex.unlock gm))
     live;
   Mutex.lock gm;
   while !pending > 0 && Unix.gettimeofday () < deadline do

@@ -83,6 +83,11 @@ val prober_thread_count : unit -> int
 (** Number of prober threads ever spawned in this process — by design
     at most 1, shared by every fleet (the satellite invariant). *)
 
+val shard_thread_count : unit -> int
+(** Number of scatter shard threads ever spawned in this process.  Every
+    fleet's scatters share them; it grows only when more shards run at
+    once than ever before, or while abandoned shards still hold theirs. *)
+
 val ops_of : t -> Driver.ops
 (** The fleet as an ordinary driver connection: listings
     scatter-gather, mutations route by placement, [ops.fleet] carries

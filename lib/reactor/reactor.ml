@@ -1,9 +1,11 @@
 (* A readiness-driven event loop over simulated channels — the in-process
    analogue of an epoll-based reactor thread.  Channels register a watch;
    Chan readiness hooks (fired on every send/close) enqueue the watch on
-   the ready list and, if the loop is parked in [Unix.select] on the
-   wakeup pipe, poke it awake.  Callbacks run on the reactor thread with
-   no reactor lock held, so they may freely watch/unwatch/arm timers. *)
+   the ready list and, if the loop is parked on its condition, signal it.
+   Every event source is an in-process [Chan] and nothing is time-based,
+   so an untimed [Condition.wait] is the whole park: no descriptor and
+   no [select].  Callbacks run on the reactor thread with
+   no reactor lock held, so they may freely watch and unwatch. *)
 
 type mode = Edge | Level
 
@@ -17,93 +19,26 @@ type watch = {
   mutable w_queued : bool; (* already on the ready queue *)
 }
 
-type timer = {
-  t_id : int;
-  t_at : float;
-  t_fn : unit -> unit;
-  mutable t_cancelled : bool;
-}
-
-type timer_id = int
-
-(* Binary min-heap by deadline; cancellation is lazy (entries stay heaped,
-   marked dead, and are skipped when they surface). *)
-module Heap = struct
-  type t = { mutable a : timer array; mutable n : int }
-
-  let create () = { a = [||]; n = 0 }
-
-  let swap h i j =
-    let tmp = h.a.(i) in
-    h.a.(i) <- h.a.(j);
-    h.a.(j) <- tmp
-
-  let rec up h i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if h.a.(i).t_at < h.a.(p).t_at then begin
-        swap h i p;
-        up h p
-      end
-    end
-
-  let rec down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = ref i in
-    if l < h.n && h.a.(l).t_at < h.a.(!m).t_at then m := l;
-    if r < h.n && h.a.(r).t_at < h.a.(!m).t_at then m := r;
-    if !m <> i then begin
-      swap h i !m;
-      down h !m
-    end
-
-  let push h t =
-    if h.n = Array.length h.a then begin
-      let cap = max 8 (2 * h.n) in
-      let a = Array.make cap t in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
-    h.a.(h.n) <- t;
-    h.n <- h.n + 1;
-    up h (h.n - 1)
-
-  let peek h = if h.n = 0 then None else Some h.a.(0)
-
-  let pop h =
-    let t = h.a.(0) in
-    h.n <- h.n - 1;
-    h.a.(0) <- h.a.(h.n);
-    down h 0;
-    t
-end
-
 type t = {
   mutex : Mutex.t;
   ready : watch Queue.t;
   watches : (int, watch) Hashtbl.t;
-  timers : Heap.t;
-  live_timers : (int, timer) Hashtbl.t; (* armed and not yet fired/cancelled *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  mutable waiting : bool; (* loop parked in select *)
+  wake : Condition.t;
+  mutable waiting : bool; (* loop parked on [wake] *)
   mutable running : bool;
   mutable thread : Thread.t option;
   name : string;
   (* stats, guarded by [mutex] *)
   mutable s_loops : int;
   mutable s_dispatches : int;
-  mutable s_timer_fires : int;
   mutable s_wakeups : int;
 }
 
 type stats = {
   loops : int;
   dispatches : int;
-  timer_fires : int;
   wakeups : int;
   watches_active : int;
-  timers_armed : int;
 }
 
 let logger = ref (Vlog.create ~level:Vlog.Warn ())
@@ -116,27 +51,14 @@ let with_lock r f =
   Mutex.lock r.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock r.mutex) f
 
-(* Wake the loop out of select.  Only writes when the loop is actually
-   parked — clearing [waiting] here collapses a burst of readiness
-   events into one pipe byte. *)
+(* Signal the loop only when it is actually parked — clearing [waiting]
+   here collapses a burst of readiness events into one wakeup. *)
 let wake_locked r =
   if r.waiting then begin
     r.waiting <- false;
     r.s_wakeups <- r.s_wakeups + 1;
-    match Unix.write r.wake_w (Bytes.make 1 '!') 0 1 with
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    Condition.signal r.wake
   end
-
-let drain_pipe fd =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read fd buf 0 64 with
-    | 64 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  in
-  go ()
 
 let mark_ready r w =
   with_lock r (fun () ->
@@ -145,23 +67,6 @@ let mark_ready r w =
         Queue.push w r.ready;
         wake_locked r
       end)
-
-let pop_due_timers r now =
-  (* caller holds the lock *)
-  let due = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Heap.peek r.timers with
-    | Some t when t.t_cancelled ->
-      ignore (Heap.pop r.timers);
-      Hashtbl.remove r.live_timers t.t_id
-    | Some t when t.t_at <= now ->
-      ignore (Heap.pop r.timers);
-      Hashtbl.remove r.live_timers t.t_id;
-      due := t :: !due
-    | Some _ | None -> continue := false
-  done;
-  List.rev !due
 
 let dispatch r w =
   (try w.w_fn ()
@@ -175,85 +80,43 @@ let dispatch r w =
     && (Ovnet.Chan.pending w.w_chan > 0 || Ovnet.Chan.is_closed w.w_chan)
   then mark_ready r w
 
-let fire_timer r t =
-  if not t.t_cancelled then begin
-    with_lock r (fun () -> r.s_timer_fires <- r.s_timer_fires + 1);
-    try t.t_fn ()
-    with exn ->
-      Vlog.logf !logger ~module_:"reactor" Vlog.Warn
-        "%s: timer callback raised %s" r.name (Printexc.to_string exn)
-  end
-
+(* The lock is held from the iteration count to the park, so a reader
+   of [stats] that sees an iteration with nothing dispatching sees the
+   loop parked. *)
 let loop r =
+  Mutex.lock r.mutex;
   let continue = ref true in
   while !continue do
-    Mutex.lock r.mutex;
     r.s_loops <- r.s_loops + 1;
-    let now = Unix.gettimeofday () in
-    let due = pop_due_timers r now in
-    let next_watch =
-      if due <> [] then None
-      else
-        (* skip watches unwatched while queued *)
-        let rec take () =
-          match Queue.take_opt r.ready with
-          | Some w when not w.w_active -> take ()
-          | Some w ->
-            w.w_queued <- false;
-            r.s_dispatches <- r.s_dispatches + 1;
-            Some w
-          | None -> None
-        in
-        take ()
-    in
-    if due = [] && next_watch = None then
-      if not r.running then begin
-        Mutex.unlock r.mutex;
-        continue := false
-      end
-      else begin
-        let timeout =
-          match Heap.peek r.timers with
-          | Some t -> Float.max 0.0 (t.t_at -. now)
-          | None -> 3600.0
-        in
-        r.waiting <- true;
-        Mutex.unlock r.mutex;
-        (match Unix.select [ r.wake_r ] [] [] timeout with
-         | [], _, _ -> ()
-         | _ :: _, _, _ -> drain_pipe r.wake_r
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        Mutex.lock r.mutex;
-        r.waiting <- false;
-        Mutex.unlock r.mutex
-      end
-    else begin
+    match Queue.take_opt r.ready with
+    | Some w when not w.w_active -> () (* unwatched while queued *)
+    | Some w ->
+      w.w_queued <- false;
+      r.s_dispatches <- r.s_dispatches + 1;
       Mutex.unlock r.mutex;
-      List.iter (fire_timer r) due;
-      match next_watch with Some w -> dispatch r w | None -> ()
-    end
-  done
+      dispatch r w;
+      Mutex.lock r.mutex
+    | None when not r.running -> continue := false
+    | None ->
+      r.waiting <- true;
+      Condition.wait r.wake r.mutex;
+      r.waiting <- false
+  done;
+  Mutex.unlock r.mutex
 
 let create ?(name = "reactor") () =
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
   let r =
     {
       mutex = Mutex.create ();
       ready = Queue.create ();
       watches = Hashtbl.create 64;
-      timers = Heap.create ();
-      live_timers = Hashtbl.create 16;
-      wake_r;
-      wake_w;
+      wake = Condition.create ();
       waiting = false;
       running = true;
       thread = None;
       name;
       s_loops = 0;
       s_dispatches = 0;
-      s_timer_fires = 0;
       s_wakeups = 0;
     }
   in
@@ -293,43 +156,13 @@ let unwatch r w =
       w.w_active <- false;
       Hashtbl.remove r.watches w.w_id)
 
-let after r delay fn =
-  let t =
-    {
-      t_id = fresh_id ();
-      t_at = Unix.gettimeofday () +. Float.max 0.0 delay;
-      t_fn = fn;
-      t_cancelled = false;
-    }
-  in
-  with_lock r (fun () ->
-      let earlier =
-        match Heap.peek r.timers with Some top -> t.t_at < top.t_at | None -> true
-      in
-      Heap.push r.timers t;
-      Hashtbl.replace r.live_timers t.t_id t;
-      (* a new earliest deadline shortens the select timeout *)
-      if earlier then wake_locked r);
-  t.t_id
-
-let cancel r tid =
-  with_lock r (fun () ->
-      match Hashtbl.find_opt r.live_timers tid with
-      | Some t ->
-        t.t_cancelled <- true;
-        Hashtbl.remove r.live_timers tid;
-        true
-      | None -> false)
-
 let stats r =
   with_lock r (fun () ->
       {
         loops = r.s_loops;
         dispatches = r.s_dispatches;
-        timer_fires = r.s_timer_fires;
         wakeups = r.s_wakeups;
         watches_active = Hashtbl.length r.watches;
-        timers_armed = Hashtbl.length r.live_timers;
       })
 
 let stop r =
@@ -342,15 +175,6 @@ let stop r =
         end
         else None)
   in
-  (match thread with
-   | Some th when Thread.id th <> Thread.id (Thread.self ()) -> Thread.join th
-   | Some _ | None -> ());
-  (* close the pipe only once the loop has exited (or when stopping from
-     inside a callback, where the loop is past its select) *)
-  with_lock r (fun () ->
-      match r.thread with
-      | Some _ ->
-        r.thread <- None;
-        (try Unix.close r.wake_r with Unix.Unix_error _ -> ());
-        (try Unix.close r.wake_w with Unix.Unix_error _ -> ())
-      | None -> ())
+  match thread with
+  | Some th when Thread.id th <> Thread.id (Thread.self ()) -> Thread.join th
+  | Some _ | None -> ()

@@ -3,11 +3,10 @@
 
     One reactor owns one thread.  Channels are registered as watches;
     {!Ovnet.Chan} readiness hooks enqueue the watch on the ready list
-    whenever the channel gains a message or closes, and a self-pipe pokes
-    the loop out of its [Unix.select] park.  A deadline wheel (min-heap
-    of timers) shares the same loop.  Callbacks run on the reactor
-    thread with no reactor lock held: they may watch, unwatch, arm and
-    cancel timers, and even {!stop} the reactor. *)
+    whenever the channel gains a message or closes, and signal the loop
+    when it is parked on its condition variable.  Callbacks run on the
+    reactor thread with no reactor lock held: they may watch, unwatch,
+    and even {!stop} the reactor. *)
 
 type t
 
@@ -20,15 +19,11 @@ type mode = Edge | Level
 
 type watch
 
-type timer_id
-
 type stats = {
   loops : int;  (** loop iterations (dispatches + parks) *)
   dispatches : int;  (** watch callbacks run *)
-  timer_fires : int;
-  wakeups : int;  (** self-pipe pokes while parked *)
+  wakeups : int;  (** signals to a parked loop: one per burst of readiness *)
   watches_active : int;
-  timers_armed : int;
 }
 
 val create : ?name:string -> unit -> t
@@ -50,20 +45,12 @@ val unwatch : t -> watch -> unit
 (** Deregister.  The callback will not run again (a queued-but-undispatched
     readiness event is discarded).  Idempotent. *)
 
-val after : t -> float -> (unit -> unit) -> timer_id
-(** Arm a one-shot timer [delay] seconds from now, fired on the reactor
-    thread. *)
-
-val cancel : t -> timer_id -> bool
-(** Disarm; [false] when already fired or cancelled.  Lazy: the heap
-    entry dies in place. *)
-
 val stats : t -> stats
 
 val stop : t -> unit
 (** Drain already-queued readiness events, then stop and join the loop
-    thread.  Pending timers never fire.  Safe to call from a callback
-    (the join is skipped on the reactor's own thread).  Idempotent. *)
+    thread.  Safe to call from a callback (the join is skipped on the
+    reactor's own thread).  Idempotent. *)
 
 val set_logger : Vlog.t -> unit
 (** Replace the logger used when callbacks raise (default: warn-level

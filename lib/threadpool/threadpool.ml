@@ -34,6 +34,7 @@ type stats = {
   workers_stuck_now : int;
   job_queue_limit : int;
   wall_limit_ms : int;
+  watchdog_scans : int;
 }
 
 type t = {
@@ -67,7 +68,9 @@ type t = {
   running : (int, float * [ `Ordinary | `Priority ]) Hashtbl.t;
   (* worker id -> job start time, while a job is on that worker *)
   stuck : (int, unit) Hashtbl.t; (* workers written off by the watchdog *)
+  watchdog_cond : Condition.t; (* limit changes and shutdown wake the watchdog *)
   mutable watchdog_live : bool;
+  mutable watchdog_scans : int;
   mutable last_stuck_log : float;
 }
 
@@ -295,14 +298,23 @@ let watchdog_scan pool now =
       end)
     pool.running
 
+(* Sleep until the earliest running job can exceed the limit, then scan.
+   A job that starts later is due later than a full limit from now, so
+   starting one needs no wakeup; only [set_limits] and [shutdown] do. *)
 let watchdog_loop pool =
   Mutex.lock pool.mutex;
   while (not pool.quit) && pool.wall_limit > 0. do
-    watchdog_scan pool (Unix.gettimeofday ());
-    let tick = Float.max 0.002 (Float.min 0.02 (pool.wall_limit /. 4.)) in
-    Mutex.unlock pool.mutex;
-    Thread.delay tick;
-    Mutex.lock pool.mutex
+    let now = Unix.gettimeofday () in
+    watchdog_scan pool now;
+    pool.watchdog_scans <- pool.watchdog_scans + 1;
+    let due =
+      Hashtbl.fold
+        (fun wid (started, _) due ->
+          if Hashtbl.mem pool.stuck wid then due
+          else Float.min due (started +. pool.wall_limit))
+        pool.running (now +. pool.wall_limit)
+    in
+    Ovsync.Timedwait.wait pool.mutex pool.watchdog_cond ~until:due
   done;
   pool.watchdog_live <- false;
   Condition.broadcast pool.idle_cond;
@@ -353,7 +365,9 @@ let create ?(name = "pool") ?logger ?(job_queue_limit = 0) ?(wall_limit_ms = 0)
       next_worker_id = 0;
       running = Hashtbl.create 32;
       stuck = Hashtbl.create 4;
+      watchdog_cond = Condition.create ();
       watchdog_live = false;
+      watchdog_scans = 0;
       last_stuck_log = 0.;
     }
   in
@@ -423,6 +437,7 @@ let set_limits pool ?min_workers ?max_workers ?prio_workers ?job_queue_limit
        | Some l when l < 0 -> raise (Invalid_limits "wall_limit_ms must be >= 0")
        | Some l ->
          pool.wall_limit <- float_of_int l /. 1000.;
+         Condition.signal pool.watchdog_cond;
          ensure_watchdog pool
        | None -> ());
       pool.min_workers <- min_workers;
@@ -454,6 +469,7 @@ let stats pool =
         workers_stuck_now = Hashtbl.length pool.stuck;
         job_queue_limit = pool.queue_limit;
         wall_limit_ms = int_of_float (pool.wall_limit *. 1000.);
+        watchdog_scans = pool.watchdog_scans;
       })
 
 let failed_jobs pool = with_lock pool (fun () -> pool.jobs_failed)
@@ -475,6 +491,7 @@ let shutdown pool =
       clear_normal pool;
       Queue.clear pool.prio_queue;
       Condition.broadcast pool.cond;
+      Condition.signal pool.watchdog_cond;
       while pool.n_workers > 0 || pool.n_prio > 0 || pool.watchdog_live do
         Condition.broadcast pool.cond;
         Condition.wait pool.idle_cond pool.mutex

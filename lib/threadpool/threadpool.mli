@@ -28,9 +28,10 @@
       still queued is dropped at dequeue (its [on_expired] callback runs
       instead) — the client already gave up, executing it only adds load;
     - {e watchdog}: with a nonzero [wall_limit_ms], a watchdog thread
-      writes off any worker whose current job exceeds the wall limit and
-      spawns a replacement, so a wedged hypervisor call cannot silently
-      eat pool capacity.  The written-off thread retires itself when (if)
+      sleeps until the earliest running job reaches the wall limit (a
+      full limit when none runs), writes off any worker whose current
+      job exceeds it and spawns a replacement, so a wedged hypervisor
+      call cannot silently eat pool capacity.  The written-off thread retires itself when (if)
       its job ever returns.
 
     All limits are runtime-adjustable ({!set_limits}), which is what the
@@ -57,6 +58,9 @@ type stats = {
   workers_stuck_now : int;  (** written-off workers still wedged *)
   job_queue_limit : int;  (** normal-queue bound; 0 = unbounded *)
   wall_limit_ms : int;  (** watchdog wall limit; 0 = off *)
+  watchdog_scans : int;
+      (** watchdog passes so far: one per limit while idle, otherwise one
+          as each running job comes due.  Local only, never on a wire. *)
 }
 
 exception Invalid_limits of string

@@ -1,6 +1,7 @@
 (* Federated control plane: v1.7 wire numbering and codecs, consistent-
    hash placement, the member health state machine and the single shared
-   prober, degraded scatter-gather under member death (chaos), cross-
+   prober, degraded scatter-gather under member death (chaos), shard
+   thread reuse and a slow member that stalls nobody else, cross-
    shard batch refusal, journaled cross-daemon migration end-to-end and
    a crash-point sweep across every journaled boundary, the admin
    fleet-status procedure, and (gated by OVIRT_FLEET_SUITE=1) a
@@ -17,6 +18,8 @@ module Daemon_config = Ovirt.Daemon_config
 module Fleet = Ovirt.Fleet
 module Admin = Ovirt.Admin_client
 module Transport = Ovnet.Transport
+module Netsim = Ovnet.Netsim
+module Faults = Ovnet.Faults
 module Rp = Protocol.Remote_protocol
 module Ap = Protocol.Admin_protocol
 module Vm_config = Vmm.Vm_config
@@ -468,6 +471,71 @@ let test_scatter_degraded_on_member_death () =
         (List.hd l5.Driver.fl_shard_errors).Driver.se_member;
       List.iter Connect.close conns)
 
+(* Shard threads park between scatters: back-to-back listings of a
+   healthy fleet create at most one thread per member. *)
+let test_scatter_reuses_shard_threads () =
+  with_members [ "m1"; "m2"; "m3" ] (fun members ->
+      let t = fleet_of members in
+      let fv = Option.get (Fleet.ops_of t).Driver.fleet in
+      let before = Fleet.shard_thread_count () in
+      for _ = 1 to 50 do
+        let l = vok (fv.Driver.fleet_list_all ()) in
+        Alcotest.(check int) "no shard errors" 0 (List.length l.Driver.fl_shard_errors)
+      done;
+      let grown = Fleet.shard_thread_count () - before in
+      Alcotest.(check bool)
+        (Printf.sprintf "shard threads grew by %d" grown)
+        true (grown <= 3);
+      Fleet.dissolve (Fleet.name t))
+
+(* A member whose every frame lands after the slice keeps its shard
+   threads busy; the next listing must not wait for them, and only that
+   member is charged. *)
+let test_slow_member_stalls_nobody () =
+  with_members [ "m1"; "m2"; "m3" ] (fun members ->
+      let conns = List.map member_conn members in
+      List.iter2
+        (fun m conn -> ignore (seed_domain conn ("slow-" ^ m.md_member)))
+        members conns;
+      List.iter Connect.close conns;
+      let slice = 0.3 in
+      let slow = List.nth members 2 in
+      Alcotest.(check bool) "plan attached" true
+        (Netsim.set_listener_faults (slow.md_daemon ^ "-sock")
+           (Some (Faults.plan [ Faults.Delay (3. *. slice) ])));
+      (* A long probe interval keeps the prober out of the accounting. *)
+      let t =
+        Fleet.create ~name:(fresh_name "sfleet")
+          ~members:(List.map (fun m -> (m.md_member, m.md_uri)) members)
+          ~shard_slice_s:slice ~probe_interval_s:60. ~probe_timeout_s:0.2
+          ~down_threshold:5 ()
+      in
+      let fv = Option.get (Fleet.ops_of t).Driver.fleet in
+      for i = 1 to 2 do
+        let t0 = Unix.gettimeofday () in
+        let l = vok (fv.Driver.fleet_list_all ()) in
+        let elapsed = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "listing %d within the slice (%.3fs)" i elapsed)
+          true
+          (elapsed < slice +. 0.2);
+        Alcotest.(check (list string))
+          "only the slow member errs" [ "m3" ]
+          (List.map (fun e -> e.Driver.se_member) l.Driver.fl_shard_errors);
+        let names = List.map (fun r -> r.Driver.rec_ref.Driver.dom_name) l.Driver.fl_records in
+        Alcotest.(check (list bool))
+          "healthy rows listed" [ true; true; false ]
+          (List.map (fun n -> List.mem n names) [ "slow-m1"; "slow-m2"; "slow-m3" ])
+      done;
+      let failures name =
+        (List.find (fun m -> m.Driver.ms_name = name) (Fleet.status t).Driver.fs_members)
+          .Driver.ms_failures
+      in
+      Alcotest.(check (list int))
+        "failures charged" [ 0; 0; 2 ]
+        (List.map failures [ "m1"; "m2"; "m3" ]);
+      Fleet.dissolve (Fleet.name t))
+
 let test_no_double_count_mid_migration () =
   (* A domain momentarily defined on two members (reserved on the
      destination, still live on the source) must appear once, as the
@@ -884,6 +952,8 @@ let () =
           quick "member death degrades, never hangs"
             test_scatter_degraded_on_member_death;
           quick "mid-migration twin rows dedupe" test_no_double_count_mid_migration;
+          quick "shard threads are reused" test_scatter_reuses_shard_threads;
+          quick "a slow member stalls nobody else" test_slow_member_stalls_nobody;
         ] );
       ("merge", [ prop_merge_reuse ]);
       ( "batch",

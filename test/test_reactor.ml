@@ -1,5 +1,5 @@
 (* Readiness-driven reactor: core loop semantics (ordering, edge/level
-   triggering, wakeup-during-dispatch, deadline wheel), buffer pool
+   triggering, wakeup-during-dispatch, one wakeup per burst), buffer pool
    accounting, and the daemon's reactor front end — including byte-stream
    reassembly, admin authorization, fault-injection parity, and an
    idle-connection mass. *)
@@ -116,30 +116,6 @@ let test_wakeup_during_dispatch () =
       Alcotest.(check bool) "b dispatched after a released the loop" true
         (eventually (fun () -> !b_ran)))
 
-let test_timer_order_and_fire () =
-  with_reactor (fun r ->
-      let fired = ref [] in
-      ignore (Reactor.after r 0.08 (fun () -> fired := "slow" :: !fired));
-      ignore (Reactor.after r 0.02 (fun () -> fired := "fast" :: !fired));
-      Alcotest.(check bool) "both fired" true
-        (eventually (fun () -> List.length !fired = 2));
-      Alcotest.(check (list string)) "earliest deadline first" [ "fast"; "slow" ]
-        (List.rev !fired))
-
-let test_timer_cancel () =
-  with_reactor (fun r ->
-      let fired = ref false in
-      let t = Reactor.after r 0.05 (fun () -> fired := true) in
-      Alcotest.(check bool) "cancel disarms" true (Reactor.cancel r t);
-      Alcotest.(check bool) "double cancel reports dead" false (Reactor.cancel r t);
-      Thread.delay 0.12;
-      Alcotest.(check bool) "cancelled timer never fires" false !fired;
-      let done_ = ref false in
-      let t2 = Reactor.after r 0.01 (fun () -> done_ := true) in
-      Alcotest.(check bool) "fires" true (eventually (fun () -> !done_));
-      Alcotest.(check bool) "cancel after fire reports dead" false
-        (Reactor.cancel r t2))
-
 let test_unwatch_stops_callbacks () =
   with_reactor (fun r ->
       let c = Chan.create () in
@@ -175,6 +151,35 @@ let test_stats_counting () =
       Alcotest.(check int) "one active watch" 1 (Reactor.stats r).Reactor.watches_active;
       Reactor.unwatch r w;
       Alcotest.(check int) "none after unwatch" 0 (Reactor.stats r).Reactor.watches_active)
+
+let test_burst_one_wakeup () =
+  with_reactor (fun r ->
+      (* One watch per channel, so every send queues a watch of its own
+         and asks for a wakeup. *)
+      let chans = List.init 20 (fun _ -> Chan.create ()) in
+      let sent = ref false and reads = ref 0 in
+      List.iteri
+        (fun i c ->
+          ignore
+            (Reactor.watch_chan r c ~mode:Reactor.Edge (fun () ->
+                 (* The first callback holds the loop until the whole
+                    burst is sent, so it cannot park again in between. *)
+                 if i = 0 then
+                   while not !sent do
+                     Thread.delay 0.001
+                   done;
+                 ignore (Chan.try_recv c);
+                 incr reads)))
+        chans;
+      (* The loop counts an iteration under its lock and parks without
+         letting go of it, so a counted iteration means it is parked. *)
+      Alcotest.(check bool) "loop parked" true
+        (eventually (fun () -> (Reactor.stats r).Reactor.loops >= 1));
+      Alcotest.(check int) "no wakeup yet" 0 (Reactor.stats r).Reactor.wakeups;
+      List.iter (fun c -> Chan.send c "x") chans;
+      sent := true;
+      Alcotest.(check bool) "burst dispatched" true (eventually (fun () -> !reads = 20));
+      Alcotest.(check int) "one wakeup for the burst" 1 (Reactor.stats r).Reactor.wakeups)
 
 (* --- buffer pool --------------------------------------------------------- *)
 
@@ -375,11 +380,10 @@ let () =
           quick "readiness dispatch is fifo" test_readiness_ordering;
           quick "edge coalesces, level drains" test_edge_coalesces_level_drains;
           quick "readiness during dispatch is queued" test_wakeup_during_dispatch;
-          quick "timers fire earliest-first" test_timer_order_and_fire;
-          quick "timer cancel" test_timer_cancel;
           quick "unwatch stops callbacks" test_unwatch_stops_callbacks;
           quick "stop from inside a callback" test_stop_from_callback;
           quick "stats" test_stats_counting;
+          quick "a burst to a parked loop is one wakeup" test_burst_one_wakeup;
         ] );
       ( "buffer pool",
         [

@@ -1,7 +1,9 @@
-(* Reader–writer lock: concurrency semantics the driver nodes rely on. *)
+(* Reader–writer lock: concurrency semantics the driver nodes rely on;
+   spare threads: reuse, no queueing, and the thread count. *)
 
 open Testutil
 module Rwlock = Ovsync.Rwlock
+module Spare = Ovsync.Spare_threads
 
 (* A tiny synchronized cell for cross-thread assertions. *)
 module Cell = struct
@@ -372,6 +374,88 @@ let prop_schedule actors =
      QCheck.Test.fail_reportf "Timeout %.1f ms after its deadline" (late *. 1000.));
   Rwlock.active_readers lock = 0 && Rwlock.waiting_writers lock = 0
 
+(* --- spare threads ------------------------------------------------------ *)
+
+(* A finished job's thread parks right after the job returns; give it
+   that moment before the next [run]. *)
+let settle () = Thread.delay 0.05
+
+let self_id () = Thread.id (Thread.self ())
+
+(* Run [n] jobs that each count themselves in, then hold their thread
+   until [latch] opens. *)
+let run_blockers t latch n =
+  let inside = Cell.make 0 in
+  for _ = 1 to n do
+    Spare.run t (fun () ->
+        Cell.update inside succ;
+        while not (Cell.wait_for latch Fun.id) do
+          ()
+        done)
+  done;
+  Alcotest.(check bool) "blockers running" true (Cell.wait_for inside (( = ) n))
+
+let test_spare_reuses_thread () =
+  let t = Spare.create () in
+  let ids = Cell.make [] in
+  let job () = Cell.update ids (fun l -> self_id () :: l) in
+  Spare.run t job;
+  Alcotest.(check bool) "first ran" true (Cell.wait_for ids (fun l -> List.length l = 1));
+  settle ();
+  Spare.run t job;
+  Alcotest.(check bool) "second ran" true (Cell.wait_for ids (fun l -> List.length l = 2));
+  (match Cell.get ids with
+   | [ second; first ] -> Alcotest.(check int) "same thread" first second
+   | _ -> Alcotest.fail "two ids expected");
+  Alcotest.(check int) "one thread" 1 (Spare.spawned t)
+
+let test_spare_never_queues () =
+  let t = Spare.create () in
+  let warm = Cell.make false in
+  Spare.run t (fun () -> Cell.update warm (fun _ -> true));
+  ignore (Cell.wait_for warm Fun.id);
+  settle ();
+  (* The one spare thread is now held on the latch... *)
+  let latch = Cell.make false in
+  run_blockers t latch 1;
+  (* ...so the next job starts on a thread of its own, not after it. *)
+  let ran = Cell.make false in
+  Spare.run t (fun () -> Cell.update ran (fun _ -> true));
+  let ran_first = Cell.wait_for ran Fun.id in
+  Cell.update latch (fun _ -> true);
+  Alcotest.(check bool) "ran before the latch opened" true ran_first;
+  Alcotest.(check int) "two threads" 2 (Spare.spawned t)
+
+let test_spare_survives_raise () =
+  let t = Spare.create () in
+  let raiser = Cell.make None in
+  Spare.run t (fun () ->
+      Cell.update raiser (fun _ -> Some (self_id ()));
+      failwith "job failure");
+  Alcotest.(check bool) "raising job ran" true (Cell.wait_for raiser Option.is_some);
+  settle ();
+  let next = Cell.make None in
+  Spare.run t (fun () -> Cell.update next (fun _ -> Some (self_id ())));
+  Alcotest.(check bool) "next job ran" true (Cell.wait_for next Option.is_some);
+  Alcotest.(check (option int)) "on the raising job's thread" (Cell.get raiser) (Cell.get next);
+  Alcotest.(check int) "one thread" 1 (Spare.spawned t)
+
+let test_spare_spawned_is_peak () =
+  let t = Spare.create () in
+  let round n =
+    let latch = Cell.make false in
+    run_blockers t latch n;
+    Cell.update latch (fun _ -> true);
+    settle ()
+  in
+  round 3;
+  Alcotest.(check int) "three at once" 3 (Spare.spawned t);
+  round 2;
+  round 3;
+  Alcotest.(check int) "no new thread below the peak" 3 (Spare.spawned t);
+  round 4;
+  Alcotest.(check int) "a new peak adds one" 4 (Spare.spawned t)
+
 let () =
   Alcotest.run "sync"
     [
@@ -385,5 +469,12 @@ let () =
           quick "bounded writer preference" test_bounded_writer_preference;
           quick "bounded writer timeout hands off" test_bounded_writer_timeout_hands_off;
           qcheck_case ~count:50 "random bounded schedules" schedule_arb prop_schedule;
+        ] );
+      ( "spare threads",
+        [
+          quick "sequential jobs share a thread" test_spare_reuses_thread;
+          quick "a job never waits behind a busy one" test_spare_never_queues;
+          quick "a raising job leaves its thread reusable" test_spare_survives_raise;
+          quick "spawned is the peak concurrency" test_spare_spawned_is_peak;
         ] );
     ]

@@ -381,6 +381,44 @@ let test_watchdog_replaces_stuck_worker () =
   Threadpool.drain pool;
   Threadpool.shutdown pool
 
+(* One scan at start, then one per 200 ms limit: at most two in the
+   300 ms slept, or one more per limit a late wakeup oversleeps. *)
+let test_idle_watchdog_sleeps () =
+  let t0 = Unix.gettimeofday () in
+  let pool =
+    Threadpool.create ~name:(fresh_name "pool") ~wall_limit_ms:200 ~min_workers:1
+      ~max_workers:1 ~prio_workers:0 ()
+  in
+  Thread.delay 0.3;
+  let scans = (Threadpool.stats pool).Threadpool.watchdog_scans in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let allowed = 1 + int_of_float (elapsed /. 0.2) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d scans in %.0f ms" scans (elapsed *. 1000.))
+    true (scans <= allowed);
+  Threadpool.shutdown pool
+
+(* With a 10 s limit the watchdog sleeps 10 s; a shorter limit and the
+   shutdown must each cut that sleep short. *)
+let test_watchdog_woken_by_limits_and_shutdown () =
+  let pool =
+    Threadpool.create ~name:(fresh_name "pool") ~wall_limit_ms:10_000 ~min_workers:1
+      ~max_workers:1 ~prio_workers:0 ()
+  in
+  let release = Mutex.create () in
+  wedge_worker pool release;
+  Threadpool.set_limits pool ~wall_limit_ms:50 ();
+  Alcotest.(check bool) "shorter limit applies to the running job" true
+    (eventually (fun () -> (Threadpool.stats pool).Threadpool.workers_stuck = 1));
+  Mutex.unlock release;
+  Threadpool.drain pool;
+  Threadpool.set_limits pool ~wall_limit_ms:10_000 ();
+  Thread.delay 0.05;
+  let t0 = Unix.gettimeofday () in
+  Threadpool.shutdown pool;
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "shutdown took %.3fs" took) true (took < 1.0)
+
 let prop_stats_invariants =
   qcheck_case ~count:30 "stats invariants across random configs"
     QCheck.(triple (int_range 0 4) (int_range 1 6) (int_range 0 3))
@@ -445,5 +483,8 @@ let () =
             test_fair_queuing_light_client_not_starved;
           quick "watchdog replaces stuck worker"
             test_watchdog_replaces_stuck_worker;
+          quick "idle watchdog scans once per limit" test_idle_watchdog_sleeps;
+          quick "limit changes and shutdown wake the watchdog"
+            test_watchdog_woken_by_limits_and_shutdown;
         ] );
     ]
