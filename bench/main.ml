@@ -2222,6 +2222,22 @@ let fleet () =
     let ops = Ovirt.Fleet.ops_of t in
     ok ((Option.get ops.Driver.fleet).Driver.fleet_list_all ())
   in
+  (* What one inventory received from its members: listing replies, how
+     many of them were v1.8 "unchanged", and their body bytes (counters
+     of every remote connection in the process; only the fleet under
+     test lists while this runs). *)
+  let received f =
+    let s0 = Drv_remote.stats () in
+    let v = f () in
+    let s1 = Drv_remote.stats () in
+    ( v,
+      ( s1.Drv_remote.st_listings - s0.Drv_remote.st_listings,
+        s1.Drv_remote.st_listings_unchanged - s0.Drv_remote.st_listings_unchanged,
+        s1.Drv_remote.st_listing_bytes - s0.Drv_remote.st_listing_bytes ) )
+  in
+  (* With the members' reply caches on, an unchanged member answers a
+     repeated inventory "unchanged". *)
+  let caches_on = quiet_config.Daemon_config.reply_cache <> 0 in
   (* --- inventory latency vs shard count --------------------------- *)
   (* Two fleets over the same shards.  One opts its member connections
      out of the members' reply caches, so every inventory pays each
@@ -2256,6 +2272,17 @@ let fleet () =
             in
             let relist_ms = median_ms relisting in
             let cached_ms = median_ms cached in
+            (* One more inventory of each, nothing changed since. *)
+            let _, (_, _, relist_bytes) = received (fun () -> listing_of relisting) in
+            let _, (replies, repeat_unchanged, repeat_bytes) =
+              received (fun () -> listing_of cached)
+            in
+            if replies <> n || (caches_on && repeat_unchanged <> n) then
+              failwith
+                (Printf.sprintf
+                   "E22: a repeated inventory of %d unchanged members got %d \
+                    unchanged replies of %d"
+                   n repeat_unchanged replies);
             (* Freshness: start one domain on one member.  The next
                inventory must list that row running and every other row
                as it was; reusing an unchanged member's rows must never
@@ -2266,10 +2293,23 @@ let fleet () =
             let member = ok (Connect.open_uri uri) in
             ok (Domain.create (ok (Domain.lookup_by_name member started)));
             Connect.close member;
+            let relisted, (replies, unchanged, _) =
+              received (fun () -> listing_of cached)
+            in
+            (* Only the started member's listing changed: it alone answers
+               in full (the row check below shows it is that member's). *)
+            let want_unchanged = if caches_on then n - 1 else 0 in
+            if replies <> n || unchanged <> want_unchanged then
+              failwith
+                (Printf.sprintf
+                   "E22 freshness: %d full and %d unchanged replies after a \
+                    start, wanted %d and %d"
+                   (replies - unchanged) unchanged (n - want_unchanged)
+                   want_unchanged);
             let after = Hashtbl.create expect in
             List.iter
               (fun r -> Hashtbl.replace after r.Driver.rec_ref.Driver.dom_uuid r)
-              (listing_of cached).Driver.fl_records;
+              relisted.Driver.fl_records;
             if Hashtbl.length after <> expect then
               failwith
                 (Printf.sprintf "E22 freshness: %d rows after a start, wanted %d"
@@ -2286,20 +2326,24 @@ let fleet () =
                   if r' <> r then
                     failwith ("E22 freshness: untouched row changed: " ^ name))
               before.Driver.fl_records;
-            (n, expect, relist_ms, cached_ms)))
+            (n, expect, relist_ms, cached_ms, relist_bytes, repeat_bytes, repeat_unchanged)))
       shard_counts
   in
   table
-    [ "shards"; "domains"; "members re-list"; "reply-cache hits" ]
+    [
+      "shards"; "domains"; "members re-list"; "reply-cache hits"; "re-list bytes";
+      "repeat bytes"; "unchanged";
+    ]
     (List.map
-       (fun (n, d, ms, cached_ms) ->
+       (fun (n, d, ms, cached_ms, relist_bytes, repeat_bytes, unchanged) ->
          [
            string_of_int n; string_of_int d; Printf.sprintf "%.2f ms" ms;
-           Printf.sprintf "%.2f ms" cached_ms;
+           Printf.sprintf "%.2f ms" cached_ms; string_of_int relist_bytes;
+           string_of_int repeat_bytes; Printf.sprintf "%d/%d" unchanged n;
          ])
        sweep);
-  let _, _, t_one, c_one = List.hd sweep in
-  let n_max, _, t_max, c_max = List.nth sweep (List.length sweep - 1) in
+  let _, _, t_one, c_one, _, _, _ = List.hd sweep in
+  let n_max, _, t_max, c_max, _, _, _ = List.nth sweep (List.length sweep - 1) in
   let ratio = t_max /. Float.max 0.001 t_one in
   subsection
     (Printf.sprintf
@@ -2374,13 +2418,16 @@ let fleet () =
         ( "inventory_sweep",
           Mini_json.List
             (List.map
-               (fun (n, d, ms, cached_ms) ->
+               (fun (n, d, ms, cached_ms, relist_bytes, repeat_bytes, unchanged) ->
                  Mini_json.Obj
                    [
                      ("shards", Mini_json.Int n);
                      ("domains", Mini_json.Int d);
                      ("inventory_ms", Mini_json.Float ms);
                      ("cached_inventory_ms", Mini_json.Float cached_ms);
+                     ("relist_rx_bytes", Mini_json.Int relist_bytes);
+                     ("repeat_rx_bytes", Mini_json.Int repeat_bytes);
+                     ("repeat_unchanged_replies", Mini_json.Int unchanged);
                    ])
                sweep) );
         ("latency_ratio_max_vs_one", Mini_json.Float ratio);

@@ -22,7 +22,17 @@ type net = {
    the generation before reading and sees the same value afterwards knows
    the data it read is current — the validity check behind the daemon's
    reply cache. *)
-type t = { mutex : Mutex.t; nets : (string, net) Hashtbl.t; gen : int Atomic.t }
+type t = {
+  mutex : Mutex.t;
+  nets : (string, net) Hashtbl.t;
+  gen : int Atomic.t;
+  scope : string option;  (** see [create] *)
+}
+
+let fresh_uuid b name =
+  match b.scope with
+  | Some scope -> Vmm.Uuid.derive (scope ^ "/network/" ^ name)
+  | None -> Vmm.Uuid.generate ()
 
 let with_lock b f =
   Mutex.lock b.mutex;
@@ -61,7 +71,7 @@ let define_unlocked b ~name ~bridge ~ip_range =
   else begin
     let net =
       {
-        uuid = Vmm.Uuid.generate ();
+        uuid = fresh_uuid b name;
         bridge;
         ip_range;
         active = false;
@@ -82,8 +92,10 @@ let define_unlocked b ~name ~bridge ~ip_range =
       }
   end
 
-let create () =
-  let b = { mutex = Mutex.create (); nets = Hashtbl.create 4; gen = Atomic.make 0 } in
+let create ?scope () =
+  let b =
+    { mutex = Mutex.create (); nets = Hashtbl.create 4; gen = Atomic.make 0; scope }
+  in
   (match
      define_unlocked b ~name:"default" ~bridge:"virbr0" ~ip_range:"192.168.122.0/24"
    with

@@ -17,7 +17,10 @@ type info = {
 
 type t
 
-val create : unit -> t
+val create : ?scope:string -> unit -> t
+(** With [scope], every network's UUID is {!Vmm.Uuid.derive}d from the scope
+    and its name, so a node rebuilt under the same scope names its networks
+    alike; without it, UUIDs are generated. *)
 
 val define : t -> name:string -> bridge:string -> ip_range:string -> (info, Verror.t) result
 val undefine : t -> string -> (unit, Verror.t) result

@@ -28,7 +28,17 @@ type pool = {
 
 (* [gen] mirrors {!Net_backend.gen}: completed mutations, bumped inside
    the locked section, read lock-free as the reply cache validity stamp. *)
-type t = { mutex : Mutex.t; pools : (string, pool) Hashtbl.t; gen : int Atomic.t }
+type t = {
+  mutex : Mutex.t;
+  pools : (string, pool) Hashtbl.t;
+  gen : int Atomic.t;
+  scope : string option;  (** see [create] *)
+}
+
+let fresh_uuid b name =
+  match b.scope with
+  | Some scope -> Vmm.Uuid.derive (scope ^ "/pool/" ^ name)
+  | None -> Vmm.Uuid.generate ()
 
 let with_lock b f =
   Mutex.lock b.mutex;
@@ -53,7 +63,7 @@ let define_pool_unlocked b ~name ~target_path ~capacity_b =
   else begin
     let pool =
       {
-        uuid = Vmm.Uuid.generate ();
+        uuid = fresh_uuid b name;
         target_path;
         capacity_b;
         allocation_b = 0;
@@ -74,8 +84,10 @@ let define_pool_unlocked b ~name ~target_path ~capacity_b =
       }
   end
 
-let create () =
-  let b = { mutex = Mutex.create (); pools = Hashtbl.create 4; gen = Atomic.make 0 } in
+let create ?scope () =
+  let b =
+    { mutex = Mutex.create (); pools = Hashtbl.create 4; gen = Atomic.make 0; scope }
+  in
   (match
      define_pool_unlocked b ~name:"default" ~target_path:"/var/lib/ovirt/images"
        ~capacity_b:(100 * 1024 * 1024 * 1024)

@@ -24,7 +24,10 @@ type vol_info = {
 
 type t
 
-val create : unit -> t
+val create : ?scope:string -> unit -> t
+(** With [scope], every pool's UUID is {!Vmm.Uuid.derive}d from the scope
+    and its name, so a node rebuilt under the same scope names its pools
+    alike; without it, UUIDs are generated. *)
 
 val define_pool :
   t -> name:string -> target_path:string -> capacity_b:int -> (pool_info, Verror.t) result

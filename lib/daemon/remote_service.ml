@@ -32,6 +32,10 @@ type state = {
       (** reply cache per driver-node URI, daemon-lifetime (like rings) *)
   cache_enabled : bool;  (** the [reply_cache] config knob *)
   cache_entries : int;  (** per-cache LRU bound *)
+  nonce : int;
+      (** boot nonce of the v1.8 listing tokens: fill numbers restart
+          with each incarnation, so a token from an earlier one must
+          never match *)
 }
 
 let with_lock st f =
@@ -217,6 +221,15 @@ let cached_reply_header procedure =
     (Rpc_packet.call_header ~program:Rp.program ~version:Rp.version ~procedure
        ~serial:0)
 
+(* The annotated listing.  A plain daemon is a fleet of one: its own
+   rows, complete, so a v1.7 client can use it unconditionally. *)
+let fleet_listing (ops : Driver.ops) =
+  match ops.Driver.fleet with
+  | Some fv -> fv.Driver.fleet_list_all ()
+  | None ->
+    let* records = Driver.list_all ops in
+    Ok Driver.{ fl_records = records; fl_shard_errors = []; fl_members = 1 }
+
 (* Dispatch a connection-scoped procedure against [cs]: the shared tail
    of the dispatcher and of every batch sub-call.  The daemon's
    reconciler feeds its plan ops through {!dispatch_ops} below, so a
@@ -397,17 +410,8 @@ let dispatch_conn (cs : conn_state) proc body =
     Ok (Rp.enc_vol_info info)
   | Rp.Proc_fleet_list_all ->
     let () = Rp.dec_unit_body body in
-    (match ops.Driver.fleet with
-     | Some fv ->
-       let* listing = fv.Driver.fleet_list_all () in
-       Ok (Rp.enc_fleet_listing listing)
-     | None ->
-       (* A plain daemon is a fleet of one: its own rows, complete.  This
-          lets a v1.7 client use the annotated listing unconditionally. *)
-       let* records = Driver.list_all ops in
-       Ok
-         (Rp.enc_fleet_listing
-            Driver.{ fl_records = records; fl_shard_errors = []; fl_members = 1 }))
+    let* listing = fleet_listing ops in
+    Ok (Rp.enc_fleet_listing listing)
   | Rp.Proc_fleet_status ->
     let () = Rp.dec_unit_body body in
     (match ops.Driver.fleet with
@@ -422,6 +426,12 @@ let dispatch_conn (cs : conn_state) proc body =
        let* () = fv.Driver.fleet_migrate ~domain ~dest in
        Ok Rp.enc_unit_body
      | None -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:"fleet migration")
+  | Rp.Proc_fleet_list_since ->
+    (* Unconditional: without a reply cache nothing names a listing, so
+       the answer is always the full one under the zero token. *)
+    let (_ : Rp.fleet_token) = Rp.dec_fleet_token body in
+    let* listing = fleet_listing ops in
+    Ok (Rp.enc_since_full Rp.no_token listing)
 
 (* The reconciler's application path: a plan op arrives here already
    encoded as a (procedure, body) sub-call and dispatches against bare
@@ -535,6 +545,48 @@ let serve_conn st (cs : conn_state) (d : Rp.descriptor) body =
         | Error _ -> ());
        result)
 
+let list_all_number = Rp.proc_to_int Rp.Proc_fleet_list_all
+
+(* A conditional listing is answered from the fleet_list_all entry of the
+   reply cache, so whether the caller's listing is current is decided
+   where every cached reply's validity is: a live entry (generation
+   current, not flushed by an event, not evicted) still carrying the
+   token's fill number.  [Some reply] when the entry answers, [None]
+   when only a fill can.  Shared by the receiving thread and the pool. *)
+let since_from_cache st cache ~gen (token : Rp.fleet_token) =
+  let fill = if token.Rp.ft_nonce = st.nonce then token.Rp.ft_fill else 0 in
+  match
+    Reply_cache.find_since cache ~proc:list_all_number ~args:Rp.enc_unit_body
+      ~gen ~fill
+  with
+  | Reply_cache.Unchanged -> Some (Rp.enc_since_unchanged token)
+  | Reply_cache.Changed { frame; fill } ->
+    let body =
+      String.sub frame Rpc_packet.prefix_bytes
+        (String.length frame - Rpc_packet.prefix_bytes)
+    in
+    Some (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } body)
+  | Reply_cache.Absent -> None
+
+(* The fill mirrors [serve_conn]'s: generation snapshotted before the
+   handler, so a write overlapping the fill leaves the entry stale. *)
+let serve_since st (cs : conn_state) body =
+  let token = Rp.dec_fleet_token body in
+  match conn_cache st cs with
+  | None -> dispatch_conn cs Rp.Proc_fleet_list_since body
+  | Some cache -> (
+    let gen = (Option.get cs.ops.Driver.generation) () in
+    match since_from_cache st cache ~gen token with
+    | Some reply -> Ok reply
+    | None ->
+      let* listing = dispatch_conn cs Rp.Proc_fleet_list_all Rp.enc_unit_body in
+      let fill =
+        Reply_cache.insert_numbered cache ~proc:list_all_number
+          ~args:Rp.enc_unit_body ~gen
+          (Rpc_packet.encode (cached_reply_header list_all_number) listing)
+      in
+      Ok (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } listing))
+
 (* [minor] is the protocol minor this daemon serves: every row is looked
    up with [Rp.descriptor_of_int ~minor], so procedures newer than it are
    rejected with the very error an old build produces for an unknown
@@ -640,6 +692,9 @@ let rec handle_proc st ~minor ~in_batch client (d : Rp.descriptor) body =
      | None ->
        Verror.error Verror.Operation_unsupported "this daemon has no reconciler"
      | Some r -> Ok (Rp.enc_reconcile_status (Reconcile.status r)))
+  | Rp.Proc_fleet_list_since ->
+    let* cs = get_conn st client in
+    serve_since st cs body
   | _ ->
     let* cs = get_conn st client in
     serve_conn st cs d body
@@ -670,10 +725,16 @@ type cache_totals = {
   rct_invalidations : int;
   rct_evictions : int;
   rct_patched_sends : int;
+  rct_unchanged : int;
   rct_entries : int;
   rct_bytes : int;
   rct_enabled : bool;
 }
+
+(* Never 0, the zero token's nonce. *)
+let boot_nonce () =
+  Int64.to_int (Random.State.int64 (Random.State.make_self_init ()) 0xffff_ffffL)
+  + 1
 
 let make ?(minor = Rp.minor) ?(event_ring_capacity = 1024)
     ?(reply_cache = true) ?(reply_cache_entries = 512) ?reconcile ~logger () =
@@ -688,6 +749,7 @@ let make ?(minor = Rp.minor) ?(event_ring_capacity = 1024)
       caches = Hashtbl.create 8;
       cache_enabled = reply_cache;
       cache_entries = max 1 reply_cache_entries;
+      nonce = boot_nonce ();
     }
   in
   { st; svc_minor = minor }
@@ -709,6 +771,7 @@ let reply_cache_totals t =
         rct_invalidations = acc.rct_invalidations + s.Reply_cache.invalidations;
         rct_evictions = acc.rct_evictions + s.Reply_cache.evictions;
         rct_patched_sends = acc.rct_patched_sends + s.Reply_cache.patched_sends;
+        rct_unchanged = acc.rct_unchanged + s.Reply_cache.unchanged;
         rct_entries = acc.rct_entries + s.Reply_cache.entries;
         rct_bytes = acc.rct_bytes + s.Reply_cache.bytes;
       })
@@ -720,6 +783,7 @@ let reply_cache_totals t =
       rct_invalidations = 0;
       rct_evictions = 0;
       rct_patched_sends = 0;
+      rct_unchanged = 0;
       rct_entries = 0;
       rct_bytes = 0;
       rct_enabled = t.st.cache_enabled;
@@ -758,6 +822,14 @@ let event_totals t =
     }
     rings
 
+(* A reply answered on the receiving thread.  A served call authenticates
+   the client exactly as a dispatched one does. *)
+let send_fast srv client frame =
+  Client_obj.touch client;
+  (try Client_obj.send_packet client frame with _ -> ());
+  Server_obj.note_authenticated srv client;
+  true
+
 let program_of { st; svc_minor = minor } =
   let deadline = Rp.describe Rp.Proc_call_deadline in
   Dispatch.
@@ -788,16 +860,18 @@ let program_of { st; svc_minor = minor } =
          else
            Some
              (fun srv client header body ->
-               (* Replay a cached pre-framed reply, patching the serial
-                  word into a fresh copy (senders retain references to
-                  transmitted strings, so the cached frame itself is
-                  never mutated).  Runs on the receiving thread: a hit
-                  skips pool submission, body decode, the driver read
-                  lock, the handler and the re-encode. *)
+               (* Answer from the reply cache on the receiving thread: a
+                  hit skips pool submission, body decode, the driver
+                  read lock, the handler and the re-encode.  A cached
+                  frame is replayed with the serial word patched into a
+                  fresh copy (senders retain references to transmitted
+                  strings, so the cached frame itself is never mutated);
+                  a conditional listing the live entry answers is framed
+                  here, in 12 bytes when it is unchanged. *)
                match Rp.descriptor_of_int ~minor header.Rpc_packet.procedure with
                | Error _ -> false
                | Ok d -> (
-                 d.Rp.cacheable
+                 (d.Rp.cacheable || d.Rp.proc = Rp.Proc_fleet_list_since)
                  &&
                  match
                    with_lock st (fun () ->
@@ -808,25 +882,28 @@ let program_of { st; svc_minor = minor } =
                    match conn_cache st cs with
                    | None -> false
                    | Some cache -> (
-                     let gen_of = Option.get cs.ops.Driver.generation in
-                     match
-                       Reply_cache.find cache
-                         ~proc:header.Rpc_packet.procedure ~args:body
-                         ~gen:(gen_of ())
-                     with
-                     | None -> false
-                     | Some frame ->
-                       Client_obj.touch client;
-                       (try
-                          Client_obj.send_packet client
-                            (Rpc_packet.with_serial frame
-                               header.Rpc_packet.serial)
-                        with _ -> ());
-                       Reply_cache.note_patched_send cache;
-                       (* A served call authenticates the client exactly
-                          as a dispatched one does. *)
-                       Server_obj.note_authenticated srv client;
-                       true)))));
+                     let gen = (Option.get cs.ops.Driver.generation) () in
+                     if d.Rp.cacheable then (
+                       match
+                         Reply_cache.find cache
+                           ~proc:header.Rpc_packet.procedure ~args:body ~gen
+                       with
+                       | None -> false
+                       | Some frame ->
+                         Reply_cache.note_patched_send cache;
+                         send_fast srv client
+                           (Rpc_packet.with_serial frame
+                              header.Rpc_packet.serial))
+                     else
+                       match Rp.dec_fleet_token body with
+                       | exception Xdr.Error _ -> false
+                       | token -> (
+                         match since_from_cache st cache ~gen token with
+                         | None -> false
+                         | Some reply ->
+                           send_fast srv client
+                             (Rpc_packet.encode (Rpc_packet.reply_ok header)
+                                reply)))))));
       handle = (fun srv client header body -> handle st ~minor srv client header body);
       on_disconnect = (fun client -> teardown_conn st (Client_obj.id client));
     }

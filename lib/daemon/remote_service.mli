@@ -31,6 +31,7 @@ type cache_totals = {
   rct_invalidations : int;
   rct_evictions : int;
   rct_patched_sends : int;
+  rct_unchanged : int;  (** conditional listings answered "unchanged" *)
   rct_entries : int;
   rct_bytes : int;
   rct_enabled : bool;  (** the daemon-level [reply_cache] knob *)
@@ -56,7 +57,11 @@ val make :
     generation, served from the receiving thread with only the serial
     word patched; [reply_cache_entries] (default 512) bounds each
     per-node-URI cache (LRU).  Clients can opt a single connection out
-    with a [replycache=0] URI parameter.  [reconcile] is the daemon's
+    with a [replycache=0] URI parameter.  The same caches answer v1.8
+    conditional listings: a token (this daemon's boot nonce, fixed at
+    [make], plus a fill number) names the cached [fleet_list_all] frame
+    a client holds, and while that entry lives the reply is 12 bytes of
+    "unchanged".  [reconcile] is the daemon's
     policy reconciler; without it the v1.5 policy procedures answer
     [Operation_unsupported]. *)
 

@@ -10,6 +10,12 @@
    Remote_service) empties the cache early; the generation check is the
    correctness backstop for writes that emit no event.
 
+   Fill numbers: every insert stamps its entry with the next number of a
+   per-cache counter.  A key holds one entry, so while the entry lives
+   its number names the exact frame it holds; a conditional listing
+   (v1.8) asks whether the live entry still carries the number the
+   client was given.
+
    Concurrency: one mutex per cache.  Both the receiving threads (fast
    path) and pool workers (fills) touch it, but every section is a few
    pointer moves — no allocation beyond the entry on insert, no I/O. *)
@@ -19,6 +25,7 @@ type key = int * string
 type entry = {
   e_key : key;
   mutable e_gen : int;
+  mutable e_fill : int;
   mutable e_frame : string;
   mutable e_prev : entry;
   mutable e_next : entry;
@@ -31,9 +38,12 @@ type stats = {
   invalidations : int;
   evictions : int;
   patched_sends : int;
+  unchanged : int;
   entries : int;
   bytes : int;
 }
+
+type since = Unchanged | Changed of { frame : string; fill : int } | Absent
 
 type t = {
   mutex : Mutex.t;
@@ -46,12 +56,21 @@ type t = {
   mutable invalidations : int;
   mutable evictions : int;
   mutable patched_sends : int;
+  mutable unchanged : int;
+  mutable fills : int;  (** the last fill number handed out *)
   mutable bytes : int;
 }
 
 let create ~max_entries =
   let rec root =
-    { e_key = (-1, ""); e_gen = 0; e_frame = ""; e_prev = root; e_next = root }
+    {
+      e_key = (-1, "");
+      e_gen = 0;
+      e_fill = 0;
+      e_frame = "";
+      e_prev = root;
+      e_next = root;
+    }
   in
   {
     mutex = Mutex.create ();
@@ -64,6 +83,8 @@ let create ~max_entries =
     invalidations = 0;
     evictions = 0;
     patched_sends = 0;
+    unchanged = 0;
+    fills = 0;
     bytes = 0;
   }
 
@@ -108,15 +129,41 @@ let find t ~proc ~args ~gen =
         t.misses <- t.misses + 1;
         None)
 
-let insert t ~proc ~args ~gen frame =
+(* A conditional listing: [fill] is the number the caller holds (0 when
+   it holds none from this daemon incarnation; numbers start at 1). *)
+let find_since t ~proc ~args ~gen ~fill =
+  with_lock t (fun () ->
+      match Hashtbl.find_opt t.table (proc, args) with
+      | Some e when e.e_gen = gen ->
+        t.hits <- t.hits + 1;
+        unlink e;
+        push_front t e;
+        if e.e_fill = fill then begin
+          t.unchanged <- t.unchanged + 1;
+          Unchanged
+        end
+        else Changed { frame = e.e_frame; fill = e.e_fill }
+      | Some e ->
+        t.invalidations <- t.invalidations + 1;
+        drop t e;
+        t.misses <- t.misses + 1;
+        Absent
+      | None ->
+        t.misses <- t.misses + 1;
+        Absent)
+
+let insert_numbered t ~proc ~args ~gen frame =
   with_lock t (fun () ->
       let key = (proc, args) in
+      t.fills <- t.fills + 1;
+      let fill = t.fills in
       (match Hashtbl.find_opt t.table key with
        | Some e ->
          (* Refill of an existing key (e.g. a fill raced another fill):
             keep the newer stamp. *)
          t.bytes <- t.bytes - String.length e.e_frame + String.length frame;
          e.e_gen <- gen;
+         e.e_fill <- fill;
          e.e_frame <- frame;
          unlink e;
          push_front t e
@@ -132,6 +179,7 @@ let insert t ~proc ~args ~gen frame =
            {
              e_key = key;
              e_gen = gen;
+             e_fill = fill;
              e_frame = frame;
              e_prev = t.root;
              e_next = t.root;
@@ -140,7 +188,11 @@ let insert t ~proc ~args ~gen frame =
          push_front t e;
          Hashtbl.add t.table key e;
          t.bytes <- t.bytes + String.length frame);
-      t.insertions <- t.insertions + 1)
+      t.insertions <- t.insertions + 1;
+      fill)
+
+let insert t ~proc ~args ~gen frame =
+  ignore (insert_numbered t ~proc ~args ~gen frame)
 
 let invalidate_all t =
   with_lock t (fun () ->
@@ -165,6 +217,7 @@ let stats t =
         invalidations = t.invalidations;
         evictions = t.evictions;
         patched_sends = t.patched_sends;
+        unchanged = t.unchanged;
         entries = Hashtbl.length t.table;
         bytes = t.bytes;
       })

@@ -92,7 +92,13 @@ let seed_default_domain (node : node) =
     (not (Domstore.mem node.store "test"))
     && not (Hashtbl.mem node.payload.actives "test")
   then begin
-    let cfg = Vm_config.make ~memory_kib:(8 * 1024) "test" in
+    (* Named after the node, like its networks and pools (see [nodes]):
+       a node answers alike in every run. *)
+    let cfg =
+      Vm_config.make
+        ~uuid:(Uuid.derive ("test://" ^ node.node_name ^ "/domain/test"))
+        ~memory_kib:(8 * 1024) "test"
+    in
     (match Domstore.define node.store cfg with Ok () -> () | Error _ -> assert false);
     (match
        Hvsim.Hostinfo.reserve node.payload.host
@@ -252,6 +258,7 @@ let recover (node : node) attach_info =
 
 let nodes : payload Drvnode.registry =
   Drvnode.registry ~init:seed_default_domain ~journal_dir:"/var/lib/ovirt/test"
+    ~uuid_scope:"test"
     ~recover (fun ~node_name ->
       let sub = substrate node_name in
       { op_latency_s = 0.0; host = sub.sub_host; actives = sub.sub_actives })

@@ -30,9 +30,10 @@ type 'p registry = {
   reg_init : 'p node -> unit;
   reg_journal_dir : string option;
   reg_recover : ('p node -> Domstore.recovery -> unit) option;
+  reg_uuid_scope : string option;
 }
 
-let registry ?(init = fun _ -> ()) ?journal_dir ?recover make =
+let registry ?(init = fun _ -> ()) ?journal_dir ?recover ?uuid_scope make =
   {
     reg_mutex = Mutex.create ();
     reg_nodes = Hashtbl.create 4;
@@ -40,6 +41,7 @@ let registry ?(init = fun _ -> ()) ?journal_dir ?recover make =
     reg_init = init;
     reg_journal_dir = journal_dir;
     reg_recover = recover;
+    reg_uuid_scope = uuid_scope;
   }
 
 let with_registry reg f =
@@ -52,6 +54,7 @@ let get_node reg name =
       | Some node -> node
       | None ->
         let store = Domstore.create () in
+        let scope = Option.map (fun s -> s ^ "://" ^ name) reg.reg_uuid_scope in
         (* Journal replay happens before the payload is built and before
            init: a restarted driver sees its pre-crash definitions, then
            reconciles them against whatever hypervisor state survived. *)
@@ -65,8 +68,8 @@ let get_node reg name =
             node_name = name;
             store;
             lock = Rwlock.create ();
-            net = Net_backend.create ();
-            storage = Storage_backend.create ();
+            net = Net_backend.create ?scope ();
+            storage = Storage_backend.create ?scope ();
             events = Events.create_bus ();
             payload = reg.reg_make ~node_name:name;
             gen = Atomic.make 0;

@@ -59,6 +59,7 @@ val registry :
   ?init:('p node -> unit) ->
   ?journal_dir:string ->
   ?recover:('p node -> Domstore.recovery -> unit) ->
+  ?uuid_scope:string ->
   (node_name:string -> 'p) ->
   'p registry
 (** [registry ?init ?journal_dir ?recover make] builds an (initially
@@ -72,7 +73,12 @@ val registry :
     journal at [<journal_dir>/<node>.journal] ({!Domstore.attach} runs
     before [make] and [init]); [recover] then runs last on creation,
     where drivers redo half-completed operations and call {!reconcile}
-    against surviving hypervisor state. *)
+    against surviving hypervisor state.
+
+    With [uuid_scope], the networks and pools of node [N] take UUIDs
+    derived from ["<uuid_scope>://N"] and their names
+    ({!Ovirt_core.Net_backend.create}), so the node answers alike in
+    every run. *)
 
 val get_node : 'p registry -> string -> 'p node
 (** Find-or-create.  Thread-safe; creation is serialized. *)

@@ -56,6 +56,9 @@ type stats = {
   st_events_replayed : int;
       (** events recovered through resume replays after reconnects *)
   st_event_gaps : int;  (** gap verdicts (each forced a cache flush + resync) *)
+  st_listings : int;
+  st_listings_unchanged : int;
+  st_listing_bytes : int;
 }
 
 (* Counters live per connection: concurrent connections (a chaos run
@@ -78,6 +81,9 @@ type counters = {
   mutable cn_sub_errors : int;
   mutable cn_ev_replayed : int;
   mutable cn_ev_gaps : int;
+  mutable cn_listings : int;  (** listing replies received *)
+  mutable cn_listings_unchanged : int;  (** of which v1.8 "unchanged" *)
+  mutable cn_listing_bytes : int;  (** their reply bodies' bytes *)
 }
 
 let stats_mutex = Mutex.create ()
@@ -106,6 +112,9 @@ let fresh_counters bus =
           cn_sub_errors = 0;
           cn_ev_replayed = 0;
           cn_ev_gaps = 0;
+          cn_listings = 0;
+          cn_listings_unchanged = 0;
+          cn_listing_bytes = 0;
         }
       in
       all_counters := c :: !all_counters;
@@ -126,7 +135,10 @@ let reset_stats () =
           c.cn_breaker_fastfails <- 0;
           c.cn_sub_errors <- 0;
           c.cn_ev_replayed <- 0;
-          c.cn_ev_gaps <- 0)
+          c.cn_ev_gaps <- 0;
+          c.cn_listings <- 0;
+          c.cn_listings_unchanged <- 0;
+          c.cn_listing_bytes <- 0)
         !all_counters)
 
 let snapshot c =
@@ -143,6 +155,9 @@ let snapshot c =
     st_sub_errors = c.cn_sub_errors;
     st_events_replayed = c.cn_ev_replayed;
     st_event_gaps = c.cn_ev_gaps;
+    st_listings = c.cn_listings;
+    st_listings_unchanged = c.cn_listings_unchanged;
+    st_listing_bytes = c.cn_listing_bytes;
   }
 
 let stats () =
@@ -163,6 +178,10 @@ let stats () =
             st_sub_errors = acc.st_sub_errors + c.cn_sub_errors;
             st_events_replayed = acc.st_events_replayed + c.cn_ev_replayed;
             st_event_gaps = acc.st_event_gaps + c.cn_ev_gaps;
+            st_listings = acc.st_listings + c.cn_listings;
+            st_listings_unchanged =
+              acc.st_listings_unchanged + c.cn_listings_unchanged;
+            st_listing_bytes = acc.st_listing_bytes + c.cn_listing_bytes;
           })
         {
           st_calls = 0;
@@ -177,6 +196,9 @@ let stats () =
           st_sub_errors = 0;
           st_events_replayed = 0;
           st_event_gaps = 0;
+          st_listings = 0;
+          st_listings_unchanged = 0;
+          st_listing_bytes = 0;
         }
         !all_counters)
 
@@ -357,7 +379,12 @@ type remote_conn = {
   mutable rc_breaker_until : float;  (** 0. = breaker closed *)
   mutable rc_probing : bool;  (** a half-open probe is in flight *)
   rc_last_listing : (Rp.procedure * string * Driver.fleet_listing) option Atomic.t;
-      (** the last listing reply: procedure, body bytes, decoded value *)
+      (** the last listing reply below v1.8: procedure, body bytes,
+          decoded value *)
+  rc_held : (Rp.fleet_token * string * Driver.fleet_listing) option Atomic.t;
+      (** the last full v1.8 reply: its token, body bytes and listing;
+          kept across reconnects, since the token's nonce tells
+          incarnations apart *)
 }
 
 let with_conn conn f =
@@ -845,13 +872,65 @@ let decode_reusing last proc decoder body =
     Atomic.set last (Some (proc, body, v));
     Ok v
 
-(* One bulk listing round trip.  For every reply, reused or not, rows go
-   into the cache and shard errors into the sub-error counter, so the
-   CLI's partial-failure exit code covers fleet-wide listings. *)
-let list_reply conn proc decoder =
-  let fills = begin_list_fills conn in
+(* v1.8: send the token of the listing held, read once before the call.
+   An "unchanged" reply returns that very value, so the fleet's merge
+   memo still sees the same rows.  A daemon without a reply cache (or a
+   fleet controller) answers every call in full under the zero token;
+   its repeated bytes reuse the value decoded from them, as below v1.8. *)
+let fetch_since conn =
+  let held = Atomic.get conn.rc_held in
+  let token = match held with Some (t, _, _) -> t | None -> Rp.no_token in
+  let* body = call conn Rp.Proc_fleet_list_since (Rp.enc_fleet_token token) in
+  let counted unchanged =
+    with_stats (fun () ->
+        let c = conn.rc_stats in
+        c.cn_listings <- c.cn_listings + 1;
+        if unchanged then c.cn_listings_unchanged <- c.cn_listings_unchanged + 1;
+        c.cn_listing_bytes <- c.cn_listing_bytes + String.length body)
+  in
+  match held with
+  | Some (_, b, listing) when String.equal b body ->
+    counted false;
+    Ok listing
+  | Some _ | None -> (
+    let* reply = decode Rp.dec_since_reply body in
+    match (reply, held) with
+    | Rp.Since_unchanged t, Some (t', _, listing) when t = t' ->
+      counted true;
+      Ok listing
+    | Rp.Since_unchanged _, _ ->
+      Verror.error Verror.Rpc_failure
+        "bad reply: \"unchanged\" for a listing this connection does not hold"
+    | Rp.Since_full (t, listing), _ ->
+      counted false;
+      Atomic.set conn.rc_held (Some (t, body, listing));
+      Ok listing)
+
+(* v1.3–v1.7: one listing procedure, and a repeated reply's bytes reuse
+   the value decoded from them. *)
+let fetch_bytes conn proc decoder =
   let* body = call conn proc Rp.enc_unit_body in
-  let* listing = decode_reusing conn.rc_last_listing proc decoder body in
+  with_stats (fun () ->
+      let c = conn.rc_stats in
+      c.cn_listings <- c.cn_listings + 1;
+      c.cn_listing_bytes <- c.cn_listing_bytes + String.length body);
+  decode_reusing conn.rc_last_listing proc decoder body
+
+(* One bulk listing round trip, on the one wire path the negotiated minor
+   picks.  For every reply, reused or not, rows go into the cache and
+   shard errors into the sub-error counter, so the CLI's partial-failure
+   exit code covers fleet-wide listings. *)
+let fleet_list_all conn () =
+  let fills = begin_list_fills conn in
+  let* listing =
+    if serves conn Rp.Proc_fleet_list_since then fetch_since conn
+    else if serves conn Rp.Proc_fleet_list_all then
+      fetch_bytes conn Rp.Proc_fleet_list_all Rp.dec_fleet_listing
+    else
+      fetch_bytes conn Rp.Proc_dom_list_all (fun body ->
+          let fl_records = Rp.dec_domain_record_list body in
+          Driver.{ fl_records; fl_shard_errors = []; fl_members = 1 })
+  in
   let errs = List.length listing.Driver.fl_shard_errors in
   if errs > 0 then
     with_stats (fun () ->
@@ -859,19 +938,8 @@ let list_reply conn proc decoder =
   install_records conn fills listing.Driver.fl_records;
   Ok listing
 
-(* v1.7 bulk listing: the annotated variant.  A plain daemon answers
-   with its own rows and no shard errors; an older one with bare rows. *)
-let fleet_list_all conn () =
-  list_reply conn Rp.Proc_fleet_list_all Rp.dec_fleet_listing
-
 let dom_list_all conn () =
-  let* listing =
-    if serves conn Rp.Proc_fleet_list_all then fleet_list_all conn ()
-    else
-      list_reply conn Rp.Proc_dom_list_all (fun body ->
-          let fl_records = Rp.dec_domain_record_list body in
-          Driver.{ fl_records; fl_shard_errors = []; fl_members = 1 })
-  in
+  let* listing = fleet_list_all conn () in
   Ok listing.Driver.fl_records
 
 (* ------------------------------------------------------------------ *)
@@ -1026,6 +1094,7 @@ let open_conn uri =
       rc_breaker_until = 0.;
       rc_probing = false;
       rc_last_listing = Atomic.make None;
+      rc_held = Atomic.make None;
     }
   in
   (* The connection is not shared yet, so no lock is needed for the

@@ -26,8 +26,22 @@
     ([Proc_dom_list_all]) and path-indexed volume lookup
     ([Proc_vol_lookup]) always go on the wire as one call.  Newer
     procedures (the v1.4 deadline envelope, the v1.6 resumable event
-    stream, the v1.7 annotated fleet listing) are sent only to daemons
-    that serve them.
+    stream, the v1.7 annotated fleet listing, the v1.8 conditional
+    listing) are sent only to daemons that serve them.
+
+    {1 Bulk listings}
+
+    A bulk listing takes one wire path, picked by the negotiated minor:
+    - v1.8: [Proc_fleet_list_since] carries the token of the listing
+      the connection last decoded (kept across reconnects; the daemon's
+      boot nonce tells incarnations apart).  An unchanged daemon
+      answers in 12 bytes and the driver returns the very listing it
+      holds; otherwise the reply is the full listing and its new token.
+    - v1.7: [Proc_fleet_list_all]; v1.3–v1.6: [Proc_dom_list_all].
+    On every path a reply byte-equal to the last one reuses the value
+    decoded from it ({!decode_reusing}): that is what serves a daemon
+    that answers every v1.8 call in full (its reply cache off, or a
+    fleet controller).  Either way the rows refill the client cache.
 
     {1 Client-side caching}
 
@@ -155,6 +169,11 @@ type stats = {
   st_event_gaps : int;
       (** resume gap verdicts — each forced a wholesale cache flush and
           an [Ev_resync] emission *)
+  st_listings : int;  (** bulk listing replies received *)
+  st_listings_unchanged : int;
+      (** of which v1.8 "unchanged" replies, answered with the listing
+          the connection already held *)
+  st_listing_bytes : int;  (** bytes of those replies' bodies *)
 }
 
 val stats : unit -> stats

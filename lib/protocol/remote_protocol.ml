@@ -61,6 +61,7 @@ type procedure =
   | Proc_fleet_list_all
   | Proc_fleet_status
   | Proc_fleet_migrate
+  | Proc_fleet_list_since
 
 type descriptor = {
   proc : procedure;
@@ -163,6 +164,10 @@ let table =
       row Proc_fleet_list_all ~since:7 ~high:false ~idem:true ~cache:true;
       row Proc_fleet_status ~since:7 ~high:true ~idem:true ~cache:false;
       row Proc_fleet_migrate ~since:7 ~high:false ~idem:false ~cache:false;
+      (* v1.8: conditional listing.  Its reply depends on the caller's
+         token, so it is never cached itself; the daemon answers it from
+         the fleet_list_all entry of the reply cache. *)
+      row Proc_fleet_list_since ~since:8 ~high:false ~idem:true ~cache:false;
     |]
 
 (* Number→row is on the per-packet hot path: an array index.  The reverse
@@ -743,32 +748,30 @@ let dec_resume_reply body =
    from the members that answered, one (member, error) pair per member
    that could not contribute, and the member count so a client can state
    completeness ("47 rows from 7/8 shards"). *)
-let enc_fleet_listing (l : Driver.fleet_listing) =
-  Xdr.encode
-    (fun e () ->
-      Xdr.enc_array e enc_domain_record_into l.Driver.fl_records;
-      Xdr.enc_array e
-        (fun e (se : Driver.shard_error) ->
-          Xdr.enc_string e se.Driver.se_member;
-          enc_error_into e se.Driver.se_error)
-        l.Driver.fl_shard_errors;
-      Xdr.enc_uint e l.Driver.fl_members)
-    ()
+let enc_fleet_listing_into e (l : Driver.fleet_listing) =
+  Xdr.enc_array e enc_domain_record_into l.Driver.fl_records;
+  Xdr.enc_array e
+    (fun e (se : Driver.shard_error) ->
+      Xdr.enc_string e se.Driver.se_member;
+      enc_error_into e se.Driver.se_error)
+    l.Driver.fl_shard_errors;
+  Xdr.enc_uint e l.Driver.fl_members
 
-let dec_fleet_listing body =
-  Xdr.decode
-    (fun d ->
-      let fl_records = Xdr.dec_array d dec_domain_record_from in
-      let fl_shard_errors =
-        Xdr.dec_array d (fun d ->
-            let se_member = Xdr.dec_string d in
-            let code = Verror.code_of_int (Xdr.dec_int d) in
-            let message = Xdr.dec_string d in
-            Driver.{ se_member; se_error = Verror.make code message })
-      in
-      let fl_members = Xdr.dec_uint d in
-      Driver.{ fl_records; fl_shard_errors; fl_members })
-    body
+let enc_fleet_listing l = Xdr.encode enc_fleet_listing_into l
+
+let dec_fleet_listing_from d =
+  let fl_records = Xdr.dec_array d dec_domain_record_from in
+  let fl_shard_errors =
+    Xdr.dec_array d (fun d ->
+        let se_member = Xdr.dec_string d in
+        let code = Verror.code_of_int (Xdr.dec_int d) in
+        let message = Xdr.dec_string d in
+        Driver.{ se_member; se_error = Verror.make code message })
+  in
+  let fl_members = Xdr.dec_uint d in
+  Driver.{ fl_records; fl_shard_errors; fl_members }
+
+let dec_fleet_listing body = Xdr.decode dec_fleet_listing_from body
 
 let member_health_to_int = function
   | Driver.Mh_up -> 0
@@ -848,4 +851,67 @@ let dec_fleet_migrate body =
       let domain = Xdr.dec_string d in
       let dest = Xdr.dec_string d in
       (domain, dest))
+    body
+
+(* ---- v1.8: conditional listings ---- *)
+
+(* A token names the reply-cache fill a listing came from: the daemon's
+   boot nonce and the fill number of its fleet_list_all entry, each a
+   u32 on the wire.  Fill numbers only grow, and a key holds one entry
+   whose number is its latest fill, so a token cut to 32 bits can only
+   match the entry it was issued for. *)
+type fleet_token = { ft_nonce : int; ft_fill : int }
+
+let no_token = { ft_nonce = 0; ft_fill = 0 }
+
+let enc_token_into e t =
+  Xdr.enc_uint e (t.ft_nonce land 0xffff_ffff);
+  Xdr.enc_uint e (t.ft_fill land 0xffff_ffff)
+
+let dec_token_from d =
+  let ft_nonce = Xdr.dec_uint d in
+  let ft_fill = Xdr.dec_uint d in
+  { ft_nonce; ft_fill }
+
+let enc_fleet_token t = Xdr.encode enc_token_into t
+let dec_fleet_token body = Xdr.decode dec_token_from body
+
+type since_reply =
+  | Since_unchanged of fleet_token
+  | Since_full of fleet_token * Driver.fleet_listing
+
+(* [token][discriminant], then on "full" the v1.7 listing body as is. *)
+let since_unchanged = 0
+let since_full = 1
+
+let enc_since_unchanged t =
+  Xdr.encode
+    (fun e () ->
+      enc_token_into e t;
+      Xdr.enc_uint e since_unchanged)
+    ()
+
+let enc_since_full t listing =
+  Xdr.encode
+    (fun e () ->
+      enc_token_into e t;
+      Xdr.enc_uint e since_full;
+      enc_fleet_listing_into e listing)
+    ()
+
+let enc_since_full_raw t listing_body =
+  let e = Xdr.encoder ~size:(12 + String.length listing_body) () in
+  enc_token_into e t;
+  Xdr.enc_uint e since_full;
+  Xdr.enc_raw e listing_body;
+  Xdr.to_string e
+
+let dec_since_reply body =
+  Xdr.decode
+    (fun d ->
+      let t = dec_token_from d in
+      match Xdr.dec_uint d with
+      | 0 -> Since_unchanged t
+      | 1 -> Since_full (t, dec_fleet_listing_from d)
+      | n -> raise (Xdr.Error (Printf.sprintf "unknown listing discriminant %d" n)))
     body

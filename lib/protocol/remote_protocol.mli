@@ -93,6 +93,10 @@ type procedure =
   | Proc_fleet_migrate
       (** args: (domain, destination member); ret: none — journaled
           two-phase cross-daemon migration through the controller *)
+  | Proc_fleet_list_since
+      (** appended in v1.8: args: {!fleet_token}; ret: {!since_reply} — a
+          conditional [Proc_fleet_list_all]: a daemon whose listing still
+          carries the caller's token answers "unchanged" in 12 bytes *)
 
 val enc_bool_body : bool -> string
 val dec_bool_body : string -> bool
@@ -265,3 +269,35 @@ val dec_fleet_status : string -> Ovirt_core.Driver.fleet_status
 
 val enc_fleet_migrate : domain:string -> dest:string -> string
 val dec_fleet_migrate : string -> string * string
+
+(** {1 v1.8: conditional listings} *)
+
+type fleet_token = { ft_nonce : int; ft_fill : int }
+(** The listing a client holds: the daemon's boot nonce plus the fill
+    number of the reply-cache entry that produced it.  Each is a u32 on
+    the wire. *)
+
+val no_token : fleet_token
+(** The zero token: names no listing, so the reply is always "full".  A
+    daemon that cannot answer conditionally (reply cache off, or a node
+    without a generation stamp) hands it out. *)
+
+val enc_fleet_token : fleet_token -> string
+val dec_fleet_token : string -> fleet_token
+
+type since_reply =
+  | Since_unchanged of fleet_token  (** the caller's listing is current *)
+  | Since_full of fleet_token * Ovirt_core.Driver.fleet_listing
+
+val enc_since_unchanged : fleet_token -> string
+(** 12 bytes: the token and the "unchanged" discriminant. *)
+
+val enc_since_full : fleet_token -> Ovirt_core.Driver.fleet_listing -> string
+(** The token, the "full" discriminant, then the listing as
+    {!enc_fleet_listing} encodes it. *)
+
+val enc_since_full_raw : fleet_token -> string -> string
+(** {!enc_since_full} for a listing already encoded: [listing_body] is
+    copied verbatim. *)
+
+val dec_since_reply : string -> since_reply

@@ -2,13 +2,11 @@ type t = string (* exactly 16 raw bytes *)
 
 let counter = Atomic.make 1
 
-let generate () =
-  let n = Atomic.fetch_and_add counter 1 in
-  let t = Int64.bits_of_float (Unix.gettimeofday ()) in
+(* Spread the seed's bits through the bytes with a multiplicative hash so
+   consecutive seeds give UUIDs that differ everywhere. *)
+let of_seed seed =
   let b = Bytes.create 16 in
-  (* Spread counter and clock bits through the bytes with a multiplicative
-     hash so consecutive UUIDs differ everywhere. *)
-  let h = ref (Int64.logxor t (Int64.of_int (n * 0x9e3779b9))) in
+  let h = ref seed in
   for i = 0 to 15 do
     h := Int64.add (Int64.mul !h 6364136223846793005L) 1442695040888963407L;
     Bytes.set b i (Char.chr (Int64.to_int (Int64.shift_right_logical !h 56) land 0xff))
@@ -17,6 +15,20 @@ let generate () =
   Bytes.set b 6 (Char.chr (0x40 lor (Char.code (Bytes.get b 6) land 0x0f)));
   Bytes.set b 8 (Char.chr (0x80 lor (Char.code (Bytes.get b 8) land 0x3f)));
   Bytes.unsafe_to_string b
+
+let generate () =
+  let n = Atomic.fetch_and_add counter 1 in
+  let t = Int64.bits_of_float (Unix.gettimeofday ()) in
+  of_seed (Int64.logxor t (Int64.of_int (n * 0x9e3779b9)))
+
+(* 64-bit FNV-1a of the name. *)
+let derive name =
+  let h = ref (-3750763034362895579L) in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 1099511628211L)
+    name;
+  of_seed !h
 
 (* Listings render one UUID per row on both ends of the wire, so this
    writes the 36 bytes straight from a digit table: one allocation, no

@@ -8,6 +8,12 @@ val generate : unit -> t
     counter mixed with the clock — no cryptographic randomness needed for
     the simulation). *)
 
+val derive : string -> t
+(** The UUID named by a string: the same string always gives the same
+    UUID, distinct strings distinct ones (up to a 64-bit hash).  For
+    objects a simulated node creates on its own, so they keep one
+    identity from run to run. *)
+
 val of_string : string -> (t, string) result
 (** Accepts exactly the canonical form, case-insensitive: dashes at
     offsets 8, 13, 18 and 23, hex digits everywhere else.  Any other

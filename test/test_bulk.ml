@@ -55,7 +55,7 @@ let calls_of conn =
 (* --- protocol surface ----------------------------------------------------- *)
 
 let test_v13_numbers_stable () =
-  Alcotest.(check int) "build minor" 7 Rp.minor;
+  Alcotest.(check int) "build minor" 8 Rp.minor;
   Alcotest.(check int) "proto_minor is 45" 45 (Rp.proc_to_int Rp.Proc_proto_minor);
   Alcotest.(check int) "dom_list_all is 46" 46 (Rp.proc_to_int Rp.Proc_dom_list_all);
   Alcotest.(check int) "call_batch is 47" 47 (Rp.proc_to_int Rp.Proc_call_batch);

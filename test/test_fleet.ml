@@ -618,6 +618,345 @@ let prop_merge_reuse =
         [ List.map Fun.id; (fun _ -> List.map merge_row alt) ];
       true)
 
+(* --- conditional listings (v1.8) ---------------------------------------- *)
+
+(* Under random interleavings of writes (event-less ones included), bare
+   events, reply-cache evictions, daemon restarts under the same name and
+   fresh connections, every conditional listing equals an unconditional
+   listing of the node taken at the same point: an "unchanged" answer
+   never hides a change, whichever client filled the entry and whichever
+   daemon incarnation issued the token. *)
+
+type cond_write =
+  | W_autostart of int
+  | W_memory of int
+  | W_define
+  | W_start of int
+  | W_stop of int
+
+type cond_step =
+  | C_list of int * int  (** member, client *)
+  | C_fleet_list
+  | C_write of int * cond_write
+  | C_emit of int  (** a bare event on the node bus *)
+  | C_evict of int  (** point reads that push the listing out *)
+  | C_restart of int
+  | C_reopen of int * int  (** a fresh connection for that client *)
+
+let show_cond_step = function
+  | C_list (m, c) -> Printf.sprintf "list m%d c%d" m c
+  | C_fleet_list -> "fleet list"
+  | C_write (m, w) ->
+    Printf.sprintf "m%d %s" m
+      (match w with
+       | W_autostart k -> Printf.sprintf "autostart %d" k
+       | W_memory k -> Printf.sprintf "memory %d" k
+       | W_define -> "define"
+       | W_start k -> Printf.sprintf "start %d" k
+       | W_stop k -> Printf.sprintf "stop %d" k)
+  | C_emit m -> Printf.sprintf "emit m%d" m
+  | C_evict m -> Printf.sprintf "evict m%d" m
+  | C_restart m -> Printf.sprintf "restart m%d" m
+  | C_reopen (m, c) -> Printf.sprintf "reopen m%d c%d" m c
+
+let cond_seeded = 3
+
+(* Every member keeps its reply cache on (whatever the environment says)
+   and small enough for three point reads to evict the listing. *)
+let cond_config =
+  { quiet_config with Daemon_config.reply_cache = 1; reply_cache_entries = 2 }
+
+type cond_member = {
+  cm_daemon : string;
+  cm_node : string;
+  mutable cm_handle : Ovdaemon.Daemon.t;
+  cm_direct : Connect.t;
+  cm_clients : Connect.t array;
+  cm_reader : Connect.t;
+  mutable cm_defined : int;
+}
+
+let cond_uri ?(extra = "") cm =
+  Printf.sprintf
+    "test+unix://%s/?daemon=%s&reconnect=50&reconnect_delay=0.001&reconnect_max_delay=0.005%s"
+    cm.cm_node cm.cm_daemon extra
+
+let sorted_rows records =
+  List.sort
+    (fun a b ->
+      compare a.Driver.rec_ref.Driver.dom_name b.Driver.rec_ref.Driver.dom_name)
+    records
+
+let cond_run n steps =
+  let members =
+    List.init n (fun i ->
+        let dname = fresh_name "cld" and node = fresh_name "cln" in
+        let handle = Daemon.start ~name:dname ~config:cond_config () in
+        let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+        for k = 0 to cond_seeded - 1 do
+          ignore (seed_domain direct ~running:(k = 0) (Printf.sprintf "m%d-%d" i k))
+        done;
+        let cm0 =
+          {
+            cm_daemon = dname;
+            cm_node = node;
+            cm_handle = handle;
+            cm_direct = direct;
+            cm_clients = [||];
+            cm_reader = direct;
+            cm_defined = cond_seeded;
+          }
+        in
+        {
+          cm0 with
+          cm_clients = Array.init 2 (fun _ -> vok (Connect.open_uri (cond_uri cm0)));
+          cm_reader = vok (Connect.open_uri (cond_uri ~extra:"&cache=0" cm0));
+        })
+    |> Array.of_list
+  in
+  let fleet =
+    Fleet.create ~name:(fresh_name "clfleet")
+      ~members:
+        (Array.to_list (Array.mapi (fun i cm -> (Printf.sprintf "m%d" i, cond_uri cm)) members))
+      ~shard_slice_s:5.0 ~probe_interval_s:60.0 ~probe_timeout_s:1.0 ()
+  in
+  let direct_rows cm = vok (Connect.list_all_domains cm.cm_direct) in
+  let agree what got want =
+    if sorted_rows got <> sorted_rows want then
+      QCheck.Test.fail_reportf "%s: the conditional listing differs from the node's" what
+  in
+  let dom cm name = vok (Domain.lookup_by_name cm.cm_direct name) in
+  let name_of m cm k = Printf.sprintf "m%d-%d" m (k mod cm.cm_defined) in
+  let step = function
+    | C_list (m, c) ->
+      let cm = members.(m) in
+      agree (show_cond_step (C_list (m, c)))
+        (vok (Connect.list_all_domains cm.cm_clients.(c)))
+        (direct_rows cm)
+    | C_fleet_list ->
+      let l = vok ((Option.get (Fleet.ops_of fleet).Driver.fleet).Driver.fleet_list_all ()) in
+      if l.Driver.fl_shard_errors <> [] then
+        QCheck.Test.fail_report "fleet list: shard errors";
+      agree "fleet list" l.Driver.fl_records
+        (List.concat_map direct_rows (Array.to_list members))
+    | C_write (m, w) -> (
+      let cm = members.(m) in
+      let by k = dom cm (name_of m cm k) in
+      (* A refused write (starting a running domain) changes nothing. *)
+      match w with
+      | W_autostart k ->
+        let d = by k in
+        ignore (Domain.set_autostart d (not (vok (Domain.get_autostart d))))
+      | W_memory k ->
+        let d = by k in
+        ignore (Domain.set_memory d (4096 + (1024 * (k mod 4))))
+      | W_define ->
+        ignore
+          (seed_domain cm.cm_direct ~running:false
+             (Printf.sprintf "m%d-%d" m cm.cm_defined));
+        cm.cm_defined <- cm.cm_defined + 1
+      | W_start k -> ignore (Domain.create (by k))
+      | W_stop k -> ignore (Domain.destroy (by k)))
+    | C_emit m ->
+      Events.emit (vok (Connect.ops members.(m).cm_direct)).Driver.events
+        ~domain_name:(Printf.sprintf "m%d-0" m) Events.Ev_adopted
+    | C_evict m ->
+      let cm = members.(m) in
+      for k = 0 to cond_seeded - 1 do
+        let d = vok (Domain.lookup_by_name cm.cm_reader (name_of m cm k)) in
+        ignore (vok (Domain.get_info d))
+      done
+    | C_restart m ->
+      let cm = members.(m) in
+      Daemon.stop cm.cm_handle;
+      cm.cm_handle <- Daemon.start ~name:cm.cm_daemon ~config:cond_config ()
+    | C_reopen (m, c) ->
+      let cm = members.(m) in
+      Connect.close cm.cm_clients.(c);
+      cm.cm_clients.(c) <- vok (Connect.open_uri (cond_uri cm))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Fleet.dissolve (Fleet.name fleet);
+      Array.iter
+        (fun cm ->
+          Array.iter Connect.close cm.cm_clients;
+          Connect.close cm.cm_reader;
+          Connect.close cm.cm_direct;
+          Daemon.stop cm.cm_handle)
+        members)
+    (fun () -> List.iter step steps)
+
+let prop_conditional_listing =
+  let gen =
+    let open QCheck.Gen in
+    let* n = int_range 1 3 in
+    let m = int_bound (n - 1) and k = int_bound 4 in
+    let write =
+      frequency
+        [
+          (2, map (fun k -> W_autostart k) k);
+          (2, map (fun k -> W_memory k) k);
+          (1, return W_define);
+          (1, map (fun k -> W_start k) k);
+          (1, map (fun k -> W_stop k) k);
+        ]
+    in
+    let step =
+      frequency
+        [
+          (6, map2 (fun m c -> C_list (m, c)) m (int_bound 1));
+          (2, return C_fleet_list);
+          (4, map2 (fun m w -> C_write (m, w)) m write);
+          (1, map (fun m -> C_emit m) m);
+          (1, map (fun m -> C_evict m) m);
+          (3, map (fun m -> C_restart m) m);
+          (1, map2 (fun m c -> C_reopen (m, c)) m (int_bound 1));
+        ]
+    in
+    pair (return n) (list_size (int_range 4 24) step)
+  in
+  let print (n, steps) =
+    Printf.sprintf "%d members: %s" n (String.concat "; " (List.map show_cond_step steps))
+  in
+  qcheck_case ~count:100 "conditional listing equals an unconditional one"
+    (QCheck.make ~print gen) (fun (n, steps) ->
+      cond_run n steps;
+      true)
+
+(* An unchanged member answers in 12 bytes with the very rows the client
+   holds.  After a write and a restart, the new incarnation's first fill
+   (made for another client) carries the fill number the first client
+   still holds: only the nonce tells the two listings apart. *)
+let test_conditional_listing_counts () =
+  let dname = fresh_name "cld" and node = fresh_name "cln" in
+  let daemon = ref (Daemon.start ~name:dname ~config:cond_config ()) in
+  Fun.protect
+    ~finally:(fun () -> Daemon.stop !daemon)
+    (fun () ->
+      let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+      let dom = seed_domain direct ~running:false "cl-one" in
+      let uri =
+        Printf.sprintf "test+unix://%s/?daemon=%s&reconnect=50&reconnect_delay=0.001"
+          node dname
+      in
+      let conn = vok (Connect.open_uri uri) and other = vok (Connect.open_uri uri) in
+      let stats () = Option.get (Drv_remote.conn_stats (vok (Connect.ops conn))) in
+      let unchanged () = (stats ()).Drv_remote.st_listings_unchanged in
+      let first = vok (Connect.list_all_domains conn) in
+      let s0 = stats () in
+      let second = vok (Connect.list_all_domains conn) in
+      let s1 = stats () in
+      Alcotest.(check bool) "same physical rows" true (first == second);
+      Alcotest.(check int) "one unchanged reply" 1
+        (s1.Drv_remote.st_listings_unchanged - s0.Drv_remote.st_listings_unchanged);
+      Alcotest.(check int) "in 12 bytes" 12
+        (s1.Drv_remote.st_listing_bytes - s0.Drv_remote.st_listing_bytes);
+      vok (Domain.set_autostart dom true);
+      Daemon.stop !daemon;
+      daemon := Daemon.start ~name:dname ~config:cond_config ();
+      ignore (vok (Connect.list_all_domains other));
+      let u = unchanged () in
+      let third = vok (Connect.list_all_domains conn) in
+      Alcotest.(check int) "a new incarnation answers in full" u (unchanged ());
+      Alcotest.(check bool) "the write shows" true
+        (sorted_rows third = sorted_rows (vok (Connect.list_all_domains direct)));
+      List.iter Connect.close [ conn; other; direct ])
+
+(* Without a reply cache a member answers every conditional listing in
+   full under the zero token; repeated bytes still reuse the decoded
+   rows, so the fleet's merge memo still holds. *)
+let test_cache_off_member_reuses_bytes () =
+  let dname = fresh_name "cod" and node = fresh_name "con" in
+  let daemon = Daemon.start ~name:dname ~config:cond_config () in
+  Fun.protect
+    ~finally:(fun () -> Daemon.stop daemon)
+    (fun () ->
+      let conn =
+        vok
+          (Connect.open_uri
+             (Printf.sprintf "test+unix://%s/?daemon=%s&replycache=0" node dname))
+      in
+      let first = vok (Connect.list_all_domains conn) in
+      let second = vok (Connect.list_all_domains conn) in
+      Alcotest.(check bool) "repeated bytes reuse the rows" true (first == second);
+      let s = Option.get (Drv_remote.conn_stats (vok (Connect.ops conn))) in
+      Alcotest.(check int) "two full replies" 2 s.Drv_remote.st_listings;
+      Alcotest.(check int) "none unchanged" 0 s.Drv_remote.st_listings_unchanged;
+      Connect.close conn)
+
+(* A recording relay between a client and a daemon: every call frame's
+   procedure number, in order. *)
+let with_recording_relay ~upstream f =
+  let name = fresh_name "relay" in
+  let seen = ref [] and seen_mutex = Mutex.create () in
+  let pump src dst record =
+    ignore
+      (Thread.create
+         (fun () ->
+           try
+             while true do
+               let frame = Transport.recv src in
+               if record then begin
+                 let header, _ = Ovrpc.Rpc_packet.decode frame in
+                 if header.Ovrpc.Rpc_packet.msg_type = Ovrpc.Rpc_packet.Call then begin
+                   Mutex.lock seen_mutex;
+                   seen := header.Ovrpc.Rpc_packet.procedure :: !seen;
+                   Mutex.unlock seen_mutex
+                 end
+               end;
+               Transport.send dst frame
+             done
+           with _ ->
+             Transport.close src;
+             Transport.close dst)
+         ())
+  in
+  let listener =
+    listen_threaded (name ^ "-sock") (fun client ->
+        let server = Netsim.connect (upstream ^ "-sock") Transport.Unix_sock in
+        pump client server true;
+        pump server client false)
+  in
+  Fun.protect
+    ~finally:(fun () -> Netsim.close_listener listener)
+    (fun () ->
+      f name (fun () ->
+          Mutex.lock seen_mutex;
+          let l = List.rev !seen in
+          Mutex.unlock seen_mutex;
+          l))
+
+(* A v1.8 client of a member pinned to minor 7 keeps the v1.7 wire path:
+   no conditional call, and a repeated reply's bytes still reuse the
+   rows decoded from them. *)
+let test_minor7_member_keeps_v17_path () =
+  let dname = fresh_name "m7d" and node = fresh_name "m7n" in
+  let daemon =
+    Daemon.start ~name:dname
+      ~config:{ quiet_config with Daemon_config.proto_minor = 7; reply_cache = 1 }
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Daemon.stop daemon)
+    (fun () ->
+      with_recording_relay ~upstream:dname (fun relay seen ->
+          let conn =
+            vok (Connect.open_uri (Printf.sprintf "test+unix://%s/?daemon=%s" node relay))
+          in
+          let first = vok (Connect.list_all_domains conn) in
+          let second = vok (Connect.list_all_domains conn) in
+          Alcotest.(check bool) "repeated bytes reuse the rows" true (first == second);
+          let procs = seen () in
+          let count p = List.length (List.filter (( = ) (Rp.proc_to_int p)) procs) in
+          Alcotest.(check int) "no conditional listing on the wire" 0
+            (count Rp.Proc_fleet_list_since);
+          Alcotest.(check int) "two v1.7 listings" 2 (count Rp.Proc_fleet_list_all);
+          let s = Option.get (Drv_remote.conn_stats (vok (Connect.ops conn))) in
+          Alcotest.(check int) "no unchanged replies" 0
+            s.Drv_remote.st_listings_unchanged;
+          Connect.close conn))
+
 (* --- cross-shard batch refusal ----------------------------------------- *)
 
 let test_cross_shard_batch_refused () =
@@ -956,6 +1295,16 @@ let () =
           quick "a slow member stalls nobody else" test_slow_member_stalls_nobody;
         ] );
       ("merge", [ prop_merge_reuse ]);
+      ( "listing",
+        [
+          prop_conditional_listing;
+          quick "unchanged is 12 bytes, a restart answers in full"
+            test_conditional_listing_counts;
+          quick "a minor-7 member keeps the v1.7 path"
+            test_minor7_member_keeps_v17_path;
+          quick "a cache-off member still reuses repeated bytes"
+            test_cache_off_member_reuses_bytes;
+        ] );
       ( "batch",
         [ quick "cross-shard mutation batches refused" test_cross_shard_batch_refused ]
       );

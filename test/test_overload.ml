@@ -49,7 +49,7 @@ let set_latency node us =
 (* --- protocol surface ------------------------------------------------------ *)
 
 let test_v14_numbers_stable () =
-  Alcotest.(check int) "build minor" 7 Rp.minor;
+  Alcotest.(check int) "build minor" 8 Rp.minor;
   Alcotest.(check int) "deadline envelope is 49" 49
     (Rp.proc_to_int Rp.Proc_call_deadline);
   Alcotest.(check int) "needs minor 4" 4 (Rp.proc_min_minor Rp.Proc_call_deadline);

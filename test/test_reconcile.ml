@@ -373,7 +373,7 @@ let test_journal_compaction () =
 (* --- protocol surface ------------------------------------------------------ *)
 
 let test_v15_numbers_stable () =
-  Alcotest.(check int) "build minor" 7 Rp.minor;
+  Alcotest.(check int) "build minor" 8 Rp.minor;
   Alcotest.(check int) "set_policy is 50" 50 (Rp.proc_to_int Rp.Proc_dom_set_policy);
   Alcotest.(check int) "get_policy is 51" 51 (Rp.proc_to_int Rp.Proc_dom_get_policy);
   Alcotest.(check int) "reconcile_status is 52" 52

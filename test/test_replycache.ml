@@ -88,6 +88,38 @@ let test_cache_semantics () =
   Alcotest.(check (option string)) "nothing survives a flush" None
     (Reply_cache.find c ~proc:1 ~args:"a" ~gen:2)
 
+(* Fill numbers: every insert takes the next one, so a refill after a
+   flush, a stale stamp or an eviction never reuses the number a holder
+   of the old frame was given. *)
+let test_fill_numbers () =
+  let c = Reply_cache.create ~max_entries:2 in
+  let since ~gen ~fill = Reply_cache.find_since c ~proc:1 ~args:"" ~gen ~fill in
+  let is_unchanged = function Reply_cache.Unchanged -> true | _ -> false in
+  let is_absent = function Reply_cache.Absent -> true | _ -> false in
+  Alcotest.(check bool) "nothing to answer from" true (is_absent (since ~gen:0 ~fill:0));
+  let f1 = Reply_cache.insert_numbered c ~proc:1 ~args:"" ~gen:0 "l1" in
+  Alcotest.(check bool) "its holder is current" true (is_unchanged (since ~gen:0 ~fill:f1));
+  (match since ~gen:0 ~fill:0 with
+   | Reply_cache.Changed { frame; fill } ->
+     Alcotest.(check string) "others get the frame" "l1" frame;
+     Alcotest.(check int) "and its number" f1 fill
+   | _ -> Alcotest.fail "a holder of nothing was not sent the frame");
+  Reply_cache.invalidate_all c;
+  Alcotest.(check bool) "a flush forgets it" true (is_absent (since ~gen:0 ~fill:f1));
+  let f2 = Reply_cache.insert_numbered c ~proc:1 ~args:"" ~gen:0 "l2" in
+  Alcotest.(check bool) "a refill is renumbered" true (f2 <> f1);
+  Alcotest.(check bool) "the old holder is not current" false
+    (is_unchanged (since ~gen:0 ~fill:f1));
+  Alcotest.(check bool) "a stale stamp forgets it" true (is_absent (since ~gen:1 ~fill:f2));
+  let f3 = Reply_cache.insert_numbered c ~proc:1 ~args:"" ~gen:1 "l3" in
+  Reply_cache.insert c ~proc:2 ~args:"x" ~gen:1 "x";
+  Reply_cache.insert c ~proc:2 ~args:"y" ~gen:1 "y";
+  Alcotest.(check bool) "an eviction forgets it" true (is_absent (since ~gen:1 ~fill:f3));
+  let f4 = Reply_cache.insert_numbered c ~proc:1 ~args:"" ~gen:1 "l4" in
+  Alcotest.(check bool) "numbers only grow" true (f1 < f2 && f2 < f3 && f3 < f4);
+  Alcotest.(check int) "one unchanged answer counted" 1
+    (Reply_cache.stats c).Reply_cache.unchanged
+
 (* --- raw-frame harness ------------------------------------------------------ *)
 
 (* A raw RPC connection whose reply frames are recorded exactly as they
@@ -559,7 +591,11 @@ let () =
           quick "minor-pinned daemon indistinguishable"
             test_minor_pinned_wire_invisible;
         ] );
-      ("semantics", [ quick "LRU, stamps, flush" test_cache_semantics ]);
+      ( "semantics",
+        [
+          quick "LRU, stamps, flush" test_cache_semantics;
+          quick "fill numbers" test_fill_numbers;
+        ] );
       ( "byte equality",
         [ quick "all cached procedures" test_byte_equality_all_procs ] );
       ( "fleet listing",

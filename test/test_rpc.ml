@@ -146,9 +146,9 @@ let test_remote_proc_numbers_stable () =
          match Rp.proc_of_int n with
          | Ok p -> Rp.proc_to_int p = n
          | Error _ -> false)
-       (List.init 57 (fun i -> i + 1)));
+       (List.init 58 (fun i -> i + 1)));
   (match Rp.proc_of_int 0 with Error _ -> () | Ok _ -> Alcotest.fail "0 valid");
-  (match Rp.proc_of_int 58 with Error _ -> () | Ok _ -> Alcotest.fail "58 valid");
+  (match Rp.proc_of_int 59 with Error _ -> () | Ok _ -> Alcotest.fail "59 valid");
   match Rp.proc_of_int 1000 with Error _ -> () | Ok _ -> Alcotest.fail "1000 valid"
 
 (* The reference for the procedure table: the per-procedure classifiers
@@ -166,6 +166,7 @@ module Reference = struct
     | Proc_dom_set_policy | Proc_dom_get_policy | Proc_daemon_reconcile_status -> 5
     | Proc_event_resume | Proc_event_lifecycle_seq -> 6
     | Proc_fleet_list_all | Proc_fleet_status | Proc_fleet_migrate -> 7
+    | Proc_fleet_list_since -> 8
     | _ -> 0
 
   let is_high_priority = function
@@ -194,7 +195,9 @@ module Reference = struct
     | Proc_call_batch | Proc_vol_lookup | Proc_call_deadline
     (* a fleet listing scatters to member daemons, a fleet migration
        drives two of them through a multi-step handshake *)
-    | Proc_fleet_list_all | Proc_fleet_migrate ->
+    | Proc_fleet_list_all | Proc_fleet_migrate
+    (* a conditional listing scatters exactly as the plain one does *)
+    | Proc_fleet_list_since ->
       false
 
   (* Idempotent = safe to re-issue after a connection death when the client
@@ -209,7 +212,9 @@ module Reference = struct
     | Proc_dom_get_autostart | Proc_net_list | Proc_net_lookup | Proc_pool_list
     | Proc_pool_lookup | Proc_vol_list | Proc_echo | Proc_ping | Proc_proto_minor
     | Proc_dom_list_all | Proc_vol_lookup | Proc_dom_get_policy
-    | Proc_daemon_reconcile_status | Proc_fleet_list_all | Proc_fleet_status ->
+    | Proc_daemon_reconcile_status | Proc_fleet_list_all | Proc_fleet_status
+    (* a read: the token only says which answer the caller holds *)
+    | Proc_fleet_list_since ->
       true
     | Proc_open | Proc_close | Proc_define_xml | Proc_undefine | Proc_dom_create
     | Proc_dom_suspend | Proc_dom_resume | Proc_dom_shutdown | Proc_dom_destroy
@@ -242,8 +247,8 @@ module Reference = struct
 end
 
 let test_table_matches_reference () =
-  Alcotest.(check int) "build minor" 7 Rp.minor;
-  for n = 1 to 57 do
+  Alcotest.(check int) "build minor" 8 Rp.minor;
+  for n = 1 to 58 do
     match Rp.descriptor_of_int ~minor:Rp.minor n with
     | Error err -> Alcotest.fail err.Verror.message
     | Ok d ->
@@ -266,10 +271,10 @@ let test_table_matches_reference () =
           Alcotest.(check string) (what "gated")
             (Printf.sprintf "unknown remote procedure %d" n) err.Verror.message
   done;
-  match Rp.descriptor_of_int ~minor:Rp.minor 58 with
-  | Ok _ -> Alcotest.fail "a 58th row"
+  match Rp.descriptor_of_int ~minor:Rp.minor 59 with
+  | Ok _ -> Alcotest.fail "a 59th row"
   | Error err ->
-    Alcotest.(check string) "unknown" "unknown remote procedure 58"
+    Alcotest.(check string) "unknown" "unknown remote procedure 59"
       err.Verror.message
 
 let test_priority_classification () =
