@@ -30,7 +30,7 @@ let config minor =
     reply_cache = 0;
   }
 
-(* The session: (label, procedure, body).  Fixed names and a fixed UUID
+(* The session: (procedure, body) pairs.  Fixed names and a fixed UUID
    for the one defined domain; every other identity on the wire comes
    from the test driver, which names its own objects after the node. *)
 let session ~node =
