@@ -2223,7 +2223,8 @@ let fleet () =
     ok ((Option.get ops.Driver.fleet).Driver.fleet_list_all ())
   in
   (* What one inventory received from its members: listing replies, how
-     many of them were v1.8 "unchanged", and their body bytes (counters
+     many of them were v1.8 "unchanged", their body bytes, and the rows
+     they installed into the member connections' client caches (counters
      of every remote connection in the process; only the fleet under
      test lists while this runs). *)
   let received f =
@@ -2233,7 +2234,8 @@ let fleet () =
     ( v,
       ( s1.Drv_remote.st_listings - s0.Drv_remote.st_listings,
         s1.Drv_remote.st_listings_unchanged - s0.Drv_remote.st_listings_unchanged,
-        s1.Drv_remote.st_listing_bytes - s0.Drv_remote.st_listing_bytes ) )
+        s1.Drv_remote.st_listing_bytes - s0.Drv_remote.st_listing_bytes,
+        s1.Drv_remote.st_rows_installed - s0.Drv_remote.st_rows_installed ) )
   in
   (* With the members' reply caches on, an unchanged member answers a
      repeated inventory "unchanged". *)
@@ -2270,11 +2272,18 @@ let fleet () =
               Array.sort compare a;
               a.(Array.length a / 2) *. 1000.
             in
+            (* The first inventory fills every member connection's
+               client cache: one member's share is a full install. *)
+            let _, (_, _, _, cold_rows) = received (fun () -> listing_of cached) in
+            let member_rows = cold_rows / n in
             let relist_ms = median_ms relisting in
             let cached_ms = median_ms cached in
-            (* One more inventory of each, nothing changed since. *)
-            let _, (_, _, relist_bytes) = received (fun () -> listing_of relisting) in
-            let _, (replies, repeat_unchanged, repeat_bytes) =
+            (* One more inventory of each, nothing changed since: a
+               listing handed back again installs no row. *)
+            let _, (_, _, relist_bytes, relist_rows) =
+              received (fun () -> listing_of relisting)
+            in
+            let _, (replies, repeat_unchanged, repeat_bytes, repeat_rows) =
               received (fun () -> listing_of cached)
             in
             if replies <> n || (caches_on && repeat_unchanged <> n) then
@@ -2283,6 +2292,12 @@ let fleet () =
                    "E22: a repeated inventory of %d unchanged members got %d \
                     unchanged replies of %d"
                    n repeat_unchanged replies);
+            if member_rows = 0 || repeat_rows <> 0 || relist_rows <> 0 then
+              failwith
+                (Printf.sprintf
+                   "E22: a repeated inventory of %d unchanged members installed \
+                    %d rows (%d re-listing), wanted 0 (a cold one: %d)"
+                   n repeat_rows relist_rows cold_rows);
             (* Freshness: start one domain on one member.  The next
                inventory must list that row running and every other row
                as it was; reusing an unchanged member's rows must never
@@ -2293,9 +2308,18 @@ let fleet () =
             let member = ok (Connect.open_uri uri) in
             ok (Domain.create (ok (Domain.lookup_by_name member started)));
             Connect.close member;
-            let relisted, (replies, unchanged, _) =
+            let relisted, (replies, unchanged, _, start_rows) =
               received (fun () -> listing_of cached)
             in
+            (* Its rows go back into that member's cache, and no other
+               member's: at least one row, at most one member's share
+               (fewer if the start's event raced the reply). *)
+            if start_rows <= 0 || start_rows > member_rows then
+              failwith
+                (Printf.sprintf
+                   "E22 freshness: %d rows installed after a start, wanted \
+                    1..%d (one member's)"
+                   start_rows member_rows);
             (* Only the started member's listing changed: it alone answers
                in full (the row check below shows it is that member's). *)
             let want_unchanged = if caches_on then n - 1 else 0 in
@@ -2326,24 +2350,26 @@ let fleet () =
                   if r' <> r then
                     failwith ("E22 freshness: untouched row changed: " ^ name))
               before.Driver.fl_records;
-            (n, expect, relist_ms, cached_ms, relist_bytes, repeat_bytes, repeat_unchanged)))
+            ( n, expect, relist_ms, cached_ms, relist_bytes, repeat_bytes,
+              repeat_unchanged, (repeat_rows, start_rows) )))
       shard_counts
   in
   table
     [
       "shards"; "domains"; "members re-list"; "reply-cache hits"; "re-list bytes";
-      "repeat bytes"; "unchanged";
+      "repeat bytes"; "unchanged"; "repeat rows"; "rows after a start";
     ]
     (List.map
-       (fun (n, d, ms, cached_ms, relist_bytes, repeat_bytes, unchanged) ->
+       (fun (n, d, ms, cached_ms, relist_bytes, repeat_bytes, unchanged, (rows, start_rows)) ->
          [
            string_of_int n; string_of_int d; Printf.sprintf "%.2f ms" ms;
            Printf.sprintf "%.2f ms" cached_ms; string_of_int relist_bytes;
            string_of_int repeat_bytes; Printf.sprintf "%d/%d" unchanged n;
+           string_of_int rows; string_of_int start_rows;
          ])
        sweep);
-  let _, _, t_one, c_one, _, _, _ = List.hd sweep in
-  let n_max, _, t_max, c_max, _, _, _ = List.nth sweep (List.length sweep - 1) in
+  let _, _, t_one, c_one, _, _, _, _ = List.hd sweep in
+  let n_max, _, t_max, c_max, _, _, _, _ = List.nth sweep (List.length sweep - 1) in
   let ratio = t_max /. Float.max 0.001 t_one in
   subsection
     (Printf.sprintf
@@ -2418,7 +2444,8 @@ let fleet () =
         ( "inventory_sweep",
           Mini_json.List
             (List.map
-               (fun (n, d, ms, cached_ms, relist_bytes, repeat_bytes, unchanged) ->
+               (fun (n, d, ms, cached_ms, relist_bytes, repeat_bytes, unchanged,
+                     (repeat_rows, start_rows)) ->
                  Mini_json.Obj
                    [
                      ("shards", Mini_json.Int n);
@@ -2428,6 +2455,8 @@ let fleet () =
                      ("relist_rx_bytes", Mini_json.Int relist_bytes);
                      ("repeat_rx_bytes", Mini_json.Int repeat_bytes);
                      ("repeat_unchanged_replies", Mini_json.Int unchanged);
+                     ("repeat_rows_installed", Mini_json.Int repeat_rows);
+                     ("rows_installed_after_start", Mini_json.Int start_rows);
                    ])
                sweep) );
         ("latency_ratio_max_vs_one", Mini_json.Float ratio);

@@ -59,6 +59,7 @@ type stats = {
   st_listings : int;
   st_listings_unchanged : int;
   st_listing_bytes : int;
+  st_rows_installed : int;
 }
 
 (* Counters live per connection: concurrent connections (a chaos run
@@ -84,6 +85,7 @@ type counters = {
   mutable cn_listings : int;  (** listing replies received *)
   mutable cn_listings_unchanged : int;  (** of which v1.8 "unchanged" *)
   mutable cn_listing_bytes : int;  (** their reply bodies' bytes *)
+  mutable cn_rows_installed : int;  (** cache rows their installs wrote *)
 }
 
 let stats_mutex = Mutex.create ()
@@ -115,6 +117,7 @@ let fresh_counters bus =
           cn_listings = 0;
           cn_listings_unchanged = 0;
           cn_listing_bytes = 0;
+          cn_rows_installed = 0;
         }
       in
       all_counters := c :: !all_counters;
@@ -138,7 +141,8 @@ let reset_stats () =
           c.cn_ev_gaps <- 0;
           c.cn_listings <- 0;
           c.cn_listings_unchanged <- 0;
-          c.cn_listing_bytes <- 0)
+          c.cn_listing_bytes <- 0;
+          c.cn_rows_installed <- 0)
         !all_counters)
 
 let snapshot c =
@@ -158,6 +162,7 @@ let snapshot c =
     st_listings = c.cn_listings;
     st_listings_unchanged = c.cn_listings_unchanged;
     st_listing_bytes = c.cn_listing_bytes;
+    st_rows_installed = c.cn_rows_installed;
   }
 
 let stats () =
@@ -182,6 +187,7 @@ let stats () =
             st_listings_unchanged =
               acc.st_listings_unchanged + c.cn_listings_unchanged;
             st_listing_bytes = acc.st_listing_bytes + c.cn_listing_bytes;
+            st_rows_installed = acc.st_rows_installed + c.cn_rows_installed;
           })
         {
           st_calls = 0;
@@ -199,6 +205,7 @@ let stats () =
           st_listings = 0;
           st_listings_unchanged = 0;
           st_listing_bytes = 0;
+          st_rows_installed = 0;
         }
         !all_counters)
 
@@ -220,6 +227,14 @@ type caches = {
   c_autostart : bool Cache.t;
   c_xml : string Cache.t;
 }
+
+(* A decoded listing and its serial number: a listing handed back again
+   (v1.8 "unchanged", or repeated bytes) keeps its number, which is how
+   {!Cache.install_listing} recognises the rows it installed last. *)
+type numbered = Driver.fleet_listing * int
+
+let listing_serials = Atomic.make 0
+let number listing = (listing, Atomic.fetch_and_add listing_serials 1)
 
 let invalidate_caches cs name =
   Cache.invalidate cs.c_ref name;
@@ -378,10 +393,10 @@ type remote_conn = {
   mutable rc_consec_rejects : int;
   mutable rc_breaker_until : float;  (** 0. = breaker closed *)
   mutable rc_probing : bool;  (** a half-open probe is in flight *)
-  rc_last_listing : (Rp.procedure * string * Driver.fleet_listing) option Atomic.t;
+  rc_last_listing : (Rp.procedure * string * numbered) option Atomic.t;
       (** the last listing reply below v1.8: procedure, body bytes,
           decoded value *)
-  rc_held : (Rp.fleet_token * string * Driver.fleet_listing) option Atomic.t;
+  rc_held : (Rp.fleet_token * string * numbered) option Atomic.t;
       (** the last full v1.8 reply: its token, body bytes and listing;
           kept across reconnects, since the token's nonce tells
           incarnations apart *)
@@ -836,29 +851,39 @@ let begin_list_fills conn =
     conn.rc_cache
 
 (* One lock section per cache kind for the whole reply, not one per
-   row and kind. *)
-let install_records conn fills records =
+   row and kind, and none of the per-row work when the kind already holds
+   this very listing.  Counts the rows written. *)
+let install_records conn fills (listing, serial) =
   match (conn.rc_cache, fills) with
   | Some cs, Some f ->
     let now = now () in
-    Cache.install_bulk cs.c_ref f.lf_ref ~now (fun add ->
-        List.iter
-          (fun r ->
-            let d = r.Driver.rec_ref in
-            ignore
-              (add d.Driver.dom_name ~uuid:(Vmm.Uuid.to_string d.Driver.dom_uuid) d))
-          records);
-    Cache.install_bulk cs.c_info f.lf_info ~now (fun add ->
-        List.iter
-          (fun r -> ignore (add r.Driver.rec_ref.Driver.dom_name r.Driver.rec_info))
-          records);
-    Cache.install_bulk cs.c_autostart f.lf_auto ~now (fun add ->
-        List.iter
-          (fun r ->
-            match r.Driver.rec_autostart with
-            | Some a -> ignore (add r.Driver.rec_ref.Driver.dom_name a)
-            | None -> ())
-          records)
+    let records = listing.Driver.fl_records in
+    let rows = ref 0 in
+    let counted add name ?uuid v = if add name ?uuid v then incr rows in
+    ignore
+      (Cache.install_listing cs.c_ref f.lf_ref ~serial ~now (fun add ->
+           List.iter
+             (fun r ->
+               let d = r.Driver.rec_ref in
+               counted add d.Driver.dom_name
+                 ~uuid:(Vmm.Uuid.to_string d.Driver.dom_uuid) d)
+             records));
+    ignore
+      (Cache.install_listing cs.c_info f.lf_info ~serial ~now (fun add ->
+           List.iter
+             (fun r -> counted add r.Driver.rec_ref.Driver.dom_name r.Driver.rec_info)
+             records));
+    ignore
+      (Cache.install_listing cs.c_autostart f.lf_auto ~serial ~now (fun add ->
+           List.iter
+             (fun r ->
+               match r.Driver.rec_autostart with
+               | Some a -> counted add r.Driver.rec_ref.Driver.dom_name a
+               | None -> ())
+             records));
+    if !rows > 0 then
+      with_stats (fun () ->
+          conn.rc_stats.cn_rows_installed <- conn.rc_stats.cn_rows_installed + !rows)
   | _ -> ()
 
 (* Decoding is pure, and a polled listing mostly repeats itself byte for
@@ -903,6 +928,7 @@ let fetch_since conn =
         "bad reply: \"unchanged\" for a listing this connection does not hold"
     | Rp.Since_full (t, listing), _ ->
       counted false;
+      let listing = number listing in
       Atomic.set conn.rc_held (Some (t, body, listing));
       Ok listing)
 
@@ -914,15 +940,16 @@ let fetch_bytes conn proc decoder =
       let c = conn.rc_stats in
       c.cn_listings <- c.cn_listings + 1;
       c.cn_listing_bytes <- c.cn_listing_bytes + String.length body);
-  decode_reusing conn.rc_last_listing proc decoder body
+  decode_reusing conn.rc_last_listing proc (fun body -> number (decoder body)) body
 
 (* One bulk listing round trip, on the one wire path the negotiated minor
-   picks.  For every reply, reused or not, rows go into the cache and
-   shard errors into the sub-error counter, so the CLI's partial-failure
-   exit code covers fleet-wide listings. *)
+   picks.  For every reply, reused or not, shard errors go into the
+   sub-error counter, so the CLI's partial-failure exit code covers
+   fleet-wide listings; rows go into the cache unless it holds that very
+   listing already. *)
 let fleet_list_all conn () =
   let fills = begin_list_fills conn in
-  let* listing =
+  let* ((listing, _) as numbered) =
     if serves conn Rp.Proc_fleet_list_since then fetch_since conn
     else if serves conn Rp.Proc_fleet_list_all then
       fetch_bytes conn Rp.Proc_fleet_list_all Rp.dec_fleet_listing
@@ -935,7 +962,7 @@ let fleet_list_all conn () =
   if errs > 0 then
     with_stats (fun () ->
         conn.rc_stats.cn_sub_errors <- conn.rc_stats.cn_sub_errors + errs);
-  install_records conn fills listing.Driver.fl_records;
+  install_records conn fills numbered;
   Ok listing
 
 let dom_list_all conn () =

@@ -41,7 +41,9 @@
     On every path a reply byte-equal to the last one reuses the value
     decoded from it ({!decode_reusing}): that is what serves a daemon
     that answers every v1.8 call in full (its reply cache off, or a
-    fleet controller).  Either way the rows refill the client cache.
+    fleet controller).  Either way the rows refill the client cache,
+    unless it holds that very listing and nothing has changed it since
+    ({!Remote_cache.install_listing}).
 
     {1 Client-side caching}
 
@@ -174,6 +176,10 @@ type stats = {
       (** of which v1.8 "unchanged" replies, answered with the listing
           the connection already held *)
   st_listing_bytes : int;  (** bytes of those replies' bodies *)
+  st_rows_installed : int;
+      (** client-cache rows those replies wrote, one per row and cache
+          kind (ref, info, autostart); a listing the caches already hold
+          writes none *)
 }
 
 val stats : unit -> stats

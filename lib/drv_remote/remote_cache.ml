@@ -25,7 +25,18 @@
    Entries are optionally TTL-bounded for connections without an event
    stream (events=0): freshness then decays by wall clock instead of
    being maintained by pushes.  Time is always passed in by the caller,
-   which keeps the module deterministic under test. *)
+   which keeps the module deterministic under test.
+
+   A polled listing hands back the very list it installed last time
+   until something changes, and re-installing it would only move TTL
+   stamps.  So the cache keeps a version, bumped by every change a
+   repeated install could undo (an invalidation, a clear, an install
+   that replaces an entry, any write to the UUID index), and remembers the serial and the version at which the last bulk
+   install ended having refused no row.  {!install_listing} skips a
+   bulk install of that same serial while the version still matches,
+   the fill is current (no invalidation since it was taken, so every
+   row would be accepted) and the cache is untimed: the skip leaves the
+   cache exactly as the full install would. *)
 
 type 'a entry = {
   e_value : 'a;
@@ -41,6 +52,10 @@ type 'a t = {
   inval : (string, int) Hashtbl.t;  (* name -> seq of last invalidation *)
   mutable seq : int;
   mutable epoch : int;
+  mutable version : int;  (* bumped by every change a repeated install could undo *)
+  mutable memo : (int * int) option;
+      (* serial and end version of the last bulk install, if it was one
+         of {!install_listing} and refused no row *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -56,6 +71,8 @@ let create ?ttl () =
     inval = Hashtbl.create 64;
     seq = 0;
     epoch = 0;
+    version = 0;
+    memo = None;
     hits = 0;
     misses = 0;
   }
@@ -64,14 +81,30 @@ let locked c f = Mutex.protect c.mutex f
 
 let begin_fill c = locked c (fun () -> { f_epoch = c.epoch; f_seq = c.seq })
 
-(* Point [uuid] at [name], writing only when it points elsewhere. *)
+let bump c = c.version <- c.version + 1
+
+(* Point [uuid] at [name], writing only when it points elsewhere.  A
+   write bumps the version: a repeated listing could point that UUID back,
+   or drop it again after a replaced entry had unindexed it. *)
 let claim_uuid c uuid name =
   match uuid with
   | None -> ()
   | Some u -> (
     match Hashtbl.find c.by_uuid u with
     | owner when String.equal owner name -> ()
-    | _ | (exception Not_found) -> Hashtbl.replace c.by_uuid u name)
+    | _ | (exception Not_found) ->
+      bump c;
+      Hashtbl.replace c.by_uuid u name)
+
+(* Drop [name]'s UUID index entry, unless a rename has since pointed
+   that UUID at another name. *)
+let unindex c name e =
+  match e.e_uuid with
+  | Some u -> (
+    match Hashtbl.find_opt c.by_uuid u with
+    | Some owner when String.equal owner name -> Hashtbl.remove c.by_uuid u
+    | Some _ | None -> ())
+  | None -> ()
 
 (* The one install path; assumes [c.mutex] held.  The refusals come
    first.  A row that repeats what the entry holds (same uuid,
@@ -94,7 +127,8 @@ let install_locked c fill name uuid value now =
         e.e_stamp <- now;
         true
       | e ->
-        Option.iter (Hashtbl.remove c.by_uuid) e.e_uuid;
+        unindex c name e;
+        bump c;
         false
       | exception Not_found -> false
     in
@@ -107,9 +141,37 @@ let install_locked c fill name uuid value now =
 let install c fill name ?uuid value ~now =
   locked c (fun () -> install_locked c fill name uuid value now)
 
+(* Assumes [c.mutex] held.  Records the memo only for a listing whose
+   every row went in, at the version the install ended at. *)
+let bulk_locked c fill now serial rows =
+  let complete = ref true in
+  let r =
+    rows (fun name ?uuid value ->
+        let ok = install_locked c fill name uuid value now in
+        if not ok then complete := false;
+        ok)
+  in
+  c.memo <-
+    (match serial with Some s when !complete -> Some (s, c.version) | _ -> None);
+  r
+
 let install_bulk c fill ~now rows =
+  locked c (fun () -> bulk_locked c fill now None rows)
+
+let install_listing c fill ~serial ~now rows =
   locked c (fun () ->
-      rows (fun name ?uuid value -> install_locked c fill name uuid value now))
+      let repeat =
+        match c.memo with
+        | Some (s, v) ->
+          s = serial && v = c.version && c.ttl = None
+          && fill.f_epoch = c.epoch && fill.f_seq = c.seq
+        | None -> false
+      in
+      if repeat then false
+      else begin
+        bulk_locked c fill now (Some serial) rows;
+        true
+      end)
 
 let fresh c entry ~now =
   match c.ttl with None -> true | Some ttl -> now -. entry.e_stamp <= ttl
@@ -137,17 +199,18 @@ let find_by_uuid c uuid ~now =
 let invalidate c name =
   locked c (fun () ->
       c.seq <- c.seq + 1;
+      bump c;
       Hashtbl.replace c.inval name c.seq;
       match Hashtbl.find_opt c.entries name with
-      | Some { e_uuid = Some u; _ } ->
-        Hashtbl.remove c.by_uuid u;
+      | Some e ->
+        unindex c name e;
         Hashtbl.remove c.entries name
-      | Some _ -> Hashtbl.remove c.entries name
       | None -> ())
 
 let clear c =
   locked c (fun () ->
       c.epoch <- c.epoch + 1;
+      bump c;
       Hashtbl.reset c.entries;
       Hashtbl.reset c.by_uuid;
       Hashtbl.reset c.inval)

@@ -42,11 +42,26 @@ val install_bulk :
     reply degrades per name: only the rows raced by an event are refused.
     [add] must not escape [rows]. *)
 
+val install_listing :
+  'a t ->
+  fill ->
+  serial:int ->
+  now:float ->
+  ((string -> ?uuid:string -> 'a -> bool) -> unit) ->
+  bool
+(** {!install_bulk} for a decoded listing numbered [serial] (equal
+    serials: the same rows), skipped when it would change nothing:
+    the last bulk install into [c] was of [serial] and refused no row,
+    nothing has changed [c] since, no invalidation happened since [fill]
+    was taken, and [c] is untimed (a TTL cache always refreshes its
+    stamps).  Returns whether [rows] ran. *)
+
 val find : 'a t -> string -> now:float -> 'a option
 val find_by_uuid : 'a t -> string -> now:float -> 'a option
 
 val invalidate : 'a t -> string -> unit
-(** Drop [name]'s entry and refuse any fill begun before this point. *)
+(** Drop [name]'s entry and refuse any fill begun before this point.
+    Its UUID stays indexed if a rename has pointed it at another name. *)
 
 val clear : 'a t -> unit
 (** Epoch bump: drop everything and void all outstanding fills — the

@@ -253,6 +253,10 @@ module Reference = struct
 
   let begin_fill c = locked c (fun () -> { f_epoch = c.epoch; f_seq = c.seq })
 
+  (* A UUID a rename has pointed at another name stays indexed. *)
+  let unindex c name u =
+    if Hashtbl.find_opt c.by_uuid u = Some name then Hashtbl.remove c.by_uuid u
+
   let install c fill name ?uuid value ~now =
     locked c (fun () ->
         let invalidated_since =
@@ -263,7 +267,7 @@ module Reference = struct
         if fill.f_epoch <> c.epoch || invalidated_since then false
         else begin
           (match Hashtbl.find_opt c.entries name with
-          | Some { e_uuid = Some u; _ } -> Hashtbl.remove c.by_uuid u
+          | Some { e_uuid = Some u; _ } -> unindex c name u
           | _ -> ());
           Hashtbl.replace c.entries name { e_value = value; e_stamp = now; e_uuid = uuid };
           (match uuid with Some u -> Hashtbl.replace c.by_uuid u name | None -> ());
@@ -299,7 +303,7 @@ module Reference = struct
         Hashtbl.replace c.inval name c.seq;
         match Hashtbl.find_opt c.entries name with
         | Some { e_uuid = Some u; _ } ->
-          Hashtbl.remove c.by_uuid u;
+          unindex c name u;
           Hashtbl.remove c.entries name
         | Some _ -> Hashtbl.remove c.entries name
         | None -> ())
@@ -426,6 +430,160 @@ let prop_cache_matches_reference =
       match cache_model_diverges run with
       | None -> true
       | Some where -> QCheck.Test.fail_reportf "diverges at %s" where)
+
+(* A rename on a TTL cache: no event drops the old name's entry, so the
+   new name claims the UUID while the old entry still carries it.
+   Replacing or invalidating the old entry must leave the new owner's
+   index entry alone. *)
+let test_cache_rename_keeps_uuid_index () =
+  let renamed () =
+    let c = Cache.create ~ttl:60. () in
+    let fill = Cache.begin_fill c in
+    ignore (Cache.install c fill "old" ~uuid:"u-1" 1 ~now:0.);
+    ignore (Cache.install c fill "new" ~uuid:"u-1" 1 ~now:1.);
+    (c, fill)
+  in
+  let c, fill = renamed () in
+  ignore (Cache.install c fill "old" ~uuid:"u-2" 2 ~now:2.);
+  Alcotest.(check (option int)) "after the old name is replaced" (Some 1)
+    (Cache.find_by_uuid c "u-1" ~now:2.);
+  let c, _ = renamed () in
+  Cache.invalidate c "old";
+  Alcotest.(check (option int)) "after the old name is invalidated" (Some 1)
+    (Cache.find_by_uuid c "u-1" ~now:2.)
+
+(* A repeated listing runs no row until something changes the cache;
+   a TTL cache always runs them, to refresh its stamps. *)
+let test_cache_repeated_listing_skipped () =
+  let rows = [ ("a", "u-a", 1); ("b", "u-b", 2) ] in
+  let install c serial =
+    Cache.install_listing c (Cache.begin_fill c) ~serial ~now:0. (fun add ->
+        List.iter (fun (n, uuid, v) -> ignore (add n ~uuid v)) rows)
+  in
+  let c = Cache.create () in
+  Alcotest.(check (list bool)) "first, repeat, another serial, its repeat"
+    [ true; false; true; false ]
+    (List.map (install c) [ 1; 1; 2; 2 ]);
+  Cache.invalidate c "a";
+  Alcotest.(check bool) "after an invalidation" true (install c 2);
+  Alcotest.(check (option int)) "reinstalled" (Some 1) (Cache.find c "a" ~now:0.);
+  Cache.clear c;
+  Alcotest.(check bool) "after a clear" true (install c 2);
+  let t = Cache.create ~ttl:1.0 () in
+  Alcotest.(check (list bool)) "under a ttl" [ true; true ] (List.map (install t) [ 1; 1 ])
+
+(* Listings are a few fixed physical lists, numbered by index, among
+   point installs, invalidations, clears, stale fills and ticks. *)
+type listing_op =
+  | L_fill of int
+  | L_listing of int * int  (** fill slot, list *)
+  | L_install of int * string * string option * int
+  | L_invalidate of string
+  | L_clear
+  | L_tick
+
+let show_listing_op = function
+  | L_fill k -> Printf.sprintf "begin_fill %d" k
+  | L_listing (k, i) -> Printf.sprintf "listing %d with fill %d" i k
+  | L_install (k, n, u, v) ->
+    Printf.sprintf "install %d %s %s %d" k n (Option.value u ~default:"-") v
+  | L_invalidate n -> "invalidate " ^ n
+  | L_clear -> "clear"
+  | L_tick -> "tick"
+
+let listing_names = [ "a"; "b"; "c"; "d" ]
+let listing_uuids = [ "u1"; "u2"; "u3" ]
+
+let gen_listing_run =
+  let open QCheck.Gen in
+  let name = oneofl listing_names in
+  let uuid = opt (oneofl listing_uuids) in
+  let row = triple name uuid (int_bound 1) in
+  let slot = int_bound 1 in
+  let* n_lists = int_range 2 3 in
+  let op =
+    frequency
+      [
+        (2, map (fun k -> L_fill k) slot);
+        (6, map2 (fun k i -> L_listing (k, i)) slot (int_bound (n_lists - 1)));
+        (* Values 0..3: point installs often differ from the listed ones. *)
+        ( 2,
+          map2
+            (fun k (n, u, v) -> L_install (k, n, u, v))
+            slot (triple name uuid (int_bound 3)) );
+        (2, map (fun n -> L_invalidate n) name);
+        (1, return L_clear);
+        (2, return L_tick);
+      ]
+  in
+  triple bool
+    (array_repeat n_lists (list_size (int_bound 5) row))
+    (list_size (int_range 1 40) op)
+
+(* Runs one schedule on a cache whose listings may skip and on the
+   reference, which always installs every row; returns the first step
+   after which [find], [find_by_uuid] or [size] differ. *)
+let listing_run_diverges (ttl, lists, ops) =
+  let ttl = if ttl then Some 1.0 else None in
+  let c = Cache.create ?ttl () and r = Reference.create ?ttl () in
+  let fills = Array.init 2 (fun _ -> (Cache.begin_fill c, Reference.begin_fill r)) in
+  let now = ref 0. in
+  let step = function
+    | L_fill k -> fills.(k) <- (Cache.begin_fill c, Reference.begin_fill r)
+    | L_listing (k, i) ->
+      let fc, fr = fills.(k) in
+      let rows = lists.(i) in
+      ignore
+        (Cache.install_listing c fc ~serial:i ~now:!now (fun add ->
+             List.iter (fun (n, uuid, v) -> ignore (add n ?uuid v)) rows));
+      List.iter (fun (n, uuid, v) -> ignore (Reference.install r fr n ?uuid v ~now:!now)) rows
+    | L_install (k, n, uuid, v) ->
+      let fc, fr = fills.(k) in
+      ignore (Cache.install c fc n ?uuid v ~now:!now);
+      ignore (Reference.install r fr n ?uuid v ~now:!now)
+    | L_invalidate n ->
+      Cache.invalidate c n;
+      Reference.invalidate r n
+    | L_clear ->
+      Cache.clear c;
+      Reference.clear r
+    | L_tick -> now := !now +. 0.6
+  in
+  let agree () =
+    Cache.size c = Reference.size r
+    && List.for_all
+         (fun n -> Cache.find c n ~now:!now = Reference.find r n ~now:!now)
+         listing_names
+    && List.for_all
+         (fun u -> Cache.find_by_uuid c u ~now:!now = Reference.find_by_uuid r u ~now:!now)
+         listing_uuids
+  in
+  let rec go i = function
+    | [] -> None
+    | op :: ops ->
+      step op;
+      if agree () then go (i + 1) ops
+      else Some (Printf.sprintf "step %d: %s" i (show_listing_op op))
+  in
+  go 0 ops
+
+let prop_repeated_listing_matches_full_install =
+  let print (ttl, lists, ops) =
+    let show_row (n, u, v) = Printf.sprintf "%s %s %d" n (Option.value u ~default:"-") v in
+    Printf.sprintf "ttl=%b\n%s\n%s" ttl
+      (String.concat "\n"
+         (Array.to_list
+            (Array.mapi
+               (fun i rows ->
+                 Printf.sprintf "list %d: [%s]" i (String.concat "; " (List.map show_row rows)))
+               lists)))
+      (String.concat "\n" (List.map show_listing_op ops))
+  in
+  qcheck_case ~count:1000 "a skipped listing leaves the cache as a full install"
+    (QCheck.make ~print gen_listing_run) (fun run ->
+      match listing_run_diverges run with
+      | None -> true
+      | Some where -> QCheck.Test.fail_reportf "diverges after %s" where)
 
 (* --- bulk listing: local and remote -------------------------------------- *)
 
@@ -984,6 +1142,9 @@ let () =
           quick "equal install refreshes ttl" test_cache_equal_install_refreshes_ttl;
           quick "unchanged listing keeps entries" test_cache_unchanged_listing_keeps_entries;
           prop_cache_matches_reference;
+          quick "rename keeps the uuid index" test_cache_rename_keeps_uuid_index;
+          quick "repeated listing skipped" test_cache_repeated_listing_skipped;
+          prop_repeated_listing_matches_full_install;
         ] );
       ( "bulk listing",
         [

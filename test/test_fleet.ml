@@ -957,6 +957,92 @@ let test_minor7_member_keeps_v17_path () =
             s.Drv_remote.st_listings_unchanged;
           Connect.close conn))
 
+(* Client-cache rows a member connection's listings install.  With
+   events on, a repeated unchanged listing installs none; an event for
+   one domain, or a reconnect (which clears the cache), brings back one
+   full install, after which point reads stay off the wire.  Without
+   events every listing installs in full, refreshing the TTL stamps.
+   [config] picks the member's wire path: v1.8 "unchanged" replies, or
+   byte-equal reuse at minor 7. *)
+let check_listing_installs config =
+  let dname = fresh_name "lid" and node = fresh_name "lin" in
+  let daemon = Daemon.start ~name:dname ~config () in
+  Fun.protect
+    ~finally:(fun () -> Daemon.stop daemon)
+    (fun () ->
+      let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+      List.iteri
+        (fun k name -> ignore (seed_domain direct ~running:(k = 0) name))
+        [ "li-0"; "li-1"; "li-2" ];
+      (* [resume=0]: a reconnect clears the cache instead of resuming. *)
+      let open_client extra =
+        vok
+          (Connect.open_uri
+             (Printf.sprintf
+                "test+unix://%s/?daemon=%s&resume=0&reconnect=50&reconnect_delay=0.001%s"
+                node dname extra))
+      in
+      let stats conn = Option.get (Drv_remote.conn_stats (vok (Connect.ops conn))) in
+      let installs conn n =
+        let before = (stats conn).Drv_remote.st_rows_installed in
+        for _ = 1 to n do
+          ignore (vok (Connect.list_all_domains conn))
+        done;
+        (stats conn).Drv_remote.st_rows_installed - before
+      in
+      let served_locally conn name =
+        let before = (stats conn).Drv_remote.st_calls in
+        let dom = vok (Domain.lookup_by_name conn name) in
+        ignore (vok (Domain.get_info dom));
+        ignore (vok (Domain.get_autostart dom));
+        (stats conn).Drv_remote.st_calls = before
+      in
+      let conn = open_client "" in
+      let full = installs conn 1 in
+      Alcotest.(check bool) "the first listing installs" true (full > 0);
+      Alcotest.(check int) "repeats install nothing" 0 (installs conn 2);
+      Events.emit (vok (Connect.ops direct)).Driver.events ~domain_name:"li-1"
+        Events.Ev_adopted;
+      Alcotest.(check bool) "the event arrives" true
+        (eventually (fun () ->
+             List.exists
+               (fun e -> e.Events.domain_name = "li-1")
+               (vok (Connect.event_history conn))));
+      Alcotest.(check int) "after an event, one full install" full (installs conn 1);
+      Alcotest.(check bool) "then its point reads stay local" true
+        (served_locally conn "li-1");
+      let admin = vok (Admin.connect ~daemon:dname ()) in
+      let srv = vok (Admin.lookup_server admin "libvirtd") in
+      List.iter
+        (fun c -> vok (Admin.client_disconnect srv c.Admin.cl_id))
+        (vok (Admin.list_clients srv));
+      Admin.close admin;
+      Alcotest.(check bool) "reconnected" true
+        (eventually (fun () ->
+             ignore (Connect.hostname conn);
+             (stats conn).Drv_remote.st_reconnects >= 1));
+      Alcotest.(check int) "after a reconnect, one full install" full (installs conn 1);
+      Alcotest.(check int) "then none again" 0 (installs conn 1);
+      Connect.close conn;
+      let ttl = 0.8 in
+      let timed = open_client (Printf.sprintf "&events=0&cache_ttl=%g" ttl) in
+      let first = Unix.gettimeofday () in
+      Alcotest.(check int) "without events, a full install" full (installs timed 1);
+      for _ = 1 to 2 do
+        Thread.delay (ttl *. 0.6);
+        Alcotest.(check int) "and again on a repeat" full (installs timed 1)
+      done;
+      Alcotest.(check bool) "over one ttl since the first listing" true
+        (Unix.gettimeofday () -. first > ttl);
+      Alcotest.(check bool) "the last listing's stamps serve a point read" true
+        (served_locally timed "li-1");
+      List.iter Connect.close [ timed; direct ])
+
+let test_listing_installs_v18 () = check_listing_installs cond_config
+
+let test_listing_installs_minor7 () =
+  check_listing_installs { cond_config with Daemon_config.proto_minor = 7 }
+
 (* --- cross-shard batch refusal ----------------------------------------- *)
 
 let test_cross_shard_batch_refused () =
@@ -1304,6 +1390,9 @@ let () =
             test_minor7_member_keeps_v17_path;
           quick "a cache-off member still reuses repeated bytes"
             test_cache_off_member_reuses_bytes;
+          quick "repeated listings install no rows" test_listing_installs_v18;
+          quick "a minor-7 member installs no repeated rows"
+            test_listing_installs_minor7;
         ] );
       ( "batch",
         [ quick "cross-shard mutation batches refused" test_cross_shard_batch_refused ]
