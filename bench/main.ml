@@ -682,7 +682,7 @@ let table6 () =
   table [ "codec"; "latency" ] rows
 
 (* ------------------------------------------------------------------ *)
-(* E9 / chaos: resilience under injected connection loss               *)
+(* E13 / chaos: resilience under injected connection loss              *)
 (* ------------------------------------------------------------------ *)
 
 (* At-least-once executor (the client half of the retry contract: the
@@ -700,7 +700,7 @@ let rec at_least_once ~retries op verify =
 
 let chaos () =
   section
-    "Chaos (E9): connection killed every 25 frames, 25x define/start/list/destroy";
+    "Chaos (E13): connection killed every 25 frames, 25x define/start/list/destroy";
   subsection
     "each accepted connection dies when its 25th frame arrives (seeded plan);";
   subsection
@@ -774,27 +774,37 @@ let chaos () =
       | [] -> "-"
       | l -> Printf.sprintf "%.1f ms" (1000.0 *. List.nth l (List.length l - 1))
     in
-    [
-      label;
-      Printf.sprintf "%d/%d" !ops_ok !total;
-      Printf.sprintf "%.0f%%" (100.0 *. float_of_int !ops_ok /. float_of_int !total);
-      string_of_int stats.Drv_remote.st_reconnects;
-      string_of_int stats.Drv_remote.st_retried_calls;
-      string_of_int stats.Drv_remote.st_giveups;
-      pp_latency latencies;
-      pp_max latencies;
-      Printf.sprintf "%.0f ms" (1000.0 *. elapsed);
-    ]
+    ( (!ops_ok, !total, stats.Drv_remote.st_giveups),
+      [
+        label;
+        Printf.sprintf "%d/%d" !ops_ok !total;
+        Printf.sprintf "%.0f%%" (100.0 *. float_of_int !ops_ok /. float_of_int !total);
+        string_of_int stats.Drv_remote.st_reconnects;
+        string_of_int stats.Drv_remote.st_retried_calls;
+        string_of_int stats.Drv_remote.st_giveups;
+        pp_latency latencies;
+        pp_max latencies;
+        Printf.sprintf "%.0f ms" (1000.0 *. elapsed);
+      ] )
+  in
+  let (plain_ok, _, _), plain_row = run_variant ~label:"no resilience" ~resilient:false in
+  let (ok, total, giveups), resilient_row =
+    run_variant ~label:"keepalive+reconnect" ~resilient:true
   in
   table
     [
       "client"; "ops ok"; "success"; "reconnects"; "retried"; "giveups";
       "recovery p50"; "recovery max"; "duration";
     ]
-    [
-      run_variant ~label:"no resilience" ~resilient:false;
-      run_variant ~label:"keepalive+reconnect" ~resilient:true;
-    ]
+    [ plain_row; resilient_row ];
+  if ok <> total || giveups <> 0 then
+    failwith
+      (Printf.sprintf "chaos: keepalive+reconnect completed %d/%d ops with %d give-ups"
+         ok total giveups);
+  if plain_ok >= total then
+    failwith
+      (Printf.sprintf "chaos: the plain client completed %d/%d ops: the faults did not bite"
+         plain_ok total)
 
 (* ------------------------------------------------------------------ *)
 (* E14: driver read-op concurrency under the node rwlock              *)

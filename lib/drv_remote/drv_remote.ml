@@ -979,16 +979,19 @@ let float_param uri name =
 let int_param uri name = Option.bind (Vuri.param uri name) int_of_string_opt
 
 let keepalive_of_uri uri =
-  match float_param uri "keepalive" with
-  | Some interval when interval > 0. ->
-    Some
-      {
-        Rpc_client.ka_interval = interval;
-        ka_count =
-          Option.value (int_param uri "keepalive_count")
-            ~default:Protocol.Keepalive_protocol.default_count;
-      }
-  | Some _ | None -> None
+  match float_param uri "keepalive", int_param uri "keepalive_count" with
+  | _, Some count when count < 1 ->
+    Verror.error Verror.Invalid_arg "keepalive_count must be at least 1, got %d"
+      count
+  | Some interval, count when interval > 0. ->
+    Ok
+      (Some
+         {
+           Rpc_client.ka_interval = interval;
+           ka_count =
+             Option.value count ~default:Protocol.Keepalive_protocol.default_count;
+         })
+  | _ -> Ok None
 
 let resilience_of_uri uri =
   match int_param uri "reconnect" with
@@ -1085,7 +1088,7 @@ let open_conn uri =
     end
   in
   let address = daemon ^ "-sock" in
-  let keepalive = keepalive_of_uri uri in
+  let* keepalive = keepalive_of_uri uri in
   let resilience = resilience_of_uri uri in
   let forwarded = Vuri.to_string (daemon_side_uri uri) in
   let* rpc, minor, mode =

@@ -91,7 +91,7 @@
     URI parameters (all stripped before the URI is forwarded):
     - [keepalive=<seconds>] enables libvirt-style keepalive pings with
       the given interval; [keepalive_count=<n>] overrides the default
-      miss count.
+      miss count (a count below 1 is refused with [Invalid_arg]).
     - [reconnect=<n>] enables auto-reconnect with a budget of [n]
       attempts per outage.  On connection death the driver re-establishes
       the transport (exponential backoff with deterministic jitter,

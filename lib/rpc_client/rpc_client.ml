@@ -10,67 +10,6 @@ type slot = {
   mutable outcome : (string, Verror.t) result option;
 }
 
-(* Deadline heap: array-backed binary min-heap ordered by expiry time.
-   One per client, owned by the shared timer thread; entries whose serial
-   is no longer pending are skipped on expiry (lazy deletion), so a reply
-   arriving before the deadline costs nothing extra. *)
-module Heap = struct
-  type entry = { at : float; serial : int; procedure : int; timeout : float }
-  type t = { mutable a : entry array; mutable n : int }
-
-  let dummy = { at = 0.; serial = 0; procedure = 0; timeout = 0. }
-  let create () = { a = Array.make 8 dummy; n = 0 }
-
-  let push h e =
-    if h.n = Array.length h.a then begin
-      let a = Array.make (2 * h.n) dummy in
-      Array.blit h.a 0 a 0 h.n;
-      h.a <- a
-    end;
-    let i = ref h.n in
-    h.n <- h.n + 1;
-    h.a.(!i) <- e;
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      if h.a.(p).at > h.a.(!i).at then begin
-        let t = h.a.(p) in
-        h.a.(p) <- h.a.(!i);
-        h.a.(!i) <- t;
-        i := p;
-        true
-      end
-      else false
-    do
-      ()
-    done
-
-  let peek h = if h.n = 0 then None else Some h.a.(0)
-
-  let pop h =
-    let top = h.a.(0) in
-    h.n <- h.n - 1;
-    h.a.(0) <- h.a.(h.n);
-    h.a.(h.n) <- dummy;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.n && h.a.(l).at < h.a.(!smallest).at then smallest := l;
-      if r < h.n && h.a.(r).at < h.a.(!smallest).at then smallest := r;
-      if !smallest <> !i then begin
-        let t = h.a.(!smallest) in
-        h.a.(!smallest) <- h.a.(!i);
-        h.a.(!i) <- t;
-        i := !smallest
-      end
-      else continue := false
-    done;
-    top
-end
-
 type keepalive = { ka_interval : float; ka_count : int }
 
 let default_keepalive =
@@ -83,23 +22,25 @@ type t = {
   on_event : procedure:int -> string -> unit;
   mutex : Mutex.t;
   pending : (int, slot) Hashtbl.t;
-  deadlines : Heap.t; (* guarded by [mutex] *)
-  keepalive : keepalive option;
-  timer_cv : Condition.t;
-      (* wakes the timer thread when its earliest event moves: a new
-         front-of-heap deadline armed, or the client closed *)
   mutable next_serial : int;
   mutable free_slots : slot list; (* guarded by [mutex] *)
   mutable closed : bool;
-  mutable last_rx : float; (* any packet counts as liveness *)
-  mutable last_ping : float;
   mutable on_raw_reply : (string -> unit) option;
       (* test observer: every framed reply packet, exactly as received *)
 }
 
-(* A future: one in-flight call.  [await] blocks on the slot, caches the
-   outcome (so awaiting twice is harmless) and recycles the slot. *)
-type future = { fut_client : t; fut_slot : slot; mutable fut_result : (string, Verror.t) result option }
+(* A future: one in-flight call.  [await] blocks on the slot until its
+   deadline ([infinity] for an untimed call), caches the outcome (so
+   awaiting twice is harmless) and recycles the slot. *)
+type future = {
+  fut_client : t;
+  fut_slot : slot;
+  fut_serial : int;
+  fut_procedure : int;
+  fut_timeout : float;
+  fut_until : float;
+  mutable fut_result : (string, Verror.t) result option;
+}
 
 let with_lock m f =
   Mutex.lock m;
@@ -141,7 +82,6 @@ let fail_all_pending client err =
         if client.closed then []
         else begin
           client.closed <- true;
-          Condition.broadcast client.timer_cv;
           let slots =
             Hashtbl.fold (fun _ slot acc -> slot :: acc) client.pending []
           in
@@ -151,9 +91,74 @@ let fail_all_pending client err =
   in
   List.iter (fun slot -> deliver slot (Error err)) slots
 
-let receiver_loop client =
+(* Take [serial] back from the receiver: true if it was still pending, so
+   nobody else will deliver to its slot. *)
+let claim client serial =
+  with_lock client.mutex (fun () ->
+      let present = Hashtbl.mem client.pending serial in
+      Hashtbl.remove client.pending serial;
+      present)
+
+let send_ping client =
+  let serial =
+    with_lock client.mutex (fun () ->
+        let serial = client.next_serial in
+        client.next_serial <- serial + 1;
+        serial)
+  in
+  let header =
+    Rpc_packet.call_header ~program:Ka.program ~version:Ka.version
+      ~procedure:Ka.proc_ping ~serial
+  in
+  try Transport.send client.conn (Rpc_packet.encode header "") with
+  | Transport.Closed -> ()
+
+exception Peer_silent of string
+
+(* [recv] with keepalive folded in: wait no longer than the next keepalive
+   event (a ping that is due, or death), and declare death only when no
+   frame has arrived by then.  Any frame counts as liveness.  The ping is
+   sent from the receiver; it cannot block, since the channels under a
+   transport are unbounded. *)
+let keepalive_recv client ka =
+  let death_after = ka.ka_interval *. float_of_int ka.ka_count in
+  let last_rx = ref (Unix.gettimeofday ()) in
+  let last_ping = ref !last_rx in
+  let rec next () =
+    let ping_at = Float.max !last_rx !last_ping +. ka.ka_interval in
+    let until = Float.min (!last_rx +. death_after) ping_at in
+    match
+      Transport.recv_opt client.conn ~timeout_s:(until -. Unix.gettimeofday ())
+    with
+    | Some wire ->
+      last_rx := Unix.gettimeofday ();
+      wire
+    | None ->
+      let now = Unix.gettimeofday () in
+      if now -. !last_rx > death_after then
+        raise
+          (Peer_silent
+             (Printf.sprintf "keepalive: peer silent for %.2fs (interval %.2fs x %d)"
+                (now -. !last_rx) ka.ka_interval ka.ka_count));
+      if now >= ping_at then begin
+        last_ping := now;
+        send_ping client
+      end;
+      next ()
+  in
+  next
+
+(* The client's only thread: demultiplexes replies to their callers by
+   serial, hands events to [on_event] and, with keepalive, pings a silent
+   peer and declares it dead. *)
+let receiver_loop client keepalive =
+  let recv =
+    match keepalive with
+    | None -> fun () -> Transport.recv client.conn
+    | Some ka -> keepalive_recv client ka
+  in
   let rec loop () =
-    match Transport.recv client.conn with
+    match recv () with
     | exception Transport.Closed ->
       fail_all_pending client (Verror.make Verror.Rpc_failure "connection closed")
     | exception Transport.Corrupt msg ->
@@ -162,8 +167,11 @@ let receiver_loop client =
       Transport.close client.conn;
       fail_all_pending client
         (Verror.make Verror.Rpc_failure ("corrupt frame: " ^ msg))
+    | exception Peer_silent msg ->
+      (* Blame keepalive before closing the transport, as [close] does. *)
+      fail_all_pending client (Verror.make Verror.Rpc_failure msg);
+      Transport.close client.conn
     | wire ->
-      client.last_rx <- Unix.gettimeofday ();
       (match Rpc_packet.decode wire with
        | exception Rpc_packet.Bad_packet msg ->
          Transport.close client.conn;
@@ -207,123 +215,12 @@ let receiver_loop client =
   in
   loop ()
 
-let send_ping client =
-  let serial =
-    with_lock client.mutex (fun () ->
-        let serial = client.next_serial in
-        client.next_serial <- serial + 1;
-        serial)
-  in
-  let header =
-    Rpc_packet.call_header ~program:Ka.program ~version:Ka.version
-      ~procedure:Ka.proc_ping ~serial
-  in
-  try Transport.send client.conn (Rpc_packet.encode header "") with
-  | Transport.Closed -> ()
-
-(* One timer thread per client replaces the per-call watchdog threads: it
-   owns the deadline heap (call timeouts) and the keepalive ticker.  It
-   sleeps ({!Ovsync.Timedwait.wait}) until the earliest armed event —
-   front-of-heap deadline, keepalive death, next ping — and with no
-   keepalive and no armed deadlines it blocks indefinitely until
-   [call_async] or the close path signals [timer_cv]: zero wakeups on an
-   idle connection. *)
-let timer_loop client =
-  let rec loop () =
-    let todo =
-      with_lock client.mutex (fun () ->
-          let rec decide () =
-            if client.closed then `Exit
-            else begin
-              let now = Unix.gettimeofday () in
-              let heap_at =
-                match Heap.peek client.deadlines with
-                | Some e -> e.Heap.at
-                | None -> infinity
-              in
-              let ka_death, ka_ping =
-                match client.keepalive with
-                | None -> (infinity, infinity)
-                | Some ka ->
-                  ( client.last_rx +. (ka.ka_interval *. float_of_int ka.ka_count),
-                    Float.max client.last_rx client.last_ping +. ka.ka_interval )
-              in
-              let next = Float.min heap_at (Float.min ka_death ka_ping) in
-              if next > now then begin
-                Ovsync.Timedwait.wait client.mutex client.timer_cv ~until:next;
-                decide ()
-              end
-              else begin
-                let rec collect acc =
-                  match Heap.peek client.deadlines with
-                  | Some e when e.Heap.at <= now ->
-                    let e = Heap.pop client.deadlines in
-                    (match Hashtbl.find_opt client.pending e.Heap.serial with
-                     | Some slot ->
-                       Hashtbl.remove client.pending e.Heap.serial;
-                       collect ((e, slot) :: acc)
-                     | None -> collect acc (* reply won the race: stale entry *))
-                  | _ -> acc
-                in
-                let expired = collect [] in
-                let ka_action =
-                  match client.keepalive with
-                  | None -> `None
-                  | Some ka ->
-                    let silent = now -. client.last_rx in
-                    if silent > ka.ka_interval *. float_of_int ka.ka_count then
-                      `Die (silent, ka)
-                    else if
-                      silent >= ka.ka_interval
-                      && now -. client.last_ping >= ka.ka_interval
-                    then begin
-                      client.last_ping <- now;
-                      `Ping
-                    end
-                    else `None
-                in
-                `Work (expired, ka_action)
-              end
-            end
-          in
-          decide ())
-    in
-    (* Deliveries, pings and closes happen outside [client.mutex]. *)
-    match todo with
-    | `Exit -> ()
-    | `Work (expired, ka_action) ->
-      List.iter
-        (fun ((e : Heap.entry), slot) ->
-          deliver slot
-            (Error
-               (Verror.make Verror.Rpc_failure
-                  (Printf.sprintf "call %d timed out after %.1fs" e.Heap.procedure
-                     e.Heap.timeout))))
-        expired;
-      (match ka_action with
-       | `None -> ()
-       | `Ping -> send_ping client
-       | `Die (silent, ka) ->
-         (* Blame keepalive before closing the transport: closing first
-            wakes the receiver, whose generic connection-closed error
-            would race this one to the pending callers. *)
-         fail_all_pending client
-           (Verror.make Verror.Rpc_failure
-              (Printf.sprintf
-                 "keepalive: peer silent for %.2fs (interval %.2fs x %d)" silent
-                 ka.ka_interval ka.ka_count));
-         Transport.close client.conn);
-      loop ()
-  in
-  loop ()
-
 let connect ~address ~kind ~program ~version ?identity ?faults ?keepalive
     ?(on_event = fun ~procedure:_ _ -> ()) () =
   match Netsim.connect ?identity ?faults address kind with
   | exception Netsim.Connection_refused addr ->
     Verror.error Verror.Rpc_failure "connection refused at %S" addr
   | conn ->
-    let now = Unix.gettimeofday () in
     let client =
       {
         conn;
@@ -332,19 +229,13 @@ let connect ~address ~kind ~program ~version ?identity ?faults ?keepalive
         on_event;
         mutex = Mutex.create ();
         pending = Hashtbl.create 8;
-        deadlines = Heap.create ();
-        keepalive;
-        timer_cv = Condition.create ();
         next_serial = 1;
         free_slots = [];
         closed = false;
-        last_rx = now;
-        last_ping = now;
         on_raw_reply = None;
       }
     in
-    ignore (Thread.create (fun () -> receiver_loop client) ());
-    ignore (Thread.create (fun () -> timer_loop client) ());
+    ignore (Thread.create (fun () -> receiver_loop client keepalive) ());
     Ok client
 
 let set_raw_reply_hook client hook = client.on_raw_reply <- hook
@@ -362,20 +253,6 @@ let call_async client ~procedure ?(body = "") ?timeout_s () =
           client.next_serial <- serial + 1;
           let slot = alloc_slot_locked client in
           Hashtbl.replace client.pending serial slot;
-          (match timeout_s with
-           | None -> ()
-           | Some t ->
-             let at = Unix.gettimeofday () +. t in
-             let was_earliest =
-               match Heap.peek client.deadlines with
-               | None -> true
-               | Some e -> at < e.Heap.at
-             in
-             Heap.push client.deadlines
-               { Heap.at; serial; procedure; timeout = t };
-             (* a new front-of-heap deadline shortens the timer thread's
-                sleep: wake it to re-derive its next event *)
-             if was_earliest then Condition.signal client.timer_cv);
           Ok (serial, slot)
         end)
   in
@@ -386,6 +263,11 @@ let call_async client ~procedure ?(body = "") ?timeout_s () =
       Rpc_packet.call_header ~program:client.program ~version:client.version
         ~procedure ~serial
     in
+    let timeout, until =
+      match timeout_s with
+      | None -> (0., infinity)
+      | Some t -> (t, Unix.gettimeofday () +. t)
+    in
     (match Transport.send client.conn (Rpc_packet.encode header body) with
      | exception Transport.Closed ->
        (* Nothing was sent: if the slot is still pending nobody else can
@@ -393,41 +275,59 @@ let call_async client ~procedure ?(body = "") ?timeout_s () =
           [fail_all_pending] already took it, that closer delivers and an
           eventual await would consume — but we never built a future, so
           leave the slot to the GC in that (already-fatal) case. *)
-       let reclaimed =
-         with_lock client.mutex (fun () ->
-             let present = Hashtbl.mem client.pending serial in
-             Hashtbl.remove client.pending serial;
-             present)
-       in
-       if reclaimed then release_slot client slot;
+       if claim client serial then release_slot client slot;
        (* Dead even if the receiver has not noticed yet: close now, so a
           caller that retries when [is_closed] holds sees it. *)
        fail_all_pending client
          (Verror.make Verror.Rpc_failure "connection closed");
        Verror.error Verror.Rpc_failure "connection is closed"
-     | () -> Ok { fut_client = client; fut_slot = slot; fut_result = None })
+     | () ->
+       Ok
+         {
+           fut_client = client;
+           fut_slot = slot;
+           fut_serial = serial;
+           fut_procedure = procedure;
+           fut_timeout = timeout;
+           fut_until = until;
+           fut_result = None;
+         })
+
+(* Wait on [slot] until it is delivered or [until] passes ([None]).  The
+   slot may be a recycled one that a timekeeper entry from an earlier
+   call still names; its late broadcast is one more spurious wake-up. *)
+let wait_slot slot ~until =
+  with_lock slot.slot_mutex (fun () ->
+      while
+        Option.is_none slot.outcome
+        && (until = infinity || Unix.gettimeofday () < until)
+      do
+        Ovsync.Timedwait.wait slot.slot_mutex slot.slot_cond ~until
+      done;
+      slot.outcome)
 
 let await fut =
   match fut.fut_result with
   | Some outcome -> outcome
   | None ->
-    let slot = fut.fut_slot in
+    let client = fut.fut_client and slot = fut.fut_slot in
     (* The receiver always delivers — a reply, or a failure when the
-       connection dies — and the shared timer thread delivers the timeout
-       error for calls registered in the deadline heap. *)
+       connection dies.  A timed call that outlives its deadline claims
+       its serial back; if the serial is gone, a delivery is under way
+       and wins. *)
     let outcome =
-      with_lock slot.slot_mutex (fun () ->
-          let rec wait () =
-            match slot.outcome with
-            | Some outcome -> outcome
-            | None ->
-              Condition.wait slot.slot_cond slot.slot_mutex;
-              wait ()
-          in
-          wait ())
+      match wait_slot slot ~until:fut.fut_until with
+      | Some outcome -> outcome
+      | None ->
+        if claim client fut.fut_serial then
+          Error
+            (Verror.make Verror.Rpc_failure
+               (Printf.sprintf "call %d timed out after %.1fs" fut.fut_procedure
+                  fut.fut_timeout))
+        else Option.get (wait_slot slot ~until:infinity)
     in
     fut.fut_result <- Some outcome;
-    release_slot fut.fut_client slot;
+    release_slot client slot;
     outcome
 
 let call client ~procedure ?body ?timeout_s () =

@@ -1,12 +1,13 @@
 (** Client-side RPC engine shared by the remote driver and the admin
     library.
 
-    One receiver thread demultiplexes the connection: replies are matched
-    to blocked callers by serial, event packets are handed to the
-    [on_event] callback.  A second, shared timer thread owns a deadline
-    heap for call timeouts — no thread is spawned per timed call — and
-    doubles as the keepalive ticker.  Multiple threads may issue {!call}s
-    concurrently; sends are serialized by the transport layer. *)
+    Each connection runs one thread, its receiver.  It demultiplexes the
+    connection: replies are matched to blocked callers by serial, event
+    packets are handed to the [on_event] callback, and with keepalive it
+    also pings a silent peer and declares it dead.  A call timeout is
+    enforced by the waiting caller on {!Ovsync.Timedwait}.  Multiple
+    threads may issue {!call}s concurrently; sends are serialized by the
+    transport layer. *)
 
 type t
 
@@ -15,7 +16,7 @@ type keepalive = { ka_interval : float; ka_count : int }
     [ka_interval] seconds a PING is sent ({!Protocol.Keepalive_protocol});
     after [ka_interval × ka_count] seconds with no traffic at all the peer
     is declared dead, the transport closed and every pending call failed
-    with [Rpc_failure]. *)
+    with [Rpc_failure].  [ka_count] must be at least 1. *)
 
 val default_keepalive : keepalive
 (** 5s × 5, the libvirt defaults. *)
@@ -31,11 +32,11 @@ val connect :
   ?on_event:(procedure:int -> string -> unit) ->
   unit ->
   (t, Ovirt_core.Verror.t) result
-(** Establish the transport and start the receiver and timer threads.
-    [Connection_refused] surfaces as a [Rpc_failure] error.  [faults]
-    attaches a client-side fault plan (tests/chaos only).  Without
-    [keepalive] a silent dead peer is only noticed when the transport
-    closes. *)
+(** Establish the transport and start the receiver, the connection's
+    only thread.  [Connection_refused] surfaces as a [Rpc_failure]
+    error.  [faults] attaches a client-side fault plan (tests/chaos
+    only).  Without [keepalive] a silent dead peer is only noticed when
+    the transport closes. *)
 
 val call :
   t -> procedure:int -> ?body:string -> ?timeout_s:float -> unit ->
@@ -62,13 +63,17 @@ val call_async :
 (** Send one call without waiting: a single thread can pipeline many
     calls on the connection and collect the replies with {!await}.
     Only the send itself can fail here; everything the blocking {!call}
-    reports arrives through {!await}.  Slots behind futures come from a
-    per-client pool, so pipelined fan-out allocates no Mutex+Condition
-    pairs in steady state. *)
+    reports arrives through {!await}.  [timeout_s] is enforced by
+    {!await}: a future that is never awaited never times out, and its
+    serial stays pending until a reply or the connection's death.  Slots
+    behind futures come from a per-client pool, so pipelined fan-out
+    allocates no Mutex+Condition pairs in steady state. *)
 
 val await : future -> (string, Ovirt_core.Verror.t) result
-(** Block until the call completes.  Idempotent: the outcome is cached
-    on the future.  {!call} ≡ {!call_async} + {!await}. *)
+(** Block until the call completes, or until its timeout passes: the
+    call then fails with [Rpc_failure] ("timed out") and a reply that
+    arrives later is dropped.  Idempotent: the outcome is cached on the
+    future.  {!call} ≡ {!call_async} + {!await}. *)
 
 val close : t -> unit
 (** Idempotent; fails all in-flight calls (exactly once, whoever closes

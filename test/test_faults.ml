@@ -1,10 +1,11 @@
 (* Fault injection, keepalive, auto-reconnect and graceful drain: the
    robustness layer.  Covers the Faults plan semantics at the channel
    level, corruption through the real TCP-checksum and TLS-MAC paths,
-   keepalive death and liveness, the shared-timer call timeouts, close
-   races, drain behaviour, and the deterministic chaos scenario: a
-   100-op workload over a connection that dies every 10 frames completes
-   with reconnect enabled and fails without. *)
+   keepalive death and liveness, call timeouts enforced by the waiting
+   caller (and their races with late replies), one thread per client
+   connection, close races, drain behaviour, and the deterministic chaos
+   scenario: a 100-op workload over a connection that dies every 10
+   frames completes with reconnect enabled and fails without. *)
 
 open Testutil
 module Verror = Ovirt.Verror
@@ -208,7 +209,30 @@ let test_keepalive_keeps_idle_connection_alive () =
       Alcotest.(check string) "still works" "alive" (vok (echo rpc "alive"));
       Rpc_client.close rpc)
 
-(* --- shared timer: call timeouts ------------------------------------------ *)
+let test_keepalive_count_below_one_refused () =
+  with_daemon (fun name _ ->
+      List.iter
+        (fun count ->
+          let uri =
+            Printf.sprintf "test+unix://%s/?daemon=%s&keepalive=5&keepalive_count=%d"
+              (fresh_name "kc") name count
+          in
+          match Connect.open_uri uri with
+          | Ok conn ->
+            Connect.close conn;
+            Alcotest.failf "keepalive_count=%d accepted" count
+          | Error e ->
+            Alcotest.(check string)
+              (Printf.sprintf "keepalive_count=%d: invalid argument" count)
+              (Verror.code_name Verror.Invalid_arg)
+              (Verror.code_name e.Verror.code);
+            Alcotest.(check bool)
+              ("names the parameter: " ^ e.Verror.message)
+              true
+              (contains e.Verror.message "keepalive_count"))
+        [ 0; -3 ])
+
+(* --- the client: call timeouts and its one thread ------------------------- *)
 
 let test_call_timeout_without_watchdog_threads () =
   let addr = fresh_name "tarpit" in
@@ -236,6 +260,107 @@ let test_call_timeout_without_watchdog_threads () =
       (* The timeout fails the one call, not the connection. *)
       Alcotest.(check bool) "connection survives" false (Rpc_client.is_closed rpc);
       Alcotest.(check int) "no pending leak" 0 (Rpc_client.pending_calls rpc);
+      Rpc_client.close rpc)
+
+(* An integer field of /proc/self/status ("Threads"), if there is one. *)
+let proc_status_int key =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+    List.find_map
+      (fun line ->
+        match String.index_opt line ':' with
+        | Some i when String.sub line 0 i = key ->
+          int_of_string_opt
+            (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+        | _ -> None)
+      (String.split_on_char '\n' status)
+
+let test_one_thread_per_connection () =
+  if proc_status_int "Threads" <> None then
+    with_daemon (fun _ daemon ->
+        (* One timed call first: it starts the lazy timekeeper, which is
+           shared by the process, not owned by a connection. *)
+        let warm = mgmt_rpc daemon ~kind:Transport.Unix_sock in
+        ignore
+          (vok
+             (Rpc_client.call warm ~procedure:(Rp.proc_to_int Rp.Proc_echo)
+                ~body:(Rp.enc_string_body "warm") ~timeout_s:5.0 ()));
+        let threads () = Option.get (proc_status_int "Threads") in
+        let before = threads () in
+        let conns = List.init 20 (fun _ -> mgmt_rpc daemon ~kind:Transport.Unix_sock) in
+        let grown = threads () - before in
+        List.iter Rpc_client.close (warm :: conns);
+        Alcotest.(check int) "20 connections, 20 threads" 20 grown)
+
+(* 16 threads share one connection to a server that answers each call
+   after the delay its body names, some under the 100 ms timeout and some
+   over.  A call gets its own echo or the timeout error, never another
+   call's reply; late replies to timed-out calls are dropped; slots
+   recycled after a timeout serve later calls correctly. *)
+let test_deadline_races () =
+  let addr = fresh_name "laggard" in
+  let listener =
+    listen_threaded addr (fun conn ->
+        let rec serve () =
+          match Transport.recv conn with
+          | exception Transport.Closed -> ()
+          | wire ->
+            let header, body = Ovrpc.Rpc_packet.decode wire in
+            let delay_ms = Scanf.sscanf body "%d:" Fun.id in
+            let reply =
+              Ovrpc.Rpc_packet.encode
+                { header with Ovrpc.Rpc_packet.msg_type = Ovrpc.Rpc_packet.Reply }
+                body
+            in
+            ignore
+              (Thread.create
+                 (fun () ->
+                   Thread.delay (float_of_int delay_ms /. 1000.);
+                   try Transport.send conn reply with Transport.Closed -> ())
+                 ());
+            serve ()
+        in
+        serve ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Netsim.close_listener listener)
+    (fun () ->
+      let rpc =
+        vok
+          (Rpc_client.connect ~address:addr ~kind:Transport.Unix_sock
+             ~program:Rp.program ~version:Rp.version ())
+      in
+      let delays_ms = [| 10; 40; 80; 95; 100; 105; 120; 200 |] in
+      let echoed = Atomic.make 0 and timed_out = Atomic.make 0 in
+      let wrong = ref [] and wrong_mutex = Mutex.create () in
+      let caller round i () =
+        let body = Printf.sprintf "%d:%d:%d" delays_ms.(i mod 8) round i in
+        match Rpc_client.call rpc ~procedure:7 ~body ~timeout_s:0.1 () with
+        | Ok reply when reply = body -> Atomic.incr echoed
+        | Error e when contains e.Verror.message "call 7 timed out after 0.1s" ->
+          Atomic.incr timed_out
+        | outcome ->
+          let got =
+            match outcome with Ok r -> "reply " ^ r | Error e -> Verror.to_string e
+          in
+          Mutex.protect wrong_mutex (fun () ->
+              wrong := Printf.sprintf "%s got %s" body got :: !wrong)
+      in
+      for round = 1 to 4 do
+        List.iter Thread.join (List.init 16 (fun i -> Thread.create (caller round i) ()))
+      done;
+      Alcotest.(check (list string)) "every call its own outcome" [] !wrong;
+      Alcotest.(check int) "every call answered" 64 (Atomic.get echoed + Atomic.get timed_out);
+      Alcotest.(check bool) "some echoes" true (Atomic.get echoed > 0);
+      Alcotest.(check bool) "some timeouts" true (Atomic.get timed_out > 0);
+      Alcotest.(check int) "no pending leak" 0 (Rpc_client.pending_calls rpc);
+      (* The late replies land and are dropped; the connection lives on. *)
+      Thread.delay 0.25;
+      Alcotest.(check bool) "connection survives" false (Rpc_client.is_closed rpc);
+      Alcotest.(check string) "still serves" "0:after"
+        (vok (Rpc_client.call rpc ~procedure:7 ~body:"0:after" ()));
+      Alcotest.(check int) "still no pending" 0 (Rpc_client.pending_calls rpc);
       Rpc_client.close rpc)
 
 let test_close_is_idempotent_and_race_free () =
@@ -531,10 +656,13 @@ let () =
         [
           quick "detects-dead-peer" test_keepalive_detects_dead_peer;
           quick "keeps-idle-alive" test_keepalive_keeps_idle_connection_alive;
+          quick "count-below-one-refused" test_keepalive_count_below_one_refused;
         ] );
       ( "client",
         [
           quick "call-timeout" test_call_timeout_without_watchdog_threads;
+          quick "deadline-races" test_deadline_races;
+          quick "one-thread-per-connection" test_one_thread_per_connection;
           quick "close-race" test_close_is_idempotent_and_race_free;
         ] );
       ( "drain",
