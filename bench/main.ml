@@ -2178,6 +2178,21 @@ let replycache () =
    shard_error marker, latency bounded by the per-shard deadline slice
    (first post-kill query) and then by the probe circuit (Down members
    are skipped without waiting). *)
+type e22_sweep = {
+  e_shards : int;
+  e_domains : int;
+  e_relist_ms : float;
+  e_cached_ms : float;
+  e_relist_bytes : int;
+  e_repeat_bytes : int;
+  e_repeat_unchanged : int;
+  e_repeat_rows : int;
+  e_start_rows : int;
+  e_repeat_locations : int;
+  e_start_locations : int;
+  e_define_locations : int;
+}
+
 let fleet () =
   section "E22: federated control plane - scatter-gather inventory vs shards";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
@@ -2247,6 +2262,16 @@ let fleet () =
         s1.Drv_remote.st_listing_bytes - s0.Drv_remote.st_listing_bytes,
         s1.Drv_remote.st_rows_installed - s0.Drv_remote.st_rows_installed ) )
   in
+  (* Locations the fleet's listings wrote into its table while [f] ran. *)
+  let learned t f =
+    let locations () =
+      (Option.get (Ovirt.Fleet.conn_stats (Ovirt.Fleet.ops_of t)))
+        .Ovirt.Fleet.st_locations_learned
+    in
+    let l0 = locations () in
+    let v = f () in
+    (v, locations () - l0)
+  in
   (* With the members' reply caches on, an unchanged member answers a
      repeated inventory "unchanged". *)
   let caches_on = quiet_config.Daemon_config.reply_cache <> 0 in
@@ -2293,8 +2318,8 @@ let fleet () =
             let _, (_, _, relist_bytes, relist_rows) =
               received (fun () -> listing_of relisting)
             in
-            let _, (replies, repeat_unchanged, repeat_bytes, repeat_rows) =
-              received (fun () -> listing_of cached)
+            let (_, (replies, repeat_unchanged, repeat_bytes, repeat_rows)), repeat_locations =
+              learned cached (fun () -> received (fun () -> listing_of cached))
             in
             if replies <> n || (caches_on && repeat_unchanged <> n) then
               failwith
@@ -2308,6 +2333,13 @@ let fleet () =
                    "E22: a repeated inventory of %d unchanged members installed \
                     %d rows (%d re-listing), wanted 0 (a cold one: %d)"
                    n repeat_rows relist_rows cold_rows);
+            (* Nor does the controller learn a location from it. *)
+            if repeat_locations <> 0 then
+              failwith
+                (Printf.sprintf
+                   "E22: a repeated inventory of %d unchanged members learned %d \
+                    locations, wanted 0"
+                   n repeat_locations);
             (* Freshness: start one domain on one member.  The next
                inventory must list that row running and every other row
                as it was; reusing an unchanged member's rows must never
@@ -2318,9 +2350,16 @@ let fleet () =
             let member = ok (Connect.open_uri uri) in
             ok (Domain.create (ok (Domain.lookup_by_name member started)));
             Connect.close member;
-            let relisted, (replies, unchanged, _, start_rows) =
-              received (fun () -> listing_of cached)
+            let (relisted, (replies, unchanged, _, start_rows)), start_locations =
+              learned cached (fun () -> received (fun () -> listing_of cached))
             in
+            (* A start moves no domain: the started member lists the same
+               names, so the controller learns nothing. *)
+            if start_locations <> 0 then
+              failwith
+                (Printf.sprintf
+                   "E22 freshness: %d locations learned after a start, wanted 0"
+                   start_locations);
             (* Its rows go back into that member's cache, and no other
                member's: at least one row, at most one member's share
                (fewer if the start's event raced the reply). *)
@@ -2360,26 +2399,65 @@ let fleet () =
                   if r' <> r then
                     failwith ("E22 freshness: untouched row changed: " ^ name))
               before.Driver.fl_records;
-            ( n, expect, relist_ms, cached_ms, relist_bytes, repeat_bytes,
-              repeat_unchanged, (repeat_rows, start_rows) )))
+            (* A domain defined on that member behind the fleet's back
+               changes its names: the next inventory learns every row
+               again, and the fleet then routes to the new domain
+               without another listing. *)
+            let added = tag ^ "-added" in
+            let member = ok (Connect.open_uri uri) in
+            ignore (define_domain (List.hd kits) member added);
+            Connect.close member;
+            let _, define_locations = learned cached (fun () -> listing_of cached) in
+            if define_locations <> expect + 1 then
+              failwith
+                (Printf.sprintf
+                   "E22 freshness: %d locations learned after a define, wanted %d"
+                   define_locations (expect + 1));
+            let owner, owner_locations =
+              learned cached (fun () ->
+                  (Option.get (Ovirt.Fleet.ops_of cached).Driver.fleet).Driver.fleet_owner
+                    added)
+            in
+            if owner <> Ok tag || owner_locations <> 0 then
+              failwith
+                (Printf.sprintf "E22 freshness: %s not learned on %s" added tag);
+            {
+              e_shards = n;
+              e_domains = expect;
+              e_relist_ms = relist_ms;
+              e_cached_ms = cached_ms;
+              e_relist_bytes = relist_bytes;
+              e_repeat_bytes = repeat_bytes;
+              e_repeat_unchanged = repeat_unchanged;
+              e_repeat_rows = repeat_rows;
+              e_start_rows = start_rows;
+              e_repeat_locations = repeat_locations;
+              e_start_locations = start_locations;
+              e_define_locations = define_locations;
+            }))
       shard_counts
   in
   table
     [
       "shards"; "domains"; "members re-list"; "reply-cache hits"; "re-list bytes";
       "repeat bytes"; "unchanged"; "repeat rows"; "rows after a start";
+      "repeat locations"; "locations after a start"; "locations after a define";
     ]
     (List.map
-       (fun (n, d, ms, cached_ms, relist_bytes, repeat_bytes, unchanged, (rows, start_rows)) ->
+       (fun e ->
          [
-           string_of_int n; string_of_int d; Printf.sprintf "%.2f ms" ms;
-           Printf.sprintf "%.2f ms" cached_ms; string_of_int relist_bytes;
-           string_of_int repeat_bytes; Printf.sprintf "%d/%d" unchanged n;
-           string_of_int rows; string_of_int start_rows;
+           string_of_int e.e_shards; string_of_int e.e_domains;
+           Printf.sprintf "%.2f ms" e.e_relist_ms; Printf.sprintf "%.2f ms" e.e_cached_ms;
+           string_of_int e.e_relist_bytes; string_of_int e.e_repeat_bytes;
+           Printf.sprintf "%d/%d" e.e_repeat_unchanged e.e_shards;
+           string_of_int e.e_repeat_rows; string_of_int e.e_start_rows;
+           string_of_int e.e_repeat_locations; string_of_int e.e_start_locations;
+           string_of_int e.e_define_locations;
          ])
        sweep);
-  let _, _, t_one, c_one, _, _, _, _ = List.hd sweep in
-  let n_max, _, t_max, c_max, _, _, _, _ = List.nth sweep (List.length sweep - 1) in
+  let first = List.hd sweep and last = List.nth sweep (List.length sweep - 1) in
+  let t_one = first.e_relist_ms and c_one = first.e_cached_ms in
+  let n_max = last.e_shards and t_max = last.e_relist_ms and c_max = last.e_cached_ms in
   let ratio = t_max /. Float.max 0.001 t_one in
   subsection
     (Printf.sprintf
@@ -2454,19 +2532,21 @@ let fleet () =
         ( "inventory_sweep",
           Mini_json.List
             (List.map
-               (fun (n, d, ms, cached_ms, relist_bytes, repeat_bytes, unchanged,
-                     (repeat_rows, start_rows)) ->
+               (fun e ->
                  Mini_json.Obj
                    [
-                     ("shards", Mini_json.Int n);
-                     ("domains", Mini_json.Int d);
-                     ("inventory_ms", Mini_json.Float ms);
-                     ("cached_inventory_ms", Mini_json.Float cached_ms);
-                     ("relist_rx_bytes", Mini_json.Int relist_bytes);
-                     ("repeat_rx_bytes", Mini_json.Int repeat_bytes);
-                     ("repeat_unchanged_replies", Mini_json.Int unchanged);
-                     ("repeat_rows_installed", Mini_json.Int repeat_rows);
-                     ("rows_installed_after_start", Mini_json.Int start_rows);
+                     ("shards", Mini_json.Int e.e_shards);
+                     ("domains", Mini_json.Int e.e_domains);
+                     ("inventory_ms", Mini_json.Float e.e_relist_ms);
+                     ("cached_inventory_ms", Mini_json.Float e.e_cached_ms);
+                     ("relist_rx_bytes", Mini_json.Int e.e_relist_bytes);
+                     ("repeat_rx_bytes", Mini_json.Int e.e_repeat_bytes);
+                     ("repeat_unchanged_replies", Mini_json.Int e.e_repeat_unchanged);
+                     ("repeat_rows_installed", Mini_json.Int e.e_repeat_rows);
+                     ("rows_installed_after_start", Mini_json.Int e.e_start_rows);
+                     ("repeat_locations_learned", Mini_json.Int e.e_repeat_locations);
+                     ("locations_learned_after_start", Mini_json.Int e.e_start_locations);
+                     ("locations_learned_after_define", Mini_json.Int e.e_define_locations);
                    ])
                sweep) );
         ("latency_ratio_max_vs_one", Mini_json.Float ratio);

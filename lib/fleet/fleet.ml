@@ -34,7 +34,9 @@ type member = {
   m_uri : string;  (** driver URI the controller opens for data calls *)
   m_probe_address : string;
   m_probe_kind : Ovnet.Transport.kind;
-  mutable m_ops : Driver.ops option;  (** lazily opened member connection *)
+  mutable m_ops : (Driver.ops * Events.subscription) option;
+      (** lazily opened member connection, and the subscription that
+          forwards its events onto the fleet bus *)
   mutable m_health : Driver.member_health;
   mutable m_consec_failures : int;
   mutable m_consec_successes : int;
@@ -54,21 +56,38 @@ type t = {
   f_probe_interval_s : float;
   f_probe_timeout_s : float;
   f_down_threshold : int;
-  f_locations : (string, string) Hashtbl.t;  (** domain name -> member *)
+  f_locations : (string, string) Hashtbl.t;
+      (** domain name -> member; written by learning passes and through
+          [relocate_locked], nowhere else *)
+  mutable f_loc_version : int;  (** bumped by [relocate_locked] *)
+  mutable f_learned : learned;
+  mutable f_locations_learned : int;  (** rows written by learning passes *)
   f_events : Events.bus;
   f_journal : Journal.t;
   mutable f_sub_errors : int;  (** shard errors surfaced to this fleet's users *)
-  mutable f_last_merge :
-    (string * Driver.domain_record list) list * Driver.domain_record list;
-      (** the last scatter's per-member lists and their merge *)
   mutable f_migrations_active : int;
   mutable f_migrations_recovered : int;
   mutable f_migrations_rolled_back : int;
 }
 
+(* The last listing the controller learned from. *)
+and learned = {
+  ln_lists : (string * Driver.domain_record list) list;  (** per member *)
+  ln_merged : Driver.domain_record list;  (** their merge *)
+  ln_version : int;  (** [f_loc_version] when they were learned *)
+}
+
 let with_lock t f =
   Mutex.lock t.f_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.f_mutex) f
+
+(* Every write to [f_locations] outside a learning pass goes through
+   here.  The bump tells the next listing that the table may no longer
+   be what learning the last lists left, so that listing learns in full
+   (see [scatter_list]).  Callers hold [f_mutex]. *)
+let relocate_locked t f =
+  t.f_loc_version <- t.f_loc_version + 1;
+  f t.f_locations
 
 (* ------------------------------------------------------------------ *)
 (* Placement: consistent-hash ring                                     *)
@@ -238,31 +257,51 @@ let ensure_prober () =
 
 let member_ops t m =
   match with_lock t (fun () -> m.m_ops) with
-  | Some ops -> Ok ops
+  | Some (ops, _) -> Ok ops
   | None ->
     let* uri = Vuri.parse m.m_uri in
     let* ops = Driver.open_uri uri in
     let keep =
       with_lock t (fun () ->
           match m.m_ops with
-          | Some existing -> `Lost existing
+          | Some (existing, _) -> `Lost existing
+          | None when not (List.memq m t.f_members) ->
+            (* Removed while this was opening: nobody would close it. *)
+            `Gone
           | None ->
-            m.m_ops <- Some ops;
+            (* Forward member lifecycle events onto the fleet bus, so one
+               subscription on the controller observes the whole fleet. *)
+            let sub =
+              Events.subscribe ops.Driver.events (fun ev ->
+                  Events.emit t.f_events ~domain_name:ev.Events.domain_name
+                    ev.Events.lifecycle)
+            in
+            m.m_ops <- Some (ops, sub);
             `Won)
     in
     (match keep with
      | `Lost existing ->
        ops.Driver.close ();
        Ok existing
-     | `Won ->
-       (* Forward member lifecycle events onto the fleet bus, so one
-          subscription on the controller observes the whole fleet. *)
-       let (_ : Events.subscription) =
-         Events.subscribe ops.Driver.events (fun ev ->
-             Events.emit t.f_events ~domain_name:ev.Events.domain_name
-               ev.Events.lifecycle)
-       in
-       Ok ops)
+     | `Gone ->
+       ops.Driver.close ();
+       Verror.error Verror.No_connect "member %s left the fleet" m.m_name
+     | `Won -> Ok ops)
+
+(* Close a member's connection and stop forwarding its events; a later
+   [member_ops] opens a fresh one. *)
+let close_member t m =
+  let conn =
+    with_lock t (fun () ->
+        let c = m.m_ops in
+        m.m_ops <- None;
+        c)
+  in
+  match conn with
+  | None -> ()
+  | Some (ops, sub) ->
+    Events.unsubscribe ops.Driver.events sub;
+    ops.Driver.close ()
 
 let find_member t name =
   with_lock t (fun () ->
@@ -402,33 +441,66 @@ let merge_records per_member =
     per_member;
   List.rev_map (fun key -> Hashtbl.find seen key) !order
 
-(* A member connection hands back the very list it returned last time
-   when its reply bytes repeat (see the remote driver).  When every
-   member did, in the same order, the last merge is the answer. *)
-let merge_reusing (last, merged) per_member =
-  let same (n, rs) (n', rs') = String.equal n n' && rs == rs' in
-  if List.equal same per_member last then merged else merge_records per_member
+type repeat = Same_lists | Same_names | Changed
+
+(* The one test of whether a listing repeats the last one.  A member
+   connection hands back the very list it returned last time when its
+   reply repeats (see the remote driver); a state change alone gives a
+   new list of the same names.  [last] and [per_member] pair member
+   names with lists; the names must match in order. *)
+let repeat_of last per_member =
+  let same_names rs rs' =
+    List.equal
+      (fun (r : Driver.domain_record) (r' : Driver.domain_record) ->
+        String.equal r.Driver.rec_ref.Driver.dom_name r'.Driver.rec_ref.Driver.dom_name)
+      rs rs'
+  in
+  let rec go verdict last per_member =
+    match (last, per_member) with
+    | [], [] -> verdict
+    | (n, rs) :: last, (n', rs') :: per_member when String.equal n n' ->
+      if rs == rs' then go verdict last per_member
+      else if same_names rs rs' then go Same_names last per_member
+      else Changed
+    | _ -> Changed
+  in
+  go Same_lists last per_member
+
+(* Learn locations and per-member domain counts from every row: the
+   last member to list a name owns it.  Callers hold [f_mutex]. *)
+let learn_locked t per_member =
+  List.iter
+    (fun (name, records) ->
+      let n = List.length records in
+      (match List.find_opt (fun m -> m.m_name = name) t.f_members with
+       | Some m -> m.m_domains <- n
+       | None -> ());
+      t.f_locations_learned <- t.f_locations_learned + n;
+      List.iter
+        (fun (r : Driver.domain_record) ->
+          Hashtbl.replace t.f_locations r.Driver.rec_ref.Driver.dom_name name)
+        records)
+    per_member
 
 let scatter_list t =
   let per_member, errors, members =
     scatter t (fun _m ops -> Driver.list_all ops)
   in
-  (* Learn locations and per-member domain counts from what answered. *)
   let merged =
     with_lock t (fun () ->
-        List.iter
-          (fun (name, records) ->
-            (match List.find_opt (fun m -> m.m_name = name) t.f_members with
-             | Some m -> m.m_domains <- List.length records
-             | None -> ());
-            List.iter
-              (fun (r : Driver.domain_record) ->
-                Hashtbl.replace t.f_locations r.Driver.rec_ref.Driver.dom_name
-                  name)
-              records)
-          per_member;
-        let merged = merge_reusing t.f_last_merge per_member in
-        t.f_last_merge <- (per_member, merged);
+        let last = t.f_learned in
+        let repeat = repeat_of last.ln_lists per_member in
+        (* The same members listing the same names in the same order
+           each own the same names as when [last] was learned, and count
+           as many: learning them again changes nothing in a table no
+           write has touched since. *)
+        if repeat = Changed || last.ln_version <> t.f_loc_version then
+          learn_locked t per_member;
+        let merged =
+          if repeat = Same_lists then last.ln_merged else merge_records per_member
+        in
+        t.f_learned <-
+          { ln_lists = per_member; ln_merged = merged; ln_version = t.f_loc_version };
         merged)
   in
   Driver.
@@ -491,7 +563,8 @@ let routed t name f =
             a sick member. *)
          (match err.Verror.code with
           | Verror.No_domain ->
-            with_lock t (fun () -> Hashtbl.remove t.f_locations name)
+            with_lock t (fun () ->
+                relocate_locked t (fun locs -> Hashtbl.remove locs name))
           | _ -> with_lock t (fun () -> note_failure_locked t m)));
       r
 
@@ -521,7 +594,8 @@ let fleet_define t xml =
           let* dref = ops.Driver.define_xml xml in
           with_lock t (fun () ->
               note_success_locked t m;
-              Hashtbl.replace t.f_locations dref.Driver.dom_name m.m_name);
+              relocate_locked t (fun locs ->
+                  Hashtbl.replace locs dref.Driver.dom_name m.m_name));
           Ok dref)
 
 (* ------------------------------------------------------------------ *)
@@ -652,7 +726,7 @@ let recover_migration t (g : mig) =
       ensure_defined dest g.g_domain g.g_xml;
       if g.g_running then ensure_running dest g.g_domain;
       with_lock t (fun () ->
-          Hashtbl.replace t.f_locations g.g_domain g.g_dest;
+          relocate_locked t (fun locs -> Hashtbl.replace locs g.g_domain g.g_dest);
           t.f_migrations_recovered <- t.f_migrations_recovered + 1);
       Journal.append t.f_journal (enc_rec [ "end"; g.g_domain ])
     end
@@ -663,7 +737,7 @@ let recover_migration t (g : mig) =
       ensure_absent dest g.g_domain;
       if g.g_running then ensure_running src g.g_domain;
       with_lock t (fun () ->
-          Hashtbl.replace t.f_locations g.g_domain g.g_src;
+          relocate_locked t (fun locs -> Hashtbl.replace locs g.g_domain g.g_src);
           t.f_migrations_rolled_back <- t.f_migrations_rolled_back + 1);
       Journal.append t.f_journal (enc_rec [ "abort"; g.g_domain ])
     end
@@ -692,7 +766,7 @@ let fleet_migrate t ~domain ~dest =
       ensure_absent dst domain;
       if was_running then ensure_running src domain;
       with_lock t (fun () ->
-          Hashtbl.replace t.f_locations domain src_name;
+          relocate_locked t (fun locs -> Hashtbl.replace locs domain src_name);
           t.f_migrations_rolled_back <- t.f_migrations_rolled_back + 1);
       Journal.append t.f_journal (enc_rec [ "abort"; domain ]);
       finish_active ();
@@ -732,7 +806,7 @@ let fleet_migrate t ~domain ~dest =
            ensure_absent src domain;
            !crash_hook "released";
            with_lock t (fun () ->
-               Hashtbl.replace t.f_locations domain dest);
+               relocate_locked t (fun locs -> Hashtbl.replace locs domain dest));
            Journal.append t.f_journal (enc_rec [ "end"; domain ]);
            !crash_hook "end";
            finish_active ();
@@ -747,7 +821,8 @@ let fleet_migrate t ~domain ~dest =
         (* Release: the source copy is now just a stale definition. *)
         ensure_absent src domain;
         !crash_hook "released";
-        with_lock t (fun () -> Hashtbl.replace t.f_locations domain dest);
+        with_lock t (fun () ->
+            relocate_locked t (fun locs -> Hashtbl.replace locs domain dest));
         Journal.append t.f_journal (enc_rec [ "end"; domain ]);
         !crash_hook "end";
         finish_active ();
@@ -846,7 +921,7 @@ let ops_of t =
     ~define_xml:(fun xml -> fleet_define t xml)
     ~undefine:(fun name ->
       let* () = routed t name (fun _ ops -> ops.Driver.undefine name) in
-      with_lock t (fun () -> Hashtbl.remove t.f_locations name);
+      with_lock t (fun () -> relocate_locked t (fun locs -> Hashtbl.remove locs name));
       Ok ())
     ~dom_create:(fun name -> routed t name (fun _ ops -> ops.Driver.dom_create name))
     ~dom_suspend:(fun name ->
@@ -880,7 +955,7 @@ let ops_of t =
 (* Stats for direct fleet:// connections                               *)
 (* ------------------------------------------------------------------ *)
 
-type stats = { st_sub_errors : int }
+type stats = { st_sub_errors : int; st_locations_learned : int }
 
 (* The CLI's partial-failure accounting: a fleet connection is matched
    by its event bus (the one physical token every ops built from this
@@ -893,7 +968,12 @@ let conn_stats (ops : Driver.ops) =
           | Some _ -> acc
           | None ->
             if t.f_events == ops.Driver.events then
-              Some { st_sub_errors = with_lock t (fun () -> t.f_sub_errors) }
+              with_lock t (fun () ->
+                  Some
+                    {
+                      st_sub_errors = t.f_sub_errors;
+                      st_locations_learned = t.f_locations_learned;
+                    })
             else None)
         fleets None)
 
@@ -949,12 +1029,20 @@ let add_member t ~name ~uri =
   poke_prober ();
   r
 
+(* The bump comes even when the member owned no location: a member
+   re-added under the name starts uncounted, and its first listing may
+   be the very list the old one returned. *)
 let remove_member t name =
-  with_lock t (fun () ->
-      t.f_members <- List.filter (fun m -> m.m_name <> name) t.f_members;
-      Hashtbl.iter
-        (fun dom owner -> if owner = name then Hashtbl.remove t.f_locations dom)
-        (Hashtbl.copy t.f_locations))
+  let gone =
+    with_lock t (fun () ->
+        let gone, kept = List.partition (fun m -> m.m_name = name) t.f_members in
+        t.f_members <- kept;
+        relocate_locked t
+          (Hashtbl.filter_map_inplace (fun _ owner ->
+               if owner = name then None else Some owner));
+        gone)
+  in
+  List.iter (close_member t) gone
 
 let find name = with_fleets (fun () -> Hashtbl.find_opt fleets name)
 
@@ -985,10 +1073,12 @@ let create ~name ?(members = []) ?place ?(shard_slice_s = 1.0)
       f_probe_timeout_s = probe_timeout_s;
       f_down_threshold = down_threshold;
       f_locations = Hashtbl.create 64;
+      f_loc_version = 0;
+      f_learned = { ln_lists = []; ln_merged = []; ln_version = 0 };
+      f_locations_learned = 0;
       f_events = Events.create_bus ();
       f_journal = journal;
       f_sub_errors = 0;
-      f_last_merge = ([], []);
       f_migrations_active = 0;
       f_migrations_recovered = 0;
       f_migrations_rolled_back = 0;
@@ -1009,7 +1099,14 @@ let create ~name ?(members = []) ?place ?(shard_slice_s = 1.0)
 let name t = t.f_name
 
 let dissolve name =
-  with_fleets (fun () -> Hashtbl.remove fleets name)
+  match
+    with_fleets (fun () ->
+        let t = Hashtbl.find_opt fleets name in
+        Hashtbl.remove fleets name;
+        t)
+  with
+  | None -> ()
+  | Some t -> List.iter (close_member t) (with_lock t (fun () -> t.f_members))
 
 (* ------------------------------------------------------------------ *)
 (* Driver registration                                                 *)

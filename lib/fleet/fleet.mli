@@ -46,14 +46,18 @@ val find : string -> t option
 (** Look up a fleet in the process-global registry. *)
 
 val dissolve : string -> unit
-(** Drop the fleet from the registry.  Open connections built from it
-    keep working; the prober stops watching its members. *)
+(** Drop the fleet from the registry, close every member connection
+    (its receiver stops, and its events no longer reach the fleet bus)
+    and stop the prober watching the members.  Open connections built
+    from the fleet keep working: their next call opens the member
+    connections it needs afresh. *)
 
 val add_member : t -> name:string -> uri:string -> (unit, Verror.t) result
 (** [Dup_name] if a member with that name already exists. *)
 
 val remove_member : t -> string -> unit
-(** Also forgets every domain location owned by the member. *)
+(** Also forgets every domain location owned by the member, and closes
+    its connection: its events no longer reach the fleet bus. *)
 
 val consistent_hash_place : Vmm.Uuid.t -> string list -> string
 (** Default placement: 64 virtual nodes per member on a hash ring;
@@ -64,11 +68,19 @@ val merge_records :
   (string * Driver.domain_record list) list -> Driver.domain_record list
 (** One row per UUID across members; a running twin wins. *)
 
-val merge_reusing :
-  (string * Driver.domain_record list) list * Driver.domain_record list ->
-  (string * Driver.domain_record list) list -> Driver.domain_record list
-(** [merge_reusing (last, merged) l] is [merged] if [l] pairs the names of
-    [last], in order, with the same ([==]) lists, else [merge_records l]. *)
+type repeat =
+  | Same_lists  (** every member handed back the very ([==]) list *)
+  | Same_names  (** else, every list names the same domains in order *)
+  | Changed
+
+val repeat_of :
+  (string * Driver.domain_record list) list ->
+  (string * Driver.domain_record list) list -> repeat
+(** [repeat_of last l]: how the per-member lists [l] of a listing repeat
+    [last]'s.  [Changed] unless [l] pairs the names of [last], in order.
+    A listing reuses the last merge on [Same_lists], and skips learning
+    locations and domain counts on either repeat while no location was
+    written since [last] was learned. *)
 
 val status : t -> Driver.fleet_status
 (** Member health, probe/failure counters, last known domain counts and
@@ -107,13 +119,18 @@ val crash_hook : (string -> unit) ref
     from it aborts the handshake without rollback, exactly like a
     controller kill at that boundary. *)
 
-type stats = { st_sub_errors : int }
+type stats = {
+  st_sub_errors : int;
+  st_locations_learned : int;
+      (** rows the fleet's listings wrote into its location table; a
+          listing that repeats the last one writes none *)
+}
 
 val conn_stats : Driver.ops -> stats option
-(** Cumulative shard errors surfaced through a fleet connection's
-    listings, or [None] if [ops] is not a fleet connection.  Feeds the
-    CLI's partial-failure exit code, mirroring the remote driver's
-    [conn_stats]. *)
+(** Cumulative counters of the fleet behind a fleet connection, or
+    [None] if [ops] is not one.  The shard errors surfaced through its
+    listings feed the CLI's partial-failure exit code, mirroring the
+    remote driver's [conn_stats]. *)
 
 val register : unit -> unit
 (** Register the [fleet://] scheme with the driver registry:

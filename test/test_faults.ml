@@ -262,20 +262,6 @@ let test_call_timeout_without_watchdog_threads () =
       Alcotest.(check int) "no pending leak" 0 (Rpc_client.pending_calls rpc);
       Rpc_client.close rpc)
 
-(* An integer field of /proc/self/status ("Threads"), if there is one. *)
-let proc_status_int key =
-  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
-  | exception Sys_error _ -> None
-  | status ->
-    List.find_map
-      (fun line ->
-        match String.index_opt line ':' with
-        | Some i when String.sub line 0 i = key ->
-          int_of_string_opt
-            (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
-        | _ -> None)
-      (String.split_on_char '\n' status)
-
 let test_one_thread_per_connection () =
   if proc_status_int "Threads" <> None then
     with_daemon (fun _ daemon ->

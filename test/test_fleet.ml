@@ -598,25 +598,400 @@ let prop_merge_reuse =
   qcheck_case ~count:300 "merge reuse matches merge_records"
     (QCheck.make ~print gen) (fun (members, alt, k) ->
       let pm = List.mapi (fun i rows -> (Printf.sprintf "m%d" i, List.map merge_row rows)) members in
-      let merged = Fleet.merge_reusing ([], []) pm in
-      if merged <> Fleet.merge_records pm then
-        QCheck.Test.fail_report "first merge differs from merge_records";
-      (* The very same lists, even in freshly built pairs, reuse it. *)
-      if Fleet.merge_reusing (pm, merged) (List.map (fun (n, rs) -> (n, rs)) pm) != merged then
-        QCheck.Test.fail_report "unchanged lists merged again";
-      (* Replacing one member's list, by a copy or by other rows, merges
-         afresh. *)
+      let merged = Fleet.merge_records pm in
+      (* The very same lists, even in freshly built pairs, repeat. *)
+      if Fleet.repeat_of pm (List.map (fun (n, rs) -> (n, rs)) pm) <> Fleet.Same_lists then
+        QCheck.Test.fail_report "unchanged lists not a repeat";
+      (* Replacing one member's list, by a copy or by other rows, is a
+         repeat only of its names; a listing reuses the last merge only
+         when every list is the very same. *)
       let k = k mod List.length pm in
+      let names rs = List.map (fun r -> r.Driver.rec_ref.Driver.dom_name) rs in
       List.iter
         (fun replace ->
           let pm' = List.mapi (fun i (n, rs) -> (n, if i = k then replace rs else rs)) pm in
-          let r = Fleet.merge_reusing (pm, merged) pm' in
-          if r <> Fleet.merge_records pm' then
-            QCheck.Test.fail_report "merge after a replaced list differs from merge_records";
-          if snd (List.nth pm' k) != snd (List.nth pm k) && merged <> [] && r == merged then
-            QCheck.Test.fail_report "a replaced list reused the last merge")
+          let rs = snd (List.nth pm k) and rs' = snd (List.nth pm' k) in
+          let want =
+            if rs' == rs then Fleet.Same_lists
+            else if names rs' = names rs then Fleet.Same_names
+            else Fleet.Changed
+          in
+          let got = Fleet.repeat_of pm pm' in
+          if got <> want then QCheck.Test.fail_report "a replaced list misclassified";
+          if got = Fleet.Same_lists && Fleet.merge_records pm' <> merged then
+            QCheck.Test.fail_report "a reused merge differs from merge_records")
         [ List.map Fun.id; (fun _ -> List.map merge_row alt) ];
+      (* Another member name, or one member fewer, is never a repeat. *)
+      let renamed = List.mapi (fun i (n, rs) -> ((if i = k then n ^ "'" else n), rs)) pm in
+      if Fleet.repeat_of pm renamed <> Fleet.Changed || Fleet.repeat_of pm (List.tl pm) <> Fleet.Changed
+      then QCheck.Test.fail_report "other members counted as a repeat";
       true)
+
+(* --- location learning ---------------------------------------------------- *)
+
+(* A member the test drives by hand.  [fk_listed] is the very list every
+   bulk listing hands back until a refresh rebuilds it from [fk_doms],
+   the member's domains (name, UUID, running): so a member may go on
+   listing a state it has left, as a cached listing can, and a state
+   change gives a new list of the same names.  Writes change [fk_doms]
+   alone. *)
+type fake = {
+  mutable fk_doms : (string * Vmm.Uuid.t * bool) list;
+  mutable fk_listed : Driver.domain_record list;
+  mutable fk_listings : int;  (** bulk listings answered *)
+  mutable fk_refuse_define : bool;
+  mutable fk_refused : int;  (** defines refused *)
+}
+
+let fakes : (string, fake) Hashtbl.t = Hashtbl.create 16
+let fakes_mutex = Mutex.create ()
+
+let fake_record (name, uuid, running) =
+  Driver.
+    {
+      rec_ref = { dom_name = name; dom_uuid = uuid; dom_id = None };
+      rec_info =
+        {
+          di_state = (if running then Vmm.Vm_state.Running else Vmm.Vm_state.Shutoff);
+          di_max_mem_kib = 8192;
+          di_memory_kib = 8192;
+          di_vcpus = 1;
+          di_cpu_time_ns = 0L;
+        };
+      rec_autostart = None;
+    }
+
+let refresh fk = fk.fk_listed <- List.map fake_record fk.fk_doms
+
+let fake_ops fk =
+  let find name = List.find_opt (fun (n, _, _) -> n = name) fk.fk_doms in
+  let no_domain name = Verror.error Verror.No_domain "no domain %S" name in
+  let set_running name running =
+    match find name with
+    | None -> no_domain name
+    | Some (_, uuid, _) ->
+      fk.fk_doms <-
+        List.map (fun ((n, _, _) as d) -> if n = name then (n, uuid, running) else d) fk.fk_doms;
+      Ok ()
+  in
+  Driver.make_ops ~drv_name:"fake"
+    ~get_capabilities:(fun () ->
+      Ovirt.Capabilities.
+        {
+          driver_name = "fake"; virt_kind = "mock"; stateful = true; guest_os_kinds = [];
+          features = [];
+          host = { host_name = "fake"; host_memory_kib = 0; host_cpus = 0; host_mhz = 0; host_arch = "x" };
+        })
+    ~get_hostname:(fun () -> "fake")
+    ~dom_list_all:(fun () ->
+      fk.fk_listings <- fk.fk_listings + 1;
+      Ok fk.fk_listed)
+    ~define_xml:(fun xml ->
+      let cfg, _ = Result.get_ok (Vmm.Domxml.of_xml xml) in
+      let name = cfg.Vm_config.name and uuid = cfg.Vm_config.uuid in
+      if fk.fk_refuse_define then begin
+        fk.fk_refused <- fk.fk_refused + 1;
+        Verror.error Verror.Operation_failed "define refused"
+      end
+      else begin
+        fk.fk_doms <- List.filter (fun (n, _, _) -> n <> name) fk.fk_doms @ [ (name, uuid, false) ];
+        Ok Driver.{ dom_name = name; dom_uuid = uuid; dom_id = None }
+      end)
+    ~undefine:(fun name ->
+      match find name with
+      | None -> no_domain name
+      | Some _ ->
+        fk.fk_doms <- List.filter (fun (n, _, _) -> n <> name) fk.fk_doms;
+        Ok ())
+    ~dom_get_info:(fun name ->
+      match find name with
+      | None -> no_domain name
+      | Some d -> Ok (fake_record d).Driver.rec_info)
+    ~dom_get_xml:(fun name ->
+      match find name with
+      | None -> no_domain name
+      | Some (_, uuid, _) -> Ok (dom_xml ~uuid name))
+    ~dom_create:(fun name -> set_running name true)
+    ~dom_destroy:(fun name -> set_running name false)
+    ()
+
+let () =
+  Driver.register
+    Driver.
+      {
+        reg_name = "fake";
+        probe = (fun uri -> uri.Ovirt.Uri.scheme = "fake" && uri.Ovirt.Uri.transport = None);
+        open_conn =
+          (fun uri ->
+            let name = uri.Ovirt.Uri.path in
+            match Mutex.protect fakes_mutex (fun () -> Hashtbl.find_opt fakes name) with
+            | Some fk -> Ok (fake_ops fk)
+            | None -> Verror.error Verror.No_connect "no fake member %s" name);
+      }
+
+type learn_step =
+  | L_list
+  | L_refresh of int  (** member *)
+  | L_define of int * int  (** domain, placement *)
+  | L_undefine of int
+  | L_start of int
+  | L_stop of int
+  | L_migrate of int * int * bool  (** domain, destination, refused there *)
+  | L_remove of int
+  | L_add of int
+
+let learn_members = 3
+let learn_domains = 5
+let learn_uuids = Array.init learn_domains (fun _ -> Vmm.Uuid.generate ())
+let member_tag i = Printf.sprintf "m%d" i
+let dom_tag d = Printf.sprintf "d%d" d
+
+let show_learn_step = function
+  | L_list -> "list"
+  | L_refresh i -> "refresh " ^ member_tag i
+  | L_define (d, i) -> Printf.sprintf "define %s@%s" (dom_tag d) (member_tag i)
+  | L_undefine d -> "undefine " ^ dom_tag d
+  | L_start d -> "start " ^ dom_tag d
+  | L_stop d -> "stop " ^ dom_tag d
+  | L_migrate (d, i, refused) ->
+    Printf.sprintf "migrate %s->%s%s" (dom_tag d) (member_tag i) (if refused then " (refused)" else "")
+  | L_remove i -> "remove " ^ member_tag i
+  | L_add i -> "add " ^ member_tag i
+
+(* After every step, the fleet's owner of every domain name the model
+   knows (of every name, after the last step) and every member's domain
+   count equal those of a model that learns every listing in full,
+   whatever the members hand back: the skipped learning of a repeated
+   listing is never observable. *)
+let prop_learning_matches_full =
+  let gen =
+    let open QCheck.Gen in
+    let dom = int_bound (learn_domains - 1) and mem = int_bound (learn_members - 1) in
+    list_size (int_range 1 40)
+      (frequency
+         [
+           (4, return L_list);
+           (3, map (fun i -> L_refresh i) mem);
+           (2, map2 (fun d i -> L_define (d, i)) dom mem);
+           (2, map (fun d -> L_undefine d) dom);
+           (1, map (fun d -> L_start d) dom);
+           (1, map (fun d -> L_stop d) dom);
+           (2, map3 (fun d i r -> L_migrate (d, i, r)) dom mem bool);
+           (1, map (fun i -> L_remove i) mem);
+           (1, map (fun i -> L_add i) mem);
+         ])
+  in
+  let print steps = String.concat "; " (List.map show_learn_step steps) in
+  qcheck_case ~count:1000 "learning matches a full pass on every listing"
+    (QCheck.make ~print gen) (fun steps ->
+      let fname = fresh_name "learn" in
+      let path i = Printf.sprintf "/%s-%s" fname (member_tag i) in
+      let uri i = "fake://" ^ path i in
+      let fk =
+        Array.init learn_members (fun i ->
+            let fk =
+              {
+                fk_doms = [ (dom_tag i, learn_uuids.(i), true) ];
+                fk_listed = [];
+                fk_listings = 0;
+                fk_refuse_define = false;
+                fk_refused = 0;
+              }
+            in
+            refresh fk;
+            Mutex.protect fakes_mutex (fun () -> Hashtbl.replace fakes (path i) fk);
+            fk)
+      in
+      let place_next = ref "" in
+      let t =
+        Fleet.create ~name:fname
+          ~members:(List.init learn_members (fun i -> (member_tag i, uri i)))
+          ~place:(fun _ names -> if List.mem !place_next names then !place_next else List.hd names)
+          ~shard_slice_s:30. ~probe_interval_s:3600. ~down_threshold:1_000_000 ()
+      in
+      let ops = Fleet.ops_of t in
+      let fv = Option.get ops.Driver.fleet in
+      (* The model: members in join order, name -> owner, member -> count. *)
+      let order = ref (List.init learn_members member_tag) in
+      let loc : (string, string) Hashtbl.t = Hashtbl.create 8 in
+      let count : (string, int) Hashtbl.t = Hashtbl.create 4 in
+      let fake_of m = fk.(int_of_string (String.sub m 1 (String.length m - 1))) in
+      let learn () =
+        List.iter
+          (fun m ->
+            let listed = (fake_of m).fk_listed in
+            Hashtbl.replace count m (List.length listed);
+            List.iter (fun r -> Hashtbl.replace loc r.Driver.rec_ref.Driver.dom_name m) listed)
+          !order
+      in
+      (* Whether the fleet listed: every member answers every scatter, and
+         no list changes within one step. *)
+      let listings () = Array.fold_left (fun n f -> n + f.fk_listings) 0 fk in
+      let learned_if_listed before = if listings () > before then learn () in
+      let routed name op =
+        let before = listings () in
+        let (_ : (unit, Verror.t) result) = op name in
+        learned_if_listed before;
+        Hashtbl.find_opt loc name
+      in
+      let has m name = List.exists (fun (n, _, _) -> n = name) (fake_of m).fk_doms in
+      (* Routed to a member that no longer has the domain, the location
+         goes. *)
+      let lifecycle name op =
+        match routed name op with
+        | Some m when not (has m name) -> Hashtbl.remove loc name
+        | _ -> ()
+      in
+      let step = function
+        | L_list ->
+          let before = listings () in
+          ignore (vok (fv.Driver.fleet_list_all ()));
+          learned_if_listed before
+        | L_refresh i -> refresh fk.(i)
+        | L_define (d, i) -> (
+          place_next := member_tag i;
+          let name = dom_tag d in
+          match ops.Driver.define_xml (dom_xml ~uuid:learn_uuids.(d) name) with
+          | Ok _ ->
+            Hashtbl.replace loc name
+              (if List.mem !place_next !order then !place_next else List.hd !order)
+          | Error _ -> ())
+        | L_undefine d ->
+          (* Undefined, or found gone: the location goes either way. *)
+          let name = dom_tag d in
+          if routed name ops.Driver.undefine <> None then Hashtbl.remove loc name
+        | L_start d -> lifecycle (dom_tag d) ops.Driver.dom_create
+        | L_stop d -> lifecycle (dom_tag d) ops.Driver.dom_destroy
+        | L_migrate (d, i, refused) ->
+          let name = dom_tag d and dest = member_tag i in
+          fk.(i).fk_refuse_define <- refused;
+          let refused_before = fk.(i).fk_refused in
+          let result = ref (Ok ()) in
+          let owner = routed name (fun name -> result := Fleet.fleet_migrate t ~domain:name ~dest; !result) in
+          fk.(i).fk_refuse_define <- false;
+          (match (!result, owner) with
+           | Ok (), _ -> Hashtbl.replace loc name dest
+           | Error _, Some src when fk.(i).fk_refused > refused_before ->
+             (* Rolled back to the source. *)
+             Hashtbl.replace loc name src
+           | Error _, _ -> ())
+        | L_remove i ->
+          let m = member_tag i in
+          Fleet.remove_member t m;
+          order := List.filter (( <> ) m) !order;
+          Hashtbl.filter_map_inplace (fun _ owner -> if owner = m then None else Some owner) loc;
+          Hashtbl.remove count m
+        | L_add i ->
+          let m = member_tag i in
+          if not (List.mem m !order) then begin
+            vok (Fleet.add_member t ~name:m ~uri:(uri i));
+            order := !order @ [ m ]
+          end
+      in
+      (* Owners of the names the model knows, or of every name: asking
+         for an unknown one makes the fleet list. *)
+      let check ?(every = false) what =
+        List.iter
+          (fun ms ->
+            let want = Option.value (Hashtbl.find_opt count ms.Driver.ms_name) ~default:(-1) in
+            if ms.Driver.ms_domains <> want then
+              QCheck.Test.fail_reportf "after %s: %s counts %d domains, a full pass %d" what
+                ms.Driver.ms_name ms.Driver.ms_domains want)
+          (Fleet.status t).Driver.fs_members;
+        for d = 0 to learn_domains - 1 do
+          let name = dom_tag d in
+          if every || Hashtbl.mem loc name then
+          let before = listings () in
+          let got = fv.Driver.fleet_owner name in
+          learned_if_listed before;
+          let show = function Some m -> m | None -> "none" in
+          let got = Result.to_option got and want = Hashtbl.find_opt loc name in
+          if got <> want then
+            QCheck.Test.fail_reportf "after %s: %s is owned by %s, after a full pass by %s" what
+              name (show got) (show want)
+        done
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Fleet.dissolve fname;
+          Mutex.protect fakes_mutex (fun () ->
+              for i = 0 to learn_members - 1 do
+                Hashtbl.remove fakes (path i)
+              done))
+        (fun () ->
+          List.iter
+            (fun s ->
+              step s;
+              check (show_learn_step s))
+            steps;
+          check ~every:true "the last step";
+          true))
+
+(* --- member connections -------------------------------------------------- *)
+
+let list_once t =
+  let l = vok ((Option.get (Fleet.ops_of t).Driver.fleet).Driver.fleet_list_all ()) in
+  Alcotest.(check int) "no shard errors" 0 (List.length l.Driver.fl_shard_errors)
+
+let test_dissolve_closes_connections () =
+  if proc_status_int "Threads" <> None then
+    with_members [ "m1"; "m2" ] (fun members ->
+        let cycle () =
+          let t =
+            Fleet.create ~name:(fresh_name "fleet")
+              ~members:(List.map (fun m -> (m.md_member, m.md_uri)) members)
+              ~probe_interval_s:3600. ()
+          in
+          list_once t;
+          Fleet.dissolve (Fleet.name t)
+        in
+        (* The first cycle starts the threads every fleet shares: the
+           prober and the shard threads. *)
+        cycle ();
+        let threads () = Option.get (proc_status_int "Threads") in
+        let start = threads () in
+        for _ = 1 to 3 do
+          cycle ()
+        done;
+        let back = eventually (fun () -> threads () <= start) in
+        Alcotest.(check bool)
+          (Printf.sprintf "threads back to %d after 3 fleets (now %d)" start (threads ()))
+          true back)
+
+let test_removed_member_events_stop () =
+  with_members [ "m1"; "m2" ] (fun members ->
+      let c1 = member_conn (List.nth members 0) in
+      let c2 = member_conn (List.nth members 1) in
+      let d1 = seed_domain c1 "ev-a" in
+      let d2 = seed_domain c2 "ev-b" in
+      let t = fleet_of members in
+      list_once t;
+      let seen = Hashtbl.create 4 in
+      let bus = (Fleet.ops_of t).Driver.events in
+      let sub =
+        Events.subscribe bus (fun ev ->
+            let n = ev.Events.domain_name in
+            Hashtbl.replace seen n (1 + Option.value (Hashtbl.find_opt seen n) ~default:0))
+      in
+      let count name = Option.value (Hashtbl.find_opt seen name) ~default:0 in
+      let bounce dom =
+        vok (Domain.suspend dom);
+        vok (Domain.resume dom)
+      in
+      (* While m2 is a member, its events reach the fleet bus. *)
+      bounce d2;
+      Alcotest.(check bool) "a member's events reach the fleet bus" true
+        (eventually (fun () -> count "ev-b" = 2));
+      Fleet.remove_member t "m2";
+      bounce d2;
+      (* m1's events, sent after m2's, arrive: m2's would have by now. *)
+      bounce d1;
+      Alcotest.(check bool) "m1's events arrive" true (eventually (fun () -> count "ev-a" = 2));
+      Thread.delay 0.1;
+      Alcotest.(check int) "no event of a removed member" 2 (count "ev-b");
+      Events.unsubscribe bus sub;
+      Connect.close c1;
+      Connect.close c2)
 
 (* --- conditional listings (v1.8) ---------------------------------------- *)
 
@@ -1381,6 +1756,12 @@ let () =
           quick "a slow member stalls nobody else" test_slow_member_stalls_nobody;
         ] );
       ("merge", [ prop_merge_reuse ]);
+      ("learning", [ prop_learning_matches_full ]);
+      ( "members",
+        [
+          quick "dissolve closes member connections" test_dissolve_closes_connections;
+          quick "a removed member's events stop" test_removed_member_events_stop;
+        ] );
       ( "listing",
         [
           prop_conditional_listing;

@@ -371,21 +371,40 @@ let test_watchdog_restores_capacity () =
     }
   in
   with_daemon ~config (fun daemon _ ->
-      let fast_node = fresh_name "fast" and slow_node = fresh_name "slow" in
+      let fast_a = fresh_name "fast" and fast_b = fresh_name "fast" in
+      let slow_node = fresh_name "slow" in
       let dslow = vok (Connect.open_uri (Printf.sprintf "test://%s/" slow_node)) in
       ignore (define_and_start dslow ~virt_type:"test" ~name:"wedge2" ());
-      let rfast = vok (Connect.open_uri (remote_uri ~params:"&cache=0" ~daemon fast_node)) in
-      let rslow = vok (Connect.open_uri (remote_uri ~params:"&cache=0" ~daemon slow_node)) in
-      let dfast = vok (Domain.lookup_by_name rfast "test") in
+      let remote node = vok (Connect.open_uri (remote_uri ~params:"&cache=0" ~daemon node)) in
+      let rfast_a = remote fast_a and rfast_b = remote fast_b in
+      let rslow = remote slow_node in
+      let da = vok (Domain.lookup_by_name rfast_a "test") in
+      let db = vok (Domain.lookup_by_name rfast_b "test") in
       let s1 = vok (Domain.lookup_by_name rslow "test") in
       let s2 = vok (Domain.lookup_by_name rslow "wedge2") in
-      (* Healthy-op cost: a burst of normal-class balloon ops through the
-         pool, best of three. *)
+      (* Healthy capacity: two callers at once, each bouncing the domain
+         of its own fast node through normal-class lifecycle ops that
+         wait 25 ms on the simulated hypervisor.  Overlapping them takes
+         both ordinary workers, and the wait, not CPU, sets the burst's
+         length, so load elsewhere on the machine barely moves it.  Best
+         of three. *)
+      set_latency fast_a 25_000;
+      set_latency fast_b 25_000;
       let measure () =
+        let bounce dom () =
+          for _ = 1 to 4 do
+            vok (Domain.suspend dom);
+            vok (Domain.resume dom)
+          done
+        in
         let t0 = Unix.gettimeofday () in
-        for _ = 1 to 30 do
-          vok (Domain.set_memory dfast 1024)
-        done;
+        let failed = ref None in
+        let other =
+          Thread.create (fun () -> try bounce db () with e -> failed := Some e) ()
+        in
+        bounce da ();
+        Thread.join other;
+        Option.iter raise !failed;
         Unix.gettimeofday () -. t0
       in
       let baseline = Float.min (measure ()) (Float.min (measure ()) (measure ())) in
@@ -402,6 +421,11 @@ let test_watchdog_restores_capacity () =
           in
           Alcotest.(check bool) "both wedged workers written off" true
             (eventually ~timeout_s:5.0 written_off);
+          (* Spawned by the watchdog itself, not grown later on demand:
+             the burst below would grow the pool back to two anyway. *)
+          Alcotest.(check bool) "both replacements spawned" true
+            (eventually (fun () ->
+                 (vok (Admin.threadpool_info srv)).Admin.tp_n_workers = 2));
           (* Replacements restore healthy throughput to within 10% of the
              no-fault baseline while the originals are still wedged. *)
           let recovered () = measure () <= baseline *. 1.1 in
@@ -427,7 +451,8 @@ let test_watchdog_restores_capacity () =
         ((vok (Domain.get_info s1)).Driver.di_state = Vm_state.Paused
         && (vok (Domain.get_info s2)).Driver.di_state = Vm_state.Paused);
       Connect.close rslow;
-      Connect.close rfast;
+      Connect.close rfast_a;
+      Connect.close rfast_b;
       Connect.close dslow)
 
 let () =

@@ -55,6 +55,20 @@ let eventually ?(timeout_s = 2.0) cond =
   in
   loop ()
 
+(* An integer field of /proc/self/status ("Threads"), if there is one. *)
+let proc_status_int key =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+    List.find_map
+      (fun line ->
+        match String.index_opt line ':' with
+        | Some i when String.sub line 0 i = key ->
+          int_of_string_opt
+            (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+        | _ -> None)
+      (String.split_on_char '\n' status)
+
 (* A blocking test server on the simulated network: each accepted
    connection gets a thread of its own, which runs the server half of the
    handshake and then [handler]. *)
