@@ -275,13 +275,15 @@ let prepare_busy_node daemon_name =
   Connect.close conn;
   (node, Domain.name dom)
 
+(* Client cache and reply cache off: every call is a pool job that
+   waits on the simulated hypervisor, which is what E5 and E6 measure. *)
 let throughput_at daemon_name node dom_name n_clients =
   let conns =
     List.init n_clients (fun _ ->
         ok
           (Connect.open_uri
-             (Printf.sprintf "test+unix://%s/?daemon=%s&latency_us=300" node
-                daemon_name)))
+             (Printf.sprintf "test+unix://%s/?daemon=%s&latency_us=300&cache=0&replycache=0"
+                node daemon_name)))
   in
   let conns_arr = Array.of_list conns in
   let doms =

@@ -1054,10 +1054,13 @@ let install_status_hook () =
       List.map status
         (List.sort (fun a b -> compare a.f_name b.f_name) all))
 
+let close_members t = List.iter (close_member t) (with_lock t (fun () -> t.f_members))
+
 (* Create (or re-create) a fleet.  Re-creating under the same name
    models a controller restart: the new instance replays the journal
    and converges every migration the old one left mid-flight, then
-   replaces the old instance in the registry (latest wins). *)
+   replaces the old instance in the registry (latest wins) and closes
+   its member connections, as [dissolve] does. *)
 let create ~name ?(members = []) ?place ?(shard_slice_s = 1.0)
     ?(probe_interval_s = 0.5) ?(probe_timeout_s = 0.25) ?(down_threshold = 3)
     () =
@@ -1089,9 +1092,14 @@ let create ~name ?(members = []) ?place ?(shard_slice_s = 1.0)
       t.f_members <- t.f_members @ [ make_member t ~name:mname ~uri ])
     members;
   recover t replay.Journal.rp_records;
-  with_fleets (fun () ->
-      Hashtbl.replace fleets name t;
-      Condition.broadcast prober_cond);
+  let replaced =
+    with_fleets (fun () ->
+        let old = Hashtbl.find_opt fleets name in
+        Hashtbl.replace fleets name t;
+        Condition.broadcast prober_cond;
+        old)
+  in
+  Option.iter close_members replaced;
   install_status_hook ();
   ensure_prober ();
   t
@@ -1099,14 +1107,11 @@ let create ~name ?(members = []) ?place ?(shard_slice_s = 1.0)
 let name t = t.f_name
 
 let dissolve name =
-  match
-    with_fleets (fun () ->
-        let t = Hashtbl.find_opt fleets name in
-        Hashtbl.remove fleets name;
-        t)
-  with
-  | None -> ()
-  | Some t -> List.iter (close_member t) (with_lock t (fun () -> t.f_members))
+  Option.iter close_members
+    (with_fleets (fun () ->
+         let t = Hashtbl.find_opt fleets name in
+         Hashtbl.remove fleets name;
+         t))
 
 (* ------------------------------------------------------------------ *)
 (* Driver registration                                                 *)

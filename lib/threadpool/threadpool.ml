@@ -35,13 +35,15 @@ type stats = {
   job_queue_limit : int;
   wall_limit_ms : int;
   watchdog_scans : int;
+  wakeups : int;
 }
 
 type t = {
   name : string;
   logger : Vlog.t option;
   mutex : Mutex.t;
-  cond : Condition.t; (* workers wait here for jobs / limit changes *)
+  work_cond : Condition.t; (* parked ordinary workers *)
+  prio_cond : Condition.t; (* parked priority workers *)
   idle_cond : Condition.t; (* drain/shutdown wait here *)
   flows : (int64, flow) Hashtbl.t; (* normal-class jobs, one queue per source *)
   ring : int64 Queue.t; (* DRR visit order over active flows *)
@@ -51,9 +53,14 @@ type t = {
   mutable max_workers : int;
   mutable prio_target : int;
   mutable n_workers : int; (* live ordinary workers *)
-  mutable free_workers : int; (* ordinary workers blocked on [cond] *)
+  mutable free_workers : int; (* ordinary workers blocked on [work_cond] *)
   mutable n_prio : int; (* live priority workers *)
-  mutable free_prio : int;
+  mutable free_prio : int; (* priority workers blocked on [prio_cond] *)
+  (* Parked workers already signalled but not yet running: a submit
+     claims an unclaimed one, so two jobs never count on one wake. *)
+  mutable claimed_workers : int;
+  mutable claimed_prio : int;
+  mutable wakeups : int; (* returns from [work_cond] / [prio_cond] *)
   mutable quit : bool;
   mutable jobs_completed : int;
   mutable jobs_failed : int;
@@ -199,6 +206,26 @@ let retired_stuck pool wid =
   end
   else false
 
+(* Park until signalled, then give up one claim.  A spurious wake-up
+   gives up the claim of a worker still waking; a later submit may then
+   signal with nobody left to wake, and that worker, which empties the
+   queues before it parks, serves the job. *)
+let park_ordinary pool =
+  pool.free_workers <- pool.free_workers + 1;
+  Condition.broadcast pool.idle_cond;
+  Condition.wait pool.work_cond pool.mutex;
+  pool.free_workers <- pool.free_workers - 1;
+  pool.claimed_workers <- max 0 (pool.claimed_workers - 1);
+  pool.wakeups <- pool.wakeups + 1
+
+let park_priority pool =
+  pool.free_prio <- pool.free_prio + 1;
+  Condition.broadcast pool.idle_cond;
+  Condition.wait pool.prio_cond pool.mutex;
+  pool.free_prio <- pool.free_prio - 1;
+  pool.claimed_prio <- max 0 (pool.claimed_prio - 1);
+  pool.wakeups <- pool.wakeups + 1
+
 let rec ordinary_loop pool wid =
   if retired_stuck pool wid then ()
   else if ordinary_should_quit pool then begin
@@ -216,10 +243,7 @@ let rec ordinary_loop pool wid =
     ordinary_loop pool wid
   end
   else begin
-    pool.free_workers <- pool.free_workers + 1;
-    Condition.broadcast pool.idle_cond;
-    Condition.wait pool.cond pool.mutex;
-    pool.free_workers <- pool.free_workers - 1;
+    park_ordinary pool;
     ordinary_loop pool wid
   end
 
@@ -234,10 +258,7 @@ let rec priority_loop pool wid =
     priority_loop pool wid
   end
   else begin
-    pool.free_prio <- pool.free_prio + 1;
-    Condition.broadcast pool.idle_cond;
-    Condition.wait pool.cond pool.mutex;
-    pool.free_prio <- pool.free_prio - 1;
+    park_priority pool;
     priority_loop pool wid
   end
 
@@ -340,7 +361,8 @@ let create ?(name = "pool") ?logger ?(job_queue_limit = 0) ?(wall_limit_ms = 0)
       name;
       logger;
       mutex = Mutex.create ();
-      cond = Condition.create ();
+      work_cond = Condition.create ();
+      prio_cond = Condition.create ();
       idle_cond = Condition.create ();
       flows = Hashtbl.create 16;
       ring = Queue.create ();
@@ -353,6 +375,9 @@ let create ?(name = "pool") ?logger ?(job_queue_limit = 0) ?(wall_limit_ms = 0)
       free_workers = 0;
       n_prio = 0;
       free_prio = 0;
+      claimed_workers = 0;
+      claimed_prio = 0;
+      wakeups = 0;
       quit = false;
       jobs_completed = 0;
       jobs_failed = 0;
@@ -391,6 +416,31 @@ let retry_after_ms pool =
   in
   int_of_float (Float.min 5000. (Float.max 1. (per_job *. backlog)))
 
+(* One signal per job: a priority job goes to an unclaimed parked
+   priority worker, any job to an unclaimed parked ordinary worker.  A
+   woken worker serves the queues until they are empty before parking
+   again, so when every parked worker is claimed the running and woken
+   ones cover the job.  [false]: nobody parked could be claimed. *)
+let wake_one pool ~priority =
+  if priority && pool.free_prio > pool.claimed_prio then begin
+    pool.claimed_prio <- pool.claimed_prio + 1;
+    Condition.signal pool.prio_cond;
+    true
+  end
+  else if pool.free_workers > pool.claimed_workers then begin
+    pool.claimed_workers <- pool.claimed_workers + 1;
+    Condition.signal pool.work_cond;
+    true
+  end
+  else false
+
+(* Limit changes and shutdown: every parked worker re-checks. *)
+let wake_all pool =
+  pool.claimed_workers <- pool.free_workers;
+  pool.claimed_prio <- pool.free_prio;
+  Condition.broadcast pool.work_cond;
+  Condition.broadcast pool.prio_cond
+
 let submit pool ?(priority = false) ?(source = 0L) ?deadline ?on_expired run =
   with_lock pool (fun () ->
       if pool.quit then
@@ -409,13 +459,8 @@ let submit pool ?(priority = false) ?(source = 0L) ?deadline ?on_expired run =
         if priority then Queue.push job pool.prio_queue
         else enqueue_normal pool ~source job;
         (* Grow on demand: a job just arrived with nobody free to take it. *)
-        let nobody_free =
-          if priority then pool.free_workers = 0 && pool.free_prio = 0
-          else pool.free_workers = 0
-        in
-        if nobody_free && pool.n_workers < pool.max_workers then
-          spawn_ordinary pool;
-        Condition.broadcast pool.cond;
+        if (not (wake_one pool ~priority)) && pool.n_workers < pool.max_workers
+        then spawn_ordinary pool;
         Ok ()
       end)
 
@@ -450,7 +495,7 @@ let set_limits pool ?min_workers ?max_workers ?prio_workers ?job_queue_limit
         spawn_priority pool
       done;
       (* Surplus workers (n > max) retire themselves on wakeup. *)
-      Condition.broadcast pool.cond)
+      wake_all pool)
 
 let stats pool =
   with_lock pool (fun () ->
@@ -470,6 +515,7 @@ let stats pool =
         job_queue_limit = pool.queue_limit;
         wall_limit_ms = int_of_float (pool.wall_limit *. 1000.);
         watchdog_scans = pool.watchdog_scans;
+        wakeups = pool.wakeups;
       })
 
 let failed_jobs pool = with_lock pool (fun () -> pool.jobs_failed)
@@ -490,9 +536,8 @@ let shutdown pool =
       pool.quit <- true;
       clear_normal pool;
       Queue.clear pool.prio_queue;
-      Condition.broadcast pool.cond;
       Condition.signal pool.watchdog_cond;
       while pool.n_workers > 0 || pool.n_prio > 0 || pool.watchdog_live do
-        Condition.broadcast pool.cond;
+        wake_all pool;
         Condition.wait pool.idle_cond pool.mutex
       done)

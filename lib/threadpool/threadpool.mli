@@ -34,6 +34,11 @@
       call cannot silently eat pool capacity.  The written-off thread retires itself when (if)
       its job ever returns.
 
+    A submitted job wakes at most one parked worker: a priority job an
+    unclaimed priority worker if one is parked, otherwise an ordinary
+    one.  A worker serves the queues until they are empty before it parks
+    again.
+
     All limits are runtime-adjustable ({!set_limits}), which is what the
     administration interface exposes. *)
 
@@ -61,6 +66,10 @@ type stats = {
   watchdog_scans : int;
       (** watchdog passes so far: one per limit while idle, otherwise one
           as each running job comes due.  Local only, never on a wire. *)
+  wakeups : int;
+      (** times a parked worker woke up so far.  Each job signals at most
+          one parked worker; limit changes and shutdown wake them all.
+          Local only, never on a wire. *)
 }
 
 exception Invalid_limits of string

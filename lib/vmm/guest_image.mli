@@ -17,7 +17,9 @@ val bytes_per_page : int
 (** Image bytes per tracked page (4: a 4 KiB guest page at 1:1024). *)
 
 val create : memory_kib:int -> t
-(** Allocate and zero the image.  All pages start clean. *)
+(** A zeroed image with every page clean.  Its memory is materialized on
+    the first {!write_page}, {!install_page} or {!restore_from}; until
+    then it reads, snapshots, checksums and compares as all zeros. *)
 
 val memory_kib : t -> int
 val page_count : t -> int

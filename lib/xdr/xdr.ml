@@ -225,10 +225,12 @@ let check_consumed d =
 (* Whole-value helpers                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let encode enc v =
-  let e = encoder () in
+(* The encoder is private: a value that fills it exactly is handed over
+   without a copy. *)
+let encode ?size enc v =
+  let e = encoder ?size () in
   enc e v;
-  to_string e
+  if e.pos = Bytes.length e.buf then Bytes.unsafe_to_string e.buf else to_string e
 
 let decode dec s =
   let d = decoder s in

@@ -958,6 +958,38 @@ let test_dissolve_closes_connections () =
           (Printf.sprintf "threads back to %d after 3 fleets (now %d)" start (threads ()))
           true back)
 
+(* Connections a member's daemon has open on its management server. *)
+let daemon_clients m =
+  match m.md_handle with
+  | None -> 0
+  | Some h -> fst (Ovdaemon.Server_obj.client_counts (Option.get (Daemon.find_server h "libvirtd")))
+
+(* Re-creating a fleet under a registered name (a controller restart)
+   replaces the old instance: its member connections close with it, so
+   after the restarts one [dissolve] leaves no member connection open. *)
+let test_recreate_closes_replaced_connections () =
+  with_members [ "m1"; "m2" ] (fun members ->
+      let fname = fresh_name "fleet" in
+      let create () =
+        let t =
+          Fleet.create ~name:fname
+            ~members:(List.map (fun m -> (m.md_member, m.md_uri)) members)
+            ~probe_interval_s:3600. ()
+        in
+        list_once t;
+        Alcotest.(check bool) "one connection per member while listed" true
+          (eventually (fun () -> List.for_all (fun m -> daemon_clients m = 1) members))
+      in
+      for _ = 1 to 3 do
+        create ()
+      done;
+      Fleet.dissolve fname;
+      Alcotest.(check bool)
+        (Printf.sprintf "no member connection open (now %s)"
+           (String.concat "," (List.map (fun m -> string_of_int (daemon_clients m)) members)))
+        true
+        (eventually (fun () -> List.for_all (fun m -> daemon_clients m = 0) members)))
+
 let test_removed_member_events_stop () =
   with_members [ "m1"; "m2" ] (fun members ->
       let c1 = member_conn (List.nth members 0) in
@@ -1760,6 +1792,8 @@ let () =
       ( "members",
         [
           quick "dissolve closes member connections" test_dissolve_closes_connections;
+          quick "re-creation closes the replaced connections"
+            test_recreate_closes_replaced_connections;
           quick "a removed member's events stop" test_removed_member_events_stop;
         ] );
       ( "listing",

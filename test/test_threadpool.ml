@@ -154,6 +154,47 @@ let test_priority_workers_ignore_ordinary_jobs () =
   Alcotest.(check bool) "ran after ordinary freed" true (Atomic.get ran);
   Threadpool.shutdown pool
 
+(* A job wakes one parked worker, not the whole pool: on an idle 5+5
+   pool, jobs run one after another cost one wake-up each (waking every
+   parked worker would cost ten). *)
+let test_one_wakeup_per_job () =
+  let pool = make ~min_workers:5 ~max_workers:5 ~prio_workers:5 () in
+  Threadpool.drain pool;
+  let before = (Threadpool.stats pool).Threadpool.wakeups in
+  let jobs = 40 in
+  for i = 1 to jobs do
+    Threadpool.push pool ~priority:(i mod 2 = 0) (fun () -> ());
+    Threadpool.drain pool
+  done;
+  let woke = (Threadpool.stats pool).Threadpool.wakeups - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d wake-ups for %d jobs" woke jobs)
+    true (woke <= jobs);
+  Threadpool.shutdown pool
+
+(* More blocking priority jobs than priority workers: the extra ones
+   start at once on idle ordinary workers instead of queueing behind the
+   first ones. *)
+let test_priority_burst_spills_to_ordinary () =
+  let pool = make ~min_workers:5 ~max_workers:5 ~prio_workers:5 () in
+  Threadpool.drain pool;
+  let release = Mutex.create () in
+  Mutex.lock release;
+  let started = Atomic.make 0 in
+  let burst = 8 in
+  for _ = 1 to burst do
+    Threadpool.push pool ~priority:true (fun () ->
+        Atomic.incr started;
+        Mutex.lock release;
+        Mutex.unlock release)
+  done;
+  ignore (eventually (fun () -> Atomic.get started = burst));
+  let together = Atomic.get started in
+  Mutex.unlock release;
+  Threadpool.drain pool;
+  Alcotest.(check int) "blocking priority jobs started together" burst together;
+  Threadpool.shutdown pool
+
 let test_failed_jobs_counted () =
   let pool = make () in
   Threadpool.push pool (fun () -> failwith "boom");
@@ -466,7 +507,10 @@ let () =
           quick "progress while ordinary wedged"
             test_priority_jobs_progress_when_ordinary_wedged;
           quick "never steal ordinary jobs" test_priority_workers_ignore_ordinary_jobs;
+          quick "a burst spills onto idle ordinary workers"
+            test_priority_burst_spills_to_ordinary;
         ] );
+      ("wake-ups", [ quick "one wake-up per job" test_one_wakeup_per_job ]);
       ( "robustness",
         [
           quick "failed jobs counted" test_failed_jobs_counted;

@@ -341,6 +341,164 @@ let test_checksum_tracks_content () =
   Alcotest.(check bool) "checksums equal after copy" true
     (Guest_image.checksum a = Guest_image.checksum b)
 
+(* An image's memory is allocated on its first write, install or
+   restore.  Over random operation sequences it must answer every query
+   exactly as the eager image it replaced, a copy of which is the model
+   here. *)
+module Eager_image = struct
+  type t = { pages : Bytes.t; dirty : Bytes.t; mutable generation : int }
+
+  let bpp = Guest_image.bytes_per_page
+
+  let create ~memory_kib =
+    let n_pages = (memory_kib + bpp - 1) / bpp in
+    { pages = Bytes.make (n_pages * bpp) '\000'; dirty = Bytes.make n_pages '\000'; generation = 0 }
+
+  let write_page img i =
+    img.generation <- img.generation + 1;
+    for off = 0 to bpp - 1 do
+      Bytes.set img.pages ((i * bpp) + off) (Char.chr ((i + off + img.generation) land 0xff))
+    done;
+    Bytes.set img.dirty i '\001'
+
+  let dirty_pages img =
+    List.filter (fun i -> Bytes.get img.dirty i = '\001') (List.init (Bytes.length img.dirty) Fun.id)
+
+  let dirty_randomly img ~rate ~seed =
+    let n = Bytes.length img.dirty in
+    let target = int_of_float (Float.max 0.0 (Float.min 1.0 rate) *. float_of_int n) in
+    let state = ref (if seed = 0 then 0x2545F491 else seed) in
+    let next () =
+      let s = !state in
+      let s = s lxor (s lsl 13) land 0xffffffff in
+      let s = s lxor (s lsr 17) in
+      let s = s lxor (s lsl 5) land 0xffffffff in
+      state := s;
+      s
+    in
+    let dirtied = ref 0 and attempts = ref 0 in
+    while !dirtied < target && !attempts < 20 * (target + 1) do
+      incr attempts;
+      let i = next () mod n in
+      if Bytes.get img.dirty i = '\000' then begin
+        write_page img i;
+        incr dirtied
+      end
+    done
+
+  let read_page img i = Bytes.sub_string img.pages (i * bpp) bpp
+
+  let transfer_page img i =
+    let data = read_page img i in
+    Bytes.set img.dirty i '\000';
+    data
+
+  let install_page img i data =
+    Bytes.blit_string data 0 img.pages (i * bpp) bpp;
+    Bytes.set img.dirty i '\000'
+
+  let restore_from img data =
+    Bytes.blit_string data 0 img.pages 0 (String.length data);
+    Bytes.fill img.dirty 0 (Bytes.length img.dirty) '\000'
+
+  let checksum img =
+    let h = ref 0xcbf29ce484222325L in
+    Bytes.iter
+      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+      img.pages;
+    !h
+end
+
+type image_op =
+  | Img_write of int
+  | Img_transfer of int
+  | Img_install of int * string
+  | Img_restore of int (* 0: all zeros, otherwise a seeded pattern *)
+  | Img_dirty_randomly of float * int
+
+let show_image_op = function
+  | Img_write i -> Printf.sprintf "write %d" i
+  | Img_transfer i -> Printf.sprintf "transfer %d" i
+  | Img_install (i, d) -> Printf.sprintf "install %d %S" i d
+  | Img_restore k -> Printf.sprintf "restore %d" k
+  | Img_dirty_randomly (r, seed) -> Printf.sprintf "dirty_randomly %.2f %d" r seed
+
+let image_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun i -> Img_write i) nat);
+        (2, map (fun i -> Img_transfer i) nat);
+        ( 2,
+          map2
+            (fun i zero -> Img_install (i, if zero then String.make 4 '\000' else "ab<\255"))
+            nat bool );
+        (1, map (fun k -> Img_restore (k mod 3)) nat);
+        (1, map2 (fun r seed -> Img_dirty_randomly (r, seed)) (float_bound_inclusive 0.6) nat);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (kib, ops) ->
+      Printf.sprintf "memory_kib=%d: %s" kib (String.concat "; " (List.map show_image_op ops)))
+    (pair (oneofl [ 1; 4; 17; 64 ]) (list_size (int_bound 12) op))
+
+let prop_lazy_image_matches_eager =
+  qcheck_case ~count:500 "a lazy image answers as the eager one" image_case
+    (fun (memory_kib, ops) ->
+      let img = Guest_image.create ~memory_kib in
+      let model = Eager_image.create ~memory_kib in
+      let fresh = Guest_image.create ~memory_kib in
+      let zeros = Guest_image.create ~memory_kib in
+      let n = Guest_image.page_count img in
+      let len = n * Guest_image.bytes_per_page in
+      Guest_image.restore_from zeros (String.make len '\000');
+      let check what =
+        let fail fmt = QCheck.Test.fail_reportf ("after %s: " ^^ fmt) what in
+        let all_zero = Bytes.for_all (fun c -> c = '\000') model.Eager_image.pages in
+        if Guest_image.snapshot img <> Bytes.to_string model.Eager_image.pages then
+          fail "snapshot differs";
+        for i = 0 to n - 1 do
+          if Guest_image.read_page img i <> Eager_image.read_page model i then
+            fail "page %d differs" i
+        done;
+        if Guest_image.checksum img <> Eager_image.checksum model then fail "checksum differs";
+        if Guest_image.dirty_pages img <> Eager_image.dirty_pages model then
+          fail "dirty pages differ";
+        if Guest_image.dirty_count img <> List.length (Eager_image.dirty_pages model) then
+          fail "dirty count differs";
+        List.iter
+          (fun (name, other) ->
+            if Guest_image.equal_contents img other <> all_zero
+               || Guest_image.equal_contents other img <> all_zero
+            then fail "equal_contents with %s image is not %b" name all_zero)
+          [ ("an untouched", fresh); ("a restored all-zero", zeros) ]
+      in
+      check "create";
+      List.iter
+        (fun op ->
+          (match op with
+           | Img_write i ->
+             Guest_image.write_page img (i mod n);
+             Eager_image.write_page model (i mod n)
+           | Img_transfer i ->
+             let got = Guest_image.transfer_page img (i mod n) in
+             if got <> Eager_image.transfer_page model (i mod n) then
+               QCheck.Test.fail_reportf "transfer %d returned other bytes" i
+           | Img_install (i, data) ->
+             Guest_image.install_page img (i mod n) data;
+             Eager_image.install_page model (i mod n) data
+           | Img_restore k ->
+             let data = String.init len (fun j -> Char.chr (j * k land 0xff)) in
+             Guest_image.restore_from img data;
+             Eager_image.restore_from model data
+           | Img_dirty_randomly (rate, seed) ->
+             Guest_image.dirty_randomly img ~rate ~seed;
+             Eager_image.dirty_randomly model ~rate ~seed);
+          check (show_image_op op))
+        ops;
+      true)
+
 (* --- Domxml ------------------------------------------------------------- *)
 
 let test_domxml_roundtrip () =
@@ -476,6 +634,7 @@ let () =
           quick "bounds checked" test_bounds_checked;
           quick "deterministic dirtying" test_dirty_randomly_deterministic;
           quick "checksums track content" test_checksum_tracks_content;
+          prop_lazy_image_matches_eager;
         ] );
       ( "domxml",
         [
