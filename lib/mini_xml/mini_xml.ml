@@ -28,124 +28,92 @@ let node e = Element e
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Rendering runs twice over the tree: once to count the bytes, then
-   into one string of exactly that size.  A growing buffer would leave
-   its doubled blocks behind, and a domain XML is large enough (about
-   2 KB) that each goes straight to the major heap. *)
-type out = {
-  bytes : Bytes.t; (* [Bytes.empty] while counting *)
-  counting : bool;
-  mutable pos : int;
-}
+let escape_text buf s =
+  String.iter
+    (fun c ->
+      match c with
+      | '<' -> Buffer.add_string buf "&lt;"
+      | '>' -> Buffer.add_string buf "&gt;"
+      | '&' -> Buffer.add_string buf "&amp;"
+      | c -> Buffer.add_char buf c)
+    s
 
-let put_char o c =
-  if not o.counting then Bytes.set o.bytes o.pos c;
-  o.pos <- o.pos + 1
-
-let put_string o s =
-  if not o.counting then Bytes.blit_string s 0 o.bytes o.pos (String.length s);
-  o.pos <- o.pos + String.length s
-
-let put_spaces o n =
-  if not o.counting then Bytes.fill o.bytes o.pos n ' ';
-  o.pos <- o.pos + n
-
-let escaped_length ~quot s =
-  let n = ref (String.length s) in
-  for i = 0 to String.length s - 1 do
-    match String.unsafe_get s i with
-    | '<' | '>' -> n := !n + 3
-    | '&' -> n := !n + 4
-    | '"' when quot -> n := !n + 5
-    | _ -> ()
-  done;
-  !n
-
-(* Most values hold no markup character and are copied whole. *)
-let put_escaped o ~quot s =
-  let len = escaped_length ~quot s in
-  if o.counting then o.pos <- o.pos + len
-  else if len = String.length s then put_string o s
-  else
-    for i = 0 to String.length s - 1 do
-      match s.[i] with
-      | '<' -> put_string o "&lt;"
-      | '>' -> put_string o "&gt;"
-      | '&' -> put_string o "&amp;"
-      | '"' when quot -> put_string o "&quot;"
-      | c -> put_char o c
-    done
+let escape_attr buf s =
+  String.iter
+    (fun c ->
+      match c with
+      | '<' -> Buffer.add_string buf "&lt;"
+      | '>' -> Buffer.add_string buf "&gt;"
+      | '&' -> Buffer.add_string buf "&amp;"
+      | '"' -> Buffer.add_string buf "&quot;"
+      | c -> Buffer.add_char buf c)
+    s
 
 let is_blank s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
 
-(* What an element's children print as, blank text nodes left out:
-   nothing, one text inline, or indented lines. *)
-type body = Empty | Inline of string | Lines
+let rec print_element buf ~indent ~depth e =
+  let pad n =
+    if indent then begin
+      if Buffer.length buf > 0 then Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make (2 * n) ' ')
+    end
+  in
+  pad depth;
+  Buffer.add_char buf '<';
+  Buffer.add_string buf e.tag;
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf k;
+      Buffer.add_string buf "=\"";
+      escape_attr buf v;
+      Buffer.add_char buf '"')
+    e.attrs;
+  let meaningful =
+    List.filter (function Text s -> not (is_blank s) | Element _ -> true) e.children
+  in
+  match meaningful with
+  | [] -> Buffer.add_string buf "/>"
+  | [ Text s ] ->
+    (* Single text child stays inline: <name>value</name>. *)
+    Buffer.add_char buf '>';
+    escape_text buf s;
+    Buffer.add_string buf "</";
+    Buffer.add_string buf e.tag;
+    Buffer.add_char buf '>'
+  | children ->
+    Buffer.add_char buf '>';
+    List.iter
+      (function
+        | Element child -> print_element buf ~indent ~depth:(depth + 1) child
+        | Text s ->
+          pad (depth + 1);
+          escape_text buf s)
+      children;
+    pad depth;
+    Buffer.add_string buf "</";
+    Buffer.add_string buf e.tag;
+    Buffer.add_char buf '>'
 
-let rec body_of acc children =
-  match (acc, children) with
-  | _, [] -> acc
-  | _, Text s :: rest when is_blank s -> body_of acc rest
-  | Empty, Text s :: rest -> body_of (Inline s) rest
-  | _ -> Lines
-
-let pad o ~indent depth =
-  if indent then begin
-    if o.pos > 0 then put_char o '\n';
-    put_spaces o (2 * depth)
-  end
-
-let rec put_attrs o = function
-  | [] -> ()
-  | (k, v) :: rest ->
-    put_char o ' ';
-    put_string o k;
-    put_string o "=\"";
-    put_escaped o ~quot:true v;
-    put_char o '"';
-    put_attrs o rest
-
-let put_close o tag =
-  put_string o "</";
-  put_string o tag;
-  put_char o '>'
-
-let rec put_element o ~indent ~depth e =
-  pad o ~indent depth;
-  put_char o '<';
-  put_string o e.tag;
-  put_attrs o e.attrs;
-  match body_of Empty e.children with
-  | Empty -> put_string o "/>"
-  | Inline s ->
-    put_char o '>';
-    put_escaped o ~quot:false s;
-    put_close o e.tag
-  | Lines ->
-    put_char o '>';
-    put_lines o ~indent ~depth:(depth + 1) e.children;
-    pad o ~indent depth;
-    put_close o e.tag
-
-and put_lines o ~indent ~depth = function
-  | [] -> ()
-  | Element child :: rest ->
-    put_element o ~indent ~depth child;
-    put_lines o ~indent ~depth rest
-  | Text s :: rest ->
-    if not (is_blank s) then begin
-      pad o ~indent depth;
-      put_escaped o ~quot:false s
-    end;
-    put_lines o ~indent ~depth rest
+(* Every render goes through one buffer, so its one large allocation is
+   the exact-size result.  A fresh buffer grown from 256 bytes by
+   doubling would also allocate a 2 KB block for each domain XML (about
+   2 KB), and a block that size goes straight to the major heap.  A
+   render that grew the buffer past [keep_bytes] hands the memory back. *)
+let render_buf = Buffer.create 4096
+let render_mutex = Mutex.create ()
+let keep_bytes = 65536
 
 let to_string ?(indent = true) e =
-  let count = { bytes = Bytes.empty; counting = true; pos = 0 } in
-  put_element count ~indent ~depth:0 e;
-  let o = { bytes = Bytes.create count.pos; counting = false; pos = 0 } in
-  put_element o ~indent ~depth:0 e;
-  assert (o.pos = Bytes.length o.bytes);
-  Bytes.unsafe_to_string o.bytes
+  Mutex.lock render_mutex;
+  Fun.protect
+    ~finally:(fun () ->
+      if Buffer.length render_buf > keep_bytes then Buffer.reset render_buf
+      else Buffer.clear render_buf;
+      Mutex.unlock render_mutex)
+    (fun () ->
+      print_element render_buf ~indent ~depth:0 e;
+      Buffer.contents render_buf)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

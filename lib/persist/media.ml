@@ -11,11 +11,18 @@
    beyond the limit are silently cut, modelling a torn write followed by a crash —
    the writer believes the append succeeded, the disk kept a prefix.
 
-   An image is a growable buffer, so an append costs its own bytes
+   An image is a growable byte array, so an append costs its own bytes
    (amortised), not a copy of the whole image; [read] hands out an
-   immutable copy. *)
+   immutable copy.  The array lives outside the OCaml heap: an image is
+   bulk bytes the collector never needs to scan, and the major heap
+   carries about twice its live size again as headroom, so a journal
+   kept there would cost the process that headroom too. *)
 
-type file = { mutable data : Buffer.t; mutable write_limit : int option }
+type image = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type file = { mutable data : image; mutable len : int; mutable write_limit : int option }
+
+let create_image n = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
 
 let mutex = Mutex.create ()
 let files : (string, file) Hashtbl.t = Hashtbl.create 32
@@ -28,7 +35,7 @@ let get_file path =
   match Hashtbl.find_opt files path with
   | Some f -> f
   | None ->
-    let f = { data = Buffer.create 0; write_limit = None } in
+    let f = { data = create_image 0; len = 0; write_limit = None } in
     Hashtbl.add files path f;
     f
 
@@ -41,36 +48,57 @@ let clip f ~len s =
     let room = max 0 (limit - len) in
     if room >= String.length s then s else String.sub s 0 room
 
+let contents f =
+  let b = Bytes.create f.len in
+  for i = 0 to f.len - 1 do
+    Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get f.data i)
+  done;
+  Bytes.unsafe_to_string b
+
+(* Write [s] at the end of the image, growing it by doubling. *)
+let add_string f s =
+  let n = String.length s in
+  let cap = Bigarray.Array1.dim f.data in
+  if f.len + n > cap then begin
+    let data = create_image (max (f.len + n) (2 * cap)) in
+    Bigarray.Array1.(blit (sub f.data 0 f.len) (sub data 0 f.len));
+    f.data <- data
+  end;
+  for i = 0 to n - 1 do
+    Bigarray.Array1.unsafe_set f.data (f.len + i) (String.unsafe_get s i)
+  done;
+  f.len <- f.len + n
+
 let read path =
-  with_lock (fun () ->
-      Option.map (fun f -> Buffer.contents f.data) (Hashtbl.find_opt files path))
+  with_lock (fun () -> Option.map contents (Hashtbl.find_opt files path))
 
 let exists path = with_lock (fun () -> Hashtbl.mem files path)
 
 let size path =
   with_lock (fun () ->
       match Hashtbl.find_opt files path with
-      | Some f -> Buffer.length f.data
+      | Some f -> f.len
       | None -> 0)
 
-(* A fresh buffer of exactly the new size: the old image's capacity is
+(* A fresh image of exactly the new size: the old image's capacity is
    released, not kept around for a store that compaction just shrank. *)
 let write path s =
   with_lock (fun () ->
       let f = get_file path in
       let s = clip f ~len:0 s in
-      f.data <- Buffer.create (String.length s);
-      Buffer.add_string f.data s)
+      f.data <- create_image (String.length s);
+      f.len <- 0;
+      add_string f s)
 
 let append path s =
   with_lock (fun () ->
       let f = get_file path in
-      Buffer.add_string f.data (clip f ~len:(Buffer.length f.data) s))
+      add_string f (clip f ~len:f.len s))
 
 let truncate path n =
   with_lock (fun () ->
       match Hashtbl.find_opt files path with
-      | Some f when Buffer.length f.data > n -> Buffer.truncate f.data (max 0 n)
+      | Some f when f.len > n -> f.len <- max 0 n
       | Some _ | None -> ())
 
 let remove path = with_lock (fun () -> Hashtbl.remove files path)

@@ -221,11 +221,10 @@ let dec_error body =
       Verror.make code message)
     body
 
-(* Sized exactly (length word, bytes padded to 4): a domain XML runs to
-   about 2 KB, and growing the encoder to 2 KB by doubling would put a
-   block straight into the major heap on every reply. *)
-let enc_string_body s =
-  Xdr.encode ~size:(4 + ((String.length s + 3) land lnot 3)) Xdr.enc_string s
+(* Sized exactly: a domain XML runs to about 2 KB, and growing an
+   encoder to 2 KB by doubling would put a block straight into the major
+   heap on every reply. *)
+let enc_string_body = Xdr.encode_string
 let dec_string_body body = Xdr.decode Xdr.dec_string body
 let enc_unit_body = ""
 

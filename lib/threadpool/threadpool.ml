@@ -420,19 +420,16 @@ let retry_after_ms pool =
    priority worker, any job to an unclaimed parked ordinary worker.  A
    woken worker serves the queues until they are empty before parking
    again, so when every parked worker is claimed the running and woken
-   ones cover the job.  [false]: nobody parked could be claimed. *)
+   ones cover the job. *)
 let wake_one pool ~priority =
   if priority && pool.free_prio > pool.claimed_prio then begin
     pool.claimed_prio <- pool.claimed_prio + 1;
-    Condition.signal pool.prio_cond;
-    true
+    Condition.signal pool.prio_cond
   end
   else if pool.free_workers > pool.claimed_workers then begin
     pool.claimed_workers <- pool.claimed_workers + 1;
-    Condition.signal pool.work_cond;
-    true
+    Condition.signal pool.work_cond
   end
-  else false
 
 (* Limit changes and shutdown: every parked worker re-checks. *)
 let wake_all pool =
@@ -458,9 +455,16 @@ let submit pool ?(priority = false) ?(source = 0L) ?deadline ?on_expired run =
         let job = { run; priority; deadline; on_expired } in
         if priority then Queue.push job pool.prio_queue
         else enqueue_normal pool ~source job;
-        (* Grow on demand: a job just arrived with nobody free to take it. *)
-        if (not (wake_one pool ~priority)) && pool.n_workers < pool.max_workers
-        then spawn_ordinary pool;
+        (* Grow on demand: a job just arrived with nobody free to take it.
+           A parked worker counts as free while it is still waking: it
+           serves the queues until they are empty before parking again. *)
+        let nobody_free =
+          if priority then pool.free_workers = 0 && pool.free_prio = 0
+          else pool.free_workers = 0
+        in
+        if nobody_free && pool.n_workers < pool.max_workers then
+          spawn_ordinary pool
+        else wake_one pool ~priority;
         Ok ()
       end)
 

@@ -225,12 +225,19 @@ let check_consumed d =
 (* Whole-value helpers                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The encoder is private: a value that fills it exactly is handed over
-   without a copy. *)
-let encode ?size enc v =
-  let e = encoder ?size () in
+let encode enc v =
+  let e = encoder () in
   enc e v;
-  if e.pos = Bytes.length e.buf then Bytes.unsafe_to_string e.buf else to_string e
+  to_string e
+
+(* A lone string knows its encoded size up front (length word, bytes,
+   padding), so it is written into its exact-size result: no encoder to
+   grow, no final copy. *)
+let encode_string s =
+  let n = String.length s in
+  let e = encoder_of_bytes (Bytes.create (4 + n + padding n)) in
+  enc_string e s;
+  Bytes.unsafe_to_string e.buf
 
 let decode dec s =
   let d = decoder s in

@@ -117,10 +117,11 @@ val check_consumed : decoder -> unit
 
 (** {1 Whole-value helpers} *)
 
-val encode : ?size:int -> (encoder -> 'a -> unit) -> 'a -> string
-(** Encode a single value to a string.  [size] is the encoder's starting
-    capacity (default 256); a value that fills it exactly costs one
-    allocation. *)
+val encode : (encoder -> 'a -> unit) -> 'a -> string
+(** Encode a single value to a string. *)
+
+val encode_string : string -> string
+(** [encode enc_string s] in one exact-size allocation. *)
 
 val decode : (decoder -> 'a) -> string -> 'a
 (** Decode a single value, checking full consumption. *)

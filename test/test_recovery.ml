@@ -136,6 +136,39 @@ let test_media_read_is_a_copy () =
   Alcotest.(check string) "prefix kept" "abc0123"
     (String.sub (Option.get (Media.read path)) 0 7)
 
+(* Random writes, appends and truncations against a plain string: the
+   image grows across many capacity doublings and must keep every byte. *)
+let prop_media_matches_string_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map (fun s -> `Append s) (string_size (int_bound 300)));
+          (1, map (fun s -> `Write s) (string_size (int_bound 50)));
+          (1, map (fun n -> `Truncate n) (int_bound 400));
+        ])
+  in
+  qcheck_case ~count:200 "media matches a string model"
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_bound 60) op))
+    (fun ops ->
+      let path = fresh_name "media" in
+      let model =
+        List.fold_left
+          (fun m op ->
+            match (op, m) with
+            | `Append s, _ ->
+              Media.append path s;
+              Some (Option.value m ~default:"" ^ s)
+            | `Write s, _ ->
+              Media.write path s;
+              Some s
+            | `Truncate n, m ->
+              Media.truncate path n;
+              Option.map (fun m -> if n < String.length m then String.sub m 0 n else m) m)
+          None ops
+      in
+      Media.read path = model)
+
 (* --- crash-point sweep over the domstore journal ------------------------- *)
 
 (* Each op appends exactly one journal record, so cutting the image at
@@ -745,6 +778,7 @@ let () =
           quick "write-limit-clips-write" test_media_write_limit_clips_write;
           quick "truncate-then-append" test_media_truncate_then_append;
           quick "read-is-a-copy" test_media_read_is_a_copy;
+          prop_media_matches_string_model;
         ] );
       ( "sweep",
         [

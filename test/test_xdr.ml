@@ -176,6 +176,10 @@ let prop_string_roundtrip =
   qcheck_case "string roundtrip" QCheck.string
     (fun s -> Xdr.decode Xdr.dec_string (Xdr.encode Xdr.enc_string s) = s)
 
+let prop_encode_string_matches_encoder =
+  qcheck_case "encode_string equals the encoder's bytes" QCheck.string
+    (fun s -> Xdr.encode_string s = Xdr.encode Xdr.enc_string s)
+
 let prop_double_roundtrip =
   qcheck_case "double roundtrip" QCheck.float
     (fun f ->
@@ -317,6 +321,7 @@ let () =
           prop_uint_roundtrip;
           prop_hyper_roundtrip;
           prop_string_roundtrip;
+          prop_encode_string_matches_encoder;
           prop_double_roundtrip;
           prop_string_list_roundtrip;
           prop_mixed_sequence;

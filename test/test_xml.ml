@@ -111,106 +111,26 @@ let prop_roundtrip_indented =
       let reparsed = X.of_string (X.to_string ~indent:true e) in
       X.to_string ~indent:false reparsed = X.to_string ~indent:false e)
 
-(* The printer as it was when it grew a [Buffer] from 256 bytes: the
-   exact-size render must produce the same bytes. *)
-module Buffer_printer = struct
-  let escape_text buf s =
-    String.iter
-      (function
-        | '<' -> Buffer.add_string buf "&lt;"
-        | '>' -> Buffer.add_string buf "&gt;"
-        | '&' -> Buffer.add_string buf "&amp;"
-        | c -> Buffer.add_char buf c)
-      s
-
-  let escape_attr buf s =
-    String.iter
-      (function
-        | '<' -> Buffer.add_string buf "&lt;"
-        | '>' -> Buffer.add_string buf "&gt;"
-        | '&' -> Buffer.add_string buf "&amp;"
-        | '"' -> Buffer.add_string buf "&quot;"
-        | c -> Buffer.add_char buf c)
-      s
-
-  let is_blank s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
-
-  let rec print_element buf ~indent ~depth (e : X.element) =
-    let pad n =
-      if indent then begin
-        if Buffer.length buf > 0 then Buffer.add_char buf '\n';
-        Buffer.add_string buf (String.make (2 * n) ' ')
-      end
-    in
-    pad depth;
-    Buffer.add_char buf '<';
-    Buffer.add_string buf e.X.tag;
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf k;
-        Buffer.add_string buf "=\"";
-        escape_attr buf v;
-        Buffer.add_char buf '"')
-      e.X.attrs;
-    let meaningful =
-      List.filter (function X.Text s -> not (is_blank s) | X.Element _ -> true) e.X.children
-    in
-    match meaningful with
-    | [] -> Buffer.add_string buf "/>"
-    | [ X.Text s ] ->
-      Buffer.add_char buf '>';
-      escape_text buf s;
-      Buffer.add_string buf "</";
-      Buffer.add_string buf e.X.tag;
-      Buffer.add_char buf '>'
-    | children ->
-      Buffer.add_char buf '>';
-      List.iter
-        (function
-          | X.Element child -> print_element buf ~indent ~depth:(depth + 1) child
-          | X.Text s ->
-            pad (depth + 1);
-            escape_text buf s)
-        children;
-      pad depth;
-      Buffer.add_string buf "</";
-      Buffer.add_string buf e.X.tag;
-      Buffer.add_char buf '>'
-
-  let to_string ~indent e =
-    let buf = Buffer.create 256 in
-    print_element buf ~indent ~depth:0 e;
-    Buffer.contents buf
-end
-
-(* Trees the parser would never return: mixed content, several and blank
-   text nodes, markup characters in text and attribute values, an empty
-   tag name. *)
-let gen_any_element =
-  let open QCheck.Gen in
-  let name = oneofl [ "a"; "domain"; "k1"; "" ] in
-  let content = string_size ~gen:(oneofl [ 'x'; ' '; '\n'; '\t'; '<'; '>'; '&'; '"'; '\'' ]) (int_bound 6) in
-  let rec element depth =
-    let* tag = name in
-    let* attrs = list_size (int_bound 3) (pair name content) in
-    let* children =
-      if depth = 0 then return []
-      else
-        list_size (int_bound 4)
-          (frequency
-             [ (2, map X.text content); (1, return (X.Text "")); (2, map X.node (element (depth - 1))) ])
-    in
-    return (X.elt tag ~attrs children)
+(* Renders share one buffer: threads rendering at once, preempted in
+   the middle of a render, must each still get their own tree's bytes. *)
+let test_concurrent_renders () =
+  let tree i =
+    X.elt "domain" ~attrs:[ ("id", string_of_int i) ]
+      (List.init 3000 (fun k -> X.leaf "k" (Printf.sprintf "<%d&%d>" i k)))
   in
-  sized_size (int_bound 4) element
-
-let prop_render_matches_buffer_printer =
-  qcheck_case ~count:1000 "exact-size render equals the buffer printer"
-    (QCheck.make
-       ~print:(fun (e, indent) -> Printf.sprintf "indent=%b %S" indent (Buffer_printer.to_string ~indent e))
-       (QCheck.Gen.pair gen_any_element QCheck.Gen.bool))
-    (fun (e, indent) -> X.to_string ~indent e = Buffer_printer.to_string ~indent e)
+  let expected = Array.init 4 (fun i -> X.to_string ~indent:(i mod 2 = 0) (tree i)) in
+  let bad = Atomic.make 0 in
+  let threads =
+    List.init 4 (fun i ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to 40 do
+              if X.to_string ~indent:(i mod 2 = 0) (tree i) <> expected.(i) then Atomic.incr bad
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "renders that came out wrong" 0 (Atomic.get bad)
 
 let () =
   Alcotest.run "mini_xml"
@@ -230,7 +150,7 @@ let () =
         [
           quick "escaping" test_print_escaping;
           quick "indentation roundtrip" test_indent_output_reparses;
+          quick "concurrent renders" test_concurrent_renders;
         ] );
-      ( "properties",
-        [ prop_roundtrip_compact; prop_roundtrip_indented; prop_render_matches_buffer_printer ] );
+      ("properties", [ prop_roundtrip_compact; prop_roundtrip_indented ]);
     ]
