@@ -306,7 +306,6 @@ let register reg =
       registry := upsert !registry)
 
 let registered () = with_registry (fun () -> List.map (fun r -> r.reg_name) !registry)
-let clear_registry () = with_registry (fun () -> registry := [])
 
 let open_uri uri =
   let regs = with_registry (fun () -> !registry) in

@@ -271,7 +271,6 @@ val register : registration -> unit
     (keeps ordering stable across re-initialization in tests). *)
 
 val registered : unit -> string list
-val clear_registry : unit -> unit
 
 val open_uri : Vuri.t -> (ops, Verror.t) result
 (** First accepting probe wins; [No_connect] if none accepts. *)

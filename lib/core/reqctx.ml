@@ -9,8 +9,6 @@
    when the call returns, so a pooled worker never leaks one call's
    deadline into the next. *)
 
-module Verror = Ovirt_core.Verror
-
 let mutex = Mutex.create ()
 let table : (int, float) Hashtbl.t = Hashtbl.create 64
 
@@ -47,7 +45,3 @@ let check ~what () =
   if expired () then
     Verror.error Verror.Operation_failed "deadline expired before %s" what
   else Ok ()
-
-(* Install this context as the driver layer's deadline provider.  Safe
-   to call more than once (daemon restarts in-process during tests). *)
-let install () = Drivers.Drvnode.set_deadline_hook deadline

@@ -133,19 +133,13 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
       ~filters:config.Daemon_config.log_filters
       ~outputs:config.Daemon_config.log_outputs ()
   in
-  (* Driver code learns about per-call deadlines through the request
-     context; install it before any dispatch can run. *)
-  Reqctx.install ();
-  Drivers.Domstore.set_compaction
-    ~factor:config.Daemon_config.journal_compact_factor
-    ~slack:config.Daemon_config.journal_compact_slack;
   (* Autostart boots run outside any RPC dispatch, so no deadline rides
      on the thread; give them the same wall-clock budget dispatched jobs
      get from the stuck-worker watchdog. *)
   let wall_budget f =
     if config.Daemon_config.wall_limit_ms <= 0 then f ()
     else
-      Reqctx.with_deadline
+      Ovirt_core.Reqctx.with_deadline
         (Some
            (Unix.gettimeofday ()
            +. (float_of_int config.Daemon_config.wall_limit_ms /. 1000.)))
@@ -220,14 +214,10 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
       ~io:reconcile_io
       ~config:
         {
+          Reconcile.default_config with
           Reconcile.rcfg_interval_s =
             float_of_int config.Daemon_config.reconcile_interval_ms /. 1000.;
           rcfg_parallel = config.Daemon_config.parallel_shutdown;
-          rcfg_diverged_after = config.Daemon_config.reconcile_diverged_after;
-          rcfg_backoff_base_s = Reconcile.default_config.Reconcile.rcfg_backoff_base_s;
-          rcfg_backoff_cap_s = Reconcile.default_config.Reconcile.rcfg_backoff_cap_s;
-          rcfg_compact_factor = config.Daemon_config.journal_compact_factor;
-          rcfg_compact_slack = config.Daemon_config.journal_compact_slack;
         }
       ()
   in
@@ -301,13 +291,10 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
   in
   let reactors =
     Array.init (max 1 config.Daemon_config.reactor_threads) (fun i ->
-        Ovreactor.Reactor.create ~name:(Printf.sprintf "%s-reactor-%d" name i) ())
+        Ovreactor.Reactor.create ~logger
+          ~name:(Printf.sprintf "%s-reactor-%d" name i) ())
   in
-  let bufpool =
-    Ovreactor.Bufpool.create
-      ~buf_size:(1024 * max 1 config.Daemon_config.reactor_buf_kb)
-      ~max_pooled:config.Daemon_config.reactor_pool_bufs
-  in
+  let bufpool = Ovreactor.Bufpool.create ~buf_size:(16 * 1024) ~max_pooled:64 in
   (* Connections are spread round-robin over the reactor loops; the sink
      only registers the endpoint and returns, so accepting is O(1) with
      no thread spawned. *)

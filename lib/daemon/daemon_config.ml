@@ -11,8 +11,6 @@ let default_reply_cache =
 type t = {
   io_model : io_model;
   reactor_threads : int;
-  reactor_buf_kb : int;
-  reactor_pool_bufs : int;
   min_workers : int;
   max_workers : int;
   prio_workers : int;
@@ -30,19 +28,14 @@ type t = {
   reply_cache_entries : int;
   job_queue_limit : int;
   wall_limit_ms : int;
-  journal_compact_factor : int;
-  journal_compact_slack : int;
   reconcile_interval_ms : int;
   parallel_shutdown : int;
-  reconcile_diverged_after : int;
 }
 
 let default =
   {
     io_model = Io_reactor;
     reactor_threads = 2;
-    reactor_buf_kb = 16;
-    reactor_pool_bufs = 64;
     min_workers = 5;
     max_workers = 20;
     prio_workers = 5;
@@ -60,11 +53,8 @@ let default =
     reply_cache_entries = 512;
     job_queue_limit = 0;
     wall_limit_ms = 0;
-    journal_compact_factor = 4;
-    journal_compact_slack = 16;
     reconcile_interval_ms = 2000;
     parallel_shutdown = 4;
-    reconcile_diverged_after = 3;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -120,13 +110,6 @@ let apply cfg key value =
     let* n = want_int key value in
     if n < 1 then Error "reactor_threads: must be at least 1"
     else Ok { cfg with reactor_threads = n }
-  | "reactor_buf_kb" ->
-    let* n = want_int key value in
-    if n < 1 then Error "reactor_buf_kb: must be at least 1"
-    else Ok { cfg with reactor_buf_kb = n }
-  | "reactor_pool_bufs" ->
-    let* n = want_int key value in
-    Ok { cfg with reactor_pool_bufs = n }
   | "min_workers" ->
     let* n = want_int key value in
     Ok { cfg with min_workers = n }
@@ -187,13 +170,6 @@ let apply cfg key value =
   | "wall_limit_ms" ->
     let* n = want_int key value in
     Ok { cfg with wall_limit_ms = n }
-  | "journal_compact_factor" ->
-    let* n = want_int key value in
-    if n < 1 then Error "journal_compact_factor: must be at least 1"
-    else Ok { cfg with journal_compact_factor = n }
-  | "journal_compact_slack" ->
-    let* n = want_int key value in
-    Ok { cfg with journal_compact_slack = n }
   | "reconcile_interval_ms" ->
     let* n = want_int key value in
     Ok { cfg with reconcile_interval_ms = n }
@@ -201,10 +177,6 @@ let apply cfg key value =
     let* n = want_int key value in
     if n < 1 then Error "parallel_shutdown: must be at least 1"
     else Ok { cfg with parallel_shutdown = n }
-  | "reconcile_diverged_after" ->
-    let* n = want_int key value in
-    if n < 1 then Error "reconcile_diverged_after: must be at least 1"
-    else Ok { cfg with reconcile_diverged_after = n }
   | key -> Error (Printf.sprintf "unknown configuration key %S" key)
 
 let parse contents =
@@ -225,8 +197,6 @@ let to_file cfg =
   String.concat "\n"
     [
       Printf.sprintf "reactor_threads = %d" cfg.reactor_threads;
-      Printf.sprintf "reactor_buf_kb = %d" cfg.reactor_buf_kb;
-      Printf.sprintf "reactor_pool_bufs = %d" cfg.reactor_pool_bufs;
       Printf.sprintf "min_workers = %d" cfg.min_workers;
       Printf.sprintf "max_workers = %d" cfg.max_workers;
       Printf.sprintf "prio_workers = %d" cfg.prio_workers;
@@ -244,10 +214,7 @@ let to_file cfg =
       Printf.sprintf "reply_cache_entries = %d" cfg.reply_cache_entries;
       Printf.sprintf "job_queue_limit = %d" cfg.job_queue_limit;
       Printf.sprintf "wall_limit_ms = %d" cfg.wall_limit_ms;
-      Printf.sprintf "journal_compact_factor = %d" cfg.journal_compact_factor;
-      Printf.sprintf "journal_compact_slack = %d" cfg.journal_compact_slack;
       Printf.sprintf "reconcile_interval_ms = %d" cfg.reconcile_interval_ms;
       Printf.sprintf "parallel_shutdown = %d" cfg.parallel_shutdown;
-      Printf.sprintf "reconcile_diverged_after = %d" cfg.reconcile_diverged_after;
       "";
     ]

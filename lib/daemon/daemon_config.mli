@@ -17,10 +17,6 @@ type t = {
           config file may only say [io_model = "reactor"] *)
   reactor_threads : int;
       (** reactor loops to spread connections over (default 2) *)
-  reactor_buf_kb : int;
-      (** receive-buffer size per pooled buffer, KiB (default 16) *)
-  reactor_pool_bufs : int;
-      (** buffers retained in the shared pool (default 64) *)
   min_workers : int;
   max_workers : int;
   prio_workers : int;
@@ -56,21 +52,12 @@ type t = {
       (** stuck-worker watchdog: jobs running longer than this are
           declared stuck, their worker retired and replaced; 0 (default)
           disables the watchdog *)
-  journal_compact_factor : int;
-      (** domain-store journal compaction trigger: rewrite when the
-          record count exceeds [factor * live_domains + slack]
-          (default 4) *)
-  journal_compact_slack : int;  (** the additive slack term (default 16) *)
   reconcile_interval_ms : int;
       (** reconciler convergence-loop period (default 2000) *)
   parallel_shutdown : int;
       (** bound on lifecycle operations the reconciler applies
           concurrently — both the convergence loop and the drain-time
           shutdown pass (default 4) *)
-  reconcile_diverged_after : int;
-      (** consecutive per-domain failures before the reconciler reports
-          the domain diverged (it keeps retrying under backoff either
-          way; default 3) *)
 }
 
 val default : t

@@ -1,6 +1,7 @@
 module Transport = Ovnet.Transport
 module Rpc_packet = Ovrpc.Rpc_packet
 module Verror = Ovirt_core.Verror
+module Reqctx = Ovirt_core.Reqctx
 module Ka = Protocol.Keepalive_protocol
 
 type program = {

@@ -15,7 +15,7 @@
     Calls carrying a deadline envelope (see [peek_deadline]) are dropped
     with an "expired in queue" error if the deadline passes before a
     worker picks them up; while a worker runs the call, the deadline is
-    installed in {!Reqctx} so driver code can observe the remaining
+    installed in {!Ovirt_core.Reqctx} so driver code can observe the remaining
     budget. *)
 
 type program = {

@@ -80,25 +80,15 @@ let snapshot_records store =
   |> List.concat_map (fun (name, e) -> List.map Lazy.force (entry_records name e))
 
 (* Compact when the log carries several times more records than a fresh
-   snapshot would need; keeps replay O(live state), not O(history).
-   The factor/slack knobs are process-wide (daemon_config:
-   journal_compact_factor / journal_compact_slack): reconcile plans add
-   journal traffic, so deployments can trade replay time for write
-   amplification. *)
-let compact_factor = ref 4
-let compact_slack = ref 16
-
-let set_compaction ~factor ~slack =
-  compact_factor := max 1 factor;
-  compact_slack := max 0 slack
-
-let compaction () = (!compact_factor, !compact_slack)
+   snapshot would need; keeps replay O(live state), not O(history). *)
+let compact_factor = 4
+let compact_slack = 16
 
 let maybe_compact_locked store =
   match store.journal with
   | None -> false
   | Some j ->
-    if Journal.record_count j > (!compact_factor * store.snapshot_size) + !compact_slack
+    if Journal.record_count j > (compact_factor * store.snapshot_size) + compact_slack
     then begin
       Journal.rewrite j (snapshot_records store);
       true

@@ -59,12 +59,8 @@ val entries : t -> (string * Vmm.Vm_config.t * bool * bool) list
 (** [(name, cfg, autostart, was_running)] sorted by name — the
     recovery view. *)
 
-val set_compaction : factor:int -> slack:int -> unit
-(** Process-wide compaction threshold: the journal is rewritten to a
-    snapshot once it holds more than [factor·|snapshot| + slack]
-    records (default [4·|snapshot| + 16]).  Clamped to [factor ≥ 1],
-    [slack ≥ 0].  Exposed through [daemon_config]'s
-    [journal_compact_factor] / [journal_compact_slack] keys. *)
-
-val compaction : unit -> int * int
-(** Current [(factor, slack)]. *)
+val compact_factor : int
+val compact_slack : int
+(** The compaction threshold: the journal is rewritten to a snapshot
+    once it holds more than [compact_factor·|snapshot| + compact_slack]
+    records ([4·|snapshot| + 16]). *)

@@ -85,14 +85,6 @@ let get_node reg name =
 
 let reset_nodes reg = with_registry reg (fun () -> Hashtbl.reset reg.reg_nodes)
 
-(* Per-call deadline hook.  The daemon's request context (Reqctx)
-   installs a provider at startup; outside a daemon dispatch it stays
-   [None] and the lock paths below are exactly the unbounded ones.
-   Drivers cannot depend on the daemon library, hence the inversion. *)
-let deadline_hook : (unit -> float option) ref = ref (fun () -> None)
-let set_deadline_hook f = deadline_hook := f
-let current_deadline () = !deadline_hook ()
-
 (* Boot-path budget hook.  Autostart (and reconciler-triggered) starts
    run outside any RPC dispatch, so no deadline is on the thread; the
    daemon installs a wrapper here that runs the start under a fresh
@@ -114,7 +106,7 @@ let lock_expired node =
    result type of [f] is opaque here, so expiry surfaces as the same
    [Virt_error] the dispatcher already maps to an error reply. *)
 let with_read node f =
-  match current_deadline () with
+  match Reqctx.deadline () with
   | None -> Rwlock.with_read node.lock f
   | Some deadline -> (
     match Rwlock.with_read_until node.lock ~deadline f with
@@ -131,7 +123,7 @@ let with_read node f =
    bump too — a spurious invalidation, never a missed one. *)
 let with_write node f =
   let f () = Fun.protect ~finally:(fun () -> Atomic.incr node.gen) f in
-  match current_deadline () with
+  match Reqctx.deadline () with
   | None -> Rwlock.with_write node.lock f
   | Some deadline -> (
     match Rwlock.with_write_until node.lock ~deadline f with

@@ -109,8 +109,8 @@ val reconcile :
 
 val with_read : 'p node -> (unit -> 'a) -> 'a
 val with_write : 'p node -> (unit -> 'a) -> 'a
-(** Shared / exclusive sections on the node lock.  When the installed
-    deadline hook reports a per-call deadline, acquisition is bounded:
+(** Shared / exclusive sections on the node lock.  When the calling
+    thread carries a {!Reqctx} deadline, acquisition is bounded:
     a waiter whose deadline passes raises [Verror.Virt_error]
     ([Operation_failed], "deadline expired…") instead of queueing
     behind a stuck writer. *)
@@ -123,14 +123,6 @@ val generation : 'p node -> int
     that snapshots the stamp before reading and sees the same value
     afterwards read current state; the daemon's reply cache keys entry
     validity on it. *)
-
-val set_deadline_hook : (unit -> float option) -> unit
-(** Install the per-call deadline provider (absolute [Unix.gettimeofday]
-    time).  The daemon's request context registers itself here at
-    startup; the default provider reports no deadline, keeping direct
-    (non-daemon) connections on the unbounded paths. *)
-
-val current_deadline : unit -> float option
 
 val set_start_budget_hook :
   ((unit -> (unit, Verror.t) result) -> (unit, Verror.t) result) -> unit

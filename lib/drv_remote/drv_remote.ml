@@ -88,15 +88,58 @@ type counters = {
   mutable cn_rows_installed : int;  (** cache rows their installs wrote *)
 }
 
+let no_stats =
+  {
+    st_calls = 0;
+    st_reconnect_attempts = 0;
+    st_reconnects = 0;
+    st_retried_calls = 0;
+    st_giveups = 0;
+    st_recovery_latencies = [];
+    st_overloaded = 0;
+    st_breaker_opens = 0;
+    st_breaker_fastfails = 0;
+    st_sub_errors = 0;
+    st_events_replayed = 0;
+    st_event_gaps = 0;
+    st_listings = 0;
+    st_listings_unchanged = 0;
+    st_listing_bytes = 0;
+    st_rows_installed = 0;
+  }
+
+let add_counters acc c =
+  {
+    st_calls = acc.st_calls + c.cn_calls;
+    st_reconnect_attempts = acc.st_reconnect_attempts + c.cn_attempts;
+    st_reconnects = acc.st_reconnects + c.cn_reconnects;
+    st_retried_calls = acc.st_retried_calls + c.cn_retried;
+    st_giveups = acc.st_giveups + c.cn_giveups;
+    st_recovery_latencies = c.cn_latencies @ acc.st_recovery_latencies;
+    st_overloaded = acc.st_overloaded + c.cn_overloaded;
+    st_breaker_opens = acc.st_breaker_opens + c.cn_breaker_opens;
+    st_breaker_fastfails = acc.st_breaker_fastfails + c.cn_breaker_fastfails;
+    st_sub_errors = acc.st_sub_errors + c.cn_sub_errors;
+    st_events_replayed = acc.st_events_replayed + c.cn_ev_replayed;
+    st_event_gaps = acc.st_event_gaps + c.cn_ev_gaps;
+    st_listings = acc.st_listings + c.cn_listings;
+    st_listings_unchanged = acc.st_listings_unchanged + c.cn_listings_unchanged;
+    st_listing_bytes = acc.st_listing_bytes + c.cn_listing_bytes;
+    st_rows_installed = acc.st_rows_installed + c.cn_rows_installed;
+  }
+
+(* The open connections' records, and the summed counts of the closed
+   ones: closing a connection folds its record into [retired] and drops
+   it, event bus included.  Guarded by [stats_mutex]. *)
+type registry = { mutable live : counters list; mutable retired : stats }
+
 let stats_mutex = Mutex.create ()
-let all_counters : counters list ref = ref []
+let registry = { live = []; retired = no_stats }
 
 let with_stats f =
   Mutex.lock stats_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock stats_mutex) f
 
-(* Closed connections stay registered: the aggregate keeps its history,
-   exactly as the former process-global counters did. *)
 let fresh_counters bus =
   with_stats (fun () ->
       let c =
@@ -120,11 +163,12 @@ let fresh_counters bus =
           cn_rows_installed = 0;
         }
       in
-      all_counters := c :: !all_counters;
+      registry.live <- c :: registry.live;
       c)
 
 let reset_stats () =
   with_stats (fun () ->
+      registry.retired <- no_stats;
       List.iter
         (fun c ->
           c.cn_calls <- 0;
@@ -143,76 +187,23 @@ let reset_stats () =
           c.cn_listings_unchanged <- 0;
           c.cn_listing_bytes <- 0;
           c.cn_rows_installed <- 0)
-        !all_counters)
+        registry.live)
 
-let snapshot c =
-  {
-    st_calls = c.cn_calls;
-    st_reconnect_attempts = c.cn_attempts;
-    st_reconnects = c.cn_reconnects;
-    st_retried_calls = c.cn_retried;
-    st_giveups = c.cn_giveups;
-    st_recovery_latencies = c.cn_latencies;
-    st_overloaded = c.cn_overloaded;
-    st_breaker_opens = c.cn_breaker_opens;
-    st_breaker_fastfails = c.cn_breaker_fastfails;
-    st_sub_errors = c.cn_sub_errors;
-    st_events_replayed = c.cn_ev_replayed;
-    st_event_gaps = c.cn_ev_gaps;
-    st_listings = c.cn_listings;
-    st_listings_unchanged = c.cn_listings_unchanged;
-    st_listing_bytes = c.cn_listing_bytes;
-    st_rows_installed = c.cn_rows_installed;
-  }
+(* Idempotent: a record no longer registered was retired already. *)
+let retire_counters c =
+  with_stats (fun () ->
+      if List.memq c registry.live then begin
+        registry.retired <- add_counters registry.retired c;
+        registry.live <- List.filter (fun c' -> c' != c) registry.live
+      end)
 
 let stats () =
-  with_stats (fun () ->
-      List.fold_left
-        (fun acc c ->
-          {
-            st_calls = acc.st_calls + c.cn_calls;
-            st_reconnect_attempts = acc.st_reconnect_attempts + c.cn_attempts;
-            st_reconnects = acc.st_reconnects + c.cn_reconnects;
-            st_retried_calls = acc.st_retried_calls + c.cn_retried;
-            st_giveups = acc.st_giveups + c.cn_giveups;
-            st_recovery_latencies = c.cn_latencies @ acc.st_recovery_latencies;
-            st_overloaded = acc.st_overloaded + c.cn_overloaded;
-            st_breaker_opens = acc.st_breaker_opens + c.cn_breaker_opens;
-            st_breaker_fastfails =
-              acc.st_breaker_fastfails + c.cn_breaker_fastfails;
-            st_sub_errors = acc.st_sub_errors + c.cn_sub_errors;
-            st_events_replayed = acc.st_events_replayed + c.cn_ev_replayed;
-            st_event_gaps = acc.st_event_gaps + c.cn_ev_gaps;
-            st_listings = acc.st_listings + c.cn_listings;
-            st_listings_unchanged =
-              acc.st_listings_unchanged + c.cn_listings_unchanged;
-            st_listing_bytes = acc.st_listing_bytes + c.cn_listing_bytes;
-            st_rows_installed = acc.st_rows_installed + c.cn_rows_installed;
-          })
-        {
-          st_calls = 0;
-          st_reconnect_attempts = 0;
-          st_reconnects = 0;
-          st_retried_calls = 0;
-          st_giveups = 0;
-          st_recovery_latencies = [];
-          st_overloaded = 0;
-          st_breaker_opens = 0;
-          st_breaker_fastfails = 0;
-          st_sub_errors = 0;
-          st_events_replayed = 0;
-          st_event_gaps = 0;
-          st_listings = 0;
-          st_listings_unchanged = 0;
-          st_listing_bytes = 0;
-          st_rows_installed = 0;
-        }
-        !all_counters)
+  with_stats (fun () -> List.fold_left add_counters registry.retired registry.live)
 
 let conn_stats (ops : Driver.ops) =
   with_stats (fun () ->
-      List.find_opt (fun c -> c.cn_bus == ops.Driver.events) !all_counters
-      |> Option.map snapshot)
+      List.find_opt (fun c -> c.cn_bus == ops.Driver.events) registry.live
+      |> Option.map (add_counters no_stats))
 
 (* ------------------------------------------------------------------ *)
 (* Connection state                                                    *)
@@ -1142,7 +1133,8 @@ let close_conn conn =
   in
   (* Best effort: the daemon also cleans up on disconnect. *)
   ignore (raw_call rpc Rp.Proc_close Rp.enc_unit_body);
-  Rpc_client.close rpc
+  Rpc_client.close rpc;
+  retire_counters conn.rc_stats
 
 (* ------------------------------------------------------------------ *)
 (* Driver operations over the wire                                     *)

@@ -189,5 +189,6 @@ val reset_stats : unit -> unit
 (** Zero every connection's counters (live ones included). *)
 
 val conn_stats : Ovirt_core.Driver.ops -> stats option
-(** The counters of the connection behind [ops], identified by its event
-    bus; [None] if [ops] does not come from this driver. *)
+(** The counters of the open connection behind [ops], identified by its
+    event bus; [None] if [ops] does not come from this driver or its
+    connection is closed (closing folds the counts into {!stats}). *)

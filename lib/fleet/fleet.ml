@@ -322,7 +322,7 @@ let member_names t = with_lock t (fun () -> List.map (fun m -> m.m_name) t.f_mem
 let slice_deadline t =
   let now = Unix.gettimeofday () in
   let slice =
-    match Ovdaemon.Reqctx.remaining_s () with
+    match Reqctx.remaining_s () with
     | Some r -> Float.min t.f_shard_slice_s (Float.max 0. r)
     | None -> t.f_shard_slice_s
   in

@@ -74,10 +74,6 @@ let cgroup_table lxc path =
     Hashtbl.add lxc.cgroups path tbl;
     tbl
 
-let cgroup_set lxc path param value =
-  check_path path;
-  with_lock lxc (fun () -> Hashtbl.replace (cgroup_table lxc path) param value)
-
 let cgroup_get lxc path param =
   check_path path;
   with_lock lxc (fun () ->
@@ -87,10 +83,6 @@ let cgroup_get lxc path param =
 let cgroup_exists lxc path =
   check_path path;
   with_lock lxc (fun () -> Hashtbl.mem lxc.cgroups path)
-
-let cgroup_remove lxc path =
-  check_path path;
-  with_lock lxc (fun () -> Hashtbl.remove lxc.cgroups path)
 
 (* ------------------------------------------------------------------ *)
 (* Containers                                                          *)

@@ -30,13 +30,8 @@ val attach : string -> t
 
 (** {1 Cgroup tree} *)
 
-val cgroup_set : t -> string -> string -> string -> unit
-(** [cgroup_set host cgroup_path param value]; creates the group.
-    @raise Invalid_argument on a relative path. *)
-
 val cgroup_get : t -> string -> string -> string option
 val cgroup_exists : t -> string -> bool
-val cgroup_remove : t -> string -> unit
 
 (** {1 Containers} *)
 

@@ -192,8 +192,6 @@ let qmp p ~cmd ?(args = []) () =
         | Some err -> Error (J.get_string (J.member "desc" err))
         | None -> Error "monitor reply has neither return nor error"))
 
-let wait_exit p = with_lock p (fun () -> ())
-
 let running_on hostname =
   let candidates =
     Mutex.lock table_mutex;

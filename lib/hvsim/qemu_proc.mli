@@ -38,10 +38,6 @@ val qmp : t -> cmd:string -> ?args:(string * Mini_json.t) list -> unit -> (Mini_
 (** Convenience wrapper over {!monitor_command}: builds the execute
     envelope, parses the reply, maps QMP errors to [Error desc]. *)
 
-val wait_exit : t -> unit
-(** No-op once dead; releases nothing extra (resources are released at
-    exit time).  Exposed so drivers can express "reap the process". *)
-
 val running_on : string -> (string * t) list
 (** Live emulator processes on a host, [(domain name, process)] sorted
     by name.  Processes belong to the host and survive a simulated

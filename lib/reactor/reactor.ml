@@ -28,6 +28,7 @@ type t = {
   mutable running : bool;
   mutable thread : Thread.t option;
   name : string;
+  logger : Vlog.t;
   (* stats, guarded by [mutex] *)
   mutable s_loops : int;
   mutable s_dispatches : int;
@@ -40,9 +41,6 @@ type stats = {
   wakeups : int;
   watches_active : int;
 }
-
-let logger = ref (Vlog.create ~level:Vlog.Warn ())
-let set_logger l = logger := l
 
 let ids = Atomic.make 1
 let fresh_id () = Atomic.fetch_and_add ids 1
@@ -71,7 +69,7 @@ let mark_ready r w =
 let dispatch r w =
   (try w.w_fn ()
    with exn ->
-     Vlog.logf !logger ~module_:"reactor" Vlog.Warn
+     Vlog.logf r.logger ~module_:"reactor" Vlog.Warn
        "%s: watch callback raised %s" r.name (Printexc.to_string exn));
   (* Level-triggered watches stay hot while the channel stays readable;
      edge-triggered ones wait for the next hook event. *)
@@ -104,7 +102,7 @@ let loop r =
   done;
   Mutex.unlock r.mutex
 
-let create ?(name = "reactor") () =
+let create ?(name = "reactor") ~logger () =
   let r =
     {
       mutex = Mutex.create ();
@@ -115,6 +113,7 @@ let create ?(name = "reactor") () =
       running = true;
       thread = None;
       name;
+      logger;
       s_loops = 0;
       s_dispatches = 0;
       s_wakeups = 0;

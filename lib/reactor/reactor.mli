@@ -26,8 +26,9 @@ type stats = {
   watches_active : int;
 }
 
-val create : ?name:string -> unit -> t
-(** Spawns the loop thread immediately. *)
+val create : ?name:string -> logger:Vlog.t -> unit -> t
+(** Spawns the loop thread immediately.  A callback that raises is
+    logged as a warning on [logger]. *)
 
 val name : t -> string
 
@@ -51,7 +52,3 @@ val stop : t -> unit
 (** Drain already-queued readiness events, then stop and join the loop
     thread.  Safe to call from a callback (the join is skipped on the
     reactor's own thread).  Idempotent. *)
-
-val set_logger : Vlog.t -> unit
-(** Replace the logger used when callbacks raise (default: warn-level
-    stderr). *)

@@ -40,17 +40,14 @@ val prefix_bytes : int
 (** Length prefix + header: the byte offset where a frame's body starts
     (28). *)
 
-val serial_offset : int
-(** Absolute byte offset of the serial word inside a framed packet (20:
-    after the length prefix and the program/version/procedure/type
-    words).  Reply bodies never depend on the serial, so a cached frame
-    can be replayed for a different call by rewriting this word alone. *)
-
 val with_serial : string -> int -> string
 (** [with_serial frame serial] is a copy of the framed packet with its
-    serial word replaced.  A copy, not an in-place patch: senders retain
-    references to transmitted strings, so cached frames must never be
-    mutated.  @raise Bad_packet if [frame] is shorter than a header. *)
+    serial word (byte offset 20) replaced.  Reply bodies never depend on
+    the serial, so a cached frame can be replayed for a different call
+    by rewriting this word alone.  A copy, not an in-place patch:
+    senders retain references to transmitted strings, so cached frames
+    must never be mutated.  @raise Bad_packet if [frame] is shorter than
+    a header. *)
 
 val decode : string -> header * string
 (** Inverse of {!encode}.  @raise Bad_packet on any malformation:

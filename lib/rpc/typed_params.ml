@@ -80,12 +80,6 @@ let find_uint params field =
   | Some (P_uint n) | Some (P_int n) when n >= 0 -> Some n
   | Some _ -> type_error field "unsigned int"
 
-let find_int params field =
-  match List.assoc_opt field params with
-  | None -> None
-  | Some (P_int n) | Some (P_uint n) -> Some n
-  | Some _ -> type_error field "int"
-
 let find_bool params field =
   match List.assoc_opt field params with
   | None -> None

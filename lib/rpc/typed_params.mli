@@ -2,8 +2,8 @@
 
     Extensible (field, scalar) lists used wherever an interface may grow
     new attributes without breaking the wire format — threadpool tuning,
-    client limits, client identity.  Field names are bounded at
-    {!max_field_length} as on the real wire. *)
+    client limits, client identity.  Field names are bounded at 80
+    characters ([VIR_TYPED_PARAM_FIELD_LENGTH]) as on the real wire. *)
 
 type value =
   | P_int of int
@@ -15,9 +15,6 @@ type value =
   | P_string of string
 
 type t = (string * value) list
-
-val max_field_length : int
-(** 80, matching [VIR_TYPED_PARAM_FIELD_LENGTH]. *)
 
 exception Invalid of string
 (** Raised on over-long or empty field names, or duplicate fields. *)
@@ -36,7 +33,6 @@ val decode : Xdr.decoder -> t
     surfacing loudly, as libvirt does). *)
 
 val find_uint : t -> string -> int option
-val find_int : t -> string -> int option
 val find_bool : t -> string -> bool option
 val find_string : t -> string -> string option
 

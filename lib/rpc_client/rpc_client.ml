@@ -12,9 +12,6 @@ type slot = {
 
 type keepalive = { ka_interval : float; ka_count : int }
 
-let default_keepalive =
-  { ka_interval = Ka.default_interval_s; ka_count = Ka.default_count }
-
 type t = {
   conn : Transport.t;
   program : int;

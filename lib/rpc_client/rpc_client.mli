@@ -18,9 +18,6 @@ type keepalive = { ka_interval : float; ka_count : int }
     is declared dead, the transport closed and every pending call failed
     with [Rpc_failure].  [ka_count] must be at least 1. *)
 
-val default_keepalive : keepalive
-(** 5s × 5, the libvirt defaults. *)
-
 val connect :
   address:string ->
   kind:Ovnet.Transport.kind ->

@@ -95,13 +95,11 @@ let add_string e s =
 
 let enc_raw = add_string
 
-let enc_opaque e s =
+let enc_string e s =
   let n = String.length s in
   enc_uint e n;
   add_string e s;
   enc_pad e n
-
-let enc_string = enc_opaque
 
 let enc_fixed_opaque e n s =
   if String.length s <> n then
@@ -179,15 +177,13 @@ let dec_pad d n =
   done;
   d.pos <- d.pos + p
 
-let dec_opaque d =
+let dec_string d =
   let n = dec_uint d in
   need d n;
   let s = String.sub d.data d.pos n in
   d.pos <- d.pos + n;
   dec_pad d n;
   s
-
-let dec_string = dec_opaque
 
 let dec_fixed_opaque d n =
   need d n;

@@ -73,9 +73,6 @@ val enc_raw : encoder -> string -> unit
 val enc_string : encoder -> string -> unit
 (** Variable-length string: u32 length, bytes, zero padding to 4. *)
 
-val enc_opaque : encoder -> string -> unit
-(** Variable-length opaque data; same wire form as {!enc_string}. *)
-
 val enc_fixed_opaque : encoder -> int -> string -> unit
 (** [enc_fixed_opaque e n s] writes exactly [n] bytes (padded to 4).
     @raise Error if [String.length s <> n]. *)
@@ -106,14 +103,10 @@ val dec_uhyper : decoder -> int64
 val dec_bool : decoder -> bool
 val dec_double : decoder -> float
 val dec_string : decoder -> string
-val dec_opaque : decoder -> string
 val dec_fixed_opaque : decoder -> int -> string
 
 val dec_array : decoder -> (decoder -> 'a) -> 'a list
 val dec_option : decoder -> (decoder -> 'a) -> 'a option
-
-val check_consumed : decoder -> unit
-(** @raise Error if bytes remain: every message must be fully consumed. *)
 
 (** {1 Whole-value helpers} *)
 

@@ -423,6 +423,12 @@ let test_config_rejections () =
       "log_filters = \"bad\"";
       "log_outputs = \"1:nowhere\"";
       "min_workers = 1 extra";
+      (* Keys this build does not read are refused like any typo. *)
+      "journal_compact_factor = 4";
+      "journal_compact_slack = 16";
+      "reactor_buf_kb = 16";
+      "reactor_pool_bufs = 64";
+      "reconcile_diverged_after = 3";
     ]
 
 let test_config_applied_to_daemon () =

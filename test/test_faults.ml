@@ -364,6 +364,28 @@ let test_close_is_idempotent_and_race_free () =
       | Error e ->
         Alcotest.(check bool) "rpc failure" true (e.Verror.code = Verror.Rpc_failure))
 
+(* Closing a remote connection folds its counters into the process-wide
+   totals and drops its record, so nothing keeps the closed connection's
+   event bus alive. *)
+let test_closed_connection_released () =
+  with_daemon (fun name _ ->
+      let uri = Printf.sprintf "test+unix://%s/?daemon=%s" (fresh_name "node") name in
+      let open_use_close () =
+        let conn = vok (Connect.open_uri uri) in
+        ignore (vok (Connect.list_domains conn));
+        let bus = Weak.create 1 in
+        Weak.set bus 0 (Some (vok (Connect.ops conn)).Ovirt.Driver.events);
+        let before = Drv_remote.stats () in
+        Connect.close conn;
+        Alcotest.(check bool) "close keeps the totals" true (Drv_remote.stats () = before);
+        bus
+      in
+      let bus = (open_use_close [@inlined never]) () in
+      Alcotest.(check bool) "closed connection's bus collected" true
+        (eventually (fun () ->
+             Gc.full_major ();
+             not (Weak.check bus 0))))
+
 (* --- drain ---------------------------------------------------------------- *)
 
 let test_drain_refuses_calls_but_answers_pings () =
@@ -650,6 +672,7 @@ let () =
           quick "deadline-races" test_deadline_races;
           quick "one-thread-per-connection" test_one_thread_per_connection;
           quick "close-race" test_close_is_idempotent_and_race_free;
+          quick "closed-connection-released" test_closed_connection_released;
         ] );
       ( "drain",
         [

@@ -35,8 +35,12 @@ let with_daemon ~config f =
 let remote_uri ?(transport = "unix") ~daemon node =
   Printf.sprintf "test+%s://%s/?daemon=%s" transport node daemon
 
+let new_reactor () =
+  Reactor.create ~name:(fresh_name "test-reactor")
+    ~logger:(Vlog.create ~level:Vlog.Warn ()) ()
+
 let with_reactor f =
-  let r = Reactor.create ~name:(fresh_name "test-reactor") () in
+  let r = new_reactor () in
   Fun.protect ~finally:(fun () -> Reactor.stop r) (fun () -> f r)
 
 (* --- core loop ----------------------------------------------------------- *)
@@ -65,7 +69,7 @@ let test_edge_coalesces_level_drains () =
      per callback stalls with two stuck; a level watch re-queues itself
      until the channel is dry. *)
   let run mode =
-    let r = Reactor.create ~name:(fresh_name "test-reactor") () in
+    let r = new_reactor () in
     Fun.protect
       ~finally:(fun () -> Reactor.stop r)
       (fun () ->
@@ -127,7 +131,7 @@ let test_unwatch_stops_callbacks () =
       Alcotest.(check bool) "unwatched channel never dispatches" false !ran)
 
 let test_stop_from_callback () =
-  let r = Reactor.create ~name:(fresh_name "test-reactor") () in
+  let r = new_reactor () in
   let c = Chan.create () in
   let w =
     Reactor.watch_chan r c ~mode:Reactor.Edge (fun () ->
@@ -372,6 +376,54 @@ let test_idle_mass_with_hot_traffic () =
       Transport.close raw;
       List.iter Transport.close idle)
 
+(* A raising watch callback is reported on the daemon's own logger, so
+   the daemon's configured outputs, and an admin change to them, decide
+   where the warning goes. *)
+let test_callback_warning_uses_daemon_logger () =
+  let config =
+    {
+      quiet_config with
+      Daemon_config.log_level = Vlog.Warn;
+      log_outputs = [ { Vlog.min_priority = Vlog.Warn; sink = Vlog.Journald } ];
+    }
+  in
+  with_daemon ~config (fun name daemon ->
+      let logger = Daemon.logger daemon in
+      let r = (Daemon.reactors daemon).(0) in
+      let c = Chan.create () in
+      let w =
+        Reactor.watch_chan r c ~mode:Reactor.Edge (fun () ->
+            ignore (Chan.try_recv c);
+            failwith "watch-boom")
+      in
+      let mentions line =
+        let sub = "watch-boom" in
+        let n = String.length sub in
+        let rec at i =
+          i + n <= String.length line && (String.sub line i n = sub || at (i + 1))
+        in
+        at 0
+      in
+      let booms lines = List.length (List.filter mentions lines) in
+      Fun.protect
+        ~finally:(fun () -> Reactor.unwatch r w)
+        (fun () ->
+          Chan.send c "x";
+          Alcotest.(check bool) "warning in the daemon's journal" true
+            (eventually (fun () -> booms (Vlog.journal_contents logger) = 1));
+          let admin = vok (Admin.connect ~daemon:name ()) in
+          vok (Admin.set_logging_outputs admin "3:file:/var/log/reactor.log");
+          Admin.close admin;
+          Chan.send c "y";
+          Alcotest.(check bool) "warning follows the new output" true
+            (eventually (fun () ->
+                 booms
+                   (String.split_on_char '\n'
+                      (Vlog.file_contents logger "/var/log/reactor.log"))
+                 = 1));
+          Alcotest.(check int) "journal got nothing more" 1
+            (booms (Vlog.journal_contents logger))))
+
 let () =
   Alcotest.run "reactor"
     [
@@ -398,6 +450,8 @@ let () =
           quick "split packet reassembled" test_split_packet_reassembly;
           quick "malformed packet drops connection" test_malformed_drops_connection;
           quick "admin socket refuses non-root" test_admin_requires_root;
+          quick "callback warnings use the daemon's logger"
+            test_callback_warning_uses_daemon_logger;
           quick "fault injection parity" test_fault_parity_under_reactor;
           quick "idle mass with hot traffic" test_idle_mass_with_hot_traffic;
         ] );

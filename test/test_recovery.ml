@@ -287,15 +287,17 @@ let test_compaction () =
 
 (* --- compaction model ---------------------------------------------------- *)
 
-(* Random histories over a few names on a journaled store with a tight
-   compaction threshold, run beside a reference that knows only the
-   rule: every state change appends one record, and a define, undefine
+(* Random histories over a few names on a journaled store, run beside a
+   reference that knows only the rule: every state change appends one record, and a define, undefine
    or attach rewrites the journal to |snapshot| records iff it then holds
    more than factor * |snapshot| + slack, where |snapshot| is one record
    per entry plus one per set flag.  Should the store's own count of
    |snapshot| drift, a compaction lands at another point and the record
    counts part.  [M_reattach] continues on a store replayed from a copy
-   of the image, which must hold the same entries. *)
+   of the image, which must hold the same entries.  The threshold is the
+   store's own (4 * |snapshot| + 16), so histories run to 300
+   operations, enough for a few compactions each; the test fails if no
+   generated history compacted at all. *)
 type model_op =
   | M_define of int * int  (** name, memory variant *)
   | M_undefine of int
@@ -304,8 +306,9 @@ type model_op =
   | M_reattach
 
 let model_names = 4
-let model_factor = 2
-let model_slack = 1
+let model_factor = Domstore.compact_factor
+let model_slack = Domstore.compact_slack
+let model_compactions = ref 0
 
 let print_model_op = function
   | M_define (i, v) -> Printf.sprintf "define m%d/%d" i v
@@ -317,7 +320,7 @@ let print_model_op = function
 let gen_model_ops =
   QCheck.Gen.(
     let name = int_bound (model_names - 1) in
-    list_size (int_bound 60)
+    list_size (int_bound 300)
       (frequency
          [
            (4, map2 (fun i v -> M_define (i, v)) name (int_bound 2));
@@ -357,7 +360,10 @@ let run_compaction_model ops =
           | None -> acc)
         0 model
     in
-    if !expected > (model_factor * snapshot) + model_slack then expected := snapshot
+    if !expected > (model_factor * snapshot) + model_slack then begin
+      expected := snapshot;
+      incr model_compactions
+    end
   in
   let attach_copy path =
     let copy = fresh_name "model" in
@@ -421,14 +427,17 @@ let run_compaction_model ops =
   true
 
 let test_compaction_model =
-  qcheck_case "compaction decisions match the model"
-    (QCheck.make ~print:(QCheck.Print.list print_model_op) gen_model_ops)
-    (fun ops ->
-      let factor, slack = Domstore.compaction () in
-      Domstore.set_compaction ~factor:model_factor ~slack:model_slack;
-      Fun.protect
-        ~finally:(fun () -> Domstore.set_compaction ~factor ~slack)
-        (fun () -> run_compaction_model ops))
+  let name, speed, run =
+    qcheck_case ~count:100 "compaction decisions match the model"
+      (QCheck.make ~print:(QCheck.Print.list print_model_op) gen_model_ops)
+      run_compaction_model
+  in
+  ( name,
+    speed,
+    fun () ->
+      model_compactions := 0;
+      run ();
+      if !model_compactions = 0 then Alcotest.fail "no generated history compacted" )
 
 (* --- crash-point sweep over the reconcile plan journal ------------------- *)
 
