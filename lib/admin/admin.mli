@@ -54,14 +54,14 @@ val event_stats : conn -> (event_stats, Ovirt_core.Verror.t) result
     (the zero-work read fast path). *)
 type reply_cache_stats = {
   rc_caches : int;  (** caches created (one per distinct node opened) *)
-  rc_hits : int;  (** lookups answered from cached frames *)
+  rc_hits : int;  (** lookups answered from cached bodies *)
   rc_misses : int;  (** lookups that fell through to the handler *)
-  rc_insertions : int;  (** frames stored *)
+  rc_insertions : int;  (** bodies stored *)
   rc_invalidations : int;  (** entries dropped by events or stale stamps *)
   rc_evictions : int;  (** entries dropped by the LRU capacity bound *)
-  rc_patched_sends : int;  (** cached frames sent with a patched serial *)
-  rc_entries : int;  (** currently cached frames, summed over caches *)
-  rc_bytes : int;  (** currently cached frame bytes, summed over caches *)
+  rc_patched_sends : int;  (** cached replies sent from the receiving thread *)
+  rc_entries : int;  (** currently cached bodies, summed over caches *)
+  rc_bytes : int;  (** currently cached body bytes, summed over caches *)
   rc_enabled : bool;  (** the daemon-level [reply_cache] knob *)
 }
 

@@ -19,8 +19,8 @@ type program = {
     option;
       (* Synchronous fast path consulted on the receiving thread before
          the call is submitted to the pool.  Returning [true] means the
-         reply has already been sent (e.g. replayed from a reply cache
-         with the serial patched) and the call must not be dispatched;
+         reply has already been sent (e.g. a reply-cache hit framed with
+         the call's serial) and the call must not be dispatched;
          [false] falls through to the normal path.  Must be cheap and
          non-blocking, and must never raise. *)
   handle :
@@ -32,30 +32,11 @@ type program = {
   on_disconnect : Client_obj.t -> unit;
 }
 
-(* Reply framing borrows scratch buffers from a shared pool: the body is
-   spliced behind the reserved frame prefix in one pass
-   ({!Rpc_packet.encode_into}), so the only allocation left on the reply
-   send path is the final immutable frame.  Worker threads frame replies
-   concurrently, hence a pool rather than one static buffer; encoders
-   that outgrow the pooled size fall back to a private buffer and the
-   original (still correctly sized) buffer re-pools. *)
-let reply_scratch =
-  Ovreactor.Bufpool.create ~buf_size:(16 * 1024) ~max_pooled:32
-
-let frame_reply header result =
-  let buf = Ovreactor.Bufpool.take reply_scratch in
-  Fun.protect
-    ~finally:(fun () -> Ovreactor.Bufpool.give reply_scratch buf)
-    (fun () ->
-      let enc = Xdr.encoder_of_bytes buf in
-      match result with
-      | Ok body ->
-        Rpc_packet.encode_into enc (Rpc_packet.reply_ok header) (fun e ->
-            Xdr.enc_raw e body)
-      | Error err ->
-        Rpc_packet.encode_into enc
-          (Rpc_packet.reply_error header)
-          (fun e -> Protocol.Remote_protocol.enc_error_into e err))
+let frame_reply header = function
+  | Ok body -> Rpc_packet.encode (Rpc_packet.reply_ok header) body
+  | Error err ->
+    Rpc_packet.encode (Rpc_packet.reply_error header)
+      (Protocol.Remote_protocol.enc_error err)
 
 let send_reply client header result =
   Client_obj.send_packet client (frame_reply header result)
@@ -80,6 +61,16 @@ let run_call srv prog client header body ~deadline =
     | exn ->
       Verror.error Verror.Internal_error "unhandled exception: %s"
         (Printexc.to_string exn)
+  in
+  let result =
+    match result with
+    | Ok body when String.length body > Rpc_packet.max_body_size ->
+      (* Too big for one packet: answer with an error, as libvirt does,
+         rather than leave the caller waiting for a reply never sent. *)
+      Verror.error Verror.Rpc_failure
+        "reply of %d bytes exceeds the maximum packet body of %d bytes"
+        (String.length body) Rpc_packet.max_body_size
+    | r -> r
   in
   (match result with
    | Ok _ -> ()
@@ -137,8 +128,8 @@ let process_call srv prog_table client header body =
            (Server_obj.name srv))
     else if
       (* Zero-work read path: a program-supplied hook may answer the call
-         synchronously (replaying a cached pre-framed reply) without a
-         pool round-trip.  Consulted after version and drain checks so
+         synchronously (framing a cached reply body) without a pool
+         round-trip.  Consulted after version and drain checks so
          cache hits observe the same admission rules as dispatched calls. *)
       match prog.try_fast_reply with
       | Some hook -> hook srv client header body
@@ -310,28 +301,20 @@ let rc_feed ctx run chunk =
     in
     Bytes.blit_string chunk 0 b run.run_len clen;
     run.run_len <- need;
-    (* Peel reassembled frames: a 4-byte prefix copy per length peek and
-       one copy per frame — only split packets pay this. *)
-    let p = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let avail = run.run_len - !p in
-      let peek = Bytes.sub_string b !p (min 4 avail) in
-      match Rpc_packet.frame_length peek ~pos:0 ~avail with
-      | Some flen when avail >= flen ->
-        let header, body = Rpc_packet.decode (Bytes.sub_string b !p flen) in
-        p := !p + flen;
-        process_call ctx.rc_srv ctx.rc_table run.run_client header body
-      | Some _ | None -> continue := false
-    done;
-    let leftover = run.run_len - !p in
+    (* Peel in place: nothing writes [b] until the peel returns, and
+       [decode_sub] copies each body out. *)
+    let p =
+      rc_dispatch_frames ctx run (Bytes.unsafe_to_string b) ~pos:0
+        ~limit:run.run_len
+    in
+    let leftover = run.run_len - p in
     if leftover = 0 then begin
       run.run_buf <- None;
       run.run_len <- 0;
       Bufpool.give ctx.rc_pool b
     end
-    else if !p > 0 then begin
-      Bytes.blit b !p b 0 leftover;
+    else if p > 0 then begin
+      Bytes.blit b p b 0 leftover;
       run.run_len <- leftover
     end
 

@@ -6,7 +6,8 @@
     priority workers.  The worker decodes the body, executes, and sends the reply
     (worker-side serialization through {!Client_obj.send_packet}).
     Malformed packets close the connection; handler exceptions become
-    [Internal_error] replies.
+    [Internal_error] replies, and a reply body too big for one packet
+    becomes an [Rpc_failure] reply naming its size.
 
     {b Overload protection.}  The reactor submits through
     {!Threadpool.submit}: when the pool's admission control sheds the
@@ -37,8 +38,8 @@ type program = {
       (** Synchronous fast path, consulted on the receiving thread after
           the version and drain checks but before pool submission.
           Returning [true] means the hook already sent the reply (e.g. a
-          cached pre-framed reply with the serial word patched) and the
-          call is finished; [false] falls through to normal dispatch.
+          cached reply body framed with the call's serial) and the call
+          is finished; [false] falls through to normal dispatch.
           Hooks must be cheap, non-blocking, and never raise.  [None]
           disables the fast path for the program. *)
   handle :

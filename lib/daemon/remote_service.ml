@@ -213,13 +213,10 @@ let conn_cache st (cs : conn_state) =
   then Some (with_lock st (fun () -> cache_for st cs))
   else None
 
-(* Cached frames carry serial 0; reply bodies never encode the serial, so
-   the body bytes are serial-independent and a hit is re-targeted to any
-   call by patching the one serial word. *)
-let cached_reply_header procedure =
-  Rpc_packet.reply_ok
-    (Rpc_packet.call_header ~program:Rp.program ~version:Rp.version ~procedure
-       ~serial:0)
+(* A body too big for one packet is answered with an error by the
+   dispatcher, so it is never cached: caching it would only pin it, and
+   the receiving thread must never try to frame it. *)
+let fits body = String.length body <= Rpc_packet.max_body_size
 
 (* The annotated listing.  A plain daemon is a fleet of one: its own
    rows, complete, so a v1.7 client can use it unconditionally. *)
@@ -519,11 +516,10 @@ let batch_isolation st client subs =
    if a write overlaps the fill, the write's bump (made while it still
    holds the write lock) leaves this snapshot stale, so the entry is
    discarded at its next lookup — the fill can never pin post-write data
-   under a pre-write stamp, and serving a still-valid pre-write frame
+   under a pre-write stamp, and serving a still-valid pre-write reply
    while a write is in flight is just a read ordered before the write.
-   On a hit the pre-framed packet is unwrapped back to its body: batch
-   sub-calls and the top-level dispatcher both consume bodies, and the
-   top level re-frames with the caller's serial. *)
+   The cache holds reply bodies, which batch sub-calls and the
+   top-level dispatcher both consume. *)
 let serve_conn st (cs : conn_state) (d : Rp.descriptor) body =
   match (if d.Rp.cacheable then conn_cache st cs else None) with
   | None -> dispatch_conn cs d.Rp.proc body
@@ -532,17 +528,13 @@ let serve_conn st (cs : conn_state) (d : Rp.descriptor) body =
     let gen_of = Option.get cs.ops.Driver.generation in
     let gen = gen_of () in
     (match Reply_cache.find cache ~proc:pnum ~args:body ~gen with
-     | Some frame ->
-       Ok
-         (String.sub frame Rpc_packet.prefix_bytes
-            (String.length frame - Rpc_packet.prefix_bytes))
+     | Some reply -> Ok reply
      | None ->
        let result = dispatch_conn cs d.Rp.proc body in
        (match result with
-        | Ok reply ->
-          Reply_cache.insert cache ~proc:pnum ~args:body ~gen
-            (Rpc_packet.encode (cached_reply_header pnum) reply)
-        | Error _ -> ());
+        | Ok reply when fits reply ->
+          Reply_cache.insert cache ~proc:pnum ~args:body ~gen reply
+        | Ok _ | Error _ -> ());
        result)
 
 let list_all_number = Rp.proc_to_int Rp.Proc_fleet_list_all
@@ -560,11 +552,7 @@ let since_from_cache st cache ~gen (token : Rp.fleet_token) =
       ~gen ~fill
   with
   | Reply_cache.Unchanged -> Some (Rp.enc_since_unchanged token)
-  | Reply_cache.Changed { frame; fill } ->
-    let body =
-      String.sub frame Rpc_packet.prefix_bytes
-        (String.length frame - Rpc_packet.prefix_bytes)
-    in
+  | Reply_cache.Changed { frame = body; fill } ->
     Some (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } body)
   | Reply_cache.Absent -> None
 
@@ -581,9 +569,10 @@ let serve_since st (cs : conn_state) body =
     | None ->
       let* listing = dispatch_conn cs Rp.Proc_fleet_list_all Rp.enc_unit_body in
       let fill =
-        Reply_cache.insert_numbered cache ~proc:list_all_number
-          ~args:Rp.enc_unit_body ~gen
-          (Rpc_packet.encode (cached_reply_header list_all_number) listing)
+        if fits listing then
+          Reply_cache.insert_numbered cache ~proc:list_all_number
+            ~args:Rp.enc_unit_body ~gen listing
+        else 0
       in
       Ok (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } listing))
 
@@ -823,12 +812,20 @@ let event_totals t =
     rings
 
 (* A reply answered on the receiving thread.  A served call authenticates
-   the client exactly as a dispatched one does. *)
-let send_fast srv client frame =
-  Client_obj.touch client;
-  (try Client_obj.send_packet client frame with _ -> ());
-  Server_obj.note_authenticated srv client;
-  true
+   the client exactly as a dispatched one does.  A reply too big to frame
+   falls through to the pool, whose dispatcher answers it with an error
+   (a cached listing fits, its conditional reply may be 12 bytes over). *)
+let send_fast srv client header reply =
+  fits reply
+  && begin
+    Client_obj.touch client;
+    (try
+       Client_obj.send_packet client
+         (Rpc_packet.encode (Rpc_packet.reply_ok header) reply)
+     with _ -> ());
+    Server_obj.note_authenticated srv client;
+    true
+  end
 
 let program_of { st; svc_minor = minor } =
   let deadline = Rp.describe Rp.Proc_call_deadline in
@@ -862,12 +859,10 @@ let program_of { st; svc_minor = minor } =
              (fun srv client header body ->
                (* Answer from the reply cache on the receiving thread: a
                   hit skips pool submission, body decode, the driver
-                  read lock, the handler and the re-encode.  A cached
-                  frame is replayed with the serial word patched into a
-                  fresh copy (senders retain references to transmitted
-                  strings, so the cached frame itself is never mutated);
-                  a conditional listing the live entry answers is framed
-                  here, in 12 bytes when it is unchanged. *)
+                  read lock and the handler; the cached body is framed
+                  with the caller's serial in one copy.  A conditional
+                  listing the live entry answers is framed here too, in
+                  12 bytes when it is unchanged. *)
                match Rp.descriptor_of_int ~minor header.Rpc_packet.procedure with
                | Error _ -> false
                | Ok d -> (
@@ -889,21 +884,16 @@ let program_of { st; svc_minor = minor } =
                            ~proc:header.Rpc_packet.procedure ~args:body ~gen
                        with
                        | None -> false
-                       | Some frame ->
+                       | Some reply ->
                          Reply_cache.note_patched_send cache;
-                         send_fast srv client
-                           (Rpc_packet.with_serial frame
-                              header.Rpc_packet.serial))
+                         send_fast srv client header reply)
                      else
                        match Rp.dec_fleet_token body with
                        | exception Xdr.Error _ -> false
                        | token -> (
                          match since_from_cache st cache ~gen token with
                          | None -> false
-                         | Some reply ->
-                           send_fast srv client
-                             (Rpc_packet.encode (Rpc_packet.reply_ok header)
-                                reply)))))));
+                         | Some reply -> send_fast srv client header reply))))));
       handle = (fun srv client header body -> handle st ~minor srv client header body);
       on_disconnect = (fun client -> teardown_conn st (Client_obj.id client));
     }

@@ -52,14 +52,14 @@ val make :
     older build — the lever version-negotiation tests pull.
     [event_ring_capacity] bounds each per-node replay ring (default
     1024).  [reply_cache] (default [true]) enables the server reply
-    cache for hot read procedures — pre-framed replies keyed by
-    (procedure, argument bytes), validated against the driver write
-    generation, served from the receiving thread with only the serial
-    word patched; [reply_cache_entries] (default 512) bounds each
+    cache for hot read procedures — reply bodies keyed by (procedure,
+    argument bytes), validated against the driver write generation,
+    framed with the caller's serial and sent from the receiving thread;
+    [reply_cache_entries] (default 512) bounds each
     per-node-URI cache (LRU).  Clients can opt a single connection out
     with a [replycache=0] URI parameter.  The same caches answer v1.8
     conditional listings: a token (this daemon's boot nonce, fixed at
-    [make], plus a fill number) names the cached [fleet_list_all] frame
+    [make], plus a fill number) names the cached [fleet_list_all] body
     a client holds, and while that entry lives the reply is 12 bytes of
     "unchanged".  [reconcile] is the daemon's
     policy reconciler; without it the v1.5 policy procedures answer

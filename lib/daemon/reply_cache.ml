@@ -1,8 +1,8 @@
-(* Server-side reply cache: pre-framed encoded replies for hot read
+(* Server-side reply cache: encoded reply bodies for hot read
    procedures, keyed by (procedure, canonical argument bytes) and stamped
    with the driver generation current when the reply was computed.  A hit
-   returns the stored frame (serial word = 0; callers patch a copy) and
-   skips the read lock, body decode, handler and encode entirely.
+   returns the stored body, which callers frame with their own serial,
+   and skips the read lock, body decode, handler and encode entirely.
 
    Validity: an entry whose stamp differs from the driver's current
    generation is dead — it is removed on lookup and counted as an
@@ -12,7 +12,7 @@
 
    Fill numbers: every insert stamps its entry with the next number of a
    per-cache counter.  A key holds one entry, so while the entry lives
-   its number names the exact frame it holds; a conditional listing
+   its number names the exact body it holds; a conditional listing
    (v1.8) asks whether the live entry still carries the number the
    client was given.
 
@@ -26,7 +26,7 @@ type entry = {
   e_key : key;
   mutable e_gen : int;
   mutable e_fill : int;
-  mutable e_frame : string;
+  mutable e_body : string;
   mutable e_prev : entry;
   mutable e_next : entry;
 }
@@ -67,7 +67,7 @@ let create ~max_entries =
       e_key = (-1, "");
       e_gen = 0;
       e_fill = 0;
-      e_frame = "";
+      e_body = "";
       e_prev = root;
       e_next = root;
     }
@@ -109,7 +109,7 @@ let push_front t e =
 let drop t e =
   unlink e;
   Hashtbl.remove t.table e.e_key;
-  t.bytes <- t.bytes - String.length e.e_frame
+  t.bytes <- t.bytes - String.length e.e_body
 
 let find t ~proc ~args ~gen =
   with_lock t (fun () ->
@@ -118,7 +118,7 @@ let find t ~proc ~args ~gen =
         t.hits <- t.hits + 1;
         unlink e;
         push_front t e;
-        Some e.e_frame
+        Some e.e_body
       | Some e ->
         (* Stale stamp: the state moved under the entry. *)
         t.invalidations <- t.invalidations + 1;
@@ -142,7 +142,7 @@ let find_since t ~proc ~args ~gen ~fill =
           t.unchanged <- t.unchanged + 1;
           Unchanged
         end
-        else Changed { frame = e.e_frame; fill = e.e_fill }
+        else Changed { frame = e.e_body; fill = e.e_fill }
       | Some e ->
         t.invalidations <- t.invalidations + 1;
         drop t e;
@@ -152,7 +152,7 @@ let find_since t ~proc ~args ~gen ~fill =
         t.misses <- t.misses + 1;
         Absent)
 
-let insert_numbered t ~proc ~args ~gen frame =
+let insert_numbered t ~proc ~args ~gen body =
   with_lock t (fun () ->
       let key = (proc, args) in
       t.fills <- t.fills + 1;
@@ -160,11 +160,13 @@ let insert_numbered t ~proc ~args ~gen frame =
       (match Hashtbl.find_opt t.table key with
        | Some e ->
          (* Refill of an existing key (e.g. a fill raced another fill):
-            keep the newer stamp. *)
-         t.bytes <- t.bytes - String.length e.e_frame + String.length frame;
+            body and stamp are replaced together, so a fill that lost
+            the race and carries the older stamp only costs a later
+            miss; it never pins pre-write data under a newer stamp. *)
+         t.bytes <- t.bytes - String.length e.e_body + String.length body;
          e.e_gen <- gen;
          e.e_fill <- fill;
-         e.e_frame <- frame;
+         e.e_body <- body;
          unlink e;
          push_front t e
        | None ->
@@ -180,19 +182,19 @@ let insert_numbered t ~proc ~args ~gen frame =
              e_key = key;
              e_gen = gen;
              e_fill = fill;
-             e_frame = frame;
+             e_body = body;
              e_prev = t.root;
              e_next = t.root;
            }
          in
          push_front t e;
          Hashtbl.add t.table key e;
-         t.bytes <- t.bytes + String.length frame);
+         t.bytes <- t.bytes + String.length body);
       t.insertions <- t.insertions + 1;
       fill)
 
-let insert t ~proc ~args ~gen frame =
-  ignore (insert_numbered t ~proc ~args ~gen frame)
+let insert t ~proc ~args ~gen body =
+  ignore (insert_numbered t ~proc ~args ~gen body)
 
 let invalidate_all t =
   with_lock t (fun () ->

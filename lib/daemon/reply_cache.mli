@@ -1,11 +1,10 @@
 (** Server-side reply cache for hot read procedures.
 
-    Stores {e pre-framed} reply packets (length prefix + header + XDR
-    body, serial word 0) keyed by [(procedure, canonical argument
-    bytes)], each stamped with the driver write generation current when
-    the reply was computed.  A hit hands back bytes ready to send after
-    one serial patch ({!Ovrpc.Rpc_packet.with_serial}) — no read lock,
-    no body decode, no handler, no re-encode.
+    Stores XDR-encoded reply bodies keyed by [(procedure, canonical
+    argument bytes)], each stamped with the driver write generation
+    current when the reply was computed.  A hit hands back a body that
+    the caller frames with its own serial ({!Ovrpc.Rpc_packet.encode})
+    — no read lock, no body decode, no handler, no re-encode.
 
     Entry validity is the generation stamp: a lookup whose [gen]
     disagrees with the stored stamp removes the entry (counted as an
@@ -16,7 +15,7 @@
 
     Every insert also stamps its entry with a fill number from a
     per-cache counter that starts at 1 and only grows.  While an entry
-    lives, its number names the frame it holds: that is the validity a
+    lives, its number names the body it holds: that is the validity a
     conditional listing ({!find_since}) asks about.
 
     All operations are thread-safe (one internal mutex per cache) and
@@ -30,25 +29,25 @@ type stats = {
   insertions : int;
   invalidations : int;  (** stale-stamp removals + proactive flush entries *)
   evictions : int;  (** LRU capacity evictions *)
-  patched_sends : int;  (** cached frames actually sent with a patched serial *)
+  patched_sends : int;  (** cached replies sent from the receiving thread *)
   unchanged : int;
       (** conditional listings answered "unchanged" (sent on no wire) *)
   entries : int;  (** current *)
-  bytes : int;  (** current sum of cached frame lengths *)
+  bytes : int;  (** current sum of cached body lengths *)
 }
 
 val create : max_entries:int -> t
 (** [max_entries] is clamped to at least 1. *)
 
 val find : t -> proc:int -> args:string -> gen:int -> string option
-(** Valid cached frame for this key at generation [gen], refreshing its
+(** Valid cached body for this key at generation [gen], refreshing its
     LRU position.  A present-but-stale entry is dropped and [None]
     returned. *)
 
 val insert : t -> proc:int -> args:string -> gen:int -> string -> unit
-(** Store a frame (serial word must be 0) computed at generation [gen],
-    evicting the LRU entry when full.  Re-inserting an existing key
-    replaces its frame and stamp. *)
+(** Store a body computed at generation [gen], evicting the LRU entry
+    when full.  Re-inserting an existing key replaces its body and
+    stamp together. *)
 
 val insert_numbered : t -> proc:int -> args:string -> gen:int -> string -> int
 (** {!insert}, returning the fill number the entry now carries. *)
@@ -56,11 +55,11 @@ val insert_numbered : t -> proc:int -> args:string -> gen:int -> string -> int
 type since =
   | Unchanged  (** the live entry carries the caller's fill number *)
   | Changed of { frame : string; fill : int }
-      (** the live entry holds another fill: its frame and number *)
+      (** the live entry holds another fill: its reply body and number *)
   | Absent  (** no live entry: evicted, flushed, stale or never filled *)
 
 val find_since : t -> proc:int -> args:string -> gen:int -> fill:int -> since
-(** {!find}, asked by a caller holding the frame of fill [fill] (0 for
+(** {!find}, asked by a caller holding the body of fill [fill] (0 for
     none).  Counts as a hit or a miss exactly as {!find} does; an
     [Unchanged] answer also counts in [unchanged]. *)
 
@@ -68,6 +67,6 @@ val invalidate_all : t -> unit
 (** Drop everything (the event-bus invalidation path). *)
 
 val note_patched_send : t -> unit
-(** Count one cached frame actually sent with a patched serial. *)
+(** Count one cached reply sent from the receiving thread. *)
 
 val stats : t -> stats

@@ -43,8 +43,9 @@ type procedure =
   | Proc_daemon_reply_cache_stats
       (** appended in v1.5 — ret: typed params: aggregate server
           reply-cache counters across every per-node-URI cache (hits,
-          misses, insertions, invalidations, evictions, patched-serial
-          sends, live entries/bytes, enabled flag) *)
+          misses, insertions, invalidations, evictions, cached replies
+          sent from the receiving thread, live entries/bytes, enabled
+          flag) *)
   | Proc_daemon_fleet_status
       (** appended in v1.6 — ret: one
           {!Ovirt_core.Driver.fleet_status} per fleet hosted in the

@@ -137,10 +137,6 @@ val is_cacheable : procedure -> bool
 
 val enc_error : Ovirt_core.Verror.t -> string
 
-val enc_error_into : Xdr.encoder -> Ovirt_core.Verror.t -> unit
-(** As {!enc_error}, appended to an existing encoder (the zero-copy reply
-    framing path). *)
-
 val dec_error : string -> Ovirt_core.Verror.t
 (** @raise Xdr.Error on corruption. *)
 

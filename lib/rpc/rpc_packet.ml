@@ -36,6 +36,7 @@ let status_of_int = function
    intermediate encoders, no string concatenation.  All six header
    fields are 4-byte XDR words. *)
 let header_bytes = 24
+let max_body_size = max_packet_size - header_bytes
 
 let put_u32 buf off v =
   Bytes.set_uint8 buf off ((v lsr 24) land 0xff);
@@ -57,35 +58,12 @@ let encode header body =
   Bytes.blit_string body 0 buf 28 (String.length body);
   Bytes.unsafe_to_string buf
 
-(* Zero-copy variant: the body is XDR-encoded directly behind a reserved
-   length+header prefix in one (reusable, possibly pooled) encoder, then
-   the prefix is patched once the body length is known.  This removes the
-   body [string] allocation plus the body→frame blit that [encode] pays;
-   the single remaining copy is [Xdr.to_string]'s extraction of the final
-   immutable frame. *)
-let prefix_bytes = 4 + header_bytes
-
-let encode_into enc header enc_body =
-  Xdr.reset enc;
-  let off = Xdr.reserve enc prefix_bytes in
-  enc_body enc;
-  let total = Xdr.length enc - off - 4 in
-  if total > max_packet_size then fail "packet of %d bytes exceeds maximum" total;
-  Xdr.patch_u32 enc off total;
-  Xdr.patch_u32 enc (off + 4) header.program;
-  Xdr.patch_u32 enc (off + 8) header.version;
-  Xdr.patch_u32 enc (off + 12) (header.procedure land 0xffff_ffff);
-  Xdr.patch_u32 enc (off + 16) (msg_type_to_int header.msg_type);
-  Xdr.patch_u32 enc (off + 20) header.serial;
-  Xdr.patch_u32 enc (off + 24) (status_to_int header.status);
-  Xdr.to_string enc
-
 (* Absolute offset of the serial word in a framed packet: 4-byte length
    prefix, then program@4, version@8, procedure@12, type@16, serial@20. *)
 let serial_offset = 20
 
 let with_serial frame serial =
-  if String.length frame < prefix_bytes then
+  if String.length frame < 4 + header_bytes then
     fail "with_serial: %d-byte frame is shorter than a header"
       (String.length frame);
   let buf = Bytes.of_string frame in

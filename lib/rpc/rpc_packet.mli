@@ -25,29 +25,21 @@ val max_packet_size : int
 (** Upper bound on accepted packet length (4 MiB, like libvirt's
     [VIR_NET_MESSAGE_MAX]); oversized packets raise {!Bad_packet}. *)
 
+val max_body_size : int
+(** Largest body one packet carries: {!max_packet_size} less the
+    24-byte header. *)
+
 val encode : header -> string -> string
-(** [encode header body] produces the full framed packet. *)
-
-val encode_into : Xdr.encoder -> header -> (Xdr.encoder -> unit) -> string
-(** [encode_into enc header enc_body] builds the same framed packet as
-    {!encode} but XDR-encodes the body in place behind a reserved
-    length+header prefix inside [enc] (which is {!Xdr.reset} first and may
-    be reused, or borrow pooled backing bytes).  This skips the body
-    string allocation and body→frame blit of the [encode] path; the one
-    remaining copy extracts the final immutable frame. *)
-
-val prefix_bytes : int
-(** Length prefix + header: the byte offset where a frame's body starts
-    (28). *)
+(** [encode header body] produces the full framed packet: one copy of
+    [body] into an exact-size buffer.  @raise Bad_packet when [body] is
+    longer than {!max_body_size}. *)
 
 val with_serial : string -> int -> string
 (** [with_serial frame serial] is a copy of the framed packet with its
     serial word (byte offset 20) replaced.  Reply bodies never depend on
-    the serial, so a cached frame can be replayed for a different call
-    by rewriting this word alone.  A copy, not an in-place patch:
-    senders retain references to transmitted strings, so cached frames
-    must never be mutated.  @raise Bad_packet if [frame] is shorter than
-    a header. *)
+    the serial, so two frames answering the same call at different
+    serials are equal once one is rewritten to the other's serial.
+    @raise Bad_packet if [frame] is shorter than a header. *)
 
 val decode : string -> header * string
 (** Inverse of {!encode}.  @raise Bad_packet on any malformation:

@@ -10,19 +10,14 @@ let padding n = (4 - (n land 3)) land 3
 (* ------------------------------------------------------------------ *)
 
 (* The writer targets a plain [Bytes.t] with an explicit position instead
-   of a [Buffer.t].  This buys the hot reply path three things a Buffer
-   cannot offer: the backing storage can be supplied by the caller (so the
-   reactor can lend pooled buffers), the encoder can be [reset] and reused
-   across packets without reallocating, and fixed-size words written early
-   (array counts, frame headers) can be patched in place once the final
-   value is known. *)
+   of a [Buffer.t], so fixed-size words written early (array counts) can
+   be patched in place once the final value is known, and a value of
+   known size can be written into its exact-size result. *)
 type encoder = { mutable buf : Bytes.t; mutable pos : int }
 
 let encoder ?(size = 256) () = { buf = Bytes.create (max 8 size); pos = 0 }
-let encoder_of_bytes buf = { buf; pos = 0 }
 let to_string e = Bytes.sub_string e.buf 0 e.pos
 let length e = e.pos
-let reset e = e.pos <- 0
 
 let ensure e n =
   let need = e.pos + n in
@@ -231,7 +226,7 @@ let encode enc v =
    grow, no final copy. *)
 let encode_string s =
   let n = String.length s in
-  let e = encoder_of_bytes (Bytes.create (4 + n + padding n)) in
+  let e = { buf = Bytes.create (4 + n + padding n); pos = 0 } in
   enc_string e s;
   Bytes.unsafe_to_string e.buf
 

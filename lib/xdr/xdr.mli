@@ -5,9 +5,8 @@
     and padded to 4-byte boundaries, as the standard requires.
 
     Encoding writes into a growable [Bytes.t] with an explicit position,
-    so the backing storage can be reused ({!reset}) or supplied by the
-    caller ({!encoder_of_bytes}), and fixed-width words written early can
-    be patched in place ({!reserve} / {!patch_u32}).  Decoding reads from
+    so fixed-width words written early can be patched in place
+    ({!reserve} / {!patch_u32}).  Decoding reads from
     an immutable string with an explicit cursor.  Decoding failures raise
     {!Error} rather than returning options: a malformed packet aborts the
     whole message. *)
@@ -24,20 +23,11 @@ val encoder : ?size:int -> unit -> encoder
 (** Fresh encoder with an empty buffer of [size] (default 256) bytes
     initial capacity. *)
 
-val encoder_of_bytes : Bytes.t -> encoder
-(** Encoder writing into [buf] starting at position 0.  The encoder still
-    grows (replacing its backing storage) if the encoded value outruns
-    [buf]; callers lending pooled buffers should size them for the common
-    case and treat growth as a graceful fallback. *)
-
 val to_string : encoder -> string
 (** Contents encoded so far (one copy). *)
 
 val length : encoder -> int
 (** Number of bytes encoded so far. *)
-
-val reset : encoder -> unit
-(** Rewind to position 0, keeping the backing buffer for reuse. *)
 
 val reserve : encoder -> int -> int
 (** [reserve e n] zero-fills and skips [n] bytes, returning their starting
@@ -68,7 +58,7 @@ val enc_double : encoder -> float -> unit
 
 val enc_raw : encoder -> string -> unit
 (** Append bytes verbatim — no length word, no padding.  For splicing an
-    already-XDR-encoded body behind a reserved frame prefix. *)
+    already-XDR-encoded value into a larger one. *)
 
 val enc_string : encoder -> string -> unit
 (** Variable-length string: u32 length, bytes, zero padding to 4. *)

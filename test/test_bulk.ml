@@ -748,6 +748,38 @@ let test_batch_error_isolation () =
       | _ -> Alcotest.fail "nested batch not isolated");
       Rpc_client.close client)
 
+(* A batch whose reply outgrows one packet is answered with an error
+   naming the size, and the connection keeps serving. *)
+let test_batch_reply_too_big () =
+  with_daemon (fun daemon _ ->
+      let client = raw_client daemon in
+      let node = fresh_name "bignode" in
+      vok
+        (Result.map Rp.dec_unit_body
+           (raw_call client Rp.Proc_open
+              (Rp.enc_string_body (Printf.sprintf "test://%s/" node))));
+      let get_xml = (Rp.proc_to_int Rp.Proc_dom_get_xml, Rp.enc_string_body "test") in
+      let xml_reply = vok (raw_call client Rp.Proc_dom_get_xml (snd get_xml)) in
+      let count = (Ovrpc.Rpc_packet.max_packet_size / String.length xml_reply) + 1 in
+      let batch = Rp.enc_batch_call (List.init count (fun _ -> get_xml)) in
+      let t0 = Unix.gettimeofday () in
+      (match Rpc_client.call client ~procedure:(Rp.proc_to_int Rp.Proc_call_batch)
+               ~body:batch ~timeout_s:5.0 ()
+       with
+       | Ok _ -> Alcotest.fail "a reply past the packet limit was sent"
+       | Error err ->
+         Alcotest.(check bool) "rpc failure" true (err.Verror.code = Verror.Rpc_failure);
+         Alcotest.(check bool)
+           ("names the size: " ^ err.Verror.message)
+           true
+           (String.starts_with ~prefix:"reply of " err.Verror.message));
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "answered in %.2fs, well inside the timeout" elapsed)
+        true (elapsed < 2.5);
+      vok (Result.map Rp.dec_unit_body (raw_call client Rp.Proc_ping Rp.enc_unit_body));
+      Rpc_client.close client)
+
 let test_v12_daemon_rejects_new_procs () =
   with_daemon ~config:v12_config (fun daemon _ ->
       let client = raw_client daemon in
@@ -1163,6 +1195,7 @@ let () =
       ( "batch",
         [
           quick "error isolation" test_batch_error_isolation;
+          quick "too-big reply is an error" test_batch_reply_too_big;
           quick "v1.2 daemon rejects new procs" test_v12_daemon_rejects_new_procs;
         ] );
       ( "cache over rpc",

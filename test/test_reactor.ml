@@ -288,6 +288,81 @@ let test_split_packet_reassembly () =
       expect_echo raw ~serial:9 "reassemble-me";
       Transport.close raw)
 
+(* Any chunking of a pipelined stream: 1-4 echo packets of 0-40,000
+   bytes (past the pool's 16 KiB buffers), cut at random points, some
+   inside a 4-byte length prefix, each piece sent as its own chunk.
+   Pipelined calls run on different workers and may be answered out of
+   order, so replies are matched by serial. *)
+let gen_chunked_stream =
+  let open QCheck.Gen in
+  let* sizes = list_size (int_range 1 4) (int_range 0 40_000) in
+  let* prefix_cuts = list_repeat (List.length sizes) (int_range 0 3) in
+  let* fractions = list_size (int_range 0 6) (float_bound_exclusive 1.0) in
+  return (sizes, prefix_cuts, fractions)
+
+let echo_body serial n = String.init n (fun i -> Char.chr ((i + (31 * serial)) land 0xff))
+
+(* The stream and its sorted cut offsets, each strictly inside it. *)
+let chunked_stream (sizes, prefix_cuts, fractions) =
+  let packets =
+    List.mapi (fun i n -> echo_packet ~serial:(i + 1) (echo_body (i + 1) n)) sizes
+  in
+  let stream = String.concat "" packets in
+  let len = String.length stream in
+  let starts =
+    List.rev (snd (List.fold_left (fun (off, acc) p -> (off + String.length p, off :: acc)) (0, []) packets))
+  in
+  let cuts =
+    List.map2 ( + ) starts prefix_cuts
+    @ List.map (fun f -> int_of_float (f *. float_of_int len)) fractions
+  in
+  (stream, List.sort_uniq compare (List.filter (fun c -> c > 0 && c < len) cuts))
+
+let prop_any_chunking daemon case =
+  let sizes, _, _ = case in
+  let stream, cuts = chunked_stream case in
+  let raw = Netsim.connect (daemon ^ "-sock") Transport.Unix_sock in
+  Fun.protect
+    ~finally:(fun () -> Transport.close raw)
+    (fun () ->
+      let from =
+        List.fold_left
+          (fun from cut ->
+            Transport.send raw (String.sub stream from (cut - from));
+            cut)
+          0 cuts
+      in
+      Transport.send raw (String.sub stream from (String.length stream - from));
+      let seen = Hashtbl.create 4 in
+      List.iter
+        (fun _ ->
+          match Transport.recv_opt raw ~timeout_s:5.0 with
+          | None -> QCheck.Test.fail_reportf "only %d replies" (Hashtbl.length seen)
+          | Some wire ->
+            let rh, body = Rpc_packet.decode wire in
+            let serial = rh.Rpc_packet.serial in
+            if serial < 1 || serial > List.length sizes || Hashtbl.mem seen serial then
+              QCheck.Test.fail_reportf "unexpected or repeated serial %d" serial;
+            Hashtbl.replace seen serial ();
+            if body <> echo_body serial (List.nth sizes (serial - 1)) then
+              QCheck.Test.fail_reportf "serial %d: body differs" serial)
+        sizes;
+      Transport.recv_opt raw ~timeout_s:0.01 = None)
+
+let test_any_chunking () =
+  let print case =
+    let sizes, _, _ = case in
+    let _, cuts = chunked_stream case in
+    Printf.sprintf "sizes [%s], cuts at [%s]"
+      (String.concat "; " (List.map string_of_int sizes))
+      (String.concat "; " (List.map string_of_int cuts))
+  in
+  with_daemon ~config:quiet_config (fun name _ ->
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~count:60 ~name:"any chunking"
+           (QCheck.make ~print gen_chunked_stream)
+           (prop_any_chunking name)))
+
 let test_malformed_drops_connection () =
   with_daemon ~config:quiet_config (fun name _ ->
       let raw = Netsim.connect (name ^ "-sock") Transport.Unix_sock in
@@ -448,6 +523,7 @@ let () =
           quick "io_model config is reactor only" test_io_model_config;
           quick "coalesced packets peeled" test_coalesced_packets;
           quick "split packet reassembled" test_split_packet_reassembly;
+          quick "any chunking of pipelined packets" test_any_chunking;
           quick "malformed packet drops connection" test_malformed_drops_connection;
           quick "admin socket refuses non-root" test_admin_requires_root;
           quick "callback warnings use the daemon's logger"

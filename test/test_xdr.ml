@@ -106,23 +106,22 @@ let test_reserve_and_patch () =
   | exception Xdr.Error _ -> ()
   | _ -> Alcotest.fail "out-of-range patch accepted"
 
-let test_encoder_reuse () =
+let test_encoder_continues_after_extraction () =
   let e = Xdr.encoder ~size:8 () in
   Xdr.enc_string e "first payload, long enough to grow the buffer";
   let first = Xdr.to_string e in
-  Xdr.reset e;
   Xdr.enc_uint e 42;
-  Alcotest.(check int) "reset rewinds" 4 (Xdr.length e);
-  Alcotest.(check string) "reused buffer encodes cleanly" "0000002a"
-    (hex (Xdr.to_string e));
+  Alcotest.(check int) "continues after extraction" (String.length first + 4)
+    (Xdr.length e);
+  Alcotest.(check string) "later words follow the earlier ones"
+    (hex first ^ "0000002a") (hex (Xdr.to_string e));
   Alcotest.(check string) "earlier extraction unaffected" "first payload, long enough to grow the buffer"
     (Xdr.decode Xdr.dec_string first)
 
-let test_encoder_of_bytes_growth () =
-  (* A lent buffer smaller than the payload: the encoder must grow
+let test_small_encoder_growth () =
+  (* A payload far past the initial capacity: the encoder must grow
      gracefully rather than overrun. *)
-  let lent = Bytes.create 8 in
-  let e = Xdr.encoder_of_bytes lent in
+  let e = Xdr.encoder ~size:8 () in
   let payload = String.make 100 'x' in
   Xdr.enc_string e payload;
   Alcotest.(check string) "grown encoder still roundtrips" payload
@@ -306,8 +305,8 @@ let () =
       ( "encoder machinery",
         [
           quick "reserve and patch" test_reserve_and_patch;
-          quick "reset reuse" test_encoder_reuse;
-          quick "lent buffer growth" test_encoder_of_bytes_growth;
+          quick "continued encoding" test_encoder_continues_after_extraction;
+          quick "small encoder growth" test_small_encoder_growth;
           quick "raw append" test_enc_raw_verbatim;
           quick "single-pass array count" test_array_single_pass_count;
           quick "nested arrays" test_nested_array_roundtrip;
