@@ -16,9 +16,16 @@
    its MAC address from a process-wide counter, so a second pass in one
    process differs at the define_xml request.
 
+   The admin program has one transcript of its own, test/wire/admin.txt:
+   one session against a fresh daemon that calls each of its procedures
+   once, drain last.  Words that read the wall clock (connection times,
+   last activity, uptime) are written as x's; everything else is
+   compared byte for byte, in both modes.
+
    Regenerating the corpus (reply cache off):
      OVIRT_WIRE_CORPUS_WRITE=test/wire dune exec test/test_wire.exe
-   writes one file per minor into that directory before comparing. *)
+   writes one file per minor, and admin.txt, into that directory before
+   comparing. *)
 
 open Testutil
 module Daemon = Ovirt.Daemon
@@ -27,6 +34,9 @@ module Rp = Protocol.Remote_protocol
 module Rpc_packet = Ovrpc.Rpc_packet
 module Transport = Ovnet.Transport
 module Admin = Ovirt.Admin_client
+module Ap = Protocol.Admin_protocol
+module Tp = Ovrpc.Typed_params
+module Server_obj = Ovirt.Server_obj
 
 let () = Ovirt.initialize ()
 
@@ -230,6 +240,149 @@ let test_transcript_matches_corpus () =
           minor line (clip got) (clip want))
     minors
 
+(* ---- the admin program ---- *)
+
+let admin_session () =
+  let server = Ap.enc_server_name and unit = "" in
+  let p proc body = (proc, body) in
+  [
+    p Ap.Proc_list_servers unit;
+    p Ap.Proc_lookup_server (server "libvirtd");
+    p Ap.Proc_get_threadpool (server "libvirtd");
+    p Ap.Proc_set_threadpool
+      (Ap.enc_server_params ~server:"libvirtd" [ Tp.uint Ap.threadpool_workers_max 20 ]);
+    p Ap.Proc_daemon_pool_stats (server "libvirtd");
+    p Ap.Proc_get_client_limits (server "libvirtd");
+    p Ap.Proc_set_client_limits
+      (Ap.enc_server_params ~server:"libvirtd" [ Tp.uint Ap.server_clients_max 120 ]);
+    p Ap.Proc_list_clients (server "admin");
+    p Ap.Proc_get_client_info (Ap.enc_client_ref ~server:"admin" ~id:1L);
+    p Ap.Proc_client_close (Ap.enc_client_ref ~server:"admin" ~id:2L);
+    p Ap.Proc_get_log_level unit;
+    p Ap.Proc_set_log_level (Ap.enc_uint_body 3);
+    p Ap.Proc_get_log_filters unit;
+    p Ap.Proc_set_log_filters (Rp.enc_string_body "3:daemon");
+    p Ap.Proc_get_log_outputs unit;
+    p Ap.Proc_set_log_outputs (Rp.enc_string_body "1:null");
+    p Ap.Proc_daemon_reconcile_status unit;
+    p Ap.Proc_daemon_event_stats unit;
+    p Ap.Proc_daemon_reply_cache_stats unit;
+    p Ap.Proc_daemon_fleet_status unit;
+    p Ap.Proc_daemon_uptime unit;
+    p Ap.Proc_daemon_drain unit;
+  ]
+
+(* A hyper at a word boundary whose value lies in the session's wall-clock
+   window, in seconds, is a timestamp. *)
+let mask_clock ~lo ~hi h =
+  let b = Bytes.of_string h in
+  let i = ref 0 in
+  while !i + 16 <= Bytes.length b do
+    (match Int64.of_string_opt ("0x" ^ Bytes.sub_string b !i 16) with
+     | Some v when v >= lo && v <= hi -> Bytes.fill b !i 16 'x'
+     | Some _ | None -> ());
+    i := !i + 8
+  done;
+  Bytes.to_string b
+
+let wait_until what f =
+  let give_up = Unix.gettimeofday () +. 5. in
+  while not (f ()) do
+    if Unix.gettimeofday () > give_up then Alcotest.failf "timed out waiting for %s" what;
+    Thread.delay 0.002
+  done
+
+(* A fresh daemon with its pools parked, a second admin connection for
+   client_close to drop, and the drain last: it closes the session. *)
+let admin_transcript () =
+  let name = "wired-admin" in
+  let daemon = Daemon.start ~name ~config:{ (config Rp.minor) with reply_cache = 0 } () in
+  Fun.protect
+    ~finally:(fun () -> Daemon.stop daemon)
+    (fun () ->
+      let lo = Int64.of_float (Unix.time ()) in
+      let server n = Option.get (Daemon.find_server daemon n) in
+      let parked n () =
+        let s = Threadpool.stats (Server_obj.pool (server n)) in
+        s.Threadpool.free_workers = s.Threadpool.n_workers
+      in
+      wait_until "libvirtd's workers" (parked "libvirtd");
+      let connect () =
+        Ovnet.Netsim.connect (Daemon.admin_address daemon) Transport.Unix_sock
+      in
+      let clients n () = List.length (Server_obj.list_clients (server "admin")) = n in
+      let conn = connect () in
+      wait_until "the first admin client" (clients 1);
+      let spare = connect () in
+      wait_until "the second admin client" (clients 2);
+      let replies =
+        List.mapi
+          (fun i (proc, body) ->
+            let procedure = Ap.proc_to_int proc in
+            let serial = i + 1 in
+            let request =
+              Rpc_packet.encode
+                (Rpc_packet.call_header ~program:Ap.program ~version:Ap.version
+                   ~procedure ~serial)
+                body
+            in
+            Transport.send conn request;
+            let rec reply () =
+              let frame = Transport.recv conn in
+              let header, _ = Rpc_packet.decode frame in
+              if header.Rpc_packet.msg_type = Rpc_packet.Reply
+                 && header.Rpc_packet.serial = serial
+              then frame
+              else reply ()
+            in
+            (proc, procedure, request, reply ()))
+          (admin_session ())
+      in
+      Transport.close conn;
+      Transport.close spare;
+      let hi = Int64.add (Int64.of_float (Unix.time ())) 1L in
+      let buf = Buffer.create 8192 in
+      List.iter
+        (fun (proc, procedure, request, reply) ->
+          let reply = mask_clock ~lo ~hi (hex reply) in
+          (* uptime is a bare hyper of seconds since the start *)
+          let reply =
+            if proc = Ap.Proc_daemon_uptime then
+              String.sub reply 0 (String.length reply - 16) ^ String.make 16 'x'
+            else reply
+          in
+          Printf.bprintf buf "> %d %s\n< %s\n" procedure (hex request) reply)
+        replies;
+      Buffer.contents buf)
+
+let admin_corpus dir = Filename.concat dir "admin.txt"
+
+let test_admin_session_covers_table () =
+  let used = List.map (fun (p, _) -> Ap.proc_to_int p) (admin_session ()) in
+  let rec rows n =
+    match Ap.proc_of_int n with
+    | Error _ -> n - 1
+    | Ok _ ->
+      if not (List.mem n used) then Alcotest.failf "admin row %d is not in the session" n;
+      rows (n + 1)
+  in
+  Alcotest.(check int) "every admin procedure" 22 (rows 1);
+  Alcotest.(check int) "each once" 22 (List.length used)
+
+let test_admin_transcript_matches_corpus () =
+  let got = admin_transcript () in
+  (match if cache_on then None else Sys.getenv_opt "OVIRT_WIRE_CORPUS_WRITE" with
+   | Some dir ->
+     Out_channel.with_open_bin (admin_corpus dir) (fun oc -> output_string oc got)
+   | None -> ());
+  let path = admin_corpus corpus_dir in
+  if not (Sys.file_exists path) then Alcotest.fail "no admin corpus";
+  match first_diff got (read_file path) with
+  | None -> ()
+  | Some (line, got, want) ->
+    Alcotest.failf "admin transcript differs at line %d:\n got  %s\n want %s" line
+      (clip got) (clip want)
+
 (* The reply cache is off above, so these encodings never reach the
    corpus with a token other than zero. *)
 let test_token_vectors () =
@@ -273,5 +426,10 @@ let () =
                test_transcript_matches_corpus
            else quick "matches the corpus at every minor" test_transcript_matches_corpus);
           quick "v1.8 token vectors" test_token_vectors;
+        ] );
+      ( "admin transcript",
+        [
+          quick "session covers every procedure" test_admin_session_covers_table;
+          quick "matches the corpus" test_admin_transcript_matches_corpus;
         ] );
     ]
