@@ -619,7 +619,8 @@ let table6 () =
       Tp.string "sock_addr" "192.168.1.1:1234"; Tp.bool "readonly" false;
     ]
   in
-  let params_wire = Xdr.encode Tp.encode params in
+  let tp = Xdr.codec Tp.encode Tp.decode in
+  let params_wire = Xdr.encode tp params in
   let tls_client, tls_server = Tlslike.handshake_pair () in
   let payload_1k = String.make 1024 'q' in
   let payload_64k = String.make (64 * 1024) 'q' in
@@ -652,9 +653,9 @@ let table6 () =
       [ "RPC packet decode (1 KiB)";
         pp_ns (measure_ns "pktdec" (fun () -> ignore (Rpc_packet.decode packet))) ];
       [ "typed params encode (5 fields)";
-        pp_ns (measure_ns "tpenc" (fun () -> ignore (Xdr.encode Tp.encode params))) ];
+        pp_ns (measure_ns "tpenc" (fun () -> ignore (Xdr.encode tp params))) ];
       [ "typed params decode (5 fields)";
-        pp_ns (measure_ns "tpdec" (fun () -> ignore (Xdr.decode Tp.decode params_wire))) ];
+        pp_ns (measure_ns "tpdec" (fun () -> ignore (Xdr.decode tp params_wire))) ];
       [ "TLS-like seal+open (1 KiB)";
         pp_ns
           (measure_ns "tls1k" (fun () ->
@@ -2094,7 +2095,7 @@ let replycache () =
       ("dom_list_all (raw)", raw Rp.Proc_dom_list_all Rp.dec_domain_record_list);
       ( "fleet_list_all (raw)",
         raw Rp.Proc_fleet_list_all (fun body ->
-            (Rp.dec_fleet_listing body).Driver.fl_records) );
+            (Xdr.decode Rp.fleet_listing body).Driver.fl_records) );
       (path_name true, fun () -> (ok (Connect.list_all_domains client), None));
     ]
   in

@@ -31,42 +31,31 @@ let connect ?(daemon = "ovirtd") ?identity () =
 
 let close conn = Rpc_client.close conn.rpc
 
-let call conn proc body =
-  Rpc_client.call conn.rpc ~procedure:(Ap.proc_to_int proc) ~body ()
-
-let decode decoder reply =
-  match decoder reply with
+(* One procedure through its signature: the arguments encoded and the
+   reply decoded by the codecs the daemon serves it with. *)
+let rpc conn (s : (_, _) Ap.signature) args =
+  let* reply =
+    Rpc_client.call conn.rpc ~procedure:(Ap.proc_to_int s.Ap.sg_proc)
+      ~body:(Xdr.encode s.Ap.sg_args args) ()
+  in
+  match Xdr.decode s.Ap.sg_ret reply with
   | v -> Ok v
   | exception Xdr.Error msg -> Verror.error Verror.Rpc_failure "bad reply: %s" msg
   | exception Tp.Invalid msg -> Verror.error Verror.Rpc_failure "bad reply: %s" msg
 
-let call_dec conn proc body decoder =
-  let* reply = call conn proc body in
-  decode decoder reply
-
-let call_unit conn proc body =
-  let* reply = call conn proc body in
-  decode Protocol.Remote_protocol.dec_unit_body reply
-
-let daemon_uptime_s conn = call_dec conn Ap.Proc_daemon_uptime "" Ap.dec_hyper_body
-let drain conn = call_unit conn Ap.Proc_daemon_drain ""
-
-let reconcile_status conn =
-  call_dec conn Ap.Proc_daemon_reconcile_status ""
-    Protocol.Remote_protocol.dec_reconcile_status
-
-let fleet_status conn =
-  call_dec conn Ap.Proc_daemon_fleet_status "" Ap.dec_fleet_statuses
+let daemon_uptime_s conn = rpc conn Ap.daemon_uptime ()
+let drain conn = rpc conn Ap.daemon_drain ()
+let reconcile_status conn = rpc conn Ap.daemon_reconcile_status ()
+let fleet_status conn = rpc conn Ap.daemon_fleet_status ()
 
 (* ------------------------------------------------------------------ *)
 (* Servers                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let list_servers conn =
-  call_dec conn Ap.Proc_list_servers "" Protocol.Remote_protocol.dec_string_list
+let list_servers conn = rpc conn Ap.list_servers ()
 
 let lookup_server conn name =
-  let* () = call_unit conn Ap.Proc_lookup_server (Ap.enc_server_name name) in
+  let* () = rpc conn Ap.lookup_server name in
   Ok { conn; srv_name = name }
 
 let server_name srv = srv.srv_name
@@ -104,11 +93,7 @@ let required params field =
   | None -> Verror.error Verror.Rpc_failure "reply lacks field %S" field
 
 let threadpool_info srv =
-  let* params =
-    call_dec srv.conn Ap.Proc_get_threadpool
-      (Ap.enc_server_name srv.srv_name)
-      Ap.dec_params
-  in
+  let* params = rpc srv.conn Ap.get_threadpool srv.srv_name in
   let* tp_min_workers = required params Ap.threadpool_workers_min in
   let* tp_max_workers = required params Ap.threadpool_workers_max in
   let* tp_n_workers = required params Ap.threadpool_workers_current in
@@ -130,11 +115,7 @@ let threadpool_info srv =
     }
 
 let pool_stats srv =
-  let* params =
-    call_dec srv.conn Ap.Proc_daemon_pool_stats
-      (Ap.enc_server_name srv.srv_name)
-      Ap.dec_params
-  in
+  let* params = rpc srv.conn Ap.daemon_pool_stats srv.srv_name in
   let* ps_jobs_done = required params Ap.pool_jobs_done in
   let* ps_jobs_failed = required params Ap.pool_jobs_failed in
   let* ps_jobs_shed = required params Ap.pool_jobs_shed in
@@ -170,7 +151,7 @@ type event_stats = {
 }
 
 let event_stats conn =
-  let* params = call_dec conn Ap.Proc_daemon_event_stats "" Ap.dec_params in
+  let* params = rpc conn Ap.daemon_event_stats () in
   let* es_rings = required params Ap.event_rings in
   let* es_emitted = required params Ap.event_emitted in
   let* es_replayed = required params Ap.event_replayed in
@@ -207,7 +188,7 @@ type reply_cache_stats = {
 }
 
 let reply_cache_stats conn =
-  let* params = call_dec conn Ap.Proc_daemon_reply_cache_stats "" Ap.dec_params in
+  let* params = rpc conn Ap.daemon_reply_cache_stats () in
   let* rc_caches = required params Ap.reply_cache_caches in
   let* rc_hits = required params Ap.reply_cache_hits in
   let* rc_misses = required params Ap.reply_cache_misses in
@@ -233,8 +214,7 @@ let reply_cache_stats conn =
     }
 
 let set_threadpool_params srv params =
-  call_unit srv.conn Ap.Proc_set_threadpool
-    (Ap.enc_server_params ~server:srv.srv_name params)
+  rpc srv.conn Ap.set_threadpool (srv.srv_name, params)
 
 let set_threadpool srv ?min_workers ?max_workers ?prio_workers ?job_queue_limit
     ?wall_limit_ms () =
@@ -268,11 +248,7 @@ type client_limits = {
 }
 
 let list_clients srv =
-  let* entries =
-    call_dec srv.conn Ap.Proc_list_clients
-      (Ap.enc_server_name srv.srv_name)
-      Ap.dec_client_list
-  in
+  let* entries = rpc srv.conn Ap.list_clients srv.srv_name in
   let kind_of = function
     | 0 -> Ok Transport.Unix_sock
     | 1 -> Ok Transport.Tcp
@@ -295,11 +271,7 @@ let list_clients srv =
   build [] entries
 
 let client_limits srv =
-  let* params =
-    call_dec srv.conn Ap.Proc_get_client_limits
-      (Ap.enc_server_name srv.srv_name)
-      Ap.dec_params
-  in
+  let* params = rpc srv.conn Ap.get_client_limits srv.srv_name in
   let* nclients_max = required params Ap.server_clients_max in
   let* nclients_current = required params Ap.server_clients_current in
   let* nclients_unauth_max = required params Ap.server_clients_unauth_max in
@@ -307,8 +279,7 @@ let client_limits srv =
   Ok { nclients_max; nclients_current; nclients_unauth_max; nclients_unauth_current }
 
 let set_client_limits_params srv params =
-  call_unit srv.conn Ap.Proc_set_client_limits
-    (Ap.enc_server_params ~server:srv.srv_name params)
+  rpc srv.conn Ap.set_client_limits (srv.srv_name, params)
 
 let set_client_limits srv ?max_clients ?max_unauth () =
   let params =
@@ -320,39 +291,23 @@ let set_client_limits srv ?max_clients ?max_unauth () =
   in
   set_client_limits_params srv params
 
-let client_identity srv id =
-  call_dec srv.conn Ap.Proc_get_client_info
-    (Ap.enc_client_ref ~server:srv.srv_name ~id)
-    Ap.dec_params
-
-let client_disconnect srv id =
-  call_unit srv.conn Ap.Proc_client_close
-    (Ap.enc_client_ref ~server:srv.srv_name ~id)
+let client_identity srv id = rpc srv.conn Ap.get_client_info (srv.srv_name, id)
+let client_disconnect srv id = rpc srv.conn Ap.client_close (srv.srv_name, id)
 
 (* ------------------------------------------------------------------ *)
 (* Logging                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let get_logging_level conn =
-  let* n = call_dec conn Ap.Proc_get_log_level "" Ap.dec_uint_body in
+  let* n = rpc conn Ap.get_log_level () in
   Result.map_error (Verror.make Verror.Rpc_failure) (Vlog.priority_of_int n)
 
-let set_logging_level_raw conn n =
-  call_unit conn Ap.Proc_set_log_level (Ap.enc_uint_body n)
+let set_logging_level_raw conn n = rpc conn Ap.set_log_level n
 
 let set_logging_level conn level =
   set_logging_level_raw conn (Vlog.priority_to_int level)
 
-let get_logging_filters conn =
-  call_dec conn Ap.Proc_get_log_filters "" Protocol.Remote_protocol.dec_string_body
-
-let set_logging_filters conn filters =
-  call_unit conn Ap.Proc_set_log_filters
-    (Protocol.Remote_protocol.enc_string_body filters)
-
-let get_logging_outputs conn =
-  call_dec conn Ap.Proc_get_log_outputs "" Protocol.Remote_protocol.dec_string_body
-
-let set_logging_outputs conn outputs =
-  call_unit conn Ap.Proc_set_log_outputs
-    (Protocol.Remote_protocol.enc_string_body outputs)
+let get_logging_filters conn = rpc conn Ap.get_log_filters ()
+let set_logging_filters conn filters = rpc conn Ap.set_log_filters filters
+let get_logging_outputs conn = rpc conn Ap.get_log_outputs ()
+let set_logging_outputs conn outputs = rpc conn Ap.set_log_outputs outputs

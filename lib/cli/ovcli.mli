@@ -25,8 +25,6 @@ type command = {
       (** returns the text to print, or an error message *)
 }
 
-val help_text : program:string -> command list -> string
-
 val run_one :
   commands:command list -> program:string -> string list -> (string, string) result
 (** Execute one command line (first token = command name); unknown

@@ -21,11 +21,8 @@ type t = {
 val default : t
 (** [on_boot=ignore on_shutdown=ignore run_state=any] — a no-op spec. *)
 
-val on_boot_name : on_boot -> string
 val on_boot_of_name : string -> (on_boot, Verror.t) result
-val on_shutdown_name : on_shutdown -> string
 val on_shutdown_of_name : string -> (on_shutdown, Verror.t) result
-val run_state_name : run_state -> string
 val run_state_of_name : string -> (run_state, Verror.t) result
 
 val to_string : t -> string

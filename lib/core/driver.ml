@@ -232,17 +232,6 @@ let make_ops ~drv_name ~get_capabilities ~get_hostname ?(close = fun () -> ())
   }
 
 (* ------------------------------------------------------------------ *)
-(* Fleet status hook                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Set by the fleet subsystem (which depends on this library, not the
-   other way round) so the admin service can report every in-process
-   fleet without a dependency cycle. *)
-let fleet_status_hook : (unit -> fleet_status list) ref = ref (fun () -> [])
-let set_fleet_status_hook f = fleet_status_hook := f
-let fleet_statuses () = !fleet_status_hook ()
-
-(* ------------------------------------------------------------------ *)
 (* Bulk listing                                                        *)
 (* ------------------------------------------------------------------ *)
 

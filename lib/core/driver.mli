@@ -275,13 +275,3 @@ val registered : unit -> string list
 val open_uri : Vuri.t -> (ops, Verror.t) result
 (** First accepting probe wins; [No_connect] if none accepts. *)
 
-(** {1 Fleet status hook} *)
-
-val set_fleet_status_hook : (unit -> fleet_status list) -> unit
-(** Installed by the fleet subsystem (which depends on this library) so
-    the admin service can enumerate in-process fleets without a
-    dependency cycle. *)
-
-val fleet_statuses : unit -> fleet_status list
-(** Status of every live in-process fleet; empty when the fleet
-    subsystem is absent or no fleet exists. *)

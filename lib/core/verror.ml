@@ -109,5 +109,3 @@ let error code fmt =
 
 let raise_err code fmt =
   Format.kasprintf (fun message -> raise (Virt_error { code; message })) fmt
-
-let of_message code message = Stdlib.Error { code; message }

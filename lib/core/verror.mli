@@ -45,9 +45,6 @@ val error : code -> ('a, Format.formatter, unit, ('b, t) result) format4 -> 'a
 val raise_err : code -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise [Virt_error] directly (used at API boundaries that raise). *)
 
-val of_message : code -> string -> ('a, t) result
-(** [Error (make code msg)] — adapts [(_, string) result] substrates. *)
-
 val overloaded :
   retry_after_ms:int -> ('a, Format.formatter, unit, ('b, t) result) format4 -> 'a
 (** Build an [Overloaded] error carrying a retry-after hint.  The wire

@@ -117,6 +117,12 @@ let set_client_limits srv params =
     Verror.error Verror.Invalid_arg "no tunable fields supplied"
   else Server_obj.set_limits srv ?max_clients ?max_anonymous ()
 
+(* Decode the arguments with the procedure's signature, run the handler,
+   encode its result with the same signature. *)
+let serve (s : (_, _) Ap.signature) body f =
+  let* r = f (Xdr.decode s.Ap.sg_args body) in
+  Ok (Xdr.encode s.Ap.sg_ret r)
+
 let handle view _srv _client header body =
   let* proc =
     Result.map_error
@@ -124,135 +130,129 @@ let handle view _srv _client header body =
       (Ap.proc_of_int header.Rpc_packet.procedure)
   in
   let logger = view.view_logger in
+  let params_of s f =
+    serve s body (fun server ->
+        let* srv = find_server view server in
+        Ok (f srv))
+  in
   match proc with
   | Ap.Proc_list_servers ->
-    Ok (Protocol.Remote_protocol.enc_string_list (List.map fst (view.view_servers ())))
+    serve Ap.list_servers body (fun () -> Ok (List.map fst (view.view_servers ())))
   | Ap.Proc_lookup_server ->
-    let* _srv = find_server view (Ap.dec_server_name body) in
-    Ok Protocol.Remote_protocol.enc_unit_body
-  | Ap.Proc_get_threadpool ->
-    let* srv = find_server view (Ap.dec_server_name body) in
-    Ok (Ap.enc_params (threadpool_params srv))
+    serve Ap.lookup_server body (fun server ->
+        let* _srv = find_server view server in
+        Ok ())
+  | Ap.Proc_get_threadpool -> params_of Ap.get_threadpool threadpool_params
   | Ap.Proc_set_threadpool ->
-    let server, params = Ap.dec_server_params body in
-    let* srv = find_server view server in
-    let* () = set_threadpool srv params in
-    Vlog.logf logger ~module_:"daemon.admin" Vlog.Info
-      "threadpool limits of server %s changed" server;
-    Ok Protocol.Remote_protocol.enc_unit_body
-  | Ap.Proc_get_client_limits ->
-    let* srv = find_server view (Ap.dec_server_name body) in
-    Ok (Ap.enc_params (client_limit_params srv))
+    serve Ap.set_threadpool body (fun (server, params) ->
+        let* srv = find_server view server in
+        let* () = set_threadpool srv params in
+        Vlog.logf logger ~module_:"daemon.admin" Vlog.Info
+          "threadpool limits of server %s changed" server;
+        Ok ())
+  | Ap.Proc_get_client_limits -> params_of Ap.get_client_limits client_limit_params
   | Ap.Proc_set_client_limits ->
-    let server, params = Ap.dec_server_params body in
-    let* srv = find_server view server in
-    let* () = set_client_limits srv params in
-    Ok Protocol.Remote_protocol.enc_unit_body
+    serve Ap.set_client_limits body (fun (server, params) ->
+        let* srv = find_server view server in
+        set_client_limits srv params)
   | Ap.Proc_list_clients ->
-    let* srv = find_server view (Ap.dec_server_name body) in
-    let entries =
-      Server_obj.list_clients srv
-      |> List.map (fun client ->
-             Ap.
-               {
-                 client_id = Client_obj.id client;
-                 client_transport = Client_obj.transport_int client;
-                 connected_since =
-                   Int64.of_float (Client_obj.connected_since client);
-               })
-    in
-    Ok (Ap.enc_client_list entries)
+    params_of Ap.list_clients (fun srv ->
+        Server_obj.list_clients srv
+        |> List.map (fun client ->
+               Ap.
+                 {
+                   client_id = Client_obj.id client;
+                   client_transport = Client_obj.transport_int client;
+                   connected_since =
+                     Int64.of_float (Client_obj.connected_since client);
+                 }))
   | Ap.Proc_get_client_info ->
-    let server, id = Ap.dec_client_ref body in
-    let* srv = find_server view server in
-    let* client = Server_obj.find_client srv id in
-    Ok (Ap.enc_params (Client_obj.identity_params client))
+    serve Ap.get_client_info body (fun (server, id) ->
+        let* srv = find_server view server in
+        let* client = Server_obj.find_client srv id in
+        Ok (Client_obj.identity_params client))
   | Ap.Proc_client_close ->
-    let server, id = Ap.dec_client_ref body in
-    let* srv = find_server view server in
-    let* client = Server_obj.find_client srv id in
-    Client_obj.close client;
-    Vlog.logf logger ~module_:"daemon.admin" Vlog.Info
-      "client %Ld of server %s disconnected by administrator" id server;
-    Ok Protocol.Remote_protocol.enc_unit_body
+    serve Ap.client_close body (fun (server, id) ->
+        let* srv = find_server view server in
+        let* client = Server_obj.find_client srv id in
+        Client_obj.close client;
+        Vlog.logf logger ~module_:"daemon.admin" Vlog.Info
+          "client %Ld of server %s disconnected by administrator" id server;
+        Ok ())
   | Ap.Proc_get_log_level ->
-    Ok (Ap.enc_uint_body (Vlog.priority_to_int (Vlog.get_level logger)))
+    serve Ap.get_log_level body (fun () ->
+        Ok (Vlog.priority_to_int (Vlog.get_level logger)))
   | Ap.Proc_set_log_level ->
-    let* level =
-      Result.map_error (Verror.make Verror.Invalid_arg)
-        (Vlog.priority_of_int (Ap.dec_uint_body body))
-    in
-    Vlog.set_level logger level;
-    Ok Protocol.Remote_protocol.enc_unit_body
+    serve Ap.set_log_level body (fun n ->
+        let* level = Result.map_error (Verror.make Verror.Invalid_arg) (Vlog.priority_of_int n) in
+        Vlog.set_level logger level;
+        Ok ())
   | Ap.Proc_get_log_filters ->
-    Ok (Protocol.Remote_protocol.enc_string_body (Vlog.format_filters (Vlog.get_filters logger)))
+    serve Ap.get_log_filters body (fun () ->
+        Ok (Vlog.format_filters (Vlog.get_filters logger)))
   | Ap.Proc_set_log_filters ->
-    let* filters =
-      Result.map_error (Verror.make Verror.Invalid_arg)
-        (Vlog.parse_filters (Protocol.Remote_protocol.dec_string_body body))
-    in
-    Vlog.define_filters logger filters;
-    Ok Protocol.Remote_protocol.enc_unit_body
+    serve Ap.set_log_filters body (fun text ->
+        let* filters = Result.map_error (Verror.make Verror.Invalid_arg) (Vlog.parse_filters text) in
+        Vlog.define_filters logger filters;
+        Ok ())
   | Ap.Proc_get_log_outputs ->
-    Ok (Protocol.Remote_protocol.enc_string_body (Vlog.format_outputs (Vlog.get_outputs logger)))
+    serve Ap.get_log_outputs body (fun () ->
+        Ok (Vlog.format_outputs (Vlog.get_outputs logger)))
   | Ap.Proc_set_log_outputs ->
-    let* outputs =
-      Result.map_error (Verror.make Verror.Invalid_arg)
-        (Vlog.parse_outputs (Protocol.Remote_protocol.dec_string_body body))
-    in
-    Vlog.define_outputs logger outputs;
-    Ok Protocol.Remote_protocol.enc_unit_body
+    serve Ap.set_log_outputs body (fun text ->
+        let* outputs = Result.map_error (Verror.make Verror.Invalid_arg) (Vlog.parse_outputs text) in
+        Vlog.define_outputs logger outputs;
+        Ok ())
   | Ap.Proc_daemon_uptime ->
-    Ok (Ap.enc_hyper_body (Int64.of_float (Unix.gettimeofday () -. view.view_started_at)))
+    serve Ap.daemon_uptime body (fun () ->
+        Ok (Int64.of_float (Unix.gettimeofday () -. view.view_started_at)))
   | Ap.Proc_daemon_drain ->
-    Vlog.logf logger ~module_:"daemon.admin" Vlog.Info
-      "daemon drain requested by administrator";
-    view.view_drain ();
-    Ok Protocol.Remote_protocol.enc_unit_body
-  | Ap.Proc_daemon_pool_stats ->
-    let* srv = find_server view (Ap.dec_server_name body) in
-    Ok (Ap.enc_params (pool_stats_params srv))
+    serve Ap.daemon_drain body (fun () ->
+        Vlog.logf logger ~module_:"daemon.admin" Vlog.Info
+          "daemon drain requested by administrator";
+        view.view_drain ();
+        Ok ())
+  | Ap.Proc_daemon_pool_stats -> params_of Ap.daemon_pool_stats pool_stats_params
   | Ap.Proc_daemon_reconcile_status ->
-    (match view.view_reconcile () with
-     | None ->
-       Verror.error Verror.Operation_unsupported "this daemon has no reconciler"
-     | Some r ->
-       Ok (Protocol.Remote_protocol.enc_reconcile_status (Reconcile.status r)))
+    serve Ap.daemon_reconcile_status body (fun () ->
+        match view.view_reconcile () with
+        | None ->
+          Verror.error Verror.Operation_unsupported "this daemon has no reconciler"
+        | Some r -> Ok (Reconcile.status r))
   | Ap.Proc_daemon_event_stats ->
-    let t = view.view_event_totals () in
-    Ok
-      (Ap.enc_params
-         [
-           Tp.uint Ap.event_rings t.Remote_service.evt_rings;
-           Tp.uint Ap.event_emitted t.Remote_service.evt_emitted;
-           Tp.uint Ap.event_replayed t.Remote_service.evt_replayed;
-           Tp.uint Ap.event_gapped t.Remote_service.evt_gaps;
-           Tp.uint Ap.event_resumes t.Remote_service.evt_resumes;
-           Tp.uint Ap.event_ring_occupancy t.Remote_service.evt_occupancy;
-           Tp.uint Ap.event_ring_capacity t.Remote_service.evt_capacity;
-           Tp.uint Ap.event_subscribers t.Remote_service.evt_subscribers;
-           Tp.uint Ap.event_head_seq t.Remote_service.evt_head;
-         ])
+    serve Ap.daemon_event_stats body (fun () ->
+        let t = view.view_event_totals () in
+        Ok
+          [
+            Tp.uint Ap.event_rings t.Remote_service.evt_rings;
+            Tp.uint Ap.event_emitted t.Remote_service.evt_emitted;
+            Tp.uint Ap.event_replayed t.Remote_service.evt_replayed;
+            Tp.uint Ap.event_gapped t.Remote_service.evt_gaps;
+            Tp.uint Ap.event_resumes t.Remote_service.evt_resumes;
+            Tp.uint Ap.event_ring_occupancy t.Remote_service.evt_occupancy;
+            Tp.uint Ap.event_ring_capacity t.Remote_service.evt_capacity;
+            Tp.uint Ap.event_subscribers t.Remote_service.evt_subscribers;
+            Tp.uint Ap.event_head_seq t.Remote_service.evt_head;
+          ])
   | Ap.Proc_daemon_reply_cache_stats ->
-    let t = view.view_reply_cache_totals () in
-    Ok
-      (Ap.enc_params
-         [
-           Tp.uint Ap.reply_cache_caches t.Remote_service.rct_caches;
-           Tp.uint Ap.reply_cache_hits t.Remote_service.rct_hits;
-           Tp.uint Ap.reply_cache_misses t.Remote_service.rct_misses;
-           Tp.uint Ap.reply_cache_insertions t.Remote_service.rct_insertions;
-           Tp.uint Ap.reply_cache_invalidations t.Remote_service.rct_invalidations;
-           Tp.uint Ap.reply_cache_evictions t.Remote_service.rct_evictions;
-           Tp.uint Ap.reply_cache_patched_sends t.Remote_service.rct_patched_sends;
-           Tp.uint Ap.reply_cache_entries t.Remote_service.rct_entries;
-           Tp.uint Ap.reply_cache_bytes t.Remote_service.rct_bytes;
-           Tp.uint Ap.reply_cache_enabled (if t.Remote_service.rct_enabled then 1 else 0);
-         ])
+    serve Ap.daemon_reply_cache_stats body (fun () ->
+        let t = view.view_reply_cache_totals () in
+        Ok
+          [
+            Tp.uint Ap.reply_cache_caches t.Remote_service.rct_caches;
+            Tp.uint Ap.reply_cache_hits t.Remote_service.rct_hits;
+            Tp.uint Ap.reply_cache_misses t.Remote_service.rct_misses;
+            Tp.uint Ap.reply_cache_insertions t.Remote_service.rct_insertions;
+            Tp.uint Ap.reply_cache_invalidations t.Remote_service.rct_invalidations;
+            Tp.uint Ap.reply_cache_evictions t.Remote_service.rct_evictions;
+            Tp.uint Ap.reply_cache_patched_sends t.Remote_service.rct_patched_sends;
+            Tp.uint Ap.reply_cache_entries t.Remote_service.rct_entries;
+            Tp.uint Ap.reply_cache_bytes t.Remote_service.rct_bytes;
+            Tp.uint Ap.reply_cache_enabled (if t.Remote_service.rct_enabled then 1 else 0);
+          ])
   | Ap.Proc_daemon_fleet_status ->
-    (* Every fleet hosted in this process, via the hook the fleet layer
-       installs — the daemon library never links against it. *)
-    Ok (Ap.enc_fleet_statuses (Ovirt_core.Driver.fleet_statuses ()))
+    (* Every fleet hosted in this process. *)
+    serve Ap.daemon_fleet_status body (fun () -> Ok (Ovirt_fleet.Fleet.statuses ()))
 
 let program view =
   Dispatch.

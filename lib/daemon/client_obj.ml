@@ -26,7 +26,6 @@ let create ~id ~conn =
 let id c = c.id
 let conn c = c.conn
 let connected_since c = c.connected_since
-let transport_kind c = Transport.kind c.conn
 
 let transport_int c =
   match Transport.kind c.conn with

@@ -14,7 +14,6 @@ val conn : t -> Ovnet.Transport.t
 val connected_since : t -> float
 (** Seconds since epoch. *)
 
-val transport_kind : t -> Ovnet.Transport.kind
 val transport_int : t -> int
 (** Wire encoding: 0 unix, 1 tcp, 2 tls. *)
 

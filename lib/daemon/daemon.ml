@@ -133,9 +133,9 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
       ~filters:config.Daemon_config.log_filters
       ~outputs:config.Daemon_config.log_outputs ()
   in
-  (* Autostart boots run outside any RPC dispatch, so no deadline rides
-     on the thread; give them the same wall-clock budget dispatched jobs
-     get from the stuck-worker watchdog. *)
+  (* The reconciler's applies run outside any RPC dispatch, so no
+     deadline rides on the thread; give them the same wall-clock budget
+     dispatched jobs get from the stuck-worker watchdog. *)
   let wall_budget f =
     if config.Daemon_config.wall_limit_ms <= 0 then f ()
     else
@@ -145,7 +145,6 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
            +. (float_of_int config.Daemon_config.wall_limit_ms /. 1000.)))
         f
   in
-  Drivers.Drvnode.set_start_budget_hook wall_budget;
   let recon_conns = Hashtbl.create 8 in
   let recon_conns_mutex = Mutex.create () in
   (* The reconciler's private driver handles, one per distinct spec URI,
@@ -189,20 +188,20 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
         (fun uri op ->
           let module Rp = Protocol.Remote_protocol in
           Result.bind (recon_ops uri) (fun ops ->
-              let proc =
+              let sg =
                 match op.Reconcile.op_kind with
-                | Reconcile.Op_start -> Rp.Proc_dom_create
-                | Reconcile.Op_resume -> Rp.Proc_dom_resume
-                | Reconcile.Op_shutdown -> Rp.Proc_dom_shutdown
-                | Reconcile.Op_save -> Rp.Proc_dom_save
+                | Reconcile.Op_start -> Rp.dom_create
+                | Reconcile.Op_resume -> Rp.dom_resume
+                | Reconcile.Op_shutdown -> Rp.dom_shutdown
+                | Reconcile.Op_save -> Rp.dom_save
               in
-              let body = Rp.enc_string_body op.Reconcile.op_name in
+              let body = Xdr.encode sg.Rp.sg_args op.Reconcile.op_name in
               (* Same dispatch tail a batch sub-call takes, under the
                  same per-op wall-clock budget. *)
               Result.map
                 (fun (_ : string) -> ())
                 (wall_budget (fun () ->
-                     Remote_service.dispatch_ops ops proc body))));
+                     Remote_service.dispatch_ops ops sg.Rp.sg_proc body))));
       io_log =
         (fun msg ->
           Vlog.logf logger ~module_:"daemon.reconcile" Vlog.Info "%s" msg);

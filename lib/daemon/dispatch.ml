@@ -36,7 +36,7 @@ let frame_reply header = function
   | Ok body -> Rpc_packet.encode (Rpc_packet.reply_ok header) body
   | Error err ->
     Rpc_packet.encode (Rpc_packet.reply_error header)
-      (Protocol.Remote_protocol.enc_error err)
+      (Xdr.encode Protocol.Remote_protocol.error err)
 
 let send_reply client header result =
   Client_obj.send_packet client (frame_reply header result)

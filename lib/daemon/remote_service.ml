@@ -53,8 +53,7 @@ let get_conn st client =
 
 (* The daemon opens the URI locally: strip the transport suffix so the
    registry resolves a direct (stateful) driver. *)
-let do_open st client body =
-  let uri_string = Rp.dec_string_body body in
+let do_open st client uri_string =
   let* uri = Vuri.parse uri_string in
   let direct_uri = { uri with Vuri.transport = None } in
   (* Per-connection opt-out: clients append [?replycache=0] (forwarded by
@@ -75,7 +74,7 @@ let do_open st client body =
         Vlog.logf st.logger ~module_:"daemon.remote" Vlog.Info
           "client %Ld opened %s via driver %s" (Client_obj.id client) uri_string
           ops.Driver.drv_name;
-        Ok Rp.enc_unit_body)
+        Ok ())
 
 (* Callers hold [st.mutex].  Lock order is st.mutex > ring mutex
    everywhere; ring code never takes st.mutex back. *)
@@ -97,7 +96,7 @@ let teardown_conn st id =
 
 let do_close st client =
   teardown_conn st (Client_obj.id client);
-  Ok Rp.enc_unit_body
+  Ok ()
 
 let net_backend (cs : conn_state) =
   match cs.ops.Driver.net with
@@ -121,7 +120,7 @@ let do_event_register st client =
         Verror.error Verror.No_connect "client has no open hypervisor connection"
       | Some cs -> (
         match cs.event_sub with
-        | Some _ -> Ok Rp.enc_unit_body
+        | Some _ -> Ok ()
         | None ->
           let sub =
             Events.subscribe cs.ops.Driver.events (fun event ->
@@ -130,10 +129,11 @@ let do_event_register st client =
                     ~procedure:(Rp.proc_to_int Rp.Proc_event_lifecycle)
                 in
                 Client_obj.send_packet client
-                  (Rpc_packet.encode header (Rp.enc_lifecycle_event event)))
+                  (Rpc_packet.encode header
+                     (Xdr.encode Rp.event_lifecycle.Rp.sg_args event)))
           in
           cs.event_sub <- Some (Sub_bus sub);
-          Ok Rp.enc_unit_body))
+          Ok ()))
 
 (* Caller holds [st.mutex]. *)
 let ring_for st (cs : conn_state) =
@@ -150,8 +150,7 @@ let ring_for st (cs : conn_state) =
    more: arming the subscription and computing the replay are one
    critical section of the ring mutex (inside [Eventring.resume]), so
    the client observes every event exactly once at the boundary. *)
-let do_event_resume st client body =
-  let last_seq = Rp.dec_event_resume body in
+let do_event_resume st client last_seq =
   with_lock st (fun () ->
       match Hashtbl.find_opt st.conns (Client_obj.id client) with
       | None ->
@@ -165,7 +164,8 @@ let do_event_resume st client body =
               ~procedure:(Rp.proc_to_int Rp.Proc_event_lifecycle_seq)
           in
           Client_obj.send_packet client
-            (Rpc_packet.encode header (Rp.enc_seq_event event))
+            (Rpc_packet.encode header
+               (Xdr.encode Rp.event_lifecycle_seq.Rp.sg_args event))
         in
         let sub_id, reply = Eventring.resume ring ~last_seq push in
         cs.event_sub <- Some (Sub_ring (ring, sub_id));
@@ -173,7 +173,7 @@ let do_event_resume st client body =
           Vlog.logf st.logger ~module_:"daemon.remote" Vlog.Info
             "client %Ld resume at seq %d gapped (retained %d..%d)"
             (Client_obj.id client) last_seq reply.Rp.rr_oldest reply.Rp.rr_head;
-        Ok (Rp.enc_resume_reply reply))
+        Ok reply)
 
 let do_event_deregister st client =
   with_lock st (fun () ->
@@ -182,7 +182,7 @@ let do_event_deregister st client =
         Verror.error Verror.No_connect "client has no open hypervisor connection"
       | Some cs ->
         drop_event_sub cs;
-        Ok Rp.enc_unit_body)
+        Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Reply cache plumbing                                                *)
@@ -227,13 +227,37 @@ let fleet_listing (ops : Driver.ops) =
     let* records = Driver.list_all ops in
     Ok Driver.{ fl_records = records; fl_shard_errors = []; fl_members = 1 }
 
+(* Decode the arguments with the procedure's signature, run the handler,
+   encode its result with the same signature. *)
+let serve (s : (_, _) Rp.signature) body f =
+  let* r = f (Xdr.decode s.Rp.sg_args body) in
+  Ok (Xdr.encode s.Rp.sg_ret r)
+
+(* The handler of an optional driver op, or one that reports it
+   unsupported. *)
+let optional (ops : Driver.ops) what = function
+  | Some f -> f
+  | None -> fun _ -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:what
+
+let on_net cs f =
+  let* b = net_backend cs in
+  f b
+
+let on_storage cs f =
+  let* b = storage_backend cs in
+  f b
+
+let on_fleet (ops : Driver.ops) what f =
+  match ops.Driver.fleet with
+  | Some fv -> f fv
+  | None -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:what
+
 (* Dispatch a connection-scoped procedure against [cs]: the shared tail
    of the dispatcher and of every batch sub-call.  The daemon's
    reconciler feeds its plan ops through {!dispatch_ops} below, so a
    policy-driven lifecycle change takes exactly the path a client's
    v1.3 batch sub-call does. *)
 let dispatch_conn (cs : conn_state) proc body =
-  let ( let* ) = Result.bind in
   let ops = cs.ops in
   match proc with
   | Rp.Proc_open | Rp.Proc_close | Rp.Proc_ping | Rp.Proc_echo
@@ -245,190 +269,89 @@ let dispatch_conn (cs : conn_state) proc body =
     Verror.error Verror.Rpc_failure "procedure %d is not connection-scoped"
       (Rp.proc_to_int proc)
   | Rp.Proc_get_capabilities ->
-    Ok (Rp.enc_string_body (Capabilities.to_xml (ops.Driver.get_capabilities ())))
-  | Rp.Proc_get_hostname -> Ok (Rp.enc_string_body (ops.Driver.get_hostname ()))
-  | Rp.Proc_list_domains ->
-    let* refs = ops.Driver.list_domains () in
-    Ok (Rp.enc_domain_ref_list refs)
-  | Rp.Proc_list_defined ->
-    let* names = ops.Driver.list_defined () in
-    Ok (Rp.enc_string_list names)
-  | Rp.Proc_lookup_by_name ->
-    let* r = ops.Driver.lookup_by_name (Rp.dec_string_body body) in
-    Ok (Rp.enc_domain_ref r)
+    serve Rp.get_capabilities body (fun () ->
+        Ok (Capabilities.to_xml (ops.Driver.get_capabilities ())))
+  | Rp.Proc_get_hostname ->
+    serve Rp.get_hostname body (fun () -> Ok (ops.Driver.get_hostname ()))
+  | Rp.Proc_list_domains -> serve Rp.list_domains body ops.Driver.list_domains
+  | Rp.Proc_list_defined -> serve Rp.list_defined body ops.Driver.list_defined
+  | Rp.Proc_lookup_by_name -> serve Rp.lookup_by_name body ops.Driver.lookup_by_name
   | Rp.Proc_lookup_by_uuid ->
-    let* uuid =
-      Result.map_error (Verror.make Verror.Invalid_arg)
-        (Vmm.Uuid.of_string (Rp.dec_string_body body))
-    in
-    let* r = ops.Driver.lookup_by_uuid uuid in
-    Ok (Rp.enc_domain_ref r)
-  | Rp.Proc_define_xml ->
-    let* r = ops.Driver.define_xml (Rp.dec_string_body body) in
-    Ok (Rp.enc_domain_ref r)
-  | Rp.Proc_undefine ->
-    let* () = ops.Driver.undefine (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
-  | Rp.Proc_dom_create ->
-    let* () = ops.Driver.dom_create (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
-  | Rp.Proc_dom_suspend ->
-    let* () = ops.Driver.dom_suspend (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
-  | Rp.Proc_dom_resume ->
-    let* () = ops.Driver.dom_resume (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
-  | Rp.Proc_dom_shutdown ->
-    let* () = ops.Driver.dom_shutdown (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
-  | Rp.Proc_dom_destroy ->
-    let* () = ops.Driver.dom_destroy (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
-  | Rp.Proc_dom_get_info ->
-    let* info = ops.Driver.dom_get_info (Rp.dec_string_body body) in
-    Ok (Rp.enc_domain_info info)
-  | Rp.Proc_dom_get_xml ->
-    let* xml = ops.Driver.dom_get_xml (Rp.dec_string_body body) in
-    Ok (Rp.enc_string_body xml)
+    serve Rp.lookup_by_uuid body (fun s ->
+        let* uuid = Result.map_error (Verror.make Verror.Invalid_arg) (Vmm.Uuid.of_string s) in
+        ops.Driver.lookup_by_uuid uuid)
+  | Rp.Proc_define_xml -> serve Rp.define_xml body ops.Driver.define_xml
+  | Rp.Proc_undefine -> serve Rp.undefine body ops.Driver.undefine
+  | Rp.Proc_dom_create -> serve Rp.dom_create body ops.Driver.dom_create
+  | Rp.Proc_dom_suspend -> serve Rp.dom_suspend body ops.Driver.dom_suspend
+  | Rp.Proc_dom_resume -> serve Rp.dom_resume body ops.Driver.dom_resume
+  | Rp.Proc_dom_shutdown -> serve Rp.dom_shutdown body ops.Driver.dom_shutdown
+  | Rp.Proc_dom_destroy -> serve Rp.dom_destroy body ops.Driver.dom_destroy
+  | Rp.Proc_dom_get_info -> serve Rp.dom_get_info body ops.Driver.dom_get_info
+  | Rp.Proc_dom_get_xml -> serve Rp.dom_get_xml body ops.Driver.dom_get_xml
   | Rp.Proc_dom_set_memory ->
-    let name, kib = Rp.dec_name_and_kib body in
-    let* () = ops.Driver.dom_set_memory name kib in
-    Ok Rp.enc_unit_body
+    serve Rp.dom_set_memory body (fun (name, kib) -> ops.Driver.dom_set_memory name kib)
   | Rp.Proc_dom_save ->
-    let name = Rp.dec_string_body body in
-    (match ops.Driver.dom_save with
-     | Some f ->
-       let* () = f name in
-       Ok Rp.enc_unit_body
-     | None -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:"managed save")
+    serve Rp.dom_save body (optional ops "managed save" ops.Driver.dom_save)
   | Rp.Proc_dom_restore ->
-    let name = Rp.dec_string_body body in
-    (match ops.Driver.dom_restore with
-     | Some f ->
-       let* () = f name in
-       Ok Rp.enc_unit_body
-     | None -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:"managed restore")
+    serve Rp.dom_restore body (optional ops "managed restore" ops.Driver.dom_restore)
   | Rp.Proc_dom_has_managed_save ->
-    let name = Rp.dec_string_body body in
-    (match ops.Driver.dom_has_managed_save with
-     | Some f ->
-       let* has = f name in
-       Ok (Rp.enc_bool_body has)
-     | None -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:"managed save")
+    serve Rp.dom_has_managed_save body
+      (optional ops "managed save" ops.Driver.dom_has_managed_save)
   | Rp.Proc_dom_set_autostart ->
-    let name, autostart = Rp.dec_name_and_bool body in
-    (match ops.Driver.dom_set_autostart with
-     | Some f ->
-       let* () = f name autostart in
-       Ok Rp.enc_unit_body
-     | None -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:"autostart")
+    serve Rp.dom_set_autostart body
+      (optional ops "autostart"
+         (Option.map (fun f (name, flag) -> f name flag) ops.Driver.dom_set_autostart))
   | Rp.Proc_dom_get_autostart ->
-    let name = Rp.dec_string_body body in
-    (match ops.Driver.dom_get_autostart with
-     | Some f ->
-       let* flag = f name in
-       Ok (Rp.enc_bool_body flag)
-     | None -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:"autostart")
-  | Rp.Proc_net_list ->
-    let* b = net_backend cs in
-    let* infos = b.Driver.net_list () in
-    Ok (Rp.enc_net_info_list infos)
+    serve Rp.dom_get_autostart body (optional ops "autostart" ops.Driver.dom_get_autostart)
+  | Rp.Proc_net_list -> serve Rp.net_list body (fun () -> on_net cs (fun b -> b.Driver.net_list ()))
   | Rp.Proc_net_define ->
-    let name, bridge, ip_range = Rp.dec_net_define body in
-    let* b = net_backend cs in
-    let* info = b.Driver.net_define ~name ~bridge ~ip_range in
-    Ok (Rp.enc_net_info info)
-  | Rp.Proc_net_start ->
-    let* b = net_backend cs in
-    let* () = b.Driver.net_start (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
-  | Rp.Proc_net_stop ->
-    let* b = net_backend cs in
-    let* () = b.Driver.net_stop (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
+    serve Rp.net_define body (fun (name, bridge, ip_range) ->
+        on_net cs (fun b -> b.Driver.net_define ~name ~bridge ~ip_range))
+  | Rp.Proc_net_start -> serve Rp.net_start body (fun n -> on_net cs (fun b -> b.Driver.net_start n))
+  | Rp.Proc_net_stop -> serve Rp.net_stop body (fun n -> on_net cs (fun b -> b.Driver.net_stop n))
   | Rp.Proc_net_undefine ->
-    let* b = net_backend cs in
-    let* () = b.Driver.net_undefine (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
+    serve Rp.net_undefine body (fun n -> on_net cs (fun b -> b.Driver.net_undefine n))
   | Rp.Proc_net_set_autostart ->
-    let name, autostart = Rp.dec_name_and_bool body in
-    let* b = net_backend cs in
-    let* () = b.Driver.net_set_autostart name autostart in
-    Ok Rp.enc_unit_body
-  | Rp.Proc_net_lookup ->
-    let* b = net_backend cs in
-    let* info = b.Driver.net_lookup (Rp.dec_string_body body) in
-    Ok (Rp.enc_net_info info)
+    serve Rp.net_set_autostart body (fun (n, v) ->
+        on_net cs (fun b -> b.Driver.net_set_autostart n v))
+  | Rp.Proc_net_lookup -> serve Rp.net_lookup body (fun n -> on_net cs (fun b -> b.Driver.net_lookup n))
   | Rp.Proc_pool_list ->
-    let* b = storage_backend cs in
-    let* infos = b.Driver.pool_list () in
-    Ok (Rp.enc_pool_info_list infos)
+    serve Rp.pool_list body (fun () -> on_storage cs (fun b -> b.Driver.pool_list ()))
   | Rp.Proc_pool_define ->
-    let name, target_path, capacity_b = Rp.dec_pool_define body in
-    let* b = storage_backend cs in
-    let* info = b.Driver.pool_define ~name ~target_path ~capacity_b in
-    Ok (Rp.enc_pool_info info)
+    serve Rp.pool_define body (fun (name, target_path, capacity_b) ->
+        on_storage cs (fun b -> b.Driver.pool_define ~name ~target_path ~capacity_b))
   | Rp.Proc_pool_start ->
-    let* b = storage_backend cs in
-    let* () = b.Driver.pool_start (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
-  | Rp.Proc_pool_stop ->
-    let* b = storage_backend cs in
-    let* () = b.Driver.pool_stop (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
+    serve Rp.pool_start body (fun n -> on_storage cs (fun b -> b.Driver.pool_start n))
+  | Rp.Proc_pool_stop -> serve Rp.pool_stop body (fun n -> on_storage cs (fun b -> b.Driver.pool_stop n))
   | Rp.Proc_pool_undefine ->
-    let* b = storage_backend cs in
-    let* () = b.Driver.pool_undefine (Rp.dec_string_body body) in
-    Ok Rp.enc_unit_body
+    serve Rp.pool_undefine body (fun n -> on_storage cs (fun b -> b.Driver.pool_undefine n))
   | Rp.Proc_pool_lookup ->
-    let* b = storage_backend cs in
-    let* info = b.Driver.pool_lookup (Rp.dec_string_body body) in
-    Ok (Rp.enc_pool_info info)
+    serve Rp.pool_lookup body (fun n -> on_storage cs (fun b -> b.Driver.pool_lookup n))
   | Rp.Proc_vol_create ->
-    let pool, name, capacity_b, format = Rp.dec_vol_create body in
-    let* b = storage_backend cs in
-    let* info = b.Driver.vol_create ~pool ~name ~capacity_b ~format in
-    Ok (Rp.enc_vol_info info)
+    serve Rp.vol_create body (fun (pool, name, capacity_b, format) ->
+        on_storage cs (fun b -> b.Driver.vol_create ~pool ~name ~capacity_b ~format))
   | Rp.Proc_vol_delete ->
-    let pool, name = Rp.dec_vol_ref body in
-    let* b = storage_backend cs in
-    let* () = b.Driver.vol_delete ~pool ~name in
-    Ok Rp.enc_unit_body
+    serve Rp.vol_delete body (fun (pool, name) ->
+        on_storage cs (fun b -> b.Driver.vol_delete ~pool ~name))
   | Rp.Proc_vol_list ->
-    let* b = storage_backend cs in
-    let* infos = b.Driver.vol_list ~pool:(Rp.dec_string_body body) in
-    Ok (Rp.enc_vol_info_list infos)
-  | Rp.Proc_dom_list_all ->
-    let* records = Driver.list_all ops in
-    Ok (Rp.enc_domain_record_list records)
+    serve Rp.vol_list body (fun pool -> on_storage cs (fun b -> b.Driver.vol_list ~pool))
   | Rp.Proc_vol_lookup ->
-    let* b = storage_backend cs in
-    let* info = b.Driver.vol_by_path (Rp.dec_string_body body) in
-    Ok (Rp.enc_vol_info info)
-  | Rp.Proc_fleet_list_all ->
-    let () = Rp.dec_unit_body body in
-    let* listing = fleet_listing ops in
-    Ok (Rp.enc_fleet_listing listing)
+    serve Rp.vol_lookup body (fun path -> on_storage cs (fun b -> b.Driver.vol_by_path path))
+  | Rp.Proc_dom_list_all -> serve Rp.dom_list_all body (fun () -> Driver.list_all ops)
+  | Rp.Proc_fleet_list_all -> serve Rp.fleet_list_all body (fun () -> fleet_listing ops)
   | Rp.Proc_fleet_status ->
-    let () = Rp.dec_unit_body body in
-    (match ops.Driver.fleet with
-     | Some fv ->
-       let* status = fv.Driver.fleet_status () in
-       Ok (Rp.enc_fleet_status status)
-     | None -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:"fleet status")
+    serve Rp.fleet_status body (fun () ->
+        on_fleet ops "fleet status" (fun fv -> fv.Driver.fleet_status ()))
   | Rp.Proc_fleet_migrate ->
-    let domain, dest = Rp.dec_fleet_migrate body in
-    (match ops.Driver.fleet with
-     | Some fv ->
-       let* () = fv.Driver.fleet_migrate ~domain ~dest in
-       Ok Rp.enc_unit_body
-     | None -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:"fleet migration")
+    serve Rp.fleet_migrate body (fun (domain, dest) ->
+        on_fleet ops "fleet migration" (fun fv -> fv.Driver.fleet_migrate ~domain ~dest))
   | Rp.Proc_fleet_list_since ->
     (* Unconditional: without a reply cache nothing names a listing, so
        the answer is always the full one under the zero token. *)
-    let (_ : Rp.fleet_token) = Rp.dec_fleet_token body in
-    let* listing = fleet_listing ops in
-    Ok (Rp.enc_since_full Rp.no_token listing)
+    serve Rp.fleet_list_since body (fun (_ : Rp.fleet_token) ->
+        let* listing = fleet_listing ops in
+        Ok (Rp.Since_full (Rp.no_token, listing)))
 
 (* The reconciler's application path: a plan op arrives here already
    encoded as a (procedure, body) sub-call and dispatches against bare
@@ -445,25 +368,19 @@ let dispatch_ops ops proc body =
    cannot be placed by name (a [define_xml] creates the domain, so its
    owner is only decided by placement inside the fleet layer). *)
 let batch_target proc body =
+  let named (s : (_, _) Rp.signature) name_of =
+    match Xdr.decode s.Rp.sg_args body with
+    | args -> `Domain (name_of args)
+    | exception _ -> `Opaque
+  in
   match proc with
   | Rp.Proc_undefine | Rp.Proc_dom_create | Rp.Proc_dom_suspend
   | Rp.Proc_dom_resume | Rp.Proc_dom_shutdown | Rp.Proc_dom_destroy
-  | Rp.Proc_dom_save | Rp.Proc_dom_restore -> (
-    match Rp.dec_string_body body with
-    | name -> `Domain name
-    | exception _ -> `Opaque)
-  | Rp.Proc_dom_set_memory -> (
-    match Rp.dec_name_and_kib body with
-    | name, _ -> `Domain name
-    | exception _ -> `Opaque)
-  | Rp.Proc_dom_set_autostart -> (
-    match Rp.dec_name_and_bool body with
-    | name, _ -> `Domain name
-    | exception _ -> `Opaque)
-  | Rp.Proc_dom_set_policy -> (
-    match Rp.dec_set_policy body with
-    | name, _ -> `Domain name
-    | exception _ -> `Opaque)
+  | Rp.Proc_dom_save | Rp.Proc_dom_restore ->
+    named Rp.dom_create Fun.id
+  | Rp.Proc_dom_set_memory -> named Rp.dom_set_memory fst
+  | Rp.Proc_dom_set_autostart -> named Rp.dom_set_autostart fst
+  | Rp.Proc_dom_set_policy -> named Rp.dom_set_policy fst
   | Rp.Proc_define_xml | Rp.Proc_fleet_migrate -> `Opaque
   | _ -> `Read
 
@@ -538,6 +455,8 @@ let serve_conn st (cs : conn_state) (d : Rp.descriptor) body =
        result)
 
 let list_all_number = Rp.proc_to_int Rp.Proc_fleet_list_all
+let no_args = Xdr.encode Rp.fleet_list_all.Rp.sg_args ()
+let since_body reply = Xdr.encode Rp.fleet_list_since.Rp.sg_ret reply
 
 (* A conditional listing is answered from the fleet_list_all entry of the
    reply cache, so whether the caller's listing is current is decided
@@ -548,10 +467,9 @@ let list_all_number = Rp.proc_to_int Rp.Proc_fleet_list_all
 let since_from_cache st cache ~gen (token : Rp.fleet_token) =
   let fill = if token.Rp.ft_nonce = st.nonce then token.Rp.ft_fill else 0 in
   match
-    Reply_cache.find_since cache ~proc:list_all_number ~args:Rp.enc_unit_body
-      ~gen ~fill
+    Reply_cache.find_since cache ~proc:list_all_number ~args:no_args ~gen ~fill
   with
-  | Reply_cache.Unchanged -> Some (Rp.enc_since_unchanged token)
+  | Reply_cache.Unchanged -> Some (since_body (Rp.Since_unchanged token))
   | Reply_cache.Changed { frame = body; fill } ->
     Some (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } body)
   | Reply_cache.Absent -> None
@@ -559,7 +477,7 @@ let since_from_cache st cache ~gen (token : Rp.fleet_token) =
 (* The fill mirrors [serve_conn]'s: generation snapshotted before the
    handler, so a write overlapping the fill leaves the entry stale. *)
 let serve_since st (cs : conn_state) body =
-  let token = Rp.dec_fleet_token body in
+  let token = Xdr.decode Rp.fleet_list_since.Rp.sg_args body in
   match conn_cache st cs with
   | None -> dispatch_conn cs Rp.Proc_fleet_list_since body
   | Some cache -> (
@@ -567,14 +485,24 @@ let serve_since st (cs : conn_state) body =
     match since_from_cache st cache ~gen token with
     | Some reply -> Ok reply
     | None ->
-      let* listing = dispatch_conn cs Rp.Proc_fleet_list_all Rp.enc_unit_body in
+      let* listing = dispatch_conn cs Rp.Proc_fleet_list_all no_args in
       let fill =
         if fits listing then
           Reply_cache.insert_numbered cache ~proc:list_all_number
-            ~args:Rp.enc_unit_body ~gen listing
+            ~args:no_args ~gen listing
         else 0
       in
       Ok (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } listing))
+
+(* A policy names a domain defined on the connection's node, and needs
+   the daemon's reconciler. *)
+let with_policy st client name f =
+  let* cs = get_conn st client in
+  match st.reconcile with
+  | None -> Driver.unsupported ~drv:cs.ops.Driver.drv_name ~op:"lifecycle policy"
+  | Some r ->
+    let* _ref = cs.ops.Driver.lookup_by_name name in
+    Ok (f r cs)
 
 (* [minor] is the protocol minor this daemon serves: every row is looked
    up with [Rp.descriptor_of_int ~minor], so procedures newer than it are
@@ -583,15 +511,11 @@ let serve_since st (cs : conn_state) body =
    [in_batch] guards against nested batch containers. *)
 let rec handle_proc st ~minor ~in_batch client (d : Rp.descriptor) body =
   match d.Rp.proc with
-  | Rp.Proc_open -> do_open st client body
-  | Rp.Proc_close -> do_close st client
-  | Rp.Proc_ping ->
-    let () = Rp.dec_unit_body body in
-    Ok Rp.enc_unit_body
-  | Rp.Proc_echo -> Ok body
-  | Rp.Proc_proto_minor ->
-    let () = Rp.dec_unit_body body in
-    Ok (Rp.enc_int_body minor)
+  | Rp.Proc_open -> serve Rp.open_ body (do_open st client)
+  | Rp.Proc_close -> serve Rp.close body (fun () -> do_close st client)
+  | Rp.Proc_ping -> serve Rp.ping body Result.ok
+  | Rp.Proc_echo -> Ok body (* [Rp.echo]: the body, verbatim *)
+  | Rp.Proc_proto_minor -> serve Rp.proto_minor body (fun () -> Ok minor)
   | Rp.Proc_call_batch ->
     if in_batch then
       Verror.error Verror.Rpc_failure "nested batch calls are not allowed"
@@ -601,36 +525,17 @@ let rec handle_proc st ~minor ~in_batch client (d : Rp.descriptor) body =
          pool) with per-sub-call error isolation mirroring the
          dispatcher's: one failing sub-call yields one error sub-reply
          and its siblings proceed. *)
-      let subs = Rp.dec_batch_call body in
-      let* () = batch_isolation st client subs in
-      let replies =
-        List.map
-          (fun (proc_num, sub_body) ->
-            let result =
-              match Rp.descriptor_of_int ~minor proc_num with
-              | Error err -> Error err
-              | Ok sub -> (
-                try handle_proc st ~minor ~in_batch:true client sub sub_body
-                with
-                | Verror.Virt_error err -> Error err
-                | Xdr.Error msg ->
-                  Verror.error Verror.Rpc_failure "malformed call body: %s" msg
-                | exn ->
-                  Verror.error Verror.Internal_error "unhandled exception: %s"
-                    (Printexc.to_string exn))
-            in
-            match result with
-            | Ok reply -> (true, reply)
-            | Error err -> (false, Rp.enc_error err))
-          subs
-      in
-      Ok (Rp.enc_batch_reply replies)
+      serve Rp.call_batch body (fun subs ->
+          let* () = batch_isolation st client subs in
+          Ok (List.map (batch_sub st ~minor client) subs))
   | Rp.Proc_call_deadline ->
     if in_batch then
       Verror.error Verror.Rpc_failure
         "deadline envelopes are not allowed inside a batch"
     else
-      let budget_ms, proc_num, inner_body = Rp.dec_deadline_call body in
+      let budget_ms, proc_num, inner_body =
+        Xdr.decode Rp.call_deadline.Rp.sg_args body
+      in
       (match Rp.descriptor_of_int ~minor proc_num with
        | Error err -> Error err
        | Ok { Rp.proc = Rp.Proc_call_deadline; _ } ->
@@ -650,43 +555,50 @@ let rec handle_proc st ~minor ~in_batch client (d : Rp.descriptor) body =
             Reqctx.with_deadline
               (Some (Unix.gettimeofday () +. (float_of_int budget_ms /. 1000.)))
               run))
-  | Rp.Proc_event_register -> do_event_register st client
-  | Rp.Proc_event_deregister -> do_event_deregister st client
-  | Rp.Proc_event_resume -> do_event_resume st client body
+  | Rp.Proc_event_register ->
+    serve Rp.event_register body (fun () -> do_event_register st client)
+  | Rp.Proc_event_deregister ->
+    serve Rp.event_deregister body (fun () -> do_event_deregister st client)
+  | Rp.Proc_event_resume -> serve Rp.event_resume body (do_event_resume st client)
   | Rp.Proc_event_lifecycle | Rp.Proc_event_lifecycle_seq ->
     Verror.error Verror.Rpc_failure "lifecycle is a server-to-client event"
   | Rp.Proc_dom_set_policy ->
-    let name, policy = Rp.dec_set_policy body in
-    let* cs = get_conn st client in
-    (match st.reconcile with
-     | None ->
-       Driver.unsupported ~drv:cs.ops.Driver.drv_name ~op:"lifecycle policy"
-     | Some r ->
-       (* the spec must name a defined domain on this node *)
-       let* _ref = cs.ops.Driver.lookup_by_name name in
-       Reconcile.set_policy r ~uri:cs.uri ~name policy;
-       Ok Rp.enc_unit_body)
+    serve Rp.dom_set_policy body (fun (name, policy) ->
+        with_policy st client name (fun r cs ->
+            Reconcile.set_policy r ~uri:cs.uri ~name policy))
   | Rp.Proc_dom_get_policy ->
-    let name = Rp.dec_string_body body in
-    let* cs = get_conn st client in
-    (match st.reconcile with
-     | None ->
-       Driver.unsupported ~drv:cs.ops.Driver.drv_name ~op:"lifecycle policy"
-     | Some r ->
-       let* _ref = cs.ops.Driver.lookup_by_name name in
-       Ok (Rp.enc_policy (Reconcile.get_policy r ~uri:cs.uri ~name)))
+    serve Rp.dom_get_policy body (fun name ->
+        with_policy st client name (fun r cs -> Reconcile.get_policy r ~uri:cs.uri ~name))
   | Rp.Proc_daemon_reconcile_status ->
-    let () = Rp.dec_unit_body body in
-    (match st.reconcile with
-     | None ->
-       Verror.error Verror.Operation_unsupported "this daemon has no reconciler"
-     | Some r -> Ok (Rp.enc_reconcile_status (Reconcile.status r)))
+    serve Rp.daemon_reconcile_status body (fun () ->
+        match st.reconcile with
+        | None ->
+          Verror.error Verror.Operation_unsupported "this daemon has no reconciler"
+        | Some r -> Ok (Reconcile.status r))
   | Rp.Proc_fleet_list_since ->
     let* cs = get_conn st client in
     serve_since st cs body
   | _ ->
     let* cs = get_conn st client in
     serve_conn st cs d body
+
+(* One sub-call of a batch, isolated: its failure is its own error
+   sub-reply. *)
+and batch_sub st ~minor client (proc_num, sub_body) =
+  let result =
+    match Rp.descriptor_of_int ~minor proc_num with
+    | Error err -> Error err
+    | Ok sub -> (
+      try handle_proc st ~minor ~in_batch:true client sub sub_body with
+      | Verror.Virt_error err -> Error err
+      | Xdr.Error msg -> Verror.error Verror.Rpc_failure "malformed call body: %s" msg
+      | exn ->
+        Verror.error Verror.Internal_error "unhandled exception: %s"
+          (Printexc.to_string exn))
+  in
+  match result with
+  | Ok reply -> (true, reply)
+  | Error err -> (false, Xdr.encode Rp.error err)
 
 let handle st ~minor _srv client header body =
   let* d = Rp.descriptor_of_int ~minor header.Rpc_packet.procedure in
@@ -845,7 +757,7 @@ let program_of { st; svc_minor = minor } =
              so it must not gain deadline behavior either. *)
           if minor >= deadline.Rp.since && procedure = deadline.Rp.number
           then
-            match Rp.dec_deadline_call body with
+            match Xdr.decode Rp.call_deadline.Rp.sg_args body with
             | budget_ms, inner, _ ->
               Some
                 ( Unix.gettimeofday () +. (float_of_int budget_ms /. 1000.),
@@ -888,7 +800,7 @@ let program_of { st; svc_minor = minor } =
                          Reply_cache.note_patched_send cache;
                          send_fast srv client header reply)
                      else
-                       match Rp.dec_fleet_token body with
+                       match Xdr.decode Rp.fleet_list_since.Rp.sg_args body with
                        | exception Xdr.Error _ -> false
                        | token -> (
                          match since_from_cache st cache ~gen token with

@@ -18,7 +18,6 @@ let nodes : payload Drvnode.registry =
 
 let get_node name : node = Drvnode.get_node nodes name
 let get_host name = (get_node name).Drvnode.payload
-let reset_hosts () = Drvnode.reset_nodes nodes
 
 (* A connection is a logged-in session against one host. *)
 type session = { node : node; token : string }

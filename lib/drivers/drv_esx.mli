@@ -11,7 +11,6 @@
     root/"esx".  There is no daemon in this path regardless of transport. *)
 
 val register : unit -> unit
-val reset_hosts : unit -> unit
 
 val get_host : string -> Hvsim.Esx_host.t
 (** The simulated ESX server for a hostname (created on first use);

@@ -85,18 +85,6 @@ let get_node reg name =
 
 let reset_nodes reg = with_registry reg (fun () -> Hashtbl.reset reg.reg_nodes)
 
-(* Boot-path budget hook.  Autostart (and reconciler-triggered) starts
-   run outside any RPC dispatch, so no deadline is on the thread; the
-   daemon installs a wrapper here that runs the start under a fresh
-   reqctx budget derived from wall_limit_ms, putting boot-time starts
-   under the same watchdog as every dispatched job.  Default: run
-   as-is. *)
-let start_budget_hook :
-    ((unit -> (unit, Verror.t) result) -> (unit, Verror.t) result) ref =
-  ref (fun f -> f ())
-
-let set_start_budget_hook f = start_budget_hook := f
-
 let lock_expired node =
   Verror.raise_err Verror.Operation_failed
     "deadline expired waiting for lock on node %S" node.node_name
@@ -257,14 +245,7 @@ let reconcile node ~attach_info ~running ~adopt ~start =
   List.iter
     (fun n -> Events.emit node.events ~domain_name:n Events.Ev_diverged)
     unknown;
-  let autostarted =
-    List.filter
-      (fun name ->
-        match !start_budget_hook (fun () -> start name) with
-        | Ok () -> true
-        | Error _ -> false)
-      (List.rev !to_autostart)
-  in
+  let autostarted = List.filter (fun name -> Result.is_ok (start name)) (List.rev !to_autostart) in
   let report =
     {
       rec_replayed = attach_info.Domstore.rc_replayed;

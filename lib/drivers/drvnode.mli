@@ -124,14 +124,6 @@ val generation : 'p node -> int
     afterwards read current state; the daemon's reply cache keys entry
     validity on it. *)
 
-val set_start_budget_hook :
-  ((unit -> (unit, Verror.t) result) -> (unit, Verror.t) result) -> unit
-(** Install the boot-path budget wrapper.  Autostart (and
-    reconciler-triggered) starts run outside any RPC dispatch, so no
-    deadline rides on the thread; the daemon installs a wrapper that
-    runs the start under a fresh reqctx budget derived from
-    [wall_limit_ms], putting boot-time starts under the same watchdog
-    as dispatched jobs.  The default wrapper runs the start as-is. *)
 
 (** {1 Events} *)
 

@@ -11,8 +11,6 @@ let host_summary ~node_name host =
       host_arch = info.Hvsim.Hostinfo.model;
     }
 
-let as_verror code r = Result.map_error (Verror.make code) r
-
 let parse_domain_xml ~expect_os xml =
   match Vmm.Domxml.of_xml xml with
   | Error msg -> Verror.error Verror.Invalid_arg "bad domain XML: %s" msg

@@ -3,10 +3,6 @@
 val host_summary :
   node_name:string -> Hvsim.Hostinfo.t -> Ovirt_core.Capabilities.host_summary
 
-val as_verror :
-  Ovirt_core.Verror.code -> ('a, string) result -> ('a, Ovirt_core.Verror.t) result
-(** Lift a substrate's [(_, string) result] into the library error type. *)
-
 val parse_domain_xml :
   expect_os:Vmm.Vm_config.os_kind list ->
   string ->

@@ -403,25 +403,31 @@ let serves conn proc =
 let tick conn =
   with_stats (fun () -> conn.rc_stats.cn_calls <- conn.rc_stats.cn_calls + 1)
 
-let raw_call rpc proc body =
-  Rpc_client.call rpc ~procedure:(Rp.proc_to_int proc) ~body ()
-
-let raw_call_unit rpc proc body =
-  let* reply = raw_call rpc proc body in
-  match Rp.dec_unit_body reply with
-  | () -> Ok ()
+let guarded decoder reply =
+  match decoder reply with
+  | v -> Ok v
   | exception Xdr.Error msg -> Verror.error Verror.Rpc_failure "bad reply: %s" msg
+
+let decode codec reply = guarded (Xdr.decode codec) reply
+
+(* The handshake's calls: on the bare connection, without the retry
+   policy of {!call}. *)
+let raw_call rpc (s : (_, _) Rp.signature) args =
+  Rpc_client.call rpc ~procedure:(Rp.proc_to_int s.Rp.sg_proc)
+    ~body:(Xdr.encode s.Rp.sg_args args) ()
+
+let raw_rpc rpc (s : (_, _) Rp.signature) args =
+  let* reply = raw_call rpc s args in
+  decode s.Rp.sg_ret reply
 
 (* Version probe.  [Proc_proto_minor] first appeared in v1.3, the oldest
    minor this client speaks: a daemon that rejects it as an unknown
    procedure is an older build, and is refused rather than guessed at. *)
 let negotiate rpc =
-  match raw_call rpc Rp.Proc_proto_minor Rp.enc_unit_body with
-  | Ok reply -> (
-    match Rp.dec_int_body reply with
-    | m -> Ok (min m Rp.minor)
-    | exception Xdr.Error msg ->
-      Verror.error Verror.Rpc_failure "bad reply: %s" msg)
+  match raw_call rpc Rp.proto_minor () with
+  | Ok reply ->
+    let* m = decode Rp.proto_minor.Rp.sg_ret reply in
+    Ok (min m Rp.minor)
   | Error _ when not (Rpc_client.is_closed rpc) ->
     let oldest = Rp.proc_min_minor Rp.Proc_proto_minor in
     Verror.error Verror.Operation_unsupported
@@ -444,7 +450,7 @@ let establish ~address ~kind ~keepalive ~on_event ~register_events ~use_resume
       ?keepalive ~on_event ()
   in
   let handshake =
-    let* () = raw_call_unit rpc Rp.Proc_open (Rp.enc_string_body forwarded) in
+    let* () = raw_rpc rpc Rp.open_ forwarded in
     let* minor = negotiate rpc in
     let* mode =
       if not register_events then Ok `No_events
@@ -456,14 +462,11 @@ let establish ~address ~kind ~keepalive ~on_event ~register_events ~use_resume
               sq.sq_buffering <- true;
               sq.sq_last)
         in
-        let* reply = raw_call rpc Rp.Proc_event_resume (Rp.enc_event_resume last) in
-        match Rp.dec_resume_reply reply with
-        | r -> Ok (`Seq r)
-        | exception Xdr.Error msg ->
-          Verror.error Verror.Rpc_failure "bad reply: %s" msg
+        let* r = raw_rpc rpc Rp.event_resume last in
+        Ok (`Seq r)
       end
       else
-        let* () = raw_call_unit rpc Rp.Proc_event_register Rp.enc_unit_body in
+        let* () = raw_rpc rpc Rp.event_register () in
         Ok `Plain
     in
     Ok (minor, (mode : event_mode))
@@ -661,9 +664,8 @@ let call conn proc body =
       match timeout with
       | Some t when serves conn Rp.Proc_call_deadline ->
         ( Rp.Proc_call_deadline,
-          Rp.enc_deadline_call
-            ~budget_ms:(max 1 (int_of_float (t *. 1000.)))
-            ~proc:(Rp.proc_to_int proc) body )
+          Xdr.encode Rp.call_deadline.Rp.sg_args
+            (max 1 (int_of_float (t *. 1000.)), Rp.proc_to_int proc, body) )
       | _ -> (proc, body)
     in
     Rpc_client.call rpc ~procedure:(Rp.proc_to_int wproc) ~body:wbody
@@ -710,20 +712,11 @@ let call conn proc body =
   in
   go 1
 
-let call_unit conn proc body =
-  let* reply = call conn proc body in
-  match Rp.dec_unit_body reply with
-  | () -> Ok ()
-  | exception Xdr.Error msg -> Verror.error Verror.Rpc_failure "bad reply: %s" msg
-
-let decode decoder reply =
-  match decoder reply with
-  | v -> Ok v
-  | exception Xdr.Error msg -> Verror.error Verror.Rpc_failure "bad reply: %s" msg
-
-let call_dec conn proc body decoder =
-  let* reply = call conn proc body in
-  decode decoder reply
+(* One procedure through its signature: the arguments encoded and the
+   reply decoded by the codecs the daemon serves it with. *)
+let rpc conn (s : (_, _) Rp.signature) args =
+  let* reply = call conn s.Rp.sg_proc (Xdr.encode s.Rp.sg_args args) in
+  decode s.Rp.sg_ret reply
 
 (* ------------------------------------------------------------------ *)
 (* Cached point reads                                                  *)
@@ -748,48 +741,32 @@ let live_cache conn =
 (* The fill protocol in one place: consult the cache, otherwise take a
    token {e before} the wire call and install only if no event raced the
    reply (see {!Remote_cache}). *)
-let cached_read conn pick name proc body decoder =
+let cached_read conn pick s name =
   match live_cache conn with
-  | None -> call_dec conn proc body decoder
+  | None -> rpc conn s name
   | Some cs -> (
     let c = pick cs in
     match Cache.find c name ~now:(now ()) with
     | Some v -> Ok v
     | None ->
       let fill = Cache.begin_fill c in
-      let* v = call_dec conn proc body decoder in
+      let* v = rpc conn s name in
       ignore (Cache.install c fill name v ~now:(now ()));
       Ok v)
 
-let dom_get_info conn name =
-  cached_read conn
-    (fun cs -> cs.c_info)
-    name Rp.Proc_dom_get_info (Rp.enc_string_body name) Rp.dec_domain_info
-
-let dom_get_autostart conn name =
-  cached_read conn
-    (fun cs -> cs.c_autostart)
-    name Rp.Proc_dom_get_autostart (Rp.enc_string_body name) Rp.dec_bool_body
-
-let dom_get_xml conn name =
-  cached_read conn
-    (fun cs -> cs.c_xml)
-    name Rp.Proc_dom_get_xml (Rp.enc_string_body name) Rp.dec_string_body
+let dom_get_info conn = cached_read conn (fun cs -> cs.c_info) Rp.dom_get_info
+let dom_get_autostart conn = cached_read conn (fun cs -> cs.c_autostart) Rp.dom_get_autostart
+let dom_get_xml conn = cached_read conn (fun cs -> cs.c_xml) Rp.dom_get_xml
 
 let lookup_by_name conn name =
   match live_cache conn with
-  | None ->
-    call_dec conn Rp.Proc_lookup_by_name (Rp.enc_string_body name)
-      Rp.dec_domain_ref
+  | None -> rpc conn Rp.lookup_by_name name
   | Some cs -> (
     match Cache.find cs.c_ref name ~now:(now ()) with
     | Some r -> Ok r
     | None ->
       let fill = Cache.begin_fill cs.c_ref in
-      let* r =
-        call_dec conn Rp.Proc_lookup_by_name (Rp.enc_string_body name)
-          Rp.dec_domain_ref
-      in
+      let* r = rpc conn Rp.lookup_by_name name in
       ignore
         (Cache.install cs.c_ref fill name
            ~uuid:(Vmm.Uuid.to_string r.Driver.dom_uuid)
@@ -798,10 +775,7 @@ let lookup_by_name conn name =
 
 let lookup_by_uuid conn uuid =
   let uuid_s = Vmm.Uuid.to_string uuid in
-  let wire () =
-    call_dec conn Rp.Proc_lookup_by_uuid (Rp.enc_string_body uuid_s)
-      Rp.dec_domain_ref
-  in
+  let wire () = rpc conn Rp.lookup_by_uuid uuid_s in
   match live_cache conn with
   | None -> wire ()
   | Some cs -> (
@@ -884,7 +858,7 @@ let decode_reusing last proc decoder body =
   match Atomic.get last with
   | Some (p, b, v) when p = proc && String.equal b body -> Ok v
   | Some _ | None ->
-    let* v = decode decoder body in
+    let* v = guarded decoder body in
     Atomic.set last (Some (proc, body, v));
     Ok v
 
@@ -896,7 +870,8 @@ let decode_reusing last proc decoder body =
 let fetch_since conn =
   let held = Atomic.get conn.rc_held in
   let token = match held with Some (t, _, _) -> t | None -> Rp.no_token in
-  let* body = call conn Rp.Proc_fleet_list_since (Rp.enc_fleet_token token) in
+  let since = Rp.fleet_list_since in
+  let* body = call conn since.Rp.sg_proc (Xdr.encode since.Rp.sg_args token) in
   let counted unchanged =
     with_stats (fun () ->
         let c = conn.rc_stats in
@@ -909,7 +884,7 @@ let fetch_since conn =
     counted false;
     Ok listing
   | Some _ | None -> (
-    let* reply = decode Rp.dec_since_reply body in
+    let* reply = decode since.Rp.sg_ret body in
     match (reply, held) with
     | Rp.Since_unchanged t, Some (t', _, listing) when t = t' ->
       counted true;
@@ -925,13 +900,15 @@ let fetch_since conn =
 
 (* v1.3–v1.7: one listing procedure, and a repeated reply's bytes reuse
    the value decoded from them. *)
-let fetch_bytes conn proc decoder =
-  let* body = call conn proc Rp.enc_unit_body in
+let fetch_bytes conn (s : (unit, _) Rp.signature) to_listing =
+  let* body = call conn s.Rp.sg_proc (Xdr.encode s.Rp.sg_args ()) in
   with_stats (fun () ->
       let c = conn.rc_stats in
       c.cn_listings <- c.cn_listings + 1;
       c.cn_listing_bytes <- c.cn_listing_bytes + String.length body);
-  decode_reusing conn.rc_last_listing proc (fun body -> number (decoder body)) body
+  decode_reusing conn.rc_last_listing s.Rp.sg_proc
+    (fun body -> number (to_listing (Xdr.decode s.Rp.sg_ret body)))
+    body
 
 (* One bulk listing round trip, on the one wire path the negotiated minor
    picks.  For every reply, reused or not, shard errors go into the
@@ -943,10 +920,9 @@ let fleet_list_all conn () =
   let* ((listing, _) as numbered) =
     if serves conn Rp.Proc_fleet_list_since then fetch_since conn
     else if serves conn Rp.Proc_fleet_list_all then
-      fetch_bytes conn Rp.Proc_fleet_list_all Rp.dec_fleet_listing
+      fetch_bytes conn Rp.fleet_list_all Fun.id
     else
-      fetch_bytes conn Rp.Proc_dom_list_all (fun body ->
-          let fl_records = Rp.dec_domain_record_list body in
+      fetch_bytes conn Rp.dom_list_all (fun fl_records ->
           Driver.{ fl_records; fl_shard_errors = []; fl_members = 1 })
   in
   let errs = List.length listing.Driver.fl_shard_errors in
@@ -1045,7 +1021,7 @@ let open_conn uri =
   in
   let on_event ~procedure body =
     if procedure = Rp.proc_to_int Rp.Proc_event_lifecycle then begin
-      match Rp.dec_lifecycle_event body with
+      match Xdr.decode Rp.event_lifecycle.Rp.sg_args body with
       | ev ->
         (* Invalidate before the local re-emit: a subscriber reacting to
            the event must never read the pre-event cache entry. *)
@@ -1054,7 +1030,7 @@ let open_conn uri =
       | exception Xdr.Error _ -> ()
     end
     else if procedure = Rp.proc_to_int Rp.Proc_event_lifecycle_seq then begin
-      match Rp.dec_seq_event body with
+      match Xdr.decode Rp.event_lifecycle_seq.Rp.sg_args body with
       | ev ->
         let deliver =
           with_sq sq (fun () ->
@@ -1132,7 +1108,7 @@ let close_conn conn =
         conn.rpc)
   in
   (* Best effort: the daemon also cleans up on disconnect. *)
-  ignore (raw_call rpc Rp.Proc_close Rp.enc_unit_body);
+  ignore (raw_call rpc Rp.close ());
   Rpc_client.close rpc;
   retire_counters conn.rc_stats
 
@@ -1141,7 +1117,7 @@ let close_conn conn =
 (* ------------------------------------------------------------------ *)
 
 let get_capabilities conn () =
-  match call_dec conn Rp.Proc_get_capabilities Rp.enc_unit_body Rp.dec_string_body with
+  match rpc conn Rp.get_capabilities () with
   | Ok xml ->
     (match Capabilities.of_xml xml with
      | Ok caps -> caps
@@ -1150,7 +1126,7 @@ let get_capabilities conn () =
   | Error err -> raise (Verror.Virt_error err)
 
 let get_hostname conn () =
-  match call_dec conn Rp.Proc_get_hostname Rp.enc_unit_body Rp.dec_string_body with
+  match rpc conn Rp.get_hostname () with
   | Ok hostname -> hostname
   | Error err -> raise (Verror.Virt_error err)
 
@@ -1158,25 +1134,13 @@ let remote_net_ops conn =
   Driver.
     {
       net_define =
-        (fun ~name ~bridge ~ip_range ->
-          call_dec conn Rp.Proc_net_define
-            (Rp.enc_net_define ~name ~bridge ~ip_range)
-            Rp.dec_net_info);
-      net_undefine =
-        (fun name -> call_unit conn Rp.Proc_net_undefine (Rp.enc_string_body name));
-      net_start =
-        (fun name -> call_unit conn Rp.Proc_net_start (Rp.enc_string_body name));
-      net_stop =
-        (fun name -> call_unit conn Rp.Proc_net_stop (Rp.enc_string_body name));
-      net_set_autostart =
-        (fun name v ->
-          call_unit conn Rp.Proc_net_set_autostart (Rp.enc_name_and_bool name v));
-      net_lookup =
-        (fun name ->
-          call_dec conn Rp.Proc_net_lookup (Rp.enc_string_body name) Rp.dec_net_info);
-      net_list =
-        (fun () ->
-          call_dec conn Rp.Proc_net_list Rp.enc_unit_body Rp.dec_net_info_list);
+        (fun ~name ~bridge ~ip_range -> rpc conn Rp.net_define (name, bridge, ip_range));
+      net_undefine = rpc conn Rp.net_undefine;
+      net_start = rpc conn Rp.net_start;
+      net_stop = rpc conn Rp.net_stop;
+      net_set_autostart = (fun name v -> rpc conn Rp.net_set_autostart (name, v));
+      net_lookup = rpc conn Rp.net_lookup;
+      net_list = rpc conn Rp.net_list;
     }
 
 let remote_storage_ops conn =
@@ -1184,37 +1148,18 @@ let remote_storage_ops conn =
     {
       pool_define =
         (fun ~name ~target_path ~capacity_b ->
-          call_dec conn Rp.Proc_pool_define
-            (Rp.enc_pool_define ~name ~target_path ~capacity_b)
-            Rp.dec_pool_info);
-      pool_undefine =
-        (fun name -> call_unit conn Rp.Proc_pool_undefine (Rp.enc_string_body name));
-      pool_start =
-        (fun name -> call_unit conn Rp.Proc_pool_start (Rp.enc_string_body name));
-      pool_stop =
-        (fun name -> call_unit conn Rp.Proc_pool_stop (Rp.enc_string_body name));
-      pool_lookup =
-        (fun name ->
-          call_dec conn Rp.Proc_pool_lookup (Rp.enc_string_body name) Rp.dec_pool_info);
-      pool_list =
-        (fun () ->
-          call_dec conn Rp.Proc_pool_list Rp.enc_unit_body Rp.dec_pool_info_list);
+          rpc conn Rp.pool_define (name, target_path, capacity_b));
+      pool_undefine = rpc conn Rp.pool_undefine;
+      pool_start = rpc conn Rp.pool_start;
+      pool_stop = rpc conn Rp.pool_stop;
+      pool_lookup = rpc conn Rp.pool_lookup;
+      pool_list = rpc conn Rp.pool_list;
       vol_create =
         (fun ~pool ~name ~capacity_b ~format ->
-          call_dec conn Rp.Proc_vol_create
-            (Rp.enc_vol_create ~pool ~name ~capacity_b ~format)
-            Rp.dec_vol_info);
-      vol_delete =
-        (fun ~pool ~name ->
-          call_unit conn Rp.Proc_vol_delete (Rp.enc_vol_ref ~pool ~name));
-      vol_list =
-        (fun ~pool ->
-          call_dec conn Rp.Proc_vol_list (Rp.enc_string_body pool)
-            Rp.dec_vol_info_list);
-      vol_by_path =
-        (fun path ->
-          call_dec conn Rp.Proc_vol_lookup (Rp.enc_string_body path)
-            Rp.dec_vol_info);
+          rpc conn Rp.vol_create (pool, name, capacity_b, format));
+      vol_delete = (fun ~pool ~name -> rpc conn Rp.vol_delete (pool, name));
+      vol_list = (fun ~pool -> rpc conn Rp.vol_list pool);
+      vol_by_path = rpc conn Rp.vol_lookup;
     }
 
 (* The federation view over the wire, offered when the daemon serves the
@@ -1224,72 +1169,50 @@ let remote_fleet_view conn =
   Driver.
     {
       fleet_list_all = (fun () -> fleet_list_all conn ());
-      fleet_status =
-        (fun () ->
-          call_dec conn Rp.Proc_fleet_status Rp.enc_unit_body
-            Rp.dec_fleet_status);
-      fleet_migrate =
-        (fun ~domain ~dest ->
-          call_unit conn Rp.Proc_fleet_migrate
-            (Rp.enc_fleet_migrate ~domain ~dest));
+      fleet_status = rpc conn Rp.fleet_status;
+      fleet_migrate = (fun ~domain ~dest -> rpc conn Rp.fleet_migrate (domain, dest));
       fleet_owner =
         (fun _ -> Driver.unsupported ~drv:"remote" ~op:"fleet owner lookup");
     }
 
 let make_ops uri conn =
-  let name_call proc name = call_unit conn proc (Rp.enc_string_body name) in
   (* Lifecycle mutations are also invalidated by the pushed event, but
      writes without one (autostart, balloon) — and event-less
      connections — need the local invalidation. *)
-  let name_call_inval proc name =
-    let r = name_call proc name in
+  let invalidating s name args =
+    let r = rpc conn s args in
     if Result.is_ok r then invalidate_domain conn name;
     r
   in
+  let name_call s name = invalidating s name name in
   Driver.make_ops ~drv_name:"remote"
     ~get_capabilities:(get_capabilities conn)
     ~get_hostname:(get_hostname conn)
     ~close:(fun () -> close_conn conn)
-    ~list_domains:(fun () ->
-      call_dec conn Rp.Proc_list_domains Rp.enc_unit_body Rp.dec_domain_ref_list)
-    ~list_defined:(fun () ->
-      call_dec conn Rp.Proc_list_defined Rp.enc_unit_body Rp.dec_string_list)
+    ~list_domains:(rpc conn Rp.list_domains)
+    ~list_defined:(rpc conn Rp.list_defined)
     ~lookup_by_name:(lookup_by_name conn)
     ~lookup_by_uuid:(lookup_by_uuid conn)
     ~define_xml:(fun xml ->
-      let* r =
-        call_dec conn Rp.Proc_define_xml (Rp.enc_string_body xml)
-          Rp.dec_domain_ref
-      in
+      let* r = rpc conn Rp.define_xml xml in
       invalidate_domain conn r.Driver.dom_name;
       Ok r)
-    ~undefine:(name_call_inval Rp.Proc_undefine)
-    ~dom_create:(name_call_inval Rp.Proc_dom_create)
-    ~dom_suspend:(name_call_inval Rp.Proc_dom_suspend)
-    ~dom_resume:(name_call_inval Rp.Proc_dom_resume)
-    ~dom_shutdown:(name_call_inval Rp.Proc_dom_shutdown)
-    ~dom_destroy:(name_call_inval Rp.Proc_dom_destroy)
+    ~undefine:(name_call Rp.undefine)
+    ~dom_create:(name_call Rp.dom_create)
+    ~dom_suspend:(name_call Rp.dom_suspend)
+    ~dom_resume:(name_call Rp.dom_resume)
+    ~dom_shutdown:(name_call Rp.dom_shutdown)
+    ~dom_destroy:(name_call Rp.dom_destroy)
     ~dom_get_info:(dom_get_info conn)
     ~dom_get_xml:(dom_get_xml conn)
-    ~dom_set_memory:(fun name kib ->
-      let r = call_unit conn Rp.Proc_dom_set_memory (Rp.enc_name_and_kib name kib) in
-      if Result.is_ok r then invalidate_domain conn name;
-      r)
-    ~dom_save:(name_call_inval Rp.Proc_dom_save)
-    ~dom_restore:(name_call_inval Rp.Proc_dom_restore)
-    ~dom_has_managed_save:(fun name ->
-      call_dec conn Rp.Proc_dom_has_managed_save (Rp.enc_string_body name)
-        Rp.dec_bool_body)
-    ~dom_set_autostart:(fun name v ->
-      let r = call_unit conn Rp.Proc_dom_set_autostart (Rp.enc_name_and_bool name v) in
-      if Result.is_ok r then invalidate_domain conn name;
-      r)
+    ~dom_set_memory:(fun name kib -> invalidating Rp.dom_set_memory name (name, kib))
+    ~dom_save:(name_call Rp.dom_save)
+    ~dom_restore:(name_call Rp.dom_restore)
+    ~dom_has_managed_save:(rpc conn Rp.dom_has_managed_save)
+    ~dom_set_autostart:(fun name v -> invalidating Rp.dom_set_autostart name (name, v))
     ~dom_get_autostart:(dom_get_autostart conn)
-    ~dom_set_policy:(fun name p ->
-      call_unit conn Rp.Proc_dom_set_policy (Rp.enc_set_policy name p))
-    ~dom_get_policy:(fun name ->
-      call_dec conn Rp.Proc_dom_get_policy (Rp.enc_string_body name)
-        Rp.dec_policy)
+    ~dom_set_policy:(fun name p -> rpc conn Rp.dom_set_policy (name, p))
+    ~dom_get_policy:(rpc conn Rp.dom_get_policy)
     ~dom_list_all:(dom_list_all conn)
     ~net:(remote_net_ops conn) ~storage:(remote_storage_ops conn)
     ?fleet:

@@ -200,7 +200,7 @@ let probe_member t m =
       let r =
         Rpc_client.call rpc
           ~procedure:(Rp.proc_to_int Rp.Proc_ping)
-          ~body:Rp.enc_unit_body ~timeout_s:t.f_probe_timeout_s ()
+          ~body:"" ~timeout_s:t.f_probe_timeout_s ()
       in
       Rpc_client.close rpc;
       Result.map (fun (_ : string) -> ()) r
@@ -1046,13 +1046,9 @@ let remove_member t name =
 
 let find name = with_fleets (fun () -> Hashtbl.find_opt fleets name)
 
-let install_status_hook () =
-  Driver.set_fleet_status_hook (fun () ->
-      let all =
-        with_fleets (fun () -> Hashtbl.fold (fun _ t acc -> t :: acc) fleets [])
-      in
-      List.map status
-        (List.sort (fun a b -> compare a.f_name b.f_name) all))
+let statuses () =
+  let all = with_fleets (fun () -> Hashtbl.fold (fun _ t acc -> t :: acc) fleets []) in
+  List.map status (List.sort (fun a b -> compare a.f_name b.f_name) all)
 
 let close_members t = List.iter (close_member t) (with_lock t (fun () -> t.f_members))
 
@@ -1100,7 +1096,6 @@ let create ~name ?(members = []) ?place ?(shard_slice_s = 1.0)
         old)
   in
   Option.iter close_members replaced;
-  install_status_hook ();
   ensure_prober ();
   t
 

@@ -86,6 +86,10 @@ val status : t -> Driver.fleet_status
 (** Member health, probe/failure counters, last known domain counts and
     migration totals, as seen by the controller right now. *)
 
+val statuses : unit -> Driver.fleet_status list
+(** {!status} of every fleet in the process, by name; empty when none
+    exists. *)
+
 val probe_now : t -> unit
 (** Synchronously probe every member once, off-schedule.  The shared
     prober thread does this on its own clock; tests call it to advance

@@ -33,7 +33,6 @@ val install : endpoint -> (unit, string) result
     Writes {!install_footprint_pages} pages. *)
 
 val install_footprint_pages : int
-val pages_dirtied_per_command : int
 
 val exec : endpoint -> string -> string
 (** One agent exchange: JSON request in, JSON reply out.  Errors (agent

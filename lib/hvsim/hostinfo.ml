@@ -67,8 +67,6 @@ let node_info host = host.info
 let free_memory_kib host =
   with_lock host (fun () -> host.info.memory_kib - host.reserved_memory)
 
-let reserved_memory_kib host = with_lock host (fun () -> host.reserved_memory)
-
 let vcpu_oversubscription = 8
 
 let reserve host ~memory_kib ~vcpus =

@@ -30,7 +30,6 @@ val hostname : t -> string
 val node_info : t -> node_info
 
 val free_memory_kib : t -> int
-val reserved_memory_kib : t -> int
 
 val reserve : t -> memory_kib:int -> vcpus:int -> (unit, string) result
 (** Claim resources for a starting guest.  Memory is strictly accounted;

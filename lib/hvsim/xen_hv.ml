@@ -220,5 +220,3 @@ let guest_image hv id =
       match dom.image with
       | Some img -> Ok img
       | None -> Error "Domain-0 has no transferable image")
-
-let event_channel_count hv = with_lock hv (fun () -> hv.event_channels)

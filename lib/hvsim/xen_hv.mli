@@ -61,5 +61,3 @@ val guest_image : t -> domid -> (Vmm.Guest_image.t, string) result
 (** The live memory image (migration source/destination handle).
     Domain0 refuses. *)
 
-val event_channel_count : t -> int
-(** Grows with domain activity; exposed for introspection tests. *)

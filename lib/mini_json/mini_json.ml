@@ -310,5 +310,4 @@ let member key v =
 
 let get_string = function String s -> s | v -> shape_error "string" v
 let get_int = function Int n -> n | v -> shape_error "int" v
-let get_bool = function Bool b -> b | v -> shape_error "bool" v
 let get_list = function List l -> l | v -> shape_error "list" v

@@ -43,5 +43,4 @@ val member_opt : string -> t -> t option
 
 val get_string : t -> string
 val get_int : t -> int
-val get_bool : t -> bool
 val get_list : t -> t list

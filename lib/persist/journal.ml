@@ -86,4 +86,3 @@ let rewrite t payloads =
 
 let path t = t.path
 let record_count t = t.records
-let size_bytes t = t.bytes

@@ -20,7 +20,6 @@ val rewrite : t -> string list -> unit
 
 val path : t -> string
 val record_count : t -> int
-val size_bytes : t -> int
 
 val encode_record : string -> string
 (** Wire frame for one record (exposed for crash-sweep tests that need

@@ -25,39 +25,6 @@ type procedure =
   | Proc_daemon_reply_cache_stats
   | Proc_daemon_fleet_status
 
-let all_procedures =
-  [|
-    Proc_list_servers; Proc_lookup_server; Proc_get_threadpool;
-    Proc_set_threadpool; Proc_get_client_limits; Proc_set_client_limits;
-    Proc_list_clients; Proc_get_client_info; Proc_client_close;
-    Proc_get_log_level; Proc_set_log_level; Proc_get_log_filters;
-    Proc_set_log_filters; Proc_get_log_outputs; Proc_set_log_outputs;
-    Proc_daemon_uptime;
-    (* v1.1 additions: numbers are append-only *)
-    Proc_daemon_drain;
-    (* v1.2 additions *)
-    Proc_daemon_pool_stats;
-    (* v1.3 additions *)
-    Proc_daemon_reconcile_status;
-    (* v1.4 additions *)
-    Proc_daemon_event_stats;
-    (* v1.5 additions *)
-    Proc_daemon_reply_cache_stats;
-    (* v1.6 additions *)
-    Proc_daemon_fleet_status;
-  |]
-
-let proc_index =
-  let h = Hashtbl.create 32 in
-  Array.iteri (fun i p -> Hashtbl.replace h p (i + 1)) all_procedures;
-  h
-
-let proc_to_int proc = Hashtbl.find proc_index proc
-
-let proc_of_int n =
-  if n >= 1 && n <= Array.length all_procedures then Ok all_procedures.(n - 1)
-  else Error (Printf.sprintf "unknown admin procedure %d" n)
-
 let is_high_priority (_ : procedure) = true
 
 (* Field names exactly as the admin API documents them. *)
@@ -114,75 +81,89 @@ type client_entry = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Body codecs                                                         *)
+(* Codecs and procedure table                                          *)
 (* ------------------------------------------------------------------ *)
 
-let enc_server_name name = Xdr.encode Xdr.enc_string name
-let dec_server_name body = Xdr.decode Xdr.dec_string body
+module Rp = Remote_protocol
 
-let enc_server_params ~server params =
-  Xdr.encode
-    (fun e () ->
-      Xdr.enc_string e server;
-      Ovrpc.Typed_params.encode e params)
-    ()
+let params = Xdr.codec Ovrpc.Typed_params.encode Ovrpc.Typed_params.decode
+let server_params = Xdr.pair Xdr.string params
+let client_ref = Xdr.pair Xdr.string Xdr.hyper
 
-let dec_server_params body =
-  Xdr.decode
-    (fun d ->
-      let server = Xdr.dec_string d in
-      let params = Ovrpc.Typed_params.decode d in
-      (server, params))
-    body
+let client_entry =
+  Xdr.record3
+    ((fun c -> c.client_id), Xdr.hyper)
+    ((fun c -> c.client_transport), Xdr.int)
+    ((fun c -> c.connected_since), Xdr.hyper)
+    (fun client_id client_transport connected_since ->
+      { client_id; client_transport; connected_since })
 
-let enc_params params = Xdr.encode Ovrpc.Typed_params.encode params
-let dec_params body = Xdr.decode Ovrpc.Typed_params.decode body
+(* v1.6: every fleet hosted by the daemon's process, each status an
+   opaque holding the remote program's body (one wire format for fleet
+   health). *)
+let fleet_statuses =
+  Xdr.array
+    (Xdr.conv (Xdr.encode Rp.fleet_health) (Xdr.decode Rp.fleet_health) Xdr.string)
 
-let enc_client_ref ~server ~id =
-  Xdr.encode
-    (fun e () ->
-      Xdr.enc_string e server;
-      Xdr.enc_uhyper e id)
-    ()
+type ('a, 'r) signature = {
+  sg_proc : procedure;
+  sg_args : 'a Xdr.codec;
+  sg_ret : 'r Xdr.codec;
+}
 
-let dec_client_ref body =
-  Xdr.decode
-    (fun d ->
-      let server = Xdr.dec_string d in
-      let id = Xdr.dec_uhyper d in
-      (server, id))
-    body
+(* Procedures in definition order, newest first, until [table] is built.
+   Numbers are append-only: a row's position is its wire number. *)
+let rows = ref []
 
-let enc_client_entry e entry =
-  Xdr.enc_uhyper e entry.client_id;
-  Xdr.enc_int e entry.client_transport;
-  Xdr.enc_hyper e entry.connected_since
+let row proc args ret =
+  rows := proc :: !rows;
+  { sg_proc = proc; sg_args = args; sg_ret = ret }
 
-let dec_client_entry d =
-  let client_id = Xdr.dec_uhyper d in
-  let client_transport = Xdr.dec_int d in
-  let connected_since = Xdr.dec_hyper d in
-  { client_id; client_transport; connected_since }
+let list_servers = row Proc_list_servers Xdr.unit (Xdr.array Xdr.string)
+let lookup_server = row Proc_lookup_server Xdr.string Xdr.unit
+let get_threadpool = row Proc_get_threadpool Xdr.string params
+let set_threadpool = row Proc_set_threadpool server_params Xdr.unit
+let get_client_limits = row Proc_get_client_limits Xdr.string params
+let set_client_limits = row Proc_set_client_limits server_params Xdr.unit
+let list_clients = row Proc_list_clients Xdr.string (Xdr.array client_entry)
+let get_client_info = row Proc_get_client_info client_ref params
+let client_close = row Proc_client_close client_ref Xdr.unit
+let get_log_level = row Proc_get_log_level Xdr.unit Xdr.uint
+let set_log_level = row Proc_set_log_level Xdr.uint Xdr.unit
+let get_log_filters = row Proc_get_log_filters Xdr.unit Xdr.string
+let set_log_filters = row Proc_set_log_filters Xdr.string Xdr.unit
+let get_log_outputs = row Proc_get_log_outputs Xdr.unit Xdr.string
+let set_log_outputs = row Proc_set_log_outputs Xdr.string Xdr.unit
+let daemon_uptime = row Proc_daemon_uptime Xdr.unit Xdr.hyper
 
-let enc_client_list l = Xdr.encode (fun e -> Xdr.enc_array e enc_client_entry) l
-let dec_client_list body = Xdr.decode (fun d -> Xdr.dec_array d dec_client_entry) body
+(* v1.1 *)
+let daemon_drain = row Proc_daemon_drain Xdr.unit Xdr.unit
 
-let enc_uint_body n = Xdr.encode Xdr.enc_uint n
-let dec_uint_body body = Xdr.decode Xdr.dec_uint body
-let enc_hyper_body n = Xdr.encode Xdr.enc_hyper n
-let dec_hyper_body body = Xdr.decode Xdr.dec_hyper body
+(* v1.2 *)
+let daemon_pool_stats = row Proc_daemon_pool_stats Xdr.string params
 
-(* v1.6: every fleet hosted by the daemon's process, each status encoded
-   with the remote program's codec (one wire format for fleet health). *)
-let enc_fleet_statuses l =
-  Xdr.encode
-    (fun e ->
-      Xdr.enc_array e (fun e s ->
-          Xdr.enc_string e (Remote_protocol.enc_fleet_status s)))
-    l
+(* v1.3 *)
+let daemon_reconcile_status =
+  row Proc_daemon_reconcile_status Xdr.unit Rp.daemon_reconcile_status.Rp.sg_ret
 
-let dec_fleet_statuses body =
-  Xdr.decode
-    (fun d ->
-      Xdr.dec_array d (fun d -> Remote_protocol.dec_fleet_status (Xdr.dec_string d)))
-    body
+(* v1.4 *)
+let daemon_event_stats = row Proc_daemon_event_stats Xdr.unit params
+
+(* v1.5 *)
+let daemon_reply_cache_stats = row Proc_daemon_reply_cache_stats Xdr.unit params
+
+(* v1.6 *)
+let daemon_fleet_status = row Proc_daemon_fleet_status Xdr.unit fleet_statuses
+
+let table = Array.of_list (List.rev !rows)
+
+let proc_index =
+  let h = Hashtbl.create 32 in
+  Array.iteri (fun i p -> Hashtbl.replace h p (i + 1)) table;
+  h
+
+let proc_to_int proc = Hashtbl.find proc_index proc
+
+let proc_of_int n =
+  if n >= 1 && n <= Array.length table then Ok table.(n - 1)
+  else Error (Printf.sprintf "unknown admin procedure %d" n)

@@ -120,31 +120,49 @@ type client_entry = {
   connected_since : int64;  (** seconds since epoch *)
 }
 
-(** {1 Body codecs} *)
+(** {1 Signatures}
 
-val enc_server_name : string -> string
-val dec_server_name : string -> string
+    One value per procedure, built by its table row in wire order: the
+    procedure with its argument and reply codecs.  [Admin_client] calls
+    through it and the daemon's admin service serves through it. *)
 
-val enc_server_params : server:string -> Ovrpc.Typed_params.t -> string
-val dec_server_params : string -> string * Ovrpc.Typed_params.t
+type ('a, 'r) signature = private {
+  sg_proc : procedure;
+  sg_args : 'a Xdr.codec;
+  sg_ret : 'r Xdr.codec;
+}
 
-val enc_params : Ovrpc.Typed_params.t -> string
-val dec_params : string -> Ovrpc.Typed_params.t
+type params := Ovrpc.Typed_params.t
 
-val enc_client_ref : server:string -> id:int64 -> string
-val dec_client_ref : string -> string * int64
+val list_servers : (unit, string list) signature
+val lookup_server : (string, unit) signature
+(** an existence check *)
 
-val enc_client_list : client_entry list -> string
-val dec_client_list : string -> client_entry list
+val get_threadpool : (string, params) signature
+val set_threadpool : (string * params, unit) signature
+val get_client_limits : (string, params) signature
+val set_client_limits : (string * params, unit) signature
+val list_clients : (string, client_entry list) signature
+val get_client_info : (string * int64, params) signature
+val client_close : (string * int64, unit) signature
+val get_log_level : (unit, int) signature
+val set_log_level : (int, unit) signature
+val get_log_filters : (unit, string) signature
+val set_log_filters : (string, unit) signature
+val get_log_outputs : (unit, string) signature
+val set_log_outputs : (string, unit) signature
+val daemon_uptime : (unit, int64) signature
+(** seconds since the daemon started *)
 
-val enc_uint_body : int -> string
-val dec_uint_body : string -> int
+val daemon_drain : (unit, unit) signature
+val daemon_pool_stats : (string, params) signature
 
-val enc_hyper_body : int64 -> string
-val dec_hyper_body : string -> int64
+val daemon_reconcile_status :
+  (unit, Reconcile.summary * Reconcile.dom_status list) signature
+(** The remote program's [daemon_reconcile_status] reply body. *)
 
-val enc_fleet_statuses : Ovirt_core.Driver.fleet_status list -> string
-val dec_fleet_statuses : string -> Ovirt_core.Driver.fleet_status list
-(** v1.6: array of per-fleet statuses, each body encoded with
-    {!Remote_protocol.enc_fleet_status} (one wire format for fleet
-    health across both programs). *)
+val daemon_event_stats : (unit, params) signature
+val daemon_reply_cache_stats : (unit, params) signature
+
+val daemon_fleet_status : (unit, Ovirt_core.Driver.fleet_status list) signature
+(** An array of opaques, each a {!Remote_protocol.fleet_health} body. *)

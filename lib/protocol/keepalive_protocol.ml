@@ -7,7 +7,5 @@
 let program = 0x6b656570 (* "keep" *)
 let version = 1
 let proc_ping = 1
-let proc_pong = 2
 
-let default_interval_s = 5.0
 let default_count = 5

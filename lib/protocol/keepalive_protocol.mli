@@ -14,7 +14,5 @@ val program : int
 
 val version : int
 val proc_ping : int
-val proc_pong : int
 
-val default_interval_s : float
 val default_count : int

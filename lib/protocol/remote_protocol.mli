@@ -98,8 +98,89 @@ type procedure =
           conditional [Proc_fleet_list_all]: a daemon whose listing still
           carries the caller's token answers "unchanged" in 12 bytes *)
 
-val enc_bool_body : bool -> string
-val dec_bool_body : string -> bool
+(** {1 Wire types}
+
+    One {!Xdr.codec} per wire type: the layout is written once and both
+    directions read it. *)
+
+val error : Ovirt_core.Verror.t Xdr.codec
+(** The body of every reply with [Status_error]: code, message. *)
+
+val domain_ref : Ovirt_core.Driver.domain_ref Xdr.codec
+val domain_info : Ovirt_core.Driver.domain_info Xdr.codec
+val domain_record : Ovirt_core.Driver.domain_record Xdr.codec
+
+val batch_call : (int * string) list Xdr.codec
+(** Sub-calls as (wire procedure number, encoded args body). *)
+
+val batch_reply : (bool * string) list Xdr.codec
+(** Sub-replies as (ok, body); a [false] body is an {!error}. *)
+
+val deadline_call : (int * int * string) Xdr.codec
+(** Deadline envelope (v1.4): the {e relative} budget in milliseconds
+    plus the wrapped (procedure, body).  Relative so client and daemon
+    clocks need not agree; the daemon anchors the absolute deadline at
+    receive time. *)
+
+val net_info : Ovirt_core.Net_backend.info Xdr.codec
+val pool_info : Ovirt_core.Storage_backend.pool_info Xdr.codec
+val vol_info : Ovirt_core.Storage_backend.vol_info Xdr.codec
+
+val lifecycle_event : Ovirt_core.Events.event Xdr.codec
+(** (domain, lifecycle); decodes with [seq = 0]. *)
+
+val policy : Ovirt_core.Dompolicy.t Xdr.codec
+
+val reconcile_status : (Reconcile.summary * Reconcile.dom_status list) Xdr.codec
+(** Per-row retry countdowns are rounded to milliseconds on the wire. *)
+
+type resume_reply = {
+  rr_gap : bool;
+      (** the ring wrapped past the client's position (or the position is
+          from a different daemon incarnation): the replay is incomplete
+          and the client must flush cached state and resync *)
+  rr_head : int;  (** newest seq assigned at the subscription snapshot *)
+  rr_oldest : int;  (** lowest seq still retained in the ring *)
+  rr_events : Ovirt_core.Events.event list;
+      (** retained events newer than the client's position, oldest first;
+          empty on gap or fresh subscription *)
+}
+
+val resume_reply : resume_reply Xdr.codec
+
+val seq_event : Ovirt_core.Events.event Xdr.codec
+(** Body of a [Proc_event_lifecycle_seq] push: (seq, domain, lifecycle). *)
+
+val fleet_listing : Ovirt_core.Driver.fleet_listing Xdr.codec
+(** Bulk listing + per-shard degradation markers + member count. *)
+
+val fleet_health : Ovirt_core.Driver.fleet_status Xdr.codec
+(** Member health rows; domain counts travel as signed ints ([-1] =
+    never listed). *)
+
+type fleet_token = { ft_nonce : int; ft_fill : int }
+(** The listing a client holds: the daemon's boot nonce plus the fill
+    number of the reply-cache entry that produced it.  Each is a u32 on
+    the wire. *)
+
+val no_token : fleet_token
+(** The zero token: names no listing, so the reply is always "full".  A
+    daemon that cannot answer conditionally (reply cache off, or a node
+    without a generation stamp) hands it out. *)
+
+val fleet_token : fleet_token Xdr.codec
+
+type since_reply =
+  | Since_unchanged of fleet_token  (** the caller's listing is current *)
+  | Since_full of fleet_token * Ovirt_core.Driver.fleet_listing
+
+val since_reply : since_reply Xdr.codec
+(** The token, then a u32 discriminant: 0 "unchanged" (12 bytes in all),
+    or 1 "full" followed by the listing as {!fleet_listing} encodes it. *)
+
+val enc_since_full_raw : fleet_token -> string -> string
+(** A "full" {!since_reply} for a listing already encoded:
+    [listing_body] is copied verbatim. *)
 
 (** {1 Procedure table}
 
@@ -133,167 +214,130 @@ val is_high_priority : procedure -> bool
 val is_idempotent : procedure -> bool
 val is_cacheable : procedure -> bool
 
-(** {1 Body codecs} *)
+(** {1 Signatures}
 
-val enc_error : Ovirt_core.Verror.t -> string
+    One value per procedure, built by its table row: the procedure with
+    its argument and reply codecs.  The remote driver calls through it
+    and the daemon serves through it, so the two cannot disagree on a
+    body.  Server → client events carry their push body as [sg_args]. *)
 
-val dec_error : string -> Ovirt_core.Verror.t
-(** @raise Xdr.Error on corruption. *)
+type ('a, 'r) signature = private {
+  sg_proc : procedure;
+  sg_args : 'a Xdr.codec;
+  sg_ret : 'r Xdr.codec;
+}
+
+open Ovirt_core
+
+val open_ : (string, unit) signature
+(** the URI to open *)
+
+val close : (unit, unit) signature
+
+val get_capabilities : (unit, string) signature
+(** capabilities XML *)
+
+val get_hostname : (unit, string) signature
+val list_domains : (unit, Driver.domain_ref list) signature
+val list_defined : (unit, string list) signature
+val lookup_by_name : (string, Driver.domain_ref) signature
+
+val lookup_by_uuid : (string, Driver.domain_ref) signature
+(** the UUID's text *)
+
+val define_xml : (string, Driver.domain_ref) signature
+val undefine : (string, unit) signature
+val dom_create : (string, unit) signature
+val dom_suspend : (string, unit) signature
+val dom_resume : (string, unit) signature
+val dom_shutdown : (string, unit) signature
+val dom_destroy : (string, unit) signature
+val dom_get_info : (string, Driver.domain_info) signature
+val dom_get_xml : (string, string) signature
+
+val dom_set_memory : (string * int, unit) signature
+(** name, KiB *)
+
+val net_list : (unit, Net_backend.info list) signature
+
+val net_define : (string * string * string, Net_backend.info) signature
+(** name, bridge, IP range *)
+
+val net_start : (string, unit) signature
+val net_stop : (string, unit) signature
+val net_undefine : (string, unit) signature
+val net_set_autostart : (string * bool, unit) signature
+val net_lookup : (string, Net_backend.info) signature
+val pool_list : (unit, Storage_backend.pool_info list) signature
+
+val pool_define : (string * string * int, Storage_backend.pool_info) signature
+(** name, target path, capacity in bytes *)
+
+val pool_start : (string, unit) signature
+val pool_stop : (string, unit) signature
+val pool_undefine : (string, unit) signature
+val pool_lookup : (string, Storage_backend.pool_info) signature
+
+val vol_create :
+  (string * string * int * string, Storage_backend.vol_info) signature
+(** pool, name, capacity in bytes, format *)
+
+val vol_delete : (string * string, unit) signature
+(** pool, name *)
+
+val vol_list : (string, Storage_backend.vol_info list) signature
+(** pool *)
+
+val event_register : (unit, unit) signature
+val event_deregister : (unit, unit) signature
+val event_lifecycle : (Events.event, unit) signature
+
+val echo : (string, string) signature
+(** the body, verbatim both ways *)
+
+val ping : (unit, unit) signature
+val dom_save : (string, unit) signature
+val dom_restore : (string, unit) signature
+val dom_has_managed_save : (string, bool) signature
+val dom_set_autostart : (string * bool, unit) signature
+val dom_get_autostart : (string, bool) signature
+val proto_minor : (unit, int) signature
+val dom_list_all : (unit, Driver.domain_record list) signature
+val call_batch : ((int * string) list, (bool * string) list) signature
+
+val vol_lookup : (string, Storage_backend.vol_info) signature
+(** a volume path *)
+
+val call_deadline : (int * int * string, string) signature
+(** The reply is the inner call's, verbatim. *)
+
+val dom_set_policy : (string * Dompolicy.t, unit) signature
+val dom_get_policy : (string, Dompolicy.t) signature
+
+val daemon_reconcile_status :
+  (unit, Reconcile.summary * Reconcile.dom_status list) signature
+
+val event_resume : (int, resume_reply) signature
+(** The last stream position the client processed; [-1] = fresh
+    subscription (arm at the current head, replay nothing). *)
+
+val event_lifecycle_seq : (Events.event, unit) signature
+val fleet_list_all : (unit, Driver.fleet_listing) signature
+val fleet_status : (unit, Driver.fleet_status) signature
+
+val fleet_migrate : (string * string, unit) signature
+(** domain, destination *)
+
+val fleet_list_since : (fleet_token, since_reply) signature
+
+(** {1 Bodies the repository benchmark codes directly}
+
+    Each is [Xdr.encode] or [Xdr.decode] over its codec. *)
 
 val enc_string_body : string -> string
 val dec_string_body : string -> string
-val enc_unit_body : string
-val dec_unit_body : string -> unit
-
-val enc_string_list : string list -> string
-val dec_string_list : string -> string list
-
-val enc_domain_ref : Ovirt_core.Driver.domain_ref -> string
-val dec_domain_ref : string -> Ovirt_core.Driver.domain_ref
-val enc_domain_ref_list : Ovirt_core.Driver.domain_ref list -> string
-val dec_domain_ref_list : string -> Ovirt_core.Driver.domain_ref list
-
-val enc_domain_info : Ovirt_core.Driver.domain_info -> string
-val dec_domain_info : string -> Ovirt_core.Driver.domain_info
-
-val enc_domain_record_list : Ovirt_core.Driver.domain_record list -> string
-val dec_domain_record_list : string -> Ovirt_core.Driver.domain_record list
-
-val enc_int_body : int -> string
-val dec_int_body : string -> int
-
-val enc_batch_call : (int * string) list -> string
-val dec_batch_call : string -> (int * string) list
-(** Sub-calls as (wire procedure number, encoded args body). *)
-
-val enc_batch_reply : (bool * string) list -> string
-val dec_batch_reply : string -> (bool * string) list
-(** Sub-replies as (ok, body); a [false] body is an {!enc_error}. *)
-
-val enc_deadline_call : budget_ms:int -> proc:int -> string -> string
-val dec_deadline_call : string -> int * int * string
-(** Deadline envelope (v1.4): the {e relative} budget in milliseconds
-    plus the wrapped (procedure, body).  Relative so client and daemon
-    clocks need not agree; the daemon anchors the absolute deadline at
-    receive time.  @raise Xdr.Error on corruption. *)
-
-val enc_name_and_kib : string -> int -> string
-val dec_name_and_kib : string -> string * int
-
-val enc_net_define : name:string -> bridge:string -> ip_range:string -> string
-val dec_net_define : string -> string * string * string
-
-val enc_net_info : Ovirt_core.Net_backend.info -> string
-val dec_net_info : string -> Ovirt_core.Net_backend.info
-val enc_net_info_list : Ovirt_core.Net_backend.info list -> string
-val dec_net_info_list : string -> Ovirt_core.Net_backend.info list
-
+val enc_domain_info : Driver.domain_info -> string
+val dec_domain_info : string -> Driver.domain_info
+val enc_domain_record_list : Driver.domain_record list -> string
+val dec_domain_record_list : string -> Driver.domain_record list
 val enc_name_and_bool : string -> bool -> string
-val dec_name_and_bool : string -> string * bool
-
-val enc_pool_define : name:string -> target_path:string -> capacity_b:int -> string
-val dec_pool_define : string -> string * string * int
-
-val enc_pool_info : Ovirt_core.Storage_backend.pool_info -> string
-val dec_pool_info : string -> Ovirt_core.Storage_backend.pool_info
-val enc_pool_info_list : Ovirt_core.Storage_backend.pool_info list -> string
-val dec_pool_info_list : string -> Ovirt_core.Storage_backend.pool_info list
-
-val enc_vol_create :
-  pool:string -> name:string -> capacity_b:int -> format:string -> string
-val dec_vol_create : string -> string * string * int * string
-
-val enc_vol_ref : pool:string -> name:string -> string
-val dec_vol_ref : string -> string * string
-
-val enc_vol_info : Ovirt_core.Storage_backend.vol_info -> string
-val dec_vol_info : string -> Ovirt_core.Storage_backend.vol_info
-val enc_vol_info_list : Ovirt_core.Storage_backend.vol_info list -> string
-val dec_vol_info_list : string -> Ovirt_core.Storage_backend.vol_info list
-
-val enc_lifecycle_event : Ovirt_core.Events.event -> string
-val dec_lifecycle_event : string -> Ovirt_core.Events.event
-
-(** {1 v1.5: lifecycle policy / reconciler status} *)
-
-val enc_policy : Ovirt_core.Dompolicy.t -> string
-val dec_policy : string -> Ovirt_core.Dompolicy.t
-
-val enc_set_policy : string -> Ovirt_core.Dompolicy.t -> string
-val dec_set_policy : string -> string * Ovirt_core.Dompolicy.t
-
-val enc_reconcile_status : Reconcile.summary * Reconcile.dom_status list -> string
-val dec_reconcile_status : string -> Reconcile.summary * Reconcile.dom_status list
-(** Per-row retry countdowns are rounded to milliseconds on the wire. *)
-
-(** {1 v1.6: resumable sequence-numbered event streams} *)
-
-val enc_event_resume : int -> string
-val dec_event_resume : string -> int
-(** Last stream position the client processed; [-1] = fresh subscription
-    (arm at the current head, replay nothing). *)
-
-type resume_reply = {
-  rr_gap : bool;
-      (** the ring wrapped past the client's position (or the position is
-          from a different daemon incarnation): the replay is incomplete
-          and the client must flush cached state and resync *)
-  rr_head : int;  (** newest seq assigned at the subscription snapshot *)
-  rr_oldest : int;  (** lowest seq still retained in the ring *)
-  rr_events : Ovirt_core.Events.event list;
-      (** retained events newer than the client's position, oldest first;
-          empty on gap or fresh subscription *)
-}
-
-val enc_resume_reply : resume_reply -> string
-val dec_resume_reply : string -> resume_reply
-
-val enc_seq_event : Ovirt_core.Events.event -> string
-val dec_seq_event : string -> Ovirt_core.Events.event
-(** Body of a [Proc_event_lifecycle_seq] push: (seq, domain, lifecycle). *)
-
-(** {1 v1.7: federation} *)
-
-val enc_fleet_listing : Ovirt_core.Driver.fleet_listing -> string
-val dec_fleet_listing : string -> Ovirt_core.Driver.fleet_listing
-(** Bulk listing + per-shard degradation markers + member count. *)
-
-val enc_fleet_status : Ovirt_core.Driver.fleet_status -> string
-val dec_fleet_status : string -> Ovirt_core.Driver.fleet_status
-(** Member health rows; domain counts travel as signed ints ([-1] =
-    never listed). *)
-
-val enc_fleet_migrate : domain:string -> dest:string -> string
-val dec_fleet_migrate : string -> string * string
-
-(** {1 v1.8: conditional listings} *)
-
-type fleet_token = { ft_nonce : int; ft_fill : int }
-(** The listing a client holds: the daemon's boot nonce plus the fill
-    number of the reply-cache entry that produced it.  Each is a u32 on
-    the wire. *)
-
-val no_token : fleet_token
-(** The zero token: names no listing, so the reply is always "full".  A
-    daemon that cannot answer conditionally (reply cache off, or a node
-    without a generation stamp) hands it out. *)
-
-val enc_fleet_token : fleet_token -> string
-val dec_fleet_token : string -> fleet_token
-
-type since_reply =
-  | Since_unchanged of fleet_token  (** the caller's listing is current *)
-  | Since_full of fleet_token * Ovirt_core.Driver.fleet_listing
-
-val enc_since_unchanged : fleet_token -> string
-(** 12 bytes: the token and the "unchanged" discriminant. *)
-
-val enc_since_full : fleet_token -> Ovirt_core.Driver.fleet_listing -> string
-(** The token, the "full" discriminant, then the listing as
-    {!enc_fleet_listing} encodes it. *)
-
-val enc_since_full_raw : fleet_token -> string -> string
-(** {!enc_since_full} for a listing already encoded: [listing_body] is
-    copied verbatim. *)
-
-val dec_since_reply : string -> since_reply

@@ -21,11 +21,6 @@ type op_kind = Op_start | Op_resume | Op_shutdown | Op_save
 
 type op = { op_uri : string; op_name : string; op_kind : op_kind }
 
-val op_kind_name : op_kind -> string
-
-val op_satisfied : op_kind -> Vmm.Vm_state.state option -> bool
-(** Does the op's postcondition already hold?  ([None] = undefined.) *)
-
 (** {1 IO surface}
 
     The engine never touches a driver directly; the daemon supplies

@@ -197,7 +197,7 @@ let receiver_loop client keepalive =
                  match header.Rpc_packet.status with
                  | Rpc_packet.Status_ok -> Ok body
                  | Rpc_packet.Status_error ->
-                   (match Protocol.Remote_protocol.dec_error body with
+                   (match Xdr.decode Protocol.Remote_protocol.error body with
                     | err -> Error err
                     | exception Xdr.Error msg ->
                       Error

@@ -98,8 +98,4 @@ let connect ?identity ?sock_addr ?faults addr kind =
   in
   Transport.initiate kind ~peer_sends client_ep
 
-let bound_addresses () =
-  with_registry (fun () ->
-      Hashtbl.fold (fun addr _ acc -> addr :: acc) registry [] |> List.sort compare)
-
 let reset () = with_registry (fun () -> Hashtbl.reset registry)

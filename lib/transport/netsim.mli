@@ -57,7 +57,5 @@ val set_logger : Vlog.t -> unit
 (** Replace the logger used for sink failures (default: warn-level
     stderr). *)
 
-val bound_addresses : unit -> string list
-
 val reset : unit -> unit
 (** Drop all listeners (test isolation). *)

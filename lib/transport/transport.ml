@@ -123,8 +123,6 @@ let try_recv conn =
     conn.rx <- conn.rx + String.length msg;
     Some msg
 
-let incoming_chan conn = conn.ep.Chan.incoming
-
 let close conn = Chan.close_endpoint conn.ep
 let is_closed conn = Chan.is_closed conn.ep.Chan.outgoing
 let bytes_tx conn = conn.tx

@@ -53,10 +53,6 @@ val try_recv : t -> string option
 (** Non-blocking {!recv}: [None] when no frame is queued.  Raises as
     {!recv} does ([Closed], [Corrupt]).  The reactor's drain primitive. *)
 
-val incoming_chan : t -> Chan.t
-(** The receive-direction channel, for registering readiness hooks (the
-    reactor watches this, then drains through {!try_recv}). *)
-
 val close : t -> unit
 val is_closed : t -> bool
 

@@ -17,7 +17,6 @@ type encoder = { mutable buf : Bytes.t; mutable pos : int }
 
 let encoder ?(size = 256) () = { buf = Bytes.create (max 8 size); pos = 0 }
 let to_string e = Bytes.sub_string e.buf 0 e.pos
-let length e = e.pos
 
 let ensure e n =
   let need = e.pos + n in
@@ -42,19 +41,6 @@ let enc_raw_u32 e v =
   ensure e 4;
   set_u32 e.buf e.pos v;
   e.pos <- e.pos + 4
-
-let reserve e n =
-  ensure e n;
-  let off = e.pos in
-  Bytes.fill e.buf off n '\000';
-  e.pos <- e.pos + n;
-  off
-
-let patch_u32 e off v =
-  if off < 0 || off + 4 > e.pos then
-    fail "patch_u32: offset %d outside encoded range [0,%d)" off e.pos;
-  if v < 0 || v > 0xffff_ffff then fail "patch_u32: %d out of uint32 range" v;
-  set_u32 e.buf off v
 
 let enc_int e v =
   if v < -0x8000_0000 || v > 0x7fff_ffff then
@@ -102,13 +88,15 @@ let enc_fixed_opaque e n s =
   add_string e s;
   enc_pad e n
 
-(* Single traversal: reserve the count word, encode while counting, then
-   patch the count in place.  The old shape ([List.length] then
+(* Single traversal: skip the count word, encode while counting, then
+   write the count in place.  The old shape ([List.length] then
    [List.iter]) walked every list twice on the hot encode path. *)
 let enc_array e enc_elt elts =
-  let off = reserve e 4 in
+  ensure e 4;
+  let off = e.pos in
+  e.pos <- e.pos + 4;
   let n = List.fold_left (fun n elt -> enc_elt e elt; n + 1) 0 elts in
-  patch_u32 e off n
+  set_u32 e.buf off n
 
 let enc_option e enc_elt = function
   | None -> enc_bool e false
@@ -123,7 +111,6 @@ let enc_option e enc_elt = function
 type decoder = { data : string; mutable pos : int }
 
 let decoder data = { data; pos = 0 }
-let pos d = d.pos
 let remaining d = String.length d.data - d.pos
 
 let need d n =
@@ -213,25 +200,161 @@ let check_consumed d =
     fail "decode: %d trailing bytes at offset %d" (remaining d) d.pos
 
 (* ------------------------------------------------------------------ *)
-(* Whole-value helpers                                                 *)
+(* Codecs                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let encode enc v =
-  let e = encoder () in
-  enc e v;
-  to_string e
+(* [size] is the exact encoded size where it is known without encoding,
+   so a whole body of that type is written into its exact-size result. *)
+type 'a codec = {
+  enc : encoder -> 'a -> unit;
+  dec : decoder -> 'a;
+  size : ('a -> int) option;
+}
 
-(* A lone string knows its encoded size up front (length word, bytes,
-   padding), so it is written into its exact-size result: no encoder to
-   grow, no final copy. *)
-let encode_string s =
-  let n = String.length s in
-  let e = { buf = Bytes.create (4 + n + padding n); pos = 0 } in
-  enc_string e s;
-  Bytes.unsafe_to_string e.buf
+let codec enc dec = { enc; dec; size = None }
+let write c = c.enc
+let read c = c.dec
+let int = codec enc_int dec_int
+let uint = codec enc_uint dec_uint
+let hyper = codec enc_hyper dec_hyper
+let bool = codec enc_bool dec_bool
 
-let decode dec s =
+(* A domain XML runs to about 2 KB, and growing an encoder to 2 KB by
+   doubling would put a block straight into the major heap. *)
+let string =
+  {
+    enc = enc_string;
+    dec = dec_string;
+    size = Some (fun s -> 4 + String.length s + padding (String.length s));
+  }
+
+let fixed_opaque n =
+  codec (fun e s -> enc_fixed_opaque e n s) (fun d -> dec_fixed_opaque d n)
+
+let unit =
+  {
+    enc = (fun _ () -> ());
+    dec = (fun d -> if remaining d <> 0 then fail "expected empty body");
+    size = Some (fun () -> 0);
+  }
+
+let raw =
+  {
+    enc = add_string;
+    dec =
+      (fun d ->
+        let s = String.sub d.data d.pos (remaining d) in
+        d.pos <- String.length d.data;
+        s);
+    size = Some String.length;
+  }
+
+let array c = codec (fun e l -> enc_array e c.enc l) (fun d -> dec_array d c.dec)
+let option c = codec (fun e o -> enc_option e c.enc o) (fun d -> dec_option d c.dec)
+let conv f g c = codec (fun e v -> c.enc e (f v)) (fun d -> g (c.dec d))
+
+let enum what base values =
+  let n = Array.length values in
+  let rec index v i =
+    if i = n then fail "enc: value outside the %s table" what
+    else if values.(i) == v then i
+    else index v (i + 1)
+  in
+  codec
+    (fun e v -> base.enc e (index v 0))
+    (fun d ->
+      let i = base.dec d in
+      if i >= 0 && i < n then values.(i) else fail "unknown %s %d" what i)
+
+(* Record builders: a getter and a codec per field, in wire order, and
+   the constructor.  Fields are read in sequence and the constructor is
+   applied once, so a row allocates only its record. *)
+let record2 (g1, c1) (g2, c2) mk =
+  codec
+    (fun e r -> c1.enc e (g1 r); c2.enc e (g2 r))
+    (fun d -> let a = c1.dec d in mk a (c2.dec d))
+
+let record3 (g1, c1) (g2, c2) (g3, c3) mk =
+  codec
+    (fun e r -> c1.enc e (g1 r); c2.enc e (g2 r); c3.enc e (g3 r))
+    (fun d -> let a = c1.dec d in let b = c2.dec d in mk a b (c3.dec d))
+
+let record4 (g1, c1) (g2, c2) (g3, c3) (g4, c4) mk =
+  codec
+    (fun e r -> c1.enc e (g1 r); c2.enc e (g2 r); c3.enc e (g3 r); c4.enc e (g4 r))
+    (fun d ->
+      let a = c1.dec d in let b = c2.dec d in let c = c3.dec d in
+      mk a b c (c4.dec d))
+
+let record5 (g1, c1) (g2, c2) (g3, c3) (g4, c4) (g5, c5) mk =
+  codec
+    (fun e r ->
+      c1.enc e (g1 r); c2.enc e (g2 r); c3.enc e (g3 r); c4.enc e (g4 r);
+      c5.enc e (g5 r))
+    (fun d ->
+      let a = c1.dec d in let b = c2.dec d in let c = c3.dec d in
+      let x = c4.dec d in
+      mk a b c x (c5.dec d))
+
+let record6 (g1, c1) (g2, c2) (g3, c3) (g4, c4) (g5, c5) (g6, c6) mk =
+  codec
+    (fun e r ->
+      c1.enc e (g1 r); c2.enc e (g2 r); c3.enc e (g3 r); c4.enc e (g4 r);
+      c5.enc e (g5 r); c6.enc e (g6 r))
+    (fun d ->
+      let a = c1.dec d in let b = c2.dec d in let c = c3.dec d in
+      let x = c4.dec d in let y = c5.dec d in
+      mk a b c x y (c6.dec d))
+
+let record7 (g1, c1) (g2, c2) (g3, c3) (g4, c4) (g5, c5) (g6, c6) (g7, c7) mk =
+  codec
+    (fun e r ->
+      c1.enc e (g1 r); c2.enc e (g2 r); c3.enc e (g3 r); c4.enc e (g4 r);
+      c5.enc e (g5 r); c6.enc e (g6 r); c7.enc e (g7 r))
+    (fun d ->
+      let a = c1.dec d in let b = c2.dec d in let c = c3.dec d in
+      let x = c4.dec d in let y = c5.dec d in let z = c6.dec d in
+      mk a b c x y z (c7.dec d))
+
+let record9 (g1, c1) (g2, c2) (g3, c3) (g4, c4) (g5, c5) (g6, c6) (g7, c7)
+    (g8, c8) (g9, c9) mk =
+  codec
+    (fun e r ->
+      c1.enc e (g1 r); c2.enc e (g2 r); c3.enc e (g3 r); c4.enc e (g4 r);
+      c5.enc e (g5 r); c6.enc e (g6 r); c7.enc e (g7 r); c8.enc e (g8 r);
+      c9.enc e (g9 r))
+    (fun d ->
+      let a = c1.dec d in let b = c2.dec d in let c = c3.dec d in
+      let x = c4.dec d in let y = c5.dec d in let z = c6.dec d in
+      let u = c7.dec d in let v = c8.dec d in
+      mk a b c x y z u v (c9.dec d))
+
+let pair a b = record2 (fst, a) (snd, b) (fun x y -> (x, y))
+
+let triple a b c =
+  record3
+    ((fun (x, _, _) -> x), a)
+    ((fun (_, y, _) -> y), b)
+    ((fun (_, _, z) -> z), c)
+    (fun x y z -> (x, y, z))
+
+(* ------------------------------------------------------------------ *)
+(* Whole bodies                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let encode c v =
+  match c.size with
+  | Some size ->
+    let e = { buf = Bytes.create (size v); pos = 0 } in
+    c.enc e v;
+    Bytes.unsafe_to_string e.buf
+  | None ->
+    let e = encoder () in
+    c.enc e v;
+    to_string e
+
+let decode c s =
   let d = decoder s in
-  let v = dec d in
+  let v = c.dec d in
   check_consumed d;
   v

@@ -4,12 +4,15 @@
     libvirt's use of XDR for every RPC body.  All quantities are big-endian
     and padded to 4-byte boundaries, as the standard requires.
 
-    Encoding writes into a growable [Bytes.t] with an explicit position,
-    so fixed-width words written early can be patched in place
-    ({!reserve} / {!patch_u32}).  Decoding reads from
-    an immutable string with an explicit cursor.  Decoding failures raise
+    A wire type is stated once, as a {!codec}: the encoder and decoder of
+    one layout, built from the primitive codecs with {!array}, {!option},
+    {!enum}, {!conv} and the record builders.  {!encode} and {!decode}
+    turn a codec into a whole-body function.  Decoding failures raise
     {!Error} rather than returning options: a malformed packet aborts the
-    whole message. *)
+    whole message.
+
+    The encoder and decoder cursors underneath stay public for layouts
+    that are not codecs (typed parameters, a spliced cached body). *)
 
 exception Error of string
 (** Raised on malformed input: truncated data, out-of-range values,
@@ -25,18 +28,6 @@ val encoder : ?size:int -> unit -> encoder
 
 val to_string : encoder -> string
 (** Contents encoded so far (one copy). *)
-
-val length : encoder -> int
-(** Number of bytes encoded so far. *)
-
-val reserve : encoder -> int -> int
-(** [reserve e n] zero-fills and skips [n] bytes, returning their starting
-    offset for a later {!patch_u32} (or out-of-band fill). *)
-
-val patch_u32 : encoder -> int -> int -> unit
-(** [patch_u32 e off v] overwrites the 4 bytes at [off] with [v] as a
-    big-endian u32.  @raise Error if [off+4] exceeds the encoded length or
-    [v] is out of u32 range. *)
 
 val enc_int : encoder -> int -> unit
 (** Signed 32-bit integer.  @raise Error if out of int32 range. *)
@@ -63,15 +54,8 @@ val enc_raw : encoder -> string -> unit
 val enc_string : encoder -> string -> unit
 (** Variable-length string: u32 length, bytes, zero padding to 4. *)
 
-val enc_fixed_opaque : encoder -> int -> string -> unit
-(** [enc_fixed_opaque e n s] writes exactly [n] bytes (padded to 4).
-    @raise Error if [String.length s <> n]. *)
-
 val enc_array : encoder -> (encoder -> 'a -> unit) -> 'a list -> unit
 (** Counted array: u32 element count then each element. *)
-
-val enc_option : encoder -> (encoder -> 'a -> unit) -> 'a option -> unit
-(** XDR optional: bool discriminant then the payload if present. *)
 
 (** {1 Decoding} *)
 
@@ -80,12 +64,6 @@ type decoder
 val decoder : string -> decoder
 (** Decoder positioned at the start of [s]. *)
 
-val pos : decoder -> int
-(** Current cursor position in bytes. *)
-
-val remaining : decoder -> int
-(** Bytes left to decode. *)
-
 val dec_int : decoder -> int
 val dec_uint : decoder -> int
 val dec_hyper : decoder -> int64
@@ -93,18 +71,101 @@ val dec_uhyper : decoder -> int64
 val dec_bool : decoder -> bool
 val dec_double : decoder -> float
 val dec_string : decoder -> string
-val dec_fixed_opaque : decoder -> int -> string
-
 val dec_array : decoder -> (decoder -> 'a) -> 'a list
-val dec_option : decoder -> (decoder -> 'a) -> 'a option
 
-(** {1 Whole-value helpers} *)
+(** {1 Codecs} *)
 
-val encode : (encoder -> 'a -> unit) -> 'a -> string
-(** Encode a single value to a string. *)
+type 'a codec
+(** The encoder and the decoder of one wire layout. *)
 
-val encode_string : string -> string
-(** [encode enc_string s] in one exact-size allocation. *)
+val codec : (encoder -> 'a -> unit) -> (decoder -> 'a) -> 'a codec
+(** A codec from a hand-written pair, for a layout the combinators do
+    not cover (a discriminated union, typed parameters). *)
 
-val decode : (decoder -> 'a) -> string -> 'a
-(** Decode a single value, checking full consumption. *)
+val write : 'a codec -> encoder -> 'a -> unit
+val read : 'a codec -> decoder -> 'a
+
+val int : int codec
+val uint : int codec
+val hyper : int64 codec
+val bool : bool codec
+
+val string : string codec
+(** {!encode} writes a string body into its exact-size result. *)
+
+val fixed_opaque : int -> string codec
+(** Exactly [n] bytes, padded to 4.  Encoding raises {!Error} on a
+    string of another length. *)
+
+val unit : unit codec
+(** The empty body.  Decoding raises [Error "expected empty body"] if
+    any byte is left, so it only ends a layout. *)
+
+val raw : string codec
+(** The rest of the body, verbatim: for a body another layer frames (an
+    echoed payload, an enveloped call's reply).  It is the one codec for
+    which a strict prefix of an encoding decodes. *)
+
+val array : 'a codec -> 'a list codec
+(** Counted array.  A count larger than the bytes left is rejected
+    before anything is allocated. *)
+
+val option : 'a codec -> 'a option codec
+(** Bool discriminant, then the payload if present. *)
+
+val conv : ('b -> 'a) -> ('a -> 'b) -> 'a codec -> 'b codec
+(** [conv f g c] writes [f v] with [c] and reads [g] of what [c] reads.
+    [g] may raise {!Error} for a wire value with no ['b]. *)
+
+val enum : string -> int codec -> 'a array -> 'a codec
+(** [enum what base values]: constant constructors as their index in
+    [values], written with [base].  An index outside the table decodes
+    to [Error "unknown <what> <n>"]. *)
+
+(** {2 Records}
+
+    [recordN (get1, codec1) … (getN, codecN) make]: the fields in wire
+    order, each with its getter, and the constructor.  Decoding applies
+    [make] once, so a row allocates only what [make] builds. *)
+
+val record2 : ('r -> 'a) * 'a codec -> ('r -> 'b) * 'b codec -> ('a -> 'b -> 'r) -> 'r codec
+
+val record3 :
+  ('r -> 'a) * 'a codec -> ('r -> 'b) * 'b codec -> ('r -> 'c) * 'c codec ->
+  ('a -> 'b -> 'c -> 'r) -> 'r codec
+
+val record4 :
+  ('r -> 'a) * 'a codec -> ('r -> 'b) * 'b codec -> ('r -> 'c) * 'c codec ->
+  ('r -> 'd) * 'd codec -> ('a -> 'b -> 'c -> 'd -> 'r) -> 'r codec
+
+val record5 :
+  ('r -> 'a) * 'a codec -> ('r -> 'b) * 'b codec -> ('r -> 'c) * 'c codec ->
+  ('r -> 'd) * 'd codec -> ('r -> 'e) * 'e codec ->
+  ('a -> 'b -> 'c -> 'd -> 'e -> 'r) -> 'r codec
+
+val record6 :
+  ('r -> 'a) * 'a codec -> ('r -> 'b) * 'b codec -> ('r -> 'c) * 'c codec ->
+  ('r -> 'd) * 'd codec -> ('r -> 'e) * 'e codec -> ('r -> 'f) * 'f codec ->
+  ('a -> 'b -> 'c -> 'd -> 'e -> 'f -> 'r) -> 'r codec
+
+val record7 :
+  ('r -> 'a) * 'a codec -> ('r -> 'b) * 'b codec -> ('r -> 'c) * 'c codec ->
+  ('r -> 'd) * 'd codec -> ('r -> 'e) * 'e codec -> ('r -> 'f) * 'f codec ->
+  ('r -> 'g) * 'g codec -> ('a -> 'b -> 'c -> 'd -> 'e -> 'f -> 'g -> 'r) -> 'r codec
+
+val record9 :
+  ('r -> 'a) * 'a codec -> ('r -> 'b) * 'b codec -> ('r -> 'c) * 'c codec ->
+  ('r -> 'd) * 'd codec -> ('r -> 'e) * 'e codec -> ('r -> 'f) * 'f codec ->
+  ('r -> 'g) * 'g codec -> ('r -> 'h) * 'h codec -> ('r -> 'i) * 'i codec ->
+  ('a -> 'b -> 'c -> 'd -> 'e -> 'f -> 'g -> 'h -> 'i -> 'r) -> 'r codec
+
+val pair : 'a codec -> 'b codec -> ('a * 'b) codec
+val triple : 'a codec -> 'b codec -> 'c codec -> ('a * 'b * 'c) codec
+
+(** {1 Whole bodies} *)
+
+val encode : 'a codec -> 'a -> string
+(** One value as a whole body. *)
+
+val decode : 'a codec -> string -> 'a
+(** One value from a whole body; bytes left over raise {!Error}. *)

@@ -99,19 +99,19 @@ let test_domain_record_roundtrip () =
     ]
   in
   Alcotest.(check bool) "roundtrip" true
-    (Rp.dec_domain_record_list (Rp.enc_domain_record_list records) = records);
+    (round_trip Rp.dom_list_all.Rp.sg_ret records = records);
   Alcotest.(check bool) "empty" true
-    (Rp.dec_domain_record_list (Rp.enc_domain_record_list []) = [])
+    (round_trip Rp.dom_list_all.Rp.sg_ret [] = [])
 
 let test_batch_codec_roundtrip () =
   let calls = [ (38, "payload"); (12, ""); (46, String.make 300 'x') ] in
-  Alcotest.(check bool) "calls" true (Rp.dec_batch_call (Rp.enc_batch_call calls) = calls);
+  Alcotest.(check bool) "calls" true (round_trip Rp.batch_call calls = calls);
   let replies =
-    [ (true, "ok-body"); (false, Rp.enc_error (Verror.make Verror.No_domain "gone")) ]
+    [ (true, "ok-body"); (false, Xdr.encode Rp.error (Verror.make Verror.No_domain "gone")) ]
   in
   Alcotest.(check bool) "replies" true
-    (Rp.dec_batch_reply (Rp.enc_batch_reply replies) = replies);
-  Alcotest.(check int) "int body" 3 (Rp.dec_int_body (Rp.enc_int_body 3))
+    (round_trip Rp.batch_reply replies = replies);
+  Alcotest.(check int) "int body" 3 (round_trip Rp.proto_minor.Rp.sg_ret 3)
 
 (* --- cache fill protocol -------------------------------------------------- *)
 
@@ -710,41 +710,41 @@ let test_batch_error_isolation () =
       let client = raw_client daemon in
       let node = fresh_name "batchnode" in
       vok
-        (Result.map Rp.dec_unit_body
+        (Result.map (Xdr.decode Xdr.unit)
            (raw_call client Rp.Proc_open
               (Rp.enc_string_body (Printf.sprintf "test://%s/" node))));
       let batch =
-        Rp.enc_batch_call
+        Xdr.encode Rp.batch_call
           [
             (Rp.proc_to_int Rp.Proc_echo, "hello");
             (Rp.proc_to_int Rp.Proc_dom_get_info, Rp.enc_string_body "no-such-vm");
             (9999, "");
-            (Rp.proc_to_int Rp.Proc_list_domains, Rp.enc_unit_body);
+            (Rp.proc_to_int Rp.Proc_list_domains, "");
           ]
       in
-      let replies = Rp.dec_batch_reply (vok (raw_call client Rp.Proc_call_batch batch)) in
+      let replies = Xdr.decode Rp.batch_reply (vok (raw_call client Rp.Proc_call_batch batch)) in
       (match replies with
       | [ (ok1, b1); (ok2, b2); (ok3, b3); (ok4, b4) ] ->
         Alcotest.(check bool) "echo succeeded" true ok1;
         Alcotest.(check string) "echo body" "hello" b1;
         Alcotest.(check bool) "missing domain isolated" false ok2;
         Alcotest.(check bool) "as no_domain" true
-          ((Rp.dec_error b2).Verror.code = Verror.No_domain);
+          ((Xdr.decode Rp.error b2).Verror.code = Verror.No_domain);
         Alcotest.(check bool) "unknown proc isolated" false ok3;
         Alcotest.(check bool) "as rpc_failure" true
-          ((Rp.dec_error b3).Verror.code = Verror.Rpc_failure);
+          ((Xdr.decode Rp.error b3).Verror.code = Verror.Rpc_failure);
         Alcotest.(check bool) "sibling after failures succeeded" true ok4;
         Alcotest.(check int) "and decoded" 1
-          (List.length (Rp.dec_domain_ref_list b4))
+          (List.length (Xdr.decode Rp.list_domains.Rp.sg_ret b4))
       | _ -> Alcotest.failf "expected 4 sub-replies, got %d" (List.length replies));
       (* A batch must not smuggle a batch: the recursion is refused. *)
       let nested =
-        Rp.enc_batch_call [ (Rp.proc_to_int Rp.Proc_call_batch, Rp.enc_batch_call []) ]
+        Xdr.encode Rp.batch_call [ (Rp.proc_to_int Rp.Proc_call_batch, Xdr.encode Rp.batch_call []) ]
       in
-      (match Rp.dec_batch_reply (vok (raw_call client Rp.Proc_call_batch nested)) with
+      (match Xdr.decode Rp.batch_reply (vok (raw_call client Rp.Proc_call_batch nested)) with
       | [ (false, body) ] ->
         Alcotest.(check bool) "nested refused" true
-          ((Rp.dec_error body).Verror.code = Verror.Rpc_failure)
+          ((Xdr.decode Rp.error body).Verror.code = Verror.Rpc_failure)
       | _ -> Alcotest.fail "nested batch not isolated");
       Rpc_client.close client)
 
@@ -755,13 +755,13 @@ let test_batch_reply_too_big () =
       let client = raw_client daemon in
       let node = fresh_name "bignode" in
       vok
-        (Result.map Rp.dec_unit_body
+        (Result.map (Xdr.decode Xdr.unit)
            (raw_call client Rp.Proc_open
               (Rp.enc_string_body (Printf.sprintf "test://%s/" node))));
       let get_xml = (Rp.proc_to_int Rp.Proc_dom_get_xml, Rp.enc_string_body "test") in
       let xml_reply = vok (raw_call client Rp.Proc_dom_get_xml (snd get_xml)) in
       let count = (Ovrpc.Rpc_packet.max_packet_size / String.length xml_reply) + 1 in
-      let batch = Rp.enc_batch_call (List.init count (fun _ -> get_xml)) in
+      let batch = Xdr.encode Rp.batch_call (List.init count (fun _ -> get_xml)) in
       let t0 = Unix.gettimeofday () in
       (match Rpc_client.call client ~procedure:(Rp.proc_to_int Rp.Proc_call_batch)
                ~body:batch ~timeout_s:5.0 ()
@@ -777,19 +777,19 @@ let test_batch_reply_too_big () =
       Alcotest.(check bool)
         (Printf.sprintf "answered in %.2fs, well inside the timeout" elapsed)
         true (elapsed < 2.5);
-      vok (Result.map Rp.dec_unit_body (raw_call client Rp.Proc_ping Rp.enc_unit_body));
+      vok (Result.map (Xdr.decode Xdr.unit) (raw_call client Rp.Proc_ping ""));
       Rpc_client.close client)
 
 let test_v12_daemon_rejects_new_procs () =
   with_daemon ~config:v12_config (fun daemon _ ->
       let client = raw_client daemon in
       vok
-        (Result.map Rp.dec_unit_body
+        (Result.map (Xdr.decode Xdr.unit)
            (raw_call client Rp.Proc_open
               (Rp.enc_string_body (Printf.sprintf "test://%s/" (fresh_name "old")))));
       List.iter
         (fun proc ->
-          match raw_call client proc Rp.enc_unit_body with
+          match raw_call client proc "" with
           | Ok _ -> Alcotest.failf "v1.2 daemon accepted proc %d" (Rp.proc_to_int proc)
           | Error e ->
             Alcotest.(check bool) "unknown procedure" true
@@ -797,7 +797,7 @@ let test_v12_daemon_rejects_new_procs () =
         [ Rp.Proc_proto_minor; Rp.Proc_dom_list_all; Rp.Proc_call_batch; Rp.Proc_vol_lookup ];
       (* The gated procedures must be indistinguishable from garbage
          numbers: same error text an out-of-range procedure gets. *)
-      (match raw_call client Rp.Proc_dom_list_all Rp.enc_unit_body with
+      (match raw_call client Rp.Proc_dom_list_all "" with
       | Error e ->
         Alcotest.(check string) "same wording as unknown"
           (Printf.sprintf "unknown remote procedure %d" (Rp.proc_to_int Rp.Proc_dom_list_all))
@@ -1019,12 +1019,12 @@ let apply_listing_step (proc, rows) step =
    the bare-rows reply is wrapped as a listing with no shard errors. *)
 let listing_body (proc, rows) =
   if proc = Rp.Proc_fleet_list_all then
-    Rp.enc_fleet_listing
+    Xdr.encode Rp.fleet_listing
       Driver.{ fl_records = rows; fl_shard_errors = []; fl_members = 1 }
   else Rp.enc_domain_record_list rows
 
 let listing_decoder proc body =
-  if proc = Rp.Proc_fleet_list_all then Rp.dec_fleet_listing body
+  if proc = Rp.Proc_fleet_list_all then Xdr.decode Rp.fleet_listing body
   else
     Driver.
       {

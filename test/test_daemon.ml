@@ -279,7 +279,7 @@ let test_unknown_program_answered_with_error () =
          Alcotest.(check bool) "error reply" true
            (rh.Rpc_packet.status = Rpc_packet.Status_error);
          Alcotest.(check int) "serial echoed" 7 rh.Rpc_packet.serial;
-         let err = Rp.dec_error body in
+         let err = Xdr.decode Rp.error body in
          Alcotest.(check bool) "rpc failure" true (err.Verror.code = Verror.Rpc_failure)
        | None -> Alcotest.fail "no reply to unknown program");
       Transport.close raw)
@@ -314,7 +314,7 @@ let test_call_without_open_rejected () =
          Alcotest.(check bool) "error" true
            (rh.Rpc_packet.status = Rpc_packet.Status_error);
          Alcotest.(check bool) "no_connect" true
-           ((Rp.dec_error body).Verror.code = Verror.No_connect)
+           ((Xdr.decode Rp.error body).Verror.code = Verror.No_connect)
        | None -> Alcotest.fail "no reply");
       Transport.close raw)
 
@@ -348,7 +348,7 @@ let test_double_open_rejected () =
          Alcotest.(check bool) "second open rejected" true
            (rh.Rpc_packet.status = Rpc_packet.Status_error);
          Alcotest.(check bool) "operation invalid" true
-           ((Rp.dec_error body).Verror.code = Verror.Operation_invalid)
+           ((Xdr.decode Rp.error body).Verror.code = Verror.Operation_invalid)
        | None -> Alcotest.fail "no reply to second open");
       Transport.close raw;
       Connect.close conn)

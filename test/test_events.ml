@@ -66,11 +66,12 @@ let test_codec_roundtrips () =
   List.iter
     (fun seq ->
       Alcotest.(check int) "event_resume roundtrip" seq
-        (Rp.dec_event_resume (Rp.enc_event_resume seq)))
+        (let c = Rp.event_resume.Rp.sg_args in
+         Xdr.decode c (Xdr.encode c seq)))
     [ -1; 0; 1; 123456789 ];
   let ev = { Events.domain_name = "vm-7"; lifecycle = Events.Ev_suspended; seq = 42 } in
   Alcotest.(check triples) "seq_event roundtrip" [ triple_of ev ]
-    [ triple_of (Rp.dec_seq_event (Rp.enc_seq_event ev)) ];
+    [ triple_of (Xdr.decode Rp.seq_event (Xdr.encode Rp.seq_event ev)) ];
   let reply =
     {
       Rp.rr_gap = true;
@@ -83,7 +84,7 @@ let test_codec_roundtrips () =
         ];
     }
   in
-  let back = Rp.dec_resume_reply (Rp.enc_resume_reply reply) in
+  let back = Xdr.decode Rp.resume_reply (Xdr.encode Rp.resume_reply reply) in
   Alcotest.(check bool) "gap flag" reply.Rp.rr_gap back.Rp.rr_gap;
   Alcotest.(check int) "head" reply.Rp.rr_head back.Rp.rr_head;
   Alcotest.(check int) "oldest" reply.Rp.rr_oldest back.Rp.rr_oldest;
@@ -407,9 +408,10 @@ let test_v15_daemon_rejects_new_procs () =
                 (Printf.sprintf "unknown remote procedure %d" (Rp.proc_to_int proc))
                 e.Verror.message
           in
-          expect_unknown Rp.Proc_event_resume (Rp.enc_event_resume (-1));
+          expect_unknown Rp.Proc_event_resume
+            (Xdr.encode Rp.event_resume.Rp.sg_args (-1));
           expect_unknown Rp.Proc_event_lifecycle_seq
-            (Rp.enc_seq_event
+            (Xdr.encode Rp.seq_event
                { Events.domain_name = "d"; lifecycle = Events.Ev_started; seq = 1 })))
 
 let test_v15_daemon_client_falls_back_to_plain () =

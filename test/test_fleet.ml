@@ -149,7 +149,7 @@ let test_codec_roundtrips () =
       }
   in
   Alcotest.(check bool) "fleet_listing roundtrips" true
-    (Rp.dec_fleet_listing (Rp.enc_fleet_listing listing) = listing);
+    (round_trip Rp.fleet_listing listing = listing);
   let fs =
     Driver.
       {
@@ -187,10 +187,9 @@ let test_codec_roundtrips () =
       }
   in
   Alcotest.(check bool) "fleet_status roundtrips" true
-    (Rp.dec_fleet_status (Rp.enc_fleet_status fs) = fs);
+    (round_trip Rp.fleet_health fs = fs);
   Alcotest.(check bool) "fleet_migrate roundtrips" true
-    (Rp.dec_fleet_migrate (Rp.enc_fleet_migrate ~domain:"web-3" ~dest:"b")
-    = ("web-3", "b"))
+    (round_trip Rp.fleet_migrate.Rp.sg_args ("web-3", "b") = ("web-3", "b"))
 
 (* --- placement -------------------------------------------------------- *)
 
@@ -259,7 +258,7 @@ let raw_call client proc body =
   Rpc_client.call client ~procedure:(Rp.proc_to_int proc) ~body ()
 
 let raw_open client uri =
-  vok (Result.map Rp.dec_unit_body (raw_call client Rp.Proc_open (Rp.enc_string_body uri)))
+  vok (Result.map (Xdr.decode Xdr.unit) (raw_call client Rp.Proc_open (Rp.enc_string_body uri)))
 
 let test_old_daemon_rejects_fleet_procs () =
   (* A minor-6 daemon must answer the fleet procedures exactly like a
@@ -274,7 +273,7 @@ let test_old_daemon_rejects_fleet_procs () =
       raw_open client (Printf.sprintf "test://%s/" (fresh_name "v16n"));
       List.iter
         (fun proc ->
-          match raw_call client proc Rp.enc_unit_body with
+          match raw_call client proc "" with
           | Ok _ -> Alcotest.fail "v1.6 daemon accepted a fleet procedure"
           | Error e ->
             Alcotest.(check string) "wording identical to unknown proc"
@@ -300,8 +299,8 @@ let test_plain_daemon_is_fleet_of_one () =
       let client = raw_client dname in
       raw_open client (Printf.sprintf "test://%s/" node);
       let listing =
-        Rp.dec_fleet_listing
-          (vok (raw_call client Rp.Proc_fleet_list_all Rp.enc_unit_body))
+        Xdr.decode Rp.fleet_listing
+          (vok (raw_call client Rp.Proc_fleet_list_all ""))
       in
       Alcotest.(check int) "one member" 1 listing.Driver.fl_members;
       Alcotest.(check int) "no shard errors" 0
@@ -311,7 +310,7 @@ let test_plain_daemon_is_fleet_of_one () =
            (fun r -> r.Driver.rec_ref.Driver.dom_name = "solo")
            listing.Driver.fl_records);
       (* Status on a non-fleet connection is unsupported, not unknown. *)
-      (match raw_call client Rp.Proc_fleet_status Rp.enc_unit_body with
+      (match raw_call client Rp.Proc_fleet_status "" with
        | Ok _ -> Alcotest.fail "plain daemon reported fleet status"
        | Error e ->
          Alcotest.(check bool) "unsupported" true
@@ -1476,7 +1475,7 @@ let test_cross_shard_batch_refused () =
              effect. *)
           (match
              raw_call client Rp.Proc_call_batch
-               (Rp.enc_batch_call [ create_sub "batch-a1"; create_sub "batch-b1" ])
+               (Xdr.encode Rp.batch_call [ create_sub "batch-a1"; create_sub "batch-b1" ])
            with
            | Ok _ -> Alcotest.fail "cross-shard batch accepted"
            | Error e ->
@@ -1490,10 +1489,10 @@ let test_cross_shard_batch_refused () =
              = Vmm.Vm_state.Shutoff);
           (* Same-member mutations batch fine. *)
           let replies =
-            Rp.dec_batch_reply
+            Xdr.decode Rp.batch_reply
               (vok
                  (raw_call client Rp.Proc_call_batch
-                    (Rp.enc_batch_call
+                    (Xdr.encode Rp.batch_call
                        [ create_sub "batch-a1"; create_sub "batch-a2" ])))
           in
           Alcotest.(check (list bool)) "both applied" [ true; true ]
@@ -1503,10 +1502,10 @@ let test_cross_shard_batch_refused () =
             (Rp.proc_to_int Rp.Proc_dom_get_info, Rp.enc_string_body name)
           in
           let replies =
-            Rp.dec_batch_reply
+            Xdr.decode Rp.batch_reply
               (vok
                  (raw_call client Rp.Proc_call_batch
-                    (Rp.enc_batch_call [ info_sub "batch-a1"; info_sub "batch-b1" ])))
+                    (Xdr.encode Rp.batch_call [ info_sub "batch-a1"; info_sub "batch-b1" ])))
           in
           Alcotest.(check (list bool)) "reads span shards" [ true; true ]
             (List.map fst replies);

@@ -61,7 +61,7 @@ let test_deadline_codec_roundtrip () =
     Alcotest.(check bool)
       (Printf.sprintf "roundtrip %d/%d" budget proc)
       true
-      (Rp.dec_deadline_call (Rp.enc_deadline_call ~budget_ms:budget ~proc body)
+      (Xdr.decode Rp.deadline_call (Xdr.encode Rp.deadline_call (budget, proc, body))
       = (budget, proc, body))
   in
   check_rt 1500 38 "x";
@@ -83,12 +83,12 @@ let raw_call client proc body =
 
 let raw_open client =
   vok
-    (Result.map Rp.dec_unit_body
+    (Result.map (Xdr.decode Rp.open_.Rp.sg_ret)
        (raw_call client Rp.Proc_open
           (Rp.enc_string_body (Printf.sprintf "test://%s/" (fresh_name "wire")))))
 
 let envelope ?(budget_ms = 5000) proc body =
-  Rp.enc_deadline_call ~budget_ms ~proc:(Rp.proc_to_int proc) body
+  Xdr.encode Rp.deadline_call (budget_ms, Rp.proc_to_int proc, body)
 
 let test_old_daemons_reject_deadline_proc () =
   (* A v1.2 or v1.3 daemon must answer the deadline envelope exactly like
@@ -134,13 +134,13 @@ let test_v14_daemon_serves_envelope () =
            (e.Verror.code = Verror.Rpc_failure));
       (* A batch cannot smuggle one past the dispatcher's peek. *)
       let batch =
-        Rp.enc_batch_call
+        Xdr.encode Rp.batch_call
           [ (Rp.proc_to_int Rp.Proc_call_deadline, envelope Rp.Proc_echo "x") ]
       in
-      (match Rp.dec_batch_reply (vok (raw_call client Rp.Proc_call_batch batch)) with
+      (match Xdr.decode Rp.batch_reply (vok (raw_call client Rp.Proc_call_batch batch)) with
        | [ (false, body) ] ->
          Alcotest.(check bool) "envelope-in-batch refused" true
-           ((Rp.dec_error body).Verror.code = Verror.Rpc_failure)
+           ((Xdr.decode Rp.error body).Verror.code = Verror.Rpc_failure)
        | _ -> Alcotest.fail "envelope-in-batch not isolated");
       Rpc_client.close client)
 

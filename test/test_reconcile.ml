@@ -394,9 +394,11 @@ let test_policy_codec_roundtrip () =
     (fun p ->
       let name = "dom-x" in
       Alcotest.(check bool) "set_policy roundtrip" true
-        (Rp.dec_set_policy (Rp.enc_set_policy name p) = (name, p));
+        (Xdr.decode Rp.dom_set_policy.Rp.sg_args
+           (Xdr.encode Rp.dom_set_policy.Rp.sg_args (name, p))
+        = (name, p));
       Alcotest.(check bool) "policy roundtrip" true
-        (Rp.dec_policy (Rp.enc_policy p) = p))
+        (Xdr.decode Rp.policy (Xdr.encode Rp.policy p) = p))
     [
       Dompolicy.default;
       policy ~boot:Dompolicy.Boot_start ~shut:Dompolicy.Shut_suspend

@@ -82,7 +82,8 @@ let sample_params =
     ("ratio", Tp.P_double 0.25);
   ]
 
-let roundtrip params = Xdr.decode Tp.decode (Xdr.encode Tp.encode params)
+let tp = Xdr.codec Tp.encode Tp.decode
+let roundtrip params = round_trip tp params
 
 let test_params_roundtrip () =
   Alcotest.(check bool) "all scalar types survive" true
@@ -90,14 +91,14 @@ let test_params_roundtrip () =
 
 let test_params_validation () =
   let dup = [ Tp.uint "x" 1; Tp.uint "x" 2 ] in
-  (match Xdr.encode Tp.encode dup with
+  (match Xdr.encode tp dup with
    | exception Tp.Invalid _ -> ()
    | _ -> Alcotest.fail "duplicate fields accepted");
   let long = [ Tp.uint (String.make 81 'a') 1 ] in
-  (match Xdr.encode Tp.encode long with
+  (match Xdr.encode tp long with
    | exception Tp.Invalid _ -> ()
    | _ -> Alcotest.fail "over-long field accepted");
-  match Xdr.encode Tp.encode [ Tp.uint "" 1 ] with
+  match Xdr.encode tp [ Tp.uint "" 1 ] with
   | exception Tp.Invalid _ -> ()
   | _ -> Alcotest.fail "empty field accepted"
 
@@ -305,17 +306,17 @@ let test_admin_proc_numbers_stable () =
 
 let test_error_body_roundtrip () =
   let err = Verror.make Verror.No_domain "missing" in
-  Alcotest.(check bool) "roundtrip" true (Rp.dec_error (Rp.enc_error err) = err)
+  Alcotest.(check bool) "roundtrip" true (round_trip Rp.error err = err)
 
 let test_domain_ref_roundtrip () =
   let r =
     Driver.
       { dom_name = "vm1"; dom_uuid = Vmm.Uuid.generate (); dom_id = Some 7 }
   in
-  Alcotest.(check bool) "single" true (Rp.dec_domain_ref (Rp.enc_domain_ref r) = r);
+  Alcotest.(check bool) "single" true (round_trip Rp.domain_ref r = r);
   let r2 = { r with Driver.dom_id = None; dom_name = "vm2" } in
   Alcotest.(check bool) "list" true
-    (Rp.dec_domain_ref_list (Rp.enc_domain_ref_list [ r; r2 ]) = [ r; r2 ])
+    (round_trip Rp.list_domains.Rp.sg_ret [ r; r2 ] = [ r; r2 ])
 
 let test_domain_info_roundtrip () =
   List.iter
@@ -333,7 +334,7 @@ let test_domain_info_roundtrip () =
       Alcotest.(check bool)
         (Vmm.Vm_state.state_name state ^ " roundtrips")
         true
-        (Rp.dec_domain_info (Rp.enc_domain_info info) = info))
+        (round_trip Rp.domain_info info = info))
     Vmm.Vm_state.[ Running; Blocked; Paused; Shutdown; Shutoff; Crashed ]
 
 let test_lifecycle_event_roundtrip () =
@@ -342,17 +343,17 @@ let test_lifecycle_event_roundtrip () =
       { domain_name = "vm"; lifecycle = Ovirt_core.Events.Ev_migrated; seq = 0 }
   in
   Alcotest.(check bool) "roundtrip" true
-    (Rp.dec_lifecycle_event (Rp.enc_lifecycle_event ev) = ev)
+    (round_trip Rp.lifecycle_event ev = ev)
 
 let test_admin_body_roundtrips () =
   Alcotest.(check string) "server name" "libvirtd"
-    (Ap.dec_server_name (Ap.enc_server_name "libvirtd"));
+    (round_trip Ap.lookup_server.Ap.sg_args "libvirtd");
   let server, params =
-    Ap.dec_server_params (Ap.enc_server_params ~server:"admin" [ Tp.uint "maxWorkers" 5 ])
+    round_trip Ap.set_threadpool.Ap.sg_args ("admin", [ Tp.uint "maxWorkers" 5 ])
   in
   Alcotest.(check string) "server" "admin" server;
   Alcotest.(check (option int)) "param" (Some 5) (Tp.find_uint params "maxWorkers");
-  let server2, id = Ap.dec_client_ref (Ap.enc_client_ref ~server:"libvirtd" ~id:9L) in
+  let server2, id = round_trip Ap.client_close.Ap.sg_args ("libvirtd", 9L) in
   Alcotest.(check string) "ref server" "libvirtd" server2;
   Alcotest.(check int64) "ref id" 9L id;
   let entries =
@@ -362,7 +363,7 @@ let test_admin_body_roundtrips () =
     ]
   in
   Alcotest.(check bool) "client list" true
-    (Ap.dec_client_list (Ap.enc_client_list entries) = entries)
+    (round_trip Ap.list_clients.Ap.sg_ret entries = entries)
 
 let test_net_and_pool_bodies () =
   let ninfo =
@@ -377,7 +378,7 @@ let test_net_and_pool_bodies () =
         connected_ifaces = 3;
       }
   in
-  Alcotest.(check bool) "net info" true (Rp.dec_net_info (Rp.enc_net_info ninfo) = ninfo);
+  Alcotest.(check bool) "net info" true (round_trip Rp.net_info ninfo = ninfo);
   let pinfo =
     Ovirt_core.Storage_backend.
       {
@@ -391,13 +392,13 @@ let test_net_and_pool_bodies () =
       }
   in
   Alcotest.(check bool) "pool info" true
-    (Rp.dec_pool_info (Rp.enc_pool_info pinfo) = pinfo);
+    (round_trip Rp.pool_info pinfo = pinfo);
   let vinfo =
     Ovirt_core.Storage_backend.
       { vol_name = "a"; vol_key = "/v/a"; vol_capacity_b = 77; vol_format = "raw" }
   in
   Alcotest.(check bool) "vol info list" true
-    (Rp.dec_vol_info_list (Rp.enc_vol_info_list [ vinfo ]) = [ vinfo ])
+    (round_trip Rp.vol_list.Rp.sg_ret [ vinfo ] = [ vinfo ])
 
 let test_garbage_bodies_rejected () =
   List.iter
@@ -406,11 +407,11 @@ let test_garbage_bodies_rejected () =
       | exception Xdr.Error _ -> ()
       | _ -> Alcotest.failf "%s accepted garbage" label)
     [
-      ("error", fun s -> ignore (Rp.dec_error s));
-      ("domain_ref", fun s -> ignore (Rp.dec_domain_ref s));
-      ("domain_info", fun s -> ignore (Rp.dec_domain_info s));
-      ("net_info", fun s -> ignore (Rp.dec_net_info s));
-      ("client_list", fun s -> ignore (Ap.dec_client_list s));
+      ("error", fun s -> ignore (Xdr.decode Rp.error s));
+      ("domain_ref", fun s -> ignore (Xdr.decode Rp.domain_ref s));
+      ("domain_info", fun s -> ignore (Xdr.decode Rp.domain_info s));
+      ("net_info", fun s -> ignore (Xdr.decode Rp.net_info s));
+      ("client_list", fun s -> ignore (Xdr.decode Ap.list_clients.Ap.sg_ret s));
     ]
 
 (* --- fuzz: decoders never escape their error type --------------------- *)
@@ -438,7 +439,7 @@ let prop_packet_decode_mutation =
 
 let prop_typed_params_decode_total =
   qcheck_case ~count:500 "typed-params decode is total" QCheck.string (fun s ->
-      match Xdr.decode Tp.decode s with
+      match Xdr.decode tp s with
       | _ -> true
       | exception Xdr.Error _ -> true
       | exception Tp.Invalid _ -> true
@@ -446,10 +447,300 @@ let prop_typed_params_decode_total =
 
 let prop_error_body_decode_total =
   qcheck_case ~count:500 "error-body decode is total" QCheck.string (fun s ->
-      match Rp.dec_error s with
+      match Xdr.decode Rp.error s with
       | _ -> true
       | exception Xdr.Error _ -> true
       | exception _ -> false)
+
+(* --- every exported codec: a value round-trips, and every strict prefix
+   of its encoding is rejected with Xdr.Error and nothing else ---------- *)
+
+module G = QCheck.Gen
+
+type case = Case : string * 'a Xdr.codec * 'a G.t -> case
+
+let small_list g = G.list_size (G.int_bound 3) g
+let str = G.string_size ~gen:G.printable (G.int_bound 10)
+let bytes = G.string_size (G.int_bound 10)
+let i32 = G.int_range (-0x8000_0000) 0x7fff_ffff
+let u32 = G.int_bound 0xffff_ffff
+let i64 = G.map Int64.of_int G.int
+let unit = G.return ()
+
+(* Every constructor [of_int] accepts below [n]. *)
+let valid of_int n = G.oneofl (List.filter_map (fun i -> Result.to_option (of_int i)) (List.init n Fun.id))
+
+let uuid = G.map Vmm.Uuid.derive str
+let state = G.oneofl Vmm.Vm_state.[ Running; Blocked; Paused; Shutdown; Shutoff; Crashed ]
+let lifecycle = valid Ovirt_core.Events.lifecycle_of_int 32
+let policy = valid (fun i -> Ovirt_core.Dompolicy.of_ints (i / 9, i / 3 mod 3, i mod 3)) 27
+let error = G.map2 (fun c m -> Verror.make (Verror.code_of_int c) m) (G.int_bound 40) str
+
+let domain_ref =
+  G.map3 (fun dom_name dom_uuid dom_id -> Driver.{ dom_name; dom_uuid; dom_id }) str uuid
+    (G.opt i32)
+
+let domain_info =
+  G.map3
+    (fun di_state (di_max_mem_kib, di_memory_kib, di_vcpus) di_cpu_time_ns ->
+      Driver.{ di_state; di_max_mem_kib; di_memory_kib; di_vcpus; di_cpu_time_ns })
+    state (G.triple u32 u32 u32) i64
+
+let domain_record =
+  G.map3 (fun rec_ref rec_info rec_autostart -> Driver.{ rec_ref; rec_info; rec_autostart })
+    domain_ref domain_info (G.opt G.bool)
+
+let net_info =
+  G.map3
+    (fun (net_name, net_uuid) (bridge, ip_range) (active, autostart, connected_ifaces) ->
+      Ovirt_core.Net_backend.
+        { net_name; net_uuid; bridge; ip_range; active; autostart; connected_ifaces })
+    (G.pair str uuid) (G.pair str str) (G.triple G.bool G.bool u32)
+
+let pool_info =
+  G.map3
+    (fun (pool_name, pool_uuid, target_path) (capacity_b, allocation_b)
+         (pool_active, volume_count) ->
+      Ovirt_core.Storage_backend.
+        { pool_name; pool_uuid; target_path; capacity_b; allocation_b; pool_active;
+          volume_count })
+    (G.triple str uuid str) (G.pair G.int G.int) (G.pair G.bool u32)
+
+let vol_info =
+  G.map2
+    (fun (vol_name, vol_key) (vol_capacity_b, vol_format) ->
+      Ovirt_core.Storage_backend.{ vol_name; vol_key; vol_capacity_b; vol_format })
+    (G.pair str str) (G.pair G.int str)
+
+let event ~seq =
+  G.map3 (fun domain_name lifecycle seq -> Ovirt_core.Events.{ domain_name; lifecycle; seq })
+    str lifecycle seq
+
+let reconcile_status =
+  let summary =
+    G.map3
+      (fun (sum_specs, sum_converged, sum_pending) (sum_diverged, sum_plans, sum_ops_applied)
+           (sum_ops_skipped, sum_ops_failed, sum_resumed) ->
+        Reconcile.
+          { sum_specs; sum_converged; sum_pending; sum_diverged; sum_plans; sum_ops_applied;
+            sum_ops_skipped; sum_ops_failed; sum_resumed })
+      (G.triple u32 u32 u32) (G.triple u32 u32 u32) (G.triple u32 u32 G.bool)
+  in
+  let row =
+    G.map3
+      (fun (ds_uri, ds_name, ds_policy) (ds_status, ds_attempts) (ms, ds_last_error) ->
+        Reconcile.
+          { ds_uri; ds_name; ds_policy; ds_status; ds_attempts;
+            ds_retry_in_s = float_of_int ms /. 1000.; ds_last_error })
+      (G.triple str str policy)
+      (G.pair (G.oneofl Reconcile.[ St_converged; St_pending; St_diverged ]) u32)
+      (G.pair u32 str)
+  in
+  G.pair summary (small_list row)
+
+let resume_reply =
+  G.map3 (fun rr_gap (rr_head, rr_oldest) rr_events -> { Rp.rr_gap; rr_head; rr_oldest; rr_events })
+    G.bool (G.pair G.int G.int) (small_list (event ~seq:G.int))
+
+let fleet_listing =
+  G.map3 (fun fl_records fl_shard_errors fl_members -> Driver.{ fl_records; fl_shard_errors; fl_members })
+    (small_list domain_record)
+    (small_list (G.map2 (fun se_member se_error -> Driver.{ se_member; se_error }) str error))
+    u32
+
+let fleet_status =
+  let member =
+    G.map3
+      (fun (ms_name, ms_health) (ms_consec_failures, ms_probes, ms_failures) ms_domains ->
+        Driver.{ ms_name; ms_health; ms_consec_failures; ms_probes; ms_failures; ms_domains })
+      (G.pair str (G.oneofl Driver.[ Mh_up; Mh_degraded; Mh_down ]))
+      (G.triple u32 u32 u32) i32
+  in
+  G.map3
+    (fun fs_fleet fs_members (fs_migrations_active, fs_migrations_recovered, fs_migrations_rolled_back) ->
+      Driver.
+        { fs_fleet; fs_members; fs_migrations_active; fs_migrations_recovered;
+          fs_migrations_rolled_back })
+    str (small_list member) (G.triple u32 u32 u32)
+
+let token = G.map2 (fun ft_nonce ft_fill -> { Rp.ft_nonce; ft_fill }) u32 u32
+
+let since_reply =
+  G.oneof
+    [ G.map (fun t -> Rp.Since_unchanged t) token;
+      G.map2 (fun t l -> Rp.Since_full (t, l)) token fleet_listing ]
+
+let params =
+  let value =
+    G.oneof
+      [ G.map (fun n -> Tp.P_int n) i32; G.map (fun n -> Tp.P_uint n) u32;
+        G.map (fun n -> Tp.P_llong n) i64; G.map (fun n -> Tp.P_ullong n) i64;
+        G.map (fun n -> Tp.P_double (float_of_int n)) G.int;
+        G.map (fun b -> Tp.P_bool b) G.bool; G.map (fun s -> Tp.P_string s) str ]
+  in
+  G.map (List.mapi (fun i v -> (Printf.sprintf "field%d" i, v))) (small_list value)
+
+let client_entry =
+  G.map3 (fun client_id client_transport connected_since -> Ap.{ client_id; client_transport; connected_since })
+    i64 i32 i64
+
+let rp name (sg : (_, _) Rp.signature) args ret =
+  [ Case (name ^ " args", sg.Rp.sg_args, args); Case (name ^ " reply", sg.Rp.sg_ret, ret) ]
+
+let ap name (sg : (_, _) Ap.signature) args ret =
+  [ Case ("admin " ^ name ^ " args", sg.Ap.sg_args, args);
+    Case ("admin " ^ name ^ " reply", sg.Ap.sg_ret, ret) ]
+
+let name_call name sg = rp name sg str unit
+
+let cases =
+  List.concat
+    [
+      [ Case ("error", Rp.error, error); Case ("domain_ref", Rp.domain_ref, domain_ref);
+        Case ("domain_info", Rp.domain_info, domain_info);
+        Case ("domain_record", Rp.domain_record, domain_record);
+        Case ("batch_call", Rp.batch_call, small_list (G.pair u32 bytes));
+        Case ("batch_reply", Rp.batch_reply, small_list (G.pair G.bool bytes));
+        Case ("deadline_call", Rp.deadline_call, G.triple u32 u32 bytes);
+        Case ("net_info", Rp.net_info, net_info); Case ("pool_info", Rp.pool_info, pool_info);
+        Case ("vol_info", Rp.vol_info, vol_info);
+        Case ("lifecycle_event", Rp.lifecycle_event, event ~seq:(G.return 0));
+        Case ("policy", Rp.policy, policy);
+        Case ("reconcile_status", Rp.reconcile_status, reconcile_status);
+        Case ("resume_reply", Rp.resume_reply, resume_reply);
+        Case ("seq_event", Rp.seq_event, event ~seq:G.int);
+        Case ("fleet_listing", Rp.fleet_listing, fleet_listing);
+        Case ("fleet_health", Rp.fleet_health, fleet_status);
+        Case ("fleet_token", Rp.fleet_token, token);
+        Case ("since_reply", Rp.since_reply, since_reply) ];
+      rp "open" Rp.open_ str unit; rp "close" Rp.close unit unit;
+      rp "get_capabilities" Rp.get_capabilities unit str;
+      rp "get_hostname" Rp.get_hostname unit str;
+      rp "list_domains" Rp.list_domains unit (small_list domain_ref);
+      rp "list_defined" Rp.list_defined unit (small_list str);
+      rp "lookup_by_name" Rp.lookup_by_name str domain_ref;
+      rp "lookup_by_uuid" Rp.lookup_by_uuid str domain_ref;
+      rp "define_xml" Rp.define_xml str domain_ref;
+      name_call "undefine" Rp.undefine; name_call "dom_create" Rp.dom_create;
+      name_call "dom_suspend" Rp.dom_suspend; name_call "dom_resume" Rp.dom_resume;
+      name_call "dom_shutdown" Rp.dom_shutdown; name_call "dom_destroy" Rp.dom_destroy;
+      rp "dom_get_info" Rp.dom_get_info str domain_info;
+      rp "dom_get_xml" Rp.dom_get_xml str str;
+      rp "dom_set_memory" Rp.dom_set_memory (G.pair str u32) unit;
+      rp "net_list" Rp.net_list unit (small_list net_info);
+      rp "net_define" Rp.net_define (G.triple str str str) net_info;
+      name_call "net_start" Rp.net_start; name_call "net_stop" Rp.net_stop;
+      name_call "net_undefine" Rp.net_undefine;
+      rp "net_set_autostart" Rp.net_set_autostart (G.pair str G.bool) unit;
+      rp "net_lookup" Rp.net_lookup str net_info;
+      rp "pool_list" Rp.pool_list unit (small_list pool_info);
+      rp "pool_define" Rp.pool_define (G.triple str str G.int) pool_info;
+      name_call "pool_start" Rp.pool_start; name_call "pool_stop" Rp.pool_stop;
+      name_call "pool_undefine" Rp.pool_undefine;
+      rp "pool_lookup" Rp.pool_lookup str pool_info;
+      rp "vol_create" Rp.vol_create
+        (G.map2 (fun (p, n) (c, f) -> (p, n, c, f)) (G.pair str str) (G.pair G.int str))
+        vol_info;
+      rp "vol_delete" Rp.vol_delete (G.pair str str) unit;
+      rp "vol_list" Rp.vol_list str (small_list vol_info);
+      rp "event_register" Rp.event_register unit unit;
+      rp "event_deregister" Rp.event_deregister unit unit;
+      rp "event_lifecycle" Rp.event_lifecycle (event ~seq:(G.return 0)) unit;
+      rp "ping" Rp.ping unit unit;
+      name_call "dom_save" Rp.dom_save; name_call "dom_restore" Rp.dom_restore;
+      rp "dom_has_managed_save" Rp.dom_has_managed_save str G.bool;
+      rp "dom_set_autostart" Rp.dom_set_autostart (G.pair str G.bool) unit;
+      rp "dom_get_autostart" Rp.dom_get_autostart str G.bool;
+      rp "proto_minor" Rp.proto_minor unit i32;
+      rp "dom_list_all" Rp.dom_list_all unit (small_list domain_record);
+      rp "call_batch" Rp.call_batch (small_list (G.pair u32 bytes))
+        (small_list (G.pair G.bool bytes));
+      rp "vol_lookup" Rp.vol_lookup str vol_info;
+      [ Case ("call_deadline args", Rp.call_deadline.Rp.sg_args, G.triple u32 u32 bytes) ];
+      rp "dom_set_policy" Rp.dom_set_policy (G.pair str policy) unit;
+      rp "dom_get_policy" Rp.dom_get_policy str policy;
+      rp "daemon_reconcile_status" Rp.daemon_reconcile_status unit reconcile_status;
+      rp "event_resume" Rp.event_resume G.int resume_reply;
+      rp "event_lifecycle_seq" Rp.event_lifecycle_seq (event ~seq:G.int) unit;
+      rp "fleet_list_all" Rp.fleet_list_all unit fleet_listing;
+      rp "fleet_status" Rp.fleet_status unit fleet_status;
+      rp "fleet_migrate" Rp.fleet_migrate (G.pair str str) unit;
+      rp "fleet_list_since" Rp.fleet_list_since token since_reply;
+      ap "list_servers" Ap.list_servers unit (small_list str);
+      ap "lookup_server" Ap.lookup_server str unit;
+      ap "get_threadpool" Ap.get_threadpool str params;
+      ap "set_threadpool" Ap.set_threadpool (G.pair str params) unit;
+      ap "get_client_limits" Ap.get_client_limits str params;
+      ap "set_client_limits" Ap.set_client_limits (G.pair str params) unit;
+      ap "list_clients" Ap.list_clients str (small_list client_entry);
+      ap "get_client_info" Ap.get_client_info (G.pair str i64) params;
+      ap "client_close" Ap.client_close (G.pair str i64) unit;
+      ap "get_log_level" Ap.get_log_level unit u32;
+      ap "set_log_level" Ap.set_log_level u32 unit;
+      ap "get_log_filters" Ap.get_log_filters unit str;
+      ap "set_log_filters" Ap.set_log_filters str unit;
+      ap "get_log_outputs" Ap.get_log_outputs unit str;
+      ap "set_log_outputs" Ap.set_log_outputs str unit;
+      ap "daemon_uptime" Ap.daemon_uptime unit i64;
+      ap "daemon_drain" Ap.daemon_drain unit unit;
+      ap "daemon_pool_stats" Ap.daemon_pool_stats str params;
+      ap "daemon_reconcile_status" Ap.daemon_reconcile_status unit reconcile_status;
+      ap "daemon_event_stats" Ap.daemon_event_stats unit params;
+      ap "daemon_reply_cache_stats" Ap.daemon_reply_cache_stats unit params;
+      ap "daemon_fleet_status" Ap.daemon_fleet_status unit (small_list fleet_status);
+    ]
+
+(* [echo] and the deadline reply are the raw rest of a body, for which a
+   prefix is a valid body too: only their round trip is checked. *)
+let raw_cases =
+  rp "echo" Rp.echo bytes bytes
+  @ [ Case ("call_deadline reply", Rp.call_deadline.Rp.sg_ret, bytes) ]
+
+type sample = Sample : string * 'a Xdr.codec * 'a -> sample
+
+let sample_of cases =
+  let open G in
+  oneofl cases >>= fun (Case (name, codec, gen)) -> map (fun v -> Sample (name, codec, v)) gen
+
+let print_sample (Sample (name, codec, v)) =
+  let wire = Xdr.encode codec v in
+  Printf.sprintf "%s: %s" name
+    (String.concat "" (List.init (String.length wire) (fun i -> Printf.sprintf "%02x" (Char.code wire.[i]))))
+
+let prop_codecs_round_trip =
+  qcheck_case ~count:4000 "every codec round-trips"
+    (QCheck.make ~print:print_sample (sample_of (cases @ raw_cases)))
+    (fun (Sample (_, codec, v)) -> round_trip codec v = v)
+
+let prop_codec_prefixes_rejected =
+  qcheck_case ~count:4000 "every strict prefix raises Xdr.Error"
+    (QCheck.make ~print:print_sample (sample_of cases))
+    (fun (Sample (_, codec, v)) ->
+      let wire = Xdr.encode codec v in
+      List.for_all
+        (fun n ->
+          match Xdr.decode codec (String.sub wire 0 n) with
+          | _ -> false
+          | exception Xdr.Error _ -> true)
+        (List.init (String.length wire) Fun.id))
+
+(* Two cases per table row, so a new procedure cannot skip the
+   properties. *)
+let test_every_signature_is_covered () =
+  let rows proc_of_int =
+    let rec go n = match proc_of_int n with Ok _ -> go (n + 1) | Error _ -> n - 1 in
+    go 1
+  in
+  let calls admin =
+    List.length
+      (List.filter
+         (fun (Case (name, _, _)) ->
+           let ends s = String.ends_with ~suffix:s name in
+           (ends " args" || ends " reply") && String.starts_with ~prefix:"admin " name = admin)
+         (cases @ raw_cases))
+  in
+  Alcotest.(check int) "remote rows" (2 * rows Rp.proc_of_int) (calls false);
+  Alcotest.(check int) "admin rows" (2 * rows Ap.proc_of_int) (calls true)
 
 let () =
   Alcotest.run "rpc"
@@ -493,5 +784,11 @@ let () =
           quick "admin bodies" test_admin_body_roundtrips;
           quick "net and pool bodies" test_net_and_pool_bodies;
           quick "garbage rejected" test_garbage_bodies_rejected;
+        ] );
+      ( "codec properties",
+        [
+          quick "every signature is covered" test_every_signature_is_covered;
+          prop_codecs_round_trip;
+          prop_codec_prefixes_rejected;
         ] );
     ]

@@ -61,81 +61,76 @@ let session ~node =
     Vmm.Domxml.to_xml ~virt_type:"test"
       (Vmm.Vm_config.make ~uuid ~memory_kib:(8 * 1024) vm)
   in
-  let s = Rp.enc_string_body and unit = Rp.enc_unit_body in
+  (* A call through its signature; [p] writes a body by hand, for the
+     two calls whose body is deliberately not their layout. *)
+  let c (sg : (_, _) Rp.signature) args = (sg.Rp.sg_proc, Xdr.encode sg.Rp.sg_args args) in
   let p proc body = (proc, body) in
+  let sub (sg : (_, _) Rp.signature) args =
+    (Rp.proc_to_int sg.Rp.sg_proc, Xdr.encode sg.Rp.sg_args args)
+  in
   [
-    p Rp.Proc_open (s (Printf.sprintf "test://%s/" node));
-    p Rp.Proc_proto_minor unit;
-    p Rp.Proc_get_capabilities unit;
-    p Rp.Proc_get_hostname unit;
-    p Rp.Proc_define_xml (s xml);
-    p Rp.Proc_list_domains unit;
-    p Rp.Proc_list_defined unit;
-    p Rp.Proc_lookup_by_name (s vm);
-    p Rp.Proc_lookup_by_uuid (s uuid);
-    p Rp.Proc_dom_get_xml (s vm);
-    p Rp.Proc_dom_set_memory (Rp.enc_name_and_kib vm 4096);
-    p Rp.Proc_dom_set_autostart (Rp.enc_name_and_bool vm true);
-    p Rp.Proc_dom_get_autostart (s vm);
-    p Rp.Proc_event_register unit;
-    p Rp.Proc_dom_create (s vm);
-    p Rp.Proc_dom_suspend (s vm);
-    p Rp.Proc_dom_resume (s vm);
-    p Rp.Proc_dom_get_info (s vm);
-    p Rp.Proc_dom_save (s vm);
-    p Rp.Proc_dom_has_managed_save (s vm);
-    p Rp.Proc_dom_restore (s vm);
-    p Rp.Proc_dom_shutdown (s vm);
-    p Rp.Proc_dom_create (s vm);
-    p Rp.Proc_dom_destroy (s vm);
-    p Rp.Proc_event_deregister unit;
-    p Rp.Proc_net_list unit;
-    p Rp.Proc_net_define
-      (Rp.enc_net_define ~name:"wirenet" ~bridge:"virbr9" ~ip_range:"10.9.0.0/24");
-    p Rp.Proc_net_start (s "wirenet");
-    p Rp.Proc_net_set_autostart (Rp.enc_name_and_bool "wirenet" true);
-    p Rp.Proc_net_lookup (s "wirenet");
-    p Rp.Proc_net_stop (s "wirenet");
-    p Rp.Proc_net_undefine (s "wirenet");
-    p Rp.Proc_pool_list unit;
-    p Rp.Proc_pool_define
-      (Rp.enc_pool_define ~name:"wirepool" ~target_path:"/wirepool"
-         ~capacity_b:(1 lsl 30));
-    p Rp.Proc_pool_start (s "wirepool");
-    p Rp.Proc_pool_lookup (s "wirepool");
-    p Rp.Proc_vol_create
-      (Rp.enc_vol_create ~pool:"wirepool" ~name:"disk.img" ~capacity_b:(1 lsl 20)
-         ~format:"qcow2");
-    p Rp.Proc_vol_list (s "wirepool");
-    p Rp.Proc_vol_lookup (s "/wirepool/disk.img");
-    p Rp.Proc_vol_delete (Rp.enc_vol_ref ~pool:"wirepool" ~name:"disk.img");
-    p Rp.Proc_pool_stop (s "wirepool");
-    p Rp.Proc_pool_undefine (s "wirepool");
-    p Rp.Proc_dom_list_all unit;
-    p Rp.Proc_call_batch
-      (Rp.enc_batch_call
-         [
-           (Rp.proc_to_int Rp.Proc_dom_get_info, s vm);
-           (Rp.proc_to_int Rp.Proc_lookup_by_name, s "no-such-vm");
-         ]);
-    p Rp.Proc_call_deadline
-      (Rp.enc_deadline_call ~budget_ms:60_000
-         ~proc:(Rp.proc_to_int Rp.Proc_dom_get_info) (s vm));
-    p Rp.Proc_daemon_reconcile_status unit;
-    p Rp.Proc_dom_set_policy (Rp.enc_set_policy vm Ovirt_core.Dompolicy.default);
-    p Rp.Proc_dom_get_policy (s vm);
-    p Rp.Proc_event_resume (Rp.enc_event_resume (-1));
-    p Rp.Proc_event_deregister unit;
-    p Rp.Proc_event_lifecycle unit;
-    p Rp.Proc_event_lifecycle_seq unit;
-    p Rp.Proc_fleet_list_all unit;
-    p Rp.Proc_fleet_status unit;
-    p Rp.Proc_fleet_migrate (Rp.enc_fleet_migrate ~domain:vm ~dest:"elsewhere");
-    p Rp.Proc_fleet_list_since (Rp.enc_fleet_token Rp.no_token);
-    p Rp.Proc_echo "wire";
-    p Rp.Proc_ping unit;
-    p Rp.Proc_undefine (s vm);
-    p Rp.Proc_close unit;
+    c Rp.open_ (Printf.sprintf "test://%s/" node);
+    c Rp.proto_minor ();
+    c Rp.get_capabilities ();
+    c Rp.get_hostname ();
+    c Rp.define_xml xml;
+    c Rp.list_domains ();
+    c Rp.list_defined ();
+    c Rp.lookup_by_name vm;
+    c Rp.lookup_by_uuid uuid;
+    c Rp.dom_get_xml vm;
+    c Rp.dom_set_memory (vm, 4096);
+    c Rp.dom_set_autostart (vm, true);
+    c Rp.dom_get_autostart vm;
+    c Rp.event_register ();
+    c Rp.dom_create vm;
+    c Rp.dom_suspend vm;
+    c Rp.dom_resume vm;
+    c Rp.dom_get_info vm;
+    c Rp.dom_save vm;
+    c Rp.dom_has_managed_save vm;
+    c Rp.dom_restore vm;
+    c Rp.dom_shutdown vm;
+    c Rp.dom_create vm;
+    c Rp.dom_destroy vm;
+    c Rp.event_deregister ();
+    c Rp.net_list ();
+    c Rp.net_define ("wirenet", "virbr9", "10.9.0.0/24");
+    c Rp.net_start "wirenet";
+    c Rp.net_set_autostart ("wirenet", true);
+    c Rp.net_lookup "wirenet";
+    c Rp.net_stop "wirenet";
+    c Rp.net_undefine "wirenet";
+    c Rp.pool_list ();
+    c Rp.pool_define ("wirepool", "/wirepool", 1 lsl 30);
+    c Rp.pool_start "wirepool";
+    c Rp.pool_lookup "wirepool";
+    c Rp.vol_create ("wirepool", "disk.img", 1 lsl 20, "qcow2");
+    c Rp.vol_list "wirepool";
+    c Rp.vol_lookup "/wirepool/disk.img";
+    c Rp.vol_delete ("wirepool", "disk.img");
+    c Rp.pool_stop "wirepool";
+    c Rp.pool_undefine "wirepool";
+    c Rp.dom_list_all ();
+    c Rp.call_batch [ sub Rp.dom_get_info vm; sub Rp.lookup_by_name "no-such-vm" ];
+    c Rp.call_deadline
+      (let n, b = sub Rp.dom_get_info vm in
+       (60_000, n, b));
+    c Rp.daemon_reconcile_status ();
+    c Rp.dom_set_policy (vm, Ovirt_core.Dompolicy.default);
+    c Rp.dom_get_policy vm;
+    c Rp.event_resume (-1);
+    c Rp.event_deregister ();
+    p Rp.Proc_event_lifecycle "";
+    p Rp.Proc_event_lifecycle_seq "";
+    c Rp.fleet_list_all ();
+    c Rp.fleet_status ();
+    c Rp.fleet_migrate (vm, "elsewhere");
+    c Rp.fleet_list_since Rp.no_token;
+    c Rp.echo "wire";
+    c Rp.ping ();
+    c Rp.undefine vm;
+    c Rp.close ();
   ]
 
 let hex s =
@@ -243,33 +238,30 @@ let test_transcript_matches_corpus () =
 (* ---- the admin program ---- *)
 
 let admin_session () =
-  let server = Ap.enc_server_name and unit = "" in
-  let p proc body = (proc, body) in
+  let c (sg : (_, _) Ap.signature) args = (sg.Ap.sg_proc, Xdr.encode sg.Ap.sg_args args) in
   [
-    p Ap.Proc_list_servers unit;
-    p Ap.Proc_lookup_server (server "libvirtd");
-    p Ap.Proc_get_threadpool (server "libvirtd");
-    p Ap.Proc_set_threadpool
-      (Ap.enc_server_params ~server:"libvirtd" [ Tp.uint Ap.threadpool_workers_max 20 ]);
-    p Ap.Proc_daemon_pool_stats (server "libvirtd");
-    p Ap.Proc_get_client_limits (server "libvirtd");
-    p Ap.Proc_set_client_limits
-      (Ap.enc_server_params ~server:"libvirtd" [ Tp.uint Ap.server_clients_max 120 ]);
-    p Ap.Proc_list_clients (server "admin");
-    p Ap.Proc_get_client_info (Ap.enc_client_ref ~server:"admin" ~id:1L);
-    p Ap.Proc_client_close (Ap.enc_client_ref ~server:"admin" ~id:2L);
-    p Ap.Proc_get_log_level unit;
-    p Ap.Proc_set_log_level (Ap.enc_uint_body 3);
-    p Ap.Proc_get_log_filters unit;
-    p Ap.Proc_set_log_filters (Rp.enc_string_body "3:daemon");
-    p Ap.Proc_get_log_outputs unit;
-    p Ap.Proc_set_log_outputs (Rp.enc_string_body "1:null");
-    p Ap.Proc_daemon_reconcile_status unit;
-    p Ap.Proc_daemon_event_stats unit;
-    p Ap.Proc_daemon_reply_cache_stats unit;
-    p Ap.Proc_daemon_fleet_status unit;
-    p Ap.Proc_daemon_uptime unit;
-    p Ap.Proc_daemon_drain unit;
+    c Ap.list_servers ();
+    c Ap.lookup_server "libvirtd";
+    c Ap.get_threadpool "libvirtd";
+    c Ap.set_threadpool ("libvirtd", [ Tp.uint Ap.threadpool_workers_max 20 ]);
+    c Ap.daemon_pool_stats "libvirtd";
+    c Ap.get_client_limits "libvirtd";
+    c Ap.set_client_limits ("libvirtd", [ Tp.uint Ap.server_clients_max 120 ]);
+    c Ap.list_clients "admin";
+    c Ap.get_client_info ("admin", 1L);
+    c Ap.client_close ("admin", 2L);
+    c Ap.get_log_level ();
+    c Ap.set_log_level 3;
+    c Ap.get_log_filters ();
+    c Ap.set_log_filters "3:daemon";
+    c Ap.get_log_outputs ();
+    c Ap.set_log_outputs "1:null";
+    c Ap.daemon_reconcile_status ();
+    c Ap.daemon_event_stats ();
+    c Ap.daemon_reply_cache_stats ();
+    c Ap.daemon_fleet_status ();
+    c Ap.daemon_uptime ();
+    c Ap.daemon_drain ();
   ]
 
 (* A hyper at a word boundary whose value lies in the session's wall-clock
@@ -387,31 +379,32 @@ let test_admin_transcript_matches_corpus () =
    corpus with a token other than zero. *)
 let test_token_vectors () =
   let t = { Rp.ft_nonce = 0x01020304; ft_fill = 5 } in
-  Alcotest.(check string) "token" "0102030400000005" (hex (Rp.enc_fleet_token t));
+  let since r = Xdr.encode Rp.since_reply r in
+  let token t = hex (Xdr.encode Rp.fleet_token t) in
+  Alcotest.(check string) "token" "0102030400000005" (token t);
   Alcotest.(check string) "unchanged reply, 12 bytes" "010203040000000500000000"
-    (hex (Rp.enc_since_unchanged t));
-  Alcotest.(check string) "zero token" "0000000000000000"
-    (hex (Rp.enc_fleet_token Rp.no_token));
+    (hex (since (Rp.Since_unchanged t)));
+  Alcotest.(check string) "zero token" "0000000000000000" (token Rp.no_token);
   let listing =
     Ovirt_core.Driver.{ fl_records = []; fl_shard_errors = []; fl_members = 1 }
   in
+  let full = since (Rp.Since_full (t, listing)) in
   Alcotest.(check string) "full reply: token, discriminant, v1.7 body"
-    ("010203040000000500000001" ^ hex (Rp.enc_fleet_listing listing))
-    (hex (Rp.enc_since_full t listing));
-  Alcotest.(check string) "the same from encoded bytes"
-    (hex (Rp.enc_since_full t listing))
-    (hex (Rp.enc_since_full_raw t (Rp.enc_fleet_listing listing)));
-  (match Rp.dec_since_reply (Rp.enc_since_unchanged t) with
+    ("010203040000000500000001" ^ hex (Xdr.encode Rp.fleet_listing listing))
+    (hex full);
+  Alcotest.(check string) "the same from encoded bytes" (hex full)
+    (hex (Rp.enc_since_full_raw t (Xdr.encode Rp.fleet_listing listing)));
+  (match Xdr.decode Rp.since_reply (since (Rp.Since_unchanged t)) with
    | Rp.Since_unchanged t' -> Alcotest.(check bool) "unchanged decodes" true (t = t')
    | Rp.Since_full _ -> Alcotest.fail "decoded as full");
-  (match Rp.dec_since_reply (Rp.enc_since_full t listing) with
+  (match Xdr.decode Rp.since_reply full with
    | Rp.Since_full (t', l) ->
      Alcotest.(check bool) "full decodes" true (t = t' && l = listing)
    | Rp.Since_unchanged _ -> Alcotest.fail "decoded as unchanged");
   (* A fill number past 32 bits travels cut to its low word. *)
   Alcotest.(check string) "wide fill" "0000000700000003"
-    (hex (Rp.enc_fleet_token { Rp.ft_nonce = 7; ft_fill = (1 lsl 32) + 3 }));
-  match Rp.dec_since_reply "\001\002\003\004\000\000\000\005\000\000\000\002" with
+    (token { Rp.ft_nonce = 7; ft_fill = (1 lsl 32) + 3 });
+  match Xdr.decode Rp.since_reply "\001\002\003\004\000\000\000\005\000\000\000\002" with
   | exception Xdr.Error _ -> ()
   | _ -> Alcotest.fail "unknown discriminant accepted"
 

@@ -9,102 +9,88 @@ let hex s =
 
 let test_int_wire_format () =
   Alcotest.(check string) "1 encodes big-endian" "00000001"
-    (hex (Xdr.encode Xdr.enc_int 1));
+    (hex (Xdr.encode Xdr.int 1));
   Alcotest.(check string) "-1 encodes as ffffffff" "ffffffff"
-    (hex (Xdr.encode Xdr.enc_int (-1)));
+    (hex (Xdr.encode Xdr.int (-1)));
   Alcotest.(check string) "min int32" "80000000"
-    (hex (Xdr.encode Xdr.enc_int (-0x8000_0000)))
+    (hex (Xdr.encode Xdr.int (-0x8000_0000)))
 
 let test_int_range_check () =
   Alcotest.check_raises "too large" (Xdr.Error "enc_int: 2147483648 out of int32 range")
-    (fun () -> ignore (Xdr.encode Xdr.enc_int 0x8000_0000));
+    (fun () -> ignore (Xdr.encode Xdr.int 0x8000_0000));
   Alcotest.check_raises "uint negative"
     (Xdr.Error "enc_uint: -1 out of uint32 range") (fun () ->
-      ignore (Xdr.encode Xdr.enc_uint (-1)))
+      ignore (Xdr.encode Xdr.uint (-1)))
 
 let test_string_padding () =
   (* length word + bytes + zero padding to 4 *)
   Alcotest.(check string) "abc pads to one zero" "00000003616263 00"
-    (let s = hex (Xdr.encode Xdr.enc_string "abc") in
+    (let s = hex (Xdr.encode Xdr.string "abc") in
      String.sub s 0 14 ^ " " ^ String.sub s 14 2);
   Alcotest.(check int) "abcd needs no padding" 8
-    (String.length (Xdr.encode Xdr.enc_string "abcd"))
+    (String.length (Xdr.encode Xdr.string "abcd"))
 
 let test_nonzero_padding_rejected () =
   (* "abc" with a corrupted pad byte *)
-  let wire = Bytes.of_string (Xdr.encode Xdr.enc_string "abc") in
+  let wire = Bytes.of_string (Xdr.encode Xdr.string "abc") in
   Bytes.set wire 7 'X';
-  match Xdr.decode Xdr.dec_string (Bytes.to_string wire) with
+  match Xdr.decode Xdr.string (Bytes.to_string wire) with
   | exception Xdr.Error _ -> ()
   | _ -> Alcotest.fail "corrupted padding accepted"
 
 let test_bool_strictness () =
   Alcotest.(check bool) "true roundtrip" true
-    (Xdr.decode Xdr.dec_bool (Xdr.encode Xdr.enc_bool true));
-  match Xdr.decode Xdr.dec_bool (Xdr.encode Xdr.enc_uint 2) with
+    (Xdr.decode Xdr.bool (Xdr.encode Xdr.bool true));
+  match Xdr.decode Xdr.bool (Xdr.encode Xdr.uint 2) with
   | exception Xdr.Error _ -> ()
   | _ -> Alcotest.fail "bool 2 accepted"
 
 let test_truncation_rejected () =
-  let wire = Xdr.encode Xdr.enc_string "hello world" in
+  let wire = Xdr.encode Xdr.string "hello world" in
   for cut = 0 to String.length wire - 1 do
-    match Xdr.decode Xdr.dec_string (String.sub wire 0 cut) with
+    match Xdr.decode Xdr.string (String.sub wire 0 cut) with
     | exception Xdr.Error _ -> ()
     | _ -> Alcotest.failf "truncation at %d accepted" cut
   done
 
 let test_trailing_garbage_rejected () =
-  let wire = Xdr.encode Xdr.enc_uint 7 ^ "\000" in
-  match Xdr.decode Xdr.dec_uint wire with
+  let wire = Xdr.encode Xdr.uint 7 ^ "\000" in
+  match Xdr.decode Xdr.uint wire with
   | exception Xdr.Error _ -> ()
   | _ -> Alcotest.fail "trailing bytes accepted"
 
 let test_array_count_bound () =
   (* A count far beyond the payload must be rejected up front. *)
-  let wire = Xdr.encode Xdr.enc_uint 1_000_000 in
-  match Xdr.decode (fun d -> Xdr.dec_array d Xdr.dec_uint) wire with
+  let wire = Xdr.encode Xdr.uint 1_000_000 in
+  match Xdr.decode (Xdr.array Xdr.uint) wire with
   | exception Xdr.Error _ -> ()
   | _ -> Alcotest.fail "oversized array count accepted"
 
 let test_fixed_opaque () =
-  let wire = Xdr.encode (fun e v -> Xdr.enc_fixed_opaque e 6 v) "abcdef" in
+  let wire = Xdr.encode (Xdr.fixed_opaque 6) "abcdef" in
   Alcotest.(check int) "6 bytes pad to 8" 8 (String.length wire);
   Alcotest.(check string) "roundtrip" "abcdef"
-    (Xdr.decode (fun d -> Xdr.dec_fixed_opaque d 6) wire);
-  match Xdr.encode (fun e v -> Xdr.enc_fixed_opaque e 4 v) "abcdef" with
+    (Xdr.decode (Xdr.fixed_opaque 6) wire);
+  match Xdr.encode (Xdr.fixed_opaque 4) "abcdef" with
   | exception Xdr.Error _ -> ()
   | _ -> Alcotest.fail "length mismatch accepted"
 
 let test_option () =
-  let enc e v = Xdr.enc_option e Xdr.enc_string v in
-  let dec d = Xdr.dec_option d Xdr.dec_string in
-  Alcotest.(check (option string)) "some" (Some "x") (Xdr.decode dec (Xdr.encode enc (Some "x")));
-  Alcotest.(check (option string)) "none" None (Xdr.decode dec (Xdr.encode enc None))
+  let c = Xdr.option Xdr.string in
+  Alcotest.(check string) "some" "0000000100000001 78000000"
+    (let s = hex (Xdr.encode c (Some "x")) in
+     String.sub s 0 16 ^ " " ^ String.sub s 16 8);
+  Alcotest.(check (option string)) "some" (Some "x") (round_trip c (Some "x"));
+  Alcotest.(check (option string)) "none" None (round_trip c None)
 
 let test_hyper_extremes () =
   List.iter
     (fun v ->
       Alcotest.(check int64) "hyper roundtrip" v
-        (Xdr.decode Xdr.dec_hyper (Xdr.encode Xdr.enc_hyper v)))
+        (Xdr.decode Xdr.hyper (Xdr.encode Xdr.hyper v)))
     [ 0L; 1L; -1L; Int64.max_int; Int64.min_int; 0xdeadbeefL ]
 
 (* --- explicit-position encoder machinery --------------------------------- *)
-
-let test_reserve_and_patch () =
-  let e = Xdr.encoder () in
-  let off = Xdr.reserve e 8 in
-  Alcotest.(check int) "reserve returns start offset" 0 off;
-  Xdr.enc_uint e 7;
-  Xdr.patch_u32 e off 0xdead;
-  Xdr.patch_u32 e (off + 4) 0xbeef;
-  Alcotest.(check string) "patched words land in place" "0000dead0000beef00000007"
-    (hex (Xdr.to_string e));
-  (match Xdr.patch_u32 e 12 1 with
-   | exception Xdr.Error _ -> ()
-   | _ -> Alcotest.fail "patch past the end accepted");
-  match Xdr.patch_u32 e 0 0x1_0000_0000 with
-  | exception Xdr.Error _ -> ()
-  | _ -> Alcotest.fail "out-of-range patch accepted"
 
 let test_encoder_continues_after_extraction () =
   let e = Xdr.encoder ~size:8 () in
@@ -112,11 +98,11 @@ let test_encoder_continues_after_extraction () =
   let first = Xdr.to_string e in
   Xdr.enc_uint e 42;
   Alcotest.(check int) "continues after extraction" (String.length first + 4)
-    (Xdr.length e);
+    (String.length (Xdr.to_string e));
   Alcotest.(check string) "later words follow the earlier ones"
     (hex first ^ "0000002a") (hex (Xdr.to_string e));
   Alcotest.(check string) "earlier extraction unaffected" "first payload, long enough to grow the buffer"
-    (Xdr.decode Xdr.dec_string first)
+    (Xdr.decode Xdr.string first)
 
 let test_small_encoder_growth () =
   (* A payload far past the initial capacity: the encoder must grow
@@ -125,7 +111,7 @@ let test_small_encoder_growth () =
   let payload = String.make 100 'x' in
   Xdr.enc_string e payload;
   Alcotest.(check string) "grown encoder still roundtrips" payload
-    (Xdr.decode Xdr.dec_string (Xdr.to_string e))
+    (Xdr.decode Xdr.string (Xdr.to_string e))
 
 let test_enc_raw_verbatim () =
   let e = Xdr.encoder () in
@@ -144,70 +130,51 @@ let test_array_single_pass_count () =
       Alcotest.(check int)
         (Printf.sprintf "count word for %d elements" n)
         n
-        (Xdr.decode
-           (fun d -> List.length (Xdr.dec_array d Xdr.dec_string))
-           (Xdr.encode (fun e -> Xdr.enc_array e Xdr.enc_string) l)))
+        (List.length (round_trip (Xdr.array Xdr.string) l)))
     [ 0; 1; 2; 63; 64; 65; 1000 ]
 
 let test_nested_array_roundtrip () =
   let v = [ []; [ 1; 2; 3 ]; [ 4 ]; List.init 50 Fun.id ] in
   Alcotest.(check bool) "array of arrays" true
-    (Xdr.decode
-       (fun d -> Xdr.dec_array d (fun d -> Xdr.dec_array d Xdr.dec_int))
-       (Xdr.encode
-          (fun e -> Xdr.enc_array e (fun e -> Xdr.enc_array e Xdr.enc_int))
-          v)
-     = v)
+    (round_trip (Xdr.array (Xdr.array Xdr.int)) v = v)
 
 let prop_int_roundtrip =
   qcheck_case "int32 roundtrip" QCheck.(int_range (-0x8000_0000) 0x7fff_ffff)
-    (fun v -> Xdr.decode Xdr.dec_int (Xdr.encode Xdr.enc_int v) = v)
+    (fun v -> Xdr.decode Xdr.int (Xdr.encode Xdr.int v) = v)
 
 let prop_uint_roundtrip =
   qcheck_case "uint32 roundtrip" QCheck.(int_bound 0xffff_ffff)
-    (fun v -> Xdr.decode Xdr.dec_uint (Xdr.encode Xdr.enc_uint v) = v)
+    (fun v -> Xdr.decode Xdr.uint (Xdr.encode Xdr.uint v) = v)
 
 let prop_hyper_roundtrip =
   qcheck_case "hyper roundtrip" QCheck.int64
-    (fun v -> Xdr.decode Xdr.dec_hyper (Xdr.encode Xdr.enc_hyper v) = v)
+    (fun v -> Xdr.decode Xdr.hyper (Xdr.encode Xdr.hyper v) = v)
 
 let prop_string_roundtrip =
   qcheck_case "string roundtrip" QCheck.string
-    (fun s -> Xdr.decode Xdr.dec_string (Xdr.encode Xdr.enc_string s) = s)
+    (fun s -> Xdr.decode Xdr.string (Xdr.encode Xdr.string s) = s)
 
 let prop_encode_string_matches_encoder =
   qcheck_case "encode_string equals the encoder's bytes" QCheck.string
-    (fun s -> Xdr.encode_string s = Xdr.encode Xdr.enc_string s)
+    (fun s ->
+      let e = Xdr.encoder () in
+      Xdr.enc_string e s;
+      Xdr.encode Xdr.string s = Xdr.to_string e)
 
 let prop_double_roundtrip =
   qcheck_case "double roundtrip" QCheck.float
     (fun f ->
-      let f' = Xdr.decode Xdr.dec_double (Xdr.encode Xdr.enc_double f) in
+      let f' = round_trip (Xdr.codec Xdr.enc_double Xdr.dec_double) f in
       Int64.bits_of_float f = Int64.bits_of_float f')
 
 let prop_string_list_roundtrip =
   qcheck_case "string array roundtrip" QCheck.(small_list string)
     (fun l ->
-      Xdr.decode
-        (fun d -> Xdr.dec_array d Xdr.dec_string)
-        (Xdr.encode (fun e -> Xdr.enc_array e Xdr.enc_string) l)
-      = l)
+      round_trip (Xdr.array Xdr.string) l = l)
 
 let prop_mixed_sequence =
   qcheck_case "mixed tuple roundtrip" QCheck.(triple int64 string bool)
-    (fun (a, b, c) ->
-      let enc e () =
-        Xdr.enc_hyper e a;
-        Xdr.enc_string e b;
-        Xdr.enc_bool e c
-      in
-      let dec d =
-        let a' = Xdr.dec_hyper d in
-        let b' = Xdr.dec_string d in
-        let c' = Xdr.dec_bool d in
-        (a', b', c')
-      in
-      Xdr.decode dec (Xdr.encode enc ()) = (a, b, c))
+    (fun v -> round_trip (Xdr.triple Xdr.hyper Xdr.string Xdr.bool) v = v)
 
 (* Byte-wise reference for the word decoders: eight random bytes, with
    the high bit of each word set in about half the cases. *)
@@ -274,9 +241,9 @@ let test_listing_decode_allocation () =
     Driver.
       { fl_records = List.init rows record; fl_shard_errors = []; fl_members = 1 }
   in
-  let body = Rp.enc_fleet_listing listing in
+  let body = Xdr.encode Rp.fleet_listing listing in
   let before = Gc.minor_words () in
-  let decoded = Sys.opaque_identity (Rp.dec_fleet_listing body) in
+  let decoded = Sys.opaque_identity (Xdr.decode Rp.fleet_listing body) in
   let words = (Gc.minor_words () -. before) /. float_of_int rows in
   Alcotest.(check bool) "decodes back" true (decoded = listing);
   if words > 60. then
@@ -304,7 +271,6 @@ let () =
         ] );
       ( "encoder machinery",
         [
-          quick "reserve and patch" test_reserve_and_patch;
           quick "continued encoding" test_encoder_continues_after_extraction;
           quick "small encoder growth" test_small_encoder_growth;
           quick "raw append" test_enc_raw_verbatim;

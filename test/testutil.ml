@@ -81,3 +81,6 @@ let listen_threaded ?faults addr handler =
              | conn -> handler conn
              | exception _ -> Ovnet.Chan.close_endpoint ep)
            ()))
+
+(* One value through a codec and back. *)
+let round_trip codec v = Xdr.decode codec (Xdr.encode codec v)
