@@ -123,6 +123,8 @@ let serve (s : (_, _) Ap.signature) body f =
   let* r = f (Xdr.decode s.Ap.sg_args body) in
   Ok (Xdr.encode s.Ap.sg_ret r)
 
+let invalid_arg_of r = Result.map_error (Verror.make Verror.Invalid_arg) r
+
 let handle view _srv _client header body =
   let* proc =
     Result.map_error
@@ -184,7 +186,7 @@ let handle view _srv _client header body =
         Ok (Vlog.priority_to_int (Vlog.get_level logger)))
   | Ap.Proc_set_log_level ->
     serve Ap.set_log_level body (fun n ->
-        let* level = Result.map_error (Verror.make Verror.Invalid_arg) (Vlog.priority_of_int n) in
+        let* level = invalid_arg_of (Vlog.priority_of_int n) in
         Vlog.set_level logger level;
         Ok ())
   | Ap.Proc_get_log_filters ->
@@ -192,7 +194,7 @@ let handle view _srv _client header body =
         Ok (Vlog.format_filters (Vlog.get_filters logger)))
   | Ap.Proc_set_log_filters ->
     serve Ap.set_log_filters body (fun text ->
-        let* filters = Result.map_error (Verror.make Verror.Invalid_arg) (Vlog.parse_filters text) in
+        let* filters = invalid_arg_of (Vlog.parse_filters text) in
         Vlog.define_filters logger filters;
         Ok ())
   | Ap.Proc_get_log_outputs ->
@@ -200,7 +202,7 @@ let handle view _srv _client header body =
         Ok (Vlog.format_outputs (Vlog.get_outputs logger)))
   | Ap.Proc_set_log_outputs ->
     serve Ap.set_log_outputs body (fun text ->
-        let* outputs = Result.map_error (Verror.make Verror.Invalid_arg) (Vlog.parse_outputs text) in
+        let* outputs = invalid_arg_of (Vlog.parse_outputs text) in
         Vlog.define_outputs logger outputs;
         Ok ())
   | Ap.Proc_daemon_uptime ->

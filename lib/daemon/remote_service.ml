@@ -239,13 +239,15 @@ let optional (ops : Driver.ops) what = function
   | Some f -> f
   | None -> fun _ -> Driver.unsupported ~drv:ops.Driver.drv_name ~op:what
 
-let on_net cs f =
+(* A backend handler, once the connection's driver is known to have
+   the backend. *)
+let on_net cs handler args =
   let* b = net_backend cs in
-  f b
+  handler b args
 
-let on_storage cs f =
+let on_storage cs handler args =
   let* b = storage_backend cs in
-  f b
+  handler b args
 
 let on_fleet (ops : Driver.ops) what f =
   match ops.Driver.fleet with
@@ -304,40 +306,42 @@ let dispatch_conn (cs : conn_state) proc body =
          (Option.map (fun f (name, flag) -> f name flag) ops.Driver.dom_set_autostart))
   | Rp.Proc_dom_get_autostart ->
     serve Rp.dom_get_autostart body (optional ops "autostart" ops.Driver.dom_get_autostart)
-  | Rp.Proc_net_list -> serve Rp.net_list body (fun () -> on_net cs (fun b -> b.Driver.net_list ()))
+  | Rp.Proc_net_list -> serve Rp.net_list body (on_net cs (fun b -> b.Driver.net_list))
   | Rp.Proc_net_define ->
-    serve Rp.net_define body (fun (name, bridge, ip_range) ->
-        on_net cs (fun b -> b.Driver.net_define ~name ~bridge ~ip_range))
-  | Rp.Proc_net_start -> serve Rp.net_start body (fun n -> on_net cs (fun b -> b.Driver.net_start n))
-  | Rp.Proc_net_stop -> serve Rp.net_stop body (fun n -> on_net cs (fun b -> b.Driver.net_stop n))
+    serve Rp.net_define body
+      (on_net cs (fun b (name, bridge, ip_range) ->
+           b.Driver.net_define ~name ~bridge ~ip_range))
+  | Rp.Proc_net_start -> serve Rp.net_start body (on_net cs (fun b -> b.Driver.net_start))
+  | Rp.Proc_net_stop -> serve Rp.net_stop body (on_net cs (fun b -> b.Driver.net_stop))
   | Rp.Proc_net_undefine ->
-    serve Rp.net_undefine body (fun n -> on_net cs (fun b -> b.Driver.net_undefine n))
+    serve Rp.net_undefine body (on_net cs (fun b -> b.Driver.net_undefine))
   | Rp.Proc_net_set_autostart ->
-    serve Rp.net_set_autostart body (fun (n, v) ->
-        on_net cs (fun b -> b.Driver.net_set_autostart n v))
-  | Rp.Proc_net_lookup -> serve Rp.net_lookup body (fun n -> on_net cs (fun b -> b.Driver.net_lookup n))
-  | Rp.Proc_pool_list ->
-    serve Rp.pool_list body (fun () -> on_storage cs (fun b -> b.Driver.pool_list ()))
+    serve Rp.net_set_autostart body
+      (on_net cs (fun b (name, flag) -> b.Driver.net_set_autostart name flag))
+  | Rp.Proc_net_lookup -> serve Rp.net_lookup body (on_net cs (fun b -> b.Driver.net_lookup))
+  | Rp.Proc_pool_list -> serve Rp.pool_list body (on_storage cs (fun b -> b.Driver.pool_list))
   | Rp.Proc_pool_define ->
-    serve Rp.pool_define body (fun (name, target_path, capacity_b) ->
-        on_storage cs (fun b -> b.Driver.pool_define ~name ~target_path ~capacity_b))
+    serve Rp.pool_define body
+      (on_storage cs (fun b (name, target_path, capacity_b) ->
+           b.Driver.pool_define ~name ~target_path ~capacity_b))
   | Rp.Proc_pool_start ->
-    serve Rp.pool_start body (fun n -> on_storage cs (fun b -> b.Driver.pool_start n))
-  | Rp.Proc_pool_stop -> serve Rp.pool_stop body (fun n -> on_storage cs (fun b -> b.Driver.pool_stop n))
+    serve Rp.pool_start body (on_storage cs (fun b -> b.Driver.pool_start))
+  | Rp.Proc_pool_stop -> serve Rp.pool_stop body (on_storage cs (fun b -> b.Driver.pool_stop))
   | Rp.Proc_pool_undefine ->
-    serve Rp.pool_undefine body (fun n -> on_storage cs (fun b -> b.Driver.pool_undefine n))
+    serve Rp.pool_undefine body (on_storage cs (fun b -> b.Driver.pool_undefine))
   | Rp.Proc_pool_lookup ->
-    serve Rp.pool_lookup body (fun n -> on_storage cs (fun b -> b.Driver.pool_lookup n))
+    serve Rp.pool_lookup body (on_storage cs (fun b -> b.Driver.pool_lookup))
   | Rp.Proc_vol_create ->
-    serve Rp.vol_create body (fun (pool, name, capacity_b, format) ->
-        on_storage cs (fun b -> b.Driver.vol_create ~pool ~name ~capacity_b ~format))
+    serve Rp.vol_create body
+      (on_storage cs (fun b (pool, name, capacity_b, format) ->
+           b.Driver.vol_create ~pool ~name ~capacity_b ~format))
   | Rp.Proc_vol_delete ->
-    serve Rp.vol_delete body (fun (pool, name) ->
-        on_storage cs (fun b -> b.Driver.vol_delete ~pool ~name))
+    serve Rp.vol_delete body
+      (on_storage cs (fun b (pool, name) -> b.Driver.vol_delete ~pool ~name))
   | Rp.Proc_vol_list ->
-    serve Rp.vol_list body (fun pool -> on_storage cs (fun b -> b.Driver.vol_list ~pool))
+    serve Rp.vol_list body (on_storage cs (fun b pool -> b.Driver.vol_list ~pool))
   | Rp.Proc_vol_lookup ->
-    serve Rp.vol_lookup body (fun path -> on_storage cs (fun b -> b.Driver.vol_by_path path))
+    serve Rp.vol_lookup body (on_storage cs (fun b -> b.Driver.vol_by_path))
   | Rp.Proc_dom_list_all -> serve Rp.dom_list_all body (fun () -> Driver.list_all ops)
   | Rp.Proc_fleet_list_all -> serve Rp.fleet_list_all body (fun () -> fleet_listing ops)
   | Rp.Proc_fleet_status ->

@@ -245,7 +245,9 @@ let reconcile node ~attach_info ~running ~adopt ~start =
   List.iter
     (fun n -> Events.emit node.events ~domain_name:n Events.Ev_diverged)
     unknown;
-  let autostarted = List.filter (fun name -> Result.is_ok (start name)) (List.rev !to_autostart) in
+  let autostarted =
+    List.filter (fun name -> Result.is_ok (start name)) (List.rev !to_autostart)
+  in
   let report =
     {
       rec_replayed = attach_info.Domstore.rc_replayed;

@@ -100,7 +100,9 @@ val reconcile :
     [running ()] lists guest names alive on the substrate; [adopt]
     rebuilds manager-side bookkeeping for one of them and must issue no
     lifecycle command; [start] is the driver's ordinary start path,
-    used for inactive autostart domains.  Running guests the journal
+    used for inactive autostart domains, with no request deadline:
+    recovery runs while the node is created, before any other thread
+    can reach it, so its lock sections never wait.  Running guests the journal
     expects are re-adopted ([Ev_adopted]); guests that died, appeared,
     or are entirely unknown produce [Ev_diverged] events and are left
     alone.  Stores the report in [node.recovered] and returns it. *)

@@ -69,7 +69,8 @@ type procedure =
 
 let error =
   Xdr.record2
-    ((fun (err : Verror.t) -> err.Verror.code), Xdr.conv Verror.code_to_int Verror.code_of_int Xdr.int)
+    ( (fun (err : Verror.t) -> err.Verror.code),
+      Xdr.conv Verror.code_to_int Verror.code_of_int Xdr.int )
     ((fun (err : Verror.t) -> err.Verror.message), Xdr.string)
     Verror.make
 
@@ -351,27 +352,28 @@ type since_reply =
   | Since_full of fleet_token * Driver.fleet_listing
 
 (* [token][discriminant], then on "full" the v1.7 listing body as is. *)
+let since_tag = Xdr.enum "listing discriminant" Xdr.uint [| `Unchanged; `Full |]
+
 let since_reply =
   Xdr.codec
     (fun e -> function
       | Since_unchanged t ->
         Xdr.write fleet_token e t;
-        Xdr.enc_uint e 0
+        Xdr.write since_tag e `Unchanged
       | Since_full (t, listing) ->
         Xdr.write fleet_token e t;
-        Xdr.enc_uint e 1;
+        Xdr.write since_tag e `Full;
         Xdr.write fleet_listing e listing)
     (fun d ->
       let t = Xdr.read fleet_token d in
-      match Xdr.dec_uint d with
-      | 0 -> Since_unchanged t
-      | 1 -> Since_full (t, Xdr.read fleet_listing d)
-      | n -> raise (Xdr.Error (Printf.sprintf "unknown listing discriminant %d" n)))
+      match Xdr.read since_tag d with
+      | `Unchanged -> Since_unchanged t
+      | `Full -> Since_full (t, Xdr.read fleet_listing d))
 
 let enc_since_full_raw t listing_body =
   let e = Xdr.encoder ~size:(12 + String.length listing_body) () in
   Xdr.write fleet_token e t;
-  Xdr.enc_uint e 1;
+  Xdr.write since_tag e `Full;
   Xdr.enc_raw e listing_body;
   Xdr.to_string e
 
@@ -422,7 +424,8 @@ let get_hostname =
   row Proc_get_hostname ~since:0 ~high:true ~idem:true ~cache:false Xdr.unit Xdr.string
 
 let list_domains =
-  row Proc_list_domains ~since:0 ~high:true ~idem:true ~cache:false Xdr.unit (Xdr.array domain_ref)
+  row Proc_list_domains ~since:0 ~high:true ~idem:true ~cache:false Xdr.unit
+    (Xdr.array domain_ref)
 
 let list_defined =
   row Proc_list_defined ~since:0 ~high:true ~idem:true ~cache:false Xdr.unit
@@ -524,7 +527,8 @@ let echo = row Proc_echo ~since:0 ~high:true ~idem:true ~cache:false Xdr.raw Xdr
 let ping = row Proc_ping ~since:0 ~high:true ~idem:true ~cache:false Xdr.unit Xdr.unit
 
 (* v1.1: managed save *)
-let dom_save = row Proc_dom_save ~since:1 ~high:false ~idem:false ~cache:false Xdr.string Xdr.unit
+let dom_save =
+  row Proc_dom_save ~since:1 ~high:false ~idem:false ~cache:false Xdr.string Xdr.unit
 
 let dom_restore =
   row Proc_dom_restore ~since:1 ~high:false ~idem:false ~cache:false Xdr.string Xdr.unit
@@ -543,7 +547,8 @@ let dom_get_autostart =
 (* v1.3: negotiation + bulk/batch.  A batch may carry mutations, so it is
    never retried; its sub-calls may be arbitrary and vol_lookup walks
    pools, so neither is high priority. *)
-let proto_minor = row Proc_proto_minor ~since:3 ~high:true ~idem:true ~cache:false Xdr.unit Xdr.int
+let proto_minor =
+  row Proc_proto_minor ~since:3 ~high:true ~idem:true ~cache:false Xdr.unit Xdr.int
 
 let dom_list_all =
   row Proc_dom_list_all ~since:3 ~high:true ~idem:true ~cache:true Xdr.unit
@@ -552,7 +557,8 @@ let dom_list_all =
 let call_batch =
   row Proc_call_batch ~since:3 ~high:false ~idem:false ~cache:false batch_call batch_reply
 
-let vol_lookup = row Proc_vol_lookup ~since:3 ~high:false ~idem:true ~cache:true Xdr.string vol_info
+let vol_lookup =
+  row Proc_vol_lookup ~since:3 ~high:false ~idem:true ~cache:true Xdr.string vol_info
 
 (* v1.4: per-call deadline envelope.  Its priority and idempotency are
    those of its inner call, resolved by the dispatcher after peeking into
@@ -568,7 +574,8 @@ let dom_set_policy =
   row Proc_dom_set_policy ~since:5 ~high:false ~idem:false ~cache:false
     (Xdr.pair Xdr.string policy) Xdr.unit
 
-let dom_get_policy = row Proc_dom_get_policy ~since:5 ~high:true ~idem:true ~cache:false Xdr.string policy
+let dom_get_policy =
+  row Proc_dom_get_policy ~since:5 ~high:true ~idem:true ~cache:false Xdr.string policy
 
 let daemon_reconcile_status =
   row Proc_daemon_reconcile_status ~since:5 ~high:true ~idem:true ~cache:false Xdr.unit

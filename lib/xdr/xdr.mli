@@ -84,6 +84,7 @@ val codec : (encoder -> 'a -> unit) -> (decoder -> 'a) -> 'a codec
 
 val write : 'a codec -> encoder -> 'a -> unit
 val read : 'a codec -> decoder -> 'a
+(** A codec's two halves, for a hand-written layout that embeds it. *)
 
 val int : int codec
 val uint : int codec
