@@ -29,10 +29,17 @@ module Server_obj = Ovirt.Server_obj
 
 let () = Ovirt.initialize ()
 
+(* Every bench daemon derives its config from this one.  CI re-runs
+   smokes with OVIRT_REPLY_CACHE=0, which turns the server reply cache
+   off, to show that it never changes observable behaviour. *)
 let quiet_config =
   {
     Daemon_config.default with
     Daemon_config.log_outputs = [ { Vlog.min_priority = Vlog.Debug; sink = Vlog.Null } ];
+    reply_cache =
+      (match Sys.getenv_opt "OVIRT_REPLY_CACHE" with
+       | Some s -> Option.value (int_of_string_opt (String.trim s)) ~default:1
+       | None -> 1);
   }
 
 let mib n = n * 1024
@@ -1970,10 +1977,25 @@ let replycache () =
           fun () -> Array.iter Rpc_client.close conns )
       end
     in
+    (* Every read is one cacheable call: a raw [dom_list_all], or the v1.8
+       conditional listing [Connect.list_all_domains] sends. *)
+    let calls = Atomic.make 0 in
+    let read i =
+      read i;
+      Atomic.incr calls
+    in
     let reads_per_s = measure_throughput ~n_threads:clients ~duration_s read in
     let admin = ok (Admin.connect ~daemon:daemon_name ()) in
     let rc = ok (Admin.reply_cache_stats admin) in
     Admin.close admin;
+    (* The daemon looks each call up once, and only on a cache-on
+       connection. *)
+    let lookups = rc.Admin.rc_hits + rc.Admin.rc_misses in
+    let want = if cache && rc.Admin.rc_enabled then Atomic.get calls else 0 in
+    if lookups <> want then
+      failwith
+        (Printf.sprintf "E21: %d reply-cache lookups for %d cacheable calls (%s, cache %s)"
+           lookups want (path_name via_client) (if cache then "on" else "off"));
     close ();
     Connect.close producer;
     Daemon.stop daemon;

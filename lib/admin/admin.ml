@@ -249,11 +249,10 @@ type client_limits = {
 
 let list_clients srv =
   let* entries = rpc srv.conn Ap.list_clients srv.srv_name in
-  let kind_of = function
-    | 0 -> Ok Transport.Unix_sock
-    | 1 -> Ok Transport.Tcp
-    | 2 -> Ok Transport.Tls
-    | n -> Verror.error Verror.Rpc_failure "unknown transport code %d" n
+  let kind_of n =
+    match Transport.kind_of_int n with
+    | Some kind -> Ok kind
+    | None -> Verror.error Verror.Rpc_failure "unknown transport code %d" n
   in
   let rec build acc = function
     | [] -> Ok (List.rev acc)

@@ -9,8 +9,7 @@ type daemon_view = {
   view_started_at : float;
   view_drain : unit -> unit;
   view_reconcile : unit -> Reconcile.t option;
-  view_event_totals : unit -> Remote_service.event_totals;
-  view_reply_cache_totals : unit -> Remote_service.cache_totals;
+  view_remote : Remote_service.t;
 }
 
 let ( let* ) = Result.bind
@@ -123,6 +122,9 @@ let serve (s : (_, _) Ap.signature) body f =
   let* r = f (Xdr.decode s.Ap.sg_args body) in
   Ok (Xdr.encode s.Ap.sg_ret r)
 
+(* One counter summed over every per-node structure that keeps it. *)
+let sum f stats = List.fold_left (fun acc s -> acc + f s) 0 stats
+
 let invalid_arg_of r = Result.map_error (Verror.make Verror.Invalid_arg) r
 
 let handle view _srv _client header body =
@@ -164,7 +166,9 @@ let handle view _srv _client header body =
                Ap.
                  {
                    client_id = Client_obj.id client;
-                   client_transport = Client_obj.transport_int client;
+                   client_transport =
+                     Ovnet.Transport.kind_to_int
+                       (Ovnet.Transport.kind (Client_obj.conn client));
                    connected_since =
                      Int64.of_float (Client_obj.connected_since client);
                  }))
@@ -223,34 +227,38 @@ let handle view _srv _client header body =
         | Some r -> Ok (Reconcile.status r))
   | Ap.Proc_daemon_event_stats ->
     serve Ap.daemon_event_stats body (fun () ->
-        let t = view.view_event_totals () in
+        let rings = Remote_service.event_stats view.view_remote in
+        let total name f = Tp.uint name (sum f rings) in
         Ok
           [
-            Tp.uint Ap.event_rings t.Remote_service.evt_rings;
-            Tp.uint Ap.event_emitted t.Remote_service.evt_emitted;
-            Tp.uint Ap.event_replayed t.Remote_service.evt_replayed;
-            Tp.uint Ap.event_gapped t.Remote_service.evt_gaps;
-            Tp.uint Ap.event_resumes t.Remote_service.evt_resumes;
-            Tp.uint Ap.event_ring_occupancy t.Remote_service.evt_occupancy;
-            Tp.uint Ap.event_ring_capacity t.Remote_service.evt_capacity;
-            Tp.uint Ap.event_subscribers t.Remote_service.evt_subscribers;
-            Tp.uint Ap.event_head_seq t.Remote_service.evt_head;
+            Tp.uint Ap.event_rings (List.length rings);
+            total Ap.event_emitted (fun s -> s.Eventring.er_emitted);
+            total Ap.event_replayed (fun s -> s.Eventring.er_replayed);
+            total Ap.event_gapped (fun s -> s.Eventring.er_gaps);
+            total Ap.event_resumes (fun s -> s.Eventring.er_resumes);
+            total Ap.event_ring_occupancy (fun s -> s.Eventring.er_occupancy);
+            total Ap.event_ring_capacity (fun s -> s.Eventring.er_capacity);
+            total Ap.event_subscribers (fun s -> s.Eventring.er_subscribers);
+            Tp.uint Ap.event_head_seq
+              (List.fold_left (fun acc s -> max acc s.Eventring.er_head) 0 rings);
           ])
   | Ap.Proc_daemon_reply_cache_stats ->
     serve Ap.daemon_reply_cache_stats body (fun () ->
-        let t = view.view_reply_cache_totals () in
+        let caches = Remote_service.reply_cache_stats view.view_remote in
+        let total name f = Tp.uint name (sum f caches) in
         Ok
           [
-            Tp.uint Ap.reply_cache_caches t.Remote_service.rct_caches;
-            Tp.uint Ap.reply_cache_hits t.Remote_service.rct_hits;
-            Tp.uint Ap.reply_cache_misses t.Remote_service.rct_misses;
-            Tp.uint Ap.reply_cache_insertions t.Remote_service.rct_insertions;
-            Tp.uint Ap.reply_cache_invalidations t.Remote_service.rct_invalidations;
-            Tp.uint Ap.reply_cache_evictions t.Remote_service.rct_evictions;
-            Tp.uint Ap.reply_cache_patched_sends t.Remote_service.rct_patched_sends;
-            Tp.uint Ap.reply_cache_entries t.Remote_service.rct_entries;
-            Tp.uint Ap.reply_cache_bytes t.Remote_service.rct_bytes;
-            Tp.uint Ap.reply_cache_enabled (if t.Remote_service.rct_enabled then 1 else 0);
+            Tp.uint Ap.reply_cache_caches (List.length caches);
+            total Ap.reply_cache_hits (fun s -> s.Reply_cache.hits);
+            total Ap.reply_cache_misses (fun s -> s.Reply_cache.misses);
+            total Ap.reply_cache_insertions (fun s -> s.Reply_cache.insertions);
+            total Ap.reply_cache_invalidations (fun s -> s.Reply_cache.invalidations);
+            total Ap.reply_cache_evictions (fun s -> s.Reply_cache.evictions);
+            total Ap.reply_cache_patched_sends (fun s -> s.Reply_cache.patched_sends);
+            total Ap.reply_cache_entries (fun s -> s.Reply_cache.entries);
+            total Ap.reply_cache_bytes (fun s -> s.Reply_cache.bytes);
+            Tp.uint Ap.reply_cache_enabled
+              (Bool.to_int (Remote_service.reply_cache_enabled view.view_remote));
           ])
   | Ap.Proc_daemon_fleet_status ->
     (* Every fleet hosted in this process. *)

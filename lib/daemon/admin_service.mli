@@ -16,10 +16,9 @@ type daemon_view = {
           the administrator before the connection closes. *)
   view_reconcile : unit -> Reconcile.t option;
       (** The daemon's policy reconciler, when it has one. *)
-  view_event_totals : unit -> Remote_service.event_totals;
-      (** Aggregate replay-ring counters of the remote program. *)
-  view_reply_cache_totals : unit -> Remote_service.cache_totals;
-      (** Aggregate reply-cache counters of the remote program. *)
+  view_remote : Remote_service.t;
+      (** The remote program, whose replay rings and reply caches keep
+          the counters the event- and reply-cache-stats procedures sum. *)
 }
 
 val program : daemon_view -> Dispatch.program

@@ -27,12 +27,6 @@ let id c = c.id
 let conn c = c.conn
 let connected_since c = c.connected_since
 
-let transport_int c =
-  match Transport.kind c.conn with
-  | Transport.Unix_sock -> 0
-  | Transport.Tcp -> 1
-  | Transport.Tls -> 2
-
 let peer c = Transport.peer c.conn
 let is_authenticated c = c.authenticated
 let mark_authenticated c = c.authenticated <- true

@@ -14,9 +14,6 @@ val conn : t -> Ovnet.Transport.t
 val connected_since : t -> float
 (** Seconds since epoch. *)
 
-val transport_int : t -> int
-(** Wire encoding: 0 unix, 1 tcp, 2 tls. *)
-
 val peer : t -> Ovnet.Transport.peer
 
 val is_authenticated : t -> bool

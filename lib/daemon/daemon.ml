@@ -271,9 +271,7 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
             | None -> ()
             | Some daemon -> drain_background daemon);
         view_reconcile = (fun () -> Some reconciler);
-        view_event_totals = (fun () -> Remote_service.event_totals remote_service);
-        view_reply_cache_totals =
-          (fun () -> Remote_service.reply_cache_totals remote_service);
+        view_remote = remote_service;
       }
   in
   let mgmt_programs = [ remote_program; Dispatch.keepalive_program ] in

@@ -1,13 +1,5 @@
 type io_model = Io_reactor
 
-(* CI re-runs smokes with the server reply cache force-disabled to prove
-   it never changes observable behaviour; the env override flips the
-   whole default without touching every test's config literal. *)
-let default_reply_cache =
-  match Sys.getenv_opt "OVIRT_REPLY_CACHE" with
-  | Some s -> (match int_of_string_opt (String.trim s) with Some n -> n | None -> 1)
-  | None -> 1
-
 type t = {
   io_model : io_model;
   reactor_threads : int;
@@ -49,7 +41,7 @@ let default =
     log_outputs = [ { Vlog.min_priority = Vlog.Debug; sink = Vlog.Stderr } ];
     proto_minor = Protocol.Remote_protocol.minor;
     event_ring = 1024;
-    reply_cache = default_reply_cache;
+    reply_cache = 1;
     reply_cache_entries = 512;
     job_queue_limit = 0;
     wall_limit_ms = 0;

@@ -40,7 +40,8 @@ type t = {
   reply_cache : int;
       (** server reply cache for hot read procedures: nonzero (default 1)
           enables it; 0 disables it daemon-wide (clients can also opt a
-          single connection out with a [replycache=0] URI parameter) *)
+          single connection out with a [replycache=0] URI parameter).
+          No environment variable changes the default. *)
   reply_cache_entries : int;
       (** LRU capacity of each per-node-URI reply cache (default 512,
           minimum 1) *)

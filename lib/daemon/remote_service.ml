@@ -8,12 +8,17 @@ type event_sub =
   | Sub_bus of Events.subscription
   | Sub_ring of Eventring.t * int
 
+(* A connection's reply cache: its node's cache and the driver's write
+   generation, which stamps every entry. *)
+type cached = { rc : Reply_cache.t; gen_of : unit -> int }
+
 type conn_state = {
   ops : Driver.ops;
   uri : string;  (** the direct (transport-stripped) URI opened *)
-  cache_ok : bool;
-      (** false when the client's URI carried [replycache=0/off]; the
-          per-connection lever to opt out of the server reply cache *)
+  cache : cached option;
+      (** resolved once, at [Proc_open]: [None] when any layer opts out —
+          the daemon knob, the client's [replycache=0/off] URI param, or
+          a driver without a generation stamp *)
   mutable event_sub : event_sub option;
 }
 
@@ -51,6 +56,22 @@ let get_conn st client =
       | None ->
         Verror.error Verror.No_connect "client has no open hypervisor connection")
 
+(* Caller holds [st.mutex].  Caches are per driver-node URI and live for
+   the daemon (like [rings]); creating one also arms the proactive
+   invalidation path — any lifecycle event on the node's bus flushes the
+   cache.  Writes that emit no event (set_memory, define, autostart …)
+   are caught by the generation stamp instead. *)
+let cache_for st uri (ops : Driver.ops) =
+  match Hashtbl.find_opt st.caches uri with
+  | Some cache -> cache
+  | None ->
+    let cache = Reply_cache.create ~max_entries:st.cache_entries in
+    let (_ : Events.subscription) =
+      Events.subscribe ops.Driver.events (fun _ -> Reply_cache.invalidate_all cache)
+    in
+    Hashtbl.replace st.caches uri cache;
+    cache
+
 (* The daemon opens the URI locally: strip the transport suffix so the
    registry resolves a direct (stateful) driver. *)
 let do_open st client uri_string =
@@ -59,18 +80,25 @@ let do_open st client uri_string =
   (* Per-connection opt-out: clients append [?replycache=0] (forwarded by
      the remote driver, unlike its client-local [cache] params) to force
      every read through the live handler. *)
-  let cache_ok =
+  let opted_out =
     match Vuri.param uri "replycache" with
-    | Some ("0" | "off" | "no") -> false
-    | Some _ | None -> true
+    | Some ("0" | "off" | "no") -> true
+    | Some _ | None -> false
   in
   with_lock st (fun () ->
       if Hashtbl.mem st.conns (Client_obj.id client) then
         Verror.error Verror.Operation_invalid "connection already open"
       else
         let* ops = Driver.open_uri direct_uri in
+        let uri = Vuri.to_string direct_uri in
+        let cache =
+          match ops.Driver.generation with
+          | Some gen_of when st.cache_enabled && not opted_out ->
+            Some { rc = cache_for st uri ops; gen_of }
+          | Some _ | None -> None
+        in
         Hashtbl.replace st.conns (Client_obj.id client)
-          { ops; uri = Vuri.to_string direct_uri; cache_ok; event_sub = None };
+          { ops; uri; cache; event_sub = None };
         Vlog.logf st.logger ~module_:"daemon.remote" Vlog.Info
           "client %Ld opened %s via driver %s" (Client_obj.id client) uri_string
           ops.Driver.drv_name;
@@ -188,35 +216,56 @@ let do_event_deregister st client =
 (* Reply cache plumbing                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Caller holds [st.mutex].  Caches are per driver-node URI and live for
-   the daemon (like [rings]); creating one also arms the proactive
-   invalidation path — any lifecycle event on the node's bus flushes the
-   cache.  Writes that emit no event (set_memory, define, autostart …)
-   are caught by the generation stamp instead. *)
-let cache_for st (cs : conn_state) =
-  match Hashtbl.find_opt st.caches cs.uri with
-  | Some cache -> cache
-  | None ->
-    let cache = Reply_cache.create ~max_entries:st.cache_entries in
-    let (_ : Events.subscription) =
-      Events.subscribe cs.ops.Driver.events (fun _ ->
-          Reply_cache.invalidate_all cache)
-    in
-    Hashtbl.replace st.caches cs.uri cache;
-    cache
-
-(* The cache serving this connection, or [None] when any layer opts out:
-   the daemon knob, the connection's URI param, or a driver without a
-   generation stamp. *)
-let conn_cache st (cs : conn_state) =
-  if st.cache_enabled && cs.cache_ok && Option.is_some cs.ops.Driver.generation
-  then Some (with_lock st (fun () -> cache_for st cs))
-  else None
-
 (* A body too big for one packet is answered with an error by the
    dispatcher, so it is never cached: caching it would only pin it, and
    the receiving thread must never try to frame it. *)
 let fits body = String.length body <= Rpc_packet.max_body_size
+
+let list_all_number = Rp.proc_to_int Rp.Proc_fleet_list_all
+let no_args = Xdr.encode Rp.fleet_list_all.Rp.sg_args ()
+
+(* The calls the cache protocol covers: cacheable rows, and v1.8
+   conditional listings, which the [fleet_list_all] entry answers. *)
+let cached_call (d : Rp.descriptor) =
+  d.Rp.cacheable || d.Rp.proc = Rp.Proc_fleet_list_since
+
+(* The cache protocol's first step: [Some body] when the live entry
+   answers the call, [None] when only the handler can.  Whether a
+   conditional listing is current is decided where every cached reply's
+   validity is: a live entry (generation current, not flushed by an
+   event, not evicted) still carrying the token's fill number.  Raises
+   [Xdr.Error] on a malformed token. *)
+let lookup st c (d : Rp.descriptor) body =
+  let gen = c.gen_of () in
+  if d.Rp.cacheable then
+    match Reply_cache.find_since c.rc ~proc:d.Rp.number ~args:body ~gen ~fill:0 with
+    | Reply_cache.Changed { frame; _ } -> Some frame
+    | Reply_cache.Unchanged | Reply_cache.Absent -> None
+  else
+    let token = Xdr.decode Rp.fleet_list_since.Rp.sg_args body in
+    let fill = if token.Rp.ft_nonce = st.nonce then token.Rp.ft_fill else 0 in
+    match
+      Reply_cache.find_since c.rc ~proc:list_all_number ~args:no_args ~gen ~fill
+    with
+    | Reply_cache.Unchanged ->
+      Some (Xdr.encode Rp.fleet_list_since.Rp.sg_ret (Rp.Since_unchanged token))
+    | Reply_cache.Changed { frame; fill } ->
+      Some (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } frame)
+    | Reply_cache.Absent -> None
+
+(* The second step: run the handler and offer its reply to the cache,
+   returning the reply and the fill number it was stored under (0 when
+   it was not).  The generation is snapshotted {e before} the handler
+   runs: if a write overlaps the fill, the write's bump (made while it
+   still holds the write lock) leaves this snapshot stale, so the entry
+   is discarded at its next lookup — the fill can never pin post-write
+   data under a pre-write stamp, and serving a still-valid pre-write
+   reply while a write is in flight is just a read ordered before the
+   write. *)
+let fill c ~proc ~args handler =
+  let gen = c.gen_of () in
+  let* reply = handler () in
+  Ok (reply, if fits reply then Reply_cache.insert c.rc ~proc ~args ~gen reply else 0)
 
 (* The annotated listing.  A plain daemon is a fleet of one: its own
    rows, complete, so a v1.7 client can use it unconditionally. *)
@@ -361,7 +410,7 @@ let dispatch_conn (cs : conn_state) proc body =
    encoded as a (procedure, body) sub-call and dispatches against bare
    [ops] exactly as it would inside a [Proc_call_batch] frame. *)
 let dispatch_ops ops proc body =
-  dispatch_conn { ops; uri = ""; cache_ok = false; event_sub = None } proc body
+  dispatch_conn { ops; uri = ""; cache = None; event_sub = None } proc body
 
 (* ------------------------------------------------------------------ *)
 (* Cross-shard batch isolation                                         *)
@@ -432,71 +481,26 @@ let batch_isolation st client subs =
           (String.concat ", " (List.rev distinct))
       else Ok ())
 
-(* Conn-scoped serving tail with the reply cache in front of the
-   handler.  The generation is snapshotted {e before} the handler runs:
-   if a write overlaps the fill, the write's bump (made while it still
-   holds the write lock) leaves this snapshot stale, so the entry is
-   discarded at its next lookup — the fill can never pin post-write data
-   under a pre-write stamp, and serving a still-valid pre-write reply
-   while a write is in flight is just a read ordered before the write.
-   The cache holds reply bodies, which batch sub-calls and the
-   top-level dispatcher both consume. *)
-let serve_conn st (cs : conn_state) (d : Rp.descriptor) body =
-  match (if d.Rp.cacheable then conn_cache st cs else None) with
-  | None -> dispatch_conn cs d.Rp.proc body
-  | Some cache ->
-    let pnum = d.Rp.number in
-    let gen_of = Option.get cs.ops.Driver.generation in
-    let gen = gen_of () in
-    (match Reply_cache.find cache ~proc:pnum ~args:body ~gen with
-     | Some reply -> Ok reply
-     | None ->
-       let result = dispatch_conn cs d.Rp.proc body in
-       (match result with
-        | Ok reply when fits reply ->
-          Reply_cache.insert cache ~proc:pnum ~args:body ~gen reply
-        | Ok _ | Error _ -> ());
-       result)
-
-let list_all_number = Rp.proc_to_int Rp.Proc_fleet_list_all
-let no_args = Xdr.encode Rp.fleet_list_all.Rp.sg_args ()
-let since_body reply = Xdr.encode Rp.fleet_list_since.Rp.sg_ret reply
-
-(* A conditional listing is answered from the fleet_list_all entry of the
-   reply cache, so whether the caller's listing is current is decided
-   where every cached reply's validity is: a live entry (generation
-   current, not flushed by an event, not evicted) still carrying the
-   token's fill number.  [Some reply] when the entry answers, [None]
-   when only a fill can.  Shared by the receiving thread and the pool. *)
-let since_from_cache st cache ~gen (token : Rp.fleet_token) =
-  let fill = if token.Rp.ft_nonce = st.nonce then token.Rp.ft_fill else 0 in
-  match
-    Reply_cache.find_since cache ~proc:list_all_number ~args:no_args ~gen ~fill
-  with
-  | Reply_cache.Unchanged -> Some (since_body (Rp.Since_unchanged token))
-  | Reply_cache.Changed { frame = body; fill } ->
-    Some (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } body)
-  | Reply_cache.Absent -> None
-
-(* The fill mirrors [serve_conn]'s: generation snapshotted before the
-   handler, so a write overlapping the fill leaves the entry stale. *)
-let serve_since st (cs : conn_state) body =
-  let token = Xdr.decode Rp.fleet_list_since.Rp.sg_args body in
-  match conn_cache st cs with
-  | None -> dispatch_conn cs Rp.Proc_fleet_list_since body
-  | Some cache -> (
-    let gen = (Option.get cs.ops.Driver.generation) () in
-    match since_from_cache st cache ~gen token with
-    | Some reply -> Ok reply
-    | None ->
-      let* listing = dispatch_conn cs Rp.Proc_fleet_list_all no_args in
-      let fill =
-        if fits listing then
-          Reply_cache.insert_numbered cache ~proc:list_all_number
-            ~args:no_args ~gen listing
-        else 0
-      in
-      Ok (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } listing))
+(* A call the cache protocol covers, on a connection with a cache.
+   [looked_up]: the receiving thread already ran {!lookup} on this very
+   call and missed, so only {!fill} is left.  Batch sub-calls and
+   deadline-enveloped inner calls never pass the receiving thread, so
+   they run both. *)
+let serve_cached st cs c ~looked_up (d : Rp.descriptor) body =
+  match if looked_up then None else lookup st c d body with
+  | Some reply -> Ok reply
+  | None when d.Rp.cacheable ->
+    let* reply, _ =
+      fill c ~proc:d.Rp.number ~args:body (fun () -> dispatch_conn cs d.Rp.proc body)
+    in
+    Ok reply
+  | None ->
+    let (_ : Rp.fleet_token) = Xdr.decode Rp.fleet_list_since.Rp.sg_args body in
+    let* listing, fill =
+      fill c ~proc:list_all_number ~args:no_args (fun () ->
+          dispatch_conn cs Rp.Proc_fleet_list_all no_args)
+    in
+    Ok (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } listing)
 
 (* A policy names a domain defined on the connection's node, and needs
    the daemon's reconciler. *)
@@ -512,8 +516,9 @@ let with_policy st client name f =
    up with [Rp.descriptor_of_int ~minor], so procedures newer than it are
    rejected with the very error an old build produces for an unknown
    number, which is what clients key version negotiation on.
-   [in_batch] guards against nested batch containers. *)
-let rec handle_proc st ~minor ~in_batch client (d : Rp.descriptor) body =
+   [in_batch] guards against nested batch containers; [looked_up] is
+   {!serve_cached}'s. *)
+let rec handle_proc st ~minor ~in_batch ~looked_up client (d : Rp.descriptor) body =
   match d.Rp.proc with
   | Rp.Proc_open -> serve Rp.open_ body (do_open st client)
   | Rp.Proc_close -> serve Rp.close body (fun () -> do_close st client)
@@ -551,7 +556,8 @@ let rec handle_proc st ~minor ~in_batch client (d : Rp.descriptor) body =
             the anchoring here so driver ops still see the budget. *)
          let run () =
            let* () = Reqctx.check ~what:"dispatch" () in
-           handle_proc st ~minor ~in_batch:false client inner inner_body
+           handle_proc st ~minor ~in_batch:false ~looked_up:false client inner
+             inner_body
          in
          (match Reqctx.deadline () with
           | Some _ -> run ()
@@ -579,12 +585,11 @@ let rec handle_proc st ~minor ~in_batch client (d : Rp.descriptor) body =
         | None ->
           Verror.error Verror.Operation_unsupported "this daemon has no reconciler"
         | Some r -> Ok (Reconcile.status r))
-  | Rp.Proc_fleet_list_since ->
+  | _ -> (
     let* cs = get_conn st client in
-    serve_since st cs body
-  | _ ->
-    let* cs = get_conn st client in
-    serve_conn st cs d body
+    match cs.cache with
+    | Some c when cached_call d -> serve_cached st cs c ~looked_up d body
+    | Some _ | None -> dispatch_conn cs d.Rp.proc body)
 
 (* One sub-call of a batch, isolated: its failure is its own error
    sub-reply. *)
@@ -593,7 +598,7 @@ and batch_sub st ~minor client (proc_num, sub_body) =
     match Rp.descriptor_of_int ~minor proc_num with
     | Error err -> Error err
     | Ok sub -> (
-      try handle_proc st ~minor ~in_batch:true client sub sub_body with
+      try handle_proc st ~minor ~in_batch:true ~looked_up:false client sub sub_body with
       | Verror.Virt_error err -> Error err
       | Xdr.Error msg -> Verror.error Verror.Rpc_failure "malformed call body: %s" msg
       | exn ->
@@ -604,37 +609,13 @@ and batch_sub st ~minor client (proc_num, sub_body) =
   | Ok reply -> (true, reply)
   | Error err -> (false, Xdr.encode Rp.error err)
 
+(* A top-level call reaches the pool after [try_fast_reply] ran
+   {!lookup} on it on the receiving thread. *)
 let handle st ~minor _srv client header body =
   let* d = Rp.descriptor_of_int ~minor header.Rpc_packet.procedure in
-  handle_proc st ~minor ~in_batch:false client d body
+  handle_proc st ~minor ~in_batch:false ~looked_up:true client d body
 
 type t = { st : state; svc_minor : int }
-
-type event_totals = {
-  evt_rings : int;
-  evt_emitted : int;
-  evt_replayed : int;
-  evt_gaps : int;
-  evt_resumes : int;
-  evt_occupancy : int;
-  evt_capacity : int;
-  evt_subscribers : int;
-  evt_head : int;  (** highest stream position across rings *)
-}
-
-type cache_totals = {
-  rct_caches : int;
-  rct_hits : int;
-  rct_misses : int;
-  rct_insertions : int;
-  rct_invalidations : int;
-  rct_evictions : int;
-  rct_patched_sends : int;
-  rct_unchanged : int;
-  rct_entries : int;
-  rct_bytes : int;
-  rct_enabled : bool;
-}
 
 (* Never 0, the zero token's nonce. *)
 let boot_nonce () =
@@ -659,73 +640,12 @@ let make ?(minor = Rp.minor) ?(event_ring_capacity = 1024)
   in
   { st; svc_minor = minor }
 
-let reply_cache_totals t =
-  let caches =
-    with_lock t.st (fun () ->
-        Hashtbl.fold (fun _ cache acc -> cache :: acc) t.st.caches [])
-  in
-  List.fold_left
-    (fun acc cache ->
-      let s = Reply_cache.stats cache in
-      {
-        acc with
-        rct_caches = acc.rct_caches + 1;
-        rct_hits = acc.rct_hits + s.Reply_cache.hits;
-        rct_misses = acc.rct_misses + s.Reply_cache.misses;
-        rct_insertions = acc.rct_insertions + s.Reply_cache.insertions;
-        rct_invalidations = acc.rct_invalidations + s.Reply_cache.invalidations;
-        rct_evictions = acc.rct_evictions + s.Reply_cache.evictions;
-        rct_patched_sends = acc.rct_patched_sends + s.Reply_cache.patched_sends;
-        rct_unchanged = acc.rct_unchanged + s.Reply_cache.unchanged;
-        rct_entries = acc.rct_entries + s.Reply_cache.entries;
-        rct_bytes = acc.rct_bytes + s.Reply_cache.bytes;
-      })
-    {
-      rct_caches = 0;
-      rct_hits = 0;
-      rct_misses = 0;
-      rct_insertions = 0;
-      rct_invalidations = 0;
-      rct_evictions = 0;
-      rct_patched_sends = 0;
-      rct_unchanged = 0;
-      rct_entries = 0;
-      rct_bytes = 0;
-      rct_enabled = t.st.cache_enabled;
-    }
-    caches
+let values st table =
+  with_lock st (fun () -> Hashtbl.fold (fun _ v acc -> v :: acc) table [])
 
-let event_totals t =
-  let rings =
-    with_lock t.st (fun () ->
-        Hashtbl.fold (fun _ ring acc -> ring :: acc) t.st.rings [])
-  in
-  List.fold_left
-    (fun acc ring ->
-      let s = Eventring.stats ring in
-      {
-        evt_rings = acc.evt_rings + 1;
-        evt_emitted = acc.evt_emitted + s.Eventring.er_emitted;
-        evt_replayed = acc.evt_replayed + s.Eventring.er_replayed;
-        evt_gaps = acc.evt_gaps + s.Eventring.er_gaps;
-        evt_resumes = acc.evt_resumes + s.Eventring.er_resumes;
-        evt_occupancy = acc.evt_occupancy + s.Eventring.er_occupancy;
-        evt_capacity = acc.evt_capacity + s.Eventring.er_capacity;
-        evt_subscribers = acc.evt_subscribers + s.Eventring.er_subscribers;
-        evt_head = max acc.evt_head s.Eventring.er_head;
-      })
-    {
-      evt_rings = 0;
-      evt_emitted = 0;
-      evt_replayed = 0;
-      evt_gaps = 0;
-      evt_resumes = 0;
-      evt_occupancy = 0;
-      evt_capacity = 0;
-      evt_subscribers = 0;
-      evt_head = 0;
-    }
-    rings
+let reply_cache_enabled t = t.st.cache_enabled
+let reply_cache_stats t = List.map Reply_cache.stats (values t.st t.st.caches)
+let event_stats t = List.map Eventring.stats (values t.st t.st.rings)
 
 (* A reply answered on the receiving thread.  A served call authenticates
    the client exactly as a dispatched one does.  A reply too big to frame
@@ -778,44 +698,23 @@ let program_of { st; svc_minor = minor } =
                   read lock and the handler; the cached body is framed
                   with the caller's serial in one copy.  A conditional
                   listing the live entry answers is framed here too, in
-                  12 bytes when it is unchanged. *)
+                  12 bytes when it is unchanged.  This is the one lookup
+                  of a top-level call. *)
                match Rp.descriptor_of_int ~minor header.Rpc_packet.procedure with
-               | Error _ -> false
-               | Ok d -> (
-                 (d.Rp.cacheable || d.Rp.proc = Rp.Proc_fleet_list_since)
-                 &&
+               | Ok d when cached_call d -> (
                  match
                    with_lock st (fun () ->
                        Hashtbl.find_opt st.conns (Client_obj.id client))
                  with
-                 | None -> false
-                 | Some cs -> (
-                   match conn_cache st cs with
+                 | Some { cache = Some c; _ } -> (
+                   match lookup st c d body with
+                   | exception Xdr.Error _ -> false
                    | None -> false
-                   | Some cache -> (
-                     let gen = (Option.get cs.ops.Driver.generation) () in
-                     if d.Rp.cacheable then (
-                       match
-                         Reply_cache.find cache
-                           ~proc:header.Rpc_packet.procedure ~args:body ~gen
-                       with
-                       | None -> false
-                       | Some reply ->
-                         Reply_cache.note_patched_send cache;
-                         send_fast srv client header reply)
-                     else
-                       match Xdr.decode Rp.fleet_list_since.Rp.sg_args body with
-                       | exception Xdr.Error _ -> false
-                       | token -> (
-                         match since_from_cache st cache ~gen token with
-                         | None -> false
-                         | Some reply -> send_fast srv client header reply))))));
+                   | Some reply ->
+                     if d.Rp.cacheable then Reply_cache.note_patched_send c.rc;
+                     send_fast srv client header reply)
+                 | Some { cache = None; _ } | None -> false)
+               | Ok _ | Error _ -> false));
       handle = (fun srv client header body -> handle st ~minor srv client header body);
       on_disconnect = (fun client -> teardown_conn st (Client_obj.id client));
     }
-
-let program ?minor ?event_ring_capacity ?reply_cache ?reply_cache_entries
-    ?reconcile ~logger () =
-  program_of
-    (make ?minor ?event_ring_capacity ?reply_cache ?reply_cache_entries
-       ?reconcile ~logger ())

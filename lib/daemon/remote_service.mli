@@ -9,33 +9,7 @@
 
 type t
 (** Service state: per-client connections plus the per-node event replay
-    rings (v1.6 resumable streams). *)
-
-type event_totals = {
-  evt_rings : int;
-  evt_emitted : int;
-  evt_replayed : int;
-  evt_gaps : int;
-  evt_resumes : int;
-  evt_occupancy : int;
-  evt_capacity : int;
-  evt_subscribers : int;
-  evt_head : int;  (** highest stream position across rings *)
-}
-
-type cache_totals = {
-  rct_caches : int;
-  rct_hits : int;
-  rct_misses : int;
-  rct_insertions : int;
-  rct_invalidations : int;
-  rct_evictions : int;
-  rct_patched_sends : int;
-  rct_unchanged : int;  (** conditional listings answered "unchanged" *)
-  rct_entries : int;
-  rct_bytes : int;
-  rct_enabled : bool;  (** the daemon-level [reply_cache] knob *)
-}
+    rings (v1.6 resumable streams) and reply caches. *)
 
 val make :
   ?minor:int ->
@@ -57,7 +31,12 @@ val make :
     framed with the caller's serial and sent from the receiving thread;
     [reply_cache_entries] (default 512) bounds each
     per-node-URI cache (LRU).  Clients can opt a single connection out
-    with a [replycache=0] URI parameter.  The same caches answer v1.8
+    with a [replycache=0] URI parameter.  Which cache serves a
+    connection, if any, is resolved once, when it opens.  A top-level
+    call is looked up on the receiving thread only; on a miss the pool
+    runs the handler and fills the cache.  Batch sub-calls and
+    deadline-enveloped inner calls, which the receiving thread never
+    sees, look up and then fill.  The same caches answer v1.8
     conditional listings: a token (this daemon's boot nonce, fixed at
     [make], plus a fill number) names the cached [fleet_list_all] body
     a client holds, and while that entry lives the reply is 12 bytes of
@@ -67,23 +46,16 @@ val make :
 
 val program_of : t -> Dispatch.program
 
-val event_totals : t -> event_totals
-(** Aggregated replay-ring counters, for the admin event-stats proc. *)
+val reply_cache_enabled : t -> bool
+(** The daemon-level [reply_cache] knob. *)
 
-val reply_cache_totals : t -> cache_totals
-(** Aggregated reply-cache counters across every per-URI cache, for the
-    admin reply-cache-stats proc. *)
+val reply_cache_stats : t -> Reply_cache.stats list
+(** The counters of every per-node-URI reply cache, as each cache keeps
+    them: a top-level call is looked up once, on the receiving thread, so
+    [hits + misses] counts the calls the caches were asked about. *)
 
-val program :
-  ?minor:int ->
-  ?event_ring_capacity:int ->
-  ?reply_cache:bool ->
-  ?reply_cache_entries:int ->
-  ?reconcile:Reconcile.t ->
-  logger:Vlog.t ->
-  unit ->
-  Dispatch.program
-(** [make] + [program_of] for callers that don't need the stats handle. *)
+val event_stats : t -> Eventring.stats list
+(** The counters of every per-node replay ring. *)
 
 val dispatch_ops :
   Ovirt_core.Driver.ops ->

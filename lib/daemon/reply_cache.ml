@@ -111,26 +111,8 @@ let drop t e =
   Hashtbl.remove t.table e.e_key;
   t.bytes <- t.bytes - String.length e.e_body
 
-let find t ~proc ~args ~gen =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table (proc, args) with
-      | Some e when e.e_gen = gen ->
-        t.hits <- t.hits + 1;
-        unlink e;
-        push_front t e;
-        Some e.e_body
-      | Some e ->
-        (* Stale stamp: the state moved under the entry. *)
-        t.invalidations <- t.invalidations + 1;
-        drop t e;
-        t.misses <- t.misses + 1;
-        None
-      | None ->
-        t.misses <- t.misses + 1;
-        None)
-
-(* A conditional listing: [fill] is the number the caller holds (0 when
-   it holds none from this daemon incarnation; numbers start at 1). *)
+(* [fill] is the number the caller holds (0 when it holds none from this
+   daemon incarnation; numbers start at 1, so 0 never matches). *)
 let find_since t ~proc ~args ~gen ~fill =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.table (proc, args) with
@@ -144,6 +126,7 @@ let find_since t ~proc ~args ~gen ~fill =
         end
         else Changed { frame = e.e_body; fill = e.e_fill }
       | Some e ->
+        (* Stale stamp: the state moved under the entry. *)
         t.invalidations <- t.invalidations + 1;
         drop t e;
         t.misses <- t.misses + 1;
@@ -152,7 +135,7 @@ let find_since t ~proc ~args ~gen ~fill =
         t.misses <- t.misses + 1;
         Absent)
 
-let insert_numbered t ~proc ~args ~gen body =
+let insert t ~proc ~args ~gen body =
   with_lock t (fun () ->
       let key = (proc, args) in
       t.fills <- t.fills + 1;
@@ -192,9 +175,6 @@ let insert_numbered t ~proc ~args ~gen body =
          t.bytes <- t.bytes + String.length body);
       t.insertions <- t.insertions + 1;
       fill)
-
-let insert t ~proc ~args ~gen body =
-  ignore (insert_numbered t ~proc ~args ~gen body)
 
 let invalidate_all t =
   with_lock t (fun () ->

@@ -16,7 +16,7 @@
     Every insert also stamps its entry with a fill number from a
     per-cache counter that starts at 1 and only grows.  While an entry
     lives, its number names the body it holds: that is the validity a
-    conditional listing ({!find_since}) asks about.
+    conditional listing asks about ({!find_since}).
 
     All operations are thread-safe (one internal mutex per cache) and
     allocation-light; none of them block on anything but that mutex. *)
@@ -39,19 +39,6 @@ type stats = {
 val create : max_entries:int -> t
 (** [max_entries] is clamped to at least 1. *)
 
-val find : t -> proc:int -> args:string -> gen:int -> string option
-(** Valid cached body for this key at generation [gen], refreshing its
-    LRU position.  A present-but-stale entry is dropped and [None]
-    returned. *)
-
-val insert : t -> proc:int -> args:string -> gen:int -> string -> unit
-(** Store a body computed at generation [gen], evicting the LRU entry
-    when full.  Re-inserting an existing key replaces its body and
-    stamp together. *)
-
-val insert_numbered : t -> proc:int -> args:string -> gen:int -> string -> int
-(** {!insert}, returning the fill number the entry now carries. *)
-
 type since =
   | Unchanged  (** the live entry carries the caller's fill number *)
   | Changed of { frame : string; fill : int }
@@ -59,9 +46,19 @@ type since =
   | Absent  (** no live entry: evicted, flushed, stale or never filled *)
 
 val find_since : t -> proc:int -> args:string -> gen:int -> fill:int -> since
-(** {!find}, asked by a caller holding the body of fill [fill] (0 for
-    none).  Counts as a hit or a miss exactly as {!find} does; an
-    [Unchanged] answer also counts in [unchanged]. *)
+(** The one lookup: the live entry for this key at generation [gen],
+    asked by a caller holding the body of fill [fill].  A plain read
+    holds none and passes 0, which no entry carries, so a live entry
+    answers [Changed] with its body.  A hit refreshes the entry's LRU
+    position; a present-but-stale entry is dropped (an invalidation) and
+    the lookup is a miss.  An [Unchanged] answer also counts in
+    [unchanged]. *)
+
+val insert : t -> proc:int -> args:string -> gen:int -> string -> int
+(** Store a body computed at generation [gen], evicting the LRU entry
+    when full, and return the fill number the entry now carries.
+    Re-inserting an existing key replaces its body, stamp and number
+    together. *)
 
 val invalidate_all : t -> unit
 (** Drop everything (the event-bus invalidation path). *)

@@ -67,143 +67,122 @@ type stats = {
    other's numbers.  Every connection registers its record — keyed by
    its event bus, the one connection-identifying value visible through
    [Driver.ops] — so [stats] can still aggregate process-wide and
-   [conn_stats] can single one connection out. *)
+   [conn_stats] can single one connection out.  Each count is one atomic
+   slot, so counting takes no lock. *)
+module Slot = struct
+  let calls = 0
+  let reconnect_attempts = 1
+  let reconnects = 2
+  let retried_calls = 3
+  let giveups = 4
+  let overloaded = 5
+  let breaker_opens = 6
+  let breaker_fastfails = 7
+  let sub_errors = 8
+  let events_replayed = 9
+  let event_gaps = 10
+  let listings = 11
+  let listings_unchanged = 12
+  let listing_bytes = 13
+  let rows_installed = 14
+  let count = 15
+end
+
 type counters = {
   cn_bus : Events.bus;
-  mutable cn_calls : int;
-  mutable cn_attempts : int;
-  mutable cn_reconnects : int;
-  mutable cn_retried : int;
-  mutable cn_giveups : int;
-  mutable cn_latencies : float list;
-  mutable cn_overloaded : int;
-  mutable cn_breaker_opens : int;
-  mutable cn_breaker_fastfails : int;
-  mutable cn_sub_errors : int;
-  mutable cn_ev_replayed : int;
-  mutable cn_ev_gaps : int;
-  mutable cn_listings : int;  (** listing replies received *)
-  mutable cn_listings_unchanged : int;  (** of which v1.8 "unchanged" *)
-  mutable cn_listing_bytes : int;  (** their reply bodies' bytes *)
-  mutable cn_rows_installed : int;  (** cache rows their installs wrote *)
+  cn_counts : int Atomic.t array;  (** indexed by {!Slot} *)
+  mutable cn_latencies : float list;  (** guarded by [stats_mutex] *)
 }
 
-let no_stats =
+let count c slot n = ignore (Atomic.fetch_and_add c.cn_counts.(slot) n)
+
+let stats_of (n : int array) latencies =
   {
-    st_calls = 0;
-    st_reconnect_attempts = 0;
-    st_reconnects = 0;
-    st_retried_calls = 0;
-    st_giveups = 0;
-    st_recovery_latencies = [];
-    st_overloaded = 0;
-    st_breaker_opens = 0;
-    st_breaker_fastfails = 0;
-    st_sub_errors = 0;
-    st_events_replayed = 0;
-    st_event_gaps = 0;
-    st_listings = 0;
-    st_listings_unchanged = 0;
-    st_listing_bytes = 0;
-    st_rows_installed = 0;
+    st_calls = n.(Slot.calls);
+    st_reconnect_attempts = n.(Slot.reconnect_attempts);
+    st_reconnects = n.(Slot.reconnects);
+    st_retried_calls = n.(Slot.retried_calls);
+    st_giveups = n.(Slot.giveups);
+    st_recovery_latencies = latencies;
+    st_overloaded = n.(Slot.overloaded);
+    st_breaker_opens = n.(Slot.breaker_opens);
+    st_breaker_fastfails = n.(Slot.breaker_fastfails);
+    st_sub_errors = n.(Slot.sub_errors);
+    st_events_replayed = n.(Slot.events_replayed);
+    st_event_gaps = n.(Slot.event_gaps);
+    st_listings = n.(Slot.listings);
+    st_listings_unchanged = n.(Slot.listings_unchanged);
+    st_listing_bytes = n.(Slot.listing_bytes);
+    st_rows_installed = n.(Slot.rows_installed);
   }
 
-let add_counters acc c =
-  {
-    st_calls = acc.st_calls + c.cn_calls;
-    st_reconnect_attempts = acc.st_reconnect_attempts + c.cn_attempts;
-    st_reconnects = acc.st_reconnects + c.cn_reconnects;
-    st_retried_calls = acc.st_retried_calls + c.cn_retried;
-    st_giveups = acc.st_giveups + c.cn_giveups;
-    st_recovery_latencies = c.cn_latencies @ acc.st_recovery_latencies;
-    st_overloaded = acc.st_overloaded + c.cn_overloaded;
-    st_breaker_opens = acc.st_breaker_opens + c.cn_breaker_opens;
-    st_breaker_fastfails = acc.st_breaker_fastfails + c.cn_breaker_fastfails;
-    st_sub_errors = acc.st_sub_errors + c.cn_sub_errors;
-    st_events_replayed = acc.st_events_replayed + c.cn_ev_replayed;
-    st_event_gaps = acc.st_event_gaps + c.cn_ev_gaps;
-    st_listings = acc.st_listings + c.cn_listings;
-    st_listings_unchanged = acc.st_listings_unchanged + c.cn_listings_unchanged;
-    st_listing_bytes = acc.st_listing_bytes + c.cn_listing_bytes;
-    st_rows_installed = acc.st_rows_installed + c.cn_rows_installed;
-  }
-
-(* The open connections' records, and the summed counts of the closed
-   ones: closing a connection folds its record into [retired] and drops
-   it, event bus included.  Guarded by [stats_mutex]. *)
-type registry = { mutable live : counters list; mutable retired : stats }
+(* The open connections' records, and the summed counts and recovery
+   latencies of the closed ones: closing a connection folds its record
+   into [retired] and drops it, event bus included.  [stats_mutex] guards
+   the live list, the retired sums and every latency list. *)
+type registry = {
+  mutable live : counters list;
+  retired : int array;
+  mutable retired_latencies : float list;
+}
 
 let stats_mutex = Mutex.create ()
-let registry = { live = []; retired = no_stats }
+
+let registry =
+  { live = []; retired = Array.make Slot.count 0; retired_latencies = [] }
 
 let with_stats f =
   Mutex.lock stats_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock stats_mutex) f
 
+(* Add [c]'s counts into [sums] and return its latencies in front of
+   [latencies]. *)
+let add_counts sums latencies c =
+  Array.iteri (fun i a -> sums.(i) <- sums.(i) + Atomic.get a) c.cn_counts;
+  c.cn_latencies @ latencies
+
 let fresh_counters bus =
-  with_stats (fun () ->
-      let c =
-        {
-          cn_bus = bus;
-          cn_calls = 0;
-          cn_attempts = 0;
-          cn_reconnects = 0;
-          cn_retried = 0;
-          cn_giveups = 0;
-          cn_latencies = [];
-          cn_overloaded = 0;
-          cn_breaker_opens = 0;
-          cn_breaker_fastfails = 0;
-          cn_sub_errors = 0;
-          cn_ev_replayed = 0;
-          cn_ev_gaps = 0;
-          cn_listings = 0;
-          cn_listings_unchanged = 0;
-          cn_listing_bytes = 0;
-          cn_rows_installed = 0;
-        }
-      in
-      registry.live <- c :: registry.live;
-      c)
+  let c =
+    {
+      cn_bus = bus;
+      cn_counts = Array.init Slot.count (fun _ -> Atomic.make 0);
+      cn_latencies = [];
+    }
+  in
+  with_stats (fun () -> registry.live <- c :: registry.live);
+  c
 
 let reset_stats () =
   with_stats (fun () ->
-      registry.retired <- no_stats;
+      Array.fill registry.retired 0 Slot.count 0;
+      registry.retired_latencies <- [];
       List.iter
         (fun c ->
-          c.cn_calls <- 0;
-          c.cn_attempts <- 0;
-          c.cn_reconnects <- 0;
-          c.cn_retried <- 0;
-          c.cn_giveups <- 0;
-          c.cn_latencies <- [];
-          c.cn_overloaded <- 0;
-          c.cn_breaker_opens <- 0;
-          c.cn_breaker_fastfails <- 0;
-          c.cn_sub_errors <- 0;
-          c.cn_ev_replayed <- 0;
-          c.cn_ev_gaps <- 0;
-          c.cn_listings <- 0;
-          c.cn_listings_unchanged <- 0;
-          c.cn_listing_bytes <- 0;
-          c.cn_rows_installed <- 0)
+          Array.iter (fun a -> Atomic.set a 0) c.cn_counts;
+          c.cn_latencies <- [])
         registry.live)
 
 (* Idempotent: a record no longer registered was retired already. *)
 let retire_counters c =
   with_stats (fun () ->
       if List.memq c registry.live then begin
-        registry.retired <- add_counters registry.retired c;
+        registry.retired_latencies <-
+          add_counts registry.retired registry.retired_latencies c;
         registry.live <- List.filter (fun c' -> c' != c) registry.live
       end)
 
 let stats () =
-  with_stats (fun () -> List.fold_left add_counters registry.retired registry.live)
+  with_stats (fun () ->
+      let sums = Array.copy registry.retired in
+      stats_of sums
+        (List.fold_left (add_counts sums) registry.retired_latencies registry.live))
 
 let conn_stats (ops : Driver.ops) =
   with_stats (fun () ->
       List.find_opt (fun c -> c.cn_bus == ops.Driver.events) registry.live
-      |> Option.map (add_counters no_stats))
+      |> Option.map (fun c ->
+             let sums = Array.make Slot.count 0 in
+             stats_of sums (add_counts sums [] c)))
 
 (* ------------------------------------------------------------------ *)
 (* Connection state                                                    *)
@@ -288,7 +267,7 @@ let absorb_event_mode ~caches ~counters sq (mode : event_mode) =
            resync.  The position jumps to the head — the flush covers
            all state up to it, the live stream everything after. *)
         Option.iter clear_caches caches;
-        with_stats (fun () -> counters.cn_ev_gaps <- counters.cn_ev_gaps + 1);
+        count counters Slot.event_gaps 1;
         [ Events.{ domain_name = ""; lifecycle = Ev_resync; seq = reply.Rp.rr_head } ]
       end
       else begin
@@ -300,10 +279,7 @@ let absorb_event_mode ~caches ~counters sq (mode : event_mode) =
               (fun cs -> invalidate_caches cs ev.Events.domain_name)
               caches)
           reply.Rp.rr_events;
-        (match List.length reply.Rp.rr_events with
-         | 0 -> ()
-         | n ->
-           with_stats (fun () -> counters.cn_ev_replayed <- counters.cn_ev_replayed + n));
+        count counters Slot.events_replayed (List.length reply.Rp.rr_events);
         reply.Rp.rr_events
       end
     in
@@ -400,8 +376,7 @@ let with_conn conn f =
 let serves conn proc =
   with_conn conn (fun () -> conn.rc_minor) >= Rp.proc_min_minor proc
 
-let tick conn =
-  with_stats (fun () -> conn.rc_stats.cn_calls <- conn.rc_stats.cn_calls + 1)
+let tick conn = count conn.rc_stats Slot.calls 1
 
 let guarded decoder reply =
   match decoder reply with
@@ -517,8 +492,7 @@ let ensure_connected conn ~dead ~bound ~deadline =
           let rec attempt i =
             if i > r.res_budget then begin
               conn.defunct <- true;
-              with_stats (fun () ->
-                  conn.rc_stats.cn_giveups <- conn.rc_stats.cn_giveups + 1);
+              count conn.rc_stats Slot.giveups 1;
               Verror.error Verror.Rpc_failure
                 "reconnect budget of %d attempts exhausted" r.res_budget
             end
@@ -526,8 +500,7 @@ let ensure_connected conn ~dead ~bound ~deadline =
               Verror.error Verror.Rpc_failure
                 "call budget of %gs spent reconnecting" bound
             else begin
-              with_stats (fun () ->
-                  conn.rc_stats.cn_attempts <- conn.rc_stats.cn_attempts + 1);
+              count conn.rc_stats Slot.reconnect_attempts 1;
               Thread.delay
                 (Float.min (backoff_delay conn r i)
                    (deadline -. Unix.gettimeofday ()));
@@ -545,9 +518,9 @@ let ensure_connected conn ~dead ~bound ~deadline =
                   absorb_event_mode ~caches:conn.rc_cache
                     ~counters:conn.rc_stats conn.rc_seq mode
                 in
+                count conn.rc_stats Slot.reconnects 1;
                 with_stats (fun () ->
                     let c = conn.rc_stats in
-                    c.cn_reconnects <- c.cn_reconnects + 1;
                     c.cn_latencies <-
                       (Unix.gettimeofday () -. outage_start) :: c.cn_latencies);
                 Ok (Some to_emit)
@@ -587,9 +560,7 @@ let breaker_admit conn =
             Ok ()
           end
           else begin
-            with_stats (fun () ->
-                conn.rc_stats.cn_breaker_fastfails <-
-                  conn.rc_stats.cn_breaker_fastfails + 1);
+            count conn.rc_stats Slot.breaker_fastfails 1;
             let remaining_ms =
               int_of_float
                 (Float.max 1. ((conn.rc_breaker_until -. now) *. 1000.))
@@ -614,8 +585,7 @@ let breaker_inconclusive conn =
     with_conn conn (fun () -> conn.rc_probing <- false)
 
 let breaker_shed conn err =
-  with_stats (fun () ->
-      conn.rc_stats.cn_overloaded <- conn.rc_stats.cn_overloaded + 1);
+  count conn.rc_stats Slot.overloaded 1;
   if conn.rc_breaker_k > 0 then
     with_conn conn (fun () ->
         conn.rc_probing <- false;
@@ -631,10 +601,7 @@ let breaker_shed conn err =
           let jitter = 1. +. (0.5 *. next_unit_float conn) in
           conn.rc_breaker_until <-
             Unix.gettimeofday () +. (float_of_int retry_ms /. 1000. *. jitter);
-          if was_closed then
-            with_stats (fun () ->
-                conn.rc_stats.cn_breaker_opens <-
-                  conn.rc_stats.cn_breaker_opens + 1)
+          if was_closed then count conn.rc_stats Slot.breaker_opens 1
         end)
 
 (* Resilient call: a connection-death failure triggers reconnection (any
@@ -694,8 +661,7 @@ let call conn proc body =
           | Ok () ->
             let budget = (Option.get conn.rc_resilience).res_budget in
             if idempotent && attempt <= budget then begin
-              with_stats (fun () ->
-                  conn.rc_stats.cn_retried <- conn.rc_stats.cn_retried + 1);
+              count conn.rc_stats Slot.retried_calls 1;
               go (attempt + 1)
             end
             else if idempotent then Error e
@@ -846,9 +812,7 @@ let install_records conn fills (listing, serial) =
                | Some a -> counted add r.Driver.rec_ref.Driver.dom_name a
                | None -> ())
              records));
-    if !rows > 0 then
-      with_stats (fun () ->
-          conn.rc_stats.cn_rows_installed <- conn.rc_stats.cn_rows_installed + !rows)
+    count conn.rc_stats Slot.rows_installed !rows
   | _ -> ()
 
 (* Decoding is pure, and a polled listing mostly repeats itself byte for
@@ -862,6 +826,10 @@ let decode_reusing last proc decoder body =
     Atomic.set last (Some (proc, body, v));
     Ok v
 
+let count_listing conn body =
+  count conn.rc_stats Slot.listings 1;
+  count conn.rc_stats Slot.listing_bytes (String.length body)
+
 (* v1.8: send the token of the listing held, read once before the call.
    An "unchanged" reply returns that very value, so the fleet's merge
    memo still sees the same rows.  A daemon without a reply cache (or a
@@ -873,11 +841,8 @@ let fetch_since conn =
   let since = Rp.fleet_list_since in
   let* body = call conn since.Rp.sg_proc (Xdr.encode since.Rp.sg_args token) in
   let counted unchanged =
-    with_stats (fun () ->
-        let c = conn.rc_stats in
-        c.cn_listings <- c.cn_listings + 1;
-        if unchanged then c.cn_listings_unchanged <- c.cn_listings_unchanged + 1;
-        c.cn_listing_bytes <- c.cn_listing_bytes + String.length body)
+    count_listing conn body;
+    if unchanged then count conn.rc_stats Slot.listings_unchanged 1
   in
   match held with
   | Some (_, b, listing) when String.equal b body ->
@@ -902,10 +867,7 @@ let fetch_since conn =
    the value decoded from them. *)
 let fetch_bytes conn (s : (unit, _) Rp.signature) to_listing =
   let* body = call conn s.Rp.sg_proc (Xdr.encode s.Rp.sg_args ()) in
-  with_stats (fun () ->
-      let c = conn.rc_stats in
-      c.cn_listings <- c.cn_listings + 1;
-      c.cn_listing_bytes <- c.cn_listing_bytes + String.length body);
+  count_listing conn body;
   decode_reusing conn.rc_last_listing s.Rp.sg_proc
     (fun body -> number (to_listing (Xdr.decode s.Rp.sg_ret body)))
     body
@@ -926,9 +888,7 @@ let fleet_list_all conn () =
           Driver.{ fl_records; fl_shard_errors = []; fl_members = 1 })
   in
   let errs = List.length listing.Driver.fl_shard_errors in
-  if errs > 0 then
-    with_stats (fun () ->
-        conn.rc_stats.cn_sub_errors <- conn.rc_stats.cn_sub_errors + errs);
+  count conn.rc_stats Slot.sub_errors errs;
   install_records conn fills numbered;
   Ok listing
 

@@ -144,7 +144,9 @@ val register : unit -> unit
     smear each other's numbers; {!stats} aggregates across every
     connection of the process (chaos experiments {!reset_stats} before a
     run and {!stats} after), while {!conn_stats} reads one connection's
-    own counters. *)
+    own counters.  Counting takes no process-wide lock (each count is an
+    atomic slot of its connection), so a sum read while calls run may
+    combine counts taken at slightly different instants. *)
 
 type stats = {
   st_calls : int;

@@ -2,6 +2,11 @@ type kind = Unix_sock | Tcp | Tls
 
 let kind_name = function Unix_sock -> "unix" | Tcp -> "tcp" | Tls -> "tls"
 
+(* The admin wire's transport codes, stated once for both directions. *)
+let kind_codes = [ (Unix_sock, 0); (Tcp, 1); (Tls, 2) ]
+let kind_to_int kind = List.assoc kind kind_codes
+let kind_of_int n = List.find_map (fun (k, c) -> if c = n then Some k else None) kind_codes
+
 let kind_of_name = function
   | "unix" -> Ok Unix_sock
   | "tcp" -> Ok Tcp

@@ -20,6 +20,12 @@ val kind_name : kind -> string
 
 val kind_of_name : string -> (kind, string) result
 
+val kind_to_int : kind -> int
+(** The admin wire's transport code: 0 unix, 1 tcp, 2 tls. *)
+
+val kind_of_int : int -> kind option
+(** The inverse of {!kind_to_int}; [None] for any other code. *)
+
 (** Peer identity, as the server side sees it. *)
 
 type unix_identity = {

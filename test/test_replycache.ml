@@ -46,34 +46,43 @@ let test_admin_numbering_stable () =
 
 (* --- cache unit semantics --------------------------------------------------- *)
 
+(* A plain read: it holds no fill, so a live entry answers with its body. *)
+let find c ~proc ~args ~gen =
+  match Reply_cache.find_since c ~proc ~args ~gen ~fill:0 with
+  | Reply_cache.Changed { frame; _ } -> Some frame
+  | Reply_cache.Unchanged | Reply_cache.Absent -> None
+
+let insert c ~proc ~args ~gen body =
+  ignore (Reply_cache.insert c ~proc ~args ~gen body : int)
+
 let test_cache_semantics () =
   let c = Reply_cache.create ~max_entries:2 in
   Alcotest.(check (option string)) "empty cache misses" None
-    (Reply_cache.find c ~proc:1 ~args:"a" ~gen:0);
-  Reply_cache.insert c ~proc:1 ~args:"a" ~gen:0 "frame-a";
+    (find c ~proc:1 ~args:"a" ~gen:0);
+  insert c ~proc:1 ~args:"a" ~gen:0 "frame-a";
   Alcotest.(check (option string)) "hit at matching gen" (Some "frame-a")
-    (Reply_cache.find c ~proc:1 ~args:"a" ~gen:0);
+    (find c ~proc:1 ~args:"a" ~gen:0);
   (* Same args under a different procedure is a distinct key. *)
   Alcotest.(check (option string)) "proc is part of the key" None
-    (Reply_cache.find c ~proc:2 ~args:"a" ~gen:0);
+    (find c ~proc:2 ~args:"a" ~gen:0);
   (* A stale stamp invalidates on lookup. *)
   Alcotest.(check (option string)) "stale stamp drops the entry" None
-    (Reply_cache.find c ~proc:1 ~args:"a" ~gen:1);
+    (find c ~proc:1 ~args:"a" ~gen:1);
   Alcotest.(check (option string)) "dropped entry stays gone" None
-    (Reply_cache.find c ~proc:1 ~args:"a" ~gen:0);
+    (find c ~proc:1 ~args:"a" ~gen:0);
   (* LRU: touch [a] so [b] is the eviction victim when [d] arrives. *)
-  Reply_cache.insert c ~proc:1 ~args:"a" ~gen:1 "frame-a1";
-  Reply_cache.insert c ~proc:1 ~args:"b" ~gen:1 "frame-b";
-  ignore (Reply_cache.find c ~proc:1 ~args:"a" ~gen:1);
-  Reply_cache.insert c ~proc:1 ~args:"d" ~gen:1 "frame-d";
+  insert c ~proc:1 ~args:"a" ~gen:1 "frame-a1";
+  insert c ~proc:1 ~args:"b" ~gen:1 "frame-b";
+  ignore (find c ~proc:1 ~args:"a" ~gen:1);
+  insert c ~proc:1 ~args:"d" ~gen:1 "frame-d";
   Alcotest.(check (option string)) "recently used survives" (Some "frame-a1")
-    (Reply_cache.find c ~proc:1 ~args:"a" ~gen:1);
+    (find c ~proc:1 ~args:"a" ~gen:1);
   Alcotest.(check (option string)) "LRU victim evicted" None
-    (Reply_cache.find c ~proc:1 ~args:"b" ~gen:1);
+    (find c ~proc:1 ~args:"b" ~gen:1);
   (* Re-insert replaces in place. *)
-  Reply_cache.insert c ~proc:1 ~args:"a" ~gen:2 "frame-a2";
+  insert c ~proc:1 ~args:"a" ~gen:2 "frame-a2";
   Alcotest.(check (option string)) "re-insert replaces" (Some "frame-a2")
-    (Reply_cache.find c ~proc:1 ~args:"a" ~gen:2);
+    (find c ~proc:1 ~args:"a" ~gen:2);
   let s = Reply_cache.stats c in
   Alcotest.(check int) "entries bounded" 2 s.Reply_cache.entries;
   Alcotest.(check int) "bytes track frames"
@@ -86,7 +95,7 @@ let test_cache_semantics () =
   Reply_cache.invalidate_all c;
   Alcotest.(check int) "flushed" 0 (Reply_cache.stats c).Reply_cache.entries;
   Alcotest.(check (option string)) "nothing survives a flush" None
-    (Reply_cache.find c ~proc:1 ~args:"a" ~gen:2)
+    (find c ~proc:1 ~args:"a" ~gen:2)
 
 (* Fill numbers: every insert takes the next one, so a refill after a
    flush, a stale stamp or an eviction never reuses the number a holder
@@ -97,7 +106,7 @@ let test_fill_numbers () =
   let is_unchanged = function Reply_cache.Unchanged -> true | _ -> false in
   let is_absent = function Reply_cache.Absent -> true | _ -> false in
   Alcotest.(check bool) "nothing to answer from" true (is_absent (since ~gen:0 ~fill:0));
-  let f1 = Reply_cache.insert_numbered c ~proc:1 ~args:"" ~gen:0 "l1" in
+  let f1 = Reply_cache.insert c ~proc:1 ~args:"" ~gen:0 "l1" in
   Alcotest.(check bool) "its holder is current" true (is_unchanged (since ~gen:0 ~fill:f1));
   (match since ~gen:0 ~fill:0 with
    | Reply_cache.Changed { frame; fill } ->
@@ -106,16 +115,16 @@ let test_fill_numbers () =
    | _ -> Alcotest.fail "a holder of nothing was not sent the frame");
   Reply_cache.invalidate_all c;
   Alcotest.(check bool) "a flush forgets it" true (is_absent (since ~gen:0 ~fill:f1));
-  let f2 = Reply_cache.insert_numbered c ~proc:1 ~args:"" ~gen:0 "l2" in
+  let f2 = Reply_cache.insert c ~proc:1 ~args:"" ~gen:0 "l2" in
   Alcotest.(check bool) "a refill is renumbered" true (f2 <> f1);
   Alcotest.(check bool) "the old holder is not current" false
     (is_unchanged (since ~gen:0 ~fill:f1));
   Alcotest.(check bool) "a stale stamp forgets it" true (is_absent (since ~gen:1 ~fill:f2));
-  let f3 = Reply_cache.insert_numbered c ~proc:1 ~args:"" ~gen:1 "l3" in
-  Reply_cache.insert c ~proc:2 ~args:"x" ~gen:1 "x";
-  Reply_cache.insert c ~proc:2 ~args:"y" ~gen:1 "y";
+  let f3 = Reply_cache.insert c ~proc:1 ~args:"" ~gen:1 "l3" in
+  insert c ~proc:2 ~args:"x" ~gen:1 "x";
+  insert c ~proc:2 ~args:"y" ~gen:1 "y";
   Alcotest.(check bool) "an eviction forgets it" true (is_absent (since ~gen:1 ~fill:f3));
-  let f4 = Reply_cache.insert_numbered c ~proc:1 ~args:"" ~gen:1 "l4" in
+  let f4 = Reply_cache.insert c ~proc:1 ~args:"" ~gen:1 "l4" in
   Alcotest.(check bool) "numbers only grow" true (f1 < f2 && f2 < f3 && f3 < f4);
   Alcotest.(check int) "one unchanged answer counted" 1
     (Reply_cache.stats c).Reply_cache.unchanged
@@ -582,6 +591,190 @@ let test_config_roundtrip () =
      | Error _ -> ()
      | Ok _ -> Alcotest.fail "zero-entry cache accepted")
 
+(* --- one lookup per call ------------------------------------------------------ *)
+
+(* A top-level call is looked up once, on the receiving thread; on a miss
+   the pool only fills.  So every cacheable call counts exactly one hit or
+   one miss, each first call one miss, and each miss one insertion. *)
+let test_one_lookup_per_call () =
+  with_daemon (fun name daemon ->
+      let client, _ = connect_raw daemon in
+      rpc_open client (Printf.sprintf "test://%s/" (fresh_name "rcone"));
+      let call proc body =
+        vok (Rpc_client.call client ~procedure:(Rp.proc_to_int proc) ~body ())
+      in
+      let info = Xdr.encode Rp.dom_get_info.Rp.sg_args "test" in
+      ignore (call Rp.Proc_dom_get_info info);
+      ignore (call Rp.Proc_dom_get_info info);
+      let since token =
+        Xdr.decode Rp.fleet_list_since.Rp.sg_ret
+          (call Rp.Proc_fleet_list_since
+             (Xdr.encode Rp.fleet_list_since.Rp.sg_args token))
+      in
+      (match since Rp.no_token with
+       | Rp.Since_full (token, _) -> (
+         match since token with
+         | Rp.Since_unchanged _ -> ()
+         | Rp.Since_full _ -> Alcotest.fail "a repeated listing was sent in full")
+       | Rp.Since_unchanged _ -> Alcotest.fail "a first listing was \"unchanged\"");
+      let calls = 4 and first_calls = 2 in
+      let admin = vok (Admin.connect ~daemon:name ()) in
+      let rc = vok (Admin.reply_cache_stats admin) in
+      Admin.close admin;
+      Rpc_client.close client;
+      Alcotest.(check int) "one lookup per call" calls (rc.Admin.rc_hits + rc.Admin.rc_misses);
+      Alcotest.(check int) "one miss per first call" first_calls rc.Admin.rc_misses;
+      Alcotest.(check int) "one insertion per miss" rc.Admin.rc_misses rc.Admin.rc_insertions)
+
+(* --- cached equals uncached under random interleavings --------------------- *)
+
+(* One step of a schedule.  Reads go to both connections back to back,
+   with no write in between, and their replies are compared; a write goes
+   to one of them, and its reply is not compared. *)
+type step =
+  | Read of string * int * string  (** label, procedure, argument body *)
+  | Since  (** a v1.8 conditional listing *)
+  | Batch of (string * int * string) list  (** read sub-calls *)
+  | Deadline of string * int * string  (** a read in a deadline envelope *)
+  | Write of bool * string * int * string  (** on the cache-on connection? *)
+
+let show_step = function
+  | Read (label, _, _) -> "read " ^ label
+  | Since -> "since"
+  | Batch subs -> "batch [" ^ String.concat "; " (List.map (fun (l, _, _) -> l) subs) ^ "]"
+  | Deadline (label, _, _) -> "deadline " ^ label
+  | Write (on, label, _, _) -> Printf.sprintf "write %s (cache %s)" label (if on then "on" else "off")
+
+let call_of label (s : (_, _) Rp.signature) args =
+  (label, Rp.proc_to_int s.Rp.sg_proc, Xdr.encode s.Rp.sg_args args)
+
+let gen_schedule =
+  let open QCheck.Gen in
+  let name = oneofl [ "test"; "qa"; "qb" ] in
+  let read =
+    oneof
+      [
+        map (fun n -> call_of ("get_info " ^ n) Rp.dom_get_info n) name;
+        map (fun n -> call_of ("get_xml " ^ n) Rp.dom_get_xml n) name;
+        map (fun n -> call_of ("lookup " ^ n) Rp.lookup_by_name n) name;
+        return (call_of "dom_list_all" Rp.dom_list_all ());
+        return (call_of "fleet_list_all" Rp.fleet_list_all ());
+        return (call_of "capabilities" Rp.get_capabilities ());
+      ]
+  in
+  let write =
+    oneof
+      [
+        map2
+          (fun n kib -> call_of (Printf.sprintf "set_memory %s %d" n kib) Rp.dom_set_memory (n, kib))
+          name (oneofl [ 16384; 65536 ]);
+        map2
+          (fun n flag ->
+            call_of (Printf.sprintf "set_autostart %s %b" n flag) Rp.dom_set_autostart (n, flag))
+          name bool;
+        map2
+          (fun n kib ->
+            let cfg = Vmm.Vm_config.make ~uuid:(Vmm.Uuid.derive n) ~memory_kib:kib n in
+            call_of (Printf.sprintf "define %s %d" n kib) Rp.define_xml
+              (Vmm.Domxml.to_xml ~virt_type:"test" cfg))
+          (oneofl [ "qa"; "qb" ]) (oneofl [ 32768; 65536 ]);
+        map2
+          (fun (label, s) n -> call_of (label ^ " " ^ n) s n)
+          (oneofl
+             [
+               ("create", Rp.dom_create); ("destroy", Rp.dom_destroy);
+               ("suspend", Rp.dom_suspend); ("resume", Rp.dom_resume);
+             ])
+          name;
+      ]
+  in
+  let step =
+    frequency
+      [
+        (6, map (fun (l, p, b) -> Read (l, p, b)) read);
+        (2, return Since);
+        (1, map (fun subs -> Batch subs) (list_size (int_range 1 4) read));
+        (1, map (fun (l, p, b) -> Deadline (l, p, b)) read);
+        (4, map2 (fun on (l, p, b) -> Write (on, l, p, b)) bool write);
+      ]
+  in
+  list_size (int_range 1 40) step
+
+let show_reply = function
+  | Ok body -> Printf.sprintf "ok %S" body
+  | Error e -> "error " ^ e
+
+(* Runs one schedule against a fresh node of [daemon]; the first step
+   whose cached and uncached replies differ. *)
+let schedule_diverges daemon steps =
+  let host = fresh_name "rcprop" in
+  let on_client, _ = connect_raw daemon in
+  let off_client, _ = connect_raw daemon in
+  rpc_open on_client (Printf.sprintf "test://%s/" host);
+  rpc_open off_client (Printf.sprintf "test://%s/?replycache=0" host);
+  let call client procedure body =
+    Result.map_error Verror.to_string (Rpc_client.call client ~procedure ~body ())
+  in
+  let both procedure body =
+    (call on_client procedure body, call off_client procedure body)
+  in
+  let since_args token = Xdr.encode Rp.fleet_list_since.Rp.sg_args token in
+  let since_proc = Rp.proc_to_int Rp.Proc_fleet_list_since in
+  (* The listing the cache-on connection holds, as its encoded rows. *)
+  let held = ref None in
+  let listing_bytes = function
+    | Error _ as e -> e
+    | Ok body -> (
+      match Xdr.decode Rp.fleet_list_since.Rp.sg_ret body with
+      | Rp.Since_full (token, listing) ->
+        let bytes = Xdr.encode Rp.fleet_listing listing in
+        Ok (token, bytes)
+      | Rp.Since_unchanged token -> (
+        match !held with
+        | Some (t, bytes) when t = token -> Ok (token, bytes)
+        | Some _ | None -> Error "unchanged for a listing not held"))
+  in
+  let replies = function
+    | Read (_, proc, body) -> both proc body
+    | Deadline (_, proc, body) ->
+      both (Rp.proc_to_int Rp.Proc_call_deadline)
+        (Xdr.encode Rp.call_deadline.Rp.sg_args (5000, proc, body))
+    | Batch subs ->
+      both (Rp.proc_to_int Rp.Proc_call_batch)
+        (Xdr.encode Rp.batch_call (List.map (fun (_, p, b) -> (p, b)) subs))
+    | Since ->
+      let token = match !held with Some (t, _) -> t | None -> Rp.no_token in
+      let on = listing_bytes (call on_client since_proc (since_args token)) in
+      let off = listing_bytes (call off_client since_proc (since_args Rp.no_token)) in
+      (match on with Ok h -> held := Some h | Error _ -> held := None);
+      (Result.map snd on, Result.map snd off)
+    | Write (on, _, proc, body) ->
+      ignore (call (if on then on_client else off_client) proc body);
+      (Ok "", Ok "")
+  in
+  let rec go i = function
+    | [] -> None
+    | step :: rest ->
+      let on, off = replies step in
+      if on = off then go (i + 1) rest
+      else
+        Some
+          (Printf.sprintf "step %d (%s): cached %s, uncached %s" i (show_step step)
+             (show_reply on) (show_reply off))
+  in
+  let verdict = go 0 steps in
+  Rpc_client.close on_client;
+  Rpc_client.close off_client;
+  verdict
+
+let prop_cached_equals_uncached =
+  let print steps = String.concat "\n" (List.map show_step steps) in
+  qcheck_case ~count:60 "cached replies equal uncached ones"
+    (QCheck.make ~print gen_schedule) (fun steps ->
+      match with_daemon (fun _ daemon -> schedule_diverges daemon steps) with
+      | None -> true
+      | Some where -> QCheck.Test.fail_reportf "%s" where)
+
 let () =
   Alcotest.run "replycache"
     [
@@ -597,7 +790,11 @@ let () =
           quick "fill numbers" test_fill_numbers;
         ] );
       ( "byte equality",
-        [ quick "all cached procedures" test_byte_equality_all_procs ] );
+        [
+          quick "all cached procedures" test_byte_equality_all_procs;
+          prop_cached_equals_uncached;
+        ] );
+      ("counters", [ quick "one lookup per call" test_one_lookup_per_call ]);
       ( "fleet listing",
         [
           quick "plain daemon serves it from the cache"
