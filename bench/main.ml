@@ -26,6 +26,7 @@ module Rpc_packet = Ovrpc.Rpc_packet
 module Tp = Ovrpc.Typed_params
 module Events = Ovirt.Events
 module Server_obj = Ovirt.Server_obj
+module Remote_service = Ovirt.Remote_service
 
 let () = Ovirt.initialize ()
 
@@ -1996,6 +1997,15 @@ let replycache () =
       failwith
         (Printf.sprintf "E21: %d reply-cache lookups for %d cacheable calls (%s, cache %s)"
            lookups want (path_name via_client) (if cache then "on" else "off"));
+    (* Each miss ran its handler exactly once: on the receiving thread
+       or on the pool. *)
+    let runs = Daemon.run_stats daemon in
+    let ran = runs.Remote_service.inline_runs + runs.Remote_service.pool_runs in
+    if ran <> rc.Admin.rc_misses then
+      failwith
+        (Printf.sprintf "E21: %d handler runs (%d inline) for %d reply-cache misses (%s, cache %s)"
+           ran runs.Remote_service.inline_runs rc.Admin.rc_misses (path_name via_client)
+           (if cache then "on" else "off"));
     close ();
     Connect.close producer;
     Daemon.stop daemon;

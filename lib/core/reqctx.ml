@@ -7,7 +7,10 @@
    deadline being threaded through every signature.  Keyed by thread id:
    a worker runs exactly one call at a time, and the binding is removed
    when the call returns, so a pooled worker never leaks one call's
-   deadline into the next. *)
+   deadline into the next.  The no-wait mode is the deadline
+   [neg_infinity], so it rides in the same table. *)
+
+exception Would_wait
 
 let mutex = Mutex.create ()
 let table : (int, float) Hashtbl.t = Hashtbl.create 64
@@ -35,11 +38,21 @@ let with_deadline deadline f =
         Mutex.unlock mutex)
       f
 
+let no_wait = neg_infinity
+let without_waiting f = with_deadline (Some no_wait) f
+let may_wait () = deadline () <> Some no_wait
+
+let wait_expired deadline what =
+  if deadline = no_wait then raise Would_wait
+  else Verror.raise_err Verror.Operation_failed "deadline expired waiting for %s" what
+
 let remaining_s () =
   Option.map (fun d -> d -. Unix.gettimeofday ()) (deadline ())
 
 let expired () =
-  match deadline () with None -> false | Some d -> Unix.gettimeofday () > d
+  match deadline () with
+  | None -> false
+  | Some d -> d <> no_wait && Unix.gettimeofday () > d
 
 let check ~what () =
   if expired () then

@@ -10,6 +10,7 @@ type t = {
   bufpool : Ovreactor.Bufpool.t;
   started_at : float;
   reconciler : Reconcile.t;
+  remote : Remote_service.t;
   recon_conns : (string, Ovirt_core.Driver.ops) Hashtbl.t;
   recon_conns_mutex : Mutex.t;
   (* Lifecycle flags are only touched under [lifecycle]: stop and drain
@@ -318,6 +319,7 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
       bufpool;
       started_at;
       reconciler;
+      remote = remote_service;
       recon_conns;
       recon_conns_mutex;
       lifecycle = Mutex.create ();
@@ -344,3 +346,4 @@ let servers daemon = daemon.servers
 let find_server daemon name = List.assoc_opt name daemon.servers
 let uptime_s daemon = Unix.gettimeofday () -. daemon.started_at
 let reconciler daemon = daemon.reconciler
+let run_stats daemon = Remote_service.run_stats daemon.remote

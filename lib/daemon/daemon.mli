@@ -58,3 +58,7 @@ val reconciler : t -> Reconcile.t
     [/var/lib/ovirt/reconcile/<name>.journal], so a restarted daemon of
     the same name resumes any plan its predecessor journaled but never
     finished applying. *)
+
+val run_stats : t -> Remote_service.run_stats
+(** Where the remote program ran the handlers of cached calls: on the
+    receiving thread or on the pool.  Local only, never on a wire. *)

@@ -15,14 +15,16 @@ type program = {
          jobs that expire while queued, and the inner procedure to
          classify priority by the wrapped call rather than the envelope. *)
   try_fast_reply :
-    (Server_obj.t -> Client_obj.t -> Rpc_packet.header -> string -> bool)
+    (Server_obj.t ->
+    Client_obj.t ->
+    Rpc_packet.header ->
+    string ->
+    (string, Verror.t) result option)
     option;
-      (* Synchronous fast path consulted on the receiving thread before
-         the call is submitted to the pool.  Returning [true] means the
-         reply has already been sent (e.g. a reply-cache hit framed with
-         the call's serial) and the call must not be dispatched;
-         [false] falls through to the normal path.  Must be cheap and
-         non-blocking, and must never raise. *)
+      (* Consulted on the receiving thread before the call is submitted
+         to the pool: [Some result] answers the call there (a reply-cache
+         hit, or a read the hook ran without waiting), [None] submits it.
+         Must never block; see the interface. *)
   handle :
     Server_obj.t ->
     Client_obj.t ->
@@ -41,27 +43,20 @@ let frame_reply header = function
 let send_reply client header result =
   Client_obj.send_packet client (frame_reply header result)
 
-let run_call srv prog client header body ~deadline =
+(* A handler's exception, as the error its caller gets. *)
+let error_of_exn = function
+  | Verror.Virt_error err -> Error err
+  | Xdr.Error msg -> Verror.error Verror.Rpc_failure "malformed call body: %s" msg
+  | Ovrpc.Typed_params.Invalid msg ->
+    Verror.error Verror.Rpc_failure "bad typed parameters: %s" msg
+  | exn ->
+    Verror.error Verror.Internal_error "unhandled exception: %s"
+      (Printexc.to_string exn)
+
+(* The one way a call is answered, whichever thread ran it: a pool
+   worker, or the receiving thread for a cache hit or an inline read. *)
+let finish srv prog client header result =
   Client_obj.touch client;
-  let logger = Server_obj.logger srv in
-  (* Guarded: this fires once per call, and with debug disabled the
-     kasprintf formatting of five arguments would otherwise still run. *)
-  if Vlog.would_log logger ~module_:"daemon.rpc" Vlog.Debug then
-    Vlog.logf logger ~module_:"daemon.rpc" Vlog.Debug
-      "client %Ld: dispatching program=0x%x procedure=%d serial=%d (%d body bytes)"
-      (Client_obj.id client) header.Rpc_packet.program header.Rpc_packet.procedure
-      header.Rpc_packet.serial (String.length body);
-  let result =
-    try Reqctx.with_deadline deadline (fun () -> prog.handle srv client header body)
-    with
-    | Verror.Virt_error err -> Error err
-    | Xdr.Error msg -> Verror.error Verror.Rpc_failure "malformed call body: %s" msg
-    | Ovrpc.Typed_params.Invalid msg ->
-      Verror.error Verror.Rpc_failure "bad typed parameters: %s" msg
-    | exn ->
-      Verror.error Verror.Internal_error "unhandled exception: %s"
-        (Printexc.to_string exn)
-  in
   let result =
     match result with
     | Ok body when String.length body > Rpc_packet.max_body_size ->
@@ -75,7 +70,7 @@ let run_call srv prog client header body ~deadline =
   (match result with
    | Ok _ -> ()
    | Error err ->
-     Vlog.logf logger ~module_:"daemon.rpc" Vlog.Error
+     Vlog.logf (Server_obj.logger srv) ~module_:"daemon.rpc" Vlog.Error
        "client %Ld: procedure %d failed: %s" (Client_obj.id client)
        header.Rpc_packet.procedure (Verror.to_string err));
   send_reply client header result;
@@ -84,6 +79,19 @@ let run_call srv prog client header body ~deadline =
      pings, which prove liveness, not identity. *)
   if Result.is_ok result && prog.prog_number <> Ka.program then
     Server_obj.note_authenticated srv client
+
+let run_call srv prog client header body ~deadline =
+  let logger = Server_obj.logger srv in
+  (* Guarded: this fires once per call, and with debug disabled the
+     kasprintf formatting of five arguments would otherwise still run. *)
+  if Vlog.would_log logger ~module_:"daemon.rpc" Vlog.Debug then
+    Vlog.logf logger ~module_:"daemon.rpc" Vlog.Debug
+      "client %Ld: dispatching program=0x%x procedure=%d serial=%d (%d body bytes)"
+      (Client_obj.id client) header.Rpc_packet.program header.Rpc_packet.procedure
+      header.Rpc_packet.serial (String.length body);
+  finish srv prog client header
+    (try Reqctx.with_deadline deadline (fun () -> prog.handle srv client header body)
+     with exn -> error_of_exn exn)
 
 (* The keepalive program: any server answers pings so clients can tell a
    live-but-busy daemon from a dead one.  The PONG is the plain Status_ok
@@ -105,17 +113,46 @@ let keepalive_program =
     on_disconnect = (fun _client -> ());
   }
 
+(* Pool submission: deadline peek, priority class, admission control.
+   Runs on the reactor thread, so it never blocks — pool overflow is
+   shed synchronously. *)
+let submit srv prog client header body =
+  let peeked = prog.peek_deadline ~procedure:header.Rpc_packet.procedure ~body in
+  let priority =
+    match peeked with
+    | Some (_, inner) -> prog.high_priority inner
+    | None -> prog.high_priority header.Rpc_packet.procedure
+  in
+  let deadline = Option.map fst peeked in
+  let on_expired () =
+    (* The job's deadline passed while it sat in the pool queue: answer
+       without ever running the handler. *)
+    send_reply client header
+      (Verror.error Verror.Operation_failed "deadline expired in queue (procedure %d)"
+         header.Rpc_packet.procedure)
+  in
+  match
+    Threadpool.submit (Server_obj.pool srv) ~priority ~source:(Client_obj.id client)
+      ?deadline ~on_expired (fun () -> run_call srv prog client header body ~deadline)
+  with
+  | Ok () -> ()
+  | Error { Threadpool.retry_after_ms } ->
+    (* Admission control shed the call: reject synchronously on the
+       receiving thread with a machine-readable hint. *)
+    send_reply client header
+      (Verror.overloaded ~retry_after_ms "server %s: job queue is full"
+         (Server_obj.name srv))
+
 (* Route one decoded call: program lookup, version check, drain check,
-   deadline peek, pool submission.  Runs on the reactor thread, so it
-   never blocks — pool overflow is shed synchronously — and never
-   raises. *)
+   then the program's receiving-thread hook or pool submission.  Runs on
+   the reactor thread, so it never blocks and never raises. *)
 let process_call srv prog_table client header body =
   match Hashtbl.find_opt prog_table header.Rpc_packet.program with
   | None ->
     send_reply client header
       (Verror.error Verror.Rpc_failure "unknown program 0x%x"
          header.Rpc_packet.program)
-  | Some prog ->
+  | Some prog -> (
     if header.Rpc_packet.version <> prog.prog_version then
       send_reply client header
         (Verror.error Verror.Rpc_failure "program 0x%x: unsupported version %d"
@@ -126,46 +163,18 @@ let process_call srv prog_table client header body =
       send_reply client header
         (Verror.error Verror.Operation_invalid "server %s is draining"
            (Server_obj.name srv))
-    else if
-      (* Zero-work read path: a program-supplied hook may answer the call
-         synchronously (framing a cached reply body) without a pool
-         round-trip.  Consulted after version and drain checks so
-         cache hits observe the same admission rules as dispatched calls. *)
+    else
+      (* Zero-work read path: the program's hook may answer the call here
+         (a cached reply body, or a read it ran without waiting) with no
+         pool round-trip.  Consulted after the version and drain checks,
+         so such calls observe the same rules as dispatched ones. *)
       match prog.try_fast_reply with
-      | Some hook -> hook srv client header body
-      | None -> false
-    then ()
-    else begin
-      let peeked =
-        prog.peek_deadline ~procedure:header.Rpc_packet.procedure ~body
-      in
-      let priority =
-        match peeked with
-        | Some (_, inner) -> prog.high_priority inner
-        | None -> prog.high_priority header.Rpc_packet.procedure
-      in
-      let deadline = Option.map fst peeked in
-      let on_expired () =
-        (* The job's deadline passed while it sat in the pool queue:
-           answer without ever running the handler. *)
-        send_reply client header
-          (Verror.error Verror.Operation_failed
-             "deadline expired in queue (procedure %d)"
-             header.Rpc_packet.procedure)
-      in
-      match
-        Threadpool.submit (Server_obj.pool srv) ~priority
-          ~source:(Client_obj.id client) ?deadline ~on_expired
-          (fun () -> run_call srv prog client header body ~deadline)
-      with
-      | Ok () -> ()
-      | Error { Threadpool.retry_after_ms } ->
-        (* Admission control shed the call: reject synchronously on the
-           receiving thread with a machine-readable hint. *)
-        send_reply client header
-          (Verror.overloaded ~retry_after_ms "server %s: job queue is full"
-             (Server_obj.name srv))
-    end
+      | None -> submit srv prog client header body
+      | Some hook -> (
+        match hook srv client header body with
+        | Some result -> finish srv prog client header result
+        | None -> submit srv prog client header body
+        | exception exn -> finish srv prog client header (error_of_exn exn)))
 
 (* Program lookup runs once per packet: resolve the registered list into
    a table up front instead of scanning it per call. *)

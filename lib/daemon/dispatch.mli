@@ -4,10 +4,13 @@
     the header, routes by program number and queues a job on the
     server's workerpool — high-priority procedures are eligible for
     priority workers.  The worker decodes the body, executes, and sends the reply
-    (worker-side serialization through {!Client_obj.send_packet}).
-    Malformed packets close the connection; handler exceptions become
-    [Internal_error] replies, and a reply body too big for one packet
-    becomes an [Rpc_failure] reply naming its size.
+    (worker-side serialization through {!Client_obj.send_packet}).  A
+    program's [try_fast_reply] hook may instead answer a call on the
+    receiving thread.  Either way one function finishes the call:
+    handler exceptions become [Internal_error] replies, a reply body too
+    big for one packet becomes an [Rpc_failure] reply naming its size,
+    and a served call authenticates the client.  Malformed packets close
+    the connection.
 
     {b Overload protection.}  The reactor submits through
     {!Threadpool.submit}: when the pool's admission control sheds the
@@ -33,15 +36,20 @@ type program = {
     Client_obj.t ->
     Ovrpc.Rpc_packet.header ->
     string ->
-    bool)
+    (string, Ovirt_core.Verror.t) result option)
     option;
-      (** Synchronous fast path, consulted on the receiving thread after
-          the version and drain checks but before pool submission.
-          Returning [true] means the hook already sent the reply (e.g. a
-          cached reply body framed with the call's serial) and the call
-          is finished; [false] falls through to normal dispatch.
-          Hooks must be cheap, non-blocking, and never raise.  [None]
-          disables the fast path for the program. *)
+      (** The receiving thread's path, consulted after the version and
+          drain checks but before pool submission.  [Some result]
+          answers the call on that thread: the dispatcher finishes it
+          exactly as a pool worker finishes a handler's result (size
+          check, framing with the call's serial, send, authentication).
+          [None] submits the call to the pool.  The receiving thread
+          serves every connection of its reactor, so a hook must never
+          block: it may answer from a cache, or run a handler under
+          {!Ovirt_core.Reqctx.without_waiting} and answer [None] when
+          that raises {!Ovirt_core.Reqctx.Would_wait}.  Any other
+          exception becomes the call's error reply, as a handler's does.
+          [None] disables the path for the program. *)
   handle :
     Server_obj.t ->
     Client_obj.t ->

@@ -41,6 +41,9 @@ type state = {
       (** boot nonce of the v1.8 listing tokens: fill numbers restart
           with each incarnation, so a token from an earlier one must
           never match *)
+  runs : int Atomic.t;  (** handler runs of cached calls that returned *)
+  inline_runs : int Atomic.t;  (** of those, run on the receiving thread *)
+  inline_fallbacks : int Atomic.t;  (** inline attempts that would wait *)
 }
 
 let with_lock st f =
@@ -229,6 +232,14 @@ let no_args = Xdr.encode Rp.fleet_list_all.Rp.sg_args ()
 let cached_call (d : Rp.descriptor) =
   d.Rp.cacheable || d.Rp.proc = Rp.Proc_fleet_list_since
 
+(* The cached calls a miss may run on the receiving thread: cacheable
+   rows that read one object.  The bulk listings' cost grows with the
+   node, so they always take the pool. *)
+let point_read (d : Rp.descriptor) =
+  d.Rp.cacheable
+  && d.Rp.proc <> Rp.Proc_dom_list_all
+  && d.Rp.proc <> Rp.Proc_fleet_list_all
+
 (* The cache protocol's first step: [Some body] when the live entry
    answers the call, [None] when only the handler can.  Whether a
    conditional listing is current is decided where every cached reply's
@@ -262,9 +273,11 @@ let lookup st c (d : Rp.descriptor) body =
    data under a pre-write stamp, and serving a still-valid pre-write
    reply while a write is in flight is just a read ordered before the
    write. *)
-let fill c ~proc ~args handler =
+let fill st c ~proc ~args handler =
   let gen = c.gen_of () in
-  let* reply = handler () in
+  let result = handler () in
+  Atomic.incr st.runs;
+  let* reply = result in
   Ok (reply, if fits reply then Reply_cache.insert c.rc ~proc ~args ~gen reply else 0)
 
 (* The annotated listing.  A plain daemon is a fleet of one: its own
@@ -491,13 +504,13 @@ let serve_cached st cs c ~looked_up (d : Rp.descriptor) body =
   | Some reply -> Ok reply
   | None when d.Rp.cacheable ->
     let* reply, _ =
-      fill c ~proc:d.Rp.number ~args:body (fun () -> dispatch_conn cs d.Rp.proc body)
+      fill st c ~proc:d.Rp.number ~args:body (fun () -> dispatch_conn cs d.Rp.proc body)
     in
     Ok reply
   | None ->
     let (_ : Rp.fleet_token) = Xdr.decode Rp.fleet_list_since.Rp.sg_args body in
     let* listing, fill =
-      fill c ~proc:list_all_number ~args:no_args (fun () ->
+      fill st c ~proc:list_all_number ~args:no_args (fun () ->
           dispatch_conn cs Rp.Proc_fleet_list_all no_args)
     in
     Ok (Rp.enc_since_full_raw { Rp.ft_nonce = st.nonce; ft_fill = fill } listing)
@@ -610,7 +623,8 @@ and batch_sub st ~minor client (proc_num, sub_body) =
   | Error err -> (false, Xdr.encode Rp.error err)
 
 (* A top-level call reaches the pool after [try_fast_reply] ran
-   {!lookup} on it on the receiving thread. *)
+   {!lookup} on it on the receiving thread, and perhaps tried to run it
+   there too ({!run_inline}). *)
 let handle st ~minor _srv client header body =
   let* d = Rp.descriptor_of_int ~minor header.Rpc_packet.procedure in
   handle_proc st ~minor ~in_batch:false ~looked_up:true client d body
@@ -636,6 +650,9 @@ let make ?(minor = Rp.minor) ?(event_ring_capacity = 1024)
       cache_enabled = reply_cache;
       cache_entries = max 1 reply_cache_entries;
       nonce = boot_nonce ();
+      runs = Atomic.make 0;
+      inline_runs = Atomic.make 0;
+      inline_fallbacks = Atomic.make 0;
     }
   in
   { st; svc_minor = minor }
@@ -647,21 +664,29 @@ let reply_cache_enabled t = t.st.cache_enabled
 let reply_cache_stats t = List.map Reply_cache.stats (values t.st t.st.caches)
 let event_stats t = List.map Eventring.stats (values t.st t.st.rings)
 
-(* A reply answered on the receiving thread.  A served call authenticates
-   the client exactly as a dispatched one does.  A reply too big to frame
-   falls through to the pool, whose dispatcher answers it with an error
-   (a cached listing fits, its conditional reply may be 12 bytes over). *)
-let send_fast srv client header reply =
-  fits reply
-  && begin
-    Client_obj.touch client;
-    (try
-       Client_obj.send_packet client
-         (Rpc_packet.encode (Rpc_packet.reply_ok header) reply)
-     with _ -> ());
-    Server_obj.note_authenticated srv client;
-    true
-  end
+type run_stats = { inline_runs : int; inline_fallbacks : int; pool_runs : int }
+
+let run_stats t =
+  let inline_runs = Atomic.get t.st.inline_runs in
+  {
+    inline_runs;
+    inline_fallbacks = Atomic.get t.st.inline_fallbacks;
+    pool_runs = Atomic.get t.st.runs - inline_runs;
+  }
+
+(* A miss of a point read, run on the receiving thread when nothing in
+   it waits: the node lock is only tried, and simulated hypervisor time
+   counts as a wait.  A call that would wait goes to the pool as if it
+   had never been tried: a read changed nothing, and its fill inserted
+   nothing. *)
+let run_inline st cs c d body =
+  match Reqctx.without_waiting (fun () -> serve_cached st cs c ~looked_up:true d body) with
+  | result ->
+    Atomic.incr st.inline_runs;
+    Some result
+  | exception Reqctx.Would_wait ->
+    Atomic.incr st.inline_fallbacks;
+    None
 
 let program_of { st; svc_minor = minor } =
   let deadline = Rp.describe Rp.Proc_call_deadline in
@@ -693,28 +718,33 @@ let program_of { st; svc_minor = minor } =
          else
            Some
              (fun srv client header body ->
-               (* Answer from the reply cache on the receiving thread: a
-                  hit skips pool submission, body decode, the driver
-                  read lock and the handler; the cached body is framed
-                  with the caller's serial in one copy.  A conditional
-                  listing the live entry answers is framed here too, in
-                  12 bytes when it is unchanged.  This is the one lookup
-                  of a top-level call. *)
+               (* The one lookup of a top-level call.  A hit skips pool
+                  submission, body decode, the driver read lock and the
+                  handler; a conditional listing the live entry answers
+                  is 12 bytes when it is unchanged.  A miss of a point
+                  read runs here too when the pool has no queued job to
+                  overtake.  Only a connection with a cache gets this
+                  far, and its driver has a write generation: a local
+                  node, never a fleet controller or a chained remote
+                  driver, whose reads wait on member RPCs. *)
                match Rp.descriptor_of_int ~minor header.Rpc_packet.procedure with
                | Ok d when cached_call d -> (
                  match
                    with_lock st (fun () ->
                        Hashtbl.find_opt st.conns (Client_obj.id client))
                  with
-                 | Some { cache = Some c; _ } -> (
+                 | Some ({ cache = Some c; _ } as cs) -> (
                    match lookup st c d body with
-                   | exception Xdr.Error _ -> false
-                   | None -> false
                    | Some reply ->
                      if d.Rp.cacheable then Reply_cache.note_patched_send c.rc;
-                     send_fast srv client header reply)
-                 | Some { cache = None; _ } | None -> false)
-               | Ok _ | Error _ -> false));
+                     Some (Ok reply)
+                   | None
+                     when point_read d
+                          && Threadpool.queue_empty (Server_obj.pool srv) ->
+                     run_inline st cs c d body
+                   | None -> None)
+                 | Some { cache = None; _ } | None -> None)
+               | Ok _ | Error _ -> None));
       handle = (fun srv client header body -> handle st ~minor srv client header body);
       on_disconnect = (fun client -> teardown_conn st (Client_obj.id client));
     }

@@ -34,7 +34,10 @@ val make :
     with a [replycache=0] URI parameter.  Which cache serves a
     connection, if any, is resolved once, when it opens.  A top-level
     call is looked up on the receiving thread only; on a miss the pool
-    runs the handler and fills the cache.  Batch sub-calls and
+    runs the handler and fills the cache, except for a point read (a
+    cacheable row other than the two bulk listings), which the
+    receiving thread runs itself when the pool has no queued job and
+    nothing in the read waits (see {!run_stats}).  Batch sub-calls and
     deadline-enveloped inner calls, which the receiving thread never
     sees, look up and then fill.  The same caches answer v1.8
     conditional listings: a token (this daemon's boot nonce, fixed at
@@ -56,6 +59,20 @@ val reply_cache_stats : t -> Reply_cache.stats list
 
 val event_stats : t -> Eventring.stats list
 (** The counters of every per-node replay ring. *)
+
+type run_stats = {
+  inline_runs : int;  (** cache misses the receiving thread ran itself *)
+  inline_fallbacks : int;
+      (** inline attempts that would have waited (a node lock held or
+          awaited by a writer, simulated hypervisor time) and went to the
+          pool instead *)
+  pool_runs : int;  (** cache misses a pool worker ran *)
+}
+(** Where the handlers of cached calls ran, counting each handler run
+    that returned once.  [inline_runs + pool_runs] equals the caches'
+    misses.  Local only, never on a wire. *)
+
+val run_stats : t -> run_stats
 
 val dispatch_ops :
   Ovirt_core.Driver.ops ->

@@ -114,8 +114,13 @@ let seed_default_domain (node : node) =
 (* Operations                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Simulated hypervisor time is a wait: a call that may not wait gives
+   up before it, and runs again where it may. *)
 let hypervisor_wait (node : node) =
-  if node.payload.op_latency_s > 0.0 then Thread.delay node.payload.op_latency_s
+  if node.payload.op_latency_s > 0.0 then begin
+    if not (Reqctx.may_wait ()) then raise Reqctx.Would_wait;
+    Thread.delay node.payload.op_latency_s
+  end
 
 let capabilities (node : node) =
   Drvnode.with_read node (fun () ->

@@ -85,21 +85,22 @@ let get_node reg name =
 
 let reset_nodes reg = with_registry reg (fun () -> Hashtbl.reset reg.reg_nodes)
 
-let lock_expired node =
-  Verror.raise_err Verror.Operation_failed
-    "deadline expired waiting for lock on node %S" node.node_name
+let lock_expired node deadline =
+  Reqctx.wait_expired deadline (Printf.sprintf "lock on node %S" node.node_name)
 
 (* Driver sections observe the caller's remaining budget: a waiter whose
    deadline passes gives up instead of piling onto a stuck writer.  The
    result type of [f] is opaque here, so expiry surfaces as the same
-   [Virt_error] the dispatcher already maps to an error reply. *)
+   [Virt_error] the dispatcher already maps to an error reply.  In the
+   no-wait mode the deadline has always passed: the lock is taken only
+   if it is free, and otherwise [Reqctx.Would_wait] is raised. *)
 let with_read node f =
   match Reqctx.deadline () with
   | None -> Rwlock.with_read node.lock f
   | Some deadline -> (
     match Rwlock.with_read_until node.lock ~deadline f with
     | Ok v -> v
-    | Error `Timeout -> lock_expired node)
+    | Error `Timeout -> lock_expired node deadline)
 
 (* Every write-classified section stamps the node: the generation is
    bumped in the [finally] of the section body, i.e. after the mutation
@@ -116,7 +117,7 @@ let with_write node f =
   | Some deadline -> (
     match Rwlock.with_write_until node.lock ~deadline f with
     | Ok v -> v
-    | Error `Timeout -> lock_expired node)
+    | Error `Timeout -> lock_expired node deadline)
 
 (* One write stamp for the whole node: driver writes ([with_write]) plus
    the network and storage backends, which carry their own locks and

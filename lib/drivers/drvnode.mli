@@ -115,7 +115,10 @@ val with_write : 'p node -> (unit -> 'a) -> 'a
     thread carries a {!Reqctx} deadline, acquisition is bounded:
     a waiter whose deadline passes raises [Verror.Virt_error]
     ([Operation_failed], "deadline expired…") instead of queueing
-    behind a stuck writer. *)
+    behind a stuck writer.  In {!Reqctx.without_waiting} the lock is
+    only tried: when it is not free at once (held by a writer, or a
+    writer waits for it), the section raises {!Reqctx.Would_wait}
+    without running [f]. *)
 
 val generation : 'p node -> int
 (** Monotonic write stamp covering the whole node: bumped while the

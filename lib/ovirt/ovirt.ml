@@ -75,6 +75,7 @@ end
 
 module Daemon_config = Ovdaemon.Daemon_config
 module Server_obj = Ovdaemon.Server_obj
+module Remote_service = Ovdaemon.Remote_service
 module Reactor = Ovreactor.Reactor
 module Bufpool = Ovreactor.Bufpool
 module Admin_client = Admin

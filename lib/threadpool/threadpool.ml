@@ -524,6 +524,12 @@ let stats pool =
 
 let failed_jobs pool = with_lock pool (fun () -> pool.jobs_failed)
 
+let queue_empty pool =
+  Mutex.lock pool.mutex;
+  let empty = pool.queued_normal = 0 && Queue.is_empty pool.prio_queue in
+  Mutex.unlock pool.mutex;
+  empty
+
 let drain pool =
   with_lock pool (fun () ->
       while

@@ -140,6 +140,13 @@ val stats : t -> stats
 val failed_jobs : t -> int
 (** Jobs whose function raised. *)
 
+val queue_empty : t -> bool
+(** No job of either class waits in the queues.  A submitter that then
+    runs a call itself instead of submitting it overtakes no queued job,
+    so it bypasses nothing that fair queuing or admission control would
+    decide: both only order and bound a queue.  A snapshot: the answer
+    may be stale by the time it returns. *)
+
 val drain : t -> unit
 (** Block until the queue is empty and every live worker is idle.
     Intended for tests and benchmarks. *)

@@ -15,6 +15,7 @@ module Driver = Ovirt.Driver
 module Events = Ovirt.Events
 module Daemon = Ovirt.Daemon
 module Daemon_config = Ovirt.Daemon_config
+module Remote_service = Ovirt.Remote_service
 module Fleet = Ovirt.Fleet
 module Admin = Ovirt.Admin_client
 module Transport = Ovnet.Transport
@@ -1513,6 +1514,40 @@ let test_cross_shard_batch_refused () =
       Connect.close cA;
       Connect.close cB)
 
+(* A controller's reads wait on member RPCs, so its daemon never runs one
+   on its receiving thread; its connections have no reply cache. *)
+let test_controller_never_reads_inline () =
+  with_members [ "m1"; "m2" ] (fun members ->
+      let cA = member_conn (List.nth members 0) in
+      ignore (seed_domain cA "inl-a");
+      let t = fleet_of members in
+      let ctl = fresh_name "ctld" in
+      let daemon = Daemon.start ~name:ctl ~config:quiet_config () in
+      Fun.protect
+        ~finally:(fun () ->
+          Daemon.stop daemon;
+          Fleet.dissolve (Fleet.name t);
+          Connect.close cA)
+        (fun () ->
+          let conn =
+            vok
+              (Connect.open_uri
+                 (Printf.sprintf "fleet+unix:///%s?daemon=%s&cache=0" (Fleet.name t) ctl))
+          in
+          let dom = vok (Domain.lookup_by_name conn "inl-a") in
+          for _ = 1 to 3 do
+            ignore (vok (Domain.get_info dom));
+            ignore (vok (Domain.xml_desc dom))
+          done;
+          let s = Daemon.run_stats daemon in
+          Alcotest.(check (list int)) "no inline run, attempt or cached run" [ 0; 0; 0 ]
+            [
+              s.Remote_service.inline_runs;
+              s.Remote_service.inline_fallbacks;
+              s.Remote_service.pool_runs;
+            ];
+          Connect.close conn))
+
 (* --- migration --------------------------------------------------------- *)
 
 let test_migration_end_to_end () =
@@ -1810,6 +1845,9 @@ let () =
         ] );
       ( "batch",
         [ quick "cross-shard mutation batches refused" test_cross_shard_batch_refused ]
+      );
+      ( "inline reads",
+        [ quick "a controller never reads inline" test_controller_never_reads_inline ]
       );
       ( "migration",
         [

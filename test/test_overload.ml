@@ -12,6 +12,7 @@ module Domain = Ovirt.Domain
 module Driver = Ovirt.Driver
 module Daemon = Ovirt.Daemon
 module Daemon_config = Ovirt.Daemon_config
+module Remote_service = Ovirt.Remote_service
 module Admin = Ovirt.Admin_client
 module Vm_state = Vmm.Vm_state
 module Transport = Ovnet.Transport
@@ -455,6 +456,149 @@ let test_watchdog_restores_capacity () =
       Connect.close rfast_b;
       Connect.close dslow)
 
+(* --- reads on the receiving thread ------------------------------------------ *)
+
+(* A read whose node lock a writer holds must not wait for it on the
+   receiving thread, which here (one reactor loop) serves every
+   connection: it falls back to the pool at once and is answered after
+   the write, while a ping on a third connection is answered during the
+   write.  The pool has a spare priority worker for the ping. *)
+let test_inline_read_never_waits_for_lock () =
+  let config =
+    {
+      one_worker_config with
+      Daemon_config.prio_workers = 2;
+      reactor_threads = 1;
+    }
+  in
+  with_daemon ~config (fun daemon d ->
+      let node = fresh_name "inlock" in
+      let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+      ignore (define_and_start direct ~virt_type:"test" ~name:"held" ());
+      let open_remote () =
+        vok (Connect.open_uri (remote_uri ~params:"&cache=0" ~daemon node))
+      in
+      let writer = open_remote () and reader = open_remote () in
+      let wdom = vok (Domain.lookup_by_name writer "held") in
+      let rdom = vok (Domain.lookup_by_name reader "held") in
+      let pinger = raw_client daemon in
+      set_latency node 600_000;
+      with_pool daemon (fun srv ->
+          let write_done = Atomic.make false in
+          let wthread =
+            wedge_on srv (fun () ->
+                Thread.create
+                  (fun () ->
+                    ignore (Domain.suspend wdom);
+                    Atomic.set write_done true)
+                  ())
+          in
+          (* The worker took the suspend up; let it reach the lock. *)
+          Thread.delay 0.02;
+          let before = Daemon.run_stats d in
+          let read = ref None in
+          let rthread = Thread.create (fun () -> read := Some (Domain.get_info rdom)) () in
+          Alcotest.(check bool) "the read fell back while the write held the lock" true
+            (eventually ~timeout_s:0.3 (fun () ->
+                 (Daemon.run_stats d).Remote_service.inline_fallbacks
+                 > before.Remote_service.inline_fallbacks));
+          let t0 = Unix.gettimeofday () in
+          ignore (vok (raw_call pinger Rp.Proc_ping ""));
+          let ping_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+          Alcotest.(check bool)
+            (Printf.sprintf "ping answered during the write (%.1f ms)" ping_ms)
+            true
+            (ping_ms < 200. && not (Atomic.get write_done));
+          Alcotest.(check bool) "the read waits for the write" true (!read = None);
+          Thread.join wthread;
+          Thread.join rthread;
+          (match !read with
+           | Some (Ok info) ->
+             Alcotest.(check bool) "the read sees the write" true
+               (info.Driver.di_state = Vm_state.Paused)
+           | Some (Error e) -> Alcotest.failf "read failed: %s" (Verror.to_string e)
+           | None -> Alcotest.fail "read never returned");
+          let after = Daemon.run_stats d in
+          Alcotest.(check int) "not run inline" before.Remote_service.inline_runs
+            after.Remote_service.inline_runs);
+      Rpc_client.close pinger;
+      List.iter Connect.close [ reader; writer; direct ])
+
+(* Simulated hypervisor time is a wait: on a latency node every read is a
+   pool job, so concurrent readers still overlap their waits. *)
+let test_latency_reads_are_pool_jobs () =
+  with_daemon (fun daemon d ->
+      let node = fresh_name "latreads" in
+      let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+      let names = List.init 3 (fun i -> Printf.sprintf "lat%d" i) in
+      List.iter (fun n -> ignore (define_and_start direct ~virt_type:"test" ~name:n ())) names;
+      let remote = vok (Connect.open_uri (remote_uri ~params:"&cache=0" ~daemon node)) in
+      let doms = List.map (fun n -> vok (Domain.lookup_by_name remote n)) names in
+      set_latency node 1_000;
+      with_pool daemon (fun srv ->
+          let done0 = (vok (Admin.pool_stats srv)).Admin.ps_jobs_done in
+          let s0 = Daemon.run_stats d in
+          List.iter (fun dom -> ignore (vok (Domain.get_info dom))) doms;
+          let s1 = Daemon.run_stats d in
+          let done1 = (vok (Admin.pool_stats srv)).Admin.ps_jobs_done in
+          let delta f = f s1 - f s0 in
+          Alcotest.(check int) "no read ran inline" 0
+            (delta (fun s -> s.Remote_service.inline_runs));
+          Alcotest.(check int) "each read fell back" 3
+            (delta (fun s -> s.Remote_service.inline_fallbacks));
+          Alcotest.(check int) "each read ran in the pool" 3
+            (delta (fun s -> s.Remote_service.pool_runs));
+          Alcotest.(check bool)
+            (Printf.sprintf "reads were pool jobs (%d jobs)" (done1 - done0))
+            true
+            (done1 - done0 >= 3));
+      List.iter Connect.close [ remote; direct ])
+
+(* While a job is queued, an arriving read is not run on the receiving
+   thread, though it could run there without waiting: it is queued
+   behind the job and answered after it. *)
+let test_inline_read_does_not_overtake () =
+  let config = { one_worker_config with Daemon_config.prio_workers = 0 } in
+  with_daemon ~config (fun daemon d ->
+      let slow = fresh_name "ovtslow" and fast = fresh_name "ovtfast" in
+      let dslow = vok (Connect.open_uri (Printf.sprintf "test://%s/" slow)) in
+      let dfast = vok (Connect.open_uri (Printf.sprintf "test://%s/" fast)) in
+      ignore (define_and_start dslow ~virt_type:"test" ~name:"wedge" ());
+      ignore (define_and_start dfast ~virt_type:"test" ~name:"free" ());
+      let open_remote node =
+        vok (Connect.open_uri (remote_uri ~params:"&cache=0" ~daemon node))
+      in
+      let cwedge = open_remote slow and cqueued = open_remote slow and cread = open_remote fast in
+      let wdom = vok (Domain.lookup_by_name cwedge "wedge") in
+      let qdom = vok (Domain.lookup_by_name cqueued "wedge") in
+      let rdom = vok (Domain.lookup_by_name cread "free") in
+      set_latency slow 300_000;
+      with_pool daemon (fun srv ->
+          let wedge =
+            wedge_on srv (fun () ->
+                Thread.create (fun () -> ignore (Domain.suspend wdom)) ())
+          in
+          (* A read of the wedged node cannot run inline: it waits in the
+             queue. *)
+          let queued = Thread.create (fun () -> ignore (Domain.get_info qdom)) () in
+          Alcotest.(check bool) "a job is queued" true
+            (eventually (fun () ->
+                 (vok (Admin.threadpool_info srv)).Admin.tp_job_queue_depth = 1));
+          let s0 = Daemon.run_stats d in
+          let info = vok (Domain.get_info rdom) in
+          let s1 = Daemon.run_stats d in
+          Thread.join wedge;
+          Thread.join queued;
+          Alcotest.(check bool) "the read is current" true
+            (info.Driver.di_state = Vm_state.Running);
+          let delta f = f s1 - f s0 in
+          Alcotest.(check int) "not run inline" 0
+            (delta (fun s -> s.Remote_service.inline_runs));
+          (* One worker: both reads ran in the pool, the queued one first. *)
+          Alcotest.(check int) "answered after the queued read" 2
+            (delta (fun s -> s.Remote_service.pool_runs)));
+      List.iter Connect.close [ cread; cqueued; cwedge; dfast; dslow ])
+
 let () =
   Alcotest.run "overload"
     [
@@ -478,5 +622,12 @@ let () =
           quick "circuit breaker opens and recovers"
             test_breaker_opens_and_recovers;
           quick "watchdog restores capacity" test_watchdog_restores_capacity;
+        ] );
+      ( "inline reads",
+        [
+          quick "a held lock sends the read to the pool"
+            test_inline_read_never_waits_for_lock;
+          quick "latency reads are pool jobs" test_latency_reads_are_pool_jobs;
+          quick "a queued job is not overtaken" test_inline_read_does_not_overtake;
         ] );
     ]
