@@ -1846,7 +1846,7 @@ let () =
       ( "batch",
         [ quick "cross-shard mutation batches refused" test_cross_shard_batch_refused ]
       );
-      ( "inline reads",
+      ( "inline",
         [ quick "a controller never reads inline" test_controller_never_reads_inline ]
       );
       ( "migration",

@@ -623,7 +623,7 @@ let () =
             test_breaker_opens_and_recovers;
           quick "watchdog restores capacity" test_watchdog_restores_capacity;
         ] );
-      ( "inline reads",
+      ( "inline",
         [
           quick "a held lock sends the read to the pool"
             test_inline_read_never_waits_for_lock;
