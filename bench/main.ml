@@ -1911,29 +1911,36 @@ let events () =
 (* E21: server reply cache — zero-work read path                       *)
 (* ------------------------------------------------------------------ *)
 
+(* What an E21 sweep row reads: raw [Proc_dom_list_all]; a listing
+   through [Connect.list_all_domains], which sends the conditional
+   listing and decodes and caches every row client-side; or a point-read
+   procedure (with its row label) over raw RPC, one domain per call,
+   round robin over the node's domains. *)
+type e21_read = Raw_listing | Client_listing | Raw_point of string * Rp.procedure
+
 let replycache () =
   section "E21: server reply cache - zero-work read path";
-  let path_name via_client =
-    if via_client then "Connect.list_all_domains" else "dom_list_all (raw)"
+  let path_name = function
+    | Raw_listing -> "dom_list_all (raw)"
+    | Client_listing -> "Connect.list_all_domains"
+    | Raw_point (label, _) -> label
   in
-  subsection "hot bulk reads, clients x domains, cache on vs off; then a";
-  subsection "write-churn mix proving invalidation never serves stale bytes\n";
+  subsection "hot bulk reads and point reads, clients x domains, cache on vs off;";
+  subsection "then a write-churn mix proving invalidation never serves stale bytes\n";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let combos = if smoke then [ (4, 50) ] else [ (8, 100); (32, 1000) ] in
+  (* Point reads at a hot key set (fewer domains than a cache's 512
+     entries) and a cold one (four times as many). *)
+  let point_combos = if smoke then [ (4, 50); (4, 2048) ] else [ (8, 100); (8, 2048) ] in
   let duration_s = if smoke then 0.3 else 2.0 in
   let json_rows = ref [] in
-  (* [via_client]: list through [Connect.list_all_domains], which at
-     minor 7 sends the annotated [Proc_fleet_list_all] and decodes and
-     caches every row client-side; otherwise raw [Proc_dom_list_all]. *)
-  let run_variant ~via_client ~clients ~domains ~cache =
+  let run_variant ~reads ~clients ~domains ~cache =
     let daemon_name = fresh "rcd" in
     let daemon = Daemon.start ~name:daemon_name ~config:quiet_config () in
     let host = fresh "rcn" in
     let producer = ok (Connect.open_uri ("test://" ^ host ^ "/")) in
-    for i = 1 to domains do
-      ignore
-        (define_domain (List.hd kits) producer (Printf.sprintf "rc-%d" i))
-    done;
+    let names = Array.init domains (fun i -> Printf.sprintf "rc-%d" (i + 1)) in
+    Array.iter (fun n -> ignore (define_domain (List.hd kits) producer n)) names;
     (* Raw RPC clients: the cache removes *server* work (dispatch,
        handler, encode), so measure the daemon's read-serving capacity
        without paying a client-side decode of every record on each call
@@ -1942,7 +1949,8 @@ let replycache () =
        decode: they show what a real client gains. *)
     let query sep = if cache then "" else sep ^ "replycache=0" in
     let read, close =
-      if via_client then begin
+      match reads with
+      | Client_listing ->
         let conns =
           Array.init clients (fun _ ->
               ok
@@ -1952,8 +1960,7 @@ let replycache () =
         in
         ( (fun i -> ignore (ok (Connect.list_all_domains conns.(i)))),
           fun () -> Array.iter Connect.close conns )
-      end
-      else begin
+      | Raw_listing | Raw_point _ ->
         let open_uri = Printf.sprintf "test://%s/%s" host (query "?") in
         let conns =
           Array.init clients (fun _ ->
@@ -1971,15 +1978,24 @@ let replycache () =
                       ~body:(Rp.enc_string_body open_uri) ()));
               c)
         in
-        let list_all = Rp.proc_to_int Rp.Proc_dom_list_all in
-        ( (fun i ->
-            ignore
-              (ok (Rpc_client.call conns.(i) ~procedure:list_all ~body:"" ()))),
-          fun () -> Array.iter Rpc_client.close conns )
-      end
+        let call i proc body =
+          ignore (ok (Rpc_client.call conns.(i) ~procedure:(Rp.proc_to_int proc) ~body ()))
+        in
+        let read =
+          match reads with
+          | Raw_point (_, proc) ->
+            let bodies = Array.map Rp.enc_string_body names in
+            (* Clients start spread over the keys, so that a cold key
+               set stays cold: each key is read again only after every
+               other key was. *)
+            let next = Array.init clients (fun i -> i * domains / clients) in
+            fun i ->
+              next.(i) <- (next.(i) + 1) mod domains;
+              call i proc bodies.(next.(i))
+          | Raw_listing | Client_listing -> fun i -> call i Rp.Proc_dom_list_all ""
+        in
+        (read, fun () -> Array.iter Rpc_client.close conns)
     in
-    (* Every read is one cacheable call: a raw [dom_list_all], or the v1.8
-       conditional listing [Connect.list_all_domains] sends. *)
     let calls = Atomic.make 0 in
     let read i =
       read i;
@@ -1989,27 +2005,40 @@ let replycache () =
     let admin = ok (Admin.connect ~daemon:daemon_name ()) in
     let rc = ok (Admin.reply_cache_stats admin) in
     Admin.close admin;
-    (* The daemon looks each call up once, and only on a cache-on
-       connection. *)
-    let lookups = rc.Admin.rc_hits + rc.Admin.rc_misses in
-    let want = if cache && rc.Admin.rc_enabled then Atomic.get calls else 0 in
-    if lookups <> want then
-      failwith
-        (Printf.sprintf "E21: %d reply-cache lookups for %d cacheable calls (%s, cache %s)"
-           lookups want (path_name via_client) (if cache then "on" else "off"));
-    (* Each miss ran its handler exactly once: on the receiving thread
-       or on the pool. *)
     let runs = Daemon.run_stats daemon in
     let ran = runs.Remote_service.inline_runs + runs.Remote_service.pool_runs in
-    if ran <> rc.Admin.rc_misses then
-      failwith
-        (Printf.sprintf "E21: %d handler runs (%d inline) for %d reply-cache misses (%s, cache %s)"
-           ran runs.Remote_service.inline_runs rc.Admin.rc_misses (path_name via_client)
-           (if cache then "on" else "off"));
+    let fail fmt =
+      Printf.ksprintf
+        (fun msg ->
+          failwith
+            (Printf.sprintf "E21: %s (%s, %d domains, cache %s)" msg (path_name reads)
+               domains (if cache then "on" else "off")))
+        fmt
+    in
+    let lookups = rc.Admin.rc_hits + rc.Admin.rc_misses in
+    (match reads with
+     | Raw_listing | Client_listing ->
+       (* A listing is one cached call: a raw [dom_list_all], or the v1.8
+          conditional listing [Connect.list_all_domains] sends.  The
+          daemon looks each call up once, and only on a cache-on
+          connection; each miss ran its handler exactly once, on the
+          pool. *)
+       let want = if cache && rc.Admin.rc_enabled then Atomic.get calls else 0 in
+       if lookups <> want then fail "%d reply-cache lookups for %d cached calls" lookups want;
+       if ran <> rc.Admin.rc_misses then
+         fail "%d handler runs (%d inline) for %d reply-cache misses" ran
+           runs.Remote_service.inline_runs rc.Admin.rc_misses
+     | Raw_point _ ->
+       (* A point read never reaches the cache, and runs its handler
+          exactly once: on the receiving thread or on the pool. *)
+       if lookups <> 0 then fail "%d reply-cache lookups for point reads" lookups;
+       if ran <> Atomic.get calls then
+         fail "%d handler runs (%d inline) for %d point reads" ran
+           runs.Remote_service.inline_runs (Atomic.get calls));
     close ();
     Connect.close producer;
     Daemon.stop daemon;
-    let path = path_name via_client in
+    let path = path_name reads in
     json_rows :=
       Mini_json.Obj
         [
@@ -2022,6 +2051,8 @@ let replycache () =
           ("misses", Mini_json.Int rc.Admin.rc_misses);
           ("invalidations", Mini_json.Int rc.Admin.rc_invalidations);
           ("patched_sends", Mini_json.Int rc.Admin.rc_patched_sends);
+          ("inline_runs", Mini_json.Int runs.Remote_service.inline_runs);
+          ("pool_runs", Mini_json.Int runs.Remote_service.pool_runs);
         ]
       :: !json_rows;
     ( reads_per_s,
@@ -2034,25 +2065,32 @@ let replycache () =
         string_of_int rc.Admin.rc_hits;
         string_of_int rc.Admin.rc_misses;
         string_of_int rc.Admin.rc_patched_sends;
+        string_of_int runs.Remote_service.inline_runs;
+        string_of_int runs.Remote_service.pool_runs;
       ] )
   in
   let rows, speedups =
     List.fold_left
-      (fun (rows, speedups) (via_client, (clients, domains)) ->
-        let on_tput, on_row = run_variant ~via_client ~clients ~domains ~cache:true in
-        let off_tput, off_row =
-          run_variant ~via_client ~clients ~domains ~cache:false
-        in
+      (fun (rows, speedups) (reads, (clients, domains)) ->
+        let on_tput, on_row = run_variant ~reads ~clients ~domains ~cache:true in
+        let off_tput, off_row = run_variant ~reads ~clients ~domains ~cache:false in
         let speedup = on_tput /. off_tput in
         ( rows @ [ on_row @ [ Printf.sprintf "%.1fx" speedup ]; off_row @ [ "-" ] ],
-          speedups @ [ (path_name via_client, clients, domains, speedup) ] ))
+          speedups @ [ (path_name reads, clients, domains, speedup) ] ))
       ([], [])
-      (List.concat_map (fun c -> [ (false, c); (true, c) ]) combos)
+      (List.concat_map (fun c -> [ (Raw_listing, c); (Client_listing, c) ]) combos
+      @ List.concat_map
+          (fun c ->
+            [
+              (Raw_point ("dom_get_info (raw)", Rp.Proc_dom_get_info), c);
+              (Raw_point ("dom_get_xml (raw)", Rp.Proc_dom_get_xml), c);
+            ])
+          point_combos)
   in
   table
     [
       "path"; "clients"; "domains"; "cache"; "reads/s"; "hits"; "misses";
-      "patched"; "speedup";
+      "patched"; "inline"; "pool"; "speedup";
     ]
     rows;
   (* Write churn: every iteration flips an event-less flag through the
@@ -2128,7 +2166,7 @@ let replycache () =
       ( "fleet_list_all (raw)",
         raw Rp.Proc_fleet_list_all (fun body ->
             (Xdr.decode Rp.fleet_listing body).Driver.fl_records) );
-      (path_name true, fun () -> (ok (Connect.list_all_domains client), None));
+      (path_name Client_listing, fun () -> (ok (Connect.list_all_domains client), None));
     ]
   in
   let stale = Array.make (List.length paths) 0 in

@@ -58,7 +58,7 @@ type reply_cache_stats = {
   rc_misses : int;  (** lookups that fell through to the handler *)
   rc_insertions : int;  (** bodies stored *)
   rc_invalidations : int;  (** entries dropped by events or stale stamps *)
-  rc_evictions : int;  (** entries dropped by the LRU capacity bound *)
+  rc_evictions : int;  (** entries dropped by the capacity bound *)
   rc_patched_sends : int;  (** cached replies sent from the receiving thread *)
   rc_entries : int;  (** currently cached bodies, summed over caches *)
   rc_bytes : int;  (** currently cached body bytes, summed over caches *)

@@ -38,13 +38,16 @@ type t = {
           reconnecting client further behind than this receives a gap
           verdict and must resync *)
   reply_cache : int;
-      (** server reply cache for hot read procedures: nonzero (default 1)
+      (** server reply cache of the bulk listings: nonzero (default 1)
           enables it; 0 disables it daemon-wide (clients can also opt a
           single connection out with a [replycache=0] URI parameter).
-          No environment variable changes the default. *)
+          Point reads never use it.  No environment variable changes
+          the default. *)
   reply_cache_entries : int;
-      (** LRU capacity of each per-node-URI reply cache (default 512,
-          minimum 1) *)
+      (** entry bound of each per-node-URI reply cache (default 512,
+          minimum 1); a full cache drops its least recently filled
+          entry.  The cache holds at most two keys, the two listings, so
+          only a bound of 1 ever evicts. *)
   job_queue_limit : int;
       (** admission bound on the mgmt pool's normal-class job queue;
           0 (default) = unbounded.  Overflow is rejected with

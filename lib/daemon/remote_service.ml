@@ -15,10 +15,14 @@ type cached = { rc : Reply_cache.t; gen_of : unit -> int }
 type conn_state = {
   ops : Driver.ops;
   uri : string;  (** the direct (transport-stripped) URI opened *)
+  local : bool;
+      (** the driver has a write generation: a local node, never a fleet
+          controller or a chained remote driver, whose reads wait on
+          member RPCs.  Its point reads may run inline. *)
   cache : cached option;
-      (** resolved once, at [Proc_open]: [None] when any layer opts out —
-          the daemon knob, the client's [replycache=0/off] URI param, or
-          a driver without a generation stamp *)
+      (** the listings' cache, resolved once, at [Proc_open]: [None]
+          when any layer opts out — the daemon knob, the client's
+          [replycache=0/off] URI param, or a driver that is not local *)
   mutable event_sub : event_sub option;
 }
 
@@ -36,14 +40,14 @@ type state = {
   caches : (string, Reply_cache.t) Hashtbl.t;
       (** reply cache per driver-node URI, daemon-lifetime (like rings) *)
   cache_enabled : bool;  (** the [reply_cache] config knob *)
-  cache_entries : int;  (** per-cache LRU bound *)
+  cache_entries : int;  (** per-cache entry bound *)
   nonce : int;
       (** boot nonce of the v1.8 listing tokens: fill numbers restart
           with each incarnation, so a token from an earlier one must
           never match *)
-  runs : int Atomic.t;  (** handler runs of cached calls that returned *)
-  inline_runs : int Atomic.t;  (** of those, run on the receiving thread *)
+  inline_runs : int Atomic.t;  (** point reads run on the receiving thread *)
   inline_fallbacks : int Atomic.t;  (** inline attempts that would wait *)
+  pool_runs : int Atomic.t;  (** local point reads and listing fills run elsewhere *)
 }
 
 let with_lock st f =
@@ -101,7 +105,7 @@ let do_open st client uri_string =
           | Some _ | None -> None
         in
         Hashtbl.replace st.conns (Client_obj.id client)
-          { ops; uri; cache; event_sub = None };
+          { ops; uri; local = Option.is_some ops.Driver.generation; cache; event_sub = None };
         Vlog.logf st.logger ~module_:"daemon.remote" Vlog.Info
           "client %Ld opened %s via driver %s" (Client_obj.id client) uri_string
           ops.Driver.drv_name;
@@ -227,28 +231,15 @@ let fits body = String.length body <= Rpc_packet.max_body_size
 let list_all_number = Rp.proc_to_int Rp.Proc_fleet_list_all
 let no_args = Xdr.encode Rp.fleet_list_all.Rp.sg_args ()
 
-(* The calls the cache protocol covers: cacheable rows, and v1.8
-   conditional listings, which the [fleet_list_all] entry answers. *)
-let cached_call (d : Rp.descriptor) =
-  d.Rp.cacheable || d.Rp.proc = Rp.Proc_fleet_list_since
-
-(* The cached calls a miss may run on the receiving thread: cacheable
-   rows that read one object.  The bulk listings' cost grows with the
-   node, so they always take the pool. *)
-let point_read (d : Rp.descriptor) =
-  d.Rp.cacheable
-  && d.Rp.proc <> Rp.Proc_dom_list_all
-  && d.Rp.proc <> Rp.Proc_fleet_list_all
-
-(* The cache protocol's first step: [Some body] when the live entry
-   answers the call, [None] when only the handler can.  Whether a
-   conditional listing is current is decided where every cached reply's
-   validity is: a live entry (generation current, not flushed by an
-   event, not evicted) still carrying the token's fill number.  Raises
-   [Xdr.Error] on a malformed token. *)
+(* The cache protocol's first step, for a [Cached_listing] row: [Some
+   body] when the live entry answers the call, [None] when only the
+   handler can.  Whether a conditional listing is current is decided
+   where every cached reply's validity is: a live entry (generation
+   current, not flushed by an event, not evicted) still carrying the
+   token's fill number.  Raises [Xdr.Error] on a malformed token. *)
 let lookup st c (d : Rp.descriptor) body =
   let gen = c.gen_of () in
-  if d.Rp.cacheable then
+  if d.Rp.proc <> Rp.Proc_fleet_list_since then
     match Reply_cache.find_since c.rc ~proc:d.Rp.number ~args:body ~gen ~fill:0 with
     | Reply_cache.Changed { frame; _ } -> Some frame
     | Reply_cache.Unchanged | Reply_cache.Absent -> None
@@ -276,7 +267,7 @@ let lookup st c (d : Rp.descriptor) body =
 let fill st c ~proc ~args handler =
   let gen = c.gen_of () in
   let result = handler () in
-  Atomic.incr st.runs;
+  Atomic.incr st.pool_runs;
   let* reply = result in
   Ok (reply, if fits reply then Reply_cache.insert c.rc ~proc ~args ~gen reply else 0)
 
@@ -423,7 +414,7 @@ let dispatch_conn (cs : conn_state) proc body =
    encoded as a (procedure, body) sub-call and dispatches against bare
    [ops] exactly as it would inside a [Proc_call_batch] frame. *)
 let dispatch_ops ops proc body =
-  dispatch_conn { ops; uri = ""; cache = None; event_sub = None } proc body
+  dispatch_conn { ops; uri = ""; local = false; cache = None; event_sub = None } proc body
 
 (* ------------------------------------------------------------------ *)
 (* Cross-shard batch isolation                                         *)
@@ -494,15 +485,14 @@ let batch_isolation st client subs =
           (String.concat ", " (List.rev distinct))
       else Ok ())
 
-(* A call the cache protocol covers, on a connection with a cache.
-   [looked_up]: the receiving thread already ran {!lookup} on this very
-   call and missed, so only {!fill} is left.  Batch sub-calls and
-   deadline-enveloped inner calls never pass the receiving thread, so
-   they run both. *)
+(* A listing, on a connection with a cache.  [looked_up]: the receiving
+   thread already ran {!lookup} on this very call and missed, so only
+   {!fill} is left.  Batch sub-calls and deadline-enveloped inner calls
+   never pass the receiving thread, so they run both. *)
 let serve_cached st cs c ~looked_up (d : Rp.descriptor) body =
   match if looked_up then None else lookup st c d body with
   | Some reply -> Ok reply
-  | None when d.Rp.cacheable ->
+  | None when d.Rp.proc <> Rp.Proc_fleet_list_since ->
     let* reply, _ =
       fill st c ~proc:d.Rp.number ~args:body (fun () -> dispatch_conn cs d.Rp.proc body)
     in
@@ -600,9 +590,13 @@ let rec handle_proc st ~minor ~in_batch ~looked_up client (d : Rp.descriptor) bo
         | Some r -> Ok (Reconcile.status r))
   | _ -> (
     let* cs = get_conn st client in
-    match cs.cache with
-    | Some c when cached_call d -> serve_cached st cs c ~looked_up d body
-    | Some _ | None -> dispatch_conn cs d.Rp.proc body)
+    match (d.Rp.path, cs.cache) with
+    | Rp.Cached_listing, Some c -> serve_cached st cs c ~looked_up d body
+    | Rp.Point_read, _ when cs.local ->
+      let result = dispatch_conn cs d.Rp.proc body in
+      Atomic.incr st.pool_runs;
+      result
+    | _ -> dispatch_conn cs d.Rp.proc body)
 
 (* One sub-call of a batch, isolated: its failure is its own error
    sub-reply. *)
@@ -623,8 +617,8 @@ and batch_sub st ~minor client (proc_num, sub_body) =
   | Error err -> (false, Xdr.encode Rp.error err)
 
 (* A top-level call reaches the pool after [try_fast_reply] ran
-   {!lookup} on it on the receiving thread, and perhaps tried to run it
-   there too ({!run_inline}). *)
+   {!lookup} on it on the receiving thread (a listing) or tried to run
+   it there ({!run_inline}, a point read). *)
 let handle st ~minor _srv client header body =
   let* d = Rp.descriptor_of_int ~minor header.Rpc_packet.procedure in
   handle_proc st ~minor ~in_batch:false ~looked_up:true client d body
@@ -650,9 +644,9 @@ let make ?(minor = Rp.minor) ?(event_ring_capacity = 1024)
       cache_enabled = reply_cache;
       cache_entries = max 1 reply_cache_entries;
       nonce = boot_nonce ();
-      runs = Atomic.make 0;
       inline_runs = Atomic.make 0;
       inline_fallbacks = Atomic.make 0;
+      pool_runs = Atomic.make 0;
     }
   in
   { st; svc_minor = minor }
@@ -667,20 +661,18 @@ let event_stats t = List.map Eventring.stats (values t.st t.st.rings)
 type run_stats = { inline_runs : int; inline_fallbacks : int; pool_runs : int }
 
 let run_stats t =
-  let inline_runs = Atomic.get t.st.inline_runs in
   {
-    inline_runs;
+    inline_runs = Atomic.get t.st.inline_runs;
     inline_fallbacks = Atomic.get t.st.inline_fallbacks;
-    pool_runs = Atomic.get t.st.runs - inline_runs;
+    pool_runs = Atomic.get t.st.pool_runs;
   }
 
-(* A miss of a point read, run on the receiving thread when nothing in
-   it waits: the node lock is only tried, and simulated hypervisor time
-   counts as a wait.  A call that would wait goes to the pool as if it
-   had never been tried: a read changed nothing, and its fill inserted
-   nothing. *)
-let run_inline st cs c d body =
-  match Reqctx.without_waiting (fun () -> serve_cached st cs c ~looked_up:true d body) with
+(* A point read, run on the receiving thread when nothing in it waits:
+   the node lock is only tried, and simulated hypervisor time counts as
+   a wait.  A call that would wait goes to the pool as if it had never
+   been tried: a read changed nothing. *)
+let run_inline (st : state) cs (d : Rp.descriptor) body =
+  match Reqctx.without_waiting (fun () -> dispatch_conn cs d.Rp.proc body) with
   | result ->
     Atomic.incr st.inline_runs;
     Some result
@@ -714,37 +706,34 @@ let program_of { st; svc_minor = minor } =
             | exception _ -> None
           else None);
       try_fast_reply =
-        (if not st.cache_enabled then None
-         else
-           Some
-             (fun srv client header body ->
-               (* The one lookup of a top-level call.  A hit skips pool
-                  submission, body decode, the driver read lock and the
-                  handler; a conditional listing the live entry answers
-                  is 12 bytes when it is unchanged.  A miss of a point
-                  read runs here too when the pool has no queued job to
-                  overtake.  Only a connection with a cache gets this
-                  far, and its driver has a write generation: a local
-                  node, never a fleet controller or a chained remote
-                  driver, whose reads wait on member RPCs. *)
-               match Rp.descriptor_of_int ~minor header.Rpc_packet.procedure with
-               | Ok d when cached_call d -> (
-                 match
-                   with_lock st (fun () ->
-                       Hashtbl.find_opt st.conns (Client_obj.id client))
-                 with
-                 | Some ({ cache = Some c; _ } as cs) -> (
-                   match lookup st c d body with
-                   | Some reply ->
-                     if d.Rp.cacheable then Reply_cache.note_patched_send c.rc;
-                     Some (Ok reply)
-                   | None
-                     when point_read d
-                          && Threadpool.queue_empty (Server_obj.pool srv) ->
-                     run_inline st cs c d body
-                   | None -> None)
-                 | Some { cache = None; _ } | None -> None)
-               | Ok _ | Error _ -> None));
+        Some
+          (fun srv client header body ->
+            (* The one lookup of a top-level listing.  A hit skips pool
+               submission, body decode, the driver read lock and the
+               handler; a conditional listing the live entry answers is
+               12 bytes when it is unchanged.  A point read of a local
+               node runs here when the pool has no queued job to
+               overtake. *)
+            let conn () =
+              with_lock st (fun () -> Hashtbl.find_opt st.conns (Client_obj.id client))
+            in
+            match Rp.descriptor_of_int ~minor header.Rpc_packet.procedure with
+            | Ok ({ Rp.path = Rp.Cached_listing; _ } as d) -> (
+              match conn () with
+              | Some { cache = Some c; _ } -> (
+                match lookup st c d body with
+                | Some reply ->
+                  if d.Rp.proc <> Rp.Proc_fleet_list_since then
+                    Reply_cache.note_patched_send c.rc;
+                  Some (Ok reply)
+                | None -> None)
+              | Some { cache = None; _ } | None -> None)
+            | Ok ({ Rp.path = Rp.Point_read; _ } as d)
+              when Threadpool.queue_empty (Server_obj.pool srv) -> (
+              match conn () with
+              | Some ({ local = true; _ } as cs) -> run_inline st cs d body
+              | Some { local = false; _ } | None -> None)
+            | Ok _ | Error _ -> None);
       handle = (fun srv client header body -> handle st ~minor srv client header body);
       on_disconnect = (fun client -> teardown_conn st (Client_obj.id client));
     }

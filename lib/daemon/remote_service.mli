@@ -26,26 +26,27 @@ val make :
     older build — the lever version-negotiation tests pull.
     [event_ring_capacity] bounds each per-node replay ring (default
     1024).  [reply_cache] (default [true]) enables the server reply
-    cache for hot read procedures — reply bodies keyed by (procedure,
-    argument bytes), validated against the driver write generation,
-    framed with the caller's serial and sent from the receiving thread;
-    [reply_cache_entries] (default 512) bounds each
-    per-node-URI cache (LRU).  Clients can opt a single connection out
-    with a [replycache=0] URI parameter.  Which cache serves a
-    connection, if any, is resolved once, when it opens.  A top-level
-    call is looked up on the receiving thread only; on a miss the pool
-    runs the handler and fills the cache, except for a point read (a
-    cacheable row other than the two bulk listings), which the
-    receiving thread runs itself when the pool has no queued job and
-    nothing in the read waits (see {!run_stats}).  Batch sub-calls and
-    deadline-enveloped inner calls, which the receiving thread never
-    sees, look up and then fill.  The same caches answer v1.8
-    conditional listings: a token (this daemon's boot nonce, fixed at
-    [make], plus a fill number) names the cached [fleet_list_all] body
-    a client holds, and while that entry lives the reply is 12 bytes of
-    "unchanged".  [reconcile] is the daemon's
-    policy reconciler; without it the v1.5 policy procedures answer
-    [Operation_unsupported]. *)
+    cache of the bulk listings ([Cached_listing] rows) — reply bodies
+    keyed by (procedure, argument bytes), validated against the driver
+    write generation, framed with the caller's serial and sent from the
+    receiving thread; [reply_cache_entries] (default 512) bounds each
+    per-node-URI cache, which holds at most two keys.  Clients can opt
+    a single connection out with a [replycache=0] URI parameter.  Which
+    cache serves a connection, if any, is resolved once, when it opens.
+    A top-level listing is looked up on the receiving thread only; on a
+    miss the pool runs the handler and fills the cache.  Batch
+    sub-calls and deadline-enveloped inner calls, which the receiving
+    thread never sees, look up and then fill.  The same caches answer
+    v1.8 conditional listings: a token (this daemon's boot nonce, fixed
+    at [make], plus a fill number) names the cached [fleet_list_all]
+    body a client holds, and while that entry lives the reply is 12
+    bytes of "unchanged".  A point read ([Point_read] row) never
+    touches the cache and takes one of two paths: on a local node (a
+    driver with a write generation), the receiving thread runs it when
+    the pool has no queued job and nothing in the read waits; otherwise
+    the pool runs it (see {!run_stats}).  Neither knob changes that.
+    [reconcile] is the daemon's policy reconciler; without it the v1.5
+    policy procedures answer [Operation_unsupported]. *)
 
 val program_of : t -> Dispatch.program
 
@@ -61,16 +62,19 @@ val event_stats : t -> Eventring.stats list
 (** The counters of every per-node replay ring. *)
 
 type run_stats = {
-  inline_runs : int;  (** cache misses the receiving thread ran itself *)
+  inline_runs : int;  (** point reads the receiving thread ran itself *)
   inline_fallbacks : int;
       (** inline attempts that would have waited (a node lock held or
           awaited by a writer, simulated hypervisor time) and went to the
           pool instead *)
-  pool_runs : int;  (** cache misses a pool worker ran *)
+  pool_runs : int;
+      (** point reads on a local node and listing misses that a pool
+          worker ran (or a batch or deadline envelope around them) *)
 }
-(** Where the handlers of cached calls ran, counting each handler run
-    that returned once.  [inline_runs + pool_runs] equals the caches'
-    misses.  Local only, never on a wire. *)
+(** Where the handlers of point reads on local nodes and of listing
+    misses ran, counting each handler run that returned once.
+    [inline_runs + pool_runs] equals those point-read calls plus the
+    caches' misses.  Local only, never on a wire. *)
 
 val run_stats : t -> run_stats
 

@@ -1,5 +1,5 @@
-(* Server-side reply cache: encoded reply bodies for hot read
-   procedures, keyed by (procedure, canonical argument bytes) and stamped
+(* Server-side reply cache: encoded reply bodies of the bulk listings,
+   keyed by (procedure, canonical argument bytes) and stamped
    with the driver generation current when the reply was computed.  A hit
    returns the stored body, which callers frame with their own serial,
    and skips the read lock, body decode, handler and encode entirely.
@@ -16,9 +16,13 @@
    (v1.8) asks whether the live entry still carries the number the
    client was given.
 
+   Capacity: a full table drops its least recently filled entry.  The
+   daemon fills only the two listings, whose argument is [unit], so a
+   node's cache holds at most two keys.
+
    Concurrency: one mutex per cache.  Both the receiving threads (fast
    path) and pool workers (fills) touch it, but every section is a few
-   pointer moves — no allocation beyond the entry on insert, no I/O. *)
+   field writes — no allocation beyond the entry on insert, no I/O. *)
 
 type key = int * string
 
@@ -27,8 +31,6 @@ type entry = {
   mutable e_gen : int;
   mutable e_fill : int;
   mutable e_body : string;
-  mutable e_prev : entry;
-  mutable e_next : entry;
 }
 
 type stats = {
@@ -49,7 +51,6 @@ type t = {
   mutex : Mutex.t;
   table : (key, entry) Hashtbl.t;
   max_entries : int;
-  root : entry; (* sentinel of the circular LRU list; root.next is MRU *)
   mutable hits : int;
   mutable misses : int;
   mutable insertions : int;
@@ -62,21 +63,10 @@ type t = {
 }
 
 let create ~max_entries =
-  let rec root =
-    {
-      e_key = (-1, "");
-      e_gen = 0;
-      e_fill = 0;
-      e_body = "";
-      e_prev = root;
-      e_next = root;
-    }
-  in
   {
     mutex = Mutex.create ();
-    table = Hashtbl.create (2 * max 1 max_entries);
+    table = Hashtbl.create 4;
     max_entries = max 1 max_entries;
-    root;
     hits = 0;
     misses = 0;
     insertions = 0;
@@ -92,24 +82,18 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Intrusive circular list: O(1) unlink / push-front. *)
-
-let unlink e =
-  e.e_prev.e_next <- e.e_next;
-  e.e_next.e_prev <- e.e_prev;
-  e.e_prev <- e;
-  e.e_next <- e
-
-let push_front t e =
-  e.e_next <- t.root.e_next;
-  e.e_prev <- t.root;
-  t.root.e_next.e_prev <- e;
-  t.root.e_next <- e
-
 let drop t e =
-  unlink e;
   Hashtbl.remove t.table e.e_key;
   t.bytes <- t.bytes - String.length e.e_body
+
+(* A scan, over a table the daemon keeps at two keys or fewer. *)
+let least_recently_filled t =
+  Hashtbl.fold
+    (fun _ e oldest ->
+      match oldest with
+      | Some o when o.e_fill < e.e_fill -> oldest
+      | Some _ | None -> Some e)
+    t.table None
 
 (* [fill] is the number the caller holds (0 when it holds none from this
    daemon incarnation; numbers start at 1, so 0 never matches). *)
@@ -118,8 +102,6 @@ let find_since t ~proc ~args ~gen ~fill =
       match Hashtbl.find_opt t.table (proc, args) with
       | Some e when e.e_gen = gen ->
         t.hits <- t.hits + 1;
-        unlink e;
-        push_front t e;
         if e.e_fill = fill then begin
           t.unchanged <- t.unchanged + 1;
           Unchanged
@@ -149,29 +131,15 @@ let insert t ~proc ~args ~gen body =
          t.bytes <- t.bytes - String.length e.e_body + String.length body;
          e.e_gen <- gen;
          e.e_fill <- fill;
-         e.e_body <- body;
-         unlink e;
-         push_front t e
+         e.e_body <- body
        | None ->
-         if Hashtbl.length t.table >= t.max_entries then begin
-           let lru = t.root.e_prev in
-           if lru != t.root then begin
-             drop t lru;
-             t.evictions <- t.evictions + 1
-           end
-         end;
-         let e =
-           {
-             e_key = key;
-             e_gen = gen;
-             e_fill = fill;
-             e_body = body;
-             e_prev = t.root;
-             e_next = t.root;
-           }
-         in
-         push_front t e;
-         Hashtbl.add t.table key e;
+         if Hashtbl.length t.table >= t.max_entries then
+           Option.iter
+             (fun e ->
+               drop t e;
+               t.evictions <- t.evictions + 1)
+             (least_recently_filled t);
+         Hashtbl.add t.table key { e_key = key; e_gen = gen; e_fill = fill; e_body = body };
          t.bytes <- t.bytes + String.length body);
       t.insertions <- t.insertions + 1;
       fill)
@@ -181,8 +149,6 @@ let invalidate_all t =
       let n = Hashtbl.length t.table in
       if n > 0 then begin
         Hashtbl.reset t.table;
-        t.root.e_next <- t.root;
-        t.root.e_prev <- t.root;
         t.bytes <- 0;
         t.invalidations <- t.invalidations + n
       end)

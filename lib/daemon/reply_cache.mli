@@ -1,4 +1,4 @@
-(** Server-side reply cache for hot read procedures.
+(** Server-side reply cache for the bulk listings.
 
     Stores XDR-encoded reply bodies keyed by [(procedure, canonical
     argument bytes)], each stamped with the driver write generation
@@ -10,8 +10,9 @@
     disagrees with the stored stamp removes the entry (counted as an
     invalidation) and reports a miss.  {!invalidate_all} is the
     proactive path, driven by the driver event bus; the stamp check is
-    the correctness backstop for writes that emit no event.  Capacity is
-    a strict LRU bound.
+    the correctness backstop for writes that emit no event.  A full
+    cache drops its least recently filled entry; the daemon fills only
+    [dom_list_all] and [fleet_list_all], so it holds at most two keys.
 
     Every insert also stamps its entry with a fill number from a
     per-cache counter that starts at 1 and only grows.  While an entry
@@ -28,7 +29,7 @@ type stats = {
   misses : int;  (** includes stale-stamp lookups *)
   insertions : int;
   invalidations : int;  (** stale-stamp removals + proactive flush entries *)
-  evictions : int;  (** LRU capacity evictions *)
+  evictions : int;  (** entries dropped to stay within [max_entries] *)
   patched_sends : int;  (** cached replies sent from the receiving thread *)
   unchanged : int;
       (** conditional listings answered "unchanged" (sent on no wire) *)
@@ -49,14 +50,13 @@ val find_since : t -> proc:int -> args:string -> gen:int -> fill:int -> since
 (** The one lookup: the live entry for this key at generation [gen],
     asked by a caller holding the body of fill [fill].  A plain read
     holds none and passes 0, which no entry carries, so a live entry
-    answers [Changed] with its body.  A hit refreshes the entry's LRU
-    position; a present-but-stale entry is dropped (an invalidation) and
-    the lookup is a miss.  An [Unchanged] answer also counts in
+    answers [Changed] with its body.  A present-but-stale entry is
+    dropped (an invalidation) and the lookup is a miss.  An [Unchanged] answer also counts in
     [unchanged]. *)
 
 val insert : t -> proc:int -> args:string -> gen:int -> string -> int
-(** Store a body computed at generation [gen], evicting the LRU entry
-    when full, and return the fill number the entry now carries.
+(** Store a body computed at generation [gen], evicting the least
+    recently filled entry when full, and return the fill number the entry now carries.
     Re-inserting an existing key replaces its body, stamp and number
     together. *)
 

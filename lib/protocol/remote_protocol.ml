@@ -381,13 +381,15 @@ let enc_since_full_raw t listing_body =
 (* Procedure table                                                     *)
 (* ------------------------------------------------------------------ *)
 
+type serve_path = Cached_listing | Point_read | Pooled
+
 type descriptor = {
   proc : procedure;
   number : int;
   since : int;
   high_priority : bool;
   idempotent : bool;
-  cacheable : bool;
+  path : serve_path;
 }
 
 type ('a, 'r) signature = {
@@ -402,48 +404,46 @@ let rows = ref []
 (* Every fact is a required argument, so a row cannot leave one out; the
    fields are documented in the interface.  Registration calls are not
    [idem]: they re-run as part of the reconnect handshake instead.
-   [cache] was checked driver by driver (e.g. cpu_time only advances
-   inside write sections).  Append-only: the row's position IS its wire
-   number (1-based). *)
-let row proc ~since ~high ~idem ~cache args ret =
+   Append-only: the row's position IS its wire number (1-based). *)
+let row proc ~since ~high ~idem ~path args ret =
   rows :=
     { proc; number = List.length !rows + 1; since; high_priority = high;
-      idempotent = idem; cacheable = cache }
+      idempotent = idem; path }
     :: !rows;
   { sg_proc = proc; sg_args = args; sg_ret = ret }
 
 let name_and_bool = Xdr.pair Xdr.string Xdr.bool
 
-let open_ = row Proc_open ~since:0 ~high:true ~idem:false ~cache:false Xdr.string Xdr.unit
-let close = row Proc_close ~since:0 ~high:true ~idem:false ~cache:false Xdr.unit Xdr.unit
+let open_ = row Proc_open ~since:0 ~high:true ~idem:false ~path:Pooled Xdr.string Xdr.unit
+let close = row Proc_close ~since:0 ~high:true ~idem:false ~path:Pooled Xdr.unit Xdr.unit
 
 let get_capabilities =
-  row Proc_get_capabilities ~since:0 ~high:true ~idem:true ~cache:true Xdr.unit Xdr.string
+  row Proc_get_capabilities ~since:0 ~high:true ~idem:true ~path:Point_read Xdr.unit Xdr.string
 
 let get_hostname =
-  row Proc_get_hostname ~since:0 ~high:true ~idem:true ~cache:false Xdr.unit Xdr.string
+  row Proc_get_hostname ~since:0 ~high:true ~idem:true ~path:Pooled Xdr.unit Xdr.string
 
 let list_domains =
-  row Proc_list_domains ~since:0 ~high:true ~idem:true ~cache:false Xdr.unit
+  row Proc_list_domains ~since:0 ~high:true ~idem:true ~path:Pooled Xdr.unit
     (Xdr.array domain_ref)
 
 let list_defined =
-  row Proc_list_defined ~since:0 ~high:true ~idem:true ~cache:false Xdr.unit
+  row Proc_list_defined ~since:0 ~high:true ~idem:true ~path:Pooled Xdr.unit
     (Xdr.array Xdr.string)
 
 let lookup_by_name =
-  row Proc_lookup_by_name ~since:0 ~high:true ~idem:true ~cache:true Xdr.string domain_ref
+  row Proc_lookup_by_name ~since:0 ~high:true ~idem:true ~path:Point_read Xdr.string domain_ref
 
 (* The UUID travels as its string: a malformed one is the handler's
    [Invalid_arg], not a malformed body. *)
 let lookup_by_uuid =
-  row Proc_lookup_by_uuid ~since:0 ~high:true ~idem:true ~cache:true Xdr.string domain_ref
+  row Proc_lookup_by_uuid ~since:0 ~high:true ~idem:true ~path:Point_read Xdr.string domain_ref
 
 let define_xml =
-  row Proc_define_xml ~since:0 ~high:false ~idem:false ~cache:false Xdr.string domain_ref
+  row Proc_define_xml ~since:0 ~high:false ~idem:false ~path:Pooled Xdr.string domain_ref
 
 (* A v1.0 mutation of the object its argument names. *)
-let name_row proc = row proc ~since:0 ~high:false ~idem:false ~cache:false Xdr.string Xdr.unit
+let name_row proc = row proc ~since:0 ~high:false ~idem:false ~path:Pooled Xdr.string Xdr.unit
 let undefine = name_row Proc_undefine
 let dom_create = name_row Proc_dom_create
 let dom_suspend = name_row Proc_dom_suspend
@@ -452,20 +452,20 @@ let dom_shutdown = name_row Proc_dom_shutdown
 let dom_destroy = name_row Proc_dom_destroy
 
 let dom_get_info =
-  row Proc_dom_get_info ~since:0 ~high:true ~idem:true ~cache:true Xdr.string domain_info
+  row Proc_dom_get_info ~since:0 ~high:true ~idem:true ~path:Point_read Xdr.string domain_info
 
 let dom_get_xml =
-  row Proc_dom_get_xml ~since:0 ~high:true ~idem:true ~cache:true Xdr.string Xdr.string
+  row Proc_dom_get_xml ~since:0 ~high:true ~idem:true ~path:Point_read Xdr.string Xdr.string
 
 let dom_set_memory =
-  row Proc_dom_set_memory ~since:0 ~high:false ~idem:false ~cache:false
+  row Proc_dom_set_memory ~since:0 ~high:false ~idem:false ~path:Pooled
     (Xdr.pair Xdr.string Xdr.uint) Xdr.unit
 
 let net_list =
-  row Proc_net_list ~since:0 ~high:false ~idem:true ~cache:false Xdr.unit (Xdr.array net_info)
+  row Proc_net_list ~since:0 ~high:false ~idem:true ~path:Pooled Xdr.unit (Xdr.array net_info)
 
 let net_define =
-  row Proc_net_define ~since:0 ~high:false ~idem:false ~cache:false
+  row Proc_net_define ~since:0 ~high:false ~idem:false ~path:Pooled
     (Xdr.triple Xdr.string Xdr.string Xdr.string) net_info
 
 let net_start = name_row Proc_net_start
@@ -473,18 +473,18 @@ let net_stop = name_row Proc_net_stop
 let net_undefine = name_row Proc_net_undefine
 
 let net_set_autostart =
-  row Proc_net_set_autostart ~since:0 ~high:false ~idem:false ~cache:false name_and_bool
+  row Proc_net_set_autostart ~since:0 ~high:false ~idem:false ~path:Pooled name_and_bool
     Xdr.unit
 
 let net_lookup =
-  row Proc_net_lookup ~since:0 ~high:false ~idem:true ~cache:false Xdr.string net_info
+  row Proc_net_lookup ~since:0 ~high:false ~idem:true ~path:Pooled Xdr.string net_info
 
 let pool_list =
-  row Proc_pool_list ~since:0 ~high:false ~idem:true ~cache:false Xdr.unit
+  row Proc_pool_list ~since:0 ~high:false ~idem:true ~path:Pooled Xdr.unit
     (Xdr.array pool_info)
 
 let pool_define =
-  row Proc_pool_define ~since:0 ~high:false ~idem:false ~cache:false
+  row Proc_pool_define ~since:0 ~high:false ~idem:false ~path:Pooled
     (Xdr.triple Xdr.string Xdr.string hyper_int) pool_info
 
 let pool_start = name_row Proc_pool_start
@@ -492,10 +492,10 @@ let pool_stop = name_row Proc_pool_stop
 let pool_undefine = name_row Proc_pool_undefine
 
 let pool_lookup =
-  row Proc_pool_lookup ~since:0 ~high:false ~idem:true ~cache:false Xdr.string pool_info
+  row Proc_pool_lookup ~since:0 ~high:false ~idem:true ~path:Pooled Xdr.string pool_info
 
 let vol_create =
-  row Proc_vol_create ~since:0 ~high:false ~idem:false ~cache:false
+  row Proc_vol_create ~since:0 ~high:false ~idem:false ~path:Pooled
     (Xdr.record4
        ((fun (p, _, _, _) -> p), Xdr.string)
        ((fun (_, n, _, _) -> n), Xdr.string)
@@ -505,80 +505,80 @@ let vol_create =
     vol_info
 
 let vol_delete =
-  row Proc_vol_delete ~since:0 ~high:false ~idem:false ~cache:false
+  row Proc_vol_delete ~since:0 ~high:false ~idem:false ~path:Pooled
     (Xdr.pair Xdr.string Xdr.string) Xdr.unit
 
 let vol_list =
-  row Proc_vol_list ~since:0 ~high:false ~idem:true ~cache:false Xdr.string
+  row Proc_vol_list ~since:0 ~high:false ~idem:true ~path:Pooled Xdr.string
     (Xdr.array vol_info)
 
 let event_register =
-  row Proc_event_register ~since:0 ~high:true ~idem:false ~cache:false Xdr.unit Xdr.unit
+  row Proc_event_register ~since:0 ~high:true ~idem:false ~path:Pooled Xdr.unit Xdr.unit
 
 let event_deregister =
-  row Proc_event_deregister ~since:0 ~high:true ~idem:false ~cache:false Xdr.unit Xdr.unit
+  row Proc_event_deregister ~since:0 ~high:true ~idem:false ~path:Pooled Xdr.unit Xdr.unit
 
 (* Server → client: the push's body is [args]; nothing replies. *)
 let event_lifecycle =
-  row Proc_event_lifecycle ~since:0 ~high:false ~idem:false ~cache:false lifecycle_event
+  row Proc_event_lifecycle ~since:0 ~high:false ~idem:false ~path:Pooled lifecycle_event
     Xdr.unit
 
-let echo = row Proc_echo ~since:0 ~high:true ~idem:true ~cache:false Xdr.raw Xdr.raw
-let ping = row Proc_ping ~since:0 ~high:true ~idem:true ~cache:false Xdr.unit Xdr.unit
+let echo = row Proc_echo ~since:0 ~high:true ~idem:true ~path:Pooled Xdr.raw Xdr.raw
+let ping = row Proc_ping ~since:0 ~high:true ~idem:true ~path:Pooled Xdr.unit Xdr.unit
 
 (* v1.1: managed save *)
 let dom_save =
-  row Proc_dom_save ~since:1 ~high:false ~idem:false ~cache:false Xdr.string Xdr.unit
+  row Proc_dom_save ~since:1 ~high:false ~idem:false ~path:Pooled Xdr.string Xdr.unit
 
 let dom_restore =
-  row Proc_dom_restore ~since:1 ~high:false ~idem:false ~cache:false Xdr.string Xdr.unit
+  row Proc_dom_restore ~since:1 ~high:false ~idem:false ~path:Pooled Xdr.string Xdr.unit
 
 let dom_has_managed_save =
-  row Proc_dom_has_managed_save ~since:1 ~high:true ~idem:true ~cache:false Xdr.string Xdr.bool
+  row Proc_dom_has_managed_save ~since:1 ~high:true ~idem:true ~path:Pooled Xdr.string Xdr.bool
 
 (* v1.2: autostart *)
 let dom_set_autostart =
-  row Proc_dom_set_autostart ~since:2 ~high:false ~idem:false ~cache:false name_and_bool
+  row Proc_dom_set_autostart ~since:2 ~high:false ~idem:false ~path:Pooled name_and_bool
     Xdr.unit
 
 let dom_get_autostart =
-  row Proc_dom_get_autostart ~since:2 ~high:true ~idem:true ~cache:false Xdr.string Xdr.bool
+  row Proc_dom_get_autostart ~since:2 ~high:true ~idem:true ~path:Pooled Xdr.string Xdr.bool
 
 (* v1.3: negotiation + bulk/batch.  A batch may carry mutations, so it is
    never retried; its sub-calls may be arbitrary and vol_lookup walks
    pools, so neither is high priority. *)
 let proto_minor =
-  row Proc_proto_minor ~since:3 ~high:true ~idem:true ~cache:false Xdr.unit Xdr.int
+  row Proc_proto_minor ~since:3 ~high:true ~idem:true ~path:Pooled Xdr.unit Xdr.int
 
 let dom_list_all =
-  row Proc_dom_list_all ~since:3 ~high:true ~idem:true ~cache:true Xdr.unit
+  row Proc_dom_list_all ~since:3 ~high:true ~idem:true ~path:Cached_listing Xdr.unit
     (Xdr.array domain_record)
 
 let call_batch =
-  row Proc_call_batch ~since:3 ~high:false ~idem:false ~cache:false batch_call batch_reply
+  row Proc_call_batch ~since:3 ~high:false ~idem:false ~path:Pooled batch_call batch_reply
 
 let vol_lookup =
-  row Proc_vol_lookup ~since:3 ~high:false ~idem:true ~cache:true Xdr.string vol_info
+  row Proc_vol_lookup ~since:3 ~high:false ~idem:true ~path:Point_read Xdr.string vol_info
 
 (* v1.4: per-call deadline envelope.  Its priority and idempotency are
    those of its inner call, resolved by the dispatcher after peeking into
    the body and by the client per call. *)
 let call_deadline =
-  row Proc_call_deadline ~since:4 ~high:false ~idem:false ~cache:false deadline_call Xdr.raw
+  row Proc_call_deadline ~since:4 ~high:false ~idem:false ~path:Pooled deadline_call Xdr.raw
 
 (* v1.5: declarative lifecycle policy / reconciler.  set_policy is a
    journaled last-writer-wins upsert — replaying it is harmless — but it
    stays non-idempotent so retry behaviour matches set_autostart, its
    v1.2 sibling. *)
 let dom_set_policy =
-  row Proc_dom_set_policy ~since:5 ~high:false ~idem:false ~cache:false
+  row Proc_dom_set_policy ~since:5 ~high:false ~idem:false ~path:Pooled
     (Xdr.pair Xdr.string policy) Xdr.unit
 
 let dom_get_policy =
-  row Proc_dom_get_policy ~since:5 ~high:true ~idem:true ~cache:false Xdr.string policy
+  row Proc_dom_get_policy ~since:5 ~high:true ~idem:true ~path:Pooled Xdr.string policy
 
 let daemon_reconcile_status =
-  row Proc_daemon_reconcile_status ~since:5 ~high:true ~idem:true ~cache:false Xdr.unit
+  row Proc_daemon_reconcile_status ~since:5 ~high:true ~idem:true ~path:Pooled Xdr.unit
     reconcile_status
 
 (* v1.6: resumable sequence-numbered event streams; resume is part of
@@ -586,33 +586,34 @@ let daemon_reconcile_status =
    last stream position the client processed, [-1] for a fresh
    subscription. *)
 let event_resume =
-  row Proc_event_resume ~since:6 ~high:true ~idem:false ~cache:false hyper_int resume_reply
+  row Proc_event_resume ~since:6 ~high:true ~idem:false ~path:Pooled hyper_int resume_reply
 
 let event_lifecycle_seq =
-  row Proc_event_lifecycle_seq ~since:6 ~high:false ~idem:false ~cache:false seq_event Xdr.unit
+  row Proc_event_lifecycle_seq ~since:6 ~high:false ~idem:false ~path:Pooled seq_event Xdr.unit
 
 (* v1.7: federation.  A fleet listing scatters to member daemons and a
    migration drives two of them through a multi-step handshake (a lost
    one may have passed its commit point); status is answered from
    controller-local health state.  On a plain daemon the listing is its
-   own rows under constant markers, as cacheable as dom_list_all; a
+   own rows under constant markers, cached like dom_list_all; a
    controller's ops carry no generation stamp, so its scattered listing
    is never cached. *)
 let fleet_list_all =
-  row Proc_fleet_list_all ~since:7 ~high:false ~idem:true ~cache:true Xdr.unit fleet_listing
+  row Proc_fleet_list_all ~since:7 ~high:false ~idem:true ~path:Cached_listing Xdr.unit
+    fleet_listing
 
 let fleet_status =
-  row Proc_fleet_status ~since:7 ~high:true ~idem:true ~cache:false Xdr.unit fleet_health
+  row Proc_fleet_status ~since:7 ~high:true ~idem:true ~path:Pooled Xdr.unit fleet_health
 
 let fleet_migrate =
-  row Proc_fleet_migrate ~since:7 ~high:false ~idem:false ~cache:false
+  row Proc_fleet_migrate ~since:7 ~high:false ~idem:false ~path:Pooled
     (Xdr.pair Xdr.string Xdr.string) Xdr.unit
 
 (* v1.8: conditional listing.  Its reply depends on the caller's token,
    so it is never cached itself; the daemon answers it from the
    fleet_list_all entry of the reply cache. *)
 let fleet_list_since =
-  row Proc_fleet_list_since ~since:8 ~high:false ~idem:true ~cache:false fleet_token
+  row Proc_fleet_list_since ~since:8 ~high:false ~idem:true ~path:Cached_listing fleet_token
     since_reply
 
 let table = Array.of_list (List.rev !rows)
@@ -647,7 +648,7 @@ let proc_to_int proc = (describe proc).number
 let proc_min_minor proc = (describe proc).since
 let is_high_priority proc = (describe proc).high_priority
 let is_idempotent proc = (describe proc).idempotent
-let is_cacheable proc = (describe proc).cacheable
+let serve_path proc = (describe proc).path
 
 (* The bodies the repository benchmark encodes and decodes directly. *)
 let enc_string_body = Xdr.encode Xdr.string

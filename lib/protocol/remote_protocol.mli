@@ -187,6 +187,18 @@ val enc_since_full_raw : fleet_token -> string -> string
     One row per procedure, in wire order: adding a procedure means adding
     one row, and every per-procedure fact below is read from it. *)
 
+(** How the daemon serves a call of the procedure. *)
+type serve_path =
+  | Cached_listing
+      (** a bulk listing, answered from the node's reply cache when a
+          live entry holds it: [dom_list_all], [fleet_list_all], and the
+          v1.8 conditional listing the [fleet_list_all] entry answers *)
+  | Point_read
+      (** a read of one object, kept out of the reply cache: on a
+          local node the receiving thread may run it when nothing in
+          it waits *)
+  | Pooled  (** every other procedure: a pool job *)
+
 type descriptor = private {
   proc : procedure;
   number : int;  (** wire number: the row's 1-based position *)
@@ -197,7 +209,7 @@ type descriptor = private {
   idempotent : bool;
       (** safe to re-issue after a connection death: the read-only set,
           never a mutating call, which may have been applied *)
-  cacheable : bool;  (** the daemon's reply cache may serve it *)
+  path : serve_path;
 }
 
 val describe : procedure -> descriptor
@@ -212,7 +224,7 @@ val proc_of_int : int -> (procedure, string) result
 val proc_min_minor : procedure -> int
 val is_high_priority : procedure -> bool
 val is_idempotent : procedure -> bool
-val is_cacheable : procedure -> bool
+val serve_path : procedure -> serve_path
 
 (** {1 Signatures}
 

@@ -1046,7 +1046,7 @@ type cond_step =
   | C_fleet_list
   | C_write of int * cond_write
   | C_emit of int  (** a bare event on the node bus *)
-  | C_evict of int  (** point reads that push the listing out *)
+  | C_evict of int  (** a raw [dom_list_all] that pushes the listing out *)
   | C_restart of int
   | C_reopen of int * int  (** a fresh connection for that client *)
 
@@ -1069,9 +1069,9 @@ let show_cond_step = function
 let cond_seeded = 3
 
 (* Every member keeps its reply cache on (whatever the environment says)
-   and small enough for three point reads to evict the listing. *)
+   and at one entry, so that the other listing evicts it. *)
 let cond_config =
-  { quiet_config with Daemon_config.reply_cache = 1; reply_cache_entries = 2 }
+  { quiet_config with Daemon_config.reply_cache = 1; reply_cache_entries = 1 }
 
 type cond_member = {
   cm_daemon : string;
@@ -1079,14 +1079,13 @@ type cond_member = {
   mutable cm_handle : Ovdaemon.Daemon.t;
   cm_direct : Connect.t;
   cm_clients : Connect.t array;
-  cm_reader : Connect.t;
   mutable cm_defined : int;
 }
 
-let cond_uri ?(extra = "") cm =
+let cond_uri cm =
   Printf.sprintf
-    "test+unix://%s/?daemon=%s&reconnect=50&reconnect_delay=0.001&reconnect_max_delay=0.005%s"
-    cm.cm_node cm.cm_daemon extra
+    "test+unix://%s/?daemon=%s&reconnect=50&reconnect_delay=0.001&reconnect_max_delay=0.005"
+    cm.cm_node cm.cm_daemon
 
 let sorted_rows records =
   List.sort
@@ -1110,15 +1109,10 @@ let cond_run n steps =
             cm_handle = handle;
             cm_direct = direct;
             cm_clients = [||];
-            cm_reader = direct;
             cm_defined = cond_seeded;
           }
         in
-        {
-          cm0 with
-          cm_clients = Array.init 2 (fun _ -> vok (Connect.open_uri (cond_uri cm0)));
-          cm_reader = vok (Connect.open_uri (cond_uri ~extra:"&cache=0" cm0));
-        })
+        { cm0 with cm_clients = Array.init 2 (fun _ -> vok (Connect.open_uri (cond_uri cm0))) })
     |> Array.of_list
   in
   let fleet =
@@ -1169,10 +1163,10 @@ let cond_run n steps =
         ~domain_name:(Printf.sprintf "m%d-0" m) Events.Ev_adopted
     | C_evict m ->
       let cm = members.(m) in
-      for k = 0 to cond_seeded - 1 do
-        let d = vok (Domain.lookup_by_name cm.cm_reader (name_of m cm k)) in
-        ignore (vok (Domain.get_info d))
-      done
+      let client = raw_client cm.cm_daemon in
+      raw_open client (Printf.sprintf "test://%s/" cm.cm_node);
+      ignore (vok (raw_call client Rp.Proc_dom_list_all ""));
+      Rpc_client.close client
     | C_restart m ->
       let cm = members.(m) in
       Daemon.stop cm.cm_handle;
@@ -1188,7 +1182,6 @@ let cond_run n steps =
       Array.iter
         (fun cm ->
           Array.iter Connect.close cm.cm_clients;
-          Connect.close cm.cm_reader;
           Connect.close cm.cm_direct;
           Daemon.stop cm.cm_handle)
         members)

@@ -599,6 +599,36 @@ let test_inline_read_does_not_overtake () =
             (delta (fun s -> s.Remote_service.pool_runs)));
       List.iter Connect.close [ cread; cqueued; cwedge; dfast; dslow ])
 
+(* Point reads never use the reply cache, so turning it off keeps none
+   of them off the receiving thread: on a [replycache=0] connection and
+   on a daemon started with [reply_cache = 0] alike, every point read of
+   an idle local node runs inline. *)
+let test_inline_reads_without_reply_cache () =
+  let reads_inline ~what ~config ~params =
+    with_daemon ~config (fun daemon d ->
+        let node = fresh_name "nocache" in
+        let remote =
+          vok (Connect.open_uri (remote_uri ~params:("&cache=0" ^ params) ~daemon node))
+        in
+        let dom = vok (Domain.lookup_by_name remote "test") in
+        let s0 = Daemon.run_stats d in
+        for _ = 1 to 3 do
+          ignore (vok (Domain.get_info dom));
+          ignore (vok (Domain.xml_desc dom))
+        done;
+        let s1 = Daemon.run_stats d in
+        let delta f = f s1 - f s0 in
+        Alcotest.(check int) (what ^ ": every read ran inline") 6
+          (delta (fun s -> s.Remote_service.inline_runs));
+        Alcotest.(check int) (what ^ ": none ran in the pool") 0
+          (delta (fun s -> s.Remote_service.pool_runs));
+        Connect.close remote)
+  in
+  reads_inline ~what:"replycache=0 connection" ~config:quiet_config ~params:"&replycache=0";
+  reads_inline ~what:"reply_cache = 0 daemon"
+    ~config:{ quiet_config with Daemon_config.reply_cache = 0 }
+    ~params:""
+
 let () =
   Alcotest.run "overload"
     [
@@ -629,5 +659,7 @@ let () =
             test_inline_read_never_waits_for_lock;
           quick "latency reads are pool jobs" test_latency_reads_are_pool_jobs;
           quick "a queued job is not overtaken" test_inline_read_does_not_overtake;
+          quick "cache-off reads run inline"
+            test_inline_reads_without_reply_cache;
         ] );
     ]

@@ -1,10 +1,10 @@
-(* Server reply cache (zero-work read path): LRU/stamp semantics of the
-   cache itself, byte-for-byte equality of cached and uncached replies
-   for every procedure in the hot read set (only the serial word may
-   differ), freshness under write churn with fault-injected disconnects
-   across several reconnect seeds, wire-invisibility on minor-pinned
-   daemons, the opt-out knobs (daemon config and per-connection URI
-   parameter), and the admin stats procedure. *)
+(* Server reply cache (zero-work read path): bound/stamp semantics of
+   the cache itself, byte-for-byte equality of cached and uncached
+   replies for the cached listings and the point reads (only the serial
+   word may differ), freshness under write churn with fault-injected
+   disconnects across several reconnect seeds, wire-invisibility on
+   minor-pinned daemons, the opt-out knobs (daemon config and
+   per-connection URI parameter), and the admin stats procedure. *)
 
 open Testutil
 module Verror = Ovirt.Verror
@@ -70,23 +70,25 @@ let test_cache_semantics () =
     (find c ~proc:1 ~args:"a" ~gen:1);
   Alcotest.(check (option string)) "dropped entry stays gone" None
     (find c ~proc:1 ~args:"a" ~gen:0);
-  (* LRU: touch [a] so [b] is the eviction victim when [d] arrives. *)
+  (* Bound: a full cache drops its least recently filled entry, [a] here
+     when [d] arrives; a hit does not refresh an entry. *)
   insert c ~proc:1 ~args:"a" ~gen:1 "frame-a1";
   insert c ~proc:1 ~args:"b" ~gen:1 "frame-b";
-  ignore (find c ~proc:1 ~args:"a" ~gen:1);
-  insert c ~proc:1 ~args:"d" ~gen:1 "frame-d";
-  Alcotest.(check (option string)) "recently used survives" (Some "frame-a1")
+  Alcotest.(check (option string)) "hit before the bound" (Some "frame-a1")
     (find c ~proc:1 ~args:"a" ~gen:1);
-  Alcotest.(check (option string)) "LRU victim evicted" None
+  insert c ~proc:1 ~args:"d" ~gen:1 "frame-d";
+  Alcotest.(check (option string)) "newer fill survives" (Some "frame-b")
     (find c ~proc:1 ~args:"b" ~gen:1);
+  Alcotest.(check (option string)) "least recently filled evicted" None
+    (find c ~proc:1 ~args:"a" ~gen:1);
   (* Re-insert replaces in place. *)
-  insert c ~proc:1 ~args:"a" ~gen:2 "frame-a2";
-  Alcotest.(check (option string)) "re-insert replaces" (Some "frame-a2")
-    (find c ~proc:1 ~args:"a" ~gen:2);
+  insert c ~proc:1 ~args:"b" ~gen:2 "frame-b2";
+  Alcotest.(check (option string)) "re-insert replaces" (Some "frame-b2")
+    (find c ~proc:1 ~args:"b" ~gen:2);
   let s = Reply_cache.stats c in
   Alcotest.(check int) "entries bounded" 2 s.Reply_cache.entries;
   Alcotest.(check int) "bytes track frames"
-    (String.length "frame-a2" + String.length "frame-d")
+    (String.length "frame-b2" + String.length "frame-d")
     s.Reply_cache.bytes;
   Alcotest.(check int) "one eviction" 1 s.Reply_cache.evictions;
   Alcotest.(check bool) "hits counted" true (s.Reply_cache.hits >= 3);
@@ -95,7 +97,7 @@ let test_cache_semantics () =
   Reply_cache.invalidate_all c;
   Alcotest.(check int) "flushed" 0 (Reply_cache.stats c).Reply_cache.entries;
   Alcotest.(check (option string)) "nothing survives a flush" None
-    (find c ~proc:1 ~args:"a" ~gen:2)
+    (find c ~proc:1 ~args:"b" ~gen:2)
 
 (* Fill numbers: every insert takes the next one, so a refill after a
    flush, a stale stamp or an eviction never reuses the number a holder
@@ -176,12 +178,15 @@ let call_frame client last proc body =
 
 let zero_serial frame = Rpc_packet.with_serial frame 0
 
-(* Every procedure in the hot read set, with canonical argument bytes
+(* The two cached listings. *)
+let cached_calls =
+  [ ("dom_list_all", Rp.Proc_dom_list_all, ""); ("fleet_list_all", Rp.Proc_fleet_list_all, "") ]
+
+(* The point reads, which skip the cache, with canonical argument bytes
    against the default node population (one running domain "test"). *)
-let cached_calls ~uuid ~vol_path =
+let point_calls ~uuid ~vol_path =
   [
     ("capabilities", Rp.Proc_get_capabilities, "");
-    ("dom_list_all", Rp.Proc_dom_list_all, "");
     ("dom_get_info", Rp.Proc_dom_get_info, Rp.enc_string_body "test");
     ("dom_get_xml", Rp.Proc_dom_get_xml, Rp.enc_string_body "test");
     ("lookup_by_name", Rp.Proc_lookup_by_name, Rp.enc_string_body "test");
@@ -227,7 +232,7 @@ let test_byte_equality_all_procs () =
           Alcotest.(check string)
             (label ^ ": cached frame equals uncached frame")
             (zero_serial f1) (zero_serial f3))
-        (cached_calls ~uuid ~vol_path);
+        (cached_calls @ point_calls ~uuid ~vol_path);
       (* A write through the direct connection must be visible to the next
          cached read: set_autostart emits no lifecycle event, so this
          exercises the generation-stamp backstop specifically (the event
@@ -254,14 +259,18 @@ let test_byte_equality_all_procs () =
       vok (Domain.set_autostart ddom true);
       Alcotest.(check (option bool)) "event-less write invalidates"
         (Some true) (list_all ());
-      (* The hot set really was served from the cache. *)
+      (* The listings really were served from the cache, and only they
+         were looked up: two calls each in the loop, two listings after. *)
       let admin = vok (Admin.connect ~daemon:name ()) in
       let rc = vok (Admin.reply_cache_stats admin) in
+      let listings = List.length cached_calls in
       Alcotest.(check bool) "cache enabled" true rc.Admin.rc_enabled;
-      Alcotest.(check bool) "hits recorded" true (rc.Admin.rc_hits >= 7);
+      Alcotest.(check bool) "hits recorded" true (rc.Admin.rc_hits >= listings);
       Alcotest.(check bool) "patched-serial sends recorded" true
-        (rc.Admin.rc_patched_sends >= 7);
-      Alcotest.(check bool) "insertions recorded" true (rc.Admin.rc_insertions >= 7);
+        (rc.Admin.rc_patched_sends >= listings);
+      Alcotest.(check bool) "insertions recorded" true (rc.Admin.rc_insertions >= listings);
+      Alcotest.(check int) "point reads never looked up" ((2 * listings) + 2)
+        (rc.Admin.rc_hits + rc.Admin.rc_misses);
       Admin.close admin;
       Rpc_client.close on_client;
       Rpc_client.close off_client;
@@ -496,11 +505,11 @@ let test_minor_pinned_wire_invisible () =
           Alcotest.(check string) "rejection frames byte-identical"
             (zero_serial f1) (zero_serial f2))
         [ Rp.Proc_dom_list_all; Rp.Proc_vol_lookup ];
-      (* v1.0 reads still flow — and still hit the cache. *)
+      (* v1.0 reads still flow. *)
       let body = Rp.enc_string_body "test" in
       let r1, f1 = call_frame on_client on_last Rp.Proc_dom_get_info body in
       let r2, f2 = call_frame on_client on_last Rp.Proc_dom_get_info body in
-      Alcotest.(check string) "pinned daemon still caches v1.0 reads"
+      Alcotest.(check string) "pinned daemon still serves v1.0 reads"
         (vok r1) (vok r2);
       Alcotest.(check string) "frames differ only in serial" (zero_serial f1)
         (zero_serial f2);
@@ -518,9 +527,8 @@ let test_daemon_knob_disables () =
           (Connect.open_uri
              (Printf.sprintf "test+unix://%s/?daemon=%s" host name))
       in
-      let dom = vok (Domain.lookup_by_name remote "test") in
       for _ = 1 to 5 do
-        ignore (vok (Domain.get_info dom))
+        ignore (vok (Connect.list_all_domains remote))
       done;
       let admin = vok (Admin.connect ~daemon:name ()) in
       let rc = vok (Admin.reply_cache_stats admin) in
@@ -538,9 +546,8 @@ let test_uri_param_opts_out () =
           (Connect.open_uri
              (Printf.sprintf "test+unix://%s/?daemon=%s&replycache=0" host name))
       in
-      let dom = vok (Domain.lookup_by_name remote "test") in
       for _ = 1 to 5 do
-        ignore (vok (Domain.get_info dom))
+        ignore (vok (Connect.list_all_domains remote))
       done;
       let admin = vok (Admin.connect ~daemon:name ()) in
       let rc = vok (Admin.reply_cache_stats admin) in
@@ -551,19 +558,14 @@ let test_uri_param_opts_out () =
 
 let test_entries_knob_bounds_cache () =
   let config = { quiet_config with Daemon_config.reply_cache_entries = 1 } in
-  with_daemon ~config (fun name _daemon ->
-      let host = fresh_name "rcbound" in
-      let remote =
-        vok
-          (Connect.open_uri
-             (Printf.sprintf "test+unix://%s/?daemon=%s" host name))
-      in
-      let dom = vok (Domain.lookup_by_name remote "test") in
-      (* Two alternating keys through a one-entry cache: every lookup
-         misses and every insert evicts. *)
+  with_daemon ~config (fun name daemon ->
+      let client, last = connect_raw daemon in
+      rpc_open client (Printf.sprintf "test://%s/" (fresh_name "rcbound"));
+      (* The two listings alternating through a one-entry cache: every
+         lookup misses and every insert evicts. *)
       for _ = 1 to 4 do
-        ignore (vok (Domain.get_info dom));
-        ignore (vok (Domain.xml_desc dom))
+        ignore (vok (fst (call_frame client last Rp.Proc_dom_list_all "")));
+        ignore (vok (fst (call_frame client last Rp.Proc_fleet_list_all "")))
       done;
       let admin = vok (Admin.connect ~daemon:name ()) in
       let rc = vok (Admin.reply_cache_stats admin) in
@@ -571,7 +573,7 @@ let test_entries_knob_bounds_cache () =
         (rc.Admin.rc_evictions > 0);
       Alcotest.(check int) "never above the bound" 1 rc.Admin.rc_entries;
       Admin.close admin;
-      Connect.close remote)
+      Rpc_client.close client)
 
 let test_config_roundtrip () =
   let cfg =
@@ -593,9 +595,9 @@ let test_config_roundtrip () =
 
 (* --- one lookup per call ------------------------------------------------------ *)
 
-(* A top-level call is looked up once, on the receiving thread; on a miss
-   the pool only fills.  So every cacheable call counts exactly one hit or
-   one miss, each first call one miss, and each miss one insertion. *)
+(* A top-level listing is looked up once, on the receiving thread; on a
+   miss the pool only fills.  So every cached call counts exactly one hit
+   or one miss, each first call one miss, and each miss one insertion. *)
 let test_one_lookup_per_call () =
   with_daemon (fun name daemon ->
       let client, _ = connect_raw daemon in
@@ -603,9 +605,8 @@ let test_one_lookup_per_call () =
       let call proc body =
         vok (Rpc_client.call client ~procedure:(Rp.proc_to_int proc) ~body ())
       in
-      let info = Xdr.encode Rp.dom_get_info.Rp.sg_args "test" in
-      ignore (call Rp.Proc_dom_get_info info);
-      ignore (call Rp.Proc_dom_get_info info);
+      ignore (call Rp.Proc_dom_list_all "");
+      ignore (call Rp.Proc_dom_list_all "");
       let since token =
         Xdr.decode Rp.fleet_list_since.Rp.sg_ret
           (call Rp.Proc_fleet_list_since
@@ -786,7 +787,7 @@ let () =
         ] );
       ( "semantics",
         [
-          quick "LRU, stamps, flush" test_cache_semantics;
+          quick "bound, stamps, flush" test_cache_semantics;
           quick "fill numbers" test_fill_numbers;
         ] );
       ( "byte equality",

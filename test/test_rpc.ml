@@ -237,14 +237,15 @@ module Reference = struct
     | Proc_fleet_migrate ->
       false
 
-  let cacheable_proc = function
-    | Rp.Proc_get_capabilities | Rp.Proc_dom_list_all | Rp.Proc_dom_get_info
-    | Rp.Proc_dom_get_xml | Rp.Proc_lookup_by_name | Rp.Proc_lookup_by_uuid
-    | Rp.Proc_vol_lookup
-    (* a plain daemon's annotated listing depends on node state alone *)
-    | Rp.Proc_fleet_list_all ->
-      true
-    | _ -> false
+  let serve_path = function
+    (* a plain daemon's annotated listing depends on node state alone;
+       the conditional listing is answered from its entry *)
+    | Rp.Proc_dom_list_all | Rp.Proc_fleet_list_all | Rp.Proc_fleet_list_since ->
+      Rp.Cached_listing
+    | Rp.Proc_get_capabilities | Rp.Proc_dom_get_info | Rp.Proc_dom_get_xml
+    | Rp.Proc_lookup_by_name | Rp.Proc_lookup_by_uuid | Rp.Proc_vol_lookup ->
+      Rp.Point_read
+    | _ -> Rp.Pooled
 end
 
 let test_table_matches_reference () =
@@ -263,8 +264,8 @@ let test_table_matches_reference () =
         (Rp.is_high_priority p);
       Alcotest.(check bool) (what "idempotent") (Reference.is_idempotent p)
         (Rp.is_idempotent p);
-      Alcotest.(check bool) (what "cacheable") (Reference.cacheable_proc p)
-        (Rp.is_cacheable p);
+      Alcotest.(check bool) (what "serve path") true
+        (Reference.serve_path p = Rp.serve_path p);
       if d.Rp.since > 0 then
         match Rp.descriptor_of_int ~minor:(d.Rp.since - 1) n with
         | Ok _ -> Alcotest.fail (what "served below its minor")

@@ -10,9 +10,10 @@
    the zero token; the token encodings get literal vectors below.
 
    OVIRT_WIRE_REPLY_CACHE=1 runs the transcripts with the reply cache on
-   instead, so cached replies are compared with the corpus too.  It
-   stops below v1.8, whose conditional listing then carries the boot
-   nonce, and it needs a process of its own: the session's domain takes
+   instead, so cached replies are compared with the corpus too (from
+   v1.3, the first minor with a cached listing, the cache must have
+   been filled).  It stops below v1.8, whose conditional listing then
+   carries the boot nonce, and it needs a process of its own: the session's domain takes
    its MAC address from a process-wide counter, so a second pass in one
    process differs at the define_xml request.
 
@@ -172,7 +173,7 @@ let transcript minor =
           Printf.bprintf buf "> %d %s\n< %s\n" procedure (hex request) (hex reply))
         (session ~node:(Printf.sprintf "wire-n%d" minor));
       Transport.close conn;
-      if cache_on then begin
+      if cache_on && minor >= Rp.proc_min_minor Rp.Proc_dom_list_all then begin
         let admin = vok (Admin.connect ~daemon:name ()) in
         let rc = vok (Admin.reply_cache_stats admin) in
         Admin.close admin;
