@@ -602,30 +602,27 @@ let fleet_define t xml =
 (* Journaled cross-daemon migration                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Journal records: phase-tagged, '\x1f'-separated fields.  The begin
-   record carries everything recovery needs (domain, source,
-   destination, run state, config XML); later records only advance the
-   phase.  Phases, in order:
+(* One journal record per phase boundary, each an Xdr layout led by its
+   phase.  The begin record carries everything recovery needs (domain,
+   source, destination, run state, config XML); later records name the
+   domain and advance its phase.  Phases, in order:
 
-     begin      -> destination may or may not hold a reservation
-     reserved   -> destination holds a defined (stopped) copy
-     switchover -> THE COMMIT POINT: roll forward from here
-     finished   -> domain runs on the destination; source may linger
-     end        -> source released; migration complete
-     abort      -> rolled back; source untouched and authoritative
+     Begin      -> destination may or may not hold a reservation
+     Reserved   -> destination holds a defined (stopped) copy
+     Switchover -> THE COMMIT POINT: roll forward from here
+     Finished   -> domain runs on the destination; source may linger
+     End        -> source released; migration complete
+     Abort      -> rolled back; source untouched and authoritative
 
-   Crash before [switchover]: roll back (undefine the reservation; the
+   Crash before [Switchover]: roll back (undefine the reservation; the
    source was never stopped).  Crash at/after: roll forward (stop and
    release the source, ensure the destination runs).  Every recovery
    step is idempotent, so recovering a recovery converges too. *)
 
-let sep = '\x1f'
-
-let enc_rec fields = String.concat (String.make 1 sep) fields
-let dec_rec record = String.split_on_char sep record
+type phase = Begin | Reserved | Switchover | Finished | End | Abort
 
 type mig = {
-  mutable g_phase : string;
+  mutable g_phase : phase;
   g_domain : string;
   g_src : string;
   g_dest : string;
@@ -633,42 +630,60 @@ type mig = {
   g_xml : string;
 }
 
-(* Crash injection seam: called at every journaled boundary with the
-   phase just made durable.  The crash-point sweep makes it raise,
-   simulating a controller death mid-handshake — the exception escapes
-   without running the in-process rollback, exactly as a kill would. *)
+(* [Advanced] never carries [Begin]: a begin record is [Began]. *)
+type record = Began of mig | Advanced of phase * string
+
+let phase =
+  Xdr.enum "migration phase" Xdr.uint
+    [| Begin; Reserved; Switchover; Finished; End; Abort |]
+
+let began =
+  Xdr.record5
+    ((fun g -> g.g_domain), Xdr.string)
+    ((fun g -> g.g_src), Xdr.string)
+    ((fun g -> g.g_dest), Xdr.string)
+    ((fun g -> g.g_running), Xdr.bool)
+    ((fun g -> g.g_xml), Xdr.string)
+    (fun g_domain g_src g_dest g_running g_xml ->
+      { g_phase = Begin; g_domain; g_src; g_dest; g_running; g_xml })
+
+let record =
+  Xdr.codec
+    (fun e -> function
+      | Began g ->
+        Xdr.write phase e Begin;
+        Xdr.write began e g
+      | Advanced (p, domain) ->
+        Xdr.write phase e p;
+        Xdr.write Xdr.string e domain)
+    (fun d ->
+      match Xdr.read phase d with
+      | Begin -> Began (Xdr.read began d)
+      | p -> Advanced (p, Xdr.read Xdr.string d))
+
+let journal t r = Journal.append t.f_journal (Xdr.encode record r)
+
+(* Crash injection seam: called with the phase's label after each
+   journal append, and with "released" once the source copy is dropped.
+   The crash-point sweep makes it raise, simulating a controller death
+   mid-handshake — the exception escapes without running the in-process
+   rollback, exactly as a kill would. *)
 let crash_hook : (string -> unit) ref = ref (fun _ -> ())
 
-let phase_rank = function
-  | "begin" -> 0
-  | "reserved" -> 1
-  | "switchover" -> 2
-  | "finished" -> 3
-  | _ -> 4
-
-(* Replay the journal into the set of unfinished migrations. *)
+(* Replay the journal into the set of unfinished migrations.  A record
+   that does not decode is skipped. *)
 let unfinished_migrations records =
   let tbl : (string, mig) Hashtbl.t = Hashtbl.create 4 in
   List.iter
-    (fun record ->
-      match dec_rec record with
-      | [ "begin"; domain; src; dest; running; xml ] ->
-        Hashtbl.replace tbl domain
-          {
-            g_phase = "begin";
-            g_domain = domain;
-            g_src = src;
-            g_dest = dest;
-            g_running = running = "1";
-            g_xml = xml;
-          }
-      | [ ("reserved" | "switchover" | "finished") as phase; domain ] -> (
+    (fun r ->
+      match Xdr.decode record r with
+      | exception Xdr.Error _ -> ()
+      | Began g -> Hashtbl.replace tbl g.g_domain g
+      | Advanced ((End | Abort), domain) -> Hashtbl.remove tbl domain
+      | Advanced (p, domain) -> (
         match Hashtbl.find_opt tbl domain with
-        | Some g when phase_rank phase > phase_rank g.g_phase ->
-          g.g_phase <- phase
-        | _ -> ())
-      | [ ("end" | "abort"); domain ] -> Hashtbl.remove tbl domain
-      | _ -> ())
+        | Some g when p > g.g_phase -> g.g_phase <- p
+        | _ -> ()))
     records;
   Hashtbl.fold (fun _ g acc -> g :: acc) tbl []
 
@@ -719,7 +734,7 @@ let recover_migration t (g : mig) =
        recovery rather than guess. *)
     ()
   | Ok src, Ok dest ->
-    if phase_rank g.g_phase >= phase_rank "switchover" then begin
+    if g.g_phase >= Switchover then begin
       (* Roll forward. *)
       ensure_stopped src g.g_domain;
       ensure_absent src g.g_domain;
@@ -728,7 +743,7 @@ let recover_migration t (g : mig) =
       with_lock t (fun () ->
           relocate_locked t (fun locs -> Hashtbl.replace locs g.g_domain g.g_dest);
           t.f_migrations_recovered <- t.f_migrations_recovered + 1);
-      Journal.append t.f_journal (enc_rec [ "end"; g.g_domain ])
+      journal t (Advanced (End, g.g_domain))
     end
     else begin
       (* Roll back: the reservation (if any) is the only thing to undo.
@@ -739,7 +754,7 @@ let recover_migration t (g : mig) =
       with_lock t (fun () ->
           relocate_locked t (fun locs -> Hashtbl.replace locs g.g_domain g.g_src);
           t.f_migrations_rolled_back <- t.f_migrations_rolled_back + 1);
-      Journal.append t.f_journal (enc_rec [ "abort"; g.g_domain ])
+      journal t (Advanced (Abort, g.g_domain))
     end
 
 let recover t records =
@@ -762,72 +777,70 @@ let fleet_migrate t ~domain ~dest =
       with_lock t (fun () ->
           t.f_migrations_active <- t.f_migrations_active - 1)
     in
+    let durable r label =
+      journal t r;
+      !crash_hook label
+    in
     let rollback err =
       ensure_absent dst domain;
       if was_running then ensure_running src domain;
       with_lock t (fun () ->
           relocate_locked t (fun locs -> Hashtbl.replace locs domain src_name);
           t.f_migrations_rolled_back <- t.f_migrations_rolled_back + 1);
-      Journal.append t.f_journal (enc_rec [ "abort"; domain ]);
+      journal t (Advanced (Abort, domain));
       finish_active ();
       Error err
     in
-    Journal.append t.f_journal
-      (enc_rec
-         [ "begin"; domain; src_name; dest; (if was_running then "1" else "0");
-           xml ]);
-    !crash_hook "begin";
+    (* The domain runs on the destination: release the source copy, now
+       just a stale definition, and close the record. *)
+    let complete () =
+      durable (Advanced (Finished, domain)) "finished";
+      ensure_absent src domain;
+      !crash_hook "released";
+      with_lock t (fun () ->
+          relocate_locked t (fun locs -> Hashtbl.replace locs domain dest));
+      durable (Advanced (End, domain)) "end";
+      finish_active ();
+      Events.emit t.f_events ~domain_name:domain Events.Ev_migrated;
+      Ok ()
+    in
+    durable
+      (Began
+         {
+           g_phase = Begin;
+           g_domain = domain;
+           g_src = src_name;
+           g_dest = dest;
+           g_running = was_running;
+           g_xml = xml;
+         })
+      "begin";
     (* Phase 1: reserve on the destination.  The copy travels with the
        reservation — config XML now, the managed-save image model is the
        same "define first, animate later" shape. *)
     match dst.Driver.define_xml xml with
     | Error err -> rollback err
     | Ok _ -> (
-      Journal.append t.f_journal (enc_rec [ "reserved"; domain ]);
-      !crash_hook "reserved";
+      durable (Advanced (Reserved, domain)) "reserved";
       (* Phase 2: switchover.  Writing the record IS the commit point:
          from here recovery rolls forward, so the stop/start below can
          crash anywhere without losing the domain. *)
-      Journal.append t.f_journal (enc_rec [ "switchover"; domain ]);
-      !crash_hook "switchover";
+      durable (Advanced (Switchover, domain)) "switchover";
       ensure_stopped src domain;
       let started =
         if was_running then dst.Driver.dom_create domain else Ok ()
       in
       match started with
-      | Error err ->
+      | Ok () -> complete ()
+      | Error err -> (
         (* Past the commit point a destination start failure still rolls
            forward (recovery would): retry via the idempotent path. *)
         ensure_running dst domain;
-        (match dom_state dst domain with
-         | Some s when is_active s ->
-           Journal.append t.f_journal (enc_rec [ "finished"; domain ]);
-           !crash_hook "finished";
-           ensure_absent src domain;
-           !crash_hook "released";
-           with_lock t (fun () ->
-               relocate_locked t (fun locs -> Hashtbl.replace locs domain dest));
-           Journal.append t.f_journal (enc_rec [ "end"; domain ]);
-           !crash_hook "end";
-           finish_active ();
-           Events.emit t.f_events ~domain_name:domain Events.Ev_migrated;
-           Ok ()
-         | _ ->
-           finish_active ();
-           Error err)
-      | Ok () ->
-        Journal.append t.f_journal (enc_rec [ "finished"; domain ]);
-        !crash_hook "finished";
-        (* Release: the source copy is now just a stale definition. *)
-        ensure_absent src domain;
-        !crash_hook "released";
-        with_lock t (fun () ->
-            relocate_locked t (fun locs -> Hashtbl.replace locs domain dest));
-        Journal.append t.f_journal (enc_rec [ "end"; domain ]);
-        !crash_hook "end";
-        finish_active ();
-        Events.emit t.f_events ~domain_name:domain Events.Ev_migrated;
-        Ok ())
+        match dom_state dst domain with
+        | Some s when is_active s -> complete ()
+        | _ ->
+          finish_active ();
+          Error err))
 
 (* ------------------------------------------------------------------ *)
 (* Status                                                              *)

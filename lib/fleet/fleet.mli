@@ -118,10 +118,11 @@ val fleet_migrate :
 
 val crash_hook : (string -> unit) ref
 (** Crash-injection seam for the migration sweep: called with the phase
-    label ("begin" | "reserved" | "switchover" | "finished" |
-    "released" | "end") immediately after each journal append.  Raising
-    from it aborts the handshake without rollback, exactly like a
-    controller kill at that boundary. *)
+    label ("begin" | "reserved" | "switchover" | "finished" | "end")
+    immediately after that phase's journal append, and with "released"
+    after the source copy is dropped (a step with no journal record of
+    its own).  Raising from it aborts the handshake without rollback,
+    exactly like a controller kill at that boundary. *)
 
 type stats = {
   st_sub_errors : int;

@@ -10,20 +10,14 @@
    kills at any point", with exactly-once side effects guaranteed by a
    per-op precondition check on resume.
 
-   Journal record formats (tag byte + length-prefixed fields):
-     'P' uri name b s r      policy declared (b/s/r = Dompolicy codes)
-     'X' uri name            policy cleared
-     'B' id kind n op*       plan begin, ops = (uri, name, op_kind)*
-     'C' id idx ok applied   per-op checkpoint (applied=1: side effect ran)
-     'E' id                  plan complete
-     'F' uri name n          divergence attempt counter (n=0 resets)
-
-   A 'B' without its 'E' is a plan interrupted by a crash.  Convergence
-   plans are resumed op-by-op (skipping checkpointed ops and ops whose
-   postcondition already holds — the kill-between-apply-and-checkpoint
-   window).  Drain plans (kind=1, the on_shutdown pass) are abandoned on
-   replay instead: after a restart the boot semantics take over, and
-   finishing a half-done shutdown sweep would fight them. *)
+   Each journal record is one {!record} value, written with one Xdr
+   codec.  A [Plan_begin] without its [Plan_end] is a plan interrupted by
+   a crash.  Convergence plans are resumed op-by-op (skipping
+   checkpointed ops and ops whose postcondition already holds — the
+   kill-between-apply-and-checkpoint window).  Drain plans (the
+   on_shutdown pass) are abandoned on replay instead: after a restart
+   the boot semantics take over, and finishing a half-done shutdown
+   sweep would fight them. *)
 
 open Ovirt_core
 module Journal = Persist.Journal
@@ -41,19 +35,6 @@ let op_kind_name = function
   | Op_resume -> "resume"
   | Op_shutdown -> "shutdown"
   | Op_save -> "save"
-
-let op_kind_to_int = function
-  | Op_start -> 0
-  | Op_resume -> 1
-  | Op_shutdown -> 2
-  | Op_save -> 3
-
-let op_kind_of_int = function
-  | 0 -> Some Op_start
-  | 1 -> Some Op_resume
-  | 2 -> Some Op_shutdown
-  | 3 -> Some Op_save
-  | _ -> None
 
 (* The postcondition the op establishes.  Checked before applying — on
    plan resume this is what makes re-application safe: if the crash fell
@@ -197,107 +178,95 @@ let with_lock t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 (* ------------------------------------------------------------------ *)
-(* Record encoding                                                     *)
+(* Journal records                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
+type record =
+  | Policy of (string * string) * Dompolicy.t  (** policy declared *)
+  | Clear of (string * string)  (** policy cleared *)
+  | Attempts of (string * string) * int
+      (** divergence attempt counter; 0 resets *)
+  | Plan_begin of plan  (** the plan's ops, journaled before any runs *)
+  | Checkpoint of int * int * bool * bool
+      (** plan id, op index, ok, applied (the side effect ran) *)
+  | Plan_end of int  (** plan complete *)
 
-let put_str buf s =
-  put_u32 buf (String.length s);
-  Buffer.add_string buf s
+let key = Xdr.pair Xdr.string Xdr.string
 
-(* Decoders return [None] on any malformed field: a record that does
-   not parse is skipped, the Domstore forward-compatibility rule. *)
-let get_u32 s pos =
-  if !pos + 4 > String.length s then None
-  else begin
-    let v =
-      (Char.code s.[!pos] lsl 24)
-      lor (Char.code s.[!pos + 1] lsl 16)
-      lor (Char.code s.[!pos + 2] lsl 8)
-      lor Char.code s.[!pos + 3]
-    in
-    pos := !pos + 4;
-    Some v
-  end
+let policy =
+  Xdr.conv Dompolicy.to_ints
+    (fun ints ->
+      match Dompolicy.of_ints ints with
+      | Ok p -> p
+      | Error e -> raise (Xdr.Error e.Verror.message))
+    (Xdr.triple Xdr.uint Xdr.uint Xdr.uint)
 
-let get_str s pos =
-  match get_u32 s pos with
-  | None -> None
-  | Some len ->
-    if !pos + len > String.length s then None
-    else begin
-      let v = String.sub s !pos len in
-      pos := !pos + len;
-      Some v
-    end
+let op =
+  Xdr.record3
+    ((fun o -> o.op_uri), Xdr.string)
+    ((fun o -> o.op_name), Xdr.string)
+    ( (fun o -> o.op_kind),
+      Xdr.enum "op kind" Xdr.uint [| Op_start; Op_resume; Op_shutdown; Op_save |] )
+    (fun op_uri op_name op_kind -> { op_uri; op_name; op_kind })
 
-let get_byte s pos =
-  if !pos >= String.length s then None
-  else begin
-    let v = Char.code s.[!pos] in
-    incr pos;
-    Some v
-  end
+(* A replayed plan starts with no op done; its checkpoints follow. *)
+let plan =
+  Xdr.record3
+    ((fun pl -> pl.pl_id), Xdr.uint)
+    ((fun pl -> pl.pl_kind), Xdr.enum "plan kind" Xdr.uint [| Pk_converge; Pk_drain |])
+    ((fun pl -> Array.to_list pl.pl_ops), Xdr.array op)
+    (fun pl_id pl_kind ops ->
+      let pl_ops = Array.of_list ops in
+      { pl_id; pl_kind; pl_ops; pl_done = Array.make (Array.length pl_ops) false })
 
-let enc_policy uri name (p : Dompolicy.t) =
-  let b, s, r = Dompolicy.to_ints p in
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf 'P';
-  put_str buf uri;
-  put_str buf name;
-  Buffer.add_char buf (Char.chr b);
-  Buffer.add_char buf (Char.chr s);
-  Buffer.add_char buf (Char.chr r);
-  Buffer.contents buf
+let tag =
+  Xdr.enum "reconcile record" Xdr.uint
+    [| `Policy; `Clear; `Attempts; `Plan_begin; `Checkpoint; `Plan_end |]
 
-let enc_clear uri name =
-  let buf = Buffer.create 32 in
-  Buffer.add_char buf 'X';
-  put_str buf uri;
-  put_str buf name;
-  Buffer.contents buf
+let record =
+  Xdr.codec
+    (fun e -> function
+      | Policy (k, p) ->
+        Xdr.write tag e `Policy;
+        Xdr.write key e k;
+        Xdr.write policy e p
+      | Clear k ->
+        Xdr.write tag e `Clear;
+        Xdr.write key e k
+      | Attempts (k, n) ->
+        Xdr.write tag e `Attempts;
+        Xdr.write key e k;
+        Xdr.write Xdr.uint e n
+      | Plan_begin pl ->
+        Xdr.write tag e `Plan_begin;
+        Xdr.write plan e pl
+      | Checkpoint (id, idx, ok, applied) ->
+        Xdr.write tag e `Checkpoint;
+        Xdr.write Xdr.uint e id;
+        Xdr.write Xdr.uint e idx;
+        Xdr.write Xdr.bool e ok;
+        Xdr.write Xdr.bool e applied
+      | Plan_end id ->
+        Xdr.write tag e `Plan_end;
+        Xdr.write Xdr.uint e id)
+    (fun d ->
+      match Xdr.read tag d with
+      | `Policy ->
+        let k = Xdr.read key d in
+        Policy (k, Xdr.read policy d)
+      | `Clear -> Clear (Xdr.read key d)
+      | `Attempts ->
+        let k = Xdr.read key d in
+        Attempts (k, Xdr.read Xdr.uint d)
+      | `Plan_begin -> Plan_begin (Xdr.read plan d)
+      | `Checkpoint ->
+        let id = Xdr.read Xdr.uint d in
+        let idx = Xdr.read Xdr.uint d in
+        let ok = Xdr.read Xdr.bool d in
+        Checkpoint (id, idx, ok, Xdr.read Xdr.bool d)
+      | `Plan_end -> Plan_end (Xdr.read Xdr.uint d))
 
-let enc_plan_begin id kind ops =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf 'B';
-  put_u32 buf id;
-  Buffer.add_char buf (match kind with Pk_converge -> '\000' | Pk_drain -> '\001');
-  put_u32 buf (Array.length ops);
-  Array.iter
-    (fun o ->
-      put_str buf o.op_uri;
-      put_str buf o.op_name;
-      Buffer.add_char buf (Char.chr (op_kind_to_int o.op_kind)))
-    ops;
-  Buffer.contents buf
-
-let enc_checkpoint id idx ~ok ~applied =
-  let buf = Buffer.create 16 in
-  Buffer.add_char buf 'C';
-  put_u32 buf id;
-  put_u32 buf idx;
-  Buffer.add_char buf (if ok then '\001' else '\000');
-  Buffer.add_char buf (if applied then '\001' else '\000');
-  Buffer.contents buf
-
-let enc_plan_end id =
-  let buf = Buffer.create 8 in
-  Buffer.add_char buf 'E';
-  put_u32 buf id;
-  Buffer.contents buf
-
-let enc_attempts uri name n =
-  let buf = Buffer.create 32 in
-  Buffer.add_char buf 'F';
-  put_str buf uri;
-  put_str buf name;
-  put_u32 buf n;
-  Buffer.contents buf
+let journal t r = Journal.append t.j (Xdr.encode record r)
 
 (* ------------------------------------------------------------------ *)
 (* Backoff                                                             *)
@@ -325,16 +294,17 @@ let backoff_delay cfg (uri, name) n =
 
 let snapshot_locked t =
   let acc = ref [] in
-  Hashtbl.iter (fun (uri, name) p -> acc := enc_policy uri name p :: !acc) t.specs;
+  let add r = acc := Xdr.encode record r :: !acc in
+  Hashtbl.iter (fun key p -> add (Policy (key, p))) t.specs;
   Hashtbl.iter
-    (fun (uri, name) a ->
-      if a.at_count > 0 then acc := enc_attempts uri name a.at_count :: !acc)
+    (fun key a -> if a.at_count > 0 then add (Attempts (key, a.at_count)))
     t.attempts;
   !acc
 
-(* Live set = one 'P' per spec plus the nonzero attempt counters.  A
-   pending plan pins the journal: its 'B'/'C' records must survive a
-   crash, so compaction waits for the 'E'. *)
+(* Live set = one [Policy] per spec plus the nonzero attempt counters.
+   A pending plan pins the journal: its [Plan_begin]/[Checkpoint]
+   records must survive a crash, so compaction waits for the
+   [Plan_end]. *)
 let maybe_compact_locked t =
   if t.pending = None then begin
     let live = Hashtbl.length t.specs + Hashtbl.length t.attempts in
@@ -356,98 +326,47 @@ let bump_attempts_locked t key err =
   a.at_count <- a.at_count + 1;
   a.at_next <- Unix.gettimeofday () +. backoff_delay t.cfg key a.at_count;
   a.at_err <- err;
-  let uri, name = key in
-  Journal.append t.j (enc_attempts uri name a.at_count)
+  journal t (Attempts (key, a.at_count))
 
 let reset_attempts_locked t key =
   if Hashtbl.mem t.attempts key then begin
     Hashtbl.remove t.attempts key;
-    let uri, name = key in
-    Journal.append t.j (enc_attempts uri name 0)
+    journal t (Attempts (key, 0))
   end
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A record that does not decode (malformed, or a newer build's tag) is
+   skipped, the Domstore forward-compatibility rule. *)
 let replay_record t now payload =
-  if String.length payload = 0 then ()
-  else
-    let pos = ref 1 in
-    match payload.[0] with
-    | 'P' ->
-      (match get_str payload pos, get_str payload pos with
-       | Some uri, Some name ->
-         (match get_byte payload pos, get_byte payload pos, get_byte payload pos with
-          | Some b, Some s, Some r ->
-            (match Dompolicy.of_ints (b, s, r) with
-             | Ok p -> Hashtbl.replace t.specs (uri, name) p
-             | Error _ -> ())
-          | _ -> ())
-       | _ -> ())
-    | 'X' ->
-      (match get_str payload pos, get_str payload pos with
-       | Some uri, Some name ->
-         Hashtbl.remove t.specs (uri, name);
-         Hashtbl.remove t.attempts (uri, name)
-       | _ -> ())
-    | 'F' ->
-      (match get_str payload pos, get_str payload pos with
-       | Some uri, Some name ->
-         (match get_u32 payload pos with
-          | Some 0 | None -> Hashtbl.remove t.attempts (uri, name)
-          | Some n ->
-            Hashtbl.replace t.attempts (uri, name)
-              {
-                at_count = n;
-                at_next = now +. backoff_delay t.cfg (uri, name) n;
-                at_err = "restored from journal";
-              })
-       | _ -> ())
-    | 'B' ->
-      (match get_u32 payload pos, get_byte payload pos, get_u32 payload pos with
-       | Some id, Some kind, Some n when n <= 1_000_000 ->
-         let ops = ref [] in
-         let broken = ref false in
-         for _ = 1 to n do
-           match get_str payload pos, get_str payload pos, get_byte payload pos with
-           | Some uri, Some name, Some k ->
-             (match op_kind_of_int k with
-              | Some op_kind ->
-                ops := { op_uri = uri; op_name = name; op_kind } :: !ops
-              | None -> broken := true)
-           | _ -> broken := true
-         done;
-         if not !broken then begin
-           let pl_ops = Array.of_list (List.rev !ops) in
-           let pl_kind = if kind = 1 then Pk_drain else Pk_converge in
-           t.pending <-
-             Some
-               {
-                 pl_id = id;
-                 pl_kind;
-                 pl_ops;
-                 pl_done = Array.make (Array.length pl_ops) false;
-               };
-           if id >= t.next_id then t.next_id <- id + 1
-         end
-       | _ -> ())
-    | 'C' ->
-      (match get_u32 payload pos, get_u32 payload pos with
-       | Some id, Some idx ->
-         (match t.pending with
-          | Some pl when pl.pl_id = id && idx < Array.length pl.pl_done ->
-            pl.pl_done.(idx) <- true
-          | _ -> ())
-       | _ -> ())
-    | 'E' ->
-      (match get_u32 payload pos with
-       | Some id ->
-         (match t.pending with
-          | Some pl when pl.pl_id = id -> t.pending <- None
-          | _ -> ())
-       | None -> ())
-    | _ -> ()  (* unknown tag: a newer build's record, skip *)
+  match Xdr.decode record payload with
+  | exception Xdr.Error _ -> ()
+  | Policy (key, p) -> Hashtbl.replace t.specs key p
+  | Clear key ->
+    Hashtbl.remove t.specs key;
+    Hashtbl.remove t.attempts key
+  | Attempts (key, 0) -> Hashtbl.remove t.attempts key
+  | Attempts (key, n) ->
+    Hashtbl.replace t.attempts key
+      {
+        at_count = n;
+        at_next = now +. backoff_delay t.cfg key n;
+        at_err = "restored from journal";
+      }
+  | Plan_begin pl ->
+    t.pending <- Some pl;
+    if pl.pl_id >= t.next_id then t.next_id <- pl.pl_id + 1
+  | Checkpoint (id, idx, _, _) -> (
+    match t.pending with
+    | Some pl when pl.pl_id = id && idx < Array.length pl.pl_done ->
+      pl.pl_done.(idx) <- true
+    | _ -> ())
+  | Plan_end id -> (
+    match t.pending with
+    | Some pl when pl.pl_id = id -> t.pending <- None
+    | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Plan application                                                    *)
@@ -490,7 +409,7 @@ let apply_one t pl idx =
   in
   if already then begin
     with_lock t (fun () ->
-        Journal.append t.j (enc_checkpoint pl.pl_id idx ~ok:true ~applied:false);
+        journal t (Checkpoint (pl.pl_id, idx, true, false));
         pl.pl_done.(idx) <- true;
         t.ops_skipped <- t.ops_skipped + 1;
         reset_attempts_locked t key)
@@ -501,7 +420,7 @@ let apply_one t pl idx =
     match result with
     | Ok () ->
       with_lock t (fun () ->
-          Journal.append t.j (enc_checkpoint pl.pl_id idx ~ok:true ~applied:true);
+          journal t (Checkpoint (pl.pl_id, idx, true, true));
           pl.pl_done.(idx) <- true;
           t.ops_applied <- t.ops_applied + 1;
           reset_attempts_locked t key)
@@ -510,7 +429,7 @@ let apply_one t pl idx =
         (Printf.sprintf "reconcile: %s %s on %s failed: %s"
            (op_kind_name o.op_kind) o.op_name o.op_uri (Verror.to_string e));
       with_lock t (fun () ->
-          Journal.append t.j (enc_checkpoint pl.pl_id idx ~ok:false ~applied:false);
+          journal t (Checkpoint (pl.pl_id, idx, false, false));
           pl.pl_done.(idx) <- true;
           t.ops_failed <- t.ops_failed + 1;
           bump_attempts_locked t key (Verror.to_string e))
@@ -573,7 +492,7 @@ let run_plan t pl =
 
 let finish_plan t pl =
   with_lock t (fun () ->
-      Journal.append t.j (enc_plan_end pl.pl_id);
+      journal t (Plan_end pl.pl_id);
       t.pending <- None;
       maybe_compact_locked t)
 
@@ -669,7 +588,7 @@ let converge_now t =
         match t.pending with
         | Some pl when pl.pl_kind = Pk_drain ->
           (* half-done drain sweep: moot after restart, abandon it *)
-          Journal.append t.j (enc_plan_end pl.pl_id);
+          journal t (Plan_end pl.pl_id);
           t.pending <- None;
           None
         | other -> other)
@@ -703,7 +622,7 @@ let converge_now t =
           in
           t.next_id <- t.next_id + 1;
           (* journal the plan BEFORE any side effect *)
-          Journal.append t.j (enc_plan_begin pl.pl_id pl.pl_kind pl.pl_ops);
+          journal t (Plan_begin pl);
           t.pending <- Some pl;
           t.plans <- t.plans + 1;
           Some pl)
@@ -752,7 +671,7 @@ let shutdown_pass t =
             }
           in
           t.next_id <- t.next_id + 1;
-          Journal.append t.j (enc_plan_begin pl.pl_id pl.pl_kind pl.pl_ops);
+          journal t (Plan_begin pl);
           t.pending <- Some pl;
           t.plans <- t.plans + 1;
           Some pl)
@@ -804,7 +723,7 @@ let kick_locked t =
 
 let set_policy t ~uri ~name policy =
   with_lock t (fun () ->
-      Journal.append t.j (enc_policy uri name policy);
+      journal t (Policy ((uri, name), policy));
       Hashtbl.replace t.specs (uri, name) policy;
       Hashtbl.remove t.attempts (uri, name);
       Hashtbl.replace t.unconverged (uri, name) ();
@@ -819,7 +738,7 @@ let get_policy t ~uri ~name =
 
 let clear_policy t ~uri ~name =
   with_lock t (fun () ->
-      Journal.append t.j (enc_clear uri name);
+      journal t (Clear (uri, name));
       Hashtbl.remove t.specs (uri, name);
       Hashtbl.remove t.attempts (uri, name);
       Hashtbl.remove t.unconverged (uri, name);

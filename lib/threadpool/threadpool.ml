@@ -7,18 +7,6 @@ type job = {
 
 type reject = { retry_after_ms : int }
 
-(* One fair-queuing flow: jobs from a single submission source (one
-   daemon client connection).  Deficit round robin: the scheduler visits
-   active flows in ring order, topping up each flow's deficit by the
-   quantum and serving jobs while the deficit covers their (unit) cost,
-   so a source with a deep backlog cannot starve a light one. *)
-type flow = {
-  fkey : int64;
-  fjobs : job Queue.t;
-  mutable fdeficit : int;
-  mutable factive : bool;
-}
-
 type stats = {
   min_workers : int;
   max_workers : int;
@@ -45,8 +33,13 @@ type t = {
   work_cond : Condition.t; (* parked ordinary workers *)
   prio_cond : Condition.t; (* parked priority workers *)
   idle_cond : Condition.t; (* drain/shutdown wait here *)
-  flows : (int64, flow) Hashtbl.t; (* normal-class jobs, one queue per source *)
-  ring : int64 Queue.t; (* DRR visit order over active flows *)
+  (* Normal-class jobs, one queue per submission source (one daemon
+     client connection), served round robin per source: one job per
+     visit, so a source with a deep backlog cannot starve a light one.
+     A source is in [ring] exactly when its queue is in [flows], and
+     leaves both as soon as its queue empties. *)
+  flows : (int64, job Queue.t) Hashtbl.t;
+  ring : int64 Queue.t; (* visit order over the sources in [flows] *)
   prio_queue : job Queue.t;
   mutable queued_normal : int;
   mutable min_workers : int;
@@ -83,8 +76,6 @@ type t = {
 
 exception Invalid_limits of string
 
-let drr_quantum = 1 (* unit job cost: DRR degenerates to per-source RR *)
-
 let check_limits ~min_workers ~max_workers ~prio_workers =
   if min_workers < 0 then raise (Invalid_limits "min_workers must be >= 0");
   if prio_workers < 0 then raise (Invalid_limits "prio_workers must be >= 0");
@@ -104,49 +95,30 @@ let log pool priority fmt =
       | Some logger -> Vlog.log logger ~module_:"daemon.threadpool" priority msg)
     fmt
 
-(* --- deficit-round-robin normal queue ------------------------------- *)
+(* --- round-robin-per-source normal queue ----------------------------- *)
 
 let enqueue_normal pool ~source job =
-  let flow =
+  let q =
     match Hashtbl.find_opt pool.flows source with
-    | Some f -> f
+    | Some q -> q
     | None ->
-      let f = { fkey = source; fjobs = Queue.create (); fdeficit = 0; factive = false } in
-      Hashtbl.replace pool.flows source f;
-      f
+      let q = Queue.create () in
+      Hashtbl.replace pool.flows source q;
+      Queue.push source pool.ring;
+      q
   in
-  Queue.push job flow.fjobs;
-  pool.queued_normal <- pool.queued_normal + 1;
-  if not flow.factive then begin
-    flow.factive <- true;
-    flow.fdeficit <- 0;
-    Queue.push flow.fkey pool.ring
-  end
+  Queue.push job q;
+  pool.queued_normal <- pool.queued_normal + 1
 
-let rec drr_pop pool =
-  if pool.queued_normal = 0 || Queue.is_empty pool.ring then None
-  else begin
-    let key = Queue.pop pool.ring in
-    match Hashtbl.find_opt pool.flows key with
-    | None -> drr_pop pool
-    | Some flow when Queue.is_empty flow.fjobs ->
-      flow.factive <- false;
-      flow.fdeficit <- 0;
-      Hashtbl.remove pool.flows key;
-      drr_pop pool
-    | Some flow ->
-      flow.fdeficit <- flow.fdeficit + drr_quantum;
-      let job = Queue.pop flow.fjobs in
-      flow.fdeficit <- flow.fdeficit - 1;
-      pool.queued_normal <- pool.queued_normal - 1;
-      if Queue.is_empty flow.fjobs then begin
-        flow.factive <- false;
-        flow.fdeficit <- 0;
-        Hashtbl.remove pool.flows key
-      end
-      else Queue.push key pool.ring;
-      Some job
-  end
+(* Call only while [queued_normal > 0]. *)
+let pop_normal pool =
+  let key = Queue.pop pool.ring in
+  let q = Hashtbl.find pool.flows key in
+  let job = Queue.pop q in
+  pool.queued_normal <- pool.queued_normal - 1;
+  if Queue.is_empty q then Hashtbl.remove pool.flows key
+  else Queue.push key pool.ring;
+  job
 
 let clear_normal pool =
   Hashtbl.reset pool.flows;
@@ -237,9 +209,7 @@ let rec ordinary_loop pool wid =
     ordinary_loop pool wid
   end
   else if pool.queued_normal > 0 then begin
-    (match drr_pop pool with
-     | Some job -> dispatch_job pool wid `Ordinary job
-     | None -> ());
+    dispatch_job pool wid `Ordinary (pop_normal pool);
     ordinary_loop pool wid
   end
   else begin

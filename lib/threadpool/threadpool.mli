@@ -21,8 +21,8 @@
       with a retry-after hint — it never blocks the submitter and never
       queues past the limit.  High-priority (control-plane) jobs bypass
       the bound.  [0] (the default) keeps the queue unbounded;
-    - {e fair queuing}: normal-class jobs are kept in per-source queues
-      served deficit-round-robin, so one connection with a deep backlog
+    - {e fair queuing}: normal-class jobs are kept in one queue per
+      source and served round robin per source, so one connection with a deep backlog
       cannot starve the others;
     - {e deadlines}: a job whose absolute [deadline] passes while it is
       still queued is dropped at dequeue (its [on_expired] callback runs
@@ -103,8 +103,8 @@ val submit :
   (unit, reject) result
 (** Enqueue a job.  [~priority:true] jobs are eligible for priority
     workers (and are preferred by ordinary workers).  [source] is the
-    fair-queuing key — pass the client-connection id so deficit round
-    robin can arbitrate between connections.  [deadline] is absolute
+    fair-queuing key — pass the client-connection id so round robin per
+    source can arbitrate between connections.  [deadline] is absolute
     ([Unix.gettimeofday] scale); if it passes before a worker picks the
     job up, the job is dropped and [on_expired] runs in its place.
 

@@ -1587,76 +1587,82 @@ let crash_phases = [ "begin"; "reserved"; "switchover"; "finished"; "released"; 
 let test_migration_crash_sweep () =
   (* Kill the controller at every journaled boundary; recovery (a new
      controller incarnation replaying the same journal) must converge on
-     exactly one copy of the domain — running, never split-brained. *)
+     exactly one copy of the domain — running, never split-brained.  The
+     second name carries the byte a field separator would most likely
+     use: names are caller input, and the journal must not split them. *)
+  let sweep_one dom phase =
+    with_members [ "m1"; "m2" ] (fun members ->
+        let cA = member_conn (List.nth members 0) in
+        let cB = member_conn (List.nth members 1) in
+        ignore (seed_domain cA dom);
+        let fname = fresh_name "sweepfleet" in
+        let mk () =
+          Fleet.create ~name:fname
+            ~members:(List.map (fun m -> (m.md_member, m.md_uri)) members)
+            ~shard_slice_s:1.0 ~probe_interval_s:0.05 ~probe_timeout_s:0.2 ()
+        in
+        let t = mk () in
+        Fleet.crash_hook :=
+          (fun p -> if p = phase then failwith ("controller killed @" ^ p));
+        (match Fleet.fleet_migrate t ~domain:dom ~dest:"m2" with
+         | exception Failure _ -> ()
+         | Ok () -> Alcotest.failf "%s: hook did not fire" phase
+         | Error e -> Alcotest.failf "%s: %s" phase (Verror.to_string e));
+        Fleet.crash_hook := (fun _ -> ());
+        (* Controller restart: same name, same journal, recovery runs. *)
+        Fleet.dissolve fname;
+        let t2 = mk () in
+        let on_a = Result.is_ok (Domain.lookup_by_name cA dom) in
+        let on_b = Result.is_ok (Domain.lookup_by_name cB dom) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%S %s: exactly one copy" dom phase)
+          true
+          ((on_a || on_b) && not (on_a && on_b));
+        let expect_dest =
+          List.mem phase [ "switchover"; "finished"; "released"; "end" ]
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%S %s: authoritative side" dom phase)
+          expect_dest on_b;
+        let home = if expect_dest then cB else cA in
+        Alcotest.(check bool)
+          (Printf.sprintf "%S %s: still running" dom phase)
+          true
+          (vok (Domain.get_state (vok (Domain.lookup_by_name home dom)))
+          <> Vmm.Vm_state.Shutoff);
+        let fs = Fleet.status t2 in
+        (match phase with
+         | "begin" | "reserved" ->
+           Alcotest.(check int)
+             (Printf.sprintf "%S %s: rolled back" dom phase)
+             1 fs.Driver.fs_migrations_rolled_back
+         | "switchover" | "finished" | "released" ->
+           Alcotest.(check int)
+             (Printf.sprintf "%S %s: rolled forward" dom phase)
+             1 fs.Driver.fs_migrations_recovered
+         | _ ->
+           (* The journal closed cleanly: nothing to recover. *)
+           Alcotest.(check int)
+              (Printf.sprintf "%S end: nothing recovered" dom)
+              0
+             (fs.Driver.fs_migrations_recovered
+             + fs.Driver.fs_migrations_rolled_back));
+        (* Recovering a recovery is a no-op (idempotence). *)
+        Fleet.dissolve fname;
+        let t3 = mk () in
+        let fs3 = Fleet.status t3 in
+        Alcotest.(check int)
+          (Printf.sprintf "%S %s: second recovery finds nothing" dom phase)
+          0
+          (fs3.Driver.fs_migrations_recovered
+          + fs3.Driver.fs_migrations_rolled_back);
+        Fleet.dissolve fname;
+        Connect.close cA;
+        Connect.close cB)
+  in
   List.iter
-    (fun phase ->
-      with_members [ "m1"; "m2" ] (fun members ->
-          let cA = member_conn (List.nth members 0) in
-          let cB = member_conn (List.nth members 1) in
-          ignore (seed_domain cA "sweep");
-          let fname = fresh_name "sweepfleet" in
-          let mk () =
-            Fleet.create ~name:fname
-              ~members:(List.map (fun m -> (m.md_member, m.md_uri)) members)
-              ~shard_slice_s:1.0 ~probe_interval_s:0.05 ~probe_timeout_s:0.2 ()
-          in
-          let t = mk () in
-          Fleet.crash_hook :=
-            (fun p -> if p = phase then failwith ("controller killed @" ^ p));
-          (match Fleet.fleet_migrate t ~domain:"sweep" ~dest:"m2" with
-           | exception Failure _ -> ()
-           | Ok () -> Alcotest.failf "%s: hook did not fire" phase
-           | Error e -> Alcotest.failf "%s: %s" phase (Verror.to_string e));
-          Fleet.crash_hook := (fun _ -> ());
-          (* Controller restart: same name, same journal, recovery runs. *)
-          Fleet.dissolve fname;
-          let t2 = mk () in
-          let on_a = Result.is_ok (Domain.lookup_by_name cA "sweep") in
-          let on_b = Result.is_ok (Domain.lookup_by_name cB "sweep") in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: exactly one copy" phase)
-            true
-            ((on_a || on_b) && not (on_a && on_b));
-          let expect_dest =
-            List.mem phase [ "switchover"; "finished"; "released"; "end" ]
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: authoritative side" phase)
-            expect_dest on_b;
-          let home = if expect_dest then cB else cA in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: still running" phase)
-            true
-            (vok (Domain.get_state (vok (Domain.lookup_by_name home "sweep")))
-            <> Vmm.Vm_state.Shutoff);
-          let fs = Fleet.status t2 in
-          (match phase with
-           | "begin" | "reserved" ->
-             Alcotest.(check int)
-               (Printf.sprintf "%s: rolled back" phase)
-               1 fs.Driver.fs_migrations_rolled_back
-           | "switchover" | "finished" | "released" ->
-             Alcotest.(check int)
-               (Printf.sprintf "%s: rolled forward" phase)
-               1 fs.Driver.fs_migrations_recovered
-           | _ ->
-             (* The journal closed cleanly: nothing to recover. *)
-             Alcotest.(check int) "end: nothing recovered" 0
-               (fs.Driver.fs_migrations_recovered
-               + fs.Driver.fs_migrations_rolled_back));
-          (* Recovering a recovery is a no-op (idempotence). *)
-          Fleet.dissolve fname;
-          let t3 = mk () in
-          let fs3 = Fleet.status t3 in
-          Alcotest.(check int)
-            (Printf.sprintf "%s: second recovery finds nothing" phase)
-            0
-            (fs3.Driver.fs_migrations_recovered
-            + fs3.Driver.fs_migrations_rolled_back);
-          Fleet.dissolve fname;
-          Connect.close cA;
-          Connect.close cB))
-    crash_phases
+    (fun dom -> List.iter (sweep_one dom) crash_phases)
+    [ "sweep"; "sweep\x1f2" ]
 
 (* --- admin surface ------------------------------------------------------ *)
 

@@ -153,6 +153,93 @@ let test_policy_persistence () =
   Alcotest.(check int) "two specs survive" 2 summary.Reconcile.sum_specs;
   Alcotest.(check int) "two rows" 2 (List.length rows)
 
+(* Every declared policy and any key survive a restart, whatever bytes
+   the key holds: random set/clear runs over keys drawn from all 256
+   byte values (the empty string and a would-be field separator
+   included), with compaction tight enough to rewrite the journal from
+   its snapshot mid-run. *)
+let all_policies =
+  List.concat_map
+    (fun boot ->
+      List.concat_map
+        (fun shut -> List.map (fun run -> policy ~boot ~shut ~run ())
+             [ Dompolicy.Rs_running; Rs_stopped; Rs_any ])
+        [ Dompolicy.Shut_suspend; Shut_shutdown; Shut_ignore ])
+    [ Dompolicy.Boot_start; Boot_ignore ]
+
+let gen_policy_run =
+  let open QCheck.Gen in
+  let str = oneof [ return ""; return "\x1f"; string_size ~gen:char (int_range 0 8) ] in
+  let* uris = list_size (int_range 1 3) str in
+  let* names = list_size (int_range 1 3) str in
+  (* [None] clears the key's policy *)
+  let step = triple (oneofl uris) (oneofl names) (opt (oneofl all_policies)) in
+  list_size (int_range 1 40) step
+
+let print_policy_run =
+  QCheck.Print.list (fun (uri, name, p) ->
+      Printf.sprintf "%S %S %s" uri name
+        (match p with Some p -> Dompolicy.to_string p | None -> "clear"))
+
+let test_policy_replay_any_bytes =
+  qcheck_case ~count:150 "any policy under any key replays"
+    (QCheck.make ~print:print_policy_run gen_policy_run) (fun run ->
+      let path = fresh_name "rj" in
+      let w = make_world [] in
+      let config =
+        { test_config with Reconcile.rcfg_compact_factor = 1; rcfg_compact_slack = 2 }
+      in
+      let t = engine ~config ~path w in
+      let model = Hashtbl.create 8 in
+      List.iter
+        (fun (uri, name, p) ->
+          match p with
+          | Some p ->
+            Reconcile.set_policy t ~uri ~name p;
+            Hashtbl.replace model (uri, name) p
+          | None ->
+            Reconcile.clear_policy t ~uri ~name;
+            Hashtbl.remove model (uri, name))
+        run;
+      let t2 = engine ~config ~path w in
+      let summary, _ = Reconcile.status t2 in
+      summary.Reconcile.sum_specs = Hashtbl.length model
+      && List.for_all
+           (fun (uri, name, _) ->
+             let want =
+               Option.value (Hashtbl.find_opt model (uri, name)) ~default:Dompolicy.default
+             in
+             Reconcile.get_policy t2 ~uri ~name = want)
+           run)
+
+(* A record that passes the journal checksum but does not decode is
+   skipped, and the records after it still apply. *)
+let test_undecodable_records_skipped () =
+  let path = fresh_name "rj" in
+  let w = make_world [] in
+  let t = engine ~path w in
+  let p1 = policy ~run:Dompolicy.Rs_running () in
+  let p2 = policy ~shut:Dompolicy.Shut_shutdown () in
+  Reconcile.set_policy t ~uri:"test://a/" ~name:"alpha" p1;
+  let j, replay = Persist.Journal.open_ path in
+  let valid = List.hd replay.Persist.Journal.rp_records in
+  (* an unknown tag word in front of a valid body *)
+  Persist.Journal.append j
+    ("\000\000\001\000" ^ String.sub valid 4 (String.length valid - 4));
+  (* tag, the uri's length word, then two of its bytes *)
+  Persist.Journal.append j (String.sub valid 0 10);
+  Reconcile.set_policy t ~uri:"test://a/" ~name:"beta" p2;
+  Reconcile.clear_policy t ~uri:"test://a/" ~name:"alpha";
+  let t2 = engine ~path w in
+  Alcotest.(check int) "all five records replayed" 5 (Reconcile.journal_records t2);
+  Alcotest.(check string) "the clear after them applied"
+    (Dompolicy.to_string Dompolicy.default)
+    (Dompolicy.to_string (Reconcile.get_policy t2 ~uri:"test://a/" ~name:"alpha"));
+  Alcotest.(check string) "the policy after them applied" (Dompolicy.to_string p2)
+    (Dompolicy.to_string (Reconcile.get_policy t2 ~uri:"test://a/" ~name:"beta"));
+  let summary, _ = Reconcile.status t2 in
+  Alcotest.(check int) "one spec" 1 summary.Reconcile.sum_specs
+
 (* --- engine: convergence --------------------------------------------------- *)
 
 let test_convergence () =
@@ -543,6 +630,8 @@ let () =
       ( "engine",
         [
           quick "policy persistence across incarnations" test_policy_persistence;
+          test_policy_replay_any_bytes;
+          quick "undecodable records are skipped" test_undecodable_records_skipped;
           quick "convergence plans minimal ops" test_convergence;
           quick "on_boot is a boot-time rule" test_on_boot_semantics;
           quick "failing domain never wedges the fleet" test_failing_domain_isolated;
