@@ -220,9 +220,10 @@ let clear_caches cs =
 
 (* Client-side position in the daemon's sequence-numbered event stream
    (protocol v1.6).  Guarded by its own mutex, never [rc_mutex]: the
-   receiver thread delivering pushed events must be able to advance the
-   position while a reconnecting caller holds [rc_mutex] awaiting a
-   reply that same receiver thread delivers. *)
+   thread delivering pushed events (the connection's receiver, or a
+   caller reading its own reply) must be able to advance the position
+   while a reconnecting caller holds [rc_mutex] — and that thread may be
+   the reconnecting caller itself, reading its handshake replies. *)
 type seq_state = {
   sq_mutex : Mutex.t;
   mutable sq_last : int;  (** last seq processed; -1 = no position yet *)
@@ -287,7 +288,7 @@ let absorb_event_mode ~caches ~counters sq (mode : event_mode) =
     to_emit
 
 (* Runs outside [rc_mutex]: re-emit the replay, then hand the stream back
-   to the receiver thread — drain pushes parked while the resume was in
+   to live delivery — drain pushes parked while the resume was in
    flight until a pass finds none, and only then stop parking new ones.
    Subscribers thus observe strict seq order with no duplicates. *)
 let replay_and_release ~caches ~events sq to_emit =

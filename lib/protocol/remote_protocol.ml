@@ -186,21 +186,13 @@ let lifecycle_event =
 
 (* ---- v1.5: lifecycle policy and reconciler status ---- *)
 
-let policy =
-  Xdr.conv Dompolicy.to_ints
-    (fun ints ->
-      match Dompolicy.of_ints ints with
-      | Ok p -> p
-      | Error e -> raise (Xdr.Error e.Verror.message))
-    (Xdr.triple Xdr.uint Xdr.uint Xdr.uint)
-
 (* Retry countdowns travel as milliseconds (uints); fractional seconds
    are a host-local detail. *)
 let dom_status =
   Xdr.record7
     ((fun (r : Reconcile.dom_status) -> r.Reconcile.ds_uri), Xdr.string)
     ((fun r -> r.Reconcile.ds_name), Xdr.string)
-    ((fun r -> r.Reconcile.ds_policy), policy)
+    ((fun r -> r.Reconcile.ds_policy), Reconcile.policy)
     ( (fun r -> r.Reconcile.ds_status),
       Xdr.enum "reconcile status" Xdr.uint
         Reconcile.[| St_converged; St_pending; St_diverged |] )
@@ -572,10 +564,10 @@ let call_deadline =
    v1.2 sibling. *)
 let dom_set_policy =
   row Proc_dom_set_policy ~since:5 ~high:false ~idem:false ~path:Pooled
-    (Xdr.pair Xdr.string policy) Xdr.unit
+    (Xdr.pair Xdr.string Reconcile.policy) Xdr.unit
 
 let dom_get_policy =
-  row Proc_dom_get_policy ~since:5 ~high:true ~idem:true ~path:Pooled Xdr.string policy
+  row Proc_dom_get_policy ~since:5 ~high:true ~idem:true ~path:Pooled Xdr.string Reconcile.policy
 
 let daemon_reconcile_status =
   row Proc_daemon_reconcile_status ~since:5 ~high:true ~idem:true ~path:Pooled Xdr.unit

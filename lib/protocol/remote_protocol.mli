@@ -129,8 +129,6 @@ val vol_info : Ovirt_core.Storage_backend.vol_info Xdr.codec
 val lifecycle_event : Ovirt_core.Events.event Xdr.codec
 (** (domain, lifecycle); decodes with [seq = 0]. *)
 
-val policy : Ovirt_core.Dompolicy.t Xdr.codec
-
 val reconcile_status : (Reconcile.summary * Reconcile.dom_status list) Xdr.codec
 (** Per-row retry countdowns are rounded to milliseconds on the wire. *)
 

@@ -49,22 +49,29 @@ let with_lock r f =
   Mutex.lock r.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock r.mutex) f
 
-(* Signal the loop only when it is actually parked — clearing [waiting]
-   here collapses a burst of readiness events into one wakeup. *)
+(* Wake the loop only when it is actually parked — clearing [waiting]
+   here collapses a burst of readiness events into one wakeup.  Returns
+   whether to signal [wake], which the caller does after unlocking (as
+   [Chan.send] does): the loop re-checks its queue under the lock. *)
 let wake_locked r =
-  if r.waiting then begin
+  r.waiting
+  && begin
     r.waiting <- false;
     r.s_wakeups <- r.s_wakeups + 1;
-    Condition.signal r.wake
+    true
   end
 
 let mark_ready r w =
-  with_lock r (fun () ->
-      if w.w_active && not w.w_queued then begin
-        w.w_queued <- true;
-        Queue.push w r.ready;
-        wake_locked r
-      end)
+  let wake =
+    with_lock r (fun () ->
+        w.w_active && (not w.w_queued)
+        && begin
+          w.w_queued <- true;
+          Queue.push w r.ready;
+          wake_locked r
+        end)
+  in
+  if wake then Condition.signal r.wake
 
 let dispatch r w =
   (try w.w_fn ()
@@ -165,15 +172,15 @@ let stats r =
       })
 
 let stop r =
-  let thread =
+  let thread, wake =
     with_lock r (fun () ->
         if r.running then begin
           r.running <- false;
-          wake_locked r;
-          r.thread
+          (r.thread, wake_locked r)
         end
-        else None)
+        else (None, false))
   in
+  if wake then Condition.signal r.wake;
   match thread with
   | Some th when Thread.id th <> Thread.id (Thread.self ()) -> Thread.join th
   | Some _ | None -> ()

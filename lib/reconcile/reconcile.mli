@@ -76,6 +76,12 @@ type summary = {
   sum_resumed : bool;  (** this incarnation resumed a journaled plan *)
 }
 
+val policy : Dompolicy.t Xdr.codec
+(** A policy as three words ({!Dompolicy.to_ints}); decoding raises
+    [Xdr.Error] on a code {!Dompolicy.of_ints} refuses.  The journal
+    writes it, and so does the remote protocol (procedures
+    [dom_set_policy] and [dom_get_policy], the reconcile status rows). *)
+
 (** {1 Engine} *)
 
 type t

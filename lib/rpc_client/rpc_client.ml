@@ -17,17 +17,31 @@ type t = {
   program : int;
   version : int;
   on_event : procedure:int -> string -> unit;
+  keepalive : keepalive option;
   mutex : Mutex.t;
   pending : (int, slot) Hashtbl.t;
   mutable next_serial : int;
   mutable free_slots : slot list; (* guarded by [mutex] *)
+  mutable n_free : int; (* [List.length free_slots] *)
   mutable closed : bool;
   mutable on_raw_reply : (string -> unit) option;
       (* test observer: every framed reply packet, exactly as received *)
+  (* The read side, guarded by [mutex]: one thread at a time reads
+     frames, an awaiting caller (the leader) or the receiver. *)
+  mutable reading : bool;
+  mutable rx_wanted : bool;
+      (* the receiver should read once the read side is free: the channel
+         turned readable while nobody read, or keepalive needs re-timing *)
+  rx_cond : Condition.t; (* the receiver parks here *)
+  (* Keepalive clock, touched only by the thread that holds the read
+     side. *)
+  mutable last_rx : float;
+  mutable last_ping : float;
 }
 
-(* A future: one in-flight call.  [await] blocks on the slot until its
-   deadline ([infinity] for an untimed call), caches the outcome (so
+(* A future: one in-flight call.  [await] reads the connection itself
+   when nobody else does, otherwise blocks on the slot, until its
+   deadline ([infinity] for an untimed call); it caches the outcome (so
    awaiting twice is harmless) and recycles the slot. *)
 type future = {
   fut_client : t;
@@ -43,10 +57,24 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
+(* The critical sections that every call passes through lock and unlock
+   by hand: they cannot raise, and [with_lock]'s closures would be
+   allocated per call. *)
+
+(* Broadcast after the unlock, as [Chan.send] signals: the waiter
+   re-checks [outcome] under the lock.  The slot may by then be recycled
+   for another call, whose waiter takes this as a spurious wake-up. *)
 let deliver slot outcome =
-  with_lock slot.slot_mutex (fun () ->
-      slot.outcome <- Some outcome;
-      Condition.broadcast slot.slot_cond)
+  Mutex.lock slot.slot_mutex;
+  slot.outcome <- Some outcome;
+  Mutex.unlock slot.slot_mutex;
+  Condition.broadcast slot.slot_cond
+
+let outcome_of slot =
+  Mutex.lock slot.slot_mutex;
+  let outcome = slot.outcome in
+  Mutex.unlock slot.slot_mutex;
+  outcome
 
 (* Slot pool: a slot is a Mutex+Condition pair, allocated per call before
    this existed.  Pipelined fan-out makes that allocation hot, so consumed
@@ -59,6 +87,7 @@ let alloc_slot_locked client =
   match client.free_slots with
   | slot :: rest ->
     client.free_slots <- rest;
+    client.n_free <- client.n_free - 1;
     slot
   | [] ->
     { slot_mutex = Mutex.create (); slot_cond = Condition.create (); outcome = None }
@@ -66,10 +95,12 @@ let alloc_slot_locked client =
 let release_slot client slot =
   slot.outcome <- None;
   with_lock client.mutex (fun () ->
-      if List.length client.free_slots < max_pooled_slots then
-        client.free_slots <- slot :: client.free_slots)
+      if client.n_free < max_pooled_slots then begin
+        client.free_slots <- slot :: client.free_slots;
+        client.n_free <- client.n_free + 1
+      end)
 
-(* Idempotent: the first closer (local close, receiver failure, keepalive
+(* Idempotent: the first closer (local close, read failure, keepalive
    death) delivers the error to every pending call and marks the client
    closed; later closers find nothing to do.  All under [client.mutex], so
    the close path cannot race a concurrent [call] registering a slot. *)
@@ -88,13 +119,14 @@ let fail_all_pending client err =
   in
   List.iter (fun slot -> deliver slot (Error err)) slots
 
-(* Take [serial] back from the receiver: true if it was still pending, so
-   nobody else will deliver to its slot. *)
-let claim client serial =
-  with_lock client.mutex (fun () ->
-      let present = Hashtbl.mem client.pending serial in
-      Hashtbl.remove client.pending serial;
-      present)
+(* Take [serial] out of the pending table: [Some slot] if it was still
+   there, so nobody else will deliver to that slot. *)
+let take_pending client serial =
+  Mutex.lock client.mutex;
+  let slot = Hashtbl.find_opt client.pending serial in
+  Hashtbl.remove client.pending serial;
+  Mutex.unlock client.mutex;
+  slot
 
 let send_ping client =
   let serial =
@@ -112,103 +144,180 @@ let send_ping client =
 
 exception Peer_silent of string
 
-(* [recv] with keepalive folded in: wait no longer than the next keepalive
-   event (a ping that is due, or death), and declare death only when no
-   frame has arrived by then.  Any frame counts as liveness.  The ping is
-   sent from the receiver; it cannot block, since the channels under a
-   transport are unbounded. *)
-let keepalive_recv client ka =
-  let death_after = ka.ka_interval *. float_of_int ka.ka_count in
-  let last_rx = ref (Unix.gettimeofday ()) in
-  let last_ping = ref !last_rx in
-  let rec next () =
-    let ping_at = Float.max !last_rx !last_ping +. ka.ka_interval in
-    let until = Float.min (!last_rx +. death_after) ping_at in
-    match
-      Transport.recv_opt client.conn ~timeout_s:(until -. Unix.gettimeofday ())
-    with
-    | Some wire ->
-      last_rx := Unix.gettimeofday ();
-      wire
-    | None ->
-      let now = Unix.gettimeofday () in
-      if now -. !last_rx > death_after then
-        raise
-          (Peer_silent
-             (Printf.sprintf "keepalive: peer silent for %.2fs (interval %.2fs x %d)"
-                (now -. !last_rx) ka.ka_interval ka.ka_count));
-      if now >= ping_at then begin
-        last_ping := now;
-        send_ping client
-      end;
-      next ()
-  in
-  next
+let death_after ka = ka.ka_interval *. float_of_int ka.ka_count
+let ping_due client ka = Float.max client.last_rx client.last_ping +. ka.ka_interval
 
-(* The client's only thread: demultiplexes replies to their callers by
-   serial, hands events to [on_event] and, with keepalive, pings a silent
-   peer and declares it dead. *)
-let receiver_loop client keepalive =
-  let recv =
-    match keepalive with
-    | None -> fun () -> Transport.recv client.conn
-    | Some ka -> keepalive_recv client ka
+(* The next keepalive event: a ping that is due, or death. *)
+let keepalive_due client ka =
+  Float.min (client.last_rx +. death_after ka) (ping_due client ka)
+
+(* The next frame, waiting until [until] at most ([infinity]: no limit;
+   a past instant: only look) and, with keepalive, no later than the next
+   ping or death; [None] when no frame came.  Any frame counts as
+   liveness; death is declared only when none has arrived by then.  The
+   ping cannot block: the channels under a transport are unbounded.
+   Only the holder of the read side calls this. *)
+let next_frame client ~until =
+  match client.keepalive with
+  | None ->
+    if until = infinity then Some (Transport.recv client.conn)
+    else Transport.recv_opt client.conn ~timeout_s:(until -. Unix.gettimeofday ())
+  | Some ka ->
+    let wake = Float.min until (keepalive_due client ka) in
+    (match
+       Transport.recv_opt client.conn ~timeout_s:(wake -. Unix.gettimeofday ())
+     with
+     | Some wire ->
+       client.last_rx <- Unix.gettimeofday ();
+       Some wire
+     | None ->
+       let now = Unix.gettimeofday () in
+       let silent = now -. client.last_rx in
+       if silent > death_after ka then
+         raise
+           (Peer_silent
+              (Printf.sprintf "keepalive: peer silent for %.2fs (interval %.2fs x %d)"
+                 silent ka.ka_interval ka.ka_count));
+       if now >= ping_due client ka then begin
+         client.last_ping <- now;
+         send_ping client
+       end;
+       None)
+
+(* One frame, whoever read it: replies go to their callers by serial,
+   events to [on_event].  Only the holder of the read side calls this,
+   so frames are handled in wire order.  Raises [Bad_packet]. *)
+let handle_frame client wire =
+  let header, body = Rpc_packet.decode wire in
+  match header.Rpc_packet.msg_type with
+  | Rpc_packet.Event ->
+    (try client.on_event ~procedure:header.Rpc_packet.procedure body with _ -> ())
+  | Rpc_packet.Reply ->
+    (match client.on_raw_reply with
+     | None -> ()
+     | Some observe -> (try observe wire with _ -> ()));
+    (match take_pending client header.Rpc_packet.serial with
+     | None -> () (* timed-out call or keepalive pong: drop *)
+     | Some slot ->
+       let outcome =
+         match header.Rpc_packet.status with
+         | Rpc_packet.Status_ok -> Ok body
+         | Rpc_packet.Status_error ->
+           (match Xdr.decode Protocol.Remote_protocol.error body with
+            | err -> Error err
+            | exception Xdr.Error msg ->
+              Error
+                (Verror.make Verror.Rpc_failure ("undecodable error reply: " ^ msg)))
+       in
+       deliver slot outcome)
+  | Rpc_packet.Call -> () (* servers do not call clients *)
+
+type step = Frame | Idle | Dead
+
+(* Read and handle one frame ([next_frame]'s wait).  [Dead] once the
+   connection has died: every pending call is then failed. *)
+let fail client msg = fail_all_pending client (Verror.make Verror.Rpc_failure msg)
+
+let step client ~until =
+  match
+    match next_frame client ~until with
+    | None -> Idle
+    | Some wire ->
+      handle_frame client wire;
+      Frame
+  with
+  | step -> step
+  | exception Transport.Closed ->
+    fail client "connection closed";
+    Dead
+  | exception Transport.Corrupt msg ->
+    (* A corrupt frame poisons the stream: close the transport so the
+       peer reaps its side, then fail every caller. *)
+    Transport.close client.conn;
+    fail client ("corrupt frame: " ^ msg);
+    Dead
+  | exception Peer_silent msg ->
+    (* Blame keepalive before closing the transport, as [close] does. *)
+    fail client msg;
+    Transport.close client.conn;
+    Dead
+  | exception Rpc_packet.Bad_packet msg ->
+    Transport.close client.conn;
+    fail client ("bad packet from server: " ^ msg);
+    Dead
+
+let take_read_side client =
+  Mutex.lock client.mutex;
+  let free = not client.reading in
+  client.reading <- true;
+  Mutex.unlock client.mutex;
+  free
+
+(* Hand the read side back, and wake the receiver if something is left
+   for it: frames or a close that arrived while the side was taken (their
+   hooks found it taken), or a keepalive re-timing it asked for. *)
+let release_read_side client =
+  Mutex.lock client.mutex;
+  client.reading <- false;
+  let wake = client.rx_wanted || Transport.pending client.conn in
+  client.rx_wanted <- wake;
+  Mutex.unlock client.mutex;
+  if wake then Condition.signal client.rx_cond
+
+(* The channel's readiness hook: wake the receiver, unless some thread
+   holds the read side and will see the frame itself. *)
+let on_readable client () =
+  Mutex.lock client.mutex;
+  let wake = not client.reading in
+  if wake then client.rx_wanted <- true;
+  Mutex.unlock client.mutex;
+  if wake then Condition.signal client.rx_cond
+
+(* Park until there is something to read and nobody else reads it, or a
+   keepalive event is due; return holding the read side. *)
+let park client =
+  with_lock client.mutex (fun () ->
+      let rec wait () =
+        if client.reading then begin
+          (* The reader keeps keepalive while it reads; have its release
+             wake us to re-time the next ping. *)
+          if Option.is_some client.keepalive then client.rx_wanted <- true;
+          Condition.wait client.rx_cond client.mutex;
+          wait ()
+        end
+        else if not client.rx_wanted then
+          match client.keepalive with
+          | None ->
+            Condition.wait client.rx_cond client.mutex;
+            wait ()
+          | Some ka ->
+            let due = keepalive_due client ka in
+            if Unix.gettimeofday () < due then begin
+              Ovsync.Timedwait.wait client.mutex client.rx_cond ~until:due;
+              wait ()
+            end
+      in
+      wait ();
+      client.rx_wanted <- false;
+      client.reading <- true)
+
+(* The client's only thread.  It never blocks in a receive: it parks
+   until the channel turns readable while no caller reads it (calls that
+   overlap, events between calls, a close) or keepalive is due, then
+   reads what is queued without waiting and parks again.  It ends with
+   the connection. *)
+let receiver_loop client =
+  let rec drain () =
+    match step client ~until:neg_infinity with
+    | Frame -> drain ()
+    | Idle -> true
+    | Dead -> false
   in
   let rec loop () =
-    match recv () with
-    | exception Transport.Closed ->
-      fail_all_pending client (Verror.make Verror.Rpc_failure "connection closed")
-    | exception Transport.Corrupt msg ->
-      (* A corrupt frame poisons the stream: close the transport so the
-         peer reaps its side, then fail every caller. *)
-      Transport.close client.conn;
-      fail_all_pending client
-        (Verror.make Verror.Rpc_failure ("corrupt frame: " ^ msg))
-    | exception Peer_silent msg ->
-      (* Blame keepalive before closing the transport, as [close] does. *)
-      fail_all_pending client (Verror.make Verror.Rpc_failure msg);
-      Transport.close client.conn
-    | wire ->
-      (match Rpc_packet.decode wire with
-       | exception Rpc_packet.Bad_packet msg ->
-         Transport.close client.conn;
-         fail_all_pending client
-           (Verror.make Verror.Rpc_failure ("bad packet from server: " ^ msg))
-       | header, body ->
-         (match header.Rpc_packet.msg_type with
-          | Rpc_packet.Event ->
-            (try client.on_event ~procedure:header.Rpc_packet.procedure body
-             with _ -> ());
-            loop ()
-          | Rpc_packet.Reply ->
-            (match client.on_raw_reply with
-             | None -> ()
-             | Some observe -> (try observe wire with _ -> ()));
-            let slot =
-              with_lock client.mutex (fun () ->
-                  let slot = Hashtbl.find_opt client.pending header.Rpc_packet.serial in
-                  Hashtbl.remove client.pending header.Rpc_packet.serial;
-                  slot)
-            in
-            (match slot with
-             | None -> () (* timed-out call or keepalive pong: drop *)
-             | Some slot ->
-               let outcome =
-                 match header.Rpc_packet.status with
-                 | Rpc_packet.Status_ok -> Ok body
-                 | Rpc_packet.Status_error ->
-                   (match Xdr.decode Protocol.Remote_protocol.error body with
-                    | err -> Error err
-                    | exception Xdr.Error msg ->
-                      Error
-                        (Verror.make Verror.Rpc_failure
-                           ("undecodable error reply: " ^ msg)))
-               in
-               deliver slot outcome);
-            loop ()
-          | Rpc_packet.Call ->
-            (* Servers do not call clients; ignore and carry on. *)
-            loop ()))
+    park client;
+    let alive = drain () in
+    release_read_side client;
+    if alive then loop ()
   in
   loop ()
 
@@ -218,28 +327,45 @@ let connect ~address ~kind ~program ~version ?identity ?faults ?keepalive
   | exception Netsim.Connection_refused addr ->
     Verror.error Verror.Rpc_failure "connection refused at %S" addr
   | conn ->
+    let now = Unix.gettimeofday () in
     let client =
       {
         conn;
         program;
         version;
         on_event;
+        keepalive;
         mutex = Mutex.create ();
         pending = Hashtbl.create 8;
         next_serial = 1;
         free_slots = [];
+        n_free = 0;
         closed = false;
         on_raw_reply = None;
+        reading = false;
+        rx_wanted = false;
+        rx_cond = Condition.create ();
+        last_rx = now;
+        last_ping = now;
       }
     in
-    ignore (Thread.create (fun () -> receiver_loop client keepalive) ());
+    let unhook = Transport.on_readable conn (on_readable client) in
+    (* A first look for anything queued before the hook existed. *)
+    with_lock client.mutex (fun () ->
+        if Transport.pending conn then client.rx_wanted <- true);
+    ignore
+      (Thread.create
+         (fun () ->
+           receiver_loop client;
+           unhook ())
+         ());
     Ok client
 
 let set_raw_reply_hook client hook = client.on_raw_reply <- hook
 
 (* Issue a call without waiting: the returned future lets one thread keep
-   as many calls in flight on the connection as it likes (pipelining) —
-   the receiver thread demultiplexes replies by serial as before. *)
+   as many calls in flight on the connection as it likes (pipelining);
+   whoever reads demultiplexes replies by serial. *)
 let call_async client ~procedure ?(body = "") ?timeout_s () =
   let slot_or_err =
     with_lock client.mutex (fun () ->
@@ -272,11 +398,13 @@ let call_async client ~procedure ?(body = "") ?timeout_s () =
           [fail_all_pending] already took it, that closer delivers and an
           eventual await would consume — but we never built a future, so
           leave the slot to the GC in that (already-fatal) case. *)
-       if claim client serial then release_slot client slot;
-       (* Dead even if the receiver has not noticed yet: close now, so a
-          caller that retries when [is_closed] holds sees it. *)
+       if Option.is_some (take_pending client serial) then release_slot client slot;
+       (* Dead even if no reader has noticed yet: close now, so a caller
+          that retries when [is_closed] holds sees it, and a leader
+          blocked reading wakes. *)
        fail_all_pending client
          (Verror.make Verror.Rpc_failure "connection closed");
+       Transport.close client.conn;
        Verror.error Verror.Rpc_failure "connection is closed"
      | () ->
        Ok
@@ -303,38 +431,66 @@ let wait_slot slot ~until =
       done;
       slot.outcome)
 
+(* Lead: read frames (ours and anyone else's) until our slot is filled,
+   [until] passes or the connection dies, then hand the read side back. *)
+let rec read_until client slot ~until =
+  if
+    Option.is_none (outcome_of slot)
+    && (until = infinity || Unix.gettimeofday () < until)
+  then
+    match step client ~until with
+    | Frame | Idle -> read_until client slot ~until
+    | Dead -> ()
+
+let lead client slot ~until =
+  match read_until client slot ~until with
+  | () -> release_read_side client
+  | exception exn ->
+    release_read_side client;
+    raise exn
+
+(* Collect [fut]'s outcome, reading the connection first when [led]:
+   the caller holds the read side.  Otherwise the reader delivers to the
+   slot.  Either way the slot is filled — a reply, or a failure when the
+   connection dies.  A timed call that outlives its deadline claims its
+   serial back; if the serial is gone, a delivery is under way and
+   wins. *)
+let finish fut ~led =
+  let client = fut.fut_client and slot = fut.fut_slot in
+  if led then lead client slot ~until:fut.fut_until;
+  let outcome =
+    match wait_slot slot ~until:fut.fut_until with
+    | Some outcome -> outcome
+    | None ->
+      if Option.is_some (take_pending client fut.fut_serial) then
+        Error
+          (Verror.make Verror.Rpc_failure
+             (Printf.sprintf "call %d timed out after %.1fs" fut.fut_procedure
+                fut.fut_timeout))
+      else Option.get (wait_slot slot ~until:infinity)
+  in
+  fut.fut_result <- Some outcome;
+  release_slot client slot;
+  outcome
+
 let await fut =
   match fut.fut_result with
   | Some outcome -> outcome
-  | None ->
-    let client = fut.fut_client and slot = fut.fut_slot in
-    (* The receiver always delivers — a reply, or a failure when the
-       connection dies.  A timed call that outlives its deadline claims
-       its serial back; if the serial is gone, a delivery is under way
-       and wins. *)
-    let outcome =
-      match wait_slot slot ~until:fut.fut_until with
-      | Some outcome -> outcome
-      | None ->
-        if claim client fut.fut_serial then
-          Error
-            (Verror.make Verror.Rpc_failure
-               (Printf.sprintf "call %d timed out after %.1fs" fut.fut_procedure
-                  fut.fut_timeout))
-        else Option.get (wait_slot slot ~until:infinity)
-    in
-    fut.fut_result <- Some outcome;
-    release_slot client slot;
-    outcome
+  | None -> finish fut ~led:(take_read_side fut.fut_client)
 
+(* The read side is taken before the send: a reply that came back before
+   the caller got round to reading would otherwise wake the receiver. *)
 let call client ~procedure ?body ?timeout_s () =
+  let led = take_read_side client in
   match call_async client ~procedure ?body ?timeout_s () with
-  | Error e -> Error e
-  | Ok fut -> await fut
+  | Error e ->
+    if led then release_read_side client;
+    Error e
+  | Ok fut -> finish fut ~led
 
 let close client =
   (* Same ordering as the keepalive death: deliver the precise error,
-     then close (the receiver's generic one must not win the race). *)
+     then close (the reader's generic one must not win the race). *)
   fail_all_pending client (Verror.make Verror.Rpc_failure "connection closed locally");
   Transport.close client.conn
 

@@ -1,13 +1,27 @@
 (** Client-side RPC engine shared by the remote driver and the admin
     library.
 
-    Each connection runs one thread, its receiver.  It demultiplexes the
-    connection: replies are matched to blocked callers by serial, event
-    packets are handed to the [on_event] callback, and with keepalive it
-    also pings a silent peer and declares it dead.  A call timeout is
-    enforced by the waiting caller on {!Ovsync.Timedwait}.  Multiple
-    threads may issue {!call}s concurrently; sends are serialized by the
-    transport layer. *)
+    Replies are matched to their callers by serial, and event packets are
+    handed to the [on_event] callback, by whichever thread reads the
+    connection; one thread reads at a time, so frames are handled in
+    wire order.  A caller awaiting its reply reads the connection itself
+    when no other thread does (it leads): it handles every frame that
+    arrives — other callers' replies, events — until its own reply, its
+    timeout or the connection's death, then hands the read side back.
+    A lone call thus crosses no thread of this client.  Each connection
+    still runs one thread, its receiver, which parks until the
+    connection turns readable while nobody reads it: it serves calls
+    that overlap a leader (they wait on their slots), events between
+    calls, and keepalive on an idle connection.  With keepalive, a
+    leader pings a silent peer and declares it dead just as the receiver
+    does.  A call timeout is enforced by the waiting caller on
+    {!Ovsync.Timedwait}.  Multiple threads may issue {!call}s
+    concurrently; sends are serialized by the transport layer.
+
+    Since a leader runs [on_event] and the raw-reply hook, both may run
+    on a calling thread, inside {!call} or {!await}, with whatever locks
+    that caller holds: they must not take a lock a caller holds across a
+    call, nor call on the same connection. *)
 
 type t
 
@@ -30,7 +44,8 @@ val connect :
   unit ->
   (t, Ovirt_core.Verror.t) result
 (** Establish the transport and start the receiver, the connection's
-    only thread.  [Connection_refused] surfaces as a [Rpc_failure]
+    only thread.  [on_event] runs on whichever thread reads the event's
+    frame (see above).  [Connection_refused] surfaces as a [Rpc_failure]
     error.  [faults] attaches a client-side fault plan (tests/chaos
     only).  Without [keepalive] a silent dead peer is only noticed when
     the transport closes. *)
@@ -39,7 +54,9 @@ val call :
   t -> procedure:int -> ?body:string -> ?timeout_s:float -> unit ->
   (string, Ovirt_core.Verror.t) result
 (** Send one call and block for its reply (no timeout unless given;
-    the receiver fails all pending calls when the connection dies).
+    the reader fails all pending calls when the connection dies).  The
+    caller takes the read side before sending when it is free, and then
+    reads its own reply.
     [Status_error] replies come back as their decoded error; a dead
     connection, keepalive death or timeout is [Rpc_failure]. *)
 
@@ -48,8 +65,9 @@ val set_raw_reply_hook : t -> (string -> unit) option -> unit
     (length prefix, header, body), before demultiplexing.  A testing
     seam: the reply-cache byte-equality harness records raw frames from
     cache-on and cache-off connections and asserts they differ only in
-    the serial word.  Runs on the receiver thread; exceptions are
-    swallowed.  [None] removes the hook. *)
+    the serial word.  Runs on the thread that read the frame: the
+    receiver, or the calling thread that led; exceptions are swallowed.
+    [None] removes the hook. *)
 
 type future
 (** One in-flight call issued with {!call_async}. *)
@@ -67,14 +85,15 @@ val call_async :
     allocates no Mutex+Condition pairs in steady state. *)
 
 val await : future -> (string, Ovirt_core.Verror.t) result
-(** Block until the call completes, or until its timeout passes: the
+(** Block until the call completes, reading the connection when no
+    other thread does, or until its timeout passes: the
     call then fails with [Rpc_failure] ("timed out") and a reply that
     arrives later is dropped.  Idempotent: the outcome is cached on the
     future.  {!call} ≡ {!call_async} + {!await}. *)
 
 val close : t -> unit
 (** Idempotent; fails all in-flight calls (exactly once, whoever closes
-    first — local close, receiver failure or keepalive — wins). *)
+    first — local close, read failure or keepalive — wins). *)
 
 val is_closed : t -> bool
 

@@ -36,6 +36,10 @@ let with_lock c f =
    them slightly after the state change is harmless. *)
 let run_hooks hooks = List.iter (fun h -> h.h_fn ()) hooks
 
+(* The receiver is woken after the unlock: signalled under the lock, a
+   receiver on the same CPU would preempt us only to block on the mutex
+   we still hold.  Waiters re-check the queue under the lock, so the
+   late signal loses nothing. *)
 let send c msg =
   let hooks =
     with_lock c (fun () ->
@@ -44,9 +48,9 @@ let send c msg =
         done;
         if c.closed then raise Closed;
         Queue.push msg c.queue;
-        Condition.signal c.readable;
         c.hooks)
   in
+  Condition.signal c.readable;
   run_hooks hooks
 
 let recv c =
@@ -100,8 +104,19 @@ let close c =
   in
   run_hooks hooks
 
-let is_closed c = with_lock c (fun () -> c.closed)
-let pending c = with_lock c (fun () -> Queue.length c.queue)
+(* Lock and unlock by hand: these two run per call on the RPC client's
+   read path, and [with_lock]'s closure would be allocated each time. *)
+let is_closed c =
+  Mutex.lock c.mutex;
+  let closed = c.closed in
+  Mutex.unlock c.mutex;
+  closed
+
+let pending c =
+  Mutex.lock c.mutex;
+  let n = Queue.length c.queue in
+  Mutex.unlock c.mutex;
+  n
 
 let add_ready_hook c fn =
   let h = { h_id = Atomic.fetch_and_add hook_ids 1; h_fn = fn } in

@@ -128,6 +128,15 @@ let try_recv conn =
     conn.rx <- conn.rx + String.length msg;
     Some msg
 
+let pending conn =
+  let inbound = conn.ep.Chan.incoming in
+  Chan.pending inbound > 0 || Chan.is_closed inbound
+
+let on_readable conn fn =
+  let inbound = conn.ep.Chan.incoming in
+  let hook = Chan.add_ready_hook inbound fn in
+  fun () -> Chan.remove_ready_hook inbound hook
+
 let close conn = Chan.close_endpoint conn.ep
 let is_closed conn = Chan.is_closed conn.ep.Chan.outgoing
 let bytes_tx conn = conn.tx

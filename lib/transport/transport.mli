@@ -59,6 +59,17 @@ val try_recv : t -> string option
 (** Non-blocking {!recv}: [None] when no frame is queued.  Raises as
     {!recv} does ([Closed], [Corrupt]).  The reactor's drain primitive. *)
 
+val pending : t -> bool
+(** A receive would not block: a frame is queued, or the inbound side is
+    closed. *)
+
+val on_readable : t -> (unit -> unit) -> unit -> unit
+(** [on_readable conn f] runs [f] whenever the inbound side turns
+    readable (a frame queued, or a close), with {!Chan}'s ready-hook
+    rules: outside any channel lock, possibly spuriously, never
+    blocking.  Returns the function that removes the hook.  This lets a
+    reader park on a condition of its own instead of in {!recv}. *)
+
 val close : t -> unit
 val is_closed : t -> bool
 

@@ -24,11 +24,6 @@ module Rp = Protocol.Remote_protocol
 
 let () = Ovirt.initialize ()
 
-let contains haystack needle =
-  let hl = String.length haystack and nl = String.length needle in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let quiet_config =
   {
     Daemon_config.default with

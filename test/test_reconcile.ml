@@ -485,7 +485,7 @@ let test_policy_codec_roundtrip () =
            (Xdr.encode Rp.dom_set_policy.Rp.sg_args (name, p))
         = (name, p));
       Alcotest.(check bool) "policy roundtrip" true
-        (Xdr.decode Rp.policy (Xdr.encode Rp.policy p) = p))
+        (Xdr.decode Reconcile.policy (Xdr.encode Reconcile.policy p) = p))
     [
       Dompolicy.default;
       policy ~boot:Dompolicy.Boot_start ~shut:Dompolicy.Shut_suspend

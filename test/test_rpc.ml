@@ -606,7 +606,7 @@ let cases =
         Case ("net_info", Rp.net_info, net_info); Case ("pool_info", Rp.pool_info, pool_info);
         Case ("vol_info", Rp.vol_info, vol_info);
         Case ("lifecycle_event", Rp.lifecycle_event, event ~seq:(G.return 0));
-        Case ("policy", Rp.policy, policy);
+        Case ("policy", Reconcile.policy, policy);
         Case ("reconcile_status", Rp.reconcile_status, reconcile_status);
         Case ("resume_reply", Rp.resume_reply, resume_reply);
         Case ("seq_event", Rp.seq_event, event ~seq:G.int);
@@ -743,6 +743,241 @@ let test_every_signature_is_covered () =
   Alcotest.(check int) "remote rows" (2 * rows Rp.proc_of_int) (calls false);
   Alcotest.(check int) "admin rows" (2 * rows Ap.proc_of_int) (calls true)
 
+(* --- Rpc_client: the caller reads its own reply --------------------------- *)
+
+module Transport = Ovnet.Transport
+module Netsim = Ovnet.Netsim
+
+(* A raw-frame test server.  A call's body is "id:delay_ms:events": after
+   [delay_ms] (on a thread of its own) the server pushes [events] event
+   frames, echoes the body as the reply, and pushes [events] more.
+   Events carry a number taken under the lock that orders the sends, so
+   the numbers rise in wire order.  A body of "hang" is never answered,
+   nor is a ping. *)
+type echo_server = { es_addr : string; es_sent : int Atomic.t; es_busy : int Atomic.t }
+
+let with_echo_server f =
+  let srv =
+    { es_addr = fresh_name "leader"; es_sent = Atomic.make 0; es_busy = Atomic.make 0 }
+  in
+  let listener =
+    listen_threaded srv.es_addr (fun conn ->
+        let order = Mutex.create () in
+        let send wire = try Transport.send conn wire with Transport.Closed -> () in
+        let answer header body () =
+          let delay_ms, events = Scanf.sscanf body "%d:%d:%d" (fun _ d e -> (d, e)) in
+          if delay_ms > 0 then Thread.delay (float_of_int delay_ms /. 1000.);
+          let push () =
+            for _ = 1 to events do
+              let seq = Atomic.fetch_and_add srv.es_sent 1 + 1 in
+              send
+                (Rpc_packet.encode
+                   (Rpc_packet.event_header ~program:Rp.program ~version:1 ~procedure:1)
+                   (string_of_int seq))
+            done
+          in
+          Mutex.protect order (fun () ->
+              push ();
+              send (Rpc_packet.encode (Rpc_packet.reply_ok header) body);
+              push ());
+          Atomic.decr srv.es_busy
+        in
+        let rec serve () =
+          match Transport.recv conn with
+          | exception Transport.Closed -> ()
+          | wire ->
+            let header, body = Rpc_packet.decode wire in
+            if header.Rpc_packet.program = Rp.program && body <> "hang" then begin
+              Atomic.incr srv.es_busy;
+              ignore (Thread.create (answer header body) ())
+            end;
+            serve ()
+        in
+        serve ())
+  in
+  Fun.protect ~finally:(fun () -> Netsim.close_listener listener) (fun () -> f srv)
+
+let connect_to ?keepalive ?on_event srv =
+  vok
+    (Rpc_client.connect ~address:srv.es_addr ~kind:Transport.Unix_sock ~program:Rp.program
+       ~version:1 ?keepalive ?on_event ())
+
+(* [f ()] on a thread of its own; [None] if it has not returned after
+   [secs].  An exception [f] raises is raised here. *)
+let within secs f =
+  let result = Atomic.make None in
+  ignore
+    (Thread.create
+       (fun () -> Atomic.set result (Some (try Ok (f ()) with exn -> Error exn)))
+       ());
+  ignore (eventually ~timeout_s:secs (fun () -> Option.is_some (Atomic.get result)));
+  Option.map (function Ok v -> v | Error exn -> raise exn) (Atomic.get result)
+
+let test_lone_call_read_by_caller () =
+  with_echo_server (fun srv ->
+      let rpc = connect_to srv in
+      let readers = ref [] and readers_mutex = Mutex.create () in
+      Rpc_client.set_raw_reply_hook rpc
+        (Some
+           (fun _ ->
+             Mutex.protect readers_mutex (fun () ->
+                 readers := Thread.id (Thread.self ()) :: !readers)));
+      let calls () =
+        for i = 1 to 20 do
+          let body = Printf.sprintf "%d:0:0" i in
+          Alcotest.(check string) "own reply" body (vok (Rpc_client.call rpc ~procedure:7 ~body ()))
+        done;
+        Thread.id (Thread.self ())
+      in
+      let caller = within 5.0 calls in
+      Rpc_client.close rpc;
+      match caller with
+      | None -> Alcotest.fail "a call hung"
+      | Some caller ->
+        Alcotest.(check (list int))
+          "every reply read on the calling thread" (List.init 20 (fun _ -> caller))
+          (Mutex.protect readers_mutex (fun () -> !readers)))
+
+(* Threads mix blocking calls, timed calls (20 ms) and pipelined calls
+   awaited out of order, against replies that come late or out of order
+   and event frames pushed between them. *)
+type op =
+  | Call of int * int (* delay_ms, events *)
+  | Timed of int * int
+  | Pipeline of (int * int) list * int list (* calls, await order *)
+
+let show_op = function
+  | Call (d, e) -> Printf.sprintf "call %d/%d" d e
+  | Timed (d, e) -> Printf.sprintf "timed %d/%d" d e
+  | Pipeline (calls, order) ->
+    Printf.sprintf "pipeline [%s] awaited [%s]"
+      (String.concat "; " (List.map (fun (d, e) -> Printf.sprintf "%d/%d" d e) calls))
+      (String.concat "; " (List.map string_of_int order))
+
+let gen_schedule =
+  let open QCheck.Gen in
+  let reply = pair (oneofl [ 0; 0; 1; 3 ]) (int_range 0 2) in
+  let op =
+    frequency
+      [
+        (3, map (fun (d, e) -> Call (d, e)) reply);
+        (2, map2 (fun d e -> Timed (d, e)) (oneofl [ 0; 1; 50 ]) (int_range 0 2));
+        ( 2,
+          list_size (int_range 2 4) reply >>= fun calls ->
+          map
+            (fun order -> Pipeline (calls, order))
+            (shuffle_l (List.init (List.length calls) Fun.id)) );
+      ]
+  in
+  list_size (int_range 2 4) (list_size (int_range 1 4) op)
+
+let prop_leader_schedules =
+  qcheck_case ~count:25 "mixed calls each get their own reply"
+    (QCheck.make
+       ~print:(fun threads ->
+         String.concat " || " (List.map (fun ops -> String.concat ", " (List.map show_op ops)) threads))
+       gen_schedule)
+    (fun threads ->
+      with_echo_server (fun srv ->
+          let got = ref [] and got_mutex = Mutex.create () in
+          let on_event ~procedure:_ body =
+            Mutex.protect got_mutex (fun () -> got := int_of_string body :: !got)
+          in
+          let rpc = connect_to ~on_event srv in
+          let ids = Atomic.make 0 and wrong = ref [] and wrong_mutex = Mutex.create () in
+          let complain fmt =
+            Printf.ksprintf (fun m -> Mutex.protect wrong_mutex (fun () -> wrong := m :: !wrong)) fmt
+          in
+          let body (d, e) = Printf.sprintf "%d:%d:%d" (Atomic.fetch_and_add ids 1) d e in
+          let expect ~timed body = function
+            | Ok reply when reply = body -> ()
+            | Error e when timed && contains e.Verror.message "timed out" -> ()
+            | Ok reply -> complain "%s got %s" body reply
+            | Error e -> complain "%s failed: %s" body (Verror.to_string e)
+          in
+          let run_op = function
+            | Call (d, e) ->
+              let b = body (d, e) in
+              expect ~timed:false b (Rpc_client.call rpc ~procedure:7 ~body:b ())
+            | Timed (d, e) ->
+              let b = body (d, e) in
+              let t0 = Unix.gettimeofday () in
+              let outcome = Rpc_client.call rpc ~procedure:7 ~body:b ~timeout_s:0.02 () in
+              if Unix.gettimeofday () -. t0 > 1.0 then complain "%s outlived its deadline" b;
+              if d >= 50 && Result.is_ok outcome then complain "%s beat its deadline" b;
+              expect ~timed:true b outcome
+            | Pipeline (calls, order) ->
+              let futs =
+                Array.of_list
+                  (List.map
+                     (fun c ->
+                       let b = body c in
+                       (b, vok (Rpc_client.call_async rpc ~procedure:7 ~body:b ())))
+                     calls)
+              in
+              List.iter
+                (fun i ->
+                  let b, fut = futs.(i) in
+                  expect ~timed:false b (Rpc_client.await fut))
+                order
+          in
+          let finished =
+            within 10.0 (fun () ->
+                List.iter Thread.join
+                  (List.map (fun ops -> Thread.create (List.iter run_op) ops) threads))
+          in
+          (* Late replies and their events still arrive; wait for them. *)
+          let settled =
+            eventually ~timeout_s:5.0 (fun () ->
+                Atomic.get srv.es_busy = 0
+                && Mutex.protect got_mutex (fun () -> List.length !got) >= Atomic.get srv.es_sent)
+          in
+          let events = Mutex.protect got_mutex (fun () -> List.rev !got) in
+          let pending = Rpc_client.pending_calls rpc in
+          Rpc_client.close rpc;
+          if finished = None then QCheck.Test.fail_report "a call hung";
+          if !wrong <> [] then QCheck.Test.fail_reportf "%s" (String.concat "; " !wrong);
+          if not settled then QCheck.Test.fail_report "events or replies never arrived";
+          if events <> List.init (Atomic.get srv.es_sent) (fun i -> i + 1) then
+            QCheck.Test.fail_reportf "events out of wire order or not once: %s"
+              (String.concat "," (List.map string_of_int events));
+          pending = 0))
+
+let test_timed_out_leader_hands_back () =
+  with_echo_server (fun srv ->
+      let rpc = connect_to srv in
+      (match Rpc_client.call rpc ~procedure:7 ~body:"hang" ~timeout_s:0.05 () with
+       | Ok _ -> Alcotest.fail "unanswered call returned"
+       | Error e ->
+         Alcotest.(check bool) ("timed out: " ^ e.Verror.message) true
+           (contains e.Verror.message "timed out"));
+      (* Another thread's call reads only if the read side came back:
+         nobody else would read its reply. *)
+      (match within 3.0 (fun () -> Rpc_client.call rpc ~procedure:7 ~body:"1:0:2" ~timeout_s:2.0 ()) with
+       | None -> Alcotest.fail "the next call hung"
+       | Some outcome -> Alcotest.(check string) "next call served" "1:0:2" (vok outcome));
+      Alcotest.(check int) "no pending leak" 0 (Rpc_client.pending_calls rpc);
+      Alcotest.(check bool) "connection survives" false (Rpc_client.is_closed rpc);
+      Rpc_client.close rpc)
+
+let test_leader_declares_silent_peer_dead () =
+  with_echo_server (fun srv ->
+      let rpc =
+        connect_to ~keepalive:{ Rpc_client.ka_interval = 0.05; ka_count = 2 } srv
+      in
+      let t0 = Unix.gettimeofday () in
+      (match within 3.0 (fun () -> Rpc_client.call rpc ~procedure:7 ~body:"hang" ()) with
+       | None -> Alcotest.fail "the call outlived keepalive"
+       | Some (Ok _) -> Alcotest.fail "unanswered call returned"
+       | Some (Error e) ->
+         Alcotest.(check bool)
+           ("keepalive blamed: " ^ e.Verror.message)
+           true
+           (String.starts_with ~prefix:"keepalive: peer silent for " e.Verror.message
+           && String.ends_with ~suffix:"s (interval 0.05s x 2)" e.Verror.message));
+      Alcotest.(check bool) "prompt death" true (Unix.gettimeofday () -. t0 < 2.0);
+      Alcotest.(check bool) "closed" true (Rpc_client.is_closed rpc))
+
 let () =
   Alcotest.run "rpc"
     [
@@ -791,5 +1026,12 @@ let () =
           quick "every signature is covered" test_every_signature_is_covered;
           prop_codecs_round_trip;
           prop_codec_prefixes_rejected;
+        ] );
+      ( "leader",
+        [
+          quick "a lone call is read by its caller" test_lone_call_read_by_caller;
+          prop_leader_schedules;
+          quick "a timed-out leader hands back" test_timed_out_leader_hands_back;
+          quick "a leader declares a silent peer dead" test_leader_declares_silent_peer_dead;
         ] );
     ]

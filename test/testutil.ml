@@ -41,6 +41,11 @@ let define_and_start conn ~virt_type ~name ?(memory_kib = 8 * 1024) () =
   vok (Ovirt.Domain.create dom);
   dom
 
+let contains haystack needle =
+  let hl = String.length haystack and nl = String.length needle in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 (* Wait until [cond ()] or the timeout elapses; threads in the daemon make
    a few assertions timing-dependent. *)
 let eventually ?(timeout_s = 2.0) cond =
