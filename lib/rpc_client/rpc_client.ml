@@ -103,21 +103,27 @@ let release_slot client slot =
 (* Idempotent: the first closer (local close, read failure, keepalive
    death) delivers the error to every pending call and marks the client
    closed; later closers find nothing to do.  All under [client.mutex], so
-   the close path cannot race a concurrent [call] registering a slot. *)
+   the close path cannot race a concurrent [call] registering a slot.
+   The parked receiver is woken to end: a failed client handles no more
+   frames, even ones queued behind the frame that killed it. *)
 let fail_all_pending client err =
   let slots =
     with_lock client.mutex (fun () ->
-        if client.closed then []
+        if client.closed then None
         else begin
           client.closed <- true;
           let slots =
             Hashtbl.fold (fun _ slot acc -> slot :: acc) client.pending []
           in
           Hashtbl.reset client.pending;
-          slots
+          Some slots
         end)
   in
-  List.iter (fun slot -> deliver slot (Error err)) slots
+  match slots with
+  | None -> ()
+  | Some slots ->
+    Condition.broadcast client.rx_cond;
+    List.iter (fun slot -> deliver slot (Error err)) slots
 
 (* Take [serial] out of the pending table: [Some slot] if it was still
    there, so nobody else will deliver to that slot. *)
@@ -274,11 +280,13 @@ let on_readable client () =
   if wake then Condition.signal client.rx_cond
 
 (* Park until there is something to read and nobody else reads it, or a
-   keepalive event is due; return holding the read side. *)
+   keepalive event is due; [true] holding the read side.  [false] once
+   the client has failed: the receiver then ends without reading. *)
 let park client =
   with_lock client.mutex (fun () ->
       let rec wait () =
-        if client.reading then begin
+        if client.closed then ()
+        else if client.reading then begin
           (* The reader keeps keepalive while it reads; have its release
              wake us to re-time the next ping. *)
           if Option.is_some client.keepalive then client.rx_wanted <- true;
@@ -299,7 +307,11 @@ let park client =
       in
       wait ();
       client.rx_wanted <- false;
-      client.reading <- true)
+      if client.closed then false
+      else begin
+        client.reading <- true;
+        true
+      end)
 
 (* The client's only thread.  It never blocks in a receive: it parks
    until the channel turns readable while no caller reads it (calls that
@@ -314,10 +326,11 @@ let receiver_loop client =
     | Dead -> false
   in
   let rec loop () =
-    park client;
-    let alive = drain () in
-    release_read_side client;
-    if alive then loop ()
+    if park client then begin
+      let alive = drain () in
+      release_read_side client;
+      if alive then loop ()
+    end
   in
   loop ()
 
@@ -391,32 +404,39 @@ let call_async client ~procedure ?(body = "") ?timeout_s () =
       | None -> (0., infinity)
       | Some t -> (t, Unix.gettimeofday () +. t)
     in
-    (match Transport.send client.conn (Rpc_packet.encode header body) with
-     | exception Transport.Closed ->
-       (* Nothing was sent: if the slot is still pending nobody else can
-          deliver to it, so reclaim it directly.  When a concurrent
-          [fail_all_pending] already took it, that closer delivers and an
-          eventual await would consume — but we never built a future, so
-          leave the slot to the GC in that (already-fatal) case. *)
-       if Option.is_some (take_pending client serial) then release_slot client slot;
-       (* Dead even if no reader has noticed yet: close now, so a caller
-          that retries when [is_closed] holds sees it, and a leader
-          blocked reading wakes. *)
-       fail_all_pending client
-         (Verror.make Verror.Rpc_failure "connection closed");
-       Transport.close client.conn;
-       Verror.error Verror.Rpc_failure "connection is closed"
-     | () ->
-       Ok
-         {
-           fut_client = client;
-           fut_slot = slot;
-           fut_serial = serial;
-           fut_procedure = procedure;
-           fut_timeout = timeout;
-           fut_until = until;
-           fut_result = None;
-         })
+    match Rpc_packet.encode header body with
+    | exception Rpc_packet.Bad_packet msg ->
+      (* Too large to frame: nothing was sent and the connection stays
+         usable; only this call's slot goes back. *)
+      if Option.is_some (take_pending client serial) then release_slot client slot;
+      Verror.error Verror.Rpc_failure "call %d not sent: %s" procedure msg
+    | packet -> (
+      match Transport.send client.conn packet with
+      | exception Transport.Closed ->
+        (* Nothing was sent: if the slot is still pending nobody else can
+           deliver to it, so reclaim it directly.  When a concurrent
+           [fail_all_pending] already took it, that closer delivers and an
+           eventual await would consume — but we never built a future, so
+           leave the slot to the GC in that (already-fatal) case. *)
+        if Option.is_some (take_pending client serial) then release_slot client slot;
+        (* Dead even if no reader has noticed yet: close now, so a caller
+           that retries when [is_closed] holds sees it, and a leader
+           blocked reading wakes. *)
+        fail_all_pending client
+          (Verror.make Verror.Rpc_failure "connection closed");
+        Transport.close client.conn;
+        Verror.error Verror.Rpc_failure "connection is closed"
+      | () ->
+        Ok
+          {
+            fut_client = client;
+            fut_slot = slot;
+            fut_serial = serial;
+            fut_procedure = procedure;
+            fut_timeout = timeout;
+            fut_until = until;
+            fut_result = None;
+          })
 
 (* Wait on [slot] until it is delivered or [until] passes ([None]).  The
    slot may be a recycled one that a timekeeper entry from an earlier
@@ -479,14 +499,18 @@ let await fut =
   | None -> finish fut ~led:(take_read_side fut.fut_client)
 
 (* The read side is taken before the send: a reply that came back before
-   the caller got round to reading would otherwise wake the receiver. *)
+   the caller got round to reading would otherwise wake the receiver.  A
+   call that is not sent, or whose send raises, hands it straight back. *)
 let call client ~procedure ?body ?timeout_s () =
   let led = take_read_side client in
   match call_async client ~procedure ?body ?timeout_s () with
+  | Ok fut -> finish fut ~led
   | Error e ->
     if led then release_read_side client;
     Error e
-  | Ok fut -> finish fut ~led
+  | exception exn ->
+    if led then release_read_side client;
+    raise exn
 
 let close client =
   (* Same ordering as the keepalive death: deliver the precise error,

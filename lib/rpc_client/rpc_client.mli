@@ -78,7 +78,9 @@ val call_async :
 (** Send one call without waiting: a single thread can pipeline many
     calls on the connection and collect the replies with {!await}.
     Only the send itself can fail here; everything the blocking {!call}
-    reports arrives through {!await}.  [timeout_s] is enforced by
+    reports arrives through {!await}.  A call whose packet would exceed
+    [Rpc_packet.max_packet_size] is not sent: [Rpc_failure], and the
+    connection stays usable.  [timeout_s] is enforced by
     {!await}: a future that is never awaited never times out, and its
     serial stays pending until a reply or the connection's death.  Slots
     behind futures come from a per-client pool, so pipelined fan-out

@@ -978,6 +978,75 @@ let test_leader_declares_silent_peer_dead () =
       Alcotest.(check bool) "prompt death" true (Unix.gettimeofday () -. t0 < 2.0);
       Alcotest.(check bool) "closed" true (Rpc_client.is_closed rpc))
 
+(* A packet too large to frame is refused before anything is sent; the
+   caller that took the read side for it hands it back. *)
+let test_oversized_call_hands_back () =
+  with_echo_server (fun srv ->
+      let rpc = connect_to srv in
+      let body = String.make (Rpc_packet.max_packet_size + 1) 'x' in
+      (match within 3.0 (fun () -> Rpc_client.call rpc ~procedure:7 ~body ()) with
+       | None -> Alcotest.fail "the oversized call hung"
+       | Some (Ok _) -> Alcotest.fail "an oversized call was answered"
+       | Some (Error e) ->
+         Alcotest.(check bool) ("not sent: " ^ e.Verror.message) true
+           (contains e.Verror.message "not sent"));
+      (match within 3.0 (fun () -> Rpc_client.call rpc ~procedure:7 ~body:"1:0:0" ()) with
+       | None -> Alcotest.fail "the next call hung"
+       | Some outcome -> Alcotest.(check string) "next call served" "1:0:0" (vok outcome));
+      Alcotest.(check int) "no pending leak" 0 (Rpc_client.pending_calls rpc);
+      Alcotest.(check bool) "connection survives" false (Rpc_client.is_closed rpc);
+      Rpc_client.close rpc)
+
+(* A leader that meets a malformed frame fails the connection; the event
+   frame queued behind it must not reach [on_event].  The server answers
+   a call with a stray reply, a frame of unknown type and an event; the
+   raw-reply hook holds the leader on the stray reply until all three are
+   queued. *)
+let test_failed_leader_stops_frames () =
+  let addr = fresh_name "poison" and queued = Atomic.make false in
+  let listener =
+    listen_threaded addr (fun conn ->
+        let send wire = try Transport.send conn wire with Transport.Closed -> () in
+        let event_frame =
+          Rpc_packet.encode (Rpc_packet.event_header ~program:Rp.program ~version:1 ~procedure:1) "1"
+        in
+        let bad = Bytes.of_string event_frame in
+        Bytes.set_int32_be bad 16 7l (* message type word *);
+        let rec serve () =
+          match Transport.recv conn with
+          | exception Transport.Closed -> ()
+          | wire ->
+            let header, _ = Rpc_packet.decode wire in
+            if header.Rpc_packet.program = Rp.program then begin
+              send (Rpc_packet.encode (Rpc_packet.reply_ok { header with Rpc_packet.serial = 999 }) "");
+              send (Bytes.to_string bad);
+              send event_frame;
+              Atomic.set queued true
+            end;
+            serve ()
+        in
+        serve ())
+  in
+  Fun.protect ~finally:(fun () -> Netsim.close_listener listener) (fun () ->
+      let events = Atomic.make 0 in
+      let rpc =
+        vok
+          (Rpc_client.connect ~address:addr ~kind:Transport.Unix_sock ~program:Rp.program
+             ~version:1 ~on_event:(fun ~procedure:_ _ -> Atomic.incr events) ())
+      in
+      Rpc_client.set_raw_reply_hook rpc
+        (Some (fun _ -> ignore (eventually (fun () -> Atomic.get queued))));
+      (match within 3.0 (fun () -> Rpc_client.call rpc ~procedure:7 ()) with
+       | None -> Alcotest.fail "the call hung"
+       | Some (Ok _) -> Alcotest.fail "a poisoned call returned"
+       | Some (Error e) ->
+         Alcotest.(check bool) ("bad packet: " ^ e.Verror.message) true
+           (contains e.Verror.message "bad packet"));
+      Alcotest.(check bool) "queued" true (Atomic.get queued);
+      Alcotest.(check bool) "closed" true (Rpc_client.is_closed rpc);
+      Alcotest.(check bool) "no event after the bad frame" false
+        (eventually ~timeout_s:0.3 (fun () -> Atomic.get events > 0)))
+
 let () =
   Alcotest.run "rpc"
     [
@@ -1033,5 +1102,7 @@ let () =
           prop_leader_schedules;
           quick "a timed-out leader hands back" test_timed_out_leader_hands_back;
           quick "a leader declares a silent peer dead" test_leader_declares_silent_peer_dead;
+          quick "an oversized call hands back" test_oversized_call_hands_back;
+          quick "a failed leader handles no more frames" test_failed_leader_stops_frames;
         ] );
     ]
