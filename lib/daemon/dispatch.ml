@@ -327,8 +327,9 @@ let rc_feed ctx run chunk =
       run.run_len <- leftover
     end
 
-(* The Edge-mode readiness callback: drain the channel completely (one
-   message per iteration), feeding the current phase of the machine. *)
+(* The readiness callback: watches are edge-triggered, so drain the
+   channel completely (one message per iteration), feeding the current
+   phase of the machine. *)
 let rec rc_on_ready ctx =
   match ctx.rc_state with
   | Rc_closed -> ()
@@ -394,8 +395,7 @@ let attach_endpoint srv programs ~reactor ~pool ?authorize ~kind ep =
     }
   in
   let w =
-    Reactor.watch_chan reactor ep.Chan.incoming ~mode:Reactor.Edge (fun () ->
-        rc_on_ready ctx)
+    Reactor.watch_chan reactor ep.Chan.incoming (fun () -> rc_on_ready ctx)
   in
   ctx.rc_watch <- Some w;
   (* the client's hello may already be queued: registration reports no

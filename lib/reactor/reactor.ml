@@ -7,12 +7,9 @@
    no [select].  Callbacks run on the reactor thread with
    no reactor lock held, so they may freely watch and unwatch. *)
 
-type mode = Edge | Level
-
 type watch = {
   w_id : int;
   w_chan : Ovnet.Chan.t;
-  w_mode : mode;
   w_fn : unit -> unit;
   mutable w_hook : Ovnet.Chan.hook option;
   mutable w_active : bool;
@@ -73,17 +70,13 @@ let mark_ready r w =
   in
   if wake then Condition.signal r.wake
 
+(* Edge-triggered: a watch runs once per hook event (or kick) and then
+   waits for the next one, so its callback drains the channel. *)
 let dispatch r w =
-  (try w.w_fn ()
-   with exn ->
-     Vlog.logf r.logger ~module_:"reactor" Vlog.Warn
-       "%s: watch callback raised %s" r.name (Printexc.to_string exn));
-  (* Level-triggered watches stay hot while the channel stays readable;
-     edge-triggered ones wait for the next hook event. *)
-  if
-    w.w_mode = Level && w.w_active
-    && (Ovnet.Chan.pending w.w_chan > 0 || Ovnet.Chan.is_closed w.w_chan)
-  then mark_ready r w
+  try w.w_fn ()
+  with exn ->
+    Vlog.logf r.logger ~module_:"reactor" Vlog.Warn
+      "%s: watch callback raised %s" r.name (Printexc.to_string exn)
 
 (* The lock is held from the iteration count to the park, so a reader
    of [stats] that sees an iteration with nothing dispatching sees the
@@ -131,12 +124,11 @@ let create ?(name = "reactor") ~logger () =
 
 let name r = r.name
 
-let watch_chan r chan ~mode fn =
+let watch_chan r chan fn =
   let w =
     {
       w_id = fresh_id ();
       w_chan = chan;
-      w_mode = mode;
       w_fn = fn;
       w_hook = None;
       w_active = true;

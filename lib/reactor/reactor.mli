@@ -10,13 +10,6 @@
 
 type t
 
-(** [Edge]: the callback runs once per hook event (send/close) — the
-    callback must drain the channel completely or it will stall.
-    [Level]: after the callback returns, the watch re-queues itself while
-    the channel still has pending messages (or is closed), like a
-    level-triggered poller re-reporting readiness. *)
-type mode = Edge | Level
-
 type watch
 
 type stats = {
@@ -32,10 +25,13 @@ val create : ?name:string -> logger:Vlog.t -> unit -> t
 
 val name : t -> string
 
-val watch_chan : t -> Ovnet.Chan.t -> mode:mode -> (unit -> unit) -> watch
-(** Register interest.  Registration itself reports no readiness — data
-    already queued does not fire the callback until {!kick}; this lets
-    the caller finish its own bookkeeping before the first dispatch. *)
+val watch_chan : t -> Ovnet.Chan.t -> (unit -> unit) -> watch
+(** Register interest.  Watches are edge-triggered: the callback runs
+    once per hook event (send/close) or {!kick}, and must drain the
+    channel completely or it will stall.  Registration itself reports
+    no readiness — data already queued does not fire the callback until
+    {!kick}; this lets the caller finish its own bookkeeping before the
+    first dispatch. *)
 
 val kick : t -> watch -> unit
 (** Enqueue the watch as if its channel had just become ready (used right

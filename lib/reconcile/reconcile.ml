@@ -187,8 +187,7 @@ type record =
   | Attempts of (string * string) * int
       (** divergence attempt counter; 0 resets *)
   | Plan_begin of plan  (** the plan's ops, journaled before any runs *)
-  | Checkpoint of int * int * bool * bool
-      (** plan id, op index, ok, applied (the side effect ran) *)
+  | Checkpoint of int * int  (** plan id, op index: that op is done *)
   | Plan_end of int  (** plan complete *)
 
 let key = Xdr.pair Xdr.string Xdr.string
@@ -240,12 +239,10 @@ let record =
       | Plan_begin pl ->
         Xdr.write tag e `Plan_begin;
         Xdr.write plan e pl
-      | Checkpoint (id, idx, ok, applied) ->
+      | Checkpoint (id, idx) ->
         Xdr.write tag e `Checkpoint;
         Xdr.write Xdr.uint e id;
-        Xdr.write Xdr.uint e idx;
-        Xdr.write Xdr.bool e ok;
-        Xdr.write Xdr.bool e applied
+        Xdr.write Xdr.uint e idx
       | Plan_end id ->
         Xdr.write tag e `Plan_end;
         Xdr.write Xdr.uint e id)
@@ -261,9 +258,7 @@ let record =
       | `Plan_begin -> Plan_begin (Xdr.read plan d)
       | `Checkpoint ->
         let id = Xdr.read Xdr.uint d in
-        let idx = Xdr.read Xdr.uint d in
-        let ok = Xdr.read Xdr.bool d in
-        Checkpoint (id, idx, ok, Xdr.read Xdr.bool d)
+        Checkpoint (id, Xdr.read Xdr.uint d)
       | `Plan_end -> Plan_end (Xdr.read Xdr.uint d))
 
 let journal t r = Journal.append t.j (Xdr.encode record r)
@@ -358,7 +353,7 @@ let replay_record t now payload =
   | Plan_begin pl ->
     t.pending <- Some pl;
     if pl.pl_id >= t.next_id then t.next_id <- pl.pl_id + 1
-  | Checkpoint (id, idx, _, _) -> (
+  | Checkpoint (id, idx) -> (
     match t.pending with
     | Some pl when pl.pl_id = id && idx < Array.length pl.pl_done ->
       pl.pl_done.(idx) <- true
@@ -371,28 +366,6 @@ let replay_record t now payload =
 (* ------------------------------------------------------------------ *)
 (* Plan application                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Counting semaphore bounding concurrent lifecycle applications — the
-   [parallel_shutdown] knob. *)
-module Sem = struct
-  type s = { sm : Mutex.t; sc : Condition.t; mutable avail : int }
-
-  let make n = { sm = Mutex.create (); sc = Condition.create (); avail = max 1 n }
-
-  let acquire s =
-    Mutex.lock s.sm;
-    while s.avail = 0 do
-      Condition.wait s.sc s.sm
-    done;
-    s.avail <- s.avail - 1;
-    Mutex.unlock s.sm
-
-  let release s =
-    Mutex.lock s.sm;
-    s.avail <- s.avail + 1;
-    Condition.signal s.sc;
-    Mutex.unlock s.sm
-end
 
 (* Apply one op of [pl]: postcondition precheck (the exactly-once
    guard), side effect, checkpoint, attempt accounting.  Any exception
@@ -409,7 +382,7 @@ let apply_one t pl idx =
   in
   if already then begin
     with_lock t (fun () ->
-        journal t (Checkpoint (pl.pl_id, idx, true, false));
+        journal t (Checkpoint (pl.pl_id, idx));
         pl.pl_done.(idx) <- true;
         t.ops_skipped <- t.ops_skipped + 1;
         reset_attempts_locked t key)
@@ -420,7 +393,7 @@ let apply_one t pl idx =
     match result with
     | Ok () ->
       with_lock t (fun () ->
-          journal t (Checkpoint (pl.pl_id, idx, true, true));
+          journal t (Checkpoint (pl.pl_id, idx));
           pl.pl_done.(idx) <- true;
           t.ops_applied <- t.ops_applied + 1;
           reset_attempts_locked t key)
@@ -429,17 +402,18 @@ let apply_one t pl idx =
         (Printf.sprintf "reconcile: %s %s on %s failed: %s"
            (op_kind_name o.op_kind) o.op_name o.op_uri (Verror.to_string e));
       with_lock t (fun () ->
-          journal t (Checkpoint (pl.pl_id, idx, false, false));
+          journal t (Checkpoint (pl.pl_id, idx));
           pl.pl_done.(idx) <- true;
           t.ops_failed <- t.ops_failed + 1;
           bump_attempts_locked t key (Verror.to_string e))
   end;
   !crash_hook "post_checkpoint"
 
-(* Run every not-yet-checkpointed op of [pl], bounded by the semaphore.
+(* Run every not-yet-checkpointed op of [pl] on at most
+   [rcfg_parallel] threads: the thread count is the concurrency bound.
    Single-threaded when the bound is 1 (the deterministic mode the
-   crash sweeps rely on); otherwise a small worker pool drains a shared
-   index queue.  The first exception aborts the pool and is re-raised:
+   crash sweeps rely on); otherwise the threads drain a shared index
+   queue.  The first exception aborts the pool and is re-raised:
    the plan stays pending in the journal, exactly as a kill would leave
    it. *)
 let run_plan t pl =
@@ -451,7 +425,6 @@ let run_plan t pl =
   if parallel = 1 || List.length todo <= 1 then
     List.iter (fun idx -> apply_one t pl idx) todo
   else begin
-    let sem = Sem.make parallel in
     let qm = Mutex.create () in
     let queue = ref todo in
     let failure = ref None in
@@ -472,10 +445,7 @@ let run_plan t pl =
         match next () with
         | None -> ()
         | Some idx ->
-          Sem.acquire sem;
-          (try
-             Fun.protect ~finally:(fun () -> Sem.release sem) (fun () ->
-                 apply_one t pl idx)
+          (try apply_one t pl idx
            with exn ->
              Mutex.lock qm;
              if !failure = None then failure := Some exn;

@@ -3,8 +3,8 @@
     The engine holds one declared {!Ovirt_core.Dompolicy.t} per
     (uri, domain) and converges actual run-state toward it: each pass
     diffs spec against actual, journals the resulting plan through
-    {!Persist.Journal} {e before} applying it, applies ops bounded by
-    the [parallel_shutdown] semaphore, and checkpoints per-op — so a
+    {!Persist.Journal} {e before} applying it, applies ops on at most
+    [parallel_shutdown] threads, and checkpoints per-op — so a
     daemon kill at any point resumes the plan on restart with
     exactly-once side effects (a postcondition precheck skips ops whose
     effect landed before the crash cut the checkpoint off).

@@ -26,12 +26,25 @@ type stats = {
   wakeups : int;
 }
 
+(* One worker class: the ordinary workers, whose number floats between
+   [min_workers] and [max_workers] and who serve both queues, or the
+   priority workers, a fixed set serving only the priority queue. *)
+type crew = {
+  cond : Condition.t; (* parked members wait here *)
+  serves_normal : bool; (* ordinary crew: the normal queue too *)
+  mutable live : int;
+  mutable free : int; (* members blocked on [cond] *)
+  (* Parked members already signalled but not yet running: a submit
+     claims an unclaimed one, so two jobs never count on one wake. *)
+  mutable claimed : int;
+}
+
 type t = {
   name : string;
   logger : Vlog.t option;
   mutex : Mutex.t;
-  work_cond : Condition.t; (* parked ordinary workers *)
-  prio_cond : Condition.t; (* parked priority workers *)
+  workers : crew;
+  prio : crew;
   idle_cond : Condition.t; (* drain/shutdown wait here *)
   (* Normal-class jobs, one queue per submission source (one daemon
      client connection), served round robin per source: one job per
@@ -45,15 +58,7 @@ type t = {
   mutable min_workers : int;
   mutable max_workers : int;
   mutable prio_target : int;
-  mutable n_workers : int; (* live ordinary workers *)
-  mutable free_workers : int; (* ordinary workers blocked on [work_cond] *)
-  mutable n_prio : int; (* live priority workers *)
-  mutable free_prio : int; (* priority workers blocked on [prio_cond] *)
-  (* Parked workers already signalled but not yet running: a submit
-     claims an unclaimed one, so two jobs never count on one wake. *)
-  mutable claimed_workers : int;
-  mutable claimed_prio : int;
-  mutable wakeups : int; (* returns from [work_cond] / [prio_cond] *)
+  mutable wakeups : int; (* returns from a crew's [cond] *)
   mutable quit : bool;
   mutable jobs_completed : int;
   mutable jobs_failed : int;
@@ -65,8 +70,8 @@ type t = {
   mutable workers_stuck_total : int;
   mutable ewma_job_ms : float; (* smoothed job wall time, retry-after hint *)
   mutable next_worker_id : int;
-  running : (int, float * [ `Ordinary | `Priority ]) Hashtbl.t;
-  (* worker id -> job start time, while a job is on that worker *)
+  running : (int, float * crew) Hashtbl.t;
+  (* worker id -> job start time and crew, while a job is on that worker *)
   stuck : (int, unit) Hashtbl.t; (* workers written off by the watchdog *)
   watchdog_cond : Condition.t; (* limit changes and shutdown wake the watchdog *)
   mutable watchdog_live : bool;
@@ -130,9 +135,9 @@ let clear_normal pool =
 (* Execute one job outside the pool lock; the caller holds the lock on
    entry and regains it before returning.  A raising job is counted,
    logged, and never unwinds the worker loop. *)
-let run_job pool wid kind job =
+let run_job pool wid crew job =
   let started = Unix.gettimeofday () in
-  Hashtbl.replace pool.running wid (started, kind);
+  Hashtbl.replace pool.running wid (started, crew);
   Mutex.unlock pool.mutex;
   let error = (try job.run (); None with exn -> Some (Printexc.to_string exn)) in
   Mutex.lock pool.mutex;
@@ -150,7 +155,7 @@ let run_job pool wid kind job =
 
 (* A dequeued job whose deadline already passed is dropped before it
    touches a driver: the client gave up, executing it only adds load. *)
-let dispatch_job pool wid kind job =
+let dispatch_job pool wid crew job =
   match job.deadline with
   | Some d when Unix.gettimeofday () > d ->
     pool.jobs_expired <- pool.jobs_expired + 1;
@@ -160,12 +165,19 @@ let dispatch_job pool wid kind job =
        Mutex.unlock pool.mutex;
        (try f () with _ -> ());
        Mutex.lock pool.mutex)
-  | _ -> run_job pool wid kind job
+  | _ -> run_job pool wid crew job
 
 (* The quit-helper check from the thesis: performed after waking up and
    after finishing a job, never via a queued "poison" task. *)
-let ordinary_should_quit pool = pool.quit || pool.n_workers > pool.max_workers
-let priority_should_quit pool = pool.quit || pool.n_prio > pool.prio_target
+let should_quit pool crew =
+  pool.quit
+  || crew.live > if crew.serves_normal then pool.max_workers else pool.prio_target
+
+(* Priority jobs first; the ordinary crew then takes normal ones. *)
+let next_job pool crew =
+  if not (Queue.is_empty pool.prio_queue) then Some (Queue.pop pool.prio_queue)
+  else if crew.serves_normal && pool.queued_normal > 0 then Some (pop_normal pool)
+  else None
 
 (* A worker the watchdog wrote off finishes its wedged job eventually;
    its replacement is already running, so it retires without touching
@@ -182,82 +194,47 @@ let retired_stuck pool wid =
    gives up the claim of a worker still waking; a later submit may then
    signal with nobody left to wake, and that worker, which empties the
    queues before it parks, serves the job. *)
-let park_ordinary pool =
-  pool.free_workers <- pool.free_workers + 1;
+let park pool crew =
+  crew.free <- crew.free + 1;
   Condition.broadcast pool.idle_cond;
-  Condition.wait pool.work_cond pool.mutex;
-  pool.free_workers <- pool.free_workers - 1;
-  pool.claimed_workers <- max 0 (pool.claimed_workers - 1);
+  Condition.wait crew.cond pool.mutex;
+  crew.free <- crew.free - 1;
+  crew.claimed <- max 0 (crew.claimed - 1);
   pool.wakeups <- pool.wakeups + 1
 
-let park_priority pool =
-  pool.free_prio <- pool.free_prio + 1;
-  Condition.broadcast pool.idle_cond;
-  Condition.wait pool.prio_cond pool.mutex;
-  pool.free_prio <- pool.free_prio - 1;
-  pool.claimed_prio <- max 0 (pool.claimed_prio - 1);
-  pool.wakeups <- pool.wakeups + 1
-
-let rec ordinary_loop pool wid =
+let rec worker_loop pool crew wid =
   if retired_stuck pool wid then ()
-  else if ordinary_should_quit pool then begin
-    pool.n_workers <- pool.n_workers - 1;
+  else if should_quit pool crew then begin
+    crew.live <- crew.live - 1;
     Condition.broadcast pool.idle_cond
   end
-  else if not (Queue.is_empty pool.prio_queue) then begin
-    dispatch_job pool wid `Ordinary (Queue.pop pool.prio_queue);
-    ordinary_loop pool wid
-  end
-  else if pool.queued_normal > 0 then begin
-    dispatch_job pool wid `Ordinary (pop_normal pool);
-    ordinary_loop pool wid
-  end
   else begin
-    park_ordinary pool;
-    ordinary_loop pool wid
+    (match next_job pool crew with
+     | Some job -> dispatch_job pool wid crew job
+     | None -> park pool crew);
+    worker_loop pool crew wid
   end
 
-let rec priority_loop pool wid =
-  if retired_stuck pool wid then ()
-  else if priority_should_quit pool then begin
-    pool.n_prio <- pool.n_prio - 1;
-    Condition.broadcast pool.idle_cond
-  end
-  else if not (Queue.is_empty pool.prio_queue) then begin
-    dispatch_job pool wid `Priority (Queue.pop pool.prio_queue);
-    priority_loop pool wid
-  end
-  else begin
-    park_priority pool;
-    priority_loop pool wid
-  end
-
-(* Spawn helpers: called with the pool lock held.  The worker increments
-   were already done by the caller so the accounting is correct even
-   before the thread is scheduled. *)
-let spawn_ordinary pool =
-  pool.n_workers <- pool.n_workers + 1;
+(* Called with the pool lock held.  The live count goes up before the
+   thread is scheduled, so the accounting is correct at once. *)
+let spawn pool crew =
+  crew.live <- crew.live + 1;
   let wid = pool.next_worker_id in
   pool.next_worker_id <- wid + 1;
   ignore
     (Thread.create
        (fun () ->
          Mutex.lock pool.mutex;
-         ordinary_loop pool wid;
+         worker_loop pool crew wid;
          Mutex.unlock pool.mutex)
        ())
 
-let spawn_priority pool =
-  pool.n_prio <- pool.n_prio + 1;
-  let wid = pool.next_worker_id in
-  pool.next_worker_id <- wid + 1;
-  ignore
-    (Thread.create
-       (fun () ->
-         Mutex.lock pool.mutex;
-         priority_loop pool wid;
-         Mutex.unlock pool.mutex)
-       ())
+let fill pool crew target =
+  while crew.live < target do
+    spawn pool crew
+  done
+
+let crews pool = [ pool.workers; pool.prio ]
 
 (* --- watchdog --------------------------------------------------------- *)
 
@@ -268,18 +245,13 @@ let spawn_priority pool =
    killed; it retires when (if) its job ever returns. *)
 let watchdog_scan pool now =
   Hashtbl.iter
-    (fun wid (started, kind) ->
+    (fun wid (started, crew) ->
       if now -. started > pool.wall_limit && not (Hashtbl.mem pool.stuck wid)
       then begin
         Hashtbl.replace pool.stuck wid ();
         pool.workers_stuck_total <- pool.workers_stuck_total + 1;
-        (match kind with
-         | `Ordinary ->
-           pool.n_workers <- pool.n_workers - 1;
-           if not pool.quit then spawn_ordinary pool
-         | `Priority ->
-           pool.n_prio <- pool.n_prio - 1;
-           if not pool.quit then spawn_priority pool);
+        crew.live <- crew.live - 1;
+        if not pool.quit then spawn pool crew;
         if now -. pool.last_stuck_log >= 1.0 then begin
           pool.last_stuck_log <- now;
           log pool Vlog.Warn
@@ -320,6 +292,9 @@ let ensure_watchdog pool =
 
 (* --------------------------------------------------------------------- *)
 
+let new_crew ~serves_normal =
+  { cond = Condition.create (); serves_normal; live = 0; free = 0; claimed = 0 }
+
 let create ?(name = "pool") ?logger ?(job_queue_limit = 0) ?(wall_limit_ms = 0)
     ~min_workers ~max_workers ~prio_workers () =
   check_limits ~min_workers ~max_workers ~prio_workers;
@@ -331,8 +306,8 @@ let create ?(name = "pool") ?logger ?(job_queue_limit = 0) ?(wall_limit_ms = 0)
       name;
       logger;
       mutex = Mutex.create ();
-      work_cond = Condition.create ();
-      prio_cond = Condition.create ();
+      workers = new_crew ~serves_normal:true;
+      prio = new_crew ~serves_normal:false;
       idle_cond = Condition.create ();
       flows = Hashtbl.create 16;
       ring = Queue.create ();
@@ -341,12 +316,6 @@ let create ?(name = "pool") ?logger ?(job_queue_limit = 0) ?(wall_limit_ms = 0)
       min_workers;
       max_workers;
       prio_target = prio_workers;
-      n_workers = 0;
-      free_workers = 0;
-      n_prio = 0;
-      free_prio = 0;
-      claimed_workers = 0;
-      claimed_prio = 0;
       wakeups = 0;
       quit = false;
       jobs_completed = 0;
@@ -367,12 +336,8 @@ let create ?(name = "pool") ?logger ?(job_queue_limit = 0) ?(wall_limit_ms = 0)
     }
   in
   with_lock pool (fun () ->
-      for _ = 1 to min_workers do
-        spawn_ordinary pool
-      done;
-      for _ = 1 to prio_workers do
-        spawn_priority pool
-      done;
+      fill pool pool.workers min_workers;
+      fill pool pool.prio prio_workers;
       ensure_watchdog pool);
   pool
 
@@ -386,27 +351,30 @@ let retry_after_ms pool =
   in
   int_of_float (Float.min 5000. (Float.max 1. (per_job *. backlog)))
 
+(* Signal an unclaimed parked member of [crew], if it has one. *)
+let claim crew =
+  crew.free > crew.claimed
+  && begin
+    crew.claimed <- crew.claimed + 1;
+    Condition.signal crew.cond;
+    true
+  end
+
 (* One signal per job: a priority job goes to an unclaimed parked
    priority worker, any job to an unclaimed parked ordinary worker.  A
    woken worker serves the queues until they are empty before parking
    again, so when every parked worker is claimed the running and woken
    ones cover the job. *)
 let wake_one pool ~priority =
-  if priority && pool.free_prio > pool.claimed_prio then begin
-    pool.claimed_prio <- pool.claimed_prio + 1;
-    Condition.signal pool.prio_cond
-  end
-  else if pool.free_workers > pool.claimed_workers then begin
-    pool.claimed_workers <- pool.claimed_workers + 1;
-    Condition.signal pool.work_cond
-  end
+  if not (priority && claim pool.prio) then ignore (claim pool.workers)
 
 (* Limit changes and shutdown: every parked worker re-checks. *)
 let wake_all pool =
-  pool.claimed_workers <- pool.free_workers;
-  pool.claimed_prio <- pool.free_prio;
-  Condition.broadcast pool.work_cond;
-  Condition.broadcast pool.prio_cond
+  List.iter
+    (fun crew ->
+      crew.claimed <- crew.free;
+      Condition.broadcast crew.cond)
+    (crews pool)
 
 let submit pool ?(priority = false) ?(source = 0L) ?deadline ?on_expired run =
   with_lock pool (fun () ->
@@ -429,17 +397,13 @@ let submit pool ?(priority = false) ?(source = 0L) ?deadline ?on_expired run =
            A parked worker counts as free while it is still waking: it
            serves the queues until they are empty before parking again. *)
         let nobody_free =
-          if priority then pool.free_workers = 0 && pool.free_prio = 0
-          else pool.free_workers = 0
+          pool.workers.free = 0 && ((not priority) || pool.prio.free = 0)
         in
-        if nobody_free && pool.n_workers < pool.max_workers then
-          spawn_ordinary pool
+        if nobody_free && pool.workers.live < pool.max_workers then
+          spawn pool pool.workers
         else wake_one pool ~priority;
         Ok ()
       end)
-
-let push pool ?(priority = false) run =
-  match submit pool ~priority run with Ok () -> () | Error _ -> ()
 
 let set_limits pool ?min_workers ?max_workers ?prio_workers ?job_queue_limit
     ?wall_limit_ms () =
@@ -462,13 +426,9 @@ let set_limits pool ?min_workers ?max_workers ?prio_workers ?job_queue_limit
       pool.min_workers <- min_workers;
       pool.max_workers <- max_workers;
       pool.prio_target <- prio_workers;
-      while pool.n_workers < pool.min_workers do
-        spawn_ordinary pool
-      done;
-      while pool.n_prio < pool.prio_target do
-        spawn_priority pool
-      done;
-      (* Surplus workers (n > max) retire themselves on wakeup. *)
+      fill pool pool.workers min_workers;
+      fill pool pool.prio prio_workers;
+      (* Surplus workers (live > target) retire themselves on wakeup. *)
       wake_all pool)
 
 let stats pool =
@@ -476,9 +436,9 @@ let stats pool =
       {
         min_workers = pool.min_workers;
         max_workers = pool.max_workers;
-        n_workers = pool.n_workers;
-        free_workers = pool.free_workers;
-        prio_workers = pool.n_prio;
+        n_workers = pool.workers.live;
+        free_workers = pool.workers.free;
+        prio_workers = pool.prio.live;
         job_queue_depth = pool.queued_normal + Queue.length pool.prio_queue;
         jobs_completed = pool.jobs_completed;
         jobs_failed = pool.jobs_failed;
@@ -492,8 +452,6 @@ let stats pool =
         wakeups = pool.wakeups;
       })
 
-let failed_jobs pool = with_lock pool (fun () -> pool.jobs_failed)
-
 let queue_empty pool =
   Mutex.lock pool.mutex;
   let empty = pool.queued_normal = 0 && Queue.is_empty pool.prio_queue in
@@ -505,8 +463,7 @@ let drain pool =
       while
         pool.queued_normal > 0
         || (not (Queue.is_empty pool.prio_queue))
-        || pool.free_workers < pool.n_workers
-        || pool.free_prio < pool.n_prio
+        || List.exists (fun crew -> crew.free < crew.live) (crews pool)
       do
         Condition.wait pool.idle_cond pool.mutex
       done)
@@ -517,7 +474,7 @@ let shutdown pool =
       clear_normal pool;
       Queue.clear pool.prio_queue;
       Condition.signal pool.watchdog_cond;
-      while pool.n_workers > 0 || pool.n_prio > 0 || pool.watchdog_live do
+      while List.exists (fun crew -> crew.live > 0) (crews pool) || pool.watchdog_live do
         wake_all pool;
         Condition.wait pool.idle_cond pool.mutex
       done)

@@ -1,18 +1,22 @@
 (** Workerpool: the daemon's concurrent task-execution engine.
 
-    Reproduces libvirt's threadpool semantics:
+    Reproduces libvirt's threadpool semantics with two crews of workers
+    that run one loop and differ only in their target and their queues:
 
-    - {e ordinary workers} execute any job; their count floats between
-      [min_workers] and [max_workers], growing on demand (a job arrives and
-      no worker is free) and shrinking cooperatively when [max_workers] is
-      lowered — each worker re-checks the limit when it wakes up and when
-      it finishes a job, and exits if the pool is over target.  This is the
-      deadlock-free design: no "termination job" is ever queued, so no lock
-      ordering problem with the pool lock arises;
-    - {e priority workers} are a constant-size set that only executes jobs
-      flagged high-priority, guaranteeing that critical control operations
-      make progress even when every ordinary worker is stuck on a hanging
-      hypervisor call.
+    - the {e ordinary} crew executes any job (priority jobs first); its
+      target is [max_workers], and it floats between [min_workers] and
+      that target, growing on demand (a job arrives and no worker is
+      free);
+    - the {e priority} crew is a constant-size set whose target is
+      [prio_workers]; it executes only jobs flagged high-priority,
+      guaranteeing that critical control operations make progress even
+      when every ordinary worker is stuck on a hanging hypervisor call.
+
+    A crew over its target shrinks cooperatively: each worker re-checks
+    the target when it wakes up and when it finishes a job, and exits if
+    its crew is over.  This is the deadlock-free design: no "termination
+    job" is ever queued, so no lock ordering problem with the pool lock
+    arises.
 
     On top of that sits the overload-protection layer:
 
@@ -112,12 +116,7 @@ val submit :
     normal-class queue holds [job_queue_limit] jobs the call returns
     [Error { retry_after_ms }] immediately, without enqueueing and
     without waiting.  Exceptions escaping the job are logged and counted
-    ({!failed_jobs}); they never kill the worker.
-    @raise Invalid_limits if the pool has been shut down. *)
-
-val push : t -> ?priority:bool -> (unit -> unit) -> unit
-(** {!submit} for callers without a source or deadline; an
-    admission-control rejection is counted but otherwise silent.
+    ([stats.jobs_failed]); they never kill the worker.
     @raise Invalid_limits if the pool has been shut down. *)
 
 val set_limits :
@@ -137,9 +136,6 @@ val set_limits :
 
 val stats : t -> stats
 
-val failed_jobs : t -> int
-(** Jobs whose function raised. *)
-
 val queue_empty : t -> bool
 (** No job of either class waits in the queues.  A submitter that then
     runs a call itself instead of submitting it overtakes no queued job,
@@ -153,4 +149,4 @@ val drain : t -> unit
 
 val shutdown : t -> unit
 (** Ask all workers to exit and wait for them.  Pending jobs are
-    discarded.  Subsequent {!push} raises {!Invalid_limits}. *)
+    discarded.  Subsequent {!submit} raises {!Invalid_limits}. *)

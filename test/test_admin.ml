@@ -377,9 +377,9 @@ let test_admin_responsive_under_wedged_pool () =
       Mutex.lock release;
       let stats = Threadpool.stats pool in
       for _ = 1 to stats.Threadpool.max_workers do
-        Threadpool.push pool (fun () ->
+        ignore (Threadpool.submit pool (fun () ->
             Mutex.lock release;
-            Mutex.unlock release)
+            Mutex.unlock release))
       done;
       ignore daemon;
       (* A failed check must still release the workers, or stopping the

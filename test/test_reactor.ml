@@ -53,8 +53,8 @@ let test_readiness_ordering () =
         ignore (Chan.try_recv chan);
         order := tag :: !order
       in
-      ignore (Reactor.watch_chan r a ~mode:Reactor.Edge (record "a" a));
-      ignore (Reactor.watch_chan r b ~mode:Reactor.Edge (record "b" b));
+      ignore (Reactor.watch_chan r a (record "a" a));
+      ignore (Reactor.watch_chan r b (record "b" b));
       (* Registration reports no readiness, so these sends produce the
          first hook events; the ready list is FIFO. *)
       Chan.send a "first";
@@ -63,51 +63,41 @@ let test_readiness_ordering () =
         (eventually (fun () -> List.length !order = 2));
       Alcotest.(check (list string)) "fifo order" [ "a"; "b" ] (List.rev !order))
 
-let test_edge_coalesces_level_drains () =
+let test_edge_coalesces_kick () =
   (* Three messages queued before the watch exists produce exactly one
-     readiness event (the kick).  An edge watch that reads one message
-     per callback stalls with two stuck; a level watch re-queues itself
-     until the channel is dry. *)
-  let run mode =
-    let r = new_reactor () in
-    Fun.protect
-      ~finally:(fun () -> Reactor.stop r)
-      (fun () ->
-        let c = Chan.create () in
-        Chan.send c "1";
-        Chan.send c "2";
-        Chan.send c "3";
-        let reads = ref 0 in
-        let w =
-          Reactor.watch_chan r c ~mode (fun () ->
-              match Chan.try_recv c with
-              | Some _ -> incr reads
-              | None -> ())
-        in
-        Reactor.kick r w;
-        (mode, reads, c))
-  in
-  let _, edge_reads, edge_chan = run Reactor.Edge in
-  let _, level_reads, _ = run Reactor.Level in
-  Alcotest.(check bool) "level watch drains all three" true
-    (eventually (fun () -> !level_reads = 3));
-  Thread.delay 0.1;
-  Alcotest.(check int) "edge watch ran once for the coalesced kick" 1 !edge_reads;
-  Alcotest.(check int) "edge leftovers still queued" 2 (Chan.pending edge_chan)
+     readiness event (the kick).  A watch that reads one message per
+     callback runs once and leaves two queued: watches are
+     edge-triggered. *)
+  with_reactor (fun r ->
+      let c = Chan.create () in
+      Chan.send c "1";
+      Chan.send c "2";
+      Chan.send c "3";
+      let reads = ref 0 in
+      let w =
+        Reactor.watch_chan r c (fun () ->
+            match Chan.try_recv c with
+            | Some _ -> incr reads
+            | None -> ())
+      in
+      Reactor.kick r w;
+      Thread.delay 0.1;
+      Alcotest.(check int) "edge watch ran once for the coalesced kick" 1 !reads;
+      Alcotest.(check int) "edge leftovers still queued" 2 (Chan.pending c))
 
 let test_wakeup_during_dispatch () =
   with_reactor (fun r ->
       let a = Chan.create () and b = Chan.create () in
       let in_a = ref false and release = ref false and b_ran = ref false in
       ignore
-        (Reactor.watch_chan r a ~mode:Reactor.Edge (fun () ->
+        (Reactor.watch_chan r a (fun () ->
              ignore (Chan.try_recv a);
              in_a := true;
              while not !release do
                Thread.delay 0.002
              done));
       ignore
-        (Reactor.watch_chan r b ~mode:Reactor.Edge (fun () ->
+        (Reactor.watch_chan r b (fun () ->
              ignore (Chan.try_recv b);
              b_ran := true));
       Chan.send a "block";
@@ -124,7 +114,7 @@ let test_unwatch_stops_callbacks () =
   with_reactor (fun r ->
       let c = Chan.create () in
       let ran = ref false in
-      let w = Reactor.watch_chan r c ~mode:Reactor.Level (fun () -> ran := true) in
+      let w = Reactor.watch_chan r c (fun () -> ran := true) in
       Reactor.unwatch r w;
       Chan.send c "ignored";
       Thread.delay 0.08;
@@ -134,7 +124,7 @@ let test_stop_from_callback () =
   let r = new_reactor () in
   let c = Chan.create () in
   let w =
-    Reactor.watch_chan r c ~mode:Reactor.Edge (fun () ->
+    Reactor.watch_chan r c (fun () ->
         ignore (Chan.try_recv c);
         Reactor.stop r)
   in
@@ -148,7 +138,7 @@ let test_stop_from_callback () =
 let test_stats_counting () =
   with_reactor (fun r ->
       let c = Chan.create () in
-      let w = Reactor.watch_chan r c ~mode:Reactor.Edge (fun () -> ignore (Chan.try_recv c)) in
+      let w = Reactor.watch_chan r c (fun () -> ignore (Chan.try_recv c)) in
       Chan.send c "x";
       Alcotest.(check bool) "dispatch counted" true
         (eventually (fun () -> (Reactor.stats r).Reactor.dispatches >= 1));
@@ -165,7 +155,7 @@ let test_burst_one_wakeup () =
       List.iteri
         (fun i c ->
           ignore
-            (Reactor.watch_chan r c ~mode:Reactor.Edge (fun () ->
+            (Reactor.watch_chan r c (fun () ->
                  (* The first callback holds the loop until the whole
                     burst is sent, so it cannot park again in between. *)
                  if i = 0 then
@@ -467,7 +457,7 @@ let test_callback_warning_uses_daemon_logger () =
       let r = (Daemon.reactors daemon).(0) in
       let c = Chan.create () in
       let w =
-        Reactor.watch_chan r c ~mode:Reactor.Edge (fun () ->
+        Reactor.watch_chan r c (fun () ->
             ignore (Chan.try_recv c);
             failwith "watch-boom")
       in
@@ -505,7 +495,7 @@ let () =
       ( "core loop",
         [
           quick "readiness dispatch is fifo" test_readiness_ordering;
-          quick "edge coalesces, level drains" test_edge_coalesces_level_drains;
+          quick "edge watch coalesces a kick" test_edge_coalesces_kick;
           quick "readiness during dispatch is queued" test_wakeup_during_dispatch;
           quick "unwatch stops callbacks" test_unwatch_stops_callbacks;
           quick "stop from inside a callback" test_stop_from_callback;

@@ -357,6 +357,65 @@ let test_backoff_gates_retries () =
   Alcotest.(check bool) "retry countdown exposed" true
     (r.Reconcile.ds_retry_in_s > 0.)
 
+(* --- engine: parallel application ------------------------------------------ *)
+
+(* [rcfg_parallel] is the number of threads a plan runs on: with 3 and
+   eight ops whose applies block on a latch, exactly three are in
+   flight at once, and all eight are checkpointed once it opens. *)
+let test_parallel_bound () =
+  let uri = "test://parallel/" in
+  let names = List.init 8 (Printf.sprintf "p%d") in
+  let w = make_world (List.map (fun n -> ((uri, n), Vm_state.Shutoff)) names) in
+  let base = world_io w in
+  let m = Mutex.create () and opened = Condition.create () in
+  let active = ref 0 and peak = ref 0 and latch = ref false in
+  let locked f =
+    Mutex.lock m;
+    Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+  in
+  let io_apply uri op =
+    locked (fun () ->
+        incr active;
+        peak := max !peak !active;
+        while not !latch do
+          Condition.wait opened m
+        done;
+        decr active);
+    base.Reconcile.io_apply uri op
+  in
+  let open_latch () =
+    locked (fun () ->
+        latch := true;
+        Condition.broadcast opened)
+  in
+  let config = { test_config with Reconcile.rcfg_parallel = 3 } in
+  let t =
+    Reconcile.create ~journal_path:(fresh_name "rj")
+      ~io:{ base with Reconcile.io_apply } ~config ()
+  in
+  List.iter
+    (fun name -> Reconcile.set_policy t ~uri ~name (policy ~run:Dompolicy.Rs_running ()))
+    names;
+  let checkpoints = Atomic.make 0 in
+  let summary = ref None in
+  with_crash_hook
+    (fun site -> if site = "post_checkpoint" then Atomic.incr checkpoints)
+    (fun () ->
+      let pass = Thread.create (fun () -> summary := Some (Reconcile.converge_now t)) () in
+      Fun.protect
+        ~finally:(fun () ->
+          open_latch ();
+          Thread.join pass)
+        (fun () ->
+          Alcotest.(check bool) "three applies in flight" true
+            (eventually (fun () -> locked (fun () -> !active >= 3)));
+          (* time for a fourth to start, were one allowed *)
+          Thread.delay 0.05));
+  Alcotest.(check int) "peak concurrent applies" 3 !peak;
+  Alcotest.(check int) "every op checkpointed" 8 (Atomic.get checkpoints);
+  Alcotest.(check int) "every op applied" 8
+    (Option.get !summary).Reconcile.sum_ops_applied
+
 (* --- engine: crash resume -------------------------------------------------- *)
 
 (* Kill the pass between the side effect and its checkpoint — the
@@ -638,6 +697,7 @@ let () =
           quick "backoff gates retries" test_backoff_gates_retries;
           quick "compaction keeps the live set" test_journal_compaction;
           quick "loop wakes on kick and stop" test_loop_wakes_on_kick_and_stop;
+          quick "parallel bound is the thread count" test_parallel_bound;
         ] );
       ( "crash chaos",
         [

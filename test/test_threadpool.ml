@@ -21,7 +21,7 @@ let test_executes_jobs () =
   let pool = make () in
   let counter = Atomic.make 0 in
   for _ = 1 to 100 do
-    Threadpool.push pool (fun () -> Atomic.incr counter)
+    ignore (Threadpool.submit pool (fun () -> Atomic.incr counter))
   done;
   Threadpool.drain pool;
   Alcotest.(check int) "all jobs ran" 100 (Atomic.get counter);
@@ -52,10 +52,10 @@ let test_grows_on_demand () =
   Mutex.lock release;
   let started = Atomic.make 0 in
   for _ = 1 to 6 do
-    Threadpool.push pool (fun () ->
+    ignore (Threadpool.submit pool (fun () ->
         Atomic.incr started;
         Mutex.lock release;
-        Mutex.unlock release)
+        Mutex.unlock release))
   done;
   let grew =
     eventually (fun () -> (Threadpool.stats pool).Threadpool.n_workers >= 6)
@@ -70,9 +70,9 @@ let test_never_exceeds_max () =
   let release = Mutex.create () in
   Mutex.lock release;
   for _ = 1 to 20 do
-    Threadpool.push pool (fun () ->
+    ignore (Threadpool.submit pool (fun () ->
         Mutex.lock release;
-        Mutex.unlock release)
+        Mutex.unlock release))
   done;
   Thread.delay 0.05;
   let s = Threadpool.stats pool in
@@ -92,7 +92,7 @@ let test_shrinks_cooperatively () =
   Alcotest.(check bool) "workers retired on wakeup" true shrank;
   (* The pool still works afterwards. *)
   let hit = Atomic.make false in
-  Threadpool.push pool (fun () -> Atomic.set hit true);
+  ignore (Threadpool.submit pool (fun () -> Atomic.set hit true));
   Threadpool.drain pool;
   Alcotest.(check bool) "post-shrink job ran" true (Atomic.get hit);
   Threadpool.shutdown pool
@@ -117,14 +117,14 @@ let test_priority_jobs_progress_when_ordinary_wedged () =
   let release = Mutex.create () in
   Mutex.lock release;
   for _ = 1 to 2 do
-    Threadpool.push pool (fun () ->
+    ignore (Threadpool.submit pool (fun () ->
         Mutex.lock release;
-        Mutex.unlock release)
+        Mutex.unlock release))
   done;
   Thread.delay 0.02;
   (* Ordinary workers are both wedged; queue a priority job. *)
   let ran = Atomic.make false in
-  Threadpool.push pool ~priority:true (fun () -> Atomic.set ran true);
+  ignore (Threadpool.submit pool ~priority:true (fun () -> Atomic.set ran true));
   let progressed = eventually (fun () -> Atomic.get ran) in
   Alcotest.(check bool) "priority job ran while pool wedged" true progressed;
   Mutex.unlock release;
@@ -140,12 +140,12 @@ let test_priority_workers_ignore_ordinary_jobs () =
   (* Wedge the single ordinary slot the pool may spawn. *)
   let release = Mutex.create () in
   Mutex.lock release;
-  Threadpool.push pool (fun () ->
+  ignore (Threadpool.submit pool (fun () ->
       Mutex.lock release;
-      Mutex.unlock release);
+      Mutex.unlock release));
   Thread.delay 0.02;
   let ran = Atomic.make false in
-  Threadpool.push pool (fun () -> Atomic.set ran true);
+  ignore (Threadpool.submit pool (fun () -> Atomic.set ran true));
   Thread.delay 0.05;
   Alcotest.(check bool) "normal job not stolen by prio workers" false
     (Atomic.get ran);
@@ -163,7 +163,7 @@ let test_one_wakeup_per_job () =
   let before = (Threadpool.stats pool).Threadpool.wakeups in
   let jobs = 40 in
   for i = 1 to jobs do
-    Threadpool.push pool ~priority:(i mod 2 = 0) (fun () -> ());
+    ignore (Threadpool.submit pool ~priority:(i mod 2 = 0) (fun () -> ()));
     Threadpool.drain pool
   done;
   let woke = (Threadpool.stats pool).Threadpool.wakeups - before in
@@ -183,10 +183,10 @@ let test_priority_burst_spills_to_ordinary () =
   let started = Atomic.make 0 in
   let burst = 8 in
   for _ = 1 to burst do
-    Threadpool.push pool ~priority:true (fun () ->
+    ignore (Threadpool.submit pool ~priority:true (fun () ->
         Atomic.incr started;
         Mutex.lock release;
-        Mutex.unlock release)
+        Mutex.unlock release))
   done;
   ignore (eventually (fun () -> Atomic.get started = burst));
   let together = Atomic.get started in
@@ -197,10 +197,10 @@ let test_priority_burst_spills_to_ordinary () =
 
 let test_failed_jobs_counted () =
   let pool = make () in
-  Threadpool.push pool (fun () -> failwith "boom");
-  Threadpool.push pool (fun () -> ());
+  ignore (Threadpool.submit pool (fun () -> failwith "boom"));
+  ignore (Threadpool.submit pool (fun () -> ()));
   Threadpool.drain pool;
-  Alcotest.(check int) "one failure" 1 (Threadpool.failed_jobs pool);
+  Alcotest.(check int) "one failure" 1 (Threadpool.stats pool).Threadpool.jobs_failed;
   Alcotest.(check int) "both completed" 2
     (Threadpool.stats pool).Threadpool.jobs_completed;
   Threadpool.shutdown pool
@@ -208,9 +208,9 @@ let test_failed_jobs_counted () =
 let test_push_after_shutdown_rejected () =
   let pool = make () in
   Threadpool.shutdown pool;
-  match Threadpool.push pool (fun () -> ()) with
+  match Threadpool.submit pool (fun () -> ()) with
   | exception Threadpool.Invalid_limits _ -> ()
-  | () -> Alcotest.fail "push accepted after shutdown"
+  | Ok () | Error _ -> Alcotest.fail "submit accepted after shutdown"
 
 let test_shutdown_is_idempotent () =
   let pool = make () in
@@ -226,7 +226,7 @@ let test_concurrent_pushers () =
         Thread.create
           (fun () ->
             for _ = 1 to 200 do
-              Threadpool.push pool (fun () -> Atomic.incr counter)
+              ignore (Threadpool.submit pool (fun () -> Atomic.incr counter))
             done)
           ())
   in
@@ -242,10 +242,10 @@ let test_concurrent_pushers () =
 let wedge_worker pool release =
   Mutex.lock release;
   let picked_up = Atomic.make false in
-  Threadpool.push pool (fun () ->
+  ignore (Threadpool.submit pool (fun () ->
       Atomic.set picked_up true;
       Mutex.lock release;
-      Mutex.unlock release);
+      Mutex.unlock release));
   (* free_workers is 0 both before the worker thread first parks and while
      it runs, so only the job's own signal proves it left the queue. *)
   let busy = eventually (fun () -> Atomic.get picked_up) in
@@ -282,14 +282,14 @@ let test_queue_bound_rejects () =
 let test_raising_job_keeps_worker () =
   let pool = make ~min_workers:2 ~max_workers:2 () in
   for _ = 1 to 10 do
-    Threadpool.push pool (fun () -> failwith "boom")
+    ignore (Threadpool.submit pool (fun () -> failwith "boom"))
   done;
   Threadpool.drain pool;
   let s = Threadpool.stats pool in
   Alcotest.(check int) "workers intact" 2 s.Threadpool.n_workers;
   Alcotest.(check int) "failures counted" 10 s.Threadpool.jobs_failed;
   let hit = Atomic.make false in
-  Threadpool.push pool (fun () -> Atomic.set hit true);
+  ignore (Threadpool.submit pool (fun () -> Atomic.set hit true));
   Threadpool.drain pool;
   Alcotest.(check bool) "pool still serves" true (Atomic.get hit);
   Threadpool.shutdown pool
@@ -302,7 +302,7 @@ let test_set_limits_under_load () =
   let release = Mutex.create () in
   wedge_worker pool release;
   for _ = 1 to 6 do
-    Threadpool.push pool (fun () -> ())
+    ignore (Threadpool.submit pool (fun () -> ()))
   done;
   (* Shrinking the bound below the live depth sheds new work only. *)
   Threadpool.set_limits pool ~job_queue_limit:2 ();
@@ -409,7 +409,7 @@ let test_watchdog_replaces_stuck_worker () =
   in
   Alcotest.(check bool) "stuck worker detected and written off" true replaced;
   let hit = Atomic.make false in
-  Threadpool.push pool (fun () -> Atomic.set hit true);
+  ignore (Threadpool.submit pool (fun () -> Atomic.set hit true));
   let progressed = eventually (fun () -> Atomic.get hit) in
   Alcotest.(check bool) "replacement serves while original wedged" true progressed;
   (* The wedged job finishing retires its written-off worker quietly. *)
@@ -470,7 +470,7 @@ let prop_stats_invariants =
           ~max_workers:max_w ~prio_workers:prio ()
       in
       for _ = 1 to 20 do
-        Threadpool.push pool (fun () -> ())
+        ignore (Threadpool.submit pool (fun () -> ()))
       done;
       Threadpool.drain pool;
       let s = Threadpool.stats pool in
@@ -483,6 +483,141 @@ let prop_stats_invariants =
       in
       Threadpool.shutdown pool;
       invariant)
+
+(* --- schedules ---------------------------------------------------------------- *)
+
+type step =
+  | Normal of int64  (** a job from this source *)
+  | Priority
+  | Blocking of int64 * bool  (** a job (priority if true) that waits on its latch *)
+  | Limits of int * int * int * int  (** min, max, prio, queue limit *)
+  | Release  (** open the oldest closed latch *)
+  | Pause  (** let the workers run and park before the next step *)
+
+let gen_limits =
+  QCheck.Gen.(
+    map3 (fun min_w extra prio -> (min_w, min_w + extra, prio)) (int_range 0 3)
+      (int_range 1 3) (int_range 0 3))
+
+let gen_step =
+  let source = QCheck.Gen.(map Int64.of_int (int_range 1 4)) in
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun s -> Normal s) source);
+        (2, return Priority);
+        (3, map2 (fun s p -> Blocking (s, p)) source bool);
+        ( 1,
+          map2 (fun (min_w, max_w, prio) q -> Limits (min_w, max_w, prio, q))
+            gen_limits (int_range 0 6) );
+        (3, return Release);
+        (2, return Pause);
+      ])
+
+let print_step = function
+  | Normal s -> Printf.sprintf "normal %Ld" s
+  | Priority -> "priority"
+  | Blocking (s, p) -> Printf.sprintf "blocking %Ld%s" s (if p then " prio" else "")
+  | Limits (a, b, c, q) -> Printf.sprintf "limits %d..%d prio %d queue %d" a b c q
+  | Release -> "release"
+  | Pause -> "pause"
+
+(* Latches for blocking jobs: [wait] blocks until [open_] reaches its
+   index; [open_] opens the oldest closed one. *)
+type latches = { lm : Mutex.t; lc : Condition.t; mutable made : int; mutable opened : int }
+
+let latch_wait l i =
+  Mutex.lock l.lm;
+  while l.opened <= i do
+    Condition.wait l.lc l.lm
+  done;
+  Mutex.unlock l.lm
+
+let latch_open l ~upto =
+  Mutex.lock l.lm;
+  l.opened <- max l.opened (min upto l.made);
+  Condition.broadcast l.lc;
+  Mutex.unlock l.lm
+
+(* Any schedule of submits, limit changes and latch releases, then
+   every latch opened and a drain: every accepted job ran exactly once,
+   shed plus accepted is submitted, and both crews settle at their
+   targets with every ordinary worker parked.  A lost wake-up fails the
+   drain's time limit instead of hanging the suite; counts settle with
+   [eventually], since surplus workers retire only as they wake. *)
+let prop_schedules =
+  let arb =
+    QCheck.make
+      ~print:(fun (init, steps) ->
+        let a, b, c = init in
+        Printf.sprintf "create %d..%d prio %d; %s" a b c
+          (String.concat "; " (List.map print_step steps)))
+      QCheck.Gen.(pair gen_limits (list_size (int_range 0 40) gen_step))
+  in
+  qcheck_case ~count:60 "any schedule runs each accepted job once" arb
+    (fun ((min_w, max_w, prio), steps) ->
+      let pool =
+        Threadpool.create ~name:(fresh_name "sched") ~min_workers:min_w
+          ~max_workers:max_w ~prio_workers:prio ()
+      in
+      let latches =
+        { lm = Mutex.create (); lc = Condition.create (); made = 0; opened = 0 }
+      in
+      let runs = Array.init (List.length steps) (fun _ -> Atomic.make 0) in
+      let accepted = Array.make (List.length steps) false in
+      let submitted = ref 0 in
+      let limits = ref (min_w, max_w, prio) in
+      let submit i ?source ~priority ~wait () =
+        incr submitted;
+        let run () =
+          Option.iter (latch_wait latches) wait;
+          Atomic.incr runs.(i)
+        in
+        accepted.(i) <- Threadpool.submit pool ?source ~priority run = Ok ()
+      in
+      List.iteri
+        (fun i step ->
+          match step with
+          | Normal s -> submit i ~source:s ~priority:false ~wait:None ()
+          | Priority -> submit i ~priority:true ~wait:None ()
+          | Blocking (s, priority) ->
+            let latch = latches.made in
+            latches.made <- latch + 1;
+            submit i ~source:s ~priority ~wait:(Some latch) ()
+          | Limits (min_workers, max_workers, prio_workers, job_queue_limit) ->
+            Threadpool.set_limits pool ~min_workers ~max_workers ~prio_workers
+              ~job_queue_limit ();
+            limits := (min_workers, max_workers, prio_workers)
+          | Release -> latch_open latches ~upto:(latches.opened + 1)
+          | Pause -> Thread.delay 0.002)
+        steps;
+      latch_open latches ~upto:latches.made;
+      let drained = Atomic.make false in
+      ignore
+        (Thread.create
+           (fun () ->
+             Threadpool.drain pool;
+             Atomic.set drained true)
+           ());
+      let ok =
+        eventually ~timeout_s:5. (fun () -> Atomic.get drained)
+        &&
+        let n_accepted = Array.fold_left (fun n a -> if a then n + 1 else n) 0 accepted in
+        let s = Threadpool.stats pool in
+        Array.for_all2 (fun a r -> Atomic.get r = if a then 1 else 0) accepted runs
+        && s.Threadpool.jobs_shed + n_accepted = !submitted
+        && s.Threadpool.jobs_completed = n_accepted
+        &&
+        let min_w, max_w, prio = !limits in
+        eventually (fun () ->
+            let s = Threadpool.stats pool in
+            s.Threadpool.n_workers >= min_w
+            && s.Threadpool.n_workers <= max_w
+            && s.Threadpool.prio_workers = prio
+            && s.Threadpool.free_workers = s.Threadpool.n_workers)
+      in
+      Threadpool.shutdown pool;
+      ok)
 
 let () =
   Alcotest.run "threadpool"
@@ -517,6 +652,7 @@ let () =
           quick "raising job keeps worker" test_raising_job_keeps_worker;
           quick "concurrent pushers" test_concurrent_pushers;
           prop_stats_invariants;
+          prop_schedules;
         ] );
       ( "overload protection",
         [
