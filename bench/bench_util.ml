@@ -57,6 +57,15 @@ let time_once f =
   let result = f () in
   (result, Unix.gettimeofday () -. t0)
 
+(* The [p]th percentile (nearest rank) of an ascending array; nan when
+   it is empty. *)
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then nan
+  else
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
+    sorted.(max 0 (min (n - 1) rank))
+
 (* --- formatting -------------------------------------------------------- *)
 
 let pp_ns ns =

@@ -18,7 +18,8 @@ type conn_state = {
   local : bool;
       (** the driver has a write generation: a local node, never a fleet
           controller or a chained remote driver, whose reads wait on
-          member RPCs.  Its point reads may run inline. *)
+          member RPCs.  Its [Inline] calls may run on the receiving
+          thread. *)
   cache : cached option;
       (** the listings' cache, resolved once, at [Proc_open]: [None]
           when any layer opts out — the daemon knob, the client's
@@ -45,7 +46,7 @@ type state = {
       (** boot nonce of the v1.8 listing tokens: fill numbers restart
           with each incarnation, so a token from an earlier one must
           never match *)
-  inline_runs : int Atomic.t;  (** point reads run on the receiving thread *)
+  inline_runs : int Atomic.t;  (** [Inline] calls run on the receiving thread *)
   inline_fallbacks : int Atomic.t;  (** inline attempts that would wait *)
   pool_runs : int Atomic.t;  (** local point reads and listing fills run elsewhere *)
 }
@@ -592,9 +593,9 @@ let rec handle_proc st ~minor ~in_batch ~looked_up client (d : Rp.descriptor) bo
     let* cs = get_conn st client in
     match (d.Rp.path, cs.cache) with
     | Rp.Cached_listing, Some c -> serve_cached st cs c ~looked_up d body
-    | Rp.Point_read, _ when cs.local ->
+    | Rp.Inline, _ when cs.local ->
       let result = dispatch_conn cs d.Rp.proc body in
-      Atomic.incr st.pool_runs;
+      if d.Rp.idempotent then Atomic.incr st.pool_runs;
       result
     | _ -> dispatch_conn cs d.Rp.proc body)
 
@@ -618,7 +619,7 @@ and batch_sub st ~minor client (proc_num, sub_body) =
 
 (* A top-level call reaches the pool after [try_fast_reply] ran
    {!lookup} on it on the receiving thread (a listing) or tried to run
-   it there ({!run_inline}, a point read). *)
+   it there ({!run_inline}, an [Inline] call). *)
 let handle st ~minor _srv client header body =
   let* d = Rp.descriptor_of_int ~minor header.Rpc_packet.procedure in
   handle_proc st ~minor ~in_batch:false ~looked_up:true client d body
@@ -667,10 +668,12 @@ let run_stats t =
     pool_runs = Atomic.get t.st.pool_runs;
   }
 
-(* A point read, run on the receiving thread when nothing in it waits:
-   the node lock is only tried, and simulated hypervisor time counts as
-   a wait.  A call that would wait goes to the pool as if it had never
-   been tried: a read changed nothing. *)
+(* An [Inline] call, run on the receiving thread when nothing in it
+   waits: the node lock is only tried, and simulated hypervisor time
+   counts as a wait.  A call that would wait goes to the pool as if it
+   had never been tried: every wait in it comes before its first effect
+   (a mutation, a journal record, an event), so a call that would wait
+   has changed nothing yet. *)
 let run_inline (st : state) cs (d : Rp.descriptor) body =
   match Reqctx.without_waiting (fun () -> dispatch_conn cs d.Rp.proc body) with
   | result ->
@@ -711,8 +714,8 @@ let program_of { st; svc_minor = minor } =
             (* The one lookup of a top-level listing.  A hit skips pool
                submission, body decode, the driver read lock and the
                handler; a conditional listing the live entry answers is
-               12 bytes when it is unchanged.  A point read of a local
-               node runs here when the pool has no queued job to
+               12 bytes when it is unchanged.  An [Inline] call on a
+               local node runs here when the pool has no queued job to
                overtake. *)
             let conn () =
               with_lock st (fun () -> Hashtbl.find_opt st.conns (Client_obj.id client))
@@ -728,7 +731,7 @@ let program_of { st; svc_minor = minor } =
                   Some (Ok reply)
                 | None -> None)
               | Some { cache = None; _ } | None -> None)
-            | Ok ({ Rp.path = Rp.Point_read; _ } as d)
+            | Ok ({ Rp.path = Rp.Inline; _ } as d)
               when Threadpool.queue_empty (Server_obj.pool srv) -> (
               match conn () with
               | Some ({ local = true; _ } as cs) -> run_inline st cs d body

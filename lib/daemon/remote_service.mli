@@ -40,10 +40,11 @@ val make :
     v1.8 conditional listings: a token (this daemon's boot nonce, fixed
     at [make], plus a fill number) names the cached [fleet_list_all]
     body a client holds, and while that entry lives the reply is 12
-    bytes of "unchanged".  A point read ([Point_read] row) never
+    bytes of "unchanged".  An [Inline] row's call (a point read, a
+    domain lifecycle write, an autostart or managed-save query) never
     touches the cache and takes one of two paths: on a local node (a
     driver with a write generation), the receiving thread runs it when
-    the pool has no queued job and nothing in the read waits; otherwise
+    the pool has no queued job and nothing in the call waits; otherwise
     the pool runs it (see {!run_stats}).  Neither knob changes that.
     [reconcile] is the daemon's policy reconciler; without it the v1.5
     policy procedures answer [Operation_unsupported]. *)
@@ -62,19 +63,21 @@ val event_stats : t -> Eventring.stats list
 (** The counters of every per-node replay ring. *)
 
 type run_stats = {
-  inline_runs : int;  (** point reads the receiving thread ran itself *)
+  inline_runs : int;  (** [Inline] calls the receiving thread ran itself *)
   inline_fallbacks : int;
       (** inline attempts that would have waited (a node lock held or
           awaited by a writer, simulated hypervisor time) and went to the
           pool instead *)
   pool_runs : int;
       (** point reads on a local node and listing misses that a pool
-          worker ran (or a batch or deadline envelope around them) *)
+          worker ran (or a batch or deadline envelope around them); a
+          write's pool run is an ordinary pool job, not counted here *)
 }
-(** Where the handlers of point reads on local nodes and of listing
-    misses ran, counting each handler run that returned once.
-    [inline_runs + pool_runs] equals those point-read calls plus the
-    caches' misses.  Local only, never on a wire. *)
+(** Where the handlers of [Inline] calls on local nodes and of listing
+    misses ran, counting each handler run that returned once: inline
+    runs of reads and writes alike, pool runs of reads only.
+    [inline_runs + pool_runs] equals the point-read calls, the writes
+    run inline and the caches' misses.  Local only, never on a wire. *)
 
 val run_stats : t -> run_stats
 

@@ -373,7 +373,7 @@ let enc_since_full_raw t listing_body =
 (* Procedure table                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type serve_path = Cached_listing | Point_read | Pooled
+type serve_path = Cached_listing | Inline | Pooled
 
 type descriptor = {
   proc : procedure;
@@ -410,7 +410,7 @@ let open_ = row Proc_open ~since:0 ~high:true ~idem:false ~path:Pooled Xdr.strin
 let close = row Proc_close ~since:0 ~high:true ~idem:false ~path:Pooled Xdr.unit Xdr.unit
 
 let get_capabilities =
-  row Proc_get_capabilities ~since:0 ~high:true ~idem:true ~path:Point_read Xdr.unit Xdr.string
+  row Proc_get_capabilities ~since:0 ~high:true ~idem:true ~path:Inline Xdr.unit Xdr.string
 
 let get_hostname =
   row Proc_get_hostname ~since:0 ~high:true ~idem:true ~path:Pooled Xdr.unit Xdr.string
@@ -424,33 +424,36 @@ let list_defined =
     (Xdr.array Xdr.string)
 
 let lookup_by_name =
-  row Proc_lookup_by_name ~since:0 ~high:true ~idem:true ~path:Point_read Xdr.string domain_ref
+  row Proc_lookup_by_name ~since:0 ~high:true ~idem:true ~path:Inline Xdr.string domain_ref
 
 (* The UUID travels as its string: a malformed one is the handler's
    [Invalid_arg], not a malformed body. *)
 let lookup_by_uuid =
-  row Proc_lookup_by_uuid ~since:0 ~high:true ~idem:true ~path:Point_read Xdr.string domain_ref
+  row Proc_lookup_by_uuid ~since:0 ~high:true ~idem:true ~path:Inline Xdr.string domain_ref
 
 let define_xml =
-  row Proc_define_xml ~since:0 ~high:false ~idem:false ~path:Pooled Xdr.string domain_ref
+  row Proc_define_xml ~since:0 ~high:false ~idem:false ~path:Inline Xdr.string domain_ref
 
-(* A v1.0 mutation of the object its argument names. *)
-let name_row proc = row proc ~since:0 ~high:false ~idem:false ~path:Pooled Xdr.string Xdr.unit
-let undefine = name_row Proc_undefine
-let dom_create = name_row Proc_dom_create
-let dom_suspend = name_row Proc_dom_suspend
-let dom_resume = name_row Proc_dom_resume
-let dom_shutdown = name_row Proc_dom_shutdown
-let dom_destroy = name_row Proc_dom_destroy
+(* A v1.0 mutation of the object its argument names.  A domain's waits
+   (its node lock, simulated hypervisor time) all come before its first
+   effect, so it may run inline (DESIGN §3.8 has the audit); network and
+   pool mutations, which that audit does not cover, stay pool jobs. *)
+let name_row ~path proc = row proc ~since:0 ~high:false ~idem:false ~path Xdr.string Xdr.unit
+let undefine = name_row ~path:Inline Proc_undefine
+let dom_create = name_row ~path:Inline Proc_dom_create
+let dom_suspend = name_row ~path:Inline Proc_dom_suspend
+let dom_resume = name_row ~path:Inline Proc_dom_resume
+let dom_shutdown = name_row ~path:Inline Proc_dom_shutdown
+let dom_destroy = name_row ~path:Inline Proc_dom_destroy
 
 let dom_get_info =
-  row Proc_dom_get_info ~since:0 ~high:true ~idem:true ~path:Point_read Xdr.string domain_info
+  row Proc_dom_get_info ~since:0 ~high:true ~idem:true ~path:Inline Xdr.string domain_info
 
 let dom_get_xml =
-  row Proc_dom_get_xml ~since:0 ~high:true ~idem:true ~path:Point_read Xdr.string Xdr.string
+  row Proc_dom_get_xml ~since:0 ~high:true ~idem:true ~path:Inline Xdr.string Xdr.string
 
 let dom_set_memory =
-  row Proc_dom_set_memory ~since:0 ~high:false ~idem:false ~path:Pooled
+  row Proc_dom_set_memory ~since:0 ~high:false ~idem:false ~path:Inline
     (Xdr.pair Xdr.string Xdr.uint) Xdr.unit
 
 let net_list =
@@ -460,9 +463,9 @@ let net_define =
   row Proc_net_define ~since:0 ~high:false ~idem:false ~path:Pooled
     (Xdr.triple Xdr.string Xdr.string Xdr.string) net_info
 
-let net_start = name_row Proc_net_start
-let net_stop = name_row Proc_net_stop
-let net_undefine = name_row Proc_net_undefine
+let net_start = name_row ~path:Pooled Proc_net_start
+let net_stop = name_row ~path:Pooled Proc_net_stop
+let net_undefine = name_row ~path:Pooled Proc_net_undefine
 
 let net_set_autostart =
   row Proc_net_set_autostart ~since:0 ~high:false ~idem:false ~path:Pooled name_and_bool
@@ -479,9 +482,9 @@ let pool_define =
   row Proc_pool_define ~since:0 ~high:false ~idem:false ~path:Pooled
     (Xdr.triple Xdr.string Xdr.string hyper_int) pool_info
 
-let pool_start = name_row Proc_pool_start
-let pool_stop = name_row Proc_pool_stop
-let pool_undefine = name_row Proc_pool_undefine
+let pool_start = name_row ~path:Pooled Proc_pool_start
+let pool_stop = name_row ~path:Pooled Proc_pool_stop
+let pool_undefine = name_row ~path:Pooled Proc_pool_undefine
 
 let pool_lookup =
   row Proc_pool_lookup ~since:0 ~high:false ~idem:true ~path:Pooled Xdr.string pool_info
@@ -526,15 +529,15 @@ let dom_restore =
   row Proc_dom_restore ~since:1 ~high:false ~idem:false ~path:Pooled Xdr.string Xdr.unit
 
 let dom_has_managed_save =
-  row Proc_dom_has_managed_save ~since:1 ~high:true ~idem:true ~path:Pooled Xdr.string Xdr.bool
+  row Proc_dom_has_managed_save ~since:1 ~high:true ~idem:true ~path:Inline Xdr.string Xdr.bool
 
 (* v1.2: autostart *)
 let dom_set_autostart =
-  row Proc_dom_set_autostart ~since:2 ~high:false ~idem:false ~path:Pooled name_and_bool
+  row Proc_dom_set_autostart ~since:2 ~high:false ~idem:false ~path:Inline name_and_bool
     Xdr.unit
 
 let dom_get_autostart =
-  row Proc_dom_get_autostart ~since:2 ~high:true ~idem:true ~path:Pooled Xdr.string Xdr.bool
+  row Proc_dom_get_autostart ~since:2 ~high:true ~idem:true ~path:Inline Xdr.string Xdr.bool
 
 (* v1.3: negotiation + bulk/batch.  A batch may carry mutations, so it is
    never retried; its sub-calls may be arbitrary and vol_lookup walks
@@ -550,7 +553,7 @@ let call_batch =
   row Proc_call_batch ~since:3 ~high:false ~idem:false ~path:Pooled batch_call batch_reply
 
 let vol_lookup =
-  row Proc_vol_lookup ~since:3 ~high:false ~idem:true ~path:Point_read Xdr.string vol_info
+  row Proc_vol_lookup ~since:3 ~high:false ~idem:true ~path:Inline Xdr.string vol_info
 
 (* v1.4: per-call deadline envelope.  Its priority and idempotency are
    those of its inner call, resolved by the dispatcher after peeking into

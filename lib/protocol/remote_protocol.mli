@@ -191,10 +191,15 @@ type serve_path =
       (** a bulk listing, answered from the node's reply cache when a
           live entry holds it: [dom_list_all], [fleet_list_all], and the
           v1.8 conditional listing the [fleet_list_all] entry answers *)
-  | Point_read
-      (** a read of one object, kept out of the reply cache: on a
-          local node the receiving thread may run it when nothing in
-          it waits *)
+  | Inline
+      (** a call on one object whose every wait (the node lock, only
+          tried; simulated hypervisor time) comes before its first
+          effect, kept out of the reply cache: on a local node the
+          receiving thread may run it, and a run that would wait has
+          changed nothing yet and goes to the pool.  Point reads, the
+          domain lifecycle writes, [define_xml], [undefine],
+          [dom_set_memory] and the autostart and managed-save
+          queries *)
   | Pooled  (** every other procedure: a pool job *)
 
 type descriptor = private {

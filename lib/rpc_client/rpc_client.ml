@@ -29,6 +29,9 @@ type t = {
   (* The read side, guarded by [mutex]: one thread at a time reads
      frames, an awaiting caller (the leader) or the receiver. *)
   mutable reading : bool;
+  mutable reader : int;
+      (* the id of the thread that holds the read side, -1 when none; read
+         without [mutex] by the wait-for check below *)
   mutable rx_wanted : bool;
       (* the receiver should read once the read side is free: the channel
          turned readable while nobody read, or keepalive needs re-timing *)
@@ -252,12 +255,27 @@ let step client ~until =
     fail client ("bad packet from server: " ^ msg);
     Dead
 
+(* How a caller awaits its reply: it takes the read side ([Lead]), it
+   already holds it, running a callback of this connection ([Nested]),
+   or another thread reads for it ([Follow]). *)
+type role = Lead | Nested | Follow
+
+let self_id () = Thread.id (Thread.self ())
+
 let take_read_side client =
+  let self = self_id () in
   Mutex.lock client.mutex;
-  let free = not client.reading in
-  client.reading <- true;
+  let role =
+    if not client.reading then begin
+      client.reading <- true;
+      client.reader <- self;
+      Lead
+    end
+    else if client.reader = self then Nested
+    else Follow
+  in
   Mutex.unlock client.mutex;
-  free
+  role
 
 (* Hand the read side back, and wake the receiver if something is left
    for it: frames or a close that arrived while the side was taken (their
@@ -265,6 +283,7 @@ let take_read_side client =
 let release_read_side client =
   Mutex.lock client.mutex;
   client.reading <- false;
+  client.reader <- -1;
   let wake = client.rx_wanted || Transport.pending client.conn in
   client.rx_wanted <- wake;
   Mutex.unlock client.mutex;
@@ -310,6 +329,7 @@ let park client =
       if client.closed then false
       else begin
         client.reading <- true;
+        client.reader <- self_id ();
         true
       end)
 
@@ -356,6 +376,7 @@ let connect ~address ~kind ~program ~version ?identity ?faults ?keepalive
         closed = false;
         on_raw_reply = None;
         reading = false;
+        reader = -1;
         rx_wanted = false;
         rx_cond = Condition.create ();
         last_rx = now;
@@ -451,8 +472,8 @@ let wait_slot slot ~until =
       done;
       slot.outcome)
 
-(* Lead: read frames (ours and anyone else's) until our slot is filled,
-   [until] passes or the connection dies, then hand the read side back. *)
+(* Read frames (ours and anyone else's) until our slot is filled,
+   [until] passes or the connection dies. *)
 let rec read_until client slot ~until =
   if
     Option.is_none (outcome_of slot)
@@ -462,6 +483,7 @@ let rec read_until client slot ~until =
     | Frame | Idle -> read_until client slot ~until
     | Dead -> ()
 
+(* Lead: read, then hand the read side back. *)
 let lead client slot ~until =
   match read_until client slot ~until with
   | () -> release_read_side client
@@ -469,15 +491,62 @@ let lead client slot ~until =
     release_read_side client;
     raise exn
 
-(* Collect [fut]'s outcome, reading the connection first when [led]:
-   the caller holds the read side.  Otherwise the reader delivers to the
-   slot.  Either way the slot is filled — a reply, or a failure when the
-   connection dies.  A timed call that outlives its deadline claims its
-   serial back; if the serial is gone, a delivery is under way and
-   wins. *)
-let finish fut ~led =
+(* The threads that wait for another thread to read their reply, each
+   with the connection it waits on: the wait-for graph.  A thread that
+   holds one connection's read side (it runs that connection's callback)
+   and follows on a second connection whose reader, through a chain of
+   such waits, waits for the first would wait for good; it fails at once
+   instead. *)
+let waits_mutex = Mutex.create ()
+let waits : (int, t) Hashtbl.t = Hashtbl.create 16
+
+(* Caller holds [waits_mutex].  Every link but the threads' read sides
+   is read under it; a read side that changes hands meanwhile belongs to
+   no thread that waits. *)
+let closes_cycle client self =
+  let rec walk c hops =
+    let r = c.reader in
+    r = self
+    || hops > 0
+       && match Hashtbl.find_opt waits r with
+          | Some next -> walk next (hops - 1)
+          | None -> false
+  in
+  walk client (Hashtbl.length waits)
+
+(* Run [f], which waits for another thread to read [client]'s reply,
+   unless that wait would close a cycle. *)
+let following client ~procedure f =
+  let self = self_id () in
+  Mutex.lock waits_mutex;
+  let cycle = closes_cycle client self in
+  if not cycle then Hashtbl.replace waits self client;
+  Mutex.unlock waits_mutex;
+  if cycle then
+    Verror.error Verror.Rpc_failure
+      "call %d not awaited: the reader of its connection waits for this thread"
+      procedure
+  else
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.lock waits_mutex;
+        Hashtbl.remove waits self;
+        Mutex.unlock waits_mutex)
+      f
+
+(* Collect [fut]'s outcome, reading the connection first unless another
+   thread reads it ([Follow]): a [Nested] caller reads for its own call
+   and leaves the read side to the frame handler it runs inside.
+   Otherwise the reader delivers to the slot.  Either way the slot is
+   filled — a reply, or a failure when the connection dies.  A timed
+   call that outlives its deadline claims its serial back; if the serial
+   is gone, a delivery is under way and wins. *)
+let finish fut role =
   let client = fut.fut_client and slot = fut.fut_slot in
-  if led then lead client slot ~until:fut.fut_until;
+  (match role with
+   | Lead -> lead client slot ~until:fut.fut_until
+   | Nested -> read_until client slot ~until:fut.fut_until
+   | Follow -> ());
   let outcome =
     match wait_slot slot ~until:fut.fut_until with
     | Some outcome -> outcome
@@ -496,21 +565,43 @@ let finish fut ~led =
 let await fut =
   match fut.fut_result with
   | Some outcome -> outcome
-  | None -> finish fut ~led:(take_read_side fut.fut_client)
+  | None -> (
+    let client = fut.fut_client in
+    match take_read_side client with
+    | Follow -> (
+      match
+        following client ~procedure:fut.fut_procedure (fun () -> Ok (finish fut Follow))
+      with
+      | Ok outcome -> outcome
+      | Error _ as cycle ->
+        (* Claim the serial back, as a timed-out call does. *)
+        let outcome =
+          if Option.is_some (take_pending client fut.fut_serial) then cycle
+          else Option.get (wait_slot fut.fut_slot ~until:infinity)
+        in
+        fut.fut_result <- Some outcome;
+        release_slot client fut.fut_slot;
+        outcome)
+    | role -> finish fut role)
 
 (* The read side is taken before the send: a reply that came back before
    the caller got round to reading would otherwise wake the receiver.  A
-   call that is not sent, or whose send raises, hands it straight back. *)
+   call that is not sent, or whose send raises, hands it straight back.
+   A follower that would close a wait-for cycle sends nothing. *)
 let call client ~procedure ?body ?timeout_s () =
-  let led = take_read_side client in
-  match call_async client ~procedure ?body ?timeout_s () with
-  | Ok fut -> finish fut ~led
-  | Error e ->
-    if led then release_read_side client;
-    Error e
-  | exception exn ->
-    if led then release_read_side client;
-    raise exn
+  let send role =
+    match call_async client ~procedure ?body ?timeout_s () with
+    | Ok fut -> finish fut role
+    | Error e ->
+      if role = Lead then release_read_side client;
+      Error e
+    | exception exn ->
+      if role = Lead then release_read_side client;
+      raise exn
+  in
+  match take_read_side client with
+  | Follow -> following client ~procedure (fun () -> send Follow)
+  | role -> send role
 
 let close client =
   (* Same ordering as the keepalive death: deliver the precise error,

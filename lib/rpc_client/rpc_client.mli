@@ -21,7 +21,12 @@
     Since a leader runs [on_event] and the raw-reply hook, both may run
     on a calling thread, inside {!call} or {!await}, with whatever locks
     that caller holds: they must not take a lock a caller holds across a
-    call, nor call on the same connection. *)
+    call.  They may call on the same connection: the thread that holds
+    the read side reads for its own nested call, handling the frames
+    that arrive before its reply as any reader does.  A call from a
+    callback on another connection, whose reader waits (through a chain
+    of such calls) for this thread, would wait for good: it fails at
+    once with [Rpc_failure] instead. *)
 
 type t
 

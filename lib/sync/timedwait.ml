@@ -12,20 +12,51 @@
    Lock order: callers hold their own mutex and briefly take the
    timekeeper's; the timekeeper never takes a caller mutex while holding
    its own (due entries are popped first, fired after unlock), so the
-   orders cannot deadlock. *)
+   orders cannot deadlock.
 
-type entry = { e_at : float; e_mutex : Mutex.t; e_cond : Condition.t }
+   A wait that ends before its deadline takes its entry back out of the
+   heap: otherwise the timekeeper would wake at the dead deadline only
+   to broadcast to a waiter that has left, and to whoever waits on the
+   same condition by then. *)
 
-(* Array-backed binary min-heap on [e_at]. *)
+type entry = {
+  e_at : float;
+  e_mutex : Mutex.t;
+  e_cond : Condition.t;
+  mutable e_pos : int;  (** index in the heap; -1 once out of it *)
+}
+
+(* Array-backed binary min-heap on [e_at]; every entry knows its index,
+   so any one of them can be removed. *)
 module Heap = struct
   type t = { mutable a : entry array; mutable n : int }
 
   let create () = { a = [||]; n = 0 }
 
+  let set h i e =
+    h.a.(i) <- e;
+    e.e_pos <- i
+
   let swap h i j =
     let t = h.a.(i) in
-    h.a.(i) <- h.a.(j);
-    h.a.(j) <- t
+    set h i h.a.(j);
+    set h j t
+
+  let rec sift_up h i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && h.a.(parent).e_at > h.a.(i).e_at then begin
+      swap h parent i;
+      sift_up h parent
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let s = if l < h.n && h.a.(l).e_at < h.a.(i).e_at then l else i in
+    let s = if r < h.n && h.a.(r).e_at < h.a.(s).e_at then r else s in
+    if s <> i then begin
+      swap h s i;
+      sift_down h s
+    end
 
   let push h e =
     if h.n = Array.length h.a then begin
@@ -33,38 +64,38 @@ module Heap = struct
       Array.blit h.a 0 a 0 h.n;
       h.a <- a
     end;
-    h.a.(h.n) <- e;
+    set h h.n e;
     h.n <- h.n + 1;
-    let i = ref (h.n - 1) in
-    while !i > 0 && h.a.((!i - 1) / 2).e_at > h.a.(!i).e_at do
-      swap h ((!i - 1) / 2) !i;
-      i := (!i - 1) / 2
-    done
+    sift_up h (h.n - 1)
 
   let peek h = if h.n = 0 then None else Some h.a.(0)
 
+  (* No-op for an entry already out of the heap. *)
+  let remove h e =
+    let i = e.e_pos in
+    if i >= 0 then begin
+      h.n <- h.n - 1;
+      if i < h.n then begin
+        let moved = h.a.(h.n) in
+        set h i moved;
+        sift_down h i;
+        sift_up h moved.e_pos
+      end;
+      e.e_pos <- -1
+    end
+
   let pop h =
     let top = h.a.(0) in
-    h.n <- h.n - 1;
-    h.a.(0) <- h.a.(h.n);
-    let i = ref 0 and continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < h.n && h.a.(l).e_at < h.a.(!s).e_at then s := l;
-      if r < h.n && h.a.(r).e_at < h.a.(!s).e_at then s := r;
-      if !s <> !i then begin
-        swap h !s !i;
-        i := !s
-      end
-      else continue := false
-    done;
+    remove h top;
     top
 end
 
 type tk = {
   tk_mutex : Mutex.t;
   tk_heap : Heap.t;
+  mutable tk_armed : float;
+      (* the latest instant the timekeeper looks at the heap again: a
+         deadline before it needs a poke, a later one does not *)
   tk_wake_rd : Unix.file_descr;
   tk_wake_wr : Unix.file_descr;
 }
@@ -103,6 +134,7 @@ let rec tk_loop tk =
     | Some e -> max 0.0005 (e.e_at -. now)
     | None -> 3600.
   in
+  tk.tk_armed <- (if due = [] then now +. timeout else neg_infinity);
   Mutex.unlock tk.tk_mutex;
   List.iter fire due;
   if due = [] then begin
@@ -119,7 +151,13 @@ let timekeeper =
      Unix.set_nonblock rd;
      Unix.set_nonblock wr;
      let tk =
-       { tk_mutex = Mutex.create (); tk_heap = Heap.create (); tk_wake_rd = rd; tk_wake_wr = wr }
+       {
+         tk_mutex = Mutex.create ();
+         tk_heap = Heap.create ();
+         tk_armed = neg_infinity;
+         tk_wake_rd = rd;
+         tk_wake_wr = wr;
+       }
      in
      ignore (Thread.create (fun () -> tk_loop tk) ());
      tk)
@@ -131,14 +169,14 @@ let wait mutex cond ~until =
     if until > now then begin
       let tk = Lazy.force timekeeper in
       Mutex.lock tk.tk_mutex;
-      let was_earliest =
-        match Heap.peek tk.tk_heap with
-        | None -> true
-        | Some e -> until < e.e_at
-      in
-      Heap.push tk.tk_heap { e_at = until; e_mutex = mutex; e_cond = cond };
+      let needs_poke = until < tk.tk_armed in
+      let e = { e_at = until; e_mutex = mutex; e_cond = cond; e_pos = -1 } in
+      Heap.push tk.tk_heap e;
       Mutex.unlock tk.tk_mutex;
-      if was_earliest then poke tk;
-      Condition.wait cond mutex
+      if needs_poke then poke tk;
+      Condition.wait cond mutex;
+      Mutex.lock tk.tk_mutex;
+      Heap.remove tk.tk_heap e;
+      Mutex.unlock tk.tk_mutex
     end
   end

@@ -12,4 +12,6 @@ val wait : Mutex.t -> Condition.t -> until:float -> unit
     [until] (absolute [Unix.gettimeofday] time) passes, or spuriously —
     the caller re-checks its predicate and the clock, exactly as with a
     plain [Condition.wait].  [~until:infinity] degrades to an untimed
-    wait.  Returns immediately if [until] is already in the past. *)
+    wait.  Returns immediately if [until] is already in the past.  A
+    wait that returns before [until] leaves nothing behind: no broadcast
+    reaches [cond] on its account later. *)

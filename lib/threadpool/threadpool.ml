@@ -167,11 +167,12 @@ let dispatch_job pool wid crew job =
        Mutex.lock pool.mutex)
   | _ -> run_job pool wid crew job
 
+(* The most workers [crew] may keep. *)
+let target pool crew = if crew.serves_normal then pool.max_workers else pool.prio_target
+
 (* The quit-helper check from the thesis: performed after waking up and
    after finishing a job, never via a queued "poison" task. *)
-let should_quit pool crew =
-  pool.quit
-  || crew.live > if crew.serves_normal then pool.max_workers else pool.prio_target
+let should_quit pool crew = pool.quit || crew.live > target pool crew
 
 (* Priority jobs first; the ordinary crew then takes normal ones. *)
 let next_job pool crew =
@@ -458,12 +459,17 @@ let queue_empty pool =
   Mutex.unlock pool.mutex;
   empty
 
+(* A lowered target is met once the surplus workers, woken by
+   [set_limits], have run their quit test: until then they still count
+   as free. *)
 let drain pool =
   with_lock pool (fun () ->
       while
         pool.queued_normal > 0
         || (not (Queue.is_empty pool.prio_queue))
-        || List.exists (fun crew -> crew.free < crew.live) (crews pool)
+        || List.exists
+             (fun crew -> crew.free < crew.live || crew.live > target pool crew)
+             (crews pool)
       do
         Condition.wait pool.idle_cond pool.mutex
       done)

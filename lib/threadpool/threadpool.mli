@@ -144,7 +144,9 @@ val queue_empty : t -> bool
     may be stale by the time it returns. *)
 
 val drain : t -> unit
-(** Block until the queue is empty and every live worker is idle.
+(** Block until the queue is empty, every live worker is idle and no
+    crew is over its target ([max_workers], or [prio_workers]; after
+    {!set_limits} lowers one, until the surplus has retired).
     Intended for tests and benchmarks. *)
 
 val shutdown : t -> unit

@@ -629,6 +629,261 @@ let test_inline_reads_without_reply_cache () =
     ~config:{ quiet_config with Daemon_config.reply_cache = 0 }
     ~params:""
 
+(* --- writes on the receiving thread ----------------------------------------- *)
+
+(* A driver whose domain writes the daemon may run inline: its direct
+   and daemon URIs for a node, its journal, and the domain shape it
+   takes.  ESX is not here: its node lock cannot be held from outside,
+   and its writes keep no journal and emit no event. *)
+type write_driver = {
+  wd_label : string;
+  wd_direct : string -> string;
+  wd_remote : daemon:string -> string -> string;
+  wd_journal : string -> string;
+  wd_virt_type : string;
+  wd_os : Vmm.Vm_config.os_kind;
+}
+
+let write_drivers =
+  let drv label ~direct ~remote virt_type os =
+    {
+      wd_label = label;
+      wd_direct = (fun node -> Printf.sprintf direct node);
+      wd_remote =
+        (fun ~daemon node -> Printf.sprintf remote node ^ "?daemon=" ^ daemon ^ "&cache=0");
+      wd_journal = (fun node -> Printf.sprintf "/var/lib/ovirt/%s/%s.journal" label node);
+      wd_virt_type = virt_type;
+      wd_os = os;
+    }
+  in
+  [
+    drv "test" ~direct:"test://%s/" ~remote:"test+unix://%s/" "test" Vmm.Vm_config.Hvm;
+    drv "qemu" ~direct:"qemu://%s/system" ~remote:"qemu+unix://%s/system" "kvm"
+      Vmm.Vm_config.Hvm;
+    drv "xen" ~direct:"xen://%s/" ~remote:"xen+unix://%s/" "xen" Vmm.Vm_config.Paravirt;
+    drv "lxc" ~direct:"lxc://%s/" ~remote:"lxc+unix://%s/" "lxc"
+      Vmm.Vm_config.Container_exe;
+  ]
+
+let domain_xml wd name =
+  Vmm.Domxml.to_xml ~virt_type:wd.wd_virt_type
+    (Vmm.Vm_config.make ~os:wd.wd_os ~memory_kib:(16 * 1024) name)
+
+(* Every [Inline] domain write, in an order in which each succeeds.  A
+   step looks its domain up when given the connection, and writes when
+   then called. *)
+let write_steps wd name =
+  let on f conn =
+    let dom = Domain.lookup_by_name conn name in
+    fun () -> Result.bind dom f
+  in
+  [
+    ( "define_xml",
+      fun conn () -> Result.map ignore (Domain.define_xml conn (domain_xml wd name)) );
+    ("set_autostart", on (fun d -> Domain.set_autostart d true));
+    ("create", on Domain.create);
+    ("set_memory", on (fun d -> Domain.set_memory d (8 * 1024)));
+    ("suspend", on Domain.suspend);
+    ("resume", on Domain.resume);
+    ("shutdown", on Domain.shutdown);
+    ("create", on Domain.create);
+    ("destroy", on Domain.destroy);
+    ("undefine", on Domain.undefine);
+  ]
+
+(* What one write did to domain [name]: its result, the journal records
+   and lifecycle events it added, and the state it left, read on the
+   node directly. *)
+type write_effect = {
+  we_ok : bool;
+  we_records : int;
+  we_events : string list;
+  we_state : string;
+}
+
+let journal_records path name =
+  match Persist.Media.read path with
+  | None -> 0
+  | Some _ ->
+    let _, replay = Persist.Journal.open_ path in
+    List.length (List.filter (fun r -> contains r name) replay.Persist.Journal.rp_records)
+
+let domain_state direct name =
+  match Domain.lookup_by_name direct name with
+  | Error _ -> "undefined"
+  | Ok d ->
+    let info = vok (Domain.get_info d) in
+    Printf.sprintf "%s mem=%d autostart=%s"
+      (Vm_state.state_name info.Driver.di_state)
+      info.Driver.di_memory_kib
+      (match Domain.get_autostart d with
+       | Ok b -> string_of_bool b
+       | Error e -> Verror.to_string e)
+
+(* A direct connection to a fresh node of [wd], with a subscriber that
+   records the target's events and, while [hold] is armed, blocks the
+   holder's define inside its write section: the node's write lock is
+   then held elsewhere until [release]. *)
+type write_node = {
+  wn_node : string;
+  wn_direct : Connect.t;
+  wn_events : string list ref;
+  wn_mutex : Mutex.t;
+  wn_held : bool Atomic.t;
+  wn_release : bool Atomic.t;
+}
+
+let write_node wd name =
+  let node = fresh_name "wnode" in
+  let direct = vok (Connect.open_uri (wd.wd_direct node)) in
+  let wn =
+    {
+      wn_node = node;
+      wn_direct = direct;
+      wn_events = ref [];
+      wn_mutex = Mutex.create ();
+      wn_held = Atomic.make false;
+      wn_release = Atomic.make false;
+    }
+  in
+  ignore
+    (vok
+       (Connect.subscribe_events direct (fun ev ->
+            if ev.Ovirt.Events.domain_name = name then
+              Mutex.protect wn.wn_mutex (fun () ->
+                  wn.wn_events :=
+                    Ovirt.Events.lifecycle_name ev.Ovirt.Events.lifecycle :: !(wn.wn_events))
+            else if contains ev.Ovirt.Events.domain_name "holder" then begin
+              Atomic.set wn.wn_held true;
+              ignore (eventually ~timeout_s:5. (fun () -> Atomic.get wn.wn_release))
+            end))
+      : Ovirt.Events.subscription);
+  wn
+
+let observe wd wn name run =
+  let events () = Mutex.protect wn.wn_mutex (fun () -> List.length !(wn.wn_events)) in
+  let r0 = journal_records (wd.wd_journal wn.wn_node) name and e0 = events () in
+  let ok = Result.is_ok (run ()) in
+  let added = events () - e0 in
+  {
+    we_ok = ok;
+    we_records = journal_records (wd.wd_journal wn.wn_node) name - r0;
+    we_events =
+      Mutex.protect wn.wn_mutex (fun () -> List.rev (List.filteri (fun i _ -> i < added) !(wn.wn_events)));
+    we_state = domain_state wn.wn_direct name;
+  }
+
+let show_effect e =
+  Printf.sprintf "%s, %d records, events [%s], %s"
+    (if e.we_ok then "ok" else "failed")
+    e.we_records (String.concat " " e.we_events) e.we_state
+
+(* The effects of every step run once, directly on a node of its own:
+   what any daemon run must reproduce. *)
+let reference_effects wd =
+  let name = fresh_name "wtgt" in
+  let wn = write_node wd name in
+  let effects =
+    List.map (fun (_, step) -> observe wd wn name (step wn.wn_direct)) (write_steps wd name)
+  in
+  Connect.close wn.wn_direct;
+  effects
+
+(* Every [Inline] domain write, on each driver, reaches the daemon while
+   another thread holds the node's write lock (a direct define whose
+   event subscriber blocks inside the write section).  The inline attempt
+   gives up at the lock and the write runs in the pool after the holder
+   releases it: once — the same result, journal records, events and end
+   state as a single direct run. *)
+let test_inline_writes_fall_back_once () =
+  with_daemon (fun daemon d ->
+      List.iter
+        (fun wd ->
+          let reference = reference_effects wd in
+          let name = fresh_name "wtgt" in
+          let wn = write_node wd name in
+          let remote = vok (Connect.open_uri (wd.wd_remote ~daemon wn.wn_node)) in
+          List.iteri
+            (fun i ((what, step), want) ->
+              let what = Printf.sprintf "%s %s (step %d)" wd.wd_label what i in
+              let write = step remote in
+              Atomic.set wn.wn_held false;
+              Atomic.set wn.wn_release false;
+              let holder =
+                Thread.create
+                  (fun () ->
+                    ignore
+                      (Domain.define_xml wn.wn_direct
+                         (domain_xml wd (Printf.sprintf "holder%d" i))))
+                  ()
+              in
+              Alcotest.(check bool) (what ^ ": lock held") true
+                (eventually (fun () -> Atomic.get wn.wn_held));
+              let s0 = Daemon.run_stats d in
+              let got =
+                observe wd wn name (fun () ->
+                    let result = ref None in
+                    let writer = Thread.create (fun () -> result := Some (write ())) () in
+                    Alcotest.(check bool) (what ^ ": the inline attempt fell back") true
+                      (eventually (fun () ->
+                           (Daemon.run_stats d).Remote_service.inline_fallbacks
+                           > s0.Remote_service.inline_fallbacks));
+                    Alcotest.(check bool) (what ^ ": not run while the lock is held") true
+                      (!result = None);
+                    Atomic.set wn.wn_release true;
+                    Thread.join writer;
+                    Thread.join holder;
+                    Option.get !result)
+              in
+              let s1 = Daemon.run_stats d in
+              let delta f = f s1 - f s0 in
+              Alcotest.(check string) (what ^ ": one run's effect") (show_effect want)
+                (show_effect got);
+              Alcotest.(check (list int)) (what ^ ": one fallback, no read counted, no inline run")
+                [ 1; 0; 0 ]
+                [
+                  delta (fun s -> s.Remote_service.inline_fallbacks);
+                  delta (fun s -> s.Remote_service.pool_runs);
+                  delta (fun s -> s.Remote_service.inline_runs);
+                ])
+            (List.combine (write_steps wd name) reference);
+          Connect.close remote;
+          Connect.close wn.wn_direct)
+        write_drivers)
+
+(* The same writes on a [latency_us] test node: the ones that spend
+   simulated hypervisor time (suspend, resume, destroy) give up before
+   it and run in the pool; the rest run inline.  Either way once. *)
+let test_inline_writes_on_latency_node () =
+  with_daemon (fun daemon d ->
+      let wd = List.hd write_drivers in
+      let reference = reference_effects wd in
+      let name = fresh_name "wtgt" in
+      let wn = write_node wd name in
+      set_latency wn.wn_node 2_000;
+      let remote = vok (Connect.open_uri (wd.wd_remote ~daemon wn.wn_node)) in
+      List.iteri
+        (fun i ((op, step), want) ->
+          let what = Printf.sprintf "%s (step %d)" op i in
+          let waits = List.mem op [ "suspend"; "resume"; "destroy" ] in
+          let write = step remote in
+          let s0 = Daemon.run_stats d in
+          let got = observe wd wn name write in
+          let s1 = Daemon.run_stats d in
+          let delta f = f s1 - f s0 in
+          Alcotest.(check string) (what ^ ": one run's effect") (show_effect want)
+            (show_effect got);
+          Alcotest.(check (list int)) (what ^ ": fallbacks, pool runs, inline runs")
+            (if waits then [ 1; 0; 0 ] else [ 0; 0; 1 ])
+            [
+              delta (fun s -> s.Remote_service.inline_fallbacks);
+              delta (fun s -> s.Remote_service.pool_runs);
+              delta (fun s -> s.Remote_service.inline_runs);
+            ])
+        (List.combine (write_steps wd name) reference);
+      Connect.close remote;
+      Connect.close wn.wn_direct)
+
 let () =
   Alcotest.run "overload"
     [
@@ -661,5 +916,8 @@ let () =
           quick "a queued job is not overtaken" test_inline_read_does_not_overtake;
           quick "cache-off reads run inline"
             test_inline_reads_without_reply_cache;
+          quick "held-lock writes fall back and run once"
+            test_inline_writes_fall_back_once;
+          quick "latency-node writes run once" test_inline_writes_on_latency_node;
         ] );
     ]

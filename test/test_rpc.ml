@@ -243,8 +243,13 @@ module Reference = struct
     | Rp.Proc_dom_list_all | Rp.Proc_fleet_list_all | Rp.Proc_fleet_list_since ->
       Rp.Cached_listing
     | Rp.Proc_get_capabilities | Rp.Proc_dom_get_info | Rp.Proc_dom_get_xml
-    | Rp.Proc_lookup_by_name | Rp.Proc_lookup_by_uuid | Rp.Proc_vol_lookup ->
-      Rp.Point_read
+    | Rp.Proc_lookup_by_name | Rp.Proc_lookup_by_uuid | Rp.Proc_vol_lookup
+    | Rp.Proc_dom_get_autostart | Rp.Proc_dom_has_managed_save
+    (* every wait of a domain write comes before its first effect *)
+    | Rp.Proc_define_xml | Rp.Proc_undefine | Rp.Proc_dom_create
+    | Rp.Proc_dom_suspend | Rp.Proc_dom_resume | Rp.Proc_dom_shutdown
+    | Rp.Proc_dom_destroy | Rp.Proc_dom_set_memory | Rp.Proc_dom_set_autostart ->
+      Rp.Inline
     | _ -> Rp.Pooled
 end
 
@@ -1047,6 +1052,102 @@ let test_failed_leader_stops_frames () =
       Alcotest.(check bool) "no event after the bad frame" false
         (eventually ~timeout_s:0.3 (fun () -> Atomic.get events > 0)))
 
+(* An event subscriber that calls through the connection the event came
+   on: the thread that read the event reads the nested call's reply, so
+   the call completes and the connection stays usable. *)
+let test_callback_calls_own_connection () =
+  Ovirt.initialize ();
+  let daemon = fresh_name "nestd" in
+  let config =
+    {
+      Ovirt.Daemon_config.default with
+      Ovirt.Daemon_config.log_outputs = [ { Vlog.min_priority = Vlog.Debug; sink = Vlog.Null } ];
+    }
+  in
+  let d = Ovirt.Daemon.start ~name:daemon ~config () in
+  Fun.protect ~finally:(fun () -> Ovirt.Daemon.stop d) (fun () ->
+      let node = fresh_name "nestnode" in
+      let direct = vok (Ovirt.Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+      let cfg = Vmm.Vm_config.make "nested" in
+      let ddom =
+        vok (Ovirt.Domain.define_xml direct (Vmm.Domxml.to_xml ~virt_type:"test" cfg))
+      in
+      let remote =
+        vok
+          (Ovirt.Connect.open_uri
+             (Printf.sprintf "test+unix://%s/?daemon=%s&cache=0" node daemon))
+      in
+      let rdom = vok (Ovirt.Domain.lookup_by_name remote "nested") in
+      let nested = Atomic.make None in
+      ignore
+        (vok
+           (Ovirt.Connect.subscribe_events remote (fun ev ->
+                if ev.Ovirt.Events.domain_name = "nested" && Atomic.get nested = None then
+                  Atomic.set nested (Some (Ovirt.Domain.get_info rdom))))
+          : Ovirt.Events.subscription);
+      vok (Ovirt.Domain.create ddom);
+      Alcotest.(check bool) "the nested call completes within 1 s" true
+        (eventually ~timeout_s:1.0 (fun () -> Atomic.get nested <> None));
+      (match Atomic.get nested with
+       | Some (Ok info) ->
+         Alcotest.(check bool) "it sees the started domain" true
+           (info.Driver.di_state = Vmm.Vm_state.Running)
+       | Some (Error e) -> Alcotest.failf "nested call: %s" (Verror.to_string e)
+       | None -> ());
+      (match within 1.0 (fun () -> Ovirt.Domain.get_info rdom) with
+       | Some (Ok _) -> ()
+       | Some (Error e) -> Alcotest.failf "later call: %s" (Verror.to_string e)
+       | None -> Alcotest.fail "a later call on the connection hung");
+      Ovirt.Connect.close remote;
+      Ovirt.Connect.close direct)
+
+(* Two event callbacks, each running on the reader of its own connection,
+   call through the other's connection at once.  Each would wait for a
+   thread that waits for it: the second to ask fails at once, and the
+   first is answered once that callback returns. *)
+let test_callback_cycle_fails_at_once () =
+  with_echo_server (fun srv ->
+      let entered = Atomic.make 0 in
+      let results = Atomic.make [] in
+      let rec record r =
+        let seen = Atomic.get results in
+        if not (Atomic.compare_and_set results seen (r :: seen)) then record r
+      in
+      let peer_a = ref None and peer_b = ref None in
+      let on_event peer =
+        let fired = Atomic.make false in
+        fun ~procedure:_ _ ->
+          if not (Atomic.exchange fired true) then begin
+            Atomic.incr entered;
+            ignore (eventually ~timeout_s:1.0 (fun () -> Atomic.get entered = 2));
+            record (Rpc_client.call (Option.get !peer) ~procedure:7 ~body:"9:0:0" ())
+          end
+      in
+      let a = connect_to ~on_event:(on_event peer_b) srv in
+      let b = connect_to ~on_event:(on_event peer_a) srv in
+      peer_a := Some a;
+      peer_b := Some b;
+      let outer rpc body () = Rpc_client.call rpc ~procedure:7 ~body () in
+      let ta = Thread.create (fun () -> ignore (within 2.0 (outer a "1:0:1"))) () in
+      let tb = Thread.create (fun () -> ignore (within 2.0 (outer b "2:0:1"))) () in
+      Alcotest.(check bool) "both nested calls return within 1 s of meeting" true
+        (eventually ~timeout_s:2.0 (fun () -> List.length (Atomic.get results) = 2));
+      Thread.join ta;
+      Thread.join tb;
+      let failed, answered = List.partition Result.is_error (Atomic.get results) in
+      Alcotest.(check int) "one answered" 1 (List.length answered);
+      (match failed with
+       | [ Error e ] ->
+         Alcotest.(check bool) ("rpc failure: " ^ e.Verror.message) true
+           (e.Verror.code = Verror.Rpc_failure && contains e.Verror.message "not awaited")
+       | _ -> Alcotest.fail "exactly one nested call should fail");
+      Alcotest.(check string) "both connections still serve" "3:0:0"
+        (vok (Rpc_client.call a ~procedure:7 ~body:"3:0:0" ()));
+      Alcotest.(check string) "both connections still serve" "4:0:0"
+        (vok (Rpc_client.call b ~procedure:7 ~body:"4:0:0" ()));
+      Rpc_client.close a;
+      Rpc_client.close b)
+
 let () =
   Alcotest.run "rpc"
     [
@@ -1104,5 +1205,8 @@ let () =
           quick "a leader declares a silent peer dead" test_leader_declares_silent_peer_dead;
           quick "an oversized call hands back" test_oversized_call_hands_back;
           quick "a failed leader handles no more frames" test_failed_leader_stops_frames;
+          quick "an event callback calls on its own connection"
+            test_callback_calls_own_connection;
+          quick "a wait-for cycle fails at once" test_callback_cycle_fails_at_once;
         ] );
     ]

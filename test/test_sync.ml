@@ -1,9 +1,11 @@
 (* Reader–writer lock: concurrency semantics the driver nodes rely on;
-   spare threads: reuse, no queueing, and the thread count. *)
+   spare threads: reuse, no queueing, and the thread count; timed
+   waits: deadlines, and nothing left behind by an early return. *)
 
 open Testutil
 module Rwlock = Ovsync.Rwlock
 module Spare = Ovsync.Spare_threads
+module Timedwait = Ovsync.Timedwait
 
 (* A tiny synchronized cell for cross-thread assertions. *)
 module Cell = struct
@@ -456,6 +458,82 @@ let test_spare_spawned_is_peak () =
   round 4;
   Alcotest.(check int) "a new peak adds one" 4 (Spare.spawned t)
 
+(* --- timed waits ------------------------------------------------------- *)
+
+(* One [Timedwait.wait] on [cond] under [mutex] until [until], unless
+   [released] is already set; the seconds since [t0] at which it
+   returned. *)
+let timed_wait_once ~t0 mutex cond released ~until =
+  Mutex.lock mutex;
+  if not !released then Timedwait.wait mutex cond ~until;
+  Mutex.unlock mutex;
+  Unix.gettimeofday () -. t0
+
+(* A waiter signalled long before its deadline takes its deadline with
+   it: a later waiter on the same condition is not woken then. *)
+let test_timedwait_early_return_leaves_nothing () =
+  let mutex = Mutex.create () and cond = Condition.create () in
+  let t0 = Unix.gettimeofday () in
+  let released = ref false in
+  let first = ref 0. in
+  let th =
+    Thread.create
+      (fun () -> first := timed_wait_once ~t0 mutex cond released ~until:(t0 +. 0.2))
+      ()
+  in
+  Thread.delay 0.02;
+  Mutex.lock mutex;
+  released := true;
+  Condition.broadcast cond;
+  Mutex.unlock mutex;
+  Thread.join th;
+  Alcotest.(check bool) (Printf.sprintf "first waiter returned early (%.3f s)" !first) true
+    (!first < 0.15);
+  let later = timed_wait_once ~t0 mutex cond (ref false) ~until:(t0 +. 0.6) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the later waiter slept through the dead deadline (woke at %.3f s)" later)
+    true (later >= 0.55)
+
+(* Waiters leave the timekeeper's heap from its middle (signalled early)
+   while others still wait: each of those returns at its own deadline,
+   not before it and not much after it. *)
+let test_timedwait_deadlines_survive_removals () =
+  let t0 = Unix.gettimeofday () in
+  let n = 8 in
+  let waiters =
+    List.init n (fun i ->
+        let mutex = Mutex.create () and cond = Condition.create () in
+        (* deadlines 0.10 .. 0.24 s, pushed out of order *)
+        let until = t0 +. 0.10 +. (0.02 *. float_of_int ((i * 3) mod n)) in
+        let released = ref false and woke = ref 0. in
+        let th =
+          Thread.create (fun () -> woke := timed_wait_once ~t0 mutex cond released ~until) ()
+        in
+        (i, mutex, cond, released, until -. t0, woke, th))
+  in
+  Thread.delay 0.04;
+  List.iter
+    (fun (i, mutex, cond, released, _, _, _) ->
+      if i mod 2 = 1 then begin
+        Mutex.lock mutex;
+        released := true;
+        Condition.broadcast cond;
+        Mutex.unlock mutex
+      end)
+    waiters;
+  List.iter
+    (fun (i, _, _, _, deadline, woke, th) ->
+      Thread.join th;
+      if i mod 2 = 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "waiter %d woke at %.3f s for a %.2f s deadline" i !woke deadline)
+          true
+          (!woke >= deadline -. 0.002 && !woke < deadline +. 0.3)
+      else
+        Alcotest.(check bool) (Printf.sprintf "waiter %d returned early" i) true
+          (!woke < deadline))
+    waiters
+
 let () =
   Alcotest.run "sync"
     [
@@ -476,5 +554,11 @@ let () =
           quick "a job never waits behind a busy one" test_spare_never_queues;
           quick "a raising job leaves its thread reusable" test_spare_survives_raise;
           quick "spawned is the peak concurrency" test_spare_spawned_is_peak;
+        ] );
+      ( "timedwait",
+        [
+          quick "an early return leaves no broadcast behind"
+            test_timedwait_early_return_leaves_nothing;
+          quick "deadlines survive removals" test_timedwait_deadlines_survive_removals;
         ] );
     ]

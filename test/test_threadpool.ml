@@ -97,6 +97,27 @@ let test_shrinks_cooperatively () =
   Alcotest.(check bool) "post-shrink job ran" true (Atomic.get hit);
   Threadpool.shutdown pool
 
+(* Right after [set_limits] lowers both targets, the surplus workers it
+   woke from their park have not yet run their quit test; [drain] waits
+   for them, so
+   the counts are at their targets the moment it returns.  Many rounds:
+   whether a surplus worker runs before [drain] takes the lock is up to
+   the scheduler. *)
+let test_drain_waits_for_surplus () =
+  for round = 1 to 200 do
+    let pool = make ~min_workers:6 ~max_workers:8 ~prio_workers:3 () in
+    (* every worker parked *)
+    Threadpool.drain pool;
+    Threadpool.set_limits pool ~min_workers:1 ~max_workers:1 ~prio_workers:1 ();
+    Threadpool.drain pool;
+    let s = Threadpool.stats pool in
+    Threadpool.shutdown pool;
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "round %d: crews at their targets after drain" round)
+      (1, 1)
+      (s.Threadpool.n_workers, s.Threadpool.prio_workers)
+  done
+
 let test_priority_worker_count_adjustable () =
   let pool = make ~prio_workers:2 () in
   Alcotest.(check int) "two prio" 2 (Threadpool.stats pool).Threadpool.prio_workers;
@@ -543,8 +564,10 @@ let latch_open l ~upto =
    every latch opened and a drain: every accepted job ran exactly once,
    shed plus accepted is submitted, and both crews settle at their
    targets with every ordinary worker parked.  A lost wake-up fails the
-   drain's time limit instead of hanging the suite; counts settle with
-   [eventually], since surplus workers retire only as they wake. *)
+   drain's time limit instead of hanging the suite.  [drain] returns only
+   once surplus workers have retired, so the crews' sizes are checked
+   right after it; that every ordinary worker is parked is checked with
+   [eventually], since a spurious wake-up briefly unparks one. *)
 let prop_schedules =
   let arb =
     QCheck.make
@@ -609,12 +632,12 @@ let prop_schedules =
         && s.Threadpool.jobs_completed = n_accepted
         &&
         let min_w, max_w, prio = !limits in
-        eventually (fun () ->
-            let s = Threadpool.stats pool in
-            s.Threadpool.n_workers >= min_w
-            && s.Threadpool.n_workers <= max_w
-            && s.Threadpool.prio_workers = prio
-            && s.Threadpool.free_workers = s.Threadpool.n_workers)
+        s.Threadpool.n_workers >= min_w
+        && s.Threadpool.n_workers <= max_w
+        && s.Threadpool.prio_workers = prio
+        && eventually (fun () ->
+               let s = Threadpool.stats pool in
+               s.Threadpool.free_workers = s.Threadpool.n_workers)
       in
       Threadpool.shutdown pool;
       ok)
@@ -635,6 +658,7 @@ let () =
           quick "grows on demand" test_grows_on_demand;
           quick "never exceeds max" test_never_exceeds_max;
           quick "shrinks cooperatively" test_shrinks_cooperatively;
+          quick "drain waits for surplus workers" test_drain_waits_for_surplus;
           quick "priority worker count adjustable" test_priority_worker_count_adjustable;
         ] );
       ( "priority workers",
