@@ -562,13 +562,15 @@ let fig6 () =
     ]
   in
   let idle = measure_admin () in
-  (* load: 8 clients hammering the management server *)
+  (* load: 8 clients hammering the management server; cache=0, or the
+     client cache would answer every read after the first and the load
+     would never reach the daemon *)
   let stop = Atomic.make false in
   let conns =
     List.init 8 (fun _ ->
         ok
           (Connect.open_uri
-             (Printf.sprintf "test+unix://%s/?daemon=%s" node daemon_name)))
+             (Printf.sprintf "test+unix://%s/?daemon=%s&cache=0" node daemon_name)))
   in
   let loaders =
     List.map

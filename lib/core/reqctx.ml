@@ -1,9 +1,11 @@
 (* Per-request context: the deadline budget a dispatched call carries
    from the wire down into driver code.
 
-   The dispatcher wraps every worker-side call in [with_deadline]; any
-   code on that worker thread (remote_service handlers, driver ops,
-   Drvnode lock waits) can then ask how much budget remains without the
+   A call's route on the daemon gives it at most one deadline (a v1.4
+   envelope's, anchored at receive time), and the dispatcher binds it
+   with [with_deadline] around the pool job that runs the call; any code
+   on that worker thread (remote_service handlers, driver ops, Drvnode
+   lock waits) can then ask how much budget remains without the
    deadline being threaded through every signature.  Keyed by thread id:
    a worker runs exactly one call at a time, and the binding is removed
    when the call returns, so a pooled worker never leaks one call's

@@ -2,8 +2,9 @@
     wire down into driver code, bound to the thread that runs the call.
 
     A call may instead run in the {e no-wait mode} ({!without_waiting}):
-    the daemon's receiving thread runs cheap reads that way, because it
-    serves every connection of its reactor and so must never block.  The
+    the daemon's receiving thread runs [Inline] calls that way, a
+    deadline envelope's inner call too, because it serves every
+    connection of its reactor and so must never block.  The
     mode is held where the deadline is, as the deadline [neg_infinity]:
     a bounded lock wait on it gives up at once, and code that would wait
     raises {!Would_wait} rather than fail the call. *)

@@ -127,12 +127,7 @@ let sum f stats = List.fold_left (fun acc s -> acc + f s) 0 stats
 
 let invalid_arg_of r = Result.map_error (Verror.make Verror.Invalid_arg) r
 
-let handle view _srv _client header body =
-  let* proc =
-    Result.map_error
-      (Verror.make Verror.Rpc_failure)
-      (Ap.proc_of_int header.Rpc_packet.procedure)
-  in
+let handle view proc body =
   let logger = view.view_logger in
   let params_of s f =
     serve s body (fun server ->
@@ -264,18 +259,18 @@ let handle view _srv _client header body =
     (* Every fleet hosted in this process. *)
     serve Ap.daemon_fleet_status body (fun () -> Ok (Ovirt_fleet.Fleet.statuses ()))
 
+(* Every admin call is a pool job, an unknown procedure's error too. *)
 let program view =
+  let route _srv _client header body =
+    let job priority run = Dispatch.Queue { priority; deadline = None; run } in
+    match Ap.proc_of_int header.Rpc_packet.procedure with
+    | Ok proc -> job (Ap.is_high_priority proc) (fun () -> handle view proc body)
+    | Error msg -> job false (fun () -> Error (Verror.make Verror.Rpc_failure msg))
+  in
   Dispatch.
     {
       prog_number = Ap.program;
       prog_version = Ap.version;
-      high_priority =
-        (fun proc ->
-          match Ap.proc_of_int proc with
-          | Ok p -> Ap.is_high_priority p
-          | Error _ -> false);
-      peek_deadline = (fun ~procedure:_ ~body:_ -> None);
-      try_fast_reply = None;
-      handle = (fun srv client header body -> handle view srv client header body);
+      route;
       on_disconnect = (fun _client -> ());
     }

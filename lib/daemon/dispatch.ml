@@ -4,33 +4,21 @@ module Verror = Ovirt_core.Verror
 module Reqctx = Ovirt_core.Reqctx
 module Ka = Protocol.Keepalive_protocol
 
+type route =
+  | Reply of (string, Verror.t) result
+  | Queue of {
+      priority : bool;
+      deadline : float option;
+      run : unit -> (string, Verror.t) result;
+    }
+
 type program = {
   prog_number : int;
   prog_version : int;
-  high_priority : int -> bool;
-  peek_deadline : procedure:int -> body:string -> (float * int) option;
-      (* For calls carrying a deadline envelope: peek into the body at
-         receive time and return (absolute deadline anchored now, inner
-         procedure number).  The dispatcher uses the deadline to drop
-         jobs that expire while queued, and the inner procedure to
-         classify priority by the wrapped call rather than the envelope. *)
-  try_fast_reply :
-    (Server_obj.t ->
-    Client_obj.t ->
-    Rpc_packet.header ->
-    string ->
-    (string, Verror.t) result option)
-    option;
-      (* Consulted on the receiving thread before the call is submitted
-         to the pool: [Some result] answers the call there (a reply-cache
-         hit, or a read the hook ran without waiting), [None] submits it.
-         Must never block; see the interface. *)
-  handle :
-    Server_obj.t ->
-    Client_obj.t ->
-    Rpc_packet.header ->
-    string ->
-    (string, Verror.t) result;
+  route : Server_obj.t -> Client_obj.t -> Rpc_packet.header -> string -> route;
+      (* Decides the call once, on the receiving thread: answer it there,
+         or the pool job that will.  Must never block; see the
+         interface. *)
   on_disconnect : Client_obj.t -> unit;
 }
 
@@ -54,7 +42,7 @@ let error_of_exn = function
       (Printexc.to_string exn)
 
 (* The one way a call is answered, whichever thread ran it: a pool
-   worker, or the receiving thread for a cache hit or an inline read. *)
+   worker, or the receiving thread for a cache hit or an inline call. *)
 let finish srv prog client header result =
   Client_obj.touch client;
   let result =
@@ -80,7 +68,7 @@ let finish srv prog client header result =
   if Result.is_ok result && prog.prog_number <> Ka.program then
     Server_obj.note_authenticated srv client
 
-let run_call srv prog client header body ~deadline =
+let run_call srv prog client header body ~deadline run =
   let logger = Server_obj.logger srv in
   (* Guarded: this fires once per call, and with debug disabled the
      kasprintf formatting of five arguments would otherwise still run. *)
@@ -90,40 +78,33 @@ let run_call srv prog client header body ~deadline =
       (Client_obj.id client) header.Rpc_packet.program header.Rpc_packet.procedure
       header.Rpc_packet.serial (String.length body);
   finish srv prog client header
-    (try Reqctx.with_deadline deadline (fun () -> prog.handle srv client header body)
-     with exn -> error_of_exn exn)
+    (try Reqctx.with_deadline deadline run with exn -> error_of_exn exn)
 
 (* The keepalive program: any server answers pings so clients can tell a
    live-but-busy daemon from a dead one.  The PONG is the plain Status_ok
    reply; its serial matches no pending call on the client, which is how
    the client recognises it. *)
 let keepalive_program =
+  let pong header () =
+    if header.Rpc_packet.procedure = Ka.proc_ping then Ok ""
+    else
+      Verror.error Verror.Rpc_failure "unknown keepalive procedure %d"
+        header.Rpc_packet.procedure
+  in
   {
     prog_number = Ka.program;
     prog_version = Ka.version;
-    high_priority = (fun _ -> true);
-    peek_deadline = (fun ~procedure:_ ~body:_ -> None);
-    try_fast_reply = None;
-    handle =
+    route =
       (fun _srv _client header _body ->
-        if header.Rpc_packet.procedure = Ka.proc_ping then Ok ""
-        else
-          Verror.error Verror.Rpc_failure "unknown keepalive procedure %d"
-            header.Rpc_packet.procedure);
+        Queue { priority = true; deadline = None; run = pong header });
     on_disconnect = (fun _client -> ());
   }
 
-(* Pool submission: deadline peek, priority class, admission control.
+(* Pool submission: admission control, then the job, which the pool
+   drops with the expiry reply when its deadline lapses in the queue.
    Runs on the reactor thread, so it never blocks — pool overflow is
    shed synchronously. *)
-let submit srv prog client header body =
-  let peeked = prog.peek_deadline ~procedure:header.Rpc_packet.procedure ~body in
-  let priority =
-    match peeked with
-    | Some (_, inner) -> prog.high_priority inner
-    | None -> prog.high_priority header.Rpc_packet.procedure
-  in
-  let deadline = Option.map fst peeked in
+let submit srv prog client header body ~priority ~deadline run =
   let on_expired () =
     (* The job's deadline passed while it sat in the pool queue: answer
        without ever running the handler. *)
@@ -133,7 +114,7 @@ let submit srv prog client header body =
   in
   match
     Threadpool.submit (Server_obj.pool srv) ~priority ~source:(Client_obj.id client)
-      ?deadline ~on_expired (fun () -> run_call srv prog client header body ~deadline)
+      ?deadline ~on_expired (fun () -> run_call srv prog client header body ~deadline run)
   with
   | Ok () -> ()
   | Error { Threadpool.retry_after_ms } ->
@@ -143,8 +124,8 @@ let submit srv prog client header body =
       (Verror.overloaded ~retry_after_ms "server %s: job queue is full"
          (Server_obj.name srv))
 
-(* Route one decoded call: program lookup, version check, drain check,
-   then the program's receiving-thread hook or pool submission.  Runs on
+(* One decoded call: program lookup, version check, drain check, then
+   the program's route, answered here or submitted to the pool.  Runs on
    the reactor thread, so it never blocks and never raises. *)
 let process_call srv prog_table client header body =
   match Hashtbl.find_opt prog_table header.Rpc_packet.program with
@@ -164,17 +145,13 @@ let process_call srv prog_table client header body =
         (Verror.error Verror.Operation_invalid "server %s is draining"
            (Server_obj.name srv))
     else
-      (* Zero-work read path: the program's hook may answer the call here
-         (a cached reply body, or a read it ran without waiting) with no
-         pool round-trip.  Consulted after the version and drain checks,
-         so such calls observe the same rules as dispatched ones. *)
-      match prog.try_fast_reply with
-      | None -> submit srv prog client header body
-      | Some hook -> (
-        match hook srv client header body with
-        | Some result -> finish srv prog client header result
-        | None -> submit srv prog client header body
-        | exception exn -> finish srv prog client header (error_of_exn exn)))
+      (* Routed after the version and drain checks, so a call answered
+         here observes the same rules as a pool job. *)
+      match prog.route srv client header body with
+      | Reply result -> finish srv prog client header result
+      | Queue { priority; deadline; run } ->
+        submit srv prog client header body ~priority ~deadline run
+      | exception exn -> finish srv prog client header (error_of_exn exn))
 
 (* Program lookup runs once per packet: resolve the registered list into
    a table up front instead of scanning it per call. *)
@@ -199,7 +176,7 @@ module Chan = Ovnet.Chan
 
    In [Rc_running], each inbound chunk goes through header-read
    ({!Rpc_packet.frame_length}) and payload-read ({!Rpc_packet.decode_sub})
-   and decoded calls enter the {!process_call} pool submission.  A
+   and decoded calls enter {!process_call}.  A
    connection only borrows a pool buffer while a partial packet
    straddles chunks — idle connections hold none, and whole aligned
    packets (the common case over {!Chan}) decode zero-copy straight from

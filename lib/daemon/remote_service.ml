@@ -57,12 +57,13 @@ let with_lock st f =
 
 let ( let* ) = Result.bind
 
+let find_conn st client =
+  with_lock st (fun () -> Hashtbl.find_opt st.conns (Client_obj.id client))
+
 let get_conn st client =
-  with_lock st (fun () ->
-      match Hashtbl.find_opt st.conns (Client_obj.id client) with
-      | Some cs -> Ok cs
-      | None ->
-        Verror.error Verror.No_connect "client has no open hypervisor connection")
+  match find_conn st client with
+  | Some cs -> Ok cs
+  | None -> Verror.error Verror.No_connect "client has no open hypervisor connection"
 
 (* Caller holds [st.mutex].  Caches are per driver-node URI and live for
    the daemon (like [rings]); creating one also arms the proactive
@@ -448,9 +449,7 @@ let batch_target proc body =
    Whole-batch refusal keeps the invariant "one batch, one shard, one
    failure domain". *)
 let batch_isolation st client subs =
-  match
-    with_lock st (fun () -> Hashtbl.find_opt st.conns (Client_obj.id client))
-  with
+  match find_conn st client with
   | None -> Ok ()
   | Some cs -> (
     match cs.ops.Driver.fleet with
@@ -486,20 +485,16 @@ let batch_isolation st client subs =
           (String.concat ", " (List.rev distinct))
       else Ok ())
 
-(* A listing, on a connection with a cache.  [looked_up]: the receiving
-   thread already ran {!lookup} on this very call and missed, so only
-   {!fill} is left.  Batch sub-calls and deadline-enveloped inner calls
-   never pass the receiving thread, so they run both. *)
-let serve_cached st cs c ~looked_up (d : Rp.descriptor) body =
-  match if looked_up then None else lookup st c d body with
-  | Some reply -> Ok reply
-  | None when d.Rp.proc <> Rp.Proc_fleet_list_since ->
+(* A listing whose lookup missed, on a connection with a cache: run
+   the handler and fill.  Every path here has looked the call up first,
+   which also decoded a conditional listing's token. *)
+let fill_listing st cs c (d : Rp.descriptor) body =
+  if d.Rp.proc <> Rp.Proc_fleet_list_since then
     let* reply, _ =
       fill st c ~proc:d.Rp.number ~args:body (fun () -> dispatch_conn cs d.Rp.proc body)
     in
     Ok reply
-  | None ->
-    let (_ : Rp.fleet_token) = Xdr.decode Rp.fleet_list_since.Rp.sg_args body in
+  else
     let* listing, fill =
       fill st c ~proc:list_all_number ~args:no_args (fun () ->
           dispatch_conn cs Rp.Proc_fleet_list_all no_args)
@@ -520,9 +515,10 @@ let with_policy st client name f =
    up with [Rp.descriptor_of_int ~minor], so procedures newer than it are
    rejected with the very error an old build produces for an unknown
    number, which is what clients key version negotiation on.
-   [in_batch] guards against nested batch containers; [looked_up] is
-   {!serve_cached}'s. *)
-let rec handle_proc st ~minor ~in_batch ~looked_up client (d : Rp.descriptor) body =
+   [in_batch] guards against nested batch containers.  A top-level call
+   arrives here from {!route}, which has unwrapped any deadline
+   envelope; a batch's sub-calls arrive as they are. *)
+let rec handle_proc st ~minor ~in_batch client (d : Rp.descriptor) body =
   match d.Rp.proc with
   | Rp.Proc_open -> serve Rp.open_ body (do_open st client)
   | Rp.Proc_close -> serve Rp.close body (fun () -> do_close st client)
@@ -542,33 +538,7 @@ let rec handle_proc st ~minor ~in_batch ~looked_up client (d : Rp.descriptor) bo
           let* () = batch_isolation st client subs in
           Ok (List.map (batch_sub st ~minor client) subs))
   | Rp.Proc_call_deadline ->
-    if in_batch then
-      Verror.error Verror.Rpc_failure
-        "deadline envelopes are not allowed inside a batch"
-    else
-      let budget_ms, proc_num, inner_body =
-        Xdr.decode Rp.call_deadline.Rp.sg_args body
-      in
-      (match Rp.descriptor_of_int ~minor proc_num with
-       | Error err -> Error err
-       | Ok { Rp.proc = Rp.Proc_call_deadline; _ } ->
-         Verror.error Verror.Rpc_failure "nested deadline envelopes are not allowed"
-       | Ok inner ->
-         (* The dispatcher normally anchored the deadline at receive time
-            and installed it in the request context before queueing; if
-            this call arrived by another path (tests, direct handle), do
-            the anchoring here so driver ops still see the budget. *)
-         let run () =
-           let* () = Reqctx.check ~what:"dispatch" () in
-           handle_proc st ~minor ~in_batch:false ~looked_up:false client inner
-             inner_body
-         in
-         (match Reqctx.deadline () with
-          | Some _ -> run ()
-          | None ->
-            Reqctx.with_deadline
-              (Some (Unix.gettimeofday () +. (float_of_int budget_ms /. 1000.)))
-              run))
+    Verror.error Verror.Rpc_failure "deadline envelopes are not allowed inside a batch"
   | Rp.Proc_event_register ->
     serve Rp.event_register body (fun () -> do_event_register st client)
   | Rp.Proc_event_deregister ->
@@ -592,7 +562,10 @@ let rec handle_proc st ~minor ~in_batch ~looked_up client (d : Rp.descriptor) bo
   | _ -> (
     let* cs = get_conn st client in
     match (d.Rp.path, cs.cache) with
-    | Rp.Cached_listing, Some c -> serve_cached st cs c ~looked_up d body
+    | Rp.Cached_listing, Some c -> (
+      match lookup st c d body with
+      | Some reply -> Ok reply
+      | None -> fill_listing st cs c d body)
     | Rp.Inline, _ when cs.local ->
       let result = dispatch_conn cs d.Rp.proc body in
       if d.Rp.idempotent then Atomic.incr st.pool_runs;
@@ -606,23 +579,12 @@ and batch_sub st ~minor client (proc_num, sub_body) =
     match Rp.descriptor_of_int ~minor proc_num with
     | Error err -> Error err
     | Ok sub -> (
-      try handle_proc st ~minor ~in_batch:true ~looked_up:false client sub sub_body with
-      | Verror.Virt_error err -> Error err
-      | Xdr.Error msg -> Verror.error Verror.Rpc_failure "malformed call body: %s" msg
-      | exn ->
-        Verror.error Verror.Internal_error "unhandled exception: %s"
-          (Printexc.to_string exn))
+      try handle_proc st ~minor ~in_batch:true client sub sub_body
+      with exn -> Dispatch.error_of_exn exn)
   in
   match result with
   | Ok reply -> (true, reply)
   | Error err -> (false, Xdr.encode Rp.error err)
-
-(* A top-level call reaches the pool after [try_fast_reply] ran
-   {!lookup} on it on the receiving thread (a listing) or tried to run
-   it there ({!run_inline}, an [Inline] call). *)
-let handle st ~minor _srv client header body =
-  let* d = Rp.descriptor_of_int ~minor header.Rpc_packet.procedure in
-  handle_proc st ~minor ~in_batch:false ~looked_up:true client d body
 
 type t = { st : state; svc_minor : int }
 
@@ -683,60 +645,74 @@ let run_inline (st : state) cs (d : Rp.descriptor) body =
     Atomic.incr st.inline_fallbacks;
     None
 
+(* A call whose route ends in an error: a pool job like any other. *)
+let refuse ~deadline result =
+  Dispatch.Queue { priority = false; deadline; run = (fun () -> result) }
+
+(* A call's pool job.  An enveloped one first checks that its deadline
+   has not lapsed by the time a worker runs it. *)
+let queue ~deadline (d : Rp.descriptor) run =
+  let run =
+    if deadline = None then run
+    else fun () ->
+      let* () = Reqctx.check ~what:"dispatch" () in
+      run ()
+  in
+  Dispatch.Queue { priority = d.Rp.high_priority; deadline; run }
+
+let pooled st ~minor client ~deadline d body =
+  queue ~deadline d (fun () -> handle_proc st ~minor ~in_batch:false client d body)
+
+(* Where a call, unwrapped or the inner call of a deadline envelope,
+   runs.  A listing is looked up here, and only a miss reaches the pool,
+   which fills.  An [Inline] call on a local node runs here when the
+   pool has no queued job to overtake.  Everything else is a pool job. *)
+let route_call st ~minor srv client ~deadline (d : Rp.descriptor) body =
+  match d.Rp.path with
+  | Rp.Cached_listing -> (
+    match find_conn st client with
+    | Some ({ cache = Some c; _ } as cs) -> (
+      match lookup st c d body with
+      | Some reply ->
+        if d.Rp.proc <> Rp.Proc_fleet_list_since then Reply_cache.note_patched_send c.rc;
+        Dispatch.Reply (Ok reply)
+      | None -> queue ~deadline d (fun () -> fill_listing st cs c d body))
+    | Some { cache = None; _ } | None -> pooled st ~minor client ~deadline d body)
+  | Rp.Inline when Threadpool.queue_empty (Server_obj.pool srv) -> (
+    match find_conn st client with
+    | Some ({ local = true; _ } as cs) -> (
+      match run_inline st cs d body with
+      | Some result -> Dispatch.Reply result
+      | None -> pooled st ~minor client ~deadline d body)
+    | Some { local = false; _ } | None -> pooled st ~minor client ~deadline d body)
+  | Rp.Inline | Rp.Pooled -> pooled st ~minor client ~deadline d body
+
+(* The one decision per call, on the receiving thread: the row is looked
+   up once, at this daemon's minor, which is also the only v1.4 gate (a
+   pinned daemon answers a deadline envelope as an unknown procedure).
+   An envelope is decoded once, its deadline anchored now, when
+   queueing starts, and its inner call routed as an unwrapped one. *)
+let route st ~minor srv client header body =
+  match Rp.descriptor_of_int ~minor header.Rpc_packet.procedure with
+  | Error err -> refuse ~deadline:None (Error err)
+  | Ok { Rp.proc = Rp.Proc_call_deadline; _ } -> (
+    match Xdr.decode Rp.call_deadline.Rp.sg_args body with
+    | exception exn -> refuse ~deadline:None (Dispatch.error_of_exn exn)
+    | budget_ms, inner, inner_body -> (
+      let deadline = Some (Unix.gettimeofday () +. (float_of_int budget_ms /. 1000.)) in
+      match Rp.descriptor_of_int ~minor inner with
+      | Error err -> refuse ~deadline (Error err)
+      | Ok { Rp.proc = Rp.Proc_call_deadline; _ } ->
+        refuse ~deadline
+          (Verror.error Verror.Rpc_failure "nested deadline envelopes are not allowed")
+      | Ok d -> route_call st ~minor srv client ~deadline d inner_body))
+  | Ok d -> route_call st ~minor srv client ~deadline:None d body
+
 let program_of { st; svc_minor = minor } =
-  let deadline = Rp.describe Rp.Proc_call_deadline in
   Dispatch.
     {
       prog_number = Rp.program;
       prog_version = Rp.version;
-      high_priority =
-        (fun proc ->
-          match Rp.descriptor_of_int ~minor proc with
-          | Ok d -> d.Rp.high_priority
-          | Error _ -> false);
-      peek_deadline =
-        (fun ~procedure ~body ->
-          (* Only peek when this daemon actually serves v1.4 envelopes;
-             a minor-pinned daemon must treat procedure 49 as unknown,
-             so it must not gain deadline behavior either. *)
-          if minor >= deadline.Rp.since && procedure = deadline.Rp.number
-          then
-            match Xdr.decode Rp.call_deadline.Rp.sg_args body with
-            | budget_ms, inner, _ ->
-              Some
-                ( Unix.gettimeofday () +. (float_of_int budget_ms /. 1000.),
-                  inner )
-            | exception _ -> None
-          else None);
-      try_fast_reply =
-        Some
-          (fun srv client header body ->
-            (* The one lookup of a top-level listing.  A hit skips pool
-               submission, body decode, the driver read lock and the
-               handler; a conditional listing the live entry answers is
-               12 bytes when it is unchanged.  An [Inline] call on a
-               local node runs here when the pool has no queued job to
-               overtake. *)
-            let conn () =
-              with_lock st (fun () -> Hashtbl.find_opt st.conns (Client_obj.id client))
-            in
-            match Rp.descriptor_of_int ~minor header.Rpc_packet.procedure with
-            | Ok ({ Rp.path = Rp.Cached_listing; _ } as d) -> (
-              match conn () with
-              | Some { cache = Some c; _ } -> (
-                match lookup st c d body with
-                | Some reply ->
-                  if d.Rp.proc <> Rp.Proc_fleet_list_since then
-                    Reply_cache.note_patched_send c.rc;
-                  Some (Ok reply)
-                | None -> None)
-              | Some { cache = None; _ } | None -> None)
-            | Ok ({ Rp.path = Rp.Inline; _ } as d)
-              when Threadpool.queue_empty (Server_obj.pool srv) -> (
-              match conn () with
-              | Some ({ local = true; _ } as cs) -> run_inline st cs d body
-              | Some { local = false; _ } | None -> None)
-            | Ok _ | Error _ -> None);
-      handle = (fun srv client header body -> handle st ~minor srv client header body);
+      route = route st ~minor;
       on_disconnect = (fun client -> teardown_conn st (Client_obj.id client));
     }

@@ -33,19 +33,20 @@ val make :
     per-node-URI cache, which holds at most two keys.  Clients can opt
     a single connection out with a [replycache=0] URI parameter.  Which
     cache serves a connection, if any, is resolved once, when it opens.
-    A top-level listing is looked up on the receiving thread only; on a
-    miss the pool runs the handler and fills the cache.  Batch
-    sub-calls and deadline-enveloped inner calls, which the receiving
+    A top-level listing, or the inner call of a deadline envelope, is
+    looked up on the receiving thread only; on a miss the pool runs the
+    handler and fills the cache.  Batch sub-calls, which the receiving
     thread never sees, look up and then fill.  The same caches answer
     v1.8 conditional listings: a token (this daemon's boot nonce, fixed
     at [make], plus a fill number) names the cached [fleet_list_all]
     body a client holds, and while that entry lives the reply is 12
     bytes of "unchanged".  An [Inline] row's call (a point read, a
-    domain lifecycle write, an autostart or managed-save query) never
-    touches the cache and takes one of two paths: on a local node (a
-    driver with a write generation), the receiving thread runs it when
-    the pool has no queued job and nothing in the call waits; otherwise
-    the pool runs it (see {!run_stats}).  Neither knob changes that.
+    domain lifecycle write, an autostart or managed-save query), bare
+    or in a deadline envelope, never touches the cache and takes one of
+    two paths: on a local node (a driver with a write generation), the
+    receiving thread runs it when the pool has no queued job and nothing
+    in the call waits; otherwise the pool runs it (see {!run_stats}).
+    Neither knob changes that.
     [reconcile] is the daemon's policy reconciler; without it the v1.5
     policy procedures answer [Operation_unsupported]. *)
 
@@ -70,7 +71,7 @@ type run_stats = {
           pool instead *)
   pool_runs : int;
       (** point reads on a local node and listing misses that a pool
-          worker ran (or a batch or deadline envelope around them); a
+          worker ran, bare, in a deadline envelope or in a batch; a
           write's pool run is an ordinary pool job, not counted here *)
 }
 (** Where the handlers of [Inline] calls on local nodes and of listing

@@ -224,6 +224,53 @@ let test_deadline_expires_in_queue_e2e () =
       Connect.close plain;
       Connect.close direct)
 
+(* An envelope is classed by its inner call: with the single ordinary
+   worker wedged, an enveloped [list_domains] (a high-priority pool job)
+   is answered by the priority worker, with the bare call's bytes.  An
+   envelope whose body does not decode is answered "malformed call body",
+   and the connection serves on. *)
+let test_envelope_priority_and_malformed () =
+  with_daemon ~config:one_worker_config (fun daemon _ ->
+      let node = fresh_name "envprio" in
+      let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+      set_latency node 600_000;
+      let plain = vok (Connect.open_uri (remote_uri ~params:"&cache=0" ~daemon node)) in
+      let dom = vok (Domain.lookup_by_name plain "test") in
+      let client = raw_client daemon in
+      raw_open client;
+      let no_args = Xdr.encode Rp.list_domains.Rp.sg_args () in
+      let bare = vok (raw_call client Rp.Proc_list_domains no_args) in
+      with_pool daemon (fun srv ->
+          let write_done = Atomic.make false in
+          let wedge =
+            wedge_on srv (fun () ->
+                Thread.create
+                  (fun () ->
+                    ignore (Domain.suspend dom);
+                    Atomic.set write_done true)
+                  ())
+          in
+          let wrapped =
+            vok (raw_call client Rp.Proc_call_deadline (envelope Rp.Proc_list_domains no_args))
+          in
+          Alcotest.(check bool) "answered while the worker is wedged" false
+            (Atomic.get write_done);
+          Alcotest.(check string) "the bare call's reply" bare wrapped;
+          Thread.join wedge);
+      (match raw_call client Rp.Proc_call_deadline "\x00\x00" with
+       | Ok _ -> Alcotest.fail "malformed envelope accepted"
+       | Error e ->
+         Alcotest.(check bool) "rpc_failure" true (e.Verror.code = Verror.Rpc_failure);
+         Alcotest.(check bool)
+           (Printf.sprintf "says malformed (got %S)" e.Verror.message)
+           true
+           (contains e.Verror.message "malformed call body"));
+      Alcotest.(check string) "the connection serves on" "next"
+        (vok (raw_call client Rp.Proc_echo "next"));
+      Rpc_client.close client;
+      Connect.close plain;
+      Connect.close direct)
+
 let test_admission_control_sheds () =
   let config = { one_worker_config with Daemon_config.job_queue_limit = 2 } in
   with_daemon ~config (fun daemon _ ->
@@ -629,6 +676,38 @@ let test_inline_reads_without_reply_cache () =
     ~config:{ quiet_config with Daemon_config.reply_cache = 0 }
     ~params:""
 
+(* An envelope's inner call takes the route the bare call takes: on an
+   idle local node an enveloped [dom_get_info] runs on the receiving
+   thread, and an enveloped [dom_list_all] after a fill is a reply-cache
+   hit; each reply is the bare call's. *)
+let test_envelope_routes_like_bare_call () =
+  with_daemon (fun daemon d ->
+      let client = raw_client daemon in
+      raw_open client;
+      let wrapped proc body = vok (raw_call client Rp.Proc_call_deadline (envelope proc body)) in
+      let info_args = Xdr.encode Rp.dom_get_info.Rp.sg_args "test" in
+      let bare_info = vok (raw_call client Rp.Proc_dom_get_info info_args) in
+      let s0 = Daemon.run_stats d in
+      let info = wrapped Rp.Proc_dom_get_info info_args in
+      let s1 = Daemon.run_stats d in
+      let delta f = f s1 - f s0 in
+      Alcotest.(check string) "info: the bare call's reply" bare_info info;
+      Alcotest.(check (list int)) "info: inline runs, pool runs" [ 1; 0 ]
+        [
+          delta (fun s -> s.Remote_service.inline_runs);
+          delta (fun s -> s.Remote_service.pool_runs);
+        ];
+      let list_args = Xdr.encode Rp.dom_list_all.Rp.sg_args () in
+      let bare_listing = vok (raw_call client Rp.Proc_dom_list_all list_args) in
+      let admin = vok (Admin.connect ~daemon ()) in
+      let hits () = (vok (Admin.reply_cache_stats admin)).Admin.rc_hits in
+      let h0 = hits () in
+      let listing = wrapped Rp.Proc_dom_list_all list_args in
+      Alcotest.(check int) "listing: one reply-cache hit" (h0 + 1) (hits ());
+      Alcotest.(check string) "listing: the bare call's reply" bare_listing listing;
+      Admin.close admin;
+      Rpc_client.close client)
+
 (* --- writes on the receiving thread ----------------------------------------- *)
 
 (* A driver whose domain writes the daemon may run inline: its direct
@@ -902,6 +981,8 @@ let () =
         [
           quick "deadline expires in queue, op never runs"
             test_deadline_expires_in_queue_e2e;
+          quick "an envelope skips a wedged worker; a malformed one is refused"
+            test_envelope_priority_and_malformed;
           quick "admission control sheds with retry-after"
             test_admission_control_sheds;
           quick "circuit breaker opens and recovers"
@@ -916,6 +997,8 @@ let () =
           quick "a queued job is not overtaken" test_inline_read_does_not_overtake;
           quick "cache-off reads run inline"
             test_inline_reads_without_reply_cache;
+          quick "an enveloped call takes the bare call's route"
+            test_envelope_routes_like_bare_call;
           quick "held-lock writes fall back and run once"
             test_inline_writes_fall_back_once;
           quick "latency-node writes run once" test_inline_writes_on_latency_node;
