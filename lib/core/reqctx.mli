@@ -1,42 +1,41 @@
-(** Per-request context: the deadline a dispatched call carries from the
-    wire down into driver code, bound to the thread that runs the call.
+(** Per-request context: the mode a dispatched call carries from the wire
+    down into driver code, scoped to the call itself.
 
-    A call may instead run in the {e no-wait mode} ({!without_waiting}):
-    the daemon's receiving thread runs [Inline] calls that way, a
-    deadline envelope's inner call too, because it serves every
-    connection of its reactor and so must never block.  The
-    mode is held where the deadline is, as the deadline [neg_infinity]:
-    a bounded lock wait on it gives up at once, and code that would wait
-    raises {!Would_wait} rather than fail the call. *)
+    A binding ({!with_deadline}, {!without_waiting}) holds for exactly
+    the extent of the function it runs, on the thread that runs it: an
+    inner binding shadows an outer one until it returns or raises, and a
+    thread spawned inside a binding starts {!Unbounded}.
+
+    A call may run in the {e no-wait mode} ({!without_waiting}): the
+    daemon's receiving thread runs [Inline] calls that way, a deadline
+    envelope's inner call too, because it serves every connection of its
+    reactor and so must never block.  A lock section in that mode only
+    tries the lock, and code that would wait raises {!Would_wait} rather
+    than fail the call. *)
 
 exception Would_wait
 (** The calling thread runs in the no-wait mode and would have to wait
     (a node lock that is not free, simulated hypervisor time).  Nothing
     has changed: the caller runs the call again where it may wait. *)
 
-val deadline : unit -> float option
-(** The calling thread's absolute deadline ([Unix.gettimeofday] time);
-    [Some neg_infinity] in the no-wait mode. *)
+type mode =
+  | Unbounded  (** No binding: waits are not bounded. *)
+  | Until of float
+      (** Waits give up at this absolute deadline ([Unix.gettimeofday]
+          time). *)
+  | No_wait  (** Waits are not allowed at all. *)
+
+val current : unit -> mode
+(** The innermost binding around the caller; {!Unbounded} outside any. *)
 
 val with_deadline : float option -> (unit -> 'a) -> 'a
-(** Run [f] with the deadline bound to the calling thread (unbound again
-    when [f] returns or raises); [None] runs [f] as is. *)
+(** Run [f] under [Until deadline]; [None] runs [f] as is, so an outer
+    binding stays visible. *)
 
 val without_waiting : (unit -> 'a) -> 'a
 (** Run [f] in the no-wait mode.  @raise Would_wait from [f]. *)
 
-val may_wait : unit -> bool
-(** [false] in the no-wait mode. *)
-
-val wait_expired : float -> string -> 'a
-(** [wait_expired deadline what]: a wait bounded by [deadline] gave up.
-    Raises {!Would_wait} in the no-wait mode, otherwise
-    [Verror.Virt_error] ([Operation_failed], "deadline expired waiting
-    for [what]"). *)
-
-val remaining_s : unit -> float option
-
 val check : what:string -> unit -> (unit, Verror.t) result
-(** [Operation_failed] "deadline expired before [what]" once the calling
-    thread's deadline has passed.  The no-wait mode is not an expired
+(** [Operation_failed] "deadline expired before [what]" once the
+    caller's deadline has passed.  The no-wait mode is not an expired
     deadline. *)

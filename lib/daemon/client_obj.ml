@@ -31,7 +31,6 @@ let peer c = Transport.peer c.conn
 let is_authenticated c = c.authenticated
 let mark_authenticated c = c.authenticated <- true
 let touch c = c.last_activity <- Unix.gettimeofday ()
-let last_activity c = c.last_activity
 let is_closed c = c.closed || Transport.is_closed c.conn
 
 let close c =

@@ -20,11 +20,8 @@ val is_authenticated : t -> bool
 val mark_authenticated : t -> unit
 
 val touch : t -> unit
-(** Record activity (called by the dispatcher per processed call). *)
-
-val last_activity : t -> float
-(** Seconds since epoch of the last processed call (accept time until
-    then) — the datum a monitoring policy uses to pick idle victims. *)
+(** Record activity (called by the dispatcher per processed call); the
+    client's admin info reports it as [last_activity]. *)
 
 val is_closed : t -> bool
 val close : t -> unit

@@ -19,8 +19,8 @@
     deadline (a v1.4 deadline envelope's, anchored by the route at
     receive time) is dropped with an "expired in queue" error if the
     deadline passes before a worker picks it up; while a worker runs
-    it, the deadline is installed in {!Ovirt_core.Reqctx} so driver
-    code can observe the remaining budget. *)
+    it, the call runs inside an {!Ovirt_core.Reqctx.with_deadline}
+    binding, so driver code can observe the remaining budget. *)
 
 type route =
   | Reply of (string, Ovirt_core.Verror.t) result
@@ -32,7 +32,7 @@ type route =
       deadline : float option;
           (** absolute ([Unix.gettimeofday] time): the job is answered
               "expired in queue" if it lapses before a worker takes it,
-              and [run] runs under it in {!Ovirt_core.Reqctx} *)
+              and [run] runs inside its {!Ovirt_core.Reqctx.with_deadline} *)
       run : unit -> (string, Ovirt_core.Verror.t) result;
           (** the handler, run by a pool worker; an exception becomes
               the call's error reply ({!error_of_exn}) *)
@@ -47,9 +47,10 @@ type program = {
       (** The one decision per call, made on the receiving thread after
           the version and drain checks.  That thread serves every
           connection of its reactor, so a route must never block: it may
-          answer from a cache, or run a handler under
-          {!Ovirt_core.Reqctx.without_waiting} and queue the call when
-          that raises {!Ovirt_core.Reqctx.Would_wait}.  An exception it
+          answer from a cache, or run a handler inside
+          {!Ovirt_core.Reqctx.without_waiting} (a binding that ends
+          with the handler) and queue the call when that raises
+          {!Ovirt_core.Reqctx.Would_wait}.  An exception it
           raises becomes the call's error reply, as a handler's does. *)
   on_disconnect : Client_obj.t -> unit;
 }

@@ -201,12 +201,6 @@ let note_running store name flag =
 let note_started store name = note_running store name true
 let note_stopped store name = note_running store name false
 
-let was_running store name =
-  with_lock store (fun () ->
-      match Hashtbl.find_opt store.configs name with
-      | Some e -> e.e_running
-      | None -> false)
-
 let entries store =
   with_lock store (fun () ->
       Hashtbl.fold

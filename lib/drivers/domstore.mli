@@ -53,7 +53,6 @@ val note_started : t -> string -> unit
     undefined names or when the flag is already set). *)
 
 val note_stopped : t -> string -> unit
-val was_running : t -> string -> bool
 
 val entries : t -> (string * Vmm.Vm_config.t * bool * bool) list
 (** [(name, cfg, autostart, was_running)] sorted by name — the

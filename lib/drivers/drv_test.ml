@@ -118,7 +118,7 @@ let seed_default_domain (node : node) =
    up before it, and runs again where it may. *)
 let hypervisor_wait (node : node) =
   if node.payload.op_latency_s > 0.0 then begin
-    if not (Reqctx.may_wait ()) then raise Reqctx.Would_wait;
+    if Reqctx.current () = Reqctx.No_wait then raise Reqctx.Would_wait;
     Thread.delay node.payload.op_latency_s
   end
 

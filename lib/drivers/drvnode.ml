@@ -85,22 +85,27 @@ let get_node reg name =
 
 let reset_nodes reg = with_registry reg (fun () -> Hashtbl.reset reg.reg_nodes)
 
-let lock_expired node deadline =
-  Reqctx.wait_expired deadline (Printf.sprintf "lock on node %S" node.node_name)
-
-(* Driver sections observe the caller's remaining budget: a waiter whose
+(* Driver sections observe the caller's {!Reqctx} mode: a waiter whose
    deadline passes gives up instead of piling onto a stuck writer.  The
    result type of [f] is opaque here, so expiry surfaces as the same
    [Virt_error] the dispatcher already maps to an error reply.  In the
-   no-wait mode the deadline has always passed: the lock is taken only
-   if it is free, and otherwise [Reqctx.Would_wait] is raised. *)
-let with_read node f =
-  match Reqctx.deadline () with
-  | None -> Rwlock.with_read node.lock f
-  | Some deadline -> (
-    match Rwlock.with_read_until node.lock ~deadline f with
+   no-wait mode the lock is taken only if it is free, and otherwise
+   [Reqctx.Would_wait] is raised. *)
+let section plain until node f =
+  match Reqctx.current () with
+  | Reqctx.Unbounded -> plain node.lock f
+  | Reqctx.Until deadline -> (
+    match until node.lock ~deadline f with
     | Ok v -> v
-    | Error `Timeout -> lock_expired node deadline)
+    | Error `Timeout ->
+      Verror.raise_err Verror.Operation_failed
+        "deadline expired waiting for lock on node %S" node.node_name)
+  | Reqctx.No_wait -> (
+    match until node.lock ~deadline:neg_infinity f with
+    | Ok v -> v
+    | Error `Timeout -> raise Reqctx.Would_wait)
+
+let with_read node f = section Rwlock.with_read Rwlock.with_read_until node f
 
 (* Every write-classified section stamps the node: the generation is
    bumped in the [finally] of the section body, i.e. after the mutation
@@ -111,13 +116,8 @@ let with_read node f =
    stale stamp invalidates the entry on its next lookup.  Failed writes
    bump too — a spurious invalidation, never a missed one. *)
 let with_write node f =
-  let f () = Fun.protect ~finally:(fun () -> Atomic.incr node.gen) f in
-  match Reqctx.deadline () with
-  | None -> Rwlock.with_write node.lock f
-  | Some deadline -> (
-    match Rwlock.with_write_until node.lock ~deadline f with
-    | Ok v -> v
-    | Error `Timeout -> lock_expired node deadline)
+  section Rwlock.with_write Rwlock.with_write_until node (fun () ->
+      Fun.protect ~finally:(fun () -> Atomic.incr node.gen) f)
 
 (* One write stamp for the whole node: driver writes ([with_write]) plus
    the network and storage backends, which carry their own locks and

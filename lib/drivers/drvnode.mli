@@ -111,14 +111,16 @@ val reconcile :
 
 val with_read : 'p node -> (unit -> 'a) -> 'a
 val with_write : 'p node -> (unit -> 'a) -> 'a
-(** Shared / exclusive sections on the node lock.  When the calling
-    thread carries a {!Reqctx} deadline, acquisition is bounded:
-    a waiter whose deadline passes raises [Verror.Virt_error]
-    ([Operation_failed], "deadline expired…") instead of queueing
-    behind a stuck writer.  In {!Reqctx.without_waiting} the lock is
-    only tried: when it is not free at once (held by a writer, or a
-    writer waits for it), the section raises {!Reqctx.Would_wait}
-    without running [f]. *)
+(** Shared / exclusive sections on the node lock, as the caller's
+    {!Reqctx.current} mode says:
+    - [Unbounded]: the plain lock.
+    - [Until deadline]: acquisition is bounded; a waiter whose deadline
+      passes raises [Verror.Virt_error] ([Operation_failed], "deadline
+      expired waiting for lock on node …") without running [f], instead
+      of queueing behind a stuck writer.
+    - [No_wait]: the lock is only tried; when it is not free at once
+      (held by a writer, or a writer waits for it), the section raises
+      {!Reqctx.Would_wait} without running [f]. *)
 
 val generation : 'p node -> int
 (** Monotonic write stamp covering the whole node: bumped while the

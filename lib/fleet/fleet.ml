@@ -315,16 +315,17 @@ let member_names t = with_lock t (fun () -> List.map (fun m -> m.m_name) t.f_mem
 
 (* Each shard's slice: the configured per-shard budget, clamped to
    whatever remains of the request deadline when the call arrived
-   through a daemon dispatch (reqctx installed it on this thread).
+   through a daemon dispatch (it runs inside that call's Reqctx binding).
    Shards run in parallel, so every shard shares the same absolute
    sub-deadline — a slow shard can burn its slice without extending the
    caller's wait past one slice. *)
 let slice_deadline t =
   let now = Unix.gettimeofday () in
   let slice =
-    match Reqctx.remaining_s () with
-    | Some r -> Float.min t.f_shard_slice_s (Float.max 0. r)
-    | None -> t.f_shard_slice_s
+    match Reqctx.current () with
+    | Reqctx.Until d -> Float.min t.f_shard_slice_s (Float.max 0. (d -. now))
+    | Reqctx.No_wait -> 0.
+    | Reqctx.Unbounded -> t.f_shard_slice_s
   in
   now +. slice
 

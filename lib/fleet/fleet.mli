@@ -42,9 +42,6 @@ val create :
 
 val name : t -> string
 
-val find : string -> t option
-(** Look up a fleet in the process-global registry. *)
-
 val dissolve : string -> unit
 (** Drop the fleet from the registry, close every member connection
     (its receiver stops, and its events no longer reach the fleet bus)

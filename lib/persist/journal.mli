@@ -25,7 +25,5 @@ val encode_record : string -> string
 (** Wire frame for one record (exposed for crash-sweep tests that need
     record boundaries). *)
 
-val checksum : string -> int
-
 val replay_throttle : float ref
 (** Test hook: seconds of delay per replayed record in {!open_}. *)

@@ -215,8 +215,6 @@ type descriptor = private {
   path : serve_path;
 }
 
-val describe : procedure -> descriptor
-
 val descriptor_of_int :
   minor:int -> int -> (descriptor, Ovirt_core.Verror.t) result
 (** The row a build of protocol [minor] has for a wire number, else the

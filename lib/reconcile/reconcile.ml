@@ -57,7 +57,7 @@ let op_satisfied kind (state : Vmm.Vm_state.state option) =
 
 (* The engine never touches a driver directly; the daemon supplies the
    IO surface (listing via the drvnode registry, application through
-   the batch-proc dispatch path under a reqctx deadline budget).  Tests
+   the batch-proc dispatch path inside a Reqctx deadline binding).  Tests
    supply stubs. *)
 type io = {
   io_actual :

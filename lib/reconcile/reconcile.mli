@@ -24,8 +24,8 @@ type op = { op_uri : string; op_name : string; op_kind : op_kind }
 (** {1 IO surface}
 
     The engine never touches a driver directly; the daemon supplies
-    listing (drvnode registry) and application (batch dispatch under a
-    reqctx deadline); tests supply stubs. *)
+    listing (drvnode registry) and application (batch dispatch inside a
+    {!Ovirt_core.Reqctx.with_deadline} binding); tests supply stubs. *)
 
 type io = {
   io_actual :

@@ -19,9 +19,6 @@ type t = (string * value) list
 exception Invalid of string
 (** Raised on over-long or empty field names, or duplicate fields. *)
 
-val validate : t -> unit
-(** @raise Invalid as described above. *)
-
 val encode : Xdr.encoder -> t -> unit
 (** Validates, then encodes as an XDR array of (string, union). *)
 

@@ -1,5 +1,5 @@
 (* Core library: errors, URIs, capabilities, events, network and storage
-   backends, driver registry selection. *)
+   backends, driver registry selection, the per-request context. *)
 
 open Testutil
 module Verror = Ovirt_core.Verror
@@ -9,6 +9,7 @@ module Events = Ovirt_core.Events
 module Net_backend = Ovirt_core.Net_backend
 module Storage_backend = Ovirt_core.Storage_backend
 module Driver = Ovirt_core.Driver
+module Reqctx = Ovirt_core.Reqctx
 
 (* --- Verror ------------------------------------------------------------- *)
 
@@ -353,6 +354,92 @@ let test_closed_connection_rejected () =
   expect_verr Verror.Invalid_conn (Ovirt.Connect.list_domains conn);
   expect_verr Verror.Invalid_conn (Ovirt.Connect.capabilities conn)
 
+(* --- Reqctx -------------------------------------------------------------- *)
+
+let mode =
+  Alcotest.testable
+    (fun ppf -> function
+      | Reqctx.Unbounded -> Format.pp_print_string ppf "Unbounded"
+      | Reqctx.Until d -> Format.fprintf ppf "Until %g" d
+      | Reqctx.No_wait -> Format.pp_print_string ppf "No_wait")
+    ( = )
+
+let check_mode what expected = Alcotest.check mode what expected (Reqctx.current ())
+
+let test_reqctx_unbound () =
+  check_mode "no binding" Reqctx.Unbounded;
+  Reqctx.with_deadline (Some 5.) (fun () -> check_mode "bound" (Reqctx.Until 5.));
+  check_mode "the binding ended with its call" Reqctx.Unbounded
+
+(* An inner binding shadows the outer one for its own extent only: the
+   outer mode is back once the inner call returns, and once it raises. *)
+let test_reqctx_nesting () =
+  let inner bind expected =
+    bind (fun () -> check_mode "inner mode" expected);
+    check_mode "outer mode after the inner call returned" (Reqctx.Until 5.);
+    (match bind (fun () -> failwith "inner") with
+     | () -> Alcotest.fail "the inner call did not raise"
+     | exception Failure _ -> ());
+    check_mode "outer mode after the inner call raised" (Reqctx.Until 5.)
+  in
+  Reqctx.with_deadline (Some 5.) (fun () ->
+      inner (Reqctx.with_deadline (Some 6.)) (Reqctx.Until 6.);
+      inner Reqctx.without_waiting Reqctx.No_wait);
+  Reqctx.without_waiting (fun () ->
+      Reqctx.with_deadline (Some 6.) (fun () -> check_mode "inner" (Reqctx.Until 6.));
+      check_mode "outer no-wait mode is back" Reqctx.No_wait)
+
+let test_reqctx_none_keeps_outer () =
+  Reqctx.with_deadline (Some 5.) (fun () ->
+      Reqctx.with_deadline None (fun () -> check_mode "outer visible" (Reqctx.Until 5.)));
+  Reqctx.without_waiting (fun () ->
+      Reqctx.with_deadline None (fun () -> check_mode "outer visible" Reqctx.No_wait))
+
+(* Bindings belong to the thread that installed them: two threads bound
+   at the same time each read their own mode, and a thread spawned inside
+   a binding starts unbound. *)
+let test_reqctx_per_thread () =
+  let bound = Atomic.make 0 in
+  let seen = Array.make 2 Reqctx.Unbounded in
+  let run i bind =
+    Thread.create
+      (fun () ->
+        bind (fun () ->
+            Atomic.incr bound;
+            while Atomic.get bound < 2 do
+              Thread.delay 0.001
+            done;
+            seen.(i) <- Reqctx.current ()))
+      ()
+  in
+  let a = run 0 (Reqctx.with_deadline (Some 7.)) in
+  let b = run 1 Reqctx.without_waiting in
+  Thread.join a;
+  Thread.join b;
+  Alcotest.check mode "first thread" (Reqctx.Until 7.) seen.(0);
+  Alcotest.check mode "second thread" Reqctx.No_wait seen.(1);
+  let spawned = ref Reqctx.No_wait in
+  Reqctx.with_deadline (Some 5.) (fun () ->
+      Thread.join (Thread.create (fun () -> spawned := Reqctx.current ()) ()));
+  Alcotest.check mode "spawned inside a binding" Reqctx.Unbounded !spawned
+
+let test_reqctx_check () =
+  Alcotest.(check bool) "unbound" true (Result.is_ok (Reqctx.check ~what:"x" ()));
+  Reqctx.without_waiting (fun () ->
+      Alcotest.(check bool) "no-wait is not expired" true
+        (Result.is_ok (Reqctx.check ~what:"x" ())));
+  Reqctx.with_deadline
+    (Some (Unix.gettimeofday () +. 60.))
+    (fun () ->
+      Alcotest.(check bool) "future deadline" true (Result.is_ok (Reqctx.check ~what:"x" ())));
+  Reqctx.with_deadline
+    (Some (Unix.gettimeofday () -. 1.))
+    (fun () ->
+      match Reqctx.check ~what:"x" () with
+      | Error { Verror.code = Verror.Operation_failed; message } ->
+        Alcotest.(check string) "message" "deadline expired before x" message
+      | _ -> Alcotest.fail "a past deadline is not expired")
+
 let () =
   Alcotest.run "core"
     [
@@ -402,5 +489,13 @@ let () =
           quick "unknown scheme refused" test_registry_no_connect;
           quick "re-registration keeps position" test_registry_reregister_keeps_position;
           quick "closed connection rejected" test_closed_connection_rejected;
+        ] );
+      ( "reqctx",
+        [
+          quick "a binding ends with its call" test_reqctx_unbound;
+          quick "a nested binding shadows only its own extent" test_reqctx_nesting;
+          quick "with_deadline None keeps the outer binding" test_reqctx_none_keeps_outer;
+          quick "bindings are per thread" test_reqctx_per_thread;
+          quick "check" test_reqctx_check;
         ] );
     ]

@@ -511,6 +511,68 @@ let test_undefine_discards_save () =
   let dom2 = define h conn name in
   Alcotest.(check bool) "no stale image" false (vok (Domain.has_managed_save dom2))
 
+(* --- lock sections under a request context ------------------------------ *)
+
+module Drvnode = Drivers.Drvnode
+module Reqctx = Ovirt_core.Reqctx
+
+let lock_nodes = Drvnode.registry (fun ~node_name:_ -> ())
+
+(* Run [f] while another thread holds [node]'s write lock; the holder
+   lets go only after [f] returns. *)
+let with_write_held node f =
+  let held = Atomic.make false and release = Atomic.make false in
+  let holder =
+    Thread.create
+      (fun () ->
+        Drvnode.with_write node (fun () ->
+            Atomic.set held true;
+            while not (Atomic.get release) do
+              Thread.delay 0.002
+            done))
+      ()
+  in
+  Alcotest.(check bool) "holder has the lock" true (eventually (fun () -> Atomic.get held));
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Thread.join holder)
+    f
+
+let test_section_deadline_expires () =
+  let node = Drvnode.get_node lock_nodes (fresh_name "locked") in
+  with_write_held node (fun () ->
+      let ran = ref false in
+      let t0 = Unix.gettimeofday () in
+      (match
+         Reqctx.with_deadline
+           (Some (t0 +. 0.05))
+           (fun () -> Drvnode.with_read node (fun () -> ran := true))
+       with
+      | () -> Alcotest.fail "the read ran while a writer held the lock"
+      | exception Verror.Virt_error { Verror.code = Verror.Operation_failed; message } ->
+        Alcotest.(check bool)
+          ("message: " ^ message) true
+          (contains message "deadline expired waiting for lock on node"));
+      let waited = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) (Printf.sprintf "waited %.3f s, the whole budget" waited) true
+        (waited >= 0.05);
+      Alcotest.(check bool) "f did not run" false !ran)
+
+(* The holder keeps the lock until the test returns, so a no-wait section
+   that waited at all would never come back. *)
+let test_section_no_wait_gives_up () =
+  let node = Drvnode.get_node lock_nodes (fresh_name "locked") in
+  with_write_held node (fun () ->
+      let ran = ref false in
+      List.iter
+        (fun (what, section) ->
+          match Reqctx.without_waiting (fun () -> section node (fun () -> ran := true)) with
+          | () -> Alcotest.failf "the %s ran while a writer held the lock" what
+          | exception Reqctx.Would_wait -> ())
+        [ ("read", Drvnode.with_read); ("write", Drvnode.with_write) ];
+      Alcotest.(check bool) "f did not run" false !ran)
+
 let () =
   Alcotest.run "drivers"
     [
@@ -555,5 +617,10 @@ let () =
           quick "test:///default canonical domain" test_default_test_node_has_domain;
           quick "capacity exhaustion" test_capacity_exhaustion;
           quick "lifecycle events emitted" test_events_emitted_by_drivers;
+        ] );
+      ( "lock sections",
+        [
+          quick "a deadline expires waiting for a held lock" test_section_deadline_expires;
+          quick "no-wait gives up on a held lock" test_section_no_wait_gives_up;
         ] );
     ]
