@@ -139,6 +139,13 @@ type fleet_view = {
   fleet_owner : string -> (string, Verror.t) result;
 }
 
+(* A call already made, read at most once: [None] when [until] passed
+   before its outcome, which is then abandoned. *)
+type 'a reply = until:float -> ('a, Verror.t) result option
+
+let ready outcome ~until:_ = Some outcome
+let wait (reply : _ reply) = Option.get (reply ~until:Float.infinity)
+
 type ops = {
   drv_name : string;
   close : unit -> unit;
@@ -165,7 +172,7 @@ type ops = {
   dom_get_autostart : (string -> (bool, Verror.t) result) option;
   dom_set_policy : (string -> Dompolicy.t -> (unit, Verror.t) result) option;
   dom_get_policy : (string -> (Dompolicy.t, Verror.t) result) option;
-  dom_list_all : (unit -> (domain_record list, Verror.t) result) option;
+  dom_list_all : (unit -> domain_record list reply) option;
   migrate_begin : (string -> (migrate_source, Verror.t) result) option;
   migrate_prepare : (string -> (migrate_dest, Verror.t) result) option;
   guest_agent_install : (string -> (unit, Verror.t) result) option;
@@ -219,7 +226,7 @@ let make_ops ~drv_name ~get_capabilities ~get_hostname ?(close = fun () -> ())
     dom_get_autostart;
     dom_set_policy;
     dom_get_policy;
-    dom_list_all;
+    dom_list_all = Option.map (fun f () -> ready (f ())) dom_list_all;
     migrate_begin;
     migrate_prepare;
     guest_agent_install;
@@ -263,8 +270,10 @@ let list_all_fallback ops =
   in
   Ok (List.filter_map record (active @ defined_refs))
 
-let list_all ops =
-  match ops.dom_list_all with Some f -> f () | None -> list_all_fallback ops
+let send_list_all ops =
+  match ops.dom_list_all with Some f -> f () | None -> ready (list_all_fallback ops)
+
+let list_all ops = wait (send_list_all ops)
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)

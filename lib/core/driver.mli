@@ -149,6 +149,19 @@ type fleet_view = {
       (** member name owning a domain (placement + learned locations) *)
 }
 
+type 'a reply = until:float -> ('a, Verror.t) result option
+(** A call already made, whose outcome the caller reads when it is
+    ready to: at once for a local driver, from the wire for the remote
+    driver, which has sent the call and reads its reply on the thread
+    that asks.  [None] when [until] passed before the outcome came; the
+    call is then abandoned.  Read each reply once. *)
+
+val ready : ('a, Verror.t) result -> 'a reply
+(** A reply whose outcome is already known. *)
+
+val wait : 'a reply -> ('a, Verror.t) result
+(** Read a reply with no deadline. *)
+
 type ops = {
   drv_name : string;
   close : unit -> unit;
@@ -183,10 +196,13 @@ type ops = {
           reconciler; only the remote driver implements this (policy is
           a daemon concept, local drivers have no reconciler) *)
   dom_get_policy : (string -> (Dompolicy.t, Verror.t) result) option;
-  dom_list_all : (unit -> (domain_record list, Verror.t) result) option;
+  dom_list_all : (unit -> domain_record list reply) option;
       (** bulk listing of all domains (active and defined), snapshotted
           under one driver read lock when implemented natively; absent
-          drivers are served by {!list_all_fallback} *)
+          drivers are served by {!list_all_fallback}.  Calling it makes
+          the listing; reading the reply it returns gets the rows, so a
+          caller can send to several remote connections before it waits
+          on any *)
   migrate_begin : (string -> (migrate_source, Verror.t) result) option;
   migrate_prepare : (string -> (migrate_dest, Verror.t) result) option;
   guest_agent_install : (string -> (unit, Verror.t) result) option;
@@ -248,15 +264,20 @@ val make_ops :
   ?generation:(unit -> int) ->
   unit ->
   ops
-(** Omitted operations answer {!unsupported}. *)
+(** Omitted operations answer {!unsupported}.  [dom_list_all] answers
+    at once (its outcome becomes a {!ready} reply); a driver that lists
+    over the wire sets the [dom_list_all] field itself. *)
 
 val list_all_fallback : ops -> (domain_record list, Verror.t) result
 (** Emulate a bulk listing with per-op calls (list + lookup + info +
     autostart).  Not race-free: rows that vanish mid-walk are dropped. *)
 
-val list_all : ops -> (domain_record list, Verror.t) result
+val send_list_all : ops -> domain_record list reply
 (** [dom_list_all] when the driver has one, {!list_all_fallback}
     otherwise. *)
+
+val list_all : ops -> (domain_record list, Verror.t) result
+(** {!send_list_all}, waited for. *)
 
 (** {1 Registry} *)
 

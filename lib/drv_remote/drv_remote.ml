@@ -615,69 +615,118 @@ let breaker_shed conn err =
    bound only) so the server can drop it if it expires while queued.
    [Overloaded] shed replies are handled distinctly: never auto-retried,
    never treated as a transport failure, and K consecutive ones open the
-   per-connection circuit breaker. *)
-let call conn proc body =
-  let idempotent = Rp.is_idempotent proc in
-  let timeout = conn.rc_timeout_s in
+   per-connection circuit breaker.
+
+   A call is sent ([attempt]) and then finished ([finish]): a lone call
+   is sent and read in one {!Rpc_client.call}; a listing a fleet fans
+   out is sent with {!Rpc_client.send} and its reply read later, by the
+   same thread, up to the caller's [until]. *)
+type plan = {
+  p_proc : Rp.procedure;
+  p_body : string;
+  p_lone : bool;
+  p_timeout_s : float option;  (** the client-side wait *)
+  p_bound : float;
+  p_deadline : float;  (** the call's own, for reconnecting *)
+}
+
+type step =
+  | Refused of Verror.t  (** the open breaker failed it; nothing was sent *)
+  | Replied of Rpc_client.t * (string, Verror.t) result  (** a lone call *)
+  | Sent of Rpc_client.t * (Rpc_client.future, Verror.t) result
+
+type sent = { s_conn : remote_conn; s_plan : plan; s_attempt : int; s_step : step }
+
+let plan conn proc body ~lone =
   (* Client-side wait generously outlasts the server budget: the
      daemon's authoritative "expired in queue" reply (sent when a worker
      finally pops the stale job) should win over the local timeout
      whenever the connection is alive; the local bound only covers a
      server that never answers at all. *)
-  let timeout_s = Option.map (fun t -> t +. 1.0) timeout in
+  let timeout_s = Option.map (fun t -> t +. 1.0) conn.rc_timeout_s in
   let bound = Option.value timeout_s ~default:Float.infinity in
-  let deadline = Unix.gettimeofday () +. bound in
-  let wire_call rpc =
-    let wproc, wbody =
-      match timeout with
-      | Some t when serves conn Rp.Proc_call_deadline ->
-        ( Rp.Proc_call_deadline,
-          Xdr.encode Rp.call_deadline.Rp.sg_args
-            (max 1 (int_of_float (t *. 1000.)), Rp.proc_to_int proc, body) )
-      | _ -> (proc, body)
-    in
-    Rpc_client.call rpc ~procedure:(Rp.proc_to_int wproc) ~body:wbody
-      ?timeout_s ()
-  in
-  let rec go attempt =
+  {
+    p_proc = proc;
+    p_body = body;
+    p_lone = lone;
+    p_timeout_s = timeout_s;
+    p_bound = bound;
+    p_deadline = Unix.gettimeofday () +. bound;
+  }
+
+let attempt conn p n =
+  let step =
     match breaker_admit conn with
-    | Error _ as err -> err
-    | Ok () -> (
+    | Error e -> Refused e
+    | Ok () ->
       let rpc = with_conn conn (fun () -> conn.rpc) in
       tick conn;
-      match wire_call rpc with
-      | Ok _ as ok ->
-        breaker_responsive conn;
-        ok
-      | Error e when e.Verror.code = Verror.Overloaded ->
-        breaker_shed conn e;
-        Error e
-      | Error e
-        when e.Verror.code = Verror.Rpc_failure
-             && conn.rc_resilience <> None
-             && Rpc_client.is_closed rpc -> begin
-          breaker_inconclusive conn;
-          match ensure_connected conn ~dead:rpc ~bound ~deadline with
-          | Error _ as err -> err
-          | Ok () ->
-            let budget = (Option.get conn.rc_resilience).res_budget in
-            if idempotent && attempt <= budget then begin
-              count conn.rc_stats Slot.retried_calls 1;
-              go (attempt + 1)
-            end
-            else if idempotent then Error e
-            else
-              Verror.error Verror.Rpc_failure
-                "connection dropped during non-idempotent call %d (reconnected, \
-                 not retried): %s"
-                (Rp.proc_to_int proc) e.Verror.message
-        end
-      | Error e as err ->
-        if e.Verror.code = Verror.Rpc_failure then breaker_inconclusive conn
-        else breaker_responsive conn;
-        err)
+      let wproc, body =
+        match conn.rc_timeout_s with
+        | Some t when serves conn Rp.Proc_call_deadline ->
+          ( Rp.Proc_call_deadline,
+            Xdr.encode Rp.call_deadline.Rp.sg_args
+              (max 1 (int_of_float (t *. 1000.)), Rp.proc_to_int p.p_proc, p.p_body) )
+        | _ -> (p.p_proc, p.p_body)
+      in
+      let procedure = Rp.proc_to_int wproc and timeout_s = p.p_timeout_s in
+      if p.p_lone then Replied (rpc, Rpc_client.call rpc ~procedure ~body ?timeout_s ())
+      else Sent (rpc, Rpc_client.send rpc ~procedure ~body ?timeout_s ())
   in
-  go 1
+  { s_conn = conn; s_plan = p; s_attempt = n; s_step = step }
+
+(* The outcome of a sent call, read until [until] at the latest: [None]
+   when it passed first, before the reply or during a reconnect. *)
+let rec finish s ~until =
+  let conn = s.s_conn and p = s.s_plan in
+  let settle rpc = function
+    | None ->
+      breaker_inconclusive conn;
+      None
+    | Some (Ok _ as ok) ->
+      breaker_responsive conn;
+      Some ok
+    | Some (Error e as err) when e.Verror.code = Verror.Overloaded ->
+      breaker_shed conn e;
+      Some err
+    | Some (Error e)
+      when e.Verror.code = Verror.Rpc_failure
+           && conn.rc_resilience <> None
+           && Rpc_client.is_closed rpc -> (
+      breaker_inconclusive conn;
+      let deadline = Float.min p.p_deadline until in
+      match ensure_connected conn ~dead:rpc ~bound:p.p_bound ~deadline with
+      | Error _ when deadline < p.p_deadline && Unix.gettimeofday () >= deadline -> None
+      | Error _ as err -> Some err
+      | Ok () ->
+        let idempotent = Rp.is_idempotent p.p_proc in
+        let budget = (Option.get conn.rc_resilience).res_budget in
+        if idempotent && s.s_attempt <= budget then begin
+          count conn.rc_stats Slot.retried_calls 1;
+          finish (attempt conn p (s.s_attempt + 1)) ~until
+        end
+        else if idempotent then Some (Error e)
+        else
+          Some
+            (Verror.error Verror.Rpc_failure
+               "connection dropped during non-idempotent call %d (reconnected, \
+                not retried): %s"
+               (Rp.proc_to_int p.p_proc) e.Verror.message))
+    | Some (Error e as err) ->
+      if e.Verror.code = Verror.Rpc_failure then breaker_inconclusive conn
+      else breaker_responsive conn;
+      Some err
+  in
+  match s.s_step with
+  | Refused e -> Some (Error e)
+  | Replied (rpc, outcome) -> settle rpc (Some outcome)
+  | Sent (rpc, Error e) -> settle rpc (Some (Error e))
+  | Sent (rpc, Ok fut) -> settle rpc (Rpc_client.await_until fut ~until)
+
+let call conn proc body =
+  Option.get (finish (attempt conn (plan conn proc body ~lone:true) 1) ~until:Float.infinity)
+
+let send conn proc body = attempt conn (plan conn proc body ~lone:false) 1
 
 (* One procedure through its signature: the arguments encoded and the
    reply decoded by the codecs the daemon serves it with. *)
@@ -831,71 +880,86 @@ let count_listing conn body =
   count conn.rc_stats Slot.listings 1;
   count conn.rc_stats Slot.listing_bytes (String.length body)
 
+(* A sent call's reply, and what its body turns into. *)
+let reply_to sent k : _ Driver.reply =
+ fun ~until ->
+  Option.map (fun outcome -> Result.bind outcome k) (finish sent ~until)
+
 (* v1.8: send the token of the listing held, read once before the call.
    An "unchanged" reply returns that very value, so the fleet's merge
    memo still sees the same rows.  A daemon without a reply cache (or a
    fleet controller) answers every call in full under the zero token;
    its repeated bytes reuse the value decoded from them, as below v1.8. *)
-let fetch_since conn =
+let send_since conn =
   let held = Atomic.get conn.rc_held in
   let token = match held with Some (t, _, _) -> t | None -> Rp.no_token in
   let since = Rp.fleet_list_since in
-  let* body = call conn since.Rp.sg_proc (Xdr.encode since.Rp.sg_args token) in
-  let counted unchanged =
-    count_listing conn body;
-    if unchanged then count conn.rc_stats Slot.listings_unchanged 1
-  in
-  match held with
-  | Some (_, b, listing) when String.equal b body ->
-    counted false;
-    Ok listing
-  | Some _ | None -> (
-    let* reply = decode since.Rp.sg_ret body in
-    match (reply, held) with
-    | Rp.Since_unchanged t, Some (t', _, listing) when t = t' ->
-      counted true;
-      Ok listing
-    | Rp.Since_unchanged _, _ ->
-      Verror.error Verror.Rpc_failure
-        "bad reply: \"unchanged\" for a listing this connection does not hold"
-    | Rp.Since_full (t, listing), _ ->
-      counted false;
-      let listing = number listing in
-      Atomic.set conn.rc_held (Some (t, body, listing));
-      Ok listing)
+  reply_to (send conn since.Rp.sg_proc (Xdr.encode since.Rp.sg_args token)) (fun body ->
+      let counted unchanged =
+        count_listing conn body;
+        if unchanged then count conn.rc_stats Slot.listings_unchanged 1
+      in
+      match held with
+      | Some (_, b, listing) when String.equal b body ->
+        counted false;
+        Ok listing
+      | Some _ | None -> (
+        let* reply = decode since.Rp.sg_ret body in
+        match (reply, held) with
+        | Rp.Since_unchanged t, Some (t', _, listing) when t = t' ->
+          counted true;
+          Ok listing
+        | Rp.Since_unchanged _, _ ->
+          Verror.error Verror.Rpc_failure
+            "bad reply: \"unchanged\" for a listing this connection does not hold"
+        | Rp.Since_full (t, listing), _ ->
+          counted false;
+          let listing = number listing in
+          Atomic.set conn.rc_held (Some (t, body, listing));
+          Ok listing))
 
 (* v1.3–v1.7: one listing procedure, and a repeated reply's bytes reuse
    the value decoded from them. *)
-let fetch_bytes conn (s : (unit, _) Rp.signature) to_listing =
-  let* body = call conn s.Rp.sg_proc (Xdr.encode s.Rp.sg_args ()) in
-  count_listing conn body;
-  decode_reusing conn.rc_last_listing s.Rp.sg_proc
-    (fun body -> number (to_listing (Xdr.decode s.Rp.sg_ret body)))
-    body
+let send_bytes conn (s : (unit, _) Rp.signature) to_listing =
+  reply_to (send conn s.Rp.sg_proc (Xdr.encode s.Rp.sg_args ())) (fun body ->
+      count_listing conn body;
+      decode_reusing conn.rc_last_listing s.Rp.sg_proc
+        (fun body -> number (to_listing (Xdr.decode s.Rp.sg_ret body)))
+        body)
 
 (* One bulk listing round trip, on the one wire path the negotiated minor
    picks.  For every reply, reused or not, shard errors go into the
    sub-error counter, so the CLI's partial-failure exit code covers
    fleet-wide listings; rows go into the cache unless it holds that very
-   listing already. *)
-let fleet_list_all conn () =
+   listing already.  The blocking listing waits for the reply it sent. *)
+let send_listing conn : Driver.fleet_listing Driver.reply =
   let fills = begin_list_fills conn in
-  let* ((listing, _) as numbered) =
-    if serves conn Rp.Proc_fleet_list_since then fetch_since conn
+  let reply =
+    if serves conn Rp.Proc_fleet_list_since then send_since conn
     else if serves conn Rp.Proc_fleet_list_all then
-      fetch_bytes conn Rp.fleet_list_all Fun.id
+      send_bytes conn Rp.fleet_list_all Fun.id
     else
-      fetch_bytes conn Rp.dom_list_all (fun fl_records ->
+      send_bytes conn Rp.dom_list_all (fun fl_records ->
           Driver.{ fl_records; fl_shard_errors = []; fl_members = 1 })
   in
-  let errs = List.length listing.Driver.fl_shard_errors in
-  count conn.rc_stats Slot.sub_errors errs;
-  install_records conn fills numbered;
-  Ok listing
+  fun ~until ->
+    Option.map
+      (fun outcome ->
+        let* ((listing, _) as numbered) = outcome in
+        let errs = List.length listing.Driver.fl_shard_errors in
+        count conn.rc_stats Slot.sub_errors errs;
+        install_records conn fills numbered;
+        Ok listing)
+      (reply ~until)
 
-let dom_list_all conn () =
-  let* listing = fleet_list_all conn () in
-  Ok listing.Driver.fl_records
+let fleet_list_all conn () = Driver.wait (send_listing conn)
+
+let dom_list_all conn () : Driver.domain_record list Driver.reply =
+  let reply = send_listing conn in
+  fun ~until ->
+    Option.map
+      (Result.map (fun listing -> listing.Driver.fl_records))
+      (reply ~until)
 
 (* ------------------------------------------------------------------ *)
 (* Connection establishment                                            *)
@@ -1174,13 +1238,17 @@ let make_ops uri conn =
     ~dom_get_autostart:(dom_get_autostart conn)
     ~dom_set_policy:(fun name p -> rpc conn Rp.dom_set_policy (name, p))
     ~dom_get_policy:(rpc conn Rp.dom_get_policy)
-    ~dom_list_all:(dom_list_all conn)
     ~net:(remote_net_ops conn) ~storage:(remote_storage_ops conn)
     ?fleet:
       (if serves conn Rp.Proc_fleet_list_all then Some (remote_fleet_view conn)
        else None)
     ~events:conn.events ()
-  |> fun ops -> { ops with Driver.drv_name = "remote(" ^ uri.Vuri.scheme ^ ")" }
+  |> fun ops ->
+  {
+    ops with
+    Driver.drv_name = "remote(" ^ uri.Vuri.scheme ^ ")";
+    dom_list_all = Some (dom_list_all conn);
+  }
 
 let probe uri =
   uri.Vuri.transport <> None

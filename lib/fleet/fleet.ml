@@ -142,27 +142,36 @@ let note_success_locked t m =
   | Driver.Mh_degraded ->
     if m.m_consec_successes >= 2 then m.m_health <- Driver.Mh_up
 
+(* The resync markers due: 1 when the member just went Down.  The
+   caller emits them ([resync]) once it has released [f_mutex], since a
+   subscriber may call back into the fleet. *)
 let note_failure_locked t m =
   m.m_failures <- m.m_failures + 1;
   m.m_consec_failures <- m.m_consec_failures + 1;
   m.m_consec_successes <- 0;
   let now = Unix.gettimeofday () in
   if m.m_consec_failures >= t.f_down_threshold then begin
-    (if m.m_health <> Driver.Mh_down then begin
-       m.m_health <- Driver.Mh_down;
-       (* Fleet-level gap marker: subscribers tracking fleet state must
-          resync — a member's events are lost while it is down. *)
-       Events.emit t.f_events ~domain_name:"" Events.Ev_resync
-     end);
+    let went_down = Bool.to_int (m.m_health <> Driver.Mh_down) in
+    m.m_health <- Driver.Mh_down;
     (* Exponential probe backoff while Down, capped at 16 intervals. *)
     m.m_backoff_s <-
       Float.min (m.m_backoff_s *. 2.) (t.f_probe_interval_s *. 16.);
-    m.m_next_probe <- now +. m.m_backoff_s
+    m.m_next_probe <- now +. m.m_backoff_s;
+    went_down
   end
   else begin
     m.m_health <- Driver.Mh_degraded;
-    m.m_next_probe <- now +. t.f_probe_interval_s
+    m.m_next_probe <- now +. t.f_probe_interval_s;
+    0
   end
+
+(* Fleet-level gap marker, one per member that went Down: subscribers
+   tracking fleet state must resync — a member's events are lost while
+   it is down. *)
+let resync t downs =
+  for _ = 1 to downs do
+    Events.emit t.f_events ~domain_name:"" Events.Ev_resync
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Global fleet registry and the shared prober thread                  *)
@@ -180,9 +189,11 @@ let with_fleets f =
 let prober_thread_count () = !prober_spawned
 
 (* Every fleet's scatters share one set of spare threads, as they share
-   the prober. *)
+   the prober: a shard goes to one only to open its member's
+   connection. *)
 let shard_threads = Ovsync.Spare_threads.create ()
 let shard_thread_count () = Ovsync.Spare_threads.spawned shard_threads
+let shard_job_count () = Ovsync.Spare_threads.jobs shard_threads
 
 (* Wake the prober (membership changed, or the data path wants a member
    re-probed now).  Never called with [f_mutex] held. *)
@@ -205,11 +216,14 @@ let probe_member t m =
       Rpc_client.close rpc;
       Result.map (fun (_ : string) -> ()) r
   in
-  with_lock t (fun () ->
-      m.m_probes <- m.m_probes + 1;
-      match outcome with
-      | Ok () -> note_success_locked t m
-      | Error _ -> note_failure_locked t m)
+  resync t
+    (with_lock t (fun () ->
+         m.m_probes <- m.m_probes + 1;
+         match outcome with
+         | Ok () ->
+           note_success_locked t m;
+           0
+         | Error _ -> note_failure_locked t m))
 
 (* One prober thread for every fleet in the process (keepalive-style
    liveness without a poll thread per member): sleep on the shared
@@ -334,82 +348,37 @@ let shard_err member code fmt =
     (fun msg -> Driver.{ se_member = member; se_error = Verror.make code msg })
     fmt
 
-(* Run [job] against every non-Down member in parallel and gather until
-   every shard answered or the slice deadline passed.  Down members are
-   skipped instantly (their breaker is open — re-probing them is the
-   prober's job, not the data path's).  Shards run on spare threads, so
-   a scatter creates none once the process has seen as many shards at
-   once.  A shard that outlives the deadline is abandoned: its late
-   result lands in a cell nobody reads, its member is charged a failure,
-   and its thread parks again only when the late call returns. *)
-let scatter t job =
-  let members = with_lock t (fun () -> t.f_members) in
-  let deadline = slice_deadline t in
-  let gm = Mutex.create () in
-  let gc = Condition.create () in
-  let arrived : (string * ('a, Verror.t) result) list ref = ref [] in
-  let pending = ref 0 in
-  let live, down =
-    List.partition
-      (fun m -> with_lock t (fun () -> m.m_health <> Driver.Mh_down))
-      members
-  in
-  List.iter
-    (fun m ->
-      incr pending;
-      Ovsync.Spare_threads.run shard_threads (fun () ->
-          let r =
-            try
-              match member_ops t m with
-              | Ok ops -> job m ops
-              | Error e -> Error e
-            with
-            | Verror.Virt_error e -> Error e
-            | exn ->
-              Verror.error Verror.Internal_error "member %s: %s" m.m_name
-                (Printexc.to_string exn)
-          in
-          Mutex.lock gm;
-          arrived := (m.m_name, r) :: !arrived;
-          decr pending;
-          Condition.broadcast gc;
-          Mutex.unlock gm))
-    live;
-  Mutex.lock gm;
-  while !pending > 0 && Unix.gettimeofday () < deadline do
-    Ovsync.Timedwait.wait gm gc ~until:deadline
-  done;
-  let got = !arrived in
-  Mutex.unlock gm;
-  let ok, errors =
-    List.fold_left
-      (fun (ok, errors) m ->
-        match List.assoc_opt m.m_name got with
-        | Some (Ok v) ->
-          with_lock t (fun () -> note_success_locked t m);
-          ((m.m_name, v) :: ok, errors)
-        | Some (Error e) ->
-          with_lock t (fun () -> note_failure_locked t m);
-          (ok, Driver.{ se_member = m.m_name; se_error = e } :: errors)
-        | None ->
-          (* Timed out: the shard gets its slice and no more. *)
-          with_lock t (fun () -> note_failure_locked t m);
-          ( ok,
-            shard_err m.m_name Verror.Operation_failed
-              "per-shard deadline slice (%.3fs) exceeded" t.f_shard_slice_s
-            :: errors ))
-      ([], []) live
-  in
-  (* A success only moves a member's next probe later. *)
-  if errors <> [] then poke_prober ();
-  let errors =
-    List.fold_left
-      (fun errors m ->
-        shard_err m.m_name Verror.No_connect "member down (probe circuit open)"
-        :: errors)
-      errors down
-  in
-  (List.rev ok, errors, List.length members)
+(* What a member's call raised, as its error. *)
+let fault m = function
+  | Verror.Virt_error e -> Error e
+  | exn ->
+    Verror.error Verror.Internal_error "member %s: %s" m.m_name (Printexc.to_string exn)
+
+(* A member whose connection is not open yet opens it and lists on a
+   spare thread; its reply waits for that thread. *)
+let spare t m : Driver.domain_record list Driver.reply =
+  let mutex = Mutex.create () and cond = Condition.create () and cell = ref None in
+  Ovsync.Spare_threads.run shard_threads (fun () ->
+      let r =
+        match
+          let* ops = member_ops t m in
+          Driver.list_all ops
+        with
+        | r -> r
+        | exception exn -> fault m exn
+      in
+      Mutex.lock mutex;
+      cell := Some r;
+      Mutex.unlock mutex;
+      Condition.broadcast cond);
+  fun ~until ->
+    Mutex.lock mutex;
+    while Option.is_none !cell && Unix.gettimeofday () < until do
+      Ovsync.Timedwait.wait mutex cond ~until
+    done;
+    let r = !cell in
+    Mutex.unlock mutex;
+    r
 
 let is_active = function Vmm.Vm_state.Shutoff -> false | _ -> true
 
@@ -483,12 +452,73 @@ let learn_locked t per_member =
         records)
     per_member
 
-let scatter_list t =
-  let per_member, errors, members =
-    scatter t (fun _m ops -> Driver.list_all ops)
-  in
-  let merged =
+(* List every non-Down member and gather until every shard answered or
+   the slice deadline passed.  Down members are skipped instantly (their
+   breaker is open — re-probing them is the prober's job, not the data
+   path's).  The calling thread sends every member its listing first,
+   then reads each reply itself, in member order, up to the deadline:
+   no other thread wakes for a reply.  Only a member whose connection is
+   not open yet goes to a spare thread, which opens it and lists.  A
+   shard that outlives the deadline is abandoned — its late reply is
+   dropped, or its spare thread's result lands in a cell nobody reads —
+   and its member is charged a failure.  [counted] adds the shard errors
+   to those surfaced to this fleet's users. *)
+let scatter_list t ~counted =
+  let n_members, live, down =
     with_lock t (fun () ->
+        let live, down =
+          List.partition (fun m -> m.m_health <> Driver.Mh_down) t.f_members
+        in
+        (List.length t.f_members, List.map (fun m -> (m, Option.map fst m.m_ops)) live, down))
+  in
+  let deadline = slice_deadline t in
+  let replies =
+    List.map
+      (fun (m, ops) ->
+        match ops with
+        | None -> (m, spare t m)
+        | Some ops ->
+          (m, try Driver.send_list_all ops with exn -> Driver.ready (fault m exn)))
+      live
+  in
+  let outcomes =
+    List.map
+      (fun (m, reply) ->
+        (m, try reply ~until:deadline with exn -> Some (fault m exn)))
+      replies
+  in
+  let merged, errors, live_failed, downs =
+    with_lock t (fun () ->
+        let downs = ref 0 in
+        let failed m = downs := !downs + note_failure_locked t m in
+        let per_member, errors =
+          List.fold_left
+            (fun (ok, errors) (m, outcome) ->
+              match outcome with
+              | Some (Ok v) ->
+                note_success_locked t m;
+                ((m.m_name, v) :: ok, errors)
+              | Some (Error e) ->
+                failed m;
+                (ok, Driver.{ se_member = m.m_name; se_error = e } :: errors)
+              | None ->
+                (* Timed out: the shard gets its slice and no more. *)
+                failed m;
+                ( ok,
+                  shard_err m.m_name Verror.Operation_failed
+                    "per-shard deadline slice (%.3fs) exceeded" t.f_shard_slice_s
+                  :: errors ))
+            ([], []) outcomes
+        in
+        let per_member = List.rev per_member in
+        let live_failed = errors <> [] in
+        let errors =
+          List.fold_left
+            (fun errors m ->
+              shard_err m.m_name Verror.No_connect "member down (probe circuit open)"
+              :: errors)
+            errors down
+        in
         let last = t.f_learned in
         let repeat = repeat_of last.ln_lists per_member in
         (* The same members listing the same names in the same order
@@ -502,23 +532,22 @@ let scatter_list t =
         in
         t.f_learned <-
           { ln_lists = per_member; ln_merged = merged; ln_version = t.f_loc_version };
-        merged)
+        if counted then t.f_sub_errors <- t.f_sub_errors + List.length errors;
+        (merged, errors, live_failed, !downs))
   in
+  resync t downs;
+  (* A success only moves a member's next probe later. *)
+  if live_failed then poke_prober ();
   Driver.
     {
       fl_records = merged;
       fl_shard_errors = errors;
-      fl_members = members;
+      fl_members = n_members;
     }
 
 (* Listing through the driver surface: shard errors degrade the reply
    and are counted so partial-failure exit codes surface in the CLI. *)
-let listing_counted t =
-  let listing = scatter_list t in
-  with_lock t (fun () ->
-      t.f_sub_errors <-
-        t.f_sub_errors + List.length listing.Driver.fl_shard_errors);
-  listing
+let listing_counted t = scatter_list t ~counted:true
 
 (* ------------------------------------------------------------------ *)
 (* Ownership and routing                                               *)
@@ -536,7 +565,7 @@ let owner_of t name =
   | Some member -> Ok member
   | None -> (
     (* Location unknown: refresh the table with one scatter. *)
-    let (_ : Driver.fleet_listing) = scatter_list t in
+    let (_ : Driver.fleet_listing) = scatter_list t ~counted:false in
     match with_lock t (fun () -> Hashtbl.find_opt t.f_locations name) with
     | Some member -> Ok member
     | None ->
@@ -566,7 +595,7 @@ let routed t name f =
           | Verror.No_domain ->
             with_lock t (fun () ->
                 relocate_locked t (fun locs -> Hashtbl.remove locs name))
-          | _ -> with_lock t (fun () -> note_failure_locked t m)));
+          | _ -> resync t (with_lock t (fun () -> note_failure_locked t m))));
       r
 
 (* Define routes by placement: the domain does not exist yet, so its

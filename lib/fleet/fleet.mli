@@ -101,6 +101,12 @@ val shard_thread_count : unit -> int
     fleet's scatters share them; it grows only when more shards run at
     once than ever before, or while abandoned shards still hold theirs. *)
 
+val shard_job_count : unit -> int
+(** Shards ever handed to those threads.  A scatter hands one over only
+    for a member whose connection is not open yet, which the thread
+    opens and lists; the calling thread sends to every open member and
+    reads their replies itself. *)
+
 val ops_of : t -> Driver.ops
 (** The fleet as an ordinary driver connection: listings
     scatter-gather, mutations route by placement, [ops.fleet] carries

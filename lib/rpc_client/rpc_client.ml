@@ -42,10 +42,17 @@ type t = {
   mutable last_ping : float;
 }
 
+(* How a caller awaits its reply: it takes the read side ([Lead]), it
+   already holds it, running a callback of this connection ([Nested]),
+   or another thread reads for it ([Follow]). *)
+type role = Lead | Nested | Follow
+
 (* A future: one in-flight call.  [await] reads the connection itself
    when nobody else does, otherwise blocks on the slot, until its
    deadline ([infinity] for an untimed call); it caches the outcome (so
-   awaiting twice is harmless) and recycles the slot. *)
+   awaiting twice is harmless) and recycles the slot.  [fut_role] is the
+   role {!send} took before sending; [None] for {!call_async}, whose
+   awaiter takes its role when it awaits. *)
 type future = {
   fut_client : t;
   fut_slot : slot;
@@ -53,6 +60,7 @@ type future = {
   fut_procedure : int;
   fut_timeout : float;
   fut_until : float;
+  fut_role : role option;
   mutable fut_result : (string, Verror.t) result option;
 }
 
@@ -255,11 +263,6 @@ let step client ~until =
     fail client ("bad packet from server: " ^ msg);
     Dead
 
-(* How a caller awaits its reply: it takes the read side ([Lead]), it
-   already holds it, running a callback of this connection ([Nested]),
-   or another thread reads for it ([Follow]). *)
-type role = Lead | Nested | Follow
-
 let self_id () = Thread.id (Thread.self ())
 
 let take_read_side client =
@@ -400,7 +403,7 @@ let set_raw_reply_hook client hook = client.on_raw_reply <- hook
 (* Issue a call without waiting: the returned future lets one thread keep
    as many calls in flight on the connection as it likes (pipelining);
    whoever reads demultiplexes replies by serial. *)
-let call_async client ~procedure ?(body = "") ?timeout_s () =
+let issue client ~role ~procedure ?(body = "") ?timeout_s () =
   let slot_or_err =
     with_lock client.mutex (fun () ->
         if client.closed then
@@ -456,8 +459,11 @@ let call_async client ~procedure ?(body = "") ?timeout_s () =
             fut_procedure = procedure;
             fut_timeout = timeout;
             fut_until = until;
+            fut_role = role;
             fut_result = None;
           })
+
+let call_async client = issue client ~role:None
 
 (* Wait on [slot] until it is delivered or [until] passes ([None]).  The
    slot may be a recycled one that a timekeeper entry from an earlier
@@ -538,39 +544,55 @@ let following client ~procedure f =
    thread reads it ([Follow]): a [Nested] caller reads for its own call
    and leaves the read side to the frame handler it runs inside.
    Otherwise the reader delivers to the slot.  Either way the slot is
-   filled — a reply, or a failure when the connection dies.  A timed
-   call that outlives its deadline claims its serial back; if the serial
-   is gone, a delivery is under way and wins. *)
-let finish fut role =
+   filled — a reply, or a failure when the connection dies — unless the
+   call's deadline or [until] passes first.  A timed call that outlives
+   its deadline claims its serial back, and so does one the caller gives
+   up on at [until] ([None]); if the serial is gone, a delivery is under
+   way and wins. *)
+let finish fut role ~until =
   let client = fut.fut_client and slot = fut.fut_slot in
+  let stop = Float.min fut.fut_until until in
   (match role with
-   | Lead -> lead client slot ~until:fut.fut_until
-   | Nested -> read_until client slot ~until:fut.fut_until
+   | Lead -> lead client slot ~until:stop
+   | Nested -> read_until client slot ~until:stop
    | Follow -> ());
   let outcome =
-    match wait_slot slot ~until:fut.fut_until with
-    | Some outcome -> outcome
+    match wait_slot slot ~until:stop with
+    | Some outcome -> Some outcome
     | None ->
       if Option.is_some (take_pending client fut.fut_serial) then
-        Error
-          (Verror.make Verror.Rpc_failure
-             (Printf.sprintf "call %d timed out after %.1fs" fut.fut_procedure
-                fut.fut_timeout))
-      else Option.get (wait_slot slot ~until:infinity)
+        if fut.fut_until <= until then
+          Some
+            (Error
+               (Verror.make Verror.Rpc_failure
+                  (Printf.sprintf "call %d timed out after %.1fs" fut.fut_procedure
+                     fut.fut_timeout)))
+        else None
+      else wait_slot slot ~until:infinity
   in
-  fut.fut_result <- Some outcome;
+  fut.fut_result <-
+    Some
+      (match outcome with
+       | Some outcome -> outcome
+       | None ->
+         Verror.error Verror.Rpc_failure "call %d given up by its caller"
+           fut.fut_procedure);
   release_slot client slot;
   outcome
 
-let await fut =
+let await_until fut ~until =
   match fut.fut_result with
-  | Some outcome -> outcome
+  | Some outcome -> Some outcome
   | None -> (
     let client = fut.fut_client in
-    match take_read_side client with
+    let role =
+      match fut.fut_role with Some role -> role | None -> take_read_side client
+    in
+    match role with
     | Follow -> (
       match
-        following client ~procedure:fut.fut_procedure (fun () -> Ok (finish fut Follow))
+        following client ~procedure:fut.fut_procedure (fun () ->
+            Ok (finish fut Follow ~until))
       with
       | Ok outcome -> outcome
       | Error _ as cycle ->
@@ -581,27 +603,41 @@ let await fut =
         in
         fut.fut_result <- Some outcome;
         release_slot client fut.fut_slot;
-        outcome)
-    | role -> finish fut role)
+        Some outcome)
+    | role -> finish fut role ~until)
+
+let await fut = Option.get (await_until fut ~until:infinity)
+
+(* Issue a call holding the read side [role] took: a call that is not
+   sent, or whose send raises, hands it straight back. *)
+let issue_holding client role ~procedure ?body ?timeout_s () =
+  match issue client ~role:(Some role) ~procedure ?body ?timeout_s () with
+  | Ok _ as sent -> sent
+  | Error _ as err ->
+    if role = Lead then release_read_side client;
+    err
+  | exception exn ->
+    if role = Lead then release_read_side client;
+    raise exn
 
 (* The read side is taken before the send: a reply that came back before
    the caller got round to reading would otherwise wake the receiver.  A
-   call that is not sent, or whose send raises, hands it straight back.
-   A follower that would close a wait-for cycle sends nothing. *)
+   follower that would close a wait-for cycle sends nothing. *)
 let call client ~procedure ?body ?timeout_s () =
   let send role =
-    match call_async client ~procedure ?body ?timeout_s () with
-    | Ok fut -> finish fut role
-    | Error e ->
-      if role = Lead then release_read_side client;
-      Error e
-    | exception exn ->
-      if role = Lead then release_read_side client;
-      raise exn
+    match issue_holding client role ~procedure ?body ?timeout_s () with
+    | Ok fut -> Option.get (finish fut role ~until:infinity)
+    | Error _ as err -> err
   in
   match take_read_side client with
   | Follow -> following client ~procedure (fun () -> send Follow)
   | role -> send role
+
+(* [call]'s first half, for a caller that sends to several connections
+   before it reads any reply: a follower's wait-for check comes when it
+   awaits, after the send. *)
+let send client ~procedure ?body ?timeout_s () =
+  issue_holding client (take_read_side client) ~procedure ?body ?timeout_s ()
 
 let close client =
   (* Same ordering as the keepalive death: deliver the precise error,

@@ -8,7 +8,11 @@
     when no other thread does (it leads): it handles every frame that
     arrives — other callers' replies, events — until its own reply, its
     timeout or the connection's death, then hands the read side back.
-    A lone call thus crosses no thread of this client.  Each connection
+    A lone call thus crosses no thread of this client.  A fan-out does
+    the same across connections: one thread {!send}s a call on each,
+    holding every read side it can take, then reads each reply in turn
+    with {!await_until}; frames that arrive on a connection meanwhile
+    wait for it there, and no other thread wakes for them.  Each connection
     still runs one thread, its receiver, which parks until the
     connection turns readable while nobody reads it: it serves calls
     that overlap a leader (they wait on their slots), events between
@@ -75,7 +79,7 @@ val set_raw_reply_hook : t -> (string -> unit) option -> unit
     [None] removes the hook. *)
 
 type future
-(** One in-flight call issued with {!call_async}. *)
+(** One in-flight call issued with {!call_async} or {!send}. *)
 
 val call_async :
   t -> procedure:int -> ?body:string -> ?timeout_s:float -> unit ->
@@ -91,12 +95,30 @@ val call_async :
     behind futures come from a per-client pool, so pipelined fan-out
     allocates no Mutex+Condition pairs in steady state. *)
 
+val send :
+  t -> procedure:int -> ?body:string -> ?timeout_s:float -> unit ->
+  (future, Ovirt_core.Verror.t) result
+(** {!call}'s first half: take the read side when it is free, as
+    {!call} does, then send.  The future holds the read side until it
+    is awaited, so every future [send] returns must be awaited (with
+    {!await} or {!await_until}): until then no other thread reads the
+    connection.  A follower's wait-for check comes when it awaits, after
+    the send.  Failures as {!call_async}'s. *)
+
 val await : future -> (string, Ovirt_core.Verror.t) result
 (** Block until the call completes, reading the connection when no
     other thread does, or until its timeout passes: the
     call then fails with [Rpc_failure] ("timed out") and a reply that
     arrives later is dropped.  Idempotent: the outcome is cached on the
-    future.  {!call} ≡ {!call_async} + {!await}. *)
+    future.  {!call} ≡ {!send} + {!await}, but a follower that would
+    close a wait-for cycle sends nothing. *)
+
+val await_until :
+  future -> until:float -> (string, Ovirt_core.Verror.t) result option
+(** {!await}, giving up at [until]: [None] when neither the reply nor
+    the call's own timeout came first.  The call is then abandoned: a
+    reply that arrives later is dropped, the read side the future held
+    is handed back, and awaiting again returns an [Rpc_failure]. *)
 
 val close : t -> unit
 (** Idempotent; fails all in-flight calls (exactly once, whoever closes

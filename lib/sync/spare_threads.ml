@@ -7,9 +7,9 @@
 
 type slot = { m : Mutex.t; wake : Condition.t; mutable job : (unit -> unit) option }
 
-type t = { parked : slot list Atomic.t; spawned : int Atomic.t }
+type t = { parked : slot list Atomic.t; spawned : int Atomic.t; jobs : int Atomic.t }
 
-let create () = { parked = Atomic.make []; spawned = Atomic.make 0 }
+let create () = { parked = Atomic.make []; spawned = Atomic.make 0; jobs = Atomic.make 0 }
 
 let rec push t slot =
   let l = Atomic.get t.parked in
@@ -33,6 +33,7 @@ let rec serve t slot job =
   serve t slot next
 
 let run t job =
+  Atomic.incr t.jobs;
   match pop t with
   | Some slot ->
     Mutex.lock slot.m;
@@ -45,3 +46,4 @@ let run t job =
     ignore (Thread.create (serve t slot) job)
 
 let spawned t = Atomic.get t.spawned
+let jobs t = Atomic.get t.jobs

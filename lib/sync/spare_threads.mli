@@ -17,3 +17,6 @@ val run : t -> (unit -> unit) -> unit
 
 val spawned : t -> int
 (** Threads created so far: the peak concurrency [run] has seen. *)
+
+val jobs : t -> int
+(** Jobs [run] has started so far. *)

@@ -536,6 +536,272 @@ let test_slow_member_stalls_nobody () =
         (List.map failures [ "m1"; "m2"; "m3" ]);
       Fleet.dissolve (Fleet.name t))
 
+(* --- fan-out: the calling thread sends and reads every shard ----------- *)
+
+(* Once every member connection is open, a listing is sent and read on
+   the calling thread: back-to-back listings of a healthy fleet hand no
+   shard to a spare thread and spawn none. *)
+let test_open_members_use_no_spare_thread () =
+  with_members [ "m1"; "m2"; "m3" ] (fun members ->
+      let t = fleet_of members in
+      let fv = Option.get (Fleet.ops_of t).Driver.fleet in
+      (* The first listing opens the member connections. *)
+      let first = vok (fv.Driver.fleet_list_all ()) in
+      Alcotest.(check int) "every member opened" 0
+        (List.length first.Driver.fl_shard_errors);
+      let jobs = Fleet.shard_job_count () and threads = Fleet.shard_thread_count () in
+      for _ = 1 to 50 do
+        let l = vok (fv.Driver.fleet_list_all ()) in
+        Alcotest.(check int) "no shard errors" 0 (List.length l.Driver.fl_shard_errors)
+      done;
+      Alcotest.(check int) "no shard handed to a spare thread" 0
+        (Fleet.shard_job_count () - jobs);
+      Alcotest.(check int) "no shard thread spawned" 0
+        (Fleet.shard_thread_count () - threads);
+      Fleet.dissolve (Fleet.name t))
+
+let has_prefix prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* A thread-safe log of the events on one bus for domains named
+   [prefix]...: the callback, and a reader of what it saw so far. *)
+let event_log prefix =
+  let m = Mutex.create () and seen = ref [] in
+  ( (fun ev ->
+      if has_prefix prefix ev.Events.domain_name then begin
+        Mutex.lock m;
+        seen :=
+          (ev.Events.domain_name, Events.lifecycle_name ev.Events.lifecycle) :: !seen;
+        Mutex.unlock m
+      end),
+    fun () ->
+      Mutex.lock m;
+      let l = List.rev !seen in
+      Mutex.unlock m;
+      l )
+
+(* Back-to-back listings on a thread of their own until [f] returns. *)
+let while_listing fv f =
+  let stop = Atomic.make false in
+  let lister =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          ignore (fv.Driver.fleet_list_all ())
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join lister)
+    f
+
+(* A lifecycle event a member pushes while the fleet lists reaches the
+   fleet bus exactly once, in the order the member sent it, whichever
+   thread reads it off the member connection: the member's receiver, or
+   a listing caller that holds the connection's read side. *)
+let test_listing_delivers_member_events_once () =
+  with_members [ "m1"; "m2" ] (fun members ->
+      let t = fleet_of members in
+      let ops = Fleet.ops_of t in
+      let fv = Option.get ops.Driver.fleet in
+      ignore (vok (fv.Driver.fleet_list_all ()));
+      let on_fleet, fleet_seen = event_log "ev-" in
+      let sub = Events.subscribe ops.Driver.events on_fleet in
+      let direct = member_conn (List.hd members) in
+      let expected =
+        List.concat_map
+          (fun i ->
+            let name = Printf.sprintf "ev-%d" i in
+            List.map (fun e -> (name, e))
+              [ "defined"; "started"; "suspended"; "resumed"; "stopped" ])
+          (List.init 10 Fun.id)
+      in
+      while_listing fv (fun () ->
+          for i = 0 to 9 do
+            let dom = seed_domain direct (Printf.sprintf "ev-%d" i) in
+            vok (Domain.suspend dom);
+            vok (Domain.resume dom);
+            vok (Domain.destroy dom)
+          done;
+          Alcotest.(check bool) "every event reached the fleet bus" true
+            (eventually ~timeout_s:5. (fun () ->
+                 List.length (fleet_seen ()) >= List.length expected));
+          (* Room for a duplicate to show. *)
+          Thread.delay 0.1);
+      Alcotest.(check (list (pair string string)))
+        "once each, in the member's order" expected (fleet_seen ());
+      Events.unsubscribe ops.Driver.events sub;
+      Connect.close direct;
+      Fleet.dissolve (Fleet.name t))
+
+(* A fleet subscriber whose callback lists the fleet runs on whichever
+   thread read the event: a member's receiver, or a listing caller that
+   holds the read sides of the members it sent to.  Each of its listings
+   completes, and a shard that could only wait for its own reader fails
+   at once with [Rpc_failure]; nothing waits for good, and the fleet
+   lists in full afterwards.  The whole run is bounded.  Such a failure
+   is charged to its member as any other is, so a high down threshold
+   keeps every member queried. *)
+let test_reentrant_subscriber_never_hangs () =
+  with_members [ "m1"; "m2"; "m3" ] (fun members ->
+      let slice = 1.0 in
+      let t =
+        Fleet.create ~name:(fresh_name "refleet")
+          ~members:(List.map (fun m -> (m.md_member, m.md_uri)) members)
+          ~shard_slice_s:slice ~probe_interval_s:0.05 ~probe_timeout_s:0.2
+          ~down_threshold:1000 ()
+      in
+      let ops = Fleet.ops_of t in
+      let fv = Option.get ops.Driver.fleet in
+      ignore (vok (fv.Driver.fleet_list_all ()));
+      let m = Mutex.create () and outcomes = ref [] in
+      let sub =
+        Events.subscribe ops.Driver.events (fun ev ->
+            if has_prefix "re-" ev.Events.domain_name then begin
+              let t0 = Unix.gettimeofday () in
+              let r = fv.Driver.fleet_list_all () in
+              let took = Unix.gettimeofday () -. t0 in
+              Mutex.lock m;
+              outcomes := (r, took) :: !outcomes;
+              Mutex.unlock m
+            end)
+      in
+      let n_outcomes () =
+        Mutex.lock m;
+        let n = List.length !outcomes in
+        Mutex.unlock m;
+        n
+      in
+      let direct = List.map member_conn members in
+      let written = Atomic.make false in
+      while_listing fv (fun () ->
+          ignore
+            (Thread.create
+               (fun () ->
+                 List.iteri
+                   (fun i conn ->
+                     for k = 0 to 3 do
+                       let dom = seed_domain conn (Printf.sprintf "re-%d-%d" i k) in
+                       vok (Domain.destroy dom)
+                     done)
+                   direct;
+                 Atomic.set written true)
+               ());
+          (* Three events (defined, started, stopped) per domain. *)
+          Alcotest.(check bool) "every callback's listing returned" true
+            (eventually ~timeout_s:20. (fun () ->
+                 Atomic.get written && n_outcomes () >= 3 * 12)));
+      Events.unsubscribe ops.Driver.events sub;
+      List.iter
+        (fun (r, took) ->
+          let l = vok r in
+          List.iter
+            (fun e ->
+              Alcotest.(check string)
+                (Printf.sprintf "shard %s fails with Rpc_failure (%s)" e.Driver.se_member
+                   e.Driver.se_error.Verror.message)
+                (Verror.code_name Verror.Rpc_failure)
+                (Verror.code_name e.Driver.se_error.Verror.code))
+            l.Driver.fl_shard_errors;
+          Alcotest.(check bool)
+            (Printf.sprintf "within one slice (%.3fs)" took)
+            true (took < slice))
+        !outcomes;
+      Alcotest.(check bool) "then the fleet lists in full" true
+        (eventually ~timeout_s:5. (fun () ->
+             (vok (fv.Driver.fleet_list_all ())).Driver.fl_shard_errors = []));
+      List.iter Connect.close direct;
+      Fleet.dissolve (Fleet.name t))
+
+(* One fleet over the other listing paths: a member pinned to minor 7
+   (the v1.7 listing), one whose URI carries a deadline envelope
+   ([timeout=]), and two whose connections are cut at the sixth frame
+   each connection delivers to the daemon — the second listing after
+   the handshake, or the first retried one — one reconnecting and one
+   not.  Every listing
+   lists a member's rows or names the member in a shard error with the
+   text its path gives; the reconnecting member is listed every time. *)
+let test_mixed_listing_paths () =
+  let start ?(config = quiet_config) tag =
+    let dname = fresh_name ("mxd-" ^ tag) and node = fresh_name ("mxn-" ^ tag) in
+    (tag, dname, node, Daemon.start ~name:dname ~config ())
+  in
+  let members =
+    [
+      start ~config:{ quiet_config with Daemon_config.proto_minor = 7 } "pin";
+      start "tmo";
+      start "crc";
+      start "cut";
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (_, _, _, h) -> Daemon.stop h) members)
+    (fun () ->
+      List.iter
+        (fun (tag, dname, node, _) ->
+          let c = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+          ignore (seed_domain c ("mx-" ^ tag));
+          Connect.close c;
+          if has_prefix "c" tag then
+            Alcotest.(check bool) "plan attached" true
+              (Netsim.set_listener_faults (dname ^ "-sock")
+                 (Some (Faults.plan [ Faults.Drop_after 6 ]))))
+        members;
+      let extra = function
+        | "tmo" -> "&timeout=2"
+        | "crc" -> "&reconnect=50&reconnect_delay=0.001"
+        | _ -> ""
+      in
+      let t =
+        Fleet.create ~name:(fresh_name "mxfleet")
+          ~members:
+            (List.map
+               (fun (tag, dname, node, _) ->
+                 (tag, Printf.sprintf "test+unix://%s/?daemon=%s%s" node dname (extra tag)))
+               members)
+          ~shard_slice_s:1.0 ~probe_interval_s:0.05 ~probe_timeout_s:0.2
+          ~down_threshold:3 ()
+      in
+      let fv = Option.get (Fleet.ops_of t).Driver.fleet in
+      let texts =
+        [
+          "connection closed";
+          "connection is closed";
+          "member down (probe circuit open)";
+        ]
+      in
+      let cut_errors = ref 0 in
+      let retried () = (Drv_remote.stats ()).Drv_remote.st_retried_calls in
+      let retried_before = retried () in
+      for _ = 1 to 20 do
+        let l = vok (fv.Driver.fleet_list_all ()) in
+        let names = List.map (fun r -> r.Driver.rec_ref.Driver.dom_name) l.Driver.fl_records in
+        List.iter
+          (fun (tag, _, _, _) ->
+            let listed = List.mem ("mx-" ^ tag) names in
+            match
+              (listed, List.filter (fun e -> e.Driver.se_member = tag) l.Driver.fl_shard_errors)
+            with
+            | true, [] -> ()
+            | false, [ e ] when tag = "cut" ->
+              incr cut_errors;
+              let msg = e.Driver.se_error.Verror.message in
+              Alcotest.(check bool) (Printf.sprintf "known shard error %S" msg) true
+                (List.mem msg texts)
+            | _, errs ->
+              Alcotest.failf "member %s: listed %b, shard errors [%s]" tag listed
+                (String.concat "; "
+                   (List.map (fun e -> e.Driver.se_error.Verror.message) errs)))
+          members
+      done;
+      Alcotest.(check bool) "the cut member without reconnect errs" true (!cut_errors > 0);
+      Alcotest.(check bool) "the reconnecting member's listings were retried" true
+        (retried () > retried_before);
+      Fleet.dissolve (Fleet.name t))
+
 let test_no_double_count_mid_migration () =
   (* A domain momentarily defined on two members (reserved on the
      destination, still live on the source) must appear once, as the
@@ -1819,6 +2085,15 @@ let () =
           quick "mid-migration twin rows dedupe" test_no_double_count_mid_migration;
           quick "shard threads are reused" test_scatter_reuses_shard_threads;
           quick "a slow member stalls nobody else" test_slow_member_stalls_nobody;
+        ] );
+      ( "fan-out",
+        [
+          quick "open members use no spare thread" test_open_members_use_no_spare_thread;
+          quick "member events reach the bus once, in order"
+            test_listing_delivers_member_events_once;
+          quick "a re-entrant subscriber never hangs"
+            test_reentrant_subscriber_never_hangs;
+          quick "pinned, enveloped and cut members" test_mixed_listing_paths;
         ] );
       ("merge", [ prop_merge_reuse ]);
       ("learning", [ prop_learning_matches_full ]);
