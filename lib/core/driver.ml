@@ -143,6 +143,8 @@ type fleet_view = {
    before its outcome, which is then abandoned. *)
 type 'a reply = until:float -> ('a, Verror.t) result option
 
+exception Reopen
+
 let ready outcome ~until:_ = Some outcome
 let wait (reply : _ reply) = Option.get (reply ~until:Float.infinity)
 

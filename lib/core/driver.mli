@@ -156,6 +156,14 @@ type 'a reply = until:float -> ('a, Verror.t) result option
     that asks.  [None] when [until] passed before the outcome came; the
     call is then abandoned.  Read each reply once. *)
 
+exception Reopen
+(** Raised by reading a {!reply} up to a finite [until] when the call's
+    connection has died and must be opened again before the call can be
+    retried: that can outlast any [until], since opening waits on the
+    peer.  The call is over; the reader makes it again where it may wait
+    ({!list_all}), e.g. on a thread of its own.  Read with no deadline,
+    a reply re-opens and retries itself. *)
+
 val ready : ('a, Verror.t) result -> 'a reply
 (** A reply whose outcome is already known. *)
 

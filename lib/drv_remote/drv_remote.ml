@@ -340,6 +340,8 @@ type remote_conn = {
   rc_mutex : Mutex.t;
   mutable rpc : Rpc_client.t;
   mutable defunct : bool;  (** closed, or reconnect budget exhausted *)
+  mutable rc_reconnecting : bool;  (** a thread is rebuilding [rpc] *)
+  rc_rebuilt : Condition.t;  (** broadcast when that thread is done *)
   mutable rc_minor : int;  (** negotiated protocol minor, re-probed on reconnect *)
   events : Events.bus;
   rc_cache : caches option;
@@ -467,10 +469,14 @@ let backoff_delay conn r attempt =
   let j = (2. *. next_unit_float conn) -. 1. in
   Float.max 0. (d *. (1. +. (r.res_jitter *. j)))
 
-(* Single-flight reconnect: callers that lost the race to a dead [rpc]
-   block on the mutex while the first one rebuilds the connection, then
-   observe the fresh client (or the defunct mark).  Exponential backoff
-   with jitter between attempts; the budget bounds the outage.
+(* Single-flight reconnect: the first caller to find [rpc] dead claims
+   the rebuild; callers that lost the race wait on [rc_rebuilt] until it
+   is done, then observe the fresh client (or the defunct mark), or give
+   up at their own [deadline].  [rc_mutex] is not held across the
+   rebuild, so a caller that only reads the connection's fields — a
+   fleet listing sending to every member — never waits for a peer being
+   re-dialled.  Exponential backoff with jitter between attempts; the
+   budget bounds the outage.
 
    The cache reconciliation ([absorb_event_mode]) runs inside the same
    critical section that swaps [conn.rpc]: no caller can read the caches
@@ -480,56 +486,85 @@ let backoff_delay conn r attempt =
    emit ([Ok (Some _)]); losers observe [Ok None] and must not touch the
    stream, or they would release the buffering latch prematurely.  A
    back-off never sleeps past the calling [call]'s [deadline]; once that
-   has passed the call fails, and the connection is not made defunct. *)
+   has passed the call fails, and the connection is not made defunct.
+   A connection closed during the rebuild stays closed: the fresh client
+   is closed too. *)
 let ensure_connected conn ~dead ~bound ~deadline =
-  let outcome =
+  let spent () =
+    Verror.error Verror.Rpc_failure "call budget of %gs spent reconnecting" bound
+  in
+  let rec claim () =
+    if conn.defunct then `Done (Verror.error Verror.Rpc_failure "remote connection is closed")
+    else if conn.rpc != dead then `Done (Ok None) (* somebody already reconnected *)
+    else if not conn.rc_reconnecting then begin
+      conn.rc_reconnecting <- true;
+      `Mine
+    end
+    else if Unix.gettimeofday () >= deadline then `Done (spent ())
+    else begin
+      Ovsync.Timedwait.wait conn.rc_mutex conn.rc_rebuilt ~until:deadline;
+      claim ()
+    end
+  in
+  let r = Option.get conn.rc_resilience in
+  let rec rebuild i =
+    if i > r.res_budget then `Exhausted
+    else if Unix.gettimeofday () >= deadline then `Spent
+    else begin
+      count conn.rc_stats Slot.reconnect_attempts 1;
+      let delay = with_conn conn (fun () -> backoff_delay conn r i) in
+      Thread.delay (Float.min delay (deadline -. Unix.gettimeofday ()));
+      match
+        establish ~address:conn.rc_address ~kind:conn.rc_kind
+          ~keepalive:conn.rc_keepalive ~on_event:conn.rc_on_event
+          ~register_events:conn.rc_register_events ~use_resume:conn.rc_use_resume
+          ~sq:conn.rc_seq ~forwarded:conn.rc_forwarded
+      with
+      | Ok up -> `Up up
+      | Error _ -> rebuild (i + 1)
+    end
+  in
+  let settle rebuilt =
     with_conn conn (fun () ->
-        if conn.defunct then
+        conn.rc_reconnecting <- false;
+        Condition.broadcast conn.rc_rebuilt;
+        match rebuilt with
+        | `Spent -> spent ()
+        | `Exhausted ->
+          conn.defunct <- true;
+          count conn.rc_stats Slot.giveups 1;
+          Verror.error Verror.Rpc_failure "reconnect budget of %d attempts exhausted"
+            r.res_budget
+        | `Up (rpc, _, _) when conn.defunct ->
+          Rpc_client.close rpc;
           Verror.error Verror.Rpc_failure "remote connection is closed"
-        else if conn.rpc != dead then Ok None (* somebody already reconnected *)
-        else begin
-          let r = Option.get conn.rc_resilience in
-          let outage_start = Unix.gettimeofday () in
-          let rec attempt i =
-            if i > r.res_budget then begin
-              conn.defunct <- true;
-              count conn.rc_stats Slot.giveups 1;
-              Verror.error Verror.Rpc_failure
-                "reconnect budget of %d attempts exhausted" r.res_budget
-            end
-            else if Unix.gettimeofday () >= deadline then
-              Verror.error Verror.Rpc_failure
-                "call budget of %gs spent reconnecting" bound
-            else begin
-              count conn.rc_stats Slot.reconnect_attempts 1;
-              Thread.delay
-                (Float.min (backoff_delay conn r i)
-                   (deadline -. Unix.gettimeofday ()));
-              match
-                establish ~address:conn.rc_address ~kind:conn.rc_kind
-                  ~keepalive:conn.rc_keepalive ~on_event:conn.rc_on_event
-                  ~register_events:conn.rc_register_events
-                  ~use_resume:conn.rc_use_resume ~sq:conn.rc_seq
-                  ~forwarded:conn.rc_forwarded
-              with
-              | Ok (rpc, minor, mode) ->
-                conn.rpc <- rpc;
-                conn.rc_minor <- minor;
-                let to_emit =
-                  absorb_event_mode ~caches:conn.rc_cache
-                    ~counters:conn.rc_stats conn.rc_seq mode
-                in
-                count conn.rc_stats Slot.reconnects 1;
-                with_stats (fun () ->
-                    let c = conn.rc_stats in
-                    c.cn_latencies <-
-                      (Unix.gettimeofday () -. outage_start) :: c.cn_latencies);
-                Ok (Some to_emit)
-              | Error _ -> attempt (i + 1)
-            end
+        | `Up (rpc, minor, mode) ->
+          conn.rpc <- rpc;
+          conn.rc_minor <- minor;
+          let to_emit =
+            absorb_event_mode ~caches:conn.rc_cache ~counters:conn.rc_stats conn.rc_seq
+              mode
           in
-          attempt 1
-        end)
+          count conn.rc_stats Slot.reconnects 1;
+          Ok (Some to_emit))
+  in
+  let outcome =
+    match with_conn conn claim with
+    | `Done outcome -> outcome
+    | `Mine ->
+      let outage_start = Unix.gettimeofday () in
+      let outcome =
+        match rebuild 1 with
+        | rebuilt -> settle rebuilt
+        | exception exn ->
+          ignore (settle `Spent);
+          raise exn
+      in
+      if Result.is_ok outcome then
+        with_stats (fun () ->
+            let c = conn.rc_stats in
+            c.cn_latencies <- (Unix.gettimeofday () -. outage_start) :: c.cn_latencies);
+      outcome
   in
   match outcome with
   | Ok (Some to_emit) ->
@@ -620,7 +655,10 @@ let breaker_shed conn err =
    A call is sent ([attempt]) and then finished ([finish]): a lone call
    is sent and read in one {!Rpc_client.call}; a listing a fleet fans
    out is sent with {!Rpc_client.send} and its reply read later, by the
-   same thread, up to the caller's [until]. *)
+   same thread, up to the caller's [until].  Such a reader never waits
+   for a reconnect: a call whose connection died raises
+   {!Driver.Reopen} instead, and the caller lists that member where it
+   may wait. *)
 type plan = {
   p_proc : Rp.procedure;
   p_body : string;
@@ -676,7 +714,9 @@ let attempt conn p n =
   { s_conn = conn; s_plan = p; s_attempt = n; s_step = step }
 
 (* The outcome of a sent call, read until [until] at the latest: [None]
-   when it passed first, before the reply or during a reconnect. *)
+   when it passed before the reply.  A dead resilient connection is
+   rebuilt and an idempotent call retried only for a reader with no
+   deadline; any other raises {!Driver.Reopen}. *)
 let rec finish s ~until =
   let conn = s.s_conn and p = s.s_plan in
   let settle rpc = function
@@ -694,9 +734,8 @@ let rec finish s ~until =
            && conn.rc_resilience <> None
            && Rpc_client.is_closed rpc -> (
       breaker_inconclusive conn;
-      let deadline = Float.min p.p_deadline until in
-      match ensure_connected conn ~dead:rpc ~bound:p.p_bound ~deadline with
-      | Error _ when deadline < p.p_deadline && Unix.gettimeofday () >= deadline -> None
+      if until < Float.infinity then raise Driver.Reopen;
+      match ensure_connected conn ~dead:rpc ~bound:p.p_bound ~deadline:p.p_deadline with
       | Error _ as err -> Some err
       | Ok () ->
         let idempotent = Rp.is_idempotent p.p_proc in
@@ -1092,6 +1131,8 @@ let open_conn uri =
       rc_mutex = Mutex.create ();
       rpc;
       defunct = false;
+      rc_reconnecting = false;
+      rc_rebuilt = Condition.create ();
       rc_minor = minor;
       events;
       rc_cache = caches;

@@ -330,9 +330,11 @@ let member_names t = with_lock t (fun () -> List.map (fun m -> m.m_name) t.f_mem
 (* Each shard's slice: the configured per-shard budget, clamped to
    whatever remains of the request deadline when the call arrived
    through a daemon dispatch (it runs inside that call's Reqctx binding).
-   Shards run in parallel, so every shard shares the same absolute
-   sub-deadline — a slow shard can burn its slice without extending the
-   caller's wait past one slice. *)
+   Every shard shares the same absolute sub-deadline: while the caller
+   waits for one member's reply it reads every member connection it
+   sent on ([Rpc_client.fan_out]), and a shard on a spare thread runs on
+   its own, so a slow shard can burn its slice without extending the
+   caller's wait past one slice or leaving another shard's reply unread. *)
 let slice_deadline t =
   let now = Unix.gettimeofday () in
   let slice =
@@ -354,8 +356,9 @@ let fault m = function
   | exn ->
     Verror.error Verror.Internal_error "member %s: %s" m.m_name (Printexc.to_string exn)
 
-(* A member whose connection is not open yet opens it and lists on a
-   spare thread; its reply waits for that thread. *)
+(* A member whose connection is not open yet, or must be opened again,
+   opens it and lists on a spare thread; its reply waits for that
+   thread. *)
 let spare t m : Driver.domain_record list Driver.reply =
   let mutex = Mutex.create () and cond = Condition.create () and cell = ref None in
   Ovsync.Spare_threads.run shard_threads (fun () ->
@@ -455,14 +458,20 @@ let learn_locked t per_member =
 (* List every non-Down member and gather until every shard answered or
    the slice deadline passed.  Down members are skipped instantly (their
    breaker is open — re-probing them is the prober's job, not the data
-   path's).  The calling thread sends every member its listing first,
-   then reads each reply itself, in member order, up to the deadline:
-   no other thread wakes for a reply.  Only a member whose connection is
-   not open yet goes to a spare thread, which opens it and lists.  A
+   path's).  The calling thread sends every open member its listing
+   inside one [Rpc_client.fan_out], then reads the replies itself: while
+   it waits for one it reads every member connection, so replies, other
+   callers' traffic and events are handled as they land.  Only a member
+   whose connection is not open yet, or died and must be opened again
+   ([Driver.Reopen]), goes to a spare thread, which opens it and lists;
+   those are waited for once the fan's read sides are handed back.  A
    shard that outlives the deadline is abandoned — its late reply is
    dropped, or its spare thread's result lands in a cell nobody reads —
-   and its member is charged a failure.  [counted] adds the shard errors
-   to those surfaced to this fleet's users. *)
+   and its member is charged a failure.  A shard whose call would have
+   closed a wait-for cycle (a fleet subscriber listing from a member's
+   callback) fails at once, uncharged: that says nothing about the
+   member.  [counted] adds the shard errors to those surfaced to this
+   fleet's users. *)
 let scatter_list t ~counted =
   let n_members, live, down =
     with_lock t (fun () ->
@@ -472,25 +481,40 @@ let scatter_list t ~counted =
         (List.length t.f_members, List.map (fun m -> (m, Option.map fst m.m_ops)) live, down))
   in
   let deadline = slice_deadline t in
-  let replies =
-    List.map
-      (fun (m, ops) ->
-        match ops with
-        | None -> (m, spare t m)
-        | Some ops ->
-          (m, try Driver.send_list_all ops with exn -> Driver.ready (fault m exn)))
-      live
+  let read m = function
+    | `Spare _ as shard -> shard
+    | `Sent reply -> (
+      match reply ~until:deadline with
+      | outcome -> `Read outcome
+      | exception Driver.Reopen -> `Spare (spare t m)
+      | exception exn -> `Read (Some (fault m exn)))
+  in
+  let shards =
+    Rpc_client.fan_out (fun () ->
+        List.map
+          (fun (m, ops) ->
+            match ops with
+            | None -> (m, `Spare (spare t m))
+            | Some ops ->
+              (m, `Sent (try Driver.send_list_all ops with exn -> Driver.ready (fault m exn))))
+          live
+        |> List.map (fun (m, shard) -> (m, read m shard)))
   in
   let outcomes =
     List.map
-      (fun (m, reply) ->
-        (m, try reply ~until:deadline with exn -> Some (fault m exn)))
-      replies
+      (fun (m, shard) ->
+        match shard with
+        | `Read outcome -> (m, outcome)
+        | `Spare reply -> (m, reply ~until:deadline))
+      shards
   in
   let merged, errors, live_failed, downs =
     with_lock t (fun () ->
-        let downs = ref 0 in
-        let failed m = downs := !downs + note_failure_locked t m in
+        let downs = ref 0 and live_failed = ref false in
+        let failed m =
+          live_failed := true;
+          downs := !downs + note_failure_locked t m
+        in
         let per_member, errors =
           List.fold_left
             (fun (ok, errors) (m, outcome) ->
@@ -499,7 +523,7 @@ let scatter_list t ~counted =
                 note_success_locked t m;
                 ((m.m_name, v) :: ok, errors)
               | Some (Error e) ->
-                failed m;
+                if not (Rpc_client.not_awaited e) then failed m;
                 (ok, Driver.{ se_member = m.m_name; se_error = e } :: errors)
               | None ->
                 (* Timed out: the shard gets its slice and no more. *)
@@ -511,7 +535,6 @@ let scatter_list t ~counted =
             ([], []) outcomes
         in
         let per_member = List.rev per_member in
-        let live_failed = errors <> [] in
         let errors =
           List.fold_left
             (fun errors m ->
@@ -533,7 +556,7 @@ let scatter_list t ~counted =
         t.f_learned <-
           { ln_lists = per_member; ln_merged = merged; ln_version = t.f_loc_version };
         if counted then t.f_sub_errors <- t.f_sub_errors + List.length errors;
-        (merged, errors, live_failed, !downs))
+        (merged, errors, !live_failed, !downs))
   in
   resync t downs;
   (* A success only moves a member's next probe later. *)
@@ -588,6 +611,7 @@ let routed t name f =
       in
       (match r with
        | Ok _ -> with_lock t (fun () -> note_success_locked t m)
+       | Error err when Rpc_client.not_awaited err -> ()
        | Error err ->
          (* The domain genuinely not being there is a stale location, not
             a sick member. *)

@@ -4,15 +4,32 @@ module Rpc_packet = Ovrpc.Rpc_packet
 module Verror = Ovirt_core.Verror
 module Ka = Protocol.Keepalive_protocol
 
+type keepalive = { ka_interval : float; ka_count : int }
+
 type slot = {
   slot_mutex : Mutex.t;
   slot_cond : Condition.t;
   mutable outcome : (string, Verror.t) result option;
 }
 
-type keepalive = { ka_interval : float; ka_count : int }
+(* A fan-out: the connections whose read sides one thread took to send
+   calls from inside {!fan_out}.  While that thread waits for any reply
+   it reads all of them, so a frame on any — another caller's reply, an
+   event, a reply of its own — is handled when it comes. *)
+and fan = {
+  fan_ready : bool Atomic.t;
+      (* a connection turned readable since the fan last looked *)
+  fan_dirty : t list Atomic.t;
+      (* the connections to look at: taken, or turned readable, since
+         the fan last looked *)
+  fan_asleep : slot option Atomic.t;
+      (* the slot whose condition the fan's thread sleeps on, or is about
+         to: the first poke since wakes it; later ones touch no lock *)
+  mutable fan_clients : t list;  (* touched only by the fan's thread *)
+  mutable fan_live : bool;  (* until its [fan_out] returns *)
+}
 
-type t = {
+and t = {
   conn : Transport.t;
   program : int;
   version : int;
@@ -32,6 +49,9 @@ type t = {
   mutable reader : int;
       (* the id of the thread that holds the read side, -1 when none; read
          without [mutex] by the wait-for check below *)
+  mutable held_by : fan option;
+      (* the fan that holds the read side, if a fan does: readiness then
+         wakes that fan's thread *)
   mutable rx_wanted : bool;
       (* the receiver should read once the read side is free: the channel
          turned readable while nobody read, or keepalive needs re-timing *)
@@ -42,9 +62,10 @@ type t = {
   mutable last_ping : float;
 }
 
-(* How a caller awaits its reply: it takes the read side ([Lead]), it
-   already holds it, running a callback of this connection ([Nested]),
-   or another thread reads for it ([Follow]). *)
+(* How a caller awaits its reply: it takes the read side ([Lead]; inside
+   a fan-out, the fan takes it), it already holds it, running a callback
+   of this connection ([Nested]), or another thread reads for it
+   ([Follow]). *)
 type role = Lead | Nested | Follow
 
 (* A future: one in-flight call.  [await] reads the connection itself
@@ -52,7 +73,8 @@ type role = Lead | Nested | Follow
    deadline ([infinity] for an untimed call); it caches the outcome (so
    awaiting twice is harmless) and recycles the slot.  [fut_role] is the
    role {!send} took before sending; [None] for {!call_async}, whose
-   awaiter takes its role when it awaits. *)
+   awaiter takes its role when it awaits.  [fut_fan] is the fan-out it
+   was sent in, whose thread awaits it reading the whole fan. *)
 type future = {
   fut_client : t;
   fut_slot : slot;
@@ -61,6 +83,7 @@ type future = {
   fut_timeout : float;
   fut_until : float;
   fut_role : role option;
+  fut_fan : fan option;
   mutable fut_result : (string, Verror.t) result option;
 }
 
@@ -71,6 +94,29 @@ let with_lock m f =
 (* The critical sections that every call passes through lock and unlock
    by hand: they cannot raise, and [with_lock]'s closures would be
    allocated per call. *)
+
+(* Note that [client] may have something to read, and wake the fan's
+   thread if it sleeps.  Readiness hooks of every connection of the fan
+   land here, on their senders' threads: only the first since the fan's
+   thread went to sleep touches a lock, so no sender queues behind a
+   woken fan's thread. *)
+let poke fan client =
+  let rec push () =
+    let dirty = Atomic.get fan.fan_dirty in
+    if not (List.memq client dirty || Atomic.compare_and_set fan.fan_dirty dirty (client :: dirty))
+    then push ()
+  in
+  push ();
+  Atomic.set fan.fan_ready true;
+  match Atomic.exchange fan.fan_asleep None with
+  | None -> ()
+  | Some slot ->
+    (* Once the fan's thread has let go of the slot's mutex it waits on
+       the slot's condition; broadcast after the unlock, so that it
+       wakes to a free lock. *)
+    Mutex.lock slot.slot_mutex;
+    Mutex.unlock slot.slot_mutex;
+    Condition.broadcast slot.slot_cond
 
 (* Broadcast after the unlock, as [Chan.send] signals: the waiter
    re-checks [outcome] under the lock.  The slot may by then be recycled
@@ -287,19 +333,23 @@ let release_read_side client =
   Mutex.lock client.mutex;
   client.reading <- false;
   client.reader <- -1;
+  client.held_by <- None;
   let wake = client.rx_wanted || Transport.pending client.conn in
   client.rx_wanted <- wake;
   Mutex.unlock client.mutex;
   if wake then Condition.signal client.rx_cond
 
 (* The channel's readiness hook: wake the receiver, unless some thread
-   holds the read side and will see the frame itself. *)
+   holds the read side and will see the frame itself — a fan's thread,
+   which may be waiting on another of its connections, is poked. *)
 let on_readable client () =
   Mutex.lock client.mutex;
   let wake = not client.reading in
   if wake then client.rx_wanted <- true;
+  let fan = client.held_by in
   Mutex.unlock client.mutex;
   if wake then Condition.signal client.rx_cond
+  else match fan with Some fan -> poke fan client | None -> ()
 
 (* Park until there is something to read and nobody else reads it, or a
    keepalive event is due; [true] holding the read side.  [false] once
@@ -380,6 +430,7 @@ let connect ~address ~kind ~program ~version ?identity ?faults ?keepalive
         on_raw_reply = None;
         reading = false;
         reader = -1;
+        held_by = None;
         rx_wanted = false;
         rx_cond = Condition.create ();
         last_rx = now;
@@ -403,7 +454,7 @@ let set_raw_reply_hook client hook = client.on_raw_reply <- hook
 (* Issue a call without waiting: the returned future lets one thread keep
    as many calls in flight on the connection as it likes (pipelining);
    whoever reads demultiplexes replies by serial. *)
-let issue client ~role ~procedure ?(body = "") ?timeout_s () =
+let issue client ~role ~fan ~procedure ?(body = "") ?timeout_s () =
   let slot_or_err =
     with_lock client.mutex (fun () ->
         if client.closed then
@@ -460,10 +511,11 @@ let issue client ~role ~procedure ?(body = "") ?timeout_s () =
             fut_timeout = timeout;
             fut_until = until;
             fut_role = role;
+            fut_fan = fan;
             fut_result = None;
           })
 
-let call_async client = issue client ~role:None
+let call_async client = issue client ~role:None ~fan:None
 
 (* Wait on [slot] until it is delivered or [until] passes ([None]).  The
    slot may be a recycled one that a timekeeper entry from an earlier
@@ -479,14 +531,16 @@ let wait_slot slot ~until =
       slot.outcome)
 
 (* Read frames (ours and anyone else's) until our slot is filled,
-   [until] passes or the connection dies. *)
+   [until] passes or the connection dies.  The connection is looked at
+   once even when [until] has passed: a reply that came in time is not
+   left unread. *)
 let rec read_until client slot ~until =
-  if
-    Option.is_none (outcome_of slot)
-    && (until = infinity || Unix.gettimeofday () < until)
-  then
+  if Option.is_none (outcome_of slot) then
     match step client ~until with
-    | Frame | Idle -> read_until client slot ~until
+    | Frame -> read_until client slot ~until
+    | Idle ->
+      if until = infinity || Unix.gettimeofday () < until then
+        read_until client slot ~until
     | Dead -> ()
 
 (* Lead: read, then hand the read side back. *)
@@ -497,12 +551,75 @@ let lead client slot ~until =
     release_read_side client;
     raise exn
 
+(* Handle every frame queued on [client]; a look at a connection whose
+   keepalive is due pings it or declares it dead. *)
+let drain client =
+  let rec go () =
+    match step client ~until:neg_infinity with
+    | Frame -> go ()
+    | Idle | Dead -> ()
+  in
+  go ()
+
+(* Look at the connections of [fan] that turned readable since the
+   last look, and at any whose keepalive is due. *)
+let look fan =
+  Atomic.set fan.fan_ready false;
+  let dirty = Atomic.exchange fan.fan_dirty [] in
+  List.iter drain dirty;
+  List.iter
+    (fun client ->
+      match client.keepalive with
+      | Some ka
+        when keepalive_due client ka <= Unix.gettimeofday ()
+             && not (List.memq client dirty) ->
+        drain client
+      | _ -> ())
+    fan.fan_clients
+
+(* The fan's next keepalive event, or [until]. *)
+let fan_wake fan ~until =
+  List.fold_left
+    (fun wake client ->
+      match client.keepalive with
+      | Some ka -> Float.min wake (keepalive_due client ka)
+      | None -> wake)
+    until fan.fan_clients
+
+(* Read the connections of [fan] until [slot] is filled — by a frame
+   read here, or by another reader when the call is followed — or
+   [until] passes.  Every frame that landed is read once more when
+   [until] has passed, as [read_until] looks once more.  A connection's
+   readiness hook marks it for the next look, so only connections with
+   something queued are read.  The thread sleeps on the slot's own
+   condition, which a delivery by another reader broadcasts too. *)
+let rec fan_read fan slot ~until =
+  if Option.is_none (outcome_of slot) then begin
+    look fan;
+    if Unix.gettimeofday () < until then begin
+      let wake = fan_wake fan ~until in
+      Mutex.lock slot.slot_mutex;
+      (* Asleep before ready is read: a poke that comes later sees it. *)
+      Atomic.set fan.fan_asleep (Some slot);
+      while
+        Option.is_none slot.outcome
+        && (not (Atomic.get fan.fan_ready))
+        && (wake = infinity || Unix.gettimeofday () < wake)
+      do
+        Ovsync.Timedwait.wait slot.slot_mutex slot.slot_cond ~until:wake
+      done;
+      Atomic.set fan.fan_asleep None;
+      Mutex.unlock slot.slot_mutex;
+      fan_read fan slot ~until
+    end
+  end
+
 (* The threads that wait for another thread to read their reply, each
    with the connection it waits on: the wait-for graph.  A thread that
-   holds one connection's read side (it runs that connection's callback)
-   and follows on a second connection whose reader, through a chain of
-   such waits, waits for the first would wait for good; it fails at once
-   instead. *)
+   holds one connection's read side (it runs that connection's callback,
+   or reads it for a fan-out) and follows on a second connection whose
+   reader, through a chain of such waits, waits for the first would wait
+   for good; it fails at once instead. *)
 let waits_mutex = Mutex.create ()
 let waits : (int, t) Hashtbl.t = Hashtbl.create 16
 
@@ -520,42 +637,54 @@ let closes_cycle client self =
   in
   walk client (Hashtbl.length waits)
 
+let not_awaited_text = "not awaited: the reader of its connection waits for this thread"
+
+let not_awaited (e : Verror.t) =
+  e.Verror.code = Verror.Rpc_failure
+  && String.ends_with ~suffix:not_awaited_text e.Verror.message
+
 (* Run [f], which waits for another thread to read [client]'s reply,
-   unless that wait would close a cycle. *)
+   unless that wait would close a cycle.  A fan's thread follows while
+   it reads its fan, whose callbacks may follow in turn: the wait they
+   replace is restored when they return. *)
 let following client ~procedure f =
   let self = self_id () in
   Mutex.lock waits_mutex;
   let cycle = closes_cycle client self in
+  let outer = Hashtbl.find_opt waits self in
   if not cycle then Hashtbl.replace waits self client;
   Mutex.unlock waits_mutex;
-  if cycle then
-    Verror.error Verror.Rpc_failure
-      "call %d not awaited: the reader of its connection waits for this thread"
-      procedure
+  if cycle then Verror.error Verror.Rpc_failure "call %d %s" procedure not_awaited_text
   else
     Fun.protect
       ~finally:(fun () ->
         Mutex.lock waits_mutex;
-        Hashtbl.remove waits self;
+        (match outer with
+         | Some c -> Hashtbl.replace waits self c
+         | None -> Hashtbl.remove waits self);
         Mutex.unlock waits_mutex)
       f
 
-(* Collect [fut]'s outcome, reading the connection first unless another
-   thread reads it ([Follow]): a [Nested] caller reads for its own call
-   and leaves the read side to the frame handler it runs inside.
-   Otherwise the reader delivers to the slot.  Either way the slot is
-   filled — a reply, or a failure when the connection dies — unless the
-   call's deadline or [until] passes first.  A timed call that outlives
-   its deadline claims its serial back, and so does one the caller gives
-   up on at [until] ([None]); if the serial is gone, a delivery is under
-   way and wins. *)
+(* Collect [fut]'s outcome, reading first unless another thread reads
+   the connection ([Follow]): a [Nested] caller reads for its own call
+   and leaves the read side to the frame handler it runs inside, and a
+   call sent in a fan-out is awaited reading the whole fan, followed or
+   not.  Otherwise the reader delivers to the slot.  Either way the slot
+   is filled — a reply, or a failure when the connection dies — unless
+   the call's deadline or [until] passes first.  A timed call that
+   outlives its deadline claims its serial back, and so does one the
+   caller gives up on at [until] ([None]); if the serial is gone, a
+   delivery is under way and wins. *)
 let finish fut role ~until =
   let client = fut.fut_client and slot = fut.fut_slot in
   let stop = Float.min fut.fut_until until in
-  (match role with
-   | Lead -> lead client slot ~until:stop
-   | Nested -> read_until client slot ~until:stop
-   | Follow -> ());
+  (match (fut.fut_fan, role) with
+   | Some fan, (Lead | Follow) ->
+     if not fan.fan_live then invalid_arg "Rpc_client: a fan-out's call awaited after it";
+     fan_read fan slot ~until:stop
+   | None, Lead -> lead client slot ~until:stop
+   | _, Nested -> read_until client slot ~until:stop
+   | None, Follow -> ());
   let outcome =
     match wait_slot slot ~until:stop with
     | Some outcome -> Some outcome
@@ -609,15 +738,17 @@ let await_until fut ~until =
 let await fut = Option.get (await_until fut ~until:infinity)
 
 (* Issue a call holding the read side [role] took: a call that is not
-   sent, or whose send raises, hands it straight back. *)
-let issue_holding client role ~procedure ?body ?timeout_s () =
-  match issue client ~role:(Some role) ~procedure ?body ?timeout_s () with
+   sent, or whose send raises, hands it straight back — unless a fan
+   holds it, which hands it back when its [fan_out] returns. *)
+let issue_holding client role ~fan ~procedure ?body ?timeout_s () =
+  let hand_back () = if role = Lead && Option.is_none fan then release_read_side client in
+  match issue client ~role:(Some role) ~fan ~procedure ?body ?timeout_s () with
   | Ok _ as sent -> sent
   | Error _ as err ->
-    if role = Lead then release_read_side client;
+    hand_back ();
     err
   | exception exn ->
-    if role = Lead then release_read_side client;
+    hand_back ();
     raise exn
 
 (* The read side is taken before the send: a reply that came back before
@@ -625,7 +756,7 @@ let issue_holding client role ~procedure ?body ?timeout_s () =
    follower that would close a wait-for cycle sends nothing. *)
 let call client ~procedure ?body ?timeout_s () =
   let send role =
-    match issue_holding client role ~procedure ?body ?timeout_s () with
+    match issue_holding client role ~fan:None ~procedure ?body ?timeout_s () with
     | Ok fut -> Option.get (finish fut role ~until:infinity)
     | Error _ as err -> err
   in
@@ -633,11 +764,75 @@ let call client ~procedure ?body ?timeout_s () =
   | Follow -> following client ~procedure (fun () -> send Follow)
   | role -> send role
 
+type _ Effect.t += Current_fan : fan option Effect.t
+
+let current_fan () =
+  try Effect.perform Current_fan with Effect.Unhandled _ -> None
+
+(* Inside a fan-out the fan takes a free read side, and keeps it: [Lead]
+   also when this thread took it for the fan before.  A side this thread
+   holds otherwise is [Nested]. *)
+let take_for_fan client fan =
+  let self = self_id () in
+  Mutex.lock client.mutex;
+  let role =
+    if not client.reading then begin
+      client.reading <- true;
+      client.reader <- self;
+      client.held_by <- Some fan;
+      fan.fan_clients <- client :: fan.fan_clients;
+      Lead
+    end
+    else if client.reader <> self then Follow
+    else match client.held_by with Some f when f == fan -> Lead | _ -> Nested
+  in
+  Mutex.unlock client.mutex;
+  (* Frames queued before the fan took the connection: look at it. *)
+  if role = Lead && Transport.pending client.conn then poke fan client;
+  role
+
 (* [call]'s first half, for a caller that sends to several connections
    before it reads any reply: a follower's wait-for check comes when it
    awaits, after the send. *)
 let send client ~procedure ?body ?timeout_s () =
-  issue_holding client (take_read_side client) ~procedure ?body ?timeout_s ()
+  match current_fan () with
+  | None ->
+    issue_holding client (take_read_side client) ~fan:None ~procedure ?body ?timeout_s ()
+  | Some fan as in_fan ->
+    issue_holding client (take_for_fan client fan) ~fan:in_fan ~procedure ?body ?timeout_s
+      ()
+
+let fan_out f =
+  match current_fan () with
+  | Some _ -> f ()
+  | None ->
+    let fan =
+      {
+        fan_ready = Atomic.make false;
+        fan_dirty = Atomic.make [];
+        fan_asleep = Atomic.make None;
+        fan_clients = [];
+        fan_live = true;
+      }
+    in
+    let hand_back () =
+      fan.fan_live <- false;
+      List.iter release_read_side fan.fan_clients;
+      fan.fan_clients <- []
+    in
+    let effc (type a) (e : a Effect.t) =
+      match e with
+      | Current_fan ->
+        Some (fun (k : (a, _) Effect.Deep.continuation) -> Effect.Deep.continue k (Some fan))
+      | _ -> None
+    in
+    match Effect.Deep.try_with f () { Effect.Deep.effc } with
+    | v ->
+      hand_back ();
+      v
+    | exception exn ->
+      hand_back ();
+      raise exn
 
 let close client =
   (* Same ordering as the keepalive death: deliver the precise error,

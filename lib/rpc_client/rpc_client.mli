@@ -9,10 +9,12 @@
     arrives — other callers' replies, events — until its own reply, its
     timeout or the connection's death, then hands the read side back.
     A lone call thus crosses no thread of this client.  A fan-out does
-    the same across connections: one thread {!send}s a call on each,
-    holding every read side it can take, then reads each reply in turn
-    with {!await_until}; frames that arrive on a connection meanwhile
-    wait for it there, and no other thread wakes for them.  Each connection
+    the same across connections: inside {!fan_out}, one thread {!send}s
+    a call on each, its fan taking every read side it can, then awaits
+    the replies.  While it waits for any one of them it reads every
+    connection of the fan, in the order frames arrive, so a reply of
+    its own, another caller's reply or an event is handled when it
+    lands, and no other thread wakes for it.  Each connection
     still runs one thread, its receiver, which parks until the
     connection turns readable while nobody reads it: it serves calls
     that overlap a leader (they wait on their slots), events between
@@ -99,11 +101,25 @@ val send :
   t -> procedure:int -> ?body:string -> ?timeout_s:float -> unit ->
   (future, Ovirt_core.Verror.t) result
 (** {!call}'s first half: take the read side when it is free, as
-    {!call} does, then send.  The future holds the read side until it
-    is awaited, so every future [send] returns must be awaited (with
-    {!await} or {!await_until}): until then no other thread reads the
-    connection.  A follower's wait-for check comes when it awaits, after
-    the send.  Failures as {!call_async}'s. *)
+    {!call} does, then send.  Outside {!fan_out} the future holds the
+    read side until it is awaited, so every future [send] returns must
+    be awaited (with {!await} or {!await_until}): until then no other
+    thread reads the connection.  Inside {!fan_out} the fan holds it.
+    A follower's wait-for check comes when it awaits, after the send.
+    Failures as {!call_async}'s. *)
+
+val fan_out : (unit -> 'a) -> 'a
+(** [fan_out f] runs [f] as one fan-out: each {!send} [f] makes takes
+    the connection's read side for the fan when it is free, and keeps
+    it until [f] returns (or raises), when every one is handed back.
+    Awaiting any future sent inside — led or followed — reads every
+    connection of the fan until that future's outcome, so no reply,
+    event or other caller waits for the thread to get round to its
+    connection.  Await each such future inside [f] ([Invalid_argument]
+    after).  A [fan_out] inside another, on one thread (a callback run
+    while reading the fan), joins the outer one.  A connection this
+    thread holds outside the fan — a callback's own — is read as a
+    nested call, on its own. *)
 
 val await : future -> (string, Ovirt_core.Verror.t) result
 (** Block until the call completes, reading the connection when no
@@ -118,7 +134,11 @@ val await_until :
 (** {!await}, giving up at [until]: [None] when neither the reply nor
     the call's own timeout came first.  The call is then abandoned: a
     reply that arrives later is dropped, the read side the future held
-    is handed back, and awaiting again returns an [Rpc_failure]. *)
+    outside {!fan_out} is handed back, and awaiting again returns an [Rpc_failure]. *)
+
+val not_awaited : Ovirt_core.Verror.t -> bool
+(** The [Rpc_failure] of a call that would have closed a wait-for cycle
+    (see above): it says nothing about the peer. *)
 
 val close : t -> unit
 (** Idempotent; fails all in-flight calls (exactly once, whoever closes

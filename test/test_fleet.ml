@@ -536,6 +536,53 @@ let test_slow_member_stalls_nobody () =
         (List.map failures [ "m1"; "m2"; "m3" ]);
       Fleet.dissolve (Fleet.name t))
 
+(* The slow member listed first: its shard burns the whole slice, and
+   the healthy members after it, whose replies came in time, are still
+   listed and charged nothing. *)
+let test_slow_first_member_stalls_nobody () =
+  with_members [ "m1"; "m2"; "m3" ] (fun members ->
+      let conns = List.map member_conn members in
+      List.iter2
+        (fun m conn -> ignore (seed_domain conn ("slow1-" ^ m.md_member)))
+        members conns;
+      List.iter Connect.close conns;
+      let slice = 0.3 in
+      let slow = List.hd members in
+      Alcotest.(check bool) "plan attached" true
+        (Netsim.set_listener_faults (slow.md_daemon ^ "-sock")
+           (Some (Faults.plan [ Faults.Delay (3. *. slice) ])));
+      let t =
+        Fleet.create ~name:(fresh_name "s1fleet")
+          ~members:(List.map (fun m -> (m.md_member, m.md_uri)) members)
+          ~shard_slice_s:slice ~probe_interval_s:60. ~probe_timeout_s:0.2
+          ~down_threshold:5 ()
+      in
+      let fv = Option.get (Fleet.ops_of t).Driver.fleet in
+      for i = 1 to 2 do
+        let t0 = Unix.gettimeofday () in
+        let l = vok (fv.Driver.fleet_list_all ()) in
+        let elapsed = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "listing %d within the slice (%.3fs)" i elapsed)
+          true
+          (elapsed < slice +. 0.2);
+        Alcotest.(check (list string))
+          "only the slow member errs" [ "m1" ]
+          (List.map (fun e -> e.Driver.se_member) l.Driver.fl_shard_errors);
+        let names = List.map (fun r -> r.Driver.rec_ref.Driver.dom_name) l.Driver.fl_records in
+        Alcotest.(check (list bool))
+          "healthy rows listed" [ false; true; true ]
+          (List.map (fun n -> List.mem n names) [ "slow1-m1"; "slow1-m2"; "slow1-m3" ])
+      done;
+      let failures name =
+        (List.find (fun m -> m.Driver.ms_name = name) (Fleet.status t).Driver.fs_members)
+          .Driver.ms_failures
+      in
+      Alcotest.(check (list int))
+        "failures charged" [ 2; 0; 0 ]
+        (List.map failures [ "m1"; "m2"; "m3" ]);
+      Fleet.dissolve (Fleet.name t))
+
 (* --- fan-out: the calling thread sends and reads every shard ----------- *)
 
 (* Once every member connection is open, a listing is sent and read on
@@ -643,16 +690,16 @@ let test_listing_delivers_member_events_once () =
    completes, and a shard that could only wait for its own reader fails
    at once with [Rpc_failure]; nothing waits for good, and the fleet
    lists in full afterwards.  The whole run is bounded.  Such a failure
-   is charged to its member as any other is, so a high down threshold
-   keeps every member queried. *)
+   says nothing about its member and is not charged: under the default
+   down threshold every member stays queried and no failure is charged. *)
 let test_reentrant_subscriber_never_hangs () =
   with_members [ "m1"; "m2"; "m3" ] (fun members ->
       let slice = 1.0 in
       let t =
+        (* A long probe interval keeps the prober out of the accounting. *)
         Fleet.create ~name:(fresh_name "refleet")
           ~members:(List.map (fun m -> (m.md_member, m.md_uri)) members)
-          ~shard_slice_s:slice ~probe_interval_s:0.05 ~probe_timeout_s:0.2
-          ~down_threshold:1000 ()
+          ~shard_slice_s:slice ~probe_interval_s:60. ~probe_timeout_s:0.2 ()
       in
       let ops = Fleet.ops_of t in
       let fv = Option.get ops.Driver.fleet in
@@ -713,7 +760,108 @@ let test_reentrant_subscriber_never_hangs () =
       Alcotest.(check bool) "then the fleet lists in full" true
         (eventually ~timeout_s:5. (fun () ->
              (vok (fv.Driver.fleet_list_all ())).Driver.fl_shard_errors = []));
+      Alcotest.(check (list int))
+        "no failure charged" [ 0; 0; 0 ]
+        (List.map
+           (fun m -> m.Driver.ms_failures)
+           (Fleet.status t).Driver.fs_members);
       List.iter Connect.close direct;
+      Fleet.dissolve (Fleet.name t))
+
+(* While another thread re-dials a member whose daemon went away, a
+   listing neither waits for that thread nor re-dials on the calling
+   thread: it returns within the slice with the other members listed. *)
+let test_reconnecting_member_stalls_nobody () =
+  with_members [ "m1"; "m2"; "m3" ] (fun members ->
+      let conns = List.map member_conn members in
+      List.iter2
+        (fun m conn -> ignore (seed_domain conn ("rc-" ^ m.md_member)))
+        members conns;
+      List.iter Connect.close conns;
+      let slice = 0.3 and redial = 0.8 in
+      let uri m =
+        if m.md_member = "m2" then
+          Printf.sprintf "%s&reconnect=1&reconnect_delay=%g&reconnect_max_delay=%g"
+            m.md_uri redial redial
+        else m.md_uri
+      in
+      let t =
+        Fleet.create ~name:(fresh_name "rcfleet")
+          ~members:(List.map (fun m -> (m.md_member, uri m)) members)
+          ~shard_slice_s:slice ~probe_interval_s:60. ~probe_timeout_s:0.2
+          ~down_threshold:5 ()
+      in
+      let ops = Fleet.ops_of t in
+      let fv = Option.get ops.Driver.fleet in
+      Alcotest.(check int) "every member listed" 0
+        (List.length (vok (fv.Driver.fleet_list_all ())).Driver.fl_shard_errors);
+      kill_member (List.nth members 1);
+      (* A routed call finds m2's connection dead and starts re-dialling:
+         a back-off of [redial], then a refused dial. *)
+      let routed =
+        Thread.create (fun () -> ignore (ops.Driver.dom_suspend "rc-m2")) ()
+      in
+      Thread.delay 0.1;
+      let t0 = Unix.gettimeofday () in
+      let l = vok (fv.Driver.fleet_list_all ()) in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Thread.join routed;
+      Alcotest.(check bool)
+        (Printf.sprintf "within the slice (%.3fs)" elapsed)
+        true (elapsed < slice +. 0.2);
+      let names = List.map (fun r -> r.Driver.rec_ref.Driver.dom_name) l.Driver.fl_records in
+      Alcotest.(check (list bool))
+        "the other members listed" [ true; false; true ]
+        (List.map (fun n -> List.mem n names) [ "rc-m1"; "rc-m2"; "rc-m3" ]);
+      Alcotest.(check (list string))
+        "only the re-dialled member errs" [ "m2" ]
+        (List.map (fun e -> e.Driver.se_member) l.Driver.fl_shard_errors);
+      Fleet.dissolve (Fleet.name t))
+
+(* A listing waiting on a slow member reads the other members'
+   connections meanwhile: routed calls to a healthy member are answered
+   at once, not when the listing gets round to it.  The slow member
+   stays queried (a high down threshold), so every listing waits on it. *)
+let test_slow_member_delays_no_routed_call () =
+  with_members [ "m1"; "m2"; "m3" ] (fun members ->
+      let conns = List.map member_conn members in
+      List.iter2
+        (fun m conn -> ignore (seed_domain conn ("rt-" ^ m.md_member)))
+        members conns;
+      List.iter Connect.close conns;
+      let slice = 0.4 in
+      let slow = List.hd members in
+      Alcotest.(check bool) "plan attached" true
+        (Netsim.set_listener_faults (slow.md_daemon ^ "-sock")
+           (Some (Faults.plan [ Faults.Delay (1.25 *. slice) ])));
+      (* Uncached lookups: each one is a round trip on the connection. *)
+      let t =
+        Fleet.create ~name:(fresh_name "rtfleet")
+          ~members:(List.map (fun m -> (m.md_member, m.md_uri ^ "&cache=0")) members)
+          ~shard_slice_s:slice ~probe_interval_s:60. ~probe_timeout_s:0.2
+          ~down_threshold:1000 ()
+      in
+      let ops = Fleet.ops_of t in
+      let fv = Option.get ops.Driver.fleet in
+      (* Until the slow member's connection is open, its shard goes to a
+         spare thread and the listing holds no read side while it waits. *)
+      Alcotest.(check bool) "every member connection open" true
+        (eventually ~timeout_s:10. (fun () ->
+             let jobs = Fleet.shard_job_count () in
+             ignore (fv.Driver.fleet_list_all ());
+             Fleet.shard_job_count () = jobs));
+      let worst = ref 0. in
+      while_listing fv (fun () ->
+          let t_end = Unix.gettimeofday () +. (3. *. slice) in
+          while Unix.gettimeofday () < t_end do
+            let t0 = Unix.gettimeofday () in
+            ignore (vok (ops.Driver.lookup_by_name "rt-m2"));
+            worst := Float.max !worst (Unix.gettimeofday () -. t0);
+            Thread.delay 0.02
+          done);
+      Alcotest.(check bool)
+        (Printf.sprintf "routed calls answered at once (worst %.3fs)" !worst)
+        true (!worst < slice /. 2.);
       Fleet.dissolve (Fleet.name t))
 
 (* One fleet over the other listing paths: a member pinned to minor 7
@@ -2085,6 +2233,8 @@ let () =
           quick "mid-migration twin rows dedupe" test_no_double_count_mid_migration;
           quick "shard threads are reused" test_scatter_reuses_shard_threads;
           quick "a slow member stalls nobody else" test_slow_member_stalls_nobody;
+          quick "a slow first member stalls nobody else"
+            test_slow_first_member_stalls_nobody;
         ] );
       ( "fan-out",
         [
@@ -2094,6 +2244,10 @@ let () =
           quick "a re-entrant subscriber never hangs"
             test_reentrant_subscriber_never_hangs;
           quick "pinned, enveloped and cut members" test_mixed_listing_paths;
+          quick "a re-dialled member stalls no listing"
+            test_reconnecting_member_stalls_nobody;
+          quick "a slow member delays no routed call"
+            test_slow_member_delays_no_routed_call;
         ] );
       ("merge", [ prop_merge_reuse ]);
       ("learning", [ prop_learning_matches_full ]);
