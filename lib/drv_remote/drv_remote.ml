@@ -652,17 +652,15 @@ let breaker_shed conn err =
    never treated as a transport failure, and K consecutive ones open the
    per-connection circuit breaker.
 
-   A call is sent ([attempt]) and then finished ([finish]): a lone call
-   is sent and read in one {!Rpc_client.call}; a listing a fleet fans
-   out is sent with {!Rpc_client.send} and its reply read later, by the
-   same thread, up to the caller's [until].  Such a reader never waits
-   for a reconnect: a call whose connection died raises
-   {!Driver.Reopen} instead, and the caller lists that member where it
-   may wait. *)
+   A call is sent ([attempt], {!Rpc_client.send}) and then finished
+   ([finish], which awaits it): a lone call at once, a listing a fleet
+   fans out later, by the same thread, up to the caller's [until].  Such
+   a reader never waits for a reconnect: a call whose connection died
+   raises {!Driver.Reopen} instead, and the caller lists that member
+   where it may wait. *)
 type plan = {
   p_proc : Rp.procedure;
   p_body : string;
-  p_lone : bool;
   p_timeout_s : float option;  (** the client-side wait *)
   p_bound : float;
   p_deadline : float;  (** the call's own, for reconnecting *)
@@ -670,12 +668,11 @@ type plan = {
 
 type step =
   | Refused of Verror.t  (** the open breaker failed it; nothing was sent *)
-  | Replied of Rpc_client.t * (string, Verror.t) result  (** a lone call *)
   | Sent of Rpc_client.t * (Rpc_client.future, Verror.t) result
 
 type sent = { s_conn : remote_conn; s_plan : plan; s_attempt : int; s_step : step }
 
-let plan conn proc body ~lone =
+let plan conn proc body =
   (* Client-side wait generously outlasts the server budget: the
      daemon's authoritative "expired in queue" reply (sent when a worker
      finally pops the stale job) should win over the local timeout
@@ -686,7 +683,6 @@ let plan conn proc body ~lone =
   {
     p_proc = proc;
     p_body = body;
-    p_lone = lone;
     p_timeout_s = timeout_s;
     p_bound = bound;
     p_deadline = Unix.gettimeofday () +. bound;
@@ -708,8 +704,7 @@ let attempt conn p n =
         | _ -> (p.p_proc, p.p_body)
       in
       let procedure = Rp.proc_to_int wproc and timeout_s = p.p_timeout_s in
-      if p.p_lone then Replied (rpc, Rpc_client.call rpc ~procedure ~body ?timeout_s ())
-      else Sent (rpc, Rpc_client.send rpc ~procedure ~body ?timeout_s ())
+      Sent (rpc, Rpc_client.send rpc ~procedure ~body ?timeout_s ())
   in
   { s_conn = conn; s_plan = p; s_attempt = n; s_step = step }
 
@@ -758,14 +753,13 @@ let rec finish s ~until =
   in
   match s.s_step with
   | Refused e -> Some (Error e)
-  | Replied (rpc, outcome) -> settle rpc (Some outcome)
   | Sent (rpc, Error e) -> settle rpc (Some (Error e))
   | Sent (rpc, Ok fut) -> settle rpc (Rpc_client.await_until fut ~until)
 
 let call conn proc body =
-  Option.get (finish (attempt conn (plan conn proc body ~lone:true) 1) ~until:Float.infinity)
+  Option.get (finish (attempt conn (plan conn proc body) 1) ~until:Float.infinity)
 
-let send conn proc body = attempt conn (plan conn proc body ~lone:false) 1
+let send conn proc body = attempt conn (plan conn proc body) 1
 
 (* One procedure through its signature: the arguments encoded and the
    reply decoded by the codecs the daemon serves it with. *)

@@ -12,10 +12,13 @@ type slot = {
   mutable outcome : (string, Verror.t) result option;
 }
 
-(* A fan-out: the connections whose read sides one thread took to send
-   calls from inside {!fan_out}.  While that thread waits for any reply
-   it reads all of them, so a frame on any — another caller's reply, an
-   event, a reply of its own — is handled when it comes. *)
+(* A fan: the read sides one thread holds while it waits for replies.
+   Every call belongs to one: inside {!fan_out}, the fan it scopes;
+   outside, a fan of one made for the call, which holds the read side it
+   took or borrowed, or none when another thread reads (a follower).
+   While its thread waits for any reply it reads all of them, so a frame
+   on any — another caller's reply, an event, a reply of its own — is
+   handled when it comes. *)
 and fan = {
   fan_ready : bool Atomic.t;
       (* a connection turned readable since the fan last looked *)
@@ -26,7 +29,11 @@ and fan = {
       (* the slot whose condition the fan's thread sleeps on, or is about
          to: the first poke since wakes it; later ones touch no lock *)
   mutable fan_clients : t list;  (* touched only by the fan's thread *)
-  mutable fan_live : bool;  (* until its [fan_out] returns *)
+  mutable fan_live : bool;  (* until it hands its read sides back *)
+  fan_lone : bool;
+      (* made by {!send} outside {!fan_out} for one call, whose await
+         hands back what the fan took: a read side, or a follower's
+         wait-for entry *)
 }
 
 and t = {
@@ -44,14 +51,15 @@ and t = {
   mutable on_raw_reply : (string -> unit) option;
       (* test observer: every framed reply packet, exactly as received *)
   (* The read side, guarded by [mutex]: one thread at a time reads
-     frames, an awaiting caller (the leader) or the receiver. *)
+     frames, an awaiting caller's fan or the receiver. *)
   mutable reading : bool;
   mutable reader : int;
       (* the id of the thread that holds the read side, -1 when none; read
          without [mutex] by the wait-for check below *)
   mutable held_by : fan option;
-      (* the fan that holds the read side, if a fan does: readiness then
-         wakes that fan's thread *)
+      (* the {!fan_out} that holds the read side, if one does: readiness
+         then pokes its thread.  A fan of one reads its connection in the
+         channel's own read, which needs no poke. *)
   mutable rx_wanted : bool;
       (* the receiver should read once the read side is free: the channel
          turned readable while nobody read, or keepalive needs re-timing *)
@@ -62,19 +70,10 @@ and t = {
   mutable last_ping : float;
 }
 
-(* How a caller awaits its reply: it takes the read side ([Lead]; inside
-   a fan-out, the fan takes it), it already holds it, running a callback
-   of this connection ([Nested]), or another thread reads for it
-   ([Follow]). *)
-type role = Lead | Nested | Follow
-
-(* A future: one in-flight call.  [await] reads the connection itself
-   when nobody else does, otherwise blocks on the slot, until its
-   deadline ([infinity] for an untimed call); it caches the outcome (so
-   awaiting twice is harmless) and recycles the slot.  [fut_role] is the
-   role {!send} took before sending; [None] for {!call_async}, whose
-   awaiter takes its role when it awaits.  [fut_fan] is the fan-out it
-   was sent in, whose thread awaits it reading the whole fan. *)
+(* A future: one in-flight call, in the fan [fut_fan].  [await] waits
+   in the fan until the call's deadline ([infinity] for an untimed
+   call); it caches the outcome (so awaiting twice is harmless) and
+   recycles the slot. *)
 type future = {
   fut_client : t;
   fut_slot : slot;
@@ -82,8 +81,7 @@ type future = {
   fut_procedure : int;
   fut_timeout : float;
   fut_until : float;
-  fut_role : role option;
-  fut_fan : fan option;
+  fut_fan : fan;
   mutable fut_result : (string, Verror.t) result option;
 }
 
@@ -309,22 +307,16 @@ let step client ~until =
     fail client ("bad packet from server: " ^ msg);
     Dead
 
-let self_id () = Thread.id (Thread.self ())
+(* Handle every frame queued on [client]: [false] once it has died.  A
+   look at a connection whose keepalive is due pings it or declares it
+   dead. *)
+let rec drain client =
+  match step client ~until:neg_infinity with
+  | Frame -> drain client
+  | Idle -> true
+  | Dead -> false
 
-let take_read_side client =
-  let self = self_id () in
-  Mutex.lock client.mutex;
-  let role =
-    if not client.reading then begin
-      client.reading <- true;
-      client.reader <- self;
-      Lead
-    end
-    else if client.reader = self then Nested
-    else Follow
-  in
-  Mutex.unlock client.mutex;
-  role
+let self_id () = Thread.id (Thread.self ())
 
 (* Hand the read side back, and wake the receiver if something is left
    for it: frames or a close that arrived while the side was taken (their
@@ -340,8 +332,9 @@ let release_read_side client =
   if wake then Condition.signal client.rx_cond
 
 (* The channel's readiness hook: wake the receiver, unless some thread
-   holds the read side and will see the frame itself — a fan's thread,
-   which may be waiting on another of its connections, is poked. *)
+   holds the read side and will see the frame itself — a fan-out's
+   thread, which may be waiting on another of its connections, is
+   poked. *)
 let on_readable client () =
   Mutex.lock client.mutex;
   let wake = not client.reading in
@@ -392,15 +385,9 @@ let park client =
    reads what is queued without waiting and parks again.  It ends with
    the connection. *)
 let receiver_loop client =
-  let rec drain () =
-    match step client ~until:neg_infinity with
-    | Frame -> drain ()
-    | Idle -> true
-    | Dead -> false
-  in
   let rec loop () =
     if park client then begin
-      let alive = drain () in
+      let alive = drain client in
       release_read_side client;
       if alive then loop ()
     end
@@ -451,10 +438,10 @@ let connect ~address ~kind ~program ~version ?identity ?faults ?keepalive
 
 let set_raw_reply_hook client hook = client.on_raw_reply <- hook
 
-(* Issue a call without waiting: the returned future lets one thread keep
-   as many calls in flight on the connection as it likes (pipelining);
-   whoever reads demultiplexes replies by serial. *)
-let issue client ~role ~fan ~procedure ?(body = "") ?timeout_s () =
+(* Issue a call in [fan] without waiting: the returned future lets one
+   thread keep as many calls in flight as it likes (pipelining); whoever
+   reads demultiplexes replies by serial. *)
+let issue client ~fan ~procedure ?(body = "") ?timeout_s () =
   let slot_or_err =
     with_lock client.mutex (fun () ->
         if client.closed then
@@ -495,7 +482,7 @@ let issue client ~role ~fan ~procedure ?(body = "") ?timeout_s () =
            leave the slot to the GC in that (already-fatal) case. *)
         if Option.is_some (take_pending client serial) then release_slot client slot;
         (* Dead even if no reader has noticed yet: close now, so a caller
-           that retries when [is_closed] holds sees it, and a leader
+           that retries when [is_closed] holds sees it, and a caller
            blocked reading wakes. *)
         fail_all_pending client
           (Verror.make Verror.Rpc_failure "connection closed");
@@ -510,12 +497,9 @@ let issue client ~role ~fan ~procedure ?(body = "") ?timeout_s () =
             fut_procedure = procedure;
             fut_timeout = timeout;
             fut_until = until;
-            fut_role = role;
             fut_fan = fan;
             fut_result = None;
           })
-
-let call_async client = issue client ~role:None ~fan:None
 
 (* Wait on [slot] until it is delivered or [until] passes ([None]).  The
    slot may be a recycled one that a timekeeper entry from an earlier
@@ -530,50 +514,25 @@ let wait_slot slot ~until =
       done;
       slot.outcome)
 
-(* Read frames (ours and anyone else's) until our slot is filled,
-   [until] passes or the connection dies.  The connection is looked at
-   once even when [until] has passed: a reply that came in time is not
-   left unread. *)
-let rec read_until client slot ~until =
-  if Option.is_none (outcome_of slot) then
-    match step client ~until with
-    | Frame -> read_until client slot ~until
-    | Idle ->
-      if until = infinity || Unix.gettimeofday () < until then
-        read_until client slot ~until
-    | Dead -> ()
-
-(* Lead: read, then hand the read side back. *)
-let lead client slot ~until =
-  match read_until client slot ~until with
-  | () -> release_read_side client
-  | exception exn ->
-    release_read_side client;
-    raise exn
-
-(* Handle every frame queued on [client]; a look at a connection whose
-   keepalive is due pings it or declares it dead. *)
-let drain client =
-  let rec go () =
-    match step client ~until:neg_infinity with
-    | Frame -> go ()
-    | Idle | Dead -> ()
-  in
-  go ()
+(* A connection's keepalive while it is alive: a dead one's clock has
+   stopped, and a fan that timed its sleep by it would read in a loop.
+   [closed] is read without [mutex]; the fan's thread set it, or saw it
+   set, under [mutex] when a look found the connection dead. *)
+let live_keepalive client = if client.closed then None else client.keepalive
 
 (* Look at the connections of [fan] that turned readable since the
    last look, and at any whose keepalive is due. *)
 let look fan =
   Atomic.set fan.fan_ready false;
   let dirty = Atomic.exchange fan.fan_dirty [] in
-  List.iter drain dirty;
+  List.iter (fun client -> ignore (drain client)) dirty;
   List.iter
     (fun client ->
-      match client.keepalive with
+      match live_keepalive client with
       | Some ka
         when keepalive_due client ka <= Unix.gettimeofday ()
              && not (List.memq client dirty) ->
-        drain client
+        ignore (drain client)
       | _ -> ())
     fan.fan_clients
 
@@ -581,59 +540,77 @@ let look fan =
 let fan_wake fan ~until =
   List.fold_left
     (fun wake client ->
-      match client.keepalive with
+      match live_keepalive client with
       | Some ka -> Float.min wake (keepalive_due client ka)
       | None -> wake)
     until fan.fan_clients
 
-(* Read the connections of [fan] until [slot] is filled — by a frame
-   read here, or by another reader when the call is followed — or
-   [until] passes.  Every frame that landed is read once more when
-   [until] has passed, as [read_until] looks once more.  A connection's
-   readiness hook marks it for the next look, so only connections with
-   something queued are read.  The thread sleeps on the slot's own
-   condition, which a delivery by another reader broadcasts too. *)
-let rec fan_read fan slot ~until =
-  if Option.is_none (outcome_of slot) then begin
-    look fan;
-    if Unix.gettimeofday () < until then begin
-      let wake = fan_wake fan ~until in
-      Mutex.lock slot.slot_mutex;
-      (* Asleep before ready is read: a poke that comes later sees it. *)
-      Atomic.set fan.fan_asleep (Some slot);
-      while
-        Option.is_none slot.outcome
-        && (not (Atomic.get fan.fan_ready))
-        && (wake = infinity || Unix.gettimeofday () < wake)
-      do
-        Ovsync.Timedwait.wait slot.slot_mutex slot.slot_cond ~until:wake
-      done;
-      Atomic.set fan.fan_asleep None;
-      Mutex.unlock slot.slot_mutex;
-      fan_read fan slot ~until
-    end
-  end
+(* Wait in [fan] until [slot], the slot of a call on [client], is filled
+   — by a frame read here, or by another reader — or [until] passes.
+   Each round picks its sleep from what the fan holds.  Exactly
+   [client]: the channel's own timed read ([next_frame], keepalive
+   included), handling each frame as it comes.  Anything else (several
+   connections, or none while another thread reads [client]): read the
+   connections whose readiness hooks marked them, and any whose
+   keepalive is due, then sleep on the slot's own condition, which a
+   delivery by another reader broadcasts and the first poke since the
+   sleep began wakes.  Either way the connections are looked at once
+   more when [until] has passed: a reply that came in time is not left
+   unread. *)
+let rec wait fan client slot ~until =
+  if Option.is_none (outcome_of slot) then
+    match fan.fan_clients with
+    | [ c ] when c == client -> (
+      match step client ~until with
+      | Frame -> wait fan client slot ~until
+      | Idle ->
+        if until = infinity || Unix.gettimeofday () < until then wait fan client slot ~until
+      | Dead -> ())
+    | _ ->
+      look fan;
+      if Unix.gettimeofday () < until then begin
+        let wake = fan_wake fan ~until in
+        Mutex.lock slot.slot_mutex;
+        (* Asleep before ready is read: a poke that comes later sees it. *)
+        Atomic.set fan.fan_asleep (Some slot);
+        while
+          Option.is_none slot.outcome
+          && (not (Atomic.get fan.fan_ready))
+          && (wake = infinity || Unix.gettimeofday () < wake)
+        do
+          Ovsync.Timedwait.wait slot.slot_mutex slot.slot_cond ~until:wake
+        done;
+        Atomic.set fan.fan_asleep None;
+        Mutex.unlock slot.slot_mutex;
+        wait fan client slot ~until
+      end
 
 (* The threads that wait for another thread to read their reply, each
-   with the connection it waits on: the wait-for graph.  A thread that
-   holds one connection's read side (it runs that connection's callback,
-   or reads it for a fan-out) and follows on a second connection whose
-   reader, through a chain of such waits, waits for the first would wait
-   for good; it fails at once instead. *)
+   with the connections it waits on and the fans it waits in, the wait
+   it is in now first: the wait-for graph.  A thread that holds one
+   connection's read side and does not read it while it waits (it runs
+   that connection's callback outside any fan that reads it) and
+   follows on a second connection whose reader, through a chain of such
+   waits, waits for the first would wait for good; it fails at once
+   instead.  A thread that waits in a fan reads the fan's connections
+   meanwhile, so a chain through one of them ends there. *)
 let waits_mutex = Mutex.create ()
-let waits : (int, t) Hashtbl.t = Hashtbl.create 16
+let waits : (int, (t * fan) list) Hashtbl.t = Hashtbl.create 16
 
-(* Caller holds [waits_mutex].  Every link but the threads' read sides
-   is read under it; a read side that changes hands meanwhile belongs to
-   no thread that waits. *)
-let closes_cycle client self =
+(* Caller holds [waits_mutex]; [fan] is the fan this thread would wait
+   in.  Every link but the threads' read sides and their fans'
+   connections is read under it; a read side that changes hands
+   meanwhile belongs to no thread that waits, and a fan's connections
+   only grow until it hands them back. *)
+let closes_cycle client fan self =
   let rec walk c hops =
     let r = c.reader in
-    r = self
-    || hops > 0
-       && match Hashtbl.find_opt waits r with
-          | Some next -> walk next (hops - 1)
-          | None -> false
+    if r = self then not (List.memq c fan.fan_clients)
+    else
+      hops > 0
+      && match Hashtbl.find_opt waits r with
+         | Some ((next, by) :: _) -> (not (List.memq c by.fan_clients)) && walk next (hops - 1)
+         | Some [] | None -> false
   in
   walk client (Hashtbl.length waits)
 
@@ -643,48 +620,55 @@ let not_awaited (e : Verror.t) =
   e.Verror.code = Verror.Rpc_failure
   && String.ends_with ~suffix:not_awaited_text e.Verror.message
 
-(* Run [f], which waits for another thread to read [client]'s reply,
-   unless that wait would close a cycle.  A fan's thread follows while
-   it reads its fan, whose callbacks may follow in turn: the wait they
-   replace is restored when they return. *)
-let following client ~procedure f =
+(* Enter this thread in the wait-for graph as waiting in [fan] for
+   [client]'s reader, unless that wait would close a cycle. *)
+let follow client fan ~procedure =
   let self = self_id () in
   Mutex.lock waits_mutex;
-  let cycle = closes_cycle client self in
-  let outer = Hashtbl.find_opt waits self in
-  if not cycle then Hashtbl.replace waits self client;
+  let cycle = closes_cycle client fan self in
+  if not cycle then
+    Hashtbl.replace waits self
+      ((client, fan) :: Option.value (Hashtbl.find_opt waits self) ~default:[]);
   Mutex.unlock waits_mutex;
   if cycle then Verror.error Verror.Rpc_failure "call %d %s" procedure not_awaited_text
-  else
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock waits_mutex;
-        (match outer with
-         | Some c -> Hashtbl.replace waits self c
-         | None -> Hashtbl.remove waits self);
-        Mutex.unlock waits_mutex)
-      f
+  else Ok ()
 
-(* Collect [fut]'s outcome, reading first unless another thread reads
-   the connection ([Follow]): a [Nested] caller reads for its own call
-   and leaves the read side to the frame handler it runs inside, and a
-   call sent in a fan-out is awaited reading the whole fan, followed or
-   not.  Otherwise the reader delivers to the slot.  Either way the slot
-   is filled — a reply, or a failure when the connection dies — unless
-   the call's deadline or [until] passes first.  A timed call that
-   outlives its deadline claims its serial back, and so does one the
-   caller gives up on at [until] ([None]); if the serial is gone, a
-   delivery is under way and wins. *)
-let finish fut role ~until =
+(* Take one wait for [client] back out: a callback that followed while
+   its thread followed another connection leaves that wait in place. *)
+let unfollow client =
+  let self = self_id () in
+  let rec drop = function
+    | [] -> []
+    | ((c, _) as wait) :: rest -> if c == client then rest else wait :: drop rest
+  in
+  Mutex.lock waits_mutex;
+  (match drop (Option.value (Hashtbl.find_opt waits self) ~default:[]) with
+   | [] -> Hashtbl.remove waits self
+   | cs -> Hashtbl.replace waits self cs);
+  Mutex.unlock waits_mutex
+
+let hand_back fan =
+  fan.fan_live <- false;
+  List.iter release_read_side fan.fan_clients;
+  fan.fan_clients <- []
+
+(* Done with a call on [client] in [fan], sent or not: a follower leaves
+   the wait-for graph, and a fan of one hands back its read side. *)
+let ended fan client ~follower =
+  if follower then unfollow client;
+  if fan.fan_lone then hand_back fan
+
+(* Collect [fut]'s outcome, waiting in its fan.  The slot is filled — a
+   reply, or a failure when the connection dies — unless the call's
+   deadline or [until] passes first.  A timed call that outlives its
+   deadline claims its serial back, and so does one the caller gives up
+   on at [until] ([None]); if the serial is gone, a delivery is under
+   way and wins. *)
+let finish fut ~until =
   let client = fut.fut_client and slot = fut.fut_slot in
+  if not fut.fut_fan.fan_live then invalid_arg "Rpc_client: a fan-out's call awaited after it";
   let stop = Float.min fut.fut_until until in
-  (match (fut.fut_fan, role) with
-   | Some fan, (Lead | Follow) ->
-     if not fan.fan_live then invalid_arg "Rpc_client: a fan-out's call awaited after it";
-     fan_read fan slot ~until:stop
-   | None, Lead -> lead client slot ~until:stop
-   | _, Nested -> read_until client slot ~until:stop
-   | None, Follow -> ());
+  wait fut.fut_fan client slot ~until:stop;
   let outcome =
     match wait_slot slot ~until:stop with
     | Some outcome -> Some outcome
@@ -709,117 +693,108 @@ let finish fut role ~until =
   release_slot client slot;
   outcome
 
+(* A follower in a fan-out is checked against the wait-for graph here;
+   a lone one was checked before it sent. *)
 let await_until fut ~until =
   match fut.fut_result with
   | Some outcome -> Some outcome
   | None -> (
-    let client = fut.fut_client in
-    let role =
-      match fut.fut_role with Some role -> role | None -> take_read_side client
-    in
-    match role with
-    | Follow -> (
-      match
-        following client ~procedure:fut.fut_procedure (fun () ->
-            Ok (finish fut Follow ~until))
-      with
-      | Ok outcome -> outcome
-      | Error _ as cycle ->
-        (* Claim the serial back, as a timed-out call does. *)
-        let outcome =
-          if Option.is_some (take_pending client fut.fut_serial) then cycle
-          else Option.get (wait_slot fut.fut_slot ~until:infinity)
-        in
-        fut.fut_result <- Some outcome;
-        release_slot client fut.fut_slot;
-        Some outcome)
-    | role -> finish fut role ~until)
+    let fan = fut.fut_fan and client = fut.fut_client in
+    let follower = not (List.memq client fan.fan_clients) in
+    match
+      if follower && not fan.fan_lone then follow client fan ~procedure:fut.fut_procedure
+      else Ok ()
+    with
+    | Error _ as cycle ->
+      (* Claim the serial back, as a timed-out call does. *)
+      let outcome =
+        if Option.is_some (take_pending client fut.fut_serial) then cycle
+        else Option.get (wait_slot fut.fut_slot ~until:infinity)
+      in
+      fut.fut_result <- Some outcome;
+      release_slot client fut.fut_slot;
+      Some outcome
+    | Ok () -> (
+      match finish fut ~until with
+      | outcome ->
+        ended fan client ~follower;
+        outcome
+      | exception exn ->
+        ended fan client ~follower;
+        raise exn))
 
 let await fut = Option.get (await_until fut ~until:infinity)
-
-(* Issue a call holding the read side [role] took: a call that is not
-   sent, or whose send raises, hands it straight back — unless a fan
-   holds it, which hands it back when its [fan_out] returns. *)
-let issue_holding client role ~fan ~procedure ?body ?timeout_s () =
-  let hand_back () = if role = Lead && Option.is_none fan then release_read_side client in
-  match issue client ~role:(Some role) ~fan ~procedure ?body ?timeout_s () with
-  | Ok _ as sent -> sent
-  | Error _ as err ->
-    hand_back ();
-    err
-  | exception exn ->
-    hand_back ();
-    raise exn
-
-(* The read side is taken before the send: a reply that came back before
-   the caller got round to reading would otherwise wake the receiver.  A
-   follower that would close a wait-for cycle sends nothing. *)
-let call client ~procedure ?body ?timeout_s () =
-  let send role =
-    match issue_holding client role ~fan:None ~procedure ?body ?timeout_s () with
-    | Ok fut -> Option.get (finish fut role ~until:infinity)
-    | Error _ as err -> err
-  in
-  match take_read_side client with
-  | Follow -> following client ~procedure (fun () -> send Follow)
-  | role -> send role
 
 type _ Effect.t += Current_fan : fan option Effect.t
 
 let current_fan () =
   try Effect.perform Current_fan with Effect.Unhandled _ -> None
 
-(* Inside a fan-out the fan takes a free read side, and keeps it: [Lead]
-   also when this thread took it for the fan before.  A side this thread
-   holds otherwise is [Nested]. *)
-let take_for_fan client fan =
+let new_fan ~lone clients =
+  {
+    fan_ready = Atomic.make false;
+    fan_dirty = Atomic.make [];
+    fan_asleep = Atomic.make None;
+    fan_clients = clients;
+    fan_live = true;
+    fan_lone = lone;
+  }
+
+(* The fan a call on [client] belongs to, taking the read side when it
+   is free, before the send: a reply that came back before the caller
+   got round to reading would otherwise wake the receiver.  Inside a
+   fan-out ([in_fan]) that is the fan-out's fan: it takes a free read
+   side and keeps it, and a follower's wait-for check comes when it
+   awaits.  Outside, it is a fan of one that takes the free read side,
+   or holds none: a follower is checked against the wait-for graph and
+   entered in it now, before anything is sent, so a call that would
+   close a cycle sends nothing.  A read side this thread holds otherwise
+   (a callback's own connection) is borrowed by a fan of one, which
+   reads it for the call and leaves it to its holder. *)
+let fan_for client in_fan ~procedure =
   let self = self_id () in
   Mutex.lock client.mutex;
-  let role =
-    if not client.reading then begin
-      client.reading <- true;
-      client.reader <- self;
-      client.held_by <- Some fan;
-      fan.fan_clients <- client :: fan.fan_clients;
-      Lead
-    end
-    else if client.reader <> self then Follow
-    else match client.held_by with Some f when f == fan -> Lead | _ -> Nested
-  in
+  let free = not client.reading in
+  let mine = client.reader = self in
+  if free then begin
+    client.reading <- true;
+    client.reader <- self;
+    client.held_by <- in_fan
+  end;
+  let held_by = client.held_by in
   Mutex.unlock client.mutex;
-  (* Frames queued before the fan took the connection: look at it. *)
-  if role = Lead && Transport.pending client.conn then poke fan client;
-  role
+  match in_fan with
+  | Some fan when free ->
+    fan.fan_clients <- client :: fan.fan_clients;
+    (* Frames queued before the fan took the connection: look at it. *)
+    if Transport.pending client.conn then poke fan client;
+    Ok fan
+  | Some fan when (not mine) || (match held_by with Some f -> f == fan | None -> false) ->
+    Ok fan
+  | _ when free -> Ok (new_fan ~lone:true [ client ])
+  | _ when mine -> Ok (new_fan ~lone:false [ client ])
+  | _ ->
+    let fan = new_fan ~lone:true [] in
+    Result.map (fun () -> fan) (follow client fan ~procedure)
 
-(* [call]'s first half, for a caller that sends to several connections
-   before it reads any reply: a follower's wait-for check comes when it
-   awaits, after the send. *)
 let send client ~procedure ?body ?timeout_s () =
-  match current_fan () with
-  | None ->
-    issue_holding client (take_read_side client) ~fan:None ~procedure ?body ?timeout_s ()
-  | Some fan as in_fan ->
-    issue_holding client (take_for_fan client fan) ~fan:in_fan ~procedure ?body ?timeout_s
-      ()
+  match fan_for client (current_fan ()) ~procedure with
+  | Error _ as cycle -> cycle
+  | Ok fan ->
+    let sent = issue client ~fan ~procedure ?body ?timeout_s () in
+    (* Nothing was sent: a fan of one hands back what it took. *)
+    if Result.is_error sent && fan.fan_lone then
+      ended fan client ~follower:(not (List.memq client fan.fan_clients));
+    sent
+
+let call client ~procedure ?body ?timeout_s () =
+  Result.bind (send client ~procedure ?body ?timeout_s ()) await
 
 let fan_out f =
   match current_fan () with
   | Some _ -> f ()
-  | None ->
-    let fan =
-      {
-        fan_ready = Atomic.make false;
-        fan_dirty = Atomic.make [];
-        fan_asleep = Atomic.make None;
-        fan_clients = [];
-        fan_live = true;
-      }
-    in
-    let hand_back () =
-      fan.fan_live <- false;
-      List.iter release_read_side fan.fan_clients;
-      fan.fan_clients <- []
-    in
+  | None -> (
+    let fan = new_fan ~lone:false [] in
     let effc (type a) (e : a Effect.t) =
       match e with
       | Current_fan ->
@@ -828,11 +803,11 @@ let fan_out f =
     in
     match Effect.Deep.try_with f () { Effect.Deep.effc } with
     | v ->
-      hand_back ();
+      hand_back fan;
       v
     | exception exn ->
-      hand_back ();
-      raise exn
+      hand_back fan;
+      raise exn)
 
 let close client =
   (* Same ordering as the keepalive death: deliver the precise error,

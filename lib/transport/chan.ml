@@ -5,23 +5,18 @@ type hook = { h_id : int; h_fn : unit -> unit }
 type t = {
   mutex : Mutex.t;
   readable : Condition.t;
-  writable : Condition.t;
   queue : string Queue.t;
-  capacity : int; (* max_int = unbounded *)
   mutable closed : bool;
   mutable hooks : hook list;
 }
 
 let hook_ids = Atomic.make 1
 
-let create ?(capacity = max_int) () =
-  if capacity < 1 then invalid_arg "Chan.create: capacity must be >= 1";
+let create () =
   {
     mutex = Mutex.create ();
     readable = Condition.create ();
-    writable = Condition.create ();
     queue = Queue.create ();
-    capacity;
     closed = false;
     hooks = [];
   }
@@ -39,13 +34,11 @@ let run_hooks hooks = List.iter (fun h -> h.h_fn ()) hooks
 (* The receiver is woken after the unlock: signalled under the lock, a
    receiver on the same CPU would preempt us only to block on the mutex
    we still hold.  Waiters re-check the queue under the lock, so the
-   late signal loses nothing. *)
+   late signal loses nothing.  A send never blocks: the queue is
+   unbounded. *)
 let send c msg =
   let hooks =
     with_lock c (fun () ->
-        while (not c.closed) && Queue.length c.queue >= c.capacity do
-          Condition.wait c.writable c.mutex
-        done;
         if c.closed then raise Closed;
         Queue.push msg c.queue;
         c.hooks)
@@ -59,17 +52,11 @@ let recv c =
         Condition.wait c.readable c.mutex
       done;
       if Queue.is_empty c.queue then raise Closed;
-      let msg = Queue.pop c.queue in
-      Condition.signal c.writable;
-      msg)
+      Queue.pop c.queue)
 
 let try_recv c =
   with_lock c (fun () ->
-      if not (Queue.is_empty c.queue) then begin
-        let msg = Queue.pop c.queue in
-        Condition.signal c.writable;
-        Some msg
-      end
+      if not (Queue.is_empty c.queue) then Some (Queue.pop c.queue)
       else if c.closed then raise Closed
       else None)
 
@@ -77,11 +64,7 @@ let recv_opt c ~timeout_s =
   let deadline = Unix.gettimeofday () +. timeout_s in
   with_lock c (fun () ->
       let rec wait_for_data () =
-        if not (Queue.is_empty c.queue) then begin
-          let msg = Queue.pop c.queue in
-          Condition.signal c.writable;
-          Some msg
-        end
+        if not (Queue.is_empty c.queue) then Some (Queue.pop c.queue)
         else if c.closed then raise Closed
         else if Unix.gettimeofday () >= deadline then None
         else begin
@@ -97,7 +80,6 @@ let close c =
         if not c.closed then begin
           c.closed <- true;
           Condition.broadcast c.readable;
-          Condition.broadcast c.writable;
           c.hooks
         end
         else [])

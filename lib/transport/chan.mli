@@ -11,11 +11,13 @@ exception Closed
 (** Raised by {!send} on a closed channel, and by {!recv} once a closed
     channel has been fully drained. *)
 
-val create : ?capacity:int -> unit -> t
-(** Unbounded by default; with [~capacity] senders block when full
-    (back-pressure, like a socket buffer). *)
+val create : unit -> t
+(** An unbounded channel. *)
 
 val send : t -> string -> unit
+(** Never blocks: the queue is unbounded.  @raise Closed on a closed
+    channel. *)
+
 val recv : t -> string
 (** Blocks until a message arrives or the channel is closed and empty. *)
 
@@ -31,7 +33,7 @@ val recv_opt : t -> timeout_s:float -> string option
     {!recv} does. *)
 
 val close : t -> unit
-(** Idempotent.  Wakes all blocked senders and receivers. *)
+(** Idempotent.  Wakes all blocked receivers. *)
 
 val is_closed : t -> bool
 

@@ -685,21 +685,22 @@ let test_pipelined_calls_over_tls () =
   with_daemon (fun daemon _ ->
       for round = 1 to 5 do
         let client = raw_client ~kind:Transport.Tls daemon in
-        let futures =
-          List.init 16 (fun i ->
-              let msg = Printf.sprintf "round %d call %d" round i in
-              match
-                Rpc_client.call_async client
-                  ~procedure:(Rp.proc_to_int Rp.Proc_echo) ~body:msg ()
-              with
-              | Ok fut -> (msg, fut)
-              | Error e -> Alcotest.failf "send: %s" (Verror.to_string e))
-        in
-        List.iter
-          (fun (msg, fut) ->
-            Alcotest.(check string) "reply matches its request" msg
-              (vok (Rpc_client.await fut)))
-          futures;
+        Rpc_client.fan_out (fun () ->
+            let futures =
+              List.init 16 (fun i ->
+                  let msg = Printf.sprintf "round %d call %d" round i in
+                  match
+                    Rpc_client.send client
+                      ~procedure:(Rp.proc_to_int Rp.Proc_echo) ~body:msg ()
+                  with
+                  | Ok fut -> (msg, fut)
+                  | Error e -> Alcotest.failf "send: %s" (Verror.to_string e))
+            in
+            List.iter
+              (fun (msg, fut) ->
+                Alcotest.(check string) "reply matches its request" msg
+                  (vok (Rpc_client.await fut)))
+              futures);
         Rpc_client.close client
       done)
 

@@ -845,33 +845,39 @@ let test_lone_call_read_by_caller () =
 
 (* Threads mix blocking calls, timed calls (20 ms) and pipelined calls
    awaited out of order, against replies that come late or out of order
-   and event frames pushed between them. *)
+   and event frames pushed between them.  A pipeline is sent in one
+   [fan_out], on one connection or spread over two: a fan that reads
+   just the awaited call's connection sleeps in its read, one that
+   reads both sleeps on the call's slot. *)
 type op =
   | Call of int * int (* delay_ms, events *)
   | Timed of int * int
   | Pipeline of (int * int) list * int list (* calls, await order *)
+  | Spread of (int * int) list * int list (* calls alternating over two connections *)
 
 let show_op = function
   | Call (d, e) -> Printf.sprintf "call %d/%d" d e
   | Timed (d, e) -> Printf.sprintf "timed %d/%d" d e
-  | Pipeline (calls, order) ->
-    Printf.sprintf "pipeline [%s] awaited [%s]"
+  | Pipeline (calls, order) | Spread (calls, order) as op ->
+    Printf.sprintf "%s [%s] awaited [%s]"
+      (match op with Spread _ -> "spread" | _ -> "pipeline")
       (String.concat "; " (List.map (fun (d, e) -> Printf.sprintf "%d/%d" d e) calls))
       (String.concat "; " (List.map string_of_int order))
 
 let gen_schedule =
   let open QCheck.Gen in
   let reply = pair (oneofl [ 0; 0; 1; 3 ]) (int_range 0 2) in
+  let pipeline make =
+    list_size (int_range 2 4) reply >>= fun calls ->
+    map (fun order -> make calls order) (shuffle_l (List.init (List.length calls) Fun.id))
+  in
   let op =
     frequency
       [
         (3, map (fun (d, e) -> Call (d, e)) reply);
         (2, map2 (fun d e -> Timed (d, e)) (oneofl [ 0; 1; 50 ]) (int_range 0 2));
-        ( 2,
-          list_size (int_range 2 4) reply >>= fun calls ->
-          map
-            (fun order -> Pipeline (calls, order))
-            (shuffle_l (List.init (List.length calls) Fun.id)) );
+        (2, pipeline (fun calls order -> Pipeline (calls, order)));
+        (2, pipeline (fun calls order -> Spread (calls, order)));
       ]
   in
   list_size (int_range 2 4) (list_size (int_range 1 4) op)
@@ -884,11 +890,13 @@ let prop_leader_schedules =
        gen_schedule)
     (fun threads ->
       with_echo_server (fun srv ->
-          let got = ref [] and got_mutex = Mutex.create () in
-          let on_event ~procedure:_ body =
-            Mutex.protect got_mutex (fun () -> got := int_of_string body :: !got)
+          (* Events as each connection handled them, latest first. *)
+          let got = [| []; [] |] and got_mutex = Mutex.create () in
+          let on_event i ~procedure:_ body =
+            Mutex.protect got_mutex (fun () -> got.(i) <- int_of_string body :: got.(i))
           in
-          let rpc = connect_to ~on_event srv in
+          let rpc = connect_to ~on_event:(on_event 0) srv in
+          let rpc2 = connect_to ~on_event:(on_event 1) srv in
           let ids = Atomic.make 0 and wrong = ref [] and wrong_mutex = Mutex.create () in
           let complain fmt =
             Printf.ksprintf (fun m -> Mutex.protect wrong_mutex (fun () -> wrong := m :: !wrong)) fmt
@@ -911,20 +919,22 @@ let prop_leader_schedules =
               if Unix.gettimeofday () -. t0 > 1.0 then complain "%s outlived its deadline" b;
               if d >= 50 && Result.is_ok outcome then complain "%s beat its deadline" b;
               expect ~timed:true b outcome
-            | Pipeline (calls, order) ->
-              let futs =
-                Array.of_list
-                  (List.map
-                     (fun c ->
-                       let b = body c in
-                       (b, vok (Rpc_client.call_async rpc ~procedure:7 ~body:b ())))
-                     calls)
-              in
-              List.iter
-                (fun i ->
-                  let b, fut = futs.(i) in
-                  expect ~timed:false b (Rpc_client.await fut))
-                order
+            | Pipeline (calls, order) | Spread (calls, order) as op ->
+              let on i = match op with Spread _ when i mod 2 = 1 -> rpc2 | _ -> rpc in
+              Rpc_client.fan_out (fun () ->
+                  let futs =
+                    Array.of_list
+                      (List.mapi
+                         (fun i c ->
+                           let b = body c in
+                           (b, vok (Rpc_client.send (on i) ~procedure:7 ~body:b ())))
+                         calls)
+                  in
+                  List.iter
+                    (fun i ->
+                      let b, fut = futs.(i) in
+                      expect ~timed:false b (Rpc_client.await fut))
+                    order)
           in
           let finished =
             within 10.0 (fun () ->
@@ -932,20 +942,28 @@ let prop_leader_schedules =
                   (List.map (fun ops -> Thread.create (List.iter run_op) ops) threads))
           in
           (* Late replies and their events still arrive; wait for them. *)
+          let handled () = List.length got.(0) + List.length got.(1) in
           let settled =
             eventually ~timeout_s:5.0 (fun () ->
                 Atomic.get srv.es_busy = 0
-                && Mutex.protect got_mutex (fun () -> List.length !got) >= Atomic.get srv.es_sent)
+                && Mutex.protect got_mutex handled >= Atomic.get srv.es_sent)
           in
-          let events = Mutex.protect got_mutex (fun () -> List.rev !got) in
-          let pending = Rpc_client.pending_calls rpc in
+          let events = Mutex.protect got_mutex (fun () -> Array.map List.rev got) in
+          let pending = Rpc_client.pending_calls rpc + Rpc_client.pending_calls rpc2 in
           Rpc_client.close rpc;
+          Rpc_client.close rpc2;
           if finished = None then QCheck.Test.fail_report "a call hung";
           if !wrong <> [] then QCheck.Test.fail_reportf "%s" (String.concat "; " !wrong);
           if not settled then QCheck.Test.fail_report "events or replies never arrived";
-          if events <> List.init (Atomic.get srv.es_sent) (fun i -> i + 1) then
-            QCheck.Test.fail_reportf "events out of wire order or not once: %s"
-              (String.concat "," (List.map string_of_int events));
+          (* Each connection's events in wire order, and every event once. *)
+          if
+            Array.exists (fun evs -> evs <> List.sort compare evs) events
+            || List.sort compare (events.(0) @ events.(1))
+               <> List.init (Atomic.get srv.es_sent) (fun i -> i + 1)
+          then
+            QCheck.Test.fail_reportf "events out of wire order or not once: %s | %s"
+              (String.concat "," (List.map string_of_int events.(0)))
+              (String.concat "," (List.map string_of_int events.(1)));
           pending = 0))
 
 let test_timed_out_leader_hands_back () =
@@ -1148,6 +1166,77 @@ let test_callback_cycle_fails_at_once () =
       Rpc_client.close a;
       Rpc_client.close b)
 
+(* The same meeting of two callbacks: the call that would close the cycle
+   is refused before it is sent, so its connection's sent byte count does
+   not move, while the answered call's does. *)
+let test_cycle_sends_nothing () =
+  with_echo_server (fun srv ->
+      let entered = Atomic.make 0 in
+      let results = Atomic.make [] in
+      let rec record r =
+        let seen = Atomic.get results in
+        if not (Atomic.compare_and_set results seen (r :: seen)) then record r
+      in
+      let peer_a = ref None and peer_b = ref None in
+      let on_event peer =
+        let fired = Atomic.make false in
+        fun ~procedure:_ _ ->
+          if not (Atomic.exchange fired true) then begin
+            Atomic.incr entered;
+            ignore (eventually ~timeout_s:1.0 (fun () -> Atomic.get entered = 2));
+            let rpc = Option.get !peer in
+            let before = Rpc_client.bytes_tx rpc in
+            let outcome = Rpc_client.call rpc ~procedure:7 ~body:"9:0:0" () in
+            record (outcome, Rpc_client.bytes_tx rpc - before)
+          end
+      in
+      let a = connect_to ~on_event:(on_event peer_b) srv in
+      let b = connect_to ~on_event:(on_event peer_a) srv in
+      peer_a := Some a;
+      peer_b := Some b;
+      let outer rpc body () = Rpc_client.call rpc ~procedure:7 ~body () in
+      let ta = Thread.create (fun () -> ignore (within 2.0 (outer a "1:0:1"))) () in
+      let tb = Thread.create (fun () -> ignore (within 2.0 (outer b "2:0:1"))) () in
+      Alcotest.(check bool) "both nested calls return" true
+        (eventually ~timeout_s:2.0 (fun () -> List.length (Atomic.get results) = 2));
+      Thread.join ta;
+      Thread.join tb;
+      (match List.partition (fun (r, _) -> Result.is_error r) (Atomic.get results) with
+       | [ (Error e, failed_tx) ], [ (Ok _, answered_tx) ] ->
+         Alcotest.(check bool) ("not awaited: " ^ e.Verror.message) true (Rpc_client.not_awaited e);
+         Alcotest.(check int) "the refused call put no byte on the wire" 0 failed_tx;
+         Alcotest.(check bool) "the answered call was sent" true (answered_tx > 0)
+       | _ -> Alcotest.fail "exactly one nested call should fail");
+      Rpc_client.close a;
+      Rpc_client.close b)
+
+(* A fan whose connection dies of keepalive while it waits for a reply on
+   another keeps sleeping: the dead connection's stopped clock does not
+   make it read in a loop until the reply comes. *)
+let test_dead_connection_spins_no_fan () =
+  with_echo_server (fun srv ->
+      let a = connect_to ~keepalive:{ Rpc_client.ka_interval = 0.05; ka_count = 2 } srv in
+      let b = connect_to srv in
+      let cpu () =
+        let t = Unix.times () in
+        t.Unix.tms_utime +. t.Unix.tms_stime
+      in
+      let cpu0 = cpu () in
+      Rpc_client.fan_out (fun () ->
+          let dead = vok (Rpc_client.send a ~procedure:7 ~body:"hang" ()) in
+          let slow = vok (Rpc_client.send b ~procedure:7 ~body:"1:800:0" ()) in
+          Alcotest.(check string) "the slow reply" "1:800:0" (vok (Rpc_client.await slow));
+          match Rpc_client.await dead with
+          | Ok _ -> Alcotest.fail "an unanswered call returned"
+          | Error e ->
+            Alcotest.(check bool) ("keepalive blamed: " ^ e.Verror.message) true
+              (String.starts_with ~prefix:"keepalive: peer silent" e.Verror.message));
+      let spent = cpu () -. cpu0 in
+      Alcotest.(check bool) (Printf.sprintf "CPU while waiting (%.2fs) under 0.3s" spent) true
+        (spent < 0.3);
+      Rpc_client.close a;
+      Rpc_client.close b)
+
 let () =
   Alcotest.run "rpc"
     [
@@ -1208,5 +1297,7 @@ let () =
           quick "an event callback calls on its own connection"
             test_callback_calls_own_connection;
           quick "a wait-for cycle fails at once" test_callback_cycle_fails_at_once;
+          quick "a call that would close a cycle sends nothing" test_cycle_sends_nothing;
+          quick "a dead connection spins no fan" test_dead_connection_spins_no_fan;
         ] );
     ]

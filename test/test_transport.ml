@@ -50,24 +50,6 @@ let test_chan_cross_thread () =
     (List.init 100 (fun i -> string_of_int (i + 1)))
     received
 
-let test_chan_backpressure () =
-  let c = Chan.create ~capacity:2 () in
-  Chan.send c "1";
-  Chan.send c "2";
-  let third_sent = Atomic.make false in
-  let sender =
-    Thread.create
-      (fun () ->
-        Chan.send c "3";
-        Atomic.set third_sent true)
-      ()
-  in
-  Thread.delay 0.03;
-  Alcotest.(check bool) "sender blocked at capacity" false (Atomic.get third_sent);
-  ignore (Chan.recv c);
-  Thread.join sender;
-  Alcotest.(check bool) "sender released" true (Atomic.get third_sent)
-
 let test_pipe_duplex () =
   let a, b = Chan.pipe () in
   Chan.send a.Chan.outgoing "to-b";
@@ -404,7 +386,6 @@ let () =
           quick "close semantics" test_chan_close_semantics;
           quick "recv timeout" test_chan_recv_timeout;
           quick "cross-thread ordering" test_chan_cross_thread;
-          quick "capacity back-pressure" test_chan_backpressure;
           quick "duplex pipe" test_pipe_duplex;
         ] );
       ( "tls-like layer",
