@@ -69,15 +69,20 @@ let with_lock bus f =
   Mutex.lock bus.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock bus.mutex) f
 
-let emit ?(seq = 0) bus ~domain_name lifecycle =
+let publish ?(seq = 0) bus ~domain_name lifecycle =
   let event = { domain_name; lifecycle; seq } in
-  let callbacks =
+  let subscribers =
     with_lock bus (fun () ->
         Queue.push event bus.recent;
         if Queue.length bus.recent > history_bound then ignore (Queue.pop bus.recent);
-        List.map snd bus.subscribers)
+        bus.subscribers)
   in
-  List.iter (fun f -> f event) callbacks
+  match subscribers with
+  | [] -> None
+  | subscribers -> Some (fun () -> List.iter (fun (_, f) -> f event) subscribers)
+
+let emit ?seq bus ~domain_name lifecycle =
+  Option.iter (fun run -> run ()) (publish ?seq bus ~domain_name lifecycle)
 
 let subscribe bus f =
   with_lock bus (fun () ->

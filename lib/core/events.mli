@@ -3,8 +3,10 @@
     Drivers publish lifecycle changes to a per-connection bus; management
     applications subscribe with callbacks (the "notify a third-party
     application when something happens" extension the thesis lists as
-    future work — implemented here).  Callbacks run synchronously on the
-    publishing thread; subscribers must not block. *)
+    future work — implemented here).  {!emit} runs the callbacks on the
+    publishing thread.  A remote connection's callbacks run, in wire
+    order, on its receiver, where they may block or call back through
+    any connection (see [Drv_remote]). *)
 
 type lifecycle =
   | Ev_defined
@@ -32,15 +34,23 @@ val lifecycle_to_int : lifecycle -> int
 
 type event = { domain_name : string; lifecycle : lifecycle; seq : int }
 (** [seq] is the daemon-assigned position in a sequence-numbered remote
-    event stream, or 0 for local (driver-bus) events. *)
+    event stream, or 0 for local (driver-bus) events.  A fleet's bus
+    forwards its member's position: it rises within each member, with
+    no order between two members' positions. *)
 
 type bus
 type subscription
 
 val create_bus : unit -> bus
 
+val publish :
+  ?seq:int -> bus -> domain_name:string -> lifecycle -> (unit -> unit) option
+(** Record the event in the history and return the run that hands it to
+    every subscriber of the moment, or [None] when there is none.
+    [?seq] defaults to 0 (unsequenced). *)
+
 val emit : ?seq:int -> bus -> domain_name:string -> lifecycle -> unit
-(** [?seq] defaults to 0 (unsequenced). *)
+(** {!publish}, then the run on this thread. *)
 
 val subscribe : bus -> (event -> unit) -> subscription
 val unsubscribe : bus -> subscription -> unit

@@ -219,11 +219,12 @@ let clear_caches cs =
   Cache.clear cs.c_xml
 
 (* Client-side position in the daemon's sequence-numbered event stream
-   (protocol v1.6).  Guarded by its own mutex, never [rc_mutex]: the
-   thread delivering pushed events (the connection's receiver, or a
-   caller reading its own reply) must be able to advance the position
-   while a reconnecting caller holds [rc_mutex] — and that thread may be
-   the reconnecting caller itself, reading its handshake replies. *)
+   (protocol v1.6), and the subscriber runs not yet delivered.  Guarded
+   by its own mutex, never [rc_mutex]: the thread that reads a pushed
+   event (the connection's receiver, or a caller reading its own reply)
+   must be able to advance the position while a reconnecting caller
+   holds [rc_mutex] — and that thread may be the reconnecting caller
+   itself, reading its handshake replies. *)
 type seq_state = {
   sq_mutex : Mutex.t;
   mutable sq_last : int;  (** last seq processed; -1 = no position yet *)
@@ -231,11 +232,77 @@ type seq_state = {
       (** a resume is in flight: park live pushes until the replay is
           applied, preserving seq order across the boundary *)
   sq_pending : Events.event Queue.t;
+  sq_runs : (unit -> unit) Queue.t;
+      (** subscriber runs not yet delivered, in stream order: one queue
+          for every client the connection has had, so live pushes, a
+          replay and a dead client's leftovers keep one order *)
+  mutable sq_delivering : bool;  (** a thread is running [sq_runs] *)
 }
 
 let with_sq sq f =
   Mutex.lock sq.sq_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock sq.sq_mutex) f
+
+(* Record [ev] on the bus and queue its subscriber run, if it has a
+   subscriber; the caller holds [sq_mutex], which fixes their order. *)
+let publish_locked events sq (ev : Events.event) =
+  Option.iter
+    (fun run -> Queue.push run sq.sq_runs)
+    (Events.publish events ~seq:ev.seq ~domain_name:ev.domain_name ev.lifecycle)
+
+(* Run the queued subscriber runs in order.  One thread at a time claims
+   them ([sq_delivering]) and runs them until it finds none, letting go
+   in the same critical section; a thread that finds them claimed leaves
+   them to the holder.  So no run is stranded, and no thread waits for
+   another's deliveries — nor for its own, when a subscriber's call
+   reconnects and queues the replay behind the run it is in. *)
+let rec deliver ?(holding = false) sq =
+  match
+    with_sq sq (fun () ->
+        if sq.sq_delivering && not holding then None
+        else begin
+          let run = Queue.take_opt sq.sq_runs in
+          sq.sq_delivering <- Option.is_some run;
+          run
+        end)
+  with
+  | Some run ->
+    (try run () with _ -> ());
+    deliver ~holding:true sq
+  | None -> ()
+
+(* Subscribers run on a receiver of the connection, which holds no read
+   side while it runs them. *)
+let hand_off sq rpc = Rpc_client.defer rpc (fun () -> deliver sq)
+
+(* The reader's part of a pushed event: it runs on whichever thread read
+   the frame, so it neither blocks nor calls.  Invalidate before
+   publishing: a subscriber reacting to the event must never read the
+   pre-event cache entry, and no later reply is handed back before the
+   cache has forgotten it.  [true] if subscriber runs are queued. *)
+let on_pushed ~caches ~events sq ~procedure body =
+  let sequenced = procedure = Rp.proc_to_int Rp.Proc_event_lifecycle_seq in
+  match
+    if sequenced then Xdr.decode Rp.event_lifecycle_seq.Rp.sg_args body
+    else if procedure = Rp.proc_to_int Rp.Proc_event_lifecycle then
+      Xdr.decode Rp.event_lifecycle.Rp.sg_args body
+    else raise (Xdr.Error "not a lifecycle event")
+  with
+  | exception Xdr.Error _ -> false
+  | ev ->
+    Option.iter (fun cs -> invalidate_caches cs ev.Events.domain_name) caches;
+    with_sq sq (fun () ->
+        if not sequenced then publish_locked events sq ev
+        else if sq.sq_buffering then
+          (* A resume is applying its replay: park the push so it is
+             published after the replay, in seq order. *)
+          Queue.push ev sq.sq_pending
+        else if ev.Events.seq > sq.sq_last then begin
+          (* An older one is a duplicate of a replayed event. *)
+          sq.sq_last <- ev.Events.seq;
+          publish_locked events sq ev
+        end;
+        not (Queue.is_empty sq.sq_runs))
 
 (* What the event half of a completed handshake yielded.  [`Plain] is the
    pre-v1.6 registration (or [resume=0]): the stream restarts with no
@@ -246,9 +313,8 @@ type event_mode =
 (* Cache side of a freshly (re)established event stream.  Runs with
    [rc_mutex] held (or before the connection is shared, on the initial
    open) so no caller can read the caches between the connection swap and
-   this reconciliation — but performs only cache-lock work, no user
-   callbacks.  Returns the events to re-emit once [rc_mutex] is
-   released: subscriber callbacks may re-enter the driver. *)
+   this reconciliation — but performs only cache-lock work.  Returns the
+   events to publish once [rc_mutex] is released. *)
 let absorb_event_mode ~caches ~counters sq (mode : event_mode) =
   match mode with
   | `No_events | `Plain ->
@@ -273,7 +339,7 @@ let absorb_event_mode ~caches ~counters sq (mode : event_mode) =
       end
       else begin
         (* Replayed events run through the normal pipeline: invalidate
-           here (cache locks only), emit after the release. *)
+           here (cache locks only), publish after the release. *)
         List.iter
           (fun ev ->
             Option.iter
@@ -287,54 +353,28 @@ let absorb_event_mode ~caches ~counters sq (mode : event_mode) =
     with_sq sq (fun () -> sq.sq_last <- max sq.sq_last reply.Rp.rr_head);
     to_emit
 
-(* Runs outside [rc_mutex]: re-emit the replay, then hand the stream back
-   to live delivery — drain pushes parked while the resume was in
-   flight until a pass finds none, and only then stop parking new ones.
-   Subscribers thus observe strict seq order with no duplicates. *)
-let replay_and_release ~caches ~events sq to_emit =
-  List.iter
-    (fun ev ->
-      Events.emit events ~seq:ev.Events.seq ~domain_name:ev.Events.domain_name
-        ev.Events.lifecycle)
-    to_emit;
-  let rec drain () =
-    let batch =
-      with_sq sq (fun () ->
-          if Queue.is_empty sq.sq_pending then begin
-            sq.sq_buffering <- false;
-            None
-          end
-          else begin
-            let all =
-              Queue.fold (fun acc e -> e :: acc) [] sq.sq_pending |> List.rev
-            in
-            Queue.clear sq.sq_pending;
-            (* Advance the position under the lock; deliver outside.
-               Entries at or below the position are duplicates the
-               replay already covered. *)
-            Some
-              (List.filter
-                 (fun ev ->
-                   if ev.Events.seq > sq.sq_last then begin
-                     sq.sq_last <- ev.Events.seq;
-                     true
-                   end
-                   else false)
-                 all)
-          end)
-    in
-    match batch with
-    | None -> ()
-    | Some fresh ->
-      List.iter
-        (fun ev ->
-          Option.iter (fun cs -> invalidate_caches cs ev.Events.domain_name) caches;
-          Events.emit events ~seq:ev.Events.seq ~domain_name:ev.Events.domain_name
-            ev.Events.lifecycle)
-        fresh;
-      drain ()
+(* Runs outside [rc_mutex]: publish the replay, then hand the stream
+   back to live delivery.  The pushes parked while the resume was in
+   flight follow the replay, less those it already covered, in one
+   critical section: subscribers observe strict seq order with no
+   duplicates.  (Parked pushes invalidated the cache when they came.)
+   The runs go to [rpc]'s receiver. *)
+let replay_and_release ~events sq rpc to_emit =
+  let queued =
+    with_sq sq (fun () ->
+        List.iter (publish_locked events sq) to_emit;
+        Queue.iter
+          (fun (ev : Events.event) ->
+            if ev.seq > sq.sq_last then begin
+              sq.sq_last <- ev.seq;
+              publish_locked events sq ev
+            end)
+          sq.sq_pending;
+        Queue.clear sq.sq_pending;
+        sq.sq_buffering <- false;
+        not (Queue.is_empty sq.sq_runs))
   in
-  drain ()
+  if queued then hand_off sq rpc
 
 type remote_conn = {
   rc_mutex : Mutex.t;
@@ -353,7 +393,6 @@ type remote_conn = {
   rc_use_resume : bool;  (** v1.6 resumable subscription wanted ([resume=1]) *)
   rc_seq : seq_state;
   rc_resilience : resilience option;
-  rc_on_event : procedure:int -> string -> unit;
   rc_stats : counters;
   mutable rc_prng : int;
   rc_timeout_s : float option;
@@ -421,12 +460,20 @@ let negotiate rpc =
    missed; otherwise the old registration, which replays nothing.  The
    negotiation moved ahead of the registration (same frame count) so the
    right variant can be chosen. *)
-let establish ~address ~kind ~keepalive ~on_event ~register_events ~use_resume
-    ~sq ~forwarded =
+let establish ~address ~kind ~keepalive ~caches ~events ~register_events
+    ~use_resume ~sq ~forwarded =
+  (* Set before the first call: the daemon pushes no event before the
+     handshake registers for them. *)
+  let reader = ref None in
   let* rpc =
     Rpc_client.connect ~address ~kind ~program:Rp.program ~version:Rp.version
-      ?keepalive ~on_event ()
+      ?keepalive
+      ~on_event:(fun ~procedure body ->
+        if on_pushed ~caches ~events sq ~procedure body then
+          Option.iter (hand_off sq) !reader)
+      ()
   in
+  reader := Some rpc;
   let handshake =
     let* () = raw_rpc rpc Rp.open_ forwarded in
     let* minor = negotiate rpc in
@@ -480,10 +527,12 @@ let backoff_delay conn r attempt =
 
    The cache reconciliation ([absorb_event_mode]) runs inside the same
    critical section that swaps [conn.rpc]: no caller can read the caches
-   between the swap and the flush/replay-invalidation.  Re-emitting the
-   replay happens after the lock is released — subscriber callbacks may
-   re-enter the driver.  Only the winning reconnector carries a batch to
-   emit ([Ok (Some _)]); losers observe [Ok None] and must not touch the
+   between the swap and the flush/replay-invalidation.  The replay is
+   published after the lock is released, and its subscriber runs go to
+   the fresh client's receiver: the reconnecting thread runs none, so a
+   reconnect started from inside a subscriber never waits for its own
+   thread.  Only the winning reconnector carries a batch to publish
+   ([Ok (Some _)]); losers observe [Ok None] and must not touch the
    stream, or they would release the buffering latch prematurely.  A
    back-off never sleeps past the calling [call]'s [deadline]; once that
    has passed the call fails, and the connection is not made defunct.
@@ -516,7 +565,7 @@ let ensure_connected conn ~dead ~bound ~deadline =
       Thread.delay (Float.min delay (deadline -. Unix.gettimeofday ()));
       match
         establish ~address:conn.rc_address ~kind:conn.rc_kind
-          ~keepalive:conn.rc_keepalive ~on_event:conn.rc_on_event
+          ~keepalive:conn.rc_keepalive ~caches:conn.rc_cache ~events:conn.events
           ~register_events:conn.rc_register_events ~use_resume:conn.rc_use_resume
           ~sq:conn.rc_seq ~forwarded:conn.rc_forwarded
       with
@@ -546,7 +595,7 @@ let ensure_connected conn ~dead ~bound ~deadline =
               mode
           in
           count conn.rc_stats Slot.reconnects 1;
-          Ok (Some to_emit))
+          Ok (Some (rpc, to_emit)))
   in
   let outcome =
     match with_conn conn claim with
@@ -567,9 +616,8 @@ let ensure_connected conn ~dead ~bound ~deadline =
       outcome
   in
   match outcome with
-  | Ok (Some to_emit) ->
-    replay_and_release ~caches:conn.rc_cache ~events:conn.events conn.rc_seq
-      to_emit;
+  | Ok (Some (rpc, to_emit)) ->
+    replay_and_release ~events:conn.events conn.rc_seq rpc to_emit;
     Ok ()
   | Ok None -> Ok ()
   | Error _ as err -> err
@@ -1075,49 +1123,16 @@ let open_conn uri =
       sq_last = Option.value (int_param uri "resume_from") ~default:(-1);
       sq_buffering = false;
       sq_pending = Queue.create ();
+      sq_runs = Queue.create ();
+      sq_delivering = false;
     }
-  in
-  let on_event ~procedure body =
-    if procedure = Rp.proc_to_int Rp.Proc_event_lifecycle then begin
-      match Xdr.decode Rp.event_lifecycle.Rp.sg_args body with
-      | ev ->
-        (* Invalidate before the local re-emit: a subscriber reacting to
-           the event must never read the pre-event cache entry. *)
-        Option.iter (fun cs -> invalidate_caches cs ev.Events.domain_name) caches;
-        Events.emit events ~domain_name:ev.Events.domain_name ev.Events.lifecycle
-      | exception Xdr.Error _ -> ()
-    end
-    else if procedure = Rp.proc_to_int Rp.Proc_event_lifecycle_seq then begin
-      match Xdr.decode Rp.event_lifecycle_seq.Rp.sg_args body with
-      | ev ->
-        let deliver =
-          with_sq sq (fun () ->
-              if sq.sq_buffering then begin
-                (* A resume is applying its replay: park the push so it is
-                   delivered after the replay, in seq order. *)
-                Queue.push ev sq.sq_pending;
-                false
-              end
-              else if ev.Events.seq > sq.sq_last then begin
-                sq.sq_last <- ev.Events.seq;
-                true
-              end
-              else false (* duplicate of a replayed event *))
-        in
-        if deliver then begin
-          Option.iter (fun cs -> invalidate_caches cs ev.Events.domain_name) caches;
-          Events.emit events ~seq:ev.Events.seq
-            ~domain_name:ev.Events.domain_name ev.Events.lifecycle
-        end
-      | exception Xdr.Error _ -> ()
-    end
   in
   let address = daemon ^ "-sock" in
   let* keepalive = keepalive_of_uri uri in
   let resilience = resilience_of_uri uri in
   let forwarded = Vuri.to_string (daemon_side_uri uri) in
   let* rpc, minor, mode =
-    establish ~address ~kind ~keepalive ~on_event ~register_events ~use_resume
+    establish ~address ~kind ~keepalive ~caches ~events ~register_events ~use_resume
       ~sq ~forwarded
   in
   let conn =
@@ -1138,7 +1153,6 @@ let open_conn uri =
       rc_use_resume = use_resume;
       rc_seq = sq;
       rc_resilience = resilience;
-      rc_on_event = on_event;
       rc_stats = fresh_counters events;
       rc_prng =
         (match resilience with Some r -> r.res_seed | None -> 1);
@@ -1158,7 +1172,7 @@ let open_conn uri =
      cache side; an initial resume_from may still carry a replay (or a
      gap verdict) that must reach subscribers-to-be via the bus history. *)
   let to_emit = absorb_event_mode ~caches ~counters:conn.rc_stats sq mode in
-  replay_and_release ~caches ~events sq to_emit;
+  replay_and_release ~events sq rpc to_emit;
   Ok conn
 
 let close_conn conn =

@@ -13,7 +13,11 @@
     in-process.
 
     Lifecycle events stream back as RPC event packets and feed the
-    connection's local event bus transparently.
+    connection's local event bus transparently.  The thread that reads
+    an event invalidates the cache and records it in the bus history;
+    the subscribers then run, in stream order, on a receiver of the
+    connection ({!Rpc_client.defer}), where they may block or call back
+    through any connection.
 
     {1 Protocol negotiation}
 

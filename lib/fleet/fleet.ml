@@ -283,12 +283,13 @@ let member_ops t m =
             (* Removed while this was opening: nobody would close it. *)
             `Gone
           | None ->
-            (* Forward member lifecycle events onto the fleet bus, so one
-               subscription on the controller observes the whole fleet. *)
+            (* Forward member lifecycle events onto the fleet bus, each
+               with its member's stream position, so one subscription on
+               the controller observes the whole fleet. *)
             let sub =
               Events.subscribe ops.Driver.events (fun ev ->
-                  Events.emit t.f_events ~domain_name:ev.Events.domain_name
-                    ev.Events.lifecycle)
+                  Events.emit t.f_events ~seq:ev.Events.seq
+                    ~domain_name:ev.Events.domain_name ev.Events.lifecycle)
             in
             m.m_ops <- Some (ops, sub);
             `Won)
@@ -467,10 +468,7 @@ let learn_locked t per_member =
    those are waited for once the fan's read sides are handed back.  A
    shard that outlives the deadline is abandoned — its late reply is
    dropped, or its spare thread's result lands in a cell nobody reads —
-   and its member is charged a failure.  A shard whose call would have
-   closed a wait-for cycle (a fleet subscriber listing from a member's
-   callback) fails at once, uncharged: that says nothing about the
-   member.  [counted] adds the shard errors to those surfaced to this
+   and its member is charged a failure.  [counted] adds the shard errors to those surfaced to this
    fleet's users. *)
 let scatter_list t ~counted =
   let n_members, live, down =
@@ -523,7 +521,7 @@ let scatter_list t ~counted =
                 note_success_locked t m;
                 ((m.m_name, v) :: ok, errors)
               | Some (Error e) ->
-                if not (Rpc_client.not_awaited e) then failed m;
+                failed m;
                 (ok, Driver.{ se_member = m.m_name; se_error = e } :: errors)
               | None ->
                 (* Timed out: the shard gets its slice and no more. *)
@@ -611,7 +609,6 @@ let routed t name f =
       in
       (match r with
        | Ok _ -> with_lock t (fun () -> note_success_locked t m)
-       | Error err when Rpc_client.not_awaited err -> ()
        | Error err ->
          (* The domain genuinely not being there is a stale location, not
             a sick member. *)

@@ -15,16 +15,17 @@ type slot = {
 (* A fan: the read sides one thread holds while it waits for replies.
    Every call belongs to one: inside {!fan_out}, the fan it scopes;
    outside, a fan of one made for the call, which holds the read side it
-   took or borrowed, or none when another thread reads (a follower).
-   While its thread waits for any reply it reads all of them, so a frame
-   on any — another caller's reply, an event, a reply of its own — is
-   handled when it comes. *)
+   took, or none when another thread reads (a follower).  While its
+   thread waits for any reply it reads all of them, so a frame on any —
+   another caller's reply, an event, a reply of its own — is handled
+   when it comes.  A fan that follows a connection takes its read side
+   as soon as it is free. *)
 and fan = {
   fan_ready : bool Atomic.t;
       (* a connection turned readable since the fan last looked *)
   fan_dirty : t list Atomic.t;
-      (* the connections to look at: taken, or turned readable, since
-         the fan last looked *)
+      (* the connections to look at: taken, turned readable, or handed
+         back with frames queued since the fan last looked *)
   fan_asleep : slot option Atomic.t;
       (* the slot whose condition the fan's thread sleeps on, or is about
          to: the first poke since wakes it; later ones touch no lock *)
@@ -32,8 +33,7 @@ and fan = {
   mutable fan_live : bool;  (* until it hands its read sides back *)
   fan_lone : bool;
       (* made by {!send} outside {!fan_out} for one call, whose await
-         hands back what the fan took: a read side, or a follower's
-         wait-for entry *)
+         hands back the read side the fan took *)
 }
 
 and t = {
@@ -53,13 +53,15 @@ and t = {
   (* The read side, guarded by [mutex]: one thread at a time reads
      frames, an awaiting caller's fan or the receiver. *)
   mutable reading : bool;
-  mutable reader : int;
-      (* the id of the thread that holds the read side, -1 when none; read
-         without [mutex] by the wait-for check below *)
   mutable held_by : fan option;
       (* the {!fan_out} that holds the read side, if one does: readiness
          then pokes its thread.  A fan of one reads its connection in the
          channel's own read, which needs no poke. *)
+  mutable followers : fan list;
+      (* fans awaiting a call here without the read side: readiness and a
+         hand-back with frames queued poke them while the side is free *)
+  deferred : (unit -> unit) Queue.t;
+      (* runs handed to the receiver ({!defer}), in the order given *)
   mutable rx_wanted : bool;
       (* the receiver should read once the read side is free: the channel
          turned readable while nobody read, or keepalive needs re-timing *)
@@ -159,8 +161,9 @@ let release_slot client slot =
    death) delivers the error to every pending call and marks the client
    closed; later closers find nothing to do.  All under [client.mutex], so
    the close path cannot race a concurrent [call] registering a slot.
-   The parked receiver is woken to end: a failed client handles no more
-   frames, even ones queued behind the frame that killed it. *)
+   The parked receiver is woken to end, once it has run what was
+   deferred: a failed client handles no more frames, even ones queued
+   behind the frame that killed it. *)
 let fail_all_pending client err =
   let slots =
     with_lock client.mutex (fun () ->
@@ -246,7 +249,8 @@ let next_frame client ~until =
        None)
 
 (* One frame, whoever read it: replies go to their callers by serial,
-   events to [on_event].  Only the holder of the read side calls this,
+   events to [on_event], which hands anything that may block to the
+   receiver ({!defer}).  Only the holder of the read side calls this,
    so frames are handled in wire order.  Raises [Bad_packet]. *)
 let handle_frame client wire =
   let header, body = Rpc_packet.decode wire in
@@ -316,41 +320,51 @@ let rec drain client =
   | Idle -> true
   | Dead -> false
 
-let self_id () = Thread.id (Thread.self ())
+let poke_all fans client = List.iter (fun fan -> poke fan client) fans
 
-(* Hand the read side back, and wake the receiver if something is left
-   for it: frames or a close that arrived while the side was taken (their
-   hooks found it taken), or a keepalive re-timing it asked for. *)
+(* Hand the read side back, and wake the receiver and the followers if
+   something is left to read: frames or a close that arrived while the
+   side was taken (their hooks found it taken), or a keepalive re-timing
+   the receiver asked for. *)
 let release_read_side client =
   Mutex.lock client.mutex;
   client.reading <- false;
-  client.reader <- -1;
   client.held_by <- None;
   let wake = client.rx_wanted || Transport.pending client.conn in
   client.rx_wanted <- wake;
+  let followers = if wake then client.followers else [] in
   Mutex.unlock client.mutex;
-  if wake then Condition.signal client.rx_cond
+  if wake then begin
+    Condition.signal client.rx_cond;
+    poke_all followers client
+  end
 
-(* The channel's readiness hook: wake the receiver, unless some thread
-   holds the read side and will see the frame itself — a fan-out's
-   thread, which may be waiting on another of its connections, is
-   poked. *)
+(* The channel's readiness hook: while nobody holds the read side, wake
+   the receiver and the followers, whichever takes it first reads;
+   otherwise the holder sees the frame itself — a fan-out's thread, which
+   may be waiting on another of its connections, is poked. *)
 let on_readable client () =
   Mutex.lock client.mutex;
-  let wake = not client.reading in
-  if wake then client.rx_wanted <- true;
-  let fan = client.held_by in
+  let free = not client.reading in
+  if free then client.rx_wanted <- true;
+  let fan = client.held_by and followers = if free then client.followers else [] in
   Mutex.unlock client.mutex;
-  if wake then Condition.signal client.rx_cond
+  if free then begin
+    Condition.signal client.rx_cond;
+    poke_all followers client
+  end
   else match fan with Some fan -> poke fan client | None -> ()
 
-(* Park until there is something to read and nobody else reads it, or a
-   keepalive event is due; [true] holding the read side.  [false] once
-   the client has failed: the receiver then ends without reading. *)
-let park client =
+type wake = Read | Deliver | End
+
+(* Park until there are runs to deliver, or something to read and nobody
+   else reads it, or a keepalive event is due.  [Deliver] moves the runs
+   into [runs]; [Read] holds the read side.  [End] once the client has
+   failed and nothing is left to deliver. *)
+let park client runs =
   with_lock client.mutex (fun () ->
       let rec wait () =
-        if client.closed then ()
+        if client.closed || not (Queue.is_empty client.deferred) then ()
         else if client.reading then begin
           (* The reader keeps keepalive while it reads; have its release
              wake us to re-time the next ping. *)
@@ -371,28 +385,45 @@ let park client =
             end
       in
       wait ();
-      client.rx_wanted <- false;
-      if client.closed then false
+      if not (Queue.is_empty client.deferred) then begin
+        Queue.transfer client.deferred runs;
+        Deliver
+      end
+      else if client.closed then End
       else begin
+        client.rx_wanted <- false;
         client.reading <- true;
-        client.reader <- self_id ();
-        true
+        Read
       end)
 
 (* The client's only thread.  It never blocks in a receive: it parks
    until the channel turns readable while no caller reads it (calls that
    overlap, events between calls, a close) or keepalive is due, then
-   reads what is queued without waiting and parks again.  It ends with
-   the connection. *)
+   reads what is queued without waiting, hands the read side back and
+   parks again.  It runs what {!defer} hands it holding no read side, in
+   order.  It ends with the connection, once it has run everything
+   deferred before then. *)
 let receiver_loop client =
+  let runs = Queue.create () in
   let rec loop () =
-    if park client then begin
-      let alive = drain client in
+    match park client runs with
+    | Deliver ->
+      Queue.iter (fun run -> try run () with _ -> ()) runs;
+      Queue.clear runs;
+      loop ()
+    | Read ->
+      ignore (drain client);
       release_read_side client;
-      if alive then loop ()
-    end
+      loop ()
+    | End -> ()
   in
   loop ()
+
+let defer client run =
+  Mutex.lock client.mutex;
+  Queue.push run client.deferred;
+  Mutex.unlock client.mutex;
+  Condition.signal client.rx_cond
 
 let connect ~address ~kind ~program ~version ?identity ?faults ?keepalive
     ?(on_event = fun ~procedure:_ _ -> ()) () =
@@ -416,8 +447,9 @@ let connect ~address ~kind ~program ~version ?identity ?faults ?keepalive
         closed = false;
         on_raw_reply = None;
         reading = false;
-        reader = -1;
         held_by = None;
+        followers = [];
+        deferred = Queue.create ();
         rx_wanted = false;
         rx_cond = Condition.create ();
         last_rx = now;
@@ -520,12 +552,29 @@ let wait_slot slot ~until =
    set, under [mutex] when a look found the connection dead. *)
 let live_keepalive client = if client.closed then None else client.keepalive
 
+(* Take [client]'s read side for [fan] if nobody holds it: [true] if
+   it did.  A fan-out's readiness then pokes its thread. *)
+let take fan client =
+  Mutex.lock client.mutex;
+  let free = not client.reading in
+  if free then begin
+    client.reading <- true;
+    client.held_by <- (if fan.fan_lone then None else Some fan)
+  end;
+  Mutex.unlock client.mutex;
+  if free then fan.fan_clients <- client :: fan.fan_clients;
+  free
+
 (* Look at the connections of [fan] that turned readable since the
-   last look, and at any whose keepalive is due. *)
+   last look, taking the read side of a followed one that is free, and
+   at any whose keepalive is due. *)
 let look fan =
   Atomic.set fan.fan_ready false;
   let dirty = Atomic.exchange fan.fan_dirty [] in
-  List.iter (fun client -> ignore (drain client)) dirty;
+  List.iter
+    (fun client ->
+      if List.memq client fan.fan_clients || take fan client then ignore (drain client))
+    dirty;
   List.iter
     (fun client ->
       match live_keepalive client with
@@ -566,9 +615,11 @@ let rec wait fan client slot ~until =
       | Idle ->
         if until = infinity || Unix.gettimeofday () < until then wait fan client slot ~until
       | Dead -> ())
-    | _ ->
+    | clients ->
       look fan;
-      if Unix.gettimeofday () < until then begin
+      (* A look that took a followed side chooses again. *)
+      if fan.fan_clients != clients then wait fan client slot ~until
+      else if Unix.gettimeofday () < until then begin
         let wake = fan_wake fan ~until in
         Mutex.lock slot.slot_mutex;
         (* Asleep before ready is read: a poke that comes later sees it. *)
@@ -585,78 +636,26 @@ let rec wait fan client slot ~until =
         wait fan client slot ~until
       end
 
-(* The threads that wait for another thread to read their reply, each
-   with the connections it waits on and the fans it waits in, the wait
-   it is in now first: the wait-for graph.  A thread that holds one
-   connection's read side and does not read it while it waits (it runs
-   that connection's callback outside any fan that reads it) and
-   follows on a second connection whose reader, through a chain of such
-   waits, waits for the first would wait for good; it fails at once
-   instead.  A thread that waits in a fan reads the fan's connections
-   meanwhile, so a chain through one of them ends there. *)
-let waits_mutex = Mutex.create ()
-let waits : (int, (t * fan) list) Hashtbl.t = Hashtbl.create 16
-
-(* Caller holds [waits_mutex]; [fan] is the fan this thread would wait
-   in.  Every link but the threads' read sides and their fans'
-   connections is read under it; a read side that changes hands
-   meanwhile belongs to no thread that waits, and a fan's connections
-   only grow until it hands them back. *)
-let closes_cycle client fan self =
-  let rec walk c hops =
-    let r = c.reader in
-    if r = self then not (List.memq c fan.fan_clients)
-    else
-      hops > 0
-      && match Hashtbl.find_opt waits r with
-         | Some ((next, by) :: _) -> (not (List.memq c by.fan_clients)) && walk next (hops - 1)
-         | Some [] | None -> false
-  in
-  walk client (Hashtbl.length waits)
-
-let not_awaited_text = "not awaited: the reader of its connection waits for this thread"
-
-let not_awaited (e : Verror.t) =
-  e.Verror.code = Verror.Rpc_failure
-  && String.ends_with ~suffix:not_awaited_text e.Verror.message
-
-(* Enter this thread in the wait-for graph as waiting in [fan] for
-   [client]'s reader, unless that wait would close a cycle. *)
-let follow client fan ~procedure =
-  let self = self_id () in
-  Mutex.lock waits_mutex;
-  let cycle = closes_cycle client fan self in
-  if not cycle then
-    Hashtbl.replace waits self
-      ((client, fan) :: Option.value (Hashtbl.find_opt waits self) ~default:[]);
-  Mutex.unlock waits_mutex;
-  if cycle then Verror.error Verror.Rpc_failure "call %d %s" procedure not_awaited_text
-  else Ok ()
-
-(* Take one wait for [client] back out: a callback that followed while
-   its thread followed another connection leaves that wait in place. *)
-let unfollow client =
-  let self = self_id () in
-  let rec drop = function
-    | [] -> []
-    | ((c, _) as wait) :: rest -> if c == client then rest else wait :: drop rest
-  in
-  Mutex.lock waits_mutex;
-  (match drop (Option.value (Hashtbl.find_opt waits self) ~default:[]) with
-   | [] -> Hashtbl.remove waits self
-   | cs -> Hashtbl.replace waits self cs);
-  Mutex.unlock waits_mutex
+(* A fan that follows [client] while it waits: readiness pokes it while
+   the read side is free, and a look then takes the side, so the
+   follower never waits for a reader that has stopped reading — the
+   receiver running deferred work included.  A side already free when it
+   starts to follow is looked at at once. *)
+let with_follower client fan f =
+  Mutex.lock client.mutex;
+  client.followers <- fan :: client.followers;
+  let free = not client.reading in
+  Mutex.unlock client.mutex;
+  if free then poke fan client;
+  f ();
+  Mutex.lock client.mutex;
+  client.followers <- List.filter (( != ) fan) client.followers;
+  Mutex.unlock client.mutex
 
 let hand_back fan =
   fan.fan_live <- false;
   List.iter release_read_side fan.fan_clients;
   fan.fan_clients <- []
-
-(* Done with a call on [client] in [fan], sent or not: a follower leaves
-   the wait-for graph, and a fan of one hands back its read side. *)
-let ended fan client ~follower =
-  if follower then unfollow client;
-  if fan.fan_lone then hand_back fan
 
 (* Collect [fut]'s outcome, waiting in its fan.  The slot is filled — a
    reply, or a failure when the connection dies — unless the call's
@@ -665,10 +664,11 @@ let ended fan client ~follower =
    on at [until] ([None]); if the serial is gone, a delivery is under
    way and wins. *)
 let finish fut ~until =
-  let client = fut.fut_client and slot = fut.fut_slot in
-  if not fut.fut_fan.fan_live then invalid_arg "Rpc_client: a fan-out's call awaited after it";
+  let client = fut.fut_client and slot = fut.fut_slot and fan = fut.fut_fan in
+  if not fan.fan_live then invalid_arg "Rpc_client: a fan-out's call awaited after it";
   let stop = Float.min fut.fut_until until in
-  wait fut.fut_fan client slot ~until:stop;
+  if List.memq client fan.fan_clients then wait fan client slot ~until:stop
+  else with_follower client fan (fun () -> wait fan client slot ~until:stop);
   let outcome =
     match wait_slot slot ~until:stop with
     | Some outcome -> Some outcome
@@ -693,35 +693,19 @@ let finish fut ~until =
   release_slot client slot;
   outcome
 
-(* A follower in a fan-out is checked against the wait-for graph here;
-   a lone one was checked before it sent. *)
+(* A fan of one hands back its read side once its call is awaited. *)
 let await_until fut ~until =
   match fut.fut_result with
   | Some outcome -> Some outcome
   | None -> (
-    let fan = fut.fut_fan and client = fut.fut_client in
-    let follower = not (List.memq client fan.fan_clients) in
-    match
-      if follower && not fan.fan_lone then follow client fan ~procedure:fut.fut_procedure
-      else Ok ()
-    with
-    | Error _ as cycle ->
-      (* Claim the serial back, as a timed-out call does. *)
-      let outcome =
-        if Option.is_some (take_pending client fut.fut_serial) then cycle
-        else Option.get (wait_slot fut.fut_slot ~until:infinity)
-      in
-      fut.fut_result <- Some outcome;
-      release_slot client fut.fut_slot;
-      Some outcome
-    | Ok () -> (
-      match finish fut ~until with
-      | outcome ->
-        ended fan client ~follower;
-        outcome
-      | exception exn ->
-        ended fan client ~follower;
-        raise exn))
+    let fan = fut.fut_fan in
+    match finish fut ~until with
+    | outcome ->
+      if fan.fan_lone then hand_back fan;
+      outcome
+    | exception exn ->
+      if fan.fan_lone then hand_back fan;
+      raise exn)
 
 let await fut = Option.get (await_until fut ~until:infinity)
 
@@ -730,12 +714,12 @@ type _ Effect.t += Current_fan : fan option Effect.t
 let current_fan () =
   try Effect.perform Current_fan with Effect.Unhandled _ -> None
 
-let new_fan ~lone clients =
+let new_fan ~lone =
   {
     fan_ready = Atomic.make false;
     fan_dirty = Atomic.make [];
     fan_asleep = Atomic.make None;
-    fan_clients = clients;
+    fan_clients = [];
     fan_live = true;
     fan_lone = lone;
   }
@@ -743,49 +727,26 @@ let new_fan ~lone clients =
 (* The fan a call on [client] belongs to, taking the read side when it
    is free, before the send: a reply that came back before the caller
    got round to reading would otherwise wake the receiver.  Inside a
-   fan-out ([in_fan]) that is the fan-out's fan: it takes a free read
-   side and keeps it, and a follower's wait-for check comes when it
-   awaits.  Outside, it is a fan of one that takes the free read side,
-   or holds none: a follower is checked against the wait-for graph and
-   entered in it now, before anything is sent, so a call that would
-   close a cycle sends nothing.  A read side this thread holds otherwise
-   (a callback's own connection) is borrowed by a fan of one, which
-   reads it for the call and leaves it to its holder. *)
-let fan_for client in_fan ~procedure =
-  let self = self_id () in
-  Mutex.lock client.mutex;
-  let free = not client.reading in
-  let mine = client.reader = self in
-  if free then begin
-    client.reading <- true;
-    client.reader <- self;
-    client.held_by <- in_fan
-  end;
-  let held_by = client.held_by in
-  Mutex.unlock client.mutex;
-  match in_fan with
-  | Some fan when free ->
-    fan.fan_clients <- client :: fan.fan_clients;
-    (* Frames queued before the fan took the connection: look at it. *)
-    if Transport.pending client.conn then poke fan client;
-    Ok fan
-  | Some fan when (not mine) || (match held_by with Some f -> f == fan | None -> false) ->
-    Ok fan
-  | _ when free -> Ok (new_fan ~lone:true [ client ])
-  | _ when mine -> Ok (new_fan ~lone:false [ client ])
-  | _ ->
-    let fan = new_fan ~lone:true [] in
-    Result.map (fun () -> fan) (follow client fan ~procedure)
+   fan-out that is the fan-out's fan, which keeps what it takes;
+   outside, a fan of one, which holds the side it took, or none (a
+   follower). *)
+let fan_for client = function
+  | Some fan ->
+    if (not (List.memq client fan.fan_clients)) && take fan client then
+      (* Frames queued before the fan took the connection: look at it. *)
+      if Transport.pending client.conn then poke fan client;
+    fan
+  | None ->
+    let fan = new_fan ~lone:true in
+    ignore (take fan client);
+    fan
 
 let send client ~procedure ?body ?timeout_s () =
-  match fan_for client (current_fan ()) ~procedure with
-  | Error _ as cycle -> cycle
-  | Ok fan ->
-    let sent = issue client ~fan ~procedure ?body ?timeout_s () in
-    (* Nothing was sent: a fan of one hands back what it took. *)
-    if Result.is_error sent && fan.fan_lone then
-      ended fan client ~follower:(not (List.memq client fan.fan_clients));
-    sent
+  let fan = fan_for client (current_fan ()) in
+  let sent = issue client ~fan ~procedure ?body ?timeout_s () in
+  (* Nothing was sent: a fan of one hands back what it took. *)
+  if Result.is_error sent && fan.fan_lone then hand_back fan;
+  sent
 
 let call client ~procedure ?body ?timeout_s () =
   Result.bind (send client ~procedure ?body ?timeout_s ()) await
@@ -794,7 +755,7 @@ let fan_out f =
   match current_fan () with
   | Some _ -> f ()
   | None -> (
-    let fan = new_fan ~lone:false [] in
+    let fan = new_fan ~lone:false in
     let effc (type a) (e : a Effect.t) =
       match e with
       | Current_fan ->
@@ -819,3 +780,4 @@ let is_closed client = with_lock client.mutex (fun () -> client.closed)
 let pending_calls client = with_lock client.mutex (fun () -> Hashtbl.length client.pending)
 let bytes_tx client = Transport.bytes_tx client.conn
 let bytes_rx client = Transport.bytes_rx client.conn
+

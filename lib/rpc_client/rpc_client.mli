@@ -18,26 +18,25 @@
     slot, which their readiness hooks wake.  A lone call thus crosses
     no thread of this client, and no other thread wakes for a reply a
     fan reads.  When another thread reads the connection the caller
-    follows: its fan holds nothing of it, and the reader delivers to
-    the call's slot.  Each connection
-    still runs one thread, its receiver, which parks until the
-    connection turns readable while nobody reads it: it serves calls
-    that overlap a reader (they wait on their slots), events between
-    calls, and keepalive on an idle connection.  With keepalive, a
-    calling thread that reads pings a silent peer and declares it dead
-    just as the receiver does.  A call timeout is enforced by the
-    waiting caller on {!Ovsync.Timedwait}.  Multiple threads may issue
-    {!call}s concurrently; sends are serialized by the transport layer.
+    follows: its fan holds nothing of it, the reader delivers to the
+    call's slot, and the fan takes the read side as soon as the reader
+    hands it back.  Each connection still runs one thread, its
+    receiver, which parks until the connection turns readable while
+    nobody reads it (events between calls, a close), until keepalive is
+    due on an idle connection, or until it is handed work ({!defer}).
+    With keepalive, a calling thread that reads pings a silent peer and
+    declares it dead just as the receiver does.  A call timeout is
+    enforced by the waiting caller on {!Ovsync.Timedwait}.  Multiple
+    threads may issue {!call}s concurrently; sends are serialized by the
+    transport layer.
 
-    Since a calling thread may read, [on_event] and the raw-reply hook
-    may run on it, inside {!call} or {!await}, with whatever locks that
-    caller holds: they must not take a lock a caller holds across a
-    call.  They may call on the same connection: the call borrows the
-    read side the thread holds and reads for its own reply, handling the
-    frames that arrive before it as any reader does.  A call from a
-    callback on another connection, whose reader waits (through a chain
-    of such calls) for this thread, would wait for good: it fails at
-    once with [Rpc_failure] instead ({!not_awaited}). *)
+    [on_event] and the raw-reply hook run on whichever thread reads,
+    with whatever locks that caller holds: they must not block, call,
+    or take a lock a caller holds across a call.  Work that may — an
+    event subscriber — is handed to the receiver with {!defer}, which
+    runs it holding no read side.  A call from there is an ordinary
+    call: it takes the free read side or follows its reader, and no
+    thread ever waits for a thread that waits for it. *)
 
 type t
 
@@ -61,7 +60,8 @@ val connect :
   (t, Ovirt_core.Verror.t) result
 (** Establish the transport and start the receiver, the connection's
     only thread.  [on_event] runs on whichever thread reads the event's
-    frame (see above).  [Connection_refused] surfaces as a [Rpc_failure]
+    frame, before any later frame is handled; it must not block or call
+    (see above).  [Connection_refused] surfaces as a [Rpc_failure]
     error.  [faults] attaches a client-side fault plan (tests/chaos
     only).  Without [keepalive] a silent dead peer is only noticed when
     the transport closes. *)
@@ -97,9 +97,7 @@ val send :
     of one keeps its read side and no other thread reads the connection.
     Outside {!fan_out} await each future before the next [send] on the
     same connection; to keep several calls in flight, send them inside
-    one.  A follower outside {!fan_out} is checked against the wait-for
-    graph before anything is sent ({!not_awaited}); inside, when it
-    awaits.  Only the send itself fails here; everything else {!call}
+    one.  Only the send itself fails here; everything else {!call}
     reports arrives through {!await}.  A call whose packet would exceed
     [Rpc_packet.max_packet_size] is not sent: [Rpc_failure], and the
     connection stays usable.  [timeout_s] is enforced by {!await}: a
@@ -116,10 +114,8 @@ val fan_out : (unit -> 'a) -> 'a
     every connection of the fan until that future's outcome, so no
     reply, event or other caller waits for the thread to get round to
     its connection.  Await each such future inside [f]
-    ([Invalid_argument] after).  A [fan_out] inside another, on one
-    thread (a callback run while reading the fan), joins the outer one.
-    A connection this thread holds outside the fan — a callback's own —
-    is borrowed by a fan of one for the call, and read on its own. *)
+    ([Invalid_argument] after).  A [fan_out] inside another on the same
+    thread joins the outer one. *)
 
 val await : future -> (string, Ovirt_core.Verror.t) result
 (** Block until the call completes, reading what the future's fan holds
@@ -135,9 +131,15 @@ val await_until :
     reply that arrives later is dropped, a fan of one hands its read
     side back, and awaiting again returns an [Rpc_failure]. *)
 
-val not_awaited : Ovirt_core.Verror.t -> bool
-(** The [Rpc_failure] of a call that would have closed a wait-for cycle
-    (see above): it says nothing about the peer. *)
+val defer : t -> (unit -> unit) -> unit
+(** [defer t run] hands [run] to [t]'s receiver, which runs it after
+    every run deferred before it, holding no read side: not before it
+    has handed back a read side it holds, and never on a calling thread.
+    [run] may block or call; while it does, it delays later runs and the
+    receiver's idle reads, but no call, which reads for itself.  An
+    exception it raises is dropped.  A receiver whose connection has
+    died runs what was deferred before it ends; a run deferred after
+    that is dropped. *)
 
 val close : t -> unit
 (** Idempotent; fails all in-flight calls (exactly once, whoever closes

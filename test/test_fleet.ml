@@ -684,6 +684,59 @@ let test_listing_delivers_member_events_once () =
       Connect.close direct;
       Fleet.dissolve (Fleet.name t))
 
+(* Fleet-bus events carry their member's stream position: on each of two
+   members they rise, and each is the position the member's own
+   connection reads for the same event.  Positions of two members are
+   not ordered against each other. *)
+let test_fleet_bus_forwards_member_seq () =
+  with_members [ "m1"; "m2" ] (fun members ->
+      let t = fleet_of members in
+      let ops = Fleet.ops_of t in
+      ignore (vok ((Option.get ops.Driver.fleet).Driver.fleet_list_all ()));
+      let m = Mutex.create () and seen = ref [] in
+      let sub =
+        Events.subscribe ops.Driver.events (fun ev ->
+            if has_prefix "sq-" ev.Events.domain_name then begin
+              Mutex.lock m;
+              seen := (ev.Events.domain_name, ev.Events.seq) :: !seen;
+              Mutex.unlock m
+            end)
+      in
+      let direct = List.map member_conn members in
+      List.iteri
+        (fun i conn ->
+          for k = 0 to 2 do
+            vok (Domain.destroy (seed_domain conn (Printf.sprintf "sq-%d-%d" i k)))
+          done)
+        direct;
+      (* Three events (defined, started, stopped) per domain. *)
+      let fleet_seen () =
+        Mutex.lock m;
+        let l = List.rev !seen in
+        Mutex.unlock m;
+        l
+      in
+      Alcotest.(check bool) "every event reached the fleet bus" true
+        (eventually ~timeout_s:5. (fun () -> List.length (fleet_seen ()) >= 18));
+      List.iteri
+        (fun i conn ->
+          let mine = Printf.sprintf "sq-%d-" i in
+          let of_member evs = List.filter (fun (n, _) -> has_prefix mine n) evs in
+          let on_fleet = of_member (fleet_seen ()) in
+          let seqs = List.map snd on_fleet in
+          Alcotest.(check bool) "positions rise within the member" true
+            (List.hd seqs > 0 && seqs = List.sort_uniq compare seqs);
+          Alcotest.(check (list (pair string int)))
+            "the member connection's positions" on_fleet
+            (of_member
+               (List.map
+                  (fun ev -> (ev.Events.domain_name, ev.Events.seq))
+                  (vok (Connect.event_history conn)))))
+        direct;
+      Events.unsubscribe ops.Driver.events sub;
+      List.iter Connect.close direct;
+      Fleet.dissolve (Fleet.name t))
+
 (* A fleet subscriber whose callback lists the fleet runs on whichever
    thread read the event: a member's receiver, or a listing caller that
    holds the read sides of the members it sent to.  Each of its listings
@@ -2243,6 +2296,8 @@ let () =
             test_listing_delivers_member_events_once;
           quick "a re-entrant subscriber never hangs"
             test_reentrant_subscriber_never_hangs;
+          quick "fleet-bus events carry their member's seq"
+            test_fleet_bus_forwards_member_seq;
           quick "pinned, enveloped and cut members" test_mixed_listing_paths;
           quick "a re-dialled member stalls no listing"
             test_reconnecting_member_stalls_nobody;

@@ -1119,11 +1119,13 @@ let test_callback_calls_own_connection () =
       Ovirt.Connect.close remote;
       Ovirt.Connect.close direct)
 
-(* Two event callbacks, each running on the reader of its own connection,
-   call through the other's connection at once.  Each would wait for a
-   thread that waits for it: the second to ask fails at once, and the
-   first is answered once that callback returns. *)
-let test_callback_cycle_fails_at_once () =
+(* Two subscribers, each run by its own connection's receiver, call
+   through the other's connection at once.  Neither thread holds a read
+   side while it runs a subscriber, so each call takes the other
+   connection's free read side or follows the reader that has it: both
+   are answered, both are put on the wire, and both connections still
+   serve. *)
+let test_callbacks_meet_across_connections () =
   with_echo_server (fun srv ->
       let entered = Atomic.make 0 in
       let results = Atomic.make [] in
@@ -1131,69 +1133,23 @@ let test_callback_cycle_fails_at_once () =
         let seen = Atomic.get results in
         if not (Atomic.compare_and_set results seen (r :: seen)) then record r
       in
-      let peer_a = ref None and peer_b = ref None in
-      let on_event peer =
+      let a_ref = ref None and b_ref = ref None in
+      let on_event self peer =
         let fired = Atomic.make false in
         fun ~procedure:_ _ ->
-          if not (Atomic.exchange fired true) then begin
-            Atomic.incr entered;
-            ignore (eventually ~timeout_s:1.0 (fun () -> Atomic.get entered = 2));
-            record (Rpc_client.call (Option.get !peer) ~procedure:7 ~body:"9:0:0" ())
-          end
+          if not (Atomic.exchange fired true) then
+            Rpc_client.defer (Option.get !self) (fun () ->
+                Atomic.incr entered;
+                ignore (eventually ~timeout_s:1.0 (fun () -> Atomic.get entered = 2));
+                let rpc = Option.get !peer in
+                let before = Rpc_client.bytes_tx rpc in
+                let outcome = Rpc_client.call rpc ~procedure:7 ~body:"9:0:0" () in
+                record (outcome, Rpc_client.bytes_tx rpc - before))
       in
-      let a = connect_to ~on_event:(on_event peer_b) srv in
-      let b = connect_to ~on_event:(on_event peer_a) srv in
-      peer_a := Some a;
-      peer_b := Some b;
-      let outer rpc body () = Rpc_client.call rpc ~procedure:7 ~body () in
-      let ta = Thread.create (fun () -> ignore (within 2.0 (outer a "1:0:1"))) () in
-      let tb = Thread.create (fun () -> ignore (within 2.0 (outer b "2:0:1"))) () in
-      Alcotest.(check bool) "both nested calls return within 1 s of meeting" true
-        (eventually ~timeout_s:2.0 (fun () -> List.length (Atomic.get results) = 2));
-      Thread.join ta;
-      Thread.join tb;
-      let failed, answered = List.partition Result.is_error (Atomic.get results) in
-      Alcotest.(check int) "one answered" 1 (List.length answered);
-      (match failed with
-       | [ Error e ] ->
-         Alcotest.(check bool) ("rpc failure: " ^ e.Verror.message) true
-           (e.Verror.code = Verror.Rpc_failure && contains e.Verror.message "not awaited")
-       | _ -> Alcotest.fail "exactly one nested call should fail");
-      Alcotest.(check string) "both connections still serve" "3:0:0"
-        (vok (Rpc_client.call a ~procedure:7 ~body:"3:0:0" ()));
-      Alcotest.(check string) "both connections still serve" "4:0:0"
-        (vok (Rpc_client.call b ~procedure:7 ~body:"4:0:0" ()));
-      Rpc_client.close a;
-      Rpc_client.close b)
-
-(* The same meeting of two callbacks: the call that would close the cycle
-   is refused before it is sent, so its connection's sent byte count does
-   not move, while the answered call's does. *)
-let test_cycle_sends_nothing () =
-  with_echo_server (fun srv ->
-      let entered = Atomic.make 0 in
-      let results = Atomic.make [] in
-      let rec record r =
-        let seen = Atomic.get results in
-        if not (Atomic.compare_and_set results seen (r :: seen)) then record r
-      in
-      let peer_a = ref None and peer_b = ref None in
-      let on_event peer =
-        let fired = Atomic.make false in
-        fun ~procedure:_ _ ->
-          if not (Atomic.exchange fired true) then begin
-            Atomic.incr entered;
-            ignore (eventually ~timeout_s:1.0 (fun () -> Atomic.get entered = 2));
-            let rpc = Option.get !peer in
-            let before = Rpc_client.bytes_tx rpc in
-            let outcome = Rpc_client.call rpc ~procedure:7 ~body:"9:0:0" () in
-            record (outcome, Rpc_client.bytes_tx rpc - before)
-          end
-      in
-      let a = connect_to ~on_event:(on_event peer_b) srv in
-      let b = connect_to ~on_event:(on_event peer_a) srv in
-      peer_a := Some a;
-      peer_b := Some b;
+      let a = connect_to ~on_event:(on_event a_ref b_ref) srv in
+      let b = connect_to ~on_event:(on_event b_ref a_ref) srv in
+      a_ref := Some a;
+      b_ref := Some b;
       let outer rpc body () = Rpc_client.call rpc ~procedure:7 ~body () in
       let ta = Thread.create (fun () -> ignore (within 2.0 (outer a "1:0:1"))) () in
       let tb = Thread.create (fun () -> ignore (within 2.0 (outer b "2:0:1"))) () in
@@ -1201,14 +1157,140 @@ let test_cycle_sends_nothing () =
         (eventually ~timeout_s:2.0 (fun () -> List.length (Atomic.get results) = 2));
       Thread.join ta;
       Thread.join tb;
-      (match List.partition (fun (r, _) -> Result.is_error r) (Atomic.get results) with
-       | [ (Error e, failed_tx) ], [ (Ok _, answered_tx) ] ->
-         Alcotest.(check bool) ("not awaited: " ^ e.Verror.message) true (Rpc_client.not_awaited e);
-         Alcotest.(check int) "the refused call put no byte on the wire" 0 failed_tx;
-         Alcotest.(check bool) "the answered call was sent" true (answered_tx > 0)
-       | _ -> Alcotest.fail "exactly one nested call should fail");
+      List.iter
+        (fun (outcome, tx) ->
+          Alcotest.(check string) "the nested call is answered" "9:0:0" (vok outcome);
+          Alcotest.(check bool) "the nested call was sent" true (tx > 0))
+        (Atomic.get results);
+      Alcotest.(check string) "both connections still serve" "3:0:0"
+        (vok (Rpc_client.call a ~procedure:7 ~body:"3:0:0" ()));
+      Alcotest.(check string) "both connections still serve" "4:0:0"
+        (vok (Rpc_client.call b ~procedure:7 ~body:"4:0:0" ()));
       Rpc_client.close a;
       Rpc_client.close b)
+
+(* A subscriber that blocks delays no call on its connection.  A call
+   gives up on its reply, so the event frames around the late reply
+   reach the receiver, which runs the subscriber holding no read side:
+   a lone call from another thread takes the free side and reads its
+   own reply while the subscriber still blocks. *)
+let test_blocked_subscriber_delays_no_call () =
+  with_echo_server (fun srv ->
+      let self = ref None in
+      let blocking = Atomic.make false and release = Atomic.make false in
+      let on_event ~procedure:_ _ =
+        if not (Atomic.exchange blocking true) then
+          Rpc_client.defer (Option.get !self) (fun () ->
+              ignore (eventually ~timeout_s:2.0 (fun () -> Atomic.get release)))
+      in
+      let rpc = connect_to ~on_event srv in
+      self := Some rpc;
+      (match Rpc_client.call rpc ~procedure:7 ~body:"1:50:1" ~timeout_s:0.01 () with
+       | Ok _ -> Alcotest.fail "the call beat its deadline"
+       | Error _ -> ());
+      Alcotest.(check bool) "the receiver read the event" true
+        (eventually (fun () -> Atomic.get blocking));
+      let t0 = Unix.gettimeofday () in
+      let outcome = within 1.0 (fun () -> Rpc_client.call rpc ~procedure:7 ~body:"2:0:0" ()) in
+      let took = Unix.gettimeofday () -. t0 in
+      Atomic.set release true;
+      (match outcome with
+       | None -> Alcotest.fail "the call waited for the subscriber"
+       | Some outcome -> Alcotest.(check string) "answered" "2:0:0" (vok outcome));
+      Alcotest.(check bool) (Printf.sprintf "within 0.3 s (%.3f s)" took) true (took < 0.3);
+      Rpc_client.close rpc)
+
+(* Subscribers on two connections, run by their receivers, call back
+   through their own connection and through the other while lone calls
+   and fan-out pipelines run on both.  Every third one instead has
+   another thread call on its own connection while it waits, which
+   returns only if the subscriber's thread holds no read side there.
+   Per connection, subscribers see every event once, in wire order. *)
+let prop_subscribers_in_wire_order =
+  qcheck_case ~count:25 "subscribers see each event once, in order"
+    (QCheck.make
+       ~print:(fun threads ->
+         String.concat " || " (List.map (fun ops -> String.concat ", " (List.map show_op ops)) threads))
+       gen_schedule)
+    (fun threads ->
+      with_echo_server (fun srv ->
+          let got = [| []; [] |] and got_mutex = Mutex.create () in
+          let rpcs = [| None; None |] and ran = Atomic.make 0 in
+          let rpc i = Option.get rpcs.(i) in
+          let ids = Atomic.make 0 and wrong = ref [] and wrong_mutex = Mutex.create () in
+          let complain fmt =
+            Printf.ksprintf (fun m -> Mutex.protect wrong_mutex (fun () -> wrong := m :: !wrong)) fmt
+          in
+          let body (d, e) = Printf.sprintf "%d:%d:%d" (Atomic.fetch_and_add ids 1) d e in
+          let expect b = function
+            | Ok reply when reply = b -> ()
+            | Ok reply -> complain "%s got %s" b reply
+            | Error e -> complain "%s failed: %s" b (Verror.to_string e)
+          in
+          let call i c =
+            let b = body c in
+            expect b (Rpc_client.call (rpc i) ~procedure:7 ~body:b ())
+          in
+          let subscriber i n () =
+            Mutex.protect got_mutex (fun () -> got.(i) <- n :: got.(i));
+            (match n mod 3 with
+             | 0 -> call i (0, 0)
+             | 1 -> call (1 - i) (0, 0)
+             | _ ->
+               if within 1.0 (fun () -> call i (0, 0)) = None then
+                 complain "a subscriber of %d held its read side" i);
+            Atomic.incr ran
+          in
+          let on_event i ~procedure:_ b =
+            Rpc_client.defer (rpc i) (subscriber i (int_of_string b))
+          in
+          rpcs.(0) <- Some (connect_to ~on_event:(on_event 0) srv);
+          rpcs.(1) <- Some (connect_to ~on_event:(on_event 1) srv);
+          let run_op t = function
+            | Call (d, e) | Timed (d, e) -> call (t mod 2) (d, e)
+            | Pipeline (calls, order) | Spread (calls, order) as op ->
+              let on k = match op with Spread _ -> (t + k) mod 2 | _ -> t mod 2 in
+              Rpc_client.fan_out (fun () ->
+                  let futs =
+                    Array.of_list
+                      (List.mapi
+                         (fun k c ->
+                           let b = body c in
+                           (b, Rpc_client.send (rpc (on k)) ~procedure:7 ~body:b ()))
+                         calls)
+                  in
+                  List.iter
+                    (fun k ->
+                      let b, fut = futs.(k) in
+                      expect b (Result.bind fut Rpc_client.await))
+                    order)
+          in
+          let finished =
+            within 10.0 (fun () ->
+                List.iter Thread.join
+                  (List.mapi (fun t ops -> Thread.create (List.iter (run_op t)) ops) threads))
+          in
+          (* Late replies and their events still arrive, and every
+             subscriber returns; wait for them. *)
+          let settled =
+            eventually ~timeout_s:5.0 (fun () ->
+                Atomic.get srv.es_busy = 0 && Atomic.get ran >= Atomic.get srv.es_sent)
+          in
+          let events = Mutex.protect got_mutex (fun () -> Array.map List.rev got) in
+          Rpc_client.close (rpc 0);
+          Rpc_client.close (rpc 1);
+          if finished = None then QCheck.Test.fail_report "a call hung";
+          if not settled then QCheck.Test.fail_report "events or subscribers never finished";
+          if !wrong <> [] then QCheck.Test.fail_reportf "%s" (String.concat "; " !wrong);
+          if
+            Array.exists (fun evs -> evs <> List.sort_uniq compare evs) events
+            || List.sort compare (events.(0) @ events.(1))
+               <> List.init (Atomic.get srv.es_sent) (fun i -> i + 1)
+          then
+            QCheck.Test.fail_reportf "events out of wire order or not once: %s | %s"
+              (String.concat "," (List.map string_of_int events.(0)))
+              (String.concat "," (List.map string_of_int events.(1)));
+          true))
 
 (* A fan whose connection dies of keepalive while it waits for a reply on
    another keeps sleeping: the dead connection's stopped clock does not
@@ -1296,8 +1378,10 @@ let () =
           quick "a failed leader handles no more frames" test_failed_leader_stops_frames;
           quick "an event callback calls on its own connection"
             test_callback_calls_own_connection;
-          quick "a wait-for cycle fails at once" test_callback_cycle_fails_at_once;
-          quick "a call that would close a cycle sends nothing" test_cycle_sends_nothing;
+          quick "crossed callbacks are answered"
+            test_callbacks_meet_across_connections;
+          quick "a blocked subscriber delays no call" test_blocked_subscriber_delays_no_call;
+          prop_subscribers_in_wire_order;
           quick "a dead connection spins no fan" test_dead_connection_spins_no_fan;
         ] );
     ]
