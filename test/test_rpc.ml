@@ -1120,52 +1120,70 @@ let test_callback_calls_own_connection () =
       Ovirt.Connect.close direct)
 
 (* Two subscribers, each run by its own connection's receiver, call
-   through the other's connection at once.  Neither thread holds a read
-   side while it runs a subscriber, so each call takes the other
-   connection's free read side or follows the reader that has it: both
-   are answered, both are put on the wire, and both connections still
-   serve. *)
+   through the other's connection at once.  Were a subscriber run while
+   its thread held its connection's read side, each nested call would
+   wait for a thread that waits for it.  Neither thread holds one, so
+   each call takes the other connection's free read side or follows the
+   reader that has it.  Returns both connections, still open, and each
+   nested call's outcome with the bytes it put on the wire. *)
+let meet_across_connections srv =
+  let entered = Atomic.make 0 in
+  let results = Atomic.make [] in
+  let rec record r =
+    let seen = Atomic.get results in
+    if not (Atomic.compare_and_set results seen (r :: seen)) then record r
+  in
+  let a_ref = ref None and b_ref = ref None in
+  let on_event self peer =
+    let fired = Atomic.make false in
+    fun ~procedure:_ _ ->
+      if not (Atomic.exchange fired true) then
+        Rpc_client.defer (Option.get !self) (fun () ->
+            Atomic.incr entered;
+            ignore (eventually ~timeout_s:1.0 (fun () -> Atomic.get entered = 2));
+            let rpc = Option.get !peer in
+            let before = Rpc_client.bytes_tx rpc in
+            let outcome = Rpc_client.call rpc ~procedure:7 ~body:"9:0:0" () in
+            record (outcome, Rpc_client.bytes_tx rpc - before))
+  in
+  let a = connect_to ~on_event:(on_event a_ref b_ref) srv in
+  let b = connect_to ~on_event:(on_event b_ref a_ref) srv in
+  a_ref := Some a;
+  b_ref := Some b;
+  let outer rpc body () = Rpc_client.call rpc ~procedure:7 ~body () in
+  let ta = Thread.create (fun () -> ignore (within 2.0 (outer a "1:0:1"))) () in
+  let tb = Thread.create (fun () -> ignore (within 2.0 (outer b "2:0:1"))) () in
+  Alcotest.(check bool) "both nested calls return" true
+    (eventually ~timeout_s:2.0 (fun () -> List.length (Atomic.get results) = 2));
+  Thread.join ta;
+  Thread.join tb;
+  (a, b, Atomic.get results)
+
+(* The meeting above: both nested calls are answered, and both
+   connections still serve. *)
 let test_callbacks_meet_across_connections () =
   with_echo_server (fun srv ->
-      let entered = Atomic.make 0 in
-      let results = Atomic.make [] in
-      let rec record r =
-        let seen = Atomic.get results in
-        if not (Atomic.compare_and_set results seen (r :: seen)) then record r
-      in
-      let a_ref = ref None and b_ref = ref None in
-      let on_event self peer =
-        let fired = Atomic.make false in
-        fun ~procedure:_ _ ->
-          if not (Atomic.exchange fired true) then
-            Rpc_client.defer (Option.get !self) (fun () ->
-                Atomic.incr entered;
-                ignore (eventually ~timeout_s:1.0 (fun () -> Atomic.get entered = 2));
-                let rpc = Option.get !peer in
-                let before = Rpc_client.bytes_tx rpc in
-                let outcome = Rpc_client.call rpc ~procedure:7 ~body:"9:0:0" () in
-                record (outcome, Rpc_client.bytes_tx rpc - before))
-      in
-      let a = connect_to ~on_event:(on_event a_ref b_ref) srv in
-      let b = connect_to ~on_event:(on_event b_ref a_ref) srv in
-      a_ref := Some a;
-      b_ref := Some b;
-      let outer rpc body () = Rpc_client.call rpc ~procedure:7 ~body () in
-      let ta = Thread.create (fun () -> ignore (within 2.0 (outer a "1:0:1"))) () in
-      let tb = Thread.create (fun () -> ignore (within 2.0 (outer b "2:0:1"))) () in
-      Alcotest.(check bool) "both nested calls return" true
-        (eventually ~timeout_s:2.0 (fun () -> List.length (Atomic.get results) = 2));
-      Thread.join ta;
-      Thread.join tb;
+      let a, b, results = meet_across_connections srv in
       List.iter
-        (fun (outcome, tx) ->
-          Alcotest.(check string) "the nested call is answered" "9:0:0" (vok outcome);
-          Alcotest.(check bool) "the nested call was sent" true (tx > 0))
-        (Atomic.get results);
+        (fun (outcome, _) -> Alcotest.(check string) "the nested call is answered" "9:0:0" (vok outcome))
+        results;
       Alcotest.(check string) "both connections still serve" "3:0:0"
         (vok (Rpc_client.call a ~procedure:7 ~body:"3:0:0" ()));
       Alcotest.(check string) "both connections still serve" "4:0:0"
         (vok (Rpc_client.call b ~procedure:7 ~body:"4:0:0" ()));
+      Rpc_client.close a;
+      Rpc_client.close b)
+
+(* The same meeting: no nested call is refused before it is sent; each
+   moves its connection's sent byte count and is answered. *)
+let test_cycle_closing_call_is_sent () =
+  with_echo_server (fun srv ->
+      let a, b, results = meet_across_connections srv in
+      List.iter
+        (fun (outcome, tx) ->
+          Alcotest.(check bool) "the nested call was sent" true (tx > 0);
+          Alcotest.(check string) "the nested call is answered" "9:0:0" (vok outcome))
+        results;
       Rpc_client.close a;
       Rpc_client.close b)
 
@@ -1380,6 +1398,8 @@ let () =
             test_callback_calls_own_connection;
           quick "crossed callbacks are answered"
             test_callbacks_meet_across_connections;
+          quick "a call that would close a cycle is sent and answered"
+            test_cycle_closing_call_is_sent;
           quick "a blocked subscriber delays no call" test_blocked_subscriber_delays_no_call;
           prop_subscribers_in_wire_order;
           quick "a dead connection spins no fan" test_dead_connection_spins_no_fan;
