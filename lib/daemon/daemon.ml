@@ -129,6 +129,9 @@ let drain_background daemon =
             Some (Thread.create (fun () -> drain_impl daemon) ()))
 
 let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
+  (match Daemon_config.validate config with
+  | Ok _ -> ()
+  | Error msg -> invalid_arg ("Daemon.start: " ^ msg));
   let logger =
     Vlog.create ~level:config.Daemon_config.log_level
       ~filters:config.Daemon_config.log_filters

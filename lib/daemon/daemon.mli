@@ -16,6 +16,8 @@ type t
 val start : ?name:string -> ?config:Daemon_config.t -> unit -> t
 (** [name] defaults to ["ovirtd"]; it prefixes the simulated socket
     addresses, so tests can run isolated daemons.
+    @raise Invalid_argument before starting anything if [config] fails
+    {!Daemon_config.validate}.
     @raise Ovnet.Netsim.Address_in_use if a daemon of that name runs. *)
 
 val stop : t -> unit

@@ -171,10 +171,25 @@ let apply cfg key value =
     else Ok { cfg with parallel_shutdown = n }
   | key -> Error (Printf.sprintf "unknown configuration key %S" key)
 
+(* A workerpool needs a worker and no more floor than ceiling; the two
+   keys may come in either order, so this runs on the whole file. *)
+let validate cfg =
+  let pool prefix ~min ~max =
+    if max < 1 then Error (Printf.sprintf "%smax_workers: must be at least 1" prefix)
+    else if min > max then
+      Error
+        (Printf.sprintf "%smin_workers (%d) exceeds %smax_workers (%d)" prefix min
+           prefix max)
+    else Ok ()
+  in
+  let* () = pool "" ~min:cfg.min_workers ~max:cfg.max_workers in
+  let* () = pool "admin_" ~min:cfg.admin_min_workers ~max:cfg.admin_max_workers in
+  Ok cfg
+
 let parse contents =
   let lines = String.split_on_char '\n' contents in
   let rec go cfg lineno = function
-    | [] -> Ok cfg
+    | [] -> validate cfg
     | line :: rest ->
       let* parsed = parse_line lineno line in
       (match parsed with

@@ -70,7 +70,14 @@ val default : t
 
 val parse : string -> (t, string) result
 (** Parse file contents over {!default}; unknown keys are errors (typos in
-    a daemon config should not pass silently). *)
+    a daemon config should not pass silently).  The whole result must
+    pass {!validate}. *)
+
+val validate : t -> (t, string) result
+(** Limits that span keys: each workerpool (the management pool's
+    [min_workers]/[max_workers], the admin pool's
+    [admin_min_workers]/[admin_max_workers]) needs at least one worker
+    and a floor no higher than its ceiling. *)
 
 val to_file : t -> string
 (** Render back in file syntax. *)

@@ -188,36 +188,6 @@ let conn_stats (ops : Driver.ops) =
 (* Connection state                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* One generation-counted cache per metadata kind: the three are filled
-   and consulted independently (a listing knows all three, a point read
-   only one) while sharing the same invalidation events. *)
-type caches = {
-  c_ref : Driver.domain_ref Cache.t;
-  c_info : Driver.domain_info Cache.t;
-  c_autostart : bool Cache.t;
-  c_xml : string Cache.t;
-}
-
-(* A decoded listing and its serial number: a listing handed back again
-   (v1.8 "unchanged", or repeated bytes) keeps its number, which is how
-   {!Cache.install_listing} recognises the rows it installed last. *)
-type numbered = Driver.fleet_listing * int
-
-let listing_serials = Atomic.make 0
-let number listing = (listing, Atomic.fetch_and_add listing_serials 1)
-
-let invalidate_caches cs name =
-  Cache.invalidate cs.c_ref name;
-  Cache.invalidate cs.c_info name;
-  Cache.invalidate cs.c_autostart name;
-  Cache.invalidate cs.c_xml name
-
-let clear_caches cs =
-  Cache.clear cs.c_ref;
-  Cache.clear cs.c_info;
-  Cache.clear cs.c_autostart;
-  Cache.clear cs.c_xml
-
 (* Client-side position in the daemon's sequence-numbered event stream
    (protocol v1.6), and the subscriber runs not yet delivered.  Guarded
    by its own mutex, never [rc_mutex]: the thread that reads a pushed
@@ -280,7 +250,7 @@ let hand_off sq rpc = Rpc_client.defer rpc (fun () -> deliver sq)
    publishing: a subscriber reacting to the event must never read the
    pre-event cache entry, and no later reply is handed back before the
    cache has forgotten it.  [true] if subscriber runs are queued. *)
-let on_pushed ~caches ~events sq ~procedure body =
+let on_pushed ~cache ~events sq ~procedure body =
   let sequenced = procedure = Rp.proc_to_int Rp.Proc_event_lifecycle_seq in
   match
     if sequenced then Xdr.decode Rp.event_lifecycle_seq.Rp.sg_args body
@@ -290,7 +260,7 @@ let on_pushed ~caches ~events sq ~procedure body =
   with
   | exception Xdr.Error _ -> false
   | ev ->
-    Option.iter (fun cs -> invalidate_caches cs ev.Events.domain_name) caches;
+    Option.iter (fun c -> Cache.invalidate c ev.Events.domain_name) cache;
     with_sq sq (fun () ->
         if not sequenced then publish_locked events sq ev
         else if sq.sq_buffering then
@@ -312,10 +282,10 @@ type event_mode =
 
 (* Cache side of a freshly (re)established event stream.  Runs with
    [rc_mutex] held (or before the connection is shared, on the initial
-   open) so no caller can read the caches between the connection swap and
+   open) so no caller can read the cache between the connection swap and
    this reconciliation — but performs only cache-lock work.  Returns the
    events to publish once [rc_mutex] is released. *)
-let absorb_event_mode ~caches ~counters sq (mode : event_mode) =
+let absorb_event_mode ~cache ~counters sq (mode : event_mode) =
   match mode with
   | `No_events | `Plain ->
     (* No replay on this path: the stream has a silent gap and nothing
@@ -324,7 +294,7 @@ let absorb_event_mode ~caches ~counters sq (mode : event_mode) =
         sq.sq_last <- -1;
         sq.sq_buffering <- false;
         Queue.clear sq.sq_pending);
-    Option.iter clear_caches caches;
+    Option.iter Cache.clear cache;
     []
   | `Seq reply ->
     let to_emit =
@@ -333,19 +303,19 @@ let absorb_event_mode ~caches ~counters sq (mode : event_mode) =
            incarnation): flush everything and tell subscribers to
            resync.  The position jumps to the head — the flush covers
            all state up to it, the live stream everything after. *)
-        Option.iter clear_caches caches;
+        Option.iter Cache.clear cache;
         count counters Slot.event_gaps 1;
         [ Events.{ domain_name = ""; lifecycle = Ev_resync; seq = reply.Rp.rr_head } ]
       end
       else begin
         (* Replayed events run through the normal pipeline: invalidate
            here (cache locks only), publish after the release. *)
-        List.iter
-          (fun ev ->
-            Option.iter
-              (fun cs -> invalidate_caches cs ev.Events.domain_name)
-              caches)
-          reply.Rp.rr_events;
+        Option.iter
+          (fun c ->
+            List.iter
+              (fun (ev : Events.event) -> Cache.invalidate c ev.domain_name)
+              reply.Rp.rr_events)
+          cache;
         count counters Slot.events_replayed (List.length reply.Rp.rr_events);
         reply.Rp.rr_events
       end
@@ -376,6 +346,16 @@ let replay_and_release ~events sq rpc to_emit =
   in
   if queued then hand_off sq rpc
 
+(* The last listing reply a connection decoded: its procedure, the v1.8
+   token it carried ([Rp.no_token] below v1.8), its body bytes and its
+   listing. *)
+type held = {
+  h_proc : Rp.procedure;
+  h_token : Rp.fleet_token;
+  h_body : string;
+  h_listing : Driver.fleet_listing;
+}
+
 type remote_conn = {
   rc_mutex : Mutex.t;
   mutable rpc : Rpc_client.t;
@@ -384,7 +364,7 @@ type remote_conn = {
   rc_rebuilt : Condition.t;  (** broadcast when that thread is done *)
   mutable rc_minor : int;  (** negotiated protocol minor, re-probed on reconnect *)
   events : Events.bus;
-  rc_cache : caches option;
+  rc_cache : Cache.t option;
   rc_address : string;
   rc_kind : Transport.kind;
   rc_forwarded : string;  (** URI replayed as Proc_open on reconnect *)
@@ -402,12 +382,8 @@ type remote_conn = {
   mutable rc_consec_rejects : int;
   mutable rc_breaker_until : float;  (** 0. = breaker closed *)
   mutable rc_probing : bool;  (** a half-open probe is in flight *)
-  rc_last_listing : (Rp.procedure * string * numbered) option Atomic.t;
-      (** the last listing reply below v1.8: procedure, body bytes,
-          decoded value *)
-  rc_held : (Rp.fleet_token * string * numbered) option Atomic.t;
-      (** the last full v1.8 reply: its token, body bytes and listing;
-          kept across reconnects, since the token's nonce tells
+  rc_held : held option Atomic.t;
+      (** kept across reconnects, since a v1.8 token's nonce tells
           incarnations apart *)
 }
 
@@ -460,7 +436,7 @@ let negotiate rpc =
    missed; otherwise the old registration, which replays nothing.  The
    negotiation moved ahead of the registration (same frame count) so the
    right variant can be chosen. *)
-let establish ~address ~kind ~keepalive ~caches ~events ~register_events
+let establish ~address ~kind ~keepalive ~cache ~events ~register_events
     ~use_resume ~sq ~forwarded =
   (* Set before the first call: the daemon pushes no event before the
      handshake registers for them. *)
@@ -469,7 +445,7 @@ let establish ~address ~kind ~keepalive ~caches ~events ~register_events
     Rpc_client.connect ~address ~kind ~program:Rp.program ~version:Rp.version
       ?keepalive
       ~on_event:(fun ~procedure body ->
-        if on_pushed ~caches ~events sq ~procedure body then
+        if on_pushed ~cache ~events sq ~procedure body then
           Option.iter (hand_off sq) !reader)
       ()
   in
@@ -526,7 +502,7 @@ let backoff_delay conn r attempt =
    budget bounds the outage.
 
    The cache reconciliation ([absorb_event_mode]) runs inside the same
-   critical section that swaps [conn.rpc]: no caller can read the caches
+   critical section that swaps [conn.rpc]: no caller can read the cache
    between the swap and the flush/replay-invalidation.  The replay is
    published after the lock is released, and its subscriber runs go to
    the fresh client's receiver: the reconnecting thread runs none, so a
@@ -565,7 +541,7 @@ let ensure_connected conn ~dead ~bound ~deadline =
       Thread.delay (Float.min delay (deadline -. Unix.gettimeofday ()));
       match
         establish ~address:conn.rc_address ~kind:conn.rc_kind
-          ~keepalive:conn.rc_keepalive ~caches:conn.rc_cache ~events:conn.events
+          ~keepalive:conn.rc_keepalive ~cache:conn.rc_cache ~events:conn.events
           ~register_events:conn.rc_register_events ~use_resume:conn.rc_use_resume
           ~sq:conn.rc_seq ~forwarded:conn.rc_forwarded
       with
@@ -591,7 +567,7 @@ let ensure_connected conn ~dead ~bound ~deadline =
           conn.rpc <- rpc;
           conn.rc_minor <- minor;
           let to_emit =
-            absorb_event_mode ~caches:conn.rc_cache ~counters:conn.rc_stats conn.rc_seq
+            absorb_event_mode ~cache:conn.rc_cache ~counters:conn.rc_stats conn.rc_seq
               mode
           in
           count conn.rc_stats Slot.reconnects 1;
@@ -837,125 +813,66 @@ let live_cache conn =
 
 (* The fill protocol in one place: consult the cache, otherwise take a
    token {e before} the wire call and install only if no event raced the
-   reply (see {!Remote_cache}). *)
-let cached_read conn pick s name =
+   reply (see {!Remote_cache}).  The reply goes into [field] of [name]'s
+   row, and nowhere else. *)
+let cached_read conn field s name =
   match live_cache conn with
   | None -> rpc conn s name
-  | Some cs -> (
-    let c = pick cs in
-    match Cache.find c name ~now:(now ()) with
+  | Some c -> (
+    match Cache.find c field name ~now:(now ()) with
     | Some v -> Ok v
     | None ->
       let fill = Cache.begin_fill c in
       let* v = rpc conn s name in
-      ignore (Cache.install c fill name v ~now:(now ()));
+      ignore (Cache.install c fill field name v ~now:(now ()));
       Ok v)
 
-let dom_get_info conn = cached_read conn (fun cs -> cs.c_info) Rp.dom_get_info
-let dom_get_autostart conn = cached_read conn (fun cs -> cs.c_autostart) Rp.dom_get_autostart
-let dom_get_xml conn = cached_read conn (fun cs -> cs.c_xml) Rp.dom_get_xml
-
-let lookup_by_name conn name =
-  match live_cache conn with
-  | None -> rpc conn Rp.lookup_by_name name
-  | Some cs -> (
-    match Cache.find cs.c_ref name ~now:(now ()) with
-    | Some r -> Ok r
-    | None ->
-      let fill = Cache.begin_fill cs.c_ref in
-      let* r = rpc conn Rp.lookup_by_name name in
-      ignore
-        (Cache.install cs.c_ref fill name
-           ~uuid:(Vmm.Uuid.to_string r.Driver.dom_uuid)
-           r ~now:(now ()));
-      Ok r)
+let dom_get_info conn = cached_read conn Cache.Info Rp.dom_get_info
+let dom_get_autostart conn = cached_read conn Cache.Autostart Rp.dom_get_autostart
+let dom_get_xml conn = cached_read conn Cache.Xml Rp.dom_get_xml
+let lookup_by_name conn = cached_read conn Cache.Ref Rp.lookup_by_name
 
 let lookup_by_uuid conn uuid =
-  let uuid_s = Vmm.Uuid.to_string uuid in
-  let wire () = rpc conn Rp.lookup_by_uuid uuid_s in
+  let wire () = rpc conn Rp.lookup_by_uuid (Vmm.Uuid.to_string uuid) in
   match live_cache conn with
   | None -> wire ()
-  | Some cs -> (
-    match Cache.find_by_uuid cs.c_ref uuid_s ~now:(now ()) with
+  | Some c -> (
+    match Cache.find_by_uuid c uuid ~now:(now ()) with
     | Some r -> Ok r
     | None ->
-      let fill = Cache.begin_fill cs.c_ref in
+      let fill = Cache.begin_fill c in
       let* r = wire () in
-      ignore
-        (Cache.install cs.c_ref fill r.Driver.dom_name ~uuid:uuid_s r
-           ~now:(now ()));
+      ignore (Cache.install c fill Cache.Ref r.Driver.dom_name r ~now:(now ()));
       Ok r)
 
 (* Writes the daemon acknowledges without a lifecycle event (autostart,
    balloon) must invalidate locally, or our own mutation would be masked
    by our own cache. *)
 let invalidate_domain conn name =
-  Option.iter (fun cs -> invalidate_caches cs name) conn.rc_cache
+  Option.iter (fun c -> Cache.invalidate c name) conn.rc_cache
 
 (* ------------------------------------------------------------------ *)
 (* Bulk domain listing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-type list_fills = {
-  lf_ref : Cache.fill;
-  lf_info : Cache.fill;
-  lf_auto : Cache.fill;
-}
-
-let begin_list_fills conn =
-  Option.map
-    (fun cs ->
-      {
-        lf_ref = Cache.begin_fill cs.c_ref;
-        lf_info = Cache.begin_fill cs.c_info;
-        lf_auto = Cache.begin_fill cs.c_autostart;
-      })
-    conn.rc_cache
-
-(* One lock section per cache kind for the whole reply, not one per
-   row and kind, and none of the per-row work when the kind already holds
-   this very listing.  Counts the rows written. *)
-let install_records conn fills (listing, serial) =
-  match (conn.rc_cache, fills) with
-  | Some cs, Some f ->
-    let now = now () in
-    let records = listing.Driver.fl_records in
-    let rows = ref 0 in
-    let counted add name ?uuid v = if add name ?uuid v then incr rows in
-    ignore
-      (Cache.install_listing cs.c_ref f.lf_ref ~serial ~now (fun add ->
-           List.iter
-             (fun r ->
-               let d = r.Driver.rec_ref in
-               counted add d.Driver.dom_name
-                 ~uuid:(Vmm.Uuid.to_string d.Driver.dom_uuid) d)
-             records));
-    ignore
-      (Cache.install_listing cs.c_info f.lf_info ~serial ~now (fun add ->
-           List.iter
-             (fun r -> counted add r.Driver.rec_ref.Driver.dom_name r.Driver.rec_info)
-             records));
-    ignore
-      (Cache.install_listing cs.c_autostart f.lf_auto ~serial ~now (fun add ->
-           List.iter
-             (fun r ->
-               match r.Driver.rec_autostart with
-               | Some a -> counted add r.Driver.rec_ref.Driver.dom_name a
-               | None -> ())
-             records));
-    count conn.rc_stats Slot.rows_installed !rows
-  | _ -> ()
+(* The listing decoded from [body], if [held] is a reply to [proc] with
+   these very bytes. *)
+let reused held proc body =
+  match held with
+  | Some h when h.h_proc = proc && String.equal h.h_body body -> Some h.h_listing
+  | Some _ | None -> None
 
 (* Decoding is pure, and a polled listing mostly repeats itself byte for
-   byte (the daemon's reply cache).  A repeated reply to the procedure of
-   [last] reuses its value; any other that decodes replaces it. *)
-let decode_reusing last proc decoder body =
-  match Atomic.get last with
-  | Some (p, b, v) when p = proc && String.equal b body -> Ok v
-  | Some _ | None ->
-    let* v = guarded decoder body in
-    Atomic.set last (Some (proc, body, v));
-    Ok v
+   byte (the daemon's reply cache).  A repeated reply to the procedure
+   held reuses its value; any other that decodes replaces it. *)
+let decode_reusing memo proc decoder body =
+  match reused (Atomic.get memo) proc body with
+  | Some listing -> Ok listing
+  | None ->
+    let* h_listing = guarded decoder body in
+    Atomic.set memo
+      (Some { h_proc = proc; h_token = Rp.no_token; h_body = body; h_listing });
+    Ok h_listing
 
 let count_listing conn body =
   count conn.rc_stats Slot.listings 1;
@@ -968,44 +885,41 @@ let reply_to sent k : _ Driver.reply =
 
 (* v1.8: send the token of the listing held, read once before the call.
    An "unchanged" reply returns that very value, so the fleet's merge
-   memo still sees the same rows.  A daemon without a reply cache (or a
-   fleet controller) answers every call in full under the zero token;
-   its repeated bytes reuse the value decoded from them, as below v1.8. *)
+   memo and the cache's repeat guard still see the same rows.  A daemon
+   without a reply cache (or a fleet controller) answers every call in
+   full under the zero token; its repeated bytes reuse the value decoded
+   from them, as below v1.8. *)
 let send_since conn =
-  let held = Atomic.get conn.rc_held in
-  let token = match held with Some (t, _, _) -> t | None -> Rp.no_token in
   let since = Rp.fleet_list_since in
-  reply_to (send conn since.Rp.sg_proc (Xdr.encode since.Rp.sg_args token)) (fun body ->
-      let counted unchanged =
-        count_listing conn body;
-        if unchanged then count conn.rc_stats Slot.listings_unchanged 1
-      in
-      match held with
-      | Some (_, b, listing) when String.equal b body ->
-        counted false;
-        Ok listing
-      | Some _ | None -> (
+  let proc = since.Rp.sg_proc in
+  let held = Atomic.get conn.rc_held in
+  let token =
+    match held with Some h when h.h_proc = proc -> h.h_token | Some _ | None -> Rp.no_token
+  in
+  reply_to (send conn proc (Xdr.encode since.Rp.sg_args token)) (fun body ->
+      count_listing conn body;
+      match reused held proc body with
+      | Some listing -> Ok listing
+      | None -> (
         let* reply = decode since.Rp.sg_ret body in
         match (reply, held) with
-        | Rp.Since_unchanged t, Some (t', _, listing) when t = t' ->
-          counted true;
-          Ok listing
+        | Rp.Since_unchanged t, Some h when h.h_proc = proc && h.h_token = t ->
+          count conn.rc_stats Slot.listings_unchanged 1;
+          Ok h.h_listing
         | Rp.Since_unchanged _, _ ->
           Verror.error Verror.Rpc_failure
             "bad reply: \"unchanged\" for a listing this connection does not hold"
-        | Rp.Since_full (t, listing), _ ->
-          counted false;
-          let listing = number listing in
-          Atomic.set conn.rc_held (Some (t, body, listing));
-          Ok listing))
+        | Rp.Since_full (h_token, h_listing), _ ->
+          Atomic.set conn.rc_held (Some { h_proc = proc; h_token; h_body = body; h_listing });
+          Ok h_listing))
 
 (* v1.3–v1.7: one listing procedure, and a repeated reply's bytes reuse
    the value decoded from them. *)
 let send_bytes conn (s : (unit, _) Rp.signature) to_listing =
   reply_to (send conn s.Rp.sg_proc (Xdr.encode s.Rp.sg_args ())) (fun body ->
       count_listing conn body;
-      decode_reusing conn.rc_last_listing s.Rp.sg_proc
-        (fun body -> number (to_listing (Xdr.decode s.Rp.sg_ret body)))
+      decode_reusing conn.rc_held s.Rp.sg_proc
+        (fun body -> to_listing (Xdr.decode s.Rp.sg_ret body))
         body)
 
 (* One bulk listing round trip, on the one wire path the negotiated minor
@@ -1014,7 +928,7 @@ let send_bytes conn (s : (unit, _) Rp.signature) to_listing =
    fleet-wide listings; rows go into the cache unless it holds that very
    listing already.  The blocking listing waits for the reply it sent. *)
 let send_listing conn : Driver.fleet_listing Driver.reply =
-  let fills = begin_list_fills conn in
+  let fill = Option.map (fun c -> (c, Cache.begin_fill c)) conn.rc_cache in
   let reply =
     if serves conn Rp.Proc_fleet_list_since then send_since conn
     else if serves conn Rp.Proc_fleet_list_all then
@@ -1026,10 +940,14 @@ let send_listing conn : Driver.fleet_listing Driver.reply =
   fun ~until ->
     Option.map
       (fun outcome ->
-        let* ((listing, _) as numbered) = outcome in
+        let* listing = outcome in
         let errs = List.length listing.Driver.fl_shard_errors in
         count conn.rc_stats Slot.sub_errors errs;
-        install_records conn fills numbered;
+        Option.iter
+          (fun (c, f) ->
+            count conn.rc_stats Slot.rows_installed
+              (Cache.install_listing c f listing.Driver.fl_records ~now:(now ())))
+          fill;
         Ok listing)
       (reply ~until)
 
@@ -1086,7 +1004,7 @@ let resilience_of_uri uri =
    a monitoring loop's burst of reads. *)
 let default_eventless_ttl = 1.0
 
-let caches_of_uri uri ~register_events =
+let cache_of_uri uri ~register_events =
   if Option.value (int_param uri "cache") ~default:1 = 0 then None
   else
     let ttl =
@@ -1094,13 +1012,7 @@ let caches_of_uri uri ~register_events =
       | Some t -> Some t
       | None -> if register_events then None else Some default_eventless_ttl
     in
-    Some
-      {
-        c_ref = Cache.create ?ttl ();
-        c_info = Cache.create ?ttl ();
-        c_autostart = Cache.create ?ttl ();
-        c_xml = Cache.create ?ttl ();
-      }
+    Some (Cache.create ?ttl ())
 
 let open_conn uri =
   let* transport =
@@ -1112,7 +1024,7 @@ let open_conn uri =
   let daemon = Option.value (Vuri.param uri "daemon") ~default:default_daemon in
   let register_events = Option.value (int_param uri "events") ~default:1 <> 0 in
   let use_resume = Option.value (int_param uri "resume") ~default:1 <> 0 in
-  let caches = caches_of_uri uri ~register_events in
+  let cache = cache_of_uri uri ~register_events in
   let events = Events.create_bus () in
   let sq =
     {
@@ -1132,7 +1044,7 @@ let open_conn uri =
   let resilience = resilience_of_uri uri in
   let forwarded = Vuri.to_string (daemon_side_uri uri) in
   let* rpc, minor, mode =
-    establish ~address ~kind ~keepalive ~caches ~events ~register_events ~use_resume
+    establish ~address ~kind ~keepalive ~cache ~events ~register_events ~use_resume
       ~sq ~forwarded
   in
   let conn =
@@ -1144,7 +1056,7 @@ let open_conn uri =
       rc_rebuilt = Condition.create ();
       rc_minor = minor;
       events;
-      rc_cache = caches;
+      rc_cache = cache;
       rc_address = address;
       rc_kind = kind;
       rc_forwarded = forwarded;
@@ -1164,14 +1076,13 @@ let open_conn uri =
       rc_consec_rejects = 0;
       rc_breaker_until = 0.;
       rc_probing = false;
-      rc_last_listing = Atomic.make None;
       rc_held = Atomic.make None;
     }
   in
   (* The connection is not shared yet, so no lock is needed for the
      cache side; an initial resume_from may still carry a replay (or a
      gap verdict) that must reach subscribers-to-be via the bus history. *)
-  let to_emit = absorb_event_mode ~caches ~counters:conn.rc_stats sq mode in
+  let to_emit = absorb_event_mode ~cache ~counters:conn.rc_stats sq mode in
   replay_and_release ~events sq rpc to_emit;
   Ok conn
 

@@ -42,24 +42,30 @@
       answers in 12 bytes and the driver returns the very listing it
       holds; otherwise the reply is the full listing and its new token.
     - v1.7: [Proc_fleet_list_all]; v1.3–v1.6: [Proc_dom_list_all].
-    On every path a reply byte-equal to the last one reuses the value
-    decoded from it ({!decode_reusing}): that is what serves a daemon
+    The connection holds one listing reply, whatever its procedure:
+    its bytes, its token and the value decoded from it.  On every path
+    a reply byte-equal to it for the same procedure reuses that value
+    (below v1.8, {!decode_reusing}): that is also what serves a daemon
     that answers every v1.8 call in full (its reply cache off, or a
-    fleet controller).  Either way the rows refill the client cache,
-    unless it holds that very listing and nothing has changed it since
+    fleet controller).
+    Either way the rows refill the client cache, unless it holds that
+    very listing and nothing has changed it since
     ({!Remote_cache.install_listing}).
 
     {1 Client-side caching}
 
-    Domain metadata (refs, info, autostart, XML) answered by the daemon is
-    cached per connection and invalidated by pushed lifecycle events,
-    with a fill protocol that drops any reply raced by an event (see
-    {!Remote_cache}).  URI parameters (stripped before forwarding):
+    Each connection keeps one cache of what the daemon answered, one row
+    per domain: its ref, info, autostart and XML.  A point read fills
+    its own field, a listing every row's ref, info and autostart.
+    Pushed lifecycle events and the connection's own writes drop a
+    domain's row, with a fill protocol that drops any reply raced by an
+    event (see {!Remote_cache}).  URI parameters (stripped before
+    forwarding):
     - [cache=0] disables the cache;
     - [events=0] skips event registration, switching the cache to pure
       TTL freshness;
-    - [cache_ttl=<seconds>] bounds entry lifetime (default: unbounded
-      with events, 1s without).
+    - [cache_ttl=<seconds>] bounds each field's lifetime (default:
+      unbounded with events, 1s without).
 
     {1 Resumable event streams (protocol v1.6)}
 
@@ -77,7 +83,7 @@
 
     When the daemon cannot bridge the outage — the ring wrapped past the
     client's position, or the daemon restarted — the resume reply says
-    so explicitly: the driver flushes the caches wholesale and emits a
+    so explicitly: the driver flushes the cache wholesale and emits a
     single {!Ovirt_core.Events.Ev_resync} pseudo-event telling
     subscribers to re-list.  There is no silent loss in either case.
 
@@ -132,12 +138,18 @@
 module Cache = Remote_cache
 (** The cache machinery, exposed for unit tests. *)
 
+type held
+(** A connection's last decoded listing reply. *)
+
 val decode_reusing :
-  (Protocol.Remote_protocol.procedure * string * 'a) option Atomic.t ->
-  Protocol.Remote_protocol.procedure -> (string -> 'a) -> string ->
-  ('a, Ovirt_core.Verror.t) result
-(** Every connection's listing decode, exposed for unit tests: a body
-    byte-equal to the one held for the same procedure reuses its value. *)
+  held option Atomic.t ->
+  Protocol.Remote_protocol.procedure ->
+  (string -> Ovirt_core.Driver.fleet_listing) ->
+  string ->
+  (Ovirt_core.Driver.fleet_listing, Ovirt_core.Verror.t) result
+(** The v1.3–v1.7 listing decode, exposed for unit tests: a body
+    byte-equal to the one held for the same procedure reuses its value;
+    any other that decodes is held in its place. *)
 
 val register : unit -> unit
 (** Register last: its probe accepts any transport-suffixed URI. *)
@@ -183,9 +195,9 @@ type stats = {
           the connection already held *)
   st_listing_bytes : int;  (** bytes of those replies' bodies *)
   st_rows_installed : int;
-      (** client-cache rows those replies wrote, one per row and cache
-          kind (ref, info, autostart); a listing the caches already hold
-          writes none *)
+      (** client-cache rows those replies wrote, one per domain row
+          (its ref, info and autostart together); a listing the cache
+          already holds writes none *)
 }
 
 val stats : unit -> stats

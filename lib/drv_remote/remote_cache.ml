@@ -1,4 +1,4 @@
-(* Event-invalidated client-side cache.
+(* Event-invalidated client-side cache, one per remote connection.
 
    The correctness problem this module solves is the window between
    sending a read RPC and installing its reply: a lifecycle event that
@@ -11,18 +11,21 @@
    nothing relevant was invalidated since ({!install}).  Concretely the
    cache keeps a monotonically increasing invalidation sequence; every
    {!invalidate} stamps the name with the current sequence, and a fill
-   token older than a name's stamp is refused for that name.  A bulk
-   reply (one token, many installs) therefore degrades per name: only
-   the rows raced by an event are dropped.  It also takes the lock once
-   for all its rows ({!install_bulk}), not once per row, and a row equal
-   to what the entry already holds keeps that entry.
+   token older than a name's stamp is refused for that name.  A listing
+   (one token, many rows) therefore degrades per name: only the rows
+   raced by an event are dropped.
+
+   What the connection knows about one domain is one row, so an event
+   drops it in one lock section, and a listing writes each row's ref,
+   info and autostart in the same section.  A point read writes only its
+   own field.  A field that already holds an equal value keeps it.
 
    Reconnects change epoch: the daemon may have restarted with different
-   state and the event stream has a gap, so every entry and every
+   state and the event stream has a gap, so every row and every
    outstanding fill from the previous connection is worthless.  {!clear}
    bumps the epoch, which also voids older tokens.
 
-   Entries are optionally TTL-bounded for connections without an event
+   Fields are optionally TTL-bounded for connections without an event
    stream (events=0): freshness then decays by wall clock instead of
    being maintained by pushes.  Time is always passed in by the caller,
    which keeps the module deterministic under test.
@@ -30,32 +33,46 @@
    A polled listing hands back the very list it installed last time
    until something changes, and re-installing it would only move TTL
    stamps.  So the cache keeps a version, bumped by every change a
-   repeated install could undo (an invalidation, a clear, an install
-   that replaces an entry, any write to the UUID index), and remembers the serial and the version at which the last bulk
-   install ended having refused no row.  {!install_listing} skips a
-   bulk install of that same serial while the version still matches,
-   the fill is current (no invalidation since it was taken, so every
-   row would be accepted) and the cache is untimed: the skip leaves the
-   cache exactly as the full install would. *)
+   repeated install could undo: an invalidation, a clear, a write that
+   replaces a field's value, and any write to the UUID index.  Adding a
+   value to an empty field is not such a change: the listing either
+   writes that field, and then it was not empty after the listing, or
+   never touches it.  The cache remembers the list and the version at
+   which the last listing install ended having refused no row.
+   {!install_listing} skips an install of that same list while the
+   version still matches, the fill is current (no invalidation since it
+   was taken, so every row would be accepted) and the cache is untimed:
+   the skip leaves the cache exactly as the full install would. *)
 
-type 'a entry = {
-  e_value : 'a;
-  mutable e_stamp : float;
-  e_uuid : string option;
+open Ovirt_core
+
+type 'a stamped = { value : 'a; mutable stamp : float }
+
+type row = {
+  mutable r_ref : Driver.domain_ref stamped option;
+  mutable r_info : Driver.domain_info stamped option;
+  mutable r_autostart : bool stamped option;
+  mutable r_xml : string stamped option;
 }
 
-type 'a t = {
+type _ field =
+  | Ref : Driver.domain_ref field
+  | Info : Driver.domain_info field
+  | Autostart : bool field
+  | Xml : string field
+
+type t = {
   mutex : Mutex.t;
-  ttl : float option;  (* None: event-maintained, entries never expire *)
-  entries : (string, 'a entry) Hashtbl.t;  (* keyed by domain name *)
-  by_uuid : (string, string) Hashtbl.t;  (* uuid -> name *)
+  ttl : float option;  (* None: event-maintained, fields never expire *)
+  rows : (string, row) Hashtbl.t;  (* keyed by domain name *)
+  by_uuid : (Vmm.Uuid.t, string) Hashtbl.t;  (* uuid -> name *)
   inval : (string, int) Hashtbl.t;  (* name -> seq of last invalidation *)
   mutable seq : int;
   mutable epoch : int;
   mutable version : int;  (* bumped by every change a repeated install could undo *)
-  mutable memo : (int * int) option;
-      (* serial and end version of the last bulk install, if it was one
-         of {!install_listing} and refused no row *)
+  mutable memo : (Driver.domain_record list * int) option;
+      (* list and end version of the last listing install, if it
+         refused no row *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -66,7 +83,7 @@ let create ?ttl () =
   {
     mutex = Mutex.create ();
     ttl;
-    entries = Hashtbl.create 64;
+    rows = Hashtbl.create 64;
     by_uuid = Hashtbl.create 64;
     inval = Hashtbl.create 64;
     seq = 0;
@@ -83,115 +100,128 @@ let begin_fill c = locked c (fun () -> { f_epoch = c.epoch; f_seq = c.seq })
 
 let bump c = c.version <- c.version + 1
 
+let get : type a. a field -> row -> a stamped option =
+ fun field r ->
+  match field with
+  | Ref -> r.r_ref
+  | Info -> r.r_info
+  | Autostart -> r.r_autostart
+  | Xml -> r.r_xml
+
+let set : type a. a field -> row -> a stamped -> unit =
+ fun field r s ->
+  match field with
+  | Ref -> r.r_ref <- Some s
+  | Info -> r.r_info <- Some s
+  | Autostart -> r.r_autostart <- Some s
+  | Xml -> r.r_xml <- Some s
+
 (* Point [uuid] at [name], writing only when it points elsewhere.  A
    write bumps the version: a repeated listing could point that UUID back,
-   or drop it again after a replaced entry had unindexed it. *)
+   or drop it again after a replaced ref had unindexed it. *)
 let claim_uuid c uuid name =
-  match uuid with
-  | None -> ()
-  | Some u -> (
-    match Hashtbl.find c.by_uuid u with
-    | owner when String.equal owner name -> ()
-    | _ | (exception Not_found) ->
-      bump c;
-      Hashtbl.replace c.by_uuid u name)
+  match Hashtbl.find c.by_uuid uuid with
+  | owner when String.equal owner name -> ()
+  | _ | (exception Not_found) ->
+    bump c;
+    Hashtbl.replace c.by_uuid uuid name
 
-(* Drop [name]'s UUID index entry, unless a rename has since pointed
-   that UUID at another name. *)
-let unindex c name e =
-  match e.e_uuid with
-  | Some u -> (
-    match Hashtbl.find_opt c.by_uuid u with
-    | Some owner when String.equal owner name -> Hashtbl.remove c.by_uuid u
-    | Some _ | None -> ())
-  | None -> ()
+(* Drop the UUID index entry of [name]'s ref [r], unless a rename has
+   since pointed that UUID at another name. *)
+let unindex c name (r : Driver.domain_ref) =
+  match Hashtbl.find_opt c.by_uuid r.dom_uuid with
+  | Some owner when String.equal owner name -> Hashtbl.remove c.by_uuid r.dom_uuid
+  | Some _ | None -> ()
 
-(* The one install path; assumes [c.mutex] held.  The refusals come
-   first.  A row that repeats what the entry holds (same uuid,
-   structurally equal value) then only refreshes the stamp: a polled
-   listing mostly repeats itself, and a fresh entry for each row would
-   be promoted to the major heap by the write barrier ([==] first: [=]
-   walks even a physically equal value). *)
-let install_locked c fill name uuid value now =
-  let invalidated_since =
-    match Hashtbl.find_opt c.inval name with
-    | Some s -> s > fill.f_seq
-    | None -> false
-  in
-  if fill.f_epoch <> c.epoch || invalidated_since then false
-  else begin
-    let kept =
-      match Hashtbl.find c.entries name with
-      | e when Option.equal String.equal e.e_uuid uuid
-               && (e.e_value == value || e.e_value = value) ->
-        e.e_stamp <- now;
-        true
-      | e ->
-        unindex c name e;
-        bump c;
-        false
-      | exception Not_found -> false
-    in
-    if not kept then
-      Hashtbl.replace c.entries name { e_value = value; e_stamp = now; e_uuid = uuid };
-    claim_uuid c uuid name;
-    true
-  end
+(* Whether [fill] may write [name]: no clear and no invalidation of
+   [name] since it was taken. *)
+let accepts c fill name =
+  fill.f_epoch = c.epoch
+  &&
+  match Hashtbl.find_opt c.inval name with
+  | Some s -> s <= fill.f_seq
+  | None -> true
 
-let install c fill name ?uuid value ~now =
-  locked c (fun () -> install_locked c fill name uuid value now)
+let row_of c name =
+  match Hashtbl.find_opt c.rows name with
+  | Some row -> row
+  | None ->
+    let row = { r_ref = None; r_info = None; r_autostart = None; r_xml = None } in
+    Hashtbl.add c.rows name row;
+    row
 
-(* Assumes [c.mutex] held.  Records the memo only for a listing whose
-   every row went in, at the version the install ended at. *)
-let bulk_locked c fill now serial rows =
-  let complete = ref true in
-  let r =
-    rows (fun name ?uuid value ->
-        let ok = install_locked c fill name uuid value now in
-        if not ok then complete := false;
-        ok)
-  in
-  c.memo <-
-    (match serial with Some s when !complete -> Some (s, c.version) | _ -> None);
-  r
+(* The one write path; assumes [c.mutex] held and the fill accepted.  A
+   value that repeats what the field holds only refreshes the stamp: a
+   polled listing mostly repeats itself, and a fresh value for each row
+   would be promoted to the major heap by the write barrier ([==] first:
+   [=] walks even a physically equal value). *)
+let write : type a. t -> string -> row -> a field -> a -> float -> unit =
+ fun c name row field v now ->
+  (match get field row with
+  | Some s when s.value == v || s.value = v -> s.stamp <- now
+  | old ->
+    (match (field, old) with
+    | Ref, Some s -> unindex c name s.value
+    | _ -> ());
+    if Option.is_some old then bump c;
+    set field row { value = v; stamp = now });
+  match field with Ref -> claim_uuid c v.Driver.dom_uuid name | _ -> ()
 
-let install_bulk c fill ~now rows =
-  locked c (fun () -> bulk_locked c fill now None rows)
-
-let install_listing c fill ~serial ~now rows =
+let install c fill field name v ~now =
   locked c (fun () ->
-      let repeat =
-        match c.memo with
-        | Some (s, v) ->
-          s = serial && v = c.version && c.ttl = None
-          && fill.f_epoch = c.epoch && fill.f_seq = c.seq
-        | None -> false
-      in
-      if repeat then false
-      else begin
-        bulk_locked c fill now (Some serial) rows;
+      accepts c fill name
+      && begin
+        write c name (row_of c name) field v now;
         true
       end)
 
-let fresh c entry ~now =
-  match c.ttl with None -> true | Some ttl -> now -. entry.e_stamp <= ttl
+let install_listing c fill records ~now =
+  locked c (fun () ->
+      let repeat =
+        match c.memo with
+        | Some (l, v) ->
+          l == records && v = c.version && c.ttl = None
+          && fill.f_epoch = c.epoch && fill.f_seq = c.seq
+        | None -> false
+      in
+      if repeat then 0
+      else begin
+        let written = ref 0 and refused = ref false in
+        List.iter
+          (fun (r : Driver.domain_record) ->
+            let name = r.rec_ref.dom_name in
+            if accepts c fill name then begin
+              let row = row_of c name in
+              write c name row Ref r.rec_ref now;
+              write c name row Info r.rec_info now;
+              Option.iter (fun a -> write c name row Autostart a now) r.rec_autostart;
+              incr written
+            end
+            else refused := true)
+          records;
+        c.memo <- (if !refused then None else Some (records, c.version));
+        !written
+      end)
+
+let fresh c s ~now =
+  match c.ttl with None -> true | Some ttl -> now -. s.stamp <= ttl
 
 (* Assumes [c.mutex] held. *)
-let find_locked c name ~now =
-  match Hashtbl.find_opt c.entries name with
-  | Some e when fresh c e ~now ->
+let find_locked c field name ~now =
+  match get field (Hashtbl.find c.rows name) with
+  | Some s when fresh c s ~now ->
     c.hits <- c.hits + 1;
-    Some e.e_value
-  | Some _ | None ->
+    Some s.value
+  | Some _ | None | (exception Not_found) ->
     c.misses <- c.misses + 1;
     None
 
-let find c name ~now = locked c (fun () -> find_locked c name ~now)
+let find c field name ~now = locked c (fun () -> find_locked c field name ~now)
 
 let find_by_uuid c uuid ~now =
   locked c (fun () ->
       match Hashtbl.find_opt c.by_uuid uuid with
-      | Some name -> find_locked c name ~now
+      | Some name -> find_locked c Ref name ~now
       | None ->
         c.misses <- c.misses + 1;
         None)
@@ -201,21 +231,21 @@ let invalidate c name =
       c.seq <- c.seq + 1;
       bump c;
       Hashtbl.replace c.inval name c.seq;
-      match Hashtbl.find_opt c.entries name with
-      | Some e ->
-        unindex c name e;
-        Hashtbl.remove c.entries name
+      match Hashtbl.find_opt c.rows name with
+      | Some row ->
+        Option.iter (fun s -> unindex c name s.value) row.r_ref;
+        Hashtbl.remove c.rows name
       | None -> ())
 
 let clear c =
   locked c (fun () ->
       c.epoch <- c.epoch + 1;
       bump c;
-      Hashtbl.reset c.entries;
+      Hashtbl.reset c.rows;
       Hashtbl.reset c.by_uuid;
       Hashtbl.reset c.inval)
 
 let epoch c = locked c (fun () -> c.epoch)
-let size c = locked c (fun () -> Hashtbl.length c.entries)
+let size c = locked c (fun () -> Hashtbl.length c.rows)
 let hits c = locked c (fun () -> c.hits)
 let misses c = locked c (fun () -> c.misses)

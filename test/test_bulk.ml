@@ -9,6 +9,7 @@ module Verror = Ovirt.Verror
 module Connect = Ovirt.Connect
 module Domain = Ovirt.Domain
 module Driver = Ovirt.Driver
+module Events = Ovirt.Events
 module Daemon = Ovirt.Daemon
 module Daemon_config = Ovirt.Daemon_config
 module Vm_state = Vmm.Vm_state
@@ -115,14 +116,36 @@ let test_batch_codec_roundtrip () =
 
 (* --- cache fill protocol -------------------------------------------------- *)
 
+(* Field values built from small ints, so schedules stay readable: a ref
+   names its domain and a UUID, and [v] tells equal values from unequal
+   ones.  Each call builds fresh blocks. *)
+let uuid u = Vmm.Uuid.derive u
+
+let cache_ref name u v =
+  Driver.{ dom_name = name; dom_uuid = uuid u; dom_id = (if v = 0 then None else Some v) }
+
+let cache_info v =
+  Driver.
+    {
+      di_state = (if v mod 2 = 0 then Vm_state.Shutoff else Vm_state.Running);
+      di_max_mem_kib = 8192;
+      di_memory_kib = 4096 + v;
+      di_vcpus = 1;
+      di_cpu_time_ns = 0L;
+    }
+
+let cache_record ?autostart name u v =
+  Driver.{ rec_ref = cache_ref name u v; rec_info = cache_info v; rec_autostart = autostart }
+
 let test_cache_hit_miss_invalidate () =
   let c = Cache.create () in
-  Alcotest.(check bool) "cold miss" true (Cache.find c "vm" ~now:0. = None);
+  Alcotest.(check bool) "cold miss" true (Cache.find c Cache.Xml "vm" ~now:0. = None);
   let fill = Cache.begin_fill c in
-  Alcotest.(check bool) "install accepted" true (Cache.install c fill "vm" 42 ~now:0.);
-  Alcotest.(check bool) "hit" true (Cache.find c "vm" ~now:0. = Some 42);
+  Alcotest.(check bool) "install accepted" true
+    (Cache.install c fill Cache.Xml "vm" "42" ~now:0.);
+  Alcotest.(check bool) "hit" true (Cache.find c Cache.Xml "vm" ~now:0. = Some "42");
   Cache.invalidate c "vm";
-  Alcotest.(check bool) "invalidated" true (Cache.find c "vm" ~now:0. = None);
+  Alcotest.(check bool) "invalidated" true (Cache.find c Cache.Xml "vm" ~now:0. = None);
   Alcotest.(check int) "one hit counted" 1 (Cache.hits c)
 
 let test_cache_event_before_reply_drops_fill () =
@@ -133,98 +156,142 @@ let test_cache_event_before_reply_drops_fill () =
   let fill = Cache.begin_fill c in
   Cache.invalidate c "vm";
   Alcotest.(check bool) "stale reply refused" false
-    (Cache.install c fill "vm" 1 ~now:0.);
-  Alcotest.(check bool) "nothing cached" true (Cache.find c "vm" ~now:0. = None);
+    (Cache.install c fill Cache.Xml "vm" "1" ~now:0.);
+  Alcotest.(check bool) "nothing cached" true (Cache.find c Cache.Xml "vm" ~now:0. = None);
   (* The same token still installs rows the event did not touch: a bulk
      reply degrades per name, not wholesale. *)
   Alcotest.(check bool) "unraced row installs" true
-    (Cache.install c fill "other" 2 ~now:0.);
+    (Cache.install c fill Cache.Xml "other" "2" ~now:0.);
   (* A fill begun after the invalidation is clean. *)
   let fill2 = Cache.begin_fill c in
-  Alcotest.(check bool) "fresh fill installs" true (Cache.install c fill2 "vm" 3 ~now:0.);
-  Alcotest.(check bool) "fresh value served" true (Cache.find c "vm" ~now:0. = Some 3)
+  Alcotest.(check bool) "fresh fill installs" true
+    (Cache.install c fill2 Cache.Xml "vm" "3" ~now:0.);
+  Alcotest.(check bool) "fresh value served" true
+    (Cache.find c Cache.Xml "vm" ~now:0. = Some "3")
 
 let test_cache_clear_voids_epoch () =
   let c = Cache.create () in
   let fill = Cache.begin_fill c in
-  Alcotest.(check bool) "installs before clear" true (Cache.install c fill "a" 1 ~now:0.);
+  Alcotest.(check bool) "installs before clear" true
+    (Cache.install c fill Cache.Xml "a" "1" ~now:0.);
   let e0 = Cache.epoch c in
   Cache.clear c;
   Alcotest.(check int) "epoch bumped" (e0 + 1) (Cache.epoch c);
   Alcotest.(check int) "emptied" 0 (Cache.size c);
-  Alcotest.(check bool) "pre-clear fill void" false (Cache.install c fill "b" 2 ~now:0.)
+  Alcotest.(check bool) "pre-clear fill void" false
+    (Cache.install c fill Cache.Xml "b" "2" ~now:0.)
 
 let test_cache_ttl () =
   let c = Cache.create ~ttl:1.0 () in
   let fill = Cache.begin_fill c in
-  ignore (Cache.install c fill "vm" 9 ~now:100.);
-  Alcotest.(check bool) "fresh within ttl" true (Cache.find c "vm" ~now:100.9 = Some 9);
-  Alcotest.(check bool) "expired after ttl" true (Cache.find c "vm" ~now:101.1 = None)
+  ignore (Cache.install c fill Cache.Xml "vm" "9" ~now:100.);
+  Alcotest.(check bool) "fresh within ttl" true
+    (Cache.find c Cache.Xml "vm" ~now:100.9 = Some "9");
+  Alcotest.(check bool) "expired after ttl" true
+    (Cache.find c Cache.Xml "vm" ~now:101.1 = None)
 
 let test_cache_uuid_index () =
   let c = Cache.create () in
   let fill = Cache.begin_fill c in
-  ignore (Cache.install c fill "vm" ~uuid:"u-1" 7 ~now:0.);
-  Alcotest.(check bool) "by uuid" true (Cache.find_by_uuid c "u-1" ~now:0. = Some 7);
+  let r = cache_ref "vm" "u-1" 7 in
+  ignore (Cache.install c fill Cache.Ref "vm" r ~now:0.);
+  Alcotest.(check bool) "by uuid" true (Cache.find_by_uuid c (uuid "u-1") ~now:0. = Some r);
   Cache.invalidate c "vm";
   Alcotest.(check bool) "uuid dropped with name" true
-    (Cache.find_by_uuid c "u-1" ~now:0. = None)
+    (Cache.find_by_uuid c (uuid "u-1") ~now:0. = None)
 
-(* Bulk installs keep the fill protocol's answers: a repeated row keeps
-   its entry, but an invalidation still refuses it. *)
+(* Listings keep the fill protocol's answers: a repeated row keeps its
+   fields, but an invalidation still refuses it. *)
 let test_cache_equal_value_refused_after_invalidate () =
   let c = Cache.create () in
   let fill = Cache.begin_fill c in
-  Alcotest.(check bool) "first install" true (Cache.install c fill "vm" 1 ~now:0.);
+  Alcotest.(check bool) "first install" true
+    (Cache.install c fill Cache.Info "vm" (cache_info 1) ~now:0.);
   Cache.invalidate c "vm";
-  Alcotest.(check bool) "equal value refused" false (Cache.install c fill "vm" 1 ~now:0.);
-  Alcotest.(check (list bool)) "refused in bulk too" [ false; true ]
-    (Cache.install_bulk c fill ~now:0. (fun add -> [ add "vm" 1; add "other" 1 ]));
-  Alcotest.(check (option int)) "nothing cached" None (Cache.find c "vm" ~now:0.)
+  Alcotest.(check bool) "equal value refused" false
+    (Cache.install c fill Cache.Info "vm" (cache_info 1) ~now:0.);
+  Alcotest.(check int) "refused in a listing too" 1
+    (Cache.install_listing c fill
+       [ cache_record "vm" "u-vm" 1; cache_record "other" "u-other" 1 ]
+       ~now:0.);
+  Alcotest.(check bool) "nothing cached" true (Cache.find c Cache.Info "vm" ~now:0. = None);
+  Alcotest.(check bool) "the other row cached" true
+    (Cache.find c Cache.Info "other" ~now:0. = Some (cache_info 1))
 
 let test_cache_equal_install_refreshes_ttl () =
   let c = Cache.create ~ttl:1.0 () in
   let fill = Cache.begin_fill c in
-  ignore (Cache.install c fill "vm" 9 ~now:100.);
+  ignore (Cache.install c fill Cache.Xml "vm" "9" ~now:100.);
   Alcotest.(check bool) "equal install accepted" true
-    (Cache.install c fill "vm" 9 ~now:100.8);
-  Alcotest.(check (option int)) "aged from the refresh" (Some 9)
-    (Cache.find c "vm" ~now:101.5);
-  Alcotest.(check (option int)) "then expires" None (Cache.find c "vm" ~now:101.9)
+    (Cache.install c fill Cache.Xml "vm" "9" ~now:100.8);
+  Alcotest.(check (option string)) "aged from the refresh" (Some "9")
+    (Cache.find c Cache.Xml "vm" ~now:101.5);
+  Alcotest.(check (option string)) "then expires" None
+    (Cache.find c Cache.Xml "vm" ~now:101.9)
 
 let test_cache_unchanged_listing_keeps_entries () =
   let c = Cache.create () in
-  (* Fresh strings each time: equal rows, never the same blocks. *)
+  (* Fresh records each time: equal rows, never the same blocks. *)
   let listing () =
-    List.map (fun i -> (Printf.sprintf "vm%d" i, Printf.sprintf "value %d" i)) [ 1; 2; 3 ]
+    List.map
+      (fun i ->
+        let name = Printf.sprintf "vm%d" i in
+        cache_record ~autostart:true name ("u-" ^ name) i)
+      [ 1; 2; 3 ]
   in
-  let install rows =
-    Cache.install_bulk c (Cache.begin_fill c) ~now:0. (fun add ->
-        List.iter (fun (name, v) -> ignore (add name ~uuid:("u-" ^ name) v)) rows)
-  in
+  let install rows = ignore (Cache.install_listing c (Cache.begin_fill c) rows ~now:0.) in
   let first = listing () in
   install first;
   install (listing ());
   List.iter
-    (fun (name, v) ->
-      match Cache.find c name ~now:0. with
-      | Some v' -> Alcotest.(check bool) (name ^ " keeps its first value") true (v' == v)
-      | None -> Alcotest.failf "%s missing" name)
+    (fun (r : Driver.domain_record) ->
+      let name = r.rec_ref.dom_name in
+      match (Cache.find c Cache.Ref name ~now:0., Cache.find c Cache.Info name ~now:0.) with
+      | Some d, Some i ->
+        Alcotest.(check bool) (name ^ " keeps its first value") true
+          (d == r.rec_ref && i == r.rec_info)
+      | _ -> Alcotest.failf "%s missing" name)
     first;
-  Alcotest.(check (option string)) "uuid index intact" (Some "value 2")
-    (Cache.find_by_uuid c "u-vm2" ~now:0.)
+  Alcotest.(check bool) "uuid index intact" true
+    (match Cache.find_by_uuid c (uuid "u-vm2") ~now:0. with
+     | Some d -> d == (List.nth first 1).rec_ref
+     | None -> false)
 
-(* The cache as it was before bulk installs existed: one lock section
-   and a fresh entry per installed row.  The model property below checks
-   the current cache answers every schedule exactly as this one did. *)
+(* The cache as it was before listings installed in one lock section:
+   each field written by its own install, a fresh value per write, and a
+   listing that always installs every row.  The model properties below
+   check the cache answers every schedule exactly as this one does. *)
 module Reference = struct
-  type 'a entry = { e_value : 'a; e_stamp : float; e_uuid : string option }
+  type row = {
+    ref_ : (Driver.domain_ref * float) option;
+    info : (Driver.domain_info * float) option;
+    autostart : (bool * float) option;
+    xml : (string * float) option;
+  }
 
-  type 'a t = {
+  let empty = { ref_ = None; info = None; autostart = None; xml = None }
+
+  let get : type a. a Cache.field -> row -> (a * float) option =
+   fun field r ->
+    match field with
+    | Cache.Ref -> r.ref_
+    | Cache.Info -> r.info
+    | Cache.Autostart -> r.autostart
+    | Cache.Xml -> r.xml
+
+  let set : type a. a Cache.field -> row -> a * float -> row =
+   fun field r v ->
+    match field with
+    | Cache.Ref -> { r with ref_ = Some v }
+    | Cache.Info -> { r with info = Some v }
+    | Cache.Autostart -> { r with autostart = Some v }
+    | Cache.Xml -> { r with xml = Some v }
+
+  type t = {
     mutex : Mutex.t;
-    ttl : float option;  (* None: event-maintained, entries never expire *)
-    entries : (string, 'a entry) Hashtbl.t;  (* keyed by domain name *)
-    by_uuid : (string, string) Hashtbl.t;  (* uuid -> name *)
+    ttl : float option;  (* None: event-maintained, fields never expire *)
+    rows : (string, row) Hashtbl.t;  (* keyed by domain name *)
+    by_uuid : (Vmm.Uuid.t, string) Hashtbl.t;  (* uuid -> name *)
     inval : (string, int) Hashtbl.t;  (* name -> seq of last invalidation *)
     mutable seq : int;
     mutable epoch : int;
@@ -238,7 +305,7 @@ module Reference = struct
     {
       mutex = Mutex.create ();
       ttl;
-      entries = Hashtbl.create 64;
+      rows = Hashtbl.create 64;
       by_uuid = Hashtbl.create 64;
       inval = Hashtbl.create 64;
       seq = 0;
@@ -254,10 +321,14 @@ module Reference = struct
   let begin_fill c = locked c (fun () -> { f_epoch = c.epoch; f_seq = c.seq })
 
   (* A UUID a rename has pointed at another name stays indexed. *)
-  let unindex c name u =
-    if Hashtbl.find_opt c.by_uuid u = Some name then Hashtbl.remove c.by_uuid u
+  let unindex c name row =
+    match row.ref_ with
+    | Some (r, _) when Hashtbl.find_opt c.by_uuid r.Driver.dom_uuid = Some name ->
+      Hashtbl.remove c.by_uuid r.Driver.dom_uuid
+    | Some _ | None -> ()
 
-  let install c fill name ?uuid value ~now =
+  let install : type a. t -> fill -> a Cache.field -> string -> a -> now:float -> bool =
+   fun c fill field name value ~now ->
     locked c (fun () ->
         let invalidated_since =
           match Hashtbl.find_opt c.inval name with
@@ -266,33 +337,44 @@ module Reference = struct
         in
         if fill.f_epoch <> c.epoch || invalidated_since then false
         else begin
-          (match Hashtbl.find_opt c.entries name with
-          | Some { e_uuid = Some u; _ } -> unindex c name u
+          let row = Option.value (Hashtbl.find_opt c.rows name) ~default:empty in
+          (match field with
+          | Cache.Ref ->
+            unindex c name row;
+            Hashtbl.replace c.by_uuid value.Driver.dom_uuid name
           | _ -> ());
-          Hashtbl.replace c.entries name { e_value = value; e_stamp = now; e_uuid = uuid };
-          (match uuid with Some u -> Hashtbl.replace c.by_uuid u name | None -> ());
+          Hashtbl.replace c.rows name (set field row (value, now));
           true
         end)
 
-  let fresh c entry ~now =
-    match c.ttl with None -> true | Some ttl -> now -. entry.e_stamp <= ttl
+  let install_listing c fill records ~now =
+    List.fold_left
+      (fun n (r : Driver.domain_record) ->
+        let name = r.rec_ref.dom_name in
+        let ok = install c fill Cache.Ref name r.rec_ref ~now in
+        ignore (install c fill Cache.Info name r.rec_info ~now);
+        Option.iter
+          (fun a -> ignore (install c fill Cache.Autostart name a ~now))
+          r.rec_autostart;
+        if ok then n + 1 else n)
+      0 records
 
   (* Assumes [c.mutex] held. *)
-  let find_locked c name ~now =
-    match Hashtbl.find_opt c.entries name with
-    | Some e when fresh c e ~now ->
+  let find_locked c field name ~now =
+    match Option.bind (Hashtbl.find_opt c.rows name) (get field) with
+    | Some (v, stamp) when (match c.ttl with None -> true | Some t -> now -. stamp <= t) ->
       c.hits <- c.hits + 1;
-      Some e.e_value
+      Some v
     | Some _ | None ->
       c.misses <- c.misses + 1;
       None
 
-  let find c name ~now = locked c (fun () -> find_locked c name ~now)
+  let find c field name ~now = locked c (fun () -> find_locked c field name ~now)
 
   let find_by_uuid c uuid ~now =
     locked c (fun () ->
         match Hashtbl.find_opt c.by_uuid uuid with
-        | Some name -> find_locked c name ~now
+        | Some name -> find_locked c Cache.Ref name ~now
         | None ->
           c.misses <- c.misses + 1;
           None)
@@ -301,73 +383,136 @@ module Reference = struct
     locked c (fun () ->
         c.seq <- c.seq + 1;
         Hashtbl.replace c.inval name c.seq;
-        match Hashtbl.find_opt c.entries name with
-        | Some { e_uuid = Some u; _ } ->
-          unindex c name u;
-          Hashtbl.remove c.entries name
-        | Some _ -> Hashtbl.remove c.entries name
+        match Hashtbl.find_opt c.rows name with
+        | Some row ->
+          unindex c name row;
+          Hashtbl.remove c.rows name
         | None -> ())
 
   let clear c =
     locked c (fun () ->
         c.epoch <- c.epoch + 1;
-        Hashtbl.reset c.entries;
+        Hashtbl.reset c.rows;
         Hashtbl.reset c.by_uuid;
         Hashtbl.reset c.inval)
 
   let epoch c = locked c (fun () -> c.epoch)
-  let size c = locked c (fun () -> Hashtbl.length c.entries)
+  let size c = locked c (fun () -> Hashtbl.length c.rows)
   let hits c = locked c (fun () -> c.hits)
   let misses c = locked c (fun () -> c.misses)
 end
 
+(* One point install, kept as data so that a schedule prints. *)
+type write = W_ref of string * int | W_info of int | W_autostart of bool | W_xml of int
+
+let show_write = function
+  | W_ref (u, v) -> Printf.sprintf "ref %s %d" u v
+  | W_info v -> Printf.sprintf "info %d" v
+  | W_autostart b -> Printf.sprintf "autostart %b" b
+  | W_xml v -> Printf.sprintf "xml %d" v
+
+(* An install function good for every field: the cache's or the
+   reference's, with its fill and clock applied. *)
+type installer = { install : 'a. 'a Cache.field -> string -> 'a -> bool }
+
+let apply_write i name = function
+  | W_ref (u, v) -> i.install Cache.Ref name (cache_ref name u v)
+  | W_info v -> i.install Cache.Info name (cache_info v)
+  | W_autostart b -> i.install Cache.Autostart name b
+  | W_xml v -> i.install Cache.Xml name (string_of_int v)
+
+type any_field = Field : 'a Cache.field -> any_field
+
+let all_fields = [ Field Cache.Ref; Field Cache.Info; Field Cache.Autostart; Field Cache.Xml ]
+
+let show_field (Field f) =
+  match f with
+  | Cache.Ref -> "ref"
+  | Cache.Info -> "info"
+  | Cache.Autostart -> "autostart"
+  | Cache.Xml -> "xml"
+
+(* A listing row: name, UUID, value and autostart. *)
+type listed = string * string * int * bool option
+
+let records_of rows =
+  List.map (fun (n, u, v, autostart) -> cache_record ?autostart n u v) rows
+
+let show_rows rows =
+  String.concat "; "
+    (List.map
+       (fun (n, u, v, a) ->
+         Printf.sprintf "%s %s %d %s" n u v
+           (match a with Some b -> string_of_bool b | None -> "-"))
+       rows)
+
+let cache_names = [ "a"; "b"; "c"; "d" ]
+let cache_uuids = [ "u1"; "u2"; "u3" ]
+
+let gen_write =
+  let open QCheck.Gen in
+  oneof
+    [
+      map2 (fun u v -> W_ref (u, v)) (oneofl cache_uuids) (int_bound 1);
+      map (fun v -> W_info v) (int_bound 1);
+      map (fun b -> W_autostart b) bool;
+      map (fun v -> W_xml v) (int_bound 1);
+    ]
+
+(* Two values per field, so rows often repeat what a field holds. *)
+let gen_listed : listed QCheck.Gen.t =
+  let open QCheck.Gen in
+  quad (oneofl cache_names) (oneofl cache_uuids) (int_bound 1) (opt bool)
+
 type cache_op =
   | Begin_fill of int
   | Invalidate of string
-  | Install of int * string * string option * int
-  | Bulk of int * (string * string option * int) list
+  | Install of int * string * write
+  | Listing of int * listed list
   | Clear
-  | Find of string
+  | Find of any_field * string
   | Find_by_uuid of string
   | Tick
 
 let show_op = function
   | Begin_fill k -> Printf.sprintf "begin_fill %d" k
   | Invalidate n -> "invalidate " ^ n
-  | Install (k, n, u, v) ->
-    Printf.sprintf "install %d %s %s %d" k n (Option.value u ~default:"-") v
-  | Bulk (k, rows) ->
-    Printf.sprintf "bulk %d [%s]" k
-      (String.concat "; "
-         (List.map
-            (fun (n, u, v) -> Printf.sprintf "%s %s %d" n (Option.value u ~default:"-") v)
-            rows))
+  | Install (k, n, w) -> Printf.sprintf "install %d %s %s" k n (show_write w)
+  | Listing (k, rows) -> Printf.sprintf "listing %d [%s]" k (show_rows rows)
   | Clear -> "clear"
-  | Find n -> "find " ^ n
+  | Find (f, n) -> Printf.sprintf "find %s %s" (show_field f) n
   | Find_by_uuid u -> "find_by_uuid " ^ u
   | Tick -> "tick"
 
 let gen_cache_run =
   let open QCheck.Gen in
-  let name = oneofl [ "a"; "b"; "c"; "d" ] in
-  let uuid = opt (oneofl [ "u1"; "u2"; "u3" ]) in
-  (* Two values, so rows often repeat what an entry holds. *)
-  let row = triple name uuid (int_bound 1) in
+  let name = oneofl cache_names in
   let slot = int_bound 1 in
   let op =
     frequency
       [
         (2, map (fun k -> Begin_fill k) slot);
         (2, map (fun n -> Invalidate n) name);
-        (4, map (fun (k, (n, u, v)) -> Install (k, n, u, v)) (pair slot row));
-        (4, map2 (fun k rows -> Bulk (k, rows)) slot (list_size (int_bound 5) row));
+        (4, map3 (fun k n w -> Install (k, n, w)) slot name gen_write);
+        (4, map2 (fun k rows -> Listing (k, rows)) slot (list_size (int_bound 5) gen_listed));
         (1, return Clear);
-        (4, map (fun n -> Find n) name);
-        (2, map (fun u -> Find_by_uuid u) (oneofl [ "u1"; "u2"; "u3" ]));
+        (4, map2 (fun f n -> Find (f, n)) (oneofl all_fields) name);
+        (2, map (fun u -> Find_by_uuid u) (oneofl cache_uuids));
         (2, return Tick);
       ]
   in
   pair bool (list_size (int_range 1 40) op)
+
+(* Whether [c] and [r] answer every find alike at [now]. *)
+let caches_agree c r ~now =
+  let same : type a. a Cache.field -> string -> bool =
+   fun f n -> Cache.find c f n ~now = Reference.find r f n ~now
+  in
+  Cache.size c = Reference.size r
+  && List.for_all (fun (Field f) -> List.for_all (same f) cache_names) all_fields
+  && List.for_all
+       (fun u -> Cache.find_by_uuid c (uuid u) ~now = Reference.find_by_uuid r (uuid u) ~now)
+       cache_uuids
 
 (* Runs one schedule on a cache and on the reference, and returns the
    first step where their answers differ. *)
@@ -385,39 +530,37 @@ let cache_model_diverges (ttl, ops) =
       Cache.invalidate c n;
       Reference.invalidate r n;
       true
-    | Install (k, n, uuid, v) ->
+    | Install (k, n, w) ->
       let fc, fr = fills.(k) in
-      Cache.install c fc n ?uuid v ~now:!now = Reference.install r fr n ?uuid v ~now:!now
-    | Bulk (k, rows) ->
+      apply_write { install = (fun f n v -> Cache.install c fc f n v ~now:!now) } n w
+      = apply_write { install = (fun f n v -> Reference.install r fr f n v ~now:!now) } n w
+    | Listing (k, rows) ->
       let fc, fr = fills.(k) in
-      Cache.install_bulk c fc ~now:!now (fun add ->
-          List.map (fun (n, uuid, v) -> add n ?uuid v) rows)
-      = List.map (fun (n, uuid, v) -> Reference.install r fr n ?uuid v ~now:!now) rows
+      let records = records_of rows in
+      Cache.install_listing c fc records ~now:!now
+      = Reference.install_listing r fr records ~now:!now
     | Clear ->
       Cache.clear c;
       Reference.clear r;
       true
-    | Find n -> Cache.find c n ~now:!now = Reference.find r n ~now:!now
-    | Find_by_uuid u -> Cache.find_by_uuid c u ~now:!now = Reference.find_by_uuid r u ~now:!now
+    | Find (Field f, n) -> Cache.find c f n ~now:!now = Reference.find r f n ~now:!now
+    | Find_by_uuid u ->
+      Cache.find_by_uuid c (uuid u) ~now:!now = Reference.find_by_uuid r (uuid u) ~now:!now
     | Tick ->
       now := !now +. 0.6;
       true
   in
   let agree () =
-    Cache.size c = Reference.size r
-    && Cache.epoch c = Reference.epoch r
+    Cache.epoch c = Reference.epoch r
     && Cache.hits c = Reference.hits r
     && Cache.misses c = Reference.misses r
-    && List.for_all
-         (fun n -> Cache.find c n ~now:!now = Reference.find r n ~now:!now)
-         [ "a"; "b"; "c"; "d" ]
-    && List.for_all
-         (fun u -> Cache.find_by_uuid c u ~now:!now = Reference.find_by_uuid r u ~now:!now)
-         [ "u1"; "u2"; "u3" ]
+    && caches_agree c r ~now:!now
   in
   let rec go i = function
     | [] -> if agree () then None else Some "final state"
-    | op :: ops -> if step op && agree () then go (i + 1) ops else Some (Printf.sprintf "step %d: %s" i (show_op op))
+    | op :: ops ->
+      if step op && agree () then go (i + 1) ops
+      else Some (Printf.sprintf "step %d: %s" i (show_op op))
   in
   go 0 ops
 
@@ -431,53 +574,59 @@ let prop_cache_matches_reference =
       | None -> true
       | Some where -> QCheck.Test.fail_reportf "diverges at %s" where)
 
-(* A rename on a TTL cache: no event drops the old name's entry, so the
-   new name claims the UUID while the old entry still carries it.
-   Replacing or invalidating the old entry must leave the new owner's
+(* A rename on a TTL cache: no event drops the old name's row, so the
+   new name claims the UUID while the old row's ref still carries it.
+   Replacing or invalidating the old row must leave the new owner's
    index entry alone. *)
 let test_cache_rename_keeps_uuid_index () =
   let renamed () =
     let c = Cache.create ~ttl:60. () in
     let fill = Cache.begin_fill c in
-    ignore (Cache.install c fill "old" ~uuid:"u-1" 1 ~now:0.);
-    ignore (Cache.install c fill "new" ~uuid:"u-1" 1 ~now:1.);
+    ignore (Cache.install c fill Cache.Ref "old" (cache_ref "old" "u-1" 1) ~now:0.);
+    ignore (Cache.install c fill Cache.Ref "new" (cache_ref "new" "u-1" 1) ~now:1.);
     (c, fill)
   in
+  let owner c =
+    Option.map (fun r -> r.Driver.dom_name) (Cache.find_by_uuid c (uuid "u-1") ~now:2.)
+  in
   let c, fill = renamed () in
-  ignore (Cache.install c fill "old" ~uuid:"u-2" 2 ~now:2.);
-  Alcotest.(check (option int)) "after the old name is replaced" (Some 1)
-    (Cache.find_by_uuid c "u-1" ~now:2.);
+  ignore (Cache.install c fill Cache.Ref "old" (cache_ref "old" "u-2" 2) ~now:2.);
+  Alcotest.(check (option string)) "after the old name is replaced" (Some "new") (owner c);
   let c, _ = renamed () in
   Cache.invalidate c "old";
-  Alcotest.(check (option int)) "after the old name is invalidated" (Some 1)
-    (Cache.find_by_uuid c "u-1" ~now:2.)
+  Alcotest.(check (option string)) "after the old name is invalidated" (Some "new") (owner c)
 
-(* A repeated listing runs no row until something changes the cache;
-   a TTL cache always runs them, to refresh its stamps. *)
+(* A repeated listing runs no row until something changes the cache in
+   a way the listing would undo; a TTL cache always runs them, to
+   refresh its stamps. *)
 let test_cache_repeated_listing_skipped () =
-  let rows = [ ("a", "u-a", 1); ("b", "u-b", 2) ] in
-  let install c serial =
-    Cache.install_listing c (Cache.begin_fill c) ~serial ~now:0. (fun add ->
-        List.iter (fun (n, uuid, v) -> ignore (add n ~uuid v)) rows)
-  in
+  let rows () = [ cache_record "a" "u-a" 1; cache_record "b" "u-b" 2 ] in
+  (* Equal rows, two lists: only the very list is a repeat. *)
+  let lists = [| rows (); rows () |] in
+  let install c i = Cache.install_listing c (Cache.begin_fill c) lists.(i) ~now:0. in
   let c = Cache.create () in
-  Alcotest.(check (list bool)) "first, repeat, another serial, its repeat"
-    [ true; false; true; false ]
-    (List.map (install c) [ 1; 1; 2; 2 ]);
+  Alcotest.(check (list int)) "first, repeat, another list, its repeat" [ 2; 0; 2; 0 ]
+    (List.map (install c) [ 0; 0; 1; 1 ]);
   Cache.invalidate c "a";
-  Alcotest.(check bool) "after an invalidation" true (install c 2);
-  Alcotest.(check (option int)) "reinstalled" (Some 1) (Cache.find c "a" ~now:0.);
+  Alcotest.(check int) "after an invalidation" 2 (install c 1);
+  Alcotest.(check bool) "reinstalled" true
+    (Cache.find c Cache.Info "a" ~now:0. = Some (cache_info 1));
+  ignore (Cache.install c (Cache.begin_fill c) Cache.Xml "a" "<a/>" ~now:0.);
+  Alcotest.(check int) "after a field is added" 0 (install c 1);
+  ignore (Cache.install c (Cache.begin_fill c) Cache.Info "a" (cache_info 3) ~now:0.);
+  Alcotest.(check int) "after a listed field is replaced" 2 (install c 1);
   Cache.clear c;
-  Alcotest.(check bool) "after a clear" true (install c 2);
+  Alcotest.(check int) "after a clear" 2 (install c 1);
   let t = Cache.create ~ttl:1.0 () in
-  Alcotest.(check (list bool)) "under a ttl" [ true; true ] (List.map (install t) [ 1; 1 ])
+  Alcotest.(check (list int)) "under a ttl" [ 2; 2 ] (List.map (install t) [ 0; 0 ])
 
-(* Listings are a few fixed physical lists, numbered by index, among
-   point installs, invalidations, clears, stale fills and ticks. *)
+(* Listings are a few fixed physical lists, named by index, among point
+   installs of every field, invalidations, clears, stale fills and
+   ticks. *)
 type listing_op =
   | L_fill of int
   | L_listing of int * int  (** fill slot, list *)
-  | L_install of int * string * string option * int
+  | L_install of int * string * write
   | L_invalidate of string
   | L_clear
   | L_tick
@@ -485,20 +634,14 @@ type listing_op =
 let show_listing_op = function
   | L_fill k -> Printf.sprintf "begin_fill %d" k
   | L_listing (k, i) -> Printf.sprintf "listing %d with fill %d" i k
-  | L_install (k, n, u, v) ->
-    Printf.sprintf "install %d %s %s %d" k n (Option.value u ~default:"-") v
+  | L_install (k, n, w) -> Printf.sprintf "install %d %s %s" k n (show_write w)
   | L_invalidate n -> "invalidate " ^ n
   | L_clear -> "clear"
   | L_tick -> "tick"
 
-let listing_names = [ "a"; "b"; "c"; "d" ]
-let listing_uuids = [ "u1"; "u2"; "u3" ]
-
 let gen_listing_run =
   let open QCheck.Gen in
-  let name = oneofl listing_names in
-  let uuid = opt (oneofl listing_uuids) in
-  let row = triple name uuid (int_bound 1) in
+  let name = oneofl cache_names in
   let slot = int_bound 1 in
   let* n_lists = int_range 2 3 in
   let op =
@@ -506,25 +649,22 @@ let gen_listing_run =
       [
         (2, map (fun k -> L_fill k) slot);
         (6, map2 (fun k i -> L_listing (k, i)) slot (int_bound (n_lists - 1)));
-        (* Values 0..3: point installs often differ from the listed ones. *)
-        ( 2,
-          map2
-            (fun k (n, u, v) -> L_install (k, n, u, v))
-            slot (triple name uuid (int_bound 3)) );
+        (3, map3 (fun k n w -> L_install (k, n, w)) slot name gen_write);
         (2, map (fun n -> L_invalidate n) name);
         (1, return L_clear);
         (2, return L_tick);
       ]
   in
   triple bool
-    (array_repeat n_lists (list_size (int_bound 5) row))
+    (array_repeat n_lists (list_size (int_bound 5) gen_listed))
     (list_size (int_range 1 40) op)
 
 (* Runs one schedule on a cache whose listings may skip and on the
    reference, which always installs every row; returns the first step
-   after which [find], [find_by_uuid] or [size] differ. *)
+   after which a [find] of any field, [find_by_uuid] or [size] differ. *)
 let listing_run_diverges (ttl, lists, ops) =
   let ttl = if ttl then Some 1.0 else None in
+  let lists = Array.map records_of lists in
   let c = Cache.create ?ttl () and r = Reference.create ?ttl () in
   let fills = Array.init 2 (fun _ -> (Cache.begin_fill c, Reference.begin_fill r)) in
   let now = ref 0. in
@@ -532,15 +672,13 @@ let listing_run_diverges (ttl, lists, ops) =
     | L_fill k -> fills.(k) <- (Cache.begin_fill c, Reference.begin_fill r)
     | L_listing (k, i) ->
       let fc, fr = fills.(k) in
-      let rows = lists.(i) in
-      ignore
-        (Cache.install_listing c fc ~serial:i ~now:!now (fun add ->
-             List.iter (fun (n, uuid, v) -> ignore (add n ?uuid v)) rows));
-      List.iter (fun (n, uuid, v) -> ignore (Reference.install r fr n ?uuid v ~now:!now)) rows
-    | L_install (k, n, uuid, v) ->
+      ignore (Cache.install_listing c fc lists.(i) ~now:!now);
+      ignore (Reference.install_listing r fr lists.(i) ~now:!now)
+    | L_install (k, n, w) ->
       let fc, fr = fills.(k) in
-      ignore (Cache.install c fc n ?uuid v ~now:!now);
-      ignore (Reference.install r fr n ?uuid v ~now:!now)
+      ignore (apply_write { install = (fun f n v -> Cache.install c fc f n v ~now:!now) } n w);
+      ignore
+        (apply_write { install = (fun f n v -> Reference.install r fr f n v ~now:!now) } n w)
     | L_invalidate n ->
       Cache.invalidate c n;
       Reference.invalidate r n
@@ -549,34 +687,21 @@ let listing_run_diverges (ttl, lists, ops) =
       Reference.clear r
     | L_tick -> now := !now +. 0.6
   in
-  let agree () =
-    Cache.size c = Reference.size r
-    && List.for_all
-         (fun n -> Cache.find c n ~now:!now = Reference.find r n ~now:!now)
-         listing_names
-    && List.for_all
-         (fun u -> Cache.find_by_uuid c u ~now:!now = Reference.find_by_uuid r u ~now:!now)
-         listing_uuids
-  in
   let rec go i = function
     | [] -> None
     | op :: ops ->
       step op;
-      if agree () then go (i + 1) ops
+      if caches_agree c r ~now:!now then go (i + 1) ops
       else Some (Printf.sprintf "step %d: %s" i (show_listing_op op))
   in
   go 0 ops
 
 let prop_repeated_listing_matches_full_install =
   let print (ttl, lists, ops) =
-    let show_row (n, u, v) = Printf.sprintf "%s %s %d" n (Option.value u ~default:"-") v in
     Printf.sprintf "ttl=%b\n%s\n%s" ttl
       (String.concat "\n"
          (Array.to_list
-            (Array.mapi
-               (fun i rows ->
-                 Printf.sprintf "list %d: [%s]" i (String.concat "; " (List.map show_row rows)))
-               lists)))
+            (Array.mapi (fun i rows -> Printf.sprintf "list %d: [%s]" i (show_rows rows)) lists)))
       (String.concat "\n" (List.map show_listing_op ops))
   in
   qcheck_case ~count:1000 "a skipped listing leaves the cache as a full install"
@@ -825,8 +950,8 @@ let test_cache_serves_repeat_reads () =
       Alcotest.(check bool) "reads agree" true (i1 = i2 && i2 = i3);
       Alcotest.(check int) "first read hits the wire" 1 (c1 - c0);
       Alcotest.(check int) "repeats served locally" 0 (c2 - c1);
-      (* The bulk listing primes all three caches: point reads after it
-         cost nothing. *)
+      (* The bulk listing primes every listed row's ref, info and
+         autostart: point reads after it cost nothing. *)
       let c3 = calls_of remote in
       let records = vok (Connect.list_all_domains remote) in
       let c4 = calls_of remote in
@@ -961,6 +1086,54 @@ let test_reconnect_drops_cache () =
   Connect.close remote;
   Connect.close direct;
   Daemon.stop d2
+
+(* One row per domain, end to end: a listing fills each listed
+   domain's ref, info and autostart, XML is a field of its own, and a
+   lifecycle event drops its domain's row and no other. *)
+let test_cache_rows_over_rpc () =
+  with_daemon (fun daemon _ ->
+      let node = fresh_name "rownode" in
+      let direct = vok (Connect.open_uri (Printf.sprintf "test://%s/" node)) in
+      let a = fresh_name "row-a" and b = fresh_name "row-b" in
+      List.iter (fun name -> ignore (define_and_start direct ~virt_type:"test" ~name ())) [ a; b ];
+      let remote = vok (Connect.open_uri (remote_uri ~daemon node)) in
+      (* The round trips [f] puts on the wire. *)
+      let sent f =
+        let c0 = calls_of remote in
+        f ();
+        calls_of remote - c0
+      in
+      let point_reads name () =
+        let dom = vok (Domain.lookup_by_name remote name) in
+        ignore (vok (Domain.get_info dom));
+        ignore (vok (Domain.get_autostart dom))
+      in
+      let xml name () = ignore (vok (Domain.xml_desc (vok (Domain.lookup_by_name remote name)))) in
+      let all_reads name () =
+        point_reads name ();
+        xml name ()
+      in
+      Alcotest.(check int) "one listing" 1
+        (sent (fun () -> ignore (vok (Connect.list_all_domains remote))));
+      Alcotest.(check int) "listed fields are local" 0
+        (sent (fun () ->
+             point_reads a ();
+             point_reads b ()));
+      Alcotest.(check int) "xml is its own field" 1 (sent (xml a));
+      Alcotest.(check int) "then local" 0 (sent (xml a));
+      ignore (sent (xml b));
+      Events.emit (vok (Connect.ops direct)).Driver.events ~domain_name:a Events.Ev_adopted;
+      Alcotest.(check bool) "the event arrives" true
+        (eventually (fun () ->
+             List.exists
+               (fun e -> e.Events.domain_name = a)
+               (vok (Connect.event_history remote))));
+      Alcotest.(check int) "the event's domain: each read on the wire once" 4
+        (sent (all_reads a));
+      Alcotest.(check int) "then local again" 0 (sent (all_reads a));
+      Alcotest.(check int) "the other domain stays local" 0 (sent (all_reads b));
+      Connect.close remote;
+      Connect.close direct)
 
 (* --- listing decode reuse --------------------------------------------------- *)
 
@@ -1206,6 +1379,7 @@ let () =
           quick "eventless ttl freshness" test_eventless_ttl_freshness;
           quick "cache=0 disables" test_cache_disabled_by_param;
           quick "reconnect drops cache" test_reconnect_drops_cache;
+          quick "an event drops one row" test_cache_rows_over_rpc;
         ] );
       ( "storage",
         [ quick "vol_by_path native" test_vol_by_path_native ]

@@ -429,7 +429,25 @@ let test_config_rejections () =
       "reactor_buf_kb = 16";
       "reactor_pool_bufs = 64";
       "reconcile_diverged_after = 3";
-    ]
+      (* Limits across keys: the workerpools would refuse them at start. *)
+      "max_workers = 0";
+      "min_workers = 30";
+      "admin_min_workers = 6";
+    ];
+  (* Either order of two keys that are only valid together. *)
+  List.iter
+    (fun text ->
+      match Daemon_config.parse text with
+      | Ok cfg ->
+        Alcotest.(check (pair int int)) text (30, 40)
+          (cfg.Daemon_config.min_workers, cfg.Daemon_config.max_workers)
+      | Error e -> Alcotest.failf "refused %S: %s" text e)
+    [ "min_workers = 30\nmax_workers = 40"; "max_workers = 40\nmin_workers = 30" ];
+  match Daemon.start ~config:{ Daemon_config.default with Daemon_config.min_workers = 30 } () with
+  | exception Invalid_argument _ -> ()
+  | d ->
+    Daemon.stop d;
+    Alcotest.fail "Daemon.start accepted min_workers above max_workers"
 
 let test_config_applied_to_daemon () =
   let config =
