@@ -5,6 +5,9 @@
    named "ovirtd" is started first, with a few clients connected, so the
    binary is explorable standalone. *)
 
+module Ap = Protocol.Admin_protocol
+module Rp = Protocol.Remote_protocol
+
 let ( let* ) = Result.bind
 let verr r = Result.map_error Ovirt.Verror.to_string r
 
@@ -27,10 +30,26 @@ let server shell name =
   let* conn = require_conn shell in
   verr (Ovirt.Admin_client.lookup_server conn name)
 
-let transport_name = function
-  | Ovnet.Transport.Unix_sock -> "unix"
-  | Ovnet.Transport.Tcp -> "tcp"
-  | Ovnet.Transport.Tls -> "tls"
+(* One "key: value" line per typed parameter, keys padded to the longest
+   (at least 15 columns, as virt-admin prints them). *)
+let show_params params =
+  let width = List.fold_left (fun w (field, _) -> max w (String.length field)) 15 params in
+  params
+  |> List.map (fun (field, value) ->
+         let text =
+           match value with
+           | Ovrpc.Typed_params.P_int n | Ovrpc.Typed_params.P_uint n -> string_of_int n
+           | Ovrpc.Typed_params.P_llong n | Ovrpc.Typed_params.P_ullong n ->
+             Int64.to_string n
+           | Ovrpc.Typed_params.P_double f -> string_of_float f
+           | Ovrpc.Typed_params.P_bool b -> if b then "yes" else "no"
+           | Ovrpc.Typed_params.P_string s -> s
+         in
+         Printf.sprintf "%-*s: %s" width field text)
+  |> String.concat "\n"
+
+(* A typed-parameter record, printed by the table it was decoded with. *)
+let show table record = Ok (show_params (Ap.to_params table record))
 
 let format_timestamp seconds =
   let tm = Unix.gmtime (Int64.to_float seconds) in
@@ -44,7 +63,7 @@ let commands shell =
   in
   [
     simple "uri" "Connection" "" "print the admin connection target" (fun _ ->
-        Ok (Printf.sprintf "%s-admin-sock" shell.daemon));
+        Ok (Rp.admin_address shell.daemon));
     simple "uptime" "Monitoring commands" "" "daemon uptime in seconds" (fun _ ->
         let* conn = require_conn shell in
         let* seconds = verr (Ovirt.Admin_client.daemon_uptime_s conn) in
@@ -64,99 +83,26 @@ let commands shell =
         let* name = one_positional args "<server>" in
         let* srv = server shell name in
         let* tp = verr (Ovirt.Admin_client.threadpool_info srv) in
-        Ok
-          (String.concat "\n"
-             [
-               Printf.sprintf "%-15s: %d" "minWorkers" tp.Ovirt.Admin_client.tp_min_workers;
-               Printf.sprintf "%-15s: %d" "maxWorkers" tp.Ovirt.Admin_client.tp_max_workers;
-               Printf.sprintf "%-15s: %d" "nWorkers" tp.Ovirt.Admin_client.tp_n_workers;
-               Printf.sprintf "%-15s: %d" "freeWorkers" tp.Ovirt.Admin_client.tp_free_workers;
-               Printf.sprintf "%-15s: %d" "prioWorkers" tp.Ovirt.Admin_client.tp_prio_workers;
-               Printf.sprintf "%-15s: %d" "jobQueueDepth"
-                 tp.Ovirt.Admin_client.tp_job_queue_depth;
-               Printf.sprintf "%-15s: %d" "jobQueueLimit"
-                 tp.Ovirt.Admin_client.tp_job_queue_limit;
-               Printf.sprintf "%-15s: %d" "wallLimitMs"
-                 tp.Ovirt.Admin_client.tp_wall_limit_ms;
-             ]));
+        show Ap.threadpool_info tp);
     simple "pool-stats" "Monitoring commands" "<server>"
       "overload counters: shed/expired jobs, stuck workers, live limits"
       (fun args ->
         let* name = one_positional args "<server>" in
         let* srv = server shell name in
         let* ps = verr (Ovirt.Admin_client.pool_stats srv) in
-        Ok
-          (String.concat "\n"
-             [
-               Printf.sprintf "%-15s: %d" "jobsDone" ps.Ovirt.Admin_client.ps_jobs_done;
-               Printf.sprintf "%-15s: %d" "jobsFailed" ps.Ovirt.Admin_client.ps_jobs_failed;
-               Printf.sprintf "%-15s: %d" "jobsShed" ps.Ovirt.Admin_client.ps_jobs_shed;
-               Printf.sprintf "%-15s: %d" "jobsExpired"
-                 ps.Ovirt.Admin_client.ps_jobs_expired;
-               Printf.sprintf "%-15s: %d" "workersStuck"
-                 ps.Ovirt.Admin_client.ps_workers_stuck;
-               Printf.sprintf "%-15s: %d" "workersStuckNow"
-                 ps.Ovirt.Admin_client.ps_workers_stuck_now;
-               Printf.sprintf "%-15s: %d" "jobQueueDepth"
-                 ps.Ovirt.Admin_client.ps_job_queue_depth;
-               Printf.sprintf "%-15s: %d" "jobQueueLimit"
-                 ps.Ovirt.Admin_client.ps_job_queue_limit;
-               Printf.sprintf "%-15s: %d" "wallLimitMs"
-                 ps.Ovirt.Admin_client.ps_wall_limit_ms;
-             ]));
+        show Ap.pool_stats ps);
     simple "event-stats" "Monitoring commands" ""
       "event replay-ring counters: emitted/replayed/gapped, resumes, occupancy"
       (fun _ ->
         let* conn = require_conn shell in
         let* es = verr (Ovirt.Admin_client.event_stats conn) in
-        Ok
-          (String.concat "\n"
-             [
-               Printf.sprintf "%-15s: %d" "nRings" es.Ovirt.Admin_client.es_rings;
-               Printf.sprintf "%-15s: %d" "eventsEmitted"
-                 es.Ovirt.Admin_client.es_emitted;
-               Printf.sprintf "%-15s: %d" "eventsReplayed"
-                 es.Ovirt.Admin_client.es_replayed;
-               Printf.sprintf "%-15s: %d" "eventsGapped"
-                 es.Ovirt.Admin_client.es_gapped;
-               Printf.sprintf "%-15s: %d" "eventResumes"
-                 es.Ovirt.Admin_client.es_resumes;
-               Printf.sprintf "%-15s: %d" "ringOccupancy"
-                 es.Ovirt.Admin_client.es_ring_occupancy;
-               Printf.sprintf "%-15s: %d" "ringCapacity"
-                 es.Ovirt.Admin_client.es_ring_capacity;
-               Printf.sprintf "%-15s: %d" "nSubscribers"
-                 es.Ovirt.Admin_client.es_subscribers;
-               Printf.sprintf "%-15s: %d" "headSeq"
-                 es.Ovirt.Admin_client.es_head_seq;
-             ]));
+        show Ap.event_stats es);
     simple "reply-cache-stats" "Monitoring commands" ""
       "reply-cache counters: hits/misses, invalidations, evictions, bytes"
       (fun _ ->
         let* conn = require_conn shell in
         let* rc = verr (Ovirt.Admin_client.reply_cache_stats conn) in
-        Ok
-          (String.concat "\n"
-             [
-               Printf.sprintf "%-15s: %d" "nCaches"
-                 rc.Ovirt.Admin_client.rc_caches;
-               Printf.sprintf "%-15s: %d" "hits" rc.Ovirt.Admin_client.rc_hits;
-               Printf.sprintf "%-15s: %d" "misses"
-                 rc.Ovirt.Admin_client.rc_misses;
-               Printf.sprintf "%-15s: %d" "insertions"
-                 rc.Ovirt.Admin_client.rc_insertions;
-               Printf.sprintf "%-15s: %d" "invalidations"
-                 rc.Ovirt.Admin_client.rc_invalidations;
-               Printf.sprintf "%-15s: %d" "evictions"
-                 rc.Ovirt.Admin_client.rc_evictions;
-               Printf.sprintf "%-15s: %d" "patchedSends"
-                 rc.Ovirt.Admin_client.rc_patched_sends;
-               Printf.sprintf "%-15s: %d" "entries"
-                 rc.Ovirt.Admin_client.rc_entries;
-               Printf.sprintf "%-15s: %d" "bytes" rc.Ovirt.Admin_client.rc_bytes;
-               Printf.sprintf "%-15s: %s" "enabled"
-                 (if rc.Ovirt.Admin_client.rc_enabled then "yes" else "no");
-             ]));
+        show Ap.reply_cache_stats rc);
     simple "fleet-status" "Monitoring commands" ""
       "federated control plane: member health, probes, migration totals"
       (fun _ ->
@@ -267,17 +213,7 @@ let commands shell =
         let* name = one_positional args "<server>" in
         let* srv = server shell name in
         let* cl = verr (Ovirt.Admin_client.client_limits srv) in
-        Ok
-          (String.concat "\n"
-             [
-               Printf.sprintf "%-24s: %d" "nclients_max" cl.Ovirt.Admin_client.nclients_max;
-               Printf.sprintf "%-24s: %d" "nclients_current"
-                 cl.Ovirt.Admin_client.nclients_current;
-               Printf.sprintf "%-24s: %d" "nclients_unauth_max"
-                 cl.Ovirt.Admin_client.nclients_unauth_max;
-               Printf.sprintf "%-24s: %d" "nclients_unauth_current"
-                 cl.Ovirt.Admin_client.nclients_unauth_current;
-             ]));
+        show Ap.client_limits cl);
     simple "srv-clients-set" "Management commands"
       "<server> [--max-clients N] [--max-unauth-clients N]"
       "set server client-processing controls" (fun args ->
@@ -302,7 +238,7 @@ let commands shell =
           (fun c ->
             Buffer.add_string buf
               (Printf.sprintf " %-5Ld %-10s %s\n" c.Ovirt.Admin_client.cl_id
-                 (transport_name c.Ovirt.Admin_client.cl_transport)
+                 (Ovnet.Transport.kind_name c.Ovirt.Admin_client.cl_transport)
                  (format_timestamp c.Ovirt.Admin_client.cl_connected_since)))
           clients;
         Ok (Buffer.contents buf));
@@ -321,22 +257,7 @@ let commands shell =
         in
         let* srv = server shell server_name in
         let* params = verr (Ovirt.Admin_client.client_identity srv id) in
-        let buf = Buffer.create 128 in
-        List.iter
-          (fun (field, value) ->
-            let text =
-              match value with
-              | Ovrpc.Typed_params.P_int n | Ovrpc.Typed_params.P_uint n ->
-                string_of_int n
-              | Ovrpc.Typed_params.P_llong n | Ovrpc.Typed_params.P_ullong n ->
-                Int64.to_string n
-              | Ovrpc.Typed_params.P_double f -> string_of_float f
-              | Ovrpc.Typed_params.P_bool b -> if b then "yes" else "no"
-              | Ovrpc.Typed_params.P_string s -> s
-            in
-            Buffer.add_string buf (Printf.sprintf "%-18s: %s\n" field text))
-          params;
-        Ok (Buffer.contents buf));
+        Ok (show_params params));
     simple "client-disconnect" "Management commands" "<id> --server <server>"
       "forcefully disconnect a client" (fun args ->
         let* id_str = one_positional args "<id>" in
@@ -397,7 +318,7 @@ let commands shell =
   ]
 
 let start_embedded_daemon () =
-  let daemon = Ovirt.Daemon.start ~name:"ovirtd" () in
+  let daemon = Ovirt.Daemon.start ~name:Rp.default_daemon () in
   (* A few clients so the monitoring commands have something to show. *)
   let open_client transport =
     match
@@ -407,7 +328,7 @@ let start_embedded_daemon () =
     | Error _ -> None
   in
   let clients = List.filter_map open_client [ "unix"; "tls"; "tcp" ] in
-  Printf.printf "embedded daemon %S started with %d demo clients\n\n" "ovirtd"
+  Printf.printf "embedded daemon %S started with %d demo clients\n\n" Rp.default_daemon
     (List.length clients);
   daemon
 
@@ -416,9 +337,9 @@ let () =
   let daemon, embedded, rest =
     match argv with
     | _ :: "-d" :: name :: rest -> (name, false, rest)
-    | _ :: "-e" :: rest -> ("ovirtd", true, rest)
-    | _ :: rest -> ("ovirtd", false, rest)
-    | [] -> ("ovirtd", false, [])
+    | _ :: "-e" :: rest -> (Rp.default_daemon, true, rest)
+    | _ :: rest -> (Rp.default_daemon, false, rest)
+    | [] -> (Rp.default_daemon, false, [])
   in
   let _embedded_daemon = if embedded then Some (start_embedded_daemon ()) else None in
   let shell = { conn = None; daemon } in

@@ -1,5 +1,6 @@
 module Verror = Ovirt_core.Verror
 module Ap = Protocol.Admin_protocol
+module Rp = Protocol.Remote_protocol
 module Tp = Ovrpc.Typed_params
 module Transport = Ovnet.Transport
 
@@ -8,10 +9,9 @@ type server = { conn : conn; srv_name : string }
 
 let ( let* ) = Result.bind
 
-let connect ?(daemon = "ovirtd") ?identity () =
+let connect ?(daemon = Rp.default_daemon) ?identity () =
   let* rpc =
-    Rpc_client.connect
-      ~address:(daemon ^ "-admin-sock")
+    Rpc_client.connect ~address:(Rp.admin_address daemon)
       ~kind:Transport.Unix_sock ~program:Ap.program ~version:Ap.version ?identity ()
   in
   let conn = { rpc } in
@@ -61,157 +61,27 @@ let lookup_server conn name =
 let server_name srv = srv.srv_name
 
 (* ------------------------------------------------------------------ *)
-(* Workerpool                                                          *)
+(* Typed-parameter records                                             *)
 (* ------------------------------------------------------------------ *)
 
-type threadpool_info = {
-  tp_min_workers : int;
-  tp_max_workers : int;
-  tp_n_workers : int;
-  tp_free_workers : int;
-  tp_prio_workers : int;
-  tp_job_queue_depth : int;
-  tp_job_queue_limit : int;
-  tp_wall_limit_ms : int;
-}
+include Protocol.Admin_records
 
-type pool_stats = {
-  ps_jobs_done : int;
-  ps_jobs_failed : int;
-  ps_jobs_shed : int;
-  ps_jobs_expired : int;
-  ps_workers_stuck : int;
-  ps_workers_stuck_now : int;
-  ps_job_queue_depth : int;
-  ps_job_queue_limit : int;
-  ps_wall_limit_ms : int;
-}
+(* A procedure whose reply is one record, decoded through its table. *)
+let record conn s table args =
+  let* params = rpc conn s args in
+  Ap.of_params table params
 
-let required params field =
-  match Tp.find_uint params field with
-  | Some v -> Ok v
-  | None -> Verror.error Verror.Rpc_failure "reply lacks field %S" field
-
-let threadpool_info srv =
-  let* params = rpc srv.conn Ap.get_threadpool srv.srv_name in
-  let* tp_min_workers = required params Ap.threadpool_workers_min in
-  let* tp_max_workers = required params Ap.threadpool_workers_max in
-  let* tp_n_workers = required params Ap.threadpool_workers_current in
-  let* tp_free_workers = required params Ap.threadpool_workers_free in
-  let* tp_prio_workers = required params Ap.threadpool_workers_priority in
-  let* tp_job_queue_depth = required params Ap.threadpool_job_queue_depth in
-  let* tp_job_queue_limit = required params Ap.threadpool_job_queue_limit in
-  let* tp_wall_limit_ms = required params Ap.threadpool_wall_limit_ms in
-  Ok
-    {
-      tp_min_workers;
-      tp_max_workers;
-      tp_n_workers;
-      tp_free_workers;
-      tp_prio_workers;
-      tp_job_queue_depth;
-      tp_job_queue_limit;
-      tp_wall_limit_ms;
-    }
-
-let pool_stats srv =
-  let* params = rpc srv.conn Ap.daemon_pool_stats srv.srv_name in
-  let* ps_jobs_done = required params Ap.pool_jobs_done in
-  let* ps_jobs_failed = required params Ap.pool_jobs_failed in
-  let* ps_jobs_shed = required params Ap.pool_jobs_shed in
-  let* ps_jobs_expired = required params Ap.pool_jobs_expired in
-  let* ps_workers_stuck = required params Ap.pool_workers_stuck in
-  let* ps_workers_stuck_now = required params Ap.pool_workers_stuck_now in
-  let* ps_job_queue_depth = required params Ap.threadpool_job_queue_depth in
-  let* ps_job_queue_limit = required params Ap.threadpool_job_queue_limit in
-  let* ps_wall_limit_ms = required params Ap.threadpool_wall_limit_ms in
-  Ok
-    {
-      ps_jobs_done;
-      ps_jobs_failed;
-      ps_jobs_shed;
-      ps_jobs_expired;
-      ps_workers_stuck;
-      ps_workers_stuck_now;
-      ps_job_queue_depth;
-      ps_job_queue_limit;
-      ps_wall_limit_ms;
-    }
-
-type event_stats = {
-  es_rings : int;
-  es_emitted : int;
-  es_replayed : int;
-  es_gapped : int;
-  es_resumes : int;
-  es_ring_occupancy : int;
-  es_ring_capacity : int;
-  es_subscribers : int;
-  es_head_seq : int;
-}
-
-let event_stats conn =
-  let* params = rpc conn Ap.daemon_event_stats () in
-  let* es_rings = required params Ap.event_rings in
-  let* es_emitted = required params Ap.event_emitted in
-  let* es_replayed = required params Ap.event_replayed in
-  let* es_gapped = required params Ap.event_gapped in
-  let* es_resumes = required params Ap.event_resumes in
-  let* es_ring_occupancy = required params Ap.event_ring_occupancy in
-  let* es_ring_capacity = required params Ap.event_ring_capacity in
-  let* es_subscribers = required params Ap.event_subscribers in
-  let* es_head_seq = required params Ap.event_head_seq in
-  Ok
-    {
-      es_rings;
-      es_emitted;
-      es_replayed;
-      es_gapped;
-      es_resumes;
-      es_ring_occupancy;
-      es_ring_capacity;
-      es_subscribers;
-      es_head_seq;
-    }
-
-type reply_cache_stats = {
-  rc_caches : int;
-  rc_hits : int;
-  rc_misses : int;
-  rc_insertions : int;
-  rc_invalidations : int;
-  rc_evictions : int;
-  rc_patched_sends : int;
-  rc_entries : int;
-  rc_bytes : int;
-  rc_enabled : bool;
-}
+let threadpool_info srv = record srv.conn Ap.get_threadpool Ap.threadpool_info srv.srv_name
+let pool_stats srv = record srv.conn Ap.daemon_pool_stats Ap.pool_stats srv.srv_name
+let client_limits srv = record srv.conn Ap.get_client_limits Ap.client_limits srv.srv_name
+let event_stats conn = record conn Ap.daemon_event_stats Ap.event_stats ()
 
 let reply_cache_stats conn =
-  let* params = rpc conn Ap.daemon_reply_cache_stats () in
-  let* rc_caches = required params Ap.reply_cache_caches in
-  let* rc_hits = required params Ap.reply_cache_hits in
-  let* rc_misses = required params Ap.reply_cache_misses in
-  let* rc_insertions = required params Ap.reply_cache_insertions in
-  let* rc_invalidations = required params Ap.reply_cache_invalidations in
-  let* rc_evictions = required params Ap.reply_cache_evictions in
-  let* rc_patched_sends = required params Ap.reply_cache_patched_sends in
-  let* rc_entries = required params Ap.reply_cache_entries in
-  let* rc_bytes = required params Ap.reply_cache_bytes in
-  let* enabled = required params Ap.reply_cache_enabled in
-  Ok
-    {
-      rc_caches;
-      rc_hits;
-      rc_misses;
-      rc_insertions;
-      rc_invalidations;
-      rc_evictions;
-      rc_patched_sends;
-      rc_entries;
-      rc_bytes;
-      rc_enabled = enabled <> 0;
-    }
+  record conn Ap.daemon_reply_cache_stats Ap.reply_cache_stats ()
+
+(* ------------------------------------------------------------------ *)
+(* Workerpool                                                          *)
+(* ------------------------------------------------------------------ *)
 
 let set_threadpool_params srv params =
   rpc srv.conn Ap.set_threadpool (srv.srv_name, params)
@@ -240,13 +110,6 @@ type client_info = {
   cl_connected_since : int64;
 }
 
-type client_limits = {
-  nclients_max : int;
-  nclients_current : int;
-  nclients_unauth_max : int;
-  nclients_unauth_current : int;
-}
-
 let list_clients srv =
   let* entries = rpc srv.conn Ap.list_clients srv.srv_name in
   let kind_of n =
@@ -268,14 +131,6 @@ let list_clients srv =
         rest
   in
   build [] entries
-
-let client_limits srv =
-  let* params = rpc srv.conn Ap.get_client_limits srv.srv_name in
-  let* nclients_max = required params Ap.server_clients_max in
-  let* nclients_current = required params Ap.server_clients_current in
-  let* nclients_unauth_max = required params Ap.server_clients_unauth_max in
-  let* nclients_unauth_current = required params Ap.server_clients_unauth_current in
-  Ok { nclients_max; nclients_current; nclients_unauth_max; nclients_unauth_current }
 
 let set_client_limits_params srv params =
   rpc srv.conn Ap.set_client_limits (srv.srv_name, params)

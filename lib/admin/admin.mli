@@ -14,7 +14,7 @@ type server
 val connect :
   ?daemon:string -> ?identity:Ovnet.Transport.unix_identity -> unit ->
   (conn, Ovirt_core.Verror.t) result
-(** [daemon] defaults to ["ovirtd"].  Non-root identities are refused by
+(** [daemon] defaults to {!Protocol.Remote_protocol.default_daemon}.  Non-root identities are refused by
     the daemon (the socket is root-only). *)
 
 val close : conn -> unit
@@ -31,44 +31,30 @@ val reconcile_status :
 (** The reconciler's convergence summary and per-domain rows — the
     administrator's view of whether the declared fleet state holds. *)
 
-(** Aggregate replay-ring counters across the daemon's per-node event
-    rings (v1.6 resumable subscriptions). *)
-type event_stats = {
-  es_rings : int;  (** rings created (one per distinct node opened) *)
-  es_emitted : int;  (** events appended to rings since startup *)
-  es_replayed : int;  (** events re-sent through resume replays *)
-  es_gapped : int;  (** resumes answered with a gap verdict *)
-  es_resumes : int;  (** resume calls served *)
-  es_ring_occupancy : int;  (** retained events, summed over rings *)
-  es_ring_capacity : int;  (** ring capacity, summed over rings *)
-  es_subscribers : int;  (** live seq-tagged subscriptions *)
-  es_head_seq : int;  (** highest stream position across rings *)
-}
+(** {1 Typed-parameter records}
+
+    The records below, each decoded through its table in
+    {!Protocol.Admin_protocol}: a reply that lacks a key fails with
+    [Rpc_failure "reply lacks field ..."], one whose key is not a uint
+    with [Rpc_failure "bad reply: ..."]. *)
+
+include module type of struct
+  include Protocol.Admin_records
+end
 
 val event_stats : conn -> (event_stats, Ovirt_core.Verror.t) result
 (** The administrator's view of event-stream health: a growing
     [es_gapped] means rings are undersized for the observed outages
     (raise [event_ring] in the daemon configuration). *)
 
-(** Aggregate reply-cache counters across the daemon's per-node caches
-    (the zero-work read fast path). *)
-type reply_cache_stats = {
-  rc_caches : int;  (** caches created (one per distinct node opened) *)
-  rc_hits : int;  (** lookups answered from cached bodies *)
-  rc_misses : int;  (** lookups that fell through to the handler *)
-  rc_insertions : int;  (** bodies stored *)
-  rc_invalidations : int;  (** entries dropped by events or stale stamps *)
-  rc_evictions : int;  (** entries dropped by the capacity bound *)
-  rc_patched_sends : int;  (** cached replies sent from the receiving thread *)
-  rc_entries : int;  (** currently cached bodies, summed over caches *)
-  rc_bytes : int;  (** currently cached body bytes, summed over caches *)
-  rc_enabled : bool;  (** the daemon-level [reply_cache] knob *)
-}
-
 val reply_cache_stats : conn -> (reply_cache_stats, Ovirt_core.Verror.t) result
-(** The administrator's view of read fast-path health: a hit ratio near
-    zero under a read-heavy load means writes are churning the caches or
-    [reply_cache_entries] is too small. *)
+(** The administrator's view of the listing fast path.  The daemon
+    caches only the [dom_list_all] and [fleet_list_all] replies, so every
+    counter counts listings.  A hit ratio near zero under a read-heavy
+    load means writes are churning the node: each one drops its cached
+    listings (event-driven flush, or a stale generation stamp on the
+    next lookup).  The [reply_cache_entries] bound does not help: a
+    cache holds at most two keys, so only a bound of 1 ever evicts. *)
 
 val fleet_status :
   conn -> (Ovirt_core.Driver.fleet_status list, Ovirt_core.Verror.t) result
@@ -84,30 +70,6 @@ val lookup_server : conn -> string -> (server, Ovirt_core.Verror.t) result
 val server_name : server -> string
 
 (** {1 Workerpool} *)
-
-type threadpool_info = {
-  tp_min_workers : int;
-  tp_max_workers : int;
-  tp_n_workers : int;
-  tp_free_workers : int;
-  tp_prio_workers : int;
-  tp_job_queue_depth : int;
-  tp_job_queue_limit : int;  (** admission bound; 0 = unbounded *)
-  tp_wall_limit_ms : int;  (** stuck-worker watchdog; 0 = off *)
-}
-
-(** Overload counters since pool creation, plus the live limits. *)
-type pool_stats = {
-  ps_jobs_done : int;
-  ps_jobs_failed : int;  (** handler raised *)
-  ps_jobs_shed : int;  (** rejected by admission control *)
-  ps_jobs_expired : int;  (** deadline passed while queued *)
-  ps_workers_stuck : int;  (** ever written off by the watchdog *)
-  ps_workers_stuck_now : int;  (** still wedged *)
-  ps_job_queue_depth : int;
-  ps_job_queue_limit : int;
-  ps_wall_limit_ms : int;
-}
 
 val threadpool_info : server -> (threadpool_info, Ovirt_core.Verror.t) result
 val pool_stats : server -> (pool_stats, Ovirt_core.Verror.t) result
@@ -133,13 +95,6 @@ type client_info = {
   cl_id : int64;
   cl_transport : Ovnet.Transport.kind;
   cl_connected_since : int64;
-}
-
-type client_limits = {
-  nclients_max : int;
-  nclients_current : int;
-  nclients_unauth_max : int;
-  nclients_unauth_current : int;
 }
 
 val list_clients : server -> (client_info list, Ovirt_core.Verror.t) result

@@ -2,6 +2,7 @@ module Verror = Ovirt_core.Verror
 module Ap = Protocol.Admin_protocol
 module Tp = Ovrpc.Typed_params
 module Rpc_packet = Ovrpc.Rpc_packet
+open Protocol.Admin_records
 
 type daemon_view = {
   view_servers : unit -> (string * Server_obj.t) list;
@@ -20,61 +21,51 @@ let find_server view name =
   | None -> Verror.error Verror.No_server "no server named %S" name
 
 (* Reject unknown and read-only fields on setters: silently ignoring a
-   typo'd tunable is how misconfigurations survive. *)
-let check_fields ~writable ~readonly params =
+   typo'd tunable is how misconfigurations survive.  The record's table
+   says which of its keys are writable. *)
+let check_fields table params =
+  let keys = Ap.keys table in
   let rec go = function
     | [] -> Ok ()
-    | (field, _) :: rest ->
-      if List.mem field writable then go rest
-      else if List.mem field readonly then
-        Verror.error Verror.Invalid_arg "field %S is read-only" field
-      else Verror.error Verror.Invalid_arg "unknown field %S" field
+    | (field, _) :: rest -> (
+      match List.assoc_opt field keys with
+      | Some true -> go rest
+      | Some false -> Verror.error Verror.Invalid_arg "field %S is read-only" field
+      | None -> Verror.error Verror.Invalid_arg "unknown field %S" field)
   in
   go params
 
-let threadpool_params srv =
-  let stats = Threadpool.stats (Server_obj.pool srv) in
-  [
-    Tp.uint Ap.threadpool_workers_min stats.Threadpool.min_workers;
-    Tp.uint Ap.threadpool_workers_max stats.Threadpool.max_workers;
-    Tp.uint Ap.threadpool_workers_current stats.Threadpool.n_workers;
-    Tp.uint Ap.threadpool_workers_free stats.Threadpool.free_workers;
-    Tp.uint Ap.threadpool_workers_priority stats.Threadpool.prio_workers;
-    Tp.uint Ap.threadpool_job_queue_depth stats.Threadpool.job_queue_depth;
-    Tp.uint Ap.threadpool_job_queue_limit stats.Threadpool.job_queue_limit;
-    Tp.uint Ap.threadpool_wall_limit_ms stats.Threadpool.wall_limit_ms;
-  ]
+let threadpool_info srv =
+  let s = Threadpool.stats (Server_obj.pool srv) in
+  Ap.to_params Ap.threadpool_info
+    {
+      tp_min_workers = s.min_workers;
+      tp_max_workers = s.max_workers;
+      tp_n_workers = s.n_workers;
+      tp_free_workers = s.free_workers;
+      tp_prio_workers = s.prio_workers;
+      tp_job_queue_depth = s.job_queue_depth;
+      tp_job_queue_limit = s.job_queue_limit;
+      tp_wall_limit_ms = s.wall_limit_ms;
+    }
 
-let pool_stats_params srv =
-  let stats = Threadpool.stats (Server_obj.pool srv) in
-  [
-    Tp.uint Ap.pool_jobs_done stats.Threadpool.jobs_completed;
-    Tp.uint Ap.pool_jobs_failed stats.Threadpool.jobs_failed;
-    Tp.uint Ap.pool_jobs_shed stats.Threadpool.jobs_shed;
-    Tp.uint Ap.pool_jobs_expired stats.Threadpool.jobs_expired;
-    Tp.uint Ap.pool_workers_stuck stats.Threadpool.workers_stuck;
-    Tp.uint Ap.pool_workers_stuck_now stats.Threadpool.workers_stuck_now;
-    Tp.uint Ap.threadpool_job_queue_depth stats.Threadpool.job_queue_depth;
-    Tp.uint Ap.threadpool_job_queue_limit stats.Threadpool.job_queue_limit;
-    Tp.uint Ap.threadpool_wall_limit_ms stats.Threadpool.wall_limit_ms;
-  ]
+let pool_stats srv =
+  let s = Threadpool.stats (Server_obj.pool srv) in
+  Ap.to_params Ap.pool_stats
+    {
+      ps_jobs_done = s.jobs_completed;
+      ps_jobs_failed = s.jobs_failed;
+      ps_jobs_shed = s.jobs_shed;
+      ps_jobs_expired = s.jobs_expired;
+      ps_workers_stuck = s.workers_stuck;
+      ps_workers_stuck_now = s.workers_stuck_now;
+      ps_job_queue_depth = s.job_queue_depth;
+      ps_job_queue_limit = s.job_queue_limit;
+      ps_wall_limit_ms = s.wall_limit_ms;
+    }
 
 let set_threadpool srv params =
-  let* () =
-    check_fields
-      ~writable:
-        [
-          Ap.threadpool_workers_min; Ap.threadpool_workers_max;
-          Ap.threadpool_workers_priority; Ap.threadpool_job_queue_limit;
-          Ap.threadpool_wall_limit_ms;
-        ]
-      ~readonly:
-        [
-          Ap.threadpool_workers_free; Ap.threadpool_workers_current;
-          Ap.threadpool_job_queue_depth;
-        ]
-      params
-  in
+  let* () = check_fields Ap.threadpool_info params in
   let min_workers = Tp.find_uint params Ap.threadpool_workers_min in
   let max_workers = Tp.find_uint params Ap.threadpool_workers_max in
   let prio_workers = Tp.find_uint params Ap.threadpool_workers_priority in
@@ -93,23 +84,19 @@ let set_threadpool srv params =
     | exception Threadpool.Invalid_limits msg ->
       Error (Verror.make Verror.Invalid_arg msg)
 
-let client_limit_params srv =
+let client_limits srv =
   let limits = Server_obj.limits srv in
   let total, unauth = Server_obj.client_counts srv in
-  [
-    Tp.uint Ap.server_clients_max limits.Server_obj.max_clients;
-    Tp.uint Ap.server_clients_current total;
-    Tp.uint Ap.server_clients_unauth_max limits.Server_obj.max_anonymous;
-    Tp.uint Ap.server_clients_unauth_current unauth;
-  ]
+  Ap.to_params Ap.client_limits
+    {
+      nclients_max = limits.max_clients;
+      nclients_current = total;
+      nclients_unauth_max = limits.max_anonymous;
+      nclients_unauth_current = unauth;
+    }
 
 let set_client_limits srv params =
-  let* () =
-    check_fields
-      ~writable:[ Ap.server_clients_max; Ap.server_clients_unauth_max ]
-      ~readonly:[ Ap.server_clients_current; Ap.server_clients_unauth_current ]
-      params
-  in
+  let* () = check_fields Ap.client_limits params in
   let max_clients = Tp.find_uint params Ap.server_clients_max in
   let max_anonymous = Tp.find_uint params Ap.server_clients_unauth_max in
   if max_clients = None && max_anonymous = None then
@@ -124,6 +111,39 @@ let serve (s : (_, _) Ap.signature) body f =
 
 (* One counter summed over every per-node structure that keeps it. *)
 let sum f stats = List.fold_left (fun acc s -> acc + f s) 0 stats
+
+let event_stats remote =
+  let rings = Remote_service.event_stats remote in
+  let total f = sum f rings in
+  Ap.to_params Ap.event_stats
+    {
+      es_rings = List.length rings;
+      es_emitted = total (fun s -> s.Eventring.er_emitted);
+      es_replayed = total (fun s -> s.er_replayed);
+      es_gapped = total (fun s -> s.er_gaps);
+      es_resumes = total (fun s -> s.er_resumes);
+      es_ring_occupancy = total (fun s -> s.er_occupancy);
+      es_ring_capacity = total (fun s -> s.er_capacity);
+      es_subscribers = total (fun s -> s.er_subscribers);
+      es_head_seq = List.fold_left (fun acc s -> max acc s.Eventring.er_head) 0 rings;
+    }
+
+let reply_cache_stats remote =
+  let caches = Remote_service.reply_cache_stats remote in
+  let total f = sum f caches in
+  Ap.to_params Ap.reply_cache_stats
+    {
+      rc_caches = List.length caches;
+      rc_hits = total (fun s -> s.Reply_cache.hits);
+      rc_misses = total (fun s -> s.misses);
+      rc_insertions = total (fun s -> s.insertions);
+      rc_invalidations = total (fun s -> s.invalidations);
+      rc_evictions = total (fun s -> s.evictions);
+      rc_patched_sends = total (fun s -> s.patched_sends);
+      rc_entries = total (fun s -> s.entries);
+      rc_bytes = total (fun s -> s.bytes);
+      rc_enabled = Remote_service.reply_cache_enabled remote;
+    }
 
 let invalid_arg_of r = Result.map_error (Verror.make Verror.Invalid_arg) r
 
@@ -141,7 +161,7 @@ let handle view proc body =
     serve Ap.lookup_server body (fun server ->
         let* _srv = find_server view server in
         Ok ())
-  | Ap.Proc_get_threadpool -> params_of Ap.get_threadpool threadpool_params
+  | Ap.Proc_get_threadpool -> params_of Ap.get_threadpool threadpool_info
   | Ap.Proc_set_threadpool ->
     serve Ap.set_threadpool body (fun (server, params) ->
         let* srv = find_server view server in
@@ -149,7 +169,7 @@ let handle view proc body =
         Vlog.logf logger ~module_:"daemon.admin" Vlog.Info
           "threadpool limits of server %s changed" server;
         Ok ())
-  | Ap.Proc_get_client_limits -> params_of Ap.get_client_limits client_limit_params
+  | Ap.Proc_get_client_limits -> params_of Ap.get_client_limits client_limits
   | Ap.Proc_set_client_limits ->
     serve Ap.set_client_limits body (fun (server, params) ->
         let* srv = find_server view server in
@@ -213,7 +233,7 @@ let handle view proc body =
           "daemon drain requested by administrator";
         view.view_drain ();
         Ok ())
-  | Ap.Proc_daemon_pool_stats -> params_of Ap.daemon_pool_stats pool_stats_params
+  | Ap.Proc_daemon_pool_stats -> params_of Ap.daemon_pool_stats pool_stats
   | Ap.Proc_daemon_reconcile_status ->
     serve Ap.daemon_reconcile_status body (fun () ->
         match view.view_reconcile () with
@@ -221,40 +241,10 @@ let handle view proc body =
           Verror.error Verror.Operation_unsupported "this daemon has no reconciler"
         | Some r -> Ok (Reconcile.status r))
   | Ap.Proc_daemon_event_stats ->
-    serve Ap.daemon_event_stats body (fun () ->
-        let rings = Remote_service.event_stats view.view_remote in
-        let total name f = Tp.uint name (sum f rings) in
-        Ok
-          [
-            Tp.uint Ap.event_rings (List.length rings);
-            total Ap.event_emitted (fun s -> s.Eventring.er_emitted);
-            total Ap.event_replayed (fun s -> s.Eventring.er_replayed);
-            total Ap.event_gapped (fun s -> s.Eventring.er_gaps);
-            total Ap.event_resumes (fun s -> s.Eventring.er_resumes);
-            total Ap.event_ring_occupancy (fun s -> s.Eventring.er_occupancy);
-            total Ap.event_ring_capacity (fun s -> s.Eventring.er_capacity);
-            total Ap.event_subscribers (fun s -> s.Eventring.er_subscribers);
-            Tp.uint Ap.event_head_seq
-              (List.fold_left (fun acc s -> max acc s.Eventring.er_head) 0 rings);
-          ])
+    serve Ap.daemon_event_stats body (fun () -> Ok (event_stats view.view_remote))
   | Ap.Proc_daemon_reply_cache_stats ->
     serve Ap.daemon_reply_cache_stats body (fun () ->
-        let caches = Remote_service.reply_cache_stats view.view_remote in
-        let total name f = Tp.uint name (sum f caches) in
-        Ok
-          [
-            Tp.uint Ap.reply_cache_caches (List.length caches);
-            total Ap.reply_cache_hits (fun s -> s.Reply_cache.hits);
-            total Ap.reply_cache_misses (fun s -> s.Reply_cache.misses);
-            total Ap.reply_cache_insertions (fun s -> s.Reply_cache.insertions);
-            total Ap.reply_cache_invalidations (fun s -> s.Reply_cache.invalidations);
-            total Ap.reply_cache_evictions (fun s -> s.Reply_cache.evictions);
-            total Ap.reply_cache_patched_sends (fun s -> s.Reply_cache.patched_sends);
-            total Ap.reply_cache_entries (fun s -> s.Reply_cache.entries);
-            total Ap.reply_cache_bytes (fun s -> s.Reply_cache.bytes);
-            Tp.uint Ap.reply_cache_enabled
-              (Bool.to_int (Remote_service.reply_cache_enabled view.view_remote));
-          ])
+        Ok (reply_cache_stats view.view_remote))
   | Ap.Proc_daemon_fleet_status ->
     (* Every fleet hosted in this process. *)
     serve Ap.daemon_fleet_status body (fun () -> Ok (Ovirt_fleet.Fleet.statuses ()))

@@ -1,6 +1,8 @@
 (* The connection front end spreads every connection over a small fixed
    set of readiness-driven reactor loops which share one receive-buffer
    pool; decoded calls dispatch on the servers' workerpools. *)
+module Rp = Protocol.Remote_protocol
+
 type t = {
   name : string;
   logger : Vlog.t;
@@ -25,9 +27,6 @@ type t = {
       (* background drain in flight (admin-triggered); [stop] joins it so
          the drain thread never outlives the daemon's teardown *)
 }
-
-let mgmt_address_of name = name ^ "-sock"
-let admin_address_of name = name ^ "-admin-sock"
 
 let with_lifecycle daemon f =
   Mutex.lock daemon.lifecycle;
@@ -128,7 +127,7 @@ let drain_background daemon =
           daemon.drain_thread <-
             Some (Thread.create (fun () -> drain_impl daemon) ()))
 
-let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
+let start ?(name = Rp.default_daemon) ?(config = Daemon_config.default) () =
   (match Daemon_config.validate config with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Daemon.start: " ^ msg));
@@ -190,7 +189,6 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
               | Error e -> Error e));
       io_apply =
         (fun uri op ->
-          let module Rp = Protocol.Remote_protocol in
           Result.bind (recon_ops uri) (fun ops ->
               let sg =
                 match op.Reconcile.op_kind with
@@ -302,12 +300,12 @@ let start ?(name = "ovirtd") ?(config = Daemon_config.default) () =
   let next = Atomic.make 0 in
   let pick () = reactors.(Atomic.fetch_and_add next 1 mod Array.length reactors) in
   let mgmt_listener =
-    Ovnet.Netsim.listen_direct (mgmt_address_of name) (fun ~kind ep ->
+    Ovnet.Netsim.listen_direct (Rp.mgmt_address name) (fun ~kind ep ->
         Dispatch.attach_endpoint mgmt_server mgmt_programs ~reactor:(pick ())
           ~pool:bufpool ~kind ep)
   in
   let admin_listener =
-    Ovnet.Netsim.listen_direct (admin_address_of name) (fun ~kind ep ->
+    Ovnet.Netsim.listen_direct (Rp.admin_address name) (fun ~kind ep ->
         Dispatch.attach_endpoint admin_server admin_programs ~reactor:(pick ())
           ~pool:bufpool ~authorize:admin_authorized ~kind ep)
   in
@@ -342,8 +340,8 @@ let reactors daemon = daemon.reactors
 let buffer_pool daemon = Some daemon.bufpool
 
 let name daemon = daemon.name
-let mgmt_address daemon = mgmt_address_of daemon.name
-let admin_address daemon = admin_address_of daemon.name
+let mgmt_address daemon = Rp.mgmt_address daemon.name
+let admin_address daemon = Rp.admin_address daemon.name
 let logger daemon = daemon.logger
 let servers daemon = daemon.servers
 let find_server daemon name = List.assoc_opt name daemon.servers

@@ -45,10 +45,10 @@ val buffer_pool : t -> Ovreactor.Bufpool.t option
 (** The shared receive-buffer pool; always [Some]. *)
 
 val mgmt_address : t -> string
-(** ["<name>-sock"] — connect here with any transport kind. *)
+(** {!Protocol.Remote_protocol.mgmt_address} of the daemon's name. *)
 
 val admin_address : t -> string
-(** ["<name>-admin-sock"]. *)
+(** {!Protocol.Remote_protocol.admin_address} of the daemon's name. *)
 
 val logger : t -> Vlog.t
 val servers : t -> (string * Server_obj.t) list

@@ -5,14 +5,6 @@ module Cache = Remote_cache
 
 let ( let* ) = Result.bind
 
-let default_daemon = "ovirtd"
-
-let kind_of_transport = function
-  | "unix" | "ssh" | "libssh2" -> Ok Transport.Unix_sock
-  | "tcp" -> Ok Transport.Tcp
-  | "tls" -> Ok Transport.Tls
-  | t -> Verror.error Verror.Invalid_arg "unsupported transport %S" t
-
 (* Local (client-side) URI parameters, stripped before forwarding. *)
 let local_params =
   [
@@ -1020,8 +1012,10 @@ let open_conn uri =
     | Some t -> Ok t
     | None -> Verror.error Verror.Internal_error "remote driver probed without transport"
   in
-  let* kind = kind_of_transport transport in
-  let daemon = Option.value (Vuri.param uri "daemon") ~default:default_daemon in
+  let* kind =
+    Result.map_error (Verror.make Verror.Invalid_arg) (Transport.kind_of_name transport)
+  in
+  let daemon = Option.value (Vuri.param uri "daemon") ~default:Rp.default_daemon in
   let register_events = Option.value (int_param uri "events") ~default:1 <> 0 in
   let use_resume = Option.value (int_param uri "resume") ~default:1 <> 0 in
   let cache = cache_of_uri uri ~register_events in
@@ -1039,7 +1033,7 @@ let open_conn uri =
       sq_delivering = false;
     }
   in
-  let address = daemon ^ "-sock" in
+  let address = Rp.mgmt_address daemon in
   let* keepalive = keepalive_of_uri uri in
   let resilience = resilience_of_uri uri in
   let forwarded = Vuri.to_string (daemon_side_uri uri) in

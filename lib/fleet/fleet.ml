@@ -1051,16 +1051,15 @@ let journal_dir = "/var/lib/ovirt/fleet/"
    the same naming rule the remote driver uses. *)
 let probe_endpoint uri_string =
   match Vuri.parse uri_string with
-  | Error _ -> ("ovirtd-sock", Ovnet.Transport.Unix_sock)
+  | Error _ -> (Rp.mgmt_address Rp.default_daemon, Ovnet.Transport.Unix_sock)
   | Ok uri ->
-    let daemon = Option.value (Vuri.param uri "daemon") ~default:"ovirtd" in
+    let daemon = Option.value (Vuri.param uri "daemon") ~default:Rp.default_daemon in
     let kind =
-      match uri.Vuri.transport with
-      | Some "tcp" -> Ovnet.Transport.Tcp
-      | Some "tls" -> Ovnet.Transport.Tls
-      | Some _ | None -> Ovnet.Transport.Unix_sock
+      match Option.map Ovnet.Transport.kind_of_name uri.Vuri.transport with
+      | Some (Ok kind) -> kind
+      | Some (Error _) | None -> Ovnet.Transport.Unix_sock
     in
-    (daemon ^ "-sock", kind)
+    (Rp.mgmt_address daemon, kind)
 
 let make_member t ~name ~uri =
   let address, kind = probe_endpoint uri in

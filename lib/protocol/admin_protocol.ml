@@ -27,7 +27,8 @@ type procedure =
 
 let is_high_priority (_ : procedure) = true
 
-(* Field names exactly as the admin API documents them. *)
+(* Field names exactly as the admin API documents them: the ones that
+   setters and client identity name; the rest live in their table row. *)
 let threadpool_workers_min = "minWorkers"
 let threadpool_workers_max = "maxWorkers"
 let threadpool_workers_priority = "prioWorkers"
@@ -36,12 +37,6 @@ let threadpool_workers_current = "nWorkers"
 let threadpool_job_queue_depth = "jobQueueDepth"
 let threadpool_job_queue_limit = "jobQueueLimit"
 let threadpool_wall_limit_ms = "wallLimitMs"
-let pool_jobs_done = "jobsDone"
-let pool_jobs_failed = "jobsFailed"
-let pool_jobs_shed = "jobsShed"
-let pool_jobs_expired = "jobsExpired"
-let pool_workers_stuck = "workersStuck"
-let pool_workers_stuck_now = "workersStuckNow"
 let server_clients_max = "nclients_max"
 let server_clients_current = "nclients"
 let server_clients_unauth_max = "nclients_unauth_max"
@@ -54,25 +49,135 @@ let client_info_unix_user_name = "unix_user_name"
 let client_info_unix_group_id = "unix_group_id"
 let client_info_unix_group_name = "unix_group_name"
 let client_info_unix_process_id = "unix_process_id"
-let event_rings = "nRings"
-let event_emitted = "eventsEmitted"
-let event_replayed = "eventsReplayed"
-let event_gapped = "eventsGapped"
-let event_resumes = "eventResumes"
-let event_ring_occupancy = "ringOccupancy"
-let event_ring_capacity = "ringCapacity"
-let event_subscribers = "nSubscribers"
-let event_head_seq = "headSeq"
-let reply_cache_caches = "nCaches"
-let reply_cache_hits = "replyCacheHits"
-let reply_cache_misses = "replyCacheMisses"
-let reply_cache_insertions = "replyCacheInsertions"
-let reply_cache_invalidations = "replyCacheInvalidations"
-let reply_cache_evictions = "replyCacheEvictions"
-let reply_cache_patched_sends = "replyCachePatchedSends"
-let reply_cache_entries = "replyCacheEntries"
-let reply_cache_bytes = "replyCacheBytes"
-let reply_cache_enabled = "replyCacheEnabled"
+
+(* ------------------------------------------------------------------ *)
+(* Typed-parameter records: one table each                             *)
+(* ------------------------------------------------------------------ *)
+
+open Admin_records
+module Tp = Ovrpc.Typed_params
+module Verror = Ovirt_core.Verror
+
+(* Every field travels as a uint; a flag as 0 or 1. *)
+type _ kind = Uint : int kind | Flag : bool kind
+
+type ('r, 'a) field = { key : string; kind : 'a kind; get : 'r -> 'a; writable : bool }
+
+(* The fields in wire order; ['c] is the constructor that takes their
+   values in that order.  A module of its own, so that its list syntax
+   does not shadow the ordinary one. *)
+module Fields = struct
+  type ('r, 'c) t =
+    | [] : ('r, 'r) t
+    | ( :: ) : ('r, 'a) field * ('r, 'c) t -> ('r, 'a -> 'c) t
+end
+
+type 'r table = Table : ('r, 'c) Fields.t * 'c -> 'r table
+
+let uint ?(writable = false) key get = { key; kind = Uint; get; writable }
+let flag key get = { key; kind = Flag; get; writable = false }
+
+let threadpool_info =
+  Table (Fields.[
+    uint ~writable:true threadpool_workers_min (fun r -> r.tp_min_workers);
+    uint ~writable:true threadpool_workers_max (fun r -> r.tp_max_workers);
+    uint threadpool_workers_current (fun r -> r.tp_n_workers);
+    uint threadpool_workers_free (fun r -> r.tp_free_workers);
+    uint ~writable:true threadpool_workers_priority (fun r -> r.tp_prio_workers);
+    uint threadpool_job_queue_depth (fun r -> r.tp_job_queue_depth);
+    uint ~writable:true threadpool_job_queue_limit (fun r -> r.tp_job_queue_limit);
+    uint ~writable:true threadpool_wall_limit_ms (fun r -> r.tp_wall_limit_ms) ],
+  fun tp_min_workers tp_max_workers tp_n_workers tp_free_workers tp_prio_workers
+      tp_job_queue_depth tp_job_queue_limit tp_wall_limit_ms ->
+    { tp_min_workers; tp_max_workers; tp_n_workers; tp_free_workers; tp_prio_workers;
+      tp_job_queue_depth; tp_job_queue_limit; tp_wall_limit_ms })
+
+let pool_stats =
+  Table (Fields.[
+    uint "jobsDone" (fun r -> r.ps_jobs_done);
+    uint "jobsFailed" (fun r -> r.ps_jobs_failed);
+    uint "jobsShed" (fun r -> r.ps_jobs_shed);
+    uint "jobsExpired" (fun r -> r.ps_jobs_expired);
+    uint "workersStuck" (fun r -> r.ps_workers_stuck);
+    uint "workersStuckNow" (fun r -> r.ps_workers_stuck_now);
+    uint threadpool_job_queue_depth (fun r -> r.ps_job_queue_depth);
+    uint threadpool_job_queue_limit (fun r -> r.ps_job_queue_limit);
+    uint threadpool_wall_limit_ms (fun r -> r.ps_wall_limit_ms) ],
+  fun ps_jobs_done ps_jobs_failed ps_jobs_shed ps_jobs_expired ps_workers_stuck
+      ps_workers_stuck_now ps_job_queue_depth ps_job_queue_limit ps_wall_limit_ms ->
+    { ps_jobs_done; ps_jobs_failed; ps_jobs_shed; ps_jobs_expired; ps_workers_stuck;
+      ps_workers_stuck_now; ps_job_queue_depth; ps_job_queue_limit; ps_wall_limit_ms })
+
+let client_limits =
+  Table (Fields.[
+    uint ~writable:true server_clients_max (fun r -> r.nclients_max);
+    uint server_clients_current (fun r -> r.nclients_current);
+    uint ~writable:true server_clients_unauth_max (fun r -> r.nclients_unauth_max);
+    uint server_clients_unauth_current (fun r -> r.nclients_unauth_current) ],
+  fun nclients_max nclients_current nclients_unauth_max nclients_unauth_current ->
+    { nclients_max; nclients_current; nclients_unauth_max; nclients_unauth_current })
+
+let event_stats =
+  Table (Fields.[
+    uint "nRings" (fun r -> r.es_rings);
+    uint "eventsEmitted" (fun r -> r.es_emitted);
+    uint "eventsReplayed" (fun r -> r.es_replayed);
+    uint "eventsGapped" (fun r -> r.es_gapped);
+    uint "eventResumes" (fun r -> r.es_resumes);
+    uint "ringOccupancy" (fun r -> r.es_ring_occupancy);
+    uint "ringCapacity" (fun r -> r.es_ring_capacity);
+    uint "nSubscribers" (fun r -> r.es_subscribers);
+    uint "headSeq" (fun r -> r.es_head_seq) ],
+  fun es_rings es_emitted es_replayed es_gapped es_resumes es_ring_occupancy
+      es_ring_capacity es_subscribers es_head_seq ->
+    { es_rings; es_emitted; es_replayed; es_gapped; es_resumes; es_ring_occupancy;
+      es_ring_capacity; es_subscribers; es_head_seq })
+
+let reply_cache_stats =
+  Table (Fields.[
+    uint "nCaches" (fun r -> r.rc_caches);
+    uint "replyCacheHits" (fun r -> r.rc_hits);
+    uint "replyCacheMisses" (fun r -> r.rc_misses);
+    uint "replyCacheInsertions" (fun r -> r.rc_insertions);
+    uint "replyCacheInvalidations" (fun r -> r.rc_invalidations);
+    uint "replyCacheEvictions" (fun r -> r.rc_evictions);
+    uint "replyCachePatchedSends" (fun r -> r.rc_patched_sends);
+    uint "replyCacheEntries" (fun r -> r.rc_entries);
+    uint "replyCacheBytes" (fun r -> r.rc_bytes);
+    flag "replyCacheEnabled" (fun r -> r.rc_enabled) ],
+  fun rc_caches rc_hits rc_misses rc_insertions rc_invalidations rc_evictions
+      rc_patched_sends rc_entries rc_bytes rc_enabled ->
+    { rc_caches; rc_hits; rc_misses; rc_insertions; rc_invalidations; rc_evictions;
+      rc_patched_sends; rc_entries; rc_bytes; rc_enabled })
+
+let rec encode : type r c. (r, c) Fields.t -> r -> Tp.t =
+ fun fields r ->
+  match fields with
+  | Fields.[] -> []
+  | Fields.({ key; kind = Uint; get; _ } :: rest) -> Tp.uint key (get r) :: encode rest r
+  | Fields.({ key; kind = Flag; get; _ } :: rest) ->
+    Tp.uint key (Bool.to_int (get r)) :: encode rest r
+
+let rec decode : type r c. (r, c) Fields.t -> c -> Tp.t -> (r, Verror.t) result =
+ fun fields make params ->
+  match fields with
+  | Fields.[] -> Ok make
+  | Fields.({ key; kind; _ } :: rest) -> (
+    match (Tp.find_uint params key, kind) with
+    | Some n, Uint -> decode rest (make n) params
+    | Some n, Flag -> decode rest (make (n <> 0)) params
+    | None, _ -> Verror.error Verror.Rpc_failure "reply lacks field %S" key)
+
+let rec field_keys : type r c. (r, c) Fields.t -> (string * bool) list = function
+  | Fields.[] -> []
+  | Fields.({ key; writable; _ } :: rest) -> (key, writable) :: field_keys rest
+
+let to_params (Table (fields, _)) r = encode fields r
+let keys (Table (fields, _)) = field_keys fields
+
+let of_params (Table (fields, make)) params =
+  try decode fields make params
+  with Tp.Invalid msg -> Verror.error Verror.Rpc_failure "bad reply: %s" msg
 
 type client_entry = {
   client_id : int64;
@@ -86,7 +191,7 @@ type client_entry = {
 
 module Rp = Remote_protocol
 
-let params = Xdr.codec Ovrpc.Typed_params.encode Ovrpc.Typed_params.decode
+let params = Xdr.codec Tp.encode Tp.decode
 let server_params = Xdr.pair Xdr.string params
 let client_ref = Xdr.pair Xdr.string Xdr.hyper
 

@@ -59,7 +59,10 @@ val is_high_priority : procedure -> bool
 (** Every admin procedure is high-priority: the whole point is that
     administration works when ordinary workers are wedged. *)
 
-(** {1 Typed-parameter field names} *)
+(** {1 Typed-parameter field names}
+
+    The keys that setters and client identity name.  The stats records'
+    other keys are stated once, in their table row. *)
 
 val threadpool_workers_min : string
 val threadpool_workers_max : string
@@ -69,13 +72,6 @@ val threadpool_workers_current : string
 val threadpool_job_queue_depth : string
 val threadpool_job_queue_limit : string
 val threadpool_wall_limit_ms : string
-
-val pool_jobs_done : string
-val pool_jobs_failed : string
-val pool_jobs_shed : string
-val pool_jobs_expired : string
-val pool_workers_stuck : string
-val pool_workers_stuck_now : string
 
 val server_clients_max : string
 val server_clients_current : string
@@ -91,26 +87,34 @@ val client_info_unix_group_id : string
 val client_info_unix_group_name : string
 val client_info_unix_process_id : string
 
-val event_rings : string
-val event_emitted : string
-val event_replayed : string
-val event_gapped : string
-val event_resumes : string
-val event_ring_occupancy : string
-val event_ring_capacity : string
-val event_subscribers : string
-val event_head_seq : string
+(** {1 Typed-parameter records}
 
-val reply_cache_caches : string
-val reply_cache_hits : string
-val reply_cache_misses : string
-val reply_cache_insertions : string
-val reply_cache_invalidations : string
-val reply_cache_evictions : string
-val reply_cache_patched_sends : string
-val reply_cache_entries : string
-val reply_cache_bytes : string
-val reply_cache_enabled : string
+    Each record of {!Admin_records} that a procedure returns as typed
+    parameters has one table: the daemon encodes through it, the admin
+    client decodes through it and [ovirt-admin] prints what it encodes. *)
+
+type 'r table
+(** A record's fields in wire order, each with its key, its kind (a uint,
+    or a flag sent as uint 0/1) and its getter, plus the record's
+    constructor. *)
+
+val threadpool_info : Admin_records.threadpool_info table
+val pool_stats : Admin_records.pool_stats table
+val client_limits : Admin_records.client_limits table
+val event_stats : Admin_records.event_stats table
+val reply_cache_stats : Admin_records.reply_cache_stats table
+
+val to_params : 'r table -> 'r -> Ovrpc.Typed_params.t
+(** Every field, in wire order. *)
+
+val of_params :
+  'r table -> Ovrpc.Typed_params.t -> ('r, Ovirt_core.Verror.t) result
+(** [Rpc_failure "reply lacks field %S"] when a key is missing,
+    [Rpc_failure "bad reply: ..."] when one is not a uint.  Keys the
+    table does not name are ignored. *)
+
+val keys : 'r table -> (string * bool) list
+(** Each key with whether its record's setter may write it. *)
 
 (** {1 Client list entries} *)
 

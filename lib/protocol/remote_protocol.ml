@@ -2,6 +2,9 @@ open Ovirt_core
 
 let program = 0x20008086
 let version = 1
+let default_daemon = "ovirtd"
+let mgmt_address daemon = daemon ^ "-sock"
+let admin_address daemon = daemon ^ "-admin-sock"
 
 type procedure =
   | Proc_open

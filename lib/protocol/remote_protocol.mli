@@ -8,6 +8,19 @@
 val program : int
 val version : int
 
+(** {1 Daemon addresses}
+
+    The one naming rule that daemons listen by and clients connect by. *)
+
+val default_daemon : string
+(** ["ovirtd"]: the daemon a URI without [?daemon=] names. *)
+
+val mgmt_address : string -> string
+(** ["<daemon>-sock"]: this program, over any transport kind. *)
+
+val admin_address : string -> string
+(** ["<daemon>-admin-sock"]: the admin program, unix only. *)
+
 val minor : int
 (** Highest protocol minor this build speaks: the largest [since] in the
     procedure table.  The wire [version] never changes; the minor gates

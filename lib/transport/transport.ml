@@ -7,8 +7,9 @@ let kind_codes = [ (Unix_sock, 0); (Tcp, 1); (Tls, 2) ]
 let kind_to_int kind = List.assoc kind kind_codes
 let kind_of_int n = List.find_map (fun (k, c) -> if c = n then Some k else None) kind_codes
 
+(* ssh and libssh2 tunnel to the daemon's unix socket, as in libvirt. *)
 let kind_of_name = function
-  | "unix" -> Ok Unix_sock
+  | "unix" | "ssh" | "libssh2" -> Ok Unix_sock
   | "tcp" -> Ok Tcp
   | "tls" -> Ok Tls
   | s -> Error (Printf.sprintf "unknown transport %S" s)

@@ -19,6 +19,9 @@ val kind_name : kind -> string
 (** ["unix"], ["tcp"], ["tls"]. *)
 
 val kind_of_name : string -> (kind, string) result
+(** A URI's transport: {!kind_name}'s names, plus ["ssh"] and
+    ["libssh2"] for [Unix_sock] (a tunnel to the daemon's unix socket).
+    [Error "unknown transport ..."] otherwise. *)
 
 val kind_to_int : kind -> int
 (** The admin wire's transport code: 0 unix, 1 tcp, 2 tls. *)

@@ -95,6 +95,104 @@ let test_threadpool_partial_update () =
       Alcotest.(check int) "max changed" 25 tp.Admin.tp_max_workers;
       Alcotest.(check int) "min untouched" 5 tp.Admin.tp_min_workers)
 
+(* --- typed-parameter tables ------------------------------------------------- *)
+
+(* A record with the table it travels by.  The records are built here
+   field by field, apart from the tables, so that a table whose rows
+   disagree with its record fails these tests. *)
+type sample = Sample : 'r Ap.table * 'r -> sample
+
+let samples =
+  let open QCheck.Gen in
+  let fields n f = map f (array_repeat n (int_bound 0xffff_ffff)) in
+  flatten_l
+    [
+      fields 8 (fun a ->
+          Sample
+            ( Ap.threadpool_info,
+              Admin.
+                {
+                  tp_min_workers = a.(0); tp_max_workers = a.(1); tp_n_workers = a.(2);
+                  tp_free_workers = a.(3); tp_prio_workers = a.(4);
+                  tp_job_queue_depth = a.(5); tp_job_queue_limit = a.(6);
+                  tp_wall_limit_ms = a.(7);
+                } ));
+      fields 9 (fun a ->
+          Sample
+            ( Ap.pool_stats,
+              Admin.
+                {
+                  ps_jobs_done = a.(0); ps_jobs_failed = a.(1); ps_jobs_shed = a.(2);
+                  ps_jobs_expired = a.(3); ps_workers_stuck = a.(4);
+                  ps_workers_stuck_now = a.(5); ps_job_queue_depth = a.(6);
+                  ps_job_queue_limit = a.(7); ps_wall_limit_ms = a.(8);
+                } ));
+      fields 4 (fun a ->
+          Sample
+            ( Ap.client_limits,
+              Admin.
+                {
+                  nclients_max = a.(0); nclients_current = a.(1);
+                  nclients_unauth_max = a.(2); nclients_unauth_current = a.(3);
+                } ));
+      fields 9 (fun a ->
+          Sample
+            ( Ap.event_stats,
+              Admin.
+                {
+                  es_rings = a.(0); es_emitted = a.(1); es_replayed = a.(2);
+                  es_gapped = a.(3); es_resumes = a.(4); es_ring_occupancy = a.(5);
+                  es_ring_capacity = a.(6); es_subscribers = a.(7); es_head_seq = a.(8);
+                } ));
+      fields 10 (fun a ->
+          Sample
+            ( Ap.reply_cache_stats,
+              Admin.
+                {
+                  rc_caches = a.(0); rc_hits = a.(1); rc_misses = a.(2);
+                  rc_insertions = a.(3); rc_invalidations = a.(4); rc_evictions = a.(5);
+                  rc_patched_sends = a.(6); rc_entries = a.(7); rc_bytes = a.(8);
+                  rc_enabled = a.(9) land 1 = 1;
+                } ));
+    ]
+
+(* Through the wire codec the replies travel by. *)
+let wire params =
+  let codec = Ap.daemon_event_stats.Ap.sg_ret in
+  Xdr.decode codec (Xdr.encode codec params)
+
+let test_tables_round_trip =
+  qcheck_case "decoding a record's encoding gives it back" (QCheck.make samples)
+    (List.for_all (fun (Sample (table, r)) ->
+         Ap.of_params table (wire (Ap.to_params table r)) = Ok r))
+
+(* [edit key params] refused with [Rpc_failure], for every key of every
+   table; [message key e] checks the error's text. *)
+let refused_for_every_key edit message =
+  List.iter
+    (fun (Sample (table, r)) ->
+      let params = Ap.to_params table r in
+      List.iter
+        (fun (key, _) ->
+          let result = Ap.of_params table (edit key params) in
+          expect_verr Verror.Rpc_failure result;
+          Result.iter_error (fun e -> message key e.Verror.message) result)
+        (Ap.keys table))
+    (QCheck.Gen.generate1 samples)
+
+let test_tables_refuse_missing_key () =
+  refused_for_every_key List.remove_assoc (fun key message ->
+      Alcotest.(check string) "message" (Printf.sprintf "reply lacks field %S" key) message)
+
+let test_tables_refuse_wrong_kind () =
+  refused_for_every_key
+    (fun key -> List.map (fun (k, v) -> if k = key then Tp.string k "x" else (k, v)))
+    (fun key message ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S: bad reply (%s)" key message)
+        true
+        (String.starts_with ~prefix:"bad reply" message))
+
 (* --- client management ----------------------------------------------------- *)
 
 let mgmt_uri ~daemon ?(transport = "unix") () =
@@ -415,6 +513,12 @@ let () =
           quick "info matches config" test_threadpool_info_matches_config;
           quick "resize applies to the live pool" test_threadpool_resize_applies;
           quick "partial update" test_threadpool_partial_update;
+        ] );
+      ( "typed-parameter tables",
+        [
+          test_tables_round_trip;
+          quick "a missing key is refused" test_tables_refuse_missing_key;
+          quick "a key of the wrong kind is refused" test_tables_refuse_wrong_kind;
         ] );
       ( "clients",
         [
