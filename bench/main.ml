@@ -900,11 +900,14 @@ let rwlock () =
    domains, with the re-adoption counts verified against what was set up
    before the crash.  Then a qemu re-adoption check (same pids after
    recovery — the guests were never touched) and a crash-point sweep of
-   the journal image.  Any failed check aborts the run. *)
+   the journal image.  Any failed check aborts the run, and so does a
+   define cost that grows with the store: the mean define at the largest
+   count must stay within 3x the mean at [flat_from]. *)
 let recovery () =
   section "E15: restart recovery time and re-adoption vs domain count";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
-  let counts = if smoke then [ 5; 25 ] else [ 10; 100; 500; 1000 ] in
+  let counts = if smoke then [ 5; 25; 100 ] else [ 10; 100; 500; 1000 ] in
+  let flat_from = if smoke then 25 else 100 in
   let events_count conn lifecycle =
     let ops = ok (Connect.ops conn) in
     Ovirt.Events.history ops.Driver.events
@@ -945,22 +948,33 @@ let recovery () =
            "recovery: N=%d MISMATCH (adopted %d, active %d, defined %d; \
             expected %d running + %d autostarted)"
            n adopted active defined running autostart);
-    [
-      string_of_int n;
-      Printf.sprintf "%.1f us" (1e6 *. !define_s /. float_of_int n);
-      string_of_int running;
-      string_of_int (List.length replay.Persist.Journal.rp_records);
-      Printf.sprintf "%.1f ms" (1000.0 *. elapsed);
-      string_of_int adopted;
-      string_of_int (active - adopted);
-    ]
+    let define_us = 1e6 *. !define_s /. float_of_int n in
+    ( define_us,
+      [
+        string_of_int n;
+        Printf.sprintf "%.1f us" define_us;
+        string_of_int running;
+        string_of_int (List.length replay.Persist.Journal.rp_records);
+        Printf.sprintf "%.1f ms" (1000.0 *. elapsed);
+        string_of_int adopted;
+        string_of_int (active - adopted);
+      ] )
   in
+  let scales = List.map (fun n -> (n, run_scale n)) counts in
   table
     [
       "domains"; "define"; "running"; "journal records"; "recovery open";
       "adopted"; "autostarted";
     ]
-    (List.map run_scale counts);
+    (List.map (fun (_, (_, row)) -> row) scales);
+  let largest = List.nth counts (List.length counts - 1) in
+  let base = fst (List.assoc flat_from scales) and top = fst (List.assoc largest scales) in
+  Printf.printf "  define cost flat in the store: %.1f us at %d vs %.1f us at %d (bound 3x)\n"
+    top largest base flat_from;
+  if top > 3.0 *. base then
+    failwith
+      (Printf.sprintf "recovery: define cost grows with the store (%.1f us at %d, %.1f us at %d)"
+         top largest base flat_from);
   subsection "qemu re-adoption: same emulator processes before and after";
   let qnode = fresh "recq" in
   let quri = "qemu://" ^ qnode ^ "/system" in

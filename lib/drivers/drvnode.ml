@@ -199,8 +199,15 @@ let list_all node ?(prepare = fun () -> ()) ~dom_id ~info () =
                    })
       |> Result.ok)
 
+(* A flag that changes is libvirt's defined/updated event, emitted after
+   the journal record: event-maintained caches on other connections drop
+   the old flag. *)
 let set_autostart node name flag =
-  with_write node (fun () -> Domstore.set_autostart node.store name flag)
+  with_write node (fun () ->
+      let* was = Domstore.get_autostart node.store name in
+      let* () = Domstore.set_autostart node.store name flag in
+      if was <> flag then emit node name Events.Ev_defined;
+      Ok ())
 
 let get_autostart node name =
   with_read node (fun () -> Domstore.get_autostart node.store name)

@@ -197,7 +197,8 @@ val list_all :
     rows whose [info] fails are skipped. *)
 
 val set_autostart : 'p node -> string -> bool -> (unit, Verror.t) result
-(** Persist the autostart flag (write lock + store). *)
+(** Persist the autostart flag (write lock + store); a change emits
+    [Ev_defined] after its journal record. *)
 
 val get_autostart : 'p node -> string -> (bool, Verror.t) result
 

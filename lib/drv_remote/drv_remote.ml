@@ -837,9 +837,9 @@ let lookup_by_uuid conn uuid =
       ignore (Cache.install c fill Cache.Ref r.Driver.dom_name r ~now:(now ()));
       Ok r)
 
-(* Writes the daemon acknowledges without a lifecycle event (autostart,
-   balloon) must invalidate locally, or our own mutation would be masked
-   by our own cache. *)
+(* Writes invalidate locally, or our own mutation would be masked by our
+   own cache: a balloon has no lifecycle event, and an autostart change's
+   event may arrive after our next read. *)
 let invalidate_domain conn name =
   Option.iter (fun c -> Cache.invalidate c name) conn.rc_cache
 

@@ -49,7 +49,8 @@ let escape_attr buf s =
       | c -> Buffer.add_char buf c)
     s
 
-let is_blank s = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\n' || c = '\r') s
+let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
+let is_blank s = String.for_all is_ws s
 
 let rec print_element buf ~indent ~depth e =
   let pad n =
@@ -119,30 +120,43 @@ let to_string ?(indent = true) e =
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The parser scans [src] by index.  A run of text or an attribute value
+   is one [String.sub] unless it holds an entity, and whitespace between
+   elements is skipped without a copy.  Every entity decodes to one byte. *)
+
 type parser_state = { src : string; mutable pos : int }
 
-let peek p = if p.pos < String.length p.src then Some p.src.[p.pos] else None
-let advance p = p.pos <- p.pos + 1
+let at_end p = p.pos >= String.length p.src
 
-let looking_at p s =
-  let n = String.length s in
-  p.pos + n <= String.length p.src && String.sub p.src p.pos n = s
+let rec same s i lit j = j = String.length lit || (s.[i + j] = lit.[j] && same s i lit (j + 1))
+
+(* [lit] occurs in [s] at [i]. *)
+let occurs_at s i lit = i + String.length lit <= String.length s && same s i lit 0
+
+let looking_at p lit = occurs_at p.src p.pos lit
 
 let skip_ws p =
-  let rec loop () =
-    match peek p with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance p;
-      loop ()
-    | _ -> ()
+  while (not (at_end p)) && is_ws p.src.[p.pos] do
+    p.pos <- p.pos + 1
+  done
+
+(* Move the cursor past the first [lit] at or after [from]. *)
+let skip_past p ~from lit what =
+  let last = String.length p.src - String.length lit in
+  let rec find i =
+    if i > last then fail_at (String.length p.src) "unterminated %s" what
+    else if occurs_at p.src i lit then p.pos <- i + String.length lit
+    else find (i + 1)
   in
-  loop ()
+  find from
+
+let skip_comment p = skip_past p ~from:(p.pos + 4) "-->" "comment"
+let skip_decl p = skip_past p ~from:(p.pos + 1) "?>" "declaration"
 
 let expect p c =
-  match peek p with
-  | Some c' when c' = c -> advance p
-  | Some c' -> fail_at p.pos "expected '%c', found '%c'" c c'
-  | None -> fail_at p.pos "expected '%c', found end of input" c
+  if at_end p then fail_at p.pos "expected '%c', found end of input" c
+  else if p.src.[p.pos] <> c then fail_at p.pos "expected '%c', found '%c'" c p.src.[p.pos]
+  else p.pos <- p.pos + 1
 
 let is_name_char c =
   match c with
@@ -152,168 +166,137 @@ let is_name_char c =
 let is_name_start c =
   match c with 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true | _ -> false
 
-let parse_name p =
-  (match peek p with
-   | Some c when is_name_start c -> ()
-   | Some c -> fail_at p.pos "name cannot start with '%c'" c
-   | None -> fail_at p.pos "expected name");
-  let start = p.pos in
-  let rec loop () =
-    match peek p with
-    | Some c when is_name_char c ->
-      advance p;
-      loop ()
-    | _ -> ()
-  in
-  loop ();
-  if p.pos = start then fail_at p.pos "expected name";
-  String.sub p.src start (p.pos - start)
+(* The end of the name at the cursor, which stays put. *)
+let name_end p =
+  if at_end p then fail_at p.pos "expected name";
+  if not (is_name_start p.src.[p.pos]) then
+    fail_at p.pos "name cannot start with '%c'" p.src.[p.pos];
+  let i = ref (p.pos + 1) in
+  while !i < String.length p.src && is_name_char p.src.[!i] do
+    incr i
+  done;
+  !i
 
+let parse_name p =
+  let start = p.pos and stop = name_end p in
+  p.pos <- stop;
+  String.sub p.src start (stop - start)
+
+(* Cursor is on '&': the ';' must come within nine bytes. *)
 let parse_entity p =
-  (* Cursor is on '&'. *)
   let start = p.pos in
-  advance p;
-  let rec find_semi n =
-    if n > 8 then fail_at start "unterminated entity"
-    else
-      match peek p with
-      | Some ';' ->
-        advance p;
-        String.sub p.src (start + 1) (p.pos - start - 2)
-      | Some _ ->
-        advance p;
-        find_semi (n + 1)
-      | None -> fail_at start "unterminated entity"
+  let stop = min (String.length p.src) (start + 10) in
+  let rec semi i =
+    if i >= stop then fail_at start "unterminated entity"
+    else if p.src.[i] = ';' then i
+    else semi (i + 1)
   in
-  match find_semi 0 with
-  | "lt" -> "<"
-  | "gt" -> ">"
-  | "amp" -> "&"
-  | "quot" -> "\""
-  | "apos" -> "'"
-  | e when String.length e > 2 && e.[0] = '#' && e.[1] = 'x' ->
-    (match int_of_string_opt ("0x" ^ String.sub e 2 (String.length e - 2)) with
-     | Some cp when cp < 128 -> String.make 1 (Char.chr cp)
-     | _ -> fail_at start "unsupported numeric entity &%s;" e)
-  | e when String.length e > 1 && e.[0] = '#' ->
-    (match int_of_string_opt (String.sub e 1 (String.length e - 1)) with
-     | Some cp when cp < 128 -> String.make 1 (Char.chr cp)
-     | _ -> fail_at start "unsupported numeric entity &%s;" e)
+  let semi = semi (start + 1) in
+  p.pos <- semi + 1;
+  match String.sub p.src (start + 1) (semi - start - 1) with
+  | "lt" -> '<'
+  | "gt" -> '>'
+  | "amp" -> '&'
+  | "quot" -> '"'
+  | "apos" -> '\''
+  | e when String.length e > 1 && e.[0] = '#' -> (
+    let digits = String.sub e 1 (String.length e - 1) in
+    let hex = String.length e > 2 && e.[1] = 'x' in
+    match int_of_string_opt (if hex then "0" ^ digits else digits) with
+    | Some cp when cp >= 0 && cp < 128 -> Char.chr cp
+    | _ -> fail_at start "unsupported numeric entity &%s;" e)
   | e -> fail_at start "unknown entity &%s;" e
 
+let rec plain s stop i =
+  if i < String.length s && s.[i] <> stop && s.[i] <> '&' then plain s stop (i + 1) else i
+
+(* The bytes from the cursor up to the first [stop] byte or the end of
+   input, entities decoded; the cursor moves there. *)
+let parse_run p stop =
+  let s = p.src and start = p.pos in
+  p.pos <- plain s stop start;
+  if at_end p || s.[p.pos] = stop then String.sub s start (p.pos - start)
+  else begin
+    let buf = Buffer.create (2 * (p.pos - start) + 16) in
+    Buffer.add_substring buf s start (p.pos - start);
+    while (not (at_end p)) && s.[p.pos] <> stop do
+      if s.[p.pos] = '&' then Buffer.add_char buf (parse_entity p)
+      else begin
+        Buffer.add_char buf s.[p.pos];
+        p.pos <- p.pos + 1
+      end
+    done;
+    Buffer.contents buf
+  end
+
 let parse_attr_value p =
-  let quote =
-    match peek p with
-    | Some ('"' as q) | Some ('\'' as q) ->
-      advance p;
-      q
-    | _ -> fail_at p.pos "expected quoted attribute value"
-  in
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek p with
-    | None -> fail_at p.pos "unterminated attribute value"
-    | Some c when c = quote -> advance p
-    | Some '&' ->
-      Buffer.add_string buf (parse_entity p);
-      loop ()
-    | Some c ->
-      advance p;
-      Buffer.add_char buf c;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
-
-let skip_comment p =
-  (* Cursor is on "<!--". *)
-  p.pos <- p.pos + 4;
-  let rec loop () =
-    if looking_at p "-->" then p.pos <- p.pos + 3
-    else if p.pos >= String.length p.src then fail_at p.pos "unterminated comment"
-    else begin
-      advance p;
-      loop ()
-    end
-  in
-  loop ()
-
-let skip_decl p =
-  (* Cursor is on "<?". *)
-  let rec loop () =
-    if looking_at p "?>" then p.pos <- p.pos + 2
-    else if p.pos >= String.length p.src then fail_at p.pos "unterminated declaration"
-    else begin
-      advance p;
-      loop ()
-    end
-  in
-  loop ()
+  let quote = if at_end p then ' ' else p.src.[p.pos] in
+  if quote <> '"' && quote <> '\'' then fail_at p.pos "expected quoted attribute value";
+  p.pos <- p.pos + 1;
+  let v = parse_run p quote in
+  if at_end p then fail_at p.pos "unterminated attribute value";
+  p.pos <- p.pos + 1;
+  v
 
 let rec parse_element p =
   expect p '<';
   let tag = parse_name p in
-  let rec parse_attrs acc =
-    skip_ws p;
-    match peek p with
-    | Some '>' ->
-      advance p;
-      let children = parse_children p tag in
-      { tag; attrs = List.rev acc; children }
-    | Some '/' ->
-      advance p;
-      expect p '>';
-      { tag; attrs = List.rev acc; children = [] }
-    | Some c when is_name_char c ->
-      let name = parse_name p in
-      skip_ws p;
-      expect p '=';
-      skip_ws p;
-      let value = parse_attr_value p in
-      parse_attrs ((name, value) :: acc)
-    | _ -> fail_at p.pos "malformed tag <%s ...>" tag
-  in
-  parse_attrs []
+  parse_attrs p tag []
 
-and parse_children p tag =
-  let children = ref [] in
-  let buf = Buffer.create 16 in
-  let flush_text () =
-    if Buffer.length buf > 0 then begin
-      let s = Buffer.contents buf in
-      Buffer.clear buf;
-      if not (is_blank s) then children := Text s :: !children
+and parse_attrs p tag acc =
+  skip_ws p;
+  let c = if at_end p then ' ' else p.src.[p.pos] in
+  if c = '>' then begin
+    p.pos <- p.pos + 1;
+    let children = parse_children p tag [] in
+    { tag; attrs = List.rev acc; children }
+  end
+  else if c = '/' then begin
+    p.pos <- p.pos + 1;
+    expect p '>';
+    { tag; attrs = List.rev acc; children = [] }
+  end
+  else if is_name_char c then begin
+    let name = parse_name p in
+    skip_ws p;
+    expect p '=';
+    skip_ws p;
+    let value = parse_attr_value p in
+    parse_attrs p tag ((name, value) :: acc)
+  end
+  else fail_at p.pos "malformed tag <%s ...>" tag
+
+(* A text run ends at the next '<'; one that decodes to whitespace only
+   is dropped, as is a comment. *)
+and parse_children p tag acc =
+  let start = p.pos in
+  skip_ws p;
+  let acc =
+    if at_end p || p.src.[p.pos] = '<' then acc
+    else begin
+      p.pos <- start;
+      let t = parse_run p '<' in
+      if is_blank t then acc else Text t :: acc
     end
   in
-  let rec loop () =
-    match peek p with
-    | None -> fail_at p.pos "unterminated element <%s>" tag
-    | Some '<' when looking_at p "</" ->
-      flush_text ();
-      p.pos <- p.pos + 2;
-      let close = parse_name p in
-      skip_ws p;
-      expect p '>';
-      if close <> tag then
-        fail_at p.pos "mismatched close tag </%s> for <%s>" close tag
-    | Some '<' when looking_at p "<!--" ->
-      flush_text ();
-      skip_comment p;
-      loop ()
-    | Some '<' ->
-      flush_text ();
-      children := Element (parse_element p) :: !children;
-      loop ()
-    | Some '&' ->
-      Buffer.add_string buf (parse_entity p);
-      loop ()
-    | Some c ->
-      advance p;
-      Buffer.add_char buf c;
-      loop ()
-  in
-  loop ();
-  List.rev !children
+  if at_end p then fail_at p.pos "unterminated element <%s>" tag
+  else if looking_at p "</" then begin
+    p.pos <- p.pos + 2;
+    let stop = name_end p in
+    let close_pos = p.pos in
+    p.pos <- stop;
+    skip_ws p;
+    expect p '>';
+    if not (stop - close_pos = String.length tag && occurs_at p.src close_pos tag) then
+      fail_at p.pos "mismatched close tag </%s> for <%s>"
+        (String.sub p.src close_pos (stop - close_pos)) tag;
+    List.rev acc
+  end
+  else if looking_at p "<!--" then begin
+    skip_comment p;
+    parse_children p tag acc
+  end
+  else parse_children p tag (Element (parse_element p) :: acc)
 
 let of_string s =
   let p = { src = s; pos = 0 } in

@@ -13,29 +13,30 @@ let mix x =
   let x = (x lxor (x lsr 27)) * 0x2545f491 in
   (x lxor (x lsr 31)) land max_int
 
+(* One mixing step per little-endian 32-bit word of the payload, then one
+   per byte of its 0-3 byte tail, seeded with the length. *)
 let checksum s =
-  let h = ref (String.length s) in
-  String.iter (fun c -> h := mix ((!h * 31) + Char.code c)) s;
+  let n = String.length s in
+  let h = ref n and i = ref 0 in
+  while !i + 4 <= n do
+    h := mix ((!h * 31) + (Int32.to_int (String.get_int32_le s !i) land 0xffffffff));
+    i := !i + 4
+  done;
+  while !i < n do
+    h := mix ((!h * 31) + Char.code s.[!i]);
+    incr i
+  done;
   !h land 0xffffffff
 
-let put_u32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
-
-let get_u32 s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
+let get_u32 s off = Int32.to_int (String.get_int32_be s off) land 0xffffffff
 
 let encode_record payload =
-  let buf = Buffer.create (String.length payload + 8) in
-  put_u32 buf (String.length payload);
-  put_u32 buf (checksum payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let n = String.length payload in
+  let frame = Bytes.create (n + 8) in
+  Bytes.set_int32_be frame 0 (Int32.of_int n);
+  Bytes.set_int32_be frame 4 (Int32.of_int (checksum payload));
+  Bytes.blit_string payload 0 frame 8 n;
+  Bytes.unsafe_to_string frame
 
 type t = { path : string; mutable records : int; mutable bytes : int }
 

@@ -317,6 +317,36 @@ let test_replay_exactly_once_across_disconnects () =
       Connect.close sub;
       Connect.close producer)
 
+(* An autostart flip on one connection reaches another connection's
+   event-maintained cache (default URI: events on, no TTL): the driver
+   emits the defined/updated event when the flag changes, and without it
+   the other cache would serve the old flag for ever. *)
+let test_autostart_reaches_other_caches () =
+  with_daemon (fun name _daemon ->
+      let host = fresh_name "evauto" in
+      let direct = vok (Connect.open_uri ("qemu://" ^ host ^ "/system")) in
+      let dom_name = host ^ "-vm" in
+      ignore
+        (vok
+           (Domain.define_xml direct
+              (Vmm.Domxml.to_xml ~virt_type:"kvm" (Vmm.Vm_config.make ~memory_kib:8192 dom_name))));
+      let remote () =
+        vok (Connect.open_uri (Printf.sprintf "qemu+unix://%s/system?daemon=%s" host name))
+      in
+      let a = remote () and b = remote () in
+      let adom = vok (Domain.lookup_by_name a dom_name) in
+      let bdom = vok (Domain.lookup_by_name b dom_name) in
+      Alcotest.(check bool) "B caches the clear flag" false (vok (Domain.get_autostart bdom));
+      Alcotest.(check bool) "B reads it again" false (vok (Domain.get_autostart bdom));
+      vok (Domain.set_autostart adom true);
+      Alcotest.(check bool) "A reads its own write" true (vok (Domain.get_autostart adom));
+      Alcotest.(check bool) "B sees A's flag" true
+        (eventually (fun () -> vok (Domain.get_autostart bdom)));
+      vok (Domain.set_autostart adom false);
+      Alcotest.(check bool) "B sees it cleared" true
+        (eventually (fun () -> not (vok (Domain.get_autostart bdom))));
+      List.iter Connect.close [ a; b; direct ])
+
 let test_gap_flushes_caches_no_stale_reads () =
   let config = { quiet_config with Daemon_config.event_ring = 2 } in
   with_daemon ~config (fun name daemon ->
@@ -463,6 +493,7 @@ let () =
           quick "seq-monotonic" test_seq_monotonic_through_daemon;
           quick "replay-exactly-once" test_replay_exactly_once_across_disconnects;
           quick "gap-flushes-caches" test_gap_flushes_caches_no_stale_reads;
+          quick "autostart-reaches-other-caches" test_autostart_reaches_other_caches;
         ] );
       ( "compat",
         [

@@ -88,6 +88,69 @@ let test_journal_checksum_corruption () =
   Alcotest.(check bool) "corrupt suffix counted as torn" true
     (replay.Journal.rp_torn_bytes > 0)
 
+(* Any single damaged byte of a framed record (length, sum or payload),
+   or a cut anywhere in it, ends the replay just before that record and
+   truncates the rest.  Records run from 0 to 4,100 bytes and every case
+   holds one of each length mod 4, so the sum's word-wise body and its
+   0-3 byte tail both meet every damage.  A third of the damaged bytes
+   fall in the frame header and a third in its last four bytes. *)
+let prop_journal_damage =
+  let gen =
+    QCheck.Gen.(
+      let* rot = int_bound 3 in
+      let* payloads =
+        flatten_l
+          (List.init 4 (fun i ->
+               let* q = int_bound 1024 in
+               string_size ~gen:char (return ((4 * q) + ((i + rot) mod 4)))))
+      in
+      let* k = int_bound 3 and* zone = int_bound 2 and* at = int_bound 1_000_000 in
+      let* mask = int_range 1 255 and* cut = int_bound 1_000_000 in
+      return (payloads, k, (zone, at), mask, cut))
+  in
+  let print (payloads, k, (zone, at), mask, cut) =
+    Printf.sprintf "lengths [%s], record %d, zone %d byte %d ^ %d, cut %d"
+      (String.concat "; " (List.map (fun p -> string_of_int (String.length p)) payloads))
+      k zone at mask cut
+  in
+  qcheck_case ~count:300 "any damaged byte or cut ends the replay there"
+    (QCheck.make ~print gen)
+    (fun (payloads, k, (zone, at), mask, cut) ->
+      let path = fresh_name "jdamage" in
+      let j, _ = Journal.open_ path in
+      List.iter (Journal.append j) payloads;
+      let img = Option.get (Media.read path) in
+      let frames = List.map Journal.encode_record payloads in
+      let before = List.filteri (fun i _ -> i < k) payloads in
+      let boundary =
+        List.fold_left (fun n p -> n + String.length (Journal.encode_record p)) 0 before
+      in
+      let flen = String.length (List.nth frames k) in
+      let replays_prefix image =
+        Media.write path image;
+        let _, replay = Journal.open_ path in
+        replay.Journal.rp_records = before
+        && replay.Journal.rp_torn_bytes = String.length image - boundary
+        && Media.size path = boundary
+      in
+      let pos =
+        boundary
+        + (match zone with
+           | 0 -> at mod flen
+           | 1 -> at mod 8
+           | _ -> flen - 1 - (at mod min 4 flen))
+      in
+      let flipped =
+        String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor mask) else c) img
+      in
+      let ok =
+        img = String.concat "" frames
+        && replays_prefix flipped
+        && replays_prefix (String.sub img 0 (boundary + (cut mod flen)))
+      in
+      Media.remove path;
+      ok)
+
 let test_journal_write_limit () =
   let path = fresh_name "journal" in
   let j, _ = Journal.open_ path in
@@ -781,6 +844,7 @@ let () =
           quick "torn-tail" test_journal_torn_tail;
           quick "checksum-corruption" test_journal_checksum_corruption;
           quick "write-limit-injection" test_journal_write_limit;
+          prop_journal_damage;
         ] );
       ( "media",
         [

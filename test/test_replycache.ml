@@ -233,32 +233,35 @@ let test_byte_equality_all_procs () =
             (label ^ ": cached frame equals uncached frame")
             (zero_serial f1) (zero_serial f3))
         (cached_calls @ point_calls ~uuid ~vol_path);
-      (* A write through the direct connection must be visible to the next
-         cached read: set_autostart emits no lifecycle event, so this
+      (* A write through a direct connection must be visible to the next
+         cached read: a qemu balloon emits no lifecycle event, so this
          exercises the generation-stamp backstop specifically (the event
-         bus never fires). *)
-      let ddom = vok (Domain.lookup_by_name producer "test") in
-      let autostart_of body =
+         bus never fires).  The listing row carries the ballooned size. *)
+      let qhost = fresh_name "rcq" in
+      let quri = Printf.sprintf "qemu://%s/system" qhost in
+      let qdirect = vok (Connect.open_uri quri) in
+      let qdom = define_and_start qdirect ~virt_type:"kvm" ~name:"bal" () in
+      let q_client, _ = connect_raw daemon in
+      rpc_open q_client quri;
+      let memory_of body =
         match
           List.find_opt
-            (fun r -> r.Ovirt.Driver.rec_ref.Ovirt.Driver.dom_name = "test")
+            (fun r -> r.Ovirt.Driver.rec_ref.Ovirt.Driver.dom_name = "bal")
             (Rp.dec_domain_record_list body)
         with
-        | Some r -> r.Ovirt.Driver.rec_autostart
+        | Some r -> r.Ovirt.Driver.rec_info.Ovirt.Driver.di_memory_kib
         | None -> Alcotest.fail "domain missing from bulk listing"
       in
       let list_all () =
-        autostart_of
+        memory_of
           (vok
-             (Rpc_client.call on_client
+             (Rpc_client.call q_client
                 ~procedure:(Rp.proc_to_int Rp.Proc_dom_list_all)
                 ~body:"" ()))
       in
-      Alcotest.(check (option bool)) "autostart starts clear" (Some false)
-        (list_all ());
-      vok (Domain.set_autostart ddom true);
-      Alcotest.(check (option bool)) "event-less write invalidates"
-        (Some true) (list_all ());
+      Alcotest.(check int) "memory starts at its maximum" 8192 (list_all ());
+      vok (Domain.set_memory qdom 4096);
+      Alcotest.(check int) "event-less write invalidates" 4096 (list_all ());
       (* The listings really were served from the cache, and only they
          were looked up: two calls each in the loop, two listings after. *)
       let admin = vok (Admin.connect ~daemon:name ()) in
@@ -274,6 +277,8 @@ let test_byte_equality_all_procs () =
       Admin.close admin;
       Rpc_client.close on_client;
       Rpc_client.close off_client;
+      Rpc_client.close q_client;
+      Connect.close qdirect;
       Connect.close producer)
 
 (* --- the annotated listing ------------------------------------------------- *)
@@ -452,7 +457,7 @@ let test_stale_read_chaos () =
                     done)
                   ())
           in
-          (* Toggle an event-less write and immediately read it back
+          (* Toggle a write and immediately read it back
              through the cached bulk listing: any cached frame surviving
              the write would surface as a stale flag. *)
           let stale = ref 0 in
